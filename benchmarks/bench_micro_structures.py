@@ -11,7 +11,7 @@ regressions in the code paths that dominate paper-scale runs.
 import numpy as np
 import pytest
 
-from repro.core.activation import full_track_sm_ready, opt_track_entries_ready
+from repro.core.activation import full_track_sm_ready
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import OptTrackSM
@@ -34,13 +34,24 @@ def build_log(n_entries=80, n_sites=N, seed=0):
 
 
 def test_micro_piggyback_views(benchmark):
-    """One write's per-destination views over an n=40-scale log."""
+    """One write's send path over an n=40-scale log: the per-destination
+    views plus building and pricing the SM each one rides on."""
     log = build_log()
     dests = frozenset(range(0, 12))  # p = 12 at n = 40
+    wid = WriteId(0, 1)
 
-    views, base = benchmark(log.piggyback_views, dests)
-    assert len(views) == 12
-    assert isinstance(base, tuple)
+    def views_and_sizes():
+        views, base = log.piggyback_views(dests)
+        sizes = [
+            OptTrackSM(var=0, value=1, write_id=wid,
+                       log=view).metadata_size(DEFAULT_SIZE_MODEL)
+            for view in views.values()
+        ]
+        return views, base, sizes
+
+    views, base, sizes = benchmark(views_and_sizes)
+    assert len(views) == len(sizes) == 12
+    assert all(view.base is base for view in views.values())
 
 
 def test_micro_log_merge(benchmark):
@@ -61,15 +72,12 @@ def test_micro_log_merge(benchmark):
 
 
 def test_micro_activation_opt_track(benchmark):
-    """A_OPT over a 40-record piggybacked log (the per-delivery check)."""
-    entries = [
-        PiggybackEntry(j % N, j + 1, frozenset({j % 5, (j + 1) % 5}))
-        for j in range(40)
-    ]
-    applied = np.full(N, 1000, dtype=np.int64)
+    """A_OPT over one SM's piggyback view (the per-delivery check)."""
+    views, _ = build_log().piggyback_views(frozenset(range(0, 12)))
+    applied = [1000] * N
 
-    ready = benchmark(opt_track_entries_ready, entries, 3, applied)
-    assert ready is True
+    blocker = benchmark(views[3].blocker, 3, applied)
+    assert blocker is None
 
 
 def test_micro_activation_full_track(benchmark):

@@ -29,6 +29,7 @@ import hashlib
 from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..core.log import PiggybackView
 from ..obs.tracer import Trace, TraceEvent, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,6 +78,12 @@ def _feed(h: "hashlib._Hash", obj: object) -> None:
             _feed(h, getattr(obj, f.name))
         h.update(b");")
         return
+    if isinstance(obj, PiggybackView):
+        # a view is its flat sequence, rebuilt from the delta: the lazily
+        # filled flat-cache slot (logically immutable, like the clocks'
+        # tolist caches below) must not register as a mutation, while a
+        # replaced delta still must
+        obj = obj.materialise()
     if isinstance(obj, (list, tuple)):
         h.update(f"{type(obj).__name__}[".encode())
         for item in obj:

@@ -15,7 +15,7 @@ from .base import (
 from .clocks import MatrixClock, VectorClock
 from .full_track import FullTrackProtocol
 from .hb_track import HBTrackProtocol
-from .log import OptTrackLog, PiggybackEntry, TupleLog
+from .log import OptTrackLog, PiggybackEntry, PiggybackView, TupleLog
 from .netpolicy import OverloadError, RetransmitPolicy, RtoEstimator
 from .opt_track import OptTrackNoPruneProtocol, OptTrackProtocol
 from .opt_track_crp import OptTrackCRPProtocol
@@ -52,6 +52,7 @@ __all__ = [
     "OptTrackLog",
     "TupleLog",
     "PiggybackEntry",
+    "PiggybackView",
     "FullTrackProtocol",
     "HBTrackProtocol",
     "OptTrackNoPruneProtocol",

@@ -7,7 +7,11 @@ protocols use the optimal predicate A_OPT of Baldoni et al., evaluated
 over whatever metadata the protocol piggybacks:
 
 * Full-Track — the n x n Write matrix column for this site;
-* Opt-Track — the piggybacked KS-log records naming this site;
+* Opt-Track — the piggybacked KS-log records naming this site (an SM's
+  log is a :class:`~repro.core.log.PiggybackView`, which already knows
+  which records those are: its gate is
+  :meth:`~repro.core.log.PiggybackView.blocker`; the scan below serves
+  the flat RM logs);
 * Opt-Track-CRP — (writer, clock) 2-tuples plus per-writer FIFO counts;
 * optP — the size-n Write vector.
 
@@ -135,7 +139,7 @@ def opt_track_entries_ready(
     site: int,
     applied_clocks: Sequence[int],
 ) -> bool:
-    """A_OPT for Opt-Track metadata (both SM logs and RM logs).
+    """A_OPT for Opt-Track metadata held as a flat log (RM logs).
 
     ``applied_clocks[j]`` holds the highest write-clock of ap_j applied
     at this site (clocks of one writer increase monotonically along its

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-__all__ = ["PiggybackEntry", "OptTrackLog", "TupleLog"]
+__all__ = ["PiggybackEntry", "PiggybackView", "OptTrackLog", "TupleLog"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +45,173 @@ class PiggybackEntry:
 
     def dest_count(self) -> int:
         return len(self.dests)
+
+
+_NO_DESTS: frozenset[int] = frozenset()
+
+
+class PiggybackView:
+    """The log piggybacked on one copy of a multicast, delta-encoded.
+
+    The p copies of one write differ from the shared condition-2-stripped
+    log ``base`` only in the records that name their own receiver: the
+    ``base`` records at indices ``regain`` get ``dest`` back, and the
+    dead records with keys ``extra`` — omitted from ``base`` because only
+    ``dest`` still needs them — follow as ``<writer, clock, {dest}>``.
+    Since ``base`` has every multicast destination stripped, those are
+    the *only* records of the copy that name ``dest``, so sizing, the
+    activation gate and the stored ``LastWriteOn`` log are reads of the
+    delta, not walks of the log:
+
+    * the copy holds ``len(base) + len(extra)`` records naming
+      ``base_dests + len(regain) + len(extra)`` destinations in all;
+    * its gate is the regained records by ascending index, then the
+      extras — the order a scan of the flat sequence meets them in, so
+      :meth:`blocker` names the same first blocker such a scan would;
+    * with ``dest`` stripped again (implicit condition 1 at apply) it is
+      ``base`` itself plus one empty-destination record per extra.
+
+    As a sequence (iteration, indexing, ``len``, equality with a tuple)
+    it is that flat sequence of :class:`PiggybackEntry`, materialised at
+    most once.  Logically immutable: ``_flat`` caches the flat form and
+    :meth:`_retarget` re-derives the delta from it, neither changes the
+    sequence.
+    """
+
+    __slots__ = ("base", "base_dests", "dest", "regain", "extra", "_flat")
+
+    def __init__(
+        self,
+        base: tuple[PiggybackEntry, ...],
+        base_dests: int,
+        dest: Optional[int],
+        regain: tuple[int, ...],
+        extra: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.base = base
+        self.base_dests = base_dests
+        self.dest = dest
+        self.regain = regain
+        self.extra = extra
+        self._flat: Optional[tuple[PiggybackEntry, ...]] = None
+
+    @classmethod
+    def from_entries(
+        cls, entries: Iterable[PiggybackEntry], dest: Optional[int] = None
+    ) -> "PiggybackView":
+        """The view whose flat sequence is ``entries``, with the delta
+        derived for ``dest`` by one scan — for a log that did not come
+        from :meth:`OptTrackLog.piggyback_views` (decoded from the wire,
+        or an unpruned snapshot).  ``dest=None`` leaves the receiver open
+        until the first site asks."""
+        view = cls.__new__(cls)
+        view._flat = tuple(entries)
+        view._retarget(dest)
+        return view
+
+    def _retarget(self, site: Optional[int]) -> None:
+        """Re-derive the delta for ``site`` from the flat sequence."""
+        flat = self.flat()
+        base = list(flat)
+        regain: list[int] = []
+        total = 0
+        for i, e in enumerate(flat):
+            dests = e.dests
+            total += len(dests)
+            if site in dests:
+                regain.append(i)
+                base[i] = PiggybackEntry(
+                    e.writer, e.clock, dests.difference((site,)))
+        self.base = tuple(base) if regain else flat
+        self.base_dests = total - len(regain)
+        self.dest = site
+        self.regain = tuple(regain)
+        self.extra = ()
+
+    # ------------------------------------------------------------------
+    # the three per-SM consumers
+    # ------------------------------------------------------------------
+    def dest_total(self) -> int:
+        """Destinations named over all records (feeds the size model)."""
+        return self.base_dests + len(self.regain) + len(self.extra)
+
+    def blocker(
+        self, site: int, applied_clocks: Sequence[int]
+    ) -> Optional[tuple[int, int]]:
+        """First unapplied ``(writer, clock)`` record naming ``site``;
+        ``None`` when the copy is applicable there (A_OPT holds)."""
+        if site != self.dest:
+            self._retarget(site)
+        base = self.base
+        for i in self.regain:
+            e = base[i]
+            if applied_clocks[e.writer] < e.clock:
+                return (e.writer, e.clock)
+        for key in self.extra:
+            if applied_clocks[key[0]] < key[1]:
+                return key
+        return None
+
+    def stored(self, site: int) -> tuple[PiggybackEntry, ...]:
+        """The flat sequence with ``site`` stripped from every record —
+        the log kept in ``LastWriteOn`` once the write is applied there.
+        The emptied extras stay: they become tombstones at the next
+        read-merge."""
+        if site != self.dest:
+            self._retarget(site)
+        if not self.extra:
+            return self.base
+        return self.base + tuple(
+            [PiggybackEntry(j, c, _NO_DESTS) for j, c in self.extra]
+        )
+
+    # ------------------------------------------------------------------
+    # the flat sequence
+    # ------------------------------------------------------------------
+    def materialise(self) -> tuple[PiggybackEntry, ...]:
+        """The flat sequence rebuilt from the delta, bypassing the cache
+        (the sanitizer fingerprints this; everyone else wants
+        :meth:`flat`)."""
+        if not (self.regain or self.extra):
+            return self.base
+        dest = self.dest
+        assert dest is not None  # a non-empty delta has a receiver
+        me = frozenset((dest,))
+        entries = list(self.base)
+        for i in self.regain:
+            e = entries[i]
+            entries[i] = PiggybackEntry(e.writer, e.clock, e.dests | me)
+        for j, c in self.extra:
+            entries.append(PiggybackEntry(j, c, me))
+        return tuple(entries)
+
+    def flat(self) -> tuple[PiggybackEntry, ...]:
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = self.materialise()
+        return flat
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.extra)
+
+    def __iter__(self) -> Iterator[PiggybackEntry]:
+        return iter(self.flat())
+
+    def __getitem__(self, index: int) -> PiggybackEntry:
+        return self.flat()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PiggybackView):
+            return self.flat() == other.flat()
+        if isinstance(other, tuple):
+            return self.flat() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.flat())
+
+    def __repr__(self) -> str:
+        return f"PiggybackView({self.flat()!r})"
 
 
 class OptTrackLog:
@@ -228,15 +395,18 @@ class OptTrackLog:
     # ------------------------------------------------------------------
     def piggyback_views(
         self, write_dests: frozenset[int]
-    ) -> tuple[dict[int, tuple[PiggybackEntry, ...]], tuple[PiggybackEntry, ...]]:
+    ) -> tuple[dict[int, PiggybackView], tuple[PiggybackEntry, ...]]:
         """All per-destination piggyback views for one multicast, at once.
 
-        Semantically each destination d receives ``piggyback_for(d,
-        write_dests)``; structurally the views differ from the common
+        Semantically destination d receives the log with ``write_dests -
+        {d}`` stripped from every record (implicit condition 2 — the new
+        write will enforce the dependency there transitively — except
+        for d itself, which the receiver still needs for its activation
+        predicate); structurally the views differ from the common
         condition-2-stripped log only in the few records that name d, so
-        the common part is built once and shared (a large constant-factor
-        win: the naive per-destination construction dominated profile
-        time on write-heavy runs).
+        that log is built once and each view is a :class:`PiggybackView`
+        delta against it.  Every destination gets a view, with an empty
+        delta when no record names it.
 
         Records whose destination set empties under condition-2 stripping
         are *not* shipped — they carry no gating information and shipping
@@ -248,79 +418,47 @@ class OptTrackLog:
         their own stale destination knowledge for it.
 
         Returns ``(views, stripped)`` where ``stripped`` is the shared
-        fully-stripped view — also exactly the log to store alongside a
-        local apply.
+        fully-stripped log — ``views[d].base`` for every d, and exactly
+        the log to store alongside a local apply.
         """
         newest = self._newest
         frozen = self._frozen
         stripped: list[PiggybackEntry] = []
         append = stripped.append
+        base_dests = 0
         dest_order = sorted(write_dests)
-        containing: dict[int, list] = {d: [] for d in dest_order}
+        regain: dict[int, list[int]] = {d: [] for d in dest_order}
+        extra: dict[int, list[tuple[int, int]]] = {d: [] for d in dest_order}
         for key, rec in self._sorted_items():
             if write_dests.isdisjoint(rec):
                 # common case: record untouched by the stripping — ship
-                # the interned frozen view, nothing to patch per dest
+                # the interned frozen view, no destination regains it
                 e = frozen.get(key)
                 if e is None:
                     e = frozen[key] = PiggybackEntry(
                         key[0], key[1], frozenset(rec)
                     )
                 append(e)
+                base_dests += len(rec)
                 continue
-            j, c = key
             kept = rec - write_dests
-            if not kept and newest[j] != c:
+            if not kept and newest[key[0]] != key[1]:
                 # dead unless some destination in write_dests still needs
-                # it — those copies are patched in per destination below
+                # it — those copies carry it as an extra gate
                 for d in sorted(rec):  # rec == rec & write_dests here
-                    containing[d].append(key)
+                    extra[d].append(key)
                 continue
-            append(PiggybackEntry(j, c, frozenset(kept)))
             for d in sorted(rec & write_dests):
-                containing[d].append(len(stripped) - 1)
+                regain[d].append(len(stripped))
+            append(PiggybackEntry(key[0], key[1], frozenset(kept)))
+            base_dests += len(kept)
         base = tuple(stripped)
-        views: dict[int, tuple[PiggybackEntry, ...]] = {}
-        for d in dest_order:
-            marks = containing[d]
-            if not marks:
-                views[d] = base  # shared: d appears in no record
-                continue
-            lst: Optional[list[PiggybackEntry]] = None
-            appended: list[PiggybackEntry] = []
-            for m in marks:
-                if isinstance(m, int):  # shipped record: re-add d to it
-                    if lst is None:
-                        lst = list(base)
-                    e = lst[m]
-                    lst[m] = PiggybackEntry(e.writer, e.clock, e.dests | {d})
-                else:  # omitted record: only d still needs it
-                    appended.append(PiggybackEntry(m[0], m[1], frozenset((d,))))
-            if lst is None:
-                # dead-record marks only append — concat, no base copy
-                views[d] = base + tuple(appended)
-            else:
-                lst.extend(appended)
-                views[d] = tuple(lst)
+        views = {
+            d: PiggybackView(base, base_dests, d,
+                             tuple(regain[d]), tuple(extra[d]))
+            for d in dest_order
+        }
         return views, base
-
-    def piggyback_for(
-        self, dest: int, write_dests: frozenset[int]
-    ) -> tuple[PiggybackEntry, ...]:
-        """Log view piggybacked on the copy of a new multicast sent to ``dest``.
-
-        For each record, destinations in ``write_dests`` are stripped
-        (implicit condition 2 — the new write will enforce the dependency
-        there transitively) *except* ``dest`` itself, which the receiver
-        still needs for its activation predicate.  Records left dead by
-        the stripping are omitted (see :meth:`piggyback_views`).
-
-        Convenience single-destination wrapper around
-        :meth:`piggyback_views`; the protocol hot path uses the batched
-        form directly.
-        """
-        views, base = self.piggyback_views(write_dests)
-        return views.get(dest, base)
 
     def merge(
         self,

@@ -24,7 +24,7 @@ from typing import Optional
 from ..memory.store import WriteId
 from ..metrics.sizing import SizeModel
 from .clocks import MatrixClock, VectorClock
-from .log import PiggybackEntry
+from .log import PiggybackEntry, PiggybackView
 
 __all__ = [
     "FetchMessage",
@@ -105,26 +105,33 @@ class FullTrackRM:
 class OptTrackSM:
     """SM(x_h, v, site, clock, L_w): update multicast with a pruned log.
 
-    ``log`` is the per-destination piggyback view produced by
-    :meth:`~repro.core.log.OptTrackLog.piggyback_for` — different copies
-    of the same write may carry differently pruned logs.
+    ``log`` is the per-destination :class:`~repro.core.log.PiggybackView`
+    produced by :meth:`~repro.core.log.OptTrackLog.piggyback_views` —
+    different copies of the same write carry differently pruned logs
+    over one shared base.  A flat sequence of records (a decoded wire
+    message, a hand-built test message) is wrapped on construction, so
+    receivers always hold a view.
     """
 
     var: int
     value: object
     write_id: WriteId
-    log: tuple[PiggybackEntry, ...]
+    log: PiggybackView
     #: simulated issue time (ms); lets receivers report visibility lag
     issued_at: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.log, PiggybackView):
+            object.__setattr__(
+                self, "log", PiggybackView.from_entries(self.log)
+            )
+
     def metadata_size(self, model: SizeModel) -> int:
-        total_dests = 0
-        for e in self.log:  # explicit loop: sized on every send (hot)
-            total_dests += len(e.dests)
+        log = self.log
         return (
             model.envelope_opt_track + model.var_id + model.value
             + model.site_id + model.clock
-            + model.opt_track_log_shape(len(self.log), total_dests)
+            + model.opt_track_log_shape(len(log), log.dest_total())
         )
 
 

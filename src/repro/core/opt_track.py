@@ -35,7 +35,7 @@ from ..memory.store import WriteId
 from ..metrics.collector import MessageKind
 from .activation import opt_track_entries_blocker, opt_track_entries_ready
 from .base import CausalProtocol, ProtocolContext, register_protocol
-from .log import OptTrackLog, PiggybackEntry
+from .log import OptTrackLog, PiggybackEntry, PiggybackView
 from .messages import FetchMessage, OptTrackRM, OptTrackSM
 
 __all__ = ["OptTrackProtocol"]
@@ -106,7 +106,8 @@ class OptTrackProtocol(CausalProtocol):
 
             def make_sm(d: int) -> OptTrackSM:
                 return OptTrackSM(var=var, value=value, write_id=wid,
-                                  log=snapshot, issued_at=ctx.clock.now)
+                                  log=PiggybackView.from_entries(snapshot, d),
+                                  issued_at=ctx.clock.now)
 
         # placement.replicas() is exactly sorted(dests), pre-sorted
         self._multicast(ctx.placement.replicas(var), make_sm, MessageKind.SM)
@@ -164,11 +165,11 @@ class OptTrackProtocol(CausalProtocol):
 
     def _sm_ready(self, src: int, message: object) -> bool:
         assert isinstance(message, OptTrackSM)
-        return opt_track_entries_ready(message.log, self.site, self.applied)
+        return message.log.blocker(self.site, self.applied) is None
 
     def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, OptTrackSM)
-        return opt_track_entries_blocker(message.log, self.site, self.applied)
+        return message.log.blocker(self.site, self.applied)
 
     def _apply_sm(self, src: int, message: object) -> None:
         assert isinstance(message, OptTrackSM)
@@ -184,20 +185,11 @@ class OptTrackProtocol(CausalProtocol):
                 self.ctx.placement.replica_set(message.var) - {wid.site}
             )
         # Implicit condition 1: "this site is a destination" is dead
-        # information from this apply onward — strip self before storing.
-        # Only records naming this site need rebuilding; the rest of the
-        # (immutable) piggybacked log is shared as-is.
-        me = self.site
-        me_s = {me}
-        log = message.log
-        rebuilt: Optional[list[PiggybackEntry]] = None
-        for i, e in enumerate(log):
-            if me in e.dests:
-                if rebuilt is None:
-                    rebuilt = list(log)
-                rebuilt[i] = PiggybackEntry(e.writer, e.clock, e.dests - me_s)
-        stored = log if rebuilt is None else tuple(rebuilt)
-        self._apply_value(message.var, message.value, wid, dests, stored)
+        # information from this apply onward — the stored log is the
+        # piggybacked view with self stripped, i.e. the base every copy
+        # of this write shares.
+        self._apply_value(message.var, message.value, wid, dests,
+                          message.log.stored(self.site))
 
     def _apply_value(
         self,

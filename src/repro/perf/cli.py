@@ -5,9 +5,10 @@ Modes (composable):
 * default            — run the suite and print a table;
 * ``--record LABEL`` — also append the measurement as a new entry in
   ``--file`` (default ``BENCH_hotpath.json``), preserving history;
-* ``--compare PATH`` — after running, compare against the *last* entry
-  in ``PATH`` that has this mode's numbers and exit 1 if any headline
-  metric regressed by more than ``--threshold`` (default 25%);
+* ``--compare PATH`` — after running, compare against the *newest*
+  entry in ``PATH`` and exit 1 if any headline metric regressed by more
+  than ``--threshold`` (default 25%); exit 2 if that entry lacks this
+  mode's numbers (every entry should record both ``quick`` and ``full``);
 * ``--overhead``     — run the metrics-registry overhead bench instead
   (enabled-vs-disabled A/B of the reference macro run) and exit 1 if the
   enabled side costs more than ``--overhead-threshold`` (default 5%);
@@ -261,12 +262,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"--compare: {exc}", file=sys.stderr)
             return 2
-        candidates = [e for e in data["entries"] if mode in e.get("modes", {})]
-        if not candidates:
-            print(f"--compare: {path} has no entry with {mode!r} results",
+        if not data["entries"]:
+            print(f"--compare: {path} has no entries", file=sys.stderr)
+            return 2
+        # always the newest entry: falling back to an older one that
+        # happens to have this mode would gate against stale numbers
+        last = data["entries"][-1]
+        if mode not in last.get("modes", {}):
+            print(f"--compare: newest entry {last.get('label')!r} in {path} "
+                  f"has no {mode!r} results (record both modes per entry)",
                   file=sys.stderr)
             return 2
-        last = candidates[-1]
         failures = compare_results(current, last["modes"], mode, args.threshold)
         if failures:
             print(f"PERF REGRESSION vs entry {last['label']!r} in {path}:")

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.activation import full_track_sm_ready, opt_track_entries_ready
+from ..core.activation import full_track_sm_ready
 from ..core.clocks import MatrixClock, VectorClock
-from ..core.log import OptTrackLog, PiggybackEntry
+from ..core.log import OptTrackLog, PiggybackEntry, PiggybackView
 from ..core.messages import OptTrackSM
 from ..memory.store import WriteId
 from ..metrics.sizing import DEFAULT_SIZE_MODEL
@@ -94,11 +94,16 @@ def _bench_engine_cancel_churn(iters: int) -> int:
 
 
 def _bench_piggyback_views(iters: int) -> int:
-    """One write's per-destination piggyback views (p = 12 at n = 40)."""
+    """One write's send path (p = 12 at n = 40): the per-destination
+    piggyback views plus building and pricing the SM each one rides on."""
     log = _build_log()
     dests = frozenset(range(0, 12))
+    wid = WriteId(0, 1)
     for _ in range(iters):
-        log.piggyback_views(dests)
+        views, _base = log.piggyback_views(dests)
+        for view in views.values():
+            OptTrackSM(var=0, value=1, write_id=wid,
+                       log=view).metadata_size(DEFAULT_SIZE_MODEL)
     return iters
 
 
@@ -116,14 +121,13 @@ def _bench_log_merge(iters: int) -> int:
 
 
 def _bench_activation_opt_track(iters: int) -> int:
-    """A_OPT over a 40-record piggybacked log (the per-delivery check)."""
-    entries = [
-        PiggybackEntry(j % N, j + 1, frozenset({j % 5, (j + 1) % 5}))
-        for j in range(40)
-    ]
-    applied = np.full(N, 1000, dtype=np.int64)
+    """A_OPT over one SM's piggyback view (the per-delivery check): only
+    the records of the 80-record log that name the receiver are read."""
+    views, _base = _build_log().piggyback_views(frozenset(range(0, 12)))
+    view = views[3]
+    applied = [1000] * N
     for _ in range(iters):
-        opt_track_entries_ready(entries, 3, applied)
+        view.blocker(3, applied)
     return iters
 
 
@@ -157,7 +161,7 @@ def _bench_vector_merge(iters: int) -> int:
 
 def _bench_message_sizing(iters: int) -> int:
     """Per-send metadata pricing of an 80-record Opt-Track SM."""
-    log = tuple(_build_log().entries())
+    log = PiggybackView.from_entries(_build_log().entries())
     sm = OptTrackSM(var=0, value=1, write_id=WriteId(0, 1), log=log)
     for _ in range(iters):
         sm.metadata_size(DEFAULT_SIZE_MODEL)

@@ -17,7 +17,9 @@ every platform:
 * project types are tagged objects: ``{"!": "wid", ...}`` for
   :class:`~repro.memory.store.WriteId`, ``mat``/``vec`` for the numpy
   clocks, ``pbe`` for :class:`~repro.core.log.PiggybackEntry`;
-* containers: tuples are tagged (``t``) so decode restores them exactly,
+* containers: tuples are tagged (``t``) so decode restores them exactly
+  (an Opt-Track SM's :class:`~repro.core.log.PiggybackView` encodes as
+  the tuple of its records and is rebuilt from it on decode),
   frozensets (``fs``) serialize sorted, plain lists/dicts pass through
   with dict keys required to be strings (client values arrive as JSON).
 
@@ -34,7 +36,7 @@ import json
 import struct
 from typing import Callable
 
-from ..core.log import PiggybackEntry
+from ..core.log import PiggybackEntry, PiggybackView
 from ..core.clocks import MatrixClock, VectorClock
 from ..core.messages import (
     CRPSM,
@@ -106,7 +108,8 @@ def _to_wire(obj: object) -> object:
     if isinstance(obj, PiggybackEntry):
         return {_TAG: "pbe", "w": obj.writer, "c": obj.clock,
                 "d": sorted(obj.dests)}
-    if isinstance(obj, tuple):
+    if isinstance(obj, (tuple, PiggybackView)):
+        # a view goes out as its flat sequence: same bytes as the tuple
         return {_TAG: "t", "v": [_to_wire(x) for x in obj]}
     if isinstance(obj, frozenset):
         return {_TAG: "fs", "v": sorted(obj)}

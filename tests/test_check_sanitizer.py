@@ -22,7 +22,10 @@ from repro.check.sanitizer import (
     diff_traces,
     set_divergence_test_hook,
 )
+from repro.core.log import OptTrackLog
+from repro.core.messages import OptTrackSM
 from repro.experiments.runner import SimulationConfig, run_simulation
+from repro.memory.store import WriteId
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -34,6 +37,15 @@ class Payload:
 
     origin: int
     dests: list = field(default_factory=list)
+
+
+def view_sm():
+    """An Opt-Track SM riding a delta-encoded piggyback view."""
+    log = OptTrackLog()
+    log.insert(0, 1, {1, 2, 3})
+    log.insert(0, 2, {3})
+    views, _ = log.piggyback_views(frozenset({1, 2}))
+    return OptTrackSM(var=0, value="v", write_id=WriteId(0, 3), log=views[1])
 
 
 def make_net(n_sites: int = 2):
@@ -116,6 +128,30 @@ class TestSanitizedNetwork:
         shared[0][1] = 99.0  # deep mutation through the alias
         with pytest.raises(MessageMutationError):
             sim.run()
+
+    def test_flattening_a_sent_view_is_not_a_mutation(self):
+        """A piggyback view fills its flat-sequence cache on first
+        iteration; that lazy slot is not message state."""
+        sim, net = make_net()
+        net.register(0, lambda src, msg: None)
+        net.register(1, lambda src, msg: None)
+        msg = view_sm()
+        net.send(0, 1, msg)
+        assert len(tuple(msg.log)) == 2  # iterated in flight: cache filled
+        sim.run()
+        assert net.mutation_checks == 1
+
+    def test_replaced_view_delta_caught(self):
+        sim, net = make_net()
+        net.register(0, lambda src, msg: None)
+        net.register(1, lambda src, msg: None)
+        msg = view_sm()
+        net.send(0, 1, msg)
+        tuple(msg.log)  # even with the flat form already cached
+        msg.log.regain = ()  # the copy to 1 loses its gate on (0, 1)
+        with pytest.raises(MessageMutationError) as exc:
+            sim.run()
+        assert "OptTrackSM" in str(exc.value) and "log" in str(exc.value)
 
     def test_unknown_payloads_pass_unchecked(self):
         """Packets that never crossed send() (transport internals) are

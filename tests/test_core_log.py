@@ -151,21 +151,29 @@ class TestPiggybackViews:
         # shipped as a marker
         assert [(e.writer, e.clock, set(e.dests)) for e in base] == [(4, 7, set())]
 
-    def test_piggyback_for_matches_views(self):
+    def test_views_match_per_destination_stripping(self):
         log = OptTrackLog()
         log.insert(0, 1, {1, 2, 5})
         log.insert(3, 2, {2})
         log.insert(3, 4, {5})
         D = frozenset({1, 2})
         views, base = log.piggyback_views(D)
-        for d in D:
-            assert log.piggyback_for(d, D) == views[d]
+        # each copy strips the co-destinations but keeps its receiver;
+        # (3, 2) dies under stripping and rides only on the copy to 2
+        assert tuple(views[1]) == (entry(0, 1, 1, 5), entry(3, 4, 5))
+        assert tuple(views[2]) == (
+            entry(0, 1, 2, 5), entry(3, 4, 5), entry(3, 2, 2))
+        assert base == (entry(0, 1, 5), entry(3, 4, 5))
 
     def test_views_share_structure_when_possible(self):
         log = OptTrackLog()
         log.insert(0, 1, {9})  # mentions no multicast destination
+        log.insert(0, 2, {1, 9})  # regained by the copy to 1 only
         views, base = log.piggyback_views(frozenset({1, 2}))
-        assert views[1] is base and views[2] is base
+        # one stripped log under every copy, named or not
+        assert views[1].base is base and views[2].base is base
+        assert views[2] == base and views[2].stored(2) is base
+        assert views[1] != base and views[1].stored(1) is base
 
 
 class TestLogMisc:

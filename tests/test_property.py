@@ -23,8 +23,9 @@ from repro import (
     check_causal_consistency,
     run_simulation,
 )
+from repro.core.activation import opt_track_entries_blocker
 from repro.core.clocks import MatrixClock, VectorClock
-from repro.core.log import OptTrackLog, PiggybackEntry, TupleLog
+from repro.core.log import OptTrackLog, PiggybackEntry, PiggybackView, TupleLog
 
 SIM_SETTINGS = settings(
     max_examples=25,
@@ -147,6 +148,34 @@ entries_strategy = st.lists(
 ).map(lambda raw: [PiggybackEntry(j, c, d) for j, c, d in raw])
 
 
+def _reference_copy(log, write_dests, d):
+    """The copy of a multicast to ``write_dests`` that travels to ``d``,
+    built record by record: strip the co-destinations ``write_dests -
+    {d}``; a record the stripping kills (empty everywhere, not its
+    writer's newest) rides only on the copies of the destinations it
+    named, after the live records."""
+    newest = {}
+    for e in log.entries():
+        newest[e.writer] = max(newest.get(e.writer, 0), e.clock)
+    live, dead = [], []
+    for e in log.entries():
+        shipped = PiggybackEntry(e.writer, e.clock,
+                                 e.dests - (write_dests - {d}))
+        killed = (e.dests & write_dests and not e.dests - write_dests
+                  and newest[e.writer] != e.clock)
+        if not killed:
+            live.append(shipped)
+        elif d in e.dests:
+            dead.append(shipped)
+    return tuple(live + dead)
+
+
+def _gating_pairs(view):
+    """``(writer, clock)`` of the records a view's gate reads, in order."""
+    return [(view.base[i].writer, view.base[i].clock)
+            for i in view.regain] + list(view.extra)
+
+
 class TestLogProperties:
     @given(entries=entries_strategy, dests=st.frozensets(st.integers(0, 5), max_size=4))
     @settings(max_examples=100, deadline=None)
@@ -170,6 +199,41 @@ class TestLogProperties:
         for view in list(views.values()) + [base]:
             for e in view:
                 assert e.dests <= original[(e.writer, e.clock)]
+
+    @given(entries=entries_strategy,
+           dests=st.frozensets(st.integers(0, 5), max_size=4),
+           applied=st.lists(st.integers(0, 9), min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_view_delta_answers_match_the_flat_copy(self, entries, dests, applied):
+        log = OptTrackLog(entries)
+        views, base = log.piggyback_views(dests)
+        assert set(views) == set(dests)
+        for d in sorted(dests):
+            view = views[d]
+            flat = tuple(view)
+            assert flat == _reference_copy(log, dests, d)
+            assert view.base is base
+            # the three O(marks) consumers against a walk of the copy
+            assert _gating_pairs(view) == [
+                (e.writer, e.clock) for e in flat if d in e.dests]
+            assert view.blocker(d, applied) == \
+                opt_track_entries_blocker(flat, d, applied)
+            stripped = tuple(
+                PiggybackEntry(e.writer, e.clock, e.dests - {d}) for e in flat)
+            assert view.stored(d) == stripped
+            assert len(view) == len(flat)
+            assert view.dest_total() == sum(len(e.dests) for e in flat)
+            # a view built from the flat copy (a decoded SM) agrees,
+            # with the receiver given up front or found at first ask
+            for rebuilt in (PiggybackView.from_entries(flat, d),
+                            PiggybackView.from_entries(flat)):
+                assert tuple(rebuilt) == flat and rebuilt == view
+                assert len(rebuilt) == len(flat)
+                assert rebuilt.dest_total() == view.dest_total()
+                assert rebuilt.blocker(d, applied) == view.blocker(d, applied)
+                assert _gating_pairs(rebuilt) == _gating_pairs(view)
+                assert rebuilt.stored(d) == stripped
+                assert tuple(rebuilt) == flat  # asking never changes it
 
     @given(entries=entries_strategy, other=entries_strategy)
     @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.check.sanitizer import fingerprint
 from repro.core.clocks import MatrixClock, VectorClock
-from repro.core.log import PiggybackEntry
+from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import (
     CRPSM,
     FetchMessage,
@@ -31,6 +31,8 @@ from repro.service.codec import (
     pack_frame,
     unpack_length,
 )
+
+from .test_protocol_ordering import make_proto
 
 ALL_MESSAGE_TYPES = (
     FetchMessage, FullTrackSM, FullTrackRM,
@@ -113,6 +115,41 @@ class TestRoundTrip:
         # decoded copy is byte-stable)
         first = encode_message(message)
         assert encode_message(decode_message(first)) == first
+
+    def test_view_and_flat_log_encode_to_equal_bytes(self):
+        # the wire carries the flat sequence: an SM built from a
+        # piggyback view and one built from its flat tuple are the same
+        # frame, and the decoded copy gates and applies at its receiver
+        log = OptTrackLog()
+        log.insert(0, 1, {0, 1, 2})  # stays live: both copies regain it
+        log.insert(0, 2, {2})  # newest from 0: ships as a marker
+        log.insert(2, 1, {1})  # dies under stripping: rides to 1 only
+        log.insert(2, 3, {0})
+        views, _ = log.piggyback_views(frozenset({1, 2}))
+        wid = WriteId(2, 4)
+        viewed = OptTrackSM(var=1, value="v", write_id=wid, log=views[1])
+        flat = OptTrackSM(var=1, value="v", write_id=wid,
+                          log=tuple(views[1]))
+        assert encode_message(viewed) == encode_message(flat)
+        decoded = decode_message(encode_message(viewed))
+        assert decoded == viewed and tuple(decoded.log) == tuple(views[1])
+
+        proto, ctx = make_proto("opt-track", site=1)
+        assert proto._sm_blocker(2, decoded) == (0, 1)
+        assert not proto._sm_ready(2, decoded)
+        proto.applied[0] = 1
+        assert proto._sm_blocker(2, decoded) == (2, 1)
+        proto.applied[2] = 1
+        assert proto._sm_ready(2, decoded)
+        proto._apply_sm(2, decoded)
+        assert ctx.store.read(1).value == "v"
+        # stored with this site stripped; the dead extra stays, emptied
+        assert proto.last_write_on[1][2] == (
+            PiggybackEntry(0, 1, frozenset({0})),
+            PiggybackEntry(0, 2, frozenset()),
+            PiggybackEntry(2, 3, frozenset({0})),
+            PiggybackEntry(2, 1, frozenset()),
+        )
 
     def test_unknown_type_is_loud(self):
         class Rogue:
