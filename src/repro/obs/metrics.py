@@ -1,7 +1,7 @@
 """Labeled metrics instruments: registry, counters, gauges, histograms.
 
 A :class:`MetricsRegistry` is the single instrumentation surface for the
-whole stack — event kernel, network, ReliableChannel, the four protocol
+whole stack — event kernel, network, reliable channel, the four protocol
 cores, failure detector, checkpoint/WAL, and membership all emit into
 one registry when (and only when) one is wired in.  Design constraints,
 in order:

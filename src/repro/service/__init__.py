@@ -11,9 +11,17 @@ port              simulator substrate            service substrate
 ================  =============================  =========================
 ``Clock``         :class:`~repro.sim.engine.Simulator`  event-loop wall clock
 ``TimerService``  kernel event heap              ``loop.call_later``
-``Transport``     :class:`~repro.sim.network.Network`   TCP + :mod:`~repro.service.channel`
+``Transport``     :class:`~repro.sim.network.Network`   :class:`~repro.service.channel.ServiceTransport` over TCP
 ``Durability``    :class:`~repro.sim.checkpoint.SiteDisk`  (not yet wired)
 ================  =============================  =========================
+
+Under both ``Transport`` implementations sits the *same* reliable
+channel — the sender/receiver state machine in
+:mod:`repro.core.netpolicy`.  The simulator hosts it in
+:class:`~repro.sim.reliable.ReliableTransport` (under injected faults),
+this package in :class:`~repro.service.channel.ServiceTransport` (under
+TCP links that die and reconnect); neither has a channel implementation
+of its own.
 
 Modules:
 
@@ -22,10 +30,9 @@ Modules:
 * :mod:`~repro.service.runtime` — wall ``Clock``/``TimerService`` over
   an asyncio loop, plus the deterministic :class:`StepClock` used by
   in-process tests;
-* :mod:`~repro.service.channel` — reliable exactly-once FIFO channel
-  over a (re)connectable byte stream, reusing the PR-8
-  :class:`~repro.core.netpolicy.RetransmitPolicy` /
-  :class:`~repro.core.netpolicy.RtoEstimator` policy objects;
+* :mod:`~repro.service.channel` — the live host of the reliable
+  channel: frame ⇄ packet adapter, validation of untrusted peer frames,
+  the ``Transport`` port;
 * :mod:`~repro.service.node` — the substrate-independent
   :class:`NodeCore` plus the asyncio TCP node (one OS process per site);
 * :mod:`~repro.service.api` — client-facing HTTP JSON GET/PUT/status;

@@ -1,39 +1,40 @@
-"""Reliable exactly-once FIFO delivery over (re)connectable byte links.
-
-The live analogue of :mod:`repro.sim.reliable`: per-directed-channel
-sequence numbers, cumulative acks, adaptive retransmission timers, and
-an out-of-order reassembly buffer — implementing the
-:class:`~repro.core.ports.Transport` port for the service substrate.
+"""The live service's host for the reliable channel.
 
 TCP already gives FIFO bytes *per connection*, but connections die: a
 peer restart or transient disconnect silently drops everything buffered
 in the kernel, and a reconnect may replay frames the receiver already
-processed.  The seq/ack layer restores the channel guarantees the
-protocol cores assume (no loss, no duplication, no reordering within a
-channel) *across* connections — exactly the job the sim channel does
-across injected faults.
+processed.  The channel state machine in :mod:`repro.core.netpolicy` —
+the same one the simulator runs under injected faults — restores the
+guarantees the protocol cores assume (no loss, no duplication, no
+reordering within a channel) *across* connections.
 
-Policy is shared verbatim with the simulator:
-:class:`~repro.core.netpolicy.RetransmitPolicy` parameterizes windows,
-backoff and shedding, and :class:`~repro.core.netpolicy.RtoEstimator`
-runs the same Jacobson/Karels filter over *wall-clock* RTT samples that
-the sim runs over simulated ones (Karn's rule included).  Timers come
-from the injected :class:`~repro.core.ports.Scheduler`, so the identical
-channel logic runs under asyncio (live node) or a
+This module is what only the live substrate has: the adapter between
+channel packets and wire frames, validation of frames arriving from
+untrusted peers, and the :class:`~repro.core.ports.Transport` port.  A
+node owns one end of each direction, so it keeps the sender half of
+``me -> peer`` and the receiver half of ``peer -> me`` under one key.
+Timers come from the injected :class:`~repro.core.ports.Scheduler`, so
+the identical logic runs under asyncio (live node) or a
 :class:`~repro.service.runtime.StepClock` (tests).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from random import Random
 from typing import Callable, Optional
 
-from ..core.netpolicy import OverloadError, RetransmitPolicy, RtoEstimator
-from ..core.ports import Scheduler, TimerHandle
-from .codec import message_from_wire, message_to_wire
+from ..core.netpolicy import (
+    Channel,
+    ChannelHost,
+    ChannelReceiver,
+    ChannelSender,
+    DataPacket,
+    RetransmitPolicy,
+)
+from ..core.ports import Scheduler
+from .codec import CodecError, message_from_wire, message_to_wire
 
-__all__ = ["ServiceChannel", "ServiceTransport"]
+__all__ = ["ServiceTransport"]
 
 #: frame schemas (canonical JSON objects, see repro.service.codec):
 #:   {"k": "data", "src": i, "seq": n, "sz": float, "m": <wire message>}
@@ -43,201 +44,52 @@ SendFrame = Callable[[int, dict], None]
 Deliver = Callable[[int, object], None]
 
 
-class ServiceChannel:
-    """Sender + receiver state for one directed channel (src -> dst)."""
-
-    def __init__(
-        self,
-        transport: "ServiceTransport",
-        src: int,
-        dst: int,
-    ) -> None:
-        self.transport = transport
-        self.src = src
-        self.dst = dst
-        policy = transport.policy
-        # sender side
-        self.next_seq = 0
-        self.unacked: dict[int, dict] = {}  # insertion-ordered by seq
-        self._backlog: deque[dict] = deque()
-        self.rto = policy.base_rto_ms
-        self._timer: Optional[TimerHandle] = None
-        self.retransmissions = 0
-        self._est = RtoEstimator(policy)
-        self._sent_at: dict[int, float] = {}
-        self._retx: set[int] = set()
-        self.consecutive_timeouts = 0
-        # per-channel deterministic jitter stream (seeded by identity):
-        # desynchronizes timers without an unseeded RNG effect
-        self._jitter = Random(((src + 1) << 20) ^ (dst + 1))
-        # receiver side
-        self.next_expected = 0
-        self._reorder: dict[int, dict] = {}
-        self.duplicate_drops = 0
-        self.reorder_overflows = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Packets queued durably at this sender (in flight + backlog)."""
-        return len(self.unacked) + len(self._backlog)
-
-    @property
-    def srtt(self) -> Optional[float]:
-        return self._est.srtt
-
-    @property
-    def rtt_samples(self) -> int:
-        return self._est.samples
-
-    # ------------------------------------------------------------------
-    # sender side
-    # ------------------------------------------------------------------
-    def send(self, message: object, size_bytes: float) -> None:
-        frame = {
-            "k": "data",
-            "src": self.src,
-            "seq": self.next_seq,
-            "sz": size_bytes,
-            "m": message_to_wire(message),
-        }
-        self.next_seq += 1
-        policy = self.transport.policy
-        if len(self.unacked) >= policy.send_window:
-            self._backlog.append(frame)
-            return
-        self._transmit(frame)
-        self._arm_timer()
-
-    def _transmit(self, frame: dict) -> None:
-        seq = frame["seq"]
-        self.unacked[seq] = frame
-        self._sent_at[seq] = self.transport.scheduler.now
-        self.transport.send_frame(self.dst, frame)
-
-    def on_ack(self, cumulative: int) -> None:
-        acked = [seq for seq in self.unacked if seq <= cumulative]
-        if not acked:
-            return
-        policy = self.transport.policy
-        now = self.transport.scheduler.now
-        for seq in acked:
-            del self.unacked[seq]
-            sent = self._sent_at.pop(seq, None)
-            if seq in self._retx:
-                # Karn's rule: a retransmitted packet's ack is ambiguous
-                self._retx.discard(seq)
-            elif policy.adaptive and sent is not None:
-                self._est.sample(now - sent)
-        self.consecutive_timeouts = 0
-        self.rto = self._est.fresh_rto()
-        self._cancel_timer()
-        while self._backlog and len(self.unacked) < policy.send_window:
-            self._transmit(self._backlog.popleft())
-        if self.unacked:
-            self._arm_timer()
-
-    def _arm_timer(self) -> None:
-        if self._timer is not None:
-            return
-        policy = self.transport.policy
-        delay = self.rto + self._jitter.uniform(0.0, policy.jitter_ms)
-        self._timer = self.transport.scheduler.schedule(
-            delay, self._on_timeout, label=f"retx:{self.src}->{self.dst}"
-        )
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _on_timeout(self) -> None:
-        self._timer = None
-        if not self.unacked:
-            return
-        policy = self.transport.policy
-        self.consecutive_timeouts += 1
-        burst = list(self.unacked.values())[: policy.heal_burst]
-        for frame in burst:
-            seq = frame["seq"]
-            self.retransmissions += 1
-            self._retx.add(seq)
-            self.transport.send_frame(self.dst, frame)
-        self.rto = min(self.rto * policy.backoff, policy.max_rto_ms)
-        self._arm_timer()
-
-    def close(self) -> None:
-        self._cancel_timer()
-
-    # ------------------------------------------------------------------
-    # receiver side (frames arriving *from* dst on the reverse channel
-    # live in the dst->src ServiceChannel owned by the peer; this side
-    # tracks what we have received from peer ``dst``)
-    # ------------------------------------------------------------------
-    def on_data(self, frame: dict) -> list[object]:
-        """Accept one data frame from the peer; returns the in-order
-        decoded messages now deliverable (possibly several, when the
-        frame fills a reassembly gap).  Always (re-)acks."""
-        seq = frame["seq"]
-        out: list[object] = []
-        if seq < self.next_expected:
-            self.duplicate_drops += 1
-        elif seq == self.next_expected:
-            out.append(message_from_wire(frame["m"]))
-            self.next_expected += 1
-            while self.next_expected in self._reorder:
-                buffered = self._reorder.pop(self.next_expected)
-                out.append(message_from_wire(buffered["m"]))
-                self.next_expected += 1
-        else:
-            if len(self._reorder) >= self.transport.policy.reorder_window:
-                # overflow: drop; the sender's timer re-covers it
-                self.reorder_overflows += 1
-            else:
-                self._reorder.setdefault(seq, frame)
-        self.transport.send_frame(
-            self.dst,
-            {"k": "ack", "src": self.src, "cum": self.next_expected - 1},
-        )
-        return out
-
-
-class ServiceTransport:
+class ServiceTransport(ChannelHost):
     """The :class:`~repro.core.ports.Transport` port over framed links.
 
     ``send_frame(dst, frame)`` is the injected raw egress — the asyncio
     node writes length-prefixed canonical JSON to the peer's socket (and
     silently drops while disconnected; retransmission covers the gap),
-    the loopback substrate appends to an in-process queue.
+    the loopback substrate appends to an in-process queue.  It cannot
+    tell whether a frame arrived, so :meth:`transmit` never reports an
+    attempt as undropped and ``spurious_retransmission`` stays a
+    simulator-only count.
     """
 
     def __init__(
         self,
         site: int,
+        n_sites: int,
         scheduler: Scheduler,
         send_frame: SendFrame,
         deliver: Deliver,
         *,
         policy: Optional[RetransmitPolicy] = None,
     ) -> None:
+        super().__init__(scheduler, policy)
         self.site = site
-        self.scheduler = scheduler
+        self.n_sites = n_sites
         self.send_frame = send_frame
-        self.deliver = deliver
-        self.policy = policy if policy is not None else RetransmitPolicy()
-        self._channels: dict[int, ServiceChannel] = {}
+        self._deliver = deliver
+        # per-channel deterministic jitter streams (seeded by identity):
+        # desynchronize timers without an unseeded RNG effect
+        self._jitter: dict[int, Random] = {}
         self.messages_sent = 0
-        self.bytes_modelled = 0.0
+        #: peer frames dropped by :meth:`on_frame`'s validation
+        self.malformed_frames = 0
 
-    def channel(self, dst: int) -> ServiceChannel:
-        ch = self._channels.get(dst)
+    def channel(self, dst: int) -> Channel:
+        key = (self.site, dst)
+        ch = self._channels.get(key)
         if ch is None:
-            ch = ServiceChannel(self, self.site, dst)
-            self._channels[dst] = ch
+            self._jitter[dst] = Random(((self.site + 1) << 20) ^ (dst + 1))
+            ch = self._channels[key] = Channel(
+                ChannelSender(self, self.site, dst),
+                ChannelReceiver(self, dst, self.site))
         return ch
 
     # ------------------------------------------------------------------
-    # Transport port
+    # Transport port (overloaded / check_overload_admission: ChannelHost)
     # ------------------------------------------------------------------
     def send(
         self, src: int, dst: int, message: object, *, size_bytes: float = 0.0
@@ -247,40 +99,72 @@ class ServiceTransport:
                 f"transport of site {self.site} asked to send as {src}"
             )
         self.messages_sent += 1
-        self.bytes_modelled += size_bytes
-        self.channel(dst).send(message, size_bytes)
+        # encoded once, here; retransmissions reuse the wire form
+        ch = self._channels.get((src, dst)) or self.channel(dst)
+        ch.sender.send(message_to_wire(message), size_bytes)
         return None  # delivery time is the wire's business
 
-    def overloaded(self, site: int) -> bool:
-        return any(len(ch._backlog) > 0 for ch in self._channels.values())
+    # ------------------------------------------------------------------
+    # the channel seam (count: the ChannelHost tally)
+    # ------------------------------------------------------------------
+    def transmit(self, src: int, dst: int,
+                 packet: DataPacket) -> Optional[float]:
+        self.send_frame(dst, {"k": "data", "src": src, "seq": packet.seq,
+                              "sz": packet.size_bytes, "m": packet.payload})
+        return None
 
-    def check_overload_admission(self, site: int) -> None:
-        shed = self.policy.shed_backlog
-        if shed <= 0:
-            return
-        backlog = sum(ch.pending for ch in self._channels.values())
-        if backlog > shed:
-            raise OverloadError(site, backlog, shed)
+    def deliver(self, src: int, dst: int, payload: object) -> None:
+        self._deliver(src, payload)
+
+    def send_ack(self, from_site: int, to_site: int, cumulative: int) -> None:
+        self.send_frame(to_site,
+                        {"k": "ack", "src": from_site, "cum": cumulative})
+
+    def jitter(self, src: int, dst: int) -> float:
+        return self._jitter[dst].uniform(0.0, self.policy.jitter_ms)
 
     # ------------------------------------------------------------------
-    # frame ingress (wired by the node)
+    # frame ingress and link events (wired by the node)
     # ------------------------------------------------------------------
     def on_frame(self, frame: dict) -> None:
+        """Accept one frame from a peer.  Peers are untrusted: a frame
+        that is not a well-formed data or ack frame from another member
+        is dropped and counted before it can touch channel state.
+        (``type(x) is int``, not ``isinstance``: JSON ``true`` is a
+        ``bool``, and a ``bool`` is not a sequence number.)"""
         kind = frame.get("k")
         src = frame.get("src")
-        if not isinstance(src, int):
-            return  # malformed peer frame: ignore, timers re-cover
-        if kind == "data":
-            for message in self.channel(src).on_data(frame):
-                self.deliver(src, message)
-        elif kind == "ack":
-            self.channel(src).on_ack(frame["cum"])
+        if type(src) is int and 0 <= src < self.n_sites and src != self.site:
+            if kind == "data":
+                seq = frame.get("seq")
+                wire = frame.get("m")
+                if type(seq) is int and seq >= 0 and type(wire) is dict:
+                    try:
+                        message = message_from_wire(wire)
+                    except CodecError:
+                        pass
+                    else:
+                        ch = (self._channels.get((self.site, src))
+                              or self.channel(src))
+                        ch.receiver.on_data(seq, message)
+                        return
+            elif kind == "ack":
+                cum = frame.get("cum")
+                if type(cum) is int and cum >= -1:
+                    ch = self._channels.get((self.site, src))
+                    if ch is not None:
+                        ch.sender.on_ack(cum)
+                    return
+        if kind != "hello":  # the link greeting carries nothing for us
+            self.malformed_frames += 1
 
-    # ------------------------------------------------------------------
-    def pending_total(self) -> int:
-        """Unacked + backlogged packets across all outbound channels."""
-        return sum(ch.pending for ch in self._channels.values())
+    def on_link_up(self, dst: int) -> None:
+        """The link to ``dst`` was (re-)established: flush (paced) what
+        is unacked now instead of waiting out a backed-off timer."""
+        ch = self._channels.get((self.site, dst))
+        if ch is not None:
+            ch.sender.recover()
 
     def close(self) -> None:
         for ch in self._channels.values():
-            ch.close()
+            ch.sender.park()

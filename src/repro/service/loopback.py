@@ -56,6 +56,7 @@ class LoopbackCluster:
         for site in range(topology.n_sites):
             transport = ServiceTransport(
                 site,
+                topology.n_sites,
                 self.clock,
                 self._make_send_frame(site),
                 self._make_deliver(site),
@@ -115,7 +116,7 @@ class LoopbackCluster:
     def idle(self) -> bool:
         return (
             not self._queue
-            and all(t.pending_total() == 0 for t in self.transports)
+            and all(t.unacked_count() == 0 for t in self.transports)
             and all(n.protocol.pending_count == 0 for n in self.nodes)
         )
 

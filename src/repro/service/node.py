@@ -11,9 +11,10 @@ Two halves, split along the port layer:
   the loopback test cluster and the TCP node build the *same* core.
 * :class:`ServiceNode` is the asyncio half: one OS process per site,
   a TCP listener for length-prefixed peer frames, persistent outbound
-  connections (dialled with retry; the reliable channel's timers cover
-  frames sent while a link is down), the HTTP client API from
-  :mod:`repro.service.api`, and a streaming JSONL history sink.
+  connections (dialled with retry; the reliable channel covers frames
+  sent while a link is down and flushes them when the dial succeeds),
+  the HTTP client API from :mod:`repro.service.api`, and a streaming
+  JSONL history sink.
 
 Determinism note: protocol state mutates only inside loop callbacks
 (HTTP handlers and frame ingress), and asyncio runs them one at a time —
@@ -135,6 +136,7 @@ class ServiceNode:
         )
         self.transport = ServiceTransport(
             site,
+            topology.n_sites,
             self.scheduler,
             self._send_frame,
             self._deliver,
@@ -202,6 +204,7 @@ class ServiceNode:
                     continue
                 writer.write(pack_frame({"k": "hello", "src": self.site}))
                 self._writers[dst] = writer
+                self.transport.on_link_up(dst)
                 return
         finally:
             self._dialing.discard(dst)
@@ -222,7 +225,7 @@ class ServiceNode:
                 prefix = await reader.readexactly(4)
                 payload = await reader.readexactly(unpack_length(prefix))
                 frame = loads(payload)
-                if isinstance(frame, dict) and frame.get("k") != "hello":
+                if isinstance(frame, dict):
                     self.transport.on_frame(frame)
         except (asyncio.IncompleteReadError, ConnectionError, CodecError):
             pass
@@ -254,7 +257,7 @@ class ServiceNode:
 
     def status(self) -> dict:
         out = self.core.status()
-        out["pending_channel"] = self.transport.pending_total()
+        out["pending_channel"] = self.transport.unacked_count()
         out["peer_links"] = sorted(self._writers)
         return out
 

@@ -34,7 +34,7 @@ from .network import (
     UniformLatency,
 )
 from .process import Site
-from .reliable import ReliableChannel, ReliableTransport, RetransmitPolicy
+from .reliable import ReliableTransport, RetransmitPolicy
 
 __all__ = [
     "Simulator",
@@ -54,7 +54,6 @@ __all__ = [
     "Partition",
     "FaultPlan",
     "FaultInjector",
-    "ReliableChannel",
     "ReliableTransport",
     "RetransmitPolicy",
     # crash-recovery

@@ -534,7 +534,7 @@ class CrashRecoveryManager:
                         if src in self.down:
                             continue
                         ch = self.transport._channels.get((src, d))
-                        if (ch is not None and ch.unacked
+                        if (ch is not None and ch.sender.unacked
                                 and (src, d) not in self.transport.paused_pairs):
                             return False
             if self.transport.unacked_between_live(self.down):

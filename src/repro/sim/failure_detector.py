@@ -8,7 +8,7 @@ realistic (and measured) false suspicions.  Each ordered pair
 subject; silence past the pair's current timeout raises a suspicion.
 
 A suspicion pauses the observer's reliable channel to the subject
-(:meth:`~repro.sim.reliable.ReliableTransport.pause_pair`): sends keep
+(:meth:`~repro.core.netpolicy.ChannelHost.pause_pair`): sends keep
 queueing durably but retransmission timers stop burning while the
 subject cannot answer.  Any packet from the subject — the next
 heartbeat, or an anti-entropy sync message during rejoin — clears the

@@ -405,7 +405,7 @@ class Network:
         packets out into its backlog — the transport's backpressure
         signal.  Always False on the seed path (no transport)."""
         transport = self.transport
-        return transport is not None and transport.backpressured(site)
+        return transport is not None and transport.overloaded(site)
 
     def overload_backlog(self, site: int) -> int:
         """Total packets backlogged across ``site``'s channels."""
@@ -417,7 +417,7 @@ class Network:
         ``site``'s backlog exceeds the policy's shed threshold."""
         transport = self.transport
         if transport is not None:
-            transport.check_admission(site)
+            transport.check_overload_admission(site)
 
     def backpressure_delay_ms(self) -> float:
         """Delay a backpressured site applies before its next operation."""
@@ -434,13 +434,7 @@ class Network:
         """Account one backpressure-induced operation delay."""
         transport = self.transport
         if transport is not None:
-            transport.count_backpressure_delay(site)
-
-    def count_overload_shed(self, site: int) -> None:
-        """Account one write shed by :class:`OverloadError` at admission."""
-        transport = self.transport
-        if transport is not None:
-            transport.count_overload_shed(site)
+            transport.count("backpressure_delay", site)
 
     # ------------------------------------------------------------------
     def register(self, site: int, receiver: Callable[[int, object], None]) -> None:

@@ -1,37 +1,20 @@
-"""Reliable exactly-once FIFO delivery over a lossy transport.
+"""The simulator's host for the reliable channel.
 
-A minimal model of the TCP machinery the paper's testbed relied on:
-per-channel sequence numbers, cumulative acks, retransmission timers
-with exponential backoff + jitter, duplicate suppression, and an
-out-of-order reassembly buffer.  Layered between the protocols and the
-fault-injecting raw transmission path of :class:`~repro.sim.network.Network`,
-it restores the channel guarantees (no loss, no duplication, no
-reordering within a channel) that the causal protocols assume — so the
-chaos suite can assert the protocols stay correct when the *network*
-misbehaves, not just when latency is adversarial.
+The channel algorithm itself — sequence numbers, cumulative acks,
+adaptive retransmission, flow control, the circuit breaker, the paced
+flush — is :mod:`repro.core.netpolicy`; the live service runs the same
+state machine behind :mod:`repro.service.channel`.  This module is what
+only the simulator has: the fault-injecting raw transmission path of
+:class:`~repro.sim.network.Network` underneath (whose return value tells
+the sender an attempt was not dropped, which makes spurious-retransmit
+accounting exact), timer jitter drawn from the injector's seeded RNG,
+partition-heal scheduling and per-site recovery clocks, the crash /
+rejoin / retire hooks of :mod:`repro.sim.crash` and
+:mod:`repro.sim.membership`, and the mirroring of every channel event
+into the collector, the metrics registry and the ledger.
 
-Overload robustness (the PR-8 layer):
-
-* **Adaptive retransmission** — each channel estimates its round-trip
-  time with the Jacobson/Karels SRTT + RTTVAR filter and arms its timer
-  at ``SRTT + 4*RTTVAR`` (clamped to ``[min_rto_ms, max_rto_ms]``);
-  Karn's rule excludes retransmitted packets from sampling.  A fixed
-  ``base_rto_ms`` remains available via ``RetransmitPolicy(adaptive=False)``.
-* **Flow control** — at most ``send_window`` packets are in flight per
-  channel; excess sends queue in a durable per-channel backlog, and the
-  receiver's reassembly buffer is bounded by ``reorder_window``.  A
-  non-empty backlog raises a *backpressure* signal that propagates up to
-  protocol PUT admission (:meth:`ReliableTransport.backpressured`), and
-  past ``shed_backlog`` the site sheds load with a typed
-  :class:`OverloadError`.
-* **Paced heal flush** — :meth:`ReliableChannel.flush_retransmit` sends
-  at most ``heal_burst`` packets immediately and paces the remainder
-  across roughly one estimated RTT, so a healed link is not greeted
-  with a go-back-N burst that self-inflicts drops under spike plans.
-* **Circuit breaker** — ``breaker_failures`` consecutive timeouts trip
-  a channel into degraded probe mode (one packet per timeout); the
-  first ack that makes progress closes the breaker and triggers a paced
-  catch-up flush.
+Because the simulator sees both ends of every channel, it keeps the
+sender and the receiver half of ``src -> dst`` under one key.
 
 The layer is only instantiated when a :class:`~repro.sim.faults.FaultInjector`
 is attached; the default reliable path through ``Network.send`` is
@@ -42,12 +25,18 @@ timers — zero overhead when chaos is off).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from ..core.netpolicy import OverloadError, RetransmitPolicy, RtoEstimator
-from .engine import ScheduledEvent
+from ..core.netpolicy import (
+    Channel,
+    ChannelHost,
+    ChannelReceiver,
+    ChannelSender,
+    DataPacket,
+    OverloadError,
+    RetransmitPolicy,
+)
 from .faults import FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -63,7 +52,6 @@ __all__ = [
     "DataPacket",
     "AckPacket",
     "OverloadError",
-    "ReliableChannel",
     "ReliableTransport",
     "ACK_SIZE_BYTES",
 ]
@@ -73,353 +61,60 @@ ACK_SIZE_BYTES = 20.0
 
 
 @dataclass(frozen=True)
-class DataPacket:
-    """One transmission attempt of an application message."""
-
-    seq: int
-    payload: object
-    size_bytes: float
-
-
-@dataclass(frozen=True)
 class AckPacket:
     """Cumulative ack: every seq <= ``cumulative`` has been received."""
 
     cumulative: int
 
 
-class ReliableChannel:
-    """Sender + receiver state for one directed channel (src -> dst)."""
+class _Event(NamedTuple):
+    """Where one channel event is written."""
 
-    def __init__(self, transport: "ReliableTransport", src: int, dst: int) -> None:
-        self.transport = transport
-        self.src = src
-        self.dst = dst
-        policy = transport.policy
-        # sender side
-        self.next_seq = 0
-        self.unacked: dict[int, DataPacket] = {}  # insertion-ordered by seq
-        self._backlog: deque[DataPacket] = deque()
-        self.rto = policy.base_rto_ms
-        self._timer: Optional[ScheduledEvent] = None
-        self.retransmissions = 0
-        self.unacked_peak = 0
-        # RTT estimator (Jacobson/Karels); _retx is Karn's-rule taint,
-        # _flight_ok marks seqs with at least one non-dropped attempt in
-        # flight — a later resend of those is spurious by construction
-        self._est = RtoEstimator(policy)
-        self._sent_at: dict[int, float] = {}
-        self._retx: set[int] = set()
-        self._flight_ok: set[int] = set()
-        # circuit breaker
-        self.consecutive_timeouts = 0
-        self.degraded = False
-        self.breaker_trips = 0
-        # paced heal flush
-        self._flush_queue: deque[int] = deque()
-        self._pacer: Optional[ScheduledEvent] = None
-        self._pace_ms = 0.0
-        # receiver side
-        self.next_expected = 0
-        self._reorder: dict[int, DataPacket] = {}
-        self.duplicate_drops = 0
-        self.reorder_peak = 0
-        self.reorder_overflows = 0
-
-    @property
-    def paused(self) -> bool:
-        """True while the failure detector suspects ``dst`` is down:
-        sends queue durably but nothing is transmitted and no timer
-        burns — retransmission resumes when the suspicion clears."""
-        return (self.src, self.dst) in self.transport.paused_pairs
-
-    @property
-    def pending(self) -> int:
-        """Packets queued durably at this sender (in flight + backlog)."""
-        return len(self.unacked) + len(self._backlog)
-
-    @property
-    def srtt(self) -> Optional[float]:
-        """Smoothed RTT estimate in ms (None before the first sample)."""
-        return self._est.srtt
-
-    @property
-    def rttvar(self) -> float:
-        """RTT mean-deviation estimate in ms (0 before the first sample)."""
-        return self._est.rttvar
-
-    @property
-    def rtt_samples(self) -> int:
-        """Lifetime count of RTT samples accepted by the estimator."""
-        return self._est.samples
-
-    # ------------------------------------------------------------------
-    # sender side
-    # ------------------------------------------------------------------
-    def send(self, payload: object, size_bytes: float) -> Optional[float]:
-        packet = DataPacket(self.next_seq, payload, size_bytes)
-        self.next_seq += 1
-        if len(self.unacked) >= self.transport.policy.send_window or self.degraded:
-            # window full (or breaker open): queue durably and signal
-            # backpressure; on_ack promotes in seq order
-            self._backlog.append(packet)
-            self.transport.note_backlog_grow(self.src, len(self._backlog) == 1)
-            return None
-        self.unacked[packet.seq] = packet
-        if len(self.unacked) > self.unacked_peak:
-            self.unacked_peak = len(self.unacked)
-        if self.paused:
-            return None
-        self._sent_at[packet.seq] = self.transport.sim.now
-        delivery = self.transport.transmit(self.src, self.dst, packet, size_bytes)
-        if delivery is not None:
-            self._flight_ok.add(packet.seq)
-        self._arm_timer()
-        return delivery
-
-    def on_ack(self, cumulative: int) -> None:
-        acked = [seq for seq in self.unacked if seq <= cumulative]
-        if not acked:
-            return
-        transport = self.transport
-        adaptive = transport.policy.adaptive
-        now = transport.sim.now
-        for seq in acked:
-            del self.unacked[seq]
-            sent = self._sent_at.pop(seq, None)
-            self._flight_ok.discard(seq)
-            if seq in self._retx:
-                # Karn's rule: a retransmitted packet's ack is ambiguous
-                self._retx.discard(seq)
-            elif adaptive and sent is not None:
-                self._rtt_sample(now - sent)
-        # forward progress: close the breaker and restart the timer from
-        # the freshly-estimated timeout
-        self.consecutive_timeouts = 0
-        reopened = False
-        if self.degraded:
-            self.degraded = False
-            reopened = True
-            transport.count_breaker_close(self.src, self.dst)
-        self.rto = self._fresh_rto()
-        self._cancel_timer()
-        if reopened and self.unacked:
-            self.flush_retransmit()  # paced catch-up: the probe got through
-        if not self.paused:
-            self._promote_backlog()
-        if self.unacked:
-            self._arm_timer()
-        elif not self._backlog:
-            self._cancel_pacer()
-            self.transport.note_drained(self)
-
-    def _rtt_sample(self, rtt: float) -> None:
-        """Jacobson/Karels: SRTT/RTTVAR EWMA (alpha=1/8, beta=1/4)."""
-        self._est.sample(rtt)
-
-    def _fresh_rto(self) -> float:
-        """RTO for a freshly-restarted timer: estimated when samples
-        exist, the static base otherwise (also the fixed-policy path)."""
-        return self._est.fresh_rto()
-
-    def _promote_backlog(self) -> None:
-        """Move backlogged packets into freed window slots and transmit."""
-        if self.degraded or self.paused or not self._backlog:
-            return
-        transport = self.transport
-        window = transport.policy.send_window
-        now = transport.sim.now
-        promoted = 0
-        while self._backlog and len(self.unacked) < window:
-            packet = self._backlog.popleft()
-            promoted += 1
-            self.unacked[packet.seq] = packet
-            self._sent_at[packet.seq] = now
-            delivery = transport.transmit(self.src, self.dst, packet,
-                                          packet.size_bytes)
-            if delivery is not None:
-                self._flight_ok.add(packet.seq)
-        if promoted:
-            transport.note_backlog_shrink(self.src, promoted,
-                                          not self._backlog)
-            if len(self.unacked) > self.unacked_peak:
-                self.unacked_peak = len(self.unacked)
-            self._arm_timer()
-
-    def flush_retransmit(self) -> None:
-        """Eagerly retransmit the unacked backlog (partition heal,
-        suspicion cleared, rejoin): at most ``heal_burst`` packets now,
-        the rest paced across roughly one estimated RTT."""
-        if not self.unacked or self.paused:
-            return
-        transport = self.transport
-        policy = transport.policy
-        self.consecutive_timeouts = 0
-        if self.degraded:
-            self.degraded = False
-            transport.count_breaker_close(self.src, self.dst)
-        self.rto = self._fresh_rto()
-        self._cancel_timer()
-        self._cancel_pacer()
-        seqs = sorted(self.unacked)
-        burst = policy.heal_burst
-        self._retransmit_seqs(seqs[:burst])
-        rest = seqs[burst:]
-        if rest:
-            self._flush_queue.extend(rest)
-            chunks = -(-len(rest) // burst)  # ceil division
-            rtt_est = (self._est.srtt if self._est.srtt is not None
-                       else policy.base_rto_ms / 2.0)
-            self._pace_ms = max(rtt_est / chunks, 0.01)
-            self._schedule_pacer()
-        else:
-            self._arm_timer()
-
-    def _retransmit_all(self) -> None:
-        # go-back-N: resend every unacked packet in sequence order; the
-        # receiver's reorder buffer absorbs any that already arrived
-        self._retransmit_seqs(sorted(self.unacked))
-
-    def _retransmit_seqs(self, seqs: list[int]) -> None:
-        transport = self.transport
-        tracer = transport.net.tracer
-        now = transport.sim.now
-        for seq in seqs:
-            packet = self.unacked[seq]
-            self.retransmissions += 1
-            self._retx.add(seq)  # Karn: this seq's RTT is ambiguous now
-            if seq in self._flight_ok:
-                # a prior attempt is (or was) en route undropped — this
-                # resend duplicates work the network already did
-                transport.count_spurious_retransmission()
-            transport.count_retransmission(self.src, packet.size_bytes)
-            if tracer is not None:
-                tracer.msg_retransmit(self.src, self.dst, packet.payload,
-                                      ts=now)
-            delivery = transport.transmit(self.src, self.dst, packet,
-                                          packet.size_bytes)
-            if delivery is not None:
-                self._flight_ok.add(seq)
-
-    def _on_timeout(self) -> None:
-        self._timer = None
-        if not self.unacked or self.paused:
-            return
-        policy = self.transport.policy
-        self.consecutive_timeouts += 1
-        if (not self.degraded and policy.breaker_failures > 0
-                and self.consecutive_timeouts >= policy.breaker_failures):
-            # circuit breaker: the channel looks dead — stop multiplying
-            # its pain and probe with a single packet per timeout
-            self.degraded = True
-            self.breaker_trips += 1
-            self.transport.count_breaker_trip(self.src, self.dst)
-        if self.degraded:
-            self._retransmit_seqs(sorted(self.unacked)[:1])
-        else:
-            self._retransmit_all()
-        self.rto = min(self.rto * policy.backoff, policy.max_rto_ms)
-        self._arm_timer()
-
-    def _arm_timer(self) -> None:
-        if (self._timer is not None or self._pacer is not None
-                or not self.unacked or self.paused):
-            return
-        policy = self.transport.policy
-        jitter = (
-            float(self.transport.injector.rng.uniform(0.0, policy.jitter_ms))
-            if policy.jitter_ms else 0.0
-        )
-        self._timer = self.transport.sim.schedule(
-            self.rto + jitter, self._on_timeout,
-            label=f"rto {self.src}->{self.dst}",
-        )
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    # ------------------------------------------------------------------
-    # paced heal flush
-    # ------------------------------------------------------------------
-    def _schedule_pacer(self) -> None:
-        self._pacer = self.transport.sim.schedule(
-            self._pace_ms, self._on_pacer,
-            label=f"pace {self.src}->{self.dst}",
-        )
-
-    def _on_pacer(self) -> None:
-        self._pacer = None
-        if self.paused:
-            self._flush_queue.clear()
-            return
-        burst = self.transport.policy.heal_burst
-        chunk: list[int] = []
-        while self._flush_queue and len(chunk) < burst:
-            seq = self._flush_queue.popleft()
-            if seq in self.unacked:  # skip anything acked meanwhile
-                chunk.append(seq)
-        if chunk:
-            self._retransmit_seqs(chunk)
-        if self._flush_queue:
-            self._schedule_pacer()
-        elif self.unacked:
-            self._arm_timer()
-
-    def _cancel_pacer(self) -> None:
-        self._flush_queue.clear()
-        if self._pacer is not None:
-            self._pacer.cancel()
-            self._pacer = None
-
-    def _reset_estimator(self) -> None:
-        """Volatile sender state dies with a crash of ``src``; the
-        durable unacked/backlog queues and seq numbers survive."""
-        self._est.reset()
-        self._sent_at.clear()
-        self._retx.clear()
-        self._flight_ok.clear()
-        self.consecutive_timeouts = 0
-        self.degraded = False
-
-    # ------------------------------------------------------------------
-    # receiver side
-    # ------------------------------------------------------------------
-    def on_data(self, packet: DataPacket) -> None:
-        if packet.seq < self.next_expected or packet.seq in self._reorder:
-            # retransmit of something already received: suppress, but
-            # still ack so the sender stops resending
-            self.duplicate_drops += 1
-            self.transport.count_duplicate_drop()
-        elif (packet.seq != self.next_expected
-              and len(self._reorder) >= self.transport.policy.reorder_window):
-            # bounded reassembly: the buffer is full of other gaps, so
-            # the out-of-order packet is dropped; the cumulative ack
-            # below shows the sender where the gap starts and its timer
-            # re-covers the loss.  An in-order packet is always taken —
-            # it drains the buffer instead of growing it.
-            self.reorder_overflows += 1
-            self.transport.count_reorder_overflow()
-        else:
-            self._reorder[packet.seq] = packet
-            while self.next_expected in self._reorder:
-                ready = self._reorder.pop(self.next_expected)
-                self.next_expected += 1
-                self.transport.deliver_app(self.src, self.dst, ready.payload)
-            if len(self._reorder) > self.reorder_peak:
-                self.reorder_peak = len(self._reorder)
-        self.transport.send_ack(self.dst, self.src, self.next_expected - 1)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ReliableChannel {self.src}->{self.dst} next_seq={self.next_seq} "
-            f"unacked={len(self.unacked)} backlog={len(self._backlog)} "
-            f"expected={self.next_expected}>"
-        )
+    #: the collector's tally of it
+    counter: str
+    #: the collector's byte tally, if the event has a size
+    byte_counter: Optional[str]
+    #: registry counter and its help text
+    metric: str
+    help_text: str
+    #: ledger transport-byte kind, if the bytes are metadata overhead
+    ledger_kind: Optional[str] = None
 
 
-class ReliableTransport:
+_EVENTS = {
+    "ack": _Event(
+        "acks_sent", "ack_bytes", "net_acks_total",
+        "cumulative-ack packets sent by the reliable layer", "ack"),
+    "retransmission": _Event(
+        "retransmissions", "retransmission_bytes", "net_retransmissions_total",
+        "timer- or heal-driven retransmissions", "retransmit"),
+    "spurious_retransmission": _Event(
+        "spurious_retransmissions", None, "net_spurious_retransmissions_total",
+        "retransmissions of packets that already had a non-dropped attempt "
+        "in flight or delivered — the first copy was merely slow, or it "
+        "arrived and its ack was the packet the network lost"),
+    "duplicate_drop": _Event(
+        "duplicate_drops", None, "net_duplicate_drops_total",
+        "already-delivered packets discarded by receivers"),
+    "reorder_overflow": _Event(
+        "reorder_overflows", None, "net_reorder_overflows_total",
+        "out-of-order packets dropped by full reassembly buffers"),
+    "breaker_trip": _Event(
+        "breaker_trips", None, "net_breaker_trips_total",
+        "channels tripped into degraded probe mode"),
+    "breaker_close": _Event(
+        "breaker_closes", None, "net_breaker_closes_total",
+        "degraded channels restored by ack progress or heal"),
+    "backpressure_delay": _Event(
+        "backpressure_delays", None, "net_backpressure_delays_total",
+        "operations delayed by transport backpressure"),
+    "overload_shed": _Event(
+        "overload_sheds", None, "net_overload_sheds_total",
+        "writes shed by OverloadError at admission"),
+}
+
+
+class ReliableTransport(ChannelHost):
     """All reliable channels of one network, plus heal/recovery tracking."""
 
     def __init__(
@@ -428,37 +123,16 @@ class ReliableTransport:
         injector: FaultInjector,
         policy: Optional[RetransmitPolicy] = None,
     ) -> None:
+        super().__init__(network.sim, policy)
         self.net = network
         self.sim = network.sim
         self.injector = injector
-        self.policy = policy if policy is not None else RetransmitPolicy()
-        self._channels: dict[tuple[int, int], ReliableChannel] = {}
         #: site -> heal time of the partition it is recovering from
         self._recovering: dict[int, float] = {}
-        #: (src, dst) pairs whose sender currently suspects the receiver
-        #: is down: transmission and timers are paused (sends still queue)
-        self.paused_pairs: set[tuple[int, int]] = set()
         #: infra packet interceptors (heartbeats, anti-entropy sync):
         #: ``handler(src, dst, packet, dead) -> consumed``; tried before
         #: the ack/data machinery on every physical arrival
         self.packet_handlers: list[PacketHandler] = []
-        # aggregate counters (mirrored into the collector when attached)
-        self.retransmissions = 0
-        self.retransmission_bytes = 0.0
-        self.spurious_retransmissions = 0
-        self.duplicate_drops = 0
-        self.reorder_overflows = 0
-        self.acks_sent = 0
-        self.ack_bytes = 0.0
-        self.breaker_trips = 0
-        self.breaker_closes = 0
-        self.backpressure_delays = 0
-        self.overload_sheds = 0
-        #: backpressure bookkeeping: per-site count of channels with a
-        #: non-empty backlog, and total backlogged packets per site —
-        #: both O(1) to query on the admission path
-        self._bp_channels: dict[int, int] = {}
-        self._backlog_total: dict[int, int] = {}
         for p in injector.plan.partitions:
             if math.isfinite(p.heal_ms):
                 self.sim.schedule_at(
@@ -468,16 +142,18 @@ class ReliableTransport:
                 )
 
     # ------------------------------------------------------------------
-    def channel(self, src: int, dst: int) -> ReliableChannel:
+    def channel(self, src: int, dst: int) -> Channel:
         key = (src, dst)
         ch = self._channels.get(key)
         if ch is None:
-            ch = self._channels[key] = ReliableChannel(self, src, dst)
+            ch = self._channels[key] = Channel(
+                ChannelSender(self, src, dst), ChannelReceiver(self, src, dst))
         return ch
 
     def send(self, src: int, dst: int, message: object,
              size_bytes: float) -> Optional[float]:
-        return self.channel(src, dst).send(message, size_bytes)
+        ch = self._channels.get((src, dst)) or self.channel(src, dst)
+        return ch.sender.send(message, size_bytes)
 
     def register_packet_handler(self, handler: "PacketHandler") -> None:
         """Add an infra packet interceptor (heartbeat / sync layers)."""
@@ -491,11 +167,14 @@ class ReliableTransport:
         if isinstance(packet, AckPacket):
             # an ack for channel (a -> b) travels physically b -> a
             ch = self._channels.get((phys_dst, phys_src))
-            if ch is not None:
-                ch.on_ack(packet.cumulative)
+            if (ch is not None and ch.sender.on_ack(packet.cumulative)
+                    and self._recovering):
+                self._close_recovery(phys_src)
             return
         assert isinstance(packet, DataPacket)
-        self.channel(phys_src, phys_dst).on_data(packet)
+        ch = (self._channels.get((phys_src, phys_dst))
+              or self.channel(phys_src, phys_dst))
+        ch.receiver.on_data(packet.seq, packet.payload)
 
     def on_dead_drop(self, phys_src: int, phys_dst: int, packet: object) -> None:
         """A packet hit the wire of a down site: data and acks simply
@@ -506,210 +185,72 @@ class ReliableTransport:
                 return
 
     # ------------------------------------------------------------------
-    # plumbing back into the network
+    # the channel seam (see repro.core.netpolicy.ChannelHost)
     # ------------------------------------------------------------------
-    def transmit(self, src: int, dst: int, packet: object,
-                 size_bytes: float) -> Optional[float]:
-        return self.net._transmit_raw(src, dst, packet, size_bytes)
+    def transmit(self, src: int, dst: int,
+                 packet: DataPacket) -> Optional[float]:
+        return self.net._transmit_raw(src, dst, packet, packet.size_bytes)
 
-    def deliver_app(self, src: int, dst: int, payload: object) -> None:
+    def deliver(self, src: int, dst: int, payload: object) -> None:
         self.net._deliver_app(src, dst, payload)
 
     def send_ack(self, from_site: int, to_site: int, cumulative: int) -> None:
-        self.acks_sent += 1
-        self.ack_bytes += ACK_SIZE_BYTES
-        if self.net.collector is not None:
-            self.net.collector.record_ack(ACK_SIZE_BYTES)
-        registry = self.net.registry
-        if registry is not None:
-            registry.inc(
-                "net_acks_total",
-                help_text="cumulative-ack packets sent by the reliable layer")
-            registry.ledger.record_transport("ack", from_site, ACK_SIZE_BYTES)
+        self.count("ack", from_site, to_site, ACK_SIZE_BYTES)
         self.net._transmit_raw(from_site, to_site, AckPacket(cumulative),
                                ACK_SIZE_BYTES)
 
-    def count_retransmission(self, src: int, size_bytes: float) -> None:
-        self.retransmissions += 1
-        self.retransmission_bytes += size_bytes
-        if self.net.collector is not None:
-            self.net.collector.record_retransmission(size_bytes=size_bytes)
-        registry = self.net.registry
+    def jitter(self, src: int, dst: int) -> float:
+        jitter_ms = self.policy.jitter_ms
+        return (float(self.injector.rng.uniform(0.0, jitter_ms))
+                if jitter_ms else 0.0)
+
+    def count(self, event: str, src: int = -1, dst: int = -1,
+              size_bytes: float = 0.0, payload: object = None) -> None:
+        self.counts[event] += 1
+        counter, byte_counter, metric, help_text, ledger_kind = _EVENTS[event]
+        net = self.net
+        if net.collector is not None:
+            net.collector.record_transport(counter, byte_counter, size_bytes)
+        registry = net.registry
         if registry is not None:
-            registry.inc(
-                "net_retransmissions_total",
-                help_text="timer- or heal-driven retransmissions")
-            registry.ledger.record_transport("retransmit", src, size_bytes)
-
-    def count_spurious_retransmission(self) -> None:
-        self.spurious_retransmissions += 1
-        if self.net.collector is not None:
-            self.net.collector.record_spurious_retransmission()
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_spurious_retransmissions_total",
-                help_text="retransmissions of packets that already had a "
-                          "non-dropped attempt in flight")
-
-    def count_duplicate_drop(self) -> None:
-        self.duplicate_drops += 1
-        if self.net.collector is not None:
-            self.net.collector.record_duplicate_drop()
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_duplicate_drops_total",
-                help_text="already-delivered packets discarded by receivers")
-        if self.net.tracer is not None:
-            self.net.tracer.timeseries.incr("net.dup_drops", self.sim.now)
-
-    def count_reorder_overflow(self) -> None:
-        self.reorder_overflows += 1
-        if self.net.collector is not None:
-            self.net.collector.record_reorder_overflow()
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_reorder_overflows_total",
-                help_text="out-of-order packets dropped by full "
-                          "reassembly buffers")
-
-    def count_breaker_trip(self, src: int, dst: int) -> None:
-        self.breaker_trips += 1
-        if self.net.collector is not None:
-            self.net.collector.record_breaker(opened=True)
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_breaker_trips_total",
-                help_text="channels tripped into degraded probe mode")
-
-    def count_breaker_close(self, src: int, dst: int) -> None:
-        self.breaker_closes += 1
-        if self.net.collector is not None:
-            self.net.collector.record_breaker(opened=False)
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_breaker_closes_total",
-                help_text="degraded channels restored by ack progress "
-                          "or heal")
-
-    def count_backpressure_delay(self, site: int) -> None:
-        self.backpressure_delays += 1
-        if self.net.collector is not None:
-            self.net.collector.record_backpressure_delay()
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_backpressure_delays_total",
-                help_text="operations delayed by transport backpressure")
-
-    def count_overload_shed(self, site: int) -> None:
-        self.overload_sheds += 1
-        if self.net.collector is not None:
-            self.net.collector.record_overload_shed()
-        if self.net.registry is not None:
-            self.net.registry.inc(
-                "net_overload_sheds_total",
-                help_text="writes shed by OverloadError at admission")
-
-    # ------------------------------------------------------------------
-    # backpressure & admission
-    # ------------------------------------------------------------------
-    def note_backlog_grow(self, site: int, became_nonempty: bool) -> None:
-        self._backlog_total[site] = self._backlog_total.get(site, 0) + 1
-        if became_nonempty:
-            self._bp_channels[site] = self._bp_channels.get(site, 0) + 1
-
-    def note_backlog_shrink(self, site: int, n: int,
-                            became_empty: bool) -> None:
-        remaining = self._backlog_total.get(site, 0) - n
-        if remaining > 0:
-            self._backlog_total[site] = remaining
-        else:
-            self._backlog_total.pop(site, None)
-        if became_empty:
-            count = self._bp_channels.get(site, 0) - 1
-            if count > 0:
-                self._bp_channels[site] = count
-            else:
-                self._bp_channels.pop(site, None)
-
-    def backpressured(self, site: int) -> bool:
-        """True while any of ``site``'s channels has a queued backlog."""
-        return site in self._bp_channels
-
-    def backlog_of(self, site: int) -> int:
-        """Total backlogged packets across ``site``'s channels."""
-        return self._backlog_total.get(site, 0)
-
-    def check_admission(self, site: int) -> None:
-        """Shed a PUT with :class:`OverloadError` past the threshold."""
-        threshold = self.policy.shed_backlog
-        if threshold > 0:
-            backlog = self._backlog_total.get(site, 0)
-            if backlog >= threshold:
-                self.count_overload_shed(site)
-                raise OverloadError(site, backlog, threshold)
+            registry.inc(metric, help_text=help_text)
+            if ledger_kind is not None:
+                registry.ledger.record_transport(ledger_kind, src, size_bytes)
+        tracer = net.tracer
+        if tracer is not None:
+            if event == "retransmission":
+                tracer.msg_retransmit(src, dst, payload, ts=self.sim.now)
+            elif event == "duplicate_drop":
+                tracer.timeseries.incr("net.dup_drops", self.sim.now)
 
     # ------------------------------------------------------------------
     # heal handling & recovery-latency tracking
     # ------------------------------------------------------------------
-    def on_heal(self, heal_time: float, group: frozenset[int]) -> None:
-        """A partition isolating ``group`` healed: retransmit eagerly
-        (paced) and start the per-site recovery clock for every site
-        with a backlog."""
-        for (src, dst), ch in self._channels.items():
-            if ((src in group) != (dst in group)) and (ch.unacked
-                                                       or ch._backlog):
-                self._recovering.setdefault(dst, heal_time)
-                ch.flush_retransmit()
-                ch._promote_backlog()
-
-    def note_drained(self, channel: ReliableChannel) -> None:
-        """A channel's unacked buffer emptied; close out recovery if the
-        destination site has no backlog left anywhere."""
-        site = channel.dst
+    def _close_recovery(self, site: int) -> None:
+        """A channel toward ``site`` just drained: close out the site's
+        recovery clock if nothing is queued toward it anywhere."""
         heal_time = self._recovering.get(site)
         if heal_time is None:
             return
-        if any(ch.pending for (_, d), ch in self._channels.items()
+        if any(ch.sender.pending for (_, d), ch in self._channels.items()
                if d == site):
             return
         del self._recovering[site]
         if self.net.collector is not None:
             self.net.collector.record_recovery(site, self.sim.now - heal_time)
 
+    def on_heal(self, heal_time: float, group: frozenset[int]) -> None:
+        """A partition isolating ``group`` healed: retransmit eagerly
+        (paced) and start the per-site recovery clock for every site
+        with a backlog."""
+        for (src, dst), ch in self._channels.items():
+            if ((src in group) != (dst in group)) and ch.sender.pending:
+                self._recovering.setdefault(dst, heal_time)
+                ch.sender.recover()
+
     # ------------------------------------------------------------------
     # crash-recovery hooks (see repro.sim.crash / repro.sim.failure_detector)
     # ------------------------------------------------------------------
-    def pause_pair(self, src: int, dst: int) -> None:
-        """Suspend transmission on ``src -> dst`` (dst suspected down).
-
-        The unacked queue stays durable at the sender; the timer is
-        cancelled so backoff does not burn while the destination cannot
-        answer.
-        """
-        if (src, dst) in self.paused_pairs:
-            return
-        self.paused_pairs.add((src, dst))
-        ch = self._channels.get((src, dst))
-        if ch is not None:
-            ch._cancel_timer()
-            ch._cancel_pacer()
-
-    def resume_pair(self, src: int, dst: int, *, flush: bool = True) -> None:
-        """Clear a suspicion pause; optionally retransmit the backlog at
-        the freshly-estimated timeout immediately (the rejoin path
-        wants this)."""
-        if (src, dst) not in self.paused_pairs:
-            return
-        self.paused_pairs.discard((src, dst))
-        ch = self._channels.get((src, dst))
-        if ch is not None and (ch.unacked or ch._backlog):
-            if flush:
-                ch.flush_retransmit()
-                ch._promote_backlog()
-            else:
-                ch.rto = ch._fresh_rto()
-                ch._arm_timer()
-
     def on_site_crash(self, site: int) -> None:
         """Volatile transport state of ``site`` dies with it.
 
@@ -724,14 +265,10 @@ class ReliableTransport:
         self.paused_pairs = {p for p in self.paused_pairs if p[0] != site}
         for (src, dst), ch in self._channels.items():
             if src == site:
-                ch._cancel_timer()
-                ch._cancel_pacer()
-                ch._reset_estimator()
+                ch.sender.on_crash()
             if dst == site:
-                ch._reorder.clear()
-                # packets in flight toward the dead site died on the
-                # wire, so a later resend of them is not spurious
-                ch._flight_ok.clear()
+                ch.receiver.on_crash()
+                ch.sender.on_peer_crash()
 
     def forget_site(self, site: int) -> None:
         """Elastic membership: ``site`` left the view for good.
@@ -744,17 +281,7 @@ class ReliableTransport:
         cleared.
         """
         for key in [k for k in self._channels if site in k]:
-            ch = self._channels.pop(key)
-            ch._cancel_timer()
-            ch._cancel_pacer()
-            if ch._backlog:
-                self.note_backlog_shrink(ch.src, len(ch._backlog), True)
-                ch._backlog.clear()
-            ch.unacked.clear()
-            ch._reorder.clear()
-            ch._sent_at.clear()
-            ch._retx.clear()
-            ch._flight_ok.clear()
+            self._channels.pop(key).sender.discard()
         # simcheck: ignore[SIM003] -- set-to-set filter; construction order is never observable
         self.paused_pairs = {p for p in self.paused_pairs if site not in p}
         self._recovering.pop(site, None)
@@ -763,10 +290,9 @@ class ReliableTransport:
 
     def on_site_recover(self, site: int) -> None:
         """Rejoin: the revived site flushes its own durable backlog."""
-        for (src, dst), ch in self._channels.items():
-            if src == site and (ch.unacked or ch._backlog):
-                ch.flush_retransmit()
-                ch._promote_backlog()
+        for (src, _), ch in self._channels.items():
+            if src == site:
+                ch.sender.recover()
 
     def unacked_to(self, site: int, *, from_live_only: bool = False,
                    down: "Optional[set[int]]" = None) -> int:
@@ -780,13 +306,13 @@ class ReliableTransport:
                 continue
             if from_live_only and down and src in down:
                 continue
-            total += ch.pending
+            total += ch.sender.pending
         return total
 
     def unacked_between_live(self, down: "set[int]") -> int:
         """Queued packets on channels whose both endpoints are up."""
         return sum(
-            ch.pending for (src, dst), ch in self._channels.items()
+            ch.sender.pending for (src, dst), ch in self._channels.items()
             if src not in down and dst not in down
         )
 
@@ -795,20 +321,12 @@ class ReliableTransport:
         partition — traffic that can never drain without a ``heal()``."""
         blocked = []
         for (src, dst), ch in self._channels.items():
-            if ch.pending and self.injector.severed(src, dst, now) and any(
+            if ch.sender.pending and self.injector.severed(src, dst, now) and any(
                 (src in g) != (dst in g)
                 for g in self.injector.unhealed_partitions(now)
             ):
                 blocked.append((src, dst))
         return blocked
-
-    def unacked_count(self) -> int:
-        """Packets somewhere between first send and ack (incl. backlog)."""
-        return sum(ch.pending for ch in self._channels.values())
-
-    def backlog_count(self) -> int:
-        """Packets windowed out into channel backlogs right now."""
-        return sum(len(ch._backlog) for ch in self._channels.values())
 
     # ------------------------------------------------------------------
     # end-of-run metrics export
@@ -819,45 +337,35 @@ class ReliableTransport:
         Sampled once at quiescence: per-packet label resolution on the
         hot path would cost far more than the numbers are worth.
         """
-        for key in sorted(self._channels):
-            ch = self._channels[key]
-            src, dst = key
-            registry.set_gauge(
-                "net_channel_rto_ms", ch.rto,
-                help_text="retransmission timeout at quiescence",
-                src=src, dst=dst)
-            registry.set_gauge(
-                "net_channel_srtt_ms",
-                ch.srtt if ch.srtt is not None else 0.0,
-                help_text="smoothed RTT estimate (0 = no samples)",
-                src=src, dst=dst)
-            registry.set_gauge(
-                "net_channel_unacked", len(ch.unacked),
-                help_text="unacked packets in flight at quiescence",
-                src=src, dst=dst)
-            registry.set_gauge(
-                "net_channel_unacked_peak", ch.unacked_peak,
-                help_text="peak in-flight window occupancy over the run",
-                src=src, dst=dst)
-            registry.set_gauge(
-                "net_channel_backlog", len(ch._backlog),
-                help_text="windowed-out backlog depth at quiescence",
-                src=src, dst=dst)
-            registry.set_gauge(
-                "net_channel_reorder", len(ch._reorder),
-                help_text="reassembly-buffer occupancy at quiescence",
-                src=src, dst=dst)
-            registry.set_gauge(
-                "net_channel_reorder_peak", ch.reorder_peak,
-                help_text="peak reassembly-buffer occupancy over the run",
-                src=src, dst=dst)
-            if ch.duplicate_drops:
+        for src, dst in sorted(self._channels):
+            ch = self._channels[(src, dst)]
+            tx, rx = ch.sender, ch.receiver
+            for name, value, help_text in (
+                ("net_channel_rto_ms", tx.rto,
+                 "retransmission timeout at quiescence"),
+                ("net_channel_srtt_ms",
+                 tx.srtt if tx.srtt is not None else 0.0,
+                 "smoothed RTT estimate (0 = no samples)"),
+                ("net_channel_unacked", len(tx.unacked),
+                 "unacked packets in flight at quiescence"),
+                ("net_channel_unacked_peak", tx.unacked_peak,
+                 "peak in-flight window occupancy over the run"),
+                ("net_channel_backlog", len(tx.backlog),
+                 "windowed-out backlog depth at quiescence"),
+                ("net_channel_reorder", len(rx.reorder),
+                 "reassembly-buffer occupancy at quiescence"),
+                ("net_channel_reorder_peak", rx.reorder_peak,
+                 "peak reassembly-buffer occupancy over the run"),
+            ):
+                registry.set_gauge(name, value, help_text=help_text,
+                                   src=src, dst=dst)
+            if rx.duplicate_drops:
                 registry.inc(
-                    "net_channel_duplicate_drops_total", ch.duplicate_drops,
+                    "net_channel_duplicate_drops_total", rx.duplicate_drops,
                     help_text="duplicates suppressed by this receiver",
                     src=src, dst=dst)
-            if ch.retransmissions:
+            if tx.retransmissions:
                 registry.inc(
-                    "net_channel_retransmissions_total", ch.retransmissions,
+                    "net_channel_retransmissions_total", tx.retransmissions,
                     help_text="retransmissions sent on this channel",
                     src=src, dst=dst)

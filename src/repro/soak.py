@@ -185,14 +185,14 @@ def check_soak_invariants(result: RunResult) -> list[str]:
     else:
         for (src, dst) in sorted(transport._channels):
             ch = transport._channels[(src, dst)]
-            if ch.unacked_peak > policy.send_window:
+            if ch.sender.unacked_peak > policy.send_window:
                 problems.append(
-                    f"channel {src}->{dst}: unacked peak {ch.unacked_peak} "
+                    f"channel {src}->{dst}: unacked peak {ch.sender.unacked_peak} "
                     f"exceeds send_window {policy.send_window}"
                 )
-            if ch.reorder_peak > policy.reorder_window:
+            if ch.receiver.reorder_peak > policy.reorder_window:
                 problems.append(
-                    f"channel {src}->{dst}: reorder peak {ch.reorder_peak} "
+                    f"channel {src}->{dst}: reorder peak {ch.receiver.reorder_peak} "
                     f"exceeds reorder_window {policy.reorder_window}"
                 )
 

@@ -1,6 +1,7 @@
-"""Unit tests for the fault injector and the reliable delivery layer."""
-
-import math
+"""The fault injector, the retransmit policy, and what only the simulator's
+channel host has: injector-aware spurious accounting, partition-heal
+scheduling, recovery clocks, collector/registry mirroring.  Channel
+behaviour itself is in ``test_channel.py``, over both drivers."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.sim.faults import (
     FaultPlan,
     Partition,
 )
-from repro.sim.network import ConstantLatency, Network, UniformLatency
+from repro.sim.network import ConstantLatency, Network
 from repro.sim.reliable import ACK_SIZE_BYTES, RetransmitPolicy
 
 FAST = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=800.0, jitter_ms=5.0)
@@ -94,55 +95,6 @@ class TestFaultPlan:
 
 
 class TestReliableDelivery:
-    def test_lossless_channel_delivers_in_order(self):
-        sim, net, _ = make_net()
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(10):
-            net.send(0, 1, k)
-        sim.run()
-        assert got == list(range(10))
-
-    def test_drops_recovered_exactly_once(self):
-        sim, net, inj = make_net(drop=0.4, seed=3)
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(30):
-            net.send(0, 1, k)
-        sim.run()
-        assert got == list(range(30))
-        assert inj.drops > 0  # the chaos was real
-        assert net.transport.retransmissions > 0
-        assert net.transport.unacked_count() == 0
-
-    def test_duplicates_suppressed(self):
-        sim, net, inj = make_net(dup=0.5, seed=4)
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(20):
-            net.send(0, 1, k)
-        sim.run()
-        assert got == list(range(20))
-        assert inj.duplicates > 0
-        assert net.transport.duplicate_drops > 0
-
-    def test_latency_spikes_cannot_reorder_above_transport(self):
-        # spikes reorder raw packets (no FIFO clamp on the chaos path);
-        # the reassembly buffer must hide that from the application
-        sim, net, inj = make_net(spike=0.5, seed=5,
-                                 latency=UniformLatency(1.0, 20.0))
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(40):
-            net.send(0, 1, k)
-        sim.run()
-        assert got == list(range(40))
-        assert inj.spikes > 0
-
     def test_partition_blocks_then_heals(self):
         sim, net, inj = make_net(partitions=(Partition([1], 0.0, 500.0),))
         got = []
@@ -185,28 +137,6 @@ class TestReliableDelivery:
         assert col.acks_sent == 7
         assert col.ack_bytes == 7 * ACK_SIZE_BYTES
 
-    def test_backoff_caps_at_max_rto(self):
-        sim, net, _ = make_net(partitions=(Partition([1], 0.0, math.inf),))
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        net.send(0, 1, "x")
-        sim.run(until=10_000.0)
-        ch = net.transport.channel(0, 1)
-        assert ch.rto == FAST.max_rto_ms
-        assert ch.unacked  # still trying, never delivered
-
-    def test_bidirectional_traffic(self):
-        sim, net, _ = make_net(drop=0.3, seed=9)
-        got = {0: [], 1: []}
-        net.register(0, lambda s, m: got[0].append(m))
-        net.register(1, lambda s, m: got[1].append(m))
-        for k in range(15):
-            net.send(0, 1, ("a", k))
-            net.send(1, 0, ("b", k))
-        sim.run()
-        assert got[1] == [("a", k) for k in range(15)]
-        assert got[0] == [("b", k) for k in range(15)]
-
 
 class TestRetransmitPolicyValidation:
     def test_rto_bounds(self):
@@ -245,56 +175,15 @@ class TestRetransmitPolicyValidation:
         RetransmitPolicy()  # must not raise
 
 
-class TestAdaptiveRto:
-    def test_rtt_samples_tighten_the_timer(self):
-        # constant 10 ms hops -> 20 ms data+ack RTT; the estimator must
-        # converge well below the 200 ms configured base
-        pol = RetransmitPolicy(base_rto_ms=200.0, max_rto_ms=800.0,
-                               jitter_ms=5.0, min_rto_ms=10.0)
-        sim, net, _ = make_net(policy=pol)
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        for k in range(10):
-            net.send(0, 1, k)
-        sim.run()
-        ch = net.transport.channel(0, 1)
-        assert ch.rtt_samples == 10
-        assert ch.srtt == pytest.approx(20.0, abs=1.0)
-        assert pol.min_rto_ms <= ch.rto < pol.base_rto_ms
-
-    def test_fixed_policy_never_samples(self):
-        pol = RetransmitPolicy(base_rto_ms=200.0, max_rto_ms=800.0,
-                               jitter_ms=5.0, adaptive=False)
-        sim, net, _ = make_net(policy=pol)
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        for k in range(10):
-            net.send(0, 1, k)
-        sim.run()
-        ch = net.transport.channel(0, 1)
-        assert ch.srtt is None
-        assert ch.rto == pol.base_rto_ms
-
-    def test_karn_excludes_retransmitted_packets(self):
-        # under heavy drops every retransmitted seq is ambiguous; Karn's
-        # rule keeps those acks out of the estimator
-        sim, net, _ = make_net(drop=0.5, seed=11)
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(25):
-            net.send(0, 1, k)
-        sim.run()
-        ch = net.transport.channel(0, 1)
-        assert got == list(range(25))
-        assert ch.retransmissions > 0
-        assert ch.rtt_samples < 25
-
+class TestSpuriousAccounting:
     def test_spurious_retransmissions_detected(self):
         # no drops: every timer firing is premature by construction
         pol = RetransmitPolicy(base_rto_ms=5.0, max_rto_ms=800.0,
                                jitter_ms=1.0, adaptive=False)
-        sim, net, _ = make_net(policy=pol)
+        from repro.metrics.collector import MetricsCollector
+
+        col = MetricsCollector()
+        sim, net, _ = make_net(policy=pol, collector=col)
         got = []
         net.register(1, lambda s, m: got.append(m))
         net.register(0, lambda s, m: None)
@@ -302,186 +191,13 @@ class TestAdaptiveRto:
             net.send(0, 1, k)
         sim.run()
         assert got == list(range(5))
-        t = net.transport
-        assert t.retransmissions > 0
-        assert t.spurious_retransmissions == t.retransmissions
-
-
-class TestFlowControl:
-    def test_send_window_bounds_in_flight(self):
-        pol = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=800.0,
-                               jitter_ms=5.0, send_window=4)
-        sim, net, _ = make_net(policy=pol)
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(20):
-            net.send(0, 1, k)
-        ch = net.transport.channel(0, 1)
-        assert len(ch.unacked) == 4          # window full
-        assert len(ch._backlog) == 16        # rest queued
-        assert net.transport.backpressured(0)
-        assert net.transport.backlog_of(0) == 16
-        sim.run()
-        assert got == list(range(20))
-        assert ch.unacked_peak <= 4
-        assert ch.pending == 0
-        assert not net.transport.backpressured(0)
-
-    def test_admission_sheds_over_threshold(self):
-        from repro.sim.reliable import OverloadError
-
-        pol = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=800.0,
-                               jitter_ms=5.0, send_window=1, shed_backlog=3)
-        sim, net, _ = make_net(
-            policy=pol, partitions=(Partition([1], 0.0, math.inf),))
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        for k in range(5):
-            net.send(0, 1, k)
-        net.transport.check_admission(1)  # other site: clean
-        with pytest.raises(OverloadError) as exc:
-            net.transport.check_admission(0)
-        assert exc.value.site == 0
-        assert exc.value.backlog >= 3
-        assert net.transport.overload_sheds == 1
-
-    def test_admission_disabled_by_default_policy_zero(self):
-        pol = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=800.0,
-                               jitter_ms=5.0, send_window=1, shed_backlog=0)
-        sim, net, _ = make_net(
-            policy=pol, partitions=(Partition([1], 0.0, math.inf),))
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        for k in range(10):
-            net.send(0, 1, k)
-        net.transport.check_admission(0)  # 0 disables shedding
-
-
-class TestReorderBuffer:
-    def test_overflow_is_bounded_and_recovered(self):
-        # aggressive spikes reorder raw packets; a 2-slot reassembly
-        # buffer must overflow (drop + retransmit) yet deliver in order
-        pol = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=800.0,
-                               jitter_ms=5.0, reorder_window=2)
-        sim, net, inj = make_net(policy=pol, spike=0.6, seed=12,
-                                 latency=UniformLatency(1.0, 20.0))
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(40):
-            net.send(0, 1, k)
-        sim.run()
-        assert got == list(range(40))
-        assert inj.spikes > 0
-        ch = net.transport.channel(0, 1)
-        assert ch.reorder_overflows > 0
-        assert ch.reorder_peak <= 2
-        assert net.transport.reorder_overflows >= ch.reorder_overflows
-
-
-class TestPausedChannelTimers:
-    def test_no_timer_fires_while_paused(self):
-        # a severed destination normally burns RTO timers (see
-        # test_backoff_caps_at_max_rto); pausing must park them
-        sim, net, _ = make_net(partitions=(Partition([1], 0.0, math.inf),))
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        net.send(0, 1, "x")
-        net.transport.pause_pair(0, 1)
-        sim.run(until=5_000.0)  # 100x the RTO with the timer parked
-        ch = net.transport.channel(0, 1)
-        assert ch.retransmissions == 0
-        assert ch.unacked  # still owed
-        net.transport.resume_pair(0, 1, flush=True)
-        sim.run(until=10_000.0)
-        assert ch.retransmissions > 0  # timers burn again after resume
-
-    def test_send_while_paused_backlogs(self):
-        sim, net, _ = make_net()
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        net.transport.pause_pair(0, 1)
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        for k in range(3):
-            net.send(0, 1, k)
-        sim.run(until=1_000.0)
-        assert got == []
-        net.transport.resume_pair(0, 1, flush=True)
-        sim.run()
-        assert got == [0, 1, 2]
-
-
-class TestPacedHealFlush:
-    def test_heal_flush_is_paced_not_burst(self):
-        # 12 packets stuck behind a partition with heal_burst=4: the heal
-        # must NOT retransmit everything in the same instant
-        pol = RetransmitPolicy(base_rto_ms=5_000.0, max_rto_ms=20_000.0,
-                               jitter_ms=0.0, heal_burst=4, send_window=64)
-        sim, net, _ = make_net(
-            policy=pol, partitions=(Partition([1], 0.0, 500.0),))
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(12):
-            net.send(0, 1, k)
-        sim.run(until=499.0)
-        assert got == []
-        # just after the heal + one hop: only the leading burst arrived
-        sim.run(until=512.0)
-        assert 0 < len(got) < 12
-        sim.run()
-        assert got == list(range(12))
-
-    def test_burst_smaller_than_heal_burst_flushes_at_once(self):
-        pol = RetransmitPolicy(base_rto_ms=5_000.0, max_rto_ms=20_000.0,
-                               jitter_ms=0.0, heal_burst=16)
-        sim, net, _ = make_net(
-            policy=pol, partitions=(Partition([1], 0.0, 500.0),))
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(4):
-            net.send(0, 1, k)
-        sim.run(until=512.0)
-        assert got == list(range(4))  # under the burst: no pacing delay
-
-
-class TestCircuitBreaker:
-    def test_breaker_trips_probes_then_closes(self):
-        pol = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=200.0,
-                               jitter_ms=0.0, breaker_failures=2,
-                               adaptive=False)
-        sim, net, _ = make_net(
-            policy=pol, partitions=(Partition([1], 0.0, 2_000.0),))
-        got = []
-        net.register(1, lambda s, m: got.append(m))
-        net.register(0, lambda s, m: None)
-        for k in range(6):
-            net.send(0, 1, k)
-        sim.run(until=1_900.0)
-        ch = net.transport.channel(0, 1)
-        assert ch.degraded          # breaker open while severed
-        assert ch.breaker_trips >= 1
-        assert net.transport.breaker_trips >= 1
-        sim.run()
-        assert got == list(range(6))
-        assert not ch.degraded      # ack progress closed it
-        assert net.transport.breaker_closes >= 1
-
-    def test_breaker_disabled_when_zero(self):
-        pol = RetransmitPolicy(base_rto_ms=50.0, max_rto_ms=200.0,
-                               jitter_ms=0.0, breaker_failures=0)
-        sim, net, _ = make_net(
-            policy=pol, partitions=(Partition([1], 0.0, 1_000.0),))
-        net.register(1, lambda s, m: None)
-        net.register(0, lambda s, m: None)
-        net.send(0, 1, "x")
-        sim.run()
-        ch = net.transport.channel(0, 1)
-        assert ch.breaker_trips == 0
-        assert not ch.degraded
+        counts = net.transport.counts
+        assert counts["retransmission"] > 0
+        assert counts["spurious_retransmission"] == counts["retransmission"]
+        # every event is mirrored into the collector's tally of it
+        assert col.retransmissions == counts["retransmission"]
+        assert col.spurious_retransmissions == counts["spurious_retransmission"]
+        assert col.duplicate_drops == counts["duplicate_drop"] > 0
 
 
 class TestChannelMetricsExport:

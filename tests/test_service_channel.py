@@ -1,166 +1,44 @@
-"""ServiceChannel/ServiceTransport under a deterministic StepClock."""
+"""What only the live channel host has: sender identity and the
+validation of frames from untrusted peers.  Channel behaviour itself is
+in ``test_channel.py``, over both drivers."""
 
 import pytest
 
-from repro.core.messages import FetchMessage
-from repro.core.netpolicy import OverloadError, RetransmitPolicy
-from repro.service.channel import ServiceTransport
-from repro.service.codec import loads, dumps
-from repro.service.runtime import StepClock
+from .test_channel import LiveDriver, ids, message
 
 
-def fm(request_id):
-    return FetchMessage(var=0, reader=0, request_id=request_id)
-
-
-class Harness:
-    """Two transports joined by manually pumped frame queues."""
-
-    def __init__(self, policy=None, drop=None):
-        self.clock = StepClock()
-        self.wire: list[tuple[int, bytes]] = []  # (dst, frame bytes)
-        self.delivered: dict[int, list] = {0: [], 1: []}
-        self.drop = drop if drop is not None else (lambda dst, frame: False)
-        self.transports = {
-            site: ServiceTransport(
-                site, self.clock,
-                self._send_frame,
-                self._make_deliver(site),
-                policy=policy,
-            )
-            for site in (0, 1)
-        }
-
-    def _send_frame(self, dst, frame):
-        if not self.drop(dst, frame):
-            self.wire.append((dst, dumps(frame)))
-
-    def _make_deliver(self, site):
-        return lambda src, msg: self.delivered[site].append((src, msg))
-
-    def pump(self):
-        while self.wire:
-            dst, payload = self.wire.pop(0)
-            self.transports[dst].on_frame(loads(payload))
-
-
-class TestDelivery:
-    def test_in_order_delivery_and_ack(self):
-        h = Harness()
-        for i in range(5):
-            h.transports[0].send(0, 1, fm(i))
-        h.pump()
-        assert [m.request_id for _, m in h.delivered[1]] == [0, 1, 2, 3, 4]
-        assert h.transports[0].pending_total() == 0  # all acked
-
-    def test_duplicate_frames_dropped(self):
-        h = Harness()
-        h.transports[0].send(0, 1, fm(0))
-        dup = list(h.wire)
-        h.pump()
-        h.wire.extend(dup)  # replay the same data frame
-        h.pump()
-        assert len(h.delivered[1]) == 1
-        assert h.transports[1].channel(0).duplicate_drops == 1
-
-    def test_reordered_frames_reassembled(self):
-        h = Harness()
-        h.transports[0].send(0, 1, fm(0))
-        h.transports[0].send(0, 1, fm(1))
-        h.transports[0].send(0, 1, fm(2))
-        assert len(h.wire) == 3
-        h.wire[0], h.wire[2] = h.wire[2], h.wire[0]  # arrive 2,1,0
-        h.pump()
-        assert [m.request_id for _, m in h.delivered[1]] == [0, 1, 2]
-
+class TestServiceTransport:
     def test_sender_identity_enforced(self):
-        h = Harness()
+        d = LiveDriver()
         with pytest.raises(ValueError, match="asked to send as"):
-            h.transports[0].send(1, 0, fm(0))
-
-
-class TestRetransmission:
-    def test_lost_frame_recovered_by_timer(self):
-        lost = {"armed": True}
-
-        def drop(dst, frame):
-            if lost["armed"] and frame.get("k") == "data":
-                lost["armed"] = False
-                return True
-            return False
-
-        h = Harness(drop=drop)
-        h.transports[0].send(0, 1, fm(0))
-        h.pump()
-        assert h.delivered[1] == []  # first copy lost
-        h.clock.advance(1000.0)     # past base RTO + jitter
-        h.pump()
-        assert [m.request_id for _, m in h.delivered[1]] == [0]
-        assert h.transports[0].channel(1).retransmissions >= 1
-        assert h.transports[0].pending_total() == 0
-
-    def test_rto_backs_off_while_unacked(self):
-        h = Harness(drop=lambda dst, frame: frame.get("k") == "data")
-        policy = h.transports[0].policy
-        h.transports[0].send(0, 1, fm(0))
-        ch = h.transports[0].channel(1)
-        assert ch.rto == policy.base_rto_ms
-        h.clock.advance(policy.base_rto_ms + policy.jitter_ms + 1)
-        assert ch.rto == policy.base_rto_ms * policy.backoff
-        assert ch.consecutive_timeouts == 1
-
-    def test_rtt_samples_shrink_rto(self):
-        h = Harness()
-        ch = h.transports[0].channel(1)
-        for i in range(6):
-            h.transports[0].send(0, 1, fm(i))
-            h.clock.tick(10.0)  # 10 ms "network" round trip
-            h.pump()
-        assert ch.rtt_samples == 6
-        assert ch.srtt == pytest.approx(10.0, abs=2.0)
-        assert ch.rto < h.transports[0].policy.base_rto_ms
-
-    def test_karn_rule_skips_retransmitted_samples(self):
-        first = {"armed": True}
-
-        def drop(dst, frame):
-            if first["armed"] and frame.get("k") == "data":
-                first["armed"] = False
-                return True
-            return False
-
-        h = Harness(drop=drop)
-        ch = h.transports[0].channel(1)
-        h.transports[0].send(0, 1, fm(0))
-        h.clock.advance(1000.0)  # retransmit fires
-        h.pump()                 # ack for a retransmitted seq: ambiguous
-        assert ch.rtt_samples == 0
-
-
-class TestFlowControl:
-    def test_window_bounds_in_flight_frames(self):
-        policy = RetransmitPolicy(send_window=2)
-        h = Harness(policy=policy)
-        for i in range(5):
-            h.transports[0].send(0, 1, fm(i))
-        # only the window's worth of data frames hit the wire
-        assert len(h.wire) == 2
-        assert h.transports[0].overloaded(0) is True
-        h.pump()  # acks promote the backlog
-        h.pump()
-        assert [m.request_id for _, m in h.delivered[1]] == [0, 1, 2, 3, 4]
-        assert h.transports[0].overloaded(0) is False
-
-    def test_admission_control_sheds_past_backlog_cap(self):
-        policy = RetransmitPolicy(send_window=1, shed_backlog=3)
-        h = Harness(policy=policy, drop=lambda dst, frame: True)
-        for i in range(4):
-            h.transports[0].send(0, 1, fm(i))
-        with pytest.raises(OverloadError):
-            h.transports[0].check_overload_admission(0)
+            d.transports[0].send(1, 0, message(0))
 
     def test_malformed_frames_ignored(self):
-        h = Harness()
-        h.transports[0].on_frame({"k": "data"})          # no src
-        h.transports[0].on_frame({"k": "hello", "src": 1})
-        assert h.delivered[0] == []
+        d = LiveDriver(n=3)
+        d.send(0, 1, 0)
+        d.settle()
+        transport = d.transports[0]
+        sender = d.sender(0, 1)
+        before = (sender.next_seq, dict(sender.unacked), sender.rto)
+        bad = [
+            {"k": "data"},                                    # no src
+            {"k": "bogus", "src": 1},
+            {"k": "ack", "src": 1},                           # no cum
+            {"k": "ack", "src": 1, "cum": "9"},
+            {"k": "ack", "src": 1, "cum": True},
+            {"k": "data", "src": 1},                          # no seq, no m
+            {"k": "data", "src": 1, "seq": "x", "m": {}},
+            {"k": "data", "src": 1, "seq": 0, "m": {}},       # m is no message
+            {"k": "data", "src": 99, "seq": 5, "m": {}},      # not a member
+            {"k": "data", "src": 0, "seq": 0, "m": {}},       # this site itself
+        ]
+        for frame in bad:
+            transport.on_frame(frame)
+        transport.on_frame({"k": "hello", "src": 1})          # not malformed
+        d.settle()
+        assert transport.malformed_frames == len(bad)
+        assert ids(d, 0) == []
+        assert (sender.next_seq, dict(sender.unacked), sender.rto) == before
+        # a non-member never gets channel state, an ack or a dial
+        assert sorted(transport._channels) == [(0, 1)]
+        assert d.injector.decisions == 2  # the one data frame and its ack

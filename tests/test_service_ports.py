@@ -47,7 +47,7 @@ class TestServiceSubstrate:
 
     def test_service_transport_is_transport(self):
         transport = ServiceTransport(
-            0, StepClock(), lambda dst, frame: None, lambda src, msg: None
+            0, 2, StepClock(), lambda dst, frame: None, lambda src, msg: None
         )
         assert isinstance(transport, Transport)
 
