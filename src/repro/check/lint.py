@@ -149,10 +149,6 @@ class SourceFile:
                     hint="drop the stale code or fix the typo; see --list-rules",
                 )
 
-    # backwards-compatible name used by pre-analyzer callers
-    def unjustified_suppressions(self) -> Iterator[Finding]:
-        yield from self.invalid_suppressions()
-
 
 def _registered_codes() -> frozenset[str]:
     """Every code a suppression may legitimately name."""

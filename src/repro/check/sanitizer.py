@@ -234,11 +234,6 @@ def _changed_fields(snapshot: object, current: object) -> str:
     return ", ".join(drifted) if drifted else "<none identified>"
 
 
-def sanitize_network(network: "Network") -> SanitizedNetwork:
-    """Wrap ``network``; register all receivers through the wrapper."""
-    return SanitizedNetwork(network)
-
-
 # ----------------------------------------------------------------------
 # double-run divergence detector
 # ----------------------------------------------------------------------

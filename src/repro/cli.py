@@ -779,8 +779,8 @@ def _cmd_metrics_run(args: argparse.Namespace) -> int:
                                       registry=registry)
     result = run_simulation(cfg, registry=registry, heartbeat=heartbeat)
     _write_metrics_outputs(registry, args.outdir, cfg)
-    problems = registry.ledger.crosscheck(result.collector)
-    print("ledger crosscheck vs collector: "
+    problems = registry.ledger.crosscheck()
+    print("ledger crosscheck (components vs priced bytes): "
           + ("OK" if not problems else "MISMATCH"))
     for p in problems:
         print(f"  {p}")

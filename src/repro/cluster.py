@@ -31,6 +31,7 @@ from .experiments.runner import SimulationConfig
 from .memory.store import SiteStore, WriteId
 from .metrics.collector import MetricsCollector
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
+from .obs.ledger import MetadataLedger
 from .obs.metrics import MetricsRegistry
 from .obs.tracer import Tracer
 from .sim.crash import CatchupPolicy, CrashRecoveryManager, install_crash_recovery
@@ -118,8 +119,8 @@ class CausalCluster:
             tracer.meta.setdefault("seed", seed)
         self.registry = registry
         if registry is not None:
-            if registry.ledger.base_n is None:
-                registry.ledger.base_n = n_sites
+            registry.ledger = MetadataLedger(self.collector, size_model,
+                                             base_n=n_sites)
             registry.install_kernel_hook(self.sim)
         self.network = Network(
             self.sim, n_sites, config.latency,
@@ -129,8 +130,6 @@ class CausalCluster:
             tracer=tracer, registry=registry,
         )
         self.collector.start_measuring()  # no warm-up in interactive mode
-        if registry is not None:
-            registry.ledger.mark_measuring()
         self.history = HistoryRecorder(enabled=record_history)
         self.protocols: list[CausalProtocol] = []
         for i in range(n_sites):
@@ -374,12 +373,6 @@ class CausalCluster:
             raise RuntimeError("no crash-recovery machinery installed")
         self._wake()
         self.crash_manager.recover(site)
-
-    def down_sites(self) -> set[int]:
-        """Sites currently crashed (empty without crash machinery)."""
-        if self.crash_manager is None:
-            return set()
-        return set(self.crash_manager.down)
 
     # ------------------------------------------------------------------
     # elastic membership (see repro.sim.membership / docs/membership.md)

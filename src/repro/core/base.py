@@ -12,30 +12,32 @@ The base class centralizes the machinery all four protocols share:
   ``applied`` array, so a blocked message registers the first
   ``(writer, threshold)`` pair its predicate is waiting on and is only
   re-tested when ``applied[writer]`` crosses that threshold.  This
-  replaces the historical full fixpoint re-scan (O(P) predicate tests
-  per application, O(P^2) per delivery burst) while activating the exact
+  replaces a full fixpoint re-scan (O(P) predicate tests per
+  application, O(P^2) per delivery burst) while activating the exact
   same messages in the exact same order — see ``_drain`` and
-  docs/architecture.md, "Hot path & performance model".  The legacy
-  re-scan survives as ``_drain_legacy`` (selectable via
-  :func:`set_drain_mode`) because the equivalence property test runs
-  whole simulations under both modes and compares traces;
+  docs/architecture.md, "Hot path & performance model".  The re-scan
+  needs no second implementation: a blocker hook that returns ``None``
+  puts its entry back on every pass, so the same drain with every hook
+  answering ``None`` *is* the re-scan, and that is what the equivalence
+  property test compares whole-run traces against;
 * the remote-fetch state machine (issue FM, buffer the RM until its
   gating predicate holds, complete the blocked read);
 * metered send/multicast helpers that price each message against the
-  size model and feed the metrics collector at send time;
+  size model and book it, at send time, in this site's slot of the
+  metrics collector — the only accounting a message gets;
 * history recording hooks for the causal-consistency checker.
 
 Concrete protocols override the small, well-named primitive methods
 (``_sm_ready``, ``_apply_sm``, ``_rm_ready``, ``_complete_rm`` ...)
-rather than the control flow, plus the ``_sm_blocker``/``_rm_blocker``
-hooks that name the first unsatisfied threshold of a false predicate (a
-protocol may return ``None`` to fall back to re-testing every pass).
+rather than the control flow, plus the ``_sm_blocker``/``_rm_blocker``/
+``_fm_blocker`` hooks that name the first unsatisfied threshold of a
+false predicate (a protocol may return ``None`` to fall back to
+re-testing every pass).
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -46,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     # annotation-only crossings, declared as ports in layers.toml: the
     # substrate objects reach the protocol through ProtocolContext
     # injection, never through a module-level runtime import
-    from ..obs.ledger import MetadataLedger
     from ..obs.metrics import Histogram, MetricsRegistry
     from ..obs.tracer import Tracer
     from ..sim.checkpoint import WalRecord
@@ -57,7 +58,7 @@ from ..metrics.collector import MessageKind, MetricsCollector
 from ..metrics.sizing import SizeModel
 from ..verify.history import HistoryRecorder
 from .errors import DepartedSiteError
-from .messages import FetchMessage
+from .messages import FetchMessage, accounting_shape
 from .ports import Clock, Durability, NullTransport, Transport
 
 __all__ = [
@@ -68,52 +69,11 @@ __all__ = [
     "create_protocol",
     "protocol_names",
     "get_protocol_class",
-    "set_drain_mode",
-    "get_drain_mode",
-    "set_debug_wakeups",
 ]
 
 #: Signature of the continuation a read hands to the protocol:
 #: ``on_complete(value, write_id_or_None, was_remote)``.
 ReadCallback = Callable[[object, Optional[WriteId], bool], None]
-
-#: drain implementations selectable via :func:`set_drain_mode`
-DRAIN_INDEXED = "indexed"
-DRAIN_LEGACY = "legacy"
-
-_drain_mode: str = DRAIN_INDEXED
-
-#: when True, every drain fixpoint is followed by a full re-scan
-#: asserting that no pending message is applicable — i.e. that the
-#: wakeup index never misses an activation the legacy re-scan would
-#: have found.  Costly; enabled by the equivalence tests and the
-#: REPRO_DEBUG_WAKEUPS environment variable.
-_debug_wakeups: bool = os.environ.get("REPRO_DEBUG_WAKEUPS", "") not in ("", "0")
-
-
-def set_drain_mode(mode: str) -> None:
-    """Select the drain implementation for protocols built afterwards.
-
-    ``"indexed"`` (default) uses the dependency-indexed wakeup path;
-    ``"legacy"`` uses the historical full fixpoint re-scan.  The setting
-    is read at protocol construction, so it must be chosen before
-    ``run_simulation`` builds its protocol instances.
-    """
-    if mode not in (DRAIN_INDEXED, DRAIN_LEGACY):
-        raise ValueError(f"unknown drain mode {mode!r}")
-    global _drain_mode
-    _drain_mode = mode
-
-
-def get_drain_mode() -> str:
-    return _drain_mode
-
-
-def set_debug_wakeups(enabled: bool) -> None:
-    """Toggle the indexed-vs-rescan equivalence assertion (see module doc)."""
-    global _debug_wakeups
-    _debug_wakeups = enabled
-
 
 @dataclass
 class ProtocolContext:
@@ -132,7 +92,7 @@ class ProtocolContext:
     history: HistoryRecorder = field(default_factory=lambda: HistoryRecorder(enabled=False))
     #: observability hooks; None (the default) is the zero-overhead path
     tracer: Optional[Tracer] = None
-    #: metrics registry + metadata ledger; None is the zero-overhead path
+    #: metrics registry (labeled instruments); None is the zero-overhead path
     registry: Optional[MetricsRegistry] = None
 
 
@@ -140,8 +100,8 @@ class _Pending:
     """A buffered message awaiting its predicate, with wakeup state.
 
     ``seq`` is the per-protocol arrival number — within one kind it is
-    exactly the position order of the legacy pending list, which is what
-    makes indexed activation order reproduce the legacy scan order.
+    exactly the position order of the pending list, which is what makes
+    indexed activation order reproduce the full re-scan's order.
     ``dirty`` marks the entry as queued for (re-)testing; ``blocker`` is
     the ``(writer, threshold)`` registration currently held in the
     owner's wakeup index (``None`` when dirty, newly arrived, or in the
@@ -191,6 +151,11 @@ class _PendingFM(_Pending):
 
 _SEQ_KEY = attrgetter("seq")
 
+#: one row of ``CausalProtocol._scans``
+_Scan = tuple[list, Callable[..., bool],
+              Callable[..., Optional[tuple[int, int]]],
+              Callable[..., None], str]
+
 
 @dataclass
 class _OutstandingFetch:
@@ -224,6 +189,19 @@ class CausalProtocol(abc.ABC):
         self._pending_sm: list[_PendingSM] = []
         self._pending_rm: list[_PendingRM] = []
         self._pending_fm: list[_PendingFM] = []
+        #: per scan kind (0 = SM, 1 = RM, 2 = FM): the buffer, its gate,
+        #: the hook naming a false gate's first unmet threshold, the
+        #: action once the gate holds, and the tracer event of a
+        #: resolved RM / FM — what the one sweep body (``_scan``) is
+        #: parameterised by
+        self._scans: tuple[_Scan, ...] = (
+            (self._pending_sm, self._sm_ready, self._sm_blocker,
+             self._apply_sm, "sm.activate"),
+            (self._pending_rm, self._rm_ready, self._rm_blocker,
+             self._complete_rm, "rm.complete"),
+            (self._pending_fm, self._fm_ready, self._fm_blocker,
+             self._serve_fetch, "fm.serve"),
+        )
         self._fetches: dict[int, _OutstandingFetch] = {}
         self._next_request_id = 0
         self._draining = False
@@ -231,20 +209,15 @@ class CausalProtocol(abc.ABC):
         self.pending_sm_peak = 0
         #: monotone arrival counter feeding ``_Pending.seq``
         self._arrival_seq = 0
-        # Wakeup index (indexed drain mode only; None selects the legacy
-        # full-rescan drain).  ``_waiters[j]`` is a min-heap of
+        # Wakeup index.  ``_waiters[j]`` is a min-heap of
         # ``(threshold, seq, entry)``: entries whose predicate is waiting
         # for ``applied[j] >= threshold``.  ``_dirty[kind]`` holds the
         # entries queued for (re-)testing, in wake order (sorted by seq
         # at scan time).
-        if _drain_mode == DRAIN_INDEXED:
-            self._waiters: Optional[list[list[tuple[int, int, _Pending]]]] = [
-                [] for _ in range(self.n)
-            ]
-            self._dirty: list[list[_Pending]] = [[], [], []]
-        else:
-            self._waiters = None
-            self._dirty = [[], [], []]
+        self._waiters: list[list[tuple[int, int, _Pending]]] = [
+            [] for _ in range(self.n)
+        ]
+        self._dirty: list[list[_Pending]] = [[], [], []]
         #: active-scan state for same-kind forward wakeups (see ``_wake``)
         self._scan_kind = -1
         self._scan_pos = -1
@@ -269,7 +242,7 @@ class CausalProtocol(abc.ABC):
         # hot paths pay a single ``is None`` branch (registry=None keeps
         # all three at None — no instrument objects exist at all).  The
         # histogram children are shared across sites (label: protocol);
-        # per-site detail lives in the metadata ledger.
+        # per-site detail lives in the collector's message slots.
         registry = ctx.registry
         if registry is not None:
             self._m_activation_wait: Optional[Histogram] = registry.histogram(  # type: ignore[assignment]
@@ -296,16 +269,15 @@ class CausalProtocol(abc.ABC):
                 reservoir=False,
             ).labels(protocol=self.name)
             self._m_log_skip = 0
-            self._m_ledger: Optional[MetadataLedger] = registry.ledger
         else:
             self._m_activation_wait = None
             self._m_pending_depth = None
             self._m_log_entries = None
-            self._m_ledger = None
-        #: kind -> (entry, mode, type) accumulator slots from
-        #: MetadataLedger.resolve, bumped inline in _send; dropped on
-        #: view changes (clock-keyed slots go stale when n grows)
-        self._m_led_cache: dict = {}
+        #: kind -> (this site's collector slot, reader of the field whose
+        #: length it sums), bound on the kind's first send and bumped
+        #: inline in _send; dropped on view changes (the clock width is
+        #: part of the slot key) and set aside during WAL replay
+        self._msg_slots: dict[MessageKind, tuple[list[int], Optional[Callable]]] = {}
 
     # ------------------------------------------------------------------
     # public API driven by the application subsystem
@@ -414,16 +386,14 @@ class CausalProtocol(abc.ABC):
             fm = _PendingFM(src, message, now, self._arrival_seq)
             self._arrival_seq += 1
             self._pending_fm.append(fm)
-            if self._waiters is not None:
-                self._mark_dirty(fm)
+            self._mark_dirty(fm)
             self._drain()
             return
         if self._is_rm(message):
             rm = _PendingRM(src, message, now, self._arrival_seq)
             self._arrival_seq += 1
             self._pending_rm.append(rm)
-            if self._waiters is not None:
-                self._mark_dirty(rm)
+            self._mark_dirty(rm)
             self._drain()
             return
         # anything else is this protocol's SM type
@@ -437,25 +407,24 @@ class CausalProtocol(abc.ABC):
             if self._m_depth_skip >= 4:
                 self._m_depth_skip = 0
                 self._m_pending_depth.observe(len(self._pending_sm))
-        if self._waiters is not None:
-            self._mark_dirty(sm)
+        self._mark_dirty(sm)
         self._drain()
 
     # ------------------------------------------------------------------
     # dependency-indexed wakeup machinery
     # ------------------------------------------------------------------
     def _mark_dirty(self, entry: _Pending) -> None:
-        """Queue ``entry`` for (re-)testing, preserving legacy scan order.
+        """Queue ``entry`` for (re-)testing, preserving re-scan order.
 
-        The legacy pass structure is: one outer pass = SM sweep, then RM
-        sweep, then FM sweep; a sweep visits entries in list (= seq)
-        order once, and an entry that becomes applicable *behind* the
-        sweep position is only caught by the next pass, while one *ahead*
-        of it is caught by the same sweep.  Routing reproduces exactly
-        that: a same-kind wake ahead of the active sweep joins it (in
-        seq order); everything else goes to its kind's dirty list, which
-        the current pass (for later kinds) or the next pass (for earlier
-        or same-kind-behind wakes) will sweep.
+        The pass structure of a full re-scan is: one outer pass = SM
+        sweep, then RM sweep, then FM sweep; a sweep visits entries in
+        list (= seq) order once, and an entry that becomes applicable
+        *behind* the sweep position is only caught by the next pass,
+        while one *ahead* of it is caught by the same sweep.  Routing
+        reproduces exactly that: a same-kind wake ahead of the active
+        sweep joins it (in seq order); everything else goes to its
+        kind's dirty list, which the current pass (for later kinds) or
+        the next pass (for earlier or same-kind-behind wakes) will sweep.
         """
         entry.dirty = True
         k = entry.kind
@@ -478,8 +447,6 @@ class CausalProtocol(abc.ABC):
         invariant (a non-dirty entry's predicate is false), so the
         indexed drain never needs a full re-scan.
         """
-        if self._waiters is None:
-            return
         heap = self._waiters[j]
         if not heap:
             return
@@ -494,26 +461,20 @@ class CausalProtocol(abc.ABC):
                 self._wake(entry)
 
     def _assert_wakeup_complete(self) -> None:
-        """Debug mode: full re-scan proving the index missed nothing.
+        """Full re-scan proving the index missed nothing.
 
-        At a drain fixpoint the legacy re-scan would find no applicable
+        At a drain fixpoint a full re-scan would find no applicable
         entry; if the wakeup index is correct, neither does this scan.
+        Not called in production — the equivalence tests run it after
+        every outermost drain.
         """
-        for p in self._pending_sm:
-            if self._sm_ready(p.src, p.message):
-                raise AssertionError(
-                    f"wakeup index missed a ready SM at site {self.site}: {p!r}"
-                )
-        for r in self._pending_rm:
-            if self._rm_ready(r.src, r.message):
-                raise AssertionError(
-                    f"wakeup index missed a ready RM at site {self.site}: {r!r}"
-                )
-        for f in self._pending_fm:
-            if self._fm_ready(f.message):  # type: ignore[arg-type]
-                raise AssertionError(
-                    f"wakeup index missed a ready FM at site {self.site}: {f!r}"
-                )
+        for pending, gate, _blocker_of, _act, event in self._scans:
+            for p in pending:
+                if gate(p.src, p.message):
+                    raise AssertionError(
+                        f"wakeup index missed a ready entry ({event}) "
+                        f"at site {self.site}: {p!r}"
+                    )
 
     # ------------------------------------------------------------------
     # machinery shared by all protocols
@@ -521,165 +482,44 @@ class CausalProtocol(abc.ABC):
     def _drain(self) -> None:
         """Apply every buffered message whose predicate has become true.
 
-        Indexed mode: only entries whose registered thresholds were
-        crossed (plus new arrivals) are re-tested; the pass structure —
-        SM sweep, RM sweep, FM sweep, repeated while progress — and the
-        within-sweep seq order replicate the legacy fixpoint re-scan
-        exactly (see ``_mark_dirty``).  Termination matches legacy: the
-        outer loop continues only on actual activations, and every wake
-        coincides with an activation in the same pass.  Guarded against
+        Only entries whose registered thresholds were crossed (plus new
+        arrivals) are re-tested; the pass structure — SM sweep, RM
+        sweep, FM sweep, repeated while progress — and the within-sweep
+        seq order replicate a full fixpoint re-scan exactly (see
+        ``_mark_dirty``).  Termination matches it too: the outer loop
+        continues only on actual activations, and every wake coincides
+        with an activation in the same pass.  Guarded against
         reentrancy: completions invoked here may issue new operations
         synchronously.
         """
-        if self._waiters is None:
-            self._drain_legacy()
-            return
         if self._draining:
             return
         dirty = self._dirty
-        if dirty[0] or dirty[1] or dirty[2]:
-            self._draining = True
-            try:
-                progress = True
-                while progress:
-                    progress = False
-                    if dirty[0] and self._scan_sm():
-                        progress = True
-                    if dirty[1] and self._scan_rm():
-                        progress = True
-                    if dirty[2] and self._scan_fm():
-                        progress = True
-            finally:
-                self._draining = False
-        if _debug_wakeups:
-            self._assert_wakeup_complete()
-
-    def _scan_sm(self) -> bool:
-        """One SM sweep over the dirty set, in seq order."""
-        batch: list[_Pending] = self._dirty[0]
-        self._dirty[0] = []
-        batch.sort(key=_SEQ_KEY)
-        self._scan_kind = 0
-        self._scan_batch = batch
-        progress = False
-        ctx = self.ctx
-        tracer = ctx.tracer
-        pending = self._pending_sm
-        waiters = self._waiters
-        assert waiters is not None
-        idx = 0
+        if not (dirty[0] or dirty[1] or dirty[2]):
+            return
+        self._draining = True
         try:
-            while idx < len(batch):
-                entry = batch[idx]
-                idx += 1
-                self._scan_pos = entry.seq
-                entry.dirty = False
-                if self._sm_ready(entry.src, entry.message):
-                    pending.remove(entry)
-                    delay = ctx.clock.now - entry.arrived
-                    if delay > 0:
-                        # only genuinely buffered updates count: an
-                        # immediately-applicable SM has no gating cost
-                        ctx.collector.record_activation_delay(delay)
-                        if self._m_activation_wait is not None:
-                            self._m_activation_wait.observe(delay)
-                    if tracer is None:
-                        self._apply_sm(entry.src, entry.message)
-                    else:
-                        # the activation event becomes the causal parent
-                        # of anything the apply triggers (e.g. a newly
-                        # unblocked fetch reply)
-                        tracer.sm_activate(self.site, entry.message,
-                                           ts=ctx.clock.now,
-                                           arrived=entry.arrived)
-                        try:
-                            self._apply_sm(entry.src, entry.message)
-                        finally:
-                            tracer.pop()
-                    progress = True
-                else:
-                    blocker = self._sm_blocker(entry.src, entry.message)
-                    if blocker is None:
-                        # no threshold known: fall back to every-pass
-                        # re-testing (the legacy behavior for this entry)
-                        entry.dirty = True
-                        self._dirty[0].append(entry)
-                    else:
-                        entry.blocker = blocker
-                        heappush(  # simcheck: ignore[SIM007] -- (threshold, seq) keys are unique, so pops are deterministic
-                            waiters[blocker[0]],
-                            (blocker[1], entry.seq, entry),
-                        )
+            progress = True
+            while progress:
+                progress = False
+                for kind in (0, 1, 2):
+                    if dirty[kind] and self._scan(kind):
+                        progress = True
         finally:
-            self._scan_kind = -1
-            self._scan_pos = -1
-            self._scan_batch = []
-        return progress
+            self._draining = False
 
-    def _scan_rm(self) -> bool:
-        """One RM sweep over the dirty set, in seq order."""
-        batch: list[_Pending] = self._dirty[1]
-        self._dirty[1] = []
+    def _scan(self, kind: int) -> bool:
+        """One sweep over ``kind``'s dirty set, in seq order."""
+        batch: list[_Pending] = self._dirty[kind]
+        self._dirty[kind] = []
         batch.sort(key=_SEQ_KEY)
-        self._scan_kind = 1
+        self._scan_kind = kind
         self._scan_batch = batch
         progress = False
         ctx = self.ctx
         tracer = ctx.tracer
-        pending = self._pending_rm
+        pending, gate, blocker_of, act, event = self._scans[kind]
         waiters = self._waiters
-        assert waiters is not None
-        idx = 0
-        try:
-            while idx < len(batch):
-                entry = batch[idx]
-                idx += 1
-                self._scan_pos = entry.seq
-                entry.dirty = False
-                if self._rm_ready(entry.src, entry.message):
-                    pending.remove(entry)
-                    if tracer is None:
-                        self._complete_rm(entry.src, entry.message)
-                    else:
-                        tracer.gated_resolved("rm.complete", self.site,
-                                              entry.message,
-                                              ts=ctx.clock.now,
-                                              arrived=entry.arrived)
-                        try:
-                            self._complete_rm(entry.src, entry.message)
-                        finally:
-                            tracer.pop()
-                    progress = True
-                else:
-                    blocker = self._rm_blocker(entry.src, entry.message)
-                    if blocker is None:
-                        entry.dirty = True
-                        self._dirty[1].append(entry)
-                    else:
-                        entry.blocker = blocker
-                        heappush(  # simcheck: ignore[SIM007] -- (threshold, seq) keys are unique, so pops are deterministic
-                            waiters[blocker[0]],
-                            (blocker[1], entry.seq, entry),
-                        )
-        finally:
-            self._scan_kind = -1
-            self._scan_pos = -1
-            self._scan_batch = []
-        return progress
-
-    def _scan_fm(self) -> bool:
-        """One FM sweep over the dirty set, in seq order."""
-        batch: list[_Pending] = self._dirty[2]
-        self._dirty[2] = []
-        batch.sort(key=_SEQ_KEY)
-        self._scan_kind = 2
-        self._scan_batch = batch
-        progress = False
-        ctx = self.ctx
-        tracer = ctx.tracer
-        pending = self._pending_fm
-        waiters = self._waiters
-        assert waiters is not None
         idx = 0
         try:
             while idx < len(batch):
@@ -688,25 +528,42 @@ class CausalProtocol(abc.ABC):
                 self._scan_pos = entry.seq
                 entry.dirty = False
                 message = entry.message
-                if self._fm_ready(message):  # type: ignore[arg-type]
+                if gate(entry.src, message):
                     pending.remove(entry)
+                    if kind == 0:
+                        delay = ctx.clock.now - entry.arrived
+                        if delay > 0:
+                            # only genuinely buffered updates count: an
+                            # immediately-applicable SM has no gating cost
+                            ctx.collector.record_activation_delay(delay)
+                            if self._m_activation_wait is not None:
+                                self._m_activation_wait.observe(delay)
                     if tracer is None:
-                        self._serve_fetch(entry.src, message)  # type: ignore[arg-type]
+                        act(entry.src, message)
                     else:
-                        tracer.gated_resolved("fm.serve", self.site,
-                                              message,
-                                              ts=ctx.clock.now,
-                                              arrived=entry.arrived)
+                        # the resolution event becomes the causal parent
+                        # of anything the action triggers (e.g. a newly
+                        # unblocked fetch reply)
+                        if kind == 0:
+                            tracer.sm_activate(self.site, message,
+                                               ts=ctx.clock.now,
+                                               arrived=entry.arrived)
+                        else:
+                            tracer.gated_resolved(event, self.site, message,
+                                                  ts=ctx.clock.now,
+                                                  arrived=entry.arrived)
                         try:
-                            self._serve_fetch(entry.src, message)  # type: ignore[arg-type]
+                            act(entry.src, message)
                         finally:
                             tracer.pop()
                     progress = True
                 else:
-                    blocker = self._fm_blocker(message)  # type: ignore[arg-type]
+                    blocker = blocker_of(entry.src, message)
                     if blocker is None:
+                        # no threshold known: re-test on every pass (a
+                        # full re-scan, for this entry)
                         entry.dirty = True
-                        self._dirty[2].append(entry)
+                        self._dirty[kind].append(entry)
                     else:
                         entry.blocker = blocker
                         heappush(  # simcheck: ignore[SIM007] -- (threshold, seq) keys are unique, so pops are deterministic
@@ -719,98 +576,13 @@ class CausalProtocol(abc.ABC):
             self._scan_batch = []
         return progress
 
-    def _drain_legacy(self) -> None:
-        """The historical fixpoint re-scan (reference implementation).
-
-        Applying one update can unblock others (and unblock remote-read
-        completions, which in turn never block further updates but may
-        enlarge the local log), so iterate until a full pass makes no
-        progress.  Kept selectable so the equivalence property test can
-        compare whole-run traces against the indexed drain.
-        """
-        if self._draining:
-            return
-        self._draining = True
-        try:
-            progress = True
-            while progress:
-                progress = False
-                # index-based sweeps: nested calls may append to these
-                # lists (appended items are visited later in the same
-                # pass), and in-place deletion keeps the scan O(P) per
-                # application instead of O(P^2)
-                tracer = self.ctx.tracer
-                i = 0
-                while i < len(self._pending_sm):
-                    pending = self._pending_sm[i]
-                    if self._sm_ready(pending.src, pending.message):
-                        del self._pending_sm[i]
-                        delay = self.ctx.clock.now - pending.arrived
-                        if delay > 0:
-                            # only genuinely buffered updates count: an
-                            # immediately-applicable SM has no gating cost
-                            self.ctx.collector.record_activation_delay(delay)
-                            if self._m_activation_wait is not None:
-                                self._m_activation_wait.observe(delay)
-                        if tracer is None:
-                            self._apply_sm(pending.src, pending.message)
-                        else:
-                            # the activation event becomes the causal parent
-                            # of anything the apply triggers (e.g. a newly
-                            # unblocked fetch reply)
-                            tracer.sm_activate(self.site, pending.message,
-                                               ts=self.ctx.clock.now,
-                                               arrived=pending.arrived)
-                            try:
-                                self._apply_sm(pending.src, pending.message)
-                            finally:
-                                tracer.pop()
-                        progress = True
-                    else:
-                        i += 1
-                i = 0
-                while i < len(self._pending_rm):
-                    pending_rm = self._pending_rm[i]
-                    if self._rm_ready(pending_rm.src, pending_rm.message):
-                        del self._pending_rm[i]
-                        if tracer is None:
-                            self._complete_rm(pending_rm.src, pending_rm.message)
-                        else:
-                            tracer.gated_resolved("rm.complete", self.site,
-                                                  pending_rm.message,
-                                                  ts=self.ctx.clock.now,
-                                                  arrived=pending_rm.arrived)
-                            try:
-                                self._complete_rm(pending_rm.src, pending_rm.message)
-                            finally:
-                                tracer.pop()
-                        progress = True
-                    else:
-                        i += 1
-                i = 0
-                while i < len(self._pending_fm):
-                    pending_fm = self._pending_fm[i]
-                    if self._fm_ready(pending_fm.message):  # type: ignore[arg-type]
-                        del self._pending_fm[i]
-                        if tracer is None:
-                            self._serve_fetch(pending_fm.src, pending_fm.message)  # type: ignore[arg-type]
-                        else:
-                            tracer.gated_resolved("fm.serve", self.site,
-                                                  pending_fm.message,
-                                                  ts=self.ctx.clock.now,
-                                                  arrived=pending_fm.arrived)
-                            try:
-                                self._serve_fetch(pending_fm.src, pending_fm.message)  # type: ignore[arg-type]
-                            finally:
-                                tracer.pop()
-                        progress = True
-                    else:
-                        i += 1
-        finally:
-            self._draining = False
-
     def _send(self, dst: int, message: object, kind: MessageKind) -> None:
-        """Price, record, and transmit one message.
+        """Price, book, and transmit one message.
+
+        Booking is the three adds below into this site's collector slot
+        for ``kind`` — every count and byte total reported about messages
+        is a sum over those slots (``MetricsCollector.message_slots``),
+        so nothing else on this path accounts for the message.
 
         The priced metadata size is handed to the network so that, under
         a finite-bandwidth model, bigger metadata costs transmission
@@ -818,34 +590,20 @@ class CausalProtocol(abc.ABC):
         bandwidth model, matching the paper).
         """
         ctx = self.ctx
-        collector = ctx.collector
         size = message.metadata_size(ctx.size_model)  # type: ignore[attr-defined]
-        collector.record_message(kind, size)
-        if self._m_ledger is not None:
-            # same call site as the collector tally above, and the
-            # measured window splits at the same warm-up instant
-            # (mark_measuring) — so the ledger's totals agree with
-            # Table II/III by construction (MetadataLedger.crosscheck).
-            # The bump is inlined against a cached accumulator slot: a
-            # call into the ledger per message costs more than the
-            # accounting itself (see MetadataLedger.resolve).
-            try:
-                entry, mode = self._m_led_cache[kind]
-            except KeyError:
-                entry, mode = self._m_led_cache[kind] = \
-                    self._m_ledger.resolve(
-                        self.name, kind, self.site, message, ctx.size_model)
-            entry[0] += 1
-            if mode == 1:  # MODE_LOG_SIZE: opt-track SM/RM
-                entry[1] += len(message.log)  # type: ignore[attr-defined]
-                entry[2] += size
-            elif mode == 2:  # MODE_REQUIREMENTS: fetches
-                entry[1] += len(message.requirements)  # type: ignore[attr-defined]
-            elif mode == 3:  # MODE_LOG: crp tuples
-                entry[1] += len(message.log)  # type: ignore[attr-defined]
-            elif mode == 4:  # MODE_OPAQUE
-                entry[2] += size
-            # MODE_CLOCK (0): size fixed by the slot key, nothing to add
+        try:
+            slot, length_of = self._msg_slots[kind]
+        except KeyError:
+            # a kind's message type and clock width are fixed within a
+            # membership epoch, so the slot is bound once per epoch
+            length_of, width = accounting_shape(message)
+            slot = ctx.collector.message_slot(
+                kind, (self.name, self.site, type(message), width))
+            self._msg_slots[kind] = slot, length_of
+        slot[0] += 1
+        slot[1] += size
+        if length_of is not None:
+            slot[2] += len(length_of(message))
         if ctx.tracer is not None:
             ctx.tracer.msg_send(self.site, dst, message,
                                 ts=ctx.clock.now,
@@ -882,7 +640,7 @@ class CausalProtocol(abc.ABC):
         """
         return ()
 
-    def _fm_ready(self, message: FetchMessage) -> bool:
+    def _fm_ready(self, src: int, message: FetchMessage) -> bool:
         """Fetch-service gate: all of the reader's requirements applied.
 
         Compares against ``self.applied`` — every concrete protocol keeps
@@ -893,7 +651,9 @@ class CausalProtocol(abc.ABC):
         applied = self.applied  # type: ignore[attr-defined]
         return all(applied[j] >= c for j, c in message.requirements)
 
-    def _fm_blocker(self, message: FetchMessage) -> Optional[tuple[int, int]]:
+    def _fm_blocker(
+        self, src: int, message: FetchMessage
+    ) -> Optional[tuple[int, int]]:
         """First unsatisfied requirement of a false ``_fm_ready``."""
         applied = self.applied  # type: ignore[attr-defined]
         for j, c in message.requirements:
@@ -1000,9 +760,9 @@ class CausalProtocol(abc.ABC):
         which registrations were live at capture time, so the next drain
         re-tests everything once and re-registers the survivors.
         """
-        self._pending_sm = []
-        self._pending_rm = []
-        self._pending_fm = []
+        self._pending_sm.clear()  # in place: _scans holds these lists
+        self._pending_rm.clear()
+        self._pending_fm.clear()
         for s, m, t in state["pending_sm"]:
             sm = _PendingSM(s, m, t, self._arrival_seq)
             self._arrival_seq += 1
@@ -1017,16 +777,15 @@ class CausalProtocol(abc.ABC):
             self._pending_fm.append(fm)
         if len(self._pending_sm) > self.pending_sm_peak:
             self.pending_sm_peak = len(self._pending_sm)
-        if self._waiters is not None:
-            self._waiters = [[] for _ in range(self.n)]
-            self._dirty = [
-                list(self._pending_sm),
-                list(self._pending_rm),
-                list(self._pending_fm),
-            ]
-            for lst in self._dirty:
-                for entry in lst:
-                    entry.dirty = True
+        self._waiters = [[] for _ in range(self.n)]
+        self._dirty = [
+            list(self._pending_sm),
+            list(self._pending_rm),
+            list(self._pending_fm),
+        ]
+        for lst in self._dirty:
+            for entry in lst:
+                entry.dirty = True
         self._scan_kind = -1
         self._scan_pos = -1
         self._scan_batch = []
@@ -1048,8 +807,9 @@ class CausalProtocol(abc.ABC):
         inputs, so replay reconstructs the exact pre-crash logical
         state.  Side effects that already happened must not happen
         again: sends go to a null network (the originals are durable in
-        the reliable-channel queues), metrics to a throwaway collector,
-        and nothing is traced or WAL-logged.  Reads outstanding at the
+        the reliable-channel queues), metrics to a throwaway collector
+        (the bound message slots are set aside with it), and nothing is
+        traced or WAL-logged.  Reads outstanding at the
         crash are cleared afterwards — their continuations died with
         the process and the scheduler re-issues the interrupted
         operation.
@@ -1063,14 +823,15 @@ class CausalProtocol(abc.ABC):
             tracer=None,
             registry=None,
         )
-        # the pre-bound instrument children would otherwise re-record
-        # replayed arrivals/activations into the real registry
+        # the pre-bound instrument children and message slots would
+        # otherwise re-record replayed arrivals/activations/sends into
+        # the real registry and collector
         saved_instruments = (self._m_activation_wait, self._m_pending_depth,
-                             self._m_log_entries, self._m_ledger)
+                             self._m_log_entries, self._msg_slots)
         self._m_activation_wait = None
         self._m_pending_depth = None
         self._m_log_entries = None
-        self._m_ledger = None
+        self._msg_slots = {}
         self._replaying = True
         try:
             for rec in records:
@@ -1086,7 +847,7 @@ class CausalProtocol(abc.ABC):
             self._replaying = False
             self.ctx = real_ctx
             (self._m_activation_wait, self._m_pending_depth,
-             self._m_log_entries, self._m_ledger) = saved_instruments
+             self._m_log_entries, self._msg_slots) = saved_instruments
         self._fetches.clear()
         return len(records)
 
@@ -1105,16 +866,15 @@ class CausalProtocol(abc.ABC):
         grow from the structures' *actual* sizes.
         """
         self._members = view.members
-        # clock-keyed ledger slots (full-track/optP) bake in the clock
-        # dimension; a view change can resize it, so re-resolve lazily
-        self._m_led_cache.clear()
+        # a slot's key bakes in the clock width (full-track/optP); a
+        # view change can resize it, so re-bind on the next send
+        self._msg_slots.clear()
         capacity = view.capacity
         if capacity > self.n:
             self.n = capacity
             self.ctx.n_sites = capacity
-        if self._waiters is not None:
-            while len(self._waiters) < capacity:
-                self._waiters.append([])
+        while len(self._waiters) < capacity:
+            self._waiters.append([])
         self._view_grow(capacity)
         self._view_change_extra(view)
 

@@ -43,9 +43,6 @@ class PiggybackEntry:
     clock: int
     dests: frozenset[int]
 
-    def dest_count(self) -> int:
-        return len(self.dests)
-
 
 _NO_DESTS: frozenset[int] = frozenset()
 

@@ -13,13 +13,17 @@ Three classes of messages exist:
 Every message knows how to price its own metadata against a
 :class:`~repro.metrics.sizing.SizeModel`; the collector records that
 size at *send* time, matching the paper's accounting (total size of all
-messages generated).
+messages generated).  :func:`accounting_shape` names, per message type,
+the one variable-length field (or the clock width) that size depends on,
+so the sender can book it and a report can split the bytes by component
+without seeing the messages again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, Optional, Sized
 
 from ..memory.store import WriteId
 from ..metrics.sizing import SizeModel
@@ -34,6 +38,7 @@ __all__ = [
     "OptTrackRM",
     "CRPSM",
     "OptPSM",
+    "accounting_shape",
 ]
 
 
@@ -194,3 +199,38 @@ class OptPSM:
 
     def metadata_size(self, model: SizeModel) -> int:
         return model.sm_optp(self.vector.n)
+
+
+# ----------------------------------------------------------------------
+# what a sent message adds to its accounting slot
+# ----------------------------------------------------------------------
+#: per message type: the reader of the field ``metadata_size`` multiplies
+#: a per-record cost by, or of the clock whose dimension fixes the size
+_SHAPE: dict[type, tuple[Optional[Callable[[object], Sized]],
+                         Optional[Callable[[object], object]]]] = {
+    FetchMessage: (attrgetter("requirements"), None),
+    FullTrackSM: (None, attrgetter("matrix")),
+    FullTrackRM: (None, attrgetter("matrix")),
+    OptTrackSM: (attrgetter("log"), None),
+    OptTrackRM: (attrgetter("log"), None),
+    CRPSM: (attrgetter("log"), None),
+    OptPSM: (None, attrgetter("vector")),
+}
+
+
+def accounting_shape(
+    message: object,
+) -> tuple[Optional[Callable[[object], Sized]], int]:
+    """``(length_of, clock_width)`` for ``message``'s type.
+
+    ``length_of`` reads the field whose ``len()`` a sender sums next to
+    the message count and the priced bytes (``None``: the type has no
+    such field); ``clock_width`` is the dimension of the clock the
+    message carries (0: none), constant between view changes, so it is
+    part of the slot key rather than summed.  A type the table does not
+    list — a protocol added later — is accounted by count and priced
+    bytes alone.
+    """
+    length_of, clock_of = _SHAPE.get(type(message), (None, None))
+    return (length_of,
+            clock_of(message).n if clock_of is not None else 0)  # type: ignore[attr-defined]

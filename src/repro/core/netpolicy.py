@@ -718,7 +718,3 @@ class ChannelHost:
     def unacked_count(self) -> int:
         """Packets somewhere between first send and ack (incl. backlog)."""
         return sum(ch.sender.pending for ch in self._channels.values())
-
-    def backlog_count(self) -> int:
-        """Packets windowed out into channel backlogs right now."""
-        return sum(len(ch.sender.backlog) for ch in self._channels.values())

@@ -37,6 +37,7 @@ from ..memory.store import SiteStore
 from ..metrics.collector import MetricsCollector
 from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from ..obs.export import HeartbeatReporter
+from ..obs.ledger import MetadataLedger
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..sim.crash import (
@@ -338,9 +339,9 @@ def run_simulation(
         tracer.meta.setdefault("ops_per_process", config.ops_per_process)
         tracer.meta.setdefault("seed", config.seed)
     if registry is not None:
-        if registry.ledger.base_n is None:
-            # clock growth past the initial site count is epoch padding
-            registry.ledger.base_n = config.n_sites
+        # clock growth past the initial site count is epoch padding
+        registry.ledger = MetadataLedger(collector, config.size_model,
+                                         base_n=config.n_sites)
         registry.install_kernel_hook(sim)
     if heartbeat is not None:
         if heartbeat.registry is None:
@@ -369,13 +370,9 @@ def run_simulation(
         started += 1
         if started == warmup_ops + 1 or (warmup_ops == 0 and started == 1):
             collector.start_measuring()
-            if registry is not None:
-                registry.ledger.mark_measuring()
 
     if warmup_ops == 0:
         collector.start_measuring()
-        if registry is not None:
-            registry.ledger.mark_measuring()
 
     protocols: list[CausalProtocol] = []
     sites: list[Site] = []

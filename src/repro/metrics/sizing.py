@@ -122,27 +122,6 @@ class SizeModel:
         """RM(v, LastWriteOn<h>) in Full-Track: the stored Write matrix rides along."""
         return self.envelope_full_track + self.value + self.matrix_clock(n)
 
-    def sm_opt_track(self, dest_counts: Iterable[int]) -> int:
-        """SM(x_h, v, site, clock, L_w) in Opt-Track."""
-        return (
-            self.envelope_opt_track
-            + self.var_id
-            + self.value
-            + self.site_id
-            + self.clock
-            + self.opt_track_log(dest_counts)
-        )
-
-    def rm_opt_track(self, dest_counts: Iterable[int]) -> int:
-        """RM(v, LastWriteOn<h>) in Opt-Track: write id + piggybacked log."""
-        return (
-            self.envelope_opt_track
-            + self.value
-            + self.site_id
-            + self.clock
-            + self.opt_track_log(dest_counts)
-        )
-
     def fm(self) -> int:
         """FM(x_h): the constant-size fetch request (same in all protocols)."""
         return self.fm_size

@@ -1,10 +1,14 @@
-"""Metadata-byte ledger: per-component accounting of piggyback bytes.
+"""Metadata-byte ledger: where a run's piggyback bytes went, by component.
 
 The paper's Tables II/III report one number per protocol — total metadata
-bytes — and the :class:`~repro.metrics.collector.MetricsCollector`
-reproduces exactly that.  The ledger decomposes the same bytes, at the
-same recording point (:meth:`~repro.core.base.CausalProtocol._send`),
-into the *components* the size model prices:
+bytes.  Every sent message is booked exactly once, in its sender's slot
+of the :class:`~repro.metrics.collector.MetricsCollector`
+(``[count, priced bytes, summed log / requirement length]`` per protocol,
+kind, site, message type and clock width — see
+:meth:`~repro.core.base.CausalProtocol._send`).  The collector's own
+tallies sum those slots into the paper's numbers; the ledger reads the
+*same* slots and splits the same bytes into the *components* the size
+model prices:
 
 ========================  =====================================================
 component                 meaning
@@ -25,22 +29,21 @@ component                 meaning
 ``opaque``                any message type the ledger has no decomposer for
 ========================  =====================================================
 
-Every decomposition **sums exactly** to ``message.metadata_size(model)``
-— that identity is what lets a cross-check test pin the ledger to the
-collector's Table-II/III totals byte-for-byte (see
-:meth:`MetadataLedger.crosscheck`).  Entries are keyed by
-protocol x message kind x site and kept in two windows mirroring the
-collector: ``lifetime`` (every send) and ``measured`` (after the warm-up
-gate opens).
-
-Zero-overhead contract: the ledger only exists inside a
-:class:`~repro.obs.metrics.MetricsRegistry`; with ``registry=None`` (the
-default everywhere) no ledger code runs at all.
+Every decomposition is linear in a slot's three sums, so it is computed
+from them when a report is asked for — nothing in this module runs per
+message, and a ledger can be put over any collector: a simulator run's
+(``registry.ledger``) or a live node's (``MetadataLedger(core.collector)``).
+Cells are keyed by protocol x message kind x site, in the collector's two
+windows: ``lifetime`` (every send) and ``measured`` (after the warm-up
+gate opened).  With one writer, "ledger total == collector total" holds
+by construction; what :meth:`MetadataLedger.crosscheck` still checks is
+that each slot's components **sum exactly** to the bytes
+``message.metadata_size(model)`` priced at send time.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..core.messages import (
     CRPSM,
@@ -50,11 +53,10 @@ from ..core.messages import (
     OptPSM,
     OptTrackRM,
     OptTrackSM,
+    accounting_shape,
 )
-from ..metrics.sizing import SizeModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..metrics.collector import MetricsCollector
+from ..metrics.collector import MessageKind, MetricsCollector
+from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = ["MetadataLedger", "LedgerCell", "decompose_message", "COMPONENTS"]
 
@@ -89,23 +91,23 @@ def _split_growth(label: str, per_cell_bytes: int, cells: int,
     )
 
 
-def _sum_breakdown(t: type, n: int, count: int, d1: int, d2: int,
-                   model: SizeModel, base_n: int) -> Breakdown:
+def _sum_breakdown(t: Optional[type], n: int, count: int, length: int,
+                   nbytes: int, model: SizeModel, base_n: int) -> Breakdown:
     """Component bytes for ``count`` messages of type ``t`` at once.
 
-    Every decomposition is *linear* in three per-type accumulators —
-    message count, summed log/requirement length ``d1``, and summed
-    priced size ``d2`` — except the clock split, which depends on the
-    clock dimension ``n`` (constant between view changes, so it rides
-    in the accumulator key instead).  Mirrors ``core/messages.py``
-    ``metadata_size`` formulas exactly; the sum-to-size identity is
-    asserted by tests over every message type.
+    Every decomposition is *linear* in a slot's three sums — message
+    count, summed log/requirement ``length``, and priced ``nbytes`` —
+    except the clock split, which depends on the clock dimension ``n``
+    (constant between view changes, so it rides in the slot key
+    instead).  Mirrors ``core/messages.py`` ``metadata_size`` formulas
+    exactly; only the Opt-Track ``dest_ids`` and ``opaque`` are taken
+    from ``nbytes``, so for every other type "components sum to
+    ``nbytes``" checks the formulas against what was priced.
     """
     if t is OptTrackSM or t is OptTrackRM:
-        # d2 carries the priced sizes, so the per-destination ids are
-        # the remainder after the fixed fields and per-record overhead
-        # — dest_id * total_dests by the metadata_size formula, without
-        # ever walking a piggybacked log
+        # the per-destination ids are the remainder after the fixed
+        # fields and per-record overhead — dest_id * total_dests by the
+        # metadata_size formula, without ever walking a piggybacked log
         fixed = (model.envelope_opt_track + model.value
                  + model.site_id + model.clock)
         parts: Breakdown = (
@@ -117,10 +119,10 @@ def _sum_breakdown(t: type, n: int, count: int, d1: int, d2: int,
         if t is OptTrackSM:
             fixed += model.var_id
             parts += (("var_id", model.var_id * count),)
-        log_bytes = model.log_entry_overhead * d1
+        log_bytes = model.log_entry_overhead * length
         return parts + (
             ("log_records", log_bytes),
-            ("dest_ids", d2 - fixed * count - log_bytes),
+            ("dest_ids", nbytes - fixed * count - log_bytes),
         )
     if t is FullTrackSM:
         return (
@@ -149,35 +151,14 @@ def _sum_breakdown(t: type, n: int, count: int, d1: int, d2: int,
             ("value", model.value * count),
             ("site_id", model.site_id * count),
             ("clock", model.clock * count),
-            ("tuple_entries", model.tuple_entry * d1),
+            ("tuple_entries", model.tuple_entry * length),
         )
     if t is FetchMessage:
         return (
             ("fm_base", model.fm_size * count),
-            ("fm_requirements", model.fm_requirement * d1),
+            ("fm_requirements", model.fm_requirement * length),
         )
-    return (("opaque", d2),)
-
-
-def _message_dims(message: object, model: SizeModel,
-                  size: Optional[int] = None) -> tuple[type, int, int, int]:
-    """(type, clock_n, d1, d2) accumulator dimensions for one message."""
-    t = type(message)
-    if t is OptTrackSM or t is OptTrackRM:
-        if size is None:
-            size = message.metadata_size(model)  # type: ignore[attr-defined]
-        return t, 0, len(message.log), size  # type: ignore[attr-defined]
-    if t is FullTrackSM or t is FullTrackRM:
-        return t, message.matrix.n, 0, 0  # type: ignore[attr-defined]
-    if t is OptPSM:
-        return t, message.vector.n, 0, 0  # type: ignore[attr-defined]
-    if t is CRPSM:
-        return t, 0, len(message.log), 0  # type: ignore[attr-defined]
-    if t is FetchMessage:
-        return t, 0, len(message.requirements), 0  # type: ignore[attr-defined]
-    if size is None:
-        size = message.metadata_size(model)  # type: ignore[attr-defined]
-    return t, 0, 0, size
+    return (("opaque", nbytes),)
 
 
 def decompose_message(message: object, model: SizeModel,
@@ -193,9 +174,12 @@ def decompose_message(message: object, model: SizeModel,
     that grew past it into ``clock_entries`` + ``epoch_padding``; with
     ``None`` nothing is attributed to padding.
     """
-    t, n, d1, d2 = _message_dims(message, model)
-    return _sum_breakdown(t, n, 1, d1, d2, model,
-                          0 if base_n is None else base_n)
+    length_of, width = accounting_shape(message)
+    return _sum_breakdown(
+        type(message), width, 1,
+        len(length_of(message)) if length_of is not None else 0,
+        message.metadata_size(model),  # type: ignore[attr-defined]
+        model, base_n or 0)
 
 
 class LedgerCell:
@@ -208,6 +192,15 @@ class LedgerCell:
         self.bytes = 0
         self.components: dict[str, int] = {}
 
+    def add(self, count: int, nbytes: int,
+            components: Iterable[tuple[str, int]]) -> None:
+        self.count += count
+        self.bytes += nbytes
+        parts = self.components
+        for name, b in components:
+            if b:
+                parts[name] = parts.get(name, 0) + b
+
     def as_dict(self) -> dict:
         return {
             "count": self.count,
@@ -216,254 +209,70 @@ class LedgerCell:
         }
 
 
-class MetadataLedger:
-    """Decomposed metadata-byte accounting, windowed like the collector.
+CellKey = tuple[str, str, int]
+_WINDOWS = ("lifetime", "measured")
 
-    Accounting is bumped from :meth:`CausalProtocol._send` right next to
-    ``collector.record_message``.  The measured window is *derived*:
-    :meth:`mark_measuring` snapshots the lifetime cells when the
-    collector's warm-up gate opens (the gate opens once and never
-    closes), and ``measured`` reads lifetime-minus-snapshot — so the
-    per-message hot path never branches on a measuring flag, yet both
-    windows describe exactly the same message sets as the collector's.
+
+class MetadataLedger:
+    """Per-component view of a collector's message slots.
+
+    Holds no counts of its own: each aggregation reads the collector's
+    slots as they stand (so a mid-run export sees a consistent cut) and
+    expands them with :func:`_sum_breakdown`.  The one exception is a
+    ledger rebuilt by :meth:`from_dict`, which serves the dumped cells.
     """
 
-    __slots__ = ("base_n", "_lifetime", "_mark", "_marked", "_pending",
-                 "_model", "_transport")
-
-    def __init__(self, base_n: Optional[int] = None) -> None:
+    def __init__(self, collector: Optional[MetricsCollector] = None,
+                 model: SizeModel = DEFAULT_SIZE_MODEL,
+                 base_n: Optional[int] = None) -> None:
+        self.collector = collector if collector is not None else MetricsCollector()
+        #: the size model the collector's senders priced against
+        self.model = model
         #: initial site count; clock growth beyond it is epoch padding
         self.base_n = base_n
-        self._lifetime: dict[tuple[str, str, int], LedgerCell] = {}
-        #: lifetime snapshot taken when the measurement window opened
-        self._mark: dict[tuple[str, str, int], LedgerCell] = {}
-        self._marked = False
-        #: hot-path accumulator: (proto, kind, site, type[, clock_n]) ->
-        #: [count, d1, d2]; every decomposition is linear in those sums
-        #: (see _sum_breakdown), so the buffer stays at a handful of
-        #: cache-hot keys per run and _flush expands it without
-        #: per-message work
-        self._pending: dict[tuple, list] = {}
-        self._model: Optional[SizeModel] = None
-        #: transport-layer bytes (chaos path): ("ack"|"retransmit",
-        #: site) -> [count, bytes].  These are wire infrastructure, not
-        #: piggyback metadata, so they live beside the component cells —
-        #: but they make soak-run byte tallies sum exactly (the
-        #: crosscheck pins them to the collector's ack/retransmission
-        #: counters).  Lifetime-only, like the collector's chaos side.
-        self._transport: dict[tuple[str, int], list] = {}
+        #: both windows as loaded by :meth:`from_dict`, served in place
+        #: of the (empty) collector's
+        self._loaded: Optional[dict[str, dict[CellKey, LedgerCell]]] = None
 
-    # -- hot path ------------------------------------------------------
-    #: dim-extraction modes returned by :meth:`resolve` — how a hot
-    #: caller turns one message into the (d1, d2) accumulator deltas
-    #: (0: none, size fixed by the key's clock_n; 1: (len(log), size);
-    #: 2: (len(requirements), 0); 3: (len(log), 0); 4: (0, size))
-    MODE_CLOCK = 0
-    MODE_LOG_SIZE = 1
-    MODE_REQUIREMENTS = 2
-    MODE_LOG = 3
-    MODE_OPAQUE = 4
+    # -- expansion -----------------------------------------------------
+    def _slots(self, window: str
+               ) -> Iterator[tuple[CellKey, int, int, Breakdown]]:
+        """``(cell key, count, priced bytes, components)`` per collector
+        slot booked in ``window``."""
+        base_n = self.base_n or 0
+        for kind in MessageKind:
+            for key, (count, nbytes, length) in self.collector.message_slots(
+                    kind, measured=window == "measured"):
+                if not count:
+                    continue  # nothing booked inside the window
+                # record_message() callers hold no slot and give no key
+                proto, site, t, width = key if key is not None else ("-", -1, None, 0)
+                yield ((proto, kind.value, site), count, nbytes,
+                       _sum_breakdown(t, width, count, length, nbytes,
+                                      self.model, base_n))
 
-    def resolve(self, protocol: str, kind: object, site: int,
-                message: object, model: SizeModel) -> tuple[list, int]:
-        """Pre-bind the accumulator for one (protocol, kind, site, type).
-
-        Returns ``(entry, mode)``: a stable three-slot counter list
-        ``[count, d1, d2]`` plus the dim mode.  ``_flush`` zeroes
-        entries in place instead of dropping them, so callers may cache
-        the list and bump it inline — a kind's message type (and the
-        clock width baked into the key) is fixed within a membership
-        epoch, which is why :meth:`CausalProtocol.on_view_change` drops
-        its cache.
-
-        ``kind`` may be the plain string ("sm"/"fm"/"rm") or the
-        :class:`MessageKind` enum member itself — the enum's ``.value``
-        descriptor costs more than a whole inline bump, so hot callers
-        pass the member and ``_flush`` normalizes.
-        """
-        self._model = model
-        t = type(message)
-        if t is OptTrackSM or t is OptTrackRM:
-            key = (protocol, kind, site, t)
-            mode = self.MODE_LOG_SIZE
-        elif t is FullTrackSM or t is FullTrackRM:
-            key = (protocol, kind, site, t, message.matrix.n)  # type: ignore[attr-defined]
-            mode = self.MODE_CLOCK
-        elif t is OptPSM:
-            key = (protocol, kind, site, t, message.vector.n)  # type: ignore[attr-defined]
-            mode = self.MODE_CLOCK
-        elif t is CRPSM:
-            key = (protocol, kind, site, t)
-            mode = self.MODE_LOG
-        elif t is FetchMessage:
-            key = (protocol, kind, site, t)
-            mode = self.MODE_REQUIREMENTS
-        else:
-            key = (protocol, kind, site, t)
-            mode = self.MODE_OPAQUE
-        pending = self._pending
-        entry = pending.get(key)
-        if entry is None:
-            pending[key] = entry = [0, 0, 0]
-        return entry, mode
-
-    def record(self, protocol: str, kind: object, site: int, message: object,
-               model: SizeModel, size: Optional[int] = None) -> None:
-        """Account one sent message (generic path).
-
-        The protocol hot path bypasses this method entirely: it caches
-        :meth:`resolve`'s entry per kind and bumps it inline in
-        ``CausalProtocol._send``.  The expensive part — expanding
-        accumulated sums into component bytes — happens once per
-        accumulator key at the first aggregation call (:meth:`_flush`),
-        not per message.  One size model per run is assumed (changing it
-        mid-run re-prices nothing already flushed).  ``size`` is the
-        already-priced ``message.metadata_size(model)`` when the caller
-        has it — it spares the Opt-Track path a walk over the
-        piggybacked log.
-        """
-        entry, mode = self.resolve(protocol, kind, site, message, model)
-        if mode == self.MODE_LOG_SIZE:
-            if size is None:
-                size = message.metadata_size(model)  # type: ignore[attr-defined]
-            d1 = len(message.log)  # type: ignore[attr-defined]
-            d2 = size
-        elif mode == self.MODE_REQUIREMENTS:
-            d1 = len(message.requirements)  # type: ignore[attr-defined]
-            d2 = 0
-        elif mode == self.MODE_LOG:
-            d1 = len(message.log)  # type: ignore[attr-defined]
-            d2 = 0
-        elif mode == self.MODE_OPAQUE:
-            d1 = 0
-            d2 = (size if size is not None
-                  else message.metadata_size(model))  # type: ignore[attr-defined]
-        else:
-            d1 = d2 = 0
-        entry[0] += 1
-        entry[1] += d1
-        entry[2] += d2
-
-    def record_transport(self, kind: str, site: int, nbytes: float) -> None:
-        """Account one transport-layer packet (ack or retransmission)
-        originated by ``site``; called from the reliable layer next to
-        the collector bumps so both always agree exactly."""
-        entry = self._transport.get((kind, site))
-        if entry is None:
-            entry = self._transport[(kind, site)] = [0, 0.0]
-        entry[0] += 1
-        entry[1] += nbytes
-
-    def transport_totals(self) -> dict[str, tuple[int, float]]:
-        """{kind: (count, bytes)} summed over sites, sorted by kind."""
-        out: dict[str, tuple[int, float]] = {}
-        for (kind, _site), (count, nbytes) in sorted(self._transport.items()):
-            prev = out.get(kind, (0, 0.0))
-            out[kind] = (prev[0] + count, prev[1] + nbytes)
-        return out
-
-    def mark_measuring(self) -> None:
-        """Open the measured window (call where the collector's
-        ``start_measuring`` fires, so both describe the same messages).
-
-        Snapshots the lifetime cells; ``measured`` then reads
-        lifetime-minus-snapshot.  Calling again re-opens the window from
-        the new instant.
-        """
-        self._flush()
-        mark = self._mark = {}
-        for key, cell in self._lifetime.items():
-            m = mark[key] = LedgerCell()
-            m.count = cell.count
-            m.bytes = cell.bytes
-            m.components = dict(cell.components)
-        self._marked = True
-
-    # -- lazy expansion ------------------------------------------------
-    def _flush(self) -> None:
-        """Expand the pending accumulators into the lifetime cells.
-
-        Entries are zeroed in place (never dropped) so the lists handed
-        out by :meth:`resolve` stay live across flushes — aggregation
-        mid-run (heartbeats, exports) sees consistent deltas.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        model = self._model
-        assert model is not None
-        base_n = 0 if self.base_n is None else self.base_n
-        lifetime = self._lifetime
-        for flat, entry in pending.items():
-            if not entry[0]:
-                continue
-            kind = flat[1]
-            if not isinstance(kind, str):  # MessageKind member from _send
-                kind = kind.value
-            key = (flat[0], kind, flat[2])
-            t = flat[3]
-            n = flat[4] if len(flat) > 4 else 0
-            self._bump(lifetime, key, entry[0],
-                       _sum_breakdown(t, n, entry[0], entry[1], entry[2],
-                                      model, base_n))
-            entry[0] = entry[1] = entry[2] = 0
-
-    @staticmethod
-    def _bump(window: dict[tuple[str, str, int], LedgerCell],
-              key: tuple[str, str, int],
-              count: int, comps: Breakdown) -> None:
-        cell = window.get(key)
-        if cell is None:
-            cell = window[key] = LedgerCell()
-        cell.count += count
-        parts = cell.components
-        total = 0
-        for name, b in comps:
-            if b:
-                total += b
-                parts[name] = parts.get(name, 0) + b
-        cell.bytes += total
+    def _window(self, window: str) -> dict[CellKey, LedgerCell]:
+        if window not in _WINDOWS:
+            raise ValueError(f"unknown window {window!r}")
+        if self._loaded is not None:
+            return self._loaded[window]
+        cells: dict[CellKey, LedgerCell] = {}
+        for key, count, nbytes, comps in self._slots(window):
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = LedgerCell()
+            cell.add(count, nbytes, comps)
+        return cells
 
     # -- aggregation ---------------------------------------------------
     @property
-    def lifetime(self) -> dict[tuple[str, str, int], LedgerCell]:
-        self._flush()
-        return self._lifetime
+    def lifetime(self) -> dict[CellKey, LedgerCell]:
+        return self._window("lifetime")
 
     @property
-    def measured(self) -> dict[tuple[str, str, int], LedgerCell]:
-        """Lifetime-minus-mark cells (fresh copies; {} before the mark)."""
-        self._flush()
-        if not self._marked:
-            return {}
-        mark = self._mark
-        out: dict[tuple[str, str, int], LedgerCell] = {}
-        for key, cell in self._lifetime.items():
-            m = mark.get(key)
-            d = LedgerCell()
-            if m is None:
-                d.count = cell.count
-                d.bytes = cell.bytes
-                d.components = dict(cell.components)
-            else:
-                d.count = cell.count - m.count
-                d.bytes = cell.bytes - m.bytes
-                marked_comps = m.components
-                for name, b in cell.components.items():
-                    delta = b - marked_comps.get(name, 0)
-                    if delta:
-                        d.components[name] = delta
-                if not d.count and not d.bytes and not d.components:
-                    continue
-            out[key] = d
-        return out
-
-    def _window(self, window: str) -> dict[tuple[str, str, int], LedgerCell]:
-        if window == "lifetime":
-            return self.lifetime
-        if window == "measured":
-            return self.measured
-        raise ValueError(f"unknown window {window!r}")
+    def measured(self) -> dict[CellKey, LedgerCell]:
+        """Cells of the measured window ({} before it opens)."""
+        return self._window("measured")
 
     def total_bytes(self, kind: Optional[str] = None,
                     window: str = "measured") -> int:
@@ -485,24 +294,16 @@ class MetadataLedger:
             agg = out.get((proto, kind))
             if agg is None:
                 agg = out[(proto, kind)] = LedgerCell()
-            agg.count += cell.count
-            agg.bytes += cell.bytes
-            for name, b in cell.components.items():
-                agg.components[name] = agg.components.get(name, 0) + b
+            agg.add(cell.count, cell.bytes, cell.components.items())
         return {k: out[k] for k in sorted(out)}
 
-    def component_totals(self, window: str = "measured") -> dict[str, int]:
-        """Bytes per component summed over every key, sorted by name."""
-        totals: dict[str, int] = {}
-        for cell in self._window(window).values():
-            for name, b in cell.components.items():
-                totals[name] = totals.get(name, 0) + b
-        return dict(sorted(totals.items()))
-
     def as_dict(self) -> dict:
-        """Deterministic JSON-ready dump of both windows."""
+        """Deterministic JSON-ready dump of both windows, plus the
+        collector's per-site ack / retransmission wire bytes (transport
+        infrastructure, not piggyback metadata — they ride along so a
+        soak run's byte tallies can be summed from one dump)."""
         out: dict = {"base_n": self.base_n}
-        for window in ("lifetime", "measured"):
+        for window in _WINDOWS:
             rows = []
             for (proto, kind, site), cell in sorted(self._window(window).items()):
                 row = {"protocol": proto, "kind": kind, "site": site}
@@ -510,116 +311,48 @@ class MetadataLedger:
                 rows.append(row)
             out[window] = rows
         out["transport"] = [
-            {"kind": kind, "site": site, "count": entry[0],
-             "bytes": entry[1]}
-            for (kind, site), entry in sorted(self._transport.items())
+            {"kind": kind, "site": site, "count": row[0], "bytes": row[1]}
+            for kind, rows in sorted(self.collector.transport.items())
+            for site, row in sorted(rows.items())
         ]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetadataLedger":
         ledger = cls(base_n=data.get("base_n"))
-        windows: dict[str, dict[tuple[str, str, int], LedgerCell]] = {
-            "lifetime": {}, "measured": {},
-        }
-        for window_name, window in windows.items():
-            for row in data.get(window_name, ()):
+        ledger._loaded = {window: {} for window in _WINDOWS}
+        for window, cells in ledger._loaded.items():
+            for row in data.get(window, ()):
                 cell = LedgerCell()
                 cell.count = int(row["count"])
                 cell.bytes = int(row["bytes"])
                 cell.components = {str(k): int(v)
                                    for k, v in row["components"].items()}
-                window[(row["protocol"], row["kind"], int(row["site"]))] = cell
-        ledger._lifetime = windows["lifetime"]
-        # the measured window is stored derived (lifetime - mark), so
-        # reconstruct the mark as lifetime - measured
-        measured = windows["measured"]
-        mark: dict[tuple[str, str, int], LedgerCell] = {}
-        for key, cell in ledger._lifetime.items():
-            m = measured.get(key)
-            d = mark[key] = LedgerCell()
-            if m is None:
-                d.count = cell.count
-                d.bytes = cell.bytes
-                d.components = dict(cell.components)
-            else:
-                d.count = cell.count - m.count
-                d.bytes = cell.bytes - m.bytes
-                d.components = {
-                    name: b - m.components.get(name, 0)
-                    for name, b in cell.components.items()
-                    if b - m.components.get(name, 0)
-                }
-        ledger._mark = mark
-        ledger._marked = True
+                cells[(row["protocol"], row["kind"], int(row["site"]))] = cell
         for row in data.get("transport", ()):
-            ledger._transport[(str(row["kind"]), int(row["site"]))] = [
-                int(row["count"]), float(row["bytes"]),
-            ]
+            ledger.collector.transport.setdefault(str(row["kind"]), {})[
+                int(row["site"])] = [int(row["count"]), float(row["bytes"])]
         return ledger
 
-    # -- the satellite-1 invariant -------------------------------------
-    def crosscheck(self, collector: "MetricsCollector") -> list[str]:
-        """Exact-agreement check against the collector's SM/FM/RM tallies.
+    # -- the sum-to-size invariant -------------------------------------
+    def crosscheck(self) -> list[str]:
+        """Check every slot's components against its priced bytes.
 
-        Returns discrepancy messages (empty list = the ledger's
-        per-component byte totals sum exactly to the collector's
-        Table-II/III message totals, in both windows).
+        Returns discrepancy messages (empty list = in both windows, the
+        bytes :func:`_sum_breakdown`'s formulas attribute to each slot's
+        count and summed length are exactly the bytes ``metadata_size``
+        priced when the messages were sent).
         """
         problems: list[str] = []
-        for kind, tally in collector.tallies.items():
-            k = kind.value
-            lt_bytes = self.total_bytes(k, window="lifetime")
-            lt_count = self.total_count(k, window="lifetime")
-            if lt_count != tally.lifetime_count:
-                problems.append(
-                    f"{k}: ledger lifetime count {lt_count} != "
-                    f"collector {tally.lifetime_count}"
-                )
-            if lt_bytes != tally.lifetime_bytes:
-                problems.append(
-                    f"{k}: ledger lifetime bytes {lt_bytes} != "
-                    f"collector {tally.lifetime_bytes}"
-                )
-            m_bytes = self.total_bytes(k, window="measured")
-            m_count = self.total_count(k, window="measured")
-            if m_count != tally.measured.count:
-                problems.append(
-                    f"{k}: ledger measured count {m_count} != "
-                    f"collector {tally.measured.count}"
-                )
-            if m_bytes != int(tally.measured.total):
-                problems.append(
-                    f"{k}: ledger measured bytes {m_bytes} != "
-                    f"collector {tally.measured.total}"
-                )
-        # transport-layer packets (ack + retransmission wire bytes): the
-        # ledger and collector bump in the same code path with identical
-        # float addition sequences, so exact equality is the invariant —
-        # this is what makes soak-run byte tallies sum exactly
-        totals = self.transport_totals()
-        ack_count, ack_bytes = totals.get("ack", (0, 0.0))
-        if ack_count != collector.acks_sent:
-            problems.append(
-                f"ack: ledger count {ack_count} != "
-                f"collector {collector.acks_sent}"
-            )
-        if ack_bytes != collector.ack_bytes:
-            problems.append(
-                f"ack: ledger bytes {ack_bytes} != "
-                f"collector {collector.ack_bytes}"
-            )
-        rtx_count, rtx_bytes = totals.get("retransmit", (0, 0.0))
-        if rtx_count != collector.retransmissions:
-            problems.append(
-                f"retransmit: ledger count {rtx_count} != "
-                f"collector {collector.retransmissions}"
-            )
-        if rtx_bytes != collector.retransmission_bytes:
-            problems.append(
-                f"retransmit: ledger bytes {rtx_bytes} != "
-                f"collector {collector.retransmission_bytes}"
-            )
+        for window in _WINDOWS:
+            for (proto, kind, site), count, nbytes, comps in self._slots(window):
+                attributed = sum(b for _name, b in comps)
+                if attributed != nbytes:
+                    problems.append(
+                        f"{proto} {kind} site {site} ({window}): components "
+                        f"of {count} message(s) sum to {attributed} bytes, "
+                        f"priced {nbytes}"
+                    )
         return problems
 
     def __repr__(self) -> str:

@@ -87,10 +87,6 @@ class Gauge:
     def dec(self, amount: Number = 1) -> None:
         self.value -= amount
 
-    def set_max(self, value: Number) -> None:
-        if value > self.value:
-            self.value = value
-
 
 class Histogram:
     """Fixed cumulative buckets, optional reservoir for exact quantiles.
@@ -247,10 +243,12 @@ class MetricsRegistry:
     iteration is always name-sorted so exports are deterministic.
     """
 
-    def __init__(self, *, base_n: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
-        #: metadata-byte ledger fed by CausalProtocol._send
-        self.ledger = MetadataLedger(base_n=base_n)
+        #: metadata-byte view of the run's collector, exported next to
+        #: the instruments; whoever builds the run (``run_simulation``,
+        #: ``CausalCluster``) points it at that run's collector
+        self.ledger = MetadataLedger()
 
     # -- family creation ----------------------------------------------
     def _family(self, name: str, kind: str, help_text: str,

@@ -176,16 +176,27 @@ def message_to_wire(message: object) -> dict:
 
 
 def message_from_wire(data: dict) -> object:
-    cls = _BY_NAME.get(data.get("t", ""))
-    if cls is None:
-        raise CodecError(f"unknown message type {data.get('t')!r}")
-    fields = WIRE_FIELDS[cls]
-    raw = data.get("f")
-    if not isinstance(raw, list) or len(raw) != len(fields):
-        raise CodecError(
-            f"{cls.__name__} expects {len(fields)} fields, got {raw!r}"
-        )
-    return cls(**{name: _from_wire(v) for name, v in zip(fields, raw)})
+    """The message a tagged dict describes.  Peers are untrusted, and
+    this is where their bytes become objects: whatever cannot be built —
+    an unknown type, a wrong field count, a well-tagged value of the
+    wrong shape — leaves as :class:`CodecError`, not as the
+    ``KeyError`` / ``TypeError`` / ``ValueError`` a constructor tripped
+    over."""
+    try:
+        cls = _BY_NAME.get(data.get("t", ""))
+        if cls is None:
+            raise CodecError(f"unknown message type {data.get('t')!r}")
+        fields = WIRE_FIELDS[cls]
+        raw = data.get("f")
+        if not isinstance(raw, list) or len(raw) != len(fields):
+            raise CodecError(
+                f"{cls.__name__} expects {len(fields)} fields, got {raw!r}"
+            )
+        return cls(**{name: _from_wire(v) for name, v in zip(fields, raw)})
+    except CodecError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CodecError(f"ill-shaped message: {exc!r}") from exc
 
 
 def encode_message(message: object) -> bytes:

@@ -121,10 +121,6 @@ class View:
     def __contains__(self, site: int) -> bool:
         return site in self.members
 
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
 
 @dataclass
 class _PendingChange:
@@ -232,9 +228,6 @@ class ViewManager:
         — the infrastructure ticks must not go quiescent under it."""
         return (self._active is not None or bool(self._queue)
                 or bool(self._evict_pending))
-
-    def is_member(self, site: int) -> bool:
-        return site in self.view
 
     def membership_status(self, site: int) -> str:
         """``"member"``, ``"left"``, ``"evicted"``, or ``"unknown"``."""

@@ -385,9 +385,6 @@ class Network:
         self.departed_drops += len(self._held.pop(site, ()))
         self._down.discard(site)
 
-    def is_departed(self, site: int) -> bool:
-        return site in self._departed
-
     def held_for(self, site: int) -> int:
         """Alias of :meth:`held_count` used by the view-change fence."""
         return len(self._held.get(site, ()))
@@ -406,11 +403,6 @@ class Network:
         signal.  Always False on the seed path (no transport)."""
         transport = self.transport
         return transport is not None and transport.overloaded(site)
-
-    def overload_backlog(self, site: int) -> int:
-        """Total packets backlogged across ``site``'s channels."""
-        transport = self.transport
-        return transport.backlog_of(site) if transport is not None else 0
 
     def check_overload_admission(self, site: int) -> None:
         """Raise :class:`~repro.sim.reliable.OverloadError` when

@@ -11,7 +11,7 @@ accounting exact), timer jitter drawn from the injector's seeded RNG,
 partition-heal scheduling and per-site recovery clocks, the crash /
 rejoin / retire hooks of :mod:`repro.sim.crash` and
 :mod:`repro.sim.membership`, and the mirroring of every channel event
-into the collector, the metrics registry and the ledger.
+into the collector and the metrics registry.
 
 Because the simulator sees both ends of every channel, it keeps the
 sender and the receiver half of ``src -> dst`` under one key.
@@ -70,46 +70,44 @@ class AckPacket:
 class _Event(NamedTuple):
     """Where one channel event is written."""
 
-    #: the collector's tally of it
+    #: the collector's tally of it (``MetricsCollector.record_transport``:
+    #: a per-site row with wire bytes for acks and retransmissions, a
+    #: plain counter for the rest)
     counter: str
-    #: the collector's byte tally, if the event has a size
-    byte_counter: Optional[str]
     #: registry counter and its help text
     metric: str
     help_text: str
-    #: ledger transport-byte kind, if the bytes are metadata overhead
-    ledger_kind: Optional[str] = None
 
 
 _EVENTS = {
     "ack": _Event(
-        "acks_sent", "ack_bytes", "net_acks_total",
-        "cumulative-ack packets sent by the reliable layer", "ack"),
+        "ack", "net_acks_total",
+        "cumulative-ack packets sent by the reliable layer"),
     "retransmission": _Event(
-        "retransmissions", "retransmission_bytes", "net_retransmissions_total",
-        "timer- or heal-driven retransmissions", "retransmit"),
+        "retransmit", "net_retransmissions_total",
+        "timer- or heal-driven retransmissions"),
     "spurious_retransmission": _Event(
-        "spurious_retransmissions", None, "net_spurious_retransmissions_total",
+        "spurious_retransmissions", "net_spurious_retransmissions_total",
         "retransmissions of packets that already had a non-dropped attempt "
         "in flight or delivered — the first copy was merely slow, or it "
         "arrived and its ack was the packet the network lost"),
     "duplicate_drop": _Event(
-        "duplicate_drops", None, "net_duplicate_drops_total",
+        "duplicate_drops", "net_duplicate_drops_total",
         "already-delivered packets discarded by receivers"),
     "reorder_overflow": _Event(
-        "reorder_overflows", None, "net_reorder_overflows_total",
+        "reorder_overflows", "net_reorder_overflows_total",
         "out-of-order packets dropped by full reassembly buffers"),
     "breaker_trip": _Event(
-        "breaker_trips", None, "net_breaker_trips_total",
+        "breaker_trips", "net_breaker_trips_total",
         "channels tripped into degraded probe mode"),
     "breaker_close": _Event(
-        "breaker_closes", None, "net_breaker_closes_total",
+        "breaker_closes", "net_breaker_closes_total",
         "degraded channels restored by ack progress or heal"),
     "backpressure_delay": _Event(
-        "backpressure_delays", None, "net_backpressure_delays_total",
+        "backpressure_delays", "net_backpressure_delays_total",
         "operations delayed by transport backpressure"),
     "overload_shed": _Event(
-        "overload_sheds", None, "net_overload_sheds_total",
+        "overload_sheds", "net_overload_sheds_total",
         "writes shed by OverloadError at admission"),
 }
 
@@ -207,15 +205,13 @@ class ReliableTransport(ChannelHost):
     def count(self, event: str, src: int = -1, dst: int = -1,
               size_bytes: float = 0.0, payload: object = None) -> None:
         self.counts[event] += 1
-        counter, byte_counter, metric, help_text, ledger_kind = _EVENTS[event]
+        counter, metric, help_text = _EVENTS[event]
         net = self.net
         if net.collector is not None:
-            net.collector.record_transport(counter, byte_counter, size_bytes)
+            net.collector.record_transport(counter, src, size_bytes)
         registry = net.registry
         if registry is not None:
             registry.inc(metric, help_text=help_text)
-            if ledger_kind is not None:
-                registry.ledger.record_transport(ledger_kind, src, size_bytes)
         tracer = net.tracer
         if tracer is not None:
             if event == "retransmission":

@@ -4,7 +4,8 @@ Covers the observability acceptance invariants:
 
 * ledger <-> collector cross-check: the per-component byte totals sum
   exactly to the collector's Table-II/III message totals, per protocol,
-  in both windows (lifetime and warm-up-gated measured);
+  in both windows (lifetime and warm-up-gated measured), whether the
+  collector is a simulator run's or a live (loopback) node's;
 * ``registry=None`` is byte-identical to the seed behaviour;
 * same-seed double runs export byte-identical Prometheus/JSON dumps;
 * per-message decomposition sums exactly to ``metadata_size``;
@@ -29,6 +30,7 @@ from repro.core.messages import (
     OptTrackSM,
 )
 from repro.memory.store import WriteId
+from repro.metrics.collector import MessageKind
 from repro.metrics.sizing import SizeModel
 from repro.metrics.stats import RunningStat, percentile
 from repro.obs.export import (
@@ -42,8 +44,13 @@ from repro.obs.ledger import MetadataLedger, decompose_message
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.timeseries import TimeSeries
 from repro.experiments.runner import SimulationConfig, run_simulation
+from repro.service.bootstrap import default_topology
+from repro.service.loopback import LoopbackCluster
 
 ALL_PROTOCOLS = ("full-track", "opt-track", "opt-track-crp", "optp")
+#: where a ledger's collector comes from: a simulator run of the named
+#: protocol, or the nodes of a loopback service cluster running it
+LEDGER_SOURCES = ALL_PROTOCOLS + tuple(f"loopback-{p}" for p in ALL_PROTOCOLS)
 
 
 def small_cfg(protocol: str, **overrides) -> SimulationConfig:
@@ -56,15 +63,38 @@ def small_cfg(protocol: str, **overrides) -> SimulationConfig:
 # ----------------------------------------------------------------------
 # satellite 1: ledger <-> collector cross-check
 # ----------------------------------------------------------------------
-class TestLedgerCrosscheck:
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_ledger_sums_exactly_to_collector(self, protocol):
+def ledgers_of(source: str) -> list[MetadataLedger]:
+    """The ledger(s) of one small run from ``source``."""
+    if not source.startswith("loopback-"):
         registry = MetricsRegistry()
-        result = run_simulation(small_cfg(protocol), registry=registry)
-        assert registry.ledger.crosscheck(result.collector) == []
+        run_simulation(small_cfg(source), registry=registry)
+        return [registry.ledger]
+    cluster = LoopbackCluster(default_topology(
+        3, protocol=source.removeprefix("loopback-"), n_vars=6))
+    for k in range(12):
+        cluster.clock.tick(1.0)
+        cluster.put(k % 3, k % 3 + 3 * (k % 2), k)
+        cluster.get((k + 1) % 3, k % 6)
+    cluster.settle()
+    return [MetadataLedger(node.collector, base_n=3) for node in cluster.nodes]
+
+
+class TestLedgerCrosscheck:
+    @pytest.mark.parametrize("source", LEDGER_SOURCES)
+    def test_ledger_sums_exactly_to_collector(self, source):
+        ledgers = ledgers_of(source)
+        for ledger in ledgers:
+            assert ledger.crosscheck() == []
+            for kind, tally in ledger.collector.tallies.items():
+                k = kind.value
+                assert ledger.total_count(k, "lifetime") == tally.lifetime_count
+                assert ledger.total_bytes(k, "lifetime") == tally.lifetime_bytes
+                assert ledger.total_count(k, "measured") == tally.count
+                assert ledger.total_bytes(k, "measured") == tally.total_bytes
         # the run really sent messages (the check isn't vacuous)
-        assert registry.ledger.total_count(window="lifetime") > 0
-        assert registry.ledger.total_bytes(window="lifetime") > 0
+        assert all(ledger.total_count(window="lifetime") > 0
+                   and ledger.total_bytes(window="lifetime") > 0
+                   for ledger in ledgers)
 
     def test_measured_window_is_warmup_gated(self):
         registry = MetricsRegistry()
@@ -77,20 +107,21 @@ class TestLedgerCrosscheck:
     def test_crosscheck_reports_discrepancies(self):
         registry = MetricsRegistry()
         result = run_simulation(small_cfg("opt-track"), registry=registry)
-        # corrupt one lifetime cell; the check must name the kind
-        cell = next(iter(registry.ledger.lifetime.values()))
-        cell.count += 1
-        problems = registry.ledger.crosscheck(result.collector)
-        assert problems and any("count" in p for p in problems)
+        # corrupt one FM slot (a type priced by formula, not by
+        # remainder): its count no longer explains its bytes, and the
+        # check must name the kind
+        _key, slot = next(iter(result.collector.message_slots(MessageKind.FM)))
+        slot[0] += 1
+        problems = registry.ledger.crosscheck()
+        assert problems and all(" FM " in p for p in problems)
 
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_component_totals_sum_to_kind_bytes(self, protocol):
-        registry = MetricsRegistry()
-        run_simulation(small_cfg(protocol), registry=registry)
-        for window in ("lifetime", "measured"):
-            cells = registry.ledger._window(window)
-            for key, cell in cells.items():
-                assert sum(cell.components.values()) == cell.bytes, key
+    @pytest.mark.parametrize("source", LEDGER_SOURCES)
+    def test_component_totals_sum_to_kind_bytes(self, source):
+        for ledger in ledgers_of(source):
+            for window in ("lifetime", "measured"):
+                cells = ledger._window(window)
+                for key, cell in cells.items():
+                    assert sum(cell.components.values()) == cell.bytes, key
 
 
 # ----------------------------------------------------------------------

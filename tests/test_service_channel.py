@@ -5,6 +5,7 @@ in ``test_channel.py``, over both drivers."""
 import pytest
 
 from .test_channel import LiveDriver, ids, message
+from .test_service_codec import ILL_SHAPED_MESSAGES
 
 
 class TestServiceTransport:
@@ -32,6 +33,9 @@ class TestServiceTransport:
             {"k": "data", "src": 99, "seq": 5, "m": {}},      # not a member
             {"k": "data", "src": 0, "seq": 0, "m": {}},       # this site itself
         ]
+        # in sequence, from a member, well tagged - and not buildable
+        bad += [{"k": "data", "src": 1, "seq": 0, "m": wire}
+                for wire in ILL_SHAPED_MESSAGES]
         for frame in bad:
             transport.on_frame(frame)
         transport.on_frame({"k": "hello", "src": 1})          # not malformed

@@ -28,6 +28,8 @@ from repro.service.codec import (
     encode_message,
     encode_value,
     loads,
+    message_from_wire,
+    message_to_wire,
     pack_frame,
     unpack_length,
 )
@@ -37,6 +39,27 @@ from .test_protocol_ordering import make_proto
 ALL_MESSAGE_TYPES = (
     FetchMessage, FullTrackSM, FullTrackRM,
     OptTrackSM, OptTrackRM, CRPSM, OptPSM,
+)
+
+
+def _crp_sm_with(field: str, wire_value: object) -> dict:
+    """The wire form of a valid CRPSM with one field's encoding replaced."""
+    wire = message_to_wire(CRPSM(var=1, value=2, write_id=WriteId(0, 1),
+                                 log=((0, 1),)))
+    wire["f"][WIRE_FIELDS[CRPSM].index(field)] = wire_value
+    return wire
+
+
+#: well-tagged values no constructor can build (also fed, inside data
+#: frames, to a live transport by tests/test_service_channel.py)
+ILL_SHAPED_MESSAGES = (
+    _crp_sm_with("log", {"!": "t"}),                              # t without v
+    _crp_sm_with("write_id", {"!": "wid", "s": "x", "c": 1}),
+    _crp_sm_with("write_id", {"!": "wid"}),                       # no fields
+    _crp_sm_with("value", {"!": "mat", "n": 2, "v": "zz"}),
+    _crp_sm_with("value", {"!": "pbe", "w": 0, "c": 1, "d": 5}),
+    _crp_sm_with("value", {"!": "vec", "n": -1, "v": []}),
+    {**_crp_sm_with("var", 1), "t": ["CRPSM"]},                   # t is a list
 )
 
 
@@ -201,3 +224,10 @@ class TestFraming:
     def test_malformed_payload_is_codec_error(self):
         with pytest.raises(CodecError, match="malformed"):
             loads(b"{nope")
+        # well-tagged but ill-shaped: the constructors' own KeyError /
+        # TypeError / ValueError must not be what a peer's bytes raise
+        for wire in ILL_SHAPED_MESSAGES:
+            with pytest.raises(CodecError):
+                message_from_wire(wire)
+            with pytest.raises(CodecError):
+                decode_message(dumps(wire))

@@ -9,8 +9,12 @@ protocol cores.  These tests drive the same seeded workload through
   (:class:`repro.service.loopback.LoopbackCluster` — real codec, real
   reliable channels, deterministic StepClock)
 
-and require that (a) both merged histories pass the causal checker and
-(b) both clusters converge to identical final stores.
+and require that (a) both merged histories pass the causal checker,
+(b) both clusters converge to identical final stores and (c) both sent
+the same number of SMs, FMs and RMs.  Not the same *bytes*: a piggybacked
+log's length depends on what had been delivered when the message was
+built, so Opt-Track-CRP's SM bytes differ between substrates on nearly
+every workload while its message counts never do.
 
 Workloads are single-writer-per-variable (site ``i`` writes variables
 ``v`` with ``v % n == i``): causal consistency alone does not fix the
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 from repro import CausalCluster, ConstantLatency
 from repro.service.bootstrap import build_placement, default_topology
 from repro.service.history import merge_event_lists
+from repro.metrics.collector import MessageKind
 from repro.service.loopback import LoopbackCluster
 from repro.verify.causal_checker import check_causal_consistency
 
@@ -66,7 +71,8 @@ def run_sim(protocol, ops):
             cluster.read_with_id(site, var)
     cluster.settle()
     report = cluster.check()
-    return report, [p.ctx.store for p in cluster.protocols]
+    return (report, [p.ctx.store for p in cluster.protocols],
+            message_counts([cluster.collector]))
 
 
 def run_loopback(protocol, ops):
@@ -82,7 +88,15 @@ def run_loopback(protocol, ops):
     cluster.settle()
     merged = merge_event_lists(cluster.histories())
     report = check_causal_consistency(merged, build_placement(topology))
-    return report, [node.ctx.store for node in cluster.nodes]
+    return (report, [node.ctx.store for node in cluster.nodes],
+            message_counts([node.collector for node in cluster.nodes]))
+
+
+def message_counts(collectors):
+    """Messages sent per kind — one collector per run on the simulator,
+    one per node on the service."""
+    return {kind.value: sum(c.tally(kind).lifetime_count for c in collectors)
+            for kind in MessageKind}
 
 
 def store_contents(store):
@@ -93,10 +107,11 @@ def store_contents(store):
 
 
 def assert_equivalent(protocol, ops):
-    sim_report, sim_stores = run_sim(protocol, ops)
-    live_report, live_stores = run_loopback(protocol, ops)
+    sim_report, sim_stores, sim_counts = run_sim(protocol, ops)
+    live_report, live_stores, live_counts = run_loopback(protocol, ops)
     assert not sim_report.violations, sim_report.violations[:3]
     assert not live_report.violations, live_report.violations[:3]
+    assert sim_counts == live_counts, protocol
     assert len(sim_stores) == len(live_stores)
     for site, (sim_store, live_store) in enumerate(
         zip(sim_stores, live_stores)
