@@ -1106,6 +1106,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     print(f"loadgen: {report.ops_attempted} ops "
           f"({report.writes} writes, {report.reads} reads, "
           f"{report.shed} shed) across {topology.n_sites} sites")
+    rate = report.ops_attempted / report.elapsed_s if report.elapsed_s else 0.0
+    print(f"rate: {rate:.0f} ops/s over {report.elapsed_s:.2f} s, "
+          f"{report.connections} connections opened")
     print(f"history: {report.events} events, "
           f"quiesced={report.quiesced}, "
           f"violations={len(report.violations)}")

@@ -35,7 +35,8 @@ Modules:
   the ``Transport`` port;
 * :mod:`~repro.service.node` — the substrate-independent
   :class:`NodeCore` plus the asyncio TCP node (one OS process per site);
-* :mod:`~repro.service.api` — client-facing HTTP JSON GET/PUT/status;
+* :mod:`~repro.service.api` — client-facing HTTP JSON GET/PUT/status
+  over persistent HTTP/1.1 connections;
 * :mod:`~repro.service.bootstrap` — static cluster topology files;
 * :mod:`~repro.service.loopback` — in-process loopback substrate for
   the sim/live equivalence tests (no sockets, no wall clock);

@@ -13,8 +13,10 @@ Two halves, split along the port layer:
   a TCP listener for length-prefixed peer frames, persistent outbound
   connections (dialled with retry; the reliable channel covers frames
   sent while a link is down and flushes them when the dial succeeds),
-  the HTTP client API from :mod:`repro.service.api`, and a streaming
-  JSONL history sink.
+  the persistent-connection HTTP client API from
+  :mod:`repro.service.api` (the node owns the open client connections,
+  so :meth:`ServiceNode.close` ends them), and a streaming JSONL history
+  sink.
 
 Determinism note: protocol state mutates only inside loop callbacks
 (HTTP handlers and frame ingress), and asyncio runs them one at a time —
@@ -158,6 +160,12 @@ class ServiceNode:
         self._dialing: set[int] = set()
         self._servers: list[asyncio.base_events.Server] = []
         self._tasks: set[asyncio.Task] = set()
+        #: the client API's lifetime counters, and the handler task of
+        #: every open client connection (``api.serve_http`` keeps them
+        #: current; ``close`` cancels what is still open)
+        self.http_requests = 0
+        self.http_connections = 0
+        self.http_clients: set[asyncio.Task] = set()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -241,8 +249,7 @@ class ServiceNode:
         return wid
 
     async def get(self, var: int) -> tuple[object, Optional[WriteId], bool]:
-        loop = asyncio.get_event_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
 
         def _done(value, wid, was_remote):
             if not future.done():
@@ -250,22 +257,28 @@ class ServiceNode:
 
         self.core.get(var, _done)
         try:
-            result = await asyncio.wait_for(future, READ_TIMEOUT_MS / 1000.0)
+            if future.done():
+                # a locally replicated variable: the read completed inside
+                # core.get, so there is nothing to wait (or time out) for
+                return future.result()
+            return await asyncio.wait_for(future, READ_TIMEOUT_MS / 1000.0)
         finally:
             self._flush_history()
-        return result
 
     def status(self) -> dict:
         out = self.core.status()
         out["pending_channel"] = self.transport.unacked_count()
         out["peer_links"] = sorted(self._writers)
+        out["http_requests"] = self.http_requests
+        out["http_connections"] = self.http_connections
+        out["http_open"] = len(self.http_clients)
         return out
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, coro) -> None:
-        task = asyncio.get_event_loop().create_task(coro)
+        task = asyncio.get_running_loop().create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
@@ -293,11 +306,17 @@ class ServiceNode:
         self._closed = True
         for server in self._servers:
             server.close()
-        for task in list(self._tasks):
+        clients = list(self.http_clients)
+        for task in [*self._tasks, *clients]:
             task.cancel()
         for writer in self._writers.values():
             writer.close()
         self.transport.close()
+        if clients:
+            # a handler parked in readline or behind a remote read would
+            # otherwise outlive the node (and, from Python 3.12.1, block
+            # Server.wait_closed)
+            await asyncio.wait(clients)
         if self._sink is not None:
             self._sink.close()
 

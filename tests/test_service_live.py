@@ -154,6 +154,10 @@ class TestLiveCluster:
         assert not report.violations
         assert report.writes > 0 and report.reads > 0
         assert report.events > 0
+        # ops, status polls and history downloads share one kept
+        # connection per site (plus at most one reconnect)
+        assert report.connections <= N_SITES + 1
+        assert report.elapsed_s > 0
         # per-node JSONL histories were streamed to disk too
         for site in range(N_SITES):
             path = live_cluster.history_path(site)
