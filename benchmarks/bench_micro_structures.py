@@ -4,8 +4,9 @@ Unlike the exhibit benches (which run whole simulations once), these use
 pytest-benchmark's actual timing loops on the operations the profiler
 identified as hot paths (docs/architecture.md, "Performance notes"):
 per-write piggyback-view construction, log MERGE, activation predicates,
-clock merges, and message sizing.  They guard against performance
-regressions in the code paths that dominate paper-scale runs.
+clock merges, message sizing, and the live wire codec.  They guard
+against performance regressions in the code paths that dominate
+paper-scale runs.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import OptTrackSM
 from repro.memory.store import WriteId
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL
+from repro.service import codec
 
 N = 40  # paper-scale system size
 
@@ -125,3 +127,18 @@ def test_micro_matrix_snapshot(benchmark):
 
     snap = benchmark(m.copy)
     assert snap == m
+
+
+def test_micro_codec_roundtrip(benchmark):
+    """An 80-record Opt-Track SM across a live link and the ack back:
+    encode + frame, parse + decode (membership-checked), ack."""
+    sm = OptTrackSM(var=0, value=1, write_id=WriteId(0, 1),
+                    log=tuple(build_log().entries()))
+
+    def roundtrip():
+        frame = codec.data_frame(0, 7, codec.encode_message(sm))
+        decoded = codec.message_from_wire(codec.loads(frame)["m"], N)
+        return decoded, codec.loads(codec.ack_frame(1, 7))
+
+    decoded, ack = benchmark(roundtrip)
+    assert decoded == sm and ack == {"k": "ack", "src": 1, "cum": 7}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..core.log import OptTrackLog, PiggybackEntry, PiggybackView
 from ..core.messages import OptTrackSM
 from ..memory.store import WriteId
 from ..metrics.sizing import DEFAULT_SIZE_MODEL
+from ..service import codec
 from ..sim.engine import Simulator
 
 __all__ = ["MICRO_BENCHES", "run_micro", "MicroResult"]
@@ -177,6 +178,21 @@ def _bench_matrix_snapshot(iters: int) -> int:
     return iters
 
 
+def _bench_codec_roundtrip(iters: int) -> int:
+    """One protocol message across a live link, both directions: an
+    80-record Opt-Track SM encoded and framed by the sender, parsed and
+    decoded (membership-checked) by the receiver, and the ack that
+    answers it built and parsed."""
+    log = PiggybackView.from_entries(_build_log().entries())
+    sm = OptTrackSM(var=0, value=1, write_id=WriteId(0, 1), log=log)
+    for _ in range(iters):
+        frame = codec.data_frame(0, 7, codec.encode_message(sm))
+        parsed: Any = codec.loads(frame)
+        codec.message_from_wire(parsed["m"], N)
+        codec.loads(codec.ack_frame(1, 7))
+    return iters
+
+
 #: name -> (bench body, full-mode iterations, quick-mode iterations)
 MICRO_BENCHES: dict[str, tuple[Callable[[int], int], int, int]] = {
     "engine_dispatch": (_bench_engine_dispatch, 120_000, 20_000),
@@ -189,6 +205,7 @@ MICRO_BENCHES: dict[str, tuple[Callable[[int], int], int, int]] = {
     "vector_merge": (_bench_vector_merge, 100_000, 15_000),
     "message_sizing": (_bench_message_sizing, 20_000, 3_000),
     "matrix_snapshot": (_bench_matrix_snapshot, 100_000, 15_000),
+    "codec_roundtrip": (_bench_codec_roundtrip, 3_000, 500),
 }
 
 

@@ -32,15 +32,20 @@ from ..core.netpolicy import (
     RetransmitPolicy,
 )
 from ..core.ports import Scheduler
-from .codec import CodecError, message_from_wire, message_to_wire
+from .codec import (
+    WIRE_VERSION,
+    CodecError,
+    ack_frame,
+    data_frame,
+    encode_message,
+    message_from_wire,
+)
 
 __all__ = ["ServiceTransport"]
 
-#: frame schemas (canonical JSON objects, see repro.service.codec):
-#:   {"k": "data", "src": i, "seq": n, "sz": float, "m": <wire message>}
-#:   {"k": "ack",  "src": i, "cum": n}
-#:   {"k": "hello", "src": i}
-SendFrame = Callable[[int, dict], None]
+#: egress carries one frame's canonical bytes (the data / ack / hello
+#: schemas are repro.service.codec's)
+SendFrame = Callable[[int, bytes], None]
 Deliver = Callable[[int, object], None]
 
 
@@ -48,12 +53,16 @@ class ServiceTransport(ChannelHost):
     """The :class:`~repro.core.ports.Transport` port over framed links.
 
     ``send_frame(dst, frame)`` is the injected raw egress — the asyncio
-    node writes length-prefixed canonical JSON to the peer's socket (and
-    silently drops while disconnected; retransmission covers the gap),
-    the loopback substrate appends to an in-process queue.  It cannot
-    tell whether a frame arrived, so :meth:`transmit` never reports an
-    attempt as undropped and ``spurious_retransmission`` stays a
-    simulator-only count.
+    node writes the frame's bytes, length-prefixed, to the peer's socket
+    (and silently drops while disconnected; retransmission covers the
+    gap), the loopback substrate appends them to an in-process queue.
+    It cannot tell whether a frame arrived, so :meth:`transmit` never
+    reports an attempt as undropped and ``spurious_retransmission``
+    stays a simulator-only count.
+
+    A message is priced once: :meth:`send` encodes it to canonical bytes,
+    those bytes are the channel packet's payload, and every transmission
+    of the packet splices the same bytes into a frame.
     """
 
     def __init__(
@@ -75,8 +84,11 @@ class ServiceTransport(ChannelHost):
         # desynchronize timers without an unseeded RNG effect
         self._jitter: dict[int, Random] = {}
         self.messages_sent = 0
-        #: peer frames dropped by :meth:`on_frame`'s validation
+        #: peer frames dropped by :meth:`on_frame`'s validation (the
+        #: node adds the payloads it could not parse at all)
         self.malformed_frames = 0
+        #: inbound links closed for not opening with this format's hello
+        self.links_refused = 0
 
     def channel(self, dst: int) -> Channel:
         key = (self.site, dst)
@@ -99,9 +111,9 @@ class ServiceTransport(ChannelHost):
                 f"transport of site {self.site} asked to send as {src}"
             )
         self.messages_sent += 1
-        # encoded once, here; retransmissions reuse the wire form
+        # the one JSON pass this message gets; retransmissions reuse it
         ch = self._channels.get((src, dst)) or self.channel(dst)
-        ch.sender.send(message_to_wire(message), size_bytes)
+        ch.sender.send(encode_message(message), size_bytes)
         return None  # delivery time is the wire's business
 
     # ------------------------------------------------------------------
@@ -109,16 +121,14 @@ class ServiceTransport(ChannelHost):
     # ------------------------------------------------------------------
     def transmit(self, src: int, dst: int,
                  packet: DataPacket) -> Optional[float]:
-        self.send_frame(dst, {"k": "data", "src": src, "seq": packet.seq,
-                              "sz": packet.size_bytes, "m": packet.payload})
+        self.send_frame(dst, data_frame(src, packet.seq, packet.payload))
         return None
 
     def deliver(self, src: int, dst: int, payload: object) -> None:
         self._deliver(src, payload)
 
     def send_ack(self, from_site: int, to_site: int, cumulative: int) -> None:
-        self.send_frame(to_site,
-                        {"k": "ack", "src": from_site, "cum": cumulative})
+        self.send_frame(to_site, ack_frame(from_site, cumulative))
 
     def jitter(self, src: int, dst: int) -> float:
         return self._jitter[dst].uniform(0.0, self.policy.jitter_ms)
@@ -126,21 +136,46 @@ class ServiceTransport(ChannelHost):
     # ------------------------------------------------------------------
     # frame ingress and link events (wired by the node)
     # ------------------------------------------------------------------
-    def on_frame(self, frame: dict) -> None:
-        """Accept one frame from a peer.  Peers are untrusted: a frame
-        that is not a well-formed data or ack frame from another member
-        is dropped and counted before it can touch channel state.
+    def _peer_of(self, frame: dict) -> Optional[int]:
+        """The other member a frame says it is from, if it says so.
         (``type(x) is int``, not ``isinstance``: JSON ``true`` is a
-        ``bool``, and a ``bool`` is not a sequence number.)"""
-        kind = frame.get("k")
+        ``bool``, and a ``bool`` is not a site or a sequence number.)"""
         src = frame.get("src")
         if type(src) is int and 0 <= src < self.n_sites and src != self.site:
-            if kind == "data":
+            return src
+        return None
+
+    def accept_link(self, first: object) -> bool:
+        """Whether an inbound link may stay open, given its first frame:
+        only behind the hello of another member speaking
+        :data:`~repro.service.codec.WIRE_VERSION`.  The node asks once
+        per link and closes a refused one, so no frame of another format
+        ever reaches :meth:`on_frame` and no frame is version-checked."""
+        if type(first) is dict:
+            src = self._peer_of(first)
+            if src is not None and first == {"k": "hello", "src": src,
+                                             "v": WIRE_VERSION}:
+                return True
+        self.links_refused += 1
+        return False
+
+    def on_frame(self, frame: object) -> None:
+        """Accept one parsed frame from a peer.  Peers are untrusted: a
+        frame that is not a well-formed data or ack frame from another
+        member — its message decodable, every field of the declared
+        shape, every site id it carries a member's — is dropped and
+        counted before it can touch channel state."""
+        if type(frame) is dict:
+            src = self._peer_of(frame)
+            kind = frame.get("k")
+            if src is None:
+                pass
+            elif kind == "data":
                 seq = frame.get("seq")
                 wire = frame.get("m")
                 if type(seq) is int and seq >= 0 and type(wire) is dict:
                     try:
-                        message = message_from_wire(wire)
+                        message = message_from_wire(wire, self.n_sites)
                     except CodecError:
                         pass
                     else:
@@ -155,8 +190,7 @@ class ServiceTransport(ChannelHost):
                     if ch is not None:
                         ch.sender.on_ack(cum)
                     return
-        if kind != "hello":  # the link greeting carries nothing for us
-            self.malformed_frames += 1
+        self.malformed_frames += 1
 
     def on_link_up(self, dst: int) -> None:
         """The link to ``dst`` was (re-)established: flush (paced) what

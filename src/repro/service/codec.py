@@ -16,25 +16,45 @@ every platform:
   timestamps survive exactly;
 * project types are tagged objects: ``{"!": "wid", ...}`` for
   :class:`~repro.memory.store.WriteId`, ``mat``/``vec`` for the numpy
-  clocks, ``pbe`` for :class:`~repro.core.log.PiggybackEntry`;
-* containers: tuples are tagged (``t``) so decode restores them exactly
-  (an Opt-Track SM's :class:`~repro.core.log.PiggybackView` encodes as
-  the tuple of its records and is rebuilt from it on decode),
-  frozensets (``fs``) serialize sorted, plain lists/dicts pass through
-  with dict keys required to be strings (client values arrive as JSON).
+  clocks;
+* a piggybacked log — the bulk of what Opt-Track sends — is priced per
+  byte, not per record: a non-empty tuple of
+  :class:`~repro.core.log.PiggybackEntry` (an SM's
+  :class:`~repro.core.log.PiggybackView` goes out as its flat sequence)
+  is one ``log`` object of three parallel arrays of plain ints (writers,
+  clocks, sorted destination lists), and a non-empty tuple of
+  ``(int, int)`` pairs (FM requirements, the CRP log) one interleaved
+  array under ``prs``.  Decode type-checks a column at a time and
+  rebuilds the records with ``map``;
+* other containers: tuples are tagged (``t``) so decode restores them
+  exactly, frozensets (``fs``) serialize sorted, plain lists/dicts pass
+  through with dict keys required to be strings (client values arrive
+  as JSON).
+
+Peers are untrusted: ints must be exact ``int`` s (not ``"5"``, ``5.0``
+or ``true``), every field must decode to the shape its dataclass
+declares and — given the cluster size — every site id must name a
+member.  Whatever fails leaves as :class:`CodecError`, :func:`loads`
+included.
 
 Frames on the socket are length-prefixed: a 4-byte big-endian payload
-size followed by the canonical JSON bytes.  This module is pure
-bytes-in/bytes-out — no sockets, no clocks — so the loopback substrate
-can push every message through ``encode``/``decode`` in its data path
-and the equivalence tests exercise the codec for free.
+size followed by canonical JSON bytes.  The three frame kinds are byte
+templates (:func:`data_frame` splices a message's encoded bytes in; it
+does not walk them again), each equal to ``dumps(loads(frame))``.  The
+format is :data:`WIRE_VERSION`: it travels in the link greeting, is
+checked once per link, and a change to the format bumps it — this
+module never decodes two.  Pure bytes-in/bytes-out — no sockets, no
+clocks — so the loopback substrate runs every message through the same
+functions and the equivalence tests exercise the codec for free.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Callable
+from itertools import chain
+from math import isinf
+from typing import Any, Callable, Iterable, Optional
 
 from ..core.log import PiggybackEntry, PiggybackView
 from ..core.clocks import MatrixClock, VectorClock
@@ -51,6 +71,7 @@ from ..memory.store import WriteId
 
 __all__ = [
     "WIRE_FIELDS",
+    "WIRE_VERSION",
     "CodecError",
     "MAX_FRAME_BYTES",
     "encode_message",
@@ -59,9 +80,16 @@ __all__ = [
     "message_from_wire",
     "dumps",
     "loads",
+    "data_frame",
+    "ack_frame",
+    "hello_frame",
     "pack_frame",
     "unpack_length",
 ]
+
+#: the wire format's version.  A node greets each link it dials with it
+#: and closes an inbound link greeted with any other.
+WIRE_VERSION = 2
 
 #: The explicit wire contract: every sendable message type and the exact
 #: field order it serializes in.  ``tests/test_service_codec.py`` asserts
@@ -93,6 +121,29 @@ class CodecError(ValueError):
     """A value cannot be encoded, or wire bytes cannot be decoded."""
 
 
+def _all(kind: type, values: Iterable[object]) -> bool:
+    """Every value is exactly a ``kind`` (a ``bool`` is not an ``int``),
+    checked at C speed."""
+    return set(map(type, values)) <= {kind}
+
+
+def _is_records(obj: object) -> bool:
+    return type(obj) is tuple and _all(PiggybackEntry, obj)
+
+
+def _is_pairs(obj: object) -> bool:
+    return (type(obj) is tuple and _all(tuple, obj)
+            and set(map(len, obj)) <= {2}
+            and _all(int, chain.from_iterable(obj)))
+
+
+def _check_sites(sites: list[int], n_sites: Optional[int]) -> None:
+    """Every id names a member, where the membership is known."""
+    if n_sites is not None and sites and not (
+            0 <= min(sites) and max(sites) < n_sites):
+        raise CodecError(f"site id outside 0..{n_sites - 1}")
+
+
 # ----------------------------------------------------------------------
 # value algebra
 # ----------------------------------------------------------------------
@@ -105,11 +156,17 @@ def _to_wire(obj: object) -> object:
         return {_TAG: "mat", "n": obj.n, "v": obj.m.tolist()}
     if isinstance(obj, VectorClock):
         return {_TAG: "vec", "n": obj.n, "v": obj.v.tolist()}
-    if isinstance(obj, PiggybackEntry):
-        return {_TAG: "pbe", "w": obj.writer, "c": obj.clock,
-                "d": sorted(obj.dests)}
-    if isinstance(obj, (tuple, PiggybackView)):
-        # a view goes out as its flat sequence: same bytes as the tuple
+    if isinstance(obj, PiggybackView):
+        obj = obj.flat()  # same bytes as the tuple of its records
+    if isinstance(obj, tuple):
+        if obj and _is_records(obj):
+            return {_TAG: "log",
+                    "w": [e.writer for e in obj],
+                    "c": [e.clock for e in obj],
+                    "d": [sorted(e.dests) for e in obj]}
+        if obj and _is_pairs(obj):
+            return {_TAG: "prs", "v": list(chain.from_iterable(obj))}
+        # a record among other things lands in the final raise
         return {_TAG: "t", "v": [_to_wire(x) for x in obj]}
     if isinstance(obj, frozenset):
         return {_TAG: "fs", "v": sorted(obj)}
@@ -126,33 +183,60 @@ def _to_wire(obj: object) -> object:
     raise CodecError(f"cannot encode {type(obj).__name__} value {obj!r}")
 
 
-def _from_wire(obj: object) -> object:
+def _from_wire(obj: object, n_sites: Optional[int] = None) -> object:
+    """The value a wire form describes; with ``n_sites``, site ids
+    outside the membership (and clocks of another width) are refused."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
-        return [_from_wire(x) for x in obj]
+        return [_from_wire(x, n_sites) for x in obj]
     if isinstance(obj, dict):
         tag = obj.get(_TAG)
         if tag is None:
             return {
-                (k[1:] if k.startswith(_TAG) else k): _from_wire(v)
+                (k[1:] if k.startswith(_TAG) else k): _from_wire(v, n_sites)
                 for k, v in obj.items()
             }
+        if tag == "log":
+            ws, cs, ds = obj["w"], obj["c"], obj["d"]
+            if not (type(ws) is type(cs) is type(ds) is list
+                    and len(ws) == len(cs) == len(ds) and _all(list, ds)):
+                raise CodecError("a log is three lists of one length")
+            sites = list(chain(ws, *ds))
+            if not (_all(int, sites) and _all(int, cs)):
+                raise CodecError("log columns hold ints only")
+            _check_sites(sites, n_sites)
+            return tuple(map(PiggybackEntry, ws, cs, map(frozenset, ds)))
+        if tag == "prs":
+            flat = obj["v"]
+            if not (type(flat) is list and len(flat) % 2 == 0
+                    and _all(int, flat)):
+                raise CodecError("pairs are one even-length list of ints")
+            return tuple(zip(flat[::2], flat[1::2]))
         if tag == "wid":
-            return WriteId(int(obj["s"]), int(obj["c"]))
-        if tag == "mat":
-            return MatrixClock(int(obj["n"]), obj["v"])
-        if tag == "vec":
-            return VectorClock(int(obj["n"]), obj["v"])
-        if tag == "pbe":
-            return PiggybackEntry(int(obj["w"]), int(obj["c"]),
-                                  frozenset(obj["d"]))
-        if tag == "t":
-            return tuple(_from_wire(x) for x in obj["v"])
-        if tag == "fs":
-            return frozenset(obj["v"])
-        if tag == "msg":
-            return message_from_wire(obj)
+            site, clock = obj["s"], obj["c"]
+            if type(site) is not int or type(clock) is not int:
+                raise CodecError("a write id is two ints")
+            _check_sites([site], n_sites)
+            return WriteId(site, clock)
+        if tag == "mat" or tag == "vec":
+            width, cells = obj["n"], obj["v"]
+            rows = cells if tag == "mat" else [cells]
+            if not (type(width) is int and type(cells) is list
+                    and _all(list, rows)
+                    and _all(int, chain.from_iterable(rows))):
+                raise CodecError("a clock is a width and lists of ints")
+            if n_sites is not None and width != n_sites:
+                raise CodecError(f"clock of width {width}, not {n_sites}")
+            return (MatrixClock if tag == "mat" else VectorClock)(
+                width, cells)
+        if tag == "t" or tag == "fs":
+            items = obj["v"]
+            if type(items) is not list:
+                raise CodecError(f"{tag} holds a list, not {items!r}")
+            if tag == "fs":
+                return frozenset(items)
+            return tuple(_from_wire(x, n_sites) for x in items)
         raise CodecError(f"unknown wire tag {tag!r}")
     raise CodecError(f"cannot decode wire value {obj!r}")
 
@@ -160,6 +244,38 @@ def _from_wire(obj: object) -> object:
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
+_Shape = Callable[[object], bool]
+
+
+def _exactly(*kinds: type) -> _Shape:
+    return lambda obj: type(obj) in kinds
+
+
+def _ANY(obj: object) -> bool:  # ``value`` is the client's
+    return True
+
+
+_INT = _exactly(int)
+_SITE = _exactly(int)  # and, given the membership, a member's
+_REAL = _exactly(int, float)
+_WID = _exactly(WriteId)
+_WID_OR_NONE = _exactly(WriteId, type(None))
+_MATRIX = _exactly(MatrixClock)
+_VECTOR = _exactly(VectorClock)
+
+#: what each field, in :data:`WIRE_FIELDS` order, must decode to: a
+#: dataclass checks nothing, and the cores index with what they are given
+_SHAPES: dict[type, tuple[_Shape, ...]] = {
+    FetchMessage: (_INT, _SITE, _INT, _is_pairs),
+    FullTrackSM: (_INT, _ANY, _WID, _MATRIX, _REAL),
+    FullTrackRM: (_INT, _ANY, _WID_OR_NONE, _MATRIX, _INT),
+    OptTrackSM: (_INT, _ANY, _WID, _is_records, _REAL),
+    OptTrackRM: (_INT, _ANY, _WID_OR_NONE, _is_records, _INT),
+    CRPSM: (_INT, _ANY, _WID, _is_pairs, _REAL),
+    OptPSM: (_INT, _ANY, _WID, _VECTOR, _REAL),
+}
+
+
 def message_to_wire(message: object) -> dict:
     """The tagged-dict form of one sendable message (embeddable in frames)."""
     fields = WIRE_FIELDS.get(type(message))
@@ -175,14 +291,17 @@ def message_to_wire(message: object) -> dict:
     }
 
 
-def message_from_wire(data: dict) -> object:
+def message_from_wire(data: dict, n_sites: Optional[int] = None) -> object:
     """The message a tagged dict describes.  Peers are untrusted, and
     this is where their bytes become objects: whatever cannot be built —
-    an unknown type, a wrong field count, a well-tagged value of the
-    wrong shape — leaves as :class:`CodecError`, not as the
-    ``KeyError`` / ``TypeError`` / ``ValueError`` a constructor tripped
-    over."""
+    an unknown type, a wrong field count, a field of the wrong shape,
+    with ``n_sites`` a site id outside ``0 .. n_sites - 1`` — leaves as
+    :class:`CodecError`, not as the ``KeyError`` / ``TypeError`` /
+    ``ValueError`` a constructor tripped over.  ``value`` is the
+    client's, not the protocol's: it is decoded without the membership."""
     try:
+        if data.get(_TAG) != "msg":
+            raise CodecError("not an encoded message")
         cls = _BY_NAME.get(data.get("t", ""))
         if cls is None:
             raise CodecError(f"unknown message type {data.get('t')!r}")
@@ -192,10 +311,21 @@ def message_from_wire(data: dict) -> object:
             raise CodecError(
                 f"{cls.__name__} expects {len(fields)} fields, got {raw!r}"
             )
-        return cls(**{name: _from_wire(v) for name, v in zip(fields, raw)})
+        values: list[Any] = [
+            _from_wire(v, None if name == "value" else n_sites)
+            for name, v in zip(fields, raw)]
+        for name, fits, value in zip(fields, _SHAPES[cls], values):
+            if not fits(value):
+                raise CodecError(f"{cls.__name__}.{name} cannot be {value!r}")
+            if fits is _is_pairs:  # (writer, clock): any tuple form decodes
+                _check_sites([writer for writer, _ in value], n_sites)
+            elif fits is _SITE:
+                _check_sites([value], n_sites)
+        return cls(*values)
     except CodecError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise CodecError(f"ill-shaped message: {exc!r}") from exc
 
 
@@ -204,34 +334,75 @@ def encode_message(message: object) -> bytes:
     return dumps(message_to_wire(message))
 
 
-def decode_message(data: bytes) -> object:
+def decode_message(data: bytes, n_sites: Optional[int] = None) -> object:
     obj = loads(data)
-    if not isinstance(obj, dict) or obj.get(_TAG) != "msg":
+    if not isinstance(obj, dict):
         raise CodecError("bytes do not contain an encoded message")
-    return message_from_wire(obj)
+    return message_from_wire(obj, n_sites)
 
 
 # ----------------------------------------------------------------------
-# canonical JSON + framing
+# canonical JSON: the only two JSON entry points
 # ----------------------------------------------------------------------
+def _finite(text: str) -> float:
+    value = float(text)
+    if isinf(value):
+        raise CodecError(f"{text} overflows a float")
+    return value
+
+
+def _no_constant(name: str) -> float:
+    raise CodecError(f"{name} is not a JSON number")
+
+
+# built once: json.dumps / json.loads with options build one per call
+_ENCODE = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False,
+).encode
+_DECODE = json.JSONDecoder(
+    parse_float=_finite, parse_constant=_no_constant,
+).decode
+
+
 def dumps(obj: object) -> bytes:
     """Canonical JSON bytes: sorted keys, no whitespace, ASCII only."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-        allow_nan=False,
-    ).encode("ascii")
+    return _ENCODE(obj).encode("ascii")
 
 
 def loads(data: bytes) -> object:
+    """Parsed JSON, or :class:`CodecError`.  What :func:`dumps` never
+    writes is refused (``NaN``, the infinities, a float that overflows
+    to one, a byte outside ASCII), and so is everything else the parser
+    can trip over: bad syntax (a ``ValueError``, as a bad byte is), an
+    integer past the interpreter's digit limit (``ValueError`` too),
+    nesting past its stack."""
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
+        return _DECODE(str(data, "ascii"))
+    except (ValueError, RecursionError) as exc:
         raise CodecError(f"malformed frame payload: {exc}") from exc
 
 
-def pack_frame(obj: object) -> bytes:
-    """Length-prefixed canonical frame: 4-byte big-endian size + payload."""
-    payload = dumps(obj)
+# ----------------------------------------------------------------------
+# frames
+# ----------------------------------------------------------------------
+def data_frame(src: int, seq: int, message: bytes) -> bytes:
+    """``{"k":"data","m":<message>,"seq":n,"src":i}`` around the bytes
+    :func:`encode_message` made — spliced in, not parsed: the keys are
+    already in sorted order, so the frame is canonical if they are."""
+    return b'{"k":"data","m":%b,"seq":%d,"src":%d}' % (message, seq, src)
+
+
+def ack_frame(src: int, cumulative: int) -> bytes:
+    return b'{"cum":%d,"k":"ack","src":%d}' % (cumulative, src)
+
+
+def hello_frame(src: int) -> bytes:
+    """The greeting a node opens every link it dials with."""
+    return b'{"k":"hello","src":%d,"v":%d}' % (src, WIRE_VERSION)
+
+
+def pack_frame(payload: bytes) -> bytes:
+    """Length-prefixed frame: 4-byte big-endian size + payload."""
     if len(payload) > MAX_FRAME_BYTES:
         raise CodecError(f"frame of {len(payload)} bytes exceeds the cap")
     return _LEN.pack(len(payload)) + payload
@@ -253,7 +424,3 @@ def decode_value(obj: object) -> object:
 def encode_value(obj: object) -> object:
     """Public wrapper: the tagged wire form of any supported value."""
     return _to_wire(obj)
-
-
-#: re-exported for callers that stream frames incrementally
-read_frame_size: Callable[[bytes], int] = unpack_length

@@ -3,7 +3,7 @@
 :class:`LoopbackCluster` wires N :class:`~repro.service.node.NodeCore`
 instances together through the *actual* service machinery — every
 message rides a :class:`~repro.service.channel.ServiceTransport`, is
-encoded to canonical frame JSON and back by :mod:`repro.service.codec`,
+encoded to canonical frame bytes and back by :mod:`repro.service.codec`,
 and is paced by retransmission timers — but frames travel over an
 in-process FIFO hub and timers fire from a shared deterministic
 :class:`~repro.service.runtime.StepClock`.  The result is the live
@@ -12,9 +12,12 @@ and wall time), which is exactly what the sim/live equivalence property
 test needs: same seeded workload, both substrates, same causal history
 verdict and same final stores.
 
-The hub also serializes every frame through ``codec.dumps``/``loads``
-before handing it to the receiving transport, so the codec sits in the
-data path here just as it does on a real wire.
+What a transport hands the hub is already the frame's bytes — the ones
+a socket would carry — and the hub parses them with ``codec.loads``
+before handing them to the receiving transport, so the codec sits in
+the data path here just as it does on a real wire.  Only the length
+prefix and the per-link hello, which belong to the TCP stream, are
+absent.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional
 from ..core.netpolicy import RetransmitPolicy
 from .bootstrap import ClusterTopology, build_placement
 from .channel import ServiceTransport
-from .codec import dumps, loads
+from .codec import loads
 from .node import NodeCore
 from .runtime import StepClock
 
@@ -58,7 +61,7 @@ class LoopbackCluster:
                 site,
                 topology.n_sites,
                 self.clock,
-                self._make_send_frame(site),
+                self._send_frame,
                 self._make_deliver(site),
                 policy=policy,
             )
@@ -77,12 +80,8 @@ class LoopbackCluster:
     # ------------------------------------------------------------------
     # the "wire": FIFO byte frames between transports
     # ------------------------------------------------------------------
-    def _make_send_frame(self, src: int):
-        def send_frame(dst: int, frame: dict) -> None:
-            # serialize NOW (sender-side state must not leak by reference)
-            self._queue.append((dst, dumps(frame)))
-
-        return send_frame
+    def _send_frame(self, dst: int, frame: bytes) -> None:
+        self._queue.append((dst, frame))
 
     def _make_deliver(self, site: int):
         def deliver(src: int, message: object) -> None:

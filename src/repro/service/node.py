@@ -26,7 +26,7 @@ the cores need no locks, exactly as in the simulator.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+from typing import Any, Optional
 
 from ..core.base import CausalProtocol, ProtocolContext, create_protocol
 from ..core.netpolicy import RetransmitPolicy
@@ -38,7 +38,7 @@ from ..verify.history import HistoryRecorder
 from .api import serve_http
 from .bootstrap import ClusterTopology, build_placement
 from .channel import ServiceTransport
-from .codec import CodecError, loads, pack_frame, unpack_length
+from .codec import CodecError, hello_frame, loads, pack_frame, unpack_length
 from .history import HistorySink
 from .runtime import AsyncioScheduler
 
@@ -85,6 +85,9 @@ class NodeCore:
         self.protocol_name = protocol
         self._op_counter = 0
         self.ops_completed = 0
+        self._held = frozenset(placement.vars_at(site))
+        #: peer messages dropped for naming a variable not held here
+        self.misaddressed = 0
 
     # ------------------------------------------------------------------
     def put(self, var: int, value: object) -> WriteId:
@@ -107,7 +110,14 @@ class NodeCore:
 
         self.protocol.read(var, _done, op_index=self._op_counter)
 
-    def on_message(self, src: int, message: object) -> None:
+    def on_message(self, src: int, message: Any) -> None:
+        """One message the channel delivered.  An update or a fetch is
+        about a variable held here; the wire format cannot know the
+        placement, so a peer's message about any other is dropped (and
+        counted) here, before a core indexes its store with it."""
+        if message.var not in self._held and not self.protocol._is_rm(message):
+            self.misaddressed += 1
+            return
         self.protocol.on_message(src, message)
 
     # ------------------------------------------------------------------
@@ -120,6 +130,7 @@ class NodeCore:
             "ops_completed": self.ops_completed,
             "pending_protocol": self.protocol.pending_count,
             "history_events": len(self.history),
+            "misaddressed": self.misaddressed,
         }
 
 
@@ -171,7 +182,7 @@ class ServiceNode:
     # ------------------------------------------------------------------
     # raw frame egress/ingress (the seam the reliable channel rides on)
     # ------------------------------------------------------------------
-    def _send_frame(self, dst: int, frame: dict) -> None:
+    def _send_frame(self, dst: int, frame: bytes) -> None:
         writer = self._writers.get(dst)
         if writer is None or writer.is_closing():
             # no link: drop and (re)dial; the channel timer re-covers it
@@ -210,7 +221,7 @@ class ServiceNode:
                 except OSError:
                     await asyncio.sleep(DIAL_RETRY_S)
                     continue
-                writer.write(pack_frame({"k": "hello", "src": self.site}))
+                writer.write(pack_frame(hello_frame(self.site)))
                 self._writers[dst] = writer
                 self.transport.on_link_up(dst)
                 return
@@ -228,15 +239,24 @@ class ServiceNode:
     async def _handle_peer(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        greeted = False  # the wire format is the link's: checked once
         try:
             while True:
                 prefix = await reader.readexactly(4)
                 payload = await reader.readexactly(unpack_length(prefix))
                 frame = loads(payload)
-                if isinstance(frame, dict):
+                if greeted:
                     self.transport.on_frame(frame)
-        except (asyncio.IncompleteReadError, ConnectionError, CodecError):
+                elif self.transport.accept_link(frame):
+                    greeted = True
+                else:
+                    return
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
+        except CodecError:
+            # a length past the cap or bytes that are not JSON: what
+            # follows on this stream cannot be framed, so the link goes
+            self.transport.malformed_frames += 1
         finally:
             writer.close()
 
@@ -269,6 +289,8 @@ class ServiceNode:
         out = self.core.status()
         out["pending_channel"] = self.transport.unacked_count()
         out["peer_links"] = sorted(self._writers)
+        out["malformed_frames"] = self.transport.malformed_frames
+        out["links_refused"] = self.transport.links_refused
         out["http_requests"] = self.http_requests
         out["http_connections"] = self.http_connections
         out["http_open"] = len(self.http_clients)

@@ -19,7 +19,7 @@ import pytest
 from repro.core.messages import FetchMessage
 from repro.core.netpolicy import OverloadError, RetransmitPolicy
 from repro.service.channel import ServiceTransport
-from repro.service.codec import dumps, loads
+from repro.service.codec import loads
 from repro.service.runtime import StepClock
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultDecision, FaultInjector, FaultPlan
@@ -116,21 +116,25 @@ class LiveDriver:
         self.got = {site: [] for site in range(n)}
         self.transports = [
             ServiceTransport(
-                site, n, self.clock, self._send_frame,
+                site, n, self.clock, self._make_send_frame(site),
                 lambda src, msg, site=site: self.got[site].append((src, msg)),
                 policy=policy)
             for site in range(n)
         ]
 
-    def _send_frame(self, dst, frame):
-        fate = self.injector.decide(frame["src"], dst, self.clock.now)
-        if fate.drop:
-            return
-        data = dumps(frame)  # what the wire carries is bytes, not references
-        for _ in range(1 + fate.duplicates):
-            self.clock.schedule(
-                self.latency() + fate.extra_delay_ms,
-                lambda: self.transports[dst].on_frame(loads(data)))
+    def _make_send_frame(self, src):
+        # the seam carries a frame's bytes, so the injector is told the
+        # sending site by the closure, not by parsing it out of the frame
+        def send_frame(dst, frame):
+            fate = self.injector.decide(src, dst, self.clock.now)
+            if fate.drop:
+                return
+            for _ in range(1 + fate.duplicates):
+                self.clock.schedule(
+                    self.latency() + fate.extra_delay_ms,
+                    lambda: self.transports[dst].on_frame(loads(frame)))
+
+        return send_frame
 
     @property
     def policy(self):
