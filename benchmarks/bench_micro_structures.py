@@ -35,14 +35,22 @@ def build_log(n_entries=80, n_sites=N, seed=0):
     return log
 
 
+def fresh_copy_of(log):
+    """``benchmark.pedantic`` setup for the benches that consume their
+    log: one ``copy()`` per round, made outside the timer (building the
+    log — 80 ``rng.choice`` calls — costs ~45x a merge, so it is built
+    once)."""
+    return lambda: ((log.copy(),), {})
+
+
 def test_micro_piggyback_views(benchmark):
     """One write's send path over an n=40-scale log: the per-destination
-    views plus building and pricing the SM each one rides on."""
-    log = build_log()
+    views (the walk that also strips the log) plus building and pricing
+    the SM each one rides on."""
     dests = frozenset(range(0, 12))  # p = 12 at n = 40
     wid = WriteId(0, 1)
 
-    def views_and_sizes():
+    def views_and_sizes(log):
         views, base = log.piggyback_views(dests)
         sizes = [
             OptTrackSM(var=0, value=1, write_id=wid,
@@ -51,7 +59,8 @@ def test_micro_piggyback_views(benchmark):
         ]
         return views, base, sizes
 
-    views, base, sizes = benchmark(views_and_sizes)
+    views, base, sizes = benchmark.pedantic(
+        views_and_sizes, setup=fresh_copy_of(build_log()), rounds=2_000)
     assert len(views) == len(sizes) == 12
     assert all(view.base is base for view in views.values())
 
@@ -64,12 +73,12 @@ def test_micro_log_merge(benchmark):
     )
     applied = np.zeros(N, dtype=np.int64)
 
-    def merge_into_fresh():
-        log = build_log()
+    def merge_into_fresh(log):
         log.merge(incoming, self_site=3, applied=applied)
         return len(log)
 
-    size = benchmark(merge_into_fresh)
+    size = benchmark.pedantic(
+        merge_into_fresh, setup=fresh_copy_of(build_log()), rounds=2_000)
     assert size > 0
 
 

@@ -50,9 +50,10 @@ _MUTATORS = frozenset(
     {"append", "add", "update", "extend", "insert", "pop", "remove",
      "discard", "clear", "sort", "reverse", "setdefault", "popitem",
      "increment", "merge",
-     # OptTrackLog / TupleLog in-place pruning API: these rewrite
-     # destination sets that may be aliased into in-flight piggybacks
-     "remove_dests", "purge", "reset"}
+     # OptTrackLog / TupleLog pruning API: these rewrite the log a
+     # piggyback may have been built from (``piggyback_views`` strips
+     # the log it walks — implicit condition 2)
+     "piggyback_views", "purge", "reset"}
 )
 
 #: calls whose result is a *fresh* top-level object (top-level copy),

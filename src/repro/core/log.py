@@ -20,7 +20,12 @@ destination sets of duplicate records — absence of a destination is
 record from the same writer; the newest record per writer is retained
 even when empty, because its presence lets later merges strip stale
 destinations carried by other sites), and the per-destination piggyback
-views used at multicast time.
+views used at multicast time.  It holds one frozen
+:class:`PiggybackEntry` per write — the form a record is shipped in is
+the form it is stored in, a shrink replaces the record and nothing ever
+mutates one — and a write walks it once: ``piggyback_views`` applies
+condition 2 to the log as it builds the views, so the stripped record
+that ships is the record that stays.
 
 :class:`TupleLog` is the degenerate full-replication log of
 Opt-Track-CRP: at most one ``<j, clock_j>`` 2-tuple per writer, reset to
@@ -214,21 +219,30 @@ class PiggybackView:
 class OptTrackLog:
     """The KS-style local log of a site running Opt-Track.
 
+    One immutable :class:`PiggybackEntry` per ``(writer, clock)`` in one
+    insertion-ordered dict: the record a multicast ships *is* the record
+    the log stores.  A destination set only ever shrinks (merge
+    intersection, the two implicit conditions) and a shrink *replaces*
+    the record — in its dict slot, so :meth:`dest_counts` stays in
+    first-insertion order — which means a record that already left in a
+    piggyback or sits in a ``LastWriteOn`` snapshot cannot change under
+    its holder.  A record first learned in a merge is stored as the
+    incoming object itself.
+
     Pruning bookkeeping is incremental: the newest clock per writer and
-    the set of present-but-empty records are maintained at mutation time
-    (each mutation can only *shrink* a destination set, so emptiness is
-    detected exactly where it happens), which turns PURGE from two full
-    log scans into a dict walk plus an O(#empty) candidate check — the
-    log is mutated on every write and every merge-on-read, so this is
-    squarely on the hot path (docs/architecture.md).
+    the set of present-but-empty records are maintained where a shrink
+    happens, which turns PURGE from two full log scans into a dict walk
+    plus an O(#empty) candidate check — the log is touched on every
+    write and every merge-on-read, so this is squarely on the hot path
+    (docs/architecture.md).
     """
 
-    __slots__ = ("_entries", "_emptied", "_newest", "_empty_keys", "_sorted",
-                 "_frozen", "purged_records")
+    __slots__ = ("_records", "_emptied", "_newest", "_empty_keys", "_order",
+                 "_order_stale", "purged_records")
 
     def __init__(self, entries: Optional[Iterable[PiggybackEntry]] = None) -> None:
-        # (writer, clock) -> mutable destination set
-        self._entries: dict[tuple[int, int], set[int]] = {}
+        # (writer, clock) -> the one record, in first-insertion order
+        self._records: dict[tuple[int, int], PiggybackEntry] = {}
         # Tombstones: records whose destination set this site once proved
         # empty.  "Every destination of this write is covered" is
         # permanent knowledge (destinations only ever leave a record via
@@ -247,63 +261,55 @@ class OptTrackLog:
         # candidates.  A dict (not a set) so iteration order is the
         # deterministic order emptiness was discovered in.
         self._empty_keys: dict[tuple[int, int], None] = {}
-        # cached sorted (key, destination-set) pairs; None = invalidated
-        # by a key change.  Pairs, not keys: iteration sites dominate the
-        # multicast hot path and the pair saves a dict lookup per record
-        # (the sets are aliases, so in-place dest mutations stay visible)
-        self._sorted: Optional[list[tuple[tuple[int, int], set[int]]]] = None
-        # interned frozen view per record, dropped whenever that record's
-        # destination set shrinks — most records are untouched between
-        # multicasts, so piggyback views and snapshots share one
-        # PiggybackEntry per record instead of re-freezing each time
-        self._frozen: dict[tuple[int, int], PiggybackEntry] = {}
-        # lifetime count of records deleted by purge() — an always-on
+        # every present key, (writer, clock)-sorted — except that while
+        # ``_order_stale`` the sorted run may still name records dropped
+        # since, and the keys learned since follow it: filtered and
+        # sorted lazily (Timsort on a run plus a short tail), once per
+        # walk rather than once per drop
+        self._order: list[tuple[int, int]] = []
+        self._order_stale = False
+        # lifetime count of superseded ∅-records deleted — an always-on
         # int (the purge path is rare); sampled by the metrics registry
         self.purged_records = 0
         if entries is not None:
             for e in entries:
                 self.insert(e.writer, e.clock, e.dests)
 
-    def _sorted_items(self) -> list[tuple[tuple[int, int], set[int]]]:
-        items = self._sorted
-        if items is None:
-            entries = self._entries
-            items = self._sorted = [(k, entries[k]) for k in sorted(entries)]
-        return items
+    def _sorted_keys(self) -> list[tuple[int, int]]:
+        if self._order_stale:
+            records = self._records
+            self._order = sorted([k for k in self._order if k in records])
+            self._order_stale = False
+        return self._order
 
     # ------------------------------------------------------------------
     # basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._records)
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._entries
+        return key in self._records
 
     def dests_of(self, writer: int, clock: int) -> frozenset[int]:
         """Remaining destination set recorded for one write (KeyError if absent)."""
-        return frozenset(self._entries[(writer, clock)])
+        return self._records[(writer, clock)].dests
 
     def entries(self) -> Iterator[PiggybackEntry]:
         """Iterate records in deterministic (writer, clock) order."""
-        frozen = self._frozen
-        for key, rec in self._sorted_items():
-            e = frozen.get(key)
-            if e is None:
-                e = frozen[key] = PiggybackEntry(key[0], key[1], frozenset(rec))
-            yield e
+        return map(self._records.__getitem__, self._sorted_keys())
 
     def requirements_for(self, target: int) -> tuple[tuple[int, int], ...]:
         """``(writer, clock)`` of every record still naming ``target``,
-        in deterministic order — the fetch-requirement hot path, spared
-        the frozenset-per-record cost of :meth:`entries`."""
-        return tuple(
-            key for key, rec in self._sorted_items() if target in rec
-        )
+        in deterministic order — the fetch-requirement hot path, which
+        sorts its few hits rather than the log."""
+        return tuple(sorted(
+            [key for key, e in self._records.items() if target in e.dests]
+        ))
 
     def dest_counts(self) -> list[int]:
         """Destination-list length per record (feeds the size model)."""
-        return [len(d) for d in self._entries.values()]
+        return [len(e.dests) for e in self._records.values()]
 
     def max_clock(self, writer: int) -> int:
         """Highest clock recorded for ``writer`` (0 when none)."""
@@ -319,41 +325,48 @@ class OptTrackLog:
         record only ever *loses* destinations as redundancy is learned,
         so the combined knowledge is the intersection.
         """
-        key = (writer, clock)
-        if key in self._emptied:
-            return  # intersection with the remembered ∅-record
-        rec = self._entries.get(key)
-        if rec is not None:
-            if rec:
-                before = len(rec)
-                rec.intersection_update(dests)
-                if len(rec) != before:
-                    self._frozen.pop(key, None)
-                    if not rec:
-                        self._empty_keys[key] = None
-        else:
-            rec = set(dests)
-            self._entries[key] = rec
-            self._sorted = None
-            if clock > self._newest.get(writer, 0):
-                self._newest[writer] = clock
-            if not rec:
-                self._empty_keys[key] = None
+        self._absorb((PiggybackEntry(writer, clock, frozenset(dests)),))
 
-    def remove_dests(self, dests: Iterable[int]) -> None:
-        """Implicit condition 2 at multicast time: strip the new write's
-        destinations from every stored record."""
-        ds = set(dests)
-        if not ds:
-            return
+    def _absorb(self, incoming: Iterable[PiggybackEntry]) -> None:
+        """MERGE without the PURGE: union of records, intersection of a
+        duplicate's destination sets."""
+        emptied = self._emptied
+        records = self._records
+        newest = self._newest
         empty = self._empty_keys
-        frozen = self._frozen
-        for key, rec in self._entries.items():
-            if rec and not ds.isdisjoint(rec):
-                rec -= ds
-                frozen.pop(key, None)
-                if not rec:
+        order = self._order
+        for e in incoming:
+            writer = e.writer
+            clock = e.clock
+            key = (writer, clock)
+            if key in emptied:
+                continue  # intersection with the remembered ∅-record
+            mine = records.get(key)
+            if mine is None:
+                dests = e.dests
+                if dests.__class__ is not frozenset:
+                    e = PiggybackEntry(writer, clock, frozenset(dests))
+                records[key] = e
+                order.append(key)
+                self._order_stale = True
+                if clock > newest.get(writer, 0):
+                    newest[writer] = clock
+                if not dests:
                     empty[key] = None
+            elif mine is not e and not mine.dests <= e.dests:
+                kept = mine.dests.intersection(e.dests)
+                records[key] = PiggybackEntry(writer, clock, kept)
+                if not kept:
+                    empty[key] = None
+
+    def _drop(self, stale: Sequence[tuple[int, int]]) -> None:
+        """Delete superseded ∅-records, leaving a tombstone for each."""
+        records = self._records
+        for key in stale:
+            del records[key]
+        self._emptied.update(stale)
+        self.purged_records += len(stale)
+        self._order_stale = True
 
     def purge(self, *, self_site: Optional[int] = None,
               applied: Optional[Mapping[int, int] | Sequence[int]] = None) -> None:
@@ -369,23 +382,21 @@ class OptTrackLog:
         """
         empty = self._empty_keys
         if self_site is not None and applied is not None:
-            frozen = self._frozen
-            for key, rec in self._entries.items():
-                if self_site in rec and applied[key[0]] >= key[1]:
-                    rec.discard(self_site)
-                    frozen.pop(key, None)
-                    if not rec:
+            records = self._records
+            for e in [e for e in records.values() if self_site in e.dests]:
+                if applied[e.writer] >= e.clock:
+                    key = (e.writer, e.clock)
+                    kept = e.dests.difference((self_site,))
+                    records[key] = PiggybackEntry(e.writer, e.clock, kept)
+                    if not kept:
                         empty[key] = None
         if empty:
             newest = self._newest
             stale = [key for key in empty if newest[key[0]] > key[1]]
-            self.purged_records += len(stale)
-            for key in stale:
-                del self._entries[key]
-                del empty[key]
-                self._frozen.pop(key, None)
-                self._emptied.add(key)
-                self._sorted = None
+            if stale:
+                for key in stale:
+                    del empty[key]
+                self._drop(stale)
 
     # ------------------------------------------------------------------
     # protocol operations
@@ -393,7 +404,8 @@ class OptTrackLog:
     def piggyback_views(
         self, write_dests: frozenset[int]
     ) -> tuple[dict[int, PiggybackView], tuple[PiggybackEntry, ...]]:
-        """All per-destination piggyback views for one multicast, at once.
+        """All per-destination piggyback views for one multicast, at once
+        — applying implicit condition 2 to the log in the same walk.
 
         Semantically destination d receives the log with ``write_dests -
         {d}`` stripped from every record (implicit condition 2 — the new
@@ -414,41 +426,53 @@ class OptTrackLog:
         which travels even when empty so receivers can intersect away
         their own stale destination knowledge for it.
 
+        The sender's own log owes the multicast the same strip ("d in
+        ``write_dests`` is a destination of m" is useless in the causal
+        future of the send), so the stripped record that ships replaces
+        the stored one, and a dead record is dropped and tombstoned on
+        the spot — as the PURGE after the write's own insert would.
+
         Returns ``(views, stripped)`` where ``stripped`` is the shared
-        fully-stripped log — ``views[d].base`` for every d, and exactly
-        the log to store alongside a local apply.
+        fully-stripped log — ``views[d].base`` for every d, exactly the
+        log to store alongside a local apply, and record for record the
+        log this call leaves behind.
         """
+        records = self._records
         newest = self._newest
-        frozen = self._frozen
+        empty = self._empty_keys
         stripped: list[PiggybackEntry] = []
         append = stripped.append
         base_dests = 0
         dest_order = sorted(write_dests)
         regain: dict[int, list[int]] = {d: [] for d in dest_order}
         extra: dict[int, list[tuple[int, int]]] = {d: [] for d in dest_order}
-        for key, rec in self._sorted_items():
-            if write_dests.isdisjoint(rec):
+        dead: list[tuple[int, int]] = []
+        for key in self._sorted_keys():
+            e = records[key]
+            dests = e.dests
+            if write_dests.isdisjoint(dests):
                 # common case: record untouched by the stripping — ship
-                # the interned frozen view, no destination regains it
-                e = frozen.get(key)
-                if e is None:
-                    e = frozen[key] = PiggybackEntry(
-                        key[0], key[1], frozenset(rec)
-                    )
+                # the stored record, no destination regains it
                 append(e)
-                base_dests += len(rec)
+                base_dests += len(dests)
                 continue
-            kept = rec - write_dests
+            kept = dests - write_dests
             if not kept and newest[key[0]] != key[1]:
                 # dead unless some destination in write_dests still needs
                 # it — those copies carry it as an extra gate
-                for d in sorted(rec):  # rec == rec & write_dests here
+                for d in sorted(dests):  # dests <= write_dests here
                     extra[d].append(key)
+                dead.append(key)
                 continue
-            for d in sorted(rec & write_dests):
+            for d in sorted(dests & write_dests):
                 regain[d].append(len(stripped))
-            append(PiggybackEntry(key[0], key[1], frozenset(kept)))
+            e = records[key] = PiggybackEntry(key[0], key[1], kept)
+            if not kept:
+                empty[key] = None
+            append(e)
             base_dests += len(kept)
+        if dead:
+            self._drop(dead)
         base = tuple(stripped)
         views = {
             d: PiggybackView(base, base_dests, d,
@@ -470,35 +494,7 @@ class OptTrackLog:
         that travelled with the value join the reader's causal past
         (this is where the ->co tracking happens — *not* at receipt).
         """
-        # inlined insert(): merge runs once per read return with tens of
-        # records, so the per-record method dispatch is worth hoisting
-        emptied = self._emptied
-        entries = self._entries
-        newest = self._newest
-        empty = self._empty_keys
-        frozen = self._frozen
-        for e in incoming:
-            writer = e.writer
-            clock = e.clock
-            key = (writer, clock)
-            if key in emptied:
-                continue
-            rec = entries.get(key)
-            if rec is not None:
-                if rec:
-                    before = len(rec)
-                    rec.intersection_update(e.dests)
-                    if len(rec) != before:
-                        frozen.pop(key, None)
-                        if not rec:
-                            empty[key] = None
-            else:
-                entries[key] = rec = set(e.dests)
-                self._sorted = None
-                if clock > newest.get(writer, 0):
-                    newest[writer] = clock
-                if not rec:
-                    empty[key] = None
+        self._absorb(incoming)
         self.purge(self_site=self_site, applied=applied)
 
     def snapshot(self) -> tuple[PiggybackEntry, ...]:
@@ -506,23 +502,25 @@ class OptTrackLog:
         return tuple(self.entries())
 
     def copy(self) -> "OptTrackLog":
-        """Deep copy, tombstones included.
+        """Independent copy, tombstones included (the records themselves
+        are immutable and shared).
 
         Crash-recovery checkpoints restore from copies; losing the
         ∅-record tombstones would let stale LastWriteOn snapshots
         re-infect the log after a rejoin.
         """
         new = OptTrackLog()
-        new._entries = {key: set(dests) for key, dests in self._entries.items()}
+        new._records = dict(self._records)
         new._emptied = set(self._emptied)
         new._newest = dict(self._newest)
         new._empty_keys = dict(self._empty_keys)
-        new._frozen = dict(self._frozen)  # immutable values; still valid
+        new._order = list(self._order)
+        new._order_stale = self._order_stale
         new.purged_records = self.purged_records
         return new
 
     def __repr__(self) -> str:
-        return f"OptTrackLog({len(self._entries)} entries)"
+        return f"OptTrackLog({len(self._records)} entries)"
 
 
 class TupleLog:

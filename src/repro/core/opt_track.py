@@ -91,7 +91,8 @@ class OptTrackProtocol(CausalProtocol):
         # Per-destination piggyback views are computed against the
         # pre-write log; each copy keeps its own receiver in the
         # destination lists and drops the other co-destinations
-        # (implicit condition 2).  The fully stripped shared view is also
+        # (implicit condition 2).  The same walk strips the local log:
+        # the fully stripped shared view is what the log keeps, and also
         # the log stored alongside a local apply.
         if self.prune_on_send:
             views, stored_log = self.log.piggyback_views(dests)
@@ -112,11 +113,8 @@ class OptTrackProtocol(CausalProtocol):
         # placement.replicas() is exactly sorted(dests), pre-sorted
         self._multicast(ctx.placement.replicas(var), make_sm, MessageKind.SM)
 
-        # Local log update: strip the new write's destinations from every
-        # record (condition 2), add the record for the new write itself
+        # Local log update: add the record for the new write itself
         # (excluding self: applying locally is immediate), then purge.
-        if self.prune_on_send:
-            self.log.remove_dests(dests)
         self.log.insert(self.site, self.clock, dests - self._me_set)
         self.log.purge(self_site=self.site, applied=self.applied)
         ctx.collector.record_log_size(len(self.log))

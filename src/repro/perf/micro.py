@@ -60,8 +60,18 @@ def _build_log(n_entries: int = 80, n_sites: int = N, seed: int = 0) -> OptTrack
     return log
 
 
+def _log_copies(iters: int) -> list[OptTrackLog]:
+    """One 80-record log per iteration, for the benches that consume
+    theirs.  The log is built once (its 80 ``rng.choice`` calls cost
+    ~45x a merge) and copied; :func:`run_micro` calls this outside the
+    timer."""
+    template = _build_log()
+    return [template.copy() for _ in range(iters)]
+
+
 # ----------------------------------------------------------------------
-# bench bodies: each takes an iteration count and returns ops executed
+# bench bodies: each takes an iteration count (or, if it is listed in
+# ``_UNTIMED_INPUTS``, what that built from it) and returns ops executed
 # ----------------------------------------------------------------------
 def _bench_engine_dispatch(iters: int) -> int:
     """Kernel schedule + pop + no-op callback — the per-event floor."""
@@ -94,31 +104,31 @@ def _bench_engine_cancel_churn(iters: int) -> int:
     return iters
 
 
-def _bench_piggyback_views(iters: int) -> int:
+def _bench_piggyback_views(logs: list[OptTrackLog]) -> int:
     """One write's send path (p = 12 at n = 40): the per-destination
-    piggyback views plus building and pricing the SM each one rides on."""
-    log = _build_log()
+    piggyback views — the walk that also strips the log, so every
+    iteration gets its own — plus building and pricing the SM each one
+    rides on."""
     dests = frozenset(range(0, 12))
     wid = WriteId(0, 1)
-    for _ in range(iters):
+    for log in logs:
         views, _base = log.piggyback_views(dests)
         for view in views.values():
             OptTrackSM(var=0, value=1, write_id=wid,
                        log=view).metadata_size(DEFAULT_SIZE_MODEL)
-    return iters
+    return len(logs)
 
 
-def _bench_log_merge(iters: int) -> int:
+def _bench_log_merge(logs: list[OptTrackLog]) -> int:
     """Read-time MERGE of a typical piggybacked log into a fresh log."""
     incoming = tuple(
         PiggybackEntry(int(j % N), int(100 + j), frozenset({int(j % 7)}))
         for j in range(40)
     )
     applied = np.zeros(N, dtype=np.int64)
-    for _ in range(iters):
-        log = _build_log()
+    for log in logs:
         log.merge(incoming, self_site=3, applied=applied)
-    return iters
+    return len(logs)
 
 
 def _bench_activation_opt_track(iters: int) -> int:
@@ -194,7 +204,7 @@ def _bench_codec_roundtrip(iters: int) -> int:
 
 
 #: name -> (bench body, full-mode iterations, quick-mode iterations)
-MICRO_BENCHES: dict[str, tuple[Callable[[int], int], int, int]] = {
+MICRO_BENCHES: dict[str, tuple[Callable[[Any], int], int, int]] = {
     "engine_dispatch": (_bench_engine_dispatch, 120_000, 20_000),
     "engine_cancel_churn": (_bench_engine_cancel_churn, 120_000, 20_000),
     "piggyback_views": (_bench_piggyback_views, 2_000, 300),
@@ -206,6 +216,14 @@ MICRO_BENCHES: dict[str, tuple[Callable[[int], int], int, int]] = {
     "message_sizing": (_bench_message_sizing, 20_000, 3_000),
     "matrix_snapshot": (_bench_matrix_snapshot, 100_000, 15_000),
     "codec_roundtrip": (_bench_codec_roundtrip, 3_000, 500),
+}
+
+#: benches whose body consumes its input: name -> builder of the
+#: per-iteration inputs, run before the clock starts and handed to the
+#: body in place of the iteration count
+_UNTIMED_INPUTS: dict[str, Callable[[int], Any]] = {
+    "piggyback_views": _log_copies,
+    "log_merge": _log_copies,
 }
 
 
@@ -223,11 +241,13 @@ def run_micro(*, quick: bool = False, repeats: int = 5) -> dict:
     benches: dict[str, dict] = {}
     for name, (body, full_iters, quick_iters) in MICRO_BENCHES.items():
         iters = quick_iters if quick else full_iters
+        prepare = _UNTIMED_INPUTS.get(name)
         best = float("inf")
         ops = iters
         for _ in range(repeats):
+            arg = iters if prepare is None else prepare(iters)
             t0 = time.perf_counter()  # simcheck: ignore[SIM001] -- benchmark harness
-            ops = body(iters)
+            ops = body(arg)
             wall = time.perf_counter() - t0  # simcheck: ignore[SIM001] -- benchmark harness
             if wall < best:
                 best = wall

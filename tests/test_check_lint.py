@@ -250,12 +250,13 @@ class TestMutateAfterSend:
         assert findings == []
 
     def test_log_pruning_mutators_flagged(self, tmp_path):
-        # the OptTrackLog/TupleLog in-place pruning API mutates
-        # destination sets that piggybacks may alias
+        # the OptTrackLog/TupleLog pruning API rewrites the log a
+        # piggyback may alias; building the next write's views is one
+        # of them (it strips the log it walks)
         findings = run_lint(tmp_path, "repro/core/fx.py", """
             def f(self, dst, log):
                 self._send(dst, SomeSM(log=log))
-                log.remove_dests({dst})
+                log.piggyback_views(frozenset({dst}))
                 log.purge()
                 log.reset(0, 1)
         """, codes=["SIM005"])

@@ -1,5 +1,5 @@
-"""CI self-test: a gate whose output is piped into ``tee`` must be able
-to fail.
+"""CI self-tests: a gate whose output is piped into ``tee`` must be able
+to fail, and the benchmark's by-name log counters must be checked.
 
 GitHub runs a step with no explicit shell as ``bash -e`` — no
 ``pipefail`` — so ``gate | tee log`` exits with tee's status and the
@@ -7,6 +7,9 @@ gate is decorative.  An explicit ``shell: bash`` (on the step, the job's
 or the workflow's ``defaults.run``) runs ``bash -eo pipefail``.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -70,3 +73,38 @@ def test_committed_workflow_gates_can_fail():
                  for step in job["steps"] if "| tee" in step.get("run", "")]
     assert len(tee_steps) >= 7  # the gates this test exists to protect
     assert unguarded_tee_steps(workflow) == []
+
+
+def test_bench_smoke_fails_on_a_zeroed_log_counter(tmp_path):
+    # bench/metrics.py attributes these two by function name in
+    # core/log.py; a rename zeroes them without failing anything else.
+    # Run the step's own script on made-up results.
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    (step,) = [step["run"] for step in workflow["jobs"]["bench-smoke"]["steps"]
+               if "core.log.merge_calls" in step.get("run", "")]
+    script = step.split("<<'EOF'\n")[1].split("\nEOF")[0]
+    counted = ("core.log.piggyback_views_calls", "core.log.merge_calls")
+    limited = ("service.channel.msgs_sent", "service.api.connections_per_op",
+               "service.api.non200", "service.node.close_errors",
+               "service.codec.dumps_calls", "service.channel.retransmissions")
+    results = {
+        name: {"per_layer": {**{m: [0] for m in limited},
+                             **{m: [7] for m in counted}}}
+        for name in ("sim_opt_track_n40", "live_mixed", "live_owner_writes")
+    }
+    out = tmp_path / "bench-smoke" / "results.json"
+    out.parent.mkdir()
+
+    def run_step():
+        out.write_text(json.dumps(results))
+        return subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    assert run_step().returncode == 0
+    for name in results:
+        for metric in counted:
+            results[name]["per_layer"][metric] = [0]
+            failed = run_step()
+            assert failed.returncode != 0
+            assert f"{name}: {metric} = 0" in failed.stderr
+            results[name]["per_layer"][metric] = [7]

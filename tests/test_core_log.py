@@ -45,19 +45,57 @@ class TestInsertAndMergeRules:
 
 
 class TestConditionTwoAtSend:
-    def test_remove_dests_strips_everywhere(self):
+    """``piggyback_views`` strips the sender's own log in the same walk
+    that builds the views (there is no separate ``remove_dests``)."""
+
+    def test_piggyback_views_strips_the_stored_log(self):
         log = OptTrackLog()
         log.insert(0, 1, {1, 2})
         log.insert(1, 4, {2, 3})
-        log.remove_dests({2})
+        _, base = log.piggyback_views(frozenset({2}))
         assert log.dests_of(0, 1) == {1}
         assert log.dests_of(1, 4) == {3}
+        # the stripped record that ships is the record the log keeps
+        assert log.snapshot() == base
+        assert all(kept is shipped for kept, shipped in zip(log.entries(), base))
 
-    def test_remove_dests_empty_set_noop(self):
+    def test_empty_write_dests_leave_the_log_alone(self):
         log = OptTrackLog()
         log.insert(0, 1, {1})
-        log.remove_dests(set())
+        before = log.snapshot()
+        views, base = log.piggyback_views(frozenset())
+        assert views == {} and base == before
         assert log.dests_of(0, 1) == {1}
+        assert all(a is b for a, b in zip(log.entries(), before))
+
+    def test_dead_record_dropped_and_tombstoned_on_the_spot(self):
+        log = OptTrackLog()
+        log.insert(0, 1, {2})  # dies under the strip, superseded by (0, 9)
+        log.insert(0, 9, {7})
+        log.insert(4, 7, {2})  # empties too, but is writer 4's newest
+        views, base = log.piggyback_views(frozenset({2, 3}))
+        assert views[2].extra == ((0, 1),)
+        assert (0, 1) not in log and log.purged_records == 1
+        log.insert(0, 1, {2})  # tombstoned: cannot return
+        assert [(e.writer, e.clock, set(e.dests)) for e in log.entries()] == [
+            (0, 9, {7}), (4, 7, set())]
+        # the kept ∅-marker is a purge candidate once superseded
+        log.insert(4, 8, {5})
+        log.purge()
+        assert (4, 7) not in log and log.purged_records == 2
+
+    def test_replaced_record_keeps_its_slot(self):
+        # dest_counts() feeds an order-dependent running stat: a shrink
+        # must not move the record to the end of the insertion order
+        log = OptTrackLog()
+        log.insert(5, 1, {1, 2, 3})
+        log.insert(0, 1, {4})
+        log.insert(3, 1, {2, 6})
+        log.piggyback_views(frozenset({2}))
+        assert log.dest_counts() == [2, 1, 1]
+        log.merge([entry(5, 1, 3)])
+        log.purge(self_site=6, applied=[0, 0, 0, 1])
+        assert log.dest_counts() == [1, 1, 0]
 
 
 class TestPurge:
@@ -93,8 +131,8 @@ class TestTombstones:
         log = OptTrackLog()
         log.insert(0, 1, {2})
         log.insert(0, 2, {3})
-        log.remove_dests({2})
-        log.purge()  # (0,1) now empty and superseded -> tombstoned
+        log.piggyback_views(frozenset({2}))
+        # (0,1) now empty and superseded -> tombstoned
         assert (0, 1) not in log
         log.insert(0, 1, {2, 4})  # stale re-import from an old LastWriteOn
         assert (0, 1) not in log
@@ -103,8 +141,7 @@ class TestTombstones:
         log = OptTrackLog()
         log.insert(0, 1, {2})
         log.insert(0, 2, {3})
-        log.remove_dests({2})
-        log.purge()
+        log.piggyback_views(frozenset({2}))
         log.merge([entry(0, 1, 2)])
         assert (0, 1) not in log
 
@@ -112,8 +149,7 @@ class TestTombstones:
         log = OptTrackLog()
         log.insert(0, 1, {2})
         log.insert(0, 2, {3})
-        log.remove_dests({2})
-        log.purge()
+        log.piggyback_views(frozenset({2}))
         assert len(log) == 1
 
 
@@ -176,6 +212,67 @@ class TestPiggybackViews:
         assert views[1] != base and views[1].stored(1) is base
 
 
+class TestOneRecordStore:
+    """The shipping form is the store: records are replaced, never
+    mutated, so nothing already shipped can change under its holder."""
+
+    def test_shipped_tuple_survives_later_shrinks(self):
+        from repro.check.sanitizer import fingerprint
+
+        log = OptTrackLog()
+        log.insert(0, 1, {1, 2, 3})
+        log.insert(0, 2, {3})
+        log.insert(1, 1, {2, 4})
+        log.insert(2, 5, {3, 4})
+        views, base = log.piggyback_views(frozenset({1}))
+        snap = log.snapshot()
+        shipped = {"base": base, "snap": snap, "flat": tuple(views[1])}
+        before = {name: (tuple(t), [e.dests for e in t], fingerprint(t))
+                  for name, t in shipped.items()}
+        view_print = fingerprint(views[1])
+        # every way the log shrinks: a later write's strip (which also
+        # kills (0, 1)), a merge intersection, condition 1, a purge
+        log.piggyback_views(frozenset({2, 3}))
+        log.merge([entry(2, 5, 3), entry(1, 1)], self_site=4,
+                  applied=[0, 0, 9])
+        log.insert(1, 2, {6})
+        log.purge()
+        assert log.snapshot() == (entry(0, 2), entry(1, 2, 6), entry(2, 5))
+        for name, t in shipped.items():
+            records, dests, digest = before[name]
+            assert all(a is b for a, b in zip(t, records))  # same objects
+            assert [e.dests for e in t] == dests
+            assert fingerprint(t) == digest
+        assert fingerprint(views[1]) == view_print
+
+    def test_record_learned_in_merge_is_the_incoming_object(self):
+        log = OptTrackLog()
+        incoming = entry(3, 1, 4, 5)
+        log.merge([incoming])
+        assert next(log.entries()) is incoming
+        assert log.snapshot()[0] is incoming
+        views, base = log.piggyback_views(frozenset({9}))
+        assert base[0] is incoming  # shipped on untouched, no re-freeze
+
+    def test_record_with_unfrozen_dests_is_stored_frozen(self):
+        log = OptTrackLog()
+        dests = {4, 5}
+        incoming = PiggybackEntry(3, 1, dests)
+        log.merge([incoming])
+        (stored,) = log.entries()
+        assert stored is not incoming and stored == entry(3, 1, 4, 5)
+        assert type(stored.dests) is frozenset
+        dests.discard(4)  # the caller's set is not aliased into the log
+        assert log.dests_of(3, 1) == {4, 5}
+
+    def test_duplicate_with_nothing_new_keeps_the_stored_object(self):
+        log = OptTrackLog()
+        first = entry(3, 1, 4)
+        log.merge([first])
+        log.merge([entry(3, 1, 4, 5), entry(3, 1, 4)])
+        assert next(log.entries()) is first
+
+
 class TestLogMisc:
     def test_entries_sorted(self):
         log = OptTrackLog()
@@ -197,9 +294,30 @@ class TestLogMisc:
         log.insert(0, 1, {1})
         snap = log.snapshot()
         copy = log.copy()
-        log.remove_dests({1})
+        log.piggyback_views(frozenset({1}))
+        assert log.dests_of(0, 1) == set()
         assert snap[0].dests == {1}
         assert copy.dests_of(0, 1) == {1}
+
+    def test_copy_round_trips_tombstones_and_order(self):
+        log = OptTrackLog()
+        log.insert(3, 1, {1, 2})
+        log.insert(0, 1, {2})
+        log.insert(0, 2, {5})
+        log.piggyback_views(frozenset({2}))  # tombstones (0, 1)
+        log.insert(1, 1, set())  # learned after the last sort
+        copy = log.copy()
+        assert copy.snapshot() == log.snapshot()
+        assert copy.dest_counts() == log.dest_counts() == [1, 1, 0]
+        assert copy.purged_records == log.purged_records == 1
+        copy.insert(0, 1, {2})
+        assert (0, 1) not in copy  # the tombstone came along
+        # and the two are independent from here on
+        copy.insert(1, 2, {4})
+        copy.purge()
+        assert (1, 1) in log and (1, 1) not in copy
+        assert [(e.writer, e.clock) for e in log.entries()] == [
+            (0, 2), (1, 1), (3, 1)]
 
     def test_dest_counts(self):
         log = OptTrackLog()

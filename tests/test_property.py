@@ -148,17 +148,19 @@ entries_strategy = st.lists(
 ).map(lambda raw: [PiggybackEntry(j, c, d) for j, c, d in raw])
 
 
-def _reference_copy(log, write_dests, d):
+def _reference_copy(pre_write, write_dests, d):
     """The copy of a multicast to ``write_dests`` that travels to ``d``,
-    built record by record: strip the co-destinations ``write_dests -
-    {d}``; a record the stripping kills (empty everywhere, not its
-    writer's newest) rides only on the copies of the destinations it
-    named, after the live records."""
+    built record by record from the ``pre_write`` snapshot of the log:
+    strip the co-destinations ``write_dests - {d}``; a record the
+    stripping kills (empty everywhere, not its writer's newest) rides
+    only on the copies of the destinations it named, after the live
+    records.  ``d=None`` is the copy no receiver regains anything in:
+    the shared base."""
     newest = {}
-    for e in log.entries():
+    for e in pre_write:
         newest[e.writer] = max(newest.get(e.writer, 0), e.clock)
     live, dead = [], []
-    for e in log.entries():
+    for e in pre_write:
         shipped = PiggybackEntry(e.writer, e.clock,
                                  e.dests - (write_dests - {d}))
         killed = (e.dests & write_dests and not e.dests - write_dests
@@ -168,6 +170,59 @@ def _reference_copy(log, write_dests, d):
         elif d in e.dests:
             dead.append(shipped)
     return tuple(live + dead)
+
+
+class _TwoPassLog:
+    """Reference for the single-pass write: the store as it was before
+    the log kept one frozen record per write — a mutable set per record,
+    implicit condition 2 as its own pass after the views are built, and
+    a PURGE that finds the empty records by scanning."""
+
+    def __init__(self):
+        self.records = {}  # insertion-ordered, like the log's
+        self.tombstones = set()
+        self.purged = 0
+
+    def insert(self, writer, clock, dests):
+        key = (writer, clock)
+        if key in self.tombstones:
+            return
+        if key in self.records:
+            self.records[key] &= set(dests)
+        else:
+            self.records[key] = set(dests)
+
+    def remove_dests(self, write_dests):
+        for rec in self.records.values():
+            rec -= write_dests
+
+    def purge(self, self_site, applied):
+        for (writer, clock), rec in self.records.items():
+            if applied[writer] >= clock:
+                rec.discard(self_site)
+        newest = {}
+        for writer, clock in self.records:
+            newest[writer] = max(newest.get(writer, 0), clock)
+        for key in [k for k, rec in self.records.items()
+                    if not rec and newest[k[0]] > k[1]]:
+            del self.records[key]
+            self.tombstones.add(key)
+            self.purged += 1
+
+    def entries(self):
+        return tuple(PiggybackEntry(j, c, frozenset(self.records[j, c]))
+                     for j, c in sorted(self.records))
+
+    def dest_counts(self):
+        return [len(rec) for rec in self.records.values()]
+
+
+def _assert_same_log(log, ref):
+    assert log.snapshot() == ref.entries()
+    assert log._emptied == ref.tombstones
+    assert log.purged_records == ref.purged
+    assert log.dest_counts() == ref.dest_counts()  # first-insertion order
+    assert len(log) == len(ref.records)
 
 
 def _gating_pairs(view):
@@ -183,10 +238,11 @@ class TestLogProperties:
         # for every destination d: any record naming d in the original
         # log must still name d in the copy shipped to d
         log = OptTrackLog(entries)
+        original = log.snapshot()  # the call strips the log itself
         views, _ = log.piggyback_views(dests)
         for d in dests:
             shipped = {(e.writer, e.clock): e.dests for e in views[d]}
-            for e in log.entries():
+            for e in original:
                 if d in e.dests:
                     assert d in shipped[(e.writer, e.clock)]
 
@@ -206,12 +262,13 @@ class TestLogProperties:
     @settings(max_examples=200, deadline=None)
     def test_view_delta_answers_match_the_flat_copy(self, entries, dests, applied):
         log = OptTrackLog(entries)
+        pre_write = log.snapshot()  # the call strips the log itself
         views, base = log.piggyback_views(dests)
         assert set(views) == set(dests)
         for d in sorted(dests):
             view = views[d]
             flat = tuple(view)
-            assert flat == _reference_copy(log, dests, d)
+            assert flat == _reference_copy(pre_write, dests, d)
             assert view.base is base
             # the three O(marks) consumers against a walk of the copy
             assert _gating_pairs(view) == [
@@ -234,6 +291,48 @@ class TestLogProperties:
                 assert _gating_pairs(rebuilt) == _gating_pairs(view)
                 assert rebuilt.stored(d) == stripped
                 assert tuple(rebuilt) == flat  # asking never changes it
+
+    @given(history=entries_strategy, entries=entries_strategy,
+           dests=st.frozensets(st.integers(0, 5), max_size=4),
+           site=st.integers(0, 5),
+           applied=st.lists(st.integers(0, 9), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_single_pass_write_equals_views_then_strip(
+            self, history, entries, dests, site, applied):
+        # a log with tombstones and condition-1 shrinks behind it, then
+        # more records on top (so superseded ∅-records may be present)
+        log, ref = OptTrackLog(), _TwoPassLog()
+        for e in history:
+            log.insert(e.writer, e.clock, e.dests)
+            ref.insert(e.writer, e.clock, e.dests)
+        log.purge(self_site=site, applied=applied)
+        ref.purge(site, applied)
+        for e in entries:
+            log.insert(e.writer, e.clock, e.dests)
+            ref.insert(e.writer, e.clock, e.dests)
+        _assert_same_log(log, ref)
+
+        pre_write = log.snapshot()
+        views, base = log.piggyback_views(dests)
+        assert base == _reference_copy(pre_write, dests, None)
+        assert set(views) == set(dests)
+        for d in dests:
+            assert tuple(views[d]) == _reference_copy(pre_write, dests, d)
+            assert views[d].base is base
+        # what ships is what the log keeps, record for record
+        stored = log.snapshot()
+        assert len(stored) == len(base)
+        assert all(kept is shipped for kept, shipped in zip(stored, base))
+
+        # the rest of OptTrackProtocol._perform_write, against the old
+        # sequence: views, *then* the strip, the own record, the purge
+        ref.remove_dests(dests)
+        own_clock = 9  # above every clock the strategy draws
+        for side in (log, ref):
+            side.insert(site, own_clock, dests - {site})
+        log.purge(self_site=site, applied=applied)
+        ref.purge(site, applied)
+        _assert_same_log(log, ref)
 
     @given(entries=entries_strategy, other=entries_strategy)
     @settings(max_examples=100, deadline=None)
