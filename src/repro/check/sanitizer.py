@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..core.log import PiggybackView
 from ..obs.tracer import Trace, TraceEvent, Tracer
@@ -154,10 +154,11 @@ class MessageMutationError(AssertionError):
 class SanitizedNetwork:
     """Decorator around :class:`~repro.sim.network.Network`.
 
-    Every message entering via :meth:`send` is fingerprinted; every
+    Every message entering via :meth:`send` or :meth:`multicast` is
+    fingerprinted (a shared multicast message once); every
     application-level delivery re-fingerprints and compares.  Unknown
     payloads (transport-internal packets: acks, heartbeats, sync
-    probes) pass through unchecked — they never cross :meth:`send`.
+    probes) pass through unchecked — they never cross either.
 
     All other attributes delegate to the wrapped network, so the
     wrapper is a drop-in for every consumer (protocol contexts, the
@@ -176,22 +177,21 @@ class SanitizedNetwork:
     # -- intercepted surface ------------------------------------------
     def send(self, src: int, dst: int, message: object, *,
              size_bytes: float = 0.0) -> Optional[float]:
-        entry = self._frozen.get(id(message))
-        if entry is None:
+        self._freeze(src, message)
+        return self._inner.send(src, dst, message, size_bytes=size_bytes)
+
+    def multicast(self, src: int, dests: Sequence[int], message: object, *,
+                  size_bytes: float = 0.0) -> None:
+        # defined, not left to __getattr__: forwarding would hand the
+        # message to the inner network unfrozen and skip the check
+        self._freeze(src, message)
+        self._inner.multicast(src, dests, message, size_bytes=size_bytes)
+
+    def _freeze(self, src: int, message: object) -> None:
+        if id(message) not in self._frozen:
             self._frozen[id(message)] = (
                 message, copy.deepcopy(message), fingerprint(message), src
             )
-        return self._inner.send(src, dst, message, size_bytes=size_bytes)
-
-    def multicast(self, src: int, dests: Any,
-                  message_for: Callable[[int], object]) -> int:
-        sent = 0
-        for dst in dests:
-            if dst == src:
-                continue
-            self.send(src, dst, message_for(dst))
-            sent += 1
-        return sent
 
     def register(self, site: int,
                  receiver: Callable[[int, object], None]) -> None:

@@ -19,12 +19,15 @@ The base class centralizes the machinery all four protocols share:
   needs no second implementation: a blocker hook that returns ``None``
   puts its entry back on every pass, so the same drain with every hook
   answering ``None`` *is* the re-scan, and that is what the equivalence
-  property test compares whole-run traces against;
+  property test compares whole-run traces against.  An arrival that
+  is ready when nothing is queued skips the buffer altogether
+  (``on_message``), which at the paper's op gaps is nearly all of them;
 * the remote-fetch state machine (issue FM, buffer the RM until its
   gating predicate holds, complete the blocked read);
 * metered send/multicast helpers that price each message against the
-  size model and book it, at send time, in this site's slot of the
-  metrics collector — the only accounting a message gets;
+  size model (a shared multicast message once) and book it, at send
+  time, in this site's slot of the metrics collector — the only
+  accounting a message gets;
 * history recording hooks for the causal-consistency checker.
 
 Concrete protocols override the small, well-named primitive methods
@@ -149,6 +152,9 @@ class _PendingFM(_Pending):
     kind = 2
 
 
+#: buffered-entry class per scan kind
+_PENDING_TYPES = (_PendingSM, _PendingRM, _PendingFM)
+
 _SEQ_KEY = attrgetter("seq")
 
 #: one row of ``CausalProtocol._scans``
@@ -229,6 +235,8 @@ class CausalProtocol(abc.ABC):
         self._replaying = False
         #: RMs answering a fetch whose continuation died in a crash
         self.stale_rms_dropped = 0
+        #: arrivals ``on_message`` buffered instead of acting on directly
+        self.buffered_arrivals = 0
         #: liveness oracle for fetch-target failover (wired by the
         #: crash-recovery manager; ``None`` = everyone is up)
         self._liveness: Optional[Callable[[int], bool]] = None
@@ -372,43 +380,59 @@ class CausalProtocol(abc.ABC):
     # message receipt subsystem
     # ------------------------------------------------------------------
     def on_message(self, src: int, message: object) -> None:
-        """Network delivery entry point (dispatch by message class)."""
+        """Network delivery entry point: act on arrival if ready, else buffer.
+
+        The message's class picks its row of ``_scans``.  When nothing
+        is draining or queued for (re-)testing — an always-retest
+        ``None``-blocker entry counts as queued — and the row's gate
+        holds, the action runs now: what a batch-of-one sweep would do
+        (same tracer event, ``arrived == now``, so no activation-delay
+        sample) without the ``_Pending`` round trip.  ``_drain`` then
+        finishes the pass that sweep belonged to, so whatever the action
+        woke is swept exactly where the buffered path sweeps it (only a
+        same-kind arrival from *inside* the action, which no substrate
+        produces, would wait for the next pass instead of joining this
+        sweep).  Every other arrival is buffered, marked dirty, drained.
+        """
         if self._wal is not None and not self._replaying:
             # logged before processing: the reliable transport acks only
             # after this returns, so an acked message is always durable
             self._wal.log_recv(src, message)
-        now = self.ctx.clock.now
-        if isinstance(message, FetchMessage):
-            # Serving is deferred until every write the reader causally
-            # requires of this site has been applied here — otherwise the
-            # reply could be causally behind the reader's own knowledge
-            # (DESIGN.md, "gating fetch service").
-            fm = _PendingFM(src, message, now, self._arrival_seq)
-            self._arrival_seq += 1
-            self._pending_fm.append(fm)
-            self._mark_dirty(fm)
+        kind = (2 if isinstance(message, FetchMessage)
+                else 1 if self._is_rm(message) else 0)  # else: this protocol's SM
+        pending, gate, _blocker_of, act, _event = self._scans[kind]
+        seq = self._arrival_seq
+        self._arrival_seq = seq + 1
+        if kind == 0:
+            depth = len(pending) + 1  # the arrival counts itself
+            if depth > self.pending_sm_peak:
+                self.pending_sm_peak = depth
+            if self._m_pending_depth is not None:
+                self._m_depth_skip += 1
+                if self._m_depth_skip >= 4:
+                    self._m_depth_skip = 0
+                    self._m_pending_depth.observe(depth)
+        dirty = self._dirty
+        if (self._draining or dirty[0] or dirty[1] or dirty[2]
+                or not gate(src, message)):
+            self.buffered_arrivals += 1
+            entry = _PENDING_TYPES[kind](src, message, self.ctx.clock.now, seq)
+            pending.append(entry)
+            self._mark_dirty(entry)
             self._drain()
             return
-        if self._is_rm(message):
-            rm = _PendingRM(src, message, now, self._arrival_seq)
-            self._arrival_seq += 1
-            self._pending_rm.append(rm)
-            self._mark_dirty(rm)
-            self._drain()
-            return
-        # anything else is this protocol's SM type
-        sm = _PendingSM(src, message, now, self._arrival_seq)
-        self._arrival_seq += 1
-        self._pending_sm.append(sm)
-        if len(self._pending_sm) > self.pending_sm_peak:
-            self.pending_sm_peak = len(self._pending_sm)
-        if self._m_pending_depth is not None:
-            self._m_depth_skip += 1
-            if self._m_depth_skip >= 4:
-                self._m_depth_skip = 0
-                self._m_pending_depth.observe(len(self._pending_sm))
-        self._mark_dirty(sm)
-        self._drain()
+        tracer = self.ctx.tracer
+        self._draining = True
+        try:
+            if tracer is None:
+                act(src, message)
+            else:
+                self._act_traced(tracer, kind, src, message,
+                                 self.ctx.clock.now)
+        finally:
+            self._draining = False
+        if dirty[0] or dirty[1] or dirty[2]:
+            self._drain(kind + 1)
 
     # ------------------------------------------------------------------
     # dependency-indexed wakeup machinery
@@ -479,7 +503,7 @@ class CausalProtocol(abc.ABC):
     # ------------------------------------------------------------------
     # machinery shared by all protocols
     # ------------------------------------------------------------------
-    def _drain(self) -> None:
+    def _drain(self, first: int = 0) -> None:
         """Apply every buffered message whose predicate has become true.
 
         Only entries whose registered thresholds were crossed (plus new
@@ -491,6 +515,10 @@ class CausalProtocol(abc.ABC):
         with an activation in the same pass.  Guarded against
         reentrancy: completions invoked here may issue new operations
         synchronously.
+
+        ``first`` > 0 finishes a pass ``on_message`` began by running a
+        kind-``first - 1`` action directly: that was the pass's
+        progress, and only the later kinds remain of it.
         """
         if self._draining:
             return
@@ -501,10 +529,11 @@ class CausalProtocol(abc.ABC):
         try:
             progress = True
             while progress:
-                progress = False
-                for kind in (0, 1, 2):
+                progress = first > 0
+                for kind in range(first, 3):
                     if dirty[kind] and self._scan(kind):
                         progress = True
+                first = 0
         finally:
             self._draining = False
 
@@ -518,7 +547,7 @@ class CausalProtocol(abc.ABC):
         progress = False
         ctx = self.ctx
         tracer = ctx.tracer
-        pending, gate, blocker_of, act, event = self._scans[kind]
+        pending, gate, blocker_of, act, _event = self._scans[kind]
         waiters = self._waiters
         idx = 0
         try:
@@ -541,21 +570,8 @@ class CausalProtocol(abc.ABC):
                     if tracer is None:
                         act(entry.src, message)
                     else:
-                        # the resolution event becomes the causal parent
-                        # of anything the action triggers (e.g. a newly
-                        # unblocked fetch reply)
-                        if kind == 0:
-                            tracer.sm_activate(self.site, message,
-                                               ts=ctx.clock.now,
-                                               arrived=entry.arrived)
-                        else:
-                            tracer.gated_resolved(event, self.site, message,
-                                                  ts=ctx.clock.now,
-                                                  arrived=entry.arrived)
-                        try:
-                            act(entry.src, message)
-                        finally:
-                            tracer.pop()
+                        self._act_traced(tracer, kind, entry.src, message,
+                                         entry.arrived)
                     progress = True
                 else:
                     blocker = blocker_of(entry.src, message)
@@ -576,34 +592,51 @@ class CausalProtocol(abc.ABC):
             self._scan_batch = []
         return progress
 
-    def _send(self, dst: int, message: object, kind: MessageKind) -> None:
-        """Price, book, and transmit one message.
+    def _act_traced(self, tracer: "Tracer", kind: int, src: int,
+                    message: object, arrived: float) -> None:
+        """Run ``kind``'s action under its resolution event — the causal
+        parent of anything it triggers (e.g. a newly unblocked reply)."""
+        _pending, _gate, _blocker_of, act, event = self._scans[kind]
+        now = self.ctx.clock.now
+        if kind == 0:
+            tracer.sm_activate(self.site, message, ts=now, arrived=arrived)
+        else:
+            tracer.gated_resolved(event, self.site, message, ts=now,
+                                  arrived=arrived)
+        try:
+            act(src, message)
+        finally:
+            tracer.pop()
+
+    def _book(self, message: object, kind: MessageKind, copies: int = 1) -> int:
+        """Price ``message``, book ``copies`` sends of it, return the price.
 
         Booking is the three adds below into this site's collector slot
         for ``kind`` — every count and byte total reported about messages
         is a sum over those slots (``MetricsCollector.message_slots``),
-        so nothing else on this path accounts for the message.
-
-        The priced metadata size is handed to the network so that, under
-        a finite-bandwidth model, bigger metadata costs transmission
-        time (size never affects timing in the default infinite-
-        bandwidth model, matching the paper).
+        so nothing else on the send path accounts for the message.  All
+        addends are ints: ``copies`` at once is ``copies`` bookings of one.
         """
-        ctx = self.ctx
-        size = message.metadata_size(ctx.size_model)  # type: ignore[attr-defined]
+        size: int = message.metadata_size(self.ctx.size_model)  # type: ignore[attr-defined]
         try:
             slot, length_of = self._msg_slots[kind]
         except KeyError:
             # a kind's message type and clock width are fixed within a
             # membership epoch, so the slot is bound once per epoch
             length_of, width = accounting_shape(message)
-            slot = ctx.collector.message_slot(
+            slot = self.ctx.collector.message_slot(
                 kind, (self.name, self.site, type(message), width))
             self._msg_slots[kind] = slot, length_of
-        slot[0] += 1
-        slot[1] += size
+        slot[0] += copies
+        slot[1] += size * copies
         if length_of is not None:
-            slot[2] += len(length_of(message))
+            slot[2] += len(length_of(message)) * copies
+        return size
+
+    def _announce(self, dst: int, message: object, kind: MessageKind,
+                  size: int) -> None:
+        """Tell the tracer and the history, whichever is on, of one send."""
+        ctx = self.ctx
         if ctx.tracer is not None:
             ctx.tracer.msg_send(self.site, dst, message,
                                 ts=ctx.clock.now,
@@ -614,22 +647,32 @@ class CausalProtocol(abc.ABC):
                 time=ctx.clock.now, site=self.site, peer=dst,
                 detail=type(message).__name__,
             )
+
+    def _send(self, dst: int, message: object, kind: MessageKind) -> None:
+        """Price, book, and transmit one message.  The network gets the
+        price: under a finite-bandwidth model bigger metadata costs
+        transmission time (never in the paper's default, infinite)."""
+        ctx = self.ctx
+        size = self._book(message, kind)
+        if ctx.tracer is not None or ctx.history.enabled:
+            self._announce(dst, message, kind, size)
         ctx.network.send(self.site, dst, message, size_bytes=size)
 
-    def _multicast(
-        self,
-        dests: Sequence[int],
-        message_for: Callable[[int], object],
-        kind: MessageKind = MessageKind.SM,
-    ) -> int:
-        """Metered multicast: one (possibly distinct) message per remote dest."""
-        sent = 0
-        for dst in dests:
-            if dst == self.site:
-                continue
-            self._send(dst, message_for(dst), kind)
-            sent += 1
-        return sent
+    def _multicast(self, dests: Sequence[int], message: object,
+                   kind: MessageKind = MessageKind.SM) -> None:
+        """Metered multicast of one shared message to every remote dest:
+        priced once, booked k-fold in one add, then the transport's
+        ``multicast`` (k sends, in ``dests`` order).  A message that
+        differs per destination (Opt-Track) goes through :meth:`_send`."""
+        site = self.site
+        targets = [dst for dst in dests if dst != site]
+        if targets:
+            ctx = self.ctx
+            size = self._book(message, kind, len(targets))
+            if ctx.tracer is not None or ctx.history.enabled:
+                for dst in targets:
+                    self._announce(dst, message, kind, size)
+            ctx.network.multicast(site, targets, message, size_bytes=size)
 
     def _fetch_requirements(self, var: int, target: int) -> tuple[tuple[int, int], ...]:
         """(writer, threshold) pairs the fetch target must have applied
@@ -641,7 +684,9 @@ class CausalProtocol(abc.ABC):
         return ()
 
     def _fm_ready(self, src: int, message: FetchMessage) -> bool:
-        """Fetch-service gate: all of the reader's requirements applied.
+        """Fetch-service gate: all of the reader's requirements applied —
+        served earlier, the reply could be causally behind the reader's
+        own knowledge (DESIGN.md, "gating fetch service").
 
         Compares against ``self.applied`` — every concrete protocol keeps
         that array, with requirement thresholds expressed in the same
@@ -760,21 +805,13 @@ class CausalProtocol(abc.ABC):
         which registrations were live at capture time, so the next drain
         re-tests everything once and re-registers the survivors.
         """
-        self._pending_sm.clear()  # in place: _scans holds these lists
-        self._pending_rm.clear()
-        self._pending_fm.clear()
-        for s, m, t in state["pending_sm"]:
-            sm = _PendingSM(s, m, t, self._arrival_seq)
-            self._arrival_seq += 1
-            self._pending_sm.append(sm)
-        for s, m, t in state["pending_rm"]:
-            rm = _PendingRM(s, m, t, self._arrival_seq)
-            self._arrival_seq += 1
-            self._pending_rm.append(rm)
-        for s, m, t in state["pending_fm"]:
-            fm = _PendingFM(s, m, t, self._arrival_seq)
-            self._arrival_seq += 1
-            self._pending_fm.append(fm)
+        for kind, key in enumerate(("pending_sm", "pending_rm", "pending_fm")):
+            pending = self._scans[kind][0]
+            pending.clear()  # in place: _scans holds these lists
+            for s, m, t in state[key]:
+                pending.append(
+                    _PENDING_TYPES[kind](s, m, t, self._arrival_seq))
+                self._arrival_seq += 1
         if len(self._pending_sm) > self.pending_sm_peak:
             self.pending_sm_peak = len(self._pending_sm)
         self._waiters = [[] for _ in range(self.n)]

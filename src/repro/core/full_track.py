@@ -81,7 +81,7 @@ class FullTrackProtocol(CausalProtocol):
                                     clock=wid.clock, var=var)
         sm = FullTrackSM(var=var, value=value, write_id=wid, matrix=snapshot,
                          issued_at=ctx.clock.now)
-        self._multicast(dests, lambda d: sm, MessageKind.SM)
+        self._multicast(dests, sm, MessageKind.SM)
 
         if self.site in dests:
             self._apply_local(var, value, wid, snapshot)

@@ -18,7 +18,10 @@ shorter activation buffering and lower visibility latency, measured by
 ``benchmarks/bench_ablation_false_causality.py``.
 
 This protocol exists for that ablation; it is not part of the paper's
-suite.
+suite.  It *is* optP with the merge moved from read to receipt, and is
+written as exactly that: everything else — write path, activation
+predicate, snapshots, view growth — is inherited, so the two cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -26,56 +29,18 @@ from __future__ import annotations
 from typing import Optional
 
 from ..memory.store import WriteId
-from ..metrics.collector import MessageKind
-from .activation import optp_sm_blocker, optp_sm_ready
-from .base import CausalProtocol, ProtocolContext, register_protocol
+from .base import register_protocol
 from .clocks import VectorClock
-from .messages import FetchMessage, OptPSM
+from .optp import OptPProtocol
 
 __all__ = ["HBTrackProtocol"]
 
 
 @register_protocol
-class HBTrackProtocol(CausalProtocol):
+class HBTrackProtocol(OptPProtocol):
     """Full-replication causal memory tracking -> instead of ->co."""
 
     name = "hb-track"
-    full_replication = True
-
-    def __init__(self, ctx: ProtocolContext) -> None:
-        super().__init__(ctx)
-        self.write_clock = VectorClock(self.n)
-        # plain list: the activation hot path reads scalars, and Python
-        # ints index ~2x faster than NumPy scalars (docs/architecture.md)
-        self.applied: list[int] = [0] * self.n
-        self.last_write_on: dict[int, WriteId] = {}
-
-    # ------------------------------------------------------------------
-    # application subsystem
-    # ------------------------------------------------------------------
-    def _perform_write(
-        self, var: int, value: object, *, op_index: Optional[int] = None
-    ) -> WriteId:
-        ctx = self.ctx
-        clock = self.write_clock.increment(self.site)
-        wid = WriteId(self.site, clock)
-        snapshot = self.write_clock.copy()
-
-        ctx.collector.record_operation(True)
-        ctx.history.record_write_op(
-            time=ctx.clock.now, site=self.site, var=var, value=value,
-            write_id=wid, op_index=op_index,
-        )
-        if ctx.tracer is not None:
-            ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
-                                    clock=wid.clock, var=var)
-        sm = OptPSM(var=var, value=value, write_id=wid, vector=snapshot,
-                    issued_at=ctx.clock.now)
-        self._multicast(range(self.n), lambda d: sm, MessageKind.SM)
-
-        self._apply_value(var, value, wid, snapshot)
-        self._drain()
-        return wid
 
     def _local_read(self, var: int) -> tuple[object, Optional[WriteId]]:
         # no merge here: under -> tracking the dependency was already
@@ -83,67 +48,11 @@ class HBTrackProtocol(CausalProtocol):
         slot = self.ctx.store.read(var)
         return slot.value, slot.write_id
 
-    # ------------------------------------------------------------------
-    # message receipt subsystem
-    # ------------------------------------------------------------------
-    def _is_rm(self, message: object) -> bool:
-        return False
-
-    def _serve_fetch(self, src: int, message: FetchMessage) -> None:
-        raise RuntimeError("hb-track must never receive fetch requests")
-
-    def _sm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, OptPSM)
-        return optp_sm_ready(message.write_id.site, message.vector, self.applied)
-
-    def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
-        assert isinstance(message, OptPSM)
-        return optp_sm_blocker(message.write_id.site, message.vector, self.applied)
-
-    def _apply_sm(self, src: int, message: object) -> None:
-        assert isinstance(message, OptPSM)
-        self.ctx.collector.record_visibility(self.ctx.clock.now - message.issued_at)
-        self._apply_value(message.var, message.value, message.write_id,
-                          message.vector)
-
     def _apply_value(
         self, var: int, value: object, wid: WriteId, vector: VectorClock
     ) -> None:
-        ctx = self.ctx
-        ctx.store.apply(var, value, wid, ctx.clock.now)
-        if self.applied[wid.site] != wid.clock - 1:
-            raise AssertionError(
-                f"activation violated FIFO: {wid} after count {self.applied[wid.site]}"
-            )
-        self.applied[wid.site] = wid.clock
-        self._note_applied(wid.site)
-        self.last_write_on[var] = wid
+        super()._apply_value(var, value, wid, vector)
         # merge-on-receipt: THE defining difference — every applied
         # update becomes a dependency of all future local writes,
         # whether or not its value is ever read (false causality)
         self.write_clock.merge(vector)
-        if ctx.history.enabled:
-            ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
-
-    # ------------------------------------------------------------------
-    # crash-recovery hooks
-    # ------------------------------------------------------------------
-    def _snapshot_extra(self) -> dict:
-        return {
-            "write_clock": self.write_clock.copy(),
-            "applied": list(self.applied),
-            "last_write_on": dict(self.last_write_on),
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.write_clock = extra["write_clock"].copy()
-        # list(...) also normalizes NumPy arrays from pre-refactor blobs
-        self.applied = [int(c) for c in extra["applied"]]
-        self.last_write_on = dict(extra["last_write_on"])
-
-    def knows_write(self, wid: WriteId) -> Optional[bool]:
-        return bool(self.applied[wid.site] >= wid.clock)
-
-    # ------------------------------------------------------------------
-    def log_size(self) -> int:
-        return self.n

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .ports import Scheduler, TimerHandle
 
@@ -646,6 +646,12 @@ class ChannelHost:
         site).  The base keeps a tally per event in :attr:`counts`; a
         host with more places to write overrides this."""
         self.counts[event] += 1
+
+    def multicast(self, src: int, dests: Sequence[int], message: object,
+                  *, size_bytes: float = 0.0) -> None:
+        """``Transport.multicast``: the subclass's ``send``, per destination."""
+        for dst in dests:
+            self.send(src, dst, message, size_bytes=size_bytes)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # suspicion pauses

@@ -110,8 +110,11 @@ class OptTrackProtocol(CausalProtocol):
                                   log=PiggybackView.from_entries(snapshot, d),
                                   issued_at=ctx.clock.now)
 
-        # placement.replicas() is exactly sorted(dests), pre-sorted
-        self._multicast(ctx.placement.replicas(var), make_sm, MessageKind.SM)
+        # placement.replicas() is exactly sorted(dests), pre-sorted; the
+        # message differs per destination, so this is k unicasts
+        for d in ctx.placement.replicas(var):
+            if d != self.site:
+                self._send(d, make_sm(d), MessageKind.SM)
 
         # Local log update: add the record for the new write itself
         # (excluding self: applying locally is immediate), then purge.

@@ -72,7 +72,7 @@ class OptTrackCRPProtocol(CausalProtocol):
         piggy = self.log.entries()  # the write's dependencies (pre-reset log)
         sm = CRPSM(var=var, value=value, write_id=wid, log=piggy,
                    issued_at=ctx.clock.now)
-        self._multicast(dests, lambda d: sm, MessageKind.SM)
+        self._multicast(dests, sm, MessageKind.SM)
 
         # Local apply + log reset: the new write subsumes everything the
         # log used to carry.

@@ -64,7 +64,7 @@ class OptPProtocol(CausalProtocol):
                                     clock=wid.clock, var=var)
         sm = OptPSM(var=var, value=value, write_id=wid, vector=snapshot,
                     issued_at=ctx.clock.now)
-        self._multicast(dests, lambda d: sm, MessageKind.SM)
+        self._multicast(dests, sm, MessageKind.SM)
 
         self._apply_value(var, value, wid, snapshot)
         self._drain()

@@ -12,8 +12,9 @@ protocol:
     timestamps (``ctx.clock.now``) — simulated milliseconds under the
     discrete-event kernel, wall milliseconds under the live service;
 :class:`Transport`
-    message egress plus the overload/backpressure signals the cores
-    consult before admitting work;
+    message egress — one message to one site, or one shared message to
+    many — plus the overload/backpressure signals the cores consult
+    before admitting work;
 :class:`TimerService` / :class:`TimerHandle`
     delayed callbacks (retransmission timers, heartbeats, checkpoint
     ticks).  The cores themselves never arm timers — the reliable
@@ -44,7 +45,7 @@ from these classes, it simply has the right attributes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 __all__ = [
     "Clock",
@@ -129,6 +130,16 @@ class Transport(Protocol):
         """
         ...
 
+    def multicast(self, src: int, dests: Sequence[int], message: object,
+                  *, size_bytes: float = 0.0) -> None:
+        """Transmit the one shared ``message`` (never copied) to each of
+        ``dests``: observably ``send(src, dst, message, size_bytes=...)``
+        per ``dst`` in order — same deliveries at the same times, same
+        error after the same sends.  Looping ``send`` is a full
+        implementation; hoisting per-call work out of the loop is allowed.
+        """
+        ...
+
     def overloaded(self, site: int) -> bool:
         """True while ``site``'s outbound channels signal backpressure."""
         ...
@@ -170,6 +181,10 @@ class NullTransport:
     def send(
         self, src: int, dst: int, message: object, *, size_bytes: float = 0.0
     ) -> Optional[float]:
+        return None
+
+    def multicast(self, src: int, dests: Sequence[int], message: object,
+                  *, size_bytes: float = 0.0) -> None:
         return None
 
     def overloaded(self, site: int) -> bool:

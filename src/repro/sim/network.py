@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -160,10 +161,11 @@ class ChannelStats:
 class Network:
     """Reliable FIFO transport layered on the event kernel.
 
-    ``send`` delivers a single message; ``multicast`` fans out to a
-    destination set (one independent unicast per destination, as in the
-    paper's ``Multicast(m)`` primitive — there is no network-level
-    broadcast).  Receivers are callbacks registered per site.
+    ``send`` delivers a single message; ``multicast`` fans one shared
+    message out to a destination list (one independent unicast per
+    destination, as in the paper's ``Multicast(m)`` primitive — there
+    is no network-level broadcast).  Receivers are callbacks registered
+    per site.
 
     With ``bandwidth_bytes_per_ms`` set, message *size* costs time: each
     sender has one uplink that serializes its transmissions (a message
@@ -315,12 +317,9 @@ class Network:
             raise RuntimeError(f"no receiver registered for site {site}")
         for src, message in held:
             self._app_in_flight += 1
-
-            def _flush(src: int = src, message: object = message) -> None:
-                self._app_in_flight -= 1
-                self._deliver_app(src, site, message)
-
-            self.sim.schedule(0.0, _flush, label=f"resume flush ->{site}")
+            self.sim.schedule(
+                0.0, partial(self._deliver_scheduled, src, site, message),
+                label=f"resume flush ->{site}")
 
     def is_paused(self, site: int) -> bool:
         return site in self._paused
@@ -502,34 +501,71 @@ class Network:
             counter.value += 1  # monotonic bump, sans method-call overhead
         if self.transport is not None:
             return self.transport.send(src, dst, message, size_bytes)
-        departure = self.sim.now
-        if self.bandwidth is not None and size_bytes > 0:
-            start = max(departure, self._uplink_busy_until.get(src, 0.0))
-            departure = start + size_bytes / self.bandwidth
-            self._uplink_busy_until[src] = departure
-        if src == dst:
-            delay = self.latency.local_delay()
-        else:
-            delay = self._sample_latency(src, dst)
-        key = (src, dst)
-        stats = self._channels.get(key)
-        if stats is None:
-            stats = self._channels[key] = ChannelStats()
-        delivery = max(departure + delay, stats.last_delivery + FIFO_EPSILON)
-        stats.last_delivery = delivery
-        stats.messages += 1
-        self.total_messages += 1
-        label = self._labels.get(key)
-        if label is None:
-            label = self._labels[key] = f"deliver {src}->{dst}"
+        return self._fan_out(src, (dst,), message, size_bytes)
 
-        def _deliver() -> None:
-            self._app_in_flight -= 1
-            self._deliver_app(src, dst, message)
+    def multicast(self, src: int, dests: Sequence[int], message: object,
+                  *, size_bytes: float = 0.0) -> None:
+        """``send`` the one shared ``message`` to each of ``dests``, in order.
 
-        self._app_in_flight += 1
-        self.sim.schedule_at(delivery, _deliver, label=label)
+        On the seed path with no registry and nobody departed, what
+        cannot differ between destinations (source checks, clock read,
+        attribute lookups) is done once and each destination gets the
+        rest of ``send`` — so every delivery's ``(time, seq)`` is what
+        the loop of sends below produces.
+        """
+        if (self.transport is not None or self._m_send_family is not None
+                or self._departed):
+            for dst in dests:
+                self.send(src, dst, message, size_bytes=size_bytes)
+            return
+        self._check_site(src)
+        self._fan_out(src, dests, message, size_bytes)
+
+    def _fan_out(self, src: int, dests: Sequence[int], message: object,
+                 size_bytes: float) -> float:
+        """Seed-path body of ``send`` / ``multicast``: per destination, in
+        order, a range check, one latency draw, the FIFO clamp and one
+        kernel event.  Returns the last delivery time."""
+        now = delivery = self.sim.now
+        bandwidth = self.bandwidth if size_bytes > 0 else None
+        n_sites = self.n_sites
+        channels = self._channels
+        labels = self._labels
+        sample = self._sample_latency
+        schedule_at = self.sim.schedule_at
+        deliver = self._deliver_scheduled
+        for dst in dests:
+            if not 0 <= dst < n_sites:
+                self._check_site(dst)  # raises
+            departure = now
+            if bandwidth is not None:
+                start = max(now, self._uplink_busy_until.get(src, 0.0))
+                departure = start + size_bytes / bandwidth
+                self._uplink_busy_until[src] = departure
+            if src == dst:
+                delay = self.latency.local_delay()
+            else:
+                delay = sample(src, dst)
+            key = (src, dst)
+            stats = channels.get(key)
+            if stats is None:
+                stats = channels[key] = ChannelStats()
+            delivery = max(departure + delay, stats.last_delivery + FIFO_EPSILON)
+            stats.last_delivery = delivery
+            stats.messages += 1
+            self.total_messages += 1
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = f"deliver {src}->{dst}"
+            self._app_in_flight += 1
+            schedule_at(delivery, partial(deliver, src, dst, message),
+                        label=label)
         return delivery
+
+    def _deliver_scheduled(self, src: int, dst: int, message: object) -> None:
+        """Kernel callback of one seed-path delivery event."""
+        self._app_in_flight -= 1
+        self._deliver_app(src, dst, message)
 
     def _deliver_app(self, src: int, dst: int, message: object) -> None:
         """Hand a message up to the application, honoring paused sites."""
@@ -647,18 +683,3 @@ class Network:
             self.transport.on_dead_drop(src, dst, packet)
             return
         self.transport.deliver_packet(src, dst, packet)
-
-    def multicast(self, src: int, dests: Sequence[int], message_for: Callable[[int], object]) -> int:
-        """Unicast ``message_for(dst)`` to each destination except ``src``.
-
-        The per-destination factory supports protocols (Opt-Track) whose
-        piggybacked metadata is pruned differently per destination.
-        Returns the number of messages actually sent.
-        """
-        sent = 0
-        for dst in dests:
-            if dst == src:
-                continue
-            self.send(src, dst, message_for(dst))
-            sent += 1
-        return sent

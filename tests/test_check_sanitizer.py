@@ -118,6 +118,30 @@ class TestSanitizedNetwork:
         assert "site 0" in text and "site 1" in text
         assert "dests" in text  # _changed_fields names the drifted field
 
+    def test_shared_multicast_message_mutation_caught(self):
+        """One message fanned out by ``multicast`` is frozen too — the
+        wrapper defines the method itself, because its ``__getattr__``
+        would otherwise forward straight to the inner network."""
+        assert "multicast" in vars(SanitizedNetwork)
+        sim, net = make_net(3)
+        delivered = []
+        for site in range(3):
+            net.register(site, lambda src, msg: delivered.append(msg))
+        msg = Payload(0, dests=[1, 2])
+        net.multicast(0, [1, 2], msg, size_bytes=32)
+        msg.dests.append(0)
+        with pytest.raises(MessageMutationError, match="dests"):
+            sim.run()
+        assert delivered == [] and net.mutation_checks == 1
+
+    def test_honest_multicast_checked_at_every_delivery(self):
+        sim, net = make_net(3)
+        for site in range(3):
+            net.register(site, lambda src, msg: None)
+        net.multicast(0, [1, 2], Payload(0, dests=[1, 2]))
+        sim.run()
+        assert net.mutation_checks == 2
+
     def test_nested_metadata_mutation_caught(self):
         sim, net = make_net()
         net.register(0, lambda src, msg: None)

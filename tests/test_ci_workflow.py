@@ -75,10 +75,12 @@ def test_committed_workflow_gates_can_fail():
     assert unguarded_tee_steps(workflow) == []
 
 
-def test_bench_smoke_fails_on_a_zeroed_log_counter(tmp_path):
-    # bench/metrics.py attributes these two by function name in
-    # core/log.py; a rename zeroes them without failing anything else.
-    # Run the step's own script on made-up results.
+GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"
+
+
+def bench_smoke_count_step(tmp_path):
+    """The bench-smoke count step's own script, run on made-up results
+    that pass it; returns ``(results, run_step)``."""
     workflow = yaml.safe_load(WORKFLOW.read_text())
     (step,) = [step["run"] for step in workflow["jobs"]["bench-smoke"]["steps"]
                if "core.log.merge_calls" in step.get("run", "")]
@@ -87,11 +89,20 @@ def test_bench_smoke_fails_on_a_zeroed_log_counter(tmp_path):
     limited = ("service.channel.msgs_sent", "service.api.connections_per_op",
                "service.api.non200", "service.node.close_errors",
                "service.codec.dumps_calls", "service.channel.retransmissions")
+    golden = {name: counts
+              for name, counts in json.loads(GOLDEN_COUNTS.read_text()).items()
+              if not name.startswith("_")}
     results = {
         name: {"per_layer": {**{m: [0] for m in limited},
-                             **{m: [7] for m in counted}}}
-        for name in ("sim_opt_track_n40", "live_mixed", "live_owner_writes")
+                             **{m: [7] for m in counted},
+                             **{m: [float(v)] for m, v in
+                                golden.get(name, {}).items()}}}
+        for name in (*golden, "live_mixed", "live_owner_writes")
     }
+    # the step reads both files relative to the checkout root
+    (tmp_path / "tests" / "golden").mkdir(parents=True)
+    (tmp_path / "tests" / "golden" / GOLDEN_COUNTS.name).write_text(
+        GOLDEN_COUNTS.read_text())
     out = tmp_path / "bench-smoke" / "results.json"
     out.parent.mkdir()
 
@@ -101,10 +112,42 @@ def test_bench_smoke_fails_on_a_zeroed_log_counter(tmp_path):
                               capture_output=True, text=True, timeout=60)
 
     assert run_step().returncode == 0
-    for name in results:
-        for metric in counted:
+    return results, run_step
+
+
+def test_bench_smoke_fails_on_a_zeroed_log_counter(tmp_path):
+    # bench/metrics.py attributes these two by function name in
+    # core/log.py; a rename zeroes them without failing anything else.
+    results, run_step = bench_smoke_count_step(tmp_path)
+    for name in ("sim_opt_track_n40", "live_mixed", "live_owner_writes"):
+        for metric in ("core.log.piggyback_views_calls",
+                       "core.log.merge_calls"):
             results[name]["per_layer"][metric] = [0]
             failed = run_step()
             assert failed.returncode != 0
             assert f"{name}: {metric} = 0" in failed.stderr
             results[name]["per_layer"][metric] = [7]
+
+
+def test_bench_smoke_fails_on_any_moved_deterministic_count(tmp_path):
+    # events, messages and metadata bytes of a seeded simulator workload
+    # repeat exactly; the golden was written by the commit before the
+    # ready-on-arrival / shared-multicast change, which must not move them
+    results, run_step = bench_smoke_count_step(tmp_path)
+    golden = json.loads(GOLDEN_COUNTS.read_text())
+    workloads = [name for name in golden if not name.startswith("_")]
+    assert sorted(workloads) == ["sim_chaos_n20", "sim_crp_n40",
+                                 "sim_full_track_n40", "sim_opt_track_n40"]
+    for name in workloads:
+        assert sorted(golden[name]) == ["metrics.sizing.meta_bytes_total",
+                                        "sim.engine.events",
+                                        "sim.network.msgs"]
+        for metric, expected in golden[name].items():
+            for moved in (expected + 1, expected - 1):
+                results[name]["per_layer"][metric] = [float(moved)]
+                failed = run_step()
+                assert failed.returncode != 0
+                assert (f"{name}: {metric} = {float(moved)}, golden {expected}"
+                        in failed.stderr)
+            results[name]["per_layer"][metric] = [float(expected)]
+    assert run_step().returncode == 0

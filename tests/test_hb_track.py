@@ -76,3 +76,40 @@ class TestHBTrackSemantics:
                                replication_factor=2, ops_per_process=5)
         with pytest.raises(ValueError, match="full replication"):
             run_simulation(cfg)
+
+
+class TestHBTrackUnderChurn:
+    """``repro run --protocol hb-track --churn-joins 1 --churn-leaves 1``
+    died with DepartedSiteError (its write multicast to ``range(n)``,
+    not the view) and behind that with IndexError (no ``_view_grow``).
+    HB-Track now inherits both from optP."""
+
+    def test_join_and_leave_stay_causal(self):
+        from repro.sim.faults import FaultPlan, seeded_churn
+
+        plan = FaultPlan.build(
+            membership=seeded_churn(5, n_joins=1, n_leaves=1, seed=0))
+        cfg = SimulationConfig(protocol="hb-track", n_sites=5,
+                               ops_per_process=30, record_history=True,
+                               fault_plan=plan)
+        result = run_simulation(cfg)
+        check_causal_consistency(result.history, result.placement).raise_if_violated()
+        vm = result.view_manager
+        assert (vm.stats.joins, vm.stats.leaves) == (1, 1)
+        # what the CLI prints: epoch 2, members [0, 1, 3, 4, 5]
+        assert vm.view.epoch == 2 and vm.view.members == (0, 1, 3, 4, 5)
+        live = [result.protocols[s] for s in vm.view.members]
+        assert all(p._departed_status is None for p in live)
+        # the joiner's slot exists in every survivor's clock and counters
+        assert {len(p.applied) for p in live} == {6}
+        assert {p.write_clock.n for p in live} == {6}
+
+    def test_shares_optp_machinery(self):
+        from repro.core.hb_track import HBTrackProtocol
+        from repro.core.optp import OptPProtocol
+
+        assert issubclass(HBTrackProtocol, OptPProtocol)
+        # only the read and the apply differ: merge on receipt, not on read
+        assert set(vars(HBTrackProtocol)) - {"__module__", "__doc__", "name",
+                                             "__abstractmethods__", "_abc_impl"} \
+            == {"_local_read", "_apply_value"}

@@ -33,7 +33,7 @@ from repro.sim.membership import (
 )
 from repro.verify.causal_checker import check_causal_consistency
 
-PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp"]
+PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
 
 #: joins + leave + crash/recover + transient partition in one plan
 CHAOS_PLAN = FaultPlan.build(

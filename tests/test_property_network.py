@@ -4,12 +4,18 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro import CausalCluster
+from repro.core.errors import DepartedSiteError
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import (
     AdversarialLatency,
+    ConstantLatency,
     LogNormalLatency,
     Network,
+    PerPairLatency,
     UniformLatency,
 )
 
@@ -18,6 +24,129 @@ latency_models = st.sampled_from([
     LogNormalLatency(median_ms=20.0, sigma=1.5),
     AdversarialLatency(0.5, 2000.0),
 ])
+
+
+N_TWIN = 5
+
+#: latency models covering the three draw paths: the uniform block
+#: buffer, a per-call pair-dependent model, and no draw at all
+twin_latencies = st.sampled_from([
+    UniformLatency(1.0, 80.0),
+    PerPairLatency([[abs(i - j) * 7.0 for j in range(N_TWIN)]
+                    for i in range(N_TWIN)], jitter_ms=5.0),
+    ConstantLatency(12.0),
+])
+
+#: a run of multicasts, each preceded by letting the clock advance
+twin_rounds = st.lists(
+    st.tuples(
+        st.floats(0.0, 40.0),                                 # advance
+        st.integers(0, N_TWIN - 1),                           # src
+        st.lists(st.integers(0, N_TWIN - 1), max_size=8),     # dests
+        st.sampled_from([0.0, 40.0, 900.0]),                  # size
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def _twin(latency, seed, **kwargs):
+    """One network plus the log of what it hands to each receiver."""
+    sim = Simulator()
+    if kwargs.pop("chaos", False):
+        plan = FaultPlan.uniform(drop_rate=0.1, dup_rate=0.05, spike_rate=0.05)
+        kwargs["faults"] = FaultInjector(plan, seed=seed)
+    net = Network(sim, N_TWIN, latency, rng=np.random.default_rng(seed),
+                  **kwargs)
+    log = []
+    for i in range(N_TWIN):
+        net.register(i, lambda src, msg, i=i: log.append((sim.now, src, i, msg)))
+    return sim, net, log
+
+
+def _observable(sim, net):
+    """Everything a caller (or the kernel) can tell two networks apart by."""
+    return (
+        sorted((t, seq) for t, seq, _ev in sim._queue),
+        {key: (st_.messages, st_.last_delivery)
+         for key, st_ in net._channels.items()},
+        net.total_messages,
+        net.app_messages_in_flight,
+        net.departed_drops,
+    )
+
+
+def _run_twins(latency, seed, rounds, *, retire=None, **kwargs):
+    """Drive one network with ``multicast`` and its twin with the loop
+    of ``send``s the port defines it as; they must never differ."""
+    sim_m, net_m, log_m = _twin(latency, seed, **kwargs)
+    sim_s, net_s, log_s = _twin(latency, seed, **kwargs)
+    if retire is not None:
+        net_m.retire_site(retire)
+        net_s.retire_site(retire)
+    for k, (advance, src, dests, size) in enumerate(rounds):
+        sim_m.run(until=sim_m.now + advance)
+        sim_s.run(until=sim_s.now + advance)
+        message = ("m", k)
+        errors = []
+        for net, fan_out in (
+            (net_m, lambda: net_m.multicast(src, dests, message,
+                                            size_bytes=size)),
+            (net_s, lambda: [net_s.send(src, dst, message, size_bytes=size)
+                             for dst in dests]),
+        ):
+            try:
+                fan_out()
+                errors.append(None)
+            except DepartedSiteError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert _observable(sim_m, net_m) == _observable(sim_s, net_s)
+    sim_m.run()
+    sim_s.run()
+    assert log_m == log_s
+    assert _observable(sim_m, net_m) == _observable(sim_s, net_s)
+    return log_m
+
+
+class TestMulticastIsKSends:
+    """``Network.multicast`` against the ``Transport.multicast`` contract:
+    the same delivery times, kernel ``(time, seq)`` keys, channel stats
+    and counters as one ``send`` per destination, on every path."""
+
+    @given(latency=twin_latencies, seed=st.integers(0, 10_000),
+           rounds=twin_rounds)
+    @settings(max_examples=60, deadline=None)
+    def test_seed_path(self, latency, seed, rounds):
+        log = _run_twins(latency, seed, rounds)
+        assert len(log) == sum(len(dests) for _a, _s, dests, _z in rounds)
+
+    @given(latency=twin_latencies, seed=st.integers(0, 10_000),
+           rounds=twin_rounds)
+    @settings(max_examples=30, deadline=None)
+    def test_with_a_bandwidth_model(self, latency, seed, rounds):
+        _run_twins(latency, seed, rounds, bandwidth_bytes_per_ms=50.0)
+
+    @given(latency=twin_latencies, seed=st.integers(0, 10_000),
+           rounds=twin_rounds)
+    @settings(max_examples=30, deadline=None)
+    def test_with_a_fault_plan(self, latency, seed, rounds):
+        _run_twins(latency, seed, rounds, chaos=True)
+
+    @given(seed=st.integers(0, 10_000), rounds=twin_rounds,
+           retire=st.integers(0, N_TWIN - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_with_a_departed_destination(self, seed, rounds, retire):
+        # same sends before the same DepartedSiteError (or, for a
+        # departed *source*, the same counted drops)
+        _run_twins(UniformLatency(1.0, 80.0), seed, rounds, retire=retire)
+
+    def test_departed_destination_raises_after_the_earlier_sends(self):
+        sim, net, log = _twin(ConstantLatency(5.0), 0)
+        net.retire_site(3)
+        with pytest.raises(DepartedSiteError):
+            net.multicast(0, [1, 2, 3, 4], "m")
+        sim.run()
+        assert [(src, dst) for _t, src, dst, _m in log] == [(0, 1), (0, 2)]
 
 
 class TestNetworkProperties:

@@ -109,21 +109,34 @@ class TestNetwork:
         sim.run()
         assert order == [(2, "fast"), (0, "slow")]
 
-    def test_multicast_skips_self(self):
+    def test_multicast_is_one_send_per_destination(self):
+        # the transport does not filter: a sender in its own destination
+        # list gets the loopback delivery ``send`` would give it (the
+        # protocols drop themselves from the list before calling)
         sim, net, inboxes = make_net(n=4)
-        sent = net.multicast(1, [0, 1, 2, 3], lambda d: f"to-{d}")
+        assert net.multicast(1, [0, 1, 3], "m") is None
+        assert net.total_messages == 3
+        assert net.app_messages_in_flight == 3
         sim.run()
-        assert sent == 3
-        assert inboxes[1] == []
-        assert inboxes[0] == [(1, "to-0")]
-        assert inboxes[2] == [(1, "to-2")]
+        assert inboxes[0] == inboxes[1] == inboxes[3] == [(1, "m")]
+        assert inboxes[2] == []
+        assert net.channel_stats(1, 3).messages == 1
 
-    def test_multicast_per_destination_payloads(self):
+    def test_multicast_shares_one_message(self):
         sim, net, inboxes = make_net(n=3)
-        net.multicast(0, [1, 2], lambda d: d * 10)
+        message = ["shared"]
+        net.multicast(0, [1, 2], message, size_bytes=64)
         sim.run()
-        assert inboxes[1] == [(0, 10)]
-        assert inboxes[2] == [(0, 20)]
+        assert inboxes[1][0][1] is message
+        assert inboxes[2][0][1] is message
+
+    def test_multicast_to_unknown_site_keeps_earlier_sends(self):
+        sim, net, inboxes = make_net(n=3)
+        with pytest.raises(ValueError):
+            net.multicast(0, [1, 7, 2], "m")
+        assert net.total_messages == net.app_messages_in_flight == 1
+        sim.run()
+        assert inboxes[1] == [(0, "m")] and inboxes[2] == []
 
     def test_send_to_unknown_site_rejected(self):
         sim, net, _ = make_net(n=2)
