@@ -120,6 +120,9 @@ _NETWORK_PREFIXES = (
     "socket.", "http.client.", "urllib.request.", "requests.",
     "ssl.", "asyncio.open_connection", "asyncio.start_server",
 )
+#: receiver-agnostic method names that always open a socket (the event
+#: loop's own dial / listen calls, whatever the loop is bound to)
+_NETWORK_METHODS = frozenset({"create_connection", "create_server"})
 
 
 @dataclass(frozen=True)
@@ -310,6 +313,8 @@ def _leaf_effects(
                 yield "FILE_IO", f"calls .{meth}()", node.lineno
             elif meth in _WALL_CLOCK_METHODS:
                 yield "WALL_CLOCK", f"calls .{meth}()", node.lineno
+            elif meth in _NETWORK_METHODS:
+                yield "NETWORK", f"calls .{meth}()", node.lineno
             elif meth == "time" and _receiver_tail(node).endswith(
                 _LOOP_RECEIVER_SUFFIX
             ):

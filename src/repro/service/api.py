@@ -1,8 +1,9 @@
-"""Persistent-connection HTTP/1.1 JSON API for a live node, over asyncio streams.
+"""Persistent-connection HTTP/1.1 JSON API for a live node, served from
+the socket's read callback.
 
 Hand-rolled on purpose: the container ships no HTTP framework and the
-surface is four routes, so a small request parser over
-``asyncio.start_server`` keeps the node dependency-free.
+surface is four routes, so a sans-I/O request parser (:func:`parse`)
+under an ``asyncio.Protocol`` keeps the node dependency-free.
 
 Routes::
 
@@ -21,7 +22,12 @@ PUT returns 503 with ``{"error": "overloaded"}`` when admission control
 sheds the write (the paper's overload regime, PR 8), and GET returns 504
 if a remote read's RM never arrives within the node's read timeout.
 
-**Connections persist.**  One connection is served in a loop until the
+**No task, no future.**  Every request that is whole in a read is parsed,
+routed and answered with ``transport.write`` inside ``data_received``; a
+remote GET is answered from the RM's own callback chain, which then goes
+on with what was pipelined behind it.
+
+**Connections persist.**  One connection is served until the
 peer closes it, a request says ``Connection: close``, a request speaks
 ``HTTP/1.0`` without ``Connection: keep-alive``, or the parser has to
 refuse what it was sent.  Every response is framed by ``Content-Length``
@@ -49,12 +55,11 @@ closes; nothing after a refused request is parsed::
 
 EOF in the middle of a request is a silent close.
 
-**No idle reaper.**  A silent client keeps its socket, as it always did
-(``readline`` never had a timeout); a timer per request or connection
-would put back on the hot path part of what persistence took off it.
-``ServiceNode.close()`` ends every open connection, and a peer that
-vanished without a FIN is the kernel's business (``SO_KEEPALIVE`` is set
-on accepted sockets).
+**No idle reaper.**  A silent client keeps its socket: a timer per
+request or connection would put back on the hot path part of what
+persistence took off it (the read timeout is armed only for a remote
+GET).  ``ServiceNode.close()`` ends every open connection, and a peer
+that vanished without a FIN is the kernel's business (``SO_KEEPALIVE``).
 """
 
 from __future__ import annotations
@@ -74,8 +79,7 @@ __all__ = ["serve_http"]
 
 #: refuse request bodies larger than this (1 MiB)
 MAX_BODY_BYTES = 1024 * 1024
-#: refuse a request line or header line longer than this (the
-#: ``StreamReader`` limit of the listener)
+#: refuse a request line or header line longer than this
 MAX_LINE_BYTES = 64 * 1024
 #: refuse a request with more header lines than this
 MAX_HEADER_LINES = 100
@@ -135,37 +139,41 @@ def _wid_dict(write_id) -> Optional[dict]:
     return {"site": write_id.site, "clock": write_id.clock}
 
 
-async def _read_head(reader: asyncio.StreamReader) -> Optional[list[bytes]]:
-    """The request line and the header lines, or None on EOF."""
-    lines: list[bytes] = []
-    while len(lines) <= MAX_HEADER_LINES + 1:  # + the request line
-        try:
-            line = await reader.readline()
-        except ValueError:  # the StreamReader's limit overrun
-            raise _Refusal(
-                431, f"line longer than {MAX_LINE_BYTES} bytes"
-            ) from None
-        if not line.endswith(b"\n"):
-            return None  # EOF, between requests or in the middle of one
-        if line in (b"\r\n", b"\n"):
-            return lines
-        lines.append(line)
-    raise _Refusal(431, f"more than {MAX_HEADER_LINES} header lines")
+#: where the scan of a head resumes: (start of the first line whose end
+#: has not arrived, offset its end is looked for from, lines before it)
+_START = (0, 0, 0)
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
-    """Parse one request; None on EOF, :class:`_Refusal` when the framing
-    is in doubt (the caller must close: the stream is out of step)."""
-    head = await _read_head(reader)
-    if head is None:
-        return None
-    parts = head[0].decode("latin-1").split() if head else []
+def parse(buffer, scan_from=_START):
+    """One request off the front of ``buffer``, without I/O.
+
+    Returns ``(request, consumed)``; or ``(None, scan_from)`` while the
+    request is not all there -- pass it back in with the longer buffer,
+    so that no byte of a head is scanned twice however it dribbles in;
+    or raises :class:`_Refusal` when the framing is in doubt (the caller
+    must close: the stream is out of step).
+    """
+    pos, seen, lines = scan_from
+    while True:
+        end = buffer.find(b"\n", seen)
+        if (len(buffer) if end < 0 else end) - pos > MAX_LINE_BYTES:
+            raise _Refusal(431, f"line longer than {MAX_LINE_BYTES} bytes")
+        if end < 0:
+            return None, (pos, len(buffer), lines)
+        if buffer[pos:end] in (b"", b"\r"):
+            break
+        lines += 1
+        if lines > MAX_HEADER_LINES + 1:  # + the request line
+            raise _Refusal(431, f"more than {MAX_HEADER_LINES} header lines")
+        pos = seen = end + 1
+    head = str(buffer[:pos], "latin-1").split("\n")  # ends with one ""
+    parts = head[0].split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise _Refusal(400, "request line is not 'METHOD PATH HTTP/1.x'")
     content_length: Optional[int] = None
     tokens: list[str] = []
-    for line in head[1:]:
-        name, _, value = line.decode("latin-1").partition(":")
+    for line in head[1:-1]:
+        name, _, value = line.partition(":")
         name, value = name.strip().lower(), value.strip()
         if name == "content-length":
             # int() would also take "+5", "5_0" and non-ASCII digits, and
@@ -191,152 +199,213 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
         raise _Refusal(
             413, f"body of {content_length} bytes exceeds {MAX_BODY_BYTES}"
         )
-    body = (
-        await reader.readexactly(content_length) if content_length else b""
-    )
-    return _Request(parts[0].upper(), parts[1], body, connection)
+    consumed = end + 1 + content_length
+    if len(buffer) < consumed:
+        return None, (pos, pos, lines)  # finds the empty line again
+    body = bytes(buffer[end + 1:consumed])
+    return _Request(parts[0].upper(), parts[1], body, connection), consumed
 
 
-async def _refuse(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-    refusal: _Refusal,
-) -> None:
-    """Answer, half-close, and discard what the peer had already sent.
+class _HttpConnection(asyncio.Protocol):
+    """One client connection, served inside the transport's callbacks.
 
-    Closing a socket that holds unread bytes makes the kernel send an
-    RST, which can overtake the answer in the client's buffers; so the
-    FIN goes first and the rest of the refused request (at most
-    ``MAX_BODY_BYTES`` of it, a chunk at a time) is thrown away unparsed.
+    Requests are answered one at a time in arrival order.  A remote GET
+    parks the connection until its RM comes, a client that does not read
+    its replies (``pause_writing``) stalls it the same way, and a stalled
+    connection with over ``MAX_BODY_BYTES`` of backlog stops reading.
     """
-    writer.write(
-        _frame(_json_reply(refusal.status, {"error": str(refusal)}), "close")
-    )
-    writer.write_eof()
-    discarded = 0
-    while discarded < MAX_BODY_BYTES:
-        chunk = await reader.read(MAX_LINE_BYTES)
-        if not chunk:
-            break
-        discarded += len(chunk)
 
+    def __init__(self, node: "ServiceNode") -> None:
+        self._node = node
+        self._buffer = bytearray()
+        self._scan = _START
+        self._parked = False    # a remote GET is waiting for its RM
+        self._paused = False    # the client is not reading its replies
+        self._eof = False       # the client has sent all it will
+        self._finished = False  # refused or closed: nothing more is parsed
+        self._discarded = 0     # bytes thrown away since the refusal
 
-async def _handle(node: "ServiceNode", method: str, path: str,
-                  body: bytes) -> _Reply:
-    if path == "/status":
-        if method != "GET":
-            return _json_reply(405, {"error": "method not allowed"})
-        return _json_reply(200, node.status())
-
-    if path == "/history":
-        if method != "GET":
-            return _json_reply(405, {"error": "method not allowed"})
-        return _Reply(
-            200,
-            dump_events(node.core.history.events).encode("utf-8"),
-            "application/x-ndjson",
-        )
-
-    if path.startswith("/kv/"):
-        try:
-            var = int(path[len("/kv/"):])
-        except ValueError:
-            return _json_reply(400, {"error": f"bad variable in {path!r}"})
-        if not 0 <= var < node.topology.n_vars:
-            return _json_reply(404, {"error": f"no variable {var}"})
-
-        if method == "GET":
-            try:
-                value, write_id, remote = await node.get(var)
-            except asyncio.TimeoutError:
-                return _json_reply(
-                    504, {"error": "read timed out", "var": var}
-                )
-            return _json_reply(200, {
-                "var": var, "value": value,
-                "write_id": _wid_dict(write_id), "remote": remote,
-            })
-
-        if method == "PUT":
-            try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return _json_reply(400, {"error": "body is not JSON"})
-            if not isinstance(payload, dict) or "value" not in payload:
-                return _json_reply(
-                    400, {"error": 'body must be {"value": <json>}'}
-                )
-            try:
-                wid = node.put(var, payload["value"])
-            except OverloadError as exc:
-                return _json_reply(503, {
-                    "error": "overloaded", "var": var,
-                    "backlog": exc.backlog, "threshold": exc.threshold,
-                })
-            return _json_reply(200, {
-                "var": var, "value": payload["value"],
-                "write_id": _wid_dict(wid),
-            })
-
-        return _json_reply(405, {"error": "method not allowed"})
-
-    return _json_reply(404, {"error": f"no route {path!r}"})
-
-
-async def _serve_connection(
-    node: "ServiceNode", reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Answer one connection's requests, in order, until it has to close."""
-    try:
-        writer.get_extra_info("socket").setsockopt(
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        transport.get_extra_info("socket").setsockopt(
             socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1
         )
-        while True:
+        self._node.http_connections += 1
+        self._node.http_clients.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._finished:
+            self._discarded += len(data)
+            if self._discarded >= MAX_BODY_BYTES:
+                self.close()
+            return
+        self._buffer += data
+        self._serve()
+        if len(self._buffer) > MAX_BODY_BYTES and (
+                self._parked or self._paused):
+            self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        # kept while replies are owed: to the parked GET, and to what is
+        # whole in the backlog behind it
+        if self._finished or not (self._parked or self._paused):
+            self.close()  # between requests, inside one, or refused
+        return not self._finished
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._resume()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Nothing more is parsed or answered; what is written already
+        is flushed, then the socket goes."""
+        self._finished = True
+        self._node.http_clients.discard(self)
+        self._transport.close()
+
+    def _serve(self) -> None:
+        """Answer, in arrival order, every request that is whole in the
+        buffer, until one has to wait for its RM."""
+        node = self._node
+        while not (self._parked or self._paused or self._finished):
             try:
-                request = await _read_request(reader)
+                request, at = parse(self._buffer, self._scan)
             except _Refusal as refusal:
-                await _refuse(reader, writer, refusal)
+                self._refuse(refusal)
                 return
             if request is None:
+                self._scan = at
+                if self._eof:
+                    self.close()  # EOF in mid-request: a silent close
                 return
+            del self._buffer[:at]
+            self._scan = _START
             node.http_requests += 1
             try:
-                reply = await _handle(
-                    node, request.method, request.path, request.body
-                )
+                reply = self._route(request)
             except Exception as exc:  # surface, don't kill the node
                 reply = _json_reply(500, {"error": str(exc)})
-            writer.write(_frame(reply, request.connection))
-            await writer.drain()
-            if request.connection == "close":
-                return
-    except (OSError, asyncio.IncompleteReadError):
-        pass  # the peer went away in mid-request or mid-response
+            if reply is not None:
+                self._answer(reply, request.connection)
+
+    def _resume(self) -> None:
+        """A stall is over: read on, and serve what queued up behind it."""
+        self._transport.resume_reading()
+        self._serve()
+
+    def _answer(self, reply: _Reply, connection: str) -> None:
+        if self._finished:
+            return  # node.close(), or the client's reset, came first
+        self._parked = False
+        self._transport.write(_frame(reply, connection))
+        if connection == "close":
+            self.close()
+
+    def _refuse(self, refusal: _Refusal) -> None:
+        """Answer, half-close, and discard what the peer sends from here.
+
+        Closing a socket that holds unread bytes makes the kernel send an
+        RST, which can overtake the answer in the client's buffers; so the
+        FIN goes first and ``data_received`` throws the rest of the refused
+        request (at most ``MAX_BODY_BYTES`` of it) away unparsed.
+        """
+        self._finished = True
+        self._buffer.clear()
+        reply = _json_reply(refusal.status, {"error": str(refusal)})
+        self._transport.write(_frame(reply, "close"))
+        self._transport.write_eof()
+        if self._eof:
+            self.close()
+
+    def _get(self, var: int, connection: str) -> None:
+        """r(x_var): answered before this returns when the variable is
+        replicated here, from the RM's ingress otherwise."""
+        inline = True
+
+        def on_done(result) -> None:
+            if result is None:
+                reply = _json_reply(504, {"error": "read timed out",
+                                          "var": var})
+            else:
+                value, write_id, remote = result
+                reply = _json_reply(200, {
+                    "var": var, "value": value,
+                    "write_id": _wid_dict(write_id), "remote": remote,
+                })
+            self._answer(reply, connection)
+            if not inline:
+                self._resume()
+
+        self._parked = True
+        self._node.read(var, on_done)
+        inline = False
+
+    def _route(self, request: _Request) -> Optional[_Reply]:
+        """The reply, or None for a GET (:meth:`_get` answers it)."""
+        node, method, path = self._node, request.method, request.path
+        if path in ("/status", "/history"):
+            if method != "GET":
+                return _json_reply(405, {"error": "method not allowed"})
+            if path == "/status":
+                return _json_reply(200, node.status())
+            return _Reply(
+                200,
+                dump_events(node.core.history.events).encode("utf-8"),
+                "application/x-ndjson",
+            )
+
+        if path.startswith("/kv/"):
+            try:
+                var = int(path[len("/kv/"):])
+            except ValueError:
+                return _json_reply(400, {"error": f"bad variable in {path!r}"})
+            if not 0 <= var < node.topology.n_vars:
+                return _json_reply(404, {"error": f"no variable {var}"})
+
+            if method == "GET":
+                self._get(var, request.connection)
+                return None
+
+            if method == "PUT":
+                body = request.body
+                try:
+                    payload = json.loads(body.decode("utf-8")) if body else {}
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    return _json_reply(400, {"error": "body is not JSON"})
+                if not isinstance(payload, dict) or "value" not in payload:
+                    return _json_reply(
+                        400, {"error": 'body must be {"value": <json>}'}
+                    )
+                try:
+                    wid = node.put(var, payload["value"])
+                except OverloadError as exc:
+                    return _json_reply(503, {
+                        "error": "overloaded", "var": var,
+                        "backlog": exc.backlog, "threshold": exc.threshold,
+                    })
+                return _json_reply(200, {
+                    "var": var, "value": payload["value"],
+                    "write_id": _wid_dict(wid),
+                })
+
+            return _json_reply(405, {"error": "method not allowed"})
+
+        return _json_reply(404, {"error": f"no route {path!r}"})
 
 
 async def serve_http(
     node: "ServiceNode", host: str, port: int
 ) -> asyncio.base_events.Server:
-    """Start the API listener; returns the asyncio server handle.
-
-    Every accepted connection is served by a task of its own, held in
-    ``node.http_clients`` from the accept until it ends; that is how
-    ``ServiceNode.close()`` reaches a handler parked in ``readline`` or
-    behind a remote read.
-    """
-    loop = asyncio.get_running_loop()
-
-    def _accept(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        node.http_connections += 1
-        task = loop.create_task(_serve_connection(node, reader, writer))
-        node.http_clients.add(task)
-        task.add_done_callback(node.http_clients.discard)
-        # not a ``finally`` in the task: one cancelled before its first
-        # step never enters its body
-        task.add_done_callback(lambda _task: writer.close())
-
-    return await asyncio.start_server(
-        _accept, host, port, limit=MAX_LINE_BYTES
+    """Start the API listener; returns the asyncio server handle.  An
+    accepted connection sits in ``node.http_clients`` until it closes:
+    that is how ``ServiceNode.close()`` reaches an idle or parked one."""
+    return await asyncio.get_running_loop().create_server(
+        lambda: _HttpConnection(node), host, port
     )

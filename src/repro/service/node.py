@@ -10,17 +10,19 @@ Two halves, split along the port layer:
   :class:`~repro.core.ports.Transport` and never asks what they are:
   the loopback test cluster and the TCP node build the *same* core.
 * :class:`ServiceNode` is the asyncio half: one OS process per site,
-  a TCP listener for length-prefixed peer frames, persistent outbound
-  connections (dialled with retry; the reliable channel covers frames
-  sent while a link is down and flushes them when the dial succeeds),
-  the persistent-connection HTTP client API from
-  :mod:`repro.service.api` (the node owns the open client connections,
-  so :meth:`ServiceNode.close` ends them), and a streaming JSONL history
-  sink.
+  a TCP listener whose links take every complete length-prefixed frame
+  of a read inside the read callback, persistent outbound connections
+  (dialled with retry and re-dialled when they die; the reliable channel
+  covers frames sent while a link is down and flushes them when the dial
+  succeeds), the persistent-connection HTTP client API from
+  :mod:`repro.service.api`, and a streaming JSONL history sink.  The
+  node owns every open link and client connection:
+  :meth:`ServiceNode.close` ends them.
 
 Determinism note: protocol state mutates only inside loop callbacks
-(HTTP handlers and frame ingress), and asyncio runs them one at a time —
-the cores need no locks, exactly as in the simulator.
+(``data_received`` of a client connection or a peer link, and timers),
+and asyncio runs them one at a time — the cores need no locks, exactly
+as in the simulator.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, Optional
 
 from ..core.base import CausalProtocol, ProtocolContext, create_protocol
 from ..core.netpolicy import RetransmitPolicy
-from ..core.ports import Clock, Transport
+from ..core.ports import Clock, TimerHandle, Transport
 from ..memory.store import SiteStore, WriteId
 from ..metrics.collector import MetricsCollector
 from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
@@ -134,6 +136,70 @@ class NodeCore:
         }
 
 
+class _InboundLink(asyncio.Protocol):
+    """An accepted peer link: every complete ``[4-byte length][payload]``
+    frame of a read is taken inside the read callback."""
+
+    def __init__(self, node: "ServiceNode") -> None:
+        self._node = node
+        self._buffer = bytearray()
+        self._greeted = False  # the wire format is the link's: checked once
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._node._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._node._inbound.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        channel = self._node.transport
+        pos, end = 0, len(buffer)
+        try:
+            while end - pos >= 4:
+                stop = pos + 4 + unpack_length(buffer[pos:pos + 4])
+                if stop > end:
+                    break
+                frame = loads(buffer[pos + 4:stop])
+                pos = stop
+                if self._greeted:
+                    channel.on_frame(frame)
+                elif channel.accept_link(frame):
+                    self._greeted = True
+                else:
+                    self._transport.close()
+                    return
+        except CodecError:
+            # a length past the cap or bytes that are not JSON: what
+            # follows on this stream cannot be framed, so the link goes
+            channel.malformed_frames += 1
+            self._transport.close()
+            return
+        del buffer[:pos]
+
+
+class _OutboundLink(asyncio.Protocol):
+    """A dialled peer link.  Frames only go out on it (the peer answers
+    on the link *it* dialled), so all it does is report its own death."""
+
+    def __init__(self, node: "ServiceNode", dst: int) -> None:
+        self._node = node
+        self._dst = dst
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # closed or reset by the peer: re-dial, and the channel flushes
+        # what is unacked when the new link stands (``on_link_up``)
+        node, dst = self._node, self._dst
+        if node._writers.get(dst) is self._transport:
+            del node._writers[dst]
+            node._ensure_dial(dst, retry=True)
+
+
 class ServiceNode:
     """The asyncio TCP process hosting one :class:`NodeCore`."""
 
@@ -167,31 +233,30 @@ class ServiceNode:
         path = topology.history_path(site)
         if path is not None:
             self._sink = HistorySink(self.core.history, path)
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._dialing: set[int] = set()
+        #: the live link dialled to each peer, the dial task of each peer
+        #: without one, and every accepted link
+        self._writers: dict[int, asyncio.Transport] = {}
+        self._dials: dict[int, asyncio.Task] = {}
+        self._inbound: set[asyncio.Transport] = set()
         self._servers: list[asyncio.base_events.Server] = []
-        self._tasks: set[asyncio.Task] = set()
-        #: the client API's lifetime counters, and the handler task of
-        #: every open client connection (``api.serve_http`` keeps them
-        #: current; ``close`` cancels what is still open)
+        #: the client API's lifetime counters, and every open client
+        #: connection (``api._HttpConnection`` keeps them current;
+        #: ``close`` ends what is still open)
         self.http_requests = 0
         self.http_connections = 0
-        self.http_clients: set[asyncio.Task] = set()
+        self.http_clients: set = set()
         self._closed = False
 
     # ------------------------------------------------------------------
     # raw frame egress/ingress (the seam the reliable channel rides on)
     # ------------------------------------------------------------------
     def _send_frame(self, dst: int, frame: bytes) -> None:
-        writer = self._writers.get(dst)
-        if writer is None or writer.is_closing():
-            # no link: drop and (re)dial; the channel timer re-covers it
+        link = self._writers.get(dst)
+        if link is None:
+            # no link: drop and dial; the channel timer re-covers it
             self._ensure_dial(dst)
-            return
-        try:
-            writer.write(pack_frame(frame))
-        except ConnectionError:
-            self._drop_writer(dst)
+        elif not link.is_closing():
+            link.write(pack_frame(frame))
 
     def _deliver(self, src: int, message: object) -> None:
         self.core.on_message(src, message)
@@ -204,61 +269,37 @@ class ServiceNode:
     # ------------------------------------------------------------------
     # outbound links
     # ------------------------------------------------------------------
-    def _ensure_dial(self, dst: int) -> None:
-        if dst in self._dialing or dst in self._writers or self._closed:
+    def _ensure_dial(self, dst: int, retry: bool = False) -> None:
+        if dst in self._dials or dst in self._writers or self._closed:
             return
-        self._dialing.add(dst)
-        self._spawn(self._dial(dst))
+        self._dials[dst] = asyncio.get_running_loop().create_task(
+            self._dial(dst, retry))
 
-    async def _dial(self, dst: int) -> None:
+    async def _dial(self, dst: int, retry: bool) -> None:
+        """Dial ``dst`` until a link stands; every attempt but the first
+        of a fresh dial waits ``DIAL_RETRY_S``."""
         spec = self.topology.node(dst)
+        loop = asyncio.get_running_loop()
         try:
             while not self._closed:
+                if retry:
+                    await asyncio.sleep(DIAL_RETRY_S)
+                retry = True
                 try:
-                    _, writer = await asyncio.open_connection(
-                        spec.host, spec.peer_port
+                    link, _ = await loop.create_connection(
+                        lambda: _OutboundLink(self, dst),
+                        spec.host, spec.peer_port,
                     )
                 except OSError:
-                    await asyncio.sleep(DIAL_RETRY_S)
                     continue
-                writer.write(pack_frame(hello_frame(self.site)))
-                self._writers[dst] = writer
+                if link.is_closing():
+                    continue  # lost before this task saw it
+                link.write(pack_frame(hello_frame(self.site)))
+                self._writers[dst] = link
                 self.transport.on_link_up(dst)
                 return
         finally:
-            self._dialing.discard(dst)
-
-    def _drop_writer(self, dst: int) -> None:
-        writer = self._writers.pop(dst, None)
-        if writer is not None:
-            writer.close()
-
-    # ------------------------------------------------------------------
-    # inbound links
-    # ------------------------------------------------------------------
-    async def _handle_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        greeted = False  # the wire format is the link's: checked once
-        try:
-            while True:
-                prefix = await reader.readexactly(4)
-                payload = await reader.readexactly(unpack_length(prefix))
-                frame = loads(payload)
-                if greeted:
-                    self.transport.on_frame(frame)
-                elif self.transport.accept_link(frame):
-                    greeted = True
-                else:
-                    return
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        except CodecError:
-            # a length past the cap or bytes that are not JSON: what
-            # follows on this stream cannot be framed, so the link goes
-            self.transport.malformed_frames += 1
-        finally:
-            writer.close()
+            del self._dials[dst]
 
     # ------------------------------------------------------------------
     # application surface used by the HTTP API
@@ -268,22 +309,43 @@ class ServiceNode:
         self._flush_history()
         return wid
 
+    def read(self, var: int, on_done) -> None:
+        """r(x_var) by callback, under :meth:`get` and the HTTP GET alike:
+        ``on_done((value, write_id, was_remote))`` runs inside this call
+        for a variable replicated here, from the RM's ingress for a
+        remote one -- or ``on_done(None)`` if that RM has not come after
+        ``READ_TIMEOUT_MS`` (armed only for a read still open on return)."""
+        timer: Optional[TimerHandle] = None
+
+        def finish(result) -> None:
+            nonlocal on_done
+            if on_done is not None:
+                done, on_done = on_done, None
+                if timer is not None:
+                    timer.cancel()
+                self._flush_history()
+                done(result)
+
+        self.core.get(var, lambda *result: finish(result))
+        if on_done is not None:
+            timer = self.scheduler.schedule(
+                READ_TIMEOUT_MS, lambda: finish(None))
+
     async def get(self, var: int) -> tuple[object, Optional[WriteId], bool]:
+        """:meth:`read` for library callers; ``asyncio.TimeoutError``
+        after ``READ_TIMEOUT_MS``."""
         future: asyncio.Future = asyncio.get_running_loop().create_future()
 
-        def _done(value, wid, was_remote):
-            if not future.done():
-                future.set_result((value, wid, was_remote))
+        def on_done(result) -> None:
+            if not future.done():  # the awaiting task may have been cancelled
+                future.set_result(result)
 
-        self.core.get(var, _done)
-        try:
-            if future.done():
-                # a locally replicated variable: the read completed inside
-                # core.get, so there is nothing to wait (or time out) for
-                return future.result()
-            return await asyncio.wait_for(future, READ_TIMEOUT_MS / 1000.0)
-        finally:
-            self._flush_history()
+        self.read(var, on_done)
+        # a local read is done already: awaiting it does not suspend
+        result = await future
+        if result is None:
+            raise asyncio.TimeoutError
+        return result
 
     def status(self) -> dict:
         out = self.core.status()
@@ -299,15 +361,10 @@ class ServiceNode:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
     async def start(self) -> None:
         self._servers.append(
-            await asyncio.start_server(
-                self._handle_peer, self.spec.host, self.spec.peer_port
+            await asyncio.get_running_loop().create_server(
+                lambda: _InboundLink(self), self.spec.host, self.spec.peer_port
             )
         )
         self._servers.append(
@@ -328,17 +385,13 @@ class ServiceNode:
         self._closed = True
         for server in self._servers:
             server.close()
-        clients = list(self.http_clients)
-        for task in [*self._tasks, *clients]:
+        for task in self._dials.values():
             task.cancel()
-        for writer in self._writers.values():
-            writer.close()
+        for link in [*self._writers.values(), *self._inbound]:
+            link.close()
+        for client in list(self.http_clients):
+            client.close()
         self.transport.close()
-        if clients:
-            # a handler parked in readline or behind a remote read would
-            # otherwise outlive the node (and, from Python 3.12.1, block
-            # Server.wait_closed)
-            await asyncio.wait(clients)
         if self._sink is not None:
             self._sink.close()
 

@@ -162,6 +162,21 @@ class TestLeafDetection:
         assert "NETWORK" in report.effects["app.core.proto.dial"]
         assert efff(findings)
 
+    def test_network_through_the_event_loop(self, tmp_path):
+        # the protocol-based dial / listen calls, on any receiver
+        report, findings = run(tmp_path, {
+            "app/core/proto.py": """
+                async def dial(loop, factory, host: str):
+                    return await loop.create_connection(factory, host, 80)
+
+                async def listen(self, factory):
+                    return await self._loop.create_server(factory, "", 80)
+            """,
+        })
+        assert "NETWORK" in report.effects["app.core.proto.dial"]
+        assert "NETWORK" in report.effects["app.core.proto.listen"]
+        assert len(efff(findings)) == 2
+
     def test_sim_internal_runtime_reference(self, tmp_path):
         report, findings = run(tmp_path, {
             "app/sim/engine.py": """

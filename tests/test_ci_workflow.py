@@ -75,6 +75,27 @@ def test_committed_workflow_gates_can_fail():
     assert unguarded_tee_steps(workflow) == []
 
 
+def test_tier_1_job_runs_the_live_suites_in_asyncio_debug_mode():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    job = workflow["jobs"]["test"]
+    (step,) = [step for step in job["steps"]
+               if "-X dev" in step.get("run", "")]
+    assert step["if"] == "matrix.python-version == '3.12'"
+    assert "3.12" in job["strategy"]["matrix"]["python-version"]
+    words = step["run"].split()
+    assert words[:7] == ["PYTHONPATH=src", "python", "-X", "dev", "-W",
+                         "error::ResourceWarning", "-m"]
+    suites = [w for w in words if w.startswith("tests/")]
+    assert suites == ["tests/test_service_api.py",
+                      "tests/test_service_link.py",
+                      "tests/test_service_fuzz.py",
+                      "tests/test_service_channel.py"]
+    assert all((Path(__file__).parent.parent / s).exists() for s in suites)
+    # no pipe, and bash -eo pipefail by the workflow's default anyway
+    assert "|" not in step["run"] and "shell" not in step
+    assert workflow["defaults"]["run"]["shell"] == "bash"
+
+
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"
 
 

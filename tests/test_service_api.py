@@ -10,6 +10,7 @@ further -- and the node's ownership of its open client connections.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -379,3 +380,97 @@ def test_local_get_completes_without_suspending():
         assert stop.value.value == ("v", write_id, False)
 
     run(scenario)
+
+
+# ----------------------------------------------------------------------
+# callbacks, not tasks
+# ----------------------------------------------------------------------
+def test_a_served_connection_costs_no_task(monkeypatch):
+    async def scenario(nodes):
+        node = nodes[0]
+        _, remote = _vars_of(node.topology, 0)
+        await _until(lambda: all(n.status()["peer_links"] for n in nodes),
+                     "all peer links")
+        # the peer takes the FM and never answers: the read stays open
+        monkeypatch.setattr(nodes[1].core, "on_message", lambda src, m: None)
+        clients = [await _connect(node) for _ in range(3)]
+        for reader, writer in clients[:2]:  # two idle kept connections
+            writer.write(_request("GET", "/status"))
+            assert (await _response(reader))[0] == 200
+        clients[2][1].write(_request("GET", f"/kv/{remote}"))
+        await _until(lambda: node.core.protocol.pending_count == 1
+                     and node.status()["pending_channel"] == 0,
+                     "the third to be parked behind its remote GET")
+        assert node.status()["http_open"] == 3
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        await node.close()
+        assert node.status()["http_open"] == 0
+        for reader, writer in clients:
+            assert await reader.read() == b""
+            writer.close()
+
+    run(scenario)
+
+
+def test_remote_get_times_out_504_and_the_backlog_behind_it_is_served(
+        monkeypatch):
+    monkeypatch.setattr(node_module, "READ_TIMEOUT_MS", 20.0)
+
+    async def scenario(nodes):
+        node = nodes[0]  # its peer never starts: no RM will come
+        _, remote = _vars_of(node.topology, 0)
+        reader, writer = await _connect(node)
+        writer.write(_request("GET", f"/kv/{remote}")
+                     + _request("GET", "/status"))
+        status, headers, body = await _response(reader)
+        assert status == 504 and "connection" not in headers
+        assert json.loads(body) == {"error": "read timed out", "var": remote}
+        status, _, body = await _response(reader)
+        assert status == 200 and json.loads(body)["http_requests"] == 2
+        writer.close()
+        with pytest.raises(asyncio.TimeoutError):  # the same path, awaited
+            await node.get(remote)
+
+    run(scenario, start=[0])
+
+
+def test_a_client_that_does_not_read_stalls_only_itself():
+    async def settled(read, turns=20):
+        """``read()``, once it has stopped changing."""
+        last, same = read(), 0
+        while same < turns:
+            await asyncio.sleep(0.001)
+            now = read()
+            last, same = now, same + 1 if now == last else 0
+        return last
+
+    async def scenario(nodes):
+        node = nodes[0]
+        for _ in range(10):
+            node.put(0, "x" * 10_000)
+        size = len(api.dump_events(node.core.history.events))
+        asked = 24 * 1024 * 1024 // size  # more than socket buffers hold
+        # a small, fixed receive buffer: the kernel must not soak it all up
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(
+            sock, (HOST, node.spec.http_port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        writer.write(_request("GET", "/history") * asked)
+        served = await settled(lambda: node.status()["http_requests"])
+        assert 0 < served < asked  # parked behind its unread replies
+
+        other_reader, other = await _connect(node)  # served meanwhile
+        other.write(_request("GET", "/status"))
+        assert (await _response(other_reader))[0] == 200
+        other.close()
+
+        for _ in range(asked):  # reading lets the rest through, in order
+            status, _, body = await _response(reader)
+            assert status == 200 and len(body) == size
+        assert node.status()["http_requests"] == asked + 1
+        writer.close()
+
+    run(scenario, n_sites=1)

@@ -37,6 +37,7 @@ from repro.core.messages import (
     OptTrackSM,
 )
 from repro.memory.store import WriteId
+from repro.service import api
 from repro.service.bootstrap import build_placement, default_topology
 from repro.service.codec import (
     CodecError,
@@ -283,3 +284,131 @@ def test_a_burst_of_mutated_frames(cases):
     for _, payload, _ in cases:
         _feed(cluster, payload)
     _legitimate_write_still_applies(cluster, protocol)
+
+
+# ----------------------------------------------------------------------
+# the HTTP head parser: a pure function of the bytes, however they arrive
+# ----------------------------------------------------------------------
+_HEAD_LINES = st.sampled_from([
+    b"GET /kv/1 HTTP/1.1", b"PUT /kv/0 HTTP/1.0", b"GET /status", b"",
+    b"Content-Length: 3", b"Content-Length: 4", b"content-length:x",
+    b"Content-Length: " + b"9" * 30, b"Transfer-Encoding: chunked",
+    b"Connection: close", b"Connection: Keep-Alive, x", b"X-Pad: 1",
+    b"\xff\xa0:\x85", b": :", b"x" * (api.MAX_LINE_BYTES + 1),
+])
+_ANY_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.tuples(_HEAD_LINES, st.sampled_from([b"\r\n", b"\n", b"\r"])),
+             max_size=api.MAX_HEADER_LINES + 5)
+    .map(lambda lines: b"".join(a + b for a, b in lines)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=_ANY_BYTES, cut=st.integers(0, 400))
+def test_parser_fails_typed_on_any_bytes(data, cut):
+    def requests(*segments):
+        """What the segments parse to: the requests, then how it ended."""
+        buffer, scan, out = bytearray(), api._START, []
+        for segment in segments:
+            buffer += segment
+            while True:
+                try:
+                    request, at = api.parse(buffer, scan)  # raises nothing else
+                except api._Refusal as refusal:
+                    return out + [refusal.status]
+                if request is None:
+                    scan = at
+                    break
+                assert 0 < at <= len(buffer)
+                del buffer[:at]
+                scan = api._START
+                out.append(request)
+        return out + [bytes(buffer)]
+
+    assert requests(data[:cut], data[cut:]) == requests(data)
+
+
+class _Wire:
+    """The transport of a connection nobody dialled: keeps what is written."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.write = self.written.extend
+
+    def get_extra_info(self, name):
+        return self
+
+    def setsockopt(self, *args):
+        pass
+
+    def close(self):
+        pass
+
+    resume_reading = write_eof = close
+
+
+class _Store:
+    """As much of a ``ServiceNode`` as its HTTP front end asks for, with
+    nothing in ``status()`` that depends on the time."""
+
+    topology = default_topology(N_SITES, n_vars=N_VARS)
+
+    def __init__(self):
+        self.http_requests = self.http_connections = 0
+        self.http_clients = set()
+        self.values = {}
+
+    def status(self):
+        return {"http_requests": self.http_requests}
+
+    def put(self, var, value):
+        self.values[var] = value
+        return WriteId(TARGET, len(self.values))
+
+    def read(self, var, on_done):
+        on_done((self.values.get(var), None, False))
+
+
+def _replies(segments):
+    connection, wire = api._HttpConnection(_Store()), _Wire()
+    connection.connection_made(wire)
+    for segment in segments:
+        connection.data_received(segment)
+    return bytes(wire.written)
+
+
+_PIPELINE = (b'PUT /kv/2 HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\n\r\n'
+             b'{"value": 7}'
+             b"GET /kv/2 HTTP/1.1\nHost: x\n\n"          # bare line ends
+             b"GET /status HTTP/1.1\r\nHost: x\n\r\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cuts=st.lists(st.integers(0, len(_PIPELINE)), max_size=12))
+def test_any_chunking_of_a_pipeline_gets_the_same_replies(cuts):
+    whole = _replies([_PIPELINE])
+    assert whole.count(b"HTTP/1.1 200 OK") == 3
+    assert b'{"http_requests": 3}' in whole and b'"value": 7' in whole
+    edges = [0, *sorted(cuts), len(_PIPELINE)]
+    assert _replies(_PIPELINE[a:b] for a, b in zip(edges, edges[1:])) == whole
+
+
+def test_a_dribbled_head_is_scanned_once():
+    class Counting(bytearray):
+        scanned = 0
+
+        def find(self, sub, start=0):
+            at = super().find(sub, start)
+            Counting.scanned += (len(self) if at < 0 else at + 1) - start
+            return at
+
+    head = (b"GET /status HTTP/1.1\r\n"
+            + b"X-Pad: %s\r\n" % (b"p" * 60) * api.MAX_HEADER_LINES + b"\r\n")
+    buffer, scan = Counting(), api._START
+    for k, byte in enumerate(head):
+        buffer.append(byte)
+        request, scan = api.parse(buffer, scan)
+        assert (request is None) == (k < len(head) - 1)
+    assert (request.path, scan) == ("/status", len(head))
+    # every byte looked at once -- not once per read that followed it
+    assert Counting.scanned == len(head)

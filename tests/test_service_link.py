@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.service import node as node_module
 from repro.service.codec import (
     WIRE_VERSION,
     ack_frame,
@@ -17,6 +18,7 @@ from repro.service.codec import (
     dumps,
     encode_message,
     hello_frame,
+    loads,
     pack_frame,
 )
 
@@ -166,3 +168,132 @@ def test_real_cluster_reports_clean_links_in_status():
             assert status["links_refused"] == 0
 
     run(scenario, n_sites=3)
+
+
+# ----------------------------------------------------------------------
+# the dialled half: a link the peer dropped is dialled again
+# ----------------------------------------------------------------------
+async def _read_frame(reader):
+    size = int.from_bytes(await reader.readexactly(4), "big")
+    return await reader.readexactly(size)
+
+
+def test_dropped_outbound_link_is_redialled_and_the_channel_retransmits(
+        monkeypatch):
+    monkeypatch.setattr(node_module, "DIAL_RETRY_S", 0.002)
+
+    async def scenario(nodes):
+        node, peer = nodes
+        _, remote = _vars_of(node.topology, 0)
+        first_link = []  # the frames the stand-in for node 1 was sent
+
+        async def take_two_frames_then_hang_up(reader, writer):
+            stand_in.close()  # the re-dial is refused until node 1 starts
+            first_link.append(await _read_frame(reader))
+            first_link.append(await _read_frame(reader))
+            writer.close()
+
+        stand_in = await asyncio.start_server(
+            take_two_frames_then_hang_up, HOST, peer.spec.peer_port)
+        await _until(lambda: node.status()["peer_links"] == [1],
+                     "the dial to reach the stand-in")
+        read = asyncio.ensure_future(node.get(remote))  # an FM, never acked
+        await _until(lambda: node.status()["peer_links"] == [],
+                     "the node to notice that its link was dropped")
+        assert first_link[0] == hello_frame(0)
+        assert loads(first_link[1])["k"] == "data"
+        assert node.status()["pending_channel"] == 1
+
+        await peer.start()
+        # a real node takes nothing before a hello: the second dial
+        # greeted it, and the FM came again on the new link
+        value, _, was_remote = await asyncio.wait_for(read, 5.0)
+        assert value is None and was_remote
+        assert node.status()["peer_links"] == [1]
+        assert peer.status()["links_refused"] == 0
+        assert peer.transport.channel(0).receiver.next_expected == 1
+        assert node.transport.channel(1).retransmissions >= 1
+        await _until(lambda: node.status()["pending_channel"] == 0,
+                     "the retransmitted FM to be acked")
+
+    run(scenario, n_sites=2, start=[0])
+
+
+# ----------------------------------------------------------------------
+# the accepted half: framing is independent of how a read cuts the bytes
+# ----------------------------------------------------------------------
+class _Socketless:
+    """What ``_InboundLink`` asks of its transport."""
+
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def _link_fed(nodes, *segments):
+    """(on_frame sequence, next_expected, malformed_frames, closed) of
+    node 0 after an inbound link received ``segments`` in that order."""
+    node = nodes[0]
+    seen = []
+    taken = node.transport.on_frame
+    node.transport.on_frame = lambda frame: (seen.append(frame), taken(frame))
+    before = node.transport.malformed_frames
+    link, transport = node_module._InboundLink(node), _Socketless()
+    link.connection_made(transport)
+    for segment in segments:
+        if transport.closed:
+            break  # a closed socket delivers nothing more
+        link.data_received(segment)
+    link.connection_lost(None)
+    node.transport.on_frame = taken
+    return (seen, node.transport.channel(1).receiver.next_expected,
+            node.transport.malformed_frames - before, transport.closed)
+
+
+def _conversation(k=4):
+    frames = [hello_frame(1)]
+    for seq in range(k):
+        frames += [data_frame(1, seq, encode_message(message(seq))),
+                   ack_frame(1, seq - 1)]
+    return frames
+
+
+def test_frames_are_the_same_however_the_reads_cut_the_stream():
+    frames = _conversation()
+    stream = b"".join(map(pack_frame, frames))
+    want = ([loads(f) for f in frames[1:]], 4, 0, False)
+
+    async def scenario(nodes):
+        assert _link_fed(nodes, stream) == want
+        # a fresh cluster per cut would cost a second each; instead the
+        # same conversation is replayed to the same receiver, which takes
+        # a frame it has seen for a duplicate and stays where it was
+        for cut in range(1, len(stream)):
+            assert _link_fed(nodes, stream[:cut], stream[cut:]) == want
+        assert _link_fed(nodes, *(stream[i:i + 1]
+                                  for i in range(len(stream)))) == want
+
+    run(scenario, n_sites=2, start=[])
+
+
+def test_unparsable_payload_in_mid_segment_stops_the_link_there():
+    frames = _conversation()
+    segment = b"".join(map(pack_frame,
+                           frames[:3] + [b"{nope"] + frames[3:]))
+
+    async def scenario(nodes):
+        seen, next_expected, malformed, closed = _link_fed(nodes, segment)
+        assert seen == [loads(f) for f in frames[1:3]]  # none after it
+        assert (next_expected, malformed, closed) == (1, 1, True)
+
+    run(scenario, n_sites=2, start=[])
+
+
+def test_oversized_length_prefix_alone_closes_the_link():
+    async def scenario(nodes):
+        seen, _, malformed, closed = _link_fed(
+            nodes, pack_frame(hello_frame(1)), b"\xff\xff\xff\xff")
+        assert (seen, malformed, closed) == ([], 1, True)  # no payload awaited
+
+    run(scenario, n_sites=2, start=[])
