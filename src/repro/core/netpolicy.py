@@ -180,8 +180,7 @@ class RtoEstimator:
                 f"samples={self.samples})")
 
 
-@dataclass(frozen=True)
-class DataPacket:
+class DataPacket(NamedTuple):
     """One application message on a channel; every transmission attempt
     of it carries this same object."""
 
@@ -259,9 +258,12 @@ class ChannelSender:
         packet = DataPacket(self.next_seq, payload, size_bytes)
         self.next_seq += 1
         host = self.host
-        if len(self.unacked) >= host.policy.send_window or self.degraded:
-            # window full (or breaker open): queue durably and signal
-            # backpressure; on_ack promotes in seq order
+        if (len(self.unacked) >= host.policy.send_window or self.degraded
+                or self.backlog):
+            # window full, breaker open, or earlier sends still waiting
+            # (a paused pair with a freed slot): queue durably and signal
+            # backpressure; on_ack promotes in seq order, so ``unacked``
+            # is always in seq order and wholly below the backlog
             self.backlog.append(packet)
             host.note_backlog_grow(self.src, len(self.backlog) == 1)
             return None
@@ -284,9 +286,9 @@ class ChannelSender:
         adaptive = host.policy.adaptive
         now = host.scheduler.now
         progress = False
-        for seq in list(self.unacked):
+        for seq in list(self.unacked):  # in seq order
             if seq > cumulative:
-                continue
+                break
             progress = True
             del self.unacked[seq]
             sent = self._sent_at.pop(seq, None)
@@ -358,7 +360,7 @@ class ChannelSender:
         self.rto = self._est.fresh_rto()
         self._cancel_timer()
         self._cancel_pacer()
-        seqs = sorted(self.unacked)
+        seqs = list(self.unacked)
         burst = policy.heal_burst
         self._retransmit_seqs(seqs[:burst])
         rest = seqs[burst:]
@@ -410,7 +412,7 @@ class ChannelSender:
             self.host.count("breaker_trip", self.src, self.dst)
         # go-back-N: resend every unacked packet in sequence order (the
         # receiver's reorder buffer absorbs any that already arrived)
-        seqs = sorted(self.unacked)
+        seqs = list(self.unacked)
         self._retransmit_seqs(seqs[:1] if self.degraded else seqs)
         self.rto = min(self.rto * policy.backoff, policy.max_rto_ms)
         self._arm_timer()

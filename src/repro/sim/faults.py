@@ -11,7 +11,10 @@ Determinism contract: the injector owns its **own** ``numpy`` RNG
 stream, seeded independently of latency sampling, so the same fault
 seed replays a bit-identical fault schedule regardless of the latency
 model or workload seed.  Decisions are drawn once per physical packet
-transmission, in simulator order, which is itself deterministic.
+transmission, in simulator order, which is itself deterministic.  The
+stream is consumed only through the injector (``decide`` and
+``next_double``), which reads it in blocks: a draw taken from
+``injector.rng`` directly lands up to 256 doubles late.
 
 The recovery machinery that turns this lossy substrate back into the
 exactly-once FIFO channels the protocols require lives in
@@ -63,10 +66,6 @@ class ChannelFaults:
         lo, hi = self.spike_ms
         if not 0.0 <= lo <= hi:
             raise ValueError(f"invalid spike range {self.spike_ms}")
-
-    @property
-    def is_quiet(self) -> bool:
-        return self.drop_rate == 0.0 and self.dup_rate == 0.0 and self.spike_rate == 0.0
 
 
 @dataclass(frozen=True)
@@ -559,6 +558,8 @@ class FaultDecision(NamedTuple):
 
 #: decision for a fault-free transmission (shared, allocation-free)
 NO_FAULT = FaultDecision(False, 0, 0.0, False)
+_DROPPED = FaultDecision(True, 0, 0.0, False)
+_SEVERED = FaultDecision(True, 0, 0.0, True)
 
 
 @dataclass
@@ -592,6 +593,10 @@ class FaultInjector:
             np.random.SeedSequence(seed)
         )
         self._dynamic: list[_DynamicPartition] = []
+        # the stream, read in blocks: NumPy fills a block from the same
+        # bits as that many scalar draws, so only a draw's cost changes
+        self._doubles: list[float] = []
+        self._pos = 0
         # lifetime injection counters
         self.decisions = 0
         self.drops = 0
@@ -644,27 +649,60 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # per-packet decisions
     # ------------------------------------------------------------------
+    def _refill(self) -> list[float]:
+        """Put a fresh block behind whatever is unread."""
+        self._doubles = (self._doubles[self._pos:]
+                         + self.rng.random(256).tolist())
+        self._pos = 0
+        return self._doubles
+
+    def next_double(self) -> float:
+        """The stream's next double in ``[0, 1)``; NumPy's own
+        ``uniform(lo, hi)`` is ``lo + (hi - lo)`` times it, to the bit."""
+        if self._pos >= len(self._doubles):
+            self._refill()
+        self._pos += 1
+        return self._doubles[self._pos - 1]
+
     def decide(self, src: int, dst: int, now: float) -> FaultDecision:
         """Draw the fate of one physical packet transmission."""
         self.decisions += 1
-        if self.severed(src, dst, now):
+        plan = self.plan
+        if (plan.partitions or self._dynamic) and self.severed(src, dst, now):
             self.partition_drops += 1
-            return FaultDecision(True, 0, 0.0, True)
-        faults = self.plan.faults_for(src, dst)
-        if faults.is_quiet:
-            return NO_FAULT
-        if faults.drop_rate and self.rng.random() < faults.drop_rate:
-            self.drops += 1
-            return FaultDecision(True, 0, 0.0, False)
+            return _SEVERED
+        faults = plan.faults_for(src, dst) if plan.channels else plan.default
+        drop_rate = faults.drop_rate
+        dup_rate = faults.dup_rate
+        spike_rate = faults.spike_rate
+        if not (drop_rate or dup_rate or spike_rate):
+            return NO_FAULT  # quiet: nothing drawn
+        # the stream read in place (no call per draw): ``buf[pos]`` is
+        # the next double, and one decision reads at most four
+        buf, pos = self._doubles, self._pos
+        if pos + 4 > len(buf):
+            buf, pos = self._refill(), 0
+        if drop_rate:
+            pos += 1
+            if buf[pos - 1] < drop_rate:
+                self._pos = pos
+                self.drops += 1
+                return _DROPPED
         duplicates = 0
-        if faults.dup_rate and self.rng.random() < faults.dup_rate:
-            duplicates = 1
-            self.duplicates += 1
+        if dup_rate:
+            pos += 1
+            if buf[pos - 1] < dup_rate:
+                duplicates = 1
+                self.duplicates += 1
         extra = 0.0
-        if faults.spike_rate and self.rng.random() < faults.spike_rate:
-            lo, hi = faults.spike_ms
-            extra = float(self.rng.uniform(lo, hi))
-            self.spikes += 1
+        if spike_rate:
+            pos += 1
+            if buf[pos - 1] < spike_rate:
+                lo, hi = faults.spike_ms
+                extra = lo + (hi - lo) * buf[pos]
+                pos += 1
+                self.spikes += 1
+        self._pos = pos
         if duplicates == 0 and extra == 0.0:
             return NO_FAULT
         return FaultDecision(False, duplicates, extra, False)

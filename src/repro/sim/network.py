@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .engine import Simulator
-from .faults import FaultInjector
+from .faults import NO_FAULT, FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..metrics.collector import MetricsCollector
@@ -210,8 +210,10 @@ class Network:
         self._uplink_busy_until: dict[int, float] = {}
         self._receivers: dict[int, Callable[[int, object], None]] = {}
         self._channels: dict[tuple[int, int], ChannelStats] = {}
-        # delivery-event labels are pure debug strings; interned per
-        # channel so the send fast path skips an f-string per message
+        # event labels are pure debug strings; interned per channel so
+        # neither path pays an f-string per message ("deliver s->d" on
+        # the seed path, "packet s->d" under a fault injector: a network
+        # runs one or the other)
         self._labels: dict[tuple[int, int], str] = {}
         # Plain-uniform latency models admit block draws: a numpy
         # Generator consumes the bit stream identically for one
@@ -606,62 +608,71 @@ class Network:
         what restores order.  Returns the scheduled arrival of the
         primary copy, or None when it was dropped.
         """
-        departure = self.sim.now
+        sim = self.sim
+        now = departure = sim.now
         if self.bandwidth is not None and size_bytes > 0:
             # dropped packets still occupied the sender's uplink: loss
             # happens in the network, after the bytes left the NIC
             start = max(departure, self._uplink_busy_until.get(src, 0.0))
             departure = start + size_bytes / self.bandwidth
             self._uplink_busy_until[src] = departure
-        decision = self.faults.decide(src, dst, self.sim.now)
-        stats = self.channel_stats(src, dst)
+        decision = self.faults.decide(src, dst, now)
+        key = (src, dst)
+        stats = self._channels.get(key)
+        if stats is None:
+            stats = self._channels[key] = ChannelStats()
         stats.messages += 1
         self.total_messages += 1
-        if self.tracer is not None:
-            # DataPackets are traced by their application payload; other
-            # packets (acks) have no span and are counted in series only
-            self.tracer.msg_attempt(
-                src, dst, getattr(packet, "payload", packet), ts=self.sim.now,
-                dropped=decision.drop, partition=decision.severed,
-                spike_ms=decision.extra_delay_ms, duplicates=decision.duplicates,
-            )
-        if decision.drop:
-            if self.collector is not None:
-                self.collector.record_injected_drop(partition=decision.severed)
-            if self._m_injected_drop is not None:
-                if decision.severed:
-                    assert self._m_partition_drop is not None
-                    self._m_partition_drop.inc()
-                else:
-                    self._m_injected_drop.inc()
-            return None
+        label = self._labels.get(key)
+        if label is None:
+            label = self._labels[key] = f"packet {src}->{dst}"
+        duplicates, extra_delay_ms = 0, 0.0
+        tracer = self.tracer
+        collector = self.collector
+        if decision is not NO_FAULT or tracer is not None:
+            # one transmission in ten at the benchmark's rates; the rest
+            # pay the stats bump, one latency draw and one kernel event
+            drop, duplicates, extra_delay_ms, severed = decision
+            if tracer is not None:
+                # DataPackets are traced by their application payload;
+                # other packets (acks) have no span, only a series count
+                tracer.msg_attempt(
+                    src, dst, getattr(packet, "payload", packet), ts=now,
+                    dropped=drop, partition=severed,
+                    spike_ms=extra_delay_ms, duplicates=duplicates,
+                )
+            if drop:
+                if collector is not None:
+                    collector.record_injected_drop(partition=severed)
+                if self._m_injected_drop is not None:
+                    if severed:
+                        assert self._m_partition_drop is not None
+                        self._m_partition_drop.inc()
+                    else:
+                        self._m_injected_drop.inc()
+                return None
+            if extra_delay_ms and collector is not None:
+                collector.record_injected_spike(extra_delay_ms)
         if src == dst:
             delay = self.latency.local_delay()
         else:
             delay = self._sample_latency(src, dst)
-        delivery = departure + delay + decision.extra_delay_ms
-        stats.last_delivery = max(stats.last_delivery, delivery)
-        if decision.extra_delay_ms and self.collector is not None:
-            self.collector.record_injected_spike(decision.extra_delay_ms)
-        self.sim.schedule_at(
-            delivery,
-            lambda: self._arrive(src, dst, packet),
-            label=f"packet {src}->{dst}",
-        )
-        for _ in range(decision.duplicates):
+        delivery = departure + delay + extra_delay_ms
+        if delivery > stats.last_delivery:
+            stats.last_delivery = delivery
+        arrive = partial(self._arrive, src, dst, packet)
+        sim.schedule_at(delivery, arrive, label=label)
+        for _ in range(duplicates):
             dup_delay = (self.latency.local_delay() if src == dst
                          else self._sample_latency(src, dst))
             stats.messages += 1
             self.total_messages += 1
-            if self.collector is not None:
-                self.collector.record_injected_dup()
+            if collector is not None:
+                collector.record_injected_dup()
             if self._m_dup is not None:
                 self._m_dup.inc()
-            self.sim.schedule_at(
-                departure + dup_delay + decision.extra_delay_ms,
-                lambda: self._arrive(src, dst, packet),
-                label=f"dup packet {src}->{dst}",
-            )
+            sim.schedule_at(departure + dup_delay + extra_delay_ms, arrive,
+                            label="dup " + label)
         return delivery
 
     def _arrive(self, src: int, dst: int, packet: object) -> None:

@@ -25,7 +25,6 @@ timers — zero overhead when chaos is off).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from ..core.netpolicy import (
@@ -60,8 +59,7 @@ __all__ = [
 ACK_SIZE_BYTES = 20.0
 
 
-@dataclass(frozen=True)
-class AckPacket:
+class AckPacket(NamedTuple):
     """Cumulative ack: every seq <= ``cumulative`` has been received."""
 
     cumulative: int
@@ -198,9 +196,9 @@ class ReliableTransport(ChannelHost):
                                ACK_SIZE_BYTES)
 
     def jitter(self, src: int, dst: int) -> float:
+        # uniform(0, jitter_ms) off the injector's one stream of doubles
         jitter_ms = self.policy.jitter_ms
-        return (float(self.injector.rng.uniform(0.0, jitter_ms))
-                if jitter_ms else 0.0)
+        return jitter_ms * self.injector.next_double() if jitter_ms else 0.0
 
     def count(self, event: str, src: int = -1, dst: int = -1,
               size_bytes: float = 0.0, payload: object = None) -> None:

@@ -442,6 +442,25 @@ class TestPause:
         d.run(5_000.0)
         assert ch.retransmissions > 0  # timers burn again after resume
 
+    def test_send_while_paused_queues_behind_the_backlog(self, make):
+        # a paused pair with a free window slot must not let a new send
+        # into flight ahead of lower-seq backlog: unacked stays in seq order
+        d = make(RetransmitPolicy(send_window=2, **QUIET))
+        for i in range(3):
+            d.send(0, 1, i)  # 0 and 1 in flight, 2 windowed out
+        tx = d.sender(0, 1)
+        d.host(0).pause_pair(0, 1)
+        tx.on_ack(0)  # frees a slot while nothing may be promoted
+        d.send(0, 1, 3)
+        assert list(tx.unacked) == [1]
+        assert [packet.seq for packet in tx.backlog] == [2, 3]
+        assert d.host(0).backlog_of(0) == 2
+        d.host(0).resume_pair(0, 1)
+        assert list(tx.unacked) == [1, 2]
+        d.settle()
+        assert ids(d, 1) == [0, 1, 2, 3]
+        assert tx.pending == 0 and not d.host(0).overloaded(0)
+
     def test_send_while_paused_queues_until_resume(self, make):
         d = make()
         d.host(0).pause_pair(0, 1)

@@ -15,10 +15,12 @@ import pytest
 from repro.core.base import _Pending, _PendingFM, _PendingRM, _PendingSM
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import OptTrackLog, PiggybackEntry, TupleLog
+from repro.core.netpolicy import DataPacket
 from repro.metrics.stats import RunningStat
 from repro.obs.tracer import TraceEvent, _MsgState
 from repro.sim.engine import ScheduledEvent, Simulator
 from repro.sim.network import ChannelStats
+from repro.sim.reliable import AckPacket
 
 #: every class on the per-event/per-message hot path, with a factory
 #: producing a live instance (slots only matter on instances: a class
@@ -29,6 +31,8 @@ HOT_PATH_INSTANCES = {
     _PendingRM: lambda: _PendingRM(0, object(), 0.0, 0),
     _PendingFM: lambda: _PendingFM(0, object(), 0.0, 0),
     ChannelStats: ChannelStats,
+    DataPacket: lambda: DataPacket(0, object(), 1.0),
+    AckPacket: lambda: AckPacket(0),
     PiggybackEntry: lambda: PiggybackEntry(0, 1, frozenset()),
     OptTrackLog: OptTrackLog,
     TupleLog: TupleLog,
@@ -62,3 +66,16 @@ def test_pending_kinds_are_distinct():
     # the drain machinery indexes dirty lists by this class attribute
     kinds = {_PendingSM.kind, _PendingRM.kind, _PendingFM.kind}
     assert kinds == {0, 1, 2}
+
+
+def test_channel_packets_are_immutable_values():
+    # one per physical transmission on the chaos path: built as cheaply
+    # as a tuple, still frozen and compared by value
+    payload = object()
+    data, ack = DataPacket(3, payload, 20.0), AckPacket(3)
+    assert data == DataPacket(3, payload, 20.0) != DataPacket(4, payload, 20.0)
+    assert ack == AckPacket(3) != AckPacket(4) and ack != data
+    assert (data.seq, data.payload, data.size_bytes) == (3, payload, 20.0)
+    for packet, field in ((data, "seq"), (ack, "cumulative")):
+        with pytest.raises(AttributeError):
+            setattr(packet, field, 9)
