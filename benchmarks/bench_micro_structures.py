@@ -1,12 +1,14 @@
-"""Micro-benchmarks of the hot data structures.
+"""Micro-benchmarks of the hot data structures and the event kernel.
 
 Unlike the exhibit benches (which run whole simulations once), these use
 pytest-benchmark's actual timing loops on the operations the profiler
-identified as hot paths (docs/architecture.md, "Performance notes"):
-per-write piggyback-view construction, log MERGE, activation predicates,
-clock merges, message sizing, and the live wire codec.  They guard
-against performance regressions in the code paths that dominate
-paper-scale runs.
+identified as hot paths (docs/architecture.md, "Hot path & performance
+model"): per-write piggyback-view construction, log MERGE, activation
+predicates, clock merges, message sizing, the live wire codec, and the
+kernel's per-event floor.  This is the one place a unit cost is read
+from (docs/architecture.md, "How speed is checked"): information, never
+a gate — CI runs it with ``--benchmark-only`` and fails on an assertion,
+not on a timing.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.core.messages import OptTrackSM
 from repro.memory.store import WriteId
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.service import codec
+from repro.sim.engine import Simulator
 
 N = 40  # paper-scale system size
 
@@ -151,3 +154,42 @@ def test_micro_codec_roundtrip(benchmark):
 
     decoded, ack = benchmark(roundtrip)
     assert decoded == sm and ack == {"k": "ack", "src": 1, "cum": 7}
+
+
+KERNEL_EVENTS = 20_000  # per round
+
+
+def noop():
+    return None
+
+
+def test_micro_engine_dispatch(benchmark):
+    """Kernel schedule + pop + no-op callback — the per-event floor every
+    other simulator cost is paid on top of (97 timestamp slots)."""
+
+    def dispatch():
+        sim = Simulator()
+        for i in range(KERNEL_EVENTS):
+            sim.schedule(float(i % 97), noop)
+        sim.run()
+        return sim.processed_events
+
+    assert benchmark(dispatch) == KERNEL_EVENTS
+
+
+def test_micro_engine_cancel_churn(benchmark):
+    """Schedule/cancel churn, retransmit-timer style: 7 of 8 events are
+    cancelled before firing (53 timestamp slots), so the heap carries
+    tombstones and compacts."""
+
+    def churn():
+        sim = Simulator()
+        for i in range(KERNEL_EVENTS):
+            ev = sim.schedule(float(i % 53), noop)
+            if i % 8:
+                ev.cancel()
+        sim.run()
+        return sim.processed_events, sim.pending_events
+
+    fired, left = benchmark(churn)
+    assert fired == KERNEL_EVENTS // 8 and left == 0

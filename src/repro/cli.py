@@ -89,22 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one simulation")
-    run_p.add_argument("--protocol", default="opt-track", choices=protocol_names())
-    run_p.add_argument("-n", "--sites", type=int, default=10)
-    run_p.add_argument("-q", "--vars", type=int, default=100)
-    run_p.add_argument("-p", "--replicas", type=int, default=None,
-                       help="replication factor (default: protocol natural)")
-    run_p.add_argument("-w", "--write-rate", type=float, default=0.5)
-    run_p.add_argument("--ops", type=int, default=600,
-                       help="operations per process (paper: 600)")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--latency", default="uniform", choices=sorted(_LATENCIES))
+    _add_sim_args(run_p, sites=10, vars=100, ops=600, latency="uniform")
     run_p.add_argument("--check", action="store_true",
                        help="record history and verify causal consistency")
     run_p.add_argument("--metrics-dir", default=None, metavar="DIR",
                        help="enable the metrics registry and write "
                             "metrics.prom/.json/.jsonl into DIR")
-    _add_fault_args(run_p)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp_p.add_argument("id", choices=sorted(_EXPERIMENT_FNS))
@@ -147,17 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_run_p = trace_sub.add_parser(
         "run", help="run a traced simulation, exporting JSONL + Chrome traces")
     trace_run_p.add_argument("outdir", metavar="DIR")
-    trace_run_p.add_argument("--protocol", default="opt-track",
-                             choices=protocol_names())
-    trace_run_p.add_argument("-n", "--sites", type=int, default=6)
-    trace_run_p.add_argument("-w", "--write-rate", type=float, default=0.5)
-    trace_run_p.add_argument("--ops", type=int, default=100)
-    trace_run_p.add_argument("--seed", type=int, default=0)
-    trace_run_p.add_argument("--latency", default="uniform",
-                             choices=sorted(_LATENCIES))
+    _add_sim_args(trace_run_p, sites=6, vars=20, ops=100, latency="uniform")
     trace_run_p.add_argument("--top", type=int, default=3,
                              help="slowest activations to explain in the summary")
-    _add_fault_args(trace_run_p)
 
     trace_sum_p = trace_sub.add_parser(
         "summarize", help="tail latencies + slowest causal chains of a trace")
@@ -177,12 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="directory written by `repro trace`")
 
     check_p = sub.add_parser("check", help="simulate + verify causal consistency")
-    check_p.add_argument("--protocol", default="opt-track", choices=protocol_names())
-    check_p.add_argument("-n", "--sites", type=int, default=8)
-    check_p.add_argument("-w", "--write-rate", type=float, default=0.5)
-    check_p.add_argument("--ops", type=int, default=100)
-    check_p.add_argument("--seed", type=int, default=0)
-    check_p.add_argument("--latency", default="adversarial", choices=sorted(_LATENCIES))
+    _add_sim_args(check_p, sites=8, vars=20, ops=100, latency="adversarial")
     check_p.add_argument("--metrics-dir", default=None, metavar="DIR",
                          help="enable the metrics registry and write "
                               "metrics.prom/.json/.jsonl into DIR")
@@ -202,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     static.add_argument("--report", default=None, metavar="PATH",
                         dest="static_report",
                         help="write the JSON/SARIF report to PATH")
-    _add_fault_args(check_p)
 
     met_p = sub.add_parser(
         "metrics", help="run with metrics on, summarize or diff metric dumps")
@@ -212,19 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one simulation with the full metrics registry, "
                     "exporting Prometheus text + JSON snapshots")
     met_run_p.add_argument("outdir", metavar="DIR")
-    met_run_p.add_argument("--protocol", default="opt-track",
-                           choices=protocol_names())
-    met_run_p.add_argument("-n", "--sites", type=int, default=6)
-    met_run_p.add_argument("-q", "--vars", type=int, default=20)
-    met_run_p.add_argument("-w", "--write-rate", type=float, default=0.5)
-    met_run_p.add_argument("--ops", type=int, default=100)
-    met_run_p.add_argument("--seed", type=int, default=0)
-    met_run_p.add_argument("--latency", default="uniform",
-                           choices=sorted(_LATENCIES))
+    _add_sim_args(met_run_p, sites=6, vars=20, ops=100, latency="uniform")
     met_run_p.add_argument("--heartbeat-ms", type=float, default=1000.0,
                            metavar="MS",
                            help="live heartbeat period on stderr (0 = off)")
-    _add_fault_args(met_run_p)
 
     met_sum_p = met_sub.add_parser(
         "summarize", help="render a metrics dump's metadata-byte ledger")
@@ -306,8 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    """Chaos-transport knobs shared by ``run`` and ``check``."""
+def _add_sim_args(parser: argparse.ArgumentParser, *, sites: int, vars: int,
+                  ops: int, latency: str) -> None:
+    """The one declaration of a simulated run, shared by ``run``,
+    ``check``, ``trace run`` and ``metrics run``; each verb passes its
+    own defaults.  :func:`_config_from_args` reads it back."""
+    parser.add_argument("--protocol", default="opt-track",
+                        choices=protocol_names())
+    parser.add_argument("-n", "--sites", type=int, default=sites)
+    parser.add_argument("-q", "--vars", type=int, default=vars)
+    parser.add_argument("-p", "--replicas", type=int, default=None,
+                        help="replication factor (default: protocol natural)")
+    parser.add_argument("-w", "--write-rate", type=float, default=0.5)
+    parser.add_argument("--ops", type=int, default=ops,
+                        help="operations per process (paper: 600)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--latency", default=latency,
+                        choices=sorted(_LATENCIES))
     grp = parser.add_argument_group("fault injection")
     grp.add_argument("--drop-rate", type=float, default=0.0, metavar="P",
                      help="per-packet drop probability on every channel")
@@ -489,8 +471,10 @@ def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
     return plan
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = SimulationConfig(
+def _config_from_args(args: argparse.Namespace,
+                      **overrides: object) -> SimulationConfig:
+    """The :class:`SimulationConfig` :func:`_add_sim_args` describes."""
+    return SimulationConfig(
         protocol=args.protocol,
         n_sites=args.sites,
         n_vars=args.vars,
@@ -499,13 +483,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ops_per_process=args.ops,
         seed=args.seed,
         latency=_LATENCIES[args.latency](),
-        record_history=args.check,
         fault_plan=_fault_plan_from_args(args),
         fault_seed=args.fault_seed,
         retransmit=_retransmit_from_args(args),
         checkpoint_interval_ms=args.checkpoint_interval,
         auto_evict_after_ms=args.auto_evict,
+        **overrides,
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args, record_history=args.check)
     registry = _registry_from_args(args)
     result = run_simulation(cfg, registry=registry)
     print(format_kv(result.summary()))
@@ -623,17 +611,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     from .obs import Tracer, summarize_trace, write_chrome, write_jsonl
     from .workload.traces import save_history, save_workload
 
-    cfg = SimulationConfig(
-        protocol=args.protocol, n_sites=args.sites, n_vars=20,
-        write_rate=args.write_rate, ops_per_process=args.ops,
-        seed=args.seed, latency=_LATENCIES[args.latency](),
-        record_history=True,
-        fault_plan=_fault_plan_from_args(args),
-        fault_seed=args.fault_seed,
-        retransmit=_retransmit_from_args(args),
-        checkpoint_interval_ms=args.checkpoint_interval,
-        auto_evict_after_ms=args.auto_evict,
-    )
+    cfg = _config_from_args(args, record_history=True)
     tracer = Tracer()
     result = run_simulation(cfg, tracer=tracer)
     out = Path(args.outdir)
@@ -762,16 +740,7 @@ def _cmd_metrics_run(args: argparse.Namespace) -> int:
     from .obs.export import HeartbeatReporter, ledger_table
     from .obs.metrics import MetricsRegistry
 
-    cfg = SimulationConfig(
-        protocol=args.protocol, n_sites=args.sites, n_vars=args.vars,
-        write_rate=args.write_rate, ops_per_process=args.ops,
-        seed=args.seed, latency=_LATENCIES[args.latency](),
-        fault_plan=_fault_plan_from_args(args),
-        fault_seed=args.fault_seed,
-        retransmit=_retransmit_from_args(args),
-        checkpoint_interval_ms=args.checkpoint_interval,
-        auto_evict_after_ms=args.auto_evict,
-    )
+    cfg = _config_from_args(args)
     registry = MetricsRegistry()
     heartbeat = None
     if args.heartbeat_ms > 0:
@@ -860,21 +829,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.static_report is not None:
             argv.extend(["--report", args.static_report])
         return static_main(argv)
-    cfg = SimulationConfig(
-        protocol=args.protocol,
-        n_sites=args.sites,
-        n_vars=20,
-        write_rate=args.write_rate,
-        ops_per_process=args.ops,
-        seed=args.seed,
-        latency=_LATENCIES[args.latency](),
-        record_history=True,
-        fault_plan=_fault_plan_from_args(args),
-        fault_seed=args.fault_seed,
-        retransmit=_retransmit_from_args(args),
-        checkpoint_interval_ms=args.checkpoint_interval,
-        auto_evict_after_ms=args.auto_evict,
-    )
+    cfg = _config_from_args(args, record_history=True)
     registry = _registry_from_args(args)
     result = run_simulation(cfg, registry=registry)
     if registry is not None:

@@ -81,6 +81,15 @@ class CausalCluster:
         membership_policy: Optional[MembershipPolicy] = None,
         auto_evict_after_ms: Optional[float] = None,
     ) -> None:
+        if fault_plan is not None and (fault_plan.membership
+                                       or fault_plan.overloads):
+            # only run_simulation schedules these; honouring half a plan
+            # silently would look like a quiet run
+            raise ValueError(
+                "CausalCluster schedules a fault plan's channel faults, "
+                "partitions and crashes only; drive membership changes with "
+                "join_site() / leave_site() and overload with write()"
+            )
         # Reuse SimulationConfig purely for validation + placement logic.
         config = SimulationConfig(
             protocol=protocol,

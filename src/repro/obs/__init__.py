@@ -34,7 +34,6 @@ from .analyze import (
 )
 from .export import (
     HeartbeatReporter,
-    console_summary,
     diff_snapshots,
     ledger_table,
     registry_snapshot,
@@ -64,7 +63,6 @@ __all__ = [
     "write_prometheus",
     "registry_snapshot",
     "write_snapshot_json",
-    "console_summary",
     "ledger_table",
     "diff_snapshots",
     "write_jsonl",

@@ -32,7 +32,6 @@ __all__ = [
     "append_snapshot_jsonl",
     "flatten_snapshot",
     "diff_snapshots",
-    "console_summary",
     "ledger_table",
     "HeartbeatReporter",
 ]
@@ -284,31 +283,6 @@ def ledger_table(ledger: MetadataLedger, *, window: str = "measured") -> str:
     out.append(sep)
     out.append(fmt_row(rows[-1]))
     return "\n".join(out)
-
-
-def console_summary(registry: MetricsRegistry, *,
-                    window: str = "measured") -> str:
-    """Compact run summary: scalar instruments + histogram digests +
-    the metadata-byte table."""
-    lines: list[str] = ["== metrics =="]
-    for fam in registry.families():
-        for values, child in fam.samples():
-            label_s = ",".join(f"{k}={v}" for k, v
-                               in zip(fam.label_names, values))
-            key = f"{fam.name}{{{label_s}}}" if label_s else fam.name
-            if isinstance(child, (Counter, Gauge)):
-                lines.append(f"  {key} = {format_value(child.value)}")
-            else:
-                assert isinstance(child, Histogram)
-                q = child.quantiles()
-                lines.append(
-                    f"  {key}: n={child.count} sum={format_value(child.sum)}"
-                    f" p50={q.get('p50', 0):.3g} p95={q.get('p95', 0):.3g}"
-                    f" p99={q.get('p99', 0):.3g}")
-    lines.append("")
-    lines.append(f"== metadata bytes by component ({window} window) ==")
-    lines.append(ledger_table(registry.ledger, window=window))
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

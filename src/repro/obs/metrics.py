@@ -84,9 +84,6 @@ class Gauge:
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed cumulative buckets, optional reservoir for exact quantiles.

@@ -1,38 +1,27 @@
-"""Performance regression harness for the simulator's hot paths.
+"""The metrics-registry overhead gate — the one timed check in-package.
 
-The paper's headline claim is about *metadata overhead*; this package
-guards the reproduction's own overhead — the wall-clock cost of the
-event kernel, the activation machinery, and the Opt-Track log — so that
-the hot-path trajectory stays visible PR over PR.
+``python -m repro.perf`` runs the reference simulation with and without
+a live :class:`~repro.obs.metrics.MetricsRegistry` and fails when the
+enabled registry costs more than 5% (:mod:`repro.perf.overhead` says why
+a *ratio* of interleaved CPU-time pairs is sound where an absolute
+timing against a committed number is not)::
 
-Two benchmark tiers:
+    python -m repro.perf --quick                 # CI gate
+    python -m repro.perf --record "my change"    # store in BENCH_overhead.json
 
-* **micro** (:mod:`repro.perf.micro`) — timing loops over the hot data
-  structures (the same reference configuration as
-  ``benchmarks/bench_micro_structures.py``: n = 40, 80-record logs) plus
-  the event kernel's raw dispatch throughput;
-* **macro** (:mod:`repro.perf.macro`) — whole seeded simulation runs per
-  protocol (the 10-site Opt-Track run is the reference), reporting
-  events/sec, deliveries/sec, and peak buffered SMs.
+Every other speed question is answered elsewhere: end-to-end numbers by
+``bench/run.py`` (``BENCHMARK.json``), unit costs by
+``benchmarks/bench_micro_structures.py`` (docs/architecture.md, "How
+speed is checked").
 
-Results accumulate in ``BENCH_hotpath.json`` at the repo root: every
-entry is one labelled measurement (both ``full`` and ``quick`` modes),
-so future PRs can ``--compare`` a fresh run against the committed
-trajectory and fail CI on a regression::
-
-    python -m repro.perf                         # run + print the full suite
-    python -m repro.perf --record "my change"    # append to BENCH_hotpath.json
-    python -m repro.perf --quick --compare BENCH_hotpath.json   # CI gate
-
-Wall-clock reads live here by design — this package *is* the benchmark
-harness; simulation code must keep using ``Simulator.now`` (SIM001
-exempts ``repro/perf/`` the same way it exempts ``benchmarks/``).
+Wall-clock reads live here by design; simulation code must keep using
+``Simulator.now`` (SIM001 exempts ``repro/perf/`` the same way it
+exempts ``benchmarks/``).
 """
 
 from __future__ import annotations
 
 from .cli import main
-from .macro import MACRO_CONFIGS, run_macro
-from .micro import MICRO_BENCHES, run_micro
+from .overhead import run_overhead
 
-__all__ = ["main", "run_micro", "run_macro", "MICRO_BENCHES", "MACRO_CONFIGS"]
+__all__ = ["main", "run_overhead"]

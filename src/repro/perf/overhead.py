@@ -4,7 +4,7 @@ The observability layer's contract has two halves: with
 ``registry=None`` the instrumented paths are *byte-identical* to the
 seed (covered by equivalence tests), and with a live registry the cost
 must stay small.  This bench measures the second half: the reference
-macro config (``opt_track_n10``) runs with and without a full
+run (``opt_track_n10``, :data:`REFERENCE_CONFIG`) with and without a full
 :class:`~repro.obs.metrics.MetricsRegistry` — kernel batch hook,
 pre-bound protocol instruments, network counters — and reports the
 wall-time ratio, gated at :data:`DEFAULT_OVERHEAD_THRESHOLD`.  (Message
@@ -15,19 +15,19 @@ view computed when a report is asked for.)
 Each repeat times one *pair* of runs back-to-back (alternating which
 side goes first to cancel position effects) and the gate reads the
 **ratio of the two sides' trimmed means** (each side's samples sorted,
-one dropped from each end).  A best-of-each-side quotient — the macro
-bench's estimator — is wrong for a ratio: the two minima are
-independent draws, so one lucky reference run inflates the quotient by
-the full per-run noise.  Interleaved pairs tax both sides equally under
-machine drift, and trimming discards the outlier runs a contended
-container produces while still averaging the rest.
+one dropped from each end).  A best-of-each-side quotient is wrong for
+a ratio: the two minima are independent draws, so one lucky reference
+run inflates the quotient by the full per-run noise.  Interleaved pairs
+tax both sides equally under machine drift, and trimming discards the
+outlier runs a contended container produces while still averaging the
+rest.
 
-Unlike the macro bench, ``quick`` mode keeps the *full* reference
-workload and only trims the repeat count: the ratio is a quotient of
-two wall times, and shrinking the run shrinks the per-event baseline
-(smaller heap, shorter opt-track logs) while the per-message instrument
-cost stays constant — a 100-op run reports roughly 4x the overhead of
-the 400-op reference for the same instruments, with far worse noise.
+``quick`` mode keeps the *full* reference workload and only caps the
+repeat count: the ratio is a quotient of two wall times, and shrinking
+the run shrinks the per-event baseline (smaller heap, shorter opt-track
+logs) while the per-message instrument cost stays constant — a 100-op
+run reports roughly 4x the overhead of the 400-op reference for the
+same instruments, with far worse noise.
 
 The timed region runs with the garbage collector paused (collected
 clean before, re-enabled after): the registry's surviving accounting
@@ -44,17 +44,20 @@ from __future__ import annotations
 import gc
 import time
 
-from ..experiments.runner import run_simulation
+from ..experiments.runner import SimulationConfig, run_simulation
 from ..obs.metrics import MetricsRegistry
-from .macro import MACRO_CONFIGS
 
-__all__ = ["DEFAULT_OVERHEAD_THRESHOLD", "run_overhead"]
+__all__ = ["DEFAULT_OVERHEAD_THRESHOLD", "REFERENCE_CONFIG", "run_overhead"]
 
 #: allowed fractional wall-time overhead of an enabled registry (5%)
 DEFAULT_OVERHEAD_THRESHOLD = 0.05
 
-#: the acceptance criterion's reference run
-REFERENCE_CONFIG = "opt_track_n10"
+#: the acceptance criterion's reference run: 10-site Opt-Track, seeded
+REFERENCE = "opt_track_n10"
+REFERENCE_CONFIG = SimulationConfig(
+    protocol="opt-track", n_sites=10, n_vars=100,
+    write_rate=0.5, ops_per_process=400, seed=1,
+)
 
 
 def _trimmed_mean(samples: list[float]) -> float:
@@ -125,7 +128,7 @@ def run_overhead(
     at full size (see the module docstring for why the ratio must be
     measured at reference scale).
     """
-    config = MACRO_CONFIGS[REFERENCE_CONFIG]
+    config = REFERENCE_CONFIG
     if quick:
         repeats = min(repeats, 5)
     wall_off, wall_on = _measure(config, repeats)
@@ -137,7 +140,7 @@ def run_overhead(
         wall_off, wall_on = _measure(config, repeats * 2)
         ratio = wall_on / wall_off if wall_off > 0 else 1.0
     result = {
-        "reference": REFERENCE_CONFIG,
+        "reference": REFERENCE,
         "protocol": config.protocol,
         "n_sites": config.n_sites,
         "ops_per_process": config.ops_per_process,

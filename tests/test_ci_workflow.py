@@ -71,7 +71,9 @@ def test_committed_workflow_gates_can_fail():
     workflow = yaml.safe_load(WORKFLOW.read_text())
     tee_steps = [step for job in workflow["jobs"].values()
                  for step in job["steps"] if "| tee" in step.get("run", "")]
-    assert len(tee_steps) >= 7  # the gates this test exists to protect
+    # the gates this test exists to protect (7 until the timed
+    # `repro.perf --compare` step was retired with its suite)
+    assert len(tee_steps) >= 6
     assert unguarded_tee_steps(workflow) == []
 
 
@@ -114,6 +116,53 @@ def test_exhibits_job_runs_the_papers_benchmarks():
     # it inherits bash from the workflow and overrides it nowhere
     assert "defaults" not in job and "shell" not in step
     assert unguarded_tee_steps(workflow) == []
+
+
+def test_perf_smoke_is_the_overhead_gate_plus_untimed_micro_information():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    scripts = [step.get("run", "") for job in workflow["jobs"].values()
+               for step in job["steps"]]
+    # the retired suite: a timed comparison with a committed number
+    assert not [s for s in scripts if "BENCH_hotpath" in s or "--compare" in s]
+    job = workflow["jobs"]["perf-smoke"]
+    (gate,) = [step for step in job["steps"]
+               if "repro.perf" in step.get("run", "")]
+    assert gate["run"].split() == [
+        "PYTHONPATH=src", "python", "-m", "repro.perf", "--quick",
+        "|", "tee", "overhead-gate.txt"]
+    # teed, so it must run under pipefail: inherited, overridden nowhere
+    assert "defaults" not in job and "shell" not in gate
+    assert unguarded_tee_steps(workflow) == []
+    (micro,) = [step for step in job["steps"]
+                if "bench_micro_structures" in step.get("run", "")]
+    words = micro["run"].split()
+    assert words[:5] == ["PYTHONPATH=src", "python", "-m", "pytest",
+                         "benchmarks/bench_micro_structures.py"]
+    assert "--benchmark-only" in words and "--benchmark-json" in words
+    # information: nothing that turns a timing into an exit code
+    assert not [w for w in words if w.startswith("--benchmark-compare")]
+    (install,) = [step["run"] for step in job["steps"]
+                  if "pip install" in step.get("run", "")]
+    assert {"pytest", "pytest-benchmark"} <= set(install.split())
+    (upload,) = [step for step in job["steps"] if "with" in step
+                 and "path" in step["with"]]
+    assert upload["with"]["path"].split() == [
+        "overhead-gate.txt", "micro.json", "BENCH_overhead.json"]
+
+
+def test_hb_track_is_exercised_wherever_the_papers_four_are():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    jobs = workflow["jobs"]
+    assert jobs["churn-matrix"]["strategy"]["matrix"]["protocol"] == [
+        "full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
+    double_runs = [step for step in jobs["check"]["steps"]
+                   if "--double-run" in step.get("run", "")]
+    assert len(double_runs) == 2
+    for step in double_runs:
+        words = step["run"].split()
+        assert words[words.index("--protocols") + 1] == (
+            "full-track,opt-track,opt-track-crp,optp,hb-track")
+        assert "5 protocols" in step["name"]
 
 
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"

@@ -79,6 +79,22 @@ class TestBasics:
         with pytest.raises(ValueError):
             c.read(-1, 0)
 
+    def test_fault_plan_parts_only_the_runner_schedules_are_refused(self):
+        # the cluster used to forward plan.crashes and silently ignore
+        # plan.membership / plan.overloads: a quiet run, epoch 0, 0 writes
+        from repro.sim.faults import FaultPlan, OverloadEvent, seeded_churn
+
+        churn = seeded_churn(4, n_joins=1, n_leaves=1, window_ms=(50, 400),
+                             seed=0)
+        crowd = (OverloadEvent([0, 1], 10, 500, 25),)
+        for plan in (FaultPlan.build(membership=churn),
+                     FaultPlan.build(overloads=crowd),
+                     FaultPlan.build(membership=churn, overloads=crowd)):
+            with pytest.raises(ValueError, match=r"join_site\(\).*write\(\)"):
+                CausalCluster(4, fault_plan=plan)
+        # what the cluster does schedule is still accepted
+        CausalCluster(4, fault_plan=FaultPlan.build())
+
     def test_check_requires_history(self):
         c = make(record_history=False)
         with pytest.raises(RuntimeError):
