@@ -31,8 +31,6 @@ from .experiments.runner import SimulationConfig
 from .memory.store import SiteStore, WriteId
 from .metrics.collector import MetricsCollector
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
-from .obs.ledger import MetadataLedger
-from .obs.metrics import MetricsRegistry
 from .obs.tracer import Tracer
 from .sim.crash import CatchupPolicy, CrashRecoveryManager, install_crash_recovery
 from .sim.engine import Simulator
@@ -73,7 +71,6 @@ class CausalCluster:
         fault_seed: int = 0,
         retransmit: Optional[RetransmitPolicy] = None,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
         crash_recovery: bool = False,
         checkpoint_interval_ms: Optional[float] = None,
         detector: Optional[DetectorPolicy] = None,
@@ -126,17 +123,12 @@ class CausalCluster:
             tracer.meta.setdefault("protocol", protocol)
             tracer.meta.setdefault("n_sites", n_sites)
             tracer.meta.setdefault("seed", seed)
-        self.registry = registry
-        if registry is not None:
-            registry.ledger = MetadataLedger(self.collector, size_model,
-                                             base_n=n_sites)
-            registry.install_kernel_hook(self.sim)
         self.network = Network(
             self.sim, n_sites, config.latency,
             rng=np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]),
             bandwidth_bytes_per_ms=bandwidth_bytes_per_ms,
             faults=self.faults, collector=self.collector, retransmit=retransmit,
-            tracer=tracer, registry=registry,
+            tracer=tracer,
         )
         self.collector.start_measuring()  # no warm-up in interactive mode
         self.history = HistoryRecorder(enabled=record_history)
@@ -153,7 +145,6 @@ class CausalCluster:
                 size_model=size_model,
                 history=self.history,
                 tracer=tracer,
-                registry=registry,
             )
             proto = create_protocol(protocol, ctx)
             self.network.register(i, proto.on_message)
@@ -181,8 +172,6 @@ class CausalCluster:
                 collector=self.collector,
                 tracer=tracer,
             )
-            if registry is not None:
-                self.crash_manager.attach_registry(registry)
         self._op_counter = 0
         # Elastic membership: the view manager is built lazily on first
         # use so static clusters stay byte-identical to the seed path.
@@ -400,7 +389,6 @@ class CausalCluster:
             size_model=self.config.size_model,
             history=self.history,
             tracer=self.tracer,
-            registry=self.registry,
         )
         return create_protocol(self.config.protocol, ctx)
 
@@ -412,8 +400,6 @@ class CausalCluster:
                 crash_manager=self.crash_manager,
                 policy=self._membership_policy,
             )
-            if self.registry is not None:
-                self.view_manager.registry = self.registry
         return self.view_manager
 
     @property

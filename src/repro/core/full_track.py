@@ -146,14 +146,17 @@ class FullTrackProtocol(CausalProtocol):
         self.ctx.history.record_remote_return(
             time=self.ctx.clock.now, site=self.site, peer=src, var=message.var
         )
-        self._send(
-            src,
-            FullTrackRM(
-                var=message.var, value=slot.value, write_id=wid,
-                matrix=matrix, request_id=message.request_id,
-            ),
-            MessageKind.RM,
-        )
+        rm = FullTrackRM(var=message.var, value=slot.value, write_id=wid,
+                         matrix=matrix, request_id=message.request_id)
+        if matrix.n == self.n:
+            self._send(src, rm, MessageKind.RM)
+            return
+        # a matrix stored before a view change is narrower than this
+        # epoch's: the clock width is part of the slot key, so book it
+        # under a slot of its own width, then let the next RM bind again
+        self._msg_slots.pop(MessageKind.RM, None)
+        self._send(src, rm, MessageKind.RM)
+        self._msg_slots.pop(MessageKind.RM)
 
     def _rm_ready(self, src: int, message: object) -> bool:
         assert isinstance(message, FullTrackRM)

@@ -204,15 +204,21 @@ def _sample_final_metrics(
     sim: Simulator,
     protocols: list[CausalProtocol],
     end_time: float,
+    collector: MetricsCollector,
     transport: Optional[ReliableTransport] = None,
+    crash_manager: Optional[CrashRecoveryManager] = None,
+    view_manager: Optional[ViewManager] = None,
     overload_driver: Optional[OverloadDriver] = None,
 ) -> None:
-    """Record end-of-run totals that are cheaper to sample than to stream.
+    """Export every total once, at quiescence, from the store that keeps it.
 
     Kernel counters, per-site terminal log sizes, opt-track purge
-    tallies and the peak activation-buffer depth are all read once at
-    quiescence — instrumenting their hot paths would buy nothing but
-    overhead.
+    tallies, the peak activation-buffer depth, the collector's fault and
+    crash counters, the channel host's event tallies, the detector's and
+    the view manager's own counts: each number has one writer, and the
+    registry only reads it here.  Only distributions are streamed into
+    the registry while the run executes — their buckets live nowhere
+    else.
     """
     registry.inc("kernel_events_total", sim.processed_events,
                  help_text="events processed by the simulation kernel")
@@ -236,8 +242,58 @@ def _sample_final_metrics(
                 "proto_purged_log_records_total", purged,
                 help_text="KS log records dropped by destination pruning",
                 protocol=proto.name, site=proto.site)
+    for name, value, help_text in (
+        ("net_injected_drops_total",
+         collector.injected_drops - collector.injected_partition_drops,
+         "packets dropped by the fault injector (non-partition)"),
+        ("net_partition_drops_total", collector.injected_partition_drops,
+         "packets dropped because a partition severed the channel"),
+        ("net_duplicates_total", collector.injected_dups,
+         "duplicate packets injected by the fault plan"),
+        ("net_dead_site_drops_total", collector.dead_site_drops,
+         "packets dropped at the wire because the destination was down"),
+    ):
+        registry.inc(name, value, help_text=help_text)
+    for name, value, help_text in (
+        ("crash_crashes_total", collector.crashes, "site crashes injected"),
+        ("crash_restores_total", collector.downtime.count,
+         "sites restored from disk"),
+        ("crash_catchups_total", collector.catchup_latency.count,
+         "anti-entropy catch-ups completed"),
+        ("wal_checkpoints_total", collector.checkpoints_taken,
+         "checkpoints installed across all sites"),
+    ):
+        if value:
+            registry.inc(name, value, help_text=help_text)
     if transport is not None:
         transport.sample_channel_metrics(registry)
+    detector = crash_manager.detector if crash_manager is not None else None
+    if detector is not None:
+        for name, value, help_text in (
+            ("detector_heartbeats_total", detector.heartbeats_sent,
+             "heartbeat packets sent"),
+            ("detector_suspicions_total", detector.suspicions,
+             "pairs newly suspected (true + false)"),
+            ("detector_false_suspicions_total", detector.false_suspicions,
+             "suspicions of a site that was actually up"),
+            ("detector_recoveries_total", detector.recoveries,
+             "suspected pairs cleared by proof of life"),
+        ):
+            registry.inc(name, value, help_text=help_text)
+    if view_manager is not None and view_manager.view.epoch:
+        view, stats = view_manager.view, view_manager.stats
+        registry.inc("membership_epochs_total", view.epoch,
+                     help_text="view epochs installed")
+        for kind, value in (("join", stats.joins), ("leave", stats.leaves),
+                            ("evict", stats.evictions)):
+            if value:
+                registry.inc("membership_changes_total", value,
+                             help_text="applied view changes by kind",
+                             kind=kind)
+        registry.set_gauge("membership_members", len(view.members),
+                           help_text="members in the current view")
+        registry.set_gauge("membership_epoch", view.epoch,
+                           help_text="current view epoch number")
     if overload_driver is not None:
         registry.inc("overload_injected_total", overload_driver.injected,
                      help_text="flash-crowd writes that reached a protocol")
@@ -322,8 +378,7 @@ def run_simulation(
     network = Network(sim, config.n_sites, config.latency, rng=net_rng,
                       bandwidth_bytes_per_ms=config.bandwidth_bytes_per_ms,
                       faults=faults, collector=collector,
-                      retransmit=config.retransmit, tracer=tracer,
-                      registry=registry)
+                      retransmit=config.retransmit, tracer=tracer)
     # the sanitizer wrapper proxies the network; keep a direct handle on
     # the chaos transport for end-of-run channel metrics
     transport = network.transport
@@ -465,8 +520,6 @@ def run_simulation(
         view_manager.schedule_plan(membership_events)
         if config.auto_evict_after_ms is not None:
             view_manager.enable_eviction(config.auto_evict_after_ms)
-        if registry is not None:
-            view_manager.registry = registry
 
     overload_driver: Optional[OverloadDriver] = None
     if overload_rng is not None:
@@ -483,8 +536,10 @@ def run_simulation(
     if overload_driver is not None:
         collector.record_overload_injected(overload_driver.injected)
     if registry is not None:
-        _sample_final_metrics(registry, sim, protocols, end_time,
+        _sample_final_metrics(registry, sim, protocols, end_time, collector,
                               transport=transport,
+                              crash_manager=crash_manager,
+                              view_manager=view_manager,
                               overload_driver=overload_driver)
 
     dead_forever: set[int] = set()

@@ -1,16 +1,21 @@
 """Labeled metrics instruments: registry, counters, gauges, histograms.
 
-A :class:`MetricsRegistry` is the single instrumentation surface for the
-whole stack — event kernel, network, reliable channel, the four protocol
-cores, failure detector, checkpoint/WAL, and membership all emit into
-one registry when (and only when) one is wired in.  Design constraints,
-in order:
+A :class:`MetricsRegistry` is the single export surface for the whole
+stack — event kernel, network, reliable channel, the protocol cores,
+failure detector, checkpoint/WAL, and membership — with one writer per
+number.  Only distributions are streamed into it while a run executes
+(the protocol histograms, the kernel batch hook, the crash and WAL
+histograms): their buckets live nowhere else.  Every total is read once
+at quiescence (``experiments/runner.py::_sample_final_metrics``) from
+the store that already counts it — the collector, the channel host, the
+detector, the view manager — so no producer hands the registry a second
+copy.  Design constraints, in order:
 
-1. **Zero allocation on the disabled path.**  Every producer holds
-   ``registry: Optional[MetricsRegistry] = None`` and guards each emit
-   with a single ``is None`` branch — the same byte-identical guarantee
-   the tracer established.  No instrument objects exist unless a
-   registry does.
+1. **Zero allocation on the disabled path.**  Every streaming producer
+   holds ``registry: Optional[MetricsRegistry] = None`` and guards each
+   emit with a single ``is None`` branch — the same byte-identical
+   guarantee the tracer established.  No instrument objects exist
+   unless a registry does.
 2. **Deterministic export.**  Label names are sorted at family creation,
    children sort by label values, families sort by name; combined with
    the seeded reservoir inside :class:`Histogram`, a same-seed double
@@ -243,8 +248,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
         #: metadata-byte view of the run's collector, exported next to
-        #: the instruments; whoever builds the run (``run_simulation``,
-        #: ``CausalCluster``) points it at that run's collector
+        #: the instruments; ``run_simulation`` points it at the run's
+        #: collector
         self.ledger = MetadataLedger()
 
     # -- family creation ----------------------------------------------

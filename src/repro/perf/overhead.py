@@ -6,11 +6,13 @@ seed (covered by equivalence tests), and with a live registry the cost
 must stay small.  This bench measures the second half: the reference
 run (``opt_track_n10``, :data:`REFERENCE_CONFIG`) with and without a full
 :class:`~repro.obs.metrics.MetricsRegistry` — kernel batch hook,
-pre-bound protocol instruments, network counters — and reports the
-wall-time ratio, gated at :data:`DEFAULT_OVERHEAD_THRESHOLD`.  (Message
-byte accounting is not among the costs: a message is booked once, in
-the collector, with or without a registry, and the metadata ledger is a
-view computed when a report is asked for.)
+pre-bound protocol histograms, the end-of-run sample of every total —
+and reports the wall-time ratio, gated at
+:data:`DEFAULT_OVERHEAD_THRESHOLD`.  (Counts are not among the costs: a
+message is booked once, in the collector, and every other total once by
+its own producer, with or without a registry; the registry reads them
+at quiescence, and the metadata ledger is a view computed when a report
+is asked for.)
 
 Each repeat times one *pair* of runs back-to-back (alternating which
 side goes first to cancel position effects) and the gate reads the

@@ -158,8 +158,9 @@ class DurabilityLayer:
         self._tick_event: "Optional[ScheduledEvent]" = None
         self._stopped = False
         self._attached = False
-        #: metrics registry (wired post-construction by the runner;
-        #: None is the zero-overhead path)
+        #: metrics registry for the WAL-tail histogram (wired by the
+        #: runner; None is the zero-overhead path); the checkpoint count
+        #: is the collector's
         self.registry: "Optional[MetricsRegistry]" = None
 
     # ------------------------------------------------------------------
@@ -220,9 +221,6 @@ class DurabilityLayer:
             if self.collector is not None:
                 self.collector.record_checkpoint()
             if self.registry is not None:
-                self.registry.inc(
-                    "wal_checkpoints_total",
-                    help_text="checkpoints installed across all sites")
                 self.registry.observe(
                     "wal_tail_records", wal_len,
                     help_text="WAL records truncated by each checkpoint")

@@ -165,8 +165,9 @@ class CrashRecoveryManager:
         self._detected: set[int] = set()
         self.sync_messages = 0
         self._started = False
-        #: metrics registry (wired post-construction by the runner via
-        #: attach_registry; None is the zero-overhead path)
+        #: metrics registry for the restore and catch-up histograms
+        #: (wired by the runner via attach_registry; None is the
+        #: zero-overhead path); their counts are the collector's
         self.registry: "Optional[MetricsRegistry]" = None
         # wire the collaborators
         durability.is_down = self.is_down
@@ -182,8 +183,6 @@ class CrashRecoveryManager:
         """Wire the metrics registry through to the crash subsystems."""
         self.registry = registry
         self.durability.registry = registry
-        if self.detector is not None:
-            self.detector.attach_registry(registry)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -266,9 +265,6 @@ class CrashRecoveryManager:
         self._responses.pop(site, None)
         if self.collector is not None:
             self.collector.record_crash()
-        if self.registry is not None:
-            self.registry.inc("crash_crashes_total",
-                              help_text="site crashes injected")
         if self.tracer is not None:
             self.tracer.site_crash(site, now)
         if self.sites is not None:
@@ -312,8 +308,6 @@ class CrashRecoveryManager:
                 checkpoint_age_ms=checkpoint_age,
             )
         if self.registry is not None:
-            self.registry.inc("crash_restores_total",
-                              help_text="sites restored from disk")
             self.registry.observe("crash_downtime_ms", downtime,
                                   help_text="crash-to-restore downtime")
             self.registry.observe("wal_replayed_records", replayed,
@@ -403,8 +397,6 @@ class CrashRecoveryManager:
         if self.collector is not None:
             self.collector.record_catchup(duration, rounds=rounds, forced=forced)
         if self.registry is not None:
-            self.registry.inc("crash_catchups_total",
-                              help_text="anti-entropy catch-ups completed")
             self.registry.observe("crash_catchup_ms", duration,
                                   help_text="restore-to-caught-up duration")
         if self.tracer is not None:

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..metrics.collector import MetricsCollector
-    from ..obs.metrics import Counter, MetricsRegistry
     from ..obs.tracer import Tracer
     from .engine import ScheduledEvent, Simulator
     from .network import Network
@@ -106,8 +105,11 @@ class FailureDetector:
         self._last_heard: dict[tuple[int, int], float] = {}
         self._timeout: dict[tuple[int, int], float] = {}
         self.suspected: set[tuple[int, int]] = set()
+        #: lifetime tallies (the metrics registry reads them at quiescence)
         self.heartbeats_sent = 0
+        self.suspicions = 0
         self.false_suspicions = 0
+        self.recoveries = 0
         # wired by the crash-recovery manager
         self.is_down: Callable[[int], bool] = lambda site: False
         self.quiescent: Callable[[], bool] = lambda: False
@@ -116,29 +118,7 @@ class FailureDetector:
         self._tick_event: "Optional[ScheduledEvent]" = None
         self._started = False
         self._stopped = False
-        # metrics (wired post-construction via attach_registry; None is
-        # the zero-overhead path)
-        self.registry: "Optional[MetricsRegistry]" = None
-        self._m_heartbeats: "Optional[Counter]" = None
-        self._m_suspicions: "Optional[Counter]" = None
-        self._m_false_suspicions: "Optional[Counter]" = None
-        self._m_recoveries: "Optional[Counter]" = None
         self.transport.register_packet_handler(self._handle_packet)
-
-    def attach_registry(self, registry: "MetricsRegistry") -> None:
-        """Bind detector counters (called by the runner after wiring)."""
-        self.registry = registry
-        self._m_heartbeats = registry.counter(  # type: ignore[assignment]
-            "detector_heartbeats_total", "heartbeat packets sent").labels()
-        self._m_suspicions = registry.counter(  # type: ignore[assignment]
-            "detector_suspicions_total",
-            "pairs newly suspected (true + false)").labels()
-        self._m_false_suspicions = registry.counter(  # type: ignore[assignment]
-            "detector_false_suspicions_total",
-            "suspicions of a site that was actually up").labels()
-        self._m_recoveries = registry.counter(  # type: ignore[assignment]
-            "detector_recoveries_total",
-            "suspected pairs cleared by proof of life").labels()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -178,8 +158,6 @@ class FailureDetector:
                 self.heartbeats_sent += 1
                 if self.collector is not None:
                     self.collector.record_heartbeat()
-                if self._m_heartbeats is not None:
-                    self._m_heartbeats.inc()
                 self.net._transmit_raw(origin, dst, HeartbeatPacket(origin), size)
         for observer in members:
             if self.is_down(observer):
@@ -202,14 +180,11 @@ class FailureDetector:
             self._timeout[pair] * self.policy.backoff, self.policy.max_timeout_ms
         )
         actually_down = self.is_down(subject)
-        if self._m_suspicions is not None:
-            self._m_suspicions.inc()
+        self.suspicions += 1
         if not actually_down:
             self.false_suspicions += 1
             if self.collector is not None:
                 self.collector.record_false_suspicion()
-            if self._m_false_suspicions is not None:
-                self._m_false_suspicions.inc()
         if self.tracer is not None:
             self.tracer.detector_suspect(observer, subject, self.sim.now,
                                          false_positive=not actually_down)
@@ -223,8 +198,7 @@ class FailureDetector:
         if pair in self.suspected:
             self.suspected.discard(pair)
             self.transport.resume_pair(observer, subject, flush=True)
-            if self._m_recoveries is not None:
-                self._m_recoveries.inc()
+            self.recoveries += 1
             if self.tracer is not None:
                 self.tracer.detector_alive(observer, subject, self.sim.now)
             if self.on_alive is not None:

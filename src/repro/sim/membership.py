@@ -191,9 +191,6 @@ class ViewManager:
         self.departed: dict[int, tuple[str, int]] = {}
         self.stats = MembershipStats()
         self.stats.epoch_log.append((sim.now, self.view))
-        #: metrics registry (wired post-construction by the runner;
-        #: None is the zero-overhead path)
-        self.registry = None
 
         self._queue: deque[_PendingChange] = deque()
         self._active: Optional[_PendingChange] = None
@@ -532,17 +529,6 @@ class ViewManager:
         else:  # pragma: no cover - guarded by _preflight
             raise MembershipError(f"unknown change kind {change.kind!r}")
         self.stats.epoch_log.append((self.sim.now, view))
-        registry = self.registry
-        if registry is not None:
-            registry.inc("membership_epochs_total",
-                         help_text="view epochs installed")
-            registry.inc("membership_changes_total",
-                         help_text="applied view changes by kind",
-                         kind=change.kind)
-            registry.set_gauge("membership_members", len(view.members),
-                               help_text="members in the current view")
-            registry.set_gauge("membership_epoch", view.epoch,
-                               help_text="current view epoch number")
         return view
 
     def _live_members(self) -> list[int]:

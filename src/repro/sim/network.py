@@ -27,7 +27,6 @@ from .faults import NO_FAULT, FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..metrics.collector import MetricsCollector
-    from ..obs.metrics import Counter, MetricFamily, MetricsRegistry
     from ..obs.tracer import Tracer
     from .reliable import RetransmitPolicy
 
@@ -195,7 +194,6 @@ class Network:
         collector: Optional["MetricsCollector"] = None,
         retransmit: Optional["RetransmitPolicy"] = None,
         tracer: Optional["Tracer"] = None,
-        registry: Optional["MetricsRegistry"] = None,
     ) -> None:
         if n_sites <= 0:
             raise ValueError("network needs at least one site")
@@ -247,33 +245,6 @@ class Network:
         self.collector = collector
         # observability (None = untraced, zero overhead)
         self.tracer = tracer
-        # metrics (None = unmetered, zero overhead); counters are
-        # pre-resolved here so send() pays one branch + one dict probe
-        self.registry = registry
-        self._m_send_family: Optional["MetricFamily"] = None
-        self._m_send_cache: dict[int, "Counter"] = {}
-        self._m_injected_drop: Optional["Counter"] = None
-        self._m_partition_drop: Optional["Counter"] = None
-        self._m_dup: Optional["Counter"] = None
-        self._m_dead_drop: Optional["Counter"] = None
-        if registry is not None:
-            self._m_send_family = registry.counter(
-                "net_messages_sent_total",
-                "application messages accepted by the network, per sender",
-                labels=("site",))
-            self._m_injected_drop = registry.counter(  # type: ignore[assignment]
-                "net_injected_drops_total",
-                "packets dropped by the fault injector (non-partition)").labels()
-            self._m_partition_drop = registry.counter(  # type: ignore[assignment]
-                "net_partition_drops_total",
-                "packets dropped because a partition severed the channel").labels()
-            self._m_dup = registry.counter(  # type: ignore[assignment]
-                "net_duplicates_total",
-                "duplicate packets injected by the fault plan").labels()
-            self._m_dead_drop = registry.counter(  # type: ignore[assignment]
-                "net_dead_site_drops_total",
-                "packets dropped at the wire because the destination was down",
-            ).labels()
         self.faults = faults
         if faults is not None:
             from .reliable import ReliableTransport
@@ -494,13 +465,6 @@ class Network:
             from .membership import DepartedSiteError
 
             raise DepartedSiteError(dst, "departed")
-        fam = self._m_send_family
-        if fam is not None:
-            counter = self._m_send_cache.get(src)
-            if counter is None:
-                counter = fam.labels(site=src)  # type: ignore[assignment]
-                self._m_send_cache[src] = counter
-            counter.value += 1  # monotonic bump, sans method-call overhead
         if self.transport is not None:
             return self.transport.send(src, dst, message, size_bytes)
         return self._fan_out(src, (dst,), message, size_bytes)
@@ -509,14 +473,13 @@ class Network:
                   *, size_bytes: float = 0.0) -> None:
         """``send`` the one shared ``message`` to each of ``dests``, in order.
 
-        On the seed path with no registry and nobody departed, what
-        cannot differ between destinations (source checks, clock read,
-        attribute lookups) is done once and each destination gets the
-        rest of ``send`` — so every delivery's ``(time, seq)`` is what
-        the loop of sends below produces.
+        On the seed path with nobody departed, what cannot differ
+        between destinations (source checks, clock read, attribute
+        lookups) is done once and each destination gets the rest of
+        ``send`` — so every delivery's ``(time, seq)`` is what the loop
+        of sends below produces.
         """
-        if (self.transport is not None or self._m_send_family is not None
-                or self._departed):
+        if self.transport is not None or self._departed:
             for dst in dests:
                 self.send(src, dst, message, size_bytes=size_bytes)
             return
@@ -644,12 +607,6 @@ class Network:
             if drop:
                 if collector is not None:
                     collector.record_injected_drop(partition=severed)
-                if self._m_injected_drop is not None:
-                    if severed:
-                        assert self._m_partition_drop is not None
-                        self._m_partition_drop.inc()
-                    else:
-                        self._m_injected_drop.inc()
                 return None
             if extra_delay_ms and collector is not None:
                 collector.record_injected_spike(extra_delay_ms)
@@ -669,8 +626,6 @@ class Network:
             self.total_messages += 1
             if collector is not None:
                 collector.record_injected_dup()
-            if self._m_dup is not None:
-                self._m_dup.inc()
             sim.schedule_at(departure + dup_delay + extra_delay_ms, arrive,
                             label="dup " + label)
         return delivery
@@ -689,8 +644,6 @@ class Network:
         if dst in self._down:
             if self.collector is not None:
                 self.collector.record_dead_site_drop()
-            if self._m_dead_drop is not None:
-                self._m_dead_drop.inc()
             self.transport.on_dead_drop(src, dst, packet)
             return
         self.transport.deliver_packet(src, dst, packet)

@@ -11,7 +11,8 @@ accounting exact), timer jitter drawn from the injector's seeded RNG,
 partition-heal scheduling and per-site recovery clocks, the crash /
 rejoin / retire hooks of :mod:`repro.sim.crash` and
 :mod:`repro.sim.membership`, and the mirroring of every channel event
-into the collector and the metrics registry.
+into the collector (the metrics registry reads the host's tallies once,
+at quiescence).
 
 Because the simulator sees both ends of every channel, it keeps the
 sender and the receiver half of ``src -> dst`` under one key.
@@ -72,7 +73,7 @@ class _Event(NamedTuple):
     #: a per-site row with wire bytes for acks and retransmissions, a
     #: plain counter for the rest)
     counter: str
-    #: registry counter and its help text
+    #: registry counter it is exported as at quiescence, and its help text
     metric: str
     help_text: str
 
@@ -203,13 +204,10 @@ class ReliableTransport(ChannelHost):
     def count(self, event: str, src: int = -1, dst: int = -1,
               size_bytes: float = 0.0, payload: object = None) -> None:
         self.counts[event] += 1
-        counter, metric, help_text = _EVENTS[event]
         net = self.net
         if net.collector is not None:
-            net.collector.record_transport(counter, src, size_bytes)
-        registry = net.registry
-        if registry is not None:
-            registry.inc(metric, help_text=help_text)
+            net.collector.record_transport(_EVENTS[event].counter, src,
+                                           size_bytes)
         tracer = net.tracer
         if tracer is not None:
             if event == "retransmission":
@@ -326,11 +324,15 @@ class ReliableTransport(ChannelHost):
     # end-of-run metrics export
     # ------------------------------------------------------------------
     def sample_channel_metrics(self, registry: "MetricsRegistry") -> None:
-        """Export per-channel transport state as labeled gauges/counters.
+        """Export the channel-event totals and per-channel transport
+        state as labeled gauges/counters.
 
-        Sampled once at quiescence: per-packet label resolution on the
-        hot path would cost far more than the numbers are worth.
+        Sampled once at quiescence from :attr:`counts` and the channels
+        themselves: the registry keeps no copy of its own.
         """
+        for event, (_, metric, help_text) in _EVENTS.items():
+            if self.counts[event]:
+                registry.inc(metric, self.counts[event], help_text=help_text)
         for src, dst in sorted(self._channels):
             ch = self._channels[(src, dst)]
             tx, rx = ch.sender, ch.receiver

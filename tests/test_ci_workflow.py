@@ -8,6 +8,7 @@ or the workflow's ``defaults.run``) runs ``bash -eo pipefail``.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,38 @@ def test_hb_track_is_exercised_wherever_the_papers_four_are():
         assert words[words.index("--protocols") + 1] == (
             "full-track,opt-track,opt-track-crp,optp,hb-track")
         assert "5 protocols" in step["name"]
+
+
+def test_churn_matrix_gates_the_ledger_crosscheck():
+    # `repro metrics run` exits 1 on a ledger crosscheck MISMATCH; under
+    # churn it did for Full-Track at churn seed 0 and nothing ran it
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    job = workflow["jobs"]["churn-matrix"]
+
+    def sim_flags(run: str) -> list[str]:
+        """The simulated run's flags, without the verb's output files."""
+        run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>", run)
+        words = [w for w in run.split() if w != "\\"]
+        words = words[words.index("--protocol"):words.index("|")]
+        for flag in ("--dump-fault-plan", "--metrics-dir"):
+            if flag in words:
+                del words[words.index(flag):words.index(flag) + 2]
+        return words
+
+    (check,) = [step["run"] for step in job["steps"]
+                if "repro check" in step.get("run", "")]
+    (ledger,) = [step for step in job["steps"]
+                 if "repro metrics run" in step.get("run", "")]
+    words = ledger["run"].split()
+    assert words[:6] == ["PYTHONPATH=src", "python", "-m", "repro",
+                         "metrics", "run"]
+    assert sim_flags(ledger["run"]) == sim_flags(check)
+    assert "--churn-seed" in sim_flags(check)
+    # its exit code is the gate: teed, so pipefail, inherited from the
+    # workflow and overridden nowhere
+    assert words[words.index("|") + 1] == "tee"
+    assert "defaults" not in job and "shell" not in ledger
+    assert unguarded_tee_steps(workflow) == []
 
 
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"

@@ -115,6 +115,22 @@ class TestLedgerCrosscheck:
         problems = registry.ledger.crosscheck()
         assert problems and all(" FM " in p for p in problems)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_track_rm_from_before_a_view_change(self, tmp_path, capsys,
+                                                     seed):
+        """A Full-Track RM may carry a matrix stored before a view change,
+        narrower than the epoch's clock.  Booked under the epoch's width
+        its components overran its price (seed 0: site 3 by 88 B, i.e.
+        8 x (36 - 25)); the CI churn matrix runs exactly this command."""
+        code = cli_main([
+            "metrics", "run", str(tmp_path), "--protocol", "full-track",
+            "-n", "5", "--ops", "40", "--churn-joins", "1",
+            "--churn-leaves", "1", "--churn-seed", str(seed),
+            "--churn-window", "300:1500", "--heartbeat-ms", "0"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "ledger crosscheck (components vs priced bytes): OK" in out
+
     @pytest.mark.parametrize("source", LEDGER_SOURCES)
     def test_component_totals_sum_to_kind_bytes(self, source):
         for ledger in ledgers_of(source):
