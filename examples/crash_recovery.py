@@ -92,7 +92,8 @@ def main() -> None:
     print(f"   causal checker: OK over {report.n_operations} operations")
     print("   convergence: every replica of every variable agrees")
 
-    print(f"\ncrash-recovery cost: {col.heartbeats_sent} heartbeats, "
+    print(f"\ncrash-recovery cost: "
+          f"{cluster.crash_manager.detector.heartbeats_sent} heartbeats, "
           f"{col.sync_messages} sync messages, "
           f"{col.checkpoints_taken} checkpoints, "
           f"detection in {col.detection_latency.mean:.0f} ms, "

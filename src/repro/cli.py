@@ -857,13 +857,14 @@ def _print_crash_stats(result) -> int:
     if result.crash_manager is None:
         return 0
     col = result.collector
+    detector = result.crash_manager.detector
     print(f"crash-recovery: {col.crashes} crashes, "
           f"{col.checkpoints_taken} checkpoints, "
           f"mean downtime {col.downtime.mean if col.downtime.count else 0.0:.0f} ms, "
           f"mean detection {col.detection_latency.mean if col.detection_latency.count else 0.0:.0f} ms, "
           f"mean catch-up {col.catchup_latency.mean if col.catchup_latency.count else 0.0:.0f} ms")
     print(f"  wal: mean {col.wal_replays.mean if col.wal_replays.count else 0.0:.0f} records replayed/restore; "
-          f"detector: {col.heartbeats_sent} heartbeats, "
+          f"detector: {detector.heartbeats_sent if detector else 0} heartbeats, "
           f"{col.false_suspicions} false suspicions; "
           f"{col.sync_messages} sync msgs; "
           f"{col.lost_ops} ops lost (crash-stop)")

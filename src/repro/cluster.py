@@ -12,6 +12,11 @@ library a downstream application would call directly::
     assert cluster.read(4, var=3) == 42
     cluster.check().raise_if_violated()
 
+The cluster is wired by :func:`~repro.experiments.runner.build_system`,
+the builder ``run_simulation`` uses: the same placement, seeded latency
+and fault streams, network, protocols and crash-recovery stack.  Only
+the workload, the warm-up gate and the scheduled plans are the runner's.
+
 Operations execute at the cluster's current simulated time; ``advance``
 moves time forward (delivering messages along the way), ``settle`` runs
 to quiescence.  ``read`` drives the simulator just far enough for the
@@ -23,19 +28,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .core.base import CausalProtocol, ProtocolContext, create_protocol, get_protocol_class
-from .experiments.runner import build_placement  # reuse placement resolution
-from .experiments.runner import SimulationConfig
-from .memory.store import SiteStore, WriteId
-from .metrics.collector import MetricsCollector
+from .core.base import get_protocol_class
+from .experiments.runner import SimulationConfig, build_system
+from .memory.store import WriteId
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .obs.tracer import Tracer
-from .sim.crash import CatchupPolicy, CrashRecoveryManager, install_crash_recovery
-from .sim.engine import Simulator
+from .sim.crash import CatchupPolicy
 from .sim.failure_detector import DetectorPolicy
-from .sim.faults import FaultInjector, FaultPlan
+from .sim.faults import FaultPlan
 from .sim.membership import (
     DepartedSiteError,
     MembershipPolicy,
@@ -43,10 +43,9 @@ from .sim.membership import (
     View,
     ViewManager,
 )
-from .sim.network import LatencyModel, Network, UniformLatency
+from .sim.network import LatencyModel, UniformLatency
 from .sim.reliable import RetransmitPolicy
 from .verify.causal_checker import CheckReport, check_causal_consistency
-from .verify.history import HistoryRecorder
 
 __all__ = ["CausalCluster"]
 
@@ -87,8 +86,7 @@ class CausalCluster:
                 "partitions and crashes only; drive membership changes with "
                 "join_site() / leave_site() and overload with write()"
             )
-        # Reuse SimulationConfig purely for validation + placement logic.
-        config = SimulationConfig(
+        self.config = config = SimulationConfig(
             protocol=protocol,
             n_sites=n_sites,
             n_vars=n_vars,
@@ -98,6 +96,7 @@ class CausalCluster:
             latency=latency if latency is not None else UniformLatency(),
             bandwidth_bytes_per_ms=bandwidth_bytes_per_ms,
             size_model=size_model,
+            record_history=record_history,
             fault_plan=fault_plan,
             fault_seed=fault_seed,
             retransmit=retransmit,
@@ -105,73 +104,19 @@ class CausalCluster:
             detector=detector,
             catchup=catchup,
         )
-        self.config = config
-        self.placement = build_placement(config)
-        self.sim = Simulator()
-        self.collector = MetricsCollector()
-        self.faults: Optional[FaultInjector] = None
-        if fault_plan is not None:
-            self.faults = FaultInjector(
-                fault_plan,
-                rng=np.random.default_rng(
-                    np.random.SeedSequence(fault_seed).spawn(1)[0]
-                ),
-            )
-        self.tracer = tracer
-        if tracer is not None:
-            self.sim.observer = tracer.on_sim_event
-            tracer.meta.setdefault("protocol", protocol)
-            tracer.meta.setdefault("n_sites", n_sites)
-            tracer.meta.setdefault("seed", seed)
-        self.network = Network(
-            self.sim, n_sites, config.latency,
-            rng=np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]),
-            bandwidth_bytes_per_ms=bandwidth_bytes_per_ms,
-            faults=self.faults, collector=self.collector, retransmit=retransmit,
-            tracer=tracer,
-        )
+        # the crash stack attaches here, not at the first crash_site():
+        # the WAL only covers operations issued after it hooks in
+        self._system = system = build_system(
+            config, tracer=tracer, crash_recovery=crash_recovery)
+        self.placement = system.placement
+        self.sim = system.sim
+        self.collector = system.collector
+        self.faults = system.faults
+        self.network = system.network
+        self.history = system.history
+        self.protocols = system.protocols
+        self.crash_manager = system.crash_manager
         self.collector.start_measuring()  # no warm-up in interactive mode
-        self.history = HistoryRecorder(enabled=record_history)
-        self.protocols: list[CausalProtocol] = []
-        for i in range(n_sites):
-            ctx = ProtocolContext(
-                site=i,
-                n_sites=n_sites,
-                placement=self.placement,
-                store=SiteStore(i, self.placement.vars_at(i)),
-                network=self.network,
-                clock=self.sim,
-                collector=self.collector,
-                size_model=size_model,
-                history=self.history,
-                tracer=tracer,
-            )
-            proto = create_protocol(protocol, ctx)
-            self.network.register(i, proto.on_message)
-            self.protocols.append(proto)
-        # Crash-recovery machinery must attach at construction time:
-        # checkpoints and the WAL only cover operations issued after the
-        # durability layer hooks in, so enabling it lazily at the first
-        # crash_site() would restore from an incomplete history.
-        self.crash_manager: Optional[CrashRecoveryManager] = None
-        plan_crashes = fault_plan.crashes if fault_plan is not None else ()
-        if crash_recovery or checkpoint_interval_ms is not None or plan_crashes:
-            self.crash_manager = install_crash_recovery(
-                self.sim, self.network, self.protocols,
-                sites=None,  # no pre-planned schedules in interactive mode
-                crashes=plan_crashes,
-                checkpoint_interval_ms=checkpoint_interval_ms,
-                detector_policy=detector,
-                catchup=catchup,
-                # interactive crashes need the detector: it is what pauses
-                # retransmission into the dead site so settle() terminates
-                with_detector=(
-                    True if self.network.transport is not None
-                    and (crash_recovery or bool(plan_crashes)) else None
-                ),
-                collector=self.collector,
-                tracer=tracer,
-            )
         self._op_counter = 0
         # Elastic membership: the view manager is built lazily on first
         # use so static clusters stay byte-identical to the seed path.
@@ -375,28 +320,11 @@ class CausalCluster:
     # ------------------------------------------------------------------
     # elastic membership (see repro.sim.membership / docs/membership.md)
     # ------------------------------------------------------------------
-    def _protocol_factory(self, new_id: int) -> CausalProtocol:
-        """Build a joiner's protocol (called after placement + network
-        have already been grown, so per-site derived state is correct)."""
-        ctx = ProtocolContext(
-            site=new_id,
-            n_sites=self.network.n_sites,
-            placement=self.placement,
-            store=SiteStore(new_id, self.placement.vars_at(new_id)),
-            network=self.network,
-            clock=self.sim,
-            collector=self.collector,
-            size_model=self.config.size_model,
-            history=self.history,
-            tracer=self.tracer,
-        )
-        return create_protocol(self.config.protocol, ctx)
-
     def _ensure_view_manager(self) -> ViewManager:
         if self.view_manager is None:
             self.view_manager = ViewManager(
                 self.sim, self.network, self.placement, self.protocols,
-                protocol_factory=self._protocol_factory,
+                protocol_factory=self._system.new_protocol,
                 crash_manager=self.crash_manager,
                 policy=self._membership_policy,
             )

@@ -57,7 +57,10 @@ from ..verify.history import HistoryRecorder
 from ..workload.generator import generate_workload
 from ..workload.schedule import Workload
 
-__all__ = ["SimulationConfig", "RunResult", "run_simulation", "build_placement"]
+__all__ = [
+    "SimulationConfig", "RunResult", "SimulatedSystem",
+    "build_placement", "build_system", "run_simulation",
+]
 
 #: paper warm-up fraction (Section V)
 PAPER_WARMUP_FRACTION = 0.15
@@ -151,6 +154,12 @@ class SimulationConfig:
         """Same run, different protocol (Table IV-style comparisons)."""
         return replace(self, protocol=protocol)
 
+    @property
+    def churn(self) -> bool:
+        """Elastic membership in play: planned view changes or auto-eviction."""
+        return (bool(self.fault_plan is not None and self.fault_plan.membership)
+                or self.auto_evict_after_ms is not None)
+
 
 @dataclass
 class RunResult:
@@ -187,7 +196,9 @@ class RunResult:
             "seed": self.config.seed,
             "sim_time_ms": self.sim_time_ms,
         }
-        out.update(self.collector.as_dict())
+        detector = self.crash_manager.detector if self.crash_manager else None
+        out.update(self.collector.as_dict(
+            heartbeats_sent=detector.heartbeats_sent if detector else 0))
         return out
 
 
@@ -197,6 +208,135 @@ def build_placement(config: SimulationConfig) -> Placement:
     if config.placement == "random":
         return RandomPlacement(config.n_sites, config.n_vars, p, seed=config.seed)
     return _PLACEMENTS[config.placement](config.n_sites, config.n_vars, p)
+
+
+@dataclass
+class SimulatedSystem:
+    """A wired simulated cluster: what :func:`build_system` returns."""
+
+    config: SimulationConfig
+    placement: Placement
+    sim: Simulator
+    collector: MetricsCollector
+    #: the sanitizer's proxy when ``config.sanitize`` is set
+    network: Network
+    #: the chaos transport (None on the plain FIFO path)
+    transport: Optional[ReliableTransport]
+    faults: Optional[FaultInjector]
+    #: the overload driver's stream (None when the plan has no overloads)
+    overload_rng: Optional[np.random.Generator]
+    history: HistoryRecorder
+    tracer: Optional[Tracer]
+    registry: Optional[MetricsRegistry]
+    protocols: list[CausalProtocol] = field(default_factory=list)
+    crash_manager: Optional[CrashRecoveryManager] = None
+
+    def new_protocol(self, site: int) -> CausalProtocol:
+        """Site ``site``'s protocol, for the initial sites and for
+        joiners alike (a joiner's is built after placement and network
+        have grown to include it, so its derived state is correct)."""
+        ctx = ProtocolContext(
+            site=site,
+            n_sites=self.network.n_sites,
+            placement=self.placement,
+            store=SiteStore(site, self.placement.vars_at(site)),
+            network=self.network,
+            clock=self.sim,
+            collector=self.collector,
+            size_model=self.config.size_model,
+            history=self.history,
+            tracer=self.tracer,
+            registry=self.registry,
+        )
+        return create_protocol(self.config.protocol, ctx)
+
+
+def build_system(
+    config: SimulationConfig,
+    *,
+    tracer: Optional[Tracer] = None,
+    registry: Optional[MetricsRegistry] = None,
+    crash_recovery: bool = False,
+) -> SimulatedSystem:
+    """Wire the simulator, network, protocols and crash stack ``config``
+    describes; :func:`run_simulation` and the interactive
+    :class:`~repro.cluster.CausalCluster` both start here.
+
+    ``crash_recovery`` installs the crash stack with its failure detector
+    even when no crash is planned, so sites can be crashed by hand.
+    """
+    placement = build_placement(config)
+    sim = Simulator(max_events=config.max_events)
+    net_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    collector = MetricsCollector()
+    faults = None
+    overload_rng: Optional[np.random.Generator] = None
+    plan = config.fault_plan
+    if plan is not None:
+        # two children: [0] is byte-identical to the pre-overload
+        # .spawn(1)[0] stream (spawn keys are positional), so attaching
+        # the overload driver's dedicated stream never perturbs the
+        # injector's fault schedule
+        fault_children = np.random.SeedSequence(config.fault_seed).spawn(2)
+        faults = FaultInjector(plan, rng=np.random.default_rng(fault_children[0]))
+        if plan.overloads:
+            overload_rng = np.random.default_rng(fault_children[1])
+    network = Network(sim, config.n_sites, config.latency, rng=net_rng,
+                      bandwidth_bytes_per_ms=config.bandwidth_bytes_per_ms,
+                      faults=faults, collector=collector,
+                      retransmit=config.retransmit, tracer=tracer)
+    transport = network.transport
+    if config.sanitize:
+        from ..check.sanitizer import SanitizedNetwork
+
+        network = SanitizedNetwork(network)  # type: ignore[assignment]
+    if tracer is not None:
+        sim.observer = tracer.on_sim_event
+        tracer.meta.setdefault("protocol", config.protocol)
+        tracer.meta.setdefault("n_sites", config.n_sites)
+        tracer.meta.setdefault("seed", config.seed)
+    if registry is not None:
+        # clock growth past the initial site count is epoch padding
+        registry.ledger = MetadataLedger(collector, config.size_model,
+                                         base_n=config.n_sites)
+        registry.install_kernel_hook(sim)
+    system = SimulatedSystem(
+        config=config, placement=placement, sim=sim, collector=collector,
+        network=network, transport=transport, faults=faults,
+        overload_rng=overload_rng,
+        history=HistoryRecorder(enabled=config.record_history),
+        tracer=tracer, registry=registry,
+    )
+    for i in range(config.n_sites):
+        proto = system.new_protocol(i)
+        network.register(i, proto.on_message)
+        system.protocols.append(proto)
+
+    # Crash-recovery machinery attaches before any operation: checkpoints
+    # and the WAL only cover operations issued after it hooks in.
+    crashes = plan.crashes if plan is not None else ()
+    if (crash_recovery or crashes or config.churn
+            or config.checkpoint_interval_ms is not None):
+        system.crash_manager = install_crash_recovery(
+            sim, network, system.protocols,
+            crashes=crashes,
+            checkpoint_interval_ms=config.checkpoint_interval_ms,
+            detector_policy=config.detector,
+            catchup=config.catchup,
+            # eviction escalation chains onto detector suspicions, and
+            # hand-made crashes need it to pause retransmission into the
+            # dead site; otherwise only planned crashes (or an explicit
+            # policy) start one
+            with_detector=(
+                True if config.auto_evict_after_ms is not None
+                or (crash_recovery and transport is not None) else None
+            ),
+            collector=collector,
+            tracer=tracer,
+        )
+        if registry is not None:
+            system.crash_manager.attach_registry(registry)
+    return system
 
 
 def _sample_final_metrics(
@@ -329,13 +469,11 @@ def run_simulation(
     # Elastic membership: the id space (capacity) covers every site that
     # will ever exist this run, so the workload is generated for joiners
     # too — their schedules simply start once they are admitted.
-    membership_events = (
-        config.fault_plan.membership if config.fault_plan is not None else ()
-    )
+    plan = config.fault_plan
+    membership_events = plan.membership if plan is not None else ()
     n_joins = sum(1 for ev in membership_events if isinstance(ev, JoinEvent))
     capacity = config.n_sites + n_joins
-    churn = bool(membership_events) or config.auto_evict_after_ms is not None
-    if churn and isinstance(config.latency, PerPairLatency):
+    if config.churn and isinstance(config.latency, PerPairLatency):
         raise ValueError(
             "PerPairLatency has a fixed delay matrix and cannot model "
             "membership churn; use a sampled latency model"
@@ -358,46 +496,23 @@ def run_simulation(
         )
     if workload.n_vars > config.n_vars:
         raise ValueError("workload touches more variables than the config declares")
+    if plan is not None and (plan.crashes or membership_events):
+        # a crash or membership event scheduled after the workload can
+        # ever end would stall quiescence (or silently test nothing);
+        # reject early
+        horizon = max(
+            (s.items[-1][0] for s in (workload.for_site(i)
+                                      for i in range(workload.n_sites))
+             if len(s)),
+            default=0.0,
+        )
+        plan.validate(horizon_ms=horizon)
 
-    placement = build_placement(config)
-    sim = Simulator(max_events=config.max_events)
-    net_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    collector = MetricsCollector()
-    faults = None
-    overload_rng: Optional[np.random.Generator] = None
-    if config.fault_plan is not None:
-        # two children: [0] is byte-identical to the pre-overload
-        # .spawn(1)[0] stream (spawn keys are positional), so attaching
-        # the overload driver's dedicated stream never perturbs the
-        # injector's fault schedule
-        fault_children = np.random.SeedSequence(config.fault_seed).spawn(2)
-        fault_rng = np.random.default_rng(fault_children[0])
-        faults = FaultInjector(config.fault_plan, rng=fault_rng)
-        if config.fault_plan.overloads:
-            overload_rng = np.random.default_rng(fault_children[1])
-    network = Network(sim, config.n_sites, config.latency, rng=net_rng,
-                      bandwidth_bytes_per_ms=config.bandwidth_bytes_per_ms,
-                      faults=faults, collector=collector,
-                      retransmit=config.retransmit, tracer=tracer)
-    # the sanitizer wrapper proxies the network; keep a direct handle on
-    # the chaos transport for end-of-run channel metrics
-    transport = network.transport
-    if config.sanitize:
-        from ..check.sanitizer import SanitizedNetwork
-
-        network = SanitizedNetwork(network)  # type: ignore[assignment]
-    history = HistoryRecorder(enabled=config.record_history)
+    system = build_system(config, tracer=tracer, registry=registry)
+    sim, collector, protocols = system.sim, system.collector, system.protocols
+    crash_manager = system.crash_manager
     if tracer is not None:
-        sim.observer = tracer.on_sim_event
-        tracer.meta.setdefault("protocol", config.protocol)
-        tracer.meta.setdefault("n_sites", config.n_sites)
         tracer.meta.setdefault("ops_per_process", config.ops_per_process)
-        tracer.meta.setdefault("seed", config.seed)
-    if registry is not None:
-        # clock growth past the initial site count is epoch padding
-        registry.ledger = MetadataLedger(collector, config.size_model,
-                                         base_n=config.n_sites)
-        registry.install_kernel_hook(sim)
     if heartbeat is not None:
         if heartbeat.registry is None:
             heartbeat.registry = registry
@@ -413,6 +528,7 @@ def run_simulation(
                 hb_observer(ts, pending)
 
             sim.observer = _observe
+        heartbeat.bind(network=system.network, protocols=protocols)
 
     # Warm-up gate: open the measurement window once the first
     # ceil(fraction * total) operations have *started* (paper Sec. V).
@@ -429,89 +545,20 @@ def run_simulation(
     if warmup_ops == 0:
         collector.start_measuring()
 
-    protocols: list[CausalProtocol] = []
-    sites: list[Site] = []
-    for i in range(config.n_sites):
-        ctx = ProtocolContext(
-            site=i,
-            n_sites=config.n_sites,
-            placement=placement,
-            store=SiteStore(i, placement.vars_at(i)),
-            network=network,
-            clock=sim,
-            collector=collector,
-            size_model=config.size_model,
-            history=history,
-            tracer=tracer,
-            registry=registry,
-        )
-        proto = create_protocol(config.protocol, ctx)
-        network.register(i, proto.on_message)
-        protocols.append(proto)
-        sites.append(Site(proto, workload.for_site(i), sim,
-                          on_operation=on_operation, tracer=tracer))
-    if heartbeat is not None:
-        heartbeat.bind(network=network, protocols=protocols)
+    def site_factory(site_id: int, proto: CausalProtocol) -> Site:
+        return Site(proto, workload.for_site(site_id), sim,
+                    on_operation=on_operation, tracer=tracer)
 
-    crash_manager: Optional[CrashRecoveryManager] = None
-    planned_crashes = config.fault_plan.crashes if config.fault_plan else ()
-    if planned_crashes or churn or config.checkpoint_interval_ms is not None:
-        if planned_crashes or membership_events:
-            # a crash or membership event scheduled after the workload
-            # can ever end would stall quiescence (or silently test
-            # nothing); reject early
-            horizon = max(
-                (s.items[-1][0] for s in (workload.for_site(i)
-                                          for i in range(workload.n_sites))
-                 if len(s)),
-                default=0.0,
-            )
-            config.fault_plan.validate(horizon_ms=horizon)
-        crash_manager = install_crash_recovery(
-            sim, network, protocols,
-            sites=sites,
-            crashes=planned_crashes,
-            checkpoint_interval_ms=config.checkpoint_interval_ms,
-            detector_policy=config.detector,
-            catchup=config.catchup,
-            # eviction escalation chains onto detector suspicions
-            with_detector=(
-                True if config.auto_evict_after_ms is not None else None
-            ),
-            collector=collector,
-            tracer=tracer,
-        )
-        if registry is not None:
-            crash_manager.attach_registry(registry)
+    sites = [site_factory(i, proto) for i, proto in enumerate(protocols)]
+    if crash_manager is not None:
+        # its own list: the view manager appends each joiner to both
+        crash_manager.sites = list(sites)
 
     view_manager: Optional[ViewManager] = None
-    if churn:
-
-        def protocol_factory(new_id: int) -> CausalProtocol:
-            # called after placement + network have grown to include
-            # new_id, so the per-site derived state is already correct
-            joiner_ctx = ProtocolContext(
-                site=new_id,
-                n_sites=network.n_sites,
-                placement=placement,
-                store=SiteStore(new_id, placement.vars_at(new_id)),
-                network=network,
-                clock=sim,
-                collector=collector,
-                size_model=config.size_model,
-                history=history,
-                tracer=tracer,
-                registry=registry,
-            )
-            return create_protocol(config.protocol, joiner_ctx)
-
-        def site_factory(new_id: int, proto: CausalProtocol) -> Site:
-            return Site(proto, workload.for_site(new_id), sim,
-                        on_operation=on_operation, tracer=tracer)
-
+    if config.churn:
         view_manager = ViewManager(
-            sim, network, placement, protocols,
-            protocol_factory=protocol_factory,
+            sim, system.network, system.placement, protocols,
+            protocol_factory=system.new_protocol,
             site_factory=site_factory,
             sites=sites,
             crash_manager=crash_manager,
@@ -522,11 +569,10 @@ def run_simulation(
             view_manager.enable_eviction(config.auto_evict_after_ms)
 
     overload_driver: Optional[OverloadDriver] = None
-    if overload_rng is not None:
-        assert config.fault_plan is not None
+    if system.overload_rng is not None:
+        assert plan is not None
         overload_driver = OverloadDriver(
-            sim, config.fault_plan, protocols, sites,
-            config.n_vars, overload_rng,
+            sim, plan, protocols, sites, config.n_vars, system.overload_rng,
         )
 
     for site in sites:
@@ -537,7 +583,7 @@ def run_simulation(
         collector.record_overload_injected(overload_driver.injected)
     if registry is not None:
         _sample_final_metrics(registry, sim, protocols, end_time, collector,
-                              transport=transport,
+                              transport=system.transport,
                               crash_manager=crash_manager,
                               view_manager=view_manager,
                               overload_driver=overload_driver)
@@ -571,8 +617,8 @@ def run_simulation(
         config=config,
         collector=collector,
         workload=workload,
-        history=history,
-        placement=placement,
+        history=system.history,
+        placement=system.placement,
         protocols=protocols,
         sim_time_ms=end_time,
         total_sim_events=sim.processed_events,

@@ -414,13 +414,3 @@ def unpack_length(prefix: bytes) -> int:
     if size > MAX_FRAME_BYTES:
         raise CodecError(f"frame length {size} exceeds the cap")
     return size
-
-
-def decode_value(obj: object) -> object:
-    """Public wrapper used by frames that embed message/value payloads."""
-    return _from_wire(obj)
-
-
-def encode_value(obj: object) -> object:
-    """Public wrapper: the tagged wire form of any supported value."""
-    return _to_wire(obj)

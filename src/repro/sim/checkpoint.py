@@ -27,7 +27,7 @@ the ``tracer=None`` and ``fault_plan=None`` contracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -107,17 +107,6 @@ class SiteDisk:
             f"<SiteDisk site={self.site} checkpoints={self.checkpoints_taken} "
             f"wal={len(self.wal)}>"
         )
-
-
-@dataclass
-class CheckpointPolicy:
-    """How often the durability layer checkpoints live sites."""
-
-    interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS
-
-    def __post_init__(self) -> None:
-        if self.interval_ms <= 0:
-            raise ValueError("checkpoint interval must be positive")
 
 
 class DurabilityLayer:

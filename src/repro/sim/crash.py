@@ -126,7 +126,6 @@ class CrashRecoveryManager:
         durability: DurabilityLayer,
         *,
         detector: Optional[FailureDetector] = None,
-        sites: Optional[Sequence["Site"]] = None,
         crashes: Sequence[CrashEvent] = (),
         catchup: Optional[CatchupPolicy] = None,
         collector: "Optional[MetricsCollector]" = None,
@@ -139,7 +138,9 @@ class CrashRecoveryManager:
         self.placement = self.protocols[0].ctx.placement
         self.durability = durability
         self.detector = detector
-        self.sites = list(sites) if sites is not None else None
+        #: the application sites a crash halts and a recovery resumes
+        #: (wired by the runner; None when sites are driven by hand)
+        self.sites: "Optional[list[Site]]" = None
         self.crashes = tuple(crashes)
         self.catchup = catchup if catchup is not None else CatchupPolicy()
         self.collector = collector
@@ -622,7 +623,6 @@ def install_crash_recovery(
     network: "Network",
     protocols: Sequence["CausalProtocol"],
     *,
-    sites: Optional[Sequence["Site"]] = None,
     crashes: Sequence[CrashEvent] = (),
     checkpoint_interval_ms: Optional[float] = None,
     detector_policy: Optional[DetectorPolicy] = None,
@@ -656,7 +656,7 @@ def install_crash_recovery(
                                    collector=collector, tracer=tracer)
     manager = CrashRecoveryManager(
         sim, network, protocols, durability,
-        detector=detector, sites=sites, crashes=crashes, catchup=catchup,
+        detector=detector, crashes=crashes, catchup=catchup,
         collector=collector, tracer=tracer,
     )
     manager.start()

@@ -114,7 +114,6 @@ class FailureDetector:
         self.is_down: Callable[[int], bool] = lambda site: False
         self.quiescent: Callable[[], bool] = lambda: False
         self.on_suspect: Optional[Callable[[int, int, bool], None]] = None
-        self.on_alive: Optional[Callable[[int, int], None]] = None
         self._tick_event: "Optional[ScheduledEvent]" = None
         self._started = False
         self._stopped = False
@@ -156,8 +155,6 @@ class FailureDetector:
                 if dst == origin:
                     continue
                 self.heartbeats_sent += 1
-                if self.collector is not None:
-                    self.collector.record_heartbeat()
                 self.net._transmit_raw(origin, dst, HeartbeatPacket(origin), size)
         for observer in members:
             if self.is_down(observer):
@@ -201,8 +198,6 @@ class FailureDetector:
             self.recoveries += 1
             if self.tracer is not None:
                 self.tracer.detector_alive(observer, subject, self.sim.now)
-            if self.on_alive is not None:
-                self.on_alive(observer, subject)
 
     def _handle_packet(self, src: int, dst: int, packet: object,
                        dead: bool) -> bool:

@@ -95,6 +95,36 @@ class TestBasics:
         # what the cluster does schedule is still accepted
         CausalCluster(4, fault_plan=FaultPlan.build())
 
+    def test_fault_stream_matches_run_simulation(self, monkeypatch):
+        # the same plan and fault_seed must give the same per-packet
+        # drop / dup / spike decisions through either entry point
+        import copy
+
+        from repro import SimulationConfig, run_simulation
+        from repro.sim.faults import ChannelFaults, FaultInjector, FaultPlan
+
+        built = []
+        init = FaultInjector.__init__
+
+        def keep_a_copy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(copy.deepcopy(self))  # before any packet draws
+
+        monkeypatch.setattr(FaultInjector, "__init__", keep_a_copy)
+        plan = FaultPlan.build(default=ChannelFaults(
+            drop_rate=0.1, dup_rate=0.1, spike_rate=0.1, spike_ms=(5.0, 50.0)))
+        run_simulation(SimulationConfig(
+            protocol="opt-track", n_sites=4, n_vars=8, ops_per_process=5,
+            seed=3, fault_plan=plan, fault_seed=11))
+        make(seed=3, fault_plan=plan, fault_seed=11)
+        ran, cluster = (
+            [injector.decide(k % 4, (k + 1) % 4, 0.0) for k in range(500)]
+            for injector in built)
+        assert ran == cluster
+        assert any(d.drop for d in ran)
+        assert any(d.duplicates for d in ran)
+        assert any(d.extra_delay_ms for d in ran)
+
     def test_check_requires_history(self):
         c = make(record_history=False)
         with pytest.raises(RuntimeError):

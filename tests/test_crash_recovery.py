@@ -87,7 +87,7 @@ class TestCrashRecoveryMatrix:
         col = result.collector
         assert col.checkpoints_taken > 0
         assert col.wal_replays.count == 1
-        assert col.heartbeats_sent > 0
+        assert result.crash_manager.detector.heartbeats_sent > 0
         assert col.sync_messages > 0
         assert col.detection_latency.count == 1
         assert col.catchup_latency.count == 1
