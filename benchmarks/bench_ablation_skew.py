@@ -43,8 +43,8 @@ def test_ablation_variable_skew(benchmark):
         # message *counts* are distribution-free (writes multicast to p
         # replicas regardless of which variable), within sampling noise
         assert abs(zipf["messages"] - uniform["messages"]) / uniform["messages"] < 0.1
-        # logs stay bounded under skew too (the tombstone mechanism is
-        # what prevents hot-variable churn from exploding them)
+        # logs stay bounded under skew too (MERGE's implicit tracking
+        # keeps stale records of hot variables from re-entering them)
         assert zipf["mean_log"] < 6 * N
 
 

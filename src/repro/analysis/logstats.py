@@ -4,8 +4,8 @@ The amortized-O(n) log is the load-bearing claim behind Opt-Track's
 scalability (Figs. 2-4 rest on it).  This module dissects the live logs
 of a finished run so the claim can be *inspected*, not just averaged:
 per-site entry counts, destination-list histograms, per-writer entry
-distribution, entry staleness (how far behind the site's applied clock
-a record's write is), and tombstone accounting.
+distribution and entry staleness (how far behind the site's applied
+clock a record's write is).
 
 Used by ``repro run --protocol opt-track`` reporting, by tests, and
 handy in a REPL when studying pruning behaviour.
@@ -31,7 +31,6 @@ class LogSnapshot:
 
     n_sites: int
     entries_per_site: tuple[int, ...]
-    tombstones_per_site: tuple[int, ...]
     dest_list_histogram: dict[int, int]
     entries_per_writer: dict[int, int]
     #: per-record staleness: holder's applied clock of the record's
@@ -67,7 +66,6 @@ class LogSnapshot:
 def snapshot_logs(protocols: Sequence["OptTrackProtocol"]) -> LogSnapshot:
     """Capture the structural state of every site's log."""
     entries_per_site: list[int] = []
-    tombstones: list[int] = []
     dest_hist: Counter = Counter()
     per_writer: Counter = Counter()
     staleness: list[int] = []
@@ -79,7 +77,6 @@ def snapshot_logs(protocols: Sequence["OptTrackProtocol"]) -> LogSnapshot:
             )
         entries = list(log.entries())
         entries_per_site.append(len(entries))
-        tombstones.append(len(getattr(log, "_emptied", ())))
         for e in entries:
             dest_hist[len(e.dests)] += 1
             per_writer[e.writer] += 1
@@ -87,7 +84,6 @@ def snapshot_logs(protocols: Sequence["OptTrackProtocol"]) -> LogSnapshot:
     return LogSnapshot(
         n_sites=len(list(protocols)),
         entries_per_site=tuple(entries_per_site),
-        tombstones_per_site=tuple(tombstones),
         dest_list_histogram=dict(sorted(dest_hist.items())),
         entries_per_writer=dict(sorted(per_writer.items())),
         staleness=tuple(staleness),
@@ -99,7 +95,6 @@ def format_log_report(snap: LogSnapshot) -> str:
     lines = [
         f"opt-track log structure across {snap.n_sites} sites",
         f"  entries/site : mean {snap.mean_entries:.1f}, max {snap.max_entries}",
-        f"  tombstones   : {sum(snap.tombstones_per_site)} total",
         f"  dest lists   : mean {snap.mean_dests:.2f} destinations, "
         f"{snap.empty_marker_fraction:.0%} pure ∅-markers",
     ]

@@ -14,13 +14,15 @@ implicit conditions of Section III-B:
    the send — except in the copy travelling to d itself, which still
    needs it for its activation predicate.
 
-:class:`OptTrackLog` implements the log with MERGE (union, intersecting
-destination sets of duplicate records — absence of a destination is
-*knowledge*), PURGE (drop empty-destination records superseded by a newer
-record from the same writer; the newest record per writer is retained
-even when empty, because its presence lets later merges strip stale
-destinations carried by other sites), and the per-destination piggyback
-views used at multicast time.  It holds one frozen
+:class:`OptTrackLog` implements the log with MERGE (KS implicit
+tracking: absence is *knowledge* — a destination missing from one copy
+of a record is dropped from the other, and a record missing from a log
+that holds a newer record of its writer is dead on both sides), PURGE
+(drop empty-destination records superseded by a newer record from the
+same writer; the newest record per writer is retained even when empty,
+because its presence is what lets later merges prove older records of
+that writer dead), and the per-destination piggyback views used at
+multicast time.  It holds one frozen
 :class:`PiggybackEntry` per write — the form a record is shipped in is
 the form it is stored in, a shrink replaces the record and nothing ever
 mutates one — and a write walks it once: ``piggyback_views`` applies
@@ -157,8 +159,7 @@ class PiggybackView:
     def stored(self, site: int) -> tuple[PiggybackEntry, ...]:
         """The flat sequence with ``site`` stripped from every record —
         the log kept in ``LastWriteOn`` once the write is applied there.
-        The emptied extras stay: they become tombstones at the next
-        read-merge."""
+        The emptied extras stay: a read-merge intersects them away."""
         if site != self.dest:
             self._retarget(site)
         if not self.extra:
@@ -229,34 +230,31 @@ class OptTrackLog:
     its holder.  A record first learned in a merge is stored as the
     incoming object itself.
 
-    Pruning bookkeeping is incremental: the newest clock per writer and
-    the set of present-but-empty records are maintained where a shrink
-    happens, which turns PURGE from two full log scans into a dict walk
-    plus an O(#empty) candidate check — the log is touched on every
-    write and every merge-on-read, so this is squarely on the hot path
-    (docs/architecture.md).
+    Pruning bookkeeping is incremental: the newest clock per writer, the
+    present clocks per writer and the set of present-but-empty records
+    are maintained where a record comes or goes, which turns PURGE from
+    two full log scans into a dict walk plus an O(#empty) candidate
+    check, and MERGE into one pass over the incoming records plus a look
+    at the present clocks of the writers they name — the log is touched
+    on every write and every merge-on-read, so this is squarely on the
+    hot path (docs/architecture.md).
     """
 
-    __slots__ = ("_records", "_emptied", "_newest", "_empty_keys", "_order",
+    __slots__ = ("_records", "_newest", "_clocks", "_empty_keys", "_order",
                  "_order_stale", "purged_records")
 
     def __init__(self, entries: Optional[Iterable[PiggybackEntry]] = None) -> None:
         # (writer, clock) -> the one record, in first-insertion order
         self._records: dict[tuple[int, int], PiggybackEntry] = {}
-        # Tombstones: records whose destination set this site once proved
-        # empty.  "Every destination of this write is covered" is
-        # permanent knowledge (destinations only ever leave a record via
-        # the sound implicit conditions), so a record seen here can never
-        # usefully return — but stale copies of it live forever inside
-        # frozen LastWriteOn snapshots and would otherwise re-infect the
-        # log on every read of a rarely-rewritten variable.  A tombstone
-        # is semantically the kept ∅-record, stored compactly, never
-        # shipped, and not counted in the log size.
-        self._emptied: set[tuple[int, int]] = set()
         # highest clock per writer among present records; invariant:
         # (j, _newest[j]) is always itself present (a record is only
-        # deleted when a strictly newer record from its writer exists)
+        # deleted when a strictly newer record from its writer exists).
+        # It is all MERGE needs to know of what this site let go: a
+        # record (j, c) absent here with c < _newest[j] is dead.
         self._newest: dict[int, int] = {}
+        # writer -> clocks of its present records (MERGE's clause (ii)
+        # looks here instead of walking the log)
+        self._clocks: dict[int, set[int]] = {}
         # present records whose destination set is empty — purge
         # candidates.  A dict (not a set) so iteration order is the
         # deterministic order emptiness was discovered in.
@@ -268,8 +266,9 @@ class OptTrackLog:
         # walk rather than once per drop
         self._order: list[tuple[int, int]] = []
         self._order_stale = False
-        # lifetime count of superseded ∅-records deleted — an always-on
-        # int (the purge path is rare); sampled by the metrics registry
+        # lifetime count of records deleted as superseded — ∅-records by
+        # PURGE and the write's strip, dead records by MERGE — an
+        # always-on int; sampled by the metrics registry
         self.purged_records = 0
         if entries is not None:
             for e in entries:
@@ -278,7 +277,12 @@ class OptTrackLog:
     def _sorted_keys(self) -> list[tuple[int, int]]:
         if self._order_stale:
             records = self._records
-            self._order = sorted([k for k in self._order if k in records])
+            order = sorted([k for k in self._order if k in records])
+            if len(order) != len(records):
+                # an insert brought back a key dropped since the last
+                # sort, so the run and the tail both name it
+                order = sorted(records)
+            self._order = order
             self._order_stale = False
         return self._order
 
@@ -319,53 +323,78 @@ class OptTrackLog:
     # mutation
     # ------------------------------------------------------------------
     def insert(self, writer: int, clock: int, dests: Iterable[int]) -> None:
-        """Add one record; a duplicate key intersects destination sets.
+        """Add one record — a plain union: a duplicate key intersects
+        destination sets, and nothing is skipped or deleted.
 
         Intersection is the MERGE rule for duplicates: each copy of a
         record only ever *loses* destinations as redundancy is learned,
-        so the combined knowledge is the intersection.
+        so the combined knowledge is the intersection.  ``insert`` is for
+        a site's own write and for building a log from records; a peer's
+        log joins through :meth:`merge`.
         """
-        self._absorb((PiggybackEntry(writer, clock, frozenset(dests)),))
+        self._absorb((PiggybackEntry(writer, clock, frozenset(dests)),), {})
+        if clock > self._newest.get(writer, 0):
+            self._newest[writer] = clock
 
-    def _absorb(self, incoming: Iterable[PiggybackEntry]) -> None:
-        """MERGE without the PURGE: union of records, intersection of a
-        duplicate's destination sets."""
-        emptied = self._emptied
+    def _absorb(
+        self, incoming: Iterable[PiggybackEntry], known: Mapping[int, int]
+    ) -> tuple[dict[int, int], set[tuple[int, int]]]:
+        """One pass over ``incoming``: a record present here keeps the
+        intersection of the two destination sets; an absent one joins
+        unless its clock is below ``known[writer]``.
+
+        Leaves ``_newest`` alone, so ``known`` may be it.  Returns the
+        newest incoming clock per writer and the keys that found a
+        record already here."""
         records = self._records
-        newest = self._newest
+        clocks = self._clocks
         empty = self._empty_keys
         order = self._order
+        tops: dict[int, int] = {}
+        matched: set[tuple[int, int]] = set()
         for e in incoming:
             writer = e.writer
             clock = e.clock
+            if clock > tops.get(writer, 0):
+                tops[writer] = clock
             key = (writer, clock)
-            if key in emptied:
-                continue  # intersection with the remembered ∅-record
             mine = records.get(key)
             if mine is None:
+                if clock < known.get(writer, 0):
+                    continue
                 dests = e.dests
                 if dests.__class__ is not frozenset:
                     e = PiggybackEntry(writer, clock, frozenset(dests))
                 records[key] = e
                 order.append(key)
                 self._order_stale = True
-                if clock > newest.get(writer, 0):
-                    newest[writer] = clock
+                present = clocks.get(writer)
+                if present is None:
+                    clocks[writer] = {clock}
+                else:
+                    present.add(clock)
                 if not dests:
                     empty[key] = None
-            elif mine is not e and not mine.dests <= e.dests:
+                continue
+            matched.add(key)
+            if mine is not e and not mine.dests <= e.dests:
                 kept = mine.dests.intersection(e.dests)
                 records[key] = PiggybackEntry(writer, clock, kept)
                 if not kept:
                     empty[key] = None
+        return tops, matched
 
-    def _drop(self, stale: Sequence[tuple[int, int]]) -> None:
-        """Delete superseded ∅-records, leaving a tombstone for each."""
+    def _drop(self, dead: Sequence[tuple[int, int]]) -> None:
+        """Delete records, each superseded by a newer record of its
+        writer and known here to be dead."""
         records = self._records
-        for key in stale:
+        clocks = self._clocks
+        empty = self._empty_keys
+        for key in dead:
             del records[key]
-        self._emptied.update(stale)
-        self.purged_records += len(stale)
+            clocks[key[0]].discard(key[1])
+            empty.pop(key, None)
+        self.purged_records += len(dead)
         self._order_stale = True
 
     def purge(self, *, self_site: Optional[int] = None,
@@ -394,8 +423,6 @@ class OptTrackLog:
             newest = self._newest
             stale = [key for key in empty if newest[key[0]] > key[1]]
             if stale:
-                for key in stale:
-                    del empty[key]
                 self._drop(stale)
 
     # ------------------------------------------------------------------
@@ -423,14 +450,15 @@ class OptTrackLog:
         optimality claim forbids (it also feeds a log-growth loop: dead
         records would circulate through LastWriteOn and read merges
         forever).  The one exception is the newest record per writer,
-        which travels even when empty so receivers can intersect away
-        their own stale destination knowledge for it.
+        which travels even when empty: a receiver intersects away its
+        own stale destinations for it, and MERGE reads its presence as
+        proof that every older record of the writer it lacks is dead.
 
         The sender's own log owes the multicast the same strip ("d in
         ``write_dests`` is a destination of m" is useless in the causal
         future of the send), so the stripped record that ships replaces
-        the stored one, and a dead record is dropped and tombstoned on
-        the spot — as the PURGE after the write's own insert would.
+        the stored one, and a dead record is dropped on the spot — as
+        the PURGE after the write's own insert would.
 
         Returns ``(views, stripped)`` where ``stripped`` is the shared
         fully-stripped log — ``views[d].base`` for every d, exactly the
@@ -493,8 +521,41 @@ class OptTrackLog:
         Called when a read operation returns a value: the dependencies
         that travelled with the value join the reader's causal past
         (this is where the ->co tracking happens — *not* at receipt).
+
+        KS implicit tracking: a log that holds writer z's record at clock
+        t' and lacks z's record at t < t' knows the latter dead, so
+        beside the union/intersection of records both logs hold,
+        absence on either side deletes:
+
+        (i)  an incoming ``(z, t)`` absent here with ``t`` below this
+             log's newest clock for z is skipped;
+        (ii) a record ``(z, t)`` here, absent from ``incoming`` with
+             ``t`` below the newest incoming clock for z, is deleted
+             (counted in ``purged_records``).
+
+        Both sides are judged as they were before the merge, so the
+        order of ``incoming`` does not matter.  One pass over
+        ``incoming``; clause (ii) then reads only the present clocks of
+        the writers it names.
         """
-        self._absorb(incoming)
+        newest = self._newest
+        clocks = self._clocks
+        tops, matched = self._absorb(incoming, newest)
+        dead: list[tuple[int, int]] = []
+        for writer, top in tops.items():
+            before = newest.get(writer, 0)
+            if top > before:
+                newest[writer] = top
+            present = clocks[writer]
+            if len(present) > 1:
+                # the records here before the merge are the clocks up to
+                # ``before``; whatever joined from ``incoming`` is newer
+                for clock in present:
+                    if (clock < top and clock <= before
+                            and (writer, clock) not in matched):
+                        dead.append((writer, clock))
+        if dead:
+            self._drop(dead)
         self.purge(self_site=self_site, applied=applied)
 
     def snapshot(self) -> tuple[PiggybackEntry, ...]:
@@ -502,17 +563,12 @@ class OptTrackLog:
         return tuple(self.entries())
 
     def copy(self) -> "OptTrackLog":
-        """Independent copy, tombstones included (the records themselves
-        are immutable and shared).
-
-        Crash-recovery checkpoints restore from copies; losing the
-        ∅-record tombstones would let stale LastWriteOn snapshots
-        re-infect the log after a rejoin.
-        """
+        """Independent copy (the records themselves are immutable and
+        shared); crash-recovery checkpoints restore from copies."""
         new = OptTrackLog()
         new._records = dict(self._records)
-        new._emptied = set(self._emptied)
         new._newest = dict(self._newest)
+        new._clocks = {w: set(c) for w, c in self._clocks.items()}
         new._empty_keys = dict(self._empty_keys)
         new._order = list(self._order)
         new._order_stale = self._order_stale

@@ -50,7 +50,7 @@ def canon(obj):
     if isinstance(obj, VectorClock):
         return ("vector", obj.v.tolist())
     if isinstance(obj, OptTrackLog):
-        return ("kslog", tuple(obj.entries()), tuple(sorted(obj._emptied)))
+        return ("kslog", tuple(obj.entries()), tuple(sorted(obj._newest.items())))
     if isinstance(obj, TupleLog):
         return ("tuplelog", obj.entries())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

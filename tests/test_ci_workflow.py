@@ -198,6 +198,41 @@ def test_churn_matrix_gates_the_ledger_crosscheck():
     assert unguarded_tee_steps(workflow) == []
 
 
+def test_chaos_matrix_checks_every_opt_track_log_variant():
+    # MERGE deletes what a newer record proves dead; the checker is the
+    # oracle for a rule that forgets, so it judges the log with and
+    # without send-time pruning, and at a partial-replication n > p
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    job = workflow["jobs"]["chaos-matrix"]
+    assert job["strategy"]["matrix"]["fault-seed"] == [0, 1, 2]
+    (step,) = [step for step in job["steps"]
+               if "repro check" in step.get("run", "")]
+    run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>", step["run"])
+    commands = [cmd.split() for cmd in
+                run.replace("\\\n", " ").strip().split("\n")]
+    cases = []
+    for words in commands:
+        assert words[:5] == ["PYTHONPATH=src", "python", "-m", "repro",
+                             "check"]
+        assert words[words.index("--fault-seed") + 1] == "<fault-seed>"
+        assert words[-1] == "causal-check-seed-<fault-seed>.txt"
+        cases.append(" ".join(words[5:words.index("--fault-seed")]))
+    assert cases == [
+        "--protocol opt-track -n 5 --ops 30"
+        " --drop-rate 0.05 --crash-plan 600:1500:2",
+        "--protocol opt-track-noprune -n 5 --ops 30"
+        " --drop-rate 0.05 --crash-plan 600:1500:2",
+        "--protocol opt-track -n 12 -p 4 --latency uniform --ops 30"
+        " --drop-rate 0.05 --crash-plan 600:1500:2",
+    ]
+    # each is a gate: teed into one report, so it must run under
+    # pipefail, inherited from the workflow and overridden nowhere
+    assert commands[0][-3:-1] == ["|", "tee"]
+    assert all(words[-4:-1] == ["|", "tee", "-a"] for words in commands[1:])
+    assert "defaults" not in job and "shell" not in step
+    assert unguarded_tee_steps(workflow) == []
+
+
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"
 
 

@@ -1,12 +1,37 @@
 """Unit tests for the Opt-Track KS-style log and the CRP tuple log."""
 
+from random import Random
+
 import pytest
 
 from repro.core.log import OptTrackLog, PiggybackEntry, TupleLog
+from repro.service.bootstrap import default_topology
+from repro.service.loopback import LoopbackCluster
 
 
 def entry(j, c, *dests):
     return PiggybackEntry(j, c, frozenset(dests))
+
+
+def owner_writes_run(ops, n_sites=5, n_vars=100, seed=1):
+    """The ``repro loadgen`` mix on the deterministic loopback cluster:
+    site ``k % n`` issues op ``k``, half PUTs to a variable it owns
+    (``v % n == site``), half GETs of any variable.  Returns the largest
+    log any site held after any op, and the settled cluster."""
+    cluster = LoopbackCluster(default_topology(
+        n_sites, protocol="opt-track", n_vars=n_vars, replication_factor=2))
+    rng = Random(seed)
+    peak = 0
+    for k in range(ops):
+        site = k % n_sites
+        if rng.random() < 0.5:
+            owned = range(site, n_vars, n_sites)
+            cluster.put(site, owned[rng.randrange(len(owned))], k)
+        else:
+            cluster.get(site, rng.randrange(n_vars))
+        peak = max(peak, max(len(node.protocol.log) for node in cluster.nodes))
+    cluster.settle()
+    return peak, cluster
 
 
 class TestInsertAndMergeRules:
@@ -44,6 +69,47 @@ class TestInsertAndMergeRules:
         assert (0, 5) not in log  # emptied and superseded -> purged
 
 
+class TestImplicitTracking:
+    """KS MERGE: a log holding writer z's record at t' and lacking z's
+    record at t < t' knows the latter dead; a plain union re-imports it
+    or keeps it."""
+
+    def test_clause_i_skips_an_incoming_record_older_than_the_newest_here(self):
+        log = OptTrackLog()
+        log.insert(0, 5, {3})
+        log.merge([entry(0, 2, 4), entry(1, 1, 4)])
+        assert (0, 2) not in log  # dead here: skipped, not re-imported
+        assert (1, 1) in log  # nothing newer of writer 1 here: joins
+        assert log.purged_records == 0  # it never entered
+        # a record both logs hold is intersected, old or not
+        log.insert(0, 3, {4, 6})
+        log.merge([entry(0, 3, 6)])
+        assert log.dests_of(0, 3) == {6}
+
+    def test_clause_ii_deletes_a_record_older_than_the_newest_incoming(self):
+        log = OptTrackLog()
+        log.insert(0, 2, {4})
+        log.insert(0, 3, {5})  # carried by the incoming log: stays
+        log.insert(0, 9, {6})  # newer than anything incoming: stays
+        log.insert(1, 4, {4})  # writer 1 not named by the incoming log
+        log.merge([entry(0, 3, 5), entry(0, 5, 3)])
+        assert (0, 2) not in log and log.purged_records == 1
+        # (0, 5) is older than (0, 9): clause (i) keeps it out
+        assert [(e.writer, e.clock) for e in log.entries()] == [
+            (0, 3), (0, 9), (1, 4)]
+        assert log.max_clock(0) == 9
+
+    def test_merge_is_order_independent(self):
+        # both sides are judged as they were before the merge: an older
+        # live record listed after its writer's newer one still joins
+        log = OptTrackLog()
+        log.insert(0, 3, {1})
+        log.merge([entry(0, 7, 2), entry(0, 5, 4)])
+        assert [(e.writer, e.clock, set(e.dests)) for e in log.entries()] == [
+            (0, 5, {4}), (0, 7, {2})]
+        assert log.max_clock(0) == 7 and log.purged_records == 1
+
+
 class TestConditionTwoAtSend:
     """``piggyback_views`` strips the sender's own log in the same walk
     that builds the views (there is no separate ``remove_dests``)."""
@@ -76,7 +142,7 @@ class TestConditionTwoAtSend:
         views, base = log.piggyback_views(frozenset({2, 3}))
         assert views[2].extra == ((0, 1),)
         assert (0, 1) not in log and log.purged_records == 1
-        log.insert(0, 1, {2})  # tombstoned: cannot return
+        log.merge([entry(0, 1, 2)])  # older than (0, 9): cannot return
         assert [(e.writer, e.clock, set(e.dests)) for e in log.entries()] == [
             (0, 9, {7}), (4, 7, set())]
         # the kept ∅-marker is a purge candidate once superseded
@@ -127,15 +193,19 @@ class TestPurge:
 
 
 class TestTombstones:
-    def test_emptied_record_never_returns(self):
+    """No tombstone set: the newest record of a writer is the tombstone
+    of every older record of it this log lacks."""
+
+    def test_dropped_record_never_returns(self):
         log = OptTrackLog()
         log.insert(0, 1, {2})
         log.insert(0, 2, {3})
         log.piggyback_views(frozenset({2}))
-        # (0,1) now empty and superseded -> tombstoned
+        # (0,1) now empty and superseded -> dropped
         assert (0, 1) not in log
-        log.insert(0, 1, {2, 4})  # stale re-import from an old LastWriteOn
-        assert (0, 1) not in log
+        # stale re-import from an old LastWriteOn
+        log.merge([entry(0, 1, 2, 4)])
+        assert (0, 1) not in log and len(log) == 1
 
     def test_merge_cannot_reinfect(self):
         log = OptTrackLog()
@@ -304,18 +374,20 @@ class TestLogMisc:
         log.insert(3, 1, {1, 2})
         log.insert(0, 1, {2})
         log.insert(0, 2, {5})
-        log.piggyback_views(frozenset({2}))  # tombstones (0, 1)
+        log.piggyback_views(frozenset({2}))  # drops (0, 1)
         log.insert(1, 1, set())  # learned after the last sort
         copy = log.copy()
         assert copy.snapshot() == log.snapshot()
         assert copy.dest_counts() == log.dest_counts() == [1, 1, 0]
         assert copy.purged_records == log.purged_records == 1
-        copy.insert(0, 1, {2})
-        assert (0, 1) not in copy  # the tombstone came along
+        copy.merge([entry(0, 1, 2)])
+        assert (0, 1) not in copy  # (0, 2) came along and keeps it out
         # and the two are independent from here on
         copy.insert(1, 2, {4})
         copy.purge()
         assert (1, 1) in log and (1, 1) not in copy
+        copy.merge([entry(3, 2)])  # clause (ii) reads the copy's clocks
+        assert (3, 1) in log and (3, 1) not in copy
         assert [(e.writer, e.clock) for e in log.entries()] == [
             (0, 2), (1, 1), (3, 1)]
 
@@ -324,6 +396,31 @@ class TestLogMisc:
         log.insert(0, 1, {1, 2})
         log.insert(1, 1, set())
         assert sorted(log.dest_counts()) == [0, 2]
+
+
+class TestBoundedState:
+    """Under the owner-writes mix a variable is rewritten only by its
+    owner, so stale LastWriteOn logs are read for ever; a plain-union
+    MERGE let their records back in and the log grew with run length."""
+
+    def test_log_size_is_flat_in_op_count(self):
+        single, _ = owner_writes_run(400)
+        double, _ = owner_writes_run(800)
+        assert double == single  # a plain union: 23 -> 52
+
+    def test_no_per_key_state_beyond_the_live_records(self):
+        _, cluster = owner_writes_run(800)
+        for node in cluster.nodes:
+            log = node.protocol.log
+            log.snapshot()  # settles the lazily sorted key list
+            # no collection outgrows the live records ...
+            for slot in OptTrackLog.__slots__:
+                value = getattr(log, slot)
+                if isinstance(value, (set, dict, list)):
+                    assert len(value) <= len(log), slot
+            assert sum(map(len, log._clocks.values())) == len(log)
+            # ... though the run let go of far more keys than it keeps
+            assert log.purged_records > 10 * len(log)
 
 
 class TestTupleLog:

@@ -30,11 +30,6 @@ class TestSnapshot:
         assert sum(snap.dest_list_histogram.values()) == sum(snap.entries_per_site)
         assert sum(snap.entries_per_writer.values()) == sum(snap.entries_per_site)
 
-    def test_tombstones_accumulate(self):
-        result = run_opt_track(write_rate=0.8)
-        snap = snapshot_logs(result.protocols)
-        assert sum(snap.tombstones_per_site) > 0
-
     def test_empty_marker_fraction_in_range(self):
         snap = snapshot_logs(run_opt_track().protocols)
         assert 0.0 <= snap.empty_marker_fraction <= 1.0
@@ -49,12 +44,11 @@ class TestSnapshot:
         snap = snapshot_logs(run_opt_track().protocols)
         text = format_log_report(snap)
         assert "entries/site" in text
-        assert "tombstones" in text
         assert "∅-markers" in text
 
     def test_empty_snapshot(self):
         snap = LogSnapshot(
-            n_sites=0, entries_per_site=(), tombstones_per_site=(),
+            n_sites=0, entries_per_site=(),
             dest_list_histogram={}, entries_per_writer={}, staleness=(),
         )
         assert snap.mean_entries == 0.0

@@ -173,40 +173,77 @@ def _reference_copy(pre_write, write_dests, d):
 
 
 class _TwoPassLog:
-    """Reference for the single-pass write: the store as it was before
-    the log kept one frozen record per write — a mutable set per record,
-    implicit condition 2 as its own pass after the views are built, and
-    a PURGE that finds the empty records by scanning."""
+    """Reference log, one mutable set per record, no tombstones and no
+    incremental bookkeeping: every rule is a scan of the records.
+
+    * The write as it was before the log kept one frozen record per
+      write: implicit condition 2 as its own pass (:meth:`remove_dests`)
+      after the views are built, then a PURGE that finds the empty
+      records by scanning.  :meth:`strip` is what the single-pass write
+      leaves behind on its own, before that PURGE.
+    * MERGE transcribed record by record from KS: union of the two logs,
+      intersection of a record both hold, and a record one log lacks
+      while holding a newer record of its writer is dead on both sides.
+    """
 
     def __init__(self):
         self.records = {}  # insertion-ordered, like the log's
-        self.tombstones = set()
         self.purged = 0
+
+    def newest(self):
+        newest = {}
+        for writer, clock in self.records:
+            newest[writer] = max(newest.get(writer, 0), clock)
+        return newest
 
     def insert(self, writer, clock, dests):
         key = (writer, clock)
-        if key in self.tombstones:
-            return
         if key in self.records:
             self.records[key] &= set(dests)
         else:
             self.records[key] = set(dests)
 
+    def merge(self, incoming, self_site=None, applied=None):
+        mine = set(self.records)
+        mine_newest = self.newest()
+        theirs = {(e.writer, e.clock) for e in incoming}
+        their_newest = {}
+        for writer, clock in theirs:
+            their_newest[writer] = max(their_newest.get(writer, 0), clock)
+        for e in incoming:
+            key = (e.writer, e.clock)
+            if key in self.records:
+                self.records[key] &= e.dests
+            elif e.clock >= mine_newest.get(e.writer, 0):  # else (i)
+                self.records[key] = set(e.dests)
+        for key in sorted(mine - theirs):
+            if key[1] < their_newest.get(key[0], 0):  # (ii)
+                del self.records[key]
+                self.purged += 1
+        self.purge(self_site, applied)
+
     def remove_dests(self, write_dests):
         for rec in self.records.values():
             rec -= write_dests
 
-    def purge(self, self_site, applied):
-        for (writer, clock), rec in self.records.items():
-            if applied[writer] >= clock:
-                rec.discard(self_site)
-        newest = {}
-        for writer, clock in self.records:
-            newest[writer] = max(newest.get(writer, 0), clock)
+    def strip(self, write_dests):
+        newest = self.newest()
+        for key, rec in list(self.records.items()):
+            if rec & write_dests:
+                rec -= write_dests
+                if not rec and newest[key[0]] != key[1]:
+                    del self.records[key]
+                    self.purged += 1
+
+    def purge(self, self_site=None, applied=None):
+        if self_site is not None:
+            for (writer, clock), rec in self.records.items():
+                if applied[writer] >= clock:
+                    rec.discard(self_site)
+        newest = self.newest()
         for key in [k for k, rec in self.records.items()
                     if not rec and newest[k[0]] > k[1]]:
             del self.records[key]
-            self.tombstones.add(key)
             self.purged += 1
 
     def entries(self):
@@ -219,10 +256,15 @@ class _TwoPassLog:
 
 def _assert_same_log(log, ref):
     assert log.snapshot() == ref.entries()
-    assert log._emptied == ref.tombstones
     assert log.purged_records == ref.purged
     assert log.dest_counts() == ref.dest_counts()  # first-insertion order
     assert len(log) == len(ref.records)
+    # the incremental bookkeeping agrees with a scan
+    newest = ref.newest()
+    assert log._newest == newest
+    assert log._clocks == {
+        writer: {c for j, c in ref.records if j == writer}
+        for writer in newest}
 
 
 def _gating_pairs(view):
@@ -299,7 +341,7 @@ class TestLogProperties:
     @settings(max_examples=300, deadline=None)
     def test_single_pass_write_equals_views_then_strip(
             self, history, entries, dests, site, applied):
-        # a log with tombstones and condition-1 shrinks behind it, then
+        # a log with purged records and condition-1 shrinks behind it, then
         # more records on top (so superseded ∅-records may be present)
         log, ref = OptTrackLog(), _TwoPassLog()
         for e in history:
@@ -333,6 +375,45 @@ class TestLogProperties:
         log.purge(self_site=site, applied=applied)
         ref.purge(site, applied)
         _assert_same_log(log, ref)
+
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("insert"), entries_strategy),
+        st.tuples(st.just("views"), st.frozensets(st.integers(0, 5),
+                                                   max_size=4)),
+        st.tuples(st.just("merge"), entries_strategy,
+                  st.none() | st.integers(0, 5)),
+        st.tuples(st.just("purge"), st.none() | st.integers(0, 5)),
+    ), max_size=10), applied=st.lists(st.integers(0, 9), min_size=6,
+                                      max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_operation_sequences_match_the_reference(self, steps, applied):
+        log, ref = OptTrackLog(), _TwoPassLog()
+        for step in steps:
+            if step[0] == "insert":
+                for e in step[1]:
+                    log.insert(e.writer, e.clock, e.dests)
+                    ref.insert(e.writer, e.clock, e.dests)
+            elif step[0] == "views":
+                pre_write = log.snapshot()
+                views, base = log.piggyback_views(step[1])
+                assert base == _reference_copy(pre_write, step[1], None)
+                for d in step[1]:
+                    assert tuple(views[d]) == _reference_copy(
+                        pre_write, step[1], d)
+                ref.strip(step[1])
+            elif step[0] == "merge":
+                site = step[2]
+                kw = ({} if site is None
+                      else {"self_site": site, "applied": applied})
+                log.merge(step[1], **kw)
+                ref.merge(step[1], **kw)
+            else:
+                site = step[1]
+                kw = ({} if site is None
+                      else {"self_site": site, "applied": applied})
+                log.purge(**kw)
+                ref.purge(**kw)
+            _assert_same_log(log, ref)
 
     @given(entries=entries_strategy, other=entries_strategy)
     @settings(max_examples=100, deadline=None)
