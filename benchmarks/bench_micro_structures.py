@@ -4,7 +4,7 @@ Unlike the exhibit benches (which run whole simulations once), these use
 pytest-benchmark's actual timing loops on the operations the profiler
 identified as hot paths (docs/architecture.md, "Hot path & performance
 model"): per-write piggyback-view construction, log MERGE, activation
-predicates, clock merges, message sizing, the live wire codec, and the
+gates, clock merges, message sizing, the live wire codec, and the
 kernel's per-event floor.  This is the one place a unit cost is read
 from (docs/architecture.md, "How speed is checked"): information, never
 a gate — CI runs it with ``--benchmark-only`` and fails on an assertion,
@@ -14,7 +14,7 @@ not on a timing.
 import numpy as np
 import pytest
 
-from repro.core.activation import full_track_sm_ready
+from repro.core.activation import full_track_sm_blocker
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import OptTrackSM
@@ -94,14 +94,22 @@ def test_micro_activation_opt_track(benchmark):
     assert blocker is None
 
 
-def test_micro_activation_full_track(benchmark):
-    """A_OPT over an n=40 matrix column."""
+@pytest.mark.parametrize("state", ["ready", "blocked"])
+def test_micro_activation_full_track(benchmark, state):
+    """A_OPT over an n=40 matrix column, with the plain-list ``applied``
+    every protocol passes: writer 0's next SM at site 3 after one write
+    to site 3 from every other writer, all applied (ready) or all but
+    the last writer's (blocked, found at the end of the column)."""
     m = MatrixClock(N)
     m.increment(0, range(N))
-    applied = np.ones(N, dtype=np.int64)
+    for j in range(1, N):
+        m.increment(j, [3])
+    applied = [0] + [1] * (N - 1)
+    if state == "blocked":
+        applied[-1] = 0
 
-    ready = benchmark(full_track_sm_ready, m, 0, 3, applied)
-    assert ready is True
+    blocker = benchmark(full_track_sm_blocker, m, 0, 3, applied)
+    assert blocker == (None if state == "ready" else (N - 1, 1))
 
 
 def test_micro_matrix_merge(benchmark):

@@ -47,9 +47,6 @@ from .rules import all_rules, rule_by_code
 
 __all__ = ["main", "build_parser"]
 
-#: the four protocols of the paper's comparison (Table IV)
-DEFAULT_PROTOCOLS = ("full-track", "opt-track", "opt-track-crp", "optp")
-
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -96,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the mypy gate")
     ap.add_argument("--double-run", action="store_true",
                     help="run the double-run divergence detector")
-    ap.add_argument("--protocols", metavar="NAMES",
-                    default=",".join(DEFAULT_PROTOCOLS),
-                    help="protocols for --double-run (comma-separated)")
+    ap.add_argument("--protocols", metavar="NAMES", default=None,
+                    help="protocols for --double-run (comma-separated; "
+                         "default: every registered protocol)")
     ap.add_argument("--chaos", action="store_true",
                     help="route the double run through a seeded chaos plan")
     ap.add_argument("--n-sites", type=int, default=5,
@@ -181,6 +178,7 @@ def _run_mypy(*, force: bool) -> int:
 
 
 def _run_double(args: argparse.Namespace) -> int:
+    from ..core import protocol_names
     from ..experiments.runner import SimulationConfig
     from ..sim.faults import FaultPlan
     from .sanitizer import double_run
@@ -189,8 +187,10 @@ def _run_double(args: argparse.Namespace) -> int:
     if args.chaos:
         plan = FaultPlan.uniform(drop_rate=0.05, dup_rate=0.02,
                                  spike_rate=0.02)
+    protocols = (protocol_names() if args.protocols is None else
+                 [p.strip() for p in args.protocols.split(",") if p.strip()])
     failures = 0
-    for proto in [p.strip() for p in args.protocols.split(",") if p.strip()]:
+    for proto in protocols:
         config = SimulationConfig(
             protocol=proto,
             n_sites=args.n_sites,

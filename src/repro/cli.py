@@ -38,6 +38,7 @@ from .experiments import paper
 from .experiments.configs import EXPERIMENTS
 from .experiments.report import format_kv, format_table, write_csv
 from .experiments.runner import SimulationConfig, run_simulation
+from .memory.replication import PLACEMENT_NAMES
 from .sim.faults import (
     ChannelFaults,
     CrashEvent,
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replicas per variable (default: paper's "
                               "30%% rule)")
     serve_p.add_argument("--placement", default="round-robin",
-                         choices=["round-robin", "hash", "random"])
+                         choices=PLACEMENT_NAMES)
     serve_p.add_argument("--seed", type=int, default=0)
     serve_p.add_argument("--base-port", type=int, default=7400)
     serve_p.add_argument("--dir", default="live-cluster", metavar="DIR",

@@ -1,4 +1,4 @@
-"""Activation predicates — the heart of causal memory (Section II-B).
+"""Activation gates — the heart of causal memory (Section II-B).
 
 When an update message arrives, a site may not apply it immediately: the
 *activation predicate* A(m, e) stays false until every causally
@@ -21,26 +21,27 @@ destined to the reader that have not yet been applied there, and
 returning it early would let the reader observe a causal future it has
 not reached — see DESIGN.md, "gating remote-read returns".
 
-These are pure functions of (metadata, local Apply state) so they can be
-unit-tested exhaustively and shared between the SM and RM paths.
+Each gate is stated once, as a pure function of (metadata, local Apply
+state) that answers in one of three ways:
 
-Each ``*_ready`` predicate has a ``*_blocker`` companion feeding the
-dependency-indexed wakeup machinery in :mod:`repro.core.base`: when the
-predicate is false, the blocker names the *first* unsatisfied
-``(writer, threshold)`` pair — a threshold with ``applied[writer] <
-threshold`` such that the predicate cannot become true before
-``applied[writer]`` reaches it.  Every predicate here is a conjunction
-of monotone per-writer comparisons, so the first failing conjunct is a
-sound blocker.  (The one exception is the exact-match FIFO conjunct of
-CRP/optP: if ``applied[writer]`` *overshot* the expected value — which
-FIFO channels make impossible — the blocker returns ``None`` and the
-entry falls back to every-pass re-testing rather than waiting forever.)
+* ``None`` — the predicate holds;
+* ``(writer, threshold)`` — the *first* unsatisfied conjunct, with
+  ``applied[writer] < threshold`` and the predicate unable to hold
+  before ``applied[writer]`` reaches it.  Every predicate here is a
+  conjunction of monotone per-writer comparisons, so the first failing
+  conjunct is such a threshold, and the dependency-indexed wakeup
+  machinery in :mod:`repro.core.base` parks the message on it;
+* :data:`RETEST` — blocked with no threshold to wait on.  Only the
+  exact-match FIFO conjunct of CRP/optP answers this, when
+  ``applied[writer]`` has *overshot* the expected value — which FIFO
+  channels make impossible — and the entry is re-tested on every pass
+  rather than waiting forever.
 
-The predicates iterate plain Python scalars (``applied`` is a Python
-list in the protocols, and clocks expose cached ``tolist`` views):
-element-wise NumPy comparisons on size-n arrays cost more in ufunc
-dispatch than the whole early-exit loop for the n used in the paper's
-experiments — see docs/architecture.md, "Hot path & performance model".
+The gates iterate plain Python scalars (``applied`` is a Python list in
+the protocols, and clocks expose cached ``tolist`` views): element-wise
+NumPy comparisons on size-n arrays cost more in ufunc dispatch than the
+whole early-exit loop for the n used in the paper's experiments — see
+docs/architecture.md, "Hot path & performance model".
 """
 
 from __future__ import annotations
@@ -51,39 +52,18 @@ from .clocks import MatrixClock, VectorClock
 from .log import PiggybackEntry
 
 __all__ = [
-    "full_track_sm_ready",
+    "RETEST",
     "full_track_sm_blocker",
-    "full_track_rm_ready",
     "full_track_rm_blocker",
-    "opt_track_entries_ready",
     "opt_track_entries_blocker",
-    "crp_sm_ready",
     "crp_sm_blocker",
-    "optp_sm_ready",
     "optp_sm_blocker",
 ]
 
-
-def full_track_sm_ready(
-    matrix: MatrixClock,
-    sender: int,
-    site: int,
-    applied_counts: Sequence[int],
-) -> bool:
-    """A_OPT for a Full-Track SM at ``site``.
-
-    ``applied_counts[j]`` counts updates written by ap_j applied at this
-    site.  The piggybacked matrix was incremented for this very message
-    before sending, so the sender's own column entry is discounted by
-    one: the message is applicable when it is the *next* update from its
-    sender destined here and every other writer's destined-here updates
-    have all arrived.
-    """
-    col = matrix.column_list(site)
-    for j, c in enumerate(col):
-        if applied_counts[j] < (c - 1 if j == sender else c):
-            return False
-    return True
+#: A gate's answer when it is blocked but names no threshold: re-test
+#: the entry on every pass.  No site has id -1, so it is never a real
+#: ``(writer, threshold)``; callers compare it by identity.
+RETEST: tuple[int, int] = (-1, -1)
 
 
 def full_track_sm_blocker(
@@ -92,20 +72,29 @@ def full_track_sm_blocker(
     site: int,
     applied_counts: Sequence[int],
 ) -> Optional[tuple[int, int]]:
-    """First unsatisfied ``(writer, required count)`` of a false SM gate."""
+    """A_OPT for a Full-Track SM at ``site``.
+
+    ``applied_counts[j]`` counts updates written by ap_j applied at this
+    site.  The piggybacked matrix was incremented for this very message
+    before sending, so the sender's own column entry is discounted by
+    one: the message is applicable when it is the *next* update from its
+    sender destined here and every other writer's destined-here updates
+    have all arrived.  (The discount is applied only once the plain
+    comparison fails, which keeps the ready path to one compare per
+    writer.)
+    """
     col = matrix.column_list(site)
     for j, c in enumerate(col):
-        required = c - 1 if j == sender else c
-        if applied_counts[j] < required:
-            return (j, required)
+        if applied_counts[j] < c and (j != sender or applied_counts[j] < c - 1):
+            return (j, c - 1 if j == sender else c)
     return None
 
 
-def full_track_rm_ready(
+def full_track_rm_blocker(
     matrix: MatrixClock,
     site: int,
     applied_counts: Sequence[int],
-) -> bool:
+) -> Optional[tuple[int, int]]:
     """Gate for a Full-Track RM at the reading ``site``.
 
     The piggybacked ``LastWriteOn`` matrix counts, in column ``site``,
@@ -117,41 +106,8 @@ def full_track_rm_ready(
     col = matrix.column_list(site)
     for j, c in enumerate(col):
         if applied_counts[j] < c:
-            return False
-    return True
-
-
-def full_track_rm_blocker(
-    matrix: MatrixClock,
-    site: int,
-    applied_counts: Sequence[int],
-) -> Optional[tuple[int, int]]:
-    """First unsatisfied ``(writer, required count)`` of a false RM gate."""
-    col = matrix.column_list(site)
-    for j, c in enumerate(col):
-        if applied_counts[j] < c:
             return (j, c)
     return None
-
-
-def opt_track_entries_ready(
-    entries: Iterable[PiggybackEntry],
-    site: int,
-    applied_clocks: Sequence[int],
-) -> bool:
-    """A_OPT for Opt-Track metadata held as a flat log (RM logs).
-
-    ``applied_clocks[j]`` holds the highest write-clock of ap_j applied
-    at this site (clocks of one writer increase monotonically along its
-    FIFO channels, so "highest applied" identifies the applied prefix of
-    the writes destined here).  The message is applicable when every
-    piggybacked record naming this site as a destination has been
-    applied.
-    """
-    for e in entries:
-        if site in e.dests and applied_clocks[e.writer] < e.clock:
-            return False
-    return True
 
 
 def opt_track_entries_blocker(
@@ -159,32 +115,19 @@ def opt_track_entries_blocker(
     site: int,
     applied_clocks: Sequence[int],
 ) -> Optional[tuple[int, int]]:
-    """First unapplied ``(writer, clock)`` record naming this site."""
+    """A_OPT for Opt-Track metadata held as a flat log (RM logs).
+
+    ``applied_clocks[j]`` holds the highest write-clock of ap_j applied
+    at this site (clocks of one writer increase monotonically along its
+    FIFO channels, so "highest applied" identifies the applied prefix of
+    the writes destined here).  The message is applicable when every
+    piggybacked record naming this site as a destination has been
+    applied; the first one that has not is the blocker.
+    """
     for e in entries:
         if site in e.dests and applied_clocks[e.writer] < e.clock:
             return (e.writer, e.clock)
     return None
-
-
-def crp_sm_ready(
-    writer: int,
-    clock: int,
-    log: Iterable[tuple[int, int]],
-    applied_clocks: Sequence[int],
-) -> bool:
-    """A_OPT for an Opt-Track-CRP SM.
-
-    Under full replication every write by ``writer`` reaches every site,
-    so the local applied clock must be exactly ``clock - 1`` (the message
-    is the writer's next update), and every piggybacked dependency must
-    already be applied.
-    """
-    if applied_clocks[writer] != clock - 1:
-        return False
-    for j, c in log:
-        if applied_clocks[j] < c:
-            return False
-    return True
 
 
 def crp_sm_blocker(
@@ -193,39 +136,22 @@ def crp_sm_blocker(
     log: Iterable[tuple[int, int]],
     applied_clocks: Sequence[int],
 ) -> Optional[tuple[int, int]]:
-    """First unsatisfied threshold of a false CRP gate.
+    """A_OPT for an Opt-Track-CRP SM.
 
-    ``None`` on FIFO overshoot (``applied_clocks[writer] > clock - 1``,
-    impossible over FIFO channels): the exact-match conjunct can never
-    recover, so the entry is left to the every-pass fallback.
+    Under full replication every write by ``writer`` reaches every site,
+    so the local applied clock must be exactly ``clock - 1`` (the message
+    is the writer's next update), and every piggybacked dependency must
+    already be applied.  :data:`RETEST` on FIFO overshoot
+    (``applied_clocks[writer] > clock - 1``): the exact-match conjunct
+    can never recover.
     """
-    if applied_clocks[writer] < clock - 1:
-        return (writer, clock - 1)
-    if applied_clocks[writer] != clock - 1:
-        return None
+    applied = applied_clocks[writer]
+    if applied != clock - 1:
+        return (writer, clock - 1) if applied < clock - 1 else RETEST
     for j, c in log:
         if applied_clocks[j] < c:
             return (j, c)
     return None
-
-
-def optp_sm_ready(
-    writer: int,
-    vector: VectorClock,
-    applied_counts: Sequence[int],
-) -> bool:
-    """A_OPT for an optP SM (Baldoni et al.).
-
-    ``W[writer]`` includes the message itself; all other components are
-    pure dependencies.
-    """
-    vec = vector.as_list()
-    if applied_counts[writer] != vec[writer] - 1:
-        return False
-    for j, c in enumerate(vec):
-        if j != writer and applied_counts[j] < c:
-            return False
-    return True
 
 
 def optp_sm_blocker(
@@ -233,14 +159,20 @@ def optp_sm_blocker(
     vector: VectorClock,
     applied_counts: Sequence[int],
 ) -> Optional[tuple[int, int]]:
-    """First unsatisfied threshold of a false optP gate (``None`` on
-    FIFO overshoot, as for :func:`crp_sm_blocker`)."""
+    """A_OPT for an optP SM (Baldoni et al.).
+
+    ``W[writer]`` includes the message itself; all other components are
+    pure dependencies.  :data:`RETEST` on FIFO overshoot, as for
+    :func:`crp_sm_blocker`.
+    """
     vec = vector.as_list()
-    if applied_counts[writer] < vec[writer] - 1:
-        return (writer, vec[writer] - 1)
-    if applied_counts[writer] != vec[writer] - 1:
-        return None
+    expected = vec[writer] - 1
+    applied = applied_counts[writer]
+    if applied != expected:
+        return (writer, expected) if applied < expected else RETEST
     for j, c in enumerate(vec):
-        if j != writer and applied_counts[j] < c:
+        # applied[writer] == vec[writer] - 1 passes the first test, so
+        # the writer's own entry is skipped without a compare per writer
+        if applied_counts[j] < c and j != writer:
             return (j, c)
     return None

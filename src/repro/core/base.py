@@ -8,17 +8,19 @@ Every protocol implements the paper's process model (Section IV-A): an
 The base class centralizes the machinery all four protocols share:
 
 * the pending-SM buffer with **dependency-indexed wakeups** — every
-  activation predicate here is a pure, monotone function of the local
-  ``applied`` array, so a blocked message registers the first
-  ``(writer, threshold)`` pair its predicate is waiting on and is only
-  re-tested when ``applied[writer]`` crosses that threshold.  This
-  replaces a full fixpoint re-scan (O(P) predicate tests per
-  application, O(P^2) per delivery burst) while activating the exact
-  same messages in the exact same order — see ``_drain`` and
+  activation gate here is a pure, monotone function of the local
+  ``applied`` array, stated once as a *blocker* hook: ``None`` when the
+  gate holds, else the first ``(writer, threshold)`` pair it is waiting
+  on (see :mod:`repro.core.activation`).  A blocked message registers
+  that pair and is only re-tested when ``applied[writer]`` crosses the
+  threshold.  This replaces a full fixpoint re-scan (O(P) gate tests
+  per application, O(P^2) per delivery burst) while activating the
+  exact same messages in the exact same order — see ``_drain`` and
   docs/architecture.md, "Hot path & performance model".  The re-scan
-  needs no second implementation: a blocker hook that returns ``None``
-  puts its entry back on every pass, so the same drain with every hook
-  answering ``None`` *is* the re-scan, and that is what the equivalence
+  needs no second implementation: a hook answering
+  :data:`~repro.core.activation.RETEST` puts its entry back on every
+  pass, so the same drain with every blocked answer turned into
+  ``RETEST`` *is* the re-scan, and that is what the equivalence
   property test compares whole-run traces against.  An arrival that
   is ready when nothing is queued skips the buffer altogether
   (``on_message``), which at the paper's op gaps is nearly all of them;
@@ -31,11 +33,9 @@ The base class centralizes the machinery all four protocols share:
 * history recording hooks for the causal-consistency checker.
 
 Concrete protocols override the small, well-named primitive methods
-(``_sm_ready``, ``_apply_sm``, ``_rm_ready``, ``_complete_rm`` ...)
-rather than the control flow, plus the ``_sm_blocker``/``_rm_blocker``/
-``_fm_blocker`` hooks that name the first unsatisfied threshold of a
-false predicate (a protocol may return ``None`` to fall back to
-re-testing every pass).
+(``_sm_blocker``, ``_apply_sm``, ``_rm_blocker``, ``_complete_rm`` ...)
+rather than the control flow: one gate hook per message kind, called
+once per test, and one action once it answers ``None``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from ..memory.store import SiteStore, WriteId
 from ..metrics.collector import MessageKind, MetricsCollector
 from ..metrics.sizing import SizeModel
 from ..verify.history import HistoryRecorder
+from .activation import RETEST
 from .errors import DepartedSiteError
 from .messages import FetchMessage, accounting_shape
 from .ports import Clock, Durability, NullTransport, Transport
@@ -158,8 +159,7 @@ _PENDING_TYPES = (_PendingSM, _PendingRM, _PendingFM)
 _SEQ_KEY = attrgetter("seq")
 
 #: one row of ``CausalProtocol._scans``
-_Scan = tuple[list, Callable[..., bool],
-              Callable[..., Optional[tuple[int, int]]],
+_Scan = tuple[list, Callable[..., Optional[tuple[int, int]]],
               Callable[..., None], str]
 
 
@@ -195,18 +195,17 @@ class CausalProtocol(abc.ABC):
         self._pending_sm: list[_PendingSM] = []
         self._pending_rm: list[_PendingRM] = []
         self._pending_fm: list[_PendingFM] = []
-        #: per scan kind (0 = SM, 1 = RM, 2 = FM): the buffer, its gate,
-        #: the hook naming a false gate's first unmet threshold, the
-        #: action once the gate holds, and the tracer event of a
-        #: resolved RM / FM — what the one sweep body (``_scan``) is
-        #: parameterised by
+        #: per scan kind (0 = SM, 1 = RM, 2 = FM): the buffer, its gate
+        #: (the blocker hook: ``None`` once it holds), the action once
+        #: it holds, and the tracer event of a resolved RM / FM — what
+        #: the one sweep body (``_scan``) is parameterised by
         self._scans: tuple[_Scan, ...] = (
-            (self._pending_sm, self._sm_ready, self._sm_blocker,
-             self._apply_sm, "sm.activate"),
-            (self._pending_rm, self._rm_ready, self._rm_blocker,
-             self._complete_rm, "rm.complete"),
-            (self._pending_fm, self._fm_ready, self._fm_blocker,
-             self._serve_fetch, "fm.serve"),
+            (self._pending_sm, self._sm_blocker, self._apply_sm,
+             "sm.activate"),
+            (self._pending_rm, self._rm_blocker, self._complete_rm,
+             "rm.complete"),
+            (self._pending_fm, self._fm_blocker, self._serve_fetch,
+             "fm.serve"),
         )
         self._fetches: dict[int, _OutstandingFetch] = {}
         self._next_request_id = 0
@@ -384,7 +383,7 @@ class CausalProtocol(abc.ABC):
 
         The message's class picks its row of ``_scans``.  When nothing
         is draining or queued for (re-)testing — an always-retest
-        ``None``-blocker entry counts as queued — and the row's gate
+        ``RETEST`` entry counts as queued — and the row's gate
         holds, the action runs now: what a batch-of-one sweep would do
         (same tracer event, ``arrived == now``, so no activation-delay
         sample) without the ``_Pending`` round trip.  ``_drain`` then
@@ -400,7 +399,7 @@ class CausalProtocol(abc.ABC):
             self._wal.log_recv(src, message)
         kind = (2 if isinstance(message, FetchMessage)
                 else 1 if self._is_rm(message) else 0)  # else: this protocol's SM
-        pending, gate, _blocker_of, act, _event = self._scans[kind]
+        pending, gate, act, _event = self._scans[kind]
         seq = self._arrival_seq
         self._arrival_seq = seq + 1
         if kind == 0:
@@ -414,7 +413,7 @@ class CausalProtocol(abc.ABC):
                     self._m_pending_depth.observe(depth)
         dirty = self._dirty
         if (self._draining or dirty[0] or dirty[1] or dirty[2]
-                or not gate(src, message)):
+                or gate(src, message) is not None):
             self.buffered_arrivals += 1
             entry = _PENDING_TYPES[kind](src, message, self.ctx.clock.now, seq)
             pending.append(entry)
@@ -468,7 +467,7 @@ class CausalProtocol(abc.ABC):
 
         Concrete protocols call this after *every* mutation of their
         ``applied`` array — that call is what maintains the core
-        invariant (a non-dirty entry's predicate is false), so the
+        invariant (a non-dirty entry's gate is blocked), so the
         indexed drain never needs a full re-scan.
         """
         heap = self._waiters[j]
@@ -492,9 +491,9 @@ class CausalProtocol(abc.ABC):
         Not called in production — the equivalence tests run it after
         every outermost drain.
         """
-        for pending, gate, _blocker_of, _act, event in self._scans:
+        for pending, gate, _act, event in self._scans:
             for p in pending:
-                if gate(p.src, p.message):
+                if gate(p.src, p.message) is None:
                     raise AssertionError(
                         f"wakeup index missed a ready entry ({event}) "
                         f"at site {self.site}: {p!r}"
@@ -547,7 +546,7 @@ class CausalProtocol(abc.ABC):
         progress = False
         ctx = self.ctx
         tracer = ctx.tracer
-        pending, gate, blocker_of, act, _event = self._scans[kind]
+        pending, gate, act, _event = self._scans[kind]
         waiters = self._waiters
         idx = 0
         try:
@@ -557,7 +556,8 @@ class CausalProtocol(abc.ABC):
                 self._scan_pos = entry.seq
                 entry.dirty = False
                 message = entry.message
-                if gate(entry.src, message):
+                blocker = gate(entry.src, message)
+                if blocker is None:
                     pending.remove(entry)
                     if kind == 0:
                         delay = ctx.clock.now - entry.arrived
@@ -573,19 +573,17 @@ class CausalProtocol(abc.ABC):
                         self._act_traced(tracer, kind, entry.src, message,
                                          entry.arrived)
                     progress = True
+                elif blocker is RETEST:
+                    # no threshold known: re-test on every pass (a full
+                    # re-scan, for this entry)
+                    entry.dirty = True
+                    self._dirty[kind].append(entry)
                 else:
-                    blocker = blocker_of(entry.src, message)
-                    if blocker is None:
-                        # no threshold known: re-test on every pass (a
-                        # full re-scan, for this entry)
-                        entry.dirty = True
-                        self._dirty[kind].append(entry)
-                    else:
-                        entry.blocker = blocker
-                        heappush(  # simcheck: ignore[SIM007] -- (threshold, seq) keys are unique, so pops are deterministic
-                            waiters[blocker[0]],
-                            (blocker[1], entry.seq, entry),
-                        )
+                    entry.blocker = blocker
+                    heappush(  # simcheck: ignore[SIM007] -- (threshold, seq) keys are unique, so pops are deterministic
+                        waiters[blocker[0]],
+                        (blocker[1], entry.seq, entry),
+                    )
         finally:
             self._scan_kind = -1
             self._scan_pos = -1
@@ -596,7 +594,7 @@ class CausalProtocol(abc.ABC):
                     message: object, arrived: float) -> None:
         """Run ``kind``'s action under its resolution event — the causal
         parent of anything it triggers (e.g. a newly unblocked reply)."""
-        _pending, _gate, _blocker_of, act, event = self._scans[kind]
+        _pending, _gate, act, event = self._scans[kind]
         now = self.ctx.clock.now
         if kind == 0:
             tracer.sm_activate(self.site, message, ts=now, arrived=arrived)
@@ -683,10 +681,13 @@ class CausalProtocol(abc.ABC):
         """
         return ()
 
-    def _fm_ready(self, src: int, message: FetchMessage) -> bool:
+    def _fm_blocker(
+        self, src: int, message: FetchMessage
+    ) -> Optional[tuple[int, int]]:
         """Fetch-service gate: all of the reader's requirements applied —
         served earlier, the reply could be causally behind the reader's
-        own knowledge (DESIGN.md, "gating fetch service").
+        own knowledge (DESIGN.md, "gating fetch service").  The first
+        unsatisfied requirement is the blocker.
 
         Compares against ``self.applied`` — every concrete protocol keeps
         that array, with requirement thresholds expressed in the same
@@ -694,30 +695,9 @@ class CausalProtocol(abc.ABC):
         Opt-Track).
         """
         applied = self.applied  # type: ignore[attr-defined]
-        return all(applied[j] >= c for j, c in message.requirements)
-
-    def _fm_blocker(
-        self, src: int, message: FetchMessage
-    ) -> Optional[tuple[int, int]]:
-        """First unsatisfied requirement of a false ``_fm_ready``."""
-        applied = self.applied  # type: ignore[attr-defined]
         for j, c in message.requirements:
             if applied[j] < c:
                 return (j, c)
-        return None
-
-    def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
-        """First ``(writer, threshold)`` a false ``_sm_ready`` waits on.
-
-        Contract: when ``_sm_ready`` is false, return a pair such that
-        ``applied[writer] < threshold`` and the predicate cannot become
-        true before ``applied[writer] >= threshold``.  ``None`` opts the
-        entry into every-pass re-testing (always correct, never faster).
-        """
-        return None
-
-    def _rm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
-        """Same contract as :meth:`_sm_blocker`, for the RM gate."""
         return None
 
     def _complete_fetch(
@@ -757,16 +737,24 @@ class CausalProtocol(abc.ABC):
         """True when ``message`` is this protocol's RM type."""
 
     @abc.abstractmethod
-    def _sm_ready(self, src: int, message: object) -> bool:
-        """Activation predicate A_OPT for a buffered SM."""
+    def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
+        """Activation gate A_OPT for an SM.
+
+        ``None`` when the gate holds.  Otherwise a pair with
+        ``applied[writer] < threshold`` such that the gate cannot hold
+        before ``applied[writer] >= threshold``, or
+        :data:`~repro.core.activation.RETEST` when no such pair exists
+        (the entry is then re-tested on every pass).
+        """
 
     @abc.abstractmethod
     def _apply_sm(self, src: int, message: object) -> None:
         """Apply an activated SM to the local replica."""
 
-    def _rm_ready(self, src: int, message: object) -> bool:
-        """Gating predicate for a buffered RM (overridden by partial-
-        replication protocols; full-replication ones never see RMs)."""
+    def _rm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
+        """Same contract as :meth:`_sm_blocker`, for the RM gate
+        (overridden by partial-replication protocols; full-replication
+        ones never see RMs)."""
         raise NotImplementedError
 
     def _complete_rm(self, src: int, message: object) -> None:

@@ -27,12 +27,7 @@ from typing import Optional
 
 from ..memory.store import WriteId
 from ..metrics.collector import MessageKind
-from .activation import (
-    full_track_rm_blocker,
-    full_track_rm_ready,
-    full_track_sm_blocker,
-    full_track_sm_ready,
-)
+from .activation import full_track_rm_blocker, full_track_sm_blocker
 from .base import CausalProtocol, ProtocolContext, register_protocol
 from .clocks import MatrixClock
 from .messages import FetchMessage, FullTrackRM, FullTrackSM
@@ -108,12 +103,6 @@ class FullTrackProtocol(CausalProtocol):
     def _is_rm(self, message: object) -> bool:
         return isinstance(message, FullTrackRM)
 
-    def _sm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, FullTrackSM)
-        return full_track_sm_ready(
-            message.matrix, message.write_id.site, self.site, self.applied
-        )
-
     def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, FullTrackSM)
         return full_track_sm_blocker(
@@ -157,10 +146,6 @@ class FullTrackProtocol(CausalProtocol):
         self._msg_slots.pop(MessageKind.RM, None)
         self._send(src, rm, MessageKind.RM)
         self._msg_slots.pop(MessageKind.RM)
-
-    def _rm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, FullTrackRM)
-        return full_track_rm_ready(message.matrix, self.site, self.applied)
 
     def _rm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, FullTrackRM)

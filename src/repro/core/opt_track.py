@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from ..memory.store import WriteId
 from ..metrics.collector import MessageKind
-from .activation import opt_track_entries_blocker, opt_track_entries_ready
+from .activation import opt_track_entries_blocker
 from .base import CausalProtocol, ProtocolContext, register_protocol
 from .log import OptTrackLog, PiggybackEntry, PiggybackView
 from .messages import FetchMessage, OptTrackRM, OptTrackSM
@@ -164,10 +164,6 @@ class OptTrackProtocol(CausalProtocol):
     def _is_rm(self, message: object) -> bool:
         return isinstance(message, OptTrackRM)
 
-    def _sm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, OptTrackSM)
-        return message.log.blocker(self.site, self.applied) is None
-
     def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, OptTrackSM)
         return message.log.blocker(self.site, self.applied)
@@ -234,10 +230,6 @@ class OptTrackProtocol(CausalProtocol):
             ),
             MessageKind.RM,
         )
-
-    def _rm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, OptTrackRM)
-        return opt_track_entries_ready(message.log, self.site, self.applied)
 
     def _rm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, OptTrackRM)

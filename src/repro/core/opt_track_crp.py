@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..memory.store import WriteId
 from ..metrics.collector import MessageKind
-from .activation import crp_sm_blocker, crp_sm_ready
+from .activation import crp_sm_blocker
 from .base import CausalProtocol, ProtocolContext, register_protocol
 from .log import TupleLog
 from .messages import CRPSM, FetchMessage
@@ -100,11 +100,6 @@ class OptTrackCRPProtocol(CausalProtocol):
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
         raise RuntimeError("Opt-Track-CRP must never receive fetch requests")
-
-    def _sm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, CRPSM)
-        wid = message.write_id
-        return crp_sm_ready(wid.site, wid.clock, message.log, self.applied)
 
     def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, CRPSM)

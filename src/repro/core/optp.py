@@ -17,7 +17,7 @@ from typing import Optional
 
 from ..memory.store import WriteId
 from ..metrics.collector import MessageKind
-from .activation import optp_sm_blocker, optp_sm_ready
+from .activation import optp_sm_blocker
 from .base import CausalProtocol, ProtocolContext, register_protocol
 from .clocks import VectorClock
 from .messages import FetchMessage, OptPSM
@@ -85,10 +85,6 @@ class OptPProtocol(CausalProtocol):
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
         raise RuntimeError("optP must never receive fetch requests")
-
-    def _sm_ready(self, src: int, message: object) -> bool:
-        assert isinstance(message, OptPSM)
-        return optp_sm_ready(message.write_id.site, message.vector, self.applied)
 
     def _sm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, OptPSM)

@@ -27,10 +27,9 @@ from ..core.base import (
     get_protocol_class,
 )
 from ..memory.replication import (
-    HashPlacement,
+    PLACEMENT_NAMES,
     Placement,
-    RandomPlacement,
-    RoundRobinPlacement,
+    make_placement,
     paper_replication_factor,
 )
 from ..memory.store import SiteStore
@@ -64,11 +63,6 @@ __all__ = [
 
 #: paper warm-up fraction (Section V)
 PAPER_WARMUP_FRACTION = 0.15
-
-_PLACEMENTS = {
-    "round-robin": RoundRobinPlacement,
-    "hash": HashPlacement,
-}
 
 
 @dataclass(frozen=True)
@@ -136,10 +130,10 @@ class SimulationConfig:
             raise ValueError("n_sites must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must be in [0, 1)")
-        if self.placement not in _PLACEMENTS and self.placement != "random":
+        if self.placement not in PLACEMENT_NAMES:
             raise ValueError(
                 f"unknown placement {self.placement!r}; "
-                f"known: {sorted(_PLACEMENTS) + ['random']}"
+                f"known: {list(PLACEMENT_NAMES)}"
             )
         get_protocol_class(self.protocol)  # fail fast on typos
 
@@ -204,10 +198,9 @@ class RunResult:
 
 def build_placement(config: SimulationConfig) -> Placement:
     """Construct the replica placement a config describes."""
-    p = config.resolved_replication_factor()
-    if config.placement == "random":
-        return RandomPlacement(config.n_sites, config.n_vars, p, seed=config.seed)
-    return _PLACEMENTS[config.placement](config.n_sites, config.n_vars, p)
+    return make_placement(config.placement, config.n_sites, config.n_vars,
+                          config.resolved_replication_factor(),
+                          seed=config.seed)
 
 
 @dataclass

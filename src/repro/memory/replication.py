@@ -27,6 +27,8 @@ __all__ = [
     "HashPlacement",
     "full_replication",
     "paper_replication_factor",
+    "PLACEMENT_NAMES",
+    "make_placement",
 ]
 
 
@@ -231,3 +233,22 @@ class HashPlacement(Placement):
 def full_replication(n_sites: int, n_vars: int) -> RoundRobinPlacement:
     """Placement with p = n: every site replicates every variable."""
     return RoundRobinPlacement(n_sites, n_vars, n_sites)
+
+
+_PLACEMENTS: dict[str, type[Placement]] = {
+    "round-robin": RoundRobinPlacement,
+    "hash": HashPlacement,
+}
+
+#: every placement name a simulation config or topology file may give
+PLACEMENT_NAMES = (*_PLACEMENTS, "random")
+
+
+def make_placement(
+    name: str, n_sites: int, n_vars: int, replication_factor: int, *,
+    seed: int = 0,
+) -> Placement:
+    """The placement called ``name``; only ``"random"`` reads ``seed``."""
+    if name == "random":
+        return RandomPlacement(n_sites, n_vars, replication_factor, seed=seed)
+    return _PLACEMENTS[name](n_sites, n_vars, replication_factor)

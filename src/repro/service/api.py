@@ -70,7 +70,7 @@ import socket
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ..core.netpolicy import OverloadError
-from .history import dump_events
+from ..verify.history import encode_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import ServiceNode
@@ -357,7 +357,7 @@ class _HttpConnection(asyncio.Protocol):
                 return _json_reply(200, node.status())
             return _Reply(
                 200,
-                dump_events(node.core.history.events).encode("utf-8"),
+                encode_events(node.core.history.events).encode("utf-8"),
                 "application/x-ndjson",
             )
 

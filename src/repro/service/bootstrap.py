@@ -35,11 +35,10 @@ from typing import Optional
 
 from ..core.base import get_protocol_class
 from ..memory.replication import (
-    HashPlacement,
+    PLACEMENT_NAMES,
     Placement,
-    RandomPlacement,
-    RoundRobinPlacement,
     full_replication,
+    make_placement,
     paper_replication_factor,
 )
 
@@ -51,11 +50,6 @@ __all__ = [
     "save_topology",
     "default_topology",
 ]
-
-_PLACEMENTS = {
-    "round-robin": RoundRobinPlacement,
-    "hash": HashPlacement,
-}
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ class ClusterTopology:
                 f"node sites must be exactly 0..{len(self.nodes) - 1} "
                 f"in order, got {sites}"
             )
-        if self.placement not in (*_PLACEMENTS, "random"):
+        if self.placement not in PLACEMENT_NAMES:
             raise ValueError(f"unknown placement {self.placement!r}")
 
     @property
@@ -134,8 +128,7 @@ class ClusterTopology:
 def build_placement(topology: ClusterTopology) -> Placement:
     """The placement every node derives identically from the topology.
 
-    Mirrors :func:`repro.experiments.runner.build_placement` semantics:
-    full-replication protocols force p = n; otherwise an absent
+    Full-replication protocols force p = n; otherwise an absent
     ``replication_factor`` defaults to the paper's 30% rule.
     """
     n, q = topology.n_sites, topology.n_vars
@@ -144,9 +137,7 @@ def build_placement(topology: ClusterTopology) -> Placement:
     p = topology.replication_factor
     if p is None:
         p = paper_replication_factor(n)
-    if topology.placement == "random":
-        return RandomPlacement(n, q, p, seed=topology.seed)
-    return _PLACEMENTS[topology.placement](n, q, p)
+    return make_placement(topology.placement, n, q, p, seed=topology.seed)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ protocol interaction flows through the same
 :class:`~repro.verify.history.HistoryRecorder` injected via
 ``ProtocolContext`` — and :class:`HistorySink` streams each new
 :class:`~repro.sim.events.EventRecord` (a pure data vocabulary, see the
-data-only port in ``layers.toml``) to an append-only JSONL file, one
-``as_dict`` object per line.
+data-only port in ``layers.toml``) to an append-only JSONL file in the
+one history encoding, :func:`~repro.verify.history.encode_events`.
 
 :func:`merge_histories` concatenates per-node files *in site order* into
 one recorder.  That is sufficient for
@@ -19,17 +19,14 @@ unsynchronized per-node wall clocks are harmless.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..sim.events import EventRecord
-from ..verify.history import HistoryRecorder
+from ..verify.history import HistoryRecorder, decode_events, encode_events
 
 __all__ = [
     "HistorySink",
-    "dump_events",
-    "load_events",
     "merge_histories",
     "merge_event_lists",
 ]
@@ -54,10 +51,8 @@ class HistorySink:
         """Write every not-yet-mirrored event; returns how many."""
         events = self.recorder.events
         new = events[self._flushed:]
-        for event in new:
-            self._fh.write(json.dumps(event.as_dict(), sort_keys=True))
-            self._fh.write("\n")
         if new:
+            self._fh.write(encode_events(new))
             self._fh.flush()
             self._flushed = len(events)
         return len(new)
@@ -65,23 +60,6 @@ class HistorySink:
     def close(self) -> None:
         self.flush()
         self._fh.close()
-
-
-def dump_events(events: Iterable[EventRecord]) -> str:
-    """The JSONL text of an event sequence (HTTP /history responses)."""
-    return "".join(
-        json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in events
-    )
-
-
-def load_events(text: str) -> list[EventRecord]:
-    """Parse JSONL history text (inverse of :func:`dump_events`)."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            out.append(EventRecord.from_dict(json.loads(line)))
-    return out
 
 
 def merge_event_lists(
@@ -97,5 +75,5 @@ def merge_event_lists(
 def merge_histories(paths: Sequence["str | Path"]) -> HistoryRecorder:
     """Load per-node JSONL files (given in site order) into one recorder."""
     return merge_event_lists(
-        [load_events(Path(p).read_text(encoding="utf-8")) for p in paths]
+        [decode_events(Path(p).read_text(encoding="utf-8")) for p in paths]
     )

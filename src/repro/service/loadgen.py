@@ -30,8 +30,9 @@ from random import Random
 from typing import Optional
 
 from ..verify.causal_checker import check_causal_consistency
+from ..verify.history import decode_events
 from .bootstrap import ClusterTopology, build_placement
-from .history import load_events, merge_event_lists
+from .history import merge_event_lists
 
 __all__ = ["HttpSession", "LoadgenReport", "run_loadgen", "http_request"]
 
@@ -322,7 +323,7 @@ async def _run(
                     f"site {spec.site}: /history -> {status}"
                 )
                 return report
-            per_site.append(load_events(body.decode("utf-8")))
+            per_site.append(decode_events(body.decode("utf-8")))
     finally:
         http.close()
         report.connections = http.connections

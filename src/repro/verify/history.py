@@ -10,16 +10,35 @@ The verifier needs three relations out of a run:
 :class:`HistoryRecorder` accumulates :class:`~repro.sim.events.EventRecord`
 rows for all of these.  Recording is optional (``enabled=False`` turns
 every method into a no-op) so large benchmark runs pay nothing for it.
+
+:func:`encode_events` / :func:`decode_events` are the one JSONL form of
+a history — one sorted-key ``as_dict`` object per line — shared by
+every file and HTTP body that carries one; callers do the I/O.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Optional
 
 from ..memory.store import WriteId
 from ..sim.events import EventKind, EventRecord
 
-__all__ = ["HistoryRecorder"]
+__all__ = ["HistoryRecorder", "encode_events", "decode_events"]
+
+
+def encode_events(events: Iterable[EventRecord]) -> str:
+    """The JSONL text of an event sequence, one event per line."""
+    return "".join(
+        json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in events
+    )
+
+
+def decode_events(text: str) -> list[EventRecord]:
+    """Parse JSONL history text (inverse of :func:`encode_events`; key
+    order and blank lines do not matter)."""
+    return [EventRecord.from_dict(json.loads(line))
+            for line in text.splitlines() if line.strip()]
 
 
 class HistoryRecorder:

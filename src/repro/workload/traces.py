@@ -16,8 +16,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from ..sim.events import EventRecord
-from ..verify.history import HistoryRecorder
+from ..verify.history import HistoryRecorder, decode_events, encode_events
 from .schedule import Operation, OpKind, SiteSchedule, Workload
 
 __all__ = [
@@ -78,18 +77,11 @@ def load_workload(path: PathLike) -> Workload:
 
 def save_history(history: HistoryRecorder, path: PathLike) -> None:
     """Write a recorded history as JSON lines (one event per line)."""
-    with open(path, "w") as fh:
-        for ev in history.events:
-            fh.write(json.dumps(ev.as_dict()))
-            fh.write("\n")
+    Path(path).write_text(encode_events(history.events))
 
 
 def load_history(path: PathLike) -> HistoryRecorder:
     """Read a history previously written by :func:`save_history`."""
     rec = HistoryRecorder(enabled=True)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rec.events.append(EventRecord.from_dict(json.loads(line)))
+    rec.extend(decode_events(Path(path).read_text()))
     return rec

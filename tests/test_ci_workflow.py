@@ -151,7 +151,7 @@ def test_perf_smoke_is_the_overhead_gate_plus_untimed_micro_information():
         "overhead-gate.txt", "micro.json", "BENCH_overhead.json"]
 
 
-def test_hb_track_is_exercised_wherever_the_papers_four_are():
+def test_hb_track_is_exercised_wherever_the_papers_four_are(monkeypatch):
     workflow = yaml.safe_load(WORKFLOW.read_text())
     jobs = workflow["jobs"]
     assert jobs["churn-matrix"]["strategy"]["matrix"]["protocol"] == [
@@ -160,10 +160,26 @@ def test_hb_track_is_exercised_wherever_the_papers_four_are():
                    if "--double-run" in step.get("run", "")]
     assert len(double_runs) == 2
     for step in double_runs:
-        words = step["run"].split()
-        assert words[words.index("--protocols") + 1] == (
-            "full-track,opt-track,opt-track-crp,optp,hb-track")
-        assert "5 protocols" in step["name"]
+        # no hand list: the default is every registered protocol
+        assert "--protocols" not in step["run"].split()
+        assert "every registered protocol" in step["name"]
+    from repro.check import cli, sanitizer
+    from repro.core import protocol_names
+
+    ran = []
+
+    class Identical:
+        identical = True
+
+        def format(self):
+            return ""
+
+    monkeypatch.setattr(sanitizer, "double_run",
+                        lambda config: ran.append(config.protocol) or Identical())
+    assert cli.main(["--no-lint", "--no-mypy", "--double-run"]) == 0
+    assert ran == protocol_names()
+    assert {"full-track", "opt-track", "opt-track-crp", "optp", "hb-track",
+            "opt-track-noprune"} <= set(ran)
 
 
 def test_churn_matrix_gates_the_ledger_crosscheck():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ConstantLatency
+from repro.core.activation import RETEST
 from repro.core.base import (
     CausalProtocol,
     ProtocolContext,
@@ -56,7 +57,7 @@ class TestRegistry:
             def _local_read(self, var): ...
             def _serve_fetch(self, src, message): ...
             def _is_rm(self, message): ...
-            def _sm_ready(self, src, message): ...
+            def _sm_blocker(self, src, message): ...
             def _apply_sm(self, src, message): ...
 
         with pytest.raises(ValueError, match="duplicate"):
@@ -226,9 +227,13 @@ def resolution_order(tracer):
 class TestReadyOnArrival:
     @staticmethod
     def always_retest(monkeypatch, cls):
-        """The ``None``-blocker fallback: a full re-scan on every pass."""
+        """Every blocked answer becomes ``RETEST``: a full re-scan on
+        every pass."""
         for hook in ("_sm_blocker", "_rm_blocker", "_fm_blocker"):
-            monkeypatch.setattr(cls, hook, lambda self, src, message: None)
+            gate = getattr(cls, hook)
+            monkeypatch.setattr(
+                cls, hook, lambda self, src, message, gate=gate:
+                None if gate(self, src, message) is None else RETEST)
 
     def scenario(self, *, legacy):
         """Site 1 holds w2 (needs w1) and a fetch (needs w1) when w1 lands."""
@@ -295,8 +300,8 @@ class TestReadyOnArrival:
                 proto.on_message(1, inner)        # from inside the action
                 seen.append((proto.buffered_arrivals, list(proto.applied)))
 
-        proto._scans = ((proto._scans[0][:3] + (apply_and_deliver,)
-                         + proto._scans[0][4:]),) + proto._scans[1:]
+        proto._scans = ((proto._scans[0][:2] + (apply_and_deliver,)
+                         + proto._scans[0][3:]),) + proto._scans[1:]
         proto.on_message(0, CRPSM(var=0, value="a", write_id=WriteId(0, 1),
                                   log=()))
         assert seen == [(1, [1, 0, 0])]           # queued, not run, inside

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.activation import (
-    full_track_sm_ready,
-    opt_track_entries_ready,
-    optp_sm_ready,
+    RETEST,
+    crp_sm_blocker,
+    full_track_rm_blocker,
+    full_track_sm_blocker,
+    opt_track_entries_blocker,
+    optp_sm_blocker,
 )
 from repro.core.clocks import MatrixClock, VectorClock
-from repro.core.log import PiggybackEntry
+from repro.core.log import PiggybackEntry, PiggybackView
 from repro.memory.store import WriteId
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.graph import causality_graph, read_node, write_node
@@ -104,8 +107,35 @@ class TestCheckerAgainstBruteForce:
 
 
 # ----------------------------------------------------------------------
-# activation predicates vs naive definitions
+# activation gates vs naive definitions
 # ----------------------------------------------------------------------
+def applied_lists(n, high=5):
+    return st.lists(st.integers(0, high), min_size=n, max_size=n)
+
+
+def check_gate(data, gate, applied, naive, overshoot=lambda applied: False):
+    """The gate contract at ``applied`` and above it.
+
+    ``gate(applied)`` is ``None`` exactly when ``naive(applied)`` holds;
+    ``RETEST`` exactly on a FIFO overshoot; otherwise a ``(w, t)`` with
+    ``applied[w] < t`` that is necessary: the gate stays blocked at every
+    ``applied' >= applied`` that keeps ``applied'[w] < t``.
+    """
+    answer = gate(applied)
+    assert (answer is None) == naive(applied)
+    assert (answer is RETEST) == (not naive(applied) and overshoot(applied))
+    if answer is None or answer is RETEST:
+        return
+    w, t = answer
+    assert applied[w] < t
+    raised = [a + data.draw(st.integers(0, 3)) for a in applied]
+    raised[w] = min(raised[w], t - 1)
+    saturated = [max(a, 99) for a in applied]
+    saturated[w] = t - 1
+    for higher in (raised, saturated):
+        assert gate(higher) is not None, (answer, higher)
+
+
 class TestPredicatesAgainstNaive:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -119,14 +149,28 @@ class TestPredicatesAgainstNaive:
         # make the message self-consistent: it counts itself
         if m[sender, site] == 0:
             m.increment(sender, [site])
-        applied = np.array(data.draw(
-            st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.int64)
 
-        naive = all(
-            applied[j] >= m[j, site] - (1 if j == sender else 0)
-            for j in range(n)
-        )
-        assert full_track_sm_ready(m, sender, site, applied) == naive
+        def naive(applied):
+            return all(applied[j] >= m[j, site] - (1 if j == sender else 0)
+                       for j in range(n))
+
+        check_gate(data, lambda a: full_track_sm_blocker(m, sender, site, a),
+                   data.draw(applied_lists(n)), naive)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_full_track_rm_predicate(self, data):
+        n = data.draw(st.integers(2, 5))
+        rows = st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                        min_size=n, max_size=n)
+        m = MatrixClock(n, np.array(data.draw(rows)))
+        site = data.draw(st.integers(0, n - 1))
+
+        def naive(applied):
+            return all(applied[j] >= m[j, site] for j in range(n))
+
+        check_gate(data, lambda a: full_track_rm_blocker(m, site, a),
+                   data.draw(applied_lists(n)), naive)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -142,14 +186,34 @@ class TestPredicatesAgainstNaive:
             for _ in range(data.draw(st.integers(0, 6)))
         ]
         site = data.draw(st.integers(0, n - 1))
-        applied = np.array(data.draw(
-            st.lists(st.integers(0, 6), min_size=n, max_size=n)), dtype=np.int64)
+        applied = data.draw(applied_lists(n, high=6))
 
-        naive = all(
-            applied[e.writer] >= e.clock
-            for e in entries if site in e.dests
-        )
-        assert opt_track_entries_ready(entries, site, applied) == naive
+        def naive(applied):
+            return all(applied[e.writer] >= e.clock
+                       for e in entries if site in e.dests)
+
+        check_gate(data, lambda a: opt_track_entries_blocker(entries, site, a),
+                   applied, naive)
+        # an SM's view answers what the flat scan answers
+        view = PiggybackView.from_entries(entries)
+        check_gate(data, lambda a: view.blocker(site, a), applied, naive)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_crp_predicate(self, data):
+        n = data.draw(st.integers(2, 5))
+        writer = data.draw(st.integers(0, n - 1))
+        clock = data.draw(st.integers(1, 6))
+        log = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, 6)), max_size=4))
+
+        def naive(applied):
+            return applied[writer] == clock - 1 and all(
+                applied[j] >= c for j, c in log)
+
+        check_gate(data, lambda a: crp_sm_blocker(writer, clock, log, a),
+                   data.draw(applied_lists(n, high=6)), naive,
+                   overshoot=lambda a: a[writer] > clock - 1)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -160,10 +224,11 @@ class TestPredicatesAgainstNaive:
             st.lists(st.integers(0, 5), min_size=n, max_size=n)))
         if vec[writer] == 0:
             vec.increment(writer)
-        applied = np.array(data.draw(
-            st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.int64)
 
-        naive = applied[writer] == vec[writer] - 1 and all(
-            applied[j] >= vec[j] for j in range(n) if j != writer
-        )
-        assert optp_sm_ready(writer, vec, applied) == naive
+        def naive(applied):
+            return applied[writer] == vec[writer] - 1 and all(
+                applied[j] >= vec[j] for j in range(n) if j != writer)
+
+        check_gate(data, lambda a: optp_sm_blocker(writer, vec, a),
+                   data.draw(applied_lists(n)), naive,
+                   overshoot=lambda a: a[writer] > vec[writer] - 1)

@@ -449,7 +449,7 @@ def test_a_client_that_does_not_read_stalls_only_itself():
         node = nodes[0]
         for _ in range(10):
             node.put(0, "x" * 10_000)
-        size = len(api.dump_events(node.core.history.events))
+        size = len(api.encode_events(node.core.history.events))
         asked = 24 * 1024 * 1024 // size  # more than socket buffers hold
         # a small, fixed receive buffer: the kernel must not soak it all up
         sock = socket.socket()

@@ -263,11 +263,10 @@ class TestRoundTrip:
 
         proto, ctx = make_proto("opt-track", site=1)
         assert proto._sm_blocker(2, decoded) == (0, 1)
-        assert not proto._sm_ready(2, decoded)
         proto.applied[0] = 1
         assert proto._sm_blocker(2, decoded) == (2, 1)
         proto.applied[2] = 1
-        assert proto._sm_ready(2, decoded)
+        assert proto._sm_blocker(2, decoded) is None
         proto._apply_sm(2, decoded)
         assert ctx.store.read(1).value == "v"
         # stored with this site stripped; the dead extra stays, emptied

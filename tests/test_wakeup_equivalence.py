@@ -8,13 +8,13 @@ times, under every protocol, with and without chaos-induced reordering.
 This property test pins that contract by running full simulations in
 both modes and diffing the complete event traces.
 
-"Legacy" needs no second drain: a blocker hook that answers ``None``
-sends its entry back to be re-tested on every pass, so the one drain
-with every hook patched to ``None`` is the full re-scan.
+"Legacy" needs no second drain: a gate that answers ``RETEST`` sends its
+entry back to be re-tested on every pass, so the one drain with every
+blocked answer patched to ``RETEST`` is the full re-scan.
 
 Since ``on_message`` acts directly on an arrival that is ready when
 nothing is queued, the same diff also pins that shortcut: the legacy
-run parks a ``None``-blocker entry in a dirty list the moment anything
+run parks a ``RETEST`` entry in a dirty list the moment anything
 is buffered, which closes the shortcut until the buffers empty, so
 wherever the indexed run acts directly the legacy run went through the
 buffer.  Each case asserts the indexed run really took both routes.
@@ -23,6 +23,7 @@ buffer.  Each case asserts the indexed run really took both routes.
 import pytest
 
 from repro.check.sanitizer import diff_traces
+from repro.core.activation import RETEST
 from repro.core.base import CausalProtocol, get_protocol_class
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.obs.tracer import Tracer
@@ -61,7 +62,10 @@ def _traced_run(config: SimulationConfig, mode: str):
         if mode == "legacy":
             cls = get_protocol_class(config.protocol)
             for hook in ("_sm_blocker", "_rm_blocker", "_fm_blocker"):
-                patch.setattr(cls, hook, lambda self, src, message: None)
+                gate = getattr(cls, hook)
+                patch.setattr(
+                    cls, hook, lambda self, src, message, gate=gate:
+                    None if gate(self, src, message) is None else RETEST)
         tracer = Tracer()
         result = run_simulation(config, tracer=tracer)
     arrivals = sum(p._arrival_seq for p in result.protocols)

@@ -184,6 +184,24 @@ class TestTraces:
         report = check_causal_consistency(load_history(path), r.placement)
         assert report.ok
 
+    def test_history_file_is_the_one_sorted_key_encoding(self, tmp_path):
+        from repro import SimulationConfig, run_simulation
+        from repro.verify.history import encode_events
+
+        r = run_simulation(SimulationConfig(
+            protocol="opt-track", n_sites=3, n_vars=5, ops_per_process=10,
+            seed=1, record_history=True,
+        ))
+        path = tmp_path / "hist.jsonl"
+        save_history(r.history, path)
+        assert path.read_text() == encode_events(r.history.events)
+        # a file written before keys were sorted still loads, blank
+        # lines and all
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text("".join(json.dumps(e.as_dict()) + "\n\n"
+                                  for e in r.history.events))
+        assert load_history(legacy).events == r.history.events
+
 
 class TestZipfDistribution:
     def test_zipf_skews_toward_low_ids(self):
