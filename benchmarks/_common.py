@@ -9,9 +9,10 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_OPS``   — operations per process (default 120; paper 600)
 * ``REPRO_BENCH_SEEDS`` — seeds averaged per cell (default 1)
 
-Grid cells are cached per (protocol, n, write_rate, ops, seeds) for the
-whole pytest session: Fig. 1, Figs. 2-4 and Table II all consume the
-same 30 partial-replication runs, so the suite executes each run once.
+Every exhibit bench reads its rows from ``repro.experiments.EXHIBITS``,
+the table ``repro reproduce`` writes from, and every cell is simulated
+once per process: Fig. 1, Figs. 2-4, Table II, Table IV and Eq. 2 share
+their runs across the whole pytest session.
 
 Run any bench standalone for a paper-scale reproduction, e.g.::
 
@@ -20,21 +21,17 @@ Run any bench standalone for a paper-scale reproduction, e.g.::
 
 from __future__ import annotations
 
-import functools
-import os
-import sys
 import time
 
-from repro.experiments.configs import bench_ops, bench_seeds
+from repro.experiments.exhibits import EXHIBITS, bench_ops, bench_seeds
 from repro.experiments.report import ascii_chart, format_table
-from repro.experiments.sweep import averaged_cell, paired_runs
 
 __all__ = [
     "OPS",
     "SEEDS",
-    "cell",
-    "paired_counts",
+    "exhibit_rows",
     "show",
+    "show_chart",
     "chart",
     "run_standalone",
 ]
@@ -43,43 +40,9 @@ OPS = bench_ops()
 SEEDS = tuple(range(bench_seeds()))
 
 
-@functools.lru_cache(maxsize=None)
-def cell(protocol: str, n: int, write_rate: float, ops: int = OPS,
-         seeds: tuple = SEEDS):
-    """Session-cached grid cell (averaged over seeds).
-
-    Each fresh (non-cached) cell reports its wall-clock cost and event
-    throughput on stderr so standalone bench runs show where the time
-    goes; the numbers also ride along in the returned ``CellResult``
-    (``wall_ms``, ``events_per_sec``).
-    """
-    result = averaged_cell(protocol, n, write_rate,
-                           ops_per_process=ops, seeds=seeds)
-    print(f"[cell] {protocol} n={n} w={write_rate}: "
-          f"{result['wall_ms']:.0f} ms/run, "
-          f"{result['events_per_sec']:,.0f} events/s",
-          file=sys.stderr)
-    return result
-
-
-@functools.lru_cache(maxsize=None)
-def paired_counts(n: int, write_rate: float, ops: int = OPS, seed: int = 0):
-    """Session-cached same-schedule message counts (full vs partial).
-
-    Returns ``(full_count, partial_count, measured_writes, measured_reads)``
-    so analytic comparisons can use the *realized* operation mix rather
-    than the target write rate (they differ by sampling noise, which
-    matters at extreme rates).
-    """
-    runs = paired_runs(("opt-track-crp", "opt-track"), n, write_rate,
-                       ops_per_process=ops, seed=seed)
-    partial = runs["opt-track"].collector
-    return (
-        runs["opt-track-crp"].collector.total_message_count,
-        partial.total_message_count,
-        partial.measured_ops_write,
-        partial.measured_ops_read,
-    )
+def exhibit_rows(exhibit: str) -> list[dict]:
+    """``exhibit``'s rows at the bench scale, as ``repro reproduce`` builds them."""
+    return EXHIBITS[exhibit].rows(ops_per_process=OPS, seeds=SEEDS)
 
 
 def show(rows, title, columns=None):
@@ -88,25 +51,19 @@ def show(rows, title, columns=None):
     print(format_table(rows, columns=columns, title=title))
 
 
+def show_chart(exhibit, rows):
+    """Print ``exhibit``'s own chart of ``rows``."""
+    print()
+    print(EXHIBITS[exhibit].chart(rows))
+
+
 def chart(series, **kw):
     print()
     print(ascii_chart(series, **kw))
 
 
-def partial_avg_rows(write_rate: float):
-    """Shared body of Figs. 2-4: per-message sizes vs n, partial replication."""
-    from repro.experiments.configs import PARTIAL_NS
-
-    rows = []
-    for n in PARTIAL_NS:
-        ot = cell("opt-track", n, write_rate)
-        ft = cell("full-track", n, write_rate)
-        rows.append({
-            "n": n,
-            "ot_sm_B": ot.mean_sm, "ot_rm_B": ot.mean_rm, "ot_fm_B": ot.mean_fm,
-            "ft_sm_B": ft.mean_sm, "ft_rm_B": ft.mean_rm, "ft_fm_B": ft.mean_fm,
-        })
-    return rows
+def _by_protocol(rows, protocol):
+    return [r for r in rows if r["protocol"] == protocol]
 
 
 def assert_partial_avg_shapes(rows):
@@ -115,51 +72,40 @@ def assert_partial_avg_shapes(rows):
     Full-Track per-message size must grow quadratically (superlinearly)
     in n; Opt-Track clearly sublinearly relative to it; FM constant.
     """
-    ns = [r["n"] for r in rows]
-    ft = [r["ft_sm_B"] for r in rows]
-    ot = [r["ot_sm_B"] for r in rows]
+    ot_rows = _by_protocol(rows, "opt-track")
+    ft_rows = _by_protocol(rows, "full-track")
+    ft = [r["sm_bytes"] for r in ft_rows]
+    ot = [r["sm_bytes"] for r in ot_rows]
     # Full-Track: growth factor n=5 -> n=40 must be near (40/5)^2 on the
     # matrix term; with the envelope it still exceeds 20x
     assert ft[-1] / ft[0] > 20
     # Opt-Track grows far slower than Full-Track
     assert ot[-1] / ot[0] < 0.5 * ft[-1] / ft[0]
     # Opt-Track is cheaper than Full-Track from n=10 on
-    for r in rows:
-        if r["n"] >= 10:
-            assert r["ot_sm_B"] < r["ft_sm_B"]
+    for o, f in zip(ot_rows, ft_rows):
+        if o["n"] >= 10:
+            assert o["sm_bytes"] < f["sm_bytes"]
     # FM: the fetch base plus requirement pairs (the soundness fix, see
     # DESIGN.md).  Opt-Track's pruned logs keep it near the 64-byte base;
     # Full-Track's requirements are a matrix column, bounded by 12 bytes
     # per writer — linear, so its share of the quadratic SM shrinks with n
-    for r in rows:
-        assert 64 <= r["ot_fm_B"] < 0.5 * r["ot_sm_B"]
-        assert 64 <= r["ft_fm_B"] <= 64 + 12 * r["n"]
-    first, last = rows[0], rows[-1]
-    assert (last["ft_fm_B"] / last["ft_sm_B"]
-            < first["ft_fm_B"] / first["ft_sm_B"])
-
-
-def full_avg_rows(write_rate: float):
-    """Shared body of Figs. 6-8: per-SM sizes vs n, full replication."""
-    from repro.experiments.configs import FULL_NS
-
-    rows = []
-    for n in FULL_NS:
-        crp = cell("opt-track-crp", n, write_rate)
-        optp = cell("optp", n, write_rate)
-        rows.append({"n": n, "crp_sm_B": crp.mean_sm, "optp_sm_B": optp.mean_sm})
-    return rows
+    for o, f in zip(ot_rows, ft_rows):
+        assert 64 <= o["fm_bytes"] < 0.5 * o["sm_bytes"]
+        assert 64 <= f["fm_bytes"] <= 64 + 12 * f["n"]
+    first, last = ft_rows[0], ft_rows[-1]
+    assert (last["fm_bytes"] / last["sm_bytes"]
+            < first["fm_bytes"] / first["sm_bytes"])
 
 
 def assert_full_avg_shapes(rows):
     """Common shape assertions for Figs. 6-8: optP linear in n (10 B per
     process), Opt-Track-CRP nearly flat (O(d))."""
-    first, last = rows[0], rows[-1]
-    optp_growth = last["optp_sm_B"] - first["optp_sm_B"]
-    crp_growth = last["crp_sm_B"] - first["crp_sm_B"]
-    assert optp_growth == (last["n"] - first["n"]) * 10  # vector entries
+    crp, optp = _by_protocol(rows, "opt-track-crp"), _by_protocol(rows, "optp")
+    optp_growth = optp[-1]["sm_bytes"] - optp[0]["sm_bytes"]
+    crp_growth = crp[-1]["sm_bytes"] - crp[0]["sm_bytes"]
+    assert optp_growth == (optp[-1]["n"] - optp[0]["n"]) * 10  # vector entries
     assert crp_growth < 0.4 * optp_growth  # near-flat vs linear
-    assert last["crp_sm_B"] < last["optp_sm_B"]  # CRP wins at scale
+    assert crp[-1]["sm_bytes"] < optp[-1]["sm_bytes"]  # CRP wins at scale
 
 
 def run_standalone(test_fn):

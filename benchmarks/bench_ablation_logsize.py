@@ -9,9 +9,10 @@ near the n^2 worst case).
 
 import sys
 
-from _common import cell, chart, run_standalone, show
+from _common import OPS, SEEDS, chart, run_standalone, show
 
-from repro.experiments.configs import WRITE_RATES
+from repro.experiments.exhibits import WRITE_RATES
+from repro.experiments.sweep import averaged_cell
 
 NS = (5, 10, 20, 40)
 
@@ -20,7 +21,7 @@ def compute_rows():
     rows = []
     for n in NS:
         for wr in WRITE_RATES:
-            c = cell("opt-track", n, wr)
+            c = averaged_cell("opt-track", n, wr, ops_per_process=OPS, seeds=SEEDS)
             rows.append({
                 "n": n,
                 "write_rate": wr,

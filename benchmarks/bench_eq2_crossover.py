@@ -10,38 +10,12 @@ message-count ratio crosses 1.0 exactly where the closed form says.
 import sys
 
 import pytest
-from _common import paired_counts, run_standalone, show
-
-from repro.analysis.tradeoff import crossover_write_rate, message_count_ratio
-from repro.memory.replication import paper_replication_factor
-
-NS = (5, 10, 20, 40)
-WRATES = (0.05, 0.15, 0.25, 0.35, 0.5, 0.8)
-
-
-def compute_eq2_rows():
-    rows = []
-    for n in NS:
-        threshold = crossover_write_rate(n)
-        p = paper_replication_factor(n)
-        for wr in WRATES:
-            full, partial, w, r = paired_counts(n, wr)
-            realized = w / (w + r) if (w + r) else 0.0
-            rows.append({
-                "n": n,
-                "write_rate": wr,
-                "threshold": threshold,
-                "sim_ratio": partial / full if full else float("inf"),
-                # analytic prediction from the *realized* operation mix
-                "analytic_ratio": message_count_ratio(n, p, realized),
-                "partial_wins_sim": partial < full,
-                "partial_wins_eq2": wr > threshold,
-            })
-    return rows
+from _common import exhibit_rows, run_standalone, show
 
 
 def test_eq2_crossover(benchmark):
-    rows = benchmark.pedantic(compute_eq2_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(exhibit_rows, args=("eq2",), rounds=1,
+                              iterations=1)
     show(rows, "Eq. (2): simulated vs analytic crossover")
 
     mismatches = []

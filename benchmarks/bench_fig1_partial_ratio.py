@@ -8,37 +8,16 @@ advantage.
 
 import sys
 
-from _common import OPS, SEEDS, cell, chart, run_standalone, show
+from _common import exhibit_rows, run_standalone, show, show_chart
 
-from repro.experiments.configs import PARTIAL_NS, WRITE_RATES
-
-
-def compute_fig1_rows():
-    rows = []
-    for wr in WRITE_RATES:
-        for n in PARTIAL_NS:
-            ot = cell("opt-track", n, wr)
-            ft = cell("full-track", n, wr)
-            rows.append({
-                "n": n,
-                "write_rate": wr,
-                "opt_track_KB": ot.total_bytes / 1000,
-                "full_track_KB": ft.total_bytes / 1000,
-                "ratio": ot.total_bytes / ft.total_bytes,
-            })
-    return rows
+from repro.experiments.exhibits import WRITE_RATES
 
 
 def test_fig1_total_overhead_ratio(benchmark):
-    rows = benchmark.pedantic(compute_fig1_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(exhibit_rows, args=("fig1",), rounds=1,
+                              iterations=1)
     show(rows, "Fig. 1: total metadata overhead ratio Opt-Track / Full-Track")
-    chart(
-        {
-            f"w={wr}": [(r["n"], r["ratio"]) for r in rows if r["write_rate"] == wr]
-            for wr in WRITE_RATES
-        },
-        title="Fig. 1 (ratio vs n)", x_label="n", y_label="ratio",
-    )
+    show_chart("fig1", rows)
     # shape assertions: ratio decreases with n at every write rate, and
     # Opt-Track always wins at the larger system sizes
     for wr in WRITE_RATES:

@@ -9,24 +9,18 @@ import sys
 
 from _common import (
     assert_partial_avg_shapes,
-    chart,
-    partial_avg_rows,
+    exhibit_rows,
     run_standalone,
     show,
+    show_chart,
 )
 
 
 def test_fig4_partial_avg_sizes_wrate_8(benchmark):
-    rows = benchmark.pedantic(partial_avg_rows, args=(0.8,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(exhibit_rows, args=("fig4",), rounds=1,
+                              iterations=1)
     show(rows, "Fig. 4: average metadata bytes per message (w_rate=0.8)")
-    chart(
-        {
-            "FT SM": [(r["n"], r["ft_sm_B"]) for r in rows],
-            "OT SM": [(r["n"], r["ot_sm_B"]) for r in rows],
-            "FM": [(r["n"], r["ot_fm_B"]) for r in rows],
-        },
-        title="Fig. 4 (bytes vs n, w_rate=0.8)", x_label="n", y_label="bytes",
-    )
+    show_chart("fig4", rows)
     assert_partial_avg_shapes(rows)
 
 

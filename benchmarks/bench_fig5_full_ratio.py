@@ -8,37 +8,16 @@ pushing the ratio further down.
 
 import sys
 
-from _common import cell, chart, run_standalone, show
+from _common import exhibit_rows, run_standalone, show, show_chart
 
-from repro.experiments.configs import FULL_NS, WRITE_RATES
-
-
-def compute_fig5_rows():
-    rows = []
-    for wr in WRITE_RATES:
-        for n in FULL_NS:
-            crp = cell("opt-track-crp", n, wr)
-            optp = cell("optp", n, wr)
-            rows.append({
-                "n": n,
-                "write_rate": wr,
-                "crp_KB": crp["SM_bytes"] / 1000,
-                "optp_KB": optp["SM_bytes"] / 1000,
-                "ratio": crp["SM_bytes"] / optp["SM_bytes"],
-            })
-    return rows
+from repro.experiments.exhibits import WRITE_RATES
 
 
 def test_fig5_total_sm_ratio(benchmark):
-    rows = benchmark.pedantic(compute_fig5_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(exhibit_rows, args=("fig5",), rounds=1,
+                              iterations=1)
     show(rows, "Fig. 5: total SM overhead ratio Opt-Track-CRP / optP")
-    chart(
-        {
-            f"w={wr}": [(r["n"], r["ratio"]) for r in rows if r["write_rate"] == wr]
-            for wr in WRITE_RATES
-        },
-        title="Fig. 5 (ratio vs n)", x_label="n", y_label="ratio",
-    )
+    show_chart("fig5", rows)
     for wr in WRITE_RATES:
         series = [r["ratio"] for r in rows if r["write_rate"] == wr]
         assert series[-1] < series[0]          # falls with n

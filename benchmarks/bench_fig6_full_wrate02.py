@@ -9,23 +9,18 @@ import sys
 
 from _common import (
     assert_full_avg_shapes,
-    chart,
-    full_avg_rows,
+    exhibit_rows,
     run_standalone,
     show,
+    show_chart,
 )
 
 
 def test_fig6_full_avg_sizes_wrate_2(benchmark):
-    rows = benchmark.pedantic(full_avg_rows, args=(0.2,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(exhibit_rows, args=("fig6",), rounds=1,
+                              iterations=1)
     show(rows, "Fig. 6: average SM metadata bytes (w_rate=0.2, full replication)")
-    chart(
-        {
-            "optP": [(r["n"], r["optp_sm_B"]) for r in rows],
-            "CRP": [(r["n"], r["crp_sm_B"]) for r in rows],
-        },
-        title="Fig. 6 (bytes vs n, w_rate=0.2)", x_label="n", y_label="bytes",
-    )
+    show_chart("fig6", rows)
     assert_full_avg_shapes(rows)
 
 

@@ -9,23 +9,18 @@ import sys
 
 from _common import (
     assert_full_avg_shapes,
-    chart,
-    full_avg_rows,
+    exhibit_rows,
     run_standalone,
     show,
+    show_chart,
 )
 
 
 def test_fig8_full_avg_sizes_wrate_8(benchmark):
-    rows = benchmark.pedantic(full_avg_rows, args=(0.8,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(exhibit_rows, args=("fig8",), rounds=1,
+                              iterations=1)
     show(rows, "Fig. 8: average SM metadata bytes (w_rate=0.8, full replication)")
-    chart(
-        {
-            "optP": [(r["n"], r["optp_sm_B"]) for r in rows],
-            "CRP": [(r["n"], r["crp_sm_B"]) for r in rows],
-        },
-        title="Fig. 8 (bytes vs n, w_rate=0.8)", x_label="n", y_label="bytes",
-    )
+    show_chart("fig8", rows)
     assert_full_avg_shapes(rows)
 
 

@@ -8,9 +8,9 @@ own numbers for side-by-side comparison.
 
 import sys
 
-from _common import cell, run_standalone, show
+from _common import exhibit_rows, run_standalone, show
 
-from repro.experiments.configs import PARTIAL_NS, WRITE_RATES
+from repro.experiments.exhibits import PARTIAL_NS, WRITE_RATES
 
 #: Table II of the paper (KB), for the printed comparison
 PAPER_TABLE2 = {
@@ -29,49 +29,34 @@ PAPER_TABLE2 = {
 }
 
 
-def compute_table2_rows():
-    rows = []
-    for protocol in ("opt-track", "full-track"):
-        for kind in ("SM", "RM"):
-            for wr in WRITE_RATES:
-                measured = {
-                    n: cell(protocol, n, wr)[f"{kind}_mean_bytes"] / 1000.0
-                    for n in PARTIAL_NS
-                }
-                row = {"protocol": protocol, "msg": kind, "w_rate": wr}
-                row.update({f"n{n}": measured[n] for n in PARTIAL_NS})
-                paper = PAPER_TABLE2[(protocol, kind, wr)]
-                row.update({f"paper_n{n}": p for n, p in zip(PARTIAL_NS, paper)})
-                rows.append(row)
-    return rows
-
-
 def test_table2_avg_sm_rm_sizes(benchmark):
-    rows = benchmark.pedantic(compute_table2_rows, rounds=1, iterations=1)
-    cols = ["protocol", "msg", "w_rate"] + [f"n{n}" for n in PARTIAL_NS]
-    show(rows, "Table II: average SM/RM overhead (KB) — measured", columns=cols)
-    show(rows, "Table II: paper values (KB)",
-         columns=["protocol", "msg", "w_rate"] + [f"paper_n{n}" for n in PARTIAL_NS])
+    rows = benchmark.pedantic(exhibit_rows, args=("table2",), rounds=1,
+                              iterations=1)
+    show(rows, "Table II: average SM/RM overhead (KB) — measured")
+    show([{"protocol": protocol, "kind": kind, "write_rate": wr,
+           **{f"n{n}": p for n, p in zip(PARTIAL_NS, paper)}}
+          for (protocol, kind, wr), paper in PAPER_TABLE2.items()],
+         "Table II: paper values (KB)")
 
     for row in rows:
+        paper = PAPER_TABLE2[(row["protocol"], row["kind"], row["write_rate"])]
         # Full-Track sizes are schedule-independent (fixed n^2 matrix):
         # measured values must be *exactly* the size model's prediction
         if row["protocol"] == "full-track":
             from repro.metrics.sizing import DEFAULT_SIZE_MODEL as M
 
             for n in PARTIAL_NS:
-                expected = (M.sm_full_track(n) if row["msg"] == "SM"
+                expected = (M.sm_full_track(n) if row["kind"] == "SM"
                             else M.rm_full_track(n)) / 1000.0
                 assert abs(row[f"n{n}"] - expected) < 1e-9
         # and they must land within 15% of the paper's Table II
         if row["protocol"] == "full-track":
-            for n in PARTIAL_NS:
-                paper = row[f"paper_n{n}"]
-                assert abs(row[f"n{n}"] - paper) / paper < 0.15
+            for n, paper_kb in zip(PARTIAL_NS, paper):
+                assert abs(row[f"n{n}"] - paper_kb) / paper_kb < 0.15
     # Opt-Track: write-intensive workloads shrink messages (paper's
     # headline observation), checked at the largest system size
     ot_sm = {wr: next(r for r in rows if r["protocol"] == "opt-track"
-                      and r["msg"] == "SM" and r["w_rate"] == wr)
+                      and r["kind"] == "SM" and r["write_rate"] == wr)
              for wr in WRITE_RATES}
     assert ot_sm[0.8]["n40"] < ot_sm[0.2]["n40"]
 

@@ -8,9 +8,9 @@ grows.
 
 import sys
 
-from _common import cell, run_standalone, show
+from _common import exhibit_rows, run_standalone, show
 
-from repro.experiments.configs import FULL_NS, WRITE_RATES
+from repro.experiments.exhibits import WRITE_RATES
 
 #: Table III of the paper (bytes)
 PAPER_TABLE3 = {
@@ -23,43 +23,26 @@ PAPER_TABLE3 = {
 }
 
 
-def compute_table3_rows():
-    rows = []
-    for n in FULL_NS:
-        row = {"n": n}
-        for wr in WRITE_RATES:
-            row[f"crp_w{wr}"] = cell("opt-track-crp", n, wr).mean_sm
-        row["optp"] = cell("optp", n, WRITE_RATES[0]).mean_sm
-        paper = PAPER_TABLE3[n]
-        row.update({
-            "paper_crp_w0.2": paper[0],
-            "paper_crp_w0.5": paper[1],
-            "paper_crp_w0.8": paper[2],
-            "paper_optp": paper[3],
-        })
-        rows.append(row)
-    return rows
-
-
 def test_table3_avg_sm_sizes(benchmark):
-    rows = benchmark.pedantic(compute_table3_rows, rounds=1, iterations=1)
-    show(rows, "Table III: average SM bytes, Opt-Track-CRP vs optP",
-         columns=["n", "crp_w0.2", "crp_w0.5", "crp_w0.8", "optp"])
-    show(rows, "Table III: paper values",
-         columns=["n", "paper_crp_w0.2", "paper_crp_w0.5", "paper_crp_w0.8",
-                  "paper_optp"])
+    rows = benchmark.pedantic(exhibit_rows, args=("table3",), rounds=1,
+                              iterations=1)
+    crp_cols = [f"crp_wrate_{wr}" for wr in WRITE_RATES]
+    show(rows, "Table III: average SM bytes, Opt-Track-CRP vs optP")
+    show([{"n": n, **dict(zip(crp_cols + ["optp"], paper))}
+          for n, paper in PAPER_TABLE3.items()],
+         "Table III: paper values")
 
     for row in rows:
+        paper = PAPER_TABLE3[row["n"]]
         # optP is deterministic: must match the paper's 209 + 10n exactly
-        assert row["optp"] == row["paper_optp"]
+        assert row["optp"] == paper[3]
         # CRP decreases with write rate (paper's Table III trend)
-        assert row["crp_w0.8"] <= row["crp_w0.5"] <= row["crp_w0.2"]
+        assert row["crp_wrate_0.8"] <= row["crp_wrate_0.5"] <= row["crp_wrate_0.2"]
         # and lands in the paper's ballpark (within 25%)
-        for wr, col in ((0.2, "crp_w0.2"), (0.5, "crp_w0.5"), (0.8, "crp_w0.8")):
-            paper = row[f"paper_{col}"]
-            assert abs(row[col] - paper) / paper < 0.25, (row["n"], wr)
+        for wr, col, paper_b in zip(WRITE_RATES, crp_cols, paper):
+            assert abs(row[col] - paper_b) / paper_b < 0.25, (row["n"], wr)
     # CRP grows only slowly with n: < 100 bytes across the whole sweep
-    spread = rows[-1]["crp_w0.2"] - rows[0]["crp_w0.2"]
+    spread = rows[-1]["crp_wrate_0.2"] - rows[0]["crp_wrate_0.2"]
     assert 0 <= spread < 100
 
 

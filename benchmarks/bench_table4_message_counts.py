@@ -10,10 +10,10 @@ win/lose pattern holds at any scale.
 
 import sys
 
-from _common import OPS, paired_counts, run_standalone, show
+from _common import OPS, exhibit_rows, run_standalone, show
 
 from repro.analysis.tradeoff import crossover_write_rate
-from repro.experiments.configs import PARTIAL_NS, WRITE_RATES
+from repro.experiments.exhibits import WRITE_RATES
 
 #: Table IV of the paper (total message counts at 600 ops/process)
 PAPER_TABLE4 = {
@@ -25,39 +25,26 @@ PAPER_TABLE4 = {
 }
 
 
-def compute_table4_rows():
-    rows = []
-    for n in PARTIAL_NS:
-        row = {"n": n}
-        for k, wr in enumerate(WRITE_RATES):
-            full, partial, _, _ = paired_counts(n, wr)
-            row[f"full_w{wr}"] = full
-            row[f"partial_w{wr}"] = partial
-            row[f"paper_full_w{wr}"] = PAPER_TABLE4[n]["full"][k]
-            row[f"paper_partial_w{wr}"] = PAPER_TABLE4[n]["partial"][k]
-        rows.append(row)
-    return rows
-
-
 def test_table4_message_counts(benchmark):
-    rows = benchmark.pedantic(compute_table4_rows, rounds=1, iterations=1)
-    cols = ["n"] + [f"{kind}_w{wr}" for wr in WRITE_RATES
-                    for kind in ("full", "partial")]
-    show(rows, f"Table IV: total message counts ({OPS} ops/process)", columns=cols)
-    show(rows, "Table IV: paper values (600 ops/process)",
-         columns=["n"] + [f"paper_{kind}_w{wr}" for wr in WRITE_RATES
-                          for kind in ("full", "partial")])
+    rows = benchmark.pedantic(exhibit_rows, args=("table4",), rounds=1,
+                              iterations=1)
+    show(rows, f"Table IV: total message counts ({OPS} ops/process)")
+    show([{"n": n, **{f"{kind}_{wr}": paper[kind][k]
+                      for k, wr in enumerate(WRITE_RATES)
+                      for kind in ("full", "partial")}}
+          for n, paper in PAPER_TABLE4.items()],
+         "Table IV: paper values (600 ops/process)")
 
     for row in rows:
         n = row["n"]
         for wr in WRITE_RATES:
-            partial_wins = row[f"partial_w{wr}"] < row[f"full_w{wr}"]
+            partial_wins = row[f"partial_{wr}"] < row[f"full_{wr}"]
             predicted = wr > crossover_write_rate(n)
             assert partial_wins == predicted, (n, wr)
     # paper's single exception: n=5, w_rate=0.2
     n5 = rows[0]
-    assert n5["partial_w0.2"] > n5["full_w0.2"]
-    assert n5["partial_w0.5"] < n5["full_w0.5"]
+    assert n5["partial_0.2"] > n5["full_0.2"]
+    assert n5["partial_0.5"] < n5["full_0.5"]
 
 
 if __name__ == "__main__":

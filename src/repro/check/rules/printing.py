@@ -3,8 +3,8 @@
 Library modules report through the collector/tracer; a stray ``print``
 is almost always leftover debugging, corrupts machine-readable CLI
 output, and (worse) tempts f-strings that format simulated state and
-hide ordering assumptions.  User-facing surfaces (the CLI, figures)
-are exempt by path.
+hide ordering assumptions.  User-facing surfaces (the CLIs) are
+exempt by path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = ["NoPrintRule"]
 #: the ruff T20 per-file-ignores in pyproject.toml)
 _ALLOWED_SUFFIXES = (
     "repro/cli.py",
-    "repro/experiments/figures.py",
     "repro/check/cli.py",
     "repro/perf/cli.py",
 )

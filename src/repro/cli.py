@@ -34,8 +34,7 @@ from .analysis.model import (
 )
 from .analysis.tradeoff import crossover_write_rate
 from .core.base import protocol_names
-from .experiments import paper
-from .experiments.configs import EXPERIMENTS
+from .experiments.exhibits import EXHIBITS, reproduce_all
 from .experiments.report import format_kv, format_table, write_csv
 from .experiments.runner import SimulationConfig, run_simulation
 from .memory.replication import PLACEMENT_NAMES
@@ -65,21 +64,6 @@ _LATENCIES = {
     "adversarial": AdversarialLatency,
 }
 
-_EXPERIMENT_FNS = {
-    "fig1": lambda **kw: paper.fig1_rows(**kw),
-    "fig2": lambda **kw: paper.partial_avg_size_rows(0.2, **kw),
-    "fig3": lambda **kw: paper.partial_avg_size_rows(0.5, **kw),
-    "fig4": lambda **kw: paper.partial_avg_size_rows(0.8, **kw),
-    "table2": lambda **kw: paper.table2_rows(**kw),
-    "fig5": lambda **kw: paper.fig5_rows(**kw),
-    "fig6": lambda **kw: paper.full_avg_size_rows(0.2, **kw),
-    "fig7": lambda **kw: paper.full_avg_size_rows(0.5, **kw),
-    "fig8": lambda **kw: paper.full_avg_size_rows(0.8, **kw),
-    "table3": lambda **kw: paper.table3_rows(**kw),
-    "table4": lambda **kw: paper.table4_rows(**kw),
-    "eq2": lambda **kw: paper.eq2_rows(**kw),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -98,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "metrics.prom/.json/.jsonl into DIR")
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp_p.add_argument("id", choices=sorted(_EXPERIMENT_FNS))
+    exp_p.add_argument("id", choices=sorted(EXHIBITS))
     exp_p.add_argument("--ops", type=int, default=150,
                        help="operations per process (paper scale: 600)")
     exp_p.add_argument("--seeds", type=int, default=1,
@@ -514,11 +498,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    fn = _EXPERIMENT_FNS[args.id]
-    rows = fn(ops_per_process=args.ops, seeds=tuple(range(args.seeds)))
-    spec = EXPERIMENTS.get(args.id)
-    title = f"{args.id}: {spec.title}" if spec else args.id
-    print(format_table(rows, title=title))
+    exhibit = EXHIBITS[args.id]
+    rows = exhibit.rows(ops_per_process=args.ops, seeds=tuple(range(args.seeds)))
+    print(format_table(rows, title=f"{args.id}: {exhibit.title}"))
     if args.csv:
         write_csv(rows, args.csv)
         print(f"\nwrote {len(rows)} rows to {args.csv}")
@@ -526,8 +508,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .experiments.figures import reproduce_all
-
     report = reproduce_all(
         args.outdir,
         ops_per_process=args.ops,
@@ -891,9 +871,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
     for name in protocol_names():
         print(f"  {name}")
     print("\nexperiments:")
-    for key in sorted(_EXPERIMENT_FNS):
-        spec = EXPERIMENTS.get(key)
-        print(f"  {key:8s} {spec.title if spec else ''}")
+    for key in sorted(EXHIBITS):
+        print(f"  {key:8s} {EXHIBITS[key].title}")
     return 0
 
 

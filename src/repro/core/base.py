@@ -232,8 +232,6 @@ class CausalProtocol(abc.ABC):
         self._wal: Optional[Durability] = None
         #: True while re-executing WAL records during recovery
         self._replaying = False
-        #: RMs answering a fetch whose continuation died in a crash
-        self.stale_rms_dropped = 0
         #: arrivals ``on_message`` buffered instead of acting on directly
         self.buffered_arrivals = 0
         #: liveness oracle for fetch-target failover (wired by the
@@ -710,7 +708,6 @@ class CausalProtocol(abc.ABC):
             # the read was re-issued under a fresh request id after
             # recovery, so this late reply is dropped (its causal
             # metadata was already merged by the caller).
-            self.stale_rms_dropped += 1
             self.ctx.collector.record_stale_rm()
             return
         ctx = self.ctx

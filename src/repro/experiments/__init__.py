@@ -1,23 +1,21 @@
-"""Paper experiment configurations, sweep driver, and report formatting."""
+"""Paper exhibits, sweep driver, and report formatting."""
 
-from . import paper
-from .figures import reproduce_all
-from .configs import EXPERIMENTS, ExperimentSpec, bench_ops, bench_seeds
+from .exhibits import EXHIBITS, Exhibit, bench_ops, bench_seeds, reproduce_all
 from .report import ascii_chart, csv_text, format_kv, format_table, write_csv
 from .runner import RunResult, SimulationConfig, build_placement, run_simulation
-from .sweep import CellResult, averaged_cell, cell_config, paired_runs
+from .sweep import CellResult, averaged_cell, cell_config, run_cell
 
 __all__ = [
     "SimulationConfig",
     "RunResult",
     "run_simulation",
     "build_placement",
-    "EXPERIMENTS",
-    "ExperimentSpec",
+    "EXHIBITS",
+    "Exhibit",
     "bench_ops",
     "bench_seeds",
     "averaged_cell",
-    "paired_runs",
+    "run_cell",
     "cell_config",
     "CellResult",
     "format_table",
@@ -25,6 +23,5 @@ __all__ = [
     "csv_text",
     "write_csv",
     "ascii_chart",
-    "paper",
     "reproduce_all",
 ]

@@ -1,24 +1,28 @@
-"""Grid sweep driver with multi-seed averaging.
+"""Grid cells: one memoised run per distinct cell, averaged over seeds.
 
 The paper runs each parameter combination several times and reports the
 mean ("the experimental results of all the runs did not have more than
 one percent variation").  :func:`averaged_cell` reproduces that: run the
 same cell under independent seeds and average every numeric metric.
 
-For protocol *comparisons on the same schedule* (Table IV), use
-:func:`paired_runs`, which generates the workload once per seed and
-replays it through each protocol.
+Every run goes through :func:`run_cell`, which keeps one summary per
+(protocol, n, write_rate, ops_per_process, seed, n_vars) for the life of
+the process, so the exhibits that share cells (Fig. 1, Figs. 2-4,
+Table II, Table IV and Eq. 2) simulate each of them once.  A cell's
+workload depends only on (n, write_rate, ops_per_process, seed, n_vars),
+so two protocols' runs of one cell replay the same schedule — the
+paper's Table IV methodology ("the same operation event scheduling").
 """
 
 from __future__ import annotations
 
-import time
-from typing import Iterable
+import functools
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
-from ..workload.generator import generate_workload
-from .runner import RunResult, SimulationConfig, run_simulation
+from .runner import SimulationConfig, run_simulation
 
-__all__ = ["CellResult", "averaged_cell", "paired_runs", "cell_config"]
+__all__ = ["CellResult", "averaged_cell", "cell_config", "run_cell"]
 
 
 class CellResult(dict):
@@ -67,7 +71,20 @@ def cell_config(
     )
 
 
-def _numeric_mean(dicts: list[dict]) -> CellResult:
+@functools.lru_cache(maxsize=None)
+def run_cell(protocol: str, n: int, write_rate: float, ops_per_process: int,
+             seed: int, n_vars: int, /) -> Mapping:
+    """The summary of one canonical cell run, simulated once per process.
+
+    Positional-only, so every caller hits the same cache key.  Every
+    caller shares the returned summary, so it is read-only.
+    """
+    cfg = cell_config(protocol, n, write_rate, ops_per_process=ops_per_process,
+                      seed=seed, n_vars=n_vars)
+    return MappingProxyType(run_simulation(cfg).summary())
+
+
+def _numeric_mean(dicts: list[Mapping]) -> CellResult:
     out = CellResult()
     for key in dicts[0]:
         vals = [d[key] for d in dicts]
@@ -87,58 +104,10 @@ def averaged_cell(
     ops_per_process: int,
     seeds: Iterable[int] = (0,),
     n_vars: int = 100,
-    **overrides,
 ) -> CellResult:
     """Run one cell under several seeds and average every numeric metric."""
-    summaries = []
-    for seed in seeds:
-        cfg = cell_config(
-            protocol, n, write_rate,
-            ops_per_process=ops_per_process, seed=seed, n_vars=n_vars, **overrides,
-        )
-        # simcheck: ignore[SIM001] -- wall-clock throughput reporting; kept out of the deterministic summary
-        t0 = time.perf_counter()
-        result = run_simulation(cfg)
-        wall_s = time.perf_counter() - t0  # simcheck: ignore[SIM001] -- see above
-        summary = result.summary()
-        # host-side throughput: wall-clock cost of the cell and how fast
-        # the event loop chewed through it (kept out of RunResult.summary,
-        # which must stay deterministic per seed)
-        summary["wall_ms"] = wall_s * 1e3
-        summary["events_per_sec"] = (
-            result.total_sim_events / wall_s if wall_s > 0 else 0.0
-        )
-        summaries.append(summary)
+    summaries = [run_cell(protocol, n, write_rate, ops_per_process, seed, n_vars)
+                 for seed in seeds]
     if not summaries:
         raise ValueError("need at least one seed")
     return _numeric_mean(summaries)
-
-
-def paired_runs(
-    protocols: tuple[str, ...],
-    n: int,
-    write_rate: float,
-    *,
-    ops_per_process: int,
-    seed: int = 0,
-    n_vars: int = 100,
-    **overrides,
-) -> dict[str, RunResult]:
-    """Replay one generated schedule through several protocols.
-
-    This is the paper's Table IV methodology: "the results of running
-    the same operation event scheduling using Opt-Track-CRP and
-    Opt-Track".
-    """
-    workload = generate_workload(
-        n, n_vars=n_vars, write_rate=write_rate,
-        ops_per_process=ops_per_process, seed=seed,
-    )
-    out: dict[str, RunResult] = {}
-    for protocol in protocols:
-        cfg = cell_config(
-            protocol, n, write_rate,
-            ops_per_process=ops_per_process, seed=seed, n_vars=n_vars, **overrides,
-        )
-        out[protocol] = run_simulation(cfg, workload=workload)
-    return out

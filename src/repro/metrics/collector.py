@@ -251,13 +251,8 @@ class MetricsCollector:
         if self.measuring:
             self.log_sizes.add(n_entries)
 
-    def record_dest_list(self, n_dests: int) -> None:
-        if self.measuring:
-            self.dest_list_sizes.add(n_dests)
-
     def record_dest_lists(self, n_dests: Sequence[int]) -> None:
-        """Batched :meth:`record_dest_list` — one call per write instead
-        of one per log record (byte-identical statistics)."""
+        """Destination-list sizes of one write's log records, in one call."""
         if self.measuring:
             self.dest_list_sizes.add_many(n_dests)
 

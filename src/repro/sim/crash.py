@@ -164,7 +164,6 @@ class CrashRecoveryManager:
         self._plan_pending = 0
         #: crashed sites already counted in the detection-latency metric
         self._detected: set[int] = set()
-        self.sync_messages = 0
         self._started = False
         #: metrics registry for the restore and catch-up histograms
         #: (wired by the runner via attach_registry; None is the
@@ -354,7 +353,6 @@ class CrashRecoveryManager:
         self._catchup_rounds[site] = rounds + 1
         req = SyncRequest(site, rounds)
         for peer in self._live_peers(site):
-            self.sync_messages += 1
             if self.collector is not None:
                 self.collector.record_sync_message()
             self.net._transmit_raw(site, peer, req,
@@ -436,7 +434,6 @@ class CrashRecoveryManager:
             )
             size = (self.catchup.response_base_bytes
                     + self.catchup.response_entry_bytes * len(resp.digest))
-            self.sync_messages += 1
             if self.collector is not None:
                 self.collector.record_sync_message()
             self.net._transmit_raw(dst, packet.origin, resp, size)

@@ -497,7 +497,7 @@ class ViewManager:
         for m in self.view.members:
             if m in gone:
                 continue
-            held = net.held_for(m)
+            held = net.held_count(m)
             if held:
                 blockers.append(f"{held} message(s) held for paused site {m}")
         transport = net.transport

@@ -357,10 +357,6 @@ class Network:
         self.departed_drops += len(self._held.pop(site, ()))
         self._down.discard(site)
 
-    def held_for(self, site: int) -> int:
-        """Alias of :meth:`held_count` used by the view-change fence."""
-        return len(self._held.get(site, ()))
-
     @property
     def app_messages_in_flight(self) -> int:
         """Seed-path app messages scheduled but not yet delivered."""
@@ -637,8 +633,11 @@ class Network:
         reliable channel keeps it durable and retransmits after the
         site rejoins.  Infra packet handlers (heartbeats, sync) are
         still notified with ``dead=True`` for their bookkeeping.
+        A packet to *or from* a departed site is void: once the source
+        has left, its channels are forgotten, and a late packet would
+        otherwise re-open one at sequence 0 and be applied twice.
         """
-        if dst in self._departed:
+        if dst in self._departed or src in self._departed:
             self.departed_drops += 1
             return
         if dst in self._down:

@@ -119,6 +119,21 @@ def test_exhibits_job_runs_the_papers_benchmarks():
     assert unguarded_tee_steps(workflow) == []
 
 
+def test_exhibits_job_runs_reproduce_and_uploads_its_report():
+    # the CLI path to the same twelve exhibits, from one table
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    job = workflow["jobs"]["exhibits"]
+    (step,) = [step for step in job["steps"]
+               if "reproduce" in step.get("run", "")]
+    assert step["run"].split() == [
+        "PYTHONPATH=src", "python", "-m", "repro", "reproduce",
+        "--ops", "20", "--outdir", "reproduce-smoke"]
+    (upload,) = [step for step in job["steps"] if "with" in step
+                 and "path" in step["with"]]
+    assert upload["uses"].startswith("actions/upload-artifact@")
+    assert upload["with"]["path"].split() == ["reproduce-smoke/REPORT.md"]
+
+
 def test_perf_smoke_is_the_overhead_gate_plus_untimed_micro_information():
     workflow = yaml.safe_load(WORKFLOW.read_text())
     scripts = [step.get("run", "") for job in workflow["jobs"].values()
@@ -207,6 +222,13 @@ def test_churn_matrix_gates_the_ledger_crosscheck():
                          "metrics", "run"]
     assert sim_flags(ledger["run"]) == sim_flags(check)
     assert "--churn-seed" in sim_flags(check)
+    # beside the n = 5 rows, the n > p leaver case for the two protocols
+    # a late packet from the departed site once broke
+    matrix = job["strategy"]["matrix"]
+    assert matrix["size"] == ["-n 5"] and "<size>" in sim_flags(check)
+    assert [(row["churn-seed"], row["protocol"], row["size"])
+            for row in matrix["include"]] == [
+        (2, "full-track", "-n 8 -p 3"), (2, "opt-track", "-n 8 -p 3")]
     # its exit code is the gate: teed, so pipefail, inherited from the
     # workflow and overridden nowhere
     assert words[words.index("|") + 1] == "tee"

@@ -1,11 +1,16 @@
 """Tests for the experiment sweep machinery, paper drivers, and reports."""
 
-import math
+import functools
 
 import pytest
 
-from repro.experiments.configs import EXPERIMENTS, bench_ops, bench_seeds
-from repro.experiments.paper import (
+from repro.experiments import sweep
+from repro.experiments.exhibits import (
+    EXHIBITS,
+    FULL_NS,
+    PARTIAL_NS,
+    bench_ops,
+    bench_seeds,
     eq2_rows,
     fig1_rows,
     fig5_rows,
@@ -16,9 +21,25 @@ from repro.experiments.paper import (
     table4_rows,
 )
 from repro.experiments.report import ascii_chart, csv_text, format_kv, format_table
-from repro.experiments.sweep import averaged_cell, paired_runs
+from repro.experiments.runner import run_simulation
+from repro.experiments.sweep import averaged_cell
 
 TINY = dict(ops_per_process=12, seeds=(0,))
+
+
+def cells_of(exhibit, monkeypatch):
+    """The (protocol, n, write_rate) cells ``exhibit``'s builder reads."""
+    template = run_simulation(sweep.cell_config("optp", 3, 0.5,
+                                                ops_per_process=5)).summary()
+    asked = set()
+
+    def fake(protocol, n, write_rate, ops_per_process, seed, n_vars):
+        asked.add((protocol, n, write_rate))
+        return template
+
+    monkeypatch.setattr(sweep, "run_cell", fake)
+    EXHIBITS[exhibit].rows(ops_per_process=5, seeds=(0,))
+    return asked
 
 
 class TestSweep:
@@ -35,11 +56,23 @@ class TestSweep:
         with pytest.raises(ValueError):
             averaged_cell("optp", 3, 0.5, ops_per_process=5, seeds=())
 
-    def test_paired_runs_share_workload(self):
-        runs = paired_runs(("opt-track", "opt-track-crp"), 4, 0.5,
-                           ops_per_process=10, seed=3)
-        a, b = runs["opt-track"].workload, runs["opt-track-crp"].workload
-        assert a is b
+    def test_paired_runs_share_workload(self, monkeypatch):
+        # Table IV's "same schedule": two protocols' cached runs of one
+        # cell replay equal workloads
+        workloads = {}
+
+        def recording(cfg):
+            result = run_simulation(cfg)
+            workloads[cfg.protocol] = result.workload
+            return result
+
+        monkeypatch.setattr(sweep, "run_simulation", recording)
+        monkeypatch.setattr(sweep, "run_cell", functools.lru_cache(maxsize=None)(
+            sweep.run_cell.__wrapped__))
+        for protocol in ("opt-track", "opt-track-crp"):
+            averaged_cell(protocol, 4, 0.5, ops_per_process=10, seeds=(3,))
+        assert workloads["opt-track"] == workloads["opt-track-crp"]
+        assert workloads["opt-track"].seed == 3
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_OPS", "77")
@@ -108,11 +141,11 @@ class TestPaperDrivers:
         rows = eq2_rows(n_values=(5, 10), write_rates=(0.1, 0.5),
                         ops_per_process=60, seeds=(0,))
         agree = [r for r in rows
-                 if r["partial_wins_simulated"] == r["partial_wins_predicted"]]
+                 if r["partial_wins_sim"] == r["partial_wins_eq2"]]
         # sampling noise near the threshold is allowed; far from it the
         # prediction must hold (0.5 >> threshold for both n values)
         far = [r for r in rows if r["write_rate"] == 0.5]
-        assert all(r["partial_wins_simulated"] for r in far)
+        assert all(r["partial_wins_sim"] for r in far)
         assert len(agree) >= len(rows) - 1
 
 
@@ -120,17 +153,18 @@ class TestExperimentSpecs:
     def test_all_paper_exhibits_present(self):
         for key in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                     "fig8", "table2", "table3", "table4", "eq2"):
-            assert key in EXPERIMENTS
+            assert key in EXHIBITS
 
-    def test_cells_iteration(self):
-        spec = EXPERIMENTS["fig1"]
-        cells = list(spec.cells())
+    def test_cells_iteration(self, monkeypatch):
+        cells = cells_of("fig1", monkeypatch)
         assert len(cells) == 2 * 5 * 3
         assert ("opt-track", 5, 0.2) in cells
 
-    def test_partial_grids_use_paper_ns(self):
-        assert EXPERIMENTS["table2"].n_values == (5, 10, 20, 30, 40)
-        assert EXPERIMENTS["table3"].n_values == (5, 10, 20, 30, 35, 40)
+    def test_partial_grids_use_paper_ns(self, monkeypatch):
+        assert PARTIAL_NS == (5, 10, 20, 30, 40)
+        assert FULL_NS == (5, 10, 20, 30, 35, 40)
+        assert {n for _, n, _ in cells_of("table2", monkeypatch)} == set(PARTIAL_NS)
+        assert {n for _, n, _ in cells_of("table3", monkeypatch)} == set(FULL_NS)
 
 
 class TestReportFormatting:

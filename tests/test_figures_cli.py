@@ -1,17 +1,37 @@
 """Tests for the reproduce-all driver and the new CLI subcommands."""
 
+import functools
+
 import pytest
 
 from repro.cli import main
-from repro.experiments.figures import EXHIBIT_RUNNERS, reproduce_all
+from repro.experiments import sweep
+from repro.experiments.exhibits import EXHIBITS, reproduce_all
 
 
 class TestReproduceAll:
     def test_all_paper_exhibits_covered(self):
-        assert set(EXHIBIT_RUNNERS) == {
+        assert set(EXHIBITS) == {
             "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
             "table2", "table3", "table4", "eq2",
         }
+
+    def test_runs_each_distinct_cell_once(self, tmp_path, monkeypatch):
+        # the twelve exhibits read 98 distinct cells at one seed: 30
+        # partial (Figs. 1-4, Tables II and IV), 36 full (Figs. 5-8,
+        # Table III) and 32 more of Eq. (2)'s grid; each is simulated once
+        cells = []
+        run = sweep.run_simulation
+
+        def counting(cfg):
+            cells.append((cfg.protocol, cfg.n_sites, cfg.write_rate, cfg.seed))
+            return run(cfg)
+
+        monkeypatch.setattr(sweep, "run_simulation", counting)
+        monkeypatch.setattr(sweep, "run_cell", functools.lru_cache(maxsize=None)(
+            sweep.run_cell.__wrapped__))
+        reproduce_all(tmp_path, ops_per_process=5, seeds=(0,))
+        assert len(cells) == len(set(cells)) == 98
 
     def test_writes_csv_and_report(self, tmp_path):
         report = reproduce_all(tmp_path, ops_per_process=10,

@@ -10,7 +10,7 @@ from repro import (
     check_causal_consistency,
     run_simulation,
 )
-from repro.experiments.sweep import paired_runs
+from repro.experiments.sweep import cell_config
 from repro.metrics.collector import MessageKind
 
 
@@ -56,8 +56,8 @@ class TestHBTrackSemantics:
         check_causal_consistency(result.history, result.placement).raise_if_violated()
 
     def test_same_message_pattern_as_optp(self):
-        runs = paired_runs(("optp", "hb-track"), 5, 0.5,
-                           ops_per_process=30, seed=1)
+        runs = {p: run_simulation(cell_config(p, 5, 0.5, ops_per_process=30, seed=1))
+                for p in ("optp", "hb-track")}
         a, b = runs["optp"].collector, runs["hb-track"].collector
         for kind in MessageKind:
             assert a.tally(kind).count == b.tally(kind).count
@@ -65,8 +65,8 @@ class TestHBTrackSemantics:
         assert a.tally(MessageKind.SM).mean_bytes == b.tally(MessageKind.SM).mean_bytes
 
     def test_dependency_knowledge_superset_of_optp(self):
-        runs = paired_runs(("optp", "hb-track"), 5, 0.5,
-                           ops_per_process=40, seed=3)
+        runs = {p: run_simulation(cell_config(p, 5, 0.5, ops_per_process=40, seed=3))
+                for p in ("optp", "hb-track")}
         for opt_p, hb_p in zip(runs["optp"].protocols, runs["hb-track"].protocols):
             # hb clock dominates the optp clock at every site: -> ⊇ ->co
             assert (hb_p.write_clock.v >= opt_p.write_clock.v).all()

@@ -23,7 +23,7 @@ from repro import (
     check_causal_consistency,
     run_simulation,
 )
-from repro.experiments.sweep import paired_runs
+from repro.experiments.sweep import cell_config
 from repro.metrics.collector import MessageKind
 from repro.workload.generator import generate_workload
 
@@ -157,21 +157,21 @@ class TestMetamorphicRelations:
     def test_partial_protocols_same_message_pattern(self):
         # Full-Track and Opt-Track differ only in metadata: same schedule
         # must produce the same number of each message kind
-        runs = paired_runs(("full-track", "opt-track"), 6, 0.5,
-                           ops_per_process=40, seed=4)
+        runs = {p: run_simulation(cell_config(p, 6, 0.5, ops_per_process=40, seed=4))
+                for p in ("full-track", "opt-track")}
         ft, ot = runs["full-track"].collector, runs["opt-track"].collector
         for kind in MessageKind:
             assert ft.tally(kind).count == ot.tally(kind).count
 
     def test_full_protocols_same_message_pattern(self):
-        runs = paired_runs(("opt-track-crp", "optp"), 6, 0.5,
-                           ops_per_process=40, seed=4)
+        runs = {p: run_simulation(cell_config(p, 6, 0.5, ops_per_process=40, seed=4))
+                for p in ("opt-track-crp", "optp")}
         a, b = runs["opt-track-crp"].collector, runs["optp"].collector
         assert a.tally(MessageKind.SM).count == b.tally(MessageKind.SM).count
 
     def test_opt_track_metadata_never_larger_total(self):
-        runs = paired_runs(("full-track", "opt-track"), 10, 0.5,
-                           ops_per_process=60, seed=9)
+        runs = {p: run_simulation(cell_config(p, 10, 0.5, ops_per_process=60, seed=9))
+                for p in ("full-track", "opt-track")}
         assert (runs["opt-track"].collector.total_metadata_bytes
                 < runs["full-track"].collector.total_metadata_bytes)
 

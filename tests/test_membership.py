@@ -90,6 +90,23 @@ def test_crash_stop_site_is_auto_evicted(protocol):
     assert report.ok, report.violations[:5]
 
 
+@pytest.mark.parametrize("protocol", ["full-track", "opt-track"])
+def test_late_packet_from_departed_site_is_not_applied_twice(protocol, capsys):
+    # a data packet from site 0 lands after site 0 left and its channels
+    # were forgotten; delivered, it re-opened channel 0 -> 5 at sequence
+    # 0 and site 5 applied writer 0's first write a second time
+    # (Full-Track: an apply-order violation; Opt-Track: its FIFO assert)
+    from repro.cli import main
+
+    rc = main(["check", "--protocol", protocol, "-n", "8", "-p", "3",
+               "--ops", "60", "--seed", "2", "--churn-joins", "1",
+               "--churn-leaves", "1", "--drop-rate", "0.05",
+               "--churn-seed", "2", "--fault-seed", "2"])
+    out = capsys.readouterr().out
+    assert f"{protocol}: causal consistency OK" in out
+    assert rc == 0
+
+
 def test_static_run_builds_no_view_manager():
     cfg = SimulationConfig(protocol="opt-track", n_sites=4, n_vars=12,
                            ops_per_process=20, seed=7, record_history=True)

@@ -78,11 +78,11 @@ class TestProtocolSafetyAndLiveness:
         seed=st.integers(0, 1000),
     )
     def test_partial_protocols_agree_on_counts(self, n, wr, seed):
-        from repro.experiments.sweep import paired_runs
+        from repro.experiments.sweep import cell_config
         from repro.metrics.collector import MessageKind
 
-        runs = paired_runs(("full-track", "opt-track"), n, wr,
-                           ops_per_process=15, seed=seed)
+        runs = {p: run_simulation(cell_config(p, n, wr, ops_per_process=15, seed=seed))
+                for p in ("full-track", "opt-track")}
         for kind in MessageKind:
             assert (runs["full-track"].collector.tally(kind).count
                     == runs["opt-track"].collector.tally(kind).count)
