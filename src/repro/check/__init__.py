@@ -3,7 +3,7 @@
 Three layers (see ``docs/static_analysis.md``):
 
 1. **AST lints** (:mod:`repro.check.lint`, :mod:`repro.check.rules`):
-   SIM001..SIM008, project-specific determinism rules with fix-it hints
+   SIM001..SIM007, project-specific determinism rules with fix-it hints
    and a mandatory-justification suppression syntax;
 2. **runtime sanitizers** (:mod:`repro.check.sanitizer`): the
    frozen-message network wrapper and the double-run divergence

@@ -2,7 +2,7 @@
 
 Sub-behaviours (composable in one invocation):
 
-* **lint** (default): run the SIM001..SIM008 AST rules over the given
+* **lint** (default): run the SIM001..SIM007 AST rules over the given
   paths (default ``src/``), print ``path:line:col: CODE message`` per
   finding, exit non-zero on any finding;
 * **--effects**: whole-program effect inference (EFF001..EFF003) — the

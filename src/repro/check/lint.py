@@ -4,7 +4,7 @@ The reproduction's claims rest on the simulator being bit-deterministic
 and on causal metadata (``Write`` matrices, KS logs, Dests lists) never
 being silently shared or reordered.  ``repro.check`` mechanically
 enforces the project conventions that keep runs reproducible with ~8
-AST rules (SIM001..SIM008, see :mod:`repro.check.rules`).
+AST rules (SIM001..SIM007, see :mod:`repro.check.rules`).
 
 Suppression syntax
 ------------------

@@ -1,7 +1,7 @@
 """Machine-readable report formats for ``repro check``: JSON and SARIF.
 
 One exporter consumes the findings of every pass — AST lints
-(SIM001..SIM008), the whole-program effect analysis (EFF...), and the
+(SIM001..SIM007), the whole-program effect analysis (EFF...), and the
 layer-contract check (LAY...) — so CI uploads a single artifact and
 diff tools see one stable schema.
 

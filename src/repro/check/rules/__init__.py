@@ -1,4 +1,4 @@
-"""simcheck rule registry: SIM001..SIM008.
+"""simcheck rule registry: SIM001..SIM007.
 
 ==========  ======================  =====================================
 code        name                    guards against
@@ -10,11 +10,11 @@ code        name                    guards against
 ``SIM005``  mutate-after-send       aliased message metadata rewritten
 ``SIM006``  float-ts-equality       exact == on accumulated float times
 ``SIM007``  raw-heapq               priority queues without (time, seq)
-``SIM008``  no-print                debug prints in library code
 ==========  ======================  =====================================
 
 ``SIM000`` is the framework's own pseudo-rule: a suppression comment
-without a ``-- justification``.
+without a ``-- justification``.  Debug prints in library code are
+ruff's ``T20`` gate (``[tool.ruff.lint]`` in ``pyproject.toml``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .defaults import MutableDefaultRule
 from .floateq import FloatTimestampEqualityRule
 from .heap import RawHeapqRule
 from .iteration import SetIterationRule
-from .printing import NoPrintRule
 from .randomness import UnseededRandomRule
 from .wallclock import WallClockRule
 
@@ -39,7 +38,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     MutateAfterSendRule,
     FloatTimestampEqualityRule,
     RawHeapqRule,
-    NoPrintRule,
 )
 
 

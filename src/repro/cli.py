@@ -626,17 +626,32 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_summarize(args: argparse.Namespace) -> int:
-    from .obs import load_trace, summarize_trace
+#: what a missing or malformed saved file raises while being read
+_BAD_FILE = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
-    print(summarize_trace(load_trace(args.trace), top=args.top))
+
+def _load_trace(path: str):
+    """A saved JSONL trace, or a one-line exit naming the bad file."""
+    from .obs import load_trace
+
+    try:
+        return load_trace(path)
+    except _BAD_FILE as exc:
+        raise SystemExit(
+            f"cannot load trace {path!r}: {type(exc).__name__}: {exc}")
+
+
+def _cmd_trace_summarize(args: argparse.Namespace) -> int:
+    from .obs import summarize_trace
+
+    print(summarize_trace(_load_trace(args.trace), top=args.top))
     return 0
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    from .obs import diff_traces, load_trace
+    from .obs import diff_traces
 
-    print(diff_traces(load_trace(args.trace_a), load_trace(args.trace_b)))
+    print(diff_traces(_load_trace(args.trace_a), _load_trace(args.trace_b)))
     return 0
 
 
@@ -776,15 +791,19 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     from .workload.traces import load_history
 
     out = Path(args.outdir)
-    config = json.loads((out / "config.json").read_text())
-    history = load_history(out / "history.jsonl")
-    placement = build_placement(SimulationConfig(
-        protocol=config["protocol"], n_sites=config["n_sites"],
-        n_vars=config["n_vars"],
-        replication_factor=config["replication_factor"],
-        placement=config.get("placement", "round-robin"),
-        seed=config.get("seed", 0),
-    ))
+    try:
+        config = json.loads((out / "config.json").read_text())
+        history = load_history(out / "history.jsonl")
+        placement = build_placement(SimulationConfig(
+            protocol=config["protocol"], n_sites=config["n_sites"],
+            n_vars=config["n_vars"],
+            replication_factor=config["replication_factor"],
+            placement=config.get("placement", "round-robin"),
+            seed=config.get("seed", 0),
+        ))
+    except _BAD_FILE as exc:
+        raise SystemExit(f"cannot load saved run {args.outdir!r}: "
+                         f"{type(exc).__name__}: {exc}")
     report = check_causal_consistency(history, placement)
     status = "OK" if report.ok else "VIOLATED"
     print(f"{config['protocol']} trace: causal consistency {status} "

@@ -147,7 +147,7 @@ class CausalCluster:
             raise UnknownSiteError(site, self.n_sites)
 
     def _check_up(self, site: int) -> None:
-        if self.crash_manager is not None and self.crash_manager.is_down(site):
+        if self.network.is_down(site):
             raise RuntimeError(
                 f"site {site} is down; recover_site({site}) first"
             )
@@ -219,10 +219,10 @@ class CausalCluster:
                     f"(channels blocked: {sorted(blocked)}); call heal() first"
                 )
         self.sim.run()
-        if self.crash_manager is not None and self.crash_manager.down:
+        if self.network.down:
             raise RuntimeError(
                 f"cluster cannot settle while sites are down "
-                f"({sorted(self.crash_manager.down)}); recover them first"
+                f"({sorted(self.network.down)}); recover them first"
             )
         held = self._held_by_site()
         if held:
@@ -335,14 +335,14 @@ class CausalCluster:
         """The current membership view (epoch 0 covers a static cluster)."""
         if self.view_manager is not None:
             return self.view_manager.view
-        return View(epoch=0, members=tuple(range(self.n_sites)),
+        return View(epoch=0, members=self.network.members,
                     capacity=self.n_sites)
 
     def membership_status(self, site: int) -> str:
         """``"member"``, ``"left"``, ``"evicted"``, or ``"unknown"``."""
         if self.view_manager is not None:
             return self.view_manager.membership_status(site)
-        return "member" if 0 <= site < self.n_sites else "unknown"
+        return "member" if self.network.is_member(site) else "unknown"
 
     def join_site(self) -> int:
         """Admit a new site now (fence, drain, bootstrap, new epoch).
@@ -384,16 +384,18 @@ class CausalCluster:
         * ``held_for_paused`` — delivery withheld for a paused site;
         * ``held_for_crashed`` — durably queued at senders for a crashed
           site (re-counted into ``in_flight`` as the rejoin drains it);
-        * ``in_flight`` — unacked on the wire between live sites.
+        * ``in_flight`` — on the wire: sent but not yet delivered (plain
+          path), or unacked between live sites (chaos path).
         """
         buffered = sum(p.pending_count for p in self.protocols)
         held_paused = sum(self._held_by_site().values())
         held_crashed = 0
-        in_flight = 0
         transport = self.network.transport
-        if transport is not None:
-            down = self.crash_manager.down if self.crash_manager else set()
-            held_crashed = sum(transport.unacked_to(d) for d in down)
+        if transport is None:
+            in_flight = self.network.app_messages_in_flight
+        else:
+            held_crashed = sum(transport.unacked_to(d)
+                               for d in self.network.down)
             in_flight = transport.unacked_count() - held_crashed
         return {
             "buffered": buffered,

@@ -542,10 +542,11 @@ def run_simulation(
         return Site(proto, workload.for_site(site_id), sim,
                     on_operation=on_operation, tracer=tracer)
 
+    # the run's one site list (and one protocol list), shared by
+    # reference with the crash and view managers; a joiner is appended once
     sites = [site_factory(i, proto) for i, proto in enumerate(protocols)]
     if crash_manager is not None:
-        # its own list: the view manager appends each joiner to both
-        crash_manager.sites = list(sites)
+        crash_manager.sites = sites
 
     view_manager: Optional[ViewManager] = None
     if config.churn:
@@ -582,14 +583,12 @@ def run_simulation(
                               overload_driver=overload_driver)
 
     dead_forever: set[int] = set()
-    departed: set[int] = set()
     if crash_manager is not None:
         dead_forever = crash_manager.down_forever()
-        departed = set(crash_manager.departed)
         lost = crash_manager.lost_operations()
         if lost:
             collector.record_lost_ops(lost)
-    if config.strict and not dead_forever and not departed:
+    if config.strict and not dead_forever and not system.network.departed:
         # crash-stop runs are exempt: a dead-forever site strands its own
         # schedule, and live sites can be legitimately stuck on state
         # frozen inside the dead site's outbound queue (those operations

@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..metrics.collector import MetricsCollector
     from ..obs.metrics import MetricsRegistry
     from .engine import ScheduledEvent, Simulator
+    from .network import Network
 
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL_MS",
@@ -117,6 +118,7 @@ class DurabilityLayer:
     only network traffic), so synchronising them keeps the event count
     low and the schedule deterministic.
 
+    Down and departed sites are skipped, as the network records them.
     The tick is self-perpetuating, which would keep the simulator alive
     forever; it therefore consults ``quiescent()`` (supplied by the
     crash-recovery manager) and stops rescheduling once the run has
@@ -127,6 +129,7 @@ class DurabilityLayer:
     def __init__(
         self,
         sim: "Simulator",
+        network: "Network",
         protocols: "list[CausalProtocol]",
         *,
         interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
@@ -135,13 +138,14 @@ class DurabilityLayer:
         if interval_ms <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.sim = sim
+        #: whose sites are down or departed (neither writes its disk)
+        self.net = network
+        #: the run's protocol list, shared (a joiner appears here when
+        #: the view manager appends it, before :meth:`add_site`)
         self.protocols = protocols
         self.interval_ms = float(interval_ms)
         self.collector = collector
         self.disks: list[SiteDisk] = []
-        #: ground truth for "is this site down right now"; wired by the
-        #: crash-recovery manager (always-up when running standalone)
-        self.is_down: Callable[[int], bool] = lambda site: False
         #: stop predicate for the periodic tick; wired by the manager
         self.quiescent: Callable[[], bool] = lambda: False
         self._tick_event: "Optional[ScheduledEvent]" = None
@@ -188,8 +192,6 @@ class DurabilityLayer:
         disk = SiteDisk(proto.site)
         disk.install_checkpoint(state, now)
         proto._wal = disk
-        if proto not in self.protocols:
-            self.protocols.append(proto)
         self.disks.append(disk)
         return disk
 
@@ -198,10 +200,11 @@ class DurabilityLayer:
         self._tick_event = None
         quiescent = self.quiescent()
         now = self.sim.now
+        down, departed = self.net.down, self.net.departed
         for proto, disk in zip(self.protocols, self.disks):
-            if self.is_down(proto.site):
+            if proto.site in down:
                 continue  # a crashed site cannot write its own disk
-            if proto._departed_status is not None:
+            if proto.site in departed:
                 continue  # a departed site's disk is frozen history
             if quiescent and not disk.wal:
                 continue  # nothing new since the last checkpoint

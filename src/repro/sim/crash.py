@@ -1,7 +1,9 @@
 """Site crash–recovery: orchestration of checkpoints, detection, rejoin.
 
-The :class:`CrashRecoveryManager` is the simulation-side authority on
-which sites are down.  It executes seeded crash plans
+The :class:`CrashRecoveryManager` crashes and restores sites; which
+sites are down (or departed) is recorded once, by the
+:class:`~repro.sim.network.Network` that enforces it at the wire, and
+the manager reads it there.  It executes seeded crash plans
 (:class:`~repro.sim.faults.CrashEvent`), coordinates the durable-state
 layer (:mod:`repro.sim.checkpoint`), the heartbeat failure detector
 (:mod:`repro.sim.failure_detector`) and the reliable transport, and
@@ -122,7 +124,7 @@ class CrashRecoveryManager:
         self,
         sim: "Simulator",
         network: "Network",
-        protocols: Sequence["CausalProtocol"],
+        protocols: "list[CausalProtocol]",
         durability: DurabilityLayer,
         *,
         detector: Optional[FailureDetector] = None,
@@ -134,24 +136,22 @@ class CrashRecoveryManager:
         self.sim = sim
         self.net = network
         self.transport = network.transport
-        self.protocols = list(protocols)
-        self.placement = self.protocols[0].ctx.placement
+        #: the run's protocol list, shared (a joiner appears here when
+        #: the view manager appends it)
+        self.protocols = protocols
+        self.placement = protocols[0].ctx.placement
         self.durability = durability
         self.detector = detector
-        #: the application sites a crash halts and a recovery resumes
-        #: (wired by the runner; None when sites are driven by hand)
+        #: the run's application sites a crash halts and a recovery
+        #: resumes, shared with the view manager (wired by the runner;
+        #: None when sites are driven by hand)
         self.sites: "Optional[list[Site]]" = None
         self.crashes = tuple(crashes)
         self.catchup = catchup if catchup is not None else CatchupPolicy()
         self.collector = collector
         self.tracer = tracer
-        self.n = network.n_sites
         #: elastic membership (wired by the view manager when churn is on)
         self.view_manager = None
-        #: sites that left the view for good (left or evicted)
-        self.departed: set[int] = set()
-        #: currently-down sites (ground truth)
-        self.down: set[int] = set()
         self.crash_time: dict[int, float] = {}
         #: sites restored but not yet done with anti-entropy
         self._catching_up: set[int] = set()
@@ -170,10 +170,8 @@ class CrashRecoveryManager:
         #: zero-overhead path); their counts are the collector's
         self.registry: "Optional[MetricsRegistry]" = None
         # wire the collaborators
-        durability.is_down = self.is_down
         durability.quiescent = self.quiescent
         if detector is not None:
-            detector.is_down = self.is_down
             detector.quiescent = self.quiescent
             detector.on_suspect = self._on_suspect
         if self.transport is not None:
@@ -193,30 +191,22 @@ class CrashRecoveryManager:
         self.durability.attach()
         if self.detector is not None:
             self.detector.start()
-            # site-local liveness oracle: a site avoids fetching from
-            # replicas it currently suspects (failover stays symmetric
-            # with what the site could locally know)
-            det = self.detector
-            for proto in self.protocols:
-                proto._liveness = (
-                    lambda target, _self=proto.site: not det.suspects(_self, target)
-                )
+        for proto in self.protocols:
+            self.adopt_site(proto)
+        n = self.net.n_sites
         for ev in self.crashes:
             self._plan_pending += 1
-            if ev.site >= self.n:
-                raise ValueError(f"crash plan names site {ev.site}; n={self.n}")
+            if ev.site >= n:
+                raise ValueError(f"crash plan names site {ev.site}; n={n}")
             self.sim.schedule_at(
                 ev.at_ms, lambda ev=ev: self._plan_crash(ev),
                 label=f"crash.plan site{ev.site}",
             )
 
-    def is_down(self, site: int) -> bool:
-        return site in self.down
-
     def down_forever(self) -> set[int]:
         """Down sites with no scheduled recovery (crash-stop victims)."""
         # simcheck: ignore[SIM003] -- set-to-set filter; construction order is never observable
-        return {s for s in self.down if s not in self._recovery_scheduled}
+        return {s for s in self.net.down if s not in self._recovery_scheduled}
 
     # ------------------------------------------------------------------
     # crash plan execution
@@ -235,7 +225,7 @@ class CrashRecoveryManager:
     def _plan_recover(self, site: int) -> None:
         self._plan_pending -= 1
         self._recovery_scheduled.discard(site)
-        if site in self.departed:
+        if site in self.net.departed:
             return  # evicted while down: the view moved on without it
         self.recover(site)
 
@@ -246,17 +236,18 @@ class CrashRecoveryManager:
         """Kill ``site`` now: volatile state is lost, durable state kept."""
         if self.view_manager is not None:
             self.view_manager.check_member(site)
-        if site in self.down:
+        net = self.net
+        if net.is_down(site):
             raise RuntimeError(f"site {site} is already down")
-        if self.net.is_paused(site):
+        if net.is_paused(site):
             # held messages were acked by the pause buffer but never
             # reached the WAL — crashing here would silently drop
             # acknowledged traffic and break ack-implies-durable
             raise RuntimeError(
                 f"site {site} is paused; resume_site() before crashing it"
             )
+        net.crash_site(site)
         now = self.sim.now
-        self.down.add(site)
         self.crash_time[site] = now
         self._detected.discard(site)
         # a crash during catch-up abandons the catch-up (restart on the
@@ -269,7 +260,6 @@ class CrashRecoveryManager:
             self.tracer.site_crash(site, now)
         if self.sites is not None:
             self.sites[site].crash()
-        self.net.crash_site(site)
         if self.transport is not None:
             self.transport.on_site_crash(site)
         if self.detector is not None:
@@ -279,7 +269,7 @@ class CrashRecoveryManager:
         """Restore ``site`` from disk, replay its WAL, start catch-up."""
         if self.view_manager is not None:
             self.view_manager.check_member(site)
-        if site not in self.down:
+        if not self.net.is_down(site):
             raise RuntimeError(f"site {site} is not down")
         now = self.sim.now
         proto = self.protocols[site]
@@ -294,7 +284,6 @@ class CrashRecoveryManager:
             proto.on_view_change(self.view_manager.view)
         replayed = proto.replay(disk.wal)
         downtime = now - self.crash_time[site]
-        self.down.discard(site)
         self._detected.discard(site)
         self.net.revive_site(site)
         if self.transport is not None:
@@ -331,17 +320,12 @@ class CrashRecoveryManager:
         self._responses[site] = {}
         self._catchup_round(site, self.catchup.round_interval_ms)
 
-    def _member_ids(self) -> Sequence[int]:
-        """Current member ids (the static range when churn is off)."""
-        if self.view_manager is not None:
-            return self.view_manager.view.members
-        return range(self.n)
-
     def _live_peers(self, site: int) -> list[int]:
-        return [p for p in self._member_ids() if p != site and p not in self.down]
+        down = self.net.down
+        return [p for p in self.net.members if p != site and p not in down]
 
     def _catchup_round(self, site: int, interval: float) -> None:
-        if site in self.down or site not in self._catching_up:
+        if self.net.is_down(site) or site not in self._catching_up:
             return
         if self._caught_up(site):
             self._finish_catchup(site, forced=False)
@@ -368,7 +352,7 @@ class CrashRecoveryManager:
         #    drops during downtime live in those queues — this is the
         #    real state-transfer barrier)
         if self.transport is not None and self.transport.unacked_to(
-            site, from_live_only=True, down=self.down
+            site, from_live_only=True, down=self.net.down
         ):
             return False
         # 2. every live peer answered at least once, and every digest
@@ -421,7 +405,7 @@ class CrashRecoveryManager:
     def _handle_packet(self, src: int, dst: int, packet: object,
                        dead: bool) -> bool:
         if isinstance(packet, SyncRequest):
-            if dead or dst in self.down:
+            if dead or self.net.is_down(dst):
                 return True
             if self.detector is not None:
                 self.detector.observe(dst, src)
@@ -439,7 +423,7 @@ class CrashRecoveryManager:
             self.net._transmit_raw(dst, packet.origin, resp, size)
             return True
         if isinstance(packet, SyncResponse):
-            if dead or dst in self.down:
+            if dead or self.net.is_down(dst):
                 return True
             if self.detector is not None:
                 self.detector.observe(dst, src)
@@ -481,19 +465,20 @@ class CrashRecoveryManager:
             return False
         if self.view_manager is not None and self.view_manager.busy():
             return False
-        members = self._member_ids()
+        net = self.net
+        members, down = net.members, net.down
         det = self.detector
         if det is not None:
-            inj = self.net.faults
+            inj = net.faults
             now = self.sim.now
             forever = (
                 inj.unhealed_partitions(now) if inj is not None else []
             )
             for o in members:
-                if o in self.down:
+                if o in down:
                     continue
                 for s in members:
-                    if s == o or s in self.down:
+                    if s == o or s in down:
                         continue
                     cut = (inj is not None
                            and inj.severed(s, o, now))
@@ -517,24 +502,24 @@ class CrashRecoveryManager:
         if self.transport is not None:
             # retransmissions into a dead site keep the loop alive until
             # its senders suspect it and pause; wait for that to settle
-            for d in sorted(self.down):
+            for d in sorted(down):
                 if self.transport.unacked_to(d, from_live_only=True,
-                                             down=self.down):
+                                             down=down):
                     for src in members:
-                        if src in self.down:
+                        if src in down:
                             continue
                         ch = self.transport._channels.get((src, d))
                         if (ch is not None and ch.sender.unacked
                                 and (src, d) not in self.transport.paused_pairs):
                             return False
-            if self.transport.unacked_between_live(self.down):
+            if self.transport.unacked_between_live(down):
                 return False
         if self.sites is not None:
             # departed sites count like dead-forever ones: a live site
             # blocked on a fetch into an evicted replica can never finish
-            dead_forever = self.down_forever() | self.departed
+            dead_forever = self.down_forever() | net.departed
             for site in self.sites:
-                if site.site_id in self.down or site.finished:
+                if site.site_id in down or site.finished:
                     continue
                 # unfinishable: blocked on a fetch while the only state
                 # that could unblock it is frozen in a dead-forever site
@@ -554,10 +539,11 @@ class CrashRecoveryManager:
         if self.sites is None:
             return 0
         lost = 0
-        dead_forever = self.down_forever() | self.departed
+        departed = self.net.departed
+        dead_forever = self.down_forever() | departed
         for site in self.sites:
             sid = site.site_id
-            if sid in self.departed:
+            if sid in departed:
                 if (self.view_manager is not None
                         and self.view_manager.membership_status(sid) == "evicted"):
                     lost += len(site.schedule) - site.completed_ops
@@ -581,30 +567,20 @@ class CrashRecoveryManager:
     # elastic membership (see repro.sim.membership)
     # ------------------------------------------------------------------
     def adopt_site(self, proto: "CausalProtocol") -> None:
-        """Take ownership of a joiner's protocol (id == len(protocols)).
-
-        The durability disk is installed separately via
-        :meth:`~repro.sim.checkpoint.DurabilityLayer.add_site`; the
-        joiner's :class:`~repro.sim.process.Site` is appended to
-        ``self.sites`` by the view manager once it exists.
-        """
-        if proto.site != len(self.protocols):
-            raise ValueError(
-                f"joiner id {proto.site} != next slot {len(self.protocols)}"
-            )
-        self.protocols.append(proto)
-        self.n = max(self.n, proto.site + 1)
-        if self.detector is not None:
-            det = self.detector
+        """Give a site (an initial one, or a joiner already in the shared
+        protocol list) the site-local liveness oracle: it avoids fetching
+        from replicas it currently suspects, so failover stays symmetric
+        with what the site could locally know."""
+        det = self.detector
+        if det is not None:
             proto._liveness = (
                 lambda target, _self=proto.site: not det.suspects(_self, target)
             )
 
     def retire_site(self, site: int) -> None:
-        """Close the book on a departed site: it is neither down nor
-        recoverable, and no catch-up or detection accounting applies."""
-        self.departed.add(site)
-        self.down.discard(site)
+        """Close the book on a departed site (the network already counts
+        it neither down nor a member): no recovery, catch-up or detection
+        accounting applies."""
         self.crash_time.pop(site, None)
         self._detected.discard(site)
         self._recovery_scheduled.discard(site)
@@ -618,7 +594,7 @@ class CrashRecoveryManager:
 def install_crash_recovery(
     sim: "Simulator",
     network: "Network",
-    protocols: Sequence["CausalProtocol"],
+    protocols: "list[CausalProtocol]",
     *,
     crashes: Sequence[CrashEvent] = (),
     checkpoint_interval_ms: Optional[float] = None,
@@ -645,7 +621,7 @@ def install_crash_recovery(
         )
     interval = (DEFAULT_CHECKPOINT_INTERVAL_MS
                 if checkpoint_interval_ms is None else checkpoint_interval_ms)
-    durability = DurabilityLayer(sim, protocols, interval_ms=interval,
+    durability = DurabilityLayer(sim, network, protocols, interval_ms=interval,
                                  collector=collector)
     detector = None
     if with_detector:

@@ -17,8 +17,9 @@ suspicion and resumes the channel with an eager flush.
 The per-pair timeout backs off exponentially on every suspicion
 (capped), so a flaky channel that keeps losing heartbeats stops
 flapping; a *genuine* rejoin resets the subject's column to the base
-timeout (the ground truth comes from the crash-recovery manager, which
-the simulation — unlike the sites — is allowed to know).
+timeout.  Who beats and watches, and whether a suspicion is false, are
+read from the network's record of members and down sites: ground truth
+the simulation — unlike the sites — is allowed to know.
 
 The periodic tick would keep the simulator alive forever, so it consults
 the manager's ``quiescent()`` predicate and stops rescheduling once the
@@ -96,12 +97,6 @@ class FailureDetector:
         self.policy = policy if policy is not None else DetectorPolicy()
         self.collector = collector
         self.tracer = tracer
-        self.n = network.n_sites
-        # elastic membership: who currently beats and watches; the view
-        # manager repoints this at the live view when churn is enabled
-        self.members_fn: Callable[[], tuple[int, ...]] = (
-            lambda: tuple(range(self.net.n_sites))
-        )
         self._last_heard: dict[tuple[int, int], float] = {}
         self._timeout: dict[tuple[int, int], float] = {}
         self.suspected: set[tuple[int, int]] = set()
@@ -111,7 +106,6 @@ class FailureDetector:
         self.false_suspicions = 0
         self.recoveries = 0
         # wired by the crash-recovery manager
-        self.is_down: Callable[[int], bool] = lambda site: False
         self.quiescent: Callable[[], bool] = lambda: False
         self.on_suspect: Optional[Callable[[int, int, bool], None]] = None
         self._tick_event: "Optional[ScheduledEvent]" = None
@@ -126,7 +120,7 @@ class FailureDetector:
         self._started = True
         now = self.sim.now
         base = self.policy.timeout_ms
-        members = self.members_fn()
+        members = self.net.members
         for o in members:
             for s in members:
                 if o != s:
@@ -147,17 +141,18 @@ class FailureDetector:
             return
         now = self.sim.now
         size = self.policy.heartbeat_size_bytes
-        members = self.members_fn()
+        net = self.net
+        members, down = net.members, net.down
         for origin in members:
-            if self.is_down(origin):
+            if origin in down:
                 continue  # the dead don't beat
             for dst in members:
                 if dst == origin:
                     continue
                 self.heartbeats_sent += 1
-                self.net._transmit_raw(origin, dst, HeartbeatPacket(origin), size)
+                net._transmit_raw(origin, dst, HeartbeatPacket(origin), size)
         for observer in members:
-            if self.is_down(observer):
+            if observer in down:
                 continue
             for subject in members:
                 if subject == observer or (observer, subject) in self.suspected:
@@ -176,7 +171,7 @@ class FailureDetector:
         self._timeout[pair] = min(
             self._timeout[pair] * self.policy.backoff, self.policy.max_timeout_ms
         )
-        actually_down = self.is_down(subject)
+        actually_down = self.net.is_down(subject)
         self.suspicions += 1
         if not actually_down:
             self.false_suspicions += 1
@@ -203,7 +198,7 @@ class FailureDetector:
                        dead: bool) -> bool:
         if not isinstance(packet, HeartbeatPacket):
             return False
-        if not dead and not self.is_down(dst):
+        if not dead and not self.net.is_down(dst):
             self.observe(dst, packet.origin)
         return True
 
@@ -222,7 +217,7 @@ class FailureDetector:
         a flaky channel)."""
         now = self.sim.now
         base = self.policy.timeout_ms
-        for other in self.members_fn():
+        for other in self.net.members:
             if other == site:
                 continue
             self._last_heard[(site, other)] = now
@@ -235,13 +230,12 @@ class FailureDetector:
     def add_member(self, site: int) -> None:
         """Seed pair state for a joiner: full grace period both ways.
 
-        Call *after* the view already includes ``site`` so the next tick
+        Call *after* the network has admitted ``site`` so the next tick
         finds every pair initialized.
         """
         now = self.sim.now
         base = self.policy.timeout_ms
-        self.n = max(self.n, site + 1)
-        for other in self.members_fn():
+        for other in self.net.members:
             if other == site:
                 continue
             for pair in ((site, other), (other, site)):

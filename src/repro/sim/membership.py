@@ -185,10 +185,13 @@ class ViewManager:
         self.crash_manager = crash_manager
         self.policy = policy or MembershipPolicy()
 
-        n = network.n_sites
-        self.view = View(epoch=0, members=tuple(range(n)), capacity=n)
-        #: site id -> "left" | "evicted", with the epoch it departed in
-        self.departed: dict[int, tuple[str, int]] = {}
+        # who is a member (and who is down or departed) is the network's
+        # record; the view is the numbered epoch it was announced as
+        self.view = View(epoch=0, members=network.members,
+                         capacity=network.n_sites)
+        #: how and when each departed site left: "left" | "evicted", and
+        #: the epoch it departed in (what DepartedSiteError reports)
+        self.departures: dict[int, tuple[str, int]] = {}
         self.stats = MembershipStats()
         self.stats.epoch_log.append((sim.now, self.view))
 
@@ -199,9 +202,6 @@ class ViewManager:
 
         if crash_manager is not None:
             crash_manager.view_manager = self
-        detector = self.detector
-        if detector is not None:
-            detector.members_fn = lambda: self.view.members
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -228,18 +228,18 @@ class ViewManager:
 
     def membership_status(self, site: int) -> str:
         """``"member"``, ``"left"``, ``"evicted"``, or ``"unknown"``."""
-        if site in self.view:
+        if self.network.is_member(site):
             return "member"
-        gone = self.departed.get(site)
+        gone = self.departures.get(site)
         if gone is not None:
             return gone[0]
         return "unknown"
 
     def check_member(self, site: int) -> None:
         """Raise the typed error for a non-member site id."""
-        if site in self.view:
+        if self.network.is_member(site):
             return
-        gone = self.departed.get(site)
+        gone = self.departures.get(site)
         if gone is not None:
             raise DepartedSiteError(site, gone[0], gone[1])
         raise UnknownSiteError(site, self.view.capacity)
@@ -275,7 +275,7 @@ class ViewManager:
         self._pump()
 
     def request_evict(self, site: int) -> None:
-        if site in self._evict_pending or site in self.departed:
+        if site in self._evict_pending or site in self.network.departed:
             return
         self._evict_pending.add(site)
         self._queue.append(_PendingChange("evict", site))
@@ -300,9 +300,8 @@ class ViewManager:
         detector.on_suspect = hook
 
     def _note_suspicion(self, subject: int, actually_down: bool, after: float) -> None:
-        if not actually_down or subject not in self.view:
-            return
-        if subject in self._evict_pending or subject in self.departed:
+        if (not actually_down or not self.network.is_member(subject)
+                or subject in self._evict_pending):
             return
         mgr = self.crash_manager
         if mgr is None or subject not in mgr.down_forever():
@@ -316,7 +315,7 @@ class ViewManager:
 
     def _maybe_evict(self, subject: int) -> None:
         self._evict_pending.discard(subject)
-        if subject in self.departed or subject not in self.view:
+        if not self.network.is_member(subject):
             return
         mgr = self.crash_manager
         if mgr is None or subject not in mgr.down_forever():
@@ -364,10 +363,10 @@ class ViewManager:
             self.stats.skipped_changes += 1
             raise UnknownSiteError(int(site) if site is not None else -1,
                                    self.view.capacity)
-        if site in self.departed:
+        if site in self.network.departed:
             return "drop"
         mgr = self.crash_manager
-        down = mgr is not None and site in mgr.down
+        down = self.network.is_down(site)
         if change.kind == "leave":
             if down:
                 if mgr is not None and site in mgr.down_forever():
@@ -431,7 +430,7 @@ class ViewManager:
         if action == "drop":
             self.stats.skipped_changes += 1
             raise DepartedSiteError(site, self.membership_status(site)) \
-                if site in self.departed else \
+                if site in self.network.departed else \
                 MembershipError(f"{kind} of site {site} is not applicable")
         if action == "retry":
             raise MembershipError(
@@ -460,7 +459,7 @@ class ViewManager:
     def _hold_all(self, exclude: frozenset = frozenset()) -> None:
         if self.sites is None:
             return
-        for m in self.view.members:
+        for m in self.network.members:
             if m in exclude or m >= len(self.sites):
                 continue
             site = self.sites[m]
@@ -470,7 +469,7 @@ class ViewManager:
     def _release_all(self) -> None:
         if self.sites is None:
             return
-        for m in self.view.members:
+        for m in self.network.members:
             if m >= len(self.sites):
                 continue
             site = self.sites[m]
@@ -491,12 +490,9 @@ class ViewManager:
         inflight = net.app_messages_in_flight
         if inflight:
             blockers.append(f"{inflight} app message(s) in flight")
-        mgr = self.crash_manager
-        down = set(mgr.down) if mgr is not None else set()
-        gone = down | set(self.departed) | set(exclude)
-        for m in self.view.members:
-            if m in gone:
-                continue
+        gone = net.down | net.departed | exclude
+        live = [m for m in net.members if m not in gone]
+        for m in live:
             held = net.held_count(m)
             if held:
                 blockers.append(f"{held} message(s) held for paused site {m}")
@@ -505,9 +501,7 @@ class ViewManager:
             unacked = transport.unacked_between_live(gone)
             if unacked:
                 blockers.append(f"{unacked} unacked packet(s) between live members")
-        for m in self.view.members:
-            if m in gone:
-                continue
+        for m in live:
             buffered = self.protocols[m].buffered_count
             if buffered:
                 blockers.append(f"site {m} has {buffered} buffered message(s)")
@@ -532,16 +526,14 @@ class ViewManager:
         return view
 
     def _live_members(self) -> list[int]:
-        mgr = self.crash_manager
-        down = mgr.down if mgr is not None else ()
-        return [m for m in self.view.members if m not in down]
+        down = self.network.down
+        return [m for m in self.network.members if m not in down]
 
     def _announce(self, view: View, *, skip: frozenset = frozenset()) -> None:
-        """Grow/remap every live member's protocol metadata.  Down
-        members are grown later, by crash recovery, right after their
-        checkpoint is restored (see CrashRecoveryManager.recover)."""
-        mgr = self.crash_manager
-        down = mgr.down if mgr is not None else ()
+        """Grow/remap every live member of ``view``'s protocol metadata.
+        Down members are grown later, by crash recovery, right after
+        their checkpoint is restored (see CrashRecoveryManager.recover)."""
+        down = self.network.down
         for m in view.members:
             if m in down or m in skip:
                 continue
@@ -562,7 +554,7 @@ class ViewManager:
 
         view = View(
             epoch=self.view.epoch + 1,
-            members=self.view.members + (new_id,),
+            members=self.network.members,
             capacity=new_id + 1,
         )
         # grow the existing live members first so a donor snapshot is
@@ -570,7 +562,7 @@ class ViewManager:
         self._announce(view, skip=frozenset((new_id,)))
 
         proto = self.protocol_factory(new_id)
-        self.protocols.append(proto)
+        self.protocols.append(proto)  # the run's one list, shared
         self.network.register(new_id, proto.on_message)
 
         mgr = self.crash_manager
@@ -605,8 +597,6 @@ class ViewManager:
         if self.site_factory is not None and self.sites is not None:
             site = self.site_factory(new_id, proto)
             self.sites.append(site)
-            if mgr is not None:
-                mgr.sites.append(site)
             site.start()
         return view
 
@@ -639,7 +629,7 @@ class ViewManager:
                 site.retire()
         proto = self.protocols[victim]
         proto.mark_departed()
-        self.departed[victim] = (status, view.epoch)
+        self.departures[victim] = (status, view.epoch)
 
     def _do_leave(self, victim: int) -> View:
         members = [m for m in self.view.members if m != victim]

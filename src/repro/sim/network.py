@@ -232,11 +232,14 @@ class Network:
         # (per-channel FIFO preserved) until resumed
         self._paused: set[int] = set()
         self._held: dict[int, list[tuple[int, object]]] = {}
-        # crash-recovery: packets to a down site are dropped at the wire
-        self._down: set[int] = set()
-        # elastic membership: departed sites never come back — traffic
-        # addressed to them is dropped (counted), sends to them raise
-        self._departed: set[int] = set()
+        # The one record of site liveness: the crash manager, failure
+        # detector, checkpoint layer and view manager all read these two
+        # sets, and only crash_site / revive_site / retire_site write
+        # them.  Packets to a down site are dropped at the wire
+        # (crash-recovery); departed sites never come back — traffic
+        # involving them is dropped (counted), sends to them raise.
+        self.down: set[int] = set()
+        self.departed: set[int] = set()
         self.departed_drops = 0
         # seed-path app messages scheduled but not yet handed to the
         # receiver; the view-change fence drains on this reaching zero
@@ -314,14 +317,14 @@ class Network:
                 "crash_site() needs the chaos transport (fault_plan=...); "
                 "the reliable seed path cannot lose messages"
             )
-        self._down.add(site)
+        self.down.add(site)
 
     def revive_site(self, site: int) -> None:
         self._check_site(site)
-        self._down.discard(site)
+        self.down.discard(site)
 
     def is_down(self, site: int) -> bool:
-        return site in self._down
+        return site in self.down
 
     def held_count(self, site: int) -> int:
         """Messages currently held for a paused site."""
@@ -352,10 +355,20 @@ class Network:
         all traffic involving it is dropped (counted) and sends *to* it
         raise :class:`~repro.sim.membership.DepartedSiteError`."""
         self._check_site(site)
-        self._departed.add(site)
+        self.departed.add(site)
         self._paused.discard(site)
         self.departed_drops += len(self._held.pop(site, ()))
-        self._down.discard(site)
+        self.down.discard(site)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The current view's site ids, ascending: every id issued so far
+        except the departed (a down site is still a member)."""
+        departed = self.departed
+        return tuple(s for s in range(self.n_sites) if s not in departed)
+
+    def is_member(self, site: int) -> bool:
+        return 0 <= site < self.n_sites and site not in self.departed
 
     @property
     def app_messages_in_flight(self) -> int:
@@ -451,13 +464,13 @@ class Network:
         """
         self._check_site(src)
         self._check_site(dst)
-        if src in self._departed:
+        if src in self.departed:
             # a straggler timer or scheduled event from a retired site;
             # its output is irrelevant by construction (it was drained
             # before departure), so drop rather than crash the run
             self.departed_drops += 1
             return None
-        if dst in self._departed:
+        if dst in self.departed:
             from .membership import DepartedSiteError
 
             raise DepartedSiteError(dst, "departed")
@@ -475,7 +488,7 @@ class Network:
         ``send`` — so every delivery's ``(time, seq)`` is what the loop
         of sends below produces.
         """
-        if self.transport is not None or self._departed:
+        if self.transport is not None or self.departed:
             for dst in dests:
                 self.send(src, dst, message, size_bytes=size_bytes)
             return
@@ -530,7 +543,7 @@ class Network:
 
     def _deliver_app(self, src: int, dst: int, message: object) -> None:
         """Hand a message up to the application, honoring paused sites."""
-        if dst in self._departed:
+        if dst in self.departed:
             self.departed_drops += 1
             return
         if dst in self._paused:
@@ -637,10 +650,10 @@ class Network:
         has left, its channels are forgotten, and a late packet would
         otherwise re-open one at sequence 0 and be applied twice.
         """
-        if dst in self._departed or src in self._departed:
+        if dst in self.departed or src in self.departed:
             self.departed_drops += 1
             return
-        if dst in self._down:
+        if dst in self.down:
             if self.collector is not None:
                 self.collector.record_dead_site_drop()
             self.transport.on_dead_drop(src, dst, packet)

@@ -139,7 +139,7 @@ class TestExplain:
     def test_list_rules_covers_all_codes(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM001", "SIM008", "SIM000", "SIM999",
+        for code in ("SIM001", "SIM007", "SIM000", "SIM999",
                      "EFF001", "EFF002", "EFF003",
                      "LAY001", "LAY002", "LAY003"):
             assert code in out

@@ -1,4 +1,4 @@
-"""Tests for the simcheck AST lint layer (SIM001..SIM008 + SIM000).
+"""Tests for the simcheck AST lint layer (SIM001..SIM007 + SIM000).
 
 Each rule gets a fixture file with a known violation (written under a
 ``repro/...`` relative path so the path-scoped rules engage) plus a
@@ -418,23 +418,51 @@ class TestRawHeapq:
 
 
 # ----------------------------------------------------------------------
-# SIM008 bare print
+# bare print: ruff's T20 gate (the CI `lint` job), configured once in
+# pyproject.toml
 # ----------------------------------------------------------------------
-class TestNoPrint:
-    def test_print_in_library_flagged(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            def f():
-                print("debug")
-        """, codes=["SIM008"])
-        assert codes_of(findings) == ["SIM008"]
+def ruff_print_gate():
+    """``(selected rule prefixes, {glob: ignored codes})`` of pyproject's
+    ruff configuration."""
+    import tomllib
 
-    def test_cli_and_examples_exempt(self, tmp_path):
-        for rel in ("repro/cli.py", "examples/fx.py", "tests/fx.py"):
-            findings = run_lint(tmp_path, rel, """
-                def f():
-                    print("user-facing output")
-            """, codes=["SIM008"])
-            assert findings == [], rel
+    lint = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())[
+        "tool"]["ruff"]["lint"]
+    return lint["select"], lint["per-file-ignores"]
+
+
+def print_exempt(path: str) -> bool:
+    from fnmatch import fnmatch
+
+    _, ignores = ruff_print_gate()
+    return any(fnmatch(path, glob) and "T20" in codes
+               for glob, codes in ignores.items())
+
+
+class TestNoPrint:
+    def test_print_in_library_flagged(self):
+        select, _ = ruff_print_gate()
+        assert "T20" in select
+        for path in ("src/repro/core/fx.py", "src/repro/sim/network.py",
+                     "src/repro/cluster.py", "src/repro/check/lint.py"):
+            assert not print_exempt(path), path
+
+    def test_cli_and_examples_exempt(self):
+        _, ignores = ruff_print_gate()
+        # exactly the three CLIs plus the non-library trees
+        assert ignores == {
+            "src/repro/cli.py": ["T20"],
+            "src/repro/check/cli.py": ["T20"],
+            "src/repro/perf/cli.py": ["T20"],
+            "examples/*": ["T20"],
+            "benchmarks/*": ["T20"],
+            "tests/*": ["T20"],
+        }
+        for path in ("src/repro/cli.py", "src/repro/check/cli.py",
+                     "src/repro/perf/cli.py"):
+            assert (REPO_ROOT / path).is_file(), path
+        for path in ("examples/fx.py", "benchmarks/fx.py", "tests/fx.py"):
+            assert print_exempt(path), path
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +562,7 @@ class TestFramework:
         assert codes_of(findings) == ["SIM999"]
 
     def test_rule_registry_complete(self):
-        expected = {f"SIM00{i}" for i in range(1, 9)}
+        expected = {f"SIM00{i}" for i in range(1, 8)}
         assert {cls.code for cls in ALL_RULES} == expected
         for cls in ALL_RULES:
             rule = rule_by_code(cls.code)

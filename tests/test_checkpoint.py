@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.sim.checkpoint import DurabilityLayer, SiteDisk, WalRecord
 from repro.sim.engine import Simulator
+from repro.sim.network import Network
 from repro.verify.causal_checker import check_causal_consistency
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp"]
@@ -127,9 +128,10 @@ class TestSiteDisk:
         assert (r.kind, r.var, r.value) == ("write", 4, "x")
 
     def test_checkpoint_policy_validation(self):
+        sim = Simulator()
         for interval in (0.0, -5.0):
             with pytest.raises(ValueError):
-                DurabilityLayer(Simulator(), [], interval_ms=interval)
+                DurabilityLayer(sim, Network(sim, 1), [], interval_ms=interval)
 
 
 class TestWalReplay:

@@ -99,6 +99,30 @@ def test_tier_1_job_runs_the_live_suites_in_asyncio_debug_mode():
     assert workflow["defaults"]["run"]["shell"] == "bash"
 
 
+def test_lint_job_runs_ruff_with_the_print_gate():
+    # bare print in library code has one gate, ruff's T20 (the SIM008
+    # AST rule that duplicated it, with a second allowlist, is retired)
+    import tomllib
+
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    (step,) = [step for step in workflow["jobs"]["lint"]["steps"]
+               if "ruff check" in step.get("run", "")]
+    words = step["run"].split()
+    assert words[:3] == ["ruff", "check", "src/"]
+    assert {"tests/", "examples/", "benchmarks/"} <= set(words[3:])
+    assert not [w for w in words if w.startswith("--")]  # no --ignore etc.
+    pyproject = tomllib.loads(
+        (WORKFLOW.parents[2] / "pyproject.toml").read_text())
+    assert "T20" in pyproject["tool"]["ruff"]["lint"]["select"]
+    # the simcheck step names the rules that are registered
+    from repro.check.rules import ALL_RULES
+
+    (simcheck,) = [step for step in workflow["jobs"]["check"]["steps"]
+                   if step.get("name", "").startswith("simcheck lints")]
+    assert simcheck["name"] == (f"simcheck lints ({ALL_RULES[0].code}.."
+                                f"{ALL_RULES[-1].code})")
+
+
 def test_exhibits_job_runs_the_papers_benchmarks():
     # ROADMAP item 6-iii: the Section-V regression suite ran nowhere
     workflow = yaml.safe_load(WORKFLOW.read_text())

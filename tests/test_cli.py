@@ -111,6 +111,50 @@ class TestOverloadFlags:
                   "--send-window", "0"])
 
 
+class TestSavedFileErrors:
+    """A missing or malformed saved trace / run directory is a one-line
+    exit naming the file, never a traceback."""
+
+    @staticmethod
+    def exit_message(argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    def test_verify_trace_on_a_missing_dir(self, tmp_path):
+        missing = str(tmp_path / "does-not-exist")
+        message = self.exit_message(["verify-trace", missing])
+        assert missing in message and "FileNotFoundError" in message
+
+    def test_verify_trace_on_a_malformed_config(self, tmp_path):
+        (tmp_path / "config.json").write_text("{not json")
+        message = self.exit_message(["verify-trace", str(tmp_path)])
+        assert "JSONDecodeError" in message
+
+    def test_verify_trace_on_a_config_missing_a_field(self, tmp_path):
+        (tmp_path / "config.json").write_text('{"protocol": "optp"}')
+        (tmp_path / "history.jsonl").write_text("")
+        assert "KeyError" in self.exit_message(["verify-trace", str(tmp_path)])
+
+    @pytest.mark.parametrize("verb", ["summarize", "diff"])
+    def test_trace_verbs_on_a_missing_file(self, tmp_path, verb):
+        missing = str(tmp_path / "does-not-exist.jsonl")
+        argv = ["trace", verb, missing] + ([missing] if verb == "diff" else [])
+        message = self.exit_message(argv)
+        assert missing in message and "FileNotFoundError" in message
+
+    @pytest.mark.parametrize("verb", ["summarize", "diff"])
+    @pytest.mark.parametrize("text", ["{not json\n", "[1, 2]\n", '{"a": 1}\n'],
+                             ids=["not-json", "not-an-object", "not-an-event"])
+    def test_trace_verbs_on_a_malformed_file(self, tmp_path, verb, text):
+        bad = tmp_path / "trace.jsonl"
+        bad.write_text(text)
+        argv = ["trace", verb, str(bad)] + ([str(bad)] if verb == "diff" else [])
+        assert str(bad) in self.exit_message(argv)
+
+
 class TestSoakCommand:
     def test_soak_parser_defaults(self):
         args = build_parser().parse_args(["soak"])

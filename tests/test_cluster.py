@@ -60,6 +60,19 @@ class TestBasics:
         c.advance(100.0)
         assert c.read(1, 0) == 1
 
+    def test_pending_breakdown_counts_plain_path_messages_on_the_wire(self):
+        c = make(protocol="optp", latency=ConstantLatency(50.0))
+        c.write(0, 0, 1)
+        assert c.network.app_messages_in_flight == 3
+        assert c.pending_breakdown() == {
+            "buffered": 0, "held_for_paused": 0, "held_for_crashed": 0,
+            "in_flight": 3,
+        }
+        # messages on the wire are the network's business, not a backlog
+        assert c.pending_messages() == 0
+        c.settle()
+        assert c.pending_breakdown()["in_flight"] == 0
+
     def test_check_passes_for_real_run(self):
         c = make(protocol="full-track", n=4)
         for k in range(10):

@@ -17,6 +17,7 @@ import pytest
 
 from repro import (
     CausalCluster,
+    ChannelFaults,
     CrashEvent,
     FaultPlan,
     Partition,
@@ -24,6 +25,7 @@ from repro import (
     UniformLatency,
     run_simulation,
 )
+from repro.core import protocol_names
 from repro.sim.failure_detector import DetectorPolicy
 from repro.sim.faults import JoinEvent, LeaveEvent, seeded_churn
 from repro.sim.membership import (
@@ -116,17 +118,42 @@ def test_static_run_builds_no_view_manager():
     assert all(p._members is None for p in result.protocols)
 
 
-def test_double_run_differ_accepts_multi_epoch_history():
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_double_run_differ_accepts_multi_epoch_history(protocol, monkeypatch):
+    # same seed => same bytes across the whole crash + membership stack:
+    # a crash-recovery, a crash-stop escalated into an eviction, a join
+    # and a leave, over a lossy transport
     from repro.check import double_run
+    from repro.experiments import runner
 
+    results = []
+    run = runner.run_simulation
+
+    def recording_run(cfg, **kw):
+        results.append(run(cfg, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(runner, "run_simulation", recording_run)
     cfg = SimulationConfig(
-        protocol="opt-track", n_sites=4, n_vars=10, ops_per_process=20,
-        seed=11, record_history=True, fault_plan=FaultPlan.build(
+        protocol=protocol, n_sites=5, n_vars=10, ops_per_process=20,
+        seed=11, record_history=True, auto_evict_after_ms=800.0,
+        fault_plan=FaultPlan.build(
+            default=ChannelFaults(drop_rate=0.05),
             membership=[JoinEvent(at_ms=300.0), LeaveEvent(site=0, at_ms=900.0)],
+            crashes=[CrashEvent(2, 400.0, 1200.0), CrashEvent(4, 700.0)],
         ),
     )
     report = double_run(cfg)
     assert report.identical, report.format()
+    assert len(results) == 2
+    for result in results:
+        vm = result.view_manager
+        stats = vm.stats
+        assert (stats.joins, stats.leaves, stats.evictions) == (1, 1, 1)
+        # the network's record of members is the announced view's
+        assert vm.network.members == vm.view.members == (1, 2, 3, 5)
+        assert result.collector.crashes == 2
+        assert result.collector.downtime.count == 1  # one restore
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +221,7 @@ def test_join_site_serves_reads_and_writes():
     joiner = cluster.join_site()
     assert joiner == 4
     assert cluster.view.epoch == 1
+    assert cluster.network.members == cluster.view.members == (0, 1, 2, 3, 4)
     assert cluster.membership_status(joiner) == "member"
     cluster.write(joiner, var=1, value="from-joiner")
     cluster.settle()
@@ -239,6 +267,7 @@ def test_operations_on_departed_sites_fail_fast():
     cluster.write(0, var=0, value=1)
     cluster.settle()
     cluster.leave_site(2)
+    assert cluster.network.members == cluster.view.members == (0, 1, 3)
 
     with pytest.raises(DepartedSiteError) as exc:
         cluster.write(2, var=0, value=2)
