@@ -456,9 +456,22 @@ def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
     return plan
 
 
+def _require(ok: bool, flag: str, value: object, want: str) -> None:
+    """A one-line exit naming ``flag`` unless ``ok``."""
+    if not ok:
+        raise SystemExit(f"invalid {flag} {value!r}: want {want}")
+
+
 def _config_from_args(args: argparse.Namespace,
                       **overrides: object) -> SimulationConfig:
     """The :class:`SimulationConfig` :func:`_add_sim_args` describes."""
+    _require(args.sites >= 1, "-n/--sites", args.sites, "at least 1")
+    _require(args.vars >= 1, "-q/--vars", args.vars, "at least 1")
+    _require(args.ops >= 1, "--ops", args.ops, "at least 1")
+    _require(0.0 <= args.write_rate <= 1.0, "-w/--write-rate",
+             args.write_rate, "a rate in [0, 1]")
+    _require(args.replicas is None or 1 <= args.replicas <= args.sites,
+             "-p/--replicas", args.replicas, f"1 to {args.sites} (-n)")
     return SimulationConfig(
         protocol=args.protocol,
         n_sites=args.sites,
@@ -497,7 +510,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_runs(args: argparse.Namespace) -> None:
+    """``--ops`` / ``--seeds`` of the exhibit verbs."""
+    _require(args.ops >= 1, "--ops", args.ops, "at least 1")
+    _require(args.seeds >= 1, "--seeds", args.seeds, "at least 1")
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    _require_runs(args)
     exhibit = EXHIBITS[args.id]
     rows = exhibit.rows(ops_per_process=args.ops, seeds=tuple(range(args.seeds)))
     print(format_table(rows, title=f"{args.id}: {exhibit.title}"))
@@ -508,6 +528,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    _require_runs(args)
     report = reproduce_all(
         args.outdir,
         ops_per_process=args.ops,
@@ -954,9 +975,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.loadgen import http_request
 
     run_dir = Path(args.dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     if args.topology:
-        topology = load_topology(args.topology)
+        try:
+            topology = load_topology(args.topology)
+        except _BAD_FILE as exc:
+            raise SystemExit(f"cannot load --topology {args.topology!r}: "
+                             f"{type(exc).__name__}: {exc}")
     else:
         if args.protocol not in protocol_names():
             raise SystemExit(f"unknown protocol {args.protocol!r}")
@@ -970,6 +994,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             base_port=args.base_port,
             history_dir=str(run_dir),
         )
+    run_dir.mkdir(parents=True, exist_ok=True)
     topo_path = run_dir / "topology.json"
     save_topology(topology, topo_path)
 
@@ -1053,7 +1078,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .service.bootstrap import load_topology
     from .service.loadgen import run_loadgen
 
-    topology = load_topology(args.topology)
+    try:
+        topology = load_topology(args.topology)
+    except _BAD_FILE as exc:
+        raise SystemExit(f"cannot load --topology {args.topology!r}: "
+                         f"{type(exc).__name__}: {exc}")
     report = run_loadgen(
         topology, ops=args.ops, seed=args.seed,
         write_fraction=args.write_fraction,

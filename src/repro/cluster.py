@@ -22,18 +22,29 @@ moves time forward (delivering messages along the way), ``settle`` runs
 to quiescence.  ``read`` drives the simulator just far enough for the
 read to complete when it must fetch remotely, so it can simply return
 the value.
+
+That surface — ``read`` / ``read_with_id`` / ``advance`` / ``settle`` /
+``check`` — is :class:`Cluster`'s, written once for every substrate
+that runs on a :class:`~repro.sim.engine.Simulator`.
+:class:`~repro.loopback.LoopbackCluster` is the other one: the live
+service stack with the kernel as its clock.  A fault operation only the
+simulator has (``partition``, ``crash_site``, ``join_site`` ...) lives
+on :class:`CausalCluster` alone.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from abc import ABC, abstractmethod
+from typing import Callable, Optional, Sequence
 
-from .core.base import get_protocol_class
+from .core.base import CausalProtocol, get_protocol_class
 from .experiments.runner import SimulationConfig, build_system
+from .memory.replication import Placement
 from .memory.store import WriteId
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .obs.tracer import Tracer
 from .sim.crash import CatchupPolicy
+from .sim.engine import Simulator
 from .sim.failure_detector import DetectorPolicy
 from .sim.faults import FaultPlan
 from .sim.membership import (
@@ -46,11 +57,91 @@ from .sim.membership import (
 from .sim.network import LatencyModel, UniformLatency
 from .sim.reliable import RetransmitPolicy
 from .verify.causal_checker import CheckReport, check_causal_consistency
+from .verify.history import HistoryRecorder
 
-__all__ = ["CausalCluster"]
+__all__ = ["Cluster", "CausalCluster"]
+
+#: a read's completion callback: ``(value, write_id, was_remote)``
+ReadCallback = Callable[[object, Optional[WriteId], bool], None]
 
 
-class CausalCluster:
+class Cluster(ABC):
+    """Sites of one protocol on a simulation kernel, driven manually.
+
+    A substrate sets ``sim`` (the kernel its messages and timers ride),
+    ``placement``, ``protocols`` (one core per site, in site order) and
+    ``history`` (the one recorder every site writes), and says how a
+    write and a read are issued at a site and what besides the
+    protocols' buffers must be empty at quiescence.
+    """
+
+    sim: Simulator
+    placement: Placement
+    protocols: list[CausalProtocol]
+    history: HistoryRecorder
+
+    @property
+    def now(self) -> float:
+        """Current simulated time in milliseconds."""
+        return self.sim.now
+
+    @abstractmethod
+    def write(self, site: int, var: int, value: object) -> WriteId:
+        """Issue w(x_var)value at ``site`` at the current simulated time."""
+
+    @abstractmethod
+    def _issue_read(self, site: int, var: int, on_complete: ReadCallback) -> None:
+        """Issue r(x_var) at ``site``; ``on_complete`` fires when it is done."""
+
+    @abstractmethod
+    def _unsettled(self) -> Optional[str]:
+        """Why the drained kernel is not quiescence, if it is not."""
+
+    def read(self, site: int, var: int) -> object:
+        """Issue r(x_var) at ``site``; returns the value (driving the
+        simulator forward if a remote fetch is needed)."""
+        value, _ = self.read_with_id(site, var)
+        return value
+
+    def read_with_id(self, site: int, var: int) -> tuple[object, Optional[WriteId]]:
+        """Like :meth:`read` but also returns the write id of the value."""
+        done: list[tuple[object, Optional[WriteId]]] = []
+        self._issue_read(site, var,
+                         lambda value, wid, was_remote: done.append((value, wid)))
+        while not done:
+            if not self.sim.step():
+                raise RuntimeError(
+                    f"read of var {var} at site {site} can never complete "
+                    "(no events left — protocol deadlock?)"
+                )
+        return done[0]
+
+    def advance(self, delta_ms: float) -> None:
+        """Run the simulation ``delta_ms`` ms forward."""
+        if delta_ms < 0:
+            raise ValueError("cannot advance by a negative duration")
+        self.sim.run(until=self.sim.now + delta_ms)
+
+    def settle(self) -> None:
+        """Run until every in-flight message is delivered and applied."""
+        self.sim.run()
+        problem = self._unsettled()
+        if problem is None:
+            undrained = {p.site: p.pending_count
+                         for p in self.protocols if p.pending_count}
+            if undrained:
+                problem = f"cluster cannot settle; buffers stuck: {undrained}"
+        if problem is not None:
+            raise RuntimeError(problem)
+
+    def check(self) -> CheckReport:
+        """Run the causal-consistency checker over everything so far."""
+        if not self.history.enabled:
+            raise RuntimeError("cluster was built with record_history=False")
+        return check_causal_consistency(self.history, self.placement)
+
+
+class CausalCluster(Cluster):
     """A causally consistent replicated key-value memory, driven manually."""
 
     def __init__(
@@ -131,11 +222,6 @@ class CausalCluster:
         """Current id-space size (grows when sites join; never shrinks)."""
         return self.network.n_sites
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self.sim.now
-
     def _check_site(self, site: int) -> None:
         if self.view_manager is not None:
             # typed membership errors: UnknownSiteError for never-issued
@@ -175,38 +261,12 @@ class CausalCluster:
         self._op_counter += 1
         return self.protocols[site].write(var, value, op_index=self._op_counter)
 
-    def read(self, site: int, var: int) -> object:
-        """Issue r(x_var) at ``site``; returns the value (driving the
-        simulator forward if a remote fetch is needed)."""
-        value, _ = self.read_with_id(site, var)
-        return value
-
-    def read_with_id(self, site: int, var: int) -> tuple[object, Optional[WriteId]]:
-        """Like :meth:`read` but also returns the write id of the value."""
+    def _issue_read(self, site: int, var: int, on_complete: ReadCallback) -> None:
         self._check_site(site)
         self._check_up(site)
         self._wake()
         self._op_counter += 1
-        done: list[tuple[object, Optional[WriteId]]] = []
-
-        def on_complete(value: object, wid: Optional[WriteId], was_remote: bool) -> None:
-            done.append((value, wid))
-
         self.protocols[site].read(var, on_complete, op_index=self._op_counter)
-        while not done:
-            if not self.sim.step():
-                raise RuntimeError(
-                    f"read of var {var} at site {site} can never complete "
-                    "(no events left — protocol deadlock?)"
-                )
-        return done[0]
-
-    # ------------------------------------------------------------------
-    def advance(self, delta_ms: float) -> None:
-        """Run the simulation ``delta_ms`` ms forward."""
-        if delta_ms < 0:
-            raise ValueError("cannot advance by a negative duration")
-        self.sim.run(until=self.sim.now + delta_ms)
 
     def settle(self) -> None:
         """Run until every in-flight message is delivered and applied."""
@@ -218,24 +278,17 @@ class CausalCluster:
                     f"cluster cannot settle while a partition is active "
                     f"(channels blocked: {sorted(blocked)}); call heal() first"
                 )
-        self.sim.run()
+        super().settle()
+
+    def _unsettled(self) -> Optional[str]:
         if self.network.down:
-            raise RuntimeError(
-                f"cluster cannot settle while sites are down "
-                f"({sorted(self.network.down)}); recover them first"
-            )
+            return (f"cluster cannot settle while sites are down "
+                    f"({sorted(self.network.down)}); recover them first")
         held = self._held_by_site()
         if held:
-            raise RuntimeError(
-                f"cluster cannot settle while sites are paused "
-                f"(held messages per site: {held}); resume them first"
-            )
-        undrained = {p.site: p.pending_count for p in self.protocols if p.pending_count}
-        if undrained:
-            raise RuntimeError(
-                f"cluster cannot settle; buffers stuck: {undrained} "
-                f"(held messages per site: {self._held_by_site()})"
-            )
+            return (f"cluster cannot settle while sites are paused "
+                    f"(held messages per site: {held}); resume them first")
+        return None
 
     # ------------------------------------------------------------------
     # fault injection
@@ -414,12 +467,6 @@ class CausalCluster:
         return b["buffered"] + b["held_for_paused"] + b["held_for_crashed"]
 
     # ------------------------------------------------------------------
-    def check(self) -> CheckReport:
-        """Run the causal-consistency checker over everything so far."""
-        if not self.history.enabled:
-            raise RuntimeError("cluster was built with record_history=False")
-        return check_causal_consistency(self.history, self.placement)
-
     def __repr__(self) -> str:
         cls = get_protocol_class(self.config.protocol).__name__
         return (

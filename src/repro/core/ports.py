@@ -38,6 +38,12 @@ Two implementations exist:
   clock/asyncio timer runtime, a real-socket transport, and the same
   protocol objects serving real traffic.
 
+The kernel is also the live stack's deterministic test scheduler: the
+in-process loopback cluster (:mod:`repro.loopback`) runs the service
+transports and nodes with a :class:`~repro.sim.engine.Simulator` as
+their :class:`Scheduler`, so there is one scheduler implementation
+besides the asyncio one.
+
 The protocols are ``runtime_checkable`` so conformance is asserted in
 tests, but the real contract is structural: a substrate never inherits
 from these classes, it simply has the right attributes.

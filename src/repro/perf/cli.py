@@ -70,7 +70,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"--file: {exc}", file=sys.stderr)
             return 2
-    result = run_overhead(quick=args.quick, threshold=args.threshold)
+    result = run_overhead(threshold=args.threshold)
     escalated = (f" [escalated from {result['first_ratio']:.3f}x]"
                  if result.get("escalated") else "")
     print(f"overhead ({mode}): {result['reference']}"

@@ -24,12 +24,12 @@ tax both sides equally under machine drift, and trimming discards the
 outlier runs a contended container produces while still averaging the
 rest.
 
-``quick`` mode keeps the *full* reference workload and only caps the
-repeat count: the ratio is a quotient of two wall times, and shrinking
-the run shrinks the per-event baseline (smaller heap, shorter opt-track
-logs) while the per-message instrument cost stays constant — a 100-op
-run reports roughly 4x the overhead of the 400-op reference for the
-same instruments, with far worse noise.
+There is one measurement, at the *full* reference workload (the CLI's
+``--quick`` only labels the record): the ratio is a quotient of two
+wall times, and shrinking the run shrinks the per-event baseline
+(smaller heap, shorter opt-track logs) while the per-message instrument
+cost stays constant — a 100-op run reports roughly 4x the overhead of
+the 400-op reference for the same instruments, with far worse noise.
 
 The timed region runs with the garbage collector paused (collected
 clean before, re-enabled after): the registry's surviving accounting
@@ -108,7 +108,6 @@ def _measure(config, repeats: int) -> tuple[float, float]:
 
 def run_overhead(
     *,
-    quick: bool = False,
     repeats: int = 5,
     threshold: float = DEFAULT_OVERHEAD_THRESHOLD,
 ) -> dict:
@@ -125,14 +124,8 @@ def run_overhead(
     regression reads high both times; a contention spike on a shared
     runner rarely survives two independent measurements, so the gate
     keeps its teeth without flapping on machine noise.
-
-    ``quick`` lowers the repeat count but keeps the reference workload
-    at full size (see the module docstring for why the ratio must be
-    measured at reference scale).
     """
     config = REFERENCE_CONFIG
-    if quick:
-        repeats = min(repeats, 5)
     wall_off, wall_on = _measure(config, repeats)
     ratio = wall_on / wall_off if wall_off > 0 else 1.0
     escalated = False

@@ -28,8 +28,8 @@ Modules:
 * :mod:`~repro.service.codec` — deterministic length-prefixed wire
   format for every sendable message type (``WIRE_FIELDS``);
 * :mod:`~repro.service.runtime` — wall ``Clock``/``TimerService`` over
-  an asyncio loop, plus the deterministic :class:`StepClock` used by
-  in-process tests;
+  an asyncio loop (in-process tests run this package on the simulation
+  kernel instead, which satisfies the same ports);
 * :mod:`~repro.service.channel` — the live host of the reliable
   channel: frame ⇄ packet adapter, validation of untrusted peer frames,
   the ``Transport`` port;
@@ -38,10 +38,12 @@ Modules:
 * :mod:`~repro.service.api` — client-facing HTTP JSON GET/PUT/status
   over persistent HTTP/1.1 connections;
 * :mod:`~repro.service.bootstrap` — static cluster topology files;
-* :mod:`~repro.service.loopback` — in-process loopback substrate for
-  the sim/live equivalence tests (no sockets, no wall clock);
 * :mod:`~repro.service.history` — per-node JSONL history streaming and
   the merge loader the causal checker consumes.
+
+The in-process loopback cluster that runs this stack on the simulation
+kernel is a harness module, :mod:`repro.loopback`: this layer may not
+import the simulator.
 
 This is the only layer (outside the harness) permitted NETWORK and
 WALL_CLOCK effects — ``layers.toml`` forbids ``socket``/``asyncio``
@@ -57,7 +59,6 @@ from .bootstrap import (
     save_topology,
 )
 from .codec import WIRE_FIELDS, decode_message, encode_message
-from .loopback import LoopbackCluster
 from .node import NodeCore
 
 __all__ = [
@@ -70,6 +71,5 @@ __all__ = [
     "WIRE_FIELDS",
     "decode_message",
     "encode_message",
-    "LoopbackCluster",
     "NodeCore",
 ]

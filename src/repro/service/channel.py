@@ -14,8 +14,8 @@ untrusted peers, and the :class:`~repro.core.ports.Transport` port.  A
 node owns one end of each direction, so it keeps the sender half of
 ``me -> peer`` and the receiver half of ``peer -> me`` under one key.
 Timers come from the injected :class:`~repro.core.ports.Scheduler`, so
-the identical logic runs under asyncio (live node) or a
-:class:`~repro.service.runtime.StepClock` (tests).
+the identical logic runs under asyncio (live node) or the simulation
+kernel (the loopback cluster and the tests).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ServiceTransport(ChannelHost):
     ``send_frame(dst, frame)`` is the injected raw egress — the asyncio
     node writes the frame's bytes, length-prefixed, to the peer's socket
     (and silently drops while disconnected; retransmission covers the
-    gap), the loopback substrate appends them to an in-process queue.
+    gap), the loopback cluster schedules their arrival as a kernel event.
     It cannot tell whether a frame arrived, so :meth:`transmit` never
     reports an attempt as undropped and ``spurious_retransmission``
     stays a simulator-only count.

@@ -9,18 +9,19 @@ home of the service layer's WALL_CLOCK effect; the static effect
 analyzer recognizes ``loop.time``/``loop.call_later`` as wall-clock
 leaves, so a stray import below this layer trips the purity gate.
 
-:class:`StepClock` is the deterministic twin used by in-process tests:
-a manually advanced clock with the same ``schedule`` surface, so channel
-and node logic can be exercised without real time or sockets.
+Its deterministic twin is the simulation kernel itself:
+:class:`~repro.sim.engine.Simulator` satisfies the same port, so the
+in-process loopback cluster (:mod:`repro.loopback`) and the channel
+tests run this layer's channel and node logic on it, without real time
+or sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
 from typing import Callable, Optional
 
-__all__ = ["AsyncioScheduler", "AsyncioTimer", "StepClock", "StepTimer"]
+__all__ = ["AsyncioScheduler", "AsyncioTimer"]
 
 
 class AsyncioTimer:
@@ -65,84 +66,3 @@ class AsyncioScheduler:
             self._loop.call_later(max(delay, 0.0) / 1000.0, callback)
         )
 
-
-class StepTimer:
-    """A cancellable pending :class:`StepClock` timer."""
-
-    __slots__ = ("when", "seq", "callback", "cancelled")
-
-    def __init__(self, when: float, seq: int,
-                 callback: Callable[[], None]) -> None:
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "StepTimer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
-
-class StepClock:
-    """Deterministic manual scheduler: the test-side ``Scheduler`` port.
-
-    Time only moves when the test calls :meth:`advance` (firing due
-    timers in (deadline, arm-order) order) or :meth:`tick`.  No wall
-    clock, no event loop — loopback clusters stay bit-reproducible.
-    """
-
-    __slots__ = ("_now", "_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: list[StepTimer] = []
-        self._seq = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> StepTimer:
-        timer = StepTimer(self._now + max(delay, 0.0), self._seq, callback)
-        self._seq += 1
-        # simcheck: ignore[SIM007] -- StepClock IS a scheduler: its own (when, seq) tie-break mirrors the engine's
-        heapq.heappush(self._heap, timer)
-        return timer
-
-    def tick(self, delta: float = 1.0) -> None:
-        """Move time forward without firing timers (loopback op spacing)."""
-        if delta < 0:
-            raise ValueError("time cannot move backwards")
-        self._now += delta
-
-    def advance(self, delta: float) -> int:
-        """Run ``delta`` ms forward, firing every timer that comes due.
-
-        Returns the number of callbacks fired.
-        """
-        if delta < 0:
-            raise ValueError("time cannot move backwards")
-        deadline = self._now + delta
-        fired = 0
-        while self._heap and self._heap[0].when <= deadline:
-            # simcheck: ignore[SIM007] -- see schedule(): StepTimer orders by (when, seq)
-            timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue
-            self._now = max(self._now, timer.when)
-            timer.callback()
-            fired += 1
-        self._now = deadline
-        return fired
-
-    @property
-    def pending_timers(self) -> int:
-        return sum(1 for t in self._heap if not t.cancelled)

@@ -1,8 +1,8 @@
 """The reliable channel, once, over both of its drivers.
 
-Every case runs against the simulator's host (kernel timers, packets
-through ``Network._transmit_raw``) and the live service's host
-(:class:`StepClock` timers, frames through the codec).  Both drivers ask
+Every case runs against the simulator's host (packets through
+``Network._transmit_raw``) and the live service's host (frames through
+the codec), both with the simulation kernel's timers.  Both drivers ask
 the same :class:`FaultInjector` for the fate of each physical
 transmission, so one scripted drop / duplicate / delay means the same
 thing on either side.  What only one substrate has stays in
@@ -20,7 +20,6 @@ from repro.core.messages import FetchMessage
 from repro.core.netpolicy import OverloadError, RetransmitPolicy
 from repro.service.channel import ServiceTransport
 from repro.service.codec import loads
-from repro.service.runtime import StepClock
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultDecision, FaultInjector, FaultPlan
 from repro.sim.network import ConstantLatency, Network
@@ -65,7 +64,17 @@ def message(ident):
     return FetchMessage(var=0, reader=0, request_id=ident)
 
 
-class SimDriver:
+class KernelDriver:
+    """Time for either host: both run on a simulation kernel, ``sim``."""
+
+    def run(self, ms):
+        self.sim.run(until=self.sim.now + ms)
+
+    def settle(self):
+        self.sim.run()
+
+
+class SimDriver(KernelDriver):
     """Channels hosted by the discrete-event kernel's ReliableTransport."""
 
     def __init__(self, policy=None, *, n=2, injector=None, latency=None,
@@ -96,27 +105,21 @@ class SimDriver:
     def send(self, src, dst, ident):
         self.net.send(src, dst, message(ident))
 
-    def run(self, ms):
-        self.sim.run(until=self.sim.now + ms)
-
-    def settle(self):
-        self.sim.run()
-
     def link_up(self, src, dst):
         self.net.transport.on_heal(self.sim.now, frozenset({dst}))
 
 
-class LiveDriver:
-    """Channels hosted by ServiceTransports; frames ride a StepClock."""
+class LiveDriver(KernelDriver):
+    """Channels hosted by ServiceTransports; frames ride kernel events."""
 
     def __init__(self, policy=None, *, n=2, injector=None, latency=None):
-        self.clock = StepClock()
+        self.sim = Simulator()
         self.injector = injector if injector is not None else ScriptedInjector()
         self.latency = latency or (lambda: HOP_MS)
         self.got = {site: [] for site in range(n)}
         self.transports = [
             ServiceTransport(
-                site, n, self.clock, self._make_send_frame(site),
+                site, n, self.sim, self._make_send_frame(site),
                 lambda src, msg, site=site: self.got[site].append((src, msg)),
                 policy=policy)
             for site in range(n)
@@ -126,11 +129,11 @@ class LiveDriver:
         # the seam carries a frame's bytes, so the injector is told the
         # sending site by the closure, not by parsing it out of the frame
         def send_frame(dst, frame):
-            fate = self.injector.decide(src, dst, self.clock.now)
+            fate = self.injector.decide(src, dst, self.sim.now)
             if fate.drop:
                 return
             for _ in range(1 + fate.duplicates):
-                self.clock.schedule(
+                self.sim.schedule(
                     self.latency() + fate.extra_delay_ms,
                     lambda: self.transports[dst].on_frame(loads(frame)))
 
@@ -151,16 +154,6 @@ class LiveDriver:
 
     def send(self, src, dst, ident):
         self.transports[src].send(src, dst, message(ident))
-
-    def run(self, ms):
-        self.clock.advance(ms)
-
-    def settle(self):
-        for _ in range(100_000):
-            if not self.clock.pending_timers:
-                return
-            self.clock.advance(50.0)
-        raise RuntimeError("live driver failed to quiesce")
 
     def link_up(self, src, dst):
         self.transports[src].on_link_up(dst)

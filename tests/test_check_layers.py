@@ -7,6 +7,8 @@ crossings (may_import, ports of each kind) stay clean.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -282,3 +284,16 @@ class TestContractValidation:
             """,
         })
         assert findings == []
+
+
+class TestImportIsolation:
+    def test_import_repro_loads_no_service_module(self):
+        # the simulator's set-up must not pay for (or depend on) the
+        # live stack: repro.loopback, which needs it, is not re-exported
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, repro; print(sorted(m for m in sys.modules "
+                "if m.startswith(('repro.service', 'repro.loopback'))))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "[]"

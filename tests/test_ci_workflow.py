@@ -99,6 +99,18 @@ def test_tier_1_job_runs_the_live_suites_in_asyncio_debug_mode():
     assert workflow["defaults"]["run"]["shell"] == "bash"
 
 
+def test_live_smoke_job_names_suites_that_exist():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    (step,) = [step for step in workflow["jobs"]["live-smoke"]["steps"]
+               if step.get("name") == "Service substrate test suites"]
+    suites = [w for w in step["run"].split() if w.startswith("tests/")]
+    assert "tests/test_service_equivalence.py" in suites
+    assert "tests/test_channel.py" in suites
+    missing = [s for s in suites
+               if not (Path(__file__).parent.parent / s).exists()]
+    assert missing == []
+
+
 def test_lint_job_runs_ruff_with_the_print_gate():
     # bare print in library code has one gate, ruff's T20 (the SIM008
     # AST rule that duplicated it, with a second allowlist, is retired)

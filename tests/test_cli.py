@@ -155,6 +155,50 @@ class TestSavedFileErrors:
         assert str(bad) in self.exit_message(argv)
 
 
+class TestBadArguments:
+    """An argument no run can take is a one-line exit naming the flag or
+    file on every verb that simulates or loads a topology, never a
+    traceback from deep in the stack."""
+
+    exit_message = staticmethod(TestSavedFileErrors.exit_message)
+
+    @pytest.mark.parametrize("verb", [["run"], ["check"], ["trace", "run", "T"],
+                                      ["metrics", "run", "M"]],
+                             ids=["run", "check", "trace-run", "metrics-run"])
+    @pytest.mark.parametrize("flags, named", [
+        (["-n", "0"], "-n/--sites"),
+        (["-q", "0", "--ops", "5"], "-q/--vars"),
+        (["--ops", "0"], "--ops"),
+        (["-w", "2", "--ops", "5"], "-w/--write-rate"),
+        (["-p", "0", "--ops", "5"], "-p/--replicas"),
+        (["-n", "3", "-p", "4", "--ops", "5"], "-p/--replicas"),
+    ], ids=["sites", "vars", "ops", "write-rate", "replicas-0",
+            "replicas-past-n"])
+    def test_simulate_verbs(self, tmp_path, monkeypatch, verb, flags, named):
+        monkeypatch.chdir(tmp_path)
+        assert named in self.exit_message(verb + flags)
+
+    @pytest.mark.parametrize("verb", [["experiment", "fig1"], ["reproduce"]])
+    @pytest.mark.parametrize("flag", ["--ops", "--seeds"])
+    def test_exhibit_verbs(self, tmp_path, monkeypatch, verb, flag):
+        monkeypatch.chdir(tmp_path)
+        assert flag in self.exit_message(verb + [flag, "0"])
+
+    @pytest.mark.parametrize("verb", ["serve", "loadgen"])
+    @pytest.mark.parametrize("text", [None, "{not json", '{"nodes": 3}'],
+                             ids=["missing", "not-json", "ill-shaped"])
+    def test_topology_file(self, tmp_path, verb, text):
+        path = tmp_path / "topology.json"
+        if text is not None:
+            path.write_text(text)
+        argv = [verb, "--topology", str(path)]
+        if verb == "serve":
+            argv += ["--dir", str(tmp_path / "run")]
+        message = self.exit_message(argv)
+        assert "--topology" in message and str(path) in message
+        assert not (tmp_path / "run").exists()  # nothing started
+
+
 class TestSoakCommand:
     def test_soak_parser_defaults(self):
         args = build_parser().parse_args(["soak"])

@@ -3,13 +3,36 @@
 import pytest
 
 from repro import CausalCluster, ConstantLatency
+from repro.loopback import LoopbackCluster
 from repro.memory.store import BOTTOM
+from repro.service.bootstrap import default_topology
+
+PAPER_PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp"]
 
 
 def make(protocol="opt-track", n=4, **kw):
     kw.setdefault("latency", ConstantLatency(10.0))
     kw.setdefault("n_vars", 8)
     return CausalCluster(n, protocol=protocol, **kw)
+
+
+def make_on(substrate, protocol, n, replication_factor=None):
+    """A cluster of ``n`` sites on the simulator or on the loopback
+    service stack; both speak :class:`repro.cluster.Cluster`."""
+    if substrate == "sim":
+        return make(protocol=protocol, n=n,
+                    replication_factor=replication_factor)
+    return LoopbackCluster(default_topology(
+        n, protocol=protocol, n_vars=8,
+        replication_factor=replication_factor))
+
+
+#: (substrate, protocol); the simulator's cases keep the protocol as id
+ON_BOTH_SUBSTRATES = pytest.mark.parametrize("substrate, protocol", [
+    pytest.param(substrate, protocol,
+                 id=protocol if substrate == "sim" else f"{substrate}-{protocol}")
+    for substrate in ("sim", "loopback") for protocol in PAPER_PROTOCOLS
+])
 
 
 class TestBasics:
@@ -148,12 +171,13 @@ class TestBasics:
 
 
 class TestCausalLitmus:
-    """Classic causal-consistency litmus scenarios, all four protocols."""
+    """Classic causal-consistency litmus scenarios, all four protocols,
+    on the simulator and on the loopback service stack."""
 
-    @pytest.mark.parametrize("protocol", ["full-track", "opt-track", "opt-track-crp", "optp"])
-    def test_causal_write_read_write_chain(self, protocol):
-        kw = {"replication_factor": 2} if protocol in ("full-track", "opt-track") else {}
-        c = make(protocol=protocol, n=4, **kw)
+    @ON_BOTH_SUBSTRATES
+    def test_causal_write_read_write_chain(self, substrate, protocol):
+        p = 2 if protocol in ("full-track", "opt-track") else None
+        c = make_on(substrate, protocol, 4, p)
         # site 0 writes x; site 1 reads x then writes y; any site reading
         # the new y and then x must not see bottom
         x = c.placement.vars_at(0)[0]
@@ -168,10 +192,10 @@ class TestCausalLitmus:
             assert c.read(site, x) == "first"
         c.check().raise_if_violated()
 
-    @pytest.mark.parametrize("protocol", ["full-track", "opt-track", "opt-track-crp", "optp"])
-    def test_writes_by_one_site_seen_in_order(self, protocol):
-        kw = {"replication_factor": 2} if protocol in ("full-track", "opt-track") else {}
-        c = make(protocol=protocol, n=3, **kw)
+    @ON_BOTH_SUBSTRATES
+    def test_writes_by_one_site_seen_in_order(self, substrate, protocol):
+        p = 2 if protocol in ("full-track", "opt-track") else None
+        c = make_on(substrate, protocol, 3, p)
         var = c.placement.vars_at(0)[0]
         for k in range(5):
             c.write(0, var, k)

@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from repro.core.log import OptTrackLog, PiggybackEntry, TupleLog
+from repro.loopback import LoopbackCluster
 from repro.service.bootstrap import default_topology
-from repro.service.loopback import LoopbackCluster
 
 
 def entry(j, c, *dests):
@@ -26,9 +26,9 @@ def owner_writes_run(ops, n_sites=5, n_vars=100, seed=1):
         site = k % n_sites
         if rng.random() < 0.5:
             owned = range(site, n_vars, n_sites)
-            cluster.put(site, owned[rng.randrange(len(owned))], k)
+            cluster.write(site, owned[rng.randrange(len(owned))], k)
         else:
-            cluster.get(site, rng.randrange(n_vars))
+            cluster.read(site, rng.randrange(n_vars))
         peak = max(peak, max(len(node.protocol.log) for node in cluster.nodes))
     cluster.settle()
     return peak, cluster

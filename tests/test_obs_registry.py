@@ -44,8 +44,8 @@ from repro.obs.ledger import MetadataLedger, decompose_message
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.timeseries import TimeSeries
 from repro.experiments.runner import SimulationConfig, run_simulation
+from repro.loopback import LoopbackCluster
 from repro.service.bootstrap import default_topology
-from repro.service.loopback import LoopbackCluster
 
 ALL_PROTOCOLS = ("full-track", "opt-track", "opt-track-crp", "optp")
 #: where a ledger's collector comes from: a simulator run of the named
@@ -72,9 +72,9 @@ def ledgers_of(source: str) -> list[MetadataLedger]:
     cluster = LoopbackCluster(default_topology(
         3, protocol=source.removeprefix("loopback-"), n_vars=6))
     for k in range(12):
-        cluster.clock.tick(1.0)
-        cluster.put(k % 3, k % 3 + 3 * (k % 2), k)
-        cluster.get((k + 1) % 3, k % 6)
+        cluster.advance(1.0)
+        cluster.write(k % 3, k % 3 + 3 * (k % 2), k)
+        cluster.read((k + 1) % 3, k % 6)
     cluster.settle()
     return [MetadataLedger(node.collector, base_n=3) for node in cluster.nodes]
 

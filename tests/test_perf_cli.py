@@ -21,7 +21,7 @@ def measured(monkeypatch):
     how often it ran."""
     state = {"ratio": 1.0, "runs": 0}
 
-    def stub(*, quick, threshold):
+    def stub(*, threshold):
         state["runs"] += 1
         return {"reference": "opt_track_n10", "wall_off_s": 1.0,
                 "wall_on_s": state["ratio"], "overhead_ratio": state["ratio"]}
@@ -92,7 +92,7 @@ def test_the_gate_measures_a_real_ratio():
     # un-stubbed: one interleaved off/on pair of the reference run (one
     # escalation at most); the band is far wider than the 5% gate, this
     # only shows the body runs and divides the right way round
-    result = run_overhead(quick=True, repeats=1)
+    result = run_overhead(repeats=1)
     assert 0.5 < result["overhead_ratio"] < 2.0
     assert result["reference"] == "opt_track_n10"
     assert result["wall_off_s"] > 0 and result["wall_on_s"] > 0

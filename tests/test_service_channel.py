@@ -5,12 +5,12 @@ in ``test_channel.py``, over both drivers."""
 import pytest
 
 from repro.core.netpolicy import RetransmitPolicy
+from repro.loopback import LoopbackCluster
 from repro.service import codec
-from repro.service.bootstrap import build_placement, default_topology
+from repro.service.bootstrap import default_topology
 from repro.service.channel import ServiceTransport
 from repro.service.codec import dumps, loads, message_to_wire
-from repro.service.loopback import LoopbackCluster
-from repro.service.runtime import StepClock
+from repro.sim.engine import Simulator
 
 from .test_channel import LiveDriver, ids, message
 from .test_service_codec import ILL_SHAPED_MESSAGES, OUT_OF_MEMBERSHIP
@@ -87,12 +87,12 @@ class TestServiceTransport:
         cluster.settle()
         assert cluster.transports[0].malformed_frames == 1
         assert cluster.nodes[0].protocol.pending_count == 0
-        placement = build_placement(topology)
         var = next(v for v in range(6)
-                   if {0, 1} <= set(placement.replicas(v)))
-        wid = cluster.put(1, var, "legit")
+                   if {0, 1} <= set(cluster.placement.replicas(v)))
+        assert cluster.placement.is_replicated_at(var, 0)  # a local read
+        wid = cluster.write(1, var, "legit")
         cluster.settle()
-        assert cluster.get(0, var) == ("legit", wid, False)
+        assert cluster.read_with_id(0, var) == ("legit", wid)
 
 
 class TestOneEncodePerMessage:
@@ -101,19 +101,19 @@ class TestOneEncodePerMessage:
         real = codec.dumps
         monkeypatch.setattr(
             codec, "dumps", lambda obj: calls.append(obj) or real(obj))
-        clock = StepClock()
+        sim = Simulator()
         transport = ServiceTransport(
-            0, 2, clock, lambda dst, frame: frames.append((dst, frame)),
+            0, 2, sim, lambda dst, frame: frames.append((dst, frame)),
             lambda src, msg: None,
             policy=RetransmitPolicy(base_rto_ms=50.0, jitter_ms=0.0))
-        return transport, clock, calls
+        return transport, sim, calls
 
     def test_retransmission_reuses_the_first_transmission_bytes(
             self, monkeypatch):
         frames = []
-        transport, clock, calls = self._transport(frames, monkeypatch)
+        transport, sim, calls = self._transport(frames, monkeypatch)
         transport.send(0, 1, message(5))
-        clock.advance(400.0)  # nobody acks: the timer resends, and again
+        sim.run(until=400.0)  # nobody acks: the timer resends, and again
         assert transport.channel(1).retransmissions >= 2
         assert len(frames) == 1 + transport.channel(1).retransmissions
         assert all(type(f) is bytes for _, f in frames)

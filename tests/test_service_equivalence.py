@@ -6,10 +6,11 @@ protocol cores.  These tests drive the same seeded workload through
 
 * the discrete-event simulator (:class:`repro.CausalCluster`), and
 * in-process loopback service nodes
-  (:class:`repro.service.loopback.LoopbackCluster` — real codec, real
-  reliable channels, deterministic StepClock)
+  (:class:`repro.loopback.LoopbackCluster` — real codec, real reliable
+  channels, the simulation kernel as their clock)
 
-and require that (a) both merged histories pass the causal checker,
+through one driver over the surface both share, for every registered
+protocol, and require that (a) both histories pass the causal checker,
 (b) both clusters converge to identical final stores and (c) both sent
 the same number of SMs, FMs and RMs.  Not the same *bytes*: a piggybacked
 log's length depends on what had been delivered when the message was
@@ -26,14 +27,12 @@ unique writer.  Reads are unconstrained.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CausalCluster, ConstantLatency
-from repro.service.bootstrap import build_placement, default_topology
-from repro.service.history import merge_event_lists
+from repro import CausalCluster, ConstantLatency, protocol_names
+from repro.loopback import LoopbackCluster
 from repro.metrics.collector import MessageKind
-from repro.service.loopback import LoopbackCluster
-from repro.verify.causal_checker import check_causal_consistency
+from repro.service.bootstrap import default_topology
 
-PROTOCOLS = ("full-track", "opt-track", "opt-track-crp", "optp")
+PROTOCOLS = tuple(protocol_names())
 
 N_SITES = 3
 N_VARS = 6
@@ -59,44 +58,23 @@ def ops_strategy():
     )
 
 
-def run_sim(protocol, ops):
-    cluster = CausalCluster(
-        N_SITES, protocol=protocol, n_vars=N_VARS,
-        latency=ConstantLatency(5.0),
-    )
-    for k, (kind, site, var, payload) in enumerate(ops):
+def run(cluster, ops):
+    """Drive ``ops`` through either substrate; returns the checker's
+    report, the final stores and the messages sent per kind."""
+    for kind, site, var, payload in ops:
+        cluster.advance(1.0)  # space ops out so timestamps advance
         if kind == "w":
-            cluster.write(site, var=var, value=f"s{site}p{payload}")
+            cluster.write(site, var, f"s{site}p{payload}")
         else:
             cluster.read_with_id(site, var)
     cluster.settle()
-    report = cluster.check()
-    return (report, [p.ctx.store for p in cluster.protocols],
-            message_counts([cluster.collector]))
-
-
-def run_loopback(protocol, ops):
-    topology = default_topology(N_SITES, protocol=protocol, n_vars=N_VARS)
-    cluster = LoopbackCluster(topology)
-    for kind, site, var, payload in ops:
-        # space ops out so live timestamps advance like the sim's do
-        cluster.clock.tick(1.0)
-        if kind == "w":
-            cluster.put(site, var, f"s{site}p{payload}")
-        else:
-            cluster.get(site, var)
-    cluster.settle()
-    merged = merge_event_lists(cluster.histories())
-    report = check_causal_consistency(merged, build_placement(topology))
-    return (report, [node.ctx.store for node in cluster.nodes],
-            message_counts([node.collector for node in cluster.nodes]))
-
-
-def message_counts(collectors):
-    """Messages sent per kind — one collector per run on the simulator,
-    one per node on the service."""
-    return {kind.value: sum(c.tally(kind).lifetime_count for c in collectors)
-            for kind in MessageKind}
+    # one collector per run on the simulator, one per node on the service
+    collectors = {id(p.ctx.collector): p.ctx.collector
+                  for p in cluster.protocols}.values()
+    counts = {kind.value: sum(c.tally(kind).lifetime_count
+                              for c in collectors)
+              for kind in MessageKind}
+    return cluster.check(), [p.ctx.store for p in cluster.protocols], counts
 
 
 def store_contents(store):
@@ -107,8 +85,11 @@ def store_contents(store):
 
 
 def assert_equivalent(protocol, ops):
-    sim_report, sim_stores, sim_counts = run_sim(protocol, ops)
-    live_report, live_stores, live_counts = run_loopback(protocol, ops)
+    sim_report, sim_stores, sim_counts = run(CausalCluster(
+        N_SITES, protocol=protocol, n_vars=N_VARS,
+        latency=ConstantLatency(5.0)), ops)
+    live_report, live_stores, live_counts = run(LoopbackCluster(
+        default_topology(N_SITES, protocol=protocol, n_vars=N_VARS)), ops)
     assert not sim_report.violations, sim_report.violations[:3]
     assert not live_report.violations, live_report.violations[:3]
     assert sim_counts == live_counts, protocol

@@ -37,6 +37,7 @@ from repro.core.messages import (
     OptTrackSM,
 )
 from repro.memory.store import WriteId
+from repro.loopback import LoopbackCluster
 from repro.service import api
 from repro.service.bootstrap import build_placement, default_topology
 from repro.service.codec import (
@@ -48,7 +49,6 @@ from repro.service.codec import (
     hello_frame,
     loads,
 )
-from repro.service.loopback import LoopbackCluster
 
 N_SITES = 3
 N_VARS = 6
@@ -239,14 +239,10 @@ def _feed(cluster, payload):
 
 def _legitimate_write_still_applies(cluster, protocol):
     var = _var_at(protocol, TARGET, WRITER)
-    wid = cluster.put(WRITER, var, "legit")
-    for _ in range(100):
-        cluster.pump()
-        if all(t.unacked_count() == 0 for t in cluster.transports):
-            break
-        cluster.clock.advance(50.0)
-    assert all(t.unacked_count() == 0 for t in cluster.transports)
-    assert cluster.get(TARGET, var) == ("legit", wid, False)
+    assert cluster.placement.is_replicated_at(var, TARGET)  # a local read
+    wid = cluster.write(WRITER, var, "legit")
+    cluster.settle()
+    assert cluster.read_with_id(TARGET, var) == ("legit", wid)
 
 
 def test_base_frames_are_valid_and_harmless():

@@ -9,7 +9,6 @@ from repro.core.ports import (
     Transport,
 )
 from repro.service.channel import ServiceTransport
-from repro.service.runtime import StepClock
 from repro.sim.checkpoint import SiteDisk
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -39,15 +38,9 @@ class TestSimulatorSubstrate:
 
 
 class TestServiceSubstrate:
-    def test_step_clock_is_scheduler(self):
-        clock = StepClock()
-        assert isinstance(clock, Clock)
-        assert isinstance(clock, TimerService)
-        assert isinstance(clock, Scheduler)
-
     def test_service_transport_is_transport(self):
         transport = ServiceTransport(
-            0, 2, StepClock(), lambda dst, frame: None, lambda src, msg: None
+            0, 2, Simulator(), lambda dst, frame: None, lambda src, msg: None
         )
         assert isinstance(transport, Transport)
 
@@ -62,42 +55,3 @@ class TestNullTransport:
         assert null.overloaded(0) is False
         null.check_overload_admission(0)  # never raises
 
-
-class TestStepClock:
-    def test_time_only_moves_on_demand(self):
-        clock = StepClock()
-        assert clock.now == 0.0
-        clock.tick(5.0)
-        assert clock.now == 5.0
-
-    def test_timers_fire_in_deadline_then_arm_order(self):
-        clock = StepClock()
-        fired = []
-        clock.schedule(10.0, lambda: fired.append("b"))
-        clock.schedule(5.0, lambda: fired.append("a"))
-        clock.schedule(10.0, lambda: fired.append("c"))
-        assert clock.advance(20.0) == 3
-        assert fired == ["a", "b", "c"]
-        assert clock.now == 20.0
-
-    def test_cancelled_timers_do_not_fire(self):
-        clock = StepClock()
-        fired = []
-        handle = clock.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        assert clock.pending_timers == 0
-        clock.advance(5.0)
-        assert fired == []
-
-    def test_timer_armed_during_callback_fires_same_advance(self):
-        clock = StepClock()
-        fired = []
-
-        def rearm():
-            fired.append(clock.now)
-            if len(fired) < 3:
-                clock.schedule(2.0, rearm)
-
-        clock.schedule(2.0, rearm)
-        clock.advance(10.0)
-        assert fired == [2.0, 4.0, 6.0]
