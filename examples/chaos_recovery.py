@@ -48,9 +48,9 @@ def main() -> None:
         cluster.write(step % 5, step % 10, f"lossy-{step}")
         cluster.advance(80.0)
     cluster.settle()
-    inj = cluster.faults
+    col = cluster.collector
     print(f"   ... committed 5 writes; the transport absorbed "
-          f"{inj.drops} drops and {inj.duplicates} duplicates so far")
+          f"{col.injected_drops} drops and {col.injected_dups} duplicates so far")
 
     print(f"2. sites {sorted(ISLAND)} are partitioned from the rest")
     cluster.partition(ISLAND)
@@ -66,7 +66,6 @@ def main() -> None:
     for site in range(5):
         assert cluster.read(site, 0) == "island-side"
         assert cluster.read(site, 9) == "mainland-side"
-    col = cluster.collector
     print(f"   ... every site now sees both writes; recovery latency: "
           f"mean {col.recovery_latency.mean:.0f} ms over "
           f"{col.recovery_latency.count} site(s)")

@@ -57,7 +57,7 @@ from .memory.store import BOTTOM, SiteStore, WriteId
 from .metrics.collector import MessageKind, MetricsCollector
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL_MS, DurabilityLayer
-from .sim.crash import CatchupPolicy, CrashRecoveryManager, install_crash_recovery
+from .sim.crash import CrashRecoveryManager, install_crash_recovery
 from .sim.engine import Simulator
 from .sim.failure_detector import DetectorPolicy, FailureDetector
 from .sim.faults import (
@@ -122,7 +122,6 @@ __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL_MS",
     "DetectorPolicy",
     "FailureDetector",
-    "CatchupPolicy",
     "CrashRecoveryManager",
     "install_crash_recovery",
     # memory

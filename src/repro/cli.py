@@ -42,6 +42,7 @@ from .sim.faults import (
     ChannelFaults,
     CrashEvent,
     FaultPlan,
+    JoinEvent,
     OverloadEvent,
     Partition,
     seeded_churn,
@@ -462,16 +463,54 @@ def _require(ok: bool, flag: str, value: object, want: str) -> None:
         raise SystemExit(f"invalid {flag} {value!r}: want {want}")
 
 
-def _config_from_args(args: argparse.Namespace,
-                      **overrides: object) -> SimulationConfig:
-    """The :class:`SimulationConfig` :func:`_add_sim_args` describes."""
-    _require(args.sites >= 1, "-n/--sites", args.sites, "at least 1")
-    _require(args.vars >= 1, "-q/--vars", args.vars, "at least 1")
-    _require(args.ops >= 1, "--ops", args.ops, "at least 1")
+def _require_cell(args: argparse.Namespace, *, min_sites: int = 1) -> None:
+    """``-n`` / ``-w`` / ``-p`` of a verb that simulates or models a cell."""
+    _require(args.sites >= min_sites, "-n/--sites", args.sites,
+             f"at least {min_sites}")
     _require(0.0 <= args.write_rate <= 1.0, "-w/--write-rate",
              args.write_rate, "a rate in [0, 1]")
     _require(args.replicas is None or 1 <= args.replicas <= args.sites,
              "-p/--replicas", args.replicas, f"1 to {args.sites} (-n)")
+
+
+def _require_plan_sites(plan: Optional[FaultPlan],
+                        args: argparse.Namespace) -> None:
+    """Every site a fault names exists: a crash hits an initial site, a
+    partition or a flash crowd may also hit a planned joiner."""
+    if plan is None:
+        return
+    capacity = args.sites + sum(isinstance(ev, JoinEvent)
+                                for ev in plan.membership)
+    for flag, value, sites, bound in (
+        ("--crash-plan", args.crash_plan,
+         [ev.site for ev in plan.crashes], args.sites),
+        ("--partition", args.partition,
+         [s for p in plan.partitions for s in p.group], capacity),
+        ("--overload-plan", args.overload_plan,
+         [s for ev in plan.overloads for s in ev.sites], capacity),
+    ):
+        if args.fault_plan_json:
+            flag, value = "--fault-plan-json", args.fault_plan_json
+        _require(all(s < bound for s in sites), flag, value,
+                 f"site ids below {bound}")
+
+
+def _config_from_args(args: argparse.Namespace,
+                      **overrides: object) -> SimulationConfig:
+    """The :class:`SimulationConfig` :func:`_add_sim_args` describes."""
+    _require_cell(args)
+    _require(args.vars >= 1, "-q/--vars", args.vars, "at least 1")
+    _require(args.ops >= 1, "--ops", args.ops, "at least 1")
+    _require(args.checkpoint_interval is None or args.checkpoint_interval > 0,
+             "--checkpoint-interval", args.checkpoint_interval,
+             "a positive period in ms")
+    _require(args.auto_evict is None or args.auto_evict >= 0, "--auto-evict",
+             args.auto_evict, "a delay of at least 0 ms")
+    plan = _fault_plan_from_args(args)
+    _require_plan_sites(plan, args)
+    _require(args.auto_evict is None or plan is not None, "--auto-evict",
+             args.auto_evict, "a fault flag too: eviction needs the chaos "
+             "transport (e.g. --drop-rate 0.01)")
     return SimulationConfig(
         protocol=args.protocol,
         n_sites=args.sites,
@@ -481,7 +520,7 @@ def _config_from_args(args: argparse.Namespace,
         ops_per_process=args.ops,
         seed=args.seed,
         latency=_LATENCIES[args.latency](),
-        fault_plan=_fault_plan_from_args(args),
+        fault_plan=plan,
         fault_seed=args.fault_seed,
         retransmit=_retransmit_from_args(args),
         checkpoint_interval_ms=args.checkpoint_interval,
@@ -517,7 +556,13 @@ def _require_runs(args: argparse.Namespace) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     _require_runs(args)
+    if args.csv:
+        # before the sweep, not after it
+        _require(Path(args.csv).parent.is_dir(), "--csv", args.csv,
+                 "a file in an existing directory")
     exhibit = EXHIBITS[args.id]
     rows = exhibit.rows(ops_per_process=args.ops, seeds=tuple(range(args.seeds)))
     print(format_table(rows, title=f"{args.id}: {exhibit.title}"))
@@ -543,6 +588,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _cmd_advise(args: argparse.Namespace) -> int:
     from .analysis.advisor import WorkloadProfile, recommend_replication
 
+    _require_cell(args, min_sites=2)
+    _require(args.payload >= 0, "--payload", args.payload, "at least 0 bytes")
     rec = recommend_replication(WorkloadProfile(
         n_sites=args.sites,
         write_rate=args.write_rate,
@@ -566,6 +613,8 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
+    _require_cell(args)
+    _require(args.ops >= 1, "--ops", args.ops, "at least 1")
     n = args.sites
     p = args.replicas
     if p is None:
@@ -588,6 +637,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
+    _require(args.max_n >= 2, "--max-n", args.max_n, "at least 2")
     rows = [
         {"n": n, "threshold_write_rate": crossover_write_rate(n)}
         for n in range(2, args.max_n + 1)
@@ -934,6 +984,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         raise SystemExit(f"invalid --seeds {args.seeds!r}: {exc}")
     if not seeds:
         raise SystemExit("--seeds must name at least one seed")
+    _require(args.sites >= 2, "-n/--sites", args.sites, "at least 2")
+    _require(args.ops >= 1, "--ops", args.ops, "at least 1")
 
     report = soak_matrix(
         protocols, seeds,

@@ -43,13 +43,11 @@ from .memory.replication import Placement
 from .memory.store import WriteId
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .obs.tracer import Tracer
-from .sim.crash import CatchupPolicy
 from .sim.engine import Simulator
 from .sim.failure_detector import DetectorPolicy
 from .sim.faults import FaultPlan
 from .sim.membership import (
     DepartedSiteError,
-    MembershipPolicy,
     UnknownSiteError,
     View,
     ViewManager,
@@ -164,8 +162,6 @@ class CausalCluster(Cluster):
         crash_recovery: bool = False,
         checkpoint_interval_ms: Optional[float] = None,
         detector: Optional[DetectorPolicy] = None,
-        catchup: Optional[CatchupPolicy] = None,
-        membership_policy: Optional[MembershipPolicy] = None,
         auto_evict_after_ms: Optional[float] = None,
     ) -> None:
         if fault_plan is not None and (fault_plan.membership
@@ -193,7 +189,6 @@ class CausalCluster(Cluster):
             retransmit=retransmit,
             checkpoint_interval_ms=checkpoint_interval_ms,
             detector=detector,
-            catchup=catchup,
         )
         # the crash stack attaches here, not at the first crash_site():
         # the WAL only covers operations issued after it hooks in
@@ -211,7 +206,6 @@ class CausalCluster(Cluster):
         self._op_counter = 0
         # Elastic membership: the view manager is built lazily on first
         # use so static clusters stay byte-identical to the seed path.
-        self._membership_policy = membership_policy
         self.view_manager: Optional[ViewManager] = None
         if auto_evict_after_ms is not None:
             self._ensure_view_manager().enable_eviction(auto_evict_after_ms)
@@ -379,7 +373,6 @@ class CausalCluster(Cluster):
                 self.sim, self.network, self.placement, self.protocols,
                 protocol_factory=self._system.new_protocol,
                 crash_manager=self.crash_manager,
-                policy=self._membership_policy,
             )
         return self.view_manager
 

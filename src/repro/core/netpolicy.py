@@ -15,10 +15,13 @@ is the only place in the tree that does:
 * :class:`ChannelReceiver` — cumulative acks, duplicate suppression and
   a ``reorder_window``-bounded reassembly buffer;
 * :class:`ChannelHost` — what a substrate supplies (``transmit``,
-  ``deliver``, ``send_ack``, ``jitter``, ``count`` and a
-  :class:`~repro.core.ports.Scheduler`) plus the state that spans one
-  host's channels: the registry, suspicion pauses and the O(1) per-site
-  backlog rollups behind backpressure and admission shedding.
+  ``deliver``, ``send_ack``, ``jitter``, a
+  :class:`~repro.core.ports.Scheduler` and the run's
+  :class:`~repro.metrics.collector.MetricsCollector`) plus the state
+  that spans one host's channels: the registry, suspicion pauses, the
+  O(1) per-site backlog rollups behind backpressure and admission
+  shedding, and :meth:`ChannelHost.count`, which books every channel
+  event into the collector through :data:`CHANNEL_EVENTS`.
 
 The halves are substrate-pure — no RNG, no clock, no socket; time and
 timers come from the host's scheduler — so ``repro check --effects``
@@ -31,10 +34,11 @@ asyncio timers).  :class:`RetransmitPolicy` parameterizes both.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from ..metrics.collector import MetricsCollector
 from .ports import Scheduler, TimerHandle
 
 __all__ = [
@@ -45,6 +49,8 @@ __all__ = [
     "ChannelSender",
     "ChannelReceiver",
     "Channel",
+    "ChannelEvent",
+    "CHANNEL_EVENTS",
     "ChannelHost",
 ]
 
@@ -591,19 +597,67 @@ class Channel(NamedTuple):
         return self.receiver.duplicate_drops
 
 
+class ChannelEvent(NamedTuple):
+    """Where one channel event is written."""
+
+    #: the collector's tally of it (``MetricsCollector.record_transport``:
+    #: a per-site row with wire bytes for acks and retransmissions, a
+    #: plain counter for the rest)
+    counter: str
+    #: registry counter it is exported as at quiescence, and its help text
+    metric: str
+    help_text: str
+
+
+#: every event :meth:`ChannelHost.count` accepts, by name
+CHANNEL_EVENTS = {
+    "ack": ChannelEvent(
+        "ack", "net_acks_total",
+        "cumulative-ack packets sent by the reliable layer"),
+    "retransmission": ChannelEvent(
+        "retransmit", "net_retransmissions_total",
+        "timer- or heal-driven retransmissions"),
+    "spurious_retransmission": ChannelEvent(
+        "spurious_retransmissions", "net_spurious_retransmissions_total",
+        "retransmissions of packets that already had a non-dropped attempt "
+        "in flight or delivered — the first copy was merely slow, or it "
+        "arrived and its ack was the packet the network lost"),
+    "duplicate_drop": ChannelEvent(
+        "duplicate_drops", "net_duplicate_drops_total",
+        "already-delivered packets discarded by receivers"),
+    "reorder_overflow": ChannelEvent(
+        "reorder_overflows", "net_reorder_overflows_total",
+        "out-of-order packets dropped by full reassembly buffers"),
+    "breaker_trip": ChannelEvent(
+        "breaker_trips", "net_breaker_trips_total",
+        "channels tripped into degraded probe mode"),
+    "breaker_close": ChannelEvent(
+        "breaker_closes", "net_breaker_closes_total",
+        "degraded channels restored by ack progress or heal"),
+    "backpressure_delay": ChannelEvent(
+        "backpressure_delays", "net_backpressure_delays_total",
+        "operations delayed by transport backpressure"),
+    "overload_shed": ChannelEvent(
+        "overload_sheds", "net_overload_sheds_total",
+        "writes shed by OverloadError at admission"),
+}
+
+
 class ChannelHost:
     """What a substrate supplies to its channel halves, plus the state
     that spans them.
 
     A subclass provides the seam — :meth:`transmit`, :meth:`deliver`,
-    :meth:`send_ack`, :meth:`jitter`, :meth:`count` — and decides how
-    halves pair under :attr:`_channels`.  The halves call the seam
+    :meth:`send_ack`, :meth:`jitter` — and decides how halves pair under
+    :attr:`_channels`.  The halves call the seam and :meth:`count`
     directly on this one object; nothing here is per-packet state.
     """
 
-    def __init__(self, scheduler: Scheduler,
+    def __init__(self, scheduler: Scheduler, collector: MetricsCollector,
                  policy: Optional[RetransmitPolicy] = None) -> None:
         self.scheduler = scheduler
+        #: the one store of this host's channel-event counts
+        self.collector = collector
         self.policy = policy if policy is not None else RetransmitPolicy()
         #: halves keyed by their sender's direction ``(src, dst)``
         self._channels: dict[tuple[int, int], Channel] = {}
@@ -614,8 +668,6 @@ class ChannelHost:
         #: backlogged packets per site — O(1) on the admission path
         self._bp_channels: dict[int, int] = {}
         self._backlog_total: dict[int, int] = {}
-        #: lifetime tally per :meth:`count` event
-        self.counts: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     # the seam
@@ -641,13 +693,13 @@ class ChannelHost:
 
     def count(self, event: str, src: int = -1, dst: int = -1,
               size_bytes: float = 0.0, payload: object = None) -> None:
-        """Account one channel event: ``retransmission`` (with its
-        size and payload), ``spurious_retransmission``,
-        ``duplicate_drop``, ``reorder_overflow``, ``breaker_trip``,
-        ``breaker_close`` or ``overload_shed`` (``src`` is the shedding
-        site).  The base keeps a tally per event in :attr:`counts`; a
-        host with more places to write overrides this."""
-        self.counts[event] += 1
+        """Account one :data:`CHANNEL_EVENTS` event in the collector:
+        ``ack`` and ``retransmission`` with their wire bytes (and the
+        retransmitted payload), the rest as plain tallies; ``src`` is
+        the originating site (the shedding one for ``overload_shed``).
+        A host with more places to write (a tracer) extends this."""
+        self.collector.record_transport(CHANNEL_EVENTS[event].counter, src,
+                                        size_bytes)
 
     def multicast(self, src: int, dests: Sequence[int], message: object,
                   *, size_bytes: float = 0.0) -> None:

@@ -39,15 +39,11 @@ from ..obs.export import HeartbeatReporter
 from ..obs.ledger import MetadataLedger
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..sim.crash import (
-    CatchupPolicy,
-    CrashRecoveryManager,
-    install_crash_recovery,
-)
+from ..sim.crash import CrashRecoveryManager, install_crash_recovery
 from ..sim.engine import Simulator
 from ..sim.failure_detector import DetectorPolicy
 from ..sim.faults import FaultInjector, FaultPlan, JoinEvent
-from ..sim.membership import MembershipPolicy, ViewManager
+from ..sim.membership import ViewManager
 from ..sim.network import LatencyModel, Network, PerPairLatency, UniformLatency
 from ..sim.overload import OverloadDriver
 from ..sim.process import Site
@@ -111,13 +107,9 @@ class SimulationConfig:
     #: heartbeat failure-detector tuning (None = defaults when crashes
     #: are planned; no detector at all otherwise)
     detector: Optional[DetectorPolicy] = None
-    #: anti-entropy catch-up tuning for the rejoin path
-    catchup: Optional[CatchupPolicy] = None
     #: elastic membership: escalate a persistently-suspected crash-stopped
     #: site into an eviction after this long (None = never auto-evict)
     auto_evict_after_ms: Optional[float] = None
-    #: view-change fence / eviction tunables (None = defaults)
-    membership_policy: Optional[MembershipPolicy] = None
     #: route all traffic through the frozen-message sanitizer
     #: (:mod:`repro.check.sanitizer`): every message is fingerprinted at
     #: send and verified at each delivery — any post-send mutation of
@@ -315,7 +307,6 @@ def build_system(
             crashes=crashes,
             checkpoint_interval_ms=config.checkpoint_interval_ms,
             detector_policy=config.detector,
-            catchup=config.catchup,
             # eviction escalation chains onto detector suspicions, and
             # hand-made crashes need it to pause retransmission into the
             # dead site; otherwise only planned crashes (or an explicit
@@ -346,9 +337,9 @@ def _sample_final_metrics(
     """Export every total once, at quiescence, from the store that keeps it.
 
     Kernel counters, per-site terminal log sizes, opt-track purge
-    tallies, the peak activation-buffer depth, the collector's fault and
-    crash counters, the channel host's event tallies, the detector's and
-    the view manager's own counts: each number has one writer, and the
+    tallies, the peak activation-buffer depth, the collector's fault,
+    crash, channel-event and overload counters, the detector's and the
+    view manager's own counts: each number has one writer, and the
     registry only reads it here.  Only distributions are streamed into
     the registry while the run executes — their buckets live nowhere
     else.
@@ -407,7 +398,7 @@ def _sample_final_metrics(
              "heartbeat packets sent"),
             ("detector_suspicions_total", detector.suspicions,
              "pairs newly suspected (true + false)"),
-            ("detector_false_suspicions_total", detector.false_suspicions,
+            ("detector_false_suspicions_total", collector.false_suspicions,
              "suspicions of a site that was actually up"),
             ("detector_recoveries_total", detector.recoveries,
              "suspected pairs cleared by proof of life"),
@@ -428,9 +419,9 @@ def _sample_final_metrics(
         registry.set_gauge("membership_epoch", view.epoch,
                            help_text="current view epoch number")
     if overload_driver is not None:
-        registry.inc("overload_injected_total", overload_driver.injected,
+        registry.inc("overload_injected_total", collector.overload_injected,
                      help_text="flash-crowd writes that reached a protocol")
-        registry.inc("overload_sheds_total", overload_driver.sheds,
+        registry.inc("overload_sheds_total", collector.overload_sheds,
                      help_text="flash-crowd writes refused by admission")
         registry.inc("overload_skipped_total", overload_driver.skipped,
                      help_text="flash-crowd ticks aimed at down/held sites")
@@ -556,7 +547,6 @@ def run_simulation(
             site_factory=site_factory,
             sites=sites,
             crash_manager=crash_manager,
-            policy=config.membership_policy,
         )
         view_manager.schedule_plan(membership_events)
         if config.auto_evict_after_ms is not None:
@@ -567,14 +557,13 @@ def run_simulation(
         assert plan is not None
         overload_driver = OverloadDriver(
             sim, plan, protocols, sites, config.n_vars, system.overload_rng,
+            collector,
         )
 
     for site in sites:
         site.start()
     end_time = sim.run()
 
-    if overload_driver is not None:
-        collector.record_overload_injected(overload_driver.injected)
     if registry is not None:
         _sample_final_metrics(registry, sim, protocols, end_time, collector,
                               transport=system.transport,

@@ -21,6 +21,7 @@ from typing import Optional
 from .cluster import Cluster, ReadCallback
 from .core.netpolicy import RetransmitPolicy
 from .memory.store import WriteId
+from .metrics.collector import MetricsCollector
 from .service.bootstrap import ClusterTopology, build_placement
 from .service.channel import ServiceTransport
 from .service.codec import loads
@@ -42,13 +43,15 @@ class LoopbackCluster(Cluster):
         policy = RetransmitPolicy(**topology.retransmit)
         self.transports = [
             ServiceTransport(site, topology.n_sites, self.sim, self._send_frame,
-                             partial(self._deliver, site), policy=policy)
+                             partial(self._deliver, site),
+                             collector=MetricsCollector(), policy=policy)
             for site in range(topology.n_sites)
         ]
         self.nodes = [
             NodeCore(site=site, n_sites=topology.n_sites,
                      placement=self.placement, protocol=topology.protocol,
-                     clock=self.sim, transport=transport, history=self.history)
+                     clock=self.sim, transport=transport,
+                     collector=transport.collector, history=self.history)
             for site, transport in enumerate(self.transports)
         ]
         self.protocols = [node.protocol for node in self.nodes]

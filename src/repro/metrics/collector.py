@@ -139,7 +139,8 @@ class MetricsCollector:
         self.backpressure_delays = 0
         #: writes shed by OverloadError at admission
         self.overload_sheds = 0
-        #: flash-crowd writes injected by the overload driver
+        #: flash-crowd writes that reached a protocol (the overload
+        #: driver books each one as it lands)
         self.overload_injected = 0
         #: channel circuit breakers tripped into degraded probe mode
         self.breaker_trips = 0
@@ -277,7 +278,7 @@ class MetricsCollector:
         or ``retransmit`` packet goes into that site's :attr:`transport`
         row with its wire bytes, anything else bumps the named tally
         (``breaker_trips``, ``duplicate_drops``, ...).  The names are
-        the rows of ``repro.sim.reliable._EVENTS``."""
+        the ``counter`` column of ``repro.core.netpolicy.CHANNEL_EVENTS``."""
         rows = self.transport.get(counter)
         if rows is None:
             # by name, without a getattr/setattr pair per event
@@ -289,8 +290,11 @@ class MetricsCollector:
         row[0] += 1
         row[1] += size_bytes
 
-    def record_overload_injected(self, n: int = 1) -> None:
-        self.overload_injected += n
+    def transport_count(self, counter: str) -> int:
+        """How many events :meth:`record_transport` booked under ``counter``."""
+        if counter in self.transport:
+            return self._transport_sum(counter, 0)
+        return self.__dict__[counter]  # type: ignore[no-any-return]
 
     def record_injected_drop(self, *, partition: bool = False) -> None:
         self.injected_drops += 1

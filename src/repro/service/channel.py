@@ -32,6 +32,7 @@ from ..core.netpolicy import (
     RetransmitPolicy,
 )
 from ..core.ports import Scheduler
+from ..metrics.collector import MetricsCollector
 from .codec import (
     WIRE_VERSION,
     CodecError,
@@ -58,7 +59,9 @@ class ServiceTransport(ChannelHost):
     gap), the loopback cluster schedules their arrival as a kernel event.
     It cannot tell whether a frame arrived, so :meth:`transmit` never
     reports an attempt as undropped and ``spurious_retransmission``
-    stays a simulator-only count.
+    stays a simulator-only count.  Every other channel event, acks
+    included (priced at the ack frame's length), is counted into the
+    node's ``collector``.
 
     A message is priced once: :meth:`send` encodes it to canonical bytes,
     those bytes are the channel packet's payload, and every transmission
@@ -73,9 +76,10 @@ class ServiceTransport(ChannelHost):
         send_frame: SendFrame,
         deliver: Deliver,
         *,
+        collector: MetricsCollector,
         policy: Optional[RetransmitPolicy] = None,
     ) -> None:
-        super().__init__(scheduler, policy)
+        super().__init__(scheduler, collector, policy)
         self.site = site
         self.n_sites = n_sites
         self.send_frame = send_frame
@@ -117,7 +121,7 @@ class ServiceTransport(ChannelHost):
         return None  # delivery time is the wire's business
 
     # ------------------------------------------------------------------
-    # the channel seam (count: the ChannelHost tally)
+    # the channel seam (count: ChannelHost's, into the node's collector)
     # ------------------------------------------------------------------
     def transmit(self, src: int, dst: int,
                  packet: DataPacket) -> Optional[float]:
@@ -128,7 +132,9 @@ class ServiceTransport(ChannelHost):
         self._deliver(src, payload)
 
     def send_ack(self, from_site: int, to_site: int, cumulative: int) -> None:
-        self.send_frame(to_site, ack_frame(from_site, cumulative))
+        frame = ack_frame(from_site, cumulative)
+        self.count("ack", from_site, to_site, len(frame))
+        self.send_frame(to_site, frame)
 
     def jitter(self, src: int, dst: int) -> float:
         return self._jitter[dst].uniform(0.0, self.policy.jitter_ms)

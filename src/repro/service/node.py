@@ -64,13 +64,15 @@ class NodeCore:
         protocol: str,
         clock: Clock,
         transport: Transport,
+        collector: MetricsCollector,
         history: Optional[HistoryRecorder] = None,
         size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
         self.site = site
         self.history = history if history is not None else HistoryRecorder()
-        self.collector = MetricsCollector()
-        self.collector.start_measuring()
+        #: the node's one store of counts, shared with its transport
+        self.collector = collector
+        collector.start_measuring()
         ctx = ProtocolContext(
             site=site,
             n_sites=n_sites,
@@ -213,12 +215,14 @@ class ServiceNode:
             if topology.retransmit
             else RetransmitPolicy()
         )
+        collector = MetricsCollector()
         self.transport = ServiceTransport(
             site,
             topology.n_sites,
             self.scheduler,
             self._send_frame,
             self._deliver,
+            collector=collector,
             policy=policy,
         )
         self.core = NodeCore(
@@ -228,6 +232,7 @@ class ServiceNode:
             protocol=topology.protocol,
             clock=self.scheduler,
             transport=self.transport,
+            collector=collector,
         )
         self._sink: Optional[HistorySink] = None
         path = topology.history_path(site)

@@ -7,7 +7,6 @@ from .checkpoint import (
     WalRecord,
 )
 from .crash import (
-    CatchupPolicy,
     CrashRecoveryManager,
     SyncRequest,
     SyncResponse,
@@ -66,7 +65,6 @@ __all__ = [
     "DetectorPolicy",
     "HeartbeatPacket",
     "FailureDetector",
-    "CatchupPolicy",
     "SyncRequest",
     "SyncResponse",
     "CrashRecoveryManager",

@@ -133,7 +133,7 @@ class DurabilityLayer:
         protocols: "list[CausalProtocol]",
         *,
         interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
-        collector: "Optional[MetricsCollector]" = None,
+        collector: "MetricsCollector",
     ) -> None:
         if interval_ms <= 0:
             raise ValueError("checkpoint interval must be positive")
@@ -210,8 +210,7 @@ class DurabilityLayer:
                 continue  # nothing new since the last checkpoint
             wal_len = len(disk.wal)
             disk.install_checkpoint(proto.snapshot(), now)
-            if self.collector is not None:
-                self.collector.record_checkpoint()
+            self.collector.record_checkpoint()
             if self.registry is not None:
                 self.registry.observe(
                     "wal_tail_records", wal_len,

@@ -55,39 +55,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import Site
 
 __all__ = [
-    "CatchupPolicy",
     "SyncRequest",
     "SyncResponse",
     "CrashRecoveryManager",
     "install_crash_recovery",
 ]
 
-
-@dataclass(frozen=True)
-class CatchupPolicy:
-    """Anti-entropy parameters for the rejoin catch-up phase."""
-
-    #: spacing of the first catch-up round after restore
-    round_interval_ms: float = 80.0
-    #: multiplicative backoff between rounds
-    backoff: float = 1.5
-    #: cap on the backed-off round interval
-    max_interval_ms: float = 640.0
-    #: give up (and resume anyway) after this many rounds; the causal
-    #: checker downstream still gates correctness
-    max_rounds: int = 40
-    #: modelled wire sizes of the sync messages
-    request_size_bytes: float = 24.0
-    response_base_bytes: float = 48.0
-    response_entry_bytes: float = 12.0
-
-    def __post_init__(self) -> None:
-        if self.round_interval_ms <= 0:
-            raise ValueError("round interval must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+# anti-entropy parameters of the rejoin catch-up phase
+#: spacing of the first catch-up round after restore
+CATCHUP_ROUND_INTERVAL_MS = 80.0
+#: multiplicative backoff between rounds
+CATCHUP_BACKOFF = 1.5
+#: cap on the backed-off round interval
+CATCHUP_MAX_INTERVAL_MS = 640.0
+#: give up (and resume anyway) after this many rounds; the causal
+#: checker downstream still gates correctness
+CATCHUP_MAX_ROUNDS = 40
+#: modelled wire sizes of the sync messages
+SYNC_REQUEST_BYTES = 24.0
+SYNC_RESPONSE_BASE_BYTES = 48.0
+SYNC_RESPONSE_ENTRY_BYTES = 12.0
 
 
 @dataclass(frozen=True)
@@ -129,8 +116,7 @@ class CrashRecoveryManager:
         *,
         detector: Optional[FailureDetector] = None,
         crashes: Sequence[CrashEvent] = (),
-        catchup: Optional[CatchupPolicy] = None,
-        collector: "Optional[MetricsCollector]" = None,
+        collector: "MetricsCollector",
         tracer: "Optional[Tracer]" = None,
     ) -> None:
         self.sim = sim
@@ -147,7 +133,6 @@ class CrashRecoveryManager:
         #: None when sites are driven by hand)
         self.sites: "Optional[list[Site]]" = None
         self.crashes = tuple(crashes)
-        self.catchup = catchup if catchup is not None else CatchupPolicy()
         self.collector = collector
         self.tracer = tracer
         #: elastic membership (wired by the view manager when churn is on)
@@ -254,8 +239,7 @@ class CrashRecoveryManager:
         # next recover, from the newer checkpoint taken at restore time)
         self._catching_up.discard(site)
         self._responses.pop(site, None)
-        if self.collector is not None:
-            self.collector.record_crash()
+        self.collector.record_crash()
         if self.tracer is not None:
             self.tracer.site_crash(site, now)
         if self.sites is not None:
@@ -290,12 +274,11 @@ class CrashRecoveryManager:
             self.transport.on_site_recover(site)
         if self.detector is not None:
             self.detector.note_recover(site)
-        if self.collector is not None:
-            self.collector.record_restore(
-                downtime_ms=downtime,
-                wal_replayed=replayed,
-                checkpoint_age_ms=checkpoint_age,
-            )
+        self.collector.record_restore(
+            downtime_ms=downtime,
+            wal_replayed=replayed,
+            checkpoint_age_ms=checkpoint_age,
+        )
         if self.registry is not None:
             self.registry.observe("crash_downtime_ms", downtime,
                                   help_text="crash-to-restore downtime")
@@ -318,7 +301,7 @@ class CrashRecoveryManager:
         self._catchup_started[site] = self.sim.now
         self._catchup_rounds[site] = 0
         self._responses[site] = {}
-        self._catchup_round(site, self.catchup.round_interval_ms)
+        self._catchup_round(site, CATCHUP_ROUND_INTERVAL_MS)
 
     def _live_peers(self, site: int) -> list[int]:
         down = self.net.down
@@ -331,17 +314,15 @@ class CrashRecoveryManager:
             self._finish_catchup(site, forced=False)
             return
         rounds = self._catchup_rounds[site]
-        if rounds >= self.catchup.max_rounds:
+        if rounds >= CATCHUP_MAX_ROUNDS:
             self._finish_catchup(site, forced=True)
             return
         self._catchup_rounds[site] = rounds + 1
         req = SyncRequest(site, rounds)
         for peer in self._live_peers(site):
-            if self.collector is not None:
-                self.collector.record_sync_message()
-            self.net._transmit_raw(site, peer, req,
-                                   self.catchup.request_size_bytes)
-        nxt = min(interval * self.catchup.backoff, self.catchup.max_interval_ms)
+            self.collector.record_sync_message()
+            self.net._transmit_raw(site, peer, req, SYNC_REQUEST_BYTES)
+        nxt = min(interval * CATCHUP_BACKOFF, CATCHUP_MAX_INTERVAL_MS)
         self.sim.schedule(
             interval, lambda: self._catchup_round(site, nxt),
             label=f"catchup site{site} round{rounds + 1}",
@@ -377,8 +358,7 @@ class CrashRecoveryManager:
         self._responses.pop(site, None)
         duration = self.sim.now - self._catchup_started.pop(site)
         rounds = self._catchup_rounds.pop(site, 0)
-        if self.collector is not None:
-            self.collector.record_catchup(duration, rounds=rounds, forced=forced)
+        self.collector.record_catchup(duration, rounds=rounds, forced=forced)
         if self.registry is not None:
             self.registry.observe("crash_catchup_ms", duration,
                                   help_text="restore-to-caught-up duration")
@@ -416,10 +396,9 @@ class CrashRecoveryManager:
                 pending=self.protocols[dst].pending_count,
                 digest=self._build_digest(dst, packet.origin),
             )
-            size = (self.catchup.response_base_bytes
-                    + self.catchup.response_entry_bytes * len(resp.digest))
-            if self.collector is not None:
-                self.collector.record_sync_message()
+            size = (SYNC_RESPONSE_BASE_BYTES
+                    + SYNC_RESPONSE_ENTRY_BYTES * len(resp.digest))
+            self.collector.record_sync_message()
             self.net._transmit_raw(dst, packet.origin, resp, size)
             return True
         if isinstance(packet, SyncResponse):
@@ -442,10 +421,7 @@ class CrashRecoveryManager:
         if not actually_down or subject in self._detected:
             return
         self._detected.add(subject)
-        if self.collector is not None:
-            self.collector.record_detection(
-                self.sim.now - self.crash_time[subject]
-            )
+        self.collector.record_detection(self.sim.now - self.crash_time[subject])
 
     # ------------------------------------------------------------------
     # quiescence: may the infrastructure ticks stop?
@@ -599,9 +575,8 @@ def install_crash_recovery(
     crashes: Sequence[CrashEvent] = (),
     checkpoint_interval_ms: Optional[float] = None,
     detector_policy: Optional[DetectorPolicy] = None,
-    catchup: Optional[CatchupPolicy] = None,
     with_detector: Optional[bool] = None,
-    collector: "Optional[MetricsCollector]" = None,
+    collector: "MetricsCollector",
     tracer: "Optional[Tracer]" = None,
 ) -> CrashRecoveryManager:
     """Build and wire the full crash-recovery stack.
@@ -629,7 +604,7 @@ def install_crash_recovery(
                                    collector=collector, tracer=tracer)
     manager = CrashRecoveryManager(
         sim, network, protocols, durability,
-        detector=detector, crashes=crashes, catchup=catchup,
+        detector=detector, crashes=crashes,
         collector=collector, tracer=tracer,
     )
     manager.start()

@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["DetectorPolicy", "HeartbeatPacket", "FailureDetector"]
 
+#: modelled wire size of one heartbeat
+HEARTBEAT_SIZE_BYTES = 16.0
+
 
 @dataclass(frozen=True)
 class DetectorPolicy:
@@ -53,8 +56,6 @@ class DetectorPolicy:
     backoff: float = 2.0
     #: cap on the backed-off timeout
     max_timeout_ms: float = 2400.0
-    #: modelled wire size of one heartbeat
-    heartbeat_size_bytes: float = 16.0
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_ms <= 0:
@@ -83,7 +84,7 @@ class FailureDetector:
         network: "Network",
         policy: Optional[DetectorPolicy] = None,
         *,
-        collector: "Optional[MetricsCollector]" = None,
+        collector: "MetricsCollector",
         tracer: "Optional[Tracer]" = None,
     ) -> None:
         if network.transport is None:
@@ -100,10 +101,10 @@ class FailureDetector:
         self._last_heard: dict[tuple[int, int], float] = {}
         self._timeout: dict[tuple[int, int], float] = {}
         self.suspected: set[tuple[int, int]] = set()
-        #: lifetime tallies (the metrics registry reads them at quiescence)
+        #: lifetime tallies (the metrics registry reads them at quiescence;
+        #: false suspicions are the collector's)
         self.heartbeats_sent = 0
         self.suspicions = 0
-        self.false_suspicions = 0
         self.recoveries = 0
         # wired by the crash-recovery manager
         self.quiescent: Callable[[], bool] = lambda: False
@@ -140,7 +141,6 @@ class FailureDetector:
             self._stopped = True
             return
         now = self.sim.now
-        size = self.policy.heartbeat_size_bytes
         net = self.net
         members, down = net.members, net.down
         for origin in members:
@@ -150,7 +150,8 @@ class FailureDetector:
                 if dst == origin:
                     continue
                 self.heartbeats_sent += 1
-                net._transmit_raw(origin, dst, HeartbeatPacket(origin), size)
+                net._transmit_raw(origin, dst, HeartbeatPacket(origin),
+                                  HEARTBEAT_SIZE_BYTES)
         for observer in members:
             if observer in down:
                 continue
@@ -174,9 +175,7 @@ class FailureDetector:
         actually_down = self.net.is_down(subject)
         self.suspicions += 1
         if not actually_down:
-            self.false_suspicions += 1
-            if self.collector is not None:
-                self.collector.record_false_suspicion()
+            self.collector.record_false_suspicion()
         if self.tracer is not None:
             self.tracer.detector_suspect(observer, subject, self.sim.now,
                                          false_positive=not actually_down)

@@ -575,9 +575,9 @@ class FaultInjector:
     """Interprets a :class:`FaultPlan` with a dedicated RNG stream.
 
     One instance serves a whole network.  ``decide`` is called once per
-    physical packet transmission; the injector keeps lifetime counters
-    of everything it injected so tests can assert the chaos actually
-    happened.
+    physical packet transmission and counts its calls; what each
+    decision injected is booked by the network that acts on it, into
+    the run's collector (``injected_drops``, ``injected_dups``, ...).
     """
 
     def __init__(
@@ -597,12 +597,8 @@ class FaultInjector:
         # bits as that many scalar draws, so only a draw's cost changes
         self._doubles: list[float] = []
         self._pos = 0
-        # lifetime injection counters
+        #: lifetime calls of :meth:`decide`
         self.decisions = 0
-        self.drops = 0
-        self.partition_drops = 0
-        self.duplicates = 0
-        self.spikes = 0
 
     # ------------------------------------------------------------------
     # partitions
@@ -669,7 +665,6 @@ class FaultInjector:
         self.decisions += 1
         plan = self.plan
         if (plan.partitions or self._dynamic) and self.severed(src, dst, now):
-            self.partition_drops += 1
             return _SEVERED
         faults = plan.faults_for(src, dst) if plan.channels else plan.default
         drop_rate = faults.drop_rate
@@ -686,14 +681,12 @@ class FaultInjector:
             pos += 1
             if buf[pos - 1] < drop_rate:
                 self._pos = pos
-                self.drops += 1
                 return _DROPPED
         duplicates = 0
         if dup_rate:
             pos += 1
             if buf[pos - 1] < dup_rate:
                 duplicates = 1
-                self.duplicates += 1
         extra = 0.0
         if spike_rate:
             pos += 1
@@ -701,15 +694,10 @@ class FaultInjector:
                 lo, hi = faults.spike_ms
                 extra = lo + (hi - lo) * buf[pos]
                 pos += 1
-                self.spikes += 1
         self._pos = pos
         if duplicates == 0 and extra == 0.0:
             return NO_FAULT
         return FaultDecision(False, duplicates, extra, False)
 
     def __repr__(self) -> str:
-        return (
-            f"<FaultInjector decisions={self.decisions} drops={self.drops} "
-            f"partition_drops={self.partition_drops} dups={self.duplicates} "
-            f"spikes={self.spikes}>"
-        )
+        return f"<FaultInjector decisions={self.decisions}>"

@@ -57,7 +57,6 @@ __all__ = [
     "MembershipError",
     "UnknownSiteError",
     "DepartedSiteError",
-    "MembershipPolicy",
     "View",
     "ViewManager",
 ]
@@ -73,32 +72,14 @@ from ..core.errors import (  # noqa: E402  -- re-export after __all__
 )
 
 
-@dataclass(frozen=True)
-class MembershipPolicy:
-    """Tunables for view-change execution.
-
-    ``evict_after_ms`` is how long a crash-stopped site may stay
-    persistently suspected before the detector escalation turns the
-    suspicion into an eviction.  ``max_fence_ms`` bounds how long a
-    fence may wait for the drain predicate (a fence that cannot drain —
-    e.g. an unhealable partition — is a configuration error, not
-    something to wait out forever).
-    """
-
-    evict_after_ms: float = 1500.0
-    poll_interval_ms: float = 5.0
-    max_fence_ms: float = 120_000.0
-    retry_ms: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.evict_after_ms < 0:
-            raise ValueError(f"evict_after_ms must be >= 0, got {self.evict_after_ms}")
-        if self.poll_interval_ms <= 0:
-            raise ValueError(
-                f"poll_interval_ms must be > 0, got {self.poll_interval_ms}"
-            )
-        if self.max_fence_ms <= 0:
-            raise ValueError(f"max_fence_ms must be > 0, got {self.max_fence_ms}")
+#: how often a fence re-tests its drain predicate
+FENCE_POLL_MS = 5.0
+#: how long a fence may wait for the drain predicate (a fence that
+#: cannot drain — e.g. an unhealable partition — is a configuration
+#: error, not something to wait out forever)
+MAX_FENCE_MS = 120_000.0
+#: spacing of retries of a leave whose site is down but recovering
+CHANGE_RETRY_MS = 50.0
 
 
 @dataclass(frozen=True)
@@ -173,7 +154,6 @@ class ViewManager:
         site_factory: Optional[Callable[[int, "CausalProtocol"], "Site"]] = None,
         sites: Optional["list[Site]"] = None,
         crash_manager: Optional["CrashRecoveryManager"] = None,
-        policy: Optional[MembershipPolicy] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -183,7 +163,6 @@ class ViewManager:
         self.site_factory = site_factory
         self.sites = sites
         self.crash_manager = crash_manager
-        self.policy = policy or MembershipPolicy()
 
         # who is a member (and who is down or departed) is the network's
         # record; the view is the numbered epoch it was announced as
@@ -281,7 +260,7 @@ class ViewManager:
         self._queue.append(_PendingChange("evict", site))
         self._pump()
 
-    def enable_eviction(self, after_ms: Optional[float] = None) -> None:
+    def enable_eviction(self, after_ms: float) -> None:
         """Chain onto the failure detector: persistent suspicion of a
         crash-stopped site escalates into an eviction after ``after_ms``."""
         detector = self.detector
@@ -289,13 +268,12 @@ class ViewManager:
             raise MembershipError(
                 "eviction escalation needs a failure detector and crash manager"
             )
-        after = self.policy.evict_after_ms if after_ms is None else after_ms
         previous = detector.on_suspect
 
         def hook(observer: int, subject: int, actually_down: bool) -> None:
             if previous is not None:
                 previous(observer, subject, actually_down)
-            self._note_suspicion(subject, actually_down, after)
+            self._note_suspicion(subject, actually_down, after_ms)
 
         detector.on_suspect = hook
 
@@ -336,7 +314,7 @@ class ViewManager:
                 continue
             if action == "retry":
                 self.sim.schedule(
-                    self.policy.retry_ms,
+                    CHANGE_RETRY_MS,
                     lambda c=change: self._requeue(c),
                     label="membership-retry",
                 )
@@ -374,7 +352,7 @@ class ViewManager:
                     change.kind = "evict"
                     self._evict_pending.add(site)
                     return "run"
-                if self.sim.now - change.first_attempt_ms > self.policy.max_fence_ms:
+                if self.sim.now - change.first_attempt_ms > MAX_FENCE_MS:
                     return "drop"
                 return "retry"  # recovering; retry once it is back
             return "run"
@@ -398,15 +376,13 @@ class ViewManager:
         if self._drained(exclude):
             self._complete(change)
             return
-        if self.sim.now - self._fence_started > self.policy.max_fence_ms:
+        if self.sim.now - self._fence_started > MAX_FENCE_MS:
             blockers = ", ".join(self._drain_blockers(exclude)) or "unknown"
             raise MembershipError(
                 f"view-change fence for {change.kind} of site {change.site} "
-                f"did not drain within {self.policy.max_fence_ms}ms: {blockers}"
+                f"did not drain within {MAX_FENCE_MS}ms: {blockers}"
             )
-        self.sim.schedule(
-            self.policy.poll_interval_ms, self._poll_fence, label="view-fence-poll"
-        )
+        self.sim.schedule(FENCE_POLL_MS, self._poll_fence, label="view-fence-poll")
 
     def _complete(self, change: _PendingChange) -> None:
         self._mutate(change)
@@ -439,7 +415,7 @@ class ViewManager:
             )
         exclude = self._fence_exclude(change)
         self._hold_all(exclude=exclude)
-        deadline = self.sim.now + self.policy.max_fence_ms
+        deadline = self.sim.now + MAX_FENCE_MS
         try:
             while not self._drained(exclude):
                 if self.sim.now > deadline or not self.sim.step():

@@ -191,7 +191,7 @@ class Network:
         rng: Optional[np.random.Generator] = None,
         bandwidth_bytes_per_ms: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
-        collector: Optional["MetricsCollector"] = None,
+        collector: "MetricsCollector",
         retransmit: Optional["RetransmitPolicy"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
@@ -244,10 +244,12 @@ class Network:
         # seed-path app messages scheduled but not yet handed to the
         # receiver; the view-change fence drains on this reaching zero
         self._app_in_flight = 0
-        # chaos stack (None = the default reliable path, zero overhead)
+        #: the run's one store of counts: injected faults, dead-site
+        #: drops and (through the chaos transport) channel events
         self.collector = collector
         # observability (None = untraced, zero overhead)
         self.tracer = tracer
+        # chaos stack (None = the default reliable path, zero overhead)
         self.faults = faults
         if faults is not None:
             from .reliable import ReliableTransport
@@ -600,7 +602,6 @@ class Network:
             label = self._labels[key] = f"packet {src}->{dst}"
         duplicates, extra_delay_ms = 0, 0.0
         tracer = self.tracer
-        collector = self.collector
         if decision is not NO_FAULT or tracer is not None:
             # one transmission in ten at the benchmark's rates; the rest
             # pay the stats bump, one latency draw and one kernel event
@@ -614,11 +615,10 @@ class Network:
                     spike_ms=extra_delay_ms, duplicates=duplicates,
                 )
             if drop:
-                if collector is not None:
-                    collector.record_injected_drop(partition=severed)
+                self.collector.record_injected_drop(partition=severed)
                 return None
-            if extra_delay_ms and collector is not None:
-                collector.record_injected_spike(extra_delay_ms)
+            if extra_delay_ms:
+                self.collector.record_injected_spike(extra_delay_ms)
         if src == dst:
             delay = self.latency.local_delay()
         else:
@@ -633,8 +633,7 @@ class Network:
                          else self._sample_latency(src, dst))
             stats.messages += 1
             self.total_messages += 1
-            if collector is not None:
-                collector.record_injected_dup()
+            self.collector.record_injected_dup()
             sim.schedule_at(departure + dup_delay + extra_delay_ms, arrive,
                             label="dup " + label)
         return delivery
@@ -654,8 +653,7 @@ class Network:
             self.departed_drops += 1
             return
         if dst in self.down:
-            if self.collector is not None:
-                self.collector.record_dead_site_drop()
+            self.collector.record_dead_site_drop()
             self.transport.on_dead_drop(src, dst, packet)
             return
         self.transport.deliver_packet(src, dst, packet)

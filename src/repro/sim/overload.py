@@ -13,9 +13,10 @@ its planned workload.  Injected writes:
   overload never perturbs the fault injector's or the latency model's
   draws;
 * respect graceful degradation: a write refused by
-  :class:`~repro.sim.reliable.OverloadError` is counted as *shed* (the
-  admission layer did its job), and a site that is crashed, held,
-  retired, or departed is *skipped* — a dead site has no crowd to serve;
+  :class:`~repro.sim.reliable.OverloadError` is *shed* (the admission
+  layer did its job, and counts it as ``overload_sheds``), and a site
+  that is crashed, held, retired, or departed is *skipped* — a dead
+  site has no crowd to serve;
 * respect program order: each site is a sequential process, so a tick
   landing while the site has a remote read in flight is *deferred* (the
   crowd's request queues behind the pending operation) — an injected
@@ -40,6 +41,7 @@ from .reliable import OverloadError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.base import CausalProtocol
+    from ..metrics.collector import MetricsCollector
     from .process import Site
 
 __all__ = ["OverloadDriver"]
@@ -61,6 +63,7 @@ class OverloadDriver:
         sites: "list[Site]",
         n_vars: int,
         rng: np.random.Generator,
+        collector: "MetricsCollector",
     ) -> None:
         if n_vars <= 0:
             raise ValueError("overload driver needs at least one variable")
@@ -69,10 +72,8 @@ class OverloadDriver:
         self.sites = sites
         self.n_vars = n_vars
         self.rng = rng
-        #: flash-crowd writes that reached a protocol
-        self.injected = 0
-        #: writes refused by OverloadError admission (graceful shedding)
-        self.sheds = 0
+        #: books each write that reached a protocol (``overload_injected``)
+        self.collector = collector
         #: ticks skipped because the target site was down/held/departed
         self.skipped = 0
         #: ticks re-queued behind a pending remote read
@@ -113,18 +114,18 @@ class OverloadDriver:
             )
             return
         var = int(self.rng.integers(self.n_vars))
+        collector = self.collector
         try:
             proto.admit_put()
-            proto.write(var, ("flash", site, self.injected))
+            proto.write(var, ("flash", site, collector.overload_injected))
         except OverloadError:
-            self.sheds += 1
-            return
+            return  # shed: the admission check counted it
         except MembershipError:
             # the site departed between scheduling and firing (churn);
             # the crowd's request simply fails upstream
             self.skipped += 1
             return
-        self.injected += 1
+        collector.overload_injected += 1
 
     def _target(self, site: int) -> "Optional[CausalProtocol]":
         """The protocol to hit, or None when the site cannot serve."""
@@ -134,11 +135,3 @@ class OverloadDriver:
         if app is not None and (app.crashed or app.held or app.retired):
             return None
         return self.protocols[site]
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "injected": self.injected,
-            "sheds": self.sheds,
-            "skipped": self.skipped,
-            "deferred": self.deferred,
-        }

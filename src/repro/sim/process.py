@@ -75,8 +75,6 @@ class Site:
         #: capped by the policy's backpressure_limit so a stuck channel
         #: delays the schedule but can never starve it
         self._bp_defers = 0
-        #: lifetime count of backpressure-induced operation delays
-        self.backpressure_delays = 0
 
     @property
     def site_id(self) -> int:
@@ -188,7 +186,6 @@ class Site:
             limit = network.backpressure_limit()
             if self._bp_defers < limit:
                 self._bp_defers += 1
-                self.backpressure_delays += 1
                 network.count_backpressure_delay(self.site_id)
                 self._op_event = self.sim.schedule(
                     network.backpressure_delay_ms(), self._execute_next,

@@ -10,9 +10,9 @@ the sender an attempt was not dropped, which makes spurious-retransmit
 accounting exact), timer jitter drawn from the injector's seeded RNG,
 partition-heal scheduling and per-site recovery clocks, the crash /
 rejoin / retire hooks of :mod:`repro.sim.crash` and
-:mod:`repro.sim.membership`, and the mirroring of every channel event
-into the collector (the metrics registry reads the host's tallies once,
-at quiescence).
+:mod:`repro.sim.membership`, and the tracer hooks on channel events
+(which the base host counts into the run's collector; the metrics
+registry reads them there once, at quiescence).
 
 Because the simulator sees both ends of every channel, it keeps the
 sender and the receiver half of ``src -> dst`` under one key.
@@ -29,6 +29,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from ..core.netpolicy import (
+    CHANNEL_EVENTS,
     Channel,
     ChannelHost,
     ChannelReceiver,
@@ -66,51 +67,6 @@ class AckPacket(NamedTuple):
     cumulative: int
 
 
-class _Event(NamedTuple):
-    """Where one channel event is written."""
-
-    #: the collector's tally of it (``MetricsCollector.record_transport``:
-    #: a per-site row with wire bytes for acks and retransmissions, a
-    #: plain counter for the rest)
-    counter: str
-    #: registry counter it is exported as at quiescence, and its help text
-    metric: str
-    help_text: str
-
-
-_EVENTS = {
-    "ack": _Event(
-        "ack", "net_acks_total",
-        "cumulative-ack packets sent by the reliable layer"),
-    "retransmission": _Event(
-        "retransmit", "net_retransmissions_total",
-        "timer- or heal-driven retransmissions"),
-    "spurious_retransmission": _Event(
-        "spurious_retransmissions", "net_spurious_retransmissions_total",
-        "retransmissions of packets that already had a non-dropped attempt "
-        "in flight or delivered — the first copy was merely slow, or it "
-        "arrived and its ack was the packet the network lost"),
-    "duplicate_drop": _Event(
-        "duplicate_drops", "net_duplicate_drops_total",
-        "already-delivered packets discarded by receivers"),
-    "reorder_overflow": _Event(
-        "reorder_overflows", "net_reorder_overflows_total",
-        "out-of-order packets dropped by full reassembly buffers"),
-    "breaker_trip": _Event(
-        "breaker_trips", "net_breaker_trips_total",
-        "channels tripped into degraded probe mode"),
-    "breaker_close": _Event(
-        "breaker_closes", "net_breaker_closes_total",
-        "degraded channels restored by ack progress or heal"),
-    "backpressure_delay": _Event(
-        "backpressure_delays", "net_backpressure_delays_total",
-        "operations delayed by transport backpressure"),
-    "overload_shed": _Event(
-        "overload_sheds", "net_overload_sheds_total",
-        "writes shed by OverloadError at admission"),
-}
-
-
 class ReliableTransport(ChannelHost):
     """All reliable channels of one network, plus heal/recovery tracking."""
 
@@ -120,7 +76,7 @@ class ReliableTransport(ChannelHost):
         injector: FaultInjector,
         policy: Optional[RetransmitPolicy] = None,
     ) -> None:
-        super().__init__(network.sim, policy)
+        super().__init__(network.sim, network.collector, policy)
         self.net = network
         self.sim = network.sim
         self.injector = injector
@@ -203,12 +159,8 @@ class ReliableTransport(ChannelHost):
 
     def count(self, event: str, src: int = -1, dst: int = -1,
               size_bytes: float = 0.0, payload: object = None) -> None:
-        self.counts[event] += 1
-        net = self.net
-        if net.collector is not None:
-            net.collector.record_transport(_EVENTS[event].counter, src,
-                                           size_bytes)
-        tracer = net.tracer
+        super().count(event, src, dst, size_bytes)
+        tracer = self.net.tracer
         if tracer is not None:
             if event == "retransmission":
                 tracer.msg_retransmit(src, dst, payload, ts=self.sim.now)
@@ -228,8 +180,7 @@ class ReliableTransport(ChannelHost):
                if d == site):
             return
         del self._recovering[site]
-        if self.net.collector is not None:
-            self.net.collector.record_recovery(site, self.sim.now - heal_time)
+        self.collector.record_recovery(site, self.sim.now - heal_time)
 
     def on_heal(self, heal_time: float, group: frozenset[int]) -> None:
         """A partition isolating ``group`` healed: retransmit eagerly
@@ -327,12 +278,13 @@ class ReliableTransport(ChannelHost):
         """Export the channel-event totals and per-channel transport
         state as labeled gauges/counters.
 
-        Sampled once at quiescence from :attr:`counts` and the channels
+        Sampled once at quiescence from the collector and the channels
         themselves: the registry keeps no copy of its own.
         """
-        for event, (_, metric, help_text) in _EVENTS.items():
-            if self.counts[event]:
-                registry.inc(metric, self.counts[event], help_text=help_text)
+        for counter, metric, help_text in CHANNEL_EVENTS.values():
+            value = self.collector.transport_count(counter)
+            if value:
+                registry.inc(metric, value, help_text=help_text)
         for src, dst in sorted(self._channels):
             ch = self._channels[(src, dst)]
             tx, rx = ch.sender, ch.receiver

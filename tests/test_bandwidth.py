@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CausalCluster, ConstantLatency, SimulationConfig, run_simulation
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency as CL
 from repro.sim.network import Network
@@ -10,7 +11,8 @@ from repro.sim.network import Network
 
 def make_net(bandwidth=None, n=3, latency_ms=10.0):
     sim = Simulator()
-    net = Network(sim, n, CL(latency_ms), bandwidth_bytes_per_ms=bandwidth)
+    net = Network(sim, n, CL(latency_ms), bandwidth_bytes_per_ms=bandwidth,
+                  collector=MetricsCollector())
     inbox = []
     for i in range(n):
         net.register(i, lambda src, msg, i=i: inbox.append((sim.now, i, msg)))
@@ -67,9 +69,9 @@ class TestUplinkModel:
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            Network(Simulator(), 2, bandwidth_bytes_per_ms=0.0)
+            Network(Simulator(), 2, bandwidth_bytes_per_ms=0.0, collector=MetricsCollector())
         with pytest.raises(ValueError):
-            Network(Simulator(), 2, bandwidth_bytes_per_ms=-5.0)
+            Network(Simulator(), 2, bandwidth_bytes_per_ms=-5.0, collector=MetricsCollector())
 
     def test_fifo_still_holds_under_bandwidth(self):
         sim, net, inbox = make_net(bandwidth=50.0)

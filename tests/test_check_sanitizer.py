@@ -26,6 +26,7 @@ from repro.core.log import OptTrackLog
 from repro.core.messages import OptTrackSM
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.store import WriteId
+from repro.metrics.collector import MetricsCollector
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -50,7 +51,7 @@ def view_sm():
 
 def make_net(n_sites: int = 2):
     sim = Simulator()
-    net = SanitizedNetwork(Network(sim, n_sites))
+    net = SanitizedNetwork(Network(sim, n_sites, collector=MetricsCollector()))
     return sim, net
 
 

@@ -21,6 +21,7 @@ from repro import (
     SimulationConfig,
     run_simulation,
 )
+from repro.metrics.collector import MetricsCollector
 from repro.sim.checkpoint import DurabilityLayer, SiteDisk, WalRecord
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -129,9 +130,12 @@ class TestSiteDisk:
 
     def test_checkpoint_policy_validation(self):
         sim = Simulator()
+        collector = MetricsCollector()
+        net = Network(sim, 1, collector=collector)
         for interval in (0.0, -5.0):
             with pytest.raises(ValueError):
-                DurabilityLayer(sim, Network(sim, 1), [], interval_ms=interval)
+                DurabilityLayer(sim, net, [], interval_ms=interval,
+                                collector=collector)
 
 
 class TestWalReplay:

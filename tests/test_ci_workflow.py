@@ -294,11 +294,20 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
     assert cases == [
         "--protocol opt-track -n 5 --ops 30"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
+        "--protocol opt-track -n 5 --ops 30"
+        " --drop-rate 0.05 --crash-plan 600:1500:2"
+        " --overload-plan 300:900:10:0,1 --send-window 4",
         "--protocol opt-track-noprune -n 5 --ops 30"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
         "--protocol opt-track -n 12 -p 4 --latency uniform --ops 30"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
     ]
+    # the registry exports the counts of the first two runs, the
+    # overload and backpressure ones from the second
+    assert [words[words.index("--metrics-dir") + 1] for words in commands
+            if "--metrics-dir" in words] == [
+        "chaos-metrics-seed-<fault-seed>",
+        "chaos-overload-metrics-seed-<fault-seed>"]
     # each is a gate: teed into one report, so it must run under
     # pipefail, inherited from the workflow and overridden nowhere
     assert commands[0][-3:-1] == ["|", "tee"]

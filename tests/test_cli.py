@@ -178,6 +178,51 @@ class TestBadArguments:
         monkeypatch.chdir(tmp_path)
         assert named in self.exit_message(verb + flags)
 
+    @pytest.mark.parametrize("verb", [["run"], ["check"], ["trace", "run", "T"],
+                                      ["metrics", "run", "M"]],
+                             ids=["run", "check", "trace-run", "metrics-run"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--crash-plan", "100:200:9"], "--crash-plan"),
+        (["--partition", "0:100:7"], "--partition"),
+        (["--overload-plan", "0:100:10:9"], "--overload-plan"),
+        (["--checkpoint-interval", "-5"], "--checkpoint-interval"),
+        (["--auto-evict", "500"], "--auto-evict"),
+        (["--auto-evict", "-5", "--drop-rate", "0.1"], "--auto-evict"),
+    ], ids=["crash-plan-site", "partition-site", "overload-site",
+            "checkpoint-interval", "auto-evict-without-chaos",
+            "auto-evict-negative"])
+    def test_fault_flags(self, tmp_path, monkeypatch, verb, flags, named):
+        # each used to raise deep in the stack, or to run a fault that
+        # hit no site; none may start a run
+        monkeypatch.chdir(tmp_path)
+        message = self.exit_message(verb + ["-n", "4", "--ops", "5"] + flags)
+        assert named in message
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, named", [
+        (["soak", "-n", "1"], "-n/--sites"),
+        (["soak", "--ops", "0"], "--ops"),
+        (["analytic", "-n", "0"], "-n/--sites"),
+        (["advise", "-n", "0", "-w", "0.5"], "-n/--sites"),
+        (["advise", "-n", "5", "-w", "2"], "-w/--write-rate"),
+        (["crossover", "--max-n", "0"], "--max-n"),
+    ], ids=["soak-sites", "soak-ops", "analytic-sites", "advise-sites",
+            "advise-write-rate", "crossover-max-n"])
+    def test_model_and_soak_verbs(self, argv, named):
+        assert named in self.exit_message(argv)
+
+    def test_experiment_csv_checked_before_the_sweep(self, tmp_path,
+                                                     monkeypatch):
+        from repro.experiments import sweep
+
+        def no_sweep(*_args, **_kwargs):
+            raise AssertionError("the sweep ran before --csv was checked")
+
+        monkeypatch.setattr(sweep, "run_cell", no_sweep)
+        path = str(tmp_path / "missing" / "x.csv")
+        message = self.exit_message(["experiment", "table4", "--csv", path])
+        assert "--csv" in message and path in message
+
     @pytest.mark.parametrize("verb", [["experiment", "fig1"], ["reproduce"]])
     @pytest.mark.parametrize("flag", ["--ops", "--seeds"])
     def test_exhibit_verbs(self, tmp_path, monkeypatch, verb, flag):

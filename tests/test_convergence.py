@@ -1,7 +1,5 @@
 """Tests for the replica-convergence analysis."""
 
-import pytest
-
 from repro import (
     CausalCluster,
     ConstantLatency,
@@ -11,17 +9,17 @@ from repro import (
 )
 from repro.verify.convergence import check_convergence, divergent_variables
 
+from .test_cluster import ON_BOTH_SUBSTRATES, make_on
+
 
 class TestConvergedRuns:
-    @pytest.mark.parametrize("protocol",
-                             ["full-track", "opt-track", "opt-track-crp", "optp"])
-    def test_sequentialized_writes_converge(self, protocol):
+    @ON_BOTH_SUBSTRATES
+    def test_sequentialized_writes_converge(self, substrate, protocol):
         # writes spaced far apart (fully settled between ops) are totally
         # ordered by ->co via nothing... actually by timing alone they
         # are concurrent — but single-writer runs ARE ordered
-        kw = {"replication_factor": 2} if protocol in ("full-track", "opt-track") else {}
-        c = CausalCluster(4, protocol=protocol, n_vars=6,
-                          latency=ConstantLatency(5.0), **kw)
+        p = 2 if protocol in ("full-track", "opt-track") else None
+        c = make_on(substrate, protocol, 4, replication_factor=p)
         for k in range(12):
             c.write(0, k % 6, k)   # single writer: program order chains all
             c.settle()
@@ -30,9 +28,8 @@ class TestConvergedRuns:
         assert report.divergent == []
         assert report.divergence_rate == 0.0
 
-    def test_causally_chained_writers_converge(self):
-        c = CausalCluster(3, protocol="optp", n_vars=4,
-                          latency=ConstantLatency(5.0))
+    def test_causally_chained_writers_converge(self, substrate="sim"):
+        c = make_on(substrate, "optp", 3)
         c.write(0, 1, "a")
         c.settle()
         assert c.read(1, 1) == "a"   # creates the cross-writer chain
@@ -42,6 +39,9 @@ class TestConvergedRuns:
         assert report.ok and report.divergent == []
         for vals in report.final_values.values():
             assert len(vals) == 1
+
+    def test_causally_chained_writers_converge_on_loopback(self):
+        self.test_causally_chained_writers_converge("loopback")
 
 
 class TestLegitimateDivergence:

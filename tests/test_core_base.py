@@ -25,7 +25,7 @@ from repro.sim.network import Network
 def make_ctx(site=0, n=3, placement=None):
     placement = placement or full_replication(n, 4)
     sim = Simulator()
-    net = Network(sim, n, ConstantLatency(5.0))
+    net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector())
     return ProtocolContext(
         site=site, n_sites=n, placement=placement,
         store=SiteStore(site, placement.vars_at(site)),

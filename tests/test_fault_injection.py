@@ -11,6 +11,7 @@ import pytest
 
 from repro import CausalCluster, ConstantLatency
 from repro.memory.store import BOTTOM
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency as CL
 from repro.sim.network import Network
@@ -26,7 +27,7 @@ def make(protocol="optp", n=4, **kw):
 class TestNetworkPause:
     def test_held_messages_counted(self):
         sim = Simulator()
-        net = Network(sim, 2, CL(5.0))
+        net = Network(sim, 2, CL(5.0), collector=MetricsCollector())
         seen = []
         net.register(0, lambda s, m: seen.append(m))
         net.register(1, lambda s, m: seen.append(m))
@@ -40,7 +41,7 @@ class TestNetworkPause:
 
     def test_resume_flushes_in_order(self):
         sim = Simulator()
-        net = Network(sim, 2, CL(5.0))
+        net = Network(sim, 2, CL(5.0), collector=MetricsCollector())
         seen = []
         net.register(1, lambda s, m: seen.append(m))
         net.pause_site(1)
@@ -59,7 +60,7 @@ class TestNetworkPause:
 
     def test_resume_idempotent(self):
         sim = Simulator()
-        net = Network(sim, 2, CL(5.0))
+        net = Network(sim, 2, CL(5.0), collector=MetricsCollector())
         net.register(1, lambda s, m: None)
         net.resume_site(1)  # never paused: no-op
         net.pause_site(1)
@@ -69,7 +70,7 @@ class TestNetworkPause:
 
     def test_other_sites_unaffected(self):
         sim = Simulator()
-        net = Network(sim, 3, CL(5.0))
+        net = Network(sim, 3, CL(5.0), collector=MetricsCollector())
         seen = {1: [], 2: []}
         net.register(1, lambda s, m: seen[1].append(m))
         net.register(2, lambda s, m: seen[2].append(m))

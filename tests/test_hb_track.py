@@ -4,8 +4,6 @@ import pytest
 
 from repro import (
     AdversarialLatency,
-    CausalCluster,
-    ConstantLatency,
     SimulationConfig,
     check_causal_consistency,
     run_simulation,
@@ -13,15 +11,12 @@ from repro import (
 from repro.experiments.sweep import cell_config
 from repro.metrics.collector import MessageKind
 
-
-def make(n=3, **kw):
-    kw.setdefault("latency", ConstantLatency(10.0))
-    return CausalCluster(n, protocol="hb-track", n_vars=6, **kw)
+from .test_cluster import make_on
 
 
 class TestHBTrackSemantics:
-    def test_merge_on_receipt_not_on_read(self):
-        c = make()
+    def test_merge_on_receipt_not_on_read(self, substrate="sim"):
+        c = make_on(substrate, "hb-track", 3)
         c.write(0, 0, "v")
         c.settle()
         receiver = c.protocols[1]
@@ -29,16 +24,22 @@ class TestHBTrackSemantics:
         # time, before any read
         assert receiver.write_clock.v.tolist() == [1, 0, 0]
 
-    def test_false_causality_dependency(self):
+    def test_merge_on_receipt_not_on_read_on_loopback(self):
+        self.test_merge_on_receipt_not_on_read("loopback")
+
+    def test_false_causality_dependency(self, substrate="sim"):
         # site 1 never reads site 0's write, yet its next write still
         # carries a dependency on it
-        c = make()
+        c = make_on(substrate, "hb-track", 3)
         c.write(0, 0, "unread")
         c.settle()
         c.write(1, 1, "independent")
         proto = c.protocols[1]
         _, vec = None, proto.write_clock
         assert vec[0] == 1  # false dependency absorbed at receipt
+
+    def test_false_causality_dependency_on_loopback(self):
+        self.test_false_causality_dependency("loopback")
 
     def test_still_causally_consistent(self):
         cfg = SimulationConfig(protocol="hb-track", n_sites=6, n_vars=8,

@@ -345,7 +345,7 @@ def test_detector_flapping_under_churn_balances_pause_resume():
         cluster.advance(600.0)
         cluster.heal()
         cluster.advance(600.0)
-    assert detector.false_suspicions >= 1
+    assert cluster.collector.false_suspicions >= 1
 
     # churn while the detector is live: join then retire the flapped site
     cluster.join_site()

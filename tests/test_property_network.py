@@ -8,6 +8,7 @@ import pytest
 
 from repro import CausalCluster
 from repro.core.errors import DepartedSiteError
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import (
@@ -56,7 +57,7 @@ def _twin(latency, seed, **kwargs):
         plan = FaultPlan.uniform(drop_rate=0.1, dup_rate=0.05, spike_rate=0.05)
         kwargs["faults"] = FaultInjector(plan, seed=seed)
     net = Network(sim, N_TWIN, latency, rng=np.random.default_rng(seed),
-                  **kwargs)
+                  collector=MetricsCollector(), **kwargs)
     log = []
     for i in range(N_TWIN):
         net.register(i, lambda src, msg, i=i: log.append((sim.now, src, i, msg)))
@@ -161,7 +162,8 @@ class TestNetworkProperties:
     @settings(max_examples=60, deadline=None)
     def test_fifo_per_channel_always(self, latency, seed, sends):
         sim = Simulator()
-        net = Network(sim, 4, latency, rng=np.random.default_rng(seed))
+        net = Network(sim, 4, latency, rng=np.random.default_rng(seed),
+                      collector=MetricsCollector())
         received: dict[int, list] = {i: [] for i in range(4)}
         for i in range(4):
             net.register(i, lambda src, msg, i=i: received[i].append((src, msg)))
@@ -186,7 +188,8 @@ class TestNetworkProperties:
     @settings(max_examples=40, deadline=None)
     def test_no_message_lost_or_duplicated(self, seed, n_msgs):
         sim = Simulator()
-        net = Network(sim, 3, AdversarialLatency(), rng=np.random.default_rng(seed))
+        net = Network(sim, 3, AdversarialLatency(), rng=np.random.default_rng(seed),
+                      collector=MetricsCollector())
         got = []
         for i in range(3):
             net.register(i, lambda src, msg: got.append(msg))
@@ -206,7 +209,7 @@ class TestNetworkProperties:
     ):
         sim = Simulator()
         net = Network(sim, 2, UniformLatency(1.0, 50.0),
-                      rng=np.random.default_rng(seed))
+                      rng=np.random.default_rng(seed), collector=MetricsCollector())
         got = []
         net.register(1, lambda src, msg: got.append(msg))
         net.register(0, lambda src, msg: None)

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.netpolicy import RetransmitPolicy
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
     NO_FAULT,
@@ -32,6 +33,7 @@ from repro.sim.faults import (
     Partition,
 )
 from repro.sim.network import AdversarialLatency, Network
+from repro.sim.reliable import AckPacket
 
 from .test_channel import LiveDriver, SimDriver
 
@@ -257,28 +259,47 @@ class TestFaultStreamIdentity:
     ):
         reference = ScalarInjector(plan, np.random.default_rng(fault_seed))
         injector = FaultInjector(plan, rng=np.random.default_rng(fault_seed))
-        transport = Network(
-            Simulator(), N_SITES, faults=injector,
-            retransmit=RetransmitPolicy(jitter_ms=jitter_ms)).transport
+        net = Network(Simulator(), N_SITES, faults=injector,
+                      collector=MetricsCollector(),
+                      retransmit=RetransmitPolicy(jitter_ms=jitter_ms))
+        dealt = []
+        decide = injector.decide
+
+        def recording_decide(src, dst, now):
+            fate = decide(src, dst, now)
+            dealt.append(fate)
+            return fate
+
+        injector.decide = recording_decide
         order = Random(order_seed)
         now = 0.0
         fates = []
-        # decisions and timer jitter interleaved at random, far enough
-        # to cross two block boundaries (a jitter draw always draws)
+        # decisions (each one physical attempt of a bare ack, which the
+        # network books into its collector) and timer jitter interleaved
+        # at random, far enough to cross two block boundaries (a jitter
+        # draw always draws)
         while reference.draws <= 600:
             src, dst = order.sample(range(N_SITES), 2)
             now += order.uniform(0.0, 2.0)
             if order.random() < 0.25:
-                assert (transport.jitter(src, dst)
+                assert (net.transport.jitter(src, dst)
                         == reference.uniform(0.0, jitter_ms))
             else:
-                fate = injector.decide(src, dst, now)
-                assert fate == reference.decide(src, dst, now)
+                net.sim.run(until=now)
+                arrival = net._transmit_raw(src, dst, AckPacket(-1), 0.0)
+                fate = reference.decide(src, dst, now)
+                assert len(dealt) == len(fates) + 1
+                assert dealt[-1] == fate
+                assert (arrival is None) == fate.drop
                 fates.append(fate)
         assert injector.decisions == len(fates)
-        assert injector.partition_drops == sum(f.severed for f in fates)
-        assert injector.drops == sum(f.drop and not f.severed for f in fates)
-        assert injector.duplicates == sum(f.duplicates for f in fates)
+        col = net.collector
+        assert col.injected_partition_drops == sum(f.severed for f in fates)
+        assert col.injected_drops == sum(f.drop for f in fates)
+        assert col.injected_dups == sum(f.duplicates for f in fates)
+        spikes = [f.extra_delay_ms for f in fates if f.extra_delay_ms]
+        assert (col.injected_spikes.count, col.injected_spikes.total) == (
+            len(spikes), sum(spikes))
         # and nothing was skipped or drawn twice: the two generators are
         # within one block of each other
         ahead = np.random.default_rng(fault_seed)

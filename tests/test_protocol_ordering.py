@@ -31,7 +31,7 @@ from repro.sim.network import ConstantLatency, Network
 def make_proto(name, site=1, n=3, placement=None):
     placement = placement or full_replication(n, 4)
     sim = Simulator()
-    net = Network(sim, n, ConstantLatency(5.0))
+    net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector())
     ctx = ProtocolContext(
         site=site, n_sites=n, placement=placement,
         store=SiteStore(site, placement.vars_at(site)),

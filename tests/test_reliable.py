@@ -1,11 +1,12 @@
 """The fault injector, the retransmit policy, and what only the simulator's
 channel host has: injector-aware spurious accounting, partition-heal
-scheduling, recovery clocks, collector/registry mirroring.  Channel
+scheduling, recovery clocks, collector/registry export.  Channel
 behaviour itself is in ``test_channel.py``, over both drivers."""
 
 import numpy as np
 import pytest
 
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
     ChannelFaults,
@@ -27,7 +28,9 @@ def make_net(n=2, drop=0.0, dup=0.0, spike=0.0, partitions=(), seed=0,
     injector = FaultInjector(plan, rng=np.random.default_rng(seed))
     net = Network(sim, n, latency or ConstantLatency(10.0),
                   rng=np.random.default_rng(1), faults=injector,
-                  collector=collector, retransmit=policy or FAST)
+                  collector=collector if collector is not None
+                  else MetricsCollector(),
+                  retransmit=policy or FAST)
     return sim, net, injector
 
 
@@ -104,13 +107,11 @@ class TestReliableDelivery:
             net.send(0, 1, k)
         sim.run(until=499.0)
         assert got == []  # everything severed
-        assert inj.partition_drops > 0
+        assert net.collector.injected_partition_drops > 0
         sim.run()
         assert got == list(range(5))  # heal triggers eager retransmission
 
     def test_recovery_latency_recorded_per_site(self):
-        from repro.metrics.collector import MetricsCollector
-
         col = MetricsCollector()
         sim, net, _ = make_net(partitions=(Partition([1], 0.0, 300.0),),
                                collector=col)
@@ -125,8 +126,6 @@ class TestReliableDelivery:
         assert col.recovery_latency.mean == pytest.approx(10.0 + 10.0, abs=5.0)
 
     def test_ack_overhead_accounted(self):
-        from repro.metrics.collector import MetricsCollector
-
         col = MetricsCollector()
         sim, net, _ = make_net(collector=col)
         net.register(1, lambda s, m: None)
@@ -180,10 +179,7 @@ class TestSpuriousAccounting:
         # no drops: every timer firing is premature by construction
         pol = RetransmitPolicy(base_rto_ms=5.0, max_rto_ms=800.0,
                                jitter_ms=1.0, adaptive=False)
-        from repro.metrics.collector import MetricsCollector
-
-        col = MetricsCollector()
-        sim, net, _ = make_net(policy=pol, collector=col)
+        sim, net, _ = make_net(policy=pol)
         got = []
         net.register(1, lambda s, m: got.append(m))
         net.register(0, lambda s, m: None)
@@ -191,13 +187,12 @@ class TestSpuriousAccounting:
             net.send(0, 1, k)
         sim.run()
         assert got == list(range(5))
-        counts = net.transport.counts
-        assert counts["retransmission"] > 0
-        assert counts["spurious_retransmission"] == counts["retransmission"]
-        # every event is mirrored into the collector's tally of it
-        assert col.retransmissions == counts["retransmission"]
-        assert col.spurious_retransmissions == counts["spurious_retransmission"]
-        assert col.duplicate_drops == counts["duplicate_drop"] > 0
+        # the host counts every channel event into the network's collector
+        col = net.transport.collector
+        assert col is net.collector
+        assert col.retransmissions > 0
+        assert col.spurious_retransmissions == col.retransmissions
+        assert col.duplicate_drops > 0
 
 
 class TestChannelMetricsExport:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.netpolicy import RetransmitPolicy
 from repro.loopback import LoopbackCluster
+from repro.metrics.collector import MetricsCollector
 from repro.service import codec
 from repro.service.bootstrap import default_topology
 from repro.service.channel import ServiceTransport
@@ -104,7 +105,7 @@ class TestOneEncodePerMessage:
         sim = Simulator()
         transport = ServiceTransport(
             0, 2, sim, lambda dst, frame: frames.append((dst, frame)),
-            lambda src, msg: None,
+            lambda src, msg: None, collector=MetricsCollector(),
             policy=RetransmitPolicy(base_rto_ms=50.0, jitter_ms=0.0))
         return transport, sim, calls
 
@@ -131,3 +132,21 @@ class TestOneEncodePerMessage:
         calls.clear()
         transport.on_frame(loads(inbound))
         assert frames == [(1, codec.ack_frame(0, 0))] and calls == []
+
+
+class TestLiveCounts:
+    def test_each_node_counts_the_acks_it_sends(self):
+        # a live node's channel events go into its own collector: every
+        # data frame its receivers take is answered by one counted ack
+        cluster = LoopbackCluster(default_topology(3, protocol="optp", n_vars=4))
+        for k in range(8):
+            for site in range(3):
+                cluster.write(site, k % 4, k)
+        cluster.settle()
+        for transport, node in zip(cluster.transports, cluster.nodes):
+            assert node.collector is transport.collector
+            taken = sum(transport.channel(peer).receiver.next_expected
+                        for peer in range(3) if peer != transport.site)
+            assert taken == 16  # 8 writes from each of two peers
+            assert node.collector.acks_sent == taken
+            assert node.collector.ack_bytes > 0

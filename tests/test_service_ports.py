@@ -8,6 +8,7 @@ from repro.core.ports import (
     TimerService,
     Transport,
 )
+from repro.metrics.collector import MetricsCollector
 from repro.service.channel import ServiceTransport
 from repro.sim.checkpoint import SiteDisk
 from repro.sim.engine import Simulator
@@ -16,7 +17,7 @@ from repro.sim.network import Network
 
 def _sim_and_network(n=3):
     sim = Simulator()
-    net = Network(sim, n)
+    net = Network(sim, n, collector=MetricsCollector())
     return sim, net
 
 
@@ -40,8 +41,8 @@ class TestSimulatorSubstrate:
 class TestServiceSubstrate:
     def test_service_transport_is_transport(self):
         transport = ServiceTransport(
-            0, 2, Simulator(), lambda dst, frame: None, lambda src, msg: None
-        )
+            0, 2, Simulator(), lambda dst, frame: None, lambda src, msg: None,
+            collector=MetricsCollector())
         assert isinstance(transport, Transport)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     AdversarialLatency,
@@ -16,7 +17,7 @@ from repro.sim.network import (
 
 def make_net(n=3, latency=None, seed=0):
     sim = Simulator()
-    net = Network(sim, n, latency, rng=np.random.default_rng(seed))
+    net = Network(sim, n, latency, rng=np.random.default_rng(seed), collector=MetricsCollector())
     inboxes = {i: [] for i in range(n)}
     for i in range(n):
         net.register(i, lambda src, msg, i=i: inboxes[i].append((src, msg)))
@@ -147,7 +148,7 @@ class TestNetwork:
 
     def test_unregistered_receiver_raises_at_delivery(self):
         sim = Simulator()
-        net = Network(sim, 2, ConstantLatency(1.0))
+        net = Network(sim, 2, ConstantLatency(1.0), collector=MetricsCollector())
         net.send(0, 1, "x")
         with pytest.raises(RuntimeError, match="no receiver"):
             sim.run()
@@ -173,4 +174,4 @@ class TestNetwork:
 
     def test_zero_sites_rejected(self):
         with pytest.raises(ValueError):
-            Network(Simulator(), 0)
+            Network(Simulator(), 0, collector=MetricsCollector())

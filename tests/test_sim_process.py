@@ -16,7 +16,7 @@ from repro.workload.schedule import Operation, OpKind, SiteSchedule
 
 def build_site(schedule_items, n=2, protocol="optp", on_operation=None):
     sim = Simulator()
-    net = Network(sim, n, ConstantLatency(5.0))
+    net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector())
     placement = full_replication(n, 4)
     protocols = []
     for i in range(n):
@@ -93,7 +93,7 @@ class TestBlockingRemoteReads:
         # site 0 does not replicate var; a remote read takes a round trip
         # (2 x 5 ms) and the next op must wait for it
         sim = Simulator()
-        net = Network(sim, 2, ConstantLatency(5.0))
+        net = Network(sim, 2, ConstantLatency(5.0), collector=MetricsCollector())
         placement = RoundRobinPlacement(2, 2, 1)  # var v at site v only
         protocols = []
         from repro.metrics.collector import MetricsCollector as MC
