@@ -185,6 +185,25 @@ def test_micro_engine_dispatch(benchmark):
     assert benchmark(dispatch) == KERNEL_EVENTS
 
 
+def noop3(src, dst, payload):
+    return None
+
+
+def test_micro_engine_post_dispatch(benchmark):
+    """Kernel post + pop + no-op call — the per-message floor of a
+    network delivery, which posts a bare heap tuple (same 97 slots as
+    ``test_micro_engine_dispatch``)."""
+
+    def dispatch():
+        sim = Simulator()
+        for i in range(KERNEL_EVENTS):
+            sim.post(float(i % 97), noop3, 0, 1, i)
+        sim.run()
+        return sim.processed_events
+
+    assert benchmark(dispatch) == KERNEL_EVENTS
+
+
 def test_micro_engine_cancel_churn(benchmark):
     """Schedule/cancel churn, retransmit-timer style: 7 of 8 events are
     cancelled before firing (53 timestamp slots), so the heap carries

@@ -6,7 +6,8 @@ and two runs bit-identical.  A raw ``heapq.heappush`` elsewhere invents
 a second priority queue *without* that tie-break: equal keys then pop
 in heap-internal order, which depends on arrival interleaving.  All
 time-ordered scheduling must go through
-:meth:`repro.sim.engine.Simulator.schedule`.
+:meth:`repro.sim.engine.Simulator.schedule` (a cancellable event) or
+:meth:`~repro.sim.engine.Simulator.post` (a call nobody cancels).
 """
 
 from __future__ import annotations

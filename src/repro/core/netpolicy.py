@@ -199,7 +199,7 @@ class ChannelSender:
     """Sender half of the directed channel ``src -> dst``."""
 
     __slots__ = (
-        "host", "src", "dst", "_key", "_timer_label", "next_seq", "unacked",
+        "host", "src", "dst", "_key", "next_seq", "unacked",
         "backlog", "rto", "_timer", "retransmissions", "unacked_peak", "_est",
         "_sent_at", "_retx", "_flight_ok", "consecutive_timeouts", "degraded",
         "breaker_trips", "_flush_queue", "_pacer", "_pace_ms",
@@ -210,7 +210,6 @@ class ChannelSender:
         self.src = src
         self.dst = dst
         self._key = (src, dst)
-        self._timer_label = f"rto {src}->{dst}"
         self.next_seq = 0
         self.unacked: dict[int, DataPacket] = {}
         #: sends the window (or an open breaker) kept out of flight
@@ -429,9 +428,7 @@ class ChannelSender:
                 or not self.unacked or self._key in host.paused_pairs):
             return
         self._timer = host.scheduler.schedule(
-            self.rto + host.jitter(self.src, self.dst), self._on_timeout,
-            label=self._timer_label,
-        )
+            self.rto + host.jitter(self.src, self.dst), self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -439,10 +436,7 @@ class ChannelSender:
             self._timer = None
 
     def _schedule_pacer(self) -> None:
-        self._pacer = self.host.scheduler.schedule(
-            self._pace_ms, self._on_pacer,
-            label=f"pace {self.src}->{self.dst}",
-        )
+        self._pacer = self.host.scheduler.schedule(self._pace_ms, self._on_pacer)
 
     def _on_pacer(self) -> None:
         self._pacer = None

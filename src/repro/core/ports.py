@@ -92,15 +92,9 @@ class TimerHandle(Protocol):
 class TimerService(Protocol):
     """Delayed callbacks, in the owning :class:`Clock`'s time base."""
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> TimerHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` ``delay`` ms from now; returns a cancellable
-        handle.  ``label`` is a pure debug annotation."""
+        handle."""
         ...
 
 

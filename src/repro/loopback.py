@@ -42,7 +42,8 @@ class LoopbackCluster(Cluster):
         self.history = HistoryRecorder()
         policy = RetransmitPolicy(**topology.retransmit)
         self.transports = [
-            ServiceTransport(site, topology.n_sites, self.sim, self._send_frame,
+            ServiceTransport(site, topology.n_sites, self.sim,
+                             partial(self._send_frame, site),
                              partial(self._deliver, site),
                              collector=MetricsCollector(), policy=policy)
             for site in range(topology.n_sites)
@@ -56,10 +57,10 @@ class LoopbackCluster(Cluster):
         ]
         self.protocols = [node.protocol for node in self.nodes]
 
-    def _send_frame(self, dst: int, frame: bytes) -> None:
-        self.sim.schedule(0.0, partial(self._arrive, dst, frame))
+    def _send_frame(self, src: int, dst: int, frame: bytes) -> None:
+        self.sim.post(self.sim.now, self._arrive, src, dst, frame)
 
-    def _arrive(self, dst: int, frame: bytes) -> None:
+    def _arrive(self, src: int, dst: int, frame: bytes) -> None:
         self.transports[dst].on_frame(loads(frame))
 
     def _deliver(self, site: int, src: int, message: object) -> None:

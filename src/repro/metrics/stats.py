@@ -52,9 +52,16 @@ class RunningStat:
         if len(self._reservoir) < RESERVOIR_CAPACITY:
             self._reservoir.append(x)
         else:
-            if self._sampler is None:
-                self._sampler = random.Random(_RESERVOIR_SEED)
-            j = self._sampler.randrange(self.count)
+            # randrange(count) inlined as in add_many: same getrandbits
+            # stream, two Python frames fewer per sample
+            sampler = self._sampler
+            if sampler is None:
+                sampler = self._sampler = random.Random(_RESERVOIR_SEED)
+            count = self.count
+            k = count.bit_length()
+            j = sampler.getrandbits(k)
+            while j >= count:
+                j = sampler.getrandbits(k)
             if j < RESERVOIR_CAPACITY:
                 self._reservoir[j] = x
 

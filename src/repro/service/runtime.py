@@ -54,13 +54,7 @@ class AsyncioScheduler:
         """Milliseconds since node start (wall time)."""
         return (self._loop.time() - self._origin) * 1000.0
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> AsyncioTimer:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> AsyncioTimer:
         """Run ``callback`` ``delay`` ms from now on the loop."""
         return AsyncioTimer(
             self._loop.call_later(max(delay, 0.0) / 1000.0, callback)

@@ -171,9 +171,7 @@ class DurabilityLayer:
             disk.install_checkpoint(proto.snapshot(), self.sim.now)
             proto._wal = disk
             self.disks.append(disk)
-        self._tick_event = self.sim.schedule(
-            self.interval_ms, self._tick, label="checkpoint.tick"
-        )
+        self._tick_event = self.sim.schedule(self.interval_ms, self._tick)
 
     def disk(self, site: int) -> SiteDisk:
         return self.disks[site]
@@ -220,18 +218,14 @@ class DurabilityLayer:
             # crash (interactive drivers) replays only post-wake inputs
             self._stopped = True
             return
-        self._tick_event = self.sim.schedule(
-            self.interval_ms, self._tick, label="checkpoint.tick"
-        )
+        self._tick_event = self.sim.schedule(self.interval_ms, self._tick)
 
     def wake(self) -> None:
         """Restart the periodic tick after a quiescent stop."""
         if not self._attached or not self._stopped or self._tick_event is not None:
             return
         self._stopped = False
-        self._tick_event = self.sim.schedule(
-            self.interval_ms, self._tick, label="checkpoint.tick"
-        )
+        self._tick_event = self.sim.schedule(self.interval_ms, self._tick)
 
     @property
     def checkpoints_taken(self) -> int:

@@ -183,10 +183,7 @@ class CrashRecoveryManager:
             self._plan_pending += 1
             if ev.site >= n:
                 raise ValueError(f"crash plan names site {ev.site}; n={n}")
-            self.sim.schedule_at(
-                ev.at_ms, lambda ev=ev: self._plan_crash(ev),
-                label=f"crash.plan site{ev.site}",
-            )
+            self.sim.schedule_at(ev.at_ms, lambda ev=ev: self._plan_crash(ev))
 
     def down_forever(self) -> set[int]:
         """Down sites with no scheduled recovery (crash-stop victims)."""
@@ -202,10 +199,8 @@ class CrashRecoveryManager:
         if not ev.is_crash_stop:
             self._plan_pending += 1
             self._recovery_scheduled.add(ev.site)
-            self.sim.schedule_at(
-                ev.recover_ms, lambda: self._plan_recover(ev.site),
-                label=f"recover.plan site{ev.site}",
-            )
+            self.sim.schedule_at(ev.recover_ms,
+                                 lambda: self._plan_recover(ev.site))
 
     def _plan_recover(self, site: int) -> None:
         self._plan_pending -= 1
@@ -323,10 +318,7 @@ class CrashRecoveryManager:
             self.collector.record_sync_message()
             self.net._transmit_raw(site, peer, req, SYNC_REQUEST_BYTES)
         nxt = min(interval * CATCHUP_BACKOFF, CATCHUP_MAX_INTERVAL_MS)
-        self.sim.schedule(
-            interval, lambda: self._catchup_round(site, nxt),
-            label=f"catchup site{site} round{rounds + 1}",
-        )
+        self.sim.schedule(interval, lambda: self._catchup_round(site, nxt))
 
     def _caught_up(self, site: int) -> bool:
         # 1. nothing a live sender owes this site is still unacked (wire

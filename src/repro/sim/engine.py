@@ -12,27 +12,33 @@ The kernel is deliberately minimal: everything domain-specific (channels,
 processes, protocols) is layered on top via callbacks.
 
 Hot-path layout (see docs/architecture.md, "Hot path & performance
-model"): the heap stores ``(time, seq, event)`` tuples so ordering uses
-C-level tuple comparison instead of a Python ``__lt__``;
-:class:`ScheduledEvent` is a ``__slots__`` record; and cancellation is
-lazy with *bounded* garbage — cancelled entries are tombstones counted
-by the kernel and compacted out once they outnumber live entries
-(compaction is deterministic: the surviving ``(time, seq)`` keys are a
-total order, so ``heapify`` rebuilds the same heap in both runs of a
-double-run diff).
+model"): the heap holds two entry shapes, both ordered by C-level tuple
+comparison on their unique ``(time, seq)`` prefix.  A cancellable event
+is ``(time, seq, event)`` with :class:`ScheduledEvent` a ``__slots__``
+record; a call nobody cancels (one message delivery) is posted as
+``(time, seq, None, fn, src, dst, payload)`` and allocates nothing but
+that tuple.  Cancellation is lazy with *bounded* garbage — cancelled
+entries are tombstones counted by the kernel and compacted out once
+they outnumber live entries (compaction is deterministic: the surviving
+``(time, seq)`` keys are a total order, so ``heapify`` rebuilds the
+same heap in both runs of a double-run diff).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "ScheduledEvent", "SimulationError"]
 
 #: queues smaller than this are never compacted — the scan costs more
 #: than the tombstones
 _COMPACT_MIN_QUEUE = 64
+
+#: a heap entry: ``(time, seq, ScheduledEvent)`` or, posted,
+#: ``(time, seq, None, fn, src, dst, payload)``
+_Entry = tuple[Any, ...]
 
 
 class SimulationError(RuntimeError):
@@ -49,23 +55,21 @@ class ScheduledEvent:
 
     Ordering is ``(time, seq)``: events fire in timestamp order, with the
     insertion sequence number breaking ties deterministically.  The
-    callback and its annotation do not participate in ordering.
+    callback does not participate in ordering.
     """
 
-    __slots__ = ("time", "seq", "callback", "label", "cancelled", "_sim", "_queued")
+    __slots__ = ("time", "seq", "callback", "cancelled", "_sim", "_queued")
 
     def __init__(
         self,
         time: float,
         seq: int,
         callback: Callable[[], None],
-        label: str = "",
         _sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
-        self.label = label
         self.cancelled = False
         self._sim = _sim
         self._queued = _sim is not None
@@ -90,7 +94,7 @@ class ScheduledEvent:
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return (f"ScheduledEvent(t={self.time!r}, seq={self.seq}, "
-                f"label={self.label!r}, {state})")
+                f"callback={self.callback!r}, {state})")
 
 
 class Simulator:
@@ -109,9 +113,9 @@ class Simulator:
     """
 
     def __init__(self, *, max_events: Optional[int] = None) -> None:
-        #: heap of (time, seq, event) — tuple comparison never reaches
-        #: the event because (time, seq) is unique
-        self._queue: list[tuple[float, int, ScheduledEvent]] = []
+        #: heap of entries (see ``_Entry``) — tuple comparison never
+        #: reaches index 2 because (time, seq) is unique
+        self._queue: list[_Entry] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -162,13 +166,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> ScheduledEvent:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` to fire ``delay`` ms from now.
 
         ``delay`` must be non-negative; zero-delay events run after all
@@ -177,24 +175,35 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        return self.schedule_at(self._now + delay, callback, label=label)
+        return self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> ScheduledEvent:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated time ``time`` ms."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before current time t={self._now!r}"
             )
         seq = next(self._seq)
-        ev = ScheduledEvent(time, seq, callback, label, self)
+        ev = ScheduledEvent(time, seq, callback, self)
         heapq.heappush(self._queue, (time, seq, ev))
         return ev
+
+    def post(self, time: float, fn: Callable[[Any, Any, Any], None],
+             src: Any, dst: Any, payload: Any) -> None:
+        """Call ``fn(src, dst, payload)`` at absolute time ``time`` ms.
+
+        The per-message form of :meth:`schedule_at` for a call nobody
+        cancels: no handle, no :class:`ScheduledEvent`, no closure — one
+        heap tuple.  It draws its ``seq`` from the same counter, so it
+        orders, counts against ``max_events`` and reaches ``observer``
+        exactly as the equivalent ``schedule_at`` would.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time!r} before current time t={self._now!r}"
+            )
+        heapq.heappush(self._queue,
+                       (time, next(self._seq), None, fn, src, dst, payload))
 
     # ------------------------------------------------------------------
     # tombstone accounting
@@ -215,7 +224,8 @@ class Simulator:
         to it across callbacks, and compaction can fire mid-callback via
         ``cancel()``.
         """
-        self._queue[:] = [item for item in self._queue if not item[2].cancelled]
+        self._queue[:] = [item for item in self._queue
+                          if item[2] is None or not item[2].cancelled]
         heapq.heapify(self._queue)
         self._tombstones = 0
         self.compactions += 1
@@ -227,12 +237,14 @@ class Simulator:
         """Execute the single next event.  Returns False if queue is empty."""
         queue = self._queue
         while queue:
-            ev = heapq.heappop(queue)[2]
-            ev._queued = False
-            if ev.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = ev.time
+            item = heapq.heappop(queue)
+            ev = item[2]
+            if ev is not None:
+                ev._queued = False
+                if ev.cancelled:
+                    self._tombstones -= 1
+                    continue
+            self._now = item[0]
             self._processed += 1
             if self._max_events is not None and self._processed > self._max_events:
                 raise SimulationError(
@@ -240,8 +252,11 @@ class Simulator:
                     "likely a protocol livelock"
                 )
             if self.observer is not None:
-                self.observer(ev.time, len(queue))
-            ev.callback()
+                self.observer(item[0], len(queue))
+            if ev is None:
+                item[3](item[4], item[5], item[6])
+            else:
+                ev.callback()
             return True
         return False
 
@@ -270,13 +285,14 @@ class Simulator:
         processed = self._processed
         try:
             while queue:
-                head = queue[0][2]
-                if head.cancelled:
+                head = queue[0]
+                ev = head[2]
+                if ev is not None and ev.cancelled:
                     pop(queue)
-                    head._queued = False
+                    ev._queued = False
                     self._tombstones -= 1
                     continue
-                batch_until = head.time
+                batch_until = head[0]
                 if until is not None and batch_until > until:
                     break
                 # batch: every event at this exact timestamp is known to
@@ -285,11 +301,13 @@ class Simulator:
                 self._now = batch_until
                 batch_start = processed
                 while queue and queue[0][0] == batch_until:
-                    ev = pop(queue)[2]
-                    ev._queued = False
-                    if ev.cancelled:
-                        self._tombstones -= 1
-                        continue
+                    item = pop(queue)
+                    ev = item[2]
+                    if ev is not None:
+                        ev._queued = False
+                        if ev.cancelled:
+                            self._tombstones -= 1
+                            continue
                     processed += 1
                     if max_events is not None and processed > max_events:
                         raise SimulationError(
@@ -298,7 +316,10 @@ class Simulator:
                         )
                     if observer is not None:
                         observer(batch_until, len(queue))
-                    ev.callback()
+                    if ev is None:
+                        item[3](item[4], item[5], item[6])
+                    else:
+                        ev.callback()
                 if batch_observer is not None:
                     batches_skipped += 1
                     if batches_skipped >= batch_stride:

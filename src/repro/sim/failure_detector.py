@@ -128,8 +128,7 @@ class FailureDetector:
                     self._last_heard[(o, s)] = now
                     self._timeout[(o, s)] = base
         self._tick_event = self.sim.schedule(
-            self.policy.heartbeat_interval_ms, self._tick, label="fd.tick"
-        )
+            self.policy.heartbeat_interval_ms, self._tick)
 
     def suspects(self, observer: int, subject: int) -> bool:
         return (observer, subject) in self.suspected
@@ -162,8 +161,7 @@ class FailureDetector:
                 if now - self._last_heard[pair] >= self._timeout[pair]:
                     self._suspect(observer, subject)
         self._tick_event = self.sim.schedule(
-            self.policy.heartbeat_interval_ms, self._tick, label="fd.tick"
-        )
+            self.policy.heartbeat_interval_ms, self._tick)
 
     def _suspect(self, observer: int, subject: int) -> None:
         pair = (observer, subject)
@@ -263,5 +261,4 @@ class FailureDetector:
         for pair in self._last_heard:
             self._last_heard[pair] = max(self._last_heard[pair], now)
         self._tick_event = self.sim.schedule(
-            self.policy.heartbeat_interval_ms, self._tick, label="fd.tick"
-        )
+            self.policy.heartbeat_interval_ms, self._tick)

@@ -232,16 +232,11 @@ class ViewManager:
 
         for ev in sorted(membership_events, key=lambda e: e.at_ms):
             if isinstance(ev, JoinEvent):
-                self.sim.schedule_at(
-                    ev.at_ms, self.request_join, label="membership-join"
-                )
+                self.sim.schedule_at(ev.at_ms, self.request_join)
             elif isinstance(ev, LeaveEvent):
                 site = ev.site
-                self.sim.schedule_at(
-                    ev.at_ms,
-                    lambda s=site: self.request_leave(s),
-                    label="membership-leave",
-                )
+                self.sim.schedule_at(ev.at_ms,
+                                     lambda s=site: self.request_leave(s))
             else:  # pragma: no cover - guarded by FaultPlan.validate
                 raise TypeError(f"unknown membership event {ev!r}")
 
@@ -285,11 +280,7 @@ class ViewManager:
         if mgr is None or subject not in mgr.down_forever():
             return  # a recovery is scheduled; let crash recovery handle it
         self._evict_pending.add(subject)
-        self.sim.schedule(
-            after,
-            lambda: self._maybe_evict(subject),
-            label="membership-evict-check",
-        )
+        self.sim.schedule(after, lambda: self._maybe_evict(subject))
 
     def _maybe_evict(self, subject: int) -> None:
         self._evict_pending.discard(subject)
@@ -313,11 +304,8 @@ class ViewManager:
                 self.stats.skipped_changes += 1
                 continue
             if action == "retry":
-                self.sim.schedule(
-                    CHANGE_RETRY_MS,
-                    lambda c=change: self._requeue(c),
-                    label="membership-retry",
-                )
+                self.sim.schedule(CHANGE_RETRY_MS,
+                                  lambda c=change: self._requeue(c))
                 continue
             self._active = change
             self._fence_started = self.sim.now
@@ -382,7 +370,7 @@ class ViewManager:
                 f"view-change fence for {change.kind} of site {change.site} "
                 f"did not drain within {MAX_FENCE_MS}ms: {blockers}"
             )
-        self.sim.schedule(FENCE_POLL_MS, self._poll_fence, label="view-fence-poll")
+        self.sim.schedule(FENCE_POLL_MS, self._poll_fence)
 
     def _complete(self, change: _PendingChange) -> None:
         self._mutate(change)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -208,11 +207,6 @@ class Network:
         self._uplink_busy_until: dict[int, float] = {}
         self._receivers: dict[int, Callable[[int, object], None]] = {}
         self._channels: dict[tuple[int, int], ChannelStats] = {}
-        # event labels are pure debug strings; interned per channel so
-        # neither path pays an f-string per message ("deliver s->d" on
-        # the seed path, "packet s->d" under a fault injector: a network
-        # runs one or the other)
-        self._labels: dict[tuple[int, int], str] = {}
         # Plain-uniform latency models admit block draws: a numpy
         # Generator consumes the bit stream identically for one
         # uniform() call per message and for a block of 256, so the
@@ -279,8 +273,8 @@ class Network:
     def resume_site(self, site: int) -> None:
         """Flush everything held for ``site`` and resume normal flow.
 
-        The backlog is *scheduled* through the simulator (zero-delay
-        events, preserving hold order via the kernel's tie-breaking)
+        The backlog is *posted* to the simulator (zero-delay entries,
+        preserving hold order via the kernel's tie-breaking)
         rather than delivered synchronously here, so delivery timestamps
         and downstream metrics stay consistent with the kernel clock —
         run the simulator (``settle``/``advance``/``run``) to observe
@@ -293,11 +287,10 @@ class Network:
         held = self._held.pop(site, [])
         if held and site not in self._receivers:
             raise RuntimeError(f"no receiver registered for site {site}")
+        now = self.sim.now
         for src, message in held:
             self._app_in_flight += 1
-            self.sim.schedule(
-                0.0, partial(self._deliver_scheduled, src, site, message),
-                label=f"resume flush ->{site}")
+            self.sim.post(now, self._deliver_scheduled, src, site, message)
 
     def is_paused(self, site: int) -> bool:
         return site in self._paused
@@ -501,14 +494,13 @@ class Network:
                  size_bytes: float) -> float:
         """Seed-path body of ``send`` / ``multicast``: per destination, in
         order, a range check, one latency draw, the FIFO clamp and one
-        kernel event.  Returns the last delivery time."""
+        posted kernel entry.  Returns the last delivery time."""
         now = delivery = self.sim.now
         bandwidth = self.bandwidth if size_bytes > 0 else None
         n_sites = self.n_sites
         channels = self._channels
-        labels = self._labels
         sample = self._sample_latency
-        schedule_at = self.sim.schedule_at
+        post = self.sim.post
         deliver = self._deliver_scheduled
         for dst in dests:
             if not 0 <= dst < n_sites:
@@ -530,12 +522,8 @@ class Network:
             stats.last_delivery = delivery
             stats.messages += 1
             self.total_messages += 1
-            label = labels.get(key)
-            if label is None:
-                label = labels[key] = f"deliver {src}->{dst}"
             self._app_in_flight += 1
-            schedule_at(delivery, partial(deliver, src, dst, message),
-                        label=label)
+            post(delivery, deliver, src, dst, message)
         return delivery
 
     def _deliver_scheduled(self, src: int, dst: int, message: object) -> None:
@@ -597,14 +585,11 @@ class Network:
             stats = self._channels[key] = ChannelStats()
         stats.messages += 1
         self.total_messages += 1
-        label = self._labels.get(key)
-        if label is None:
-            label = self._labels[key] = f"packet {src}->{dst}"
         duplicates, extra_delay_ms = 0, 0.0
         tracer = self.tracer
         if decision is not NO_FAULT or tracer is not None:
             # one transmission in ten at the benchmark's rates; the rest
-            # pay the stats bump, one latency draw and one kernel event
+            # pay the stats bump, one latency draw and one posted entry
             drop, duplicates, extra_delay_ms, severed = decision
             if tracer is not None:
                 # DataPackets are traced by their application payload;
@@ -626,16 +611,15 @@ class Network:
         delivery = departure + delay + extra_delay_ms
         if delivery > stats.last_delivery:
             stats.last_delivery = delivery
-        arrive = partial(self._arrive, src, dst, packet)
-        sim.schedule_at(delivery, arrive, label=label)
+        sim.post(delivery, self._arrive, src, dst, packet)
         for _ in range(duplicates):
             dup_delay = (self.latency.local_delay() if src == dst
                          else self._sample_latency(src, dst))
             stats.messages += 1
             self.total_messages += 1
             self.collector.record_injected_dup()
-            sim.schedule_at(departure + dup_delay + extra_delay_ms, arrive,
-                            label="dup " + label)
+            sim.post(departure + dup_delay + extra_delay_ms, self._arrive,
+                     src, dst, packet)
         return delivery
 
     def _arrive(self, src: int, dst: int, packet: object) -> None:

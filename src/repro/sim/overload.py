@@ -86,11 +86,7 @@ class OverloadDriver:
         # deterministic firing order: by time, then site id
         ticks.sort()
         for t, site in ticks:
-            sim.schedule_at(
-                max(t, sim.now),
-                lambda site=site: self._tick(site),
-                label=f"flash-crowd site{site}",
-            )
+            sim.schedule_at(max(t, sim.now), lambda site=site: self._tick(site))
 
     # ------------------------------------------------------------------
     def _tick(self, site: int, defers: int = 0) -> None:
@@ -107,11 +103,7 @@ class OverloadDriver:
                 self.skipped += 1
                 return
             self.deferred += 1
-            self.sim.schedule(
-                self.DEFER_MS,
-                lambda: self._tick(site, defers + 1),
-                label=f"flash-crowd site{site} defer",
-            )
+            self.sim.schedule(self.DEFER_MS, lambda: self._tick(site, defers + 1))
             return
         var = int(self.rng.integers(self.n_vars))
         collector = self.collector

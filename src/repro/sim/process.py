@@ -91,9 +91,7 @@ class Site:
             # a joiner starts mid-run: planned times before its admission
             # collapse to "as soon as possible"
             self._op_event = self.sim.schedule_at(
-                max(first_time, self.sim.now), self._execute_next,
-                label=f"site{self.site_id} op0",
-            )
+                max(first_time, self.sim.now), self._execute_next)
 
     # ------------------------------------------------------------------
     # crash-recovery (see repro.sim.crash)
@@ -129,10 +127,7 @@ class Site:
             return  # release() re-arms once the view change completes
         planned, _ = self.schedule.items[self._next_index]
         start = max(planned, self.sim.now)
-        self._op_event = self.sim.schedule_at(
-            start, self._execute_next,
-            label=f"site{self.site_id} op{self._next_index} (rejoin)",
-        )
+        self._op_event = self.sim.schedule_at(start, self._execute_next)
 
     # ------------------------------------------------------------------
     # elastic membership (see repro.sim.membership)
@@ -162,9 +157,7 @@ class Site:
             return
         planned, _ = self.schedule.items[self._next_index]
         self._op_event = self.sim.schedule_at(
-            max(planned, self.sim.now), self._execute_next,
-            label=f"site{self.site_id} op{self._next_index}",
-        )
+            max(planned, self.sim.now), self._execute_next)
 
     def retire(self) -> None:
         """The site left the view: its remaining schedule is void."""
@@ -188,9 +181,7 @@ class Site:
                 self._bp_defers += 1
                 network.count_backpressure_delay(self.site_id)
                 self._op_event = self.sim.schedule(
-                    network.backpressure_delay_ms(), self._execute_next,
-                    label=f"site{self.site_id} backpressure",
-                )
+                    network.backpressure_delay_ms(), self._execute_next)
                 return
         self._bp_defers = 0
         index = self._next_index
@@ -248,7 +239,4 @@ class Site:
             return  # release() re-arms once the view change completes
         planned, _ = self.schedule.items[self._next_index]
         start = max(planned, self.sim.now)
-        self._op_event = self.sim.schedule_at(
-            start, self._execute_next,
-            label=f"site{self.site_id} op{self._next_index}",
-        )
+        self._op_event = self.sim.schedule_at(start, self._execute_next)

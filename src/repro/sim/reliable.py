@@ -91,7 +91,6 @@ class ReliableTransport(ChannelHost):
                 self.sim.schedule_at(
                     max(self.sim.now, p.heal_ms),
                     lambda p=p: self.on_heal(p.heal_ms, p.group),
-                    label=f"heal partition {sorted(p.group)}",
                 )
 
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ Covers the observability acceptance invariants:
 """
 
 import json
+import random
 
 import pytest
 
@@ -32,7 +33,9 @@ from repro.core.messages import (
 from repro.memory.store import WriteId
 from repro.metrics.collector import MessageKind
 from repro.metrics.sizing import SizeModel
-from repro.metrics.stats import RunningStat, percentile
+from repro.metrics.stats import (
+    _RESERVOIR_SEED, RESERVOIR_CAPACITY, RunningStat, percentile,
+)
 from repro.obs.export import (
     diff_snapshots,
     flatten_snapshot,
@@ -254,6 +257,34 @@ class TestReservoirEdges:
         assert a.count == b.count
         assert a.total == pytest.approx(b.total)
         assert a.quantiles() == b.quantiles()
+
+    def test_add_matches_a_randrange_reservoir(self):
+        # reference: Welford moments plus algorithm R drawing its slot
+        # with Random.randrange — add()'s inlined draw must consume the
+        # same stream and keep the same reservoir
+        xs = [float((i * 7919) % 1013) / 7.0 for i in range(5000)]
+        rng = random.Random(_RESERVOIR_SEED)
+        count, mean, m2, total = 0, 0.0, 0.0, 0.0
+        reservoir: list[float] = []
+        for x in xs:
+            count += 1
+            total += x
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            if len(reservoir) < RESERVOIR_CAPACITY:
+                reservoir.append(x)
+            else:
+                j = rng.randrange(count)
+                if j < RESERVOIR_CAPACITY:
+                    reservoir[j] = x
+        stat = RunningStat()
+        for x in xs:
+            stat.add(x)
+        assert (stat.count, stat.mean, stat._m2, stat.total) == (
+            count, mean, m2, total)
+        assert (stat.minimum, stat.maximum) == (min(xs), max(xs))
+        assert stat._reservoir == reservoir
 
     def test_empty_stat_quantiles_are_zero(self):
         stat = RunningStat()

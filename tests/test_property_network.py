@@ -67,7 +67,7 @@ def _twin(latency, seed, **kwargs):
 def _observable(sim, net):
     """Everything a caller (or the kernel) can tell two networks apart by."""
     return (
-        sorted((t, seq) for t, seq, _ev in sim._queue),
+        sorted((item[0], item[1]) for item in sim._queue),
         {key: (st_.messages, st_.last_delivery)
          for key, st_ in net._channels.items()},
         net.total_messages,

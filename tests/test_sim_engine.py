@@ -221,3 +221,96 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
+
+
+class TestPostedEntries:
+    """``post``: one heap tuple per call, ordered, counted and observed
+    exactly like a ``schedule_at`` event drawn from the same counter."""
+
+    @staticmethod
+    def _recorder(fired):
+        return lambda src, dst, payload: fired.append((src, dst, payload))
+
+    def test_posted_and_scheduled_at_one_time_fire_in_seq_order(self):
+        sim = Simulator()
+        fired = []
+        record = self._recorder(fired)
+        sim.post(5.0, record, 0, 1, "a")
+        sim.schedule_at(5.0, lambda: fired.append("b"))
+        sim.post(5.0, record, 2, 3, "c")
+        sim.schedule(5.0, lambda: fired.append("d"))
+        sim.post(1.0, record, 4, 5, "first")
+        sim.run()
+        assert fired == [(4, 5, "first"), (0, 1, "a"), "b", (2, 3, "c"), "d"]
+
+    def test_step_runs_a_posted_entry_and_advances_now(self):
+        sim = Simulator()
+        fired = []
+        sim.post(7.5, self._recorder(fired), 1, 2, "m")
+        sim.schedule(9.0, lambda: fired.append("later"))
+        assert sim.step() is True
+        assert fired == [(1, 2, "m")]
+        assert sim.now == 7.5
+        assert sim.processed_events == 1
+
+    def test_max_events_counts_posted_entries(self):
+        sim = Simulator(max_events=5)
+        fired = []
+
+        def bounce(src, dst, payload):
+            fired.append(sim.now)
+            if len(fired) < 50:
+                sim.post(sim.now + 1.0, bounce, dst, src, payload)
+
+        sim.post(0.0, bounce, 0, 1, None)
+        with pytest.raises(SimulationError, match="budget"):
+            sim.run()
+        assert fired == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_observer_sees_every_posted_entry(self):
+        sim = Simulator()
+        seen = []
+        sim.observer = lambda t, pending: seen.append((t, pending))
+        noop = lambda src, dst, payload: None  # noqa: E731
+        sim.post(2.0, noop, 0, 1, None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.post(3.0, noop, 0, 1, None)
+        sim.run()
+        assert seen == [(2.0, 2), (2.0, 1), (3.0, 0)]
+
+    def test_compaction_keeps_every_posted_entry(self):
+        sim = Simulator()
+        fired = []
+        record = self._recorder(fired)
+        doomed = []
+        for i in range(200):
+            t = float(i + 1)
+            if i % 10 == 0:
+                sim.post(t, record, i, i + 1, t)
+            else:
+                doomed.append(sim.schedule_at(t, lambda: fired.append("dead")))
+        for ev in doomed:
+            ev.cancel()
+        assert sim.compactions >= 1
+        assert len(sim._queue) < 64
+        assert sim.pending_events == 20
+        sim.run()
+        assert fired == [(i, i + 1, float(i + 1)) for i in range(0, 200, 10)]
+        assert sim._tombstones == 0
+
+    def test_post_into_the_past_is_rejected(self):
+        sim = Simulator()
+        sim.schedule(10.0, lambda: sim.post(5.0, lambda s, d, p: None, 0, 1, None))
+        with pytest.raises(SimulationError, match="before current time"):
+            sim.run()
+
+    def test_pending_events_counts_posted_entries(self):
+        sim = Simulator()
+        sim.post(1.0, lambda s, d, p: None, 0, 1, None)
+        ev = sim.schedule(2.0, lambda: None)
+        sim.post(3.0, lambda s, d, p: None, 1, 0, None)
+        assert sim.pending_events == 3
+        ev.cancel()
+        assert sim.pending_events == 2
+        sim.step()
+        assert sim.pending_events == 1
