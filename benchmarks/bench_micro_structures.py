@@ -11,6 +11,8 @@ a gate — CI runs it with ``--benchmark-only`` and fails on an assertion,
 not on a timing.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.activation import full_track_sm_blocker
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import OptTrackSM
+from repro.experiments.runner import SimulationConfig, build_system
 from repro.memory.store import WriteId
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.service import codec
@@ -220,3 +223,40 @@ def test_micro_engine_cancel_churn(benchmark):
 
     fired, left = benchmark(churn)
     assert fired == KERNEL_EVENTS // 8 and left == 0
+
+
+DELIVERY_WRITES = 100  # per round, each to its 11 or 12 remote replicas
+
+
+def posted_full_track_writes():
+    """``benchmark.pedantic`` setup: a fresh 40-site Full-Track system
+    (p = 12, built as every run is) in which site 0 has issued its
+    writes — every SM copy a posted delivery waiting in the kernel heap,
+    each one ready when it lands."""
+    system = build_system(SimulationConfig(
+        protocol="full-track", n_sites=N, n_vars=N, replication_factor=12,
+        seed=1))
+    system.collector.start_measuring()
+    writer = system.protocols[0]
+    for k in range(DELIVERY_WRITES):
+        writer.write((7 * k) % N, k)
+    gc.collect()  # the last round's system is garbage: not in the timer
+    return (system,), {}
+
+
+def test_micro_seed_delivery(benchmark):
+    """The delivery floor of a Full-Track run: heap pop → the network's
+    delivery callback → ``on_message`` → gate → apply (store, applied
+    count, wakeup check, visibility sample), for 100 writes' SM copies."""
+
+    def deliver(system):
+        system.sim.run()
+        return system
+
+    system = benchmark.pedantic(deliver, setup=posted_full_track_writes,
+                                rounds=60)
+    remote = system.network.total_messages
+    assert system.sim.processed_events == remote > DELIVERY_WRITES
+    assert system.network.app_messages_in_flight == 0
+    assert sum(p.buffered_arrivals for p in system.protocols) == 0
+    assert system.collector.visibility_lags.count == remote

@@ -101,7 +101,14 @@ class MatrixClock:
             self._cols.clear()
 
     def copy(self) -> "MatrixClock":
-        return MatrixClock(self.n, self.m)
+        """An independent clone: a fresh array and an empty view cache,
+        without ``__init__``'s conversion and negativity check (this
+        matrix already passed them)."""
+        clone = MatrixClock.__new__(MatrixClock)
+        clone.n = self.n
+        clone.m = self.m.copy()
+        clone._cols = {}
+        return clone
 
     def column(self, dest: int) -> np.ndarray:
         """Counters of updates destined to ``dest``, per writer (a view).
@@ -208,7 +215,12 @@ class VectorClock:
         return lst
 
     def copy(self) -> "VectorClock":
-        return VectorClock(self.n, self.v)
+        """An independent clone, made as :meth:`MatrixClock.copy` is."""
+        clone = VectorClock.__new__(VectorClock)
+        clone.n = self.n
+        clone.v = self.v.copy()
+        clone._list = None
+        return clone
 
     def __getitem__(self, writer: int) -> int:
         return int(self.v[writer])

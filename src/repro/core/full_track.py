@@ -93,9 +93,10 @@ class FullTrackProtocol(CausalProtocol):
 
     def _fetch_requirements(self, var: int, target: int) -> tuple[tuple[int, int], ...]:
         """Writes in this site's causal past destined to ``target``:
-        exactly the non-zero entries of the Write matrix column for it."""
-        column = self.write_clock.column(target)
-        return tuple((j, int(c)) for j, c in enumerate(column) if c > 0)
+        exactly the non-zero entries of the Write matrix column for it
+        (read from the cached plain-int column)."""
+        column = self.write_clock.column_list(target)
+        return tuple([(j, c) for j, c in enumerate(column) if c > 0])
 
     # ------------------------------------------------------------------
     # message receipt subsystem

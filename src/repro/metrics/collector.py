@@ -32,6 +32,9 @@ from .stats import RunningStat
 
 __all__ = ["MessageKind", "MetricsCollector", "MessageTally"]
 
+#: visibility lags buffered before one ``RunningStat.add_many``
+_VISIBILITY_BATCH = 1024
+
 
 class MessageKind(enum.Enum):
     """The three message classes of Table I."""
@@ -109,8 +112,11 @@ class MetricsCollector:
         #: simulated ms between fetch issue and read completion
         self.fetch_rtts = RunningStat()
         #: simulated ms from a write's issue to its apply at a remote
-        #: replica (update visibility latency; local applies excluded)
-        self.visibility_lags = RunningStat()
+        #: replica (update visibility latency; local applies excluded),
+        #: read through ``visibility_lags``: samples wait in the buffer
+        #: and are folded into the stat ``_VISIBILITY_BATCH`` at a time
+        self._visibility = RunningStat()
+        self._visibility_buf: list[float] = []
         #: operations executed (lifetime), by kind
         self.ops_write = 0
         self.ops_read = 0
@@ -267,7 +273,22 @@ class MetricsCollector:
 
     def record_visibility(self, lag_ms: float) -> None:
         if self.measuring:
-            self.visibility_lags.add(lag_ms)
+            buf = self._visibility_buf
+            buf.append(lag_ms)
+            if len(buf) >= _VISIBILITY_BATCH:
+                self._visibility.add_many(buf)
+                buf.clear()
+
+    @property
+    def visibility_lags(self) -> RunningStat:
+        """Every in-window visibility lag, buffered samples folded in
+        (``add_many`` is sample-for-sample ``add``, so the stat is the
+        one per-sample ``add`` calls would have built)."""
+        buf = self._visibility_buf
+        if buf:
+            self._visibility.add_many(buf)
+            buf.clear()
+        return self._visibility
 
     # ------------------------------------------------------------------
     # chaos-transport accounting (fed by the reliable layer / network)

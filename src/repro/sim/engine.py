@@ -117,7 +117,11 @@ class Simulator:
         #: reaches index 2 because (time, seq) is unique
         self._queue: list[_Entry] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: current simulated time in milliseconds — a plain attribute
+        #: (every clock read on the hot path is one load), written only
+        #: by the kernel (tests/test_sim_engine.py scans ``src/`` for
+        #: any other write)
+        self.now = 0.0
         self._processed = 0
         self._max_events = max_events
         self._running = False
@@ -149,11 +153,6 @@ class Simulator:
     # clock & introspection
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
-    @property
     def processed_events(self) -> int:
         """Number of callbacks executed so far."""
         return self._processed
@@ -175,13 +174,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated time ``time`` ms."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time!r} before current time t={self._now!r}"
+                f"cannot schedule at t={time!r} before current time t={self.now!r}"
             )
         seq = next(self._seq)
         ev = ScheduledEvent(time, seq, callback, self)
@@ -198,9 +197,9 @@ class Simulator:
         orders, counts against ``max_events`` and reaches ``observer``
         exactly as the equivalent ``schedule_at`` would.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time!r} before current time t={self._now!r}"
+                f"cannot schedule at t={time!r} before current time t={self.now!r}"
             )
         heapq.heappush(self._queue,
                        (time, next(self._seq), None, fn, src, dst, payload))
@@ -244,7 +243,7 @@ class Simulator:
                 if ev.cancelled:
                     self._tombstones -= 1
                     continue
-            self._now = item[0]
+            self.now = item[0]
             self._processed += 1
             if self._max_events is not None and self._processed > self._max_events:
                 raise SimulationError(
@@ -298,7 +297,7 @@ class Simulator:
                 # batch: every event at this exact timestamp is known to
                 # be inside the horizon, so the until-check and clock
                 # write happen once per timestamp, not once per event
-                self._now = batch_until
+                self.now = batch_until
                 batch_start = processed
                 while queue and queue[0][0] == batch_until:
                     item = pop(queue)
@@ -326,9 +325,9 @@ class Simulator:
                         batches_skipped = 0
                         batch_observer(batch_until, processed - batch_start,
                                        len(queue))
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
+            if until is not None and until > self.now:
+                self.now = until
+            return self.now
         finally:
             self._processed = processed
             self._running = False

@@ -1,5 +1,7 @@
 """Tests for the protocol framework: registry, drain loop, metered sends."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,36 @@ class TestReadyOnArrival:
                 protocol=protocol, n_sites=10, ops_per_process=60, seed=seed))
             buffered = sum(p.buffered_arrivals for p in result.protocols)
             assert low <= buffered <= high, (protocol, seed, buffered)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_each_kind_takes_its_own_scans_row(self, monkeypatch, order):
+        # every gate blocks, so each arrival lands in the buffer of the
+        # row its class picked, whichever class arrived first
+        from repro.core.clocks import MatrixClock
+        from repro.core.messages import FetchMessage, FullTrackRM, FullTrackSM
+        from repro.memory.store import WriteId
+
+        cls = get_protocol_class("full-track")
+        gated = []
+        for hook in ("_sm_blocker", "_rm_blocker", "_fm_blocker"):
+            monkeypatch.setattr(
+                cls, hook, lambda self, src, message, hook=hook:
+                gated.append((hook, message)) or (0, 99))
+        placement = RoundRobinPlacement(3, 4, 2)
+        proto = make_site("full-track", 1, placement)
+        sm = FullTrackSM(var=0, value="v", write_id=WriteId(0, 1),
+                         matrix=MatrixClock(3))
+        rm = FullTrackRM(var=2, value="r", write_id=None,
+                         matrix=MatrixClock(3), request_id=0)
+        fm = FetchMessage(var=0, reader=2, request_id=0, requirements=())
+        messages = (sm, rm, fm)
+        for k in order:
+            proto.on_message(0, messages[k])
+        for kind, hook in enumerate(("_sm_blocker", "_rm_blocker",
+                                     "_fm_blocker")):
+            pending = proto._scans[kind][0]
+            assert [p.message for p in pending] == [messages[kind]]
+            assert (hook, messages[kind]) in gated
 
     def test_wal_records_an_arrival_before_acting_on_it(self):
         from repro.core.messages import CRPSM

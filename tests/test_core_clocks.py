@@ -55,6 +55,18 @@ class TestMatrixClock:
         b.increment(0, [0])
         assert a[0, 0] == 0 and b[0, 0] == 1
 
+    def test_copy_equals_original_and_leaves_its_views_alone(self):
+        a = MatrixClock(3, np.array([[1, 0, 2], [0, 3, 0], [4, 0, 5]]))
+        col = a.column_list(2)
+        b = a.copy()
+        assert b == a and b.m is not a.m
+        assert b.column_list(2) == col and b.column_list(2) is not col
+        b.increment(0, [2])
+        b.merge(MatrixClock(3, np.full((3, 3), 9)))
+        assert a.m.tolist() == [[1, 0, 2], [0, 3, 0], [4, 0, 5]]
+        assert a.column_list(2) is col and col == [2, 0, 5]
+        assert b.column_list(2) == [9, 9, 9]
+
     def test_column_view(self):
         mc = MatrixClock(3)
         mc.increment(0, [2])
@@ -106,6 +118,18 @@ class TestVectorClock:
         b = a.copy()
         b.increment(0)
         assert a[0] == 0
+
+    def test_copy_equals_original_and_leaves_its_view_alone(self):
+        a = VectorClock(3, [1, 0, 2])
+        view = a.as_list()
+        b = a.copy()
+        assert b == a and b.v is not a.v
+        assert b.as_list() == view and b.as_list() is not view
+        b.increment(1)
+        b.merge(VectorClock(3, [5, 5, 5]))
+        assert a.v.tolist() == [1, 0, 2]
+        assert a.as_list() is view and view == [1, 0, 2]
+        assert b.as_list() == [5, 5, 5]
 
     def test_invalid(self):
         with pytest.raises(ValueError):

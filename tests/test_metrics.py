@@ -233,6 +233,26 @@ class TestCollector:
         c.record_log_size(10)
         assert c.log_sizes.count == 1
 
+    def test_buffered_visibility_equals_per_sample_add(self):
+        rng = np.random.default_rng(7)
+        lags = rng.exponential(80.0, 5_000).tolist()
+        c = MetricsCollector()
+        c.record_visibility(1e6)  # before the window: dropped
+        c.start_measuring()
+        ref = RunningStat()
+        fed = 0
+        for upto in (1_023, 1_024, 1_025, 3_000, 5_000):
+            for lag in lags[fed:upto]:
+                c.record_visibility(lag)
+                ref.add(lag)
+            fed = upto
+            got = c.visibility_lags
+            assert got.count == ref.count == upto
+            for field in ("mean", "_m2", "minimum", "maximum", "total",
+                          "_reservoir"):
+                assert getattr(got, field) == getattr(ref, field), field
+        assert c.visibility_lags.maximum < 1e6
+
     def test_negative_size_rejected(self):
         c = MetricsCollector()
         with pytest.raises(ValueError):

@@ -281,3 +281,21 @@ class TestRemoteReadGating:
             assert reqs.get(0) == 2          # own clock of write "b"
         else:
             assert reqs.get(0) == 2          # two writes destined to target
+
+    def test_full_track_fetch_requirements_are_plain_ints(self):
+        c = CausalCluster(5, protocol="full-track", n_vars=10,
+                          replication_factor=2, latency=ConstantLatency(5.0))
+        for k in range(12):
+            c.write(k % 5, (3 * k) % 10, k)
+            c.settle()
+            c.read(0, k % 10)  # merge-on-read spreads the others' writes
+        proto = c.protocols[0]
+        seen = 0
+        for target in range(6):  # 5: a site the clock has never known
+            reqs = proto._fetch_requirements(0, target)
+            column = proto.write_clock.column(target)
+            assert reqs == tuple((j, int(x)) for j, x in enumerate(column)
+                                 if x > 0)
+            assert all(type(j) is int and type(x) is int for j, x in reqs)
+            seen += len(reqs)
+        assert seen > 5

@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -221,6 +225,43 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
+
+
+def _now_writes(tree):
+    """Line numbers of every assignment, ``del`` or ``setattr`` of an
+    attribute named ``now`` in ``tree``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "now" and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "now"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestClockIsKernelOwned:
+    """``Simulator.now`` is a plain attribute: only the kernel may write it."""
+
+    def test_scan_sees_every_write_form(self):
+        tree = ast.parse("a.now = 1\nb.now += 1\nc.now: float = 2\n"
+                         "d.x, e.now = 1, 2\ndel f.now\nsetattr(g, 'now', 3)\n"
+                         "h = i.now\n")
+        assert _now_writes(tree) == [1, 2, 3, 4, 5, 6]
+
+    def test_no_module_outside_the_kernel_writes_now(self):
+        package = Path(repro.__file__).resolve().parent
+        kernel = package / "sim" / "engine.py"
+        writers = {
+            f"{path.relative_to(package)}:{line}"
+            for path in sorted(package.rglob("*.py")) if path != kernel
+            for line in _now_writes(ast.parse(path.read_text(), str(path)))
+        }
+        assert writers == set()
+        assert _now_writes(ast.parse(kernel.read_text())) != []
 
 
 class TestPostedEntries:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.collector import MetricsCollector
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     AdversarialLatency,
@@ -175,3 +176,48 @@ class TestNetwork:
     def test_zero_sites_rejected(self):
         with pytest.raises(ValueError):
             Network(Simulator(), 0, collector=MetricsCollector())
+
+
+class TestSeedDeliveryRoutes:
+    """A seed-path delivery to a departed, traced or paused site takes the
+    matching slow case; each test here fails on a delivery that skips its
+    check."""
+
+    def test_delivery_to_departed_site_is_dropped(self):
+        sim, net, inboxes = make_net()
+        net.send(0, 1, "x")
+        net.retire_site(1)
+        sim.run()
+        assert inboxes[1] == []
+        assert net.departed_drops == 1
+        assert net.app_messages_in_flight == 0
+
+    def test_traced_delivery_emits_msg_deliver(self):
+        sim = Simulator()
+        tracer = Tracer()
+        net = Network(sim, 2, ConstantLatency(5.0), collector=MetricsCollector(),
+                      tracer=tracer)
+        contexts = []
+        net.register(1, lambda src, msg: contexts.append(tracer.current()))
+        message = object()
+        tracer.msg_send(0, 1, message, ts=0.0, kind="SM", size=8)
+        net.send(0, 1, message)
+        sim.run()
+        delivers = [ev for ev in tracer.events if ev.kind == "msg.deliver"]
+        assert [(ev.site, ev.ts) for ev in delivers] == [(1, 5.0)]
+        assert contexts == [delivers[0].id]  # the receiver ran inside it
+        assert net.app_messages_in_flight == 0
+
+    def test_delivery_to_paused_site_is_held_until_resume(self):
+        sim, net, inboxes = make_net()
+        net.pause_site(1)
+        net.send(0, 1, "a")
+        net.send(0, 1, "b")
+        sim.run()
+        assert inboxes[1] == [] and net.held_count(1) == 2
+        assert net.app_messages_in_flight == 0
+        net.resume_site(1)
+        assert net.app_messages_in_flight == 2
+        sim.run()
+        assert inboxes[1] == [(0, "a"), (0, "b")]
+        assert net.held_count(1) == 0 and net.app_messages_in_flight == 0
