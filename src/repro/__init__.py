@@ -44,6 +44,11 @@ from .core.full_track import FullTrackProtocol
 from .core.opt_track import OptTrackProtocol
 from .core.opt_track_crp import OptTrackCRPProtocol
 from .core.optp import OptPProtocol
+from .core.recovery import (
+    DEFAULT_CHECKPOINT_INTERVAL_MS,
+    DetectorPolicy,
+    FailureDetector,
+)
 from .experiments.runner import RunResult, SimulationConfig, run_simulation
 from .memory.replication import (
     HashPlacement,
@@ -56,10 +61,8 @@ from .memory.replication import (
 from .memory.store import BOTTOM, SiteStore, WriteId
 from .metrics.collector import MessageKind, MetricsCollector
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
-from .sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL_MS, DurabilityLayer
 from .sim.crash import CrashRecoveryManager, install_crash_recovery
 from .sim.engine import Simulator
-from .sim.failure_detector import DetectorPolicy, FailureDetector
 from .sim.faults import (
     ChannelFaults,
     CrashEvent,
@@ -118,7 +121,6 @@ __all__ = [
     # crash-recovery
     "CrashEvent",
     "seeded_crashes",
-    "DurabilityLayer",
     "DEFAULT_CHECKPOINT_INTERVAL_MS",
     "DetectorPolicy",
     "FailureDetector",

@@ -14,7 +14,8 @@ Sub-behaviours (composable in one invocation):
 * **--mypy/--no-mypy**: strict-typing gate over ``core/``/``sim/``/
   ``check/`` (skipped with a notice when mypy is not installed);
 * **--double-run**: determinism smoke — run each protocol twice under
-  the same seed (optionally through a chaos plan) and fail on the first
+  the same seed (optionally through a chaos plan with one crash and
+  recovery) and fail on the first
   diverging trace event, printing its causal chain.
 
 ``--format json|sarif`` switches stdout to the machine-readable report
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="protocols for --double-run (comma-separated; "
                          "default: every registered protocol)")
     ap.add_argument("--chaos", action="store_true",
-                    help="route the double run through a seeded chaos plan")
+                    help="route the double run through a seeded chaos plan "
+                         "(drops, duplicates, spikes and one crash)")
     ap.add_argument("--n-sites", type=int, default=5,
                     help="sites for the double-run smoke (default 5)")
     ap.add_argument("--ops", type=int, default=30,
@@ -180,13 +182,17 @@ def _run_mypy(*, force: bool) -> int:
 def _run_double(args: argparse.Namespace) -> int:
     from ..core import protocol_names
     from ..experiments.runner import SimulationConfig
-    from ..sim.faults import FaultPlan
+    from ..sim.faults import CrashEvent, FaultPlan
     from .sanitizer import double_run
 
     plan = None
     if args.chaos:
+        # one crash and recovery brings in the whole crash stack:
+        # checkpoints, heartbeats, WAL replay and catch-up
+        crashes = ((CrashEvent(args.n_sites // 2, 600.0, 1500.0),)
+                   if args.n_sites >= 2 else ())
         plan = FaultPlan.uniform(drop_rate=0.05, dup_rate=0.02,
-                                 spike_rate=0.02)
+                                 spike_rate=0.02, crashes=crashes)
     protocols = (protocol_names() if args.protocols is None else
                  [p.strip() for p in args.protocols.split(",") if p.strip()])
     failures = 0

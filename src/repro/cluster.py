@@ -38,20 +38,16 @@ from abc import ABC, abstractmethod
 from typing import Callable, Optional, Sequence
 
 from .core.base import CausalProtocol, get_protocol_class
+from .core.errors import DepartedSiteError, UnknownSiteError
+from .core.recovery import DetectorPolicy
 from .experiments.runner import SimulationConfig, build_system
 from .memory.replication import Placement
 from .memory.store import WriteId
 from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .obs.tracer import Tracer
 from .sim.engine import Simulator
-from .sim.failure_detector import DetectorPolicy
 from .sim.faults import FaultPlan
-from .sim.membership import (
-    DepartedSiteError,
-    UnknownSiteError,
-    View,
-    ViewManager,
-)
+from .sim.membership import View, ViewManager
 from .sim.network import LatencyModel, UniformLatency
 from .sim.reliable import RetransmitPolicy
 from .verify.causal_checker import CheckReport, check_causal_consistency

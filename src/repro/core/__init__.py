@@ -29,6 +29,18 @@ from .ports import (
     TimerService,
     Transport,
 )
+from .recovery import (
+    DEFAULT_CHECKPOINT_INTERVAL_MS,
+    DetectorPolicy,
+    FailureDetector,
+    HeartbeatPacket,
+    SiteDisk,
+    SyncRequest,
+    SyncResponse,
+    WalRecord,
+    build_digest,
+    caught_up,
+)
 
 __all__ = [
     "CausalProtocol",
@@ -44,6 +56,16 @@ __all__ = [
     "Transport",
     "Durability",
     "NullTransport",
+    "DEFAULT_CHECKPOINT_INTERVAL_MS",
+    "WalRecord",
+    "SiteDisk",
+    "DetectorPolicy",
+    "HeartbeatPacket",
+    "FailureDetector",
+    "SyncRequest",
+    "SyncResponse",
+    "build_digest",
+    "caught_up",
     "OverloadError",
     "RetransmitPolicy",
     "RtoEstimator",

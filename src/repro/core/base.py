@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     # injection, never through a module-level runtime import
     from ..obs.metrics import Histogram, MetricsRegistry
     from ..obs.tracer import Tracer
-    from ..sim.checkpoint import WalRecord
 
 from ..memory.replication import Placement
 from ..memory.store import SiteStore, WriteId
@@ -64,6 +63,7 @@ from .activation import RETEST
 from .errors import DepartedSiteError
 from .messages import FetchMessage, accounting_shape
 from .ports import Clock, Durability, NullTransport, Transport
+from .recovery import WalRecord
 
 __all__ = [
     "ProtocolContext",
@@ -296,7 +296,7 @@ class CausalProtocol(abc.ABC):
 
     def admit_put(self) -> None:
         """Admission control for an externally-driven PUT: raises
-        :class:`~repro.sim.reliable.OverloadError` once this site's
+        :class:`~repro.core.netpolicy.OverloadError` once this site's
         outbound backlog exceeds the policy's shed threshold, so callers
         shed load instead of queuing it unboundedly.  Workload-schedule
         writes bypass this (they *delay* under backpressure instead —

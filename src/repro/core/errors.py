@@ -4,8 +4,7 @@ These historically lived in :mod:`repro.sim.membership`, but the
 protocol layer itself raises :class:`DepartedSiteError` (a departed
 site refuses new operations), which made ``repro.core`` depend on
 simulator machinery at runtime.  The exception *vocabulary* belongs to
-the layer that raises it; the sim keeps re-exporting these names so
-existing call sites are unaffected.
+the layer that raises it.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ protocol:
 :class:`TimerService` / :class:`TimerHandle`
     delayed callbacks (retransmission timers, heartbeats, checkpoint
     ticks).  The cores themselves never arm timers — the reliable
-    channel and the failure detector do — but the seam is declared here
+    channel and the crash-recovery driver do — but the seam is declared here
     because both substrates must provide it;
 :class:`Scheduler`
     the common ``Clock + TimerService`` bundle infrastructure components
-    (reliable channels, failure detector, durability layer) accept;
+    (reliable channels, the crash-recovery driver) accept;
 :class:`Durability`
     the write-ahead log the cores journal operations into before
     processing them (``None`` disables durability entirely).
@@ -32,7 +32,7 @@ Two implementations exist:
 * the discrete-event substrate — :class:`~repro.sim.engine.Simulator`
   satisfies :class:`Clock`, :class:`TimerService`, and
   :class:`Scheduler`; :class:`~repro.sim.network.Network` satisfies
-  :class:`Transport`; :class:`~repro.sim.checkpoint.SiteDisk` satisfies
+  :class:`Transport`; :class:`~repro.core.recovery.SiteDisk` satisfies
   :class:`Durability`;
 * the live service substrate (:mod:`repro.service`) — a wall
   clock/asyncio timer runtime, a real-socket transport, and the same

@@ -26,6 +26,7 @@ from ..core.base import (
     create_protocol,
     get_protocol_class,
 )
+from ..core.recovery import DetectorPolicy
 from ..memory.replication import (
     PLACEMENT_NAMES,
     Placement,
@@ -41,7 +42,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..sim.crash import CrashRecoveryManager, install_crash_recovery
 from ..sim.engine import Simulator
-from ..sim.failure_detector import DetectorPolicy
 from ..sim.faults import FaultInjector, FaultPlan, JoinEvent
 from ..sim.membership import ViewManager
 from ..sim.network import LatencyModel, Network, PerPairLatency, UniformLatency
@@ -214,6 +214,9 @@ class SimulatedSystem:
     tracer: Optional[Tracer]
     registry: Optional[MetricsRegistry]
     protocols: list[CausalProtocol] = field(default_factory=list)
+    #: the run's application sites (filled by run_simulation; empty when
+    #: sites are driven by hand), shared with the crash manager
+    sites: list[Site] = field(default_factory=list)
     crash_manager: Optional[CrashRecoveryManager] = None
 
     def new_protocol(self, site: int) -> CausalProtocol:
@@ -302,24 +305,23 @@ def build_system(
     crashes = plan.crashes if plan is not None else ()
     if (crash_recovery or crashes or config.churn
             or config.checkpoint_interval_ms is not None):
+        # a failure detector watches when crashes are planned, a policy
+        # is given, eviction escalates its suspicions, or sites are
+        # crashed by hand over the chaos transport (it pauses
+        # retransmission into the dead site)
+        watch = (bool(crashes) or config.detector is not None
+                 or config.auto_evict_after_ms is not None
+                 or (crash_recovery and transport is not None))
         system.crash_manager = install_crash_recovery(
             sim, network, system.protocols,
             crashes=crashes,
             checkpoint_interval_ms=config.checkpoint_interval_ms,
-            detector_policy=config.detector,
-            # eviction escalation chains onto detector suspicions, and
-            # hand-made crashes need it to pause retransmission into the
-            # dead site; otherwise only planned crashes (or an explicit
-            # policy) start one
-            with_detector=(
-                True if config.auto_evict_after_ms is not None
-                or (crash_recovery and transport is not None) else None
-            ),
+            detector_policy=(config.detector or DetectorPolicy()) if watch else None,
             collector=collector,
+            registry=registry,
             tracer=tracer,
+            sites=system.sites,
         )
-        if registry is not None:
-            system.crash_manager.attach_registry(registry)
     return system
 
 
@@ -535,9 +537,8 @@ def run_simulation(
 
     # the run's one site list (and one protocol list), shared by
     # reference with the crash and view managers; a joiner is appended once
-    sites = [site_factory(i, proto) for i, proto in enumerate(protocols)]
-    if crash_manager is not None:
-        crash_manager.sites = sites
+    sites = system.sites
+    sites.extend(site_factory(i, proto) for i, proto in enumerate(protocols))
 
     view_manager: Optional[ViewManager] = None
     if config.churn:

@@ -12,7 +12,7 @@ port              simulator substrate            service substrate
 ``Clock``         :class:`~repro.sim.engine.Simulator`  event-loop wall clock
 ``TimerService``  kernel event heap              ``loop.call_later``
 ``Transport``     :class:`~repro.sim.network.Network`   :class:`~repro.service.channel.ServiceTransport` over TCP
-``Durability``    :class:`~repro.sim.checkpoint.SiteDisk`  (not yet wired)
+``Durability``    :class:`~repro.core.recovery.SiteDisk`  (not yet wired)
 ================  =============================  =========================
 
 Under both ``Transport`` implementations sits the *same* reliable

@@ -1,20 +1,8 @@
 """Discrete-event simulation substrate (engine, network, faults, process model)."""
 
-from .checkpoint import (
-    DEFAULT_CHECKPOINT_INTERVAL_MS,
-    DurabilityLayer,
-    SiteDisk,
-    WalRecord,
-)
-from .crash import (
-    CrashRecoveryManager,
-    SyncRequest,
-    SyncResponse,
-    install_crash_recovery,
-)
+from .crash import CrashRecoveryManager, install_crash_recovery
 from .engine import ScheduledEvent, SimulationError, Simulator
 from .events import EventKind, EventRecord
-from .failure_detector import DetectorPolicy, FailureDetector, HeartbeatPacket
 from .faults import (
     ChannelFaults,
     CrashEvent,
@@ -58,15 +46,6 @@ __all__ = [
     # crash-recovery
     "CrashEvent",
     "seeded_crashes",
-    "WalRecord",
-    "SiteDisk",
-    "DurabilityLayer",
-    "DEFAULT_CHECKPOINT_INTERVAL_MS",
-    "DetectorPolicy",
-    "HeartbeatPacket",
-    "FailureDetector",
-    "SyncRequest",
-    "SyncResponse",
     "CrashRecoveryManager",
     "install_crash_recovery",
 ]

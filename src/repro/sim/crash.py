@@ -1,13 +1,16 @@
-"""Site crash–recovery: orchestration of checkpoints, detection, rejoin.
+"""Site crash–recovery: the simulator's driver of the crash stack.
 
 The :class:`CrashRecoveryManager` crashes and restores sites; which
 sites are down (or departed) is recorded once, by the
 :class:`~repro.sim.network.Network` that enforces it at the wire, and
-the manager reads it there.  It executes seeded crash plans
-(:class:`~repro.sim.faults.CrashEvent`), coordinates the durable-state
-layer (:mod:`repro.sim.checkpoint`), the heartbeat failure detector
-(:mod:`repro.sim.failure_detector`) and the reliable transport, and
-drives the rejoin pipeline:
+the manager reads it there.  The substrate-free pieces — the
+:class:`~repro.core.recovery.SiteDisk`, the
+:class:`~repro.core.recovery.FailureDetector` suspicion table, the sync
+messages, the digest and the caught-up rule — live in
+:mod:`repro.core.recovery`; the manager owns everything that needs the
+simulator: the checkpoint tick, the heartbeat tick, the catch-up rounds
+and the packets they send.  It executes seeded crash plans
+(:class:`~repro.sim.faults.CrashEvent`) and drives the rejoin pipeline:
 
 1. **restore** — reinstall the last durable checkpoint into the
    protocol object and replay the write-ahead log through the normal
@@ -17,10 +20,8 @@ drives the rejoin pipeline:
    rejoining site asks each peer for its pending count and a freshness
    digest of the variables they co-replicate, while the transport
    flushes everything that stayed queued (unacked) for the site during
-   its downtime.  Catch-up completes when no live sender holds unacked
-   traffic for the site, every peer digest entry is *known* (per the
-   protocol's ``knows_write``), and the rejoined site's own reorder /
-   activation buffers have drained;
+   its downtime (:func:`~repro.core.recovery.caught_up` says when it is
+   done);
 3. **resume** — the application schedule continues from the interrupted
    operation (:meth:`~repro.sim.process.Site.recover`).
 
@@ -29,20 +30,39 @@ every protocol rests on updates flowing through the activation
 predicates, so the manager only *waits* (with bounded rounds) until the
 ordinary machinery has caught the site up.
 
-The manager also owns the global ``quiescent()`` predicate that lets the
-self-perpetuating infrastructure ticks (heartbeats, checkpoints,
-catch-up rounds) stop once the run is over — without it the event loop
-would never drain.
+Heartbeats travel over the *lossy* substrate — the fault injector
+drops, spikes and partitions them like any packet, so suspicions can be
+false.  A suspicion pauses the observer's reliable channel to the
+subject (:meth:`~repro.core.netpolicy.ChannelHost.pause_pair`): sends
+keep queueing durably but retransmission timers stop burning while the
+subject cannot answer.  Any packet from the subject — the next
+heartbeat, or a sync message during rejoin — clears the suspicion and
+resumes the channel with an eager flush.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..memory.store import WriteId
-from .checkpoint import DEFAULT_CHECKPOINT_INTERVAL_MS, DurabilityLayer
-from .failure_detector import DetectorPolicy, FailureDetector
+from ..core.recovery import (
+    CATCHUP_BACKOFF,
+    CATCHUP_MAX_INTERVAL_MS,
+    CATCHUP_MAX_ROUNDS,
+    CATCHUP_ROUND_INTERVAL_MS,
+    DEFAULT_CHECKPOINT_INTERVAL_MS,
+    HEARTBEAT_SIZE_BYTES,
+    SYNC_REQUEST_BYTES,
+    SYNC_RESPONSE_BASE_BYTES,
+    SYNC_RESPONSE_ENTRY_BYTES,
+    DetectorPolicy,
+    FailureDetector,
+    HeartbeatPacket,
+    SiteDisk,
+    SyncRequest,
+    SyncResponse,
+    build_digest,
+    caught_up,
+)
 from .faults import CrashEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,92 +71,70 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
     from .engine import Simulator
+    from .membership import ViewManager
     from .network import Network
     from .process import Site
 
-__all__ = [
-    "SyncRequest",
-    "SyncResponse",
-    "CrashRecoveryManager",
-    "install_crash_recovery",
-]
-
-# anti-entropy parameters of the rejoin catch-up phase
-#: spacing of the first catch-up round after restore
-CATCHUP_ROUND_INTERVAL_MS = 80.0
-#: multiplicative backoff between rounds
-CATCHUP_BACKOFF = 1.5
-#: cap on the backed-off round interval
-CATCHUP_MAX_INTERVAL_MS = 640.0
-#: give up (and resume anyway) after this many rounds; the causal
-#: checker downstream still gates correctness
-CATCHUP_MAX_ROUNDS = 40
-#: modelled wire sizes of the sync messages
-SYNC_REQUEST_BYTES = 24.0
-SYNC_RESPONSE_BASE_BYTES = 48.0
-SYNC_RESPONSE_ENTRY_BYTES = 12.0
-
-
-@dataclass(frozen=True)
-class SyncRequest:
-    """Catch-up probe from a rejoining site to one live peer."""
-
-    origin: int  # the rejoining site
-    round: int
-
-
-@dataclass(frozen=True)
-class SyncResponse:
-    """One live peer's view of how far behind the rejoining site is.
-
-    ``digest`` holds, for every variable co-replicated by responder and
-    target, the write id currently visible at the responder (or None if
-    never written).  The digest is advisory freshness information — the
-    actual data still arrives through the normal (retransmitting)
-    channels; the target only uses it to decide whether it has caught
-    up, via the protocol's conservative ``knows_write``.
-    """
-
-    origin: int  # the responder
-    target: int  # the rejoining site
-    round: int
-    pending: int  # responder's own pending (buffered) messages
-    digest: tuple[tuple[int, Optional[tuple[int, int]]], ...]
+__all__ = ["CrashRecoveryManager", "install_crash_recovery"]
 
 
 class CrashRecoveryManager:
-    """Simulation-side crash/recovery orchestration for one network."""
+    """Simulation-side crash/recovery driver for one network.
+
+    Owns the per-site disks and the checkpoint tick, the heartbeat tick
+    over :attr:`detector` (None when no failure detector runs), the
+    catch-up rounds, one packet handler and one :meth:`wake`.  Three
+    reads only a simulator can make stay here: ground-truth ``is_down``
+    to tell a false suspicion from a true one, :meth:`quiescent` (may
+    the self-perpetuating ticks stop?) and :meth:`lost_operations`.
+    """
 
     def __init__(
         self,
         sim: "Simulator",
         network: "Network",
         protocols: "list[CausalProtocol]",
-        durability: DurabilityLayer,
         *,
-        detector: Optional[FailureDetector] = None,
         crashes: Sequence[CrashEvent] = (),
+        checkpoint_interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
+        detector_policy: Optional[DetectorPolicy] = None,
         collector: "MetricsCollector",
+        registry: "Optional[MetricsRegistry]" = None,
         tracer: "Optional[Tracer]" = None,
+        sites: "Optional[list[Site]]" = None,
     ) -> None:
+        if checkpoint_interval_ms <= 0:
+            raise ValueError("checkpoint interval must be positive")
+        if (crashes or detector_policy is not None) and network.transport is None:
+            raise RuntimeError(
+                "crash plans need the chaos transport (fault_plan=...): "
+                "recovery relies on retransmit queues holding traffic for "
+                "dead sites, and channel pausing lives there"
+            )
         self.sim = sim
         self.net = network
         self.transport = network.transport
         #: the run's protocol list, shared (a joiner appears here when
         #: the view manager appends it)
         self.protocols = protocols
-        self.placement = protocols[0].ctx.placement
-        self.durability = durability
-        self.detector = detector
+        #: one disk per site, indexed by site id (joiner ids are
+        #: allocated in order)
+        self.disks: list[SiteDisk] = []
+        self.checkpoint_interval_ms = float(checkpoint_interval_ms)
+        self.detector = (None if detector_policy is None
+                         else FailureDetector(detector_policy))
         #: the run's application sites a crash halts and a recovery
-        #: resumes, shared with the view manager (wired by the runner;
-        #: None when sites are driven by hand)
-        self.sites: "Optional[list[Site]]" = None
+        #: resumes, shared with the view manager (empty when sites are
+        #: driven by hand)
+        self.sites: "list[Site]" = [] if sites is None else sites
         self.crashes = tuple(crashes)
         self.collector = collector
+        #: the restore, catch-up and WAL-tail histograms (None is the
+        #: zero-overhead path); their counts are the collector's
+        self.registry = registry
         self.tracer = tracer
-        #: elastic membership (wired by the view manager when churn is on)
-        self.view_manager = None
+        #: elastic membership: set once by the view manager it escalates to
+        self.view_manager: "Optional[ViewManager]" = None
         self.crash_time: dict[int, float] = {}
         #: sites restored but not yet done with anti-entropy
         self._catching_up: set[int] = set()
@@ -150,34 +148,34 @@ class CrashRecoveryManager:
         #: crashed sites already counted in the detection-latency metric
         self._detected: set[int] = set()
         self._started = False
-        #: metrics registry for the restore and catch-up histograms
-        #: (wired by the runner via attach_registry; None is the
-        #: zero-overhead path); their counts are the collector's
-        self.registry: "Optional[MetricsRegistry]" = None
-        # wire the collaborators
-        durability.quiescent = self.quiescent
-        if detector is not None:
-            detector.quiescent = self.quiescent
-            detector.on_suspect = self._on_suspect
+        #: whether each periodic tick is scheduled (a quiescent stop
+        #: clears it; :meth:`wake` re-arms)
+        self._checkpointing = False
+        self._beating = False
         if self.transport is not None:
             self.transport.register_packet_handler(self._handle_packet)
 
-    def attach_registry(self, registry: "MetricsRegistry") -> None:
-        """Wire the metrics registry through to the crash subsystems."""
-        self.registry = registry
-        self.durability.registry = registry
-
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Attach durability, start the detector, arm the crash plan."""
+        """Take checkpoint zero, start both ticks, arm the crash plan.
+
+        Checkpoint zero guarantees recovery is possible even if a site
+        crashes before the first periodic tick fires.
+        """
         if self._started:
             raise RuntimeError("crash-recovery manager already started")
         self._started = True
-        self.durability.attach()
-        if self.detector is not None:
-            self.detector.start()
+        now = self.sim.now
         for proto in self.protocols:
-            self.adopt_site(proto)
+            self._install_disk(proto, proto.snapshot())
+        det = self.detector
+        if det is not None:
+            members = self.net.members
+            for site in members:
+                det.add_member(site, members, now)
+        self.wake()
+        for proto in self.protocols:
+            self._adopt(proto)
         n = self.net.n_sites
         for ev in self.crashes:
             self._plan_pending += 1
@@ -185,10 +183,122 @@ class CrashRecoveryManager:
                 raise ValueError(f"crash plan names site {ev.site}; n={n}")
             self.sim.schedule_at(ev.at_ms, lambda ev=ev: self._plan_crash(ev))
 
+    def wake(self) -> None:
+        """Restart the ticks a quiescent stop ended (interactive drivers
+        call this when new work arrives after a lull); a no-op for a
+        tick that is still running."""
+        if not self._started:
+            return
+        if not self._checkpointing:
+            self._checkpointing = True
+            self.sim.schedule(self.checkpoint_interval_ms, self._checkpoint_tick)
+        det = self.detector
+        if det is not None and not self._beating:
+            det.rebaseline(self.sim.now)
+            self._beating = True
+            self.sim.schedule(det.policy.heartbeat_interval_ms,
+                              self._heartbeat_tick)
+
     def down_forever(self) -> set[int]:
         """Down sites with no scheduled recovery (crash-stop victims)."""
         # simcheck: ignore[SIM003] -- set-to-set filter; construction order is never observable
         return {s for s in self.net.down if s not in self._recovery_scheduled}
+
+    # ------------------------------------------------------------------
+    # durable state
+    # ------------------------------------------------------------------
+    def _install_disk(self, proto: "CausalProtocol", state: dict) -> None:
+        disk = SiteDisk(proto.site)
+        disk.install_checkpoint(state, self.sim.now)
+        proto._wal = disk
+        self.disks.append(disk)
+
+    def _checkpoint_tick(self) -> None:
+        """Checkpoint every live site at once — checkpoints cost nothing
+        in simulated time, so one global tick keeps the event count low
+        and the schedule deterministic."""
+        quiescent = self.quiescent()
+        now = self.sim.now
+        down, departed = self.net.down, self.net.departed
+        for proto, disk in zip(self.protocols, self.disks):
+            if proto.site in down:
+                continue  # a crashed site cannot write its own disk
+            if proto.site in departed:
+                continue  # a departed site's disk is frozen history
+            if quiescent and not disk.wal:
+                continue  # nothing new since the last checkpoint
+            wal_len = len(disk.wal)
+            disk.install_checkpoint(proto.snapshot(), now)
+            self.collector.record_checkpoint()
+            if self.registry is not None:
+                self.registry.observe(
+                    "wal_tail_records", wal_len,
+                    help_text="WAL records truncated by each checkpoint")
+        if quiescent:
+            # one final checkpoint above truncated every WAL, so a later
+            # crash (interactive drivers) replays only post-wake inputs
+            self._checkpointing = False
+            return
+        self.sim.schedule(self.checkpoint_interval_ms, self._checkpoint_tick)
+
+    # ------------------------------------------------------------------
+    # failure detection
+    # ------------------------------------------------------------------
+    def _heartbeat_tick(self) -> None:
+        """Every live member beats to every other one, then every live
+        observer's silent pairs are tested."""
+        if self.quiescent():
+            self._beating = False
+            return
+        det, transport = self.detector, self.transport
+        assert det is not None and transport is not None
+        net = self.net
+        members, down = net.members, net.down
+        for origin in members:
+            if origin in down:
+                continue  # the dead don't beat
+            for dst in members:
+                if dst == origin:
+                    continue
+                det.heartbeats_sent += 1
+                net._transmit_raw(origin, dst, HeartbeatPacket(origin),
+                                  HEARTBEAT_SIZE_BYTES)
+        now = self.sim.now
+        for observer, subject in det.expire(now, members, down):
+            transport.pause_pair(observer, subject)
+            actually_down = net.is_down(subject)
+            if not actually_down:
+                self.collector.record_false_suspicion()
+            if self.tracer is not None:
+                self.tracer.detector_suspect(observer, subject, now,
+                                             false_positive=not actually_down)
+            if not actually_down:
+                continue
+            if subject not in self._detected:
+                self._detected.add(subject)
+                self.collector.record_detection(now - self.crash_time[subject])
+            if self.view_manager is not None:
+                self.view_manager.note_suspicion(subject)
+        self.sim.schedule(det.policy.heartbeat_interval_ms, self._heartbeat_tick)
+
+    def _hear(self, observer: int, subject: int) -> None:
+        """Proof of life: a cleared suspicion resumes the channel."""
+        det, transport = self.detector, self.transport
+        if (det is not None and transport is not None
+                and det.hear(observer, subject, self.sim.now)):
+            transport.resume_pair(observer, subject, flush=True)
+            if self.tracer is not None:
+                self.tracer.detector_alive(observer, subject, self.sim.now)
+
+    def _adopt(self, proto: "CausalProtocol") -> None:
+        """Give a site the site-local liveness oracle: it avoids fetching
+        from replicas it currently suspects, so failover stays symmetric
+        with what the site could locally know."""
+        det = self.detector
+        if det is not None:
+            proto._liveness = (
+                lambda target, _self=proto.site: not det.suspects(_self, target)
+            )
 
     # ------------------------------------------------------------------
     # crash plan execution
@@ -237,11 +347,13 @@ class CrashRecoveryManager:
         self.collector.record_crash()
         if self.tracer is not None:
             self.tracer.site_crash(site, now)
-        if self.sites is not None:
+        if self.sites:
             self.sites[site].crash()
         if self.transport is not None:
             self.transport.on_site_crash(site)
         if self.detector is not None:
+            # its own suspicions die with it (the transport cleared its
+            # pauses)
             self.detector.note_crash(site)
 
     def recover(self, site: int) -> None:
@@ -252,8 +364,9 @@ class CrashRecoveryManager:
             raise RuntimeError(f"site {site} is not down")
         now = self.sim.now
         proto = self.protocols[site]
-        disk = self.durability.disk(site)
+        disk = self.disks[site]
         checkpoint_age = self.crash_time[site] - disk.checkpoint_time
+        assert disk.checkpoint is not None
         proto.restore(disk.checkpoint)
         if self.view_manager is not None:
             # the view may have grown while the site was down (and the
@@ -268,7 +381,7 @@ class CrashRecoveryManager:
         if self.transport is not None:
             self.transport.on_site_recover(site)
         if self.detector is not None:
-            self.detector.note_recover(site)
+            self.detector.note_recover(site, self.net.members, now)
         self.collector.record_restore(
             downtime_ms=downtime,
             wal_replayed=replayed,
@@ -285,7 +398,7 @@ class CrashRecoveryManager:
         # checkpoint the freshly rebuilt state so a repeat crash does not
         # replay the same WAL twice on top of the pre-crash checkpoint
         disk.install_checkpoint(proto.snapshot(), now)
-        self.durability.wake()
+        self.wake()
         self._start_catchup(site)
 
     # ------------------------------------------------------------------
@@ -321,29 +434,10 @@ class CrashRecoveryManager:
         self.sim.schedule(interval, lambda: self._catchup_round(site, nxt))
 
     def _caught_up(self, site: int) -> bool:
-        # 1. nothing a live sender owes this site is still unacked (wire
-        #    drops during downtime live in those queues — this is the
-        #    real state-transfer barrier)
-        if self.transport is not None and self.transport.unacked_to(
-            site, from_live_only=True, down=self.net.down
-        ):
-            return False
-        # 2. every live peer answered at least once, and every digest
-        #    entry is known here (conservative per protocol)
-        responses = self._responses.get(site, {})
-        peers = self._live_peers(site)
-        if any(p not in responses for p in peers):
-            return False
-        proto = self.protocols[site]
-        for resp in responses.values():
-            for _var, widt in resp.digest:
-                if widt is None:
-                    continue
-                if proto.knows_write(WriteId(widt[0], widt[1])) is False:
-                    return False
-        # 3. the rejoined site's own buffers have drained — its causal
-        #    gates accepted everything that arrived
-        return proto.pending_count == 0
+        unacked = 0 if self.transport is None else self.transport.unacked_to(
+            site, from_live_only=True, down=self.net.down)
+        return caught_up(self.protocols[site], self._responses.get(site, {}),
+                         self._live_peers(site), unacked)
 
     def _finish_catchup(self, site: int, *, forced: bool) -> None:
         self._catching_up.discard(site)
@@ -357,36 +451,25 @@ class CrashRecoveryManager:
         if self.tracer is not None:
             self.tracer.site_catchup(site, self.sim.now, duration_ms=duration,
                                      rounds=rounds, forced=forced)
-        if self.sites is not None:
+        if self.sites:
             self.sites[site].recover()
-
-    def _build_digest(
-        self, responder: int, target: int
-    ) -> tuple[tuple[int, Optional[tuple[int, int]]], ...]:
-        proto = self.protocols[responder]
-        store = proto.ctx.store
-        digest: list[tuple[int, Optional[tuple[int, int]]]] = []
-        for var in self.placement.vars_at(target):
-            if not self.placement.is_replicated_at(var, responder):
-                continue
-            slot = store._slots[var]
-            wid = slot.write_id
-            digest.append((var, None if wid is None else (wid.site, wid.clock)))
-        return tuple(digest)
 
     def _handle_packet(self, src: int, dst: int, packet: object,
                        dead: bool) -> bool:
+        if isinstance(packet, HeartbeatPacket):
+            if not dead and not self.net.is_down(dst):
+                self._hear(dst, packet.origin)
+            return True
         if isinstance(packet, SyncRequest):
             if dead or self.net.is_down(dst):
                 return True
-            if self.detector is not None:
-                self.detector.observe(dst, src)
+            self._hear(dst, src)
             resp = SyncResponse(
                 origin=dst,
                 target=packet.origin,
                 round=packet.round,
                 pending=self.protocols[dst].pending_count,
-                digest=self._build_digest(dst, packet.origin),
+                digest=build_digest(self.protocols[dst], packet.origin),
             )
             size = (SYNC_RESPONSE_BASE_BYTES
                     + SYNC_RESPONSE_ENTRY_BYTES * len(resp.digest))
@@ -396,8 +479,7 @@ class CrashRecoveryManager:
         if isinstance(packet, SyncResponse):
             if dead or self.net.is_down(dst):
                 return True
-            if self.detector is not None:
-                self.detector.observe(dst, src)
+            self._hear(dst, src)
             site = packet.target
             if site != dst or site not in self._catching_up:
                 return True  # stale response from an abandoned catch-up
@@ -406,14 +488,6 @@ class CrashRecoveryManager:
                 self._finish_catchup(site, forced=False)
             return True
         return False
-
-    def _on_suspect(self, observer: int, subject: int,
-                    actually_down: bool) -> None:
-        """Detector callback: record detection latency on first notice."""
-        if not actually_down or subject in self._detected:
-            return
-        self._detected.add(subject)
-        self.collector.record_detection(self.sim.now - self.crash_time[subject])
 
     # ------------------------------------------------------------------
     # quiescence: may the infrastructure ticks stop?
@@ -482,18 +556,17 @@ class CrashRecoveryManager:
                             return False
             if self.transport.unacked_between_live(down):
                 return False
-        if self.sites is not None:
-            # departed sites count like dead-forever ones: a live site
-            # blocked on a fetch into an evicted replica can never finish
-            dead_forever = self.down_forever() | net.departed
-            for site in self.sites:
-                if site.site_id in down or site.finished:
-                    continue
-                # unfinishable: blocked on a fetch while the only state
-                # that could unblock it is frozen in a dead-forever site
-                if dead_forever and site.protocol._fetches:
-                    continue
-                return False
+        # departed sites count like dead-forever ones: a live site
+        # blocked on a fetch into an evicted replica can never finish
+        dead_forever = self.down_forever() | net.departed
+        for site in self.sites:
+            if site.site_id in down or site.finished:
+                continue
+            # unfinishable: blocked on a fetch while the only state
+            # that could unblock it is frozen in a dead-forever site
+            if dead_forever and site.protocol._fetches:
+                continue
+            return False
         return True
 
     def lost_operations(self) -> int:
@@ -504,8 +577,6 @@ class CrashRecoveryManager:
         an *evicted* site's schedule (a graceful leave voids its
         remaining schedule by choice, so it is not counted as lost).
         """
-        if self.sites is None:
-            return 0
         lost = 0
         departed = self.net.departed
         dead_forever = self.down_forever() | departed
@@ -524,31 +595,27 @@ class CrashRecoveryManager:
                 lost += len(site.schedule) - site.completed_ops
         return lost
 
-    def wake(self) -> None:
-        """Restart stopped infrastructure ticks (interactive drivers call
-        this when new work arrives after a quiescent stop)."""
-        self.durability.wake()
-        if self.detector is not None:
-            self.detector.wake()
-
     # ------------------------------------------------------------------
     # elastic membership (see repro.sim.membership)
     # ------------------------------------------------------------------
-    def adopt_site(self, proto: "CausalProtocol") -> None:
-        """Give a site (an initial one, or a joiner already in the shared
-        protocol list) the site-local liveness oracle: it avoids fetching
-        from replicas it currently suspects, so failover stays symmetric
-        with what the site could locally know."""
-        det = self.detector
-        if det is not None:
-            proto._liveness = (
-                lambda target, _self=proto.site: not det.suspects(_self, target)
-            )
+    def add_site(self, proto: "CausalProtocol", state: dict) -> None:
+        """Bring a joiner (already in the shared protocol list and
+        admitted by the network) under the stack: the liveness oracle, a
+        disk whose checkpoint zero is ``state`` — so the joiner is
+        crash-recoverable from the instant it is announced — and a full
+        grace period both ways with every other member."""
+        self._adopt(proto)
+        self._install_disk(proto, state)
+        if self.detector is not None:
+            self.detector.add_member(proto.site, self.net.members,
+                                     self.sim.now)
 
     def retire_site(self, site: int) -> None:
         """Close the book on a departed site (the network already counts
-        it neither down nor a member): no recovery, catch-up or detection
-        accounting applies."""
+        it neither down nor a member): no suspicion, recovery, catch-up
+        or detection accounting applies."""
+        if self.detector is not None:
+            self.detector.remove_member(site)
         self.crash_time.pop(site, None)
         self._detected.discard(site)
         self._recovery_scheduled.discard(site)
@@ -567,37 +634,27 @@ def install_crash_recovery(
     crashes: Sequence[CrashEvent] = (),
     checkpoint_interval_ms: Optional[float] = None,
     detector_policy: Optional[DetectorPolicy] = None,
-    with_detector: Optional[bool] = None,
     collector: "MetricsCollector",
+    registry: "Optional[MetricsRegistry]" = None,
     tracer: "Optional[Tracer]" = None,
+    sites: "Optional[list[Site]]" = None,
 ) -> CrashRecoveryManager:
-    """Build and wire the full crash-recovery stack.
+    """Build and start the crash-recovery stack.
 
-    The detector (and hence heartbeat traffic) is only installed when
-    crashes are possible — a checkpoint-only configuration stays
-    passive.  Crashing at all requires the chaos transport, because
-    held-for-dead traffic lives in its retransmit queues.
+    A failure detector (and hence heartbeat traffic) runs only under a
+    ``detector_policy``; planned crashes need one.  Crashing at all
+    requires the chaos transport, because held-for-dead traffic lives
+    in its retransmit queues.
     """
-    if with_detector is None:
-        with_detector = bool(crashes) or detector_policy is not None
-    if (crashes or with_detector) and network.transport is None:
-        raise RuntimeError(
-            "crash plans need the chaos transport (fault_plan=...): "
-            "recovery relies on retransmit queues holding traffic for "
-            "dead sites"
-        )
-    interval = (DEFAULT_CHECKPOINT_INTERVAL_MS
-                if checkpoint_interval_ms is None else checkpoint_interval_ms)
-    durability = DurabilityLayer(sim, network, protocols, interval_ms=interval,
-                                 collector=collector)
-    detector = None
-    if with_detector:
-        detector = FailureDetector(sim, network, detector_policy,
-                                   collector=collector, tracer=tracer)
+    if crashes and detector_policy is None:
+        raise ValueError("planned crashes need a failure detector policy")
     manager = CrashRecoveryManager(
-        sim, network, protocols, durability,
-        detector=detector, crashes=crashes,
-        collector=collector, tracer=tracer,
+        sim, network, protocols, crashes=crashes,
+        checkpoint_interval_ms=(DEFAULT_CHECKPOINT_INTERVAL_MS
+                                if checkpoint_interval_ms is None
+                                else checkpoint_interval_ms),
+        detector_policy=detector_policy, collector=collector,
+        registry=registry, tracer=tracer, sites=sites,
     )
     manager.start()
     return manager

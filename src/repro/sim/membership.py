@@ -46,6 +46,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..core.errors import DepartedSiteError, MembershipError, UnknownSiteError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.base import CausalProtocol
     from .crash import CrashRecoveryManager
@@ -53,23 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .network import Network
     from .process import Site
 
-__all__ = [
-    "MembershipError",
-    "UnknownSiteError",
-    "DepartedSiteError",
-    "View",
-    "ViewManager",
-]
-
-
-# The exception vocabulary moved to repro.core.errors (the protocol
-# layer raises DepartedSiteError itself); re-exported here so existing
-# `from repro.sim.membership import ...` call sites keep working.
-from ..core.errors import (  # noqa: E402  -- re-export after __all__
-    DepartedSiteError,
-    MembershipError,
-    UnknownSiteError,
-)
+__all__ = ["View", "ViewManager"]
 
 
 #: how often a fence re-tests its drain predicate
@@ -178,23 +164,16 @@ class ViewManager:
         self._active: Optional[_PendingChange] = None
         self._fence_started = 0.0
         self._evict_pending: set[int] = set()
+        #: escalate a true suspicion of a crash-stopped member into an
+        #: eviction after this long (None: never; see enable_eviction)
+        self.evict_after_ms: Optional[float] = None
 
         if crash_manager is not None:
+            # the one link back: the crash manager checks membership and
+            # escalates suspicions over it
             crash_manager.view_manager = self
 
     # ------------------------------------------------------------------
-    # convenience accessors
-    # ------------------------------------------------------------------
-    @property
-    def detector(self):
-        mgr = self.crash_manager
-        return None if mgr is None else mgr.detector
-
-    @property
-    def durability(self):
-        mgr = self.crash_manager
-        return None if mgr is None else mgr.durability
-
     @property
     def epoch(self) -> int:
         return self.view.epoch
@@ -256,24 +235,20 @@ class ViewManager:
         self._pump()
 
     def enable_eviction(self, after_ms: float) -> None:
-        """Chain onto the failure detector: persistent suspicion of a
-        crash-stopped site escalates into an eviction after ``after_ms``."""
-        detector = self.detector
-        if detector is None or self.crash_manager is None:
+        """Persistent suspicion of a crash-stopped site escalates into an
+        eviction after ``after_ms`` (see :meth:`note_suspicion`)."""
+        mgr = self.crash_manager
+        if mgr is None or mgr.detector is None:
             raise MembershipError(
                 "eviction escalation needs a failure detector and crash manager"
             )
-        previous = detector.on_suspect
+        self.evict_after_ms = after_ms
 
-        def hook(observer: int, subject: int, actually_down: bool) -> None:
-            if previous is not None:
-                previous(observer, subject, actually_down)
-            self._note_suspicion(subject, actually_down, after_ms)
-
-        detector.on_suspect = hook
-
-    def _note_suspicion(self, subject: int, actually_down: bool, after: float) -> None:
-        if (not actually_down or not self.network.is_member(subject)
+    def note_suspicion(self, subject: int) -> None:
+        """The crash manager's escalation: some observer truly suspects
+        ``subject``, which is down."""
+        after = self.evict_after_ms
+        if (after is None or not self.network.is_member(subject)
                 or subject in self._evict_pending):
             return
         mgr = self.crash_manager
@@ -529,22 +504,15 @@ class ViewManager:
         self.protocols.append(proto)  # the run's one list, shared
         self.network.register(new_id, proto.on_message)
 
-        mgr = self.crash_manager
-        if mgr is not None:
-            mgr.adopt_site(proto)
-
-        # --- PR-3 bootstrap pipeline: checkpoint restore -> WAL replay ---
+        # --- bootstrap: the joiner restores a checkpoint zero, which is
+        # also its disk's first checkpoint under the crash stack ---
         if donor_id is not None:
             state = self.protocols[donor_id].snapshot()
         else:
             state = proto.snapshot()  # fresh, empty replica set
-        durability = self.durability
-        if durability is not None:
-            disk = durability.add_site(proto, state, self.sim.now)
-            proto.restore(disk.checkpoint)
-            proto.replay(disk.wal)  # empty at bootstrap; shape parity with recovery
-        else:
-            proto.restore(state)
+        proto.restore(state)
+        if self.crash_manager is not None:
+            self.crash_manager.add_site(proto, state)
         if donor_id is not None:
             # the snapshot carries the donor's writer identity; the
             # joiner must start counting its own writes from zero
@@ -553,10 +521,6 @@ class ViewManager:
 
         self.view = view
         self.stats.joins += 1
-
-        detector = self.detector
-        if detector is not None:
-            detector.add_member(new_id)
 
         if self.site_factory is not None and self.sites is not None:
             site = self.site_factory(new_id, proto)
@@ -581,12 +545,8 @@ class ViewManager:
         net.retire_site(victim)
         if net.transport is not None:
             net.transport.forget_site(victim)
-        detector = self.detector
-        if detector is not None:
-            detector.remove_member(victim)
-        mgr = self.crash_manager
-        if mgr is not None:
-            mgr.retire_site(victim)
+        if self.crash_manager is not None:
+            self.crash_manager.retire_site(victim)
         if self.sites is not None and victim < len(self.sites):
             site = self.sites[victim]
             if site is not None:

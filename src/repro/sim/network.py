@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core.errors import DepartedSiteError, MembershipError
 from .engine import Simulator
 from .faults import NO_FAULT, FaultInjector
 
@@ -226,9 +227,9 @@ class Network:
         # (per-channel FIFO preserved) until resumed
         self._paused: set[int] = set()
         self._held: dict[int, list[tuple[int, object]]] = {}
-        # The one record of site liveness: the crash manager, failure
-        # detector, checkpoint layer and view manager all read these two
-        # sets, and only crash_site / revive_site / retire_site write
+        # The one record of site liveness: the crash manager (its
+        # checkpoint and heartbeat ticks) and the view manager read these
+        # two sets, and only crash_site / revive_site / retire_site write
         # them.  Packets to a down site are dropped at the wire
         # (crash-recovery); departed sites never come back — traffic
         # involving them is dropped (counted), sends to them raise.
@@ -335,8 +336,6 @@ class Network:
         delay matrix has no row for the newcomer.
         """
         if isinstance(self.latency, PerPairLatency):
-            from .membership import MembershipError
-
             raise MembershipError(
                 "PerPairLatency has a fixed delay matrix and cannot "
                 "admit new sites; use a sampled latency model for churn"
@@ -466,8 +465,6 @@ class Network:
             self.departed_drops += 1
             return None
         if dst in self.departed:
-            from .membership import DepartedSiteError
-
             raise DepartedSiteError(dst, "departed")
         if self.transport is not None:
             return self.transport.send(src, dst, message, size_bytes)

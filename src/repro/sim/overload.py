@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..core.errors import MembershipError
 from .engine import Simulator
 from .faults import FaultPlan
 from .reliable import OverloadError
@@ -90,8 +91,6 @@ class OverloadDriver:
 
     # ------------------------------------------------------------------
     def _tick(self, site: int, defers: int = 0) -> None:
-        from .membership import MembershipError
-
         proto = self._target(site)
         if proto is None:
             self.skipped += 1

@@ -191,7 +191,7 @@ class ReliableTransport(ChannelHost):
                 ch.sender.recover()
 
     # ------------------------------------------------------------------
-    # crash-recovery hooks (see repro.sim.crash / repro.sim.failure_detector)
+    # crash-recovery hooks (see repro.sim.crash)
     # ------------------------------------------------------------------
     def on_site_crash(self, site: int) -> None:
         """Volatile transport state of ``site`` dies with it.

@@ -21,8 +21,9 @@ from repro import (
     SimulationConfig,
     run_simulation,
 )
+from repro.core.recovery import SiteDisk, WalRecord
 from repro.metrics.collector import MetricsCollector
-from repro.sim.checkpoint import DurabilityLayer, SiteDisk, WalRecord
+from repro.sim.crash import CrashRecoveryManager
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.verify.causal_checker import check_causal_consistency
@@ -134,8 +135,9 @@ class TestSiteDisk:
         net = Network(sim, 1, collector=collector)
         for interval in (0.0, -5.0):
             with pytest.raises(ValueError):
-                DurabilityLayer(sim, net, [], interval_ms=interval,
-                                collector=collector)
+                CrashRecoveryManager(sim, net, [],
+                                     checkpoint_interval_ms=interval,
+                                     collector=collector)
 
 
 class TestWalReplay:

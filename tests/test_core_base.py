@@ -426,7 +426,7 @@ class TestSharedMulticast:
         assert proto.ctx.collector.tally(MessageKind.SM).count == 2
 
     def test_replay_books_and_sends_nothing(self):
-        from repro.sim.checkpoint import WalRecord
+        from repro.core.recovery import WalRecord
 
         proto = make_site("optp", 1, full_replication(3, 4))
         real = proto.ctx

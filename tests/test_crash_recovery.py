@@ -23,12 +23,14 @@ from repro import (
     FaultPlan,
     Partition,
     RetransmitPolicy,
+    RoundRobinPlacement,
     SimulationConfig,
     UniformLatency,
     run_simulation,
     seeded_crashes,
 )
 from repro.cli import _parse_crash_plan
+from repro.core.recovery import SyncResponse, build_digest, caught_up
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.convergence import check_convergence
 
@@ -263,3 +265,98 @@ class TestPendingAccounting:
         c.crash_site(2)
         c.recover_site(2)
         c.settle()
+
+
+class _Clock:
+    """A bare ``Clock`` port: the core pieces need no simulator."""
+
+    now = 0.0
+
+
+def core_site(site, placement, protocol="opt-track"):
+    from repro.core import ProtocolContext, create_protocol
+    from repro.memory.store import SiteStore
+    from repro.metrics.collector import MetricsCollector
+    from repro.metrics.sizing import DEFAULT_SIZE_MODEL
+
+    from .test_core_base import CaptureTransport
+
+    ctx = ProtocolContext(
+        site=site, n_sites=placement.n_sites, placement=placement,
+        store=SiteStore(site, placement.vars_at(site)),
+        network=CaptureTransport(), clock=_Clock(),
+        collector=MetricsCollector(), size_model=DEFAULT_SIZE_MODEL,
+    )
+    return create_protocol(protocol, ctx)
+
+
+def sent_to(proto, dst):
+    return [m for _src, d, m in proto.ctx.network.sent if d == dst]
+
+
+class TestCatchUpRule:
+    """``caught_up`` with no simulator: each condition blocks on its own.
+
+    Round-robin placement, n=4, p=2: site 0 holds {0, 3, 4, 7}, site 1
+    (the rejoiner) holds {0, 1, 4, 5}; site 2 is the other live peer.
+    """
+
+    def make(self):
+        placement = RoundRobinPlacement(4, 8, 2)
+        return placement, [core_site(s, placement) for s in range(3)]
+
+    def responses(self, sites, target=1, peers=(0, 2)):
+        return {p: SyncResponse(p, target, 0, sites[p].pending_count,
+                                build_digest(sites[p], target))
+                for p in peers}
+
+    def test_all_three_conditions_met(self):
+        _, sites = self.make()
+        assert caught_up(sites[1], self.responses(sites), [0, 2], 0)
+
+    def test_unacked_traffic_blocks(self):
+        _, sites = self.make()
+        assert not caught_up(sites[1], self.responses(sites), [0, 2], 3)
+
+    def test_a_silent_peer_blocks(self):
+        _, sites = self.make()
+        resp = self.responses(sites, peers=(0,))
+        assert not caught_up(sites[1], resp, [0, 2], 0)
+        assert caught_up(sites[1], resp, [0], 0)  # once 2 is no peer
+
+    def test_an_unknown_digest_entry_blocks(self):
+        _, sites = self.make()
+        sites[0].write(0, "a")
+        resp = self.responses(sites)
+        assert sites[1].knows_write(sites[0].ctx.store.read(0).write_id) is False
+        assert not caught_up(sites[1], resp, [0, 2], 0)
+        (sm,) = sent_to(sites[0], 1)
+        sites[1].on_message(0, sm)  # the write arrives through the gate
+        assert caught_up(sites[1], resp, [0, 2], 0)
+
+    def test_pending_buffer_blocks(self):
+        _, sites = self.make()
+        sites[0].write(0, "a")
+        sites[0].write(0, "b")
+        first, second = sent_to(sites[0], 1)
+        sites[1].on_message(0, second)  # out of causal order: buffered
+        assert sites[1].pending_count == 1
+        no_digest = {p: SyncResponse(p, 1, 0, 0, ()) for p in (0, 2)}
+        assert not caught_up(sites[1], no_digest, [0, 2], 0)
+        sites[1].on_message(0, first)
+        assert sites[1].pending_count == 0
+        assert caught_up(sites[1], no_digest, [0, 2], 0)
+
+
+class TestSyncDigest:
+    def test_lists_exactly_the_co_replicated_variables(self):
+        placement = RoundRobinPlacement(4, 8, 2)
+        sites = [core_site(s, placement) for s in range(4)]
+        wid = sites[0].write(4, "x")
+        # site 0 holds {0, 3, 4, 7}; site 1 holds {0, 1, 4, 5}
+        assert build_digest(sites[0], 1) == ((0, None),
+                                             (4, (wid.site, wid.clock)))
+        # target order: site 3 holds {2, 3, 6, 7}
+        assert build_digest(sites[0], 3) == ((3, None), (7, None))
+        # no shared variable, empty digest: site 2 holds {1, 2, 5, 6}
+        assert build_digest(sites[0], 2) == ()

@@ -13,6 +13,7 @@ from repro import (
     ConstantLatency,
     CrashEvent,
     DetectorPolicy,
+    FailureDetector,
     FaultPlan,
     RetransmitPolicy,
     SimulationConfig,
@@ -143,3 +144,95 @@ class TestRecoveryResetsTimeout:
         # at the base timeout (the backoff punished a real crash)
         assert det._timeout[(0, 1)] == policy.timeout_ms
         assert not det.suspected
+
+
+class TestSuspicionTable:
+    """The core suspicion table on its own, driven with explicit times."""
+
+    MEMBERS = (0, 1, 2)
+    POLICY = DetectorPolicy(heartbeat_interval_ms=50.0, timeout_ms=200.0,
+                            backoff=2.0, max_timeout_ms=500.0)
+
+    def make(self):
+        det = FailureDetector(self.POLICY)
+        for site in self.MEMBERS:
+            det.add_member(site, self.MEMBERS, 0.0)
+        return det
+
+    def hear_all_but(self, det, now, silent):
+        for o in self.MEMBERS:
+            for s in self.MEMBERS:
+                if o != s and (o, s) != silent:
+                    det.hear(o, s, now)
+
+    def test_suspected_once_timeout_elapses(self):
+        det = self.make()
+        self.hear_all_but(det, 150.0, silent=(0, 1))
+        assert det.expire(199.0, self.MEMBERS, set()) == []
+        assert det.expire(200.0, self.MEMBERS, set()) == [(0, 1)]
+        assert det.suspects(0, 1) and not det.suspects(1, 0)
+        # an already-suspected pair is not suspected again
+        assert det.expire(260.0, self.MEMBERS, set()) == []
+        assert det.suspicions == 1
+
+    def test_down_observer_suspects_nobody(self):
+        det = self.make()
+        newly = det.expire(1000.0, self.MEMBERS, {0})
+        assert newly and all(o != 0 for o, _s in newly)
+
+    def test_each_suspicion_backs_off_up_to_the_cap(self):
+        det = self.make()
+        now, timeouts = 0.0, []
+        for _ in range(3):
+            now += det._timeout[(0, 1)]
+            self.hear_all_but(det, now, silent=(0, 1))
+            assert det.expire(now, self.MEMBERS, set()) == [(0, 1)]
+            timeouts.append(det._timeout[(0, 1)])
+            det.hear(0, 1, now)  # clear it for the next round
+        assert timeouts == [400.0, 500.0, 500.0]
+        assert det._timeout[(1, 0)] == self.POLICY.timeout_ms
+
+    def test_hearing_from_the_subject_clears_the_suspicion(self):
+        det = self.make()
+        det.expire(200.0, self.MEMBERS, set())
+        assert det.suspects(0, 1)
+        assert det.hear(0, 1, 210.0) is True
+        assert not det.suspects(0, 1) and det.recoveries == 1
+        assert det._last_heard[(0, 1)] == 210.0
+        assert det.hear(0, 1, 220.0) is False  # nothing left to clear
+        assert det.recoveries == 1
+
+    def test_note_recover_resets_both_directions(self):
+        det = self.make()
+        det.expire(200.0, self.MEMBERS, set())  # every pair backs off
+        assert det._timeout[(0, 1)] == det._timeout[(1, 0)] == 400.0
+        det.note_recover(1, self.MEMBERS, 300.0)
+        base = self.POLICY.timeout_ms
+        for other in (0, 2):
+            assert det._timeout[(other, 1)] == base
+            assert det._timeout[(1, other)] == base
+            assert det._last_heard[(1, other)] == 300.0
+        assert det._timeout[(0, 2)] == 400.0  # pairs without 1 untouched
+
+    def test_note_crash_drops_the_crashed_observers_suspicions(self):
+        det = self.make()
+        det.expire(200.0, self.MEMBERS, set())
+        det.note_crash(1)
+        assert not any(o == 1 for o, _s in det.suspected)
+        assert det.suspects(0, 1)  # others still suspect it
+
+    def test_remove_member_drops_every_pair_naming_the_site(self):
+        det = self.make()
+        det.expire(200.0, self.MEMBERS, set())
+        det.remove_member(2)
+        for table in (det._last_heard, det._timeout, det.suspected):
+            assert not any(2 in pair for pair in table)
+        assert det.suspects(0, 1) and (0, 1) in det._timeout
+
+    def test_rebaseline_moves_last_heard_forward_never_back(self):
+        det = self.make()
+        det.hear(0, 1, 500.0)
+        det.rebaseline(300.0)
+        assert det._last_heard[(0, 1)] == 500.0
+        assert det._last_heard[(1, 0)] == 300.0
+        assert det.expire(499.0, self.MEMBERS, set()) == []

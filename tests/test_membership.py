@@ -26,13 +26,13 @@ from repro import (
     run_simulation,
 )
 from repro.core import protocol_names
-from repro.sim.failure_detector import DetectorPolicy
-from repro.sim.faults import JoinEvent, LeaveEvent, seeded_churn
-from repro.sim.membership import (
+from repro.core.errors import (
     DepartedSiteError,
     MembershipError,
     UnknownSiteError,
 )
+from repro.core.recovery import DetectorPolicy
+from repro.sim.faults import JoinEvent, LeaveEvent, seeded_churn
 from repro.verify.causal_checker import check_causal_consistency
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]

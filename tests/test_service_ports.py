@@ -8,9 +8,9 @@ from repro.core.ports import (
     TimerService,
     Transport,
 )
+from repro.core.recovery import SiteDisk
 from repro.metrics.collector import MetricsCollector
 from repro.service.channel import ServiceTransport
-from repro.sim.checkpoint import SiteDisk
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
