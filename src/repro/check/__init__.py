@@ -2,9 +2,13 @@
 
 Three layers (see ``docs/static_analysis.md``):
 
-1. **AST lints** (:mod:`repro.check.lint`, :mod:`repro.check.rules`):
-   SIM001..SIM007, project-specific determinism rules with fix-it hints
-   and a mandatory-justification suppression syntax;
+1. **static analysis** over one parse of the tree
+   (:class:`repro.check.callgraph.ProjectGraph`): the AST lints
+   SIM003..SIM007 (:mod:`repro.check.lint`, :mod:`repro.check.rules`),
+   the effect analyzer whose ``[[effects.forbid]]`` rules ban the wall
+   clock and unseeded randomness (:mod:`repro.check.effects`), and the
+   layer contract (:mod:`repro.check.layers`) — one suppression syntax,
+   with a mandatory justification, for all three;
 2. **runtime sanitizers** (:mod:`repro.check.sanitizer`): the
    frozen-message network wrapper and the double-run divergence
    detector;
@@ -14,11 +18,8 @@ Three layers (see ``docs/static_analysis.md``):
 All three are wired into ``python -m repro.check``.
 """
 
-# .rules must come first: repro.check.lint imports the shared
-# suppression parser from .rules._util, so the cycle only resolves when
-# the rules package (whose __init__ pulls in .lint) is entered first.
+from .lint import Finding, Rule, run_lints
 from .rules import ALL_RULES, all_rules, rule_by_code
-from .lint import Finding, Rule, SourceFile, lint_file, lint_paths
 from .sanitizer import (
     DivergenceReport,
     MessageMutationError,
@@ -31,9 +32,7 @@ from .sanitizer import (
 __all__ = [
     "Finding",
     "Rule",
-    "SourceFile",
-    "lint_file",
-    "lint_paths",
+    "run_lints",
     "ALL_RULES",
     "all_rules",
     "rule_by_code",

@@ -1,11 +1,11 @@
-"""Shared AST + suppression helpers for the simcheck rules.
+"""Shared AST + suppression helpers for the simcheck passes.
 
 This module is the single home of the cross-cutting conventions every
 pass (AST lints, effect analysis, layer checks) must agree on:
 
 * the ``# simcheck: ignore[...] -- reason`` suppression syntax and its
-  parser (one regex, one :class:`Suppression` record — rules and the
-  whole-program analyzers share identical semantics);
+  parser (one regex, one :class:`Suppression` record; the project graph
+  runs it once per module and every pass reads the result);
 * the set of directories/files no pass ever scans (``__pycache__``,
   VCS and tool caches, build output, generated files);
 * the hot-path predicate used by the path-scoped rules.
@@ -21,7 +21,6 @@ from typing import Iterator, Optional, Sequence
 __all__ = [
     "dotted_name",
     "ScopeNode",
-    "call_name",
     "is_hot_path",
     "Suppression",
     "SUPPRESSION_CODE",
@@ -109,11 +108,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call's callee (None when not statically nameable)."""
-    return dotted_name(node.func)
 
 
 def is_hot_path(display_path: str) -> bool:

@@ -1,12 +1,18 @@
 """Project-wide import graph and call graph over a python package tree.
 
-This is the substrate of the whole-program analyzers
-(:mod:`repro.check.effects`, :mod:`repro.check.layers`).  It parses
-every module under a source root once and extracts:
+This is the one front end of ``repro.check``: the AST lints
+(:mod:`repro.check.lint`), the effect analyzer
+(:mod:`repro.check.effects`) and the layer checker
+(:mod:`repro.check.layers`) all read it.  It parses every module under
+a source root once and extracts:
 
-* **modules** — dotted name, path, AST, and a per-module import table
-  mapping local aliases to fully-qualified targets (relative imports
-  resolved against the module's package);
+* **modules** — dotted name, path, display path, AST, suppression
+  comments, and a per-module import table mapping local aliases to
+  fully-qualified targets (relative imports resolved against the
+  module's package);
+* **front-end findings** — ``SIM999`` for a module that does not parse
+  and ``SIM000`` for a suppression without a reason or naming an
+  unknown code, reported whichever passes run;
 * **import edges** — (importer, imported module) pairs with line
   numbers, split into *runtime* and *typing-only* (``if TYPE_CHECKING:``
   blocks), plus per-symbol runtime-use tracking so the layer checker
@@ -35,8 +41,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .lint import iter_python_files
-from .rules._util import is_generated_source
+from .lint import Finding
+from ._util import (
+    SUPPRESSION_CODE,
+    Suppression,
+    dotted_name,
+    is_excluded_path,
+    is_generated_source,
+    parse_suppressions,
+)
 
 __all__ = [
     "FunctionInfo",
@@ -86,9 +99,12 @@ class ModuleInfo:
     name: str
     path: Path
     tree: ast.Module
+    #: the path findings name: relative to the working directory when
+    #: the module lies under it
+    display_path: str = ""
     is_package: bool = False
-    #: source split into lines (for suppression comments in analyzers)
-    lines: list[str] = field(default_factory=list)
+    #: every ``# simcheck: ignore[...]`` comment, parsed once
+    suppressions: list[Suppression] = field(default_factory=list)
     #: ids of nodes inside annotations / TYPE_CHECKING blocks — these
     #: never evaluate at runtime under `from __future__ import annotations`
     non_runtime_nodes: set[int] = field(default_factory=set)
@@ -105,6 +121,29 @@ class ModuleInfo:
     #: lineno of the first runtime use per local name (diagnostics)
     runtime_use_lines: dict[str, int] = field(default_factory=dict)
 
+    def suppressed(self, code: str, line: int) -> bool:
+        """True when a suppression on ``line`` or the line above names
+        ``code``.  One without a reason silences too; the graph reports
+        it as SIM000."""
+        return any(
+            sup.line in (line, line - 1) and code in sup.codes
+            for sup in self.suppressions
+        )
+
+    def call_target(self, node: ast.Call) -> Optional[str]:
+        """Dotted callee name with its head resolved through the imports.
+
+        ``perf_counter()`` after ``from time import perf_counter`` and
+        ``hq.heappush()`` after ``import heapq as hq`` become
+        ``time.perf_counter`` and ``heapq.heappush``; an unresolvable
+        head is returned verbatim so builtins like ``open`` still match.
+        """
+        dotted = dotted_name(node.func)
+        if dotted is None:
+            return None
+        head, dot, rest = dotted.partition(".")
+        return self.import_map.get(head, head) + dot + rest
+
 
 @dataclass
 class ClassInfo:
@@ -120,6 +159,8 @@ class ProjectGraph:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
+        #: SIM999 / SIM000 findings of the parse itself
+        self.findings: list[Finding] = []
         #: "module.Class" -> ClassInfo for cross-module base resolution
         self._classes: dict[str, ClassInfo] = {}
 
@@ -129,20 +170,29 @@ class ProjectGraph:
         """Parse ``src_root/package`` and resolve the call graph."""
         graph = cls()
         pkg_dir = src_root / package.replace(".", "/")
-        for path in iter_python_files([pkg_dir]):
+        known_codes = _registered_codes()
+        for path in sorted(pkg_dir.rglob("*.py")):
+            if is_excluded_path(path.relative_to(pkg_dir).parts):
+                continue
             text = path.read_text(encoding="utf-8")
             if is_generated_source(text):
                 continue
+            display = _display_path(path)
             try:
                 tree = ast.parse(text, filename=str(path))
-            except SyntaxError:
-                continue  # the lint pass reports this as SIM999
+            except SyntaxError as exc:
+                graph.findings.append(Finding(
+                    code="SIM999", path=display, line=exc.lineno or 0,
+                    col=exc.offset or 0, message=f"syntax error: {exc.msg}",
+                ))
+                continue
             name = _module_name(path, src_root)
-            graph.modules[name] = ModuleInfo(
-                name=name, path=path, tree=tree,
+            mod = graph.modules[name] = ModuleInfo(
+                name=name, path=path, tree=tree, display_path=display,
                 is_package=path.name == "__init__.py",
-                lines=text.splitlines(),
+                suppressions=list(parse_suppressions(text.splitlines())),
             )
+            graph.findings.extend(_invalid_suppressions(mod, known_codes))
         for mod in graph.modules.values():
             graph._collect_module(mod)
         for mod in graph.modules.values():
@@ -201,7 +251,7 @@ class ProjectGraph:
 
     def _collect_class(self, mod: ModuleInfo, node: ast.ClassDef) -> None:
         bases = tuple(
-            b for b in (_dotted(base) for base in node.bases) if b is not None
+            b for b in map(dotted_name, node.bases) if b is not None
         )
         info = ClassInfo(name=node.name, module=mod.name, bases=bases)
         for stmt in node.body:
@@ -315,7 +365,7 @@ class ProjectGraph:
                 and owner is not None
             ):
                 return self._resolve_method(mod, owner, func.attr)
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 head, _, rest = dotted.partition(".")
                 target = mod.import_map.get(head)
@@ -402,6 +452,47 @@ class ProjectGraph:
 
 
 # ----------------------------------------------------------------------
+def _display_path(path: Path) -> str:
+    try:
+        return str(path.resolve().relative_to(Path.cwd().resolve()))
+    except ValueError:
+        return str(path)
+
+
+def _registered_codes() -> frozenset[str]:
+    """Every code a suppression may name: the full rule catalog."""
+    # deferred: the catalog imports the rule modules, which import lint
+    from .reportfmt import rule_metadata
+
+    return frozenset(rule_metadata())
+
+
+def _invalid_suppressions(
+    mod: ModuleInfo, known_codes: frozenset[str]
+) -> Iterator[Finding]:
+    """SIM000 findings: a missing reason or an unknown rule code.
+
+    A code outside the catalog is dead weight that silently stops
+    guarding anything when rules are renamed or retired, so it fails
+    the check exactly like a missing reason.
+    """
+    for sup in mod.suppressions:
+        unknown = sorted(sup.codes - known_codes)
+        if sup.reason is None:
+            message = ("suppression without a justification: "
+                       f"ignore[{', '.join(sorted(sup.codes))}]")
+            hint = ("append ' -- <why this is safe>' to the simcheck "
+                    "comment; unjustified suppressions fail the check")
+        elif unknown:
+            message = ("suppression names unknown rule "
+                       f"code(s): {', '.join(unknown)}")
+            hint = "drop the stale code or fix the typo; see --list-rules"
+        else:
+            continue
+        yield Finding(code=SUPPRESSION_CODE, path=mod.display_path,
+                      line=sup.line, col=0, message=message, hint=hint)
+
+
 def _module_name(path: Path, src_root: Path) -> str:
     rel = path.resolve().relative_to(src_root.resolve())
     parts = list(rel.with_suffix("").parts)
@@ -429,17 +520,6 @@ def _resolve_from(
         return node.module
     base = ".".join(base_parts)
     return f"{base}.{node.module}" if node.module else base
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _type_checking_blocks(tree: ast.Module) -> set[int]:

@@ -1,14 +1,19 @@
 """``python -m repro.check`` — the determinism & metadata sanitizer CLI.
 
-Sub-behaviours (composable in one invocation):
+The tree is ``--src-root`` (default ``src/``) plus the contract's
+package, parsed once into a project graph that every static pass reads;
+a module that does not parse is a SIM999 finding and a suppression
+without a reason a SIM000 finding, whichever passes run.  Sub-behaviours
+(composable in one invocation):
 
-* **lint** (default): run the SIM001..SIM007 AST rules over the given
-  paths (default ``src/``), print ``path:line:col: CODE message`` per
-  finding, exit non-zero on any finding;
+* **lint** (default): run the SIM003..SIM007 AST rules, print
+  ``path:line:col: CODE message`` per finding, exit non-zero on any
+  finding;
 * **--effects**: whole-program effect inference (EFF001..EFF003) — the
-  substrate-independence certificate for ``repro/core`` and
-  ``repro/verify``, diffed against the committed
-  ``EFFECTS_BASELINE.json``;
+  contract's ``[[effects.forbid]]`` rules (``repro/core`` and
+  ``repro/verify`` substrate-pure; no wall clock or unseeded RNG
+  anywhere in ``repro`` outside the ``[[effects.allow]]`` table),
+  diffed against the committed ``EFFECTS_BASELINE.json``;
 * **--layers**: layer-contract enforcement (LAY001..LAY003) against
   ``layers.toml``;
 * **--mypy/--no-mypy**: strict-typing gate over ``core/``/``sim/``/
@@ -25,7 +30,7 @@ while keeping human output on stdout.
 
 Examples::
 
-    python -m repro.check src/
+    python -m repro.check
     python -m repro.check --explain EFF001
     python -m repro.check --effects --layers
     python -m repro.check --effects --write-baseline
@@ -43,8 +48,10 @@ import tomllib
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .lint import Finding, lint_paths
-from .rules import all_rules, rule_by_code
+from .callgraph import ProjectGraph
+from .contract import Contract, ContractError
+from .lint import Finding, run_lints
+from .rules import all_rules
 
 __all__ = ["main", "build_parser"]
 
@@ -56,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(AST lints, effect/layer analyzers, typing gate, "
                     "double-run diff)",
     )
-    ap.add_argument("paths", nargs="*", type=Path,
-                    help="files/directories to lint (default: src/)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule catalog and exit")
     ap.add_argument("--explain", metavar="CODE",
@@ -81,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="regenerate the effect baseline instead of "
                          "diffing against it (implies --effects)")
     ap.add_argument("--src-root", type=Path, default=None, metavar="DIR",
-                    help="source root for the analyzers (default: src/)")
+                    help="source root holding the contract's package "
+                         "(default: src/)")
     ap.add_argument("--format", choices=("human", "json", "sarif"),
                     default="human",
                     help="stdout format for findings (default: human)")
@@ -135,12 +141,9 @@ def _explain(code: str) -> int:
 
     meta = rule_metadata().get(code)
     if meta is None:
-        try:
-            rule = rule_by_code(code)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        meta = (rule.name, rule.rationale, rule.hint)
+        print(f"unknown rule code {code!r}; see --list-rules",
+              file=sys.stderr)
+        return 2
     name, rationale, hint = meta
     print(f"{code} {name}")
     print(f"  why : {rationale}")
@@ -151,20 +154,19 @@ def _explain(code: str) -> int:
 
 
 def _run_lint(
-    paths: Sequence[Path], select: Optional[str], *, human: bool
+    graph: ProjectGraph, select: Optional[str], *, human: bool
 ) -> list[Finding]:
     rules = all_rules()
     if select:
         wanted = {c.strip() for c in select.split(",") if c.strip()}
         rules = [r for r in rules if r.code in wanted]
-    root = Path.cwd()
-    findings = lint_paths(list(paths), rules, root=root)
+    findings = run_lints(graph, rules)
     if human:
         for f in findings:
             print(f.format())
         n = len(findings)
         print(f"simcheck lint: {n} finding{'s' if n != 1 else ''} "
-              f"in {len(list(paths))} path(s)")
+              f"in {len(graph.modules)} modules")
     return findings
 
 
@@ -218,11 +220,15 @@ def _run_double(args: argparse.Namespace) -> int:
 
 
 def _run_analyzers(
-    args: argparse.Namespace, defaults: dict[str, str], *, human: bool
+    args: argparse.Namespace,
+    defaults: dict[str, str],
+    graph: ProjectGraph,
+    contract: Contract,
+    contract_path: Path,
+    *,
+    human: bool,
 ) -> tuple[list[Finding], Optional[dict[str, list[str]]], dict[str, object]]:
     """Effect/layer passes: (findings, effect table, certificate)."""
-    from .callgraph import ProjectGraph
-    from .contract import Contract
     from .effects import (
         analyze_effects,
         diff_against_baseline,
@@ -230,13 +236,6 @@ def _run_analyzers(
         render_baseline,
     )
     from .layers import check_layers
-
-    contract_path = args.contract or Path(
-        defaults.get("contract", "layers.toml")
-    )
-    src_root = args.src_root or Path(defaults.get("src_root", "src"))
-    contract = Contract.load(contract_path)
-    graph = ProjectGraph.build(src_root, contract.package)
 
     findings: list[Finding] = []
     effect_table: Optional[dict[str, list[str]]] = None
@@ -278,12 +277,16 @@ def _run_analyzers(
                 if human:
                     for f in drift:
                         print(f.format())
+        # a module that did not parse was never analyzed
         certified = not any(
-            f.code in ("EFF001", "EFF003") for f in effect_findings
+            f.code in ("EFF001", "EFF003", "SIM999")
+            for f in effect_findings + graph.findings
         )
         certificate = {
-            "pure_trees": list(contract.pure_trees),
-            "forbidden_effects": list(contract.forbidden_effects),
+            "forbid": [
+                {"trees": list(rule.trees), "effects": list(rule.effects)}
+                for rule in contract.effect_forbids
+            ],
             "certified": certified,
             "functions_analyzed": len(report.effects),
             "functions_with_effects": len(effect_table),
@@ -292,8 +295,8 @@ def _run_analyzers(
             for f in effect_findings:
                 print(f.format())
             verdict = "CERTIFIED" if certified else "NOT certified"
-            print(f"effect check: {len(effect_findings)} finding(s); "
-                  f"pure trees {', '.join(contract.pure_trees)}: {verdict}")
+            print(f"effect check: {len(effect_findings)} finding(s) under "
+                  f"{len(contract.effect_forbids)} forbid rule(s): {verdict}")
     return findings, effect_table, certificate
 
 
@@ -331,24 +334,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _explain(args.explain)
     defaults = _project_defaults()
     human = args.format == "human"
+    analyzers = args.effects or args.layers or args.write_baseline
     exit_code = 0
     findings: list[Finding] = []
-    if not args.no_lint:
-        paths = args.paths or [Path("src")]
-        findings.extend(_run_lint(paths, args.select, human=human))
-    if args.effects or args.layers or args.write_baseline:
-        from .contract import ContractError
-
+    effect_table: Optional[dict[str, list[str]]] = None
+    certificate: dict[str, object] = {}
+    if not args.no_lint or analyzers:
+        contract_path = args.contract or Path(
+            defaults.get("contract", "layers.toml")
+        )
         try:
-            analyzer_findings, effect_table, certificate = _run_analyzers(
-                args, defaults, human=human
-            )
+            contract = Contract.load(contract_path)
         except ContractError as exc:
             print(f"contract error: {exc}", file=sys.stderr)
             return 2
-        findings.extend(analyzer_findings)
-    else:
-        effect_table, certificate = None, {}
+        graph = ProjectGraph.build(
+            args.src_root or Path(defaults.get("src_root", "src")),
+            contract.package,
+        )
+        findings.extend(graph.findings)
+        if human:
+            for f in graph.findings:
+                print(f.format())
+        if not args.no_lint:
+            findings.extend(_run_lint(graph, args.select, human=human))
+        if analyzers:
+            analyzer_findings, effect_table, certificate = _run_analyzers(
+                args, defaults, graph, contract, contract_path, human=human
+            )
+            findings.extend(analyzer_findings)
     if findings:
         exit_code = 1
     if not human or args.report is not None:

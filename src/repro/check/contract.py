@@ -19,9 +19,10 @@ analyzers enforce:
   - ``sanctioned``: a reviewed crossing allowed as-is (use sparingly —
     each one weakens the substrate-independence certificate);
 
-* ``[effects]`` — which subtrees must stay pure (``pure_trees``), which
-  effect classes are ``forbidden`` there, and ``[[effects.allow]]``
-  entries for reviewed exceptions.
+* ``[[effects.forbid]]`` — rules, each with ``trees`` (dotted
+  prefixes), the ``effects`` those trees must never reach, and a
+  ``reason``; ``[[effects.allow]]`` entries are reviewed exceptions to
+  every rule.
 
 Parsed with :mod:`tomllib` (python >= 3.11); no third-party TOML
 dependency.
@@ -35,15 +36,27 @@ from pathlib import Path
 from typing import Optional
 
 __all__ = [
+    "EFFECTS",
     "Contract",
     "ContractError",
     "EffectAllow",
+    "EffectForbid",
     "Layer",
     "Port",
     "PORT_KINDS",
 ]
 
 PORT_KINDS = ("annotation-only", "data-only", "sanctioned")
+
+#: the effect classes :mod:`repro.check.effects` infers
+EFFECTS = (
+    "WALL_CLOCK",
+    "UNSEEDED_RNG",
+    "FILE_IO",
+    "NETWORK",
+    "SIM_INTERNAL",
+    "MUTATES_SENT_PAYLOAD",
+)
 
 
 class ContractError(ValueError):
@@ -89,13 +102,21 @@ class EffectAllow:
         return effect in self.effects and _has_prefix(qual, self.function)
 
 
+@dataclass(frozen=True)
+class EffectForbid:
+    """A rule: functions under these trees must not reach these effects."""
+
+    trees: tuple[str, ...]
+    effects: tuple[str, ...]
+    reason: str
+
+
 @dataclass
 class Contract:
     package: str
     layers: dict[str, Layer] = field(default_factory=dict)
     ports: list[Port] = field(default_factory=list)
-    pure_trees: tuple[str, ...] = ()
-    forbidden_effects: tuple[str, ...] = ()
+    effect_forbids: list[EffectForbid] = field(default_factory=list)
     effect_allows: list[EffectAllow] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -103,7 +124,7 @@ class Contract:
     def load(cls, path: Path) -> "Contract":
         try:
             data = tomllib.loads(path.read_text(encoding="utf-8"))
-        except tomllib.TOMLDecodeError as exc:
+        except (OSError, tomllib.TOMLDecodeError) as exc:
             raise ContractError(f"{path}: {exc}") from exc
         return cls.from_dict(data, source=str(path))
 
@@ -151,18 +172,19 @@ class Contract:
                 reason=str(spec["reason"]),
             ))
         eff = data.get("effects", {})
-        contract.pure_trees = tuple(eff.get("pure_trees", ()))
-        contract.forbidden_effects = tuple(eff.get("forbidden", ()))
+        for spec in eff.get("forbid", ()):
+            effects, reason = _effect_entry(spec, spec.get("trees"), source)
+            contract.effect_forbids.append(EffectForbid(
+                trees=tuple(spec.get("trees", ())),
+                effects=effects,
+                reason=reason,
+            ))
         for spec in eff.get("allow", ()):
-            if not spec.get("reason"):
-                raise ContractError(
-                    f"{source}: effects.allow for "
-                    f"{spec.get('function')!r} has no reason"
-                )
+            effects, reason = _effect_entry(spec, spec.get("function"), source)
             contract.effect_allows.append(EffectAllow(
                 function=str(spec["function"]),
-                effects=tuple(spec.get("effects", ())),
-                reason=str(spec["reason"]),
+                effects=effects,
+                reason=reason,
             ))
         return contract
 
@@ -188,14 +210,39 @@ class Contract:
                     best, best_len = port, key
         return best
 
-    def in_pure_tree(self, qual: str) -> bool:
-        return any(_has_prefix(qual, tree) for tree in self.pure_trees)
-
-    def allows_effect(self, qual: str, effect: str) -> bool:
-        return any(a.matches(qual, effect) for a in self.effect_allows)
+    def forbidding(self, qual: str, effect: str) -> Optional[str]:
+        """The tree of the first forbid rule banning ``effect`` at
+        ``qual``, or None when no rule does or an allow entry covers it."""
+        if any(a.matches(qual, effect) for a in self.effect_allows):
+            return None
+        for rule in self.effect_forbids:
+            if effect in rule.effects:
+                for tree in rule.trees:
+                    if _has_prefix(qual, tree):
+                        return tree
+        return None
 
     def data_only_targets(self) -> list[Port]:
         return [p for p in self.ports if p.kind == "data-only"]
+
+
+def _effect_entry(
+    spec: dict, name: object, source: str
+) -> tuple[tuple[str, ...], str]:
+    """(effects, reason) of a forbid or allow entry, validated."""
+    effects = tuple(spec.get("effects", ()))
+    unknown = sorted(set(effects) - set(EFFECTS))
+    if unknown:
+        # a misspelt class would silently never match
+        raise ContractError(
+            f"{source}: effects entry for {name!r} names unknown effect "
+            f"class(es) {', '.join(unknown)}"
+        )
+    if not spec.get("reason"):
+        raise ContractError(
+            f"{source}: effects entry for {name!r} has no reason"
+        )
+    return effects, str(spec["reason"])
 
 
 def _has_prefix(dotted: str, prefix: str) -> bool:

@@ -43,15 +43,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .callgraph import MODULE_FN, FunctionInfo, ModuleInfo, ProjectGraph
+from .callgraph import FunctionInfo, ModuleInfo, ProjectGraph
 from .contract import Contract
 from .lint import Finding
-from .rules._util import parse_suppressions
 from .rules.aliasing import analyze_function as _aliasing_mutations
 
 __all__ = [
     "BASELINE_SCHEMA_VERSION",
-    "EFFECTS",
     "EffectReport",
     "analyze_effects",
     "diff_against_baseline",
@@ -59,22 +57,14 @@ __all__ = [
     "render_baseline",
 ]
 
-EFFECTS = (
-    "WALL_CLOCK",
-    "UNSEEDED_RNG",
-    "FILE_IO",
-    "NETWORK",
-    "SIM_INTERNAL",
-    "MUTATES_SENT_PAYLOAD",
-)
-
 BASELINE_SCHEMA_VERSION = 1
 
 # -- leaf effect tables -------------------------------------------------
 _WALL_CLOCK = frozenset({
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.localtime", "time.gmtime", "time.ctime", "time.strftime",
+    "time.process_time_ns", "time.localtime", "time.gmtime", "time.ctime",
+    "time.strftime",
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
     # asyncio's clock surface: loop.time() reads the wall clock and
@@ -165,33 +155,27 @@ class EffectReport:
     def nonempty(self) -> dict[str, set[str]]:
         return {q: e for q, e in self.effects.items() if e}
 
-    def findings(
-        self, contract: Contract, *, code: str = "EFF001"
-    ) -> list[Finding]:
-        """EFF001 for forbidden effects inside the pure trees, plus
-        EFF003 for impure data-only port targets."""
+    def findings(self, contract: Contract) -> list[Finding]:
+        """EFF001 for every effect an ``[[effects.forbid]]`` rule bans
+        where it was reached, plus EFF003 for impure data-only port
+        targets."""
         out: list[Finding] = []
-        forbidden = set(contract.forbidden_effects) or set(EFFECTS)
         for qual in sorted(self.effects):
-            if not contract.in_pure_tree(qual):
-                continue
-            fn = self.graph.function(qual)
-            if fn is None:
-                continue
-            for effect in sorted(self.effects[qual] & forbidden):
-                if contract.allows_effect(qual, effect):
-                    continue
-                if self._suppressed(fn, code):
+            fn = self.graph.functions[qual]
+            mod = self.graph.modules[fn.module]
+            for effect in sorted(self.effects[qual]):
+                tree = contract.forbidding(qual, effect)
+                if tree is None or mod.suppressed("EFF001", fn.lineno):
                     continue
                 chain = self.chain(qual, effect)
                 out.append(Finding(
-                    code=code,
-                    path=self._display(fn),
+                    code="EFF001",
+                    path=mod.display_path,
                     line=fn.lineno,
                     col=0,
                     message=(
-                        f"{qual} is in a substrate-pure tree but "
-                        f"transitively reaches {effect}: "
+                        f"{qual} transitively reaches {effect}, which the "
+                        f"contract forbids in {tree}: "
                         + " <- ".join(reversed(chain))
                     ),
                     hint=(
@@ -204,21 +188,18 @@ class EffectReport:
         return out
 
     def _port_findings(self, contract: Contract) -> list[Finding]:
-        """EFF003: data-only port targets must themselves be pure."""
+        """EFF003: data-only port targets must themselves be effect-free."""
         out: list[Finding] = []
-        forbidden = set(contract.forbidden_effects) or set(EFFECTS)
         for port in contract.data_only_targets():
             for qual in sorted(self.effects):
-                fn = self.graph.function(qual)
-                if fn is None or not _has_prefix(fn.module, port.imported):
-                    continue
-                bad = sorted(self.effects[qual] & forbidden)
-                if not bad:
+                fn = self.graph.functions[qual]
+                bad = sorted(self.effects[qual])
+                if not bad or not _has_prefix(fn.module, port.imported):
                     continue
                 chain = self.chain(qual, bad[0])
                 out.append(Finding(
                     code="EFF003",
-                    path=self._display(fn),
+                    path=self.graph.modules[fn.module].display_path,
                     line=fn.lineno,
                     col=0,
                     message=(
@@ -233,19 +214,6 @@ class EffectReport:
                     ),
                 ))
         return out
-
-    # ------------------------------------------------------------------
-    def _display(self, fn: FunctionInfo) -> str:
-        return _display_path(self.graph.modules[fn.module].path)
-
-    def _suppressed(self, fn: FunctionInfo, code: str) -> bool:
-        mod = self.graph.modules.get(fn.module)
-        if mod is None:
-            return False
-        for sup in parse_suppressions(mod.lines):
-            if sup.line in (fn.lineno, fn.lineno - 1) and code in sup.codes:
-                return sup.reason is not None
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +271,7 @@ def _leaf_effects(
         if id(node) in mod.non_runtime_nodes:
             continue
         if isinstance(node, ast.Call):
-            target = _call_target(mod, node)
+            target = mod.call_target(node)
             if target is not None:
                 effect = _classify_call(target, node)
                 if effect is not None:
@@ -370,26 +338,6 @@ def _classify_call(target: str, node: ast.Call) -> Optional[str]:
     return None
 
 
-def _call_target(mod: ModuleInfo, node: ast.Call) -> Optional[str]:
-    """Dotted call name with the head resolved through the import map.
-
-    ``perf_counter()`` after ``from time import perf_counter`` becomes
-    ``time.perf_counter``; an unresolvable head is returned verbatim so
-    builtins like ``open`` still match.
-    """
-    parts: list[str] = []
-    cur: ast.AST = node.func
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    head = cur.id
-    rest = ".".join(reversed(parts))
-    resolved = mod.import_map.get(head, head)
-    return f"{resolved}.{rest}" if rest else resolved
-
-
 def _method_name(node: ast.Call) -> Optional[str]:
     return node.func.attr if isinstance(node.func, ast.Attribute) else None
 
@@ -420,13 +368,6 @@ def _data_only_exempt(
 
 def _has_prefix(dotted: str, prefix: str) -> bool:
     return dotted == prefix or dotted.startswith(prefix + ".")
-
-
-def _display_path(path: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(Path.cwd().resolve()))
-    except ValueError:
-        return str(path)
 
 
 # -- baseline ----------------------------------------------------------
@@ -463,15 +404,13 @@ def diff_against_baseline(
         new = effs - baseline.get(qual, set())
         if not new:
             continue
-        fn = report.graph.function(qual)
-        if fn is None:
-            continue
+        fn = report.graph.functions[qual]
         chains = [
             " <- ".join(reversed(report.chain(qual, e))) for e in sorted(new)
         ]
         out.append(Finding(
             code="EFF002",
-            path=_display_path(report.graph.modules[fn.module].path),
+            path=report.graph.modules[fn.module].display_path,
             line=fn.lineno,
             col=0,
             message=(

@@ -22,47 +22,48 @@ exist only for type annotations.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional
-
 from .callgraph import ImportEdge, ModuleInfo, ProjectGraph
 from .contract import Contract, Layer
 from .lint import Finding
-from .rules._util import parse_suppressions
 
 __all__ = ["check_layers"]
 
 
 def check_layers(graph: ProjectGraph, contract: Contract) -> list[Finding]:
     findings: list[Finding] = []
-    pkg_prefix = contract.package + "."
     for mod in graph.modules.values():
-        layer = contract.layer_of(mod.name)
-        if layer is None:
-            findings.append(_finding(
-                mod, "LAY003", 1,
-                f"module {mod.name} is not assigned to any layer in the "
-                "contract",
-                hint="add it (or a parent package) to a [layers.*] "
-                "modules list in layers.toml",
-            ))
+        findings.extend(
+            f for f in _module_findings(contract, graph, mod)
+            if not mod.suppressed(f.code, f.line)
+        )
+    return sorted(findings, key=Finding.sort_key)
+
+
+def _module_findings(
+    contract: Contract, graph: ProjectGraph, mod: ModuleInfo
+) -> list[Finding]:
+    layer = contract.layer_of(mod.name)
+    if layer is None:
+        return [_finding(
+            mod, "LAY003", 1,
+            f"module {mod.name} is not assigned to any layer in the "
+            "contract",
+            hint="add it (or a parent package) to a [layers.*] "
+            "modules list in layers.toml",
+        )]
+    findings: list[Finding] = []
+    for edge in mod.import_edges:
+        if edge.imported is None:
             continue
-        for edge in mod.import_edges:
-            if edge.imported is None:
-                continue
-            if edge.imported == contract.package or edge.imported.startswith(
-                pkg_prefix
-            ):
-                findings.extend(
-                    _check_project_edge(contract, graph, mod, layer, edge)
-                )
-            else:
-                findings.extend(_check_stdlib_edge(layer, mod, edge))
-    findings.sort(key=Finding.sort_key)
-    return [
-        f for f in findings
-        if not _suppressed(graph.modules, f)
-    ]
+        if edge.imported == contract.package or edge.imported.startswith(
+            contract.package + "."
+        ):
+            findings.extend(
+                _check_project_edge(contract, graph, mod, layer, edge)
+            )
+        else:
+            findings.extend(_check_stdlib_edge(layer, mod, edge))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -155,39 +156,9 @@ def _finding(
 ) -> Finding:
     return Finding(
         code=code,
-        path=_display_path(mod.path),
+        path=mod.display_path,
         line=line,
         col=0,
         message=message,
         hint=hint,
     )
-
-
-def _suppressed(
-    modules: dict[str, ModuleInfo], finding: Finding
-) -> bool:
-    mod = _module_by_display(modules, finding.path)
-    if mod is None:
-        return False
-    for sup in parse_suppressions(mod.lines):
-        if sup.line in (finding.line, finding.line - 1) and (
-            finding.code in sup.codes
-        ):
-            return sup.reason is not None
-    return False
-
-
-def _module_by_display(
-    modules: dict[str, ModuleInfo], display: str
-) -> Optional[ModuleInfo]:
-    for mod in modules.values():
-        if _display_path(mod.path) == display:
-            return mod
-    return None
-
-
-def _display_path(path: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(Path.cwd().resolve()))
-    except ValueError:
-        return str(path)

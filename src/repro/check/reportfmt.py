@@ -1,9 +1,9 @@
 """Machine-readable report formats for ``repro check``: JSON and SARIF.
 
-One exporter consumes the findings of every pass — AST lints
-(SIM001..SIM007), the whole-program effect analysis (EFF...), and the
-layer-contract check (LAY...) — so CI uploads a single artifact and
-diff tools see one stable schema.
+One exporter consumes the findings of every pass — the front end's
+SIM000/SIM999, the AST lints (SIM003..SIM007), the whole-program effect
+analysis (EFF...), and the layer-contract check (LAY...) — so CI
+uploads a single artifact and diff tools see one stable schema.
 
 The SARIF output targets version 2.1.0 and round-trips through GitHub
 code scanning; the JSON report is the project's own schema (versioned,
@@ -18,6 +18,7 @@ import json
 from typing import Mapping, Optional, Sequence
 
 from .lint import Finding
+from .rules import ALL_RULES
 
 __all__ = [
     "ANALYZER_RULES",
@@ -36,14 +37,14 @@ _SARIF_SCHEMA = (
 )
 
 #: rules reported by the whole-program analyzers (code -> name,
-#: rationale, fix-it hint); kept here so the CLI's ``--explain`` and
-#: the suppression-code validator see one catalog
+#: rationale, fix-it hint); :func:`rule_metadata` adds them to one
+#: catalog for ``--explain``, SARIF and the suppression-code validator
 ANALYZER_RULES: dict[str, tuple[str, str, str]] = {
     "EFF001": (
         "forbidden-effect",
-        "a function in a substrate-pure tree (repro/core, repro/verify) "
-        "transitively reaches a forbidden effect (wall clock, unseeded "
-        "RNG, file I/O, network, simulator internals)",
+        "a function transitively reaches an effect that an "
+        "[[effects.forbid]] rule of layers.toml bans in its tree (e.g. "
+        "any effect in repro/core, the wall clock anywhere in repro)",
         "route the effect through an injected port (clock/RNG/transport "
         "argument), or declare the crossing in layers.toml",
     ),
@@ -87,10 +88,6 @@ ANALYZER_RULES: dict[str, tuple[str, str, str]] = {
 
 def rule_metadata() -> dict[str, tuple[str, str, str]]:
     """code -> (name, rationale, hint) for every reportable rule."""
-    # deferred: repro.check.rules imports repro.check.lint which
-    # imports this module's ANALYZER_RULES indirectly
-    from .rules import ALL_RULES
-
     meta = {
         cls.code: (cls.name, cls.rationale, cls.hint) for cls in ALL_RULES
     }

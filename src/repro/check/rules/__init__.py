@@ -1,10 +1,8 @@
-"""simcheck rule registry: SIM001..SIM007.
+"""simcheck rule registry: SIM003..SIM007.
 
 ==========  ======================  =====================================
 code        name                    guards against
 ==========  ======================  =====================================
-``SIM001``  wall-clock              host time leaking into simulated runs
-``SIM002``  unseeded-random         hidden global RNG state
 ``SIM003``  set-iteration           hash-order iteration on hot paths
 ``SIM004``  mutable-default         call-to-call shared default containers
 ``SIM005``  mutate-after-send       aliased message metadata rewritten
@@ -13,7 +11,9 @@ code        name                    guards against
 ==========  ======================  =====================================
 
 ``SIM000`` is the framework's own pseudo-rule: a suppression comment
-without a ``-- justification``.  Debug prints in library code are
+without a ``-- justification``.  Wall-clock reads and unseeded
+randomness are ``[[effects.forbid]]`` rules of ``layers.toml``,
+enforced by the effect analyzer.  Debug prints in library code are
 ruff's ``T20`` gate (``[tool.ruff.lint]`` in ``pyproject.toml``).
 """
 
@@ -25,14 +25,10 @@ from .defaults import MutableDefaultRule
 from .floateq import FloatTimestampEqualityRule
 from .heap import RawHeapqRule
 from .iteration import SetIterationRule
-from .randomness import UnseededRandomRule
-from .wallclock import WallClockRule
 
 __all__ = ["ALL_RULES", "all_rules", "rule_by_code"]
 
 ALL_RULES: tuple[type[Rule], ...] = (
-    WallClockRule,
-    UnseededRandomRule,
     SetIterationRule,
     MutableDefaultRule,
     MutateAfterSendRule,

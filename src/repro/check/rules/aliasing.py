@@ -40,8 +40,9 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..lint import Finding, Rule, SourceFile
-from ._util import ScopeNode
+from ..callgraph import ModuleInfo
+from ..lint import Finding, Rule
+from .._util import ScopeNode
 
 __all__ = ["MutateAfterSendRule", "PayloadMutation", "analyze_function"]
 
@@ -170,8 +171,8 @@ class MutateAfterSendRule(Rule):
         "build the message from an immutable snapshot"
     )
 
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(src.tree):
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for m in analyze_function(node):
                     alias_note = (
@@ -179,7 +180,7 @@ class MutateAfterSendRule(Rule):
                         else f" (aliases {m.captured_as!r})"
                     )
                     yield self.finding(
-                        src, m.node,
+                        mod, m.node,
                         f"{m.what} {m.ref!r}{alias_note} after it was "
                         f"captured into a message sent at line {m.send_line}",
                     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..lint import Finding, Rule, SourceFile
+from ..callgraph import ModuleInfo
+from ..lint import Finding, Rule
 
 __all__ = ["MutableDefaultRule"]
 
@@ -30,8 +31,8 @@ class MutableDefaultRule(Rule):
     )
     hint = "default to None and create the container inside the function"
 
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(src.tree):
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args
@@ -40,7 +41,7 @@ class MutableDefaultRule(Rule):
                     continue
                 if _is_mutable(default):
                     yield self.finding(
-                        src, default,
+                        mod, default,
                         f"mutable default argument in {node.name}()",
                     )
 

@@ -13,7 +13,8 @@ import ast
 import re
 from typing import Iterator
 
-from ..lint import Finding, Rule, SourceFile
+from ..callgraph import ModuleInfo
+from ..lint import Finding, Rule
 
 __all__ = ["FloatTimestampEqualityRule"]
 
@@ -36,8 +37,8 @@ class FloatTimestampEqualityRule(Rule):
         "coincidence"
     )
 
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(src.tree):
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -46,15 +47,15 @@ class FloatTimestampEqualityRule(Rule):
                     continue
                 left, right = operands[i], operands[i + 1]
                 if _is_timey(left) and _is_numeric_ish(right):
-                    yield self._flag(src, node, left)
+                    yield self._flag(mod, node, left)
                 elif _is_timey(right) and _is_numeric_ish(left):
-                    yield self._flag(src, node, right)
+                    yield self._flag(mod, node, right)
 
-    def _flag(self, src: SourceFile, node: ast.Compare,
+    def _flag(self, mod: ModuleInfo, node: ast.Compare,
               timey: ast.AST) -> Finding:
         label = _ident(timey) or "timestamp"
         return self.finding(
-            src, node, f"exact float equality on simulated time {label!r}"
+            mod, node, f"exact float equality on simulated time {label!r}"
         )
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..lint import Finding, Rule, SourceFile
-from ._util import call_name
+from ..callgraph import ModuleInfo
+from ..lint import Finding, Rule
 
 __all__ = ["RawHeapqRule"]
 
@@ -42,25 +42,17 @@ class RawHeapqRule(Rule):
         # the kernel itself is the one sanctioned heap user
         return not display_path.replace("\\", "/").endswith("sim/engine.py")
 
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        heap_fn_aliases: set[str] = set()
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "heapq":
-                for alias in node.names:
-                    if alias.name in _HEAP_FNS:
-                        heap_fn_aliases.add(alias.asname or alias.name)
-        for node in ast.walk(src.tree):
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
+        # calls resolve through the module's imports, so every spelling
+        # (`heapq.f`, `hq.f` after `import heapq as hq`, a from-import
+        # under any alias) names the same heapq function
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = call_name(node)
-            if name is None:
-                continue
-            parts = name.split(".")
-            if (
-                (len(parts) == 2 and parts[0] == "heapq" and parts[1] in _HEAP_FNS)
-                or (len(parts) == 1 and parts[0] in heap_fn_aliases)
-            ):
+            target = mod.call_target(node)
+            module, _, fn = (target or "").partition(".")
+            if module == "heapq" and fn in _HEAP_FNS:
                 yield self.finding(
-                    src, node, f"raw heap operation {name}() bypasses the "
-                    "engine's (time, seq) tie-break"
+                    mod, node, f"raw heap operation {target}() bypasses "
+                    "the engine's (time, seq) tie-break"
                 )

@@ -19,8 +19,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..lint import Finding, Rule, SourceFile
-from ._util import is_hot_path
+from ..callgraph import ModuleInfo
+from ..lint import Finding, Rule
+from .._util import is_hot_path
 
 __all__ = ["SetIterationRule"]
 
@@ -43,14 +44,14 @@ class SetIterationRule(Rule):
     def applies_to(self, display_path: str) -> bool:
         return is_hot_path(display_path)
 
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        table = _SetSymbols.collect(src.tree)
-        for node in ast.walk(src.tree):
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
+        table = _SetSymbols.collect(mod.tree)
+        for node in ast.walk(mod.tree):
             if isinstance(node, ast.For):
                 reason = table.set_reason(node.iter)
                 if reason:
                     yield self.finding(
-                        src, node.iter, f"for-loop over {reason}"
+                        mod, node.iter, f"for-loop over {reason}"
                     )
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                    ast.GeneratorExp)):
@@ -58,7 +59,7 @@ class SetIterationRule(Rule):
                     reason = table.set_reason(gen.iter)
                     if reason:
                         yield self.finding(
-                            src, gen.iter, f"comprehension over {reason}"
+                            mod, gen.iter, f"comprehension over {reason}"
                         )
             elif isinstance(node, ast.Call):
                 fn = node.func
@@ -70,7 +71,7 @@ class SetIterationRule(Rule):
                     reason = table.set_reason(node.args[0])
                     if reason:
                         yield self.finding(
-                            src, node,
+                            mod, node,
                             f"{fn.id}() materializes {reason} in hash order",
                         )
 

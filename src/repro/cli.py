@@ -1081,9 +1081,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     return False
             return True
 
-        # simcheck: ignore[SIM001] -- supervising real OS processes; never feeds simulated results
         deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:  # simcheck: ignore[SIM001] -- see above
+        while time.monotonic() < deadline:
             if any(p.poll() is not None for p in procs):
                 raise SystemExit(
                     f"a node process exited during startup; "

@@ -384,10 +384,9 @@ def reproduce_all(
     ]
     for exhibit in chosen:
         title, build, chart = EXHIBITS[exhibit]
-        # simcheck: ignore[SIM001] -- wall-clock reporting of exhibit cost; never feeds simulated results
         started = time.perf_counter()
         rows = build(ops_per_process=ops_per_process, seeds=tuple(seeds))
-        elapsed = time.perf_counter() - started  # simcheck: ignore[SIM001] -- see above
+        elapsed = time.perf_counter() - started
         (out / f"{exhibit}.csv").write_text(csv_text(rows))
         report_lines += [f"## {exhibit}: {title}", ""]
         report_lines += ["```", format_table(rows), "```", ""]

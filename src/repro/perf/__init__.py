@@ -15,8 +15,8 @@ Every other speed question is answered elsewhere: end-to-end numbers by
 speed is checked").
 
 Wall-clock reads live here by design; simulation code must keep using
-``Simulator.now`` (SIM001 exempts ``repro/perf/`` the same way it
-exempts ``benchmarks/``).
+``Simulator.now`` (``layers.toml`` allows ``WALL_CLOCK`` in
+``repro.perf`` by an ``[[effects.allow]]`` entry).
 """
 
 from __future__ import annotations

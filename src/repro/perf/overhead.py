@@ -81,9 +81,9 @@ def _timed_run(config, registry=None) -> float:
     gc.collect()
     gc.disable()
     try:
-        t0 = time.process_time()  # simcheck: ignore[SIM001] -- benchmark harness
+        t0 = time.process_time()
         run_simulation(config, registry=registry)
-        return time.process_time() - t0  # simcheck: ignore[SIM001] -- benchmark harness
+        return time.process_time() - t0
     finally:
         gc.enable()
 

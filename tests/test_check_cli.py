@@ -35,9 +35,10 @@ may_import = ["core"]
 modules = ["app"]
 may_import = ["*"]
 
-[effects]
-pure_trees = ["app.core"]
-forbidden = ["WALL_CLOCK", "UNSEEDED_RNG", "FILE_IO", "NETWORK", "SIM_INTERNAL", "MUTATES_SENT_PAYLOAD"]
+[[effects.forbid]]
+trees = ["app.core"]
+effects = ["WALL_CLOCK", "UNSEEDED_RNG", "FILE_IO", "NETWORK", "SIM_INTERNAL", "MUTATES_SENT_PAYLOAD"]
+reason = "the core is substrate-pure"
 """
 
 CLEAN_FILES = {
@@ -112,6 +113,25 @@ class TestExitCodes:
         assert main(ARGS) == 2
         assert "contract error" in capsys.readouterr().err
 
+    def test_unparseable_module_exits_one(self, clean_project, capsys):
+        # the graph records the module, so the analyzers report it too
+        (clean_project / "src/app/core/broken.py").write_text("def f(:\n")
+        assert main(ARGS) == 1
+        out = capsys.readouterr().out
+        assert "src/app/core/broken.py:1:7: SIM999" in out
+        assert "NOT certified" in out
+
+    def test_unjustified_suppression_fails_every_pass(
+        self, dirty_project, capsys
+    ):
+        proto = dirty_project / "src/app/core/proto.py"
+        proto.write_text(proto.read_text().replace(
+            "def stamp", "# simcheck: ignore[EFF001]\ndef stamp"))
+        assert main(ARGS + ["--format", "json"]) == 1
+        codes = [f["code"] for f in json.loads(
+            capsys.readouterr().out)["findings"]]
+        assert "SIM000" in codes and codes.count("EFF001") == 1
+
     def test_unknown_explain_exits_two(self):
         assert main(["--explain", "EFF999"]) == 2
 
@@ -139,7 +159,7 @@ class TestExplain:
     def test_list_rules_covers_all_codes(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM001", "SIM007", "SIM000", "SIM999",
+        for code in ("SIM003", "SIM007", "SIM000", "SIM999",
                      "EFF001", "EFF002", "EFF003",
                      "LAY001", "LAY002", "LAY003"):
             assert code in out
@@ -174,7 +194,7 @@ class TestJsonReport:
         _, doc = self.run_json(capsys)
         assert doc["effects"]["app.core.proto.stamp"] == ["WALL_CLOCK"]
         assert doc["certificate"]["certified"] is False
-        assert doc["certificate"]["pure_trees"] == ["app.core"]
+        assert doc["certificate"]["forbid"][0]["trees"] == ["app.core"]
 
     def test_clean_tree_is_certified(self, clean_project, capsys):
         code, doc = self.run_json(capsys)
@@ -203,7 +223,7 @@ class TestSarifReport:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"EFF001", "LAY001", "SIM001"} <= rule_ids
+        assert {"EFF001", "LAY001", "SIM003"} <= rule_ids
         assert run["results"], "findings must surface as results"
         for res in run["results"]:
             assert res["ruleId"] in rule_ids

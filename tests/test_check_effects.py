@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.callgraph import ProjectGraph
-from repro.check.contract import Contract, ContractError
+from repro.check.contract import Contract, ContractError, EffectForbid
 from repro.check.effects import (
     analyze_effects,
     diff_against_baseline,
@@ -49,11 +49,14 @@ def make_contract(ports=(), allows=()) -> Contract:
         },
         "ports": list(ports),
         "effects": {
-            "pure_trees": ["app.core"],
-            "forbidden": [
-                "WALL_CLOCK", "UNSEEDED_RNG", "FILE_IO", "NETWORK",
-                "SIM_INTERNAL", "MUTATES_SENT_PAYLOAD",
-            ],
+            "forbid": [{
+                "trees": ["app.core"],
+                "effects": [
+                    "WALL_CLOCK", "UNSEEDED_RNG", "FILE_IO", "NETWORK",
+                    "SIM_INTERNAL", "MUTATES_SENT_PAYLOAD",
+                ],
+                "reason": "the core is substrate-pure",
+            }],
             "allow": list(allows),
         },
     })
@@ -109,6 +112,27 @@ class TestLeafDetection:
         })
         assert "UNSEEDED_RNG" in report.effects["app.core.proto.draw"]
         assert efff(findings)
+
+    # wall-clock reads and draws, seeded and unseeded, in every spelling
+    @pytest.mark.parametrize("imports, expr, effect", [
+        ("import time", "time.time()", "WALL_CLOCK"),
+        ("from time import perf_counter", "perf_counter()", "WALL_CLOCK"),
+        ("from datetime import datetime", "datetime.now()", "WALL_CLOCK"),
+        ("import time as t", "t.process_time_ns()", "WALL_CLOCK"),
+        ("", "self.sim.now", None),
+        ("import random", "random.random()", "UNSEEDED_RNG"),
+        ("import numpy as np", "np.random.default_rng()", "UNSEEDED_RNG"),
+        ("import random", "random.Random(seed)", None),
+        ("import numpy as np", "np.random.default_rng(seed)", None),
+        ("import numpy as np", "np.random.SeedSequence(seed)", None),
+    ], ids=["time.time", "perf_counter", "datetime.now", "process_time_ns",
+            "sim.now", "random.random", "default_rng()", "Random(seed)",
+            "default_rng(seed)", "SeedSequence(seed)"])
+    def test_clock_and_rng_leaves(self, tmp_path, imports, expr, effect):
+        report, _ = run(tmp_path, {"app/core/proto.py": (
+            f"{imports}\n\ndef a(self, seed):\n    return {expr}\n")})
+        assert report.effects["app.core.proto.a"] == (
+            {effect} if effect else set())
 
     def test_seeded_rng_constructor_is_clean(self, tmp_path):
         report, findings = run(tmp_path, {
@@ -387,6 +411,32 @@ class TestPolicy:
             make_contract(allows=[{
                 "function": "app.core.x", "effects": ["FILE_IO"],
             }])
+
+    def test_forbid_needs_reason_and_known_effects(self):
+        with pytest.raises(ContractError, match="no reason"):
+            Contract.from_dict({"effects": {"forbid": [{
+                "trees": ["app"], "effects": ["WALL_CLOCK"],
+            }]}})
+        with pytest.raises(ContractError, match="unknown effect"):
+            Contract.from_dict({"effects": {"forbid": [{
+                "trees": ["app"], "effects": ["WALL_CLOK"], "reason": "r",
+            }]}})
+
+    def test_second_rule_reaches_outside_the_pure_tree(self, tmp_path):
+        graph = build(tmp_path, {
+            "app/sim/clock.py": """
+                import time
+
+                def stamp() -> float:
+                    return time.time()
+            """,
+        })
+        contract = make_contract()
+        contract.effect_forbids.append(
+            EffectForbid(("app",), ("WALL_CLOCK",), "same seed, same bytes"))
+        findings = analyze_effects(graph, contract).findings(contract)
+        assert [f.code for f in findings] == ["EFF001"]
+        assert "forbids in app:" in findings[0].message
 
     def test_inline_suppression_with_reason(self, tmp_path):
         _, findings = run(tmp_path, {

@@ -262,15 +262,16 @@ class TestContractValidation:
             kind = "data-only"
             reason = "vocabulary"
 
-            [effects]
-            pure_trees = ["app.core"]
-            forbidden = ["WALL_CLOCK"]
+            [[effects.forbid]]
+            trees = ["app.core"]
+            effects = ["WALL_CLOCK"]
+            reason = "same seed, same bytes"
         """))
         contract = Contract.load(toml)
         assert contract.package == "app"
         assert contract.layers["core"].modules == ("app.core",)
         assert contract.ports[0].kind == "data-only"
-        assert contract.pure_trees == ("app.core",)
+        assert contract.effect_forbids[0].trees == ("app.core",)
 
     def test_suppression_silences_layer_finding(self, tmp_path):
         findings = run(tmp_path, {

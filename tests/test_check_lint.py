@@ -1,11 +1,12 @@
-"""Tests for the simcheck AST lint layer (SIM001..SIM007 + SIM000).
+"""Tests for the simcheck AST lint layer (SIM003..SIM007 + SIM000).
 
 Each rule gets a fixture file with a known violation (written under a
 ``repro/...`` relative path so the path-scoped rules engage) plus a
 negative fixture showing the sanctioned idiom passes.  Suppression
 handling — same-line, line-above, and the mandatory justification —
-is exercised against the framework, and the final test asserts the
-live tree itself lints clean, which is the repository's CI gate.
+is exercised against the project graph that reads it for every pass,
+and the final test asserts the live tree itself lints clean, which is
+the repository's CI gate.
 """
 
 from __future__ import annotations
@@ -15,24 +16,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import SourceFile, lint_file, lint_paths, rule_by_code
-from repro.check.lint import SUPPRESSION_CODE
+from repro.check import Finding, rule_by_code, run_lints
+from repro.check._util import SUPPRESSION_CODE
+from repro.check.callgraph import ProjectGraph
+from repro.check.contract import Contract
+from repro.check.effects import analyze_effects
 from repro.check.rules import ALL_RULES, all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_lint(tmp_path, rel, source, codes=None):
-    """Write ``source`` at ``tmp_path/rel`` and lint it.
+    """Write ``source`` at ``tmp_path/rel``, parse its package and lint it.
 
     ``codes`` restricts the rule set (default: every registered rule).
-    Returns the list of findings.
+    Returns the graph's own findings (SIM000, SIM999) plus the lints'.
     """
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
+    graph = ProjectGraph.build(tmp_path, rel.split("/")[0])
     rules = all_rules() if codes is None else [rule_by_code(c) for c in codes]
-    return lint_file(SourceFile.load(path, root=tmp_path), rules)
+    return sorted(graph.findings + run_lints(graph, rules),
+                  key=Finding.sort_key)
 
 
 def codes_of(findings):
@@ -40,95 +46,27 @@ def codes_of(findings):
 
 
 # ----------------------------------------------------------------------
-# SIM001 wall clock
+# wall clock: SIM001's exemptions are now the live contract's scope/allows
 # ----------------------------------------------------------------------
 class TestWallClock:
-    def test_time_time_flagged(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-
-            def f() -> float:
-                return time.time()
-        """, codes=["SIM001"])
-        assert codes_of(findings) == ["SIM001"]
-        assert findings[0].line == 5
-        assert "time.time" in findings[0].message
-        assert findings[0].hint  # every finding carries a fix-it hint
-
-    def test_datetime_now_and_from_import(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            from time import perf_counter
-            from datetime import datetime
-
-            def f():
-                a = perf_counter()
-                b = datetime.now()
-                return a, b
-        """, codes=["SIM001"])
-        assert codes_of(findings) == ["SIM001", "SIM001"]
+    def flagged(self, tmp_path, rel):
+        # EFF001 paths with a clock read at ``rel`` and at repro/sim/fx.py (positive control)
+        for r in ("repro/__init__.py", "repro/sim/__init__.py", rel, "repro/sim/fx.py"):
+            (tmp_path / r).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / r).write_text("" if r.endswith("__init__.py") else
+                                      "import time\ndef f() -> float:\n"
+                                      "    return time.perf_counter()\n")
+        contract = Contract.load(REPO_ROOT / "layers.toml")
+        report = analyze_effects(ProjectGraph.build(tmp_path, "repro"), contract)
+        return [Path(f.path).relative_to(tmp_path).as_posix()
+                for f in report.findings(contract) if f.code == "EFF001"]
 
     def test_benchmarks_exempt(self, tmp_path):
-        findings = run_lint(tmp_path, "benchmarks/fx.py", """
-            import time
-
-            def f() -> float:
-                return time.perf_counter()
-        """, codes=["SIM001"])
-        assert findings == []
+        assert self.flagged(tmp_path, "benchmarks/fx.py") == ["repro/sim/fx.py"]
 
     def test_perf_harness_exempt(self, tmp_path):
-        # repro/perf is the in-package benchmark harness: wall-clock
-        # reads are its whole point
-        findings = run_lint(tmp_path, "repro/perf/fx.py", """
-            import time
-
-            def f() -> float:
-                return time.perf_counter()
-        """, codes=["SIM001"])
-        assert findings == []
-
-    def test_simulated_clock_passes(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            def f(self) -> float:
-                return self.sim.now
-        """, codes=["SIM001"])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# SIM002 unseeded randomness
-# ----------------------------------------------------------------------
-class TestUnseededRandom:
-    def test_module_level_random_flagged(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import random
-
-            def f() -> float:
-                return random.random()
-        """, codes=["SIM002"])
-        assert codes_of(findings) == ["SIM002"]
-
-    def test_unseeded_default_rng_flagged(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import numpy as np
-
-            def f():
-                return np.random.default_rng()
-        """, codes=["SIM002"])
-        assert codes_of(findings) == ["SIM002"]
-
-    def test_seeded_instances_pass(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import random
-            import numpy as np
-
-            def f(seed: int):
-                a = random.Random(seed)
-                b = np.random.default_rng(seed)
-                c = np.random.SeedSequence(seed)
-                return a, b, c
-        """, codes=["SIM002"])
-        assert findings == []
+        # repro/perf is the in-package benchmark harness (an allow entry)
+        assert self.flagged(tmp_path, "repro/perf/fx.py") == ["repro/sim/fx.py"]
 
 
 # ----------------------------------------------------------------------
@@ -399,13 +337,16 @@ class TestRawHeapq:
         assert codes_of(findings) == ["SIM007"]
 
     def test_from_import_alias_flagged(self, tmp_path):
-        findings = run_lint(tmp_path, "repro/core/fx.py", """
+        findings = run_lint(tmp_path, "repro/sim/fx.py", """
+            import heapq as hq
             from heapq import heappop as pop
 
             def f(h):
+                hq.heappush(h, 1)
                 return pop(h)
         """, codes=["SIM007"])
-        assert codes_of(findings) == ["SIM007"]
+        assert codes_of(findings) == ["SIM007", "SIM007"]
+        assert "heapq.heappush()" in findings[0].message
 
     def test_engine_exempt(self, tmp_path):
         findings = run_lint(tmp_path, "repro/sim/engine.py", """
@@ -471,58 +412,48 @@ class TestNoPrint:
 class TestSuppressions:
     def test_same_line_justified_suppression(self, tmp_path):
         findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-
-            def f() -> float:
-                return time.time()  # simcheck: ignore[SIM001] -- wall-clock report only
-        """, codes=["SIM001"])
+            def f(acc=[]):  # simcheck: ignore[SIM004] -- never mutated
+                return acc
+        """, codes=["SIM004"])
         assert findings == []
 
     def test_line_above_justified_suppression(self, tmp_path):
         findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-
-            def f() -> float:
-                # simcheck: ignore[SIM001] -- wall-clock report only
-                return time.time()
-        """, codes=["SIM001"])
+            # simcheck: ignore[SIM004] -- never mutated
+            def f(acc=[]):
+                return acc
+        """, codes=["SIM004"])
         assert findings == []
 
     def test_unjustified_suppression_surfaces_sim000(self, tmp_path):
         findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-
-            def f() -> float:
-                return time.time()  # simcheck: ignore[SIM001]
-        """, codes=["SIM001"])
+            def f(acc=[]):  # simcheck: ignore[SIM004]
+                return acc
+        """, codes=["SIM004"])
         # the target rule stays silenced, but the missing justification
         # is a finding of its own: the check still fails
         assert codes_of(findings) == [SUPPRESSION_CODE]
 
     def test_suppression_only_covers_listed_codes(self, tmp_path):
         findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-
-            def f() -> float:
-                return time.time()  # simcheck: ignore[SIM002] -- wrong code
-        """, codes=["SIM001"])
-        assert codes_of(findings) == ["SIM001"]
+            def f(acc=[]):  # simcheck: ignore[SIM006] -- wrong code
+                return acc
+        """, codes=["SIM004"])
+        assert codes_of(findings) == ["SIM004"]
 
     def test_multi_code_suppression(self, tmp_path):
         findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-            import random
-
-            def f():
-                # simcheck: ignore[SIM001, SIM002] -- seeded fixture generator
-                return time.time() + random.random()
-        """, codes=["SIM001", "SIM002"])
+            # simcheck: ignore[SIM004, SIM006] -- fixture generator
+            def f(deadline, acc=[]): return deadline == 0.0
+        """, codes=["SIM004", "SIM006"])
         assert findings == []
 
     def test_unknown_code_in_suppression_surfaces_sim000(self, tmp_path):
+        # SIM001 is retired (the contract forbids WALL_CLOCK): a stale
+        # suppression naming it guards nothing
         findings = run_lint(tmp_path, "repro/core/fx.py", """
             def f(x):
-                return x  # simcheck: ignore[SIM042] -- typo'd rule code
+                return x  # simcheck: ignore[SIM001] -- retired rule code
         """, codes=[])
         assert codes_of(findings) == [SUPPRESSION_CODE]
         assert "unknown rule" in findings[0].message
@@ -541,28 +472,25 @@ class TestSuppressions:
 class TestFramework:
     def test_findings_sorted_and_formatted(self, tmp_path):
         findings = run_lint(tmp_path, "repro/core/fx.py", """
-            import time
-
-            def g() -> float:
-                return time.time()
-
-            def f(acc=[]):
+            def g(acc=[]):
                 return acc
-        """, codes=["SIM001", "SIM004"])
-        assert codes_of(findings) == ["SIM001", "SIM004"]
+
+            def f(deadline):
+                return deadline == 0.0
+        """, codes=["SIM006", "SIM004"])
+        assert codes_of(findings) == ["SIM004", "SIM006"]
         assert [f.line for f in findings] == sorted(f.line for f in findings)
-        text = findings[0].format()
-        assert "repro/core/fx.py:5:" in text and "SIM001" in text
+        text = findings[1].format()
+        assert "repro/core/fx.py:6:" in text and "SIM006" in text
         assert "hint:" in text
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(:\n")
-        findings = lint_paths([bad], all_rules())
+        findings = run_lint(tmp_path, "app/bad.py", "def f(:\n")
         assert codes_of(findings) == ["SIM999"]
+        assert findings[0].path.endswith("app/bad.py")
 
     def test_rule_registry_complete(self):
-        expected = {f"SIM00{i}" for i in range(1, 8)}
+        expected = {f"SIM00{i}" for i in range(3, 8)}
         assert {cls.code for cls in ALL_RULES} == expected
         for cls in ALL_RULES:
             rule = rule_by_code(cls.code)
@@ -578,5 +506,6 @@ class TestFramework:
 # ----------------------------------------------------------------------
 def test_live_tree_lints_clean():
     """``src/`` must be violation-free (modulo justified suppressions)."""
-    findings = lint_paths([REPO_ROOT / "src"], all_rules(), root=REPO_ROOT)
+    graph = ProjectGraph.build(REPO_ROOT / "src", "repro")
+    findings = graph.findings + run_lints(graph, all_rules())
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
