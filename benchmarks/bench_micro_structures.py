@@ -22,6 +22,7 @@ from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import OptTrackSM
 from repro.experiments.runner import SimulationConfig, build_system
 from repro.memory.store import WriteId
+from repro.metrics.collector import MessageKind
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.service import codec
 from repro.sim.engine import Simulator
@@ -260,3 +261,45 @@ def test_micro_seed_delivery(benchmark):
     assert system.network.app_messages_in_flight == 0
     assert sum(p.buffered_arrivals for p in system.protocols) == 0
     assert system.collector.visibility_lags.count == remote
+
+
+MULTICAST_WRITES = 100  # per round
+
+
+def opt_track_write_copies():
+    """``benchmark.pedantic`` setup: a fresh 40-site Opt-Track system
+    (p = 12) and one write's SM copies from site 0 — the 11 remote
+    replicas of variable 0, each with its own piggyback view of an
+    n=40-scale log."""
+    system = build_system(SimulationConfig(
+        protocol="opt-track", n_sites=N, n_vars=N, replication_factor=12,
+        seed=1))
+    system.collector.start_measuring()
+    writer = system.protocols[0]
+    dests = system.placement.replica_set(0)
+    targets = [d for d in system.placement.replicas(0) if d != 0]
+    views, _base = build_log().piggyback_views(dests)
+    copies = [OptTrackSM(var=0, value=1, write_id=WriteId(0, 1),
+                         log=views[d]) for d in targets]
+    gc.collect()  # the last round's system is garbage: not in the timer
+    return (writer, targets, copies), {}
+
+
+def test_micro_opt_track_multicast(benchmark):
+    """One Opt-Track write's send path after its views are built: price
+    each of the 11 copies, book them with one slot lookup, and fan them
+    out in one ``Network.multicast`` (latency draw, FIFO clamp, posted
+    kernel entry per copy), for 100 writes."""
+
+    def multicast(writer, targets, copies):
+        for _ in range(MULTICAST_WRITES):
+            writer._multicast_each(targets, copies)
+        return writer
+
+    writer = benchmark.pedantic(multicast, setup=opt_track_write_copies,
+                                rounds=60)
+    ctx = writer.ctx
+    sent = MULTICAST_WRITES * 11
+    assert ctx.network.total_messages == ctx.clock.pending_events == sent
+    (_key, slot), = ctx.collector.message_slots(MessageKind.SM)
+    assert slot[0] == sent

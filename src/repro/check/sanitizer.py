@@ -180,12 +180,13 @@ class SanitizedNetwork:
         self._freeze(src, message)
         return self._inner.send(src, dst, message, size_bytes=size_bytes)
 
-    def multicast(self, src: int, dests: Sequence[int], message: object, *,
-                  size_bytes: float = 0.0) -> None:
+    def multicast(self, src: int, dests: Sequence[int],
+                  messages: Sequence[object], sizes: Sequence[float]) -> None:
         # defined, not left to __getattr__: forwarding would hand the
-        # message to the inner network unfrozen and skip the check
-        self._freeze(src, message)
-        self._inner.multicast(src, dests, message, size_bytes=size_bytes)
+        # copies to the inner network unfrozen and skip the check
+        for message in messages:
+            self._freeze(src, message)
+        self._inner.multicast(src, dests, messages, sizes)
 
     def _freeze(self, src: int, message: object) -> None:
         if id(message) not in self._frozen:

@@ -604,25 +604,30 @@ class CausalProtocol(abc.ABC):
         finally:
             tracer.pop()
 
-    def _book(self, message: object, kind: MessageKind, copies: int = 1) -> int:
-        """Price ``message``, book ``copies`` sends of it, return the price.
-
-        Booking is the three adds below into this site's collector slot
-        for ``kind`` — every count and byte total reported about messages
-        is a sum over those slots (``MetricsCollector.message_slots``),
-        so nothing else on the send path accounts for the message.  All
-        addends are ints: ``copies`` at once is ``copies`` bookings of one.
-        """
-        size: int = message.metadata_size(self.ctx.size_model)  # type: ignore[attr-defined]
+    def _slot(self, kind: MessageKind,
+              message: object) -> tuple[list[int], Optional[Callable]]:
+        """This site's collector slot for ``kind`` and the reader of the
+        field whose length it sums.  Booking is three adds into that
+        slot — every count and byte total reported about messages is a
+        sum over the slots (``MetricsCollector.message_slots``), so
+        nothing else on the send path accounts for a message."""
         try:
-            slot, length_of = self._msg_slots[kind]
+            return self._msg_slots[kind]
         except KeyError:
             # a kind's message type and clock width are fixed within a
             # membership epoch, so the slot is bound once per epoch
             length_of, width = accounting_shape(message)
             slot = self.ctx.collector.message_slot(
                 kind, (self.name, self.site, type(message), width))
-            self._msg_slots[kind] = slot, length_of
+            bound = self._msg_slots[kind] = slot, length_of
+            return bound
+
+    def _book(self, message: object, kind: MessageKind, copies: int = 1) -> int:
+        """Price ``message``, book ``copies`` sends of it, return the price.
+        All addends are ints: ``copies`` at once is ``copies`` bookings
+        of one."""
+        size: int = message.metadata_size(self.ctx.size_model)  # type: ignore[attr-defined]
+        slot, length_of = self._slot(kind, message)
         slot[0] += copies
         slot[1] += size * copies
         if length_of is not None:
@@ -657,18 +662,41 @@ class CausalProtocol(abc.ABC):
     def _multicast(self, dests: Sequence[int], message: object,
                    kind: MessageKind = MessageKind.SM) -> None:
         """Metered multicast of one shared message to every remote dest:
-        priced once, booked k-fold in one add, then the transport's
-        ``multicast`` (k sends, in ``dests`` order).  A message that
-        differs per destination (Opt-Track) goes through :meth:`_send`."""
+        priced once, booked k-fold in one add, then one
+        :meth:`_transmit` of the k copies."""
         site = self.site
         targets = [dst for dst in dests if dst != site]
         if targets:
-            ctx = self.ctx
-            size = self._book(message, kind, len(targets))
-            if ctx.tracer is not None or ctx.history.enabled:
-                for dst in targets:
-                    self._announce(dst, message, kind, size)
-            ctx.network.multicast(site, targets, message, size_bytes=size)
+            k = len(targets)
+            size = self._book(message, kind, k)
+            self._transmit(targets, [message] * k, [size] * k, kind)
+
+    def _multicast_each(self, targets: Sequence[int],
+                        messages: Sequence[object],
+                        kind: MessageKind = MessageKind.SM) -> None:
+        """Metered multicast of one message per remote destination
+        (``messages[i]`` to ``targets[i]``; Opt-Track's piggyback views):
+        each copy priced, all k booked with one slot lookup and one add
+        per counter — the int sums of k single bookings — then one
+        :meth:`_transmit`."""
+        model = self.ctx.size_model
+        sizes = [m.metadata_size(model) for m in messages]  # type: ignore[attr-defined]
+        slot, length_of = self._slot(kind, messages[0])
+        slot[0] += len(messages)
+        slot[1] += sum(sizes)
+        if length_of is not None:
+            slot[2] += sum(map(len, map(length_of, messages)))
+        self._transmit(targets, messages, sizes, kind)
+
+    def _transmit(self, targets: Sequence[int], messages: Sequence[object],
+                  sizes: Sequence[int], kind: MessageKind) -> None:
+        """Hand booked copies to the transport's ``multicast``, announcing
+        each first when the tracer or the history is on."""
+        ctx = self.ctx
+        if ctx.tracer is not None or ctx.history.enabled:
+            for dst, message, size in zip(targets, messages, sizes):
+                self._announce(dst, message, kind, size)
+        ctx.network.multicast(self.site, targets, messages, sizes)
 
     def _fetch_requirements(self, var: int, target: int) -> tuple[tuple[int, int], ...]:
         """(writer, threshold) pairs the fetch target must have applied

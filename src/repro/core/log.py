@@ -37,6 +37,7 @@ a singleton after every local write.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = ["PiggybackEntry", "PiggybackView", "OptTrackLog", "TupleLog"]
@@ -52,6 +53,7 @@ class PiggybackEntry:
 
 
 _NO_DESTS: frozenset[int] = frozenset()
+_DESTS = attrgetter("dests")
 
 
 class PiggybackView:
@@ -312,8 +314,9 @@ class OptTrackLog:
         ))
 
     def dest_counts(self) -> list[int]:
-        """Destination-list length per record (feeds the size model)."""
-        return [len(e.dests) for e in self._records.values()]
+        """Destination-list length per record, in first-insertion order
+        (one C-level pass; the collector's per-write sample)."""
+        return list(map(len, map(_DESTS, self._records.values())))
 
     def max_clock(self, writer: int) -> int:
         """Highest clock recorded for ``writer`` (0 when none)."""

@@ -695,11 +695,11 @@ class ChannelHost:
         self.collector.record_transport(CHANNEL_EVENTS[event].counter, src,
                                         size_bytes)
 
-    def multicast(self, src: int, dests: Sequence[int], message: object,
-                  *, size_bytes: float = 0.0) -> None:
+    def multicast(self, src: int, dests: Sequence[int],
+                  messages: Sequence[object], sizes: Sequence[float]) -> None:
         """``Transport.multicast``: the subclass's ``send``, per destination."""
-        for dst in dests:
-            self.send(src, dst, message, size_bytes=size_bytes)  # type: ignore[attr-defined]
+        for dst, message, size in zip(dests, messages, sizes):
+            self.send(src, dst, message, size_bytes=size)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # suspicion pauses

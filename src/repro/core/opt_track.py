@@ -93,33 +93,31 @@ class OptTrackProtocol(CausalProtocol):
         # destination lists and drops the other co-destinations
         # (implicit condition 2).  The same walk strips the local log:
         # the fully stripped shared view is what the log keeps, and also
-        # the log stored alongside a local apply.
+        # the log stored alongside a local apply.  The copies differ per
+        # destination and leave as one multicast, to the remote replicas
+        # in placement.replicas() order (exactly sorted(dests)).
+        targets = [d for d in ctx.placement.replicas(var) if d != self.site]
         if self.prune_on_send:
             views, stored_log = self.log.piggyback_views(dests)
-
-            def make_sm(d: int) -> OptTrackSM:
-                return OptTrackSM(var=var, value=value, write_id=wid,
-                                  log=views[d], issued_at=ctx.clock.now)
-
+            logs = [views[d] for d in targets]
         else:  # ablation mode: ship the unpruned log everywhere
-            snapshot = self.log.snapshot()
-            stored_log = snapshot
-
-            def make_sm(d: int) -> OptTrackSM:
-                return OptTrackSM(var=var, value=value, write_id=wid,
-                                  log=PiggybackView.from_entries(snapshot, d),
-                                  issued_at=ctx.clock.now)
-
-        # placement.replicas() is exactly sorted(dests), pre-sorted; the
-        # message differs per destination, so this is k unicasts
-        for d in ctx.placement.replicas(var):
-            if d != self.site:
-                self._send(d, make_sm(d), MessageKind.SM)
+            stored_log = self.log.snapshot()
+            logs = [PiggybackView.from_entries(stored_log, d) for d in targets]
+        if targets:
+            now = ctx.clock.now
+            self._multicast_each(targets, [
+                OptTrackSM(var=var, value=value, write_id=wid, log=log,
+                           issued_at=now)
+                for log in logs
+            ])
 
         # Local log update: add the record for the new write itself
         # (excluding self: applying locally is immediate), then purge.
+        # Condition 1 has nothing to strip here: outside a merge no
+        # record names this site (tests/test_protocols.py checks it
+        # after every operation), so only superseded empty records go.
         self.log.insert(self.site, self.clock, dests - self._me_set)
-        self.log.purge(self_site=self.site, applied=self.applied)
+        self.log.purge()
         ctx.collector.record_log_size(len(self.log))
         ctx.collector.record_dest_lists(self.log.dest_counts())
 

@@ -130,13 +130,15 @@ class Transport(Protocol):
         """
         ...
 
-    def multicast(self, src: int, dests: Sequence[int], message: object,
-                  *, size_bytes: float = 0.0) -> None:
-        """Transmit the one shared ``message`` (never copied) to each of
-        ``dests``: observably ``send(src, dst, message, size_bytes=...)``
-        per ``dst`` in order — same deliveries at the same times, same
-        error after the same sends.  Looping ``send`` is a full
-        implementation; hoisting per-call work out of the loop is allowed.
+    def multicast(self, src: int, dests: Sequence[int],
+                  messages: Sequence[object], sizes: Sequence[float]) -> None:
+        """Transmit ``messages[i]`` (never copied) with ``sizes[i]`` to
+        ``dests[i]``, the three aligned: observably ``send(src, dests[i],
+        messages[i], size_bytes=sizes[i])`` for each ``i`` in order —
+        same deliveries at the same times, same error after the same
+        sends.  A message shared by every copy is passed once per
+        destination.  Looping ``send`` is a full implementation;
+        hoisting per-call work out of the loop is allowed.
         """
         ...
 
@@ -183,8 +185,8 @@ class NullTransport:
     ) -> Optional[float]:
         return None
 
-    def multicast(self, src: int, dests: Sequence[int], message: object,
-                  *, size_bytes: float = 0.0) -> None:
+    def multicast(self, src: int, dests: Sequence[int],
+                  messages: Sequence[object], sizes: Sequence[float]) -> None:
         return None
 
     def overloaded(self, site: int) -> bool:

@@ -99,14 +99,14 @@ class MetricsCollector:
         self._marks: dict[MessageKind, dict[Hashable, tuple[int, ...]]] = {
             kind: {} for kind in MessageKind
         }
-        self.tallies: dict[MessageKind, MessageTally] = {
-            kind: MessageTally(self, kind) for kind in MessageKind
-        }
         self.measuring = False
         #: sampled local-log entry counts (Opt-Track family), in-window
         self.log_sizes = RunningStat()
-        #: sampled per-entry destination-list lengths (Opt-Track)
-        self.dest_list_sizes = RunningStat()
+        #: per-record destination-list lengths sampled at each in-window
+        #: write (Opt-Track): how many, their sum and the largest
+        self.dest_lists = 0
+        self.dest_list_total = 0
+        self.dest_list_max = 0
         #: simulated ms an SM spent buffered before activation fired
         self.activation_delays = RunningStat()
         #: simulated ms between fetch issue and read completion
@@ -260,8 +260,12 @@ class MetricsCollector:
 
     def record_dest_lists(self, n_dests: Sequence[int]) -> None:
         """Destination-list sizes of one write's log records, in one call."""
-        if self.measuring:
-            self.dest_list_sizes.add_many(n_dests)
+        if self.measuring and n_dests:
+            self.dest_lists += len(n_dests)
+            self.dest_list_total += sum(n_dests)
+            largest = max(n_dests)
+            if largest > self.dest_list_max:
+                self.dest_list_max = largest
 
     def record_activation_delay(self, delay_ms: float) -> None:
         if self.measuring:
@@ -376,8 +380,15 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
+    @property
+    def tallies(self) -> dict[MessageKind, MessageTally]:
+        """One :class:`MessageTally` per kind, made when read: a tally
+        points back at its collector, so storing them would tie every
+        collector into a reference cycle."""
+        return {kind: MessageTally(self, kind) for kind in MessageKind}
+
     def tally(self, kind: MessageKind) -> MessageTally:
-        return self.tallies[kind]
+        return MessageTally(self, kind)
 
     def _transport_sum(self, kind: str, column: int):
         return sum(row[column] for row in self.transport[kind].values())
@@ -417,7 +428,7 @@ class MetricsCollector:
         return sum(t.lifetime_count for t in self.tallies.values())
 
     def mean_size(self, kind: MessageKind) -> float:
-        return self.tallies[kind].mean_bytes
+        return self.tally(kind).mean_bytes
 
     def as_dict(self, *, heartbeats_sent: int = 0) -> dict:
         """Flat summary used by reports and trace files.  The failure
@@ -434,10 +445,10 @@ class MetricsCollector:
             "mean_log_size": self.log_sizes.mean if self.log_sizes.count else 0.0,
             "max_log_size": self.log_sizes.maximum if self.log_sizes.count else 0.0,
             "mean_dest_list_size": (
-                self.dest_list_sizes.mean if self.dest_list_sizes.count else 0.0
+                self.dest_list_total / self.dest_lists if self.dest_lists else 0.0
             ),
             "max_dest_list_size": (
-                self.dest_list_sizes.maximum if self.dest_list_sizes.count else 0.0
+                self.dest_list_max if self.dest_lists else 0.0
             ),
             "mean_activation_delay_ms": (
                 self.activation_delays.mean if self.activation_delays.count else 0.0

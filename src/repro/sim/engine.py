@@ -26,6 +26,7 @@ same heap in both runs of a double-run diff).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from typing import Any, Callable, Optional
@@ -269,6 +270,13 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        # the cyclic collector is paused for the run: the simulator makes
+        # no reference cycles (tests/test_sim_engine.py runs every
+        # protocol under gc.DEBUG_SAVEALL and finds no garbage), so its
+        # passes only re-walk the young, still-live log records and
+        # messages; reference counting frees everything else
+        collecting = gc.isenabled()
+        gc.disable()
         # the dispatch loop is deliberately inlined (vs calling step())
         # and binds hot names to locals: this loop IS the per-event cost
         # floor of every simulation.  ``processed`` lives in a local and
@@ -331,3 +339,5 @@ class Simulator:
         finally:
             self._processed = processed
             self._running = False
+            if collecting:
+                gc.enable()

@@ -160,8 +160,8 @@ class ChannelStats:
 class Network:
     """Reliable FIFO transport layered on the event kernel.
 
-    ``send`` delivers a single message; ``multicast`` fans one shared
-    message out to a destination list (one independent unicast per
+    ``send`` delivers a single message; ``multicast`` fans a write's
+    copies out to a destination list (one independent unicast per
     destination, as in the paper's ``Multicast(m)`` primitive — there
     is no network-level broadcast).  Receivers are callbacks registered
     per site.
@@ -468,11 +468,11 @@ class Network:
             raise DepartedSiteError(dst, "departed")
         if self.transport is not None:
             return self.transport.send(src, dst, message, size_bytes)
-        return self._fan_out(src, (dst,), message, size_bytes)
+        return self._fan_out(src, (dst,), (message,), (size_bytes,))
 
-    def multicast(self, src: int, dests: Sequence[int], message: object,
-                  *, size_bytes: float = 0.0) -> None:
-        """``send`` the one shared ``message`` to each of ``dests``, in order.
+    def multicast(self, src: int, dests: Sequence[int],
+                  messages: Sequence[object], sizes: Sequence[float]) -> None:
+        """``send`` ``messages[i]`` with ``sizes[i]`` to ``dests[i]``, in order.
 
         On the seed path with nobody departed, what cannot differ
         between destinations (source checks, clock read, attribute
@@ -481,46 +481,53 @@ class Network:
         of sends below produces.
         """
         if self.transport is not None or self.departed:
-            for dst in dests:
-                self.send(src, dst, message, size_bytes=size_bytes)
+            for dst, message, size in zip(dests, messages, sizes):
+                self.send(src, dst, message, size_bytes=size)
             return
         self._check_site(src)
-        self._fan_out(src, dests, message, size_bytes)
+        self._fan_out(src, dests, messages, sizes)
 
-    def _fan_out(self, src: int, dests: Sequence[int], message: object,
-                 size_bytes: float) -> float:
+    def _fan_out(self, src: int, dests: Sequence[int],
+                 messages: Sequence[object], sizes: Sequence[float]) -> float:
         """Seed-path body of ``send`` / ``multicast``: per destination, in
         order, a range check, one latency draw, the FIFO clamp and one
         posted kernel entry.  Returns the last delivery time."""
         now = delivery = self.sim.now
-        bandwidth = self.bandwidth if size_bytes > 0 else None
+        bandwidth = self.bandwidth
         n_sites = self.n_sites
         channels = self._channels
         sample = self._sample_latency
         post = self.sim.post
         deliver = self._deliver_scheduled
-        for dst in dests:
-            if not 0 <= dst < n_sites:
-                self._check_site(dst)  # raises
-            departure = now
-            if bandwidth is not None:
-                start = max(now, self._uplink_busy_until.get(src, 0.0))
-                departure = start + size_bytes / bandwidth
-                self._uplink_busy_until[src] = departure
-            if src == dst:
-                delay = self.latency.local_delay()
-            else:
-                delay = sample(src, dst)
-            key = (src, dst)
-            stats = channels.get(key)
-            if stats is None:
-                stats = channels[key] = ChannelStats()
-            delivery = max(departure + delay, stats.last_delivery + FIFO_EPSILON)
-            stats.last_delivery = delivery
-            stats.messages += 1
-            self.total_messages += 1
-            self._app_in_flight += 1
-            post(delivery, deliver, src, dst, message)
+        # the two network-wide counters take the loop's count once; the
+        # finally keeps them exact when a bad destination raises midway
+        posted = 0
+        try:
+            for dst, message, size_bytes in zip(dests, messages, sizes):
+                if not 0 <= dst < n_sites:
+                    self._check_site(dst)  # raises
+                departure = now
+                if bandwidth is not None and size_bytes > 0:
+                    start = max(now, self._uplink_busy_until.get(src, 0.0))
+                    departure = start + size_bytes / bandwidth
+                    self._uplink_busy_until[src] = departure
+                if src == dst:
+                    delay = self.latency.local_delay()
+                else:
+                    delay = sample(src, dst)
+                key = (src, dst)
+                stats = channels.get(key)
+                if stats is None:
+                    stats = channels[key] = ChannelStats()
+                delivery = max(departure + delay,
+                               stats.last_delivery + FIFO_EPSILON)
+                stats.last_delivery = delivery
+                stats.messages += 1
+                post(delivery, deliver, src, dst, message)
+                posted += 1
+        finally:
+            self.total_messages += posted
+            self._app_in_flight += posted
         return delivery
 
     def _deliver_scheduled(self, src: int, dst: int, message: object) -> None:

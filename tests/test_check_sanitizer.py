@@ -129,7 +129,7 @@ class TestSanitizedNetwork:
         for site in range(3):
             net.register(site, lambda src, msg: delivered.append(msg))
         msg = Payload(0, dests=[1, 2])
-        net.multicast(0, [1, 2], msg, size_bytes=32)
+        net.multicast(0, [1, 2], [msg, msg], [32, 32])
         msg.dests.append(0)
         with pytest.raises(MessageMutationError, match="dests"):
             sim.run()
@@ -139,9 +139,23 @@ class TestSanitizedNetwork:
         sim, net = make_net(3)
         for site in range(3):
             net.register(site, lambda src, msg: None)
-        net.multicast(0, [1, 2], Payload(0, dests=[1, 2]))
+        msg = Payload(0, dests=[1, 2])
+        net.multicast(0, [1, 2], [msg, msg], [0.0, 0.0])
         sim.run()
         assert net.mutation_checks == 2
+
+    def test_every_per_destination_copy_is_frozen(self):
+        sim, net = make_net(3)
+        delivered = []
+        for site in range(3):
+            net.register(site, lambda src, msg: delivered.append(msg))
+        first, second = Payload(0, dests=[1]), Payload(0, dests=[2])
+        net.multicast(0, [1, 2], [first, second], [16, 24])
+        second.dests.append(0)
+        with pytest.raises(MessageMutationError, match="dests"):
+            sim.run()
+        # the honest copy may land first; the mutated one never does
+        assert second not in delivered
 
     def test_nested_metadata_mutation_caught(self):
         sim, net = make_net()

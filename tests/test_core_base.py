@@ -190,9 +190,11 @@ class CaptureTransport:
     def send(self, src, dst, message, *, size_bytes=0.0):
         self.sent.append((src, dst, message))
 
-    def multicast(self, src, dests, message, *, size_bytes=0.0):
+    def multicast(self, src, dests, messages, sizes):
         self.multicasts += 1
-        self.sent.extend((src, dst, message) for dst in dests)
+        assert len(dests) == len(messages) == len(sizes)
+        self.sent.extend((src, dst, message)
+                         for dst, message in zip(dests, messages))
 
     def overloaded(self, site):
         return False
@@ -417,13 +419,23 @@ class TestSharedMulticast:
         assert tally.total_bytes == 3 * message.metadata_size(DEFAULT_SIZE_MODEL)
 
     def test_opt_track_sends_a_message_per_destination(self):
+        # one multicast whose copies are the per-destination views, each
+        # priced on its own and booked together
         placement = RoundRobinPlacement(4, 4, 3)        # var 0 at {0, 1, 2}
         proto = make_site("opt-track", 0, placement, n=4)
         proto.write(0, "v")
+        proto.write(0, "w")
         net = proto.ctx.network
-        assert net.multicasts == 0
-        assert [dst for _src, dst, _m in net.sent] == [1, 2]
-        assert proto.ctx.collector.tally(MessageKind.SM).count == 2
+        assert net.multicasts == 2
+        assert [dst for _src, dst, _m in net.sent] == [1, 2, 1, 2]
+        assert len({id(m) for _src, _dst, m in net.sent}) == 4
+        assert [m.log.dest for _src, _dst, m in net.sent] == [1, 2, 1, 2]
+        tally = proto.ctx.collector.tally(MessageKind.SM)
+        assert tally.count == 4
+        assert tally.total_bytes == sum(
+            m.metadata_size(DEFAULT_SIZE_MODEL) for _s, _d, m in net.sent)
+        (_key, slot), = proto.ctx.collector.message_slots(MessageKind.SM)
+        assert slot[2] == sum(len(m.log) for _s, _d, m in net.sent) > 0
 
     def test_replay_books_and_sends_nothing(self):
         from repro.core.recovery import WalRecord

@@ -151,8 +151,8 @@ class TestConditionTwoAtSend:
         assert (4, 7) not in log and log.purged_records == 2
 
     def test_replaced_record_keeps_its_slot(self):
-        # dest_counts() feeds an order-dependent running stat: a shrink
-        # must not move the record to the end of the insertion order
+        # a shrink replaces the record in its dict slot: it must not move
+        # to the end of the insertion order dest_counts() lists
         log = OptTrackLog()
         log.insert(5, 1, {1, 2, 3})
         log.insert(0, 1, {4})

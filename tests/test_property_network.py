@@ -38,13 +38,18 @@ twin_latencies = st.sampled_from([
     ConstantLatency(12.0),
 ])
 
-#: a run of multicasts, each preceded by letting the clock advance
+#: a run of multicasts, each preceded by letting the clock advance; a
+#: copy is ``(dest, size)``, and a shared round sends one message at one
+#: size to every destination (the shared-message cores) where the
+#: others send a payload and a size of its own to each (Opt-Track)
 twin_rounds = st.lists(
     st.tuples(
         st.floats(0.0, 40.0),                                 # advance
         st.integers(0, N_TWIN - 1),                           # src
-        st.lists(st.integers(0, N_TWIN - 1), max_size=8),     # dests
-        st.sampled_from([0.0, 40.0, 900.0]),                  # size
+        st.lists(st.tuples(st.integers(0, N_TWIN - 1),        # copies
+                           st.sampled_from([0.0, 40.0, 900.0])),
+                 max_size=8),
+        st.booleans(),                                        # shared
     ),
     min_size=1, max_size=12,
 )
@@ -84,16 +89,22 @@ def _run_twins(latency, seed, rounds, *, retire=None, **kwargs):
     if retire is not None:
         net_m.retire_site(retire)
         net_s.retire_site(retire)
-    for k, (advance, src, dests, size) in enumerate(rounds):
+    for k, (advance, src, copies, shared) in enumerate(rounds):
         sim_m.run(until=sim_m.now + advance)
         sim_s.run(until=sim_s.now + advance)
-        message = ("m", k)
+        dests = [dst for dst, _size in copies]
+        if shared:
+            messages = [("m", k)] * len(copies)
+            sizes = [copies[0][1] if copies else 0.0] * len(copies)
+        else:
+            messages = [("m", k, i) for i in range(len(copies))]
+            sizes = [size for _dst, size in copies]
         errors = []
         for net, fan_out in (
-            (net_m, lambda: net_m.multicast(src, dests, message,
-                                            size_bytes=size)),
+            (net_m, lambda: net_m.multicast(src, dests, messages, sizes)),
             (net_s, lambda: [net_s.send(src, dst, message, size_bytes=size)
-                             for dst in dests]),
+                             for dst, message, size
+                             in zip(dests, messages, sizes)]),
         ):
             try:
                 fan_out()
@@ -112,14 +123,15 @@ def _run_twins(latency, seed, rounds, *, retire=None, **kwargs):
 class TestMulticastIsKSends:
     """``Network.multicast`` against the ``Transport.multicast`` contract:
     the same delivery times, kernel ``(time, seq)`` keys, channel stats
-    and counters as one ``send`` per destination, on every path."""
+    and counters as one ``send`` per destination, on every path, for a
+    shared message and for a payload and size per destination."""
 
     @given(latency=twin_latencies, seed=st.integers(0, 10_000),
            rounds=twin_rounds)
     @settings(max_examples=60, deadline=None)
     def test_seed_path(self, latency, seed, rounds):
         log = _run_twins(latency, seed, rounds)
-        assert len(log) == sum(len(dests) for _a, _s, dests, _z in rounds)
+        assert len(log) == sum(len(copies) for _a, _s, copies, _sh in rounds)
 
     @given(latency=twin_latencies, seed=st.integers(0, 10_000),
            rounds=twin_rounds)
@@ -145,7 +157,7 @@ class TestMulticastIsKSends:
         sim, net, log = _twin(ConstantLatency(5.0), 0)
         net.retire_site(3)
         with pytest.raises(DepartedSiteError):
-            net.multicast(0, [1, 2, 3, 4], "m")
+            net.multicast(0, [1, 2, 3, 4], ["m"] * 4, [0.0] * 4)
         sim.run()
         assert [(src, dst) for _t, src, dst, _m in log] == [(0, 1), (0, 2)]
 

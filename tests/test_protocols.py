@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from repro import CausalCluster, ConstantLatency, PerPairLatency
+from repro.core.base import CausalProtocol
+from repro.core.opt_track import OptTrackProtocol
+from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.store import BOTTOM
+from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan
 
 
 def make(protocol, n=3, p=None, n_vars=6, latency=None):
@@ -299,3 +303,52 @@ class TestRemoteReadGating:
             assert all(type(j) is int and type(x) is int for j, x in reqs)
             seen += len(reqs)
         assert seen > 5
+
+
+class TestOptTrackLogNeverNamesItsOwner:
+    """Implicit condition 1 has nothing left to strip at a write.
+
+    An RM is gated until every record naming the reader is applied
+    there, and a local read merges the stored log with the reader
+    already stripped, so outside a merge no record in a site's log names
+    the site itself; ``_perform_write`` relies on it and purges without
+    ``self_site``.  Checked after every operation, arrival, restore and
+    WAL replay of whole runs, plain and under drops, duplicates and a
+    crash with recovery."""
+
+    ENTRY_POINTS = ("write", "read", "on_message", "restore", "replay")
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos-crash"])
+    @pytest.mark.parametrize("protocol", ["opt-track", "opt-track-noprune"])
+    def test_after_every_operation(self, protocol, chaos, monkeypatch):
+        checked = dict.fromkeys(self.ENTRY_POINTS, 0)
+
+        def checking(name):
+            method = getattr(CausalProtocol, name)
+
+            def wrapper(self, *args, **kwargs):
+                result = method(self, *args, **kwargs)
+                named = [e for e in self.log.entries() if self.site in e.dests]
+                assert not named, (name, self.site, named)
+                checked[name] += 1
+                return result
+            return wrapper
+
+        for name in self.ENTRY_POINTS:
+            monkeypatch.setattr(OptTrackProtocol, name, checking(name))
+        plan = None
+        if chaos:
+            plan = FaultPlan.build(
+                default=ChannelFaults(drop_rate=0.05, dup_rate=0.02),
+                crashes=(CrashEvent(2, 600.0, 1500.0),),
+            )
+        result = run_simulation(SimulationConfig(
+            protocol=protocol, n_sites=5, n_vars=12, replication_factor=3,
+            ops_per_process=40, gap_range_ms=(5.0, 205.0), seed=7,
+            fault_plan=plan, fault_seed=3))
+        assert result.collector.ops_read_remote > 0
+        assert sum(len(p.log) for p in result.protocols) > 0
+        assert checked["write"] > 0 and checked["read"] > 0
+        assert checked["on_message"] > checked["write"]
+        if chaos:  # the crashed site came back through both paths
+            assert checked["restore"] == checked["replay"] == 1

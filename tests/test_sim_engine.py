@@ -1,12 +1,22 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import ast
+import gc
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core.base import get_protocol_class, protocol_names
+from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.faults import (
+    ChannelFaults,
+    CrashEvent,
+    FaultPlan,
+    JoinEvent,
+    LeaveEvent,
+)
 
 
 class TestScheduling:
@@ -212,6 +222,84 @@ class TestEventBudget:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.processed_events == 10
+
+
+class TestCollectorPause:
+    """``run()`` pauses the cyclic collector and puts it back as found."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_restored_after_a_normal_return(self, enabled):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            sim.run()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_restored_after_the_event_budget(self, enabled):
+        sim = Simulator(max_events=3)
+
+        def respawn():
+            sim.schedule(1.0, respawn)
+
+        sim.schedule(0.0, respawn)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(SimulationError, match="budget"):
+                sim.run()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+#: the plans a run can take: the seed transport, the chaos transport with
+#: a crash and a recovery, and a view change (one join, one leave)
+_GC_PLANS = {
+    "plain": None,
+    "chaos-crash": FaultPlan.build(
+        default=ChannelFaults(drop_rate=0.05, dup_rate=0.02),
+        crashes=(CrashEvent(2, 600.0, 1500.0),),
+    ),
+    "churn": FaultPlan.build(
+        membership=[JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=1100.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_GC_PLANS))
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_a_run_leaves_no_cyclic_garbage(protocol, plan):
+    """What makes the collector pause safe: a run builds no reference
+    cycle, so reference counting alone frees whatever it drops.  A cycle
+    added later shows up here as ``gc.garbage`` instead of as memory
+    that piles up for the length of a paused run."""
+    partial = not get_protocol_class(protocol).full_replication
+    config = SimulationConfig(
+        protocol=protocol, n_sites=5, n_vars=12,
+        replication_factor=3 if partial else None,
+        ops_per_process=30, gap_range_ms=(5.0, 105.0), seed=7,
+        fault_plan=_GC_PLANS[plan], fault_seed=3, record_history=True)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run_simulation(config)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert result.collector.ops_write > 0
+    assert result.collector.crashes == (plan == "chaos-crash")
+    if plan == "churn":
+        assert result.view_manager.view.epoch == 2
+    assert garbage == []
 
 
 class TestDeterminism:

@@ -116,7 +116,7 @@ class TestNetwork:
         # list gets the loopback delivery ``send`` would give it (the
         # protocols drop themselves from the list before calling)
         sim, net, inboxes = make_net(n=4)
-        assert net.multicast(1, [0, 1, 3], "m") is None
+        assert net.multicast(1, [0, 1, 3], ["m"] * 3, [0.0] * 3) is None
         assert net.total_messages == 3
         assert net.app_messages_in_flight == 3
         sim.run()
@@ -127,7 +127,7 @@ class TestNetwork:
     def test_multicast_shares_one_message(self):
         sim, net, inboxes = make_net(n=3)
         message = ["shared"]
-        net.multicast(0, [1, 2], message, size_bytes=64)
+        net.multicast(0, [1, 2], [message, message], [64, 64])
         sim.run()
         assert inboxes[1][0][1] is message
         assert inboxes[2][0][1] is message
@@ -135,7 +135,7 @@ class TestNetwork:
     def test_multicast_to_unknown_site_keeps_earlier_sends(self):
         sim, net, inboxes = make_net(n=3)
         with pytest.raises(ValueError):
-            net.multicast(0, [1, 7, 2], "m")
+            net.multicast(0, [1, 7, 2], ["m"] * 3, [0.0] * 3)
         assert net.total_messages == net.app_messages_in_flight == 1
         sim.run()
         assert inboxes[1] == [(0, "m")] and inboxes[2] == []
