@@ -19,11 +19,20 @@ import pytest
 from repro.core.activation import full_track_sm_blocker
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import OptTrackLog, PiggybackEntry
-from repro.core.messages import OptTrackSM
+from repro.core.messages import (
+    CRPSM,
+    FetchMessage,
+    FullTrackRM,
+    FullTrackSM,
+    OptPSM,
+    OptTrackRM,
+    OptTrackSM,
+)
 from repro.experiments.runner import SimulationConfig, build_system
 from repro.memory.store import WriteId
 from repro.metrics.collector import MessageKind
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL
+from repro.obs.ledger import decompose_message
 from repro.service import codec
 from repro.sim.engine import Simulator
 
@@ -135,13 +144,34 @@ def test_micro_vector_merge(benchmark):
     assert a.dominates(b)
 
 
-def test_micro_message_sizing(benchmark):
-    """Per-send metadata pricing of an 80-record Opt-Track SM."""
-    log = tuple(build_log().entries())
-    sm = OptTrackSM(var=0, value=1, write_id=WriteId(0, 1), log=log)
+def sizing_samples():
+    """One message of each type at its n=40 shape: an FM with three
+    requirements, Full-Track's 40 x 40 matrix, one copy's piggyback view
+    of an 80-record log at p = 12 (SM) and the stored log plus the
+    write's own record (RM), a CRP log naming every other writer, and
+    optP's 40-vector."""
+    wid = WriteId(0, 1)
+    views, stored = build_log().piggyback_views(frozenset(range(0, 12)))
+    rm_log = stored + (PiggybackEntry(0, 1, frozenset(range(1, 12))),)
+    return [
+        FetchMessage(var=0, reader=1, request_id=1,
+                     requirements=((2, 5), (3, 1), (7, 9))),
+        FullTrackSM(0, 1, wid, MatrixClock(N)),
+        FullTrackRM(0, 1, wid, MatrixClock(N), 1),
+        OptTrackSM(var=0, value=1, write_id=wid, log=views[3]),
+        OptTrackRM(var=0, value=1, write_id=wid, log=rm_log, request_id=1),
+        CRPSM(0, 1, wid, tuple((j, j + 1) for j in range(1, N))),
+        OptPSM(0, 1, wid, VectorClock(N)),
+    ]
 
-    size = benchmark(sm.metadata_size, DEFAULT_SIZE_MODEL)
-    assert size > DEFAULT_SIZE_MODEL.envelope_opt_track
+
+@pytest.mark.parametrize("message", sizing_samples(),
+                         ids=lambda m: type(m).__name__)
+def test_micro_message_sizing(benchmark, message):
+    """Per-send metadata pricing of one message of each type."""
+    size = benchmark(message.metadata_size, DEFAULT_SIZE_MODEL)
+    assert size == sum(b for _name, b in
+                       decompose_message(message, DEFAULT_SIZE_MODEL))
 
 
 def test_micro_matrix_snapshot(benchmark):

@@ -10,7 +10,11 @@ import sys
 
 from _common import exhibit_rows, run_standalone, show
 
+from repro.core.clocks import MatrixClock
+from repro.core.messages import FullTrackRM, FullTrackSM
 from repro.experiments.exhibits import PARTIAL_NS, WRITE_RATES
+from repro.memory.store import WriteId
+from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 
 #: Table II of the paper (KB), for the printed comparison
 PAPER_TABLE2 = {
@@ -29,6 +33,14 @@ PAPER_TABLE2 = {
 }
 
 
+def full_track_price(kind, n):
+    """The price of one Full-Track SM or RM carrying an n x n matrix."""
+    wid, matrix = WriteId(0, 1), MatrixClock(n)
+    message = (FullTrackSM(0, 1, wid, matrix) if kind == "SM"
+               else FullTrackRM(0, 1, wid, matrix, 0))
+    return message.metadata_size(DEFAULT_SIZE_MODEL)
+
+
 def test_table2_avg_sm_rm_sizes(benchmark):
     rows = benchmark.pedantic(exhibit_rows, args=("table2",), rounds=1,
                               iterations=1)
@@ -43,11 +55,8 @@ def test_table2_avg_sm_rm_sizes(benchmark):
         # Full-Track sizes are schedule-independent (fixed n^2 matrix):
         # measured values must be *exactly* the size model's prediction
         if row["protocol"] == "full-track":
-            from repro.metrics.sizing import DEFAULT_SIZE_MODEL as M
-
             for n in PARTIAL_NS:
-                expected = (M.sm_full_track(n) if row["kind"] == "SM"
-                            else M.rm_full_track(n)) / 1000.0
+                expected = full_track_price(row["kind"], n) / 1000.0
                 assert abs(row[f"n{n}"] - expected) < 1e-9
         # and they must land within 15% of the paper's Table II
         if row["protocol"] == "full-track":

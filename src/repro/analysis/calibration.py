@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.messages import PRICE_TABLE, FullTrackSM, OptPSM
 from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = [
@@ -107,8 +108,10 @@ def verify_default_calibration(model: SizeModel = DEFAULT_SIZE_MODEL) -> dict:
     calibration contract (optP exact; Full-Track within a few percent).
     """
     out: dict[str, float] = {}
+    optp, full_track = PRICE_TABLE[OptPSM], PRICE_TABLE[FullTrackSM]
     for n, ref in PAPER_OPTP_REFERENCE.items():
-        out[f"optp_n{n}"] = abs(model.sm_optp(n) - ref) / ref
+        out[f"optp_n{n}"] = abs(optp.size_at(model, width=n) - ref) / ref
     for n, ref in PAPER_FULL_TRACK_SM_REFERENCE.items():
-        out[f"full_track_n{n}"] = abs(model.sm_full_track(n) - ref) / ref
+        size = full_track.size_at(model, width=n)
+        out[f"full_track_n{n}"] = abs(size - ref) / ref
     return out

@@ -14,12 +14,27 @@ remote with probability (n-p)/n and then costs one FM + one RM):
 
 * partial replication:  ((p-1) + (n-p)/n) * w + 2 * r * (n-p)/n
 * full replication:     (n-1) * w
+
+Per-message sizes are the message types' rows of the price table
+(:data:`repro.core.messages.PRICE_TABLE`) evaluated at the expected
+shape — clock width n, a mean log length, a mean destination count — so
+the analytic and the simulated bytes share one formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.messages import (
+    CRPSM,
+    PRICE_TABLE,
+    FetchMessage,
+    FullTrackRM,
+    FullTrackSM,
+    OptPSM,
+    OptTrackRM,
+    OptTrackSM,
+)
 from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = [
@@ -93,9 +108,9 @@ def full_track_total_size(
         sm_count=sm_count,
         fm_count=remote,
         rm_count=remote,
-        sm_bytes=sm_count * model.sm_full_track(n),
-        fm_bytes=remote * model.fm(),
-        rm_bytes=remote * model.rm_full_track(n),
+        sm_bytes=sm_count * PRICE_TABLE[FullTrackSM].size_at(model, width=n),
+        fm_bytes=remote * PRICE_TABLE[FetchMessage].size_at(model),
+        rm_bytes=remote * PRICE_TABLE[FullTrackRM].size_at(model, width=n),
     )
 
 
@@ -121,23 +136,16 @@ def opt_track_total_size(
     dests = 1.0 if mean_dests_per_entry is None else mean_dests_per_entry
     if entries < 0 or dests < 0:
         raise ValueError("log shape parameters cannot be negative")
-    log_bytes = entries * (model.log_entry_overhead + model.dest_id * dests)
-    sm_size = (
-        model.envelope_opt_track + model.var_id + model.value
-        + model.site_id + model.clock + log_bytes
-    )
-    rm_size = (
-        model.envelope_opt_track + model.value
-        + model.site_id + model.clock + log_bytes
-    )
     sm_count, remote = _partial_counts(n, p, w, r)
     return CostBreakdown(
         sm_count=sm_count,
         fm_count=remote,
         rm_count=remote,
-        sm_bytes=sm_count * sm_size,
-        fm_bytes=remote * model.fm(),
-        rm_bytes=remote * rm_size,
+        sm_bytes=sm_count * PRICE_TABLE[OptTrackSM].size_at(
+            model, records=entries, dests=entries * dests),
+        fm_bytes=remote * PRICE_TABLE[FetchMessage].size_at(model),
+        rm_bytes=remote * PRICE_TABLE[OptTrackRM].size_at(
+            model, records=entries, dests=entries * dests),
     )
 
 
@@ -156,10 +164,7 @@ def opt_track_crp_total_size(
     _validate(n, n, w, 0.0)
     if mean_log_entries < 0:
         raise ValueError("log size cannot be negative")
-    sm_size = (
-        model.envelope_crp + model.var_id + model.value
-        + model.site_id + model.clock + model.tuple_entry * mean_log_entries
-    )
+    sm_size = PRICE_TABLE[CRPSM].size_at(model, records=mean_log_entries)
     sm_count = (n - 1) * w
     return CostBreakdown(sm_count, 0.0, 0.0, sm_count * sm_size, 0.0, 0.0)
 
@@ -170,4 +175,5 @@ def optp_total_size(
     """optP: (n-1) SMs per write, each carrying the size-n vector — O(n² w)."""
     _validate(n, n, w, 0.0)
     sm_count = (n - 1) * w
-    return CostBreakdown(sm_count, 0.0, 0.0, sm_count * model.sm_optp(n), 0.0, 0.0)
+    sm_size = PRICE_TABLE[OptPSM].size_at(model, width=n)
+    return CostBreakdown(sm_count, 0.0, 0.0, sm_count * sm_size, 0.0, 0.0)

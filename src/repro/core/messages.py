@@ -10,20 +10,23 @@ Three classes of messages exist:
 * **RM** — remote return carrying the value and the ``LastWriteOn<h>``
   metadata stored with it at the serving replica.
 
-Every message knows how to price its own metadata against a
-:class:`~repro.metrics.sizing.SizeModel`; the collector records that
-size at *send* time, matching the paper's accounting (total size of all
-messages generated).  :func:`accounting_shape` names, per message type,
-the one variable-length field (or the clock width) that size depends on,
-so the sender can book it and a report can split the bytes by component
-without seeing the messages again.
+Every message type's price is one row of :data:`PRICE_TABLE`: named
+ledger components, each a :class:`~repro.metrics.sizing.SizeModel` field
+times a count.  ``metadata_size`` (priced at *send* time, matching the
+paper's accounting: total size of all messages generated), the metadata
+ledger's component split, the analytic model of
+:mod:`repro.analysis.model` and the calibration all read these rows, so
+each formula is written once.  :func:`accounting_shape` names, per
+message type, the one variable-length field (or the clock width) the
+price depends on, so the sender can book it and a report can split the
+bytes by component without seeing the messages again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional, Sized
+from typing import Any, Callable, NamedTuple, Optional, Sized
 
 from ..memory.store import WriteId
 from ..metrics.sizing import SizeModel
@@ -38,12 +41,33 @@ __all__ = [
     "OptTrackRM",
     "CRPSM",
     "OptPSM",
+    "PRICE_TABLE",
+    "PriceRow",
     "accounting_shape",
 ]
 
+#: a component split: ``(component name, bytes)`` pairs
+Breakdown = tuple[tuple[str, int], ...]
+
+
+class _Priced:
+    """``metadata_size`` for every message type: its :data:`PRICE_TABLE`
+    row, resolved against ``model`` on the first call and memoised in
+    ``model.resolved`` under the message class."""
+
+    __slots__ = ()
+
+    def metadata_size(self, model: SizeModel) -> int:
+        cls = type(self)
+        try:
+            size = model.resolved[cls]
+        except KeyError:
+            size = model.resolved[cls] = PRICE_TABLE[cls].sizer(model)
+        return size(self)
+
 
 @dataclass(frozen=True, slots=True)
-class FetchMessage:
+class FetchMessage(_Priced):
     """FM(x_h): ask a predesignated replica for x_h's value.
 
     ``request_id`` lets the reader pair the eventual RM with the blocked
@@ -67,15 +91,12 @@ class FetchMessage:
     request_id: int
     requirements: tuple[tuple[int, int], ...] = ()
 
-    def metadata_size(self, model: SizeModel) -> int:
-        return model.fm() + model.fm_requirement * len(self.requirements)
-
 
 # ----------------------------------------------------------------------
 # Full-Track (partial replication, matrix clocks)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
-class FullTrackSM:
+class FullTrackSM(_Priced):
     """SM(x_h, v, Write): update multicast with the full n x n matrix."""
 
     var: int
@@ -85,12 +106,9 @@ class FullTrackSM:
     #: simulated issue time (ms); lets receivers report visibility lag
     issued_at: float = 0.0
 
-    def metadata_size(self, model: SizeModel) -> int:
-        return model.sm_full_track(self.matrix.n)
-
 
 @dataclass(frozen=True, slots=True)
-class FullTrackRM:
+class FullTrackRM(_Priced):
     """RM(v, LastWriteOn<h>): remote return with the stored matrix."""
 
     var: int
@@ -99,15 +117,12 @@ class FullTrackRM:
     matrix: MatrixClock
     request_id: int
 
-    def metadata_size(self, model: SizeModel) -> int:
-        return model.rm_full_track(self.matrix.n)
-
 
 # ----------------------------------------------------------------------
 # Opt-Track (partial replication, KS logs)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
-class OptTrackSM:
+class OptTrackSM(_Priced):
     """SM(x_h, v, site, clock, L_w): update multicast with a pruned log.
 
     ``log`` is the per-destination :class:`~repro.core.log.PiggybackView`
@@ -131,17 +146,9 @@ class OptTrackSM:
                 self, "log", PiggybackView.from_entries(self.log)
             )
 
-    def metadata_size(self, model: SizeModel) -> int:
-        log = self.log
-        return (
-            model.envelope_opt_track + model.var_id + model.value
-            + model.site_id + model.clock
-            + model.opt_track_log_shape(len(log), log.dest_total())
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class OptTrackRM:
+class OptTrackRM(_Priced):
     """RM(v, LastWriteOn<h>): value + the write's id and piggybacked log.
 
     ``write_id``/``log`` are ``None``/empty when the variable was never
@@ -154,22 +161,12 @@ class OptTrackRM:
     log: tuple[PiggybackEntry, ...]
     request_id: int
 
-    def metadata_size(self, model: SizeModel) -> int:
-        total_dests = 0
-        for e in self.log:  # explicit loop: sized on every send (hot)
-            total_dests += len(e.dests)
-        return (
-            model.envelope_opt_track + model.value
-            + model.site_id + model.clock
-            + model.opt_track_log_shape(len(self.log), total_dests)
-        )
-
 
 # ----------------------------------------------------------------------
 # Opt-Track-CRP (full replication, 2-tuple logs)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
-class CRPSM:
+class CRPSM(_Priced):
     """SM(x_h, v, site, clock, LOG): update with (writer, clock) 2-tuples."""
 
     var: int
@@ -179,15 +176,12 @@ class CRPSM:
     #: simulated issue time (ms); lets receivers report visibility lag
     issued_at: float = 0.0
 
-    def metadata_size(self, model: SizeModel) -> int:
-        return model.sm_opt_track_crp(len(self.log))
-
 
 # ----------------------------------------------------------------------
 # optP (full replication, vector clocks) — Baldoni et al. baseline
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
-class OptPSM:
+class OptPSM(_Priced):
     """SM(x_h, v, site, Write): update with the size-n Write vector."""
 
     var: int
@@ -197,31 +191,146 @@ class OptPSM:
     #: simulated issue time (ms); lets receivers report visibility lag
     issued_at: float = 0.0
 
-    def metadata_size(self, model: SizeModel) -> int:
-        return model.sm_optp(self.vector.n)
-
 
 # ----------------------------------------------------------------------
-# what a sent message adds to its accounting slot
+# the price table
 # ----------------------------------------------------------------------
-#: per message type: the reader of the field ``metadata_size`` multiplies
-#: a per-record cost by, or of the clock whose dimension fixes the size
-_SHAPE: dict[type, tuple[Optional[Callable[[object], Sized]],
-                         Optional[Callable[[object], object]]]] = {
-    FetchMessage: (attrgetter("requirements"), None),
-    FullTrackSM: (None, attrgetter("matrix")),
-    FullTrackRM: (None, attrgetter("matrix")),
-    OptTrackSM: (attrgetter("log"), None),
-    OptTrackRM: (attrgetter("log"), None),
-    CRPSM: (attrgetter("log"), None),
-    OptPSM: (None, attrgetter("vector")),
+class PriceRow(NamedTuple):
+    """One message type's price, as named ledger components.
+
+    * ``fixed``: ``(component, field)`` pairs, one
+      :class:`~repro.metrics.sizing.SizeModel` field each per message;
+    * ``records``: ``(component, field, length_of)`` — ``field`` bytes
+      per item of the sized field ``length_of`` reads;
+    * ``clock``: ``(field, power, clock_of)`` — ``field`` bytes per cell
+      of the carried clock, ``width ** power`` cells, booked as
+      ``clock_entries`` up to the run's initial width and
+      ``epoch_padding`` beyond it;
+    * ``dests``: ``(field, count_of)`` — Opt-Track's ``dest_ids``,
+      ``field`` bytes per destination ``count_of`` counts over the
+      records.
+
+    Every row has a clock term or a record term, never both.
+    """
+
+    fixed: tuple[tuple[str, str], ...]
+    records: Optional[tuple[str, str, Callable[[Any], Sized]]] = None
+    clock: Optional[tuple[str, int, Callable[[Any], Any]]] = None
+    dests: Optional[tuple[str, Callable[[Any], int]]] = None
+
+    def sizer(self, model: SizeModel) -> Callable[[Any], int]:
+        """The price of one message under ``model``, every field read
+        once here rather than per call."""
+        const = sum(getattr(model, f) for _c, f in self.fixed)
+        if self.clock is not None:
+            field, power, clock_of = self.clock
+            cell = getattr(model, field)
+            return lambda m: const + cell * clock_of(m).n ** power
+        _c, field, length_of = self.records
+        per = getattr(model, field)
+        if self.dests is None:
+            return lambda m: const + per * len(length_of(m))
+        field, count_of = self.dests
+        per_dest = getattr(model, field)
+
+        def size(m: Any) -> int:
+            records = length_of(m)
+            return const + per * len(records) + per_dest * count_of(records)
+        return size
+
+    def size_at(self, model: SizeModel, *, records: float = 0,
+                dests: float = 0, width: int = 0) -> float:
+        """The price of one message of a shape — ``records`` items,
+        ``dests`` destinations in all, a ``width``-wide clock — where
+        means are allowed (the analytic model's expected shape)."""
+        size: float = sum(getattr(model, f) for _c, f in self.fixed)
+        if self.records is not None:
+            size += getattr(model, self.records[1]) * records
+        if self.dests is not None:
+            size += getattr(model, self.dests[0]) * dests
+        if self.clock is not None:
+            size += getattr(model, self.clock[0]) * width ** self.clock[1]
+        return size
+
+    def breakdown(self, model: SizeModel, count: int, length: int,
+                  nbytes: int, width: int, base_n: Optional[int]) -> Breakdown:
+        """Component bytes of ``count`` messages booked in one slot.
+
+        Linear in the slot's three sums — message count, summed record
+        ``length``, priced ``nbytes`` — except the clock split, which
+        depends on the clock ``width`` (fixed between view changes, so
+        it rides in the slot key).  Clock cells beyond ``base_n``'s are
+        ``epoch_padding``; with ``base_n=None`` none are.  Only
+        ``dest_ids`` is taken from ``nbytes`` (the remainder), so for
+        every other row "components sum to ``nbytes``" checks the
+        booking against the price.
+        """
+        parts = [(c, getattr(model, f) * count) for c, f in self.fixed]
+        if self.records is not None:
+            c, f, _length_of = self.records
+            parts.append((c, getattr(model, f) * length))
+        if self.clock is not None:
+            f, power, _clock_of = self.clock
+            cell = getattr(model, f) * count
+            cells = width ** power
+            base = cells if base_n is None else min(cells, base_n ** power)
+            parts.append(("clock_entries", cell * base))
+            if cells > base:
+                parts.append(("epoch_padding", cell * (cells - base)))
+        if self.dests is not None:
+            parts.append(("dest_ids", nbytes - sum(b for _c, b in parts)))
+        return tuple(parts)
+
+
+def _fixed(envelope: str, *names: str) -> tuple[tuple[str, str], ...]:
+    """The fixed components: the type's envelope, then fields booked
+    under their own names."""
+    return (("envelope", envelope),) + tuple((name, name) for name in names)
+
+
+_LOG = attrgetter("log")
+
+
+def _flat_dests(log: tuple[PiggybackEntry, ...]) -> int:
+    total = 0
+    for e in log:  # a plain loop beats map(attrgetter) here
+        total += len(e.dests)
+    return total
+
+
+#: every message type's price; a type missing here is booked ``opaque``
+PRICE_TABLE: dict[type, PriceRow] = {
+    FetchMessage: PriceRow(
+        (("fm_base", "fm_size"),),
+        records=("fm_requirements", "fm_requirement",
+                 attrgetter("requirements"))),
+    FullTrackSM: PriceRow(
+        _fixed("envelope_full_track", "var_id", "value"),
+        clock=("matrix_entry", 2, attrgetter("matrix"))),
+    FullTrackRM: PriceRow(
+        _fixed("envelope_full_track", "value"),
+        clock=("matrix_entry", 2, attrgetter("matrix"))),
+    OptTrackSM: PriceRow(
+        _fixed("envelope_opt_track", "var_id", "value", "site_id", "clock"),
+        records=("log_records", "log_entry_overhead", _LOG),
+        dests=("dest_id", PiggybackView.dest_total)),
+    OptTrackRM: PriceRow(
+        _fixed("envelope_opt_track", "value", "site_id", "clock"),
+        records=("log_records", "log_entry_overhead", _LOG),
+        dests=("dest_id", _flat_dests)),
+    CRPSM: PriceRow(
+        _fixed("envelope_crp", "var_id", "value", "site_id", "clock"),
+        records=("tuple_entries", "tuple_entry", _LOG)),
+    OptPSM: PriceRow(
+        _fixed("envelope_optp", "var_id", "value"),
+        clock=("vector_entry", 1, attrgetter("vector"))),
 }
 
 
 def accounting_shape(
     message: object,
-) -> tuple[Optional[Callable[[object], Sized]], int]:
-    """``(length_of, clock_width)`` for ``message``'s type.
+) -> tuple[Optional[Callable[[Any], Sized]], int]:
+    """``(length_of, clock_width)`` for ``message``'s type, from its row.
 
     ``length_of`` reads the field whose ``len()`` a sender sums next to
     the message count and the priced bytes (``None``: the type has no
@@ -231,6 +340,8 @@ def accounting_shape(
     list — a protocol added later — is accounted by count and priced
     bytes alone.
     """
-    length_of, clock_of = _SHAPE.get(type(message), (None, None))
-    return (length_of,
-            clock_of(message).n if clock_of is not None else 0)  # type: ignore[attr-defined]
+    row = PRICE_TABLE.get(type(message))
+    if row is None:
+        return None, 0
+    return (row.records[2] if row.records is not None else None,
+            row.clock[2](message).n if row.clock is not None else 0)

@@ -3,7 +3,12 @@
 The paper reports message *meta-data space overhead* in bytes/KB as
 serialized by JDK-8 object streams over TCP.  We cannot reproduce Java
 serialization byte-for-byte, so sizes are computed from the logical
-content of each message through an explicit, documented model:
+content of each message through an explicit, documented model.  This
+module holds only the model's named byte costs; the formulas that
+combine them live once, in the price table of
+:mod:`repro.core.messages` (``PRICE_TABLE``, one row per message type),
+which the senders, the metadata ledger, the analytic model and the
+calibration all read:
 
 * fixed-width fields (site ids, clocks, variable ids, values) have named
   byte costs;
@@ -19,15 +24,15 @@ The scaling *shapes* — quadratic vs linear vs O(d) — are produced by the
 actual data structures the protocols maintain, not by the calibration;
 see EXPERIMENTS.md for the paper-vs-measured comparison.
 
-All methods return sizes in bytes.  Table values in the paper quoted in
-KB use 1 KB = 1000 bytes (their byte-level Table III and KB-level
-Table II are consistent under that convention).
+All costs are in bytes.  Table values in the paper quoted in KB use
+1 KB = 1000 bytes (their byte-level Table III and KB-level Table II are
+consistent under that convention).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Any, Callable, ClassVar
 
 __all__ = ["SizeModel", "DEFAULT_SIZE_MODEL", "KILOBYTE"]
 
@@ -68,81 +73,21 @@ class SizeModel:
     #: along, so FM stays near-constant in practice
     fm_requirement: int = 12
 
+    #: not a field: each instance's memo of the price rows
+    #: (``repro.core.messages.PRICE_TABLE``) resolved against it, keyed
+    #: by the message class, so a send reads its row's fields once per
+    #: model, not per call
+    resolved: ClassVar[dict[type, Callable[[Any], int]]]
+
     def __post_init__(self) -> None:
-        for name in (
-            "site_id", "var_id", "value", "clock", "matrix_entry",
-            "vector_entry", "tuple_entry", "log_entry_overhead", "dest_id",
-            "envelope_full_track", "envelope_opt_track", "envelope_crp",
-            "envelope_optp", "fm_size", "fm_requirement",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"size constant {name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"size constant {f.name} must be non-negative")
+        object.__setattr__(self, "resolved", {})
 
-    # ------------------------------------------------------------------
-    # causality metadata structures
-    # ------------------------------------------------------------------
-    def matrix_clock(self, n: int) -> int:
-        """Bytes for an n x n Write matrix."""
-        return self.matrix_entry * n * n
-
-    def vector_clock(self, n: int) -> int:
-        """Bytes for a size-n Write vector (optP)."""
-        return self.vector_entry * n
-
-    def opt_track_log(self, dest_counts: Iterable[int]) -> int:
-        """Bytes for an Opt-Track log: one count per entry = |Dests|."""
-        total = 0
-        for d in dest_counts:
-            if d < 0:
-                raise ValueError("destination count cannot be negative")
-            total += self.log_entry_overhead + self.dest_id * d
-        return total
-
-    def opt_track_log_shape(self, n_entries: int, total_dests: int) -> int:
-        """Equivalent of :meth:`opt_track_log` from aggregate shape numbers
-        (hot path: message sizing happens once per sent message)."""
-        if n_entries < 0 or total_dests < 0:
-            raise ValueError("log shape cannot be negative")
-        return self.log_entry_overhead * n_entries + self.dest_id * total_dests
-
-    def tuple_log(self, n_entries: int) -> int:
-        """Bytes for an Opt-Track-CRP log of (site, clock) 2-tuples."""
-        if n_entries < 0:
-            raise ValueError("entry count cannot be negative")
-        return self.tuple_entry * n_entries
-
-    # ------------------------------------------------------------------
-    # whole messages — partial replication protocols
-    # ------------------------------------------------------------------
-    def sm_full_track(self, n: int) -> int:
-        """SM(x_h, v, Write) in Full-Track."""
-        return self.envelope_full_track + self.var_id + self.value + self.matrix_clock(n)
-
-    def rm_full_track(self, n: int) -> int:
-        """RM(v, LastWriteOn<h>) in Full-Track: the stored Write matrix rides along."""
-        return self.envelope_full_track + self.value + self.matrix_clock(n)
-
-    def fm(self) -> int:
-        """FM(x_h): the constant-size fetch request (same in all protocols)."""
-        return self.fm_size
-
-    # ------------------------------------------------------------------
-    # whole messages — full replication protocols
-    # ------------------------------------------------------------------
-    def sm_opt_track_crp(self, n_log_entries: int) -> int:
-        """SM(x_h, v, site, clock, LOG) in Opt-Track-CRP."""
-        return (
-            self.envelope_crp
-            + self.var_id
-            + self.value
-            + self.site_id
-            + self.clock
-            + self.tuple_log(n_log_entries)
-        )
-
-    def sm_optp(self, n: int) -> int:
-        """SM(x_h, v, site, Write) in optP (Baldoni et al.)."""
-        return self.envelope_optp + self.var_id + self.value + self.vector_clock(n)
+    def __reduce__(self) -> tuple:
+        # a copy starts with an empty memo (it may hold closures)
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     # ------------------------------------------------------------------
     @staticmethod

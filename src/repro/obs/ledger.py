@@ -7,8 +7,10 @@ of the :class:`~repro.metrics.collector.MetricsCollector`
 kind, site, message type and clock width — see
 :meth:`~repro.core.base.CausalProtocol._send`).  The collector's own
 tallies sum those slots into the paper's numbers; the ledger reads the
-*same* slots and splits the same bytes into the *components* the size
-model prices:
+*same* slots and splits the same bytes into the *components* named by
+the message type's row of the price table
+(:data:`repro.core.messages.PRICE_TABLE`) — the very rows
+``metadata_size`` prices with:
 
 ========================  =====================================================
 component                 meaning
@@ -26,7 +28,7 @@ component                 meaning
 ``tuple_entries``         Opt-Track-CRP (site, clock) 2-tuples
 ``fm_base``               the constant fetch-request body
 ``fm_requirements``       (writer, threshold) gating pairs on a fetch
-``opaque``                any message type the ledger has no decomposer for
+``opaque``                any message type the price table does not list
 ========================  =====================================================
 
 Every decomposition is linear in a slot's three sums, so it is computed
@@ -36,129 +38,35 @@ message, and a ledger can be put over any collector: a simulator run's
 Cells are keyed by protocol x message kind x site, in the collector's two
 windows: ``lifetime`` (every send) and ``measured`` (after the warm-up
 gate opened).  With one writer, "ledger total == collector total" holds
-by construction; what :meth:`MetadataLedger.crosscheck` still checks is
-that each slot's components **sum exactly** to the bytes
-``message.metadata_size(model)`` priced at send time.
+by construction, and formula and split come from one row; what
+:meth:`MetadataLedger.crosscheck` still checks is that each slot's
+components **sum exactly** to the bytes ``message.metadata_size(model)``
+priced at send time — i.e. it catches slot-booking faults, a slot whose
+count, summed length or clock width does not explain its bytes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from ..core.messages import (
-    CRPSM,
-    FetchMessage,
-    FullTrackRM,
-    FullTrackSM,
-    OptPSM,
-    OptTrackRM,
-    OptTrackSM,
-    accounting_shape,
-)
+from ..core.messages import PRICE_TABLE, Breakdown, accounting_shape
 from ..metrics.collector import MessageKind, MetricsCollector
 from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
-__all__ = ["MetadataLedger", "LedgerCell", "decompose_message", "COMPONENTS"]
-
-#: every component name the decomposers can emit (documentation + tests)
-COMPONENTS = (
-    "envelope",
-    "var_id",
-    "value",
-    "site_id",
-    "clock",
-    "clock_entries",
-    "epoch_padding",
-    "log_records",
-    "dest_ids",
-    "tuple_entries",
-    "fm_base",
-    "fm_requirements",
-    "opaque",
-)
-
-Breakdown = tuple[tuple[str, int], ...]
-
-
-def _split_growth(label: str, per_cell_bytes: int, cells: int,
-                  base_cells: int, mult: int = 1) -> Breakdown:
-    """Split ``mult`` clock structures into base cells vs growth."""
-    if cells <= base_cells:
-        return ((label, per_cell_bytes * cells * mult),)
-    return (
-        (label, per_cell_bytes * base_cells * mult),
-        ("epoch_padding", per_cell_bytes * (cells - base_cells) * mult),
-    )
+__all__ = ["MetadataLedger", "LedgerCell", "decompose_message"]
 
 
 def _sum_breakdown(t: Optional[type], n: int, count: int, length: int,
-                   nbytes: int, model: SizeModel, base_n: int) -> Breakdown:
-    """Component bytes for ``count`` messages of type ``t`` at once.
-
-    Every decomposition is *linear* in a slot's three sums — message
-    count, summed log/requirement ``length``, and priced ``nbytes`` —
-    except the clock split, which depends on the clock dimension ``n``
-    (constant between view changes, so it rides in the slot key
-    instead).  Mirrors ``core/messages.py`` ``metadata_size`` formulas
-    exactly; only the Opt-Track ``dest_ids`` and ``opaque`` are taken
-    from ``nbytes``, so for every other type "components sum to
-    ``nbytes``" checks the formulas against what was priced.
-    """
-    if t is OptTrackSM or t is OptTrackRM:
-        # the per-destination ids are the remainder after the fixed
-        # fields and per-record overhead — dest_id * total_dests by the
-        # metadata_size formula, without ever walking a piggybacked log
-        fixed = (model.envelope_opt_track + model.value
-                 + model.site_id + model.clock)
-        parts: Breakdown = (
-            ("envelope", model.envelope_opt_track * count),
-            ("value", model.value * count),
-            ("site_id", model.site_id * count),
-            ("clock", model.clock * count),
-        )
-        if t is OptTrackSM:
-            fixed += model.var_id
-            parts += (("var_id", model.var_id * count),)
-        log_bytes = model.log_entry_overhead * length
-        return parts + (
-            ("log_records", log_bytes),
-            ("dest_ids", nbytes - fixed * count - log_bytes),
-        )
-    if t is FullTrackSM:
-        return (
-            ("envelope", model.envelope_full_track * count),
-            ("var_id", model.var_id * count),
-            ("value", model.value * count),
-        ) + _split_growth("clock_entries", model.matrix_entry, n * n,
-                          base_n * base_n, count)
-    if t is FullTrackRM:
-        return (
-            ("envelope", model.envelope_full_track * count),
-            ("value", model.value * count),
-        ) + _split_growth("clock_entries", model.matrix_entry, n * n,
-                          base_n * base_n, count)
-    if t is OptPSM:
-        return (
-            ("envelope", model.envelope_optp * count),
-            ("var_id", model.var_id * count),
-            ("value", model.value * count),
-        ) + _split_growth("clock_entries", model.vector_entry, n,
-                          base_n, count)
-    if t is CRPSM:
-        return (
-            ("envelope", model.envelope_crp * count),
-            ("var_id", model.var_id * count),
-            ("value", model.value * count),
-            ("site_id", model.site_id * count),
-            ("clock", model.clock * count),
-            ("tuple_entries", model.tuple_entry * length),
-        )
-    if t is FetchMessage:
-        return (
-            ("fm_base", model.fm_size * count),
-            ("fm_requirements", model.fm_requirement * length),
-        )
-    return (("opaque", nbytes),)
+                   nbytes: int, model: SizeModel,
+                   base_n: Optional[int]) -> Breakdown:
+    """Component bytes for ``count`` messages of type ``t`` at once: its
+    :data:`~repro.core.messages.PRICE_TABLE` row's split (see
+    :meth:`~repro.core.messages.PriceRow.breakdown`), or one ``opaque``
+    component for a type the table does not list."""
+    row = PRICE_TABLE.get(t)  # type: ignore[arg-type]
+    if row is None:
+        return (("opaque", nbytes),)
+    return row.breakdown(model, count, length, nbytes, n, base_n)
 
 
 def decompose_message(message: object, model: SizeModel,
@@ -179,7 +87,7 @@ def decompose_message(message: object, model: SizeModel,
         type(message), width, 1,
         len(length_of(message)) if length_of is not None else 0,
         message.metadata_size(model),  # type: ignore[attr-defined]
-        model, base_n or 0)
+        model, base_n)
 
 
 class LedgerCell:
@@ -239,7 +147,6 @@ class MetadataLedger:
                ) -> Iterator[tuple[CellKey, int, int, Breakdown]]:
         """``(cell key, count, priced bytes, components)`` per collector
         slot booked in ``window``."""
-        base_n = self.base_n or 0
         for kind in MessageKind:
             for key, (count, nbytes, length) in self.collector.message_slots(
                     kind, measured=window == "measured"):
@@ -249,7 +156,7 @@ class MetadataLedger:
                 proto, site, t, width = key if key is not None else ("-", -1, None, 0)
                 yield ((proto, kind.value, site), count, nbytes,
                        _sum_breakdown(t, width, count, length, nbytes,
-                                      self.model, base_n))
+                                      self.model, self.base_n))
 
     def _window(self, window: str) -> dict[CellKey, LedgerCell]:
         if window not in _WINDOWS:
@@ -339,7 +246,7 @@ class MetadataLedger:
         """Check every slot's components against its priced bytes.
 
         Returns discrepancy messages (empty list = in both windows, the
-        bytes :func:`_sum_breakdown`'s formulas attribute to each slot's
+        bytes the price rows attribute to each slot's
         count and summed length are exactly the bytes ``metadata_size``
         priced when the messages were sent).
         """

@@ -16,6 +16,9 @@ from repro.analysis.tradeoff import (
     min_sites_for_write_rate,
     partial_beats_full,
 )
+from repro.core.clocks import MatrixClock
+from repro.core.messages import FullTrackSM
+from repro.memory.store import WriteId
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 
@@ -69,8 +72,9 @@ class TestSizeModels:
         per10 = s10 / full_track_total_size(10, 3, 100, 100).sm_count
         per20 = s20 / full_track_total_size(20, 6, 100, 100).sm_count
         m = DEFAULT_SIZE_MODEL
-        assert per10 == m.sm_full_track(10)
-        assert per20 == m.sm_full_track(20)
+        for n, per in ((10, per10), (20, per20)):
+            sm = FullTrackSM(0, 1, WriteId(0, 1), MatrixClock(n))
+            assert per == sm.metadata_size(m)
         assert (per20 - m.envelope_full_track - m.var_id - m.value) == pytest.approx(
             4 * (per10 - m.envelope_full_track - m.var_id - m.value)
         )

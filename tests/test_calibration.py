@@ -11,6 +11,9 @@ from repro.analysis.calibration import (
     fit_optp_envelope,
     verify_default_calibration,
 )
+from repro.core.clocks import MatrixClock, VectorClock
+from repro.core.messages import FullTrackSM, OptPSM
+from repro.memory.store import WriteId
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 
@@ -61,13 +64,16 @@ class TestPaperFits:
         # Full-Track envelope rounded to anchor the n=5 cell)
         opt = fit_optp_envelope()
         m = DEFAULT_SIZE_MODEL
-        assert m.sm_optp(5) == pytest.approx(opt.predict(5))
-        assert m.sm_optp(40) == pytest.approx(opt.predict(40))
+        wid = WriteId(0, 1)
+        for n in (5, 40):
+            sm = OptPSM(0, 1, wid, VectorClock(n))
+            assert sm.metadata_size(m) == pytest.approx(opt.predict(n))
         ft = fit_full_track_envelope()
         # at large n the quadratic term dominates and the shipped model
         # agrees with the fit; at small n the model anchors the paper's
         # n=5 cell directly instead (see verify_default_calibration)
-        assert m.sm_full_track(40) == pytest.approx(ft.predict(1600), rel=0.08)
+        sm = FullTrackSM(0, 1, wid, MatrixClock(40))
+        assert sm.metadata_size(m) == pytest.approx(ft.predict(1600), rel=0.08)
 
 
 class TestCalibrationContract:

@@ -15,9 +15,11 @@ from repro.core.base import (
     protocol_names,
     register_protocol,
 )
+from repro.core.clocks import VectorClock
+from repro.core.messages import OptPSM
 from repro.core.opt_track import OptTrackNoPruneProtocol, OptTrackProtocol
 from repro.memory.replication import RoundRobinPlacement, full_replication
-from repro.memory.store import SiteStore
+from repro.memory.store import SiteStore, WriteId
 from repro.metrics.collector import MessageKind, MetricsCollector
 from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.sim.engine import Simulator
@@ -137,7 +139,8 @@ class TestDrainLoop:
         proto.write(0, "v")
         tally = ctx.collector.tally(MessageKind.SM)
         assert tally.count == 2
-        assert tally.mean_bytes == DEFAULT_SIZE_MODEL.sm_optp(3)
+        sm = OptPSM(0, "v", WriteId(0, 1), VectorClock(3))
+        assert tally.mean_bytes == sm.metadata_size(DEFAULT_SIZE_MODEL)
 
 
 class TestVisibilityMetric:

@@ -122,10 +122,14 @@ class TestPaperDrivers:
 
     def test_table3_optp_column_linear(self):
         rows = table3_rows(n_values=(5, 10), write_rates=(0.5,), **TINY)
+        from repro.core.clocks import VectorClock
+        from repro.core.messages import OptPSM
+        from repro.memory.store import WriteId
         from repro.metrics.sizing import DEFAULT_SIZE_MODEL as M
 
-        assert rows[0]["optp"] == M.sm_optp(5)
-        assert rows[1]["optp"] == M.sm_optp(10)
+        for row, n in zip(rows, (5, 10)):
+            sm = OptPSM(0, 1, WriteId(0, 1), VectorClock(n))
+            assert row["optp"] == sm.metadata_size(M)
 
     def test_table4_matches_eq2_direction(self):
         rows = table4_rows(n_values=(5, 10), write_rates=(0.2, 0.8),

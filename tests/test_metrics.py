@@ -1,14 +1,17 @@
 """Unit tests for the size model, statistics, and the metrics collector."""
 
 import math
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.core.clocks import MatrixClock, VectorClock
-from repro.core.log import PiggybackEntry
+from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import (
     CRPSM,
+    PRICE_TABLE,
     FetchMessage,
     FullTrackRM,
     FullTrackSM,
@@ -22,59 +25,130 @@ from repro.metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from repro.metrics.stats import RunningStat, percentile, summarize
 
 
+def optp_sm(n):
+    return OptPSM(0, 1, WriteId(0, 1), VectorClock(n))
+
+
+def full_track_sm(n):
+    return FullTrackSM(0, 1, WriteId(0, 1), MatrixClock(n))
+
+
+def opt_track_sm(dest_counts):
+    """An Opt-Track SM whose log records name ``dest_counts[i]`` sites."""
+    return OptTrackSM(0, 1, WriteId(0, 1), tuple(
+        PiggybackEntry(0, c + 1, frozenset(range(1, d + 1)))
+        for c, d in enumerate(dest_counts)))
+
+
 class TestSizeModel:
     def test_matrix_clock_quadratic(self):
         m = SizeModel()
-        assert m.matrix_clock(5) == 25 * m.matrix_entry
-        assert m.matrix_clock(40) == 1600 * m.matrix_entry
+        assert (full_track_sm(40).metadata_size(m)
+                - full_track_sm(5).metadata_size(m)) == (1600 - 25) * m.matrix_entry
+        c = SizeModel.compact()
+        assert full_track_sm(5).metadata_size(c) == (
+            c.var_id + c.value + 25 * c.matrix_entry)
 
     def test_vector_clock_linear(self):
-        m = SizeModel()
-        assert m.vector_clock(40) == 40 * m.vector_entry
+        m = SizeModel.compact()
+        assert optp_sm(40).metadata_size(m) == (
+            m.var_id + m.value + 40 * m.vector_entry)
 
     def test_calibration_full_track_sm_n5(self):
         # calibrated against the paper's Table II: ~518 bytes at n=5
-        assert abs(DEFAULT_SIZE_MODEL.sm_full_track(5) - 518) <= 10
+        assert abs(full_track_sm(5).metadata_size(DEFAULT_SIZE_MODEL) - 518) <= 10
 
     def test_calibration_optp_sm(self):
         # Table III: optP SM = 259 at n=5, 609 at n=40 (209 + 10 n)
         m = DEFAULT_SIZE_MODEL
-        assert m.sm_optp(5) == 259
-        assert m.sm_optp(40) == 609
+        assert optp_sm(5).metadata_size(m) == 259
+        assert optp_sm(40).metadata_size(m) == 609
 
     def test_opt_track_log_cost(self):
         m = SizeModel()
-        assert m.opt_track_log([2, 0, 1]) == 3 * m.log_entry_overhead + 3 * m.dest_id
+        assert (opt_track_sm([2, 0, 1]).metadata_size(m)
+                - opt_track_sm([]).metadata_size(m)) == (
+            3 * m.log_entry_overhead + 3 * m.dest_id)
 
     def test_shape_matches_per_entry(self):
+        # a delta-encoded piggyback view prices its destinations like the
+        # flat records it stands for, on an SM and on an RM
         m = SizeModel()
-        assert m.opt_track_log_shape(3, 3) == m.opt_track_log([2, 0, 1])
+        log = OptTrackLog()
+        log.insert(0, 1, {0, 1, 2})
+        log.insert(0, 2, {2})
+        log.insert(2, 1, {1})
+        log.insert(2, 3, {0})
+        views, _ = log.piggyback_views(frozenset({1, 2}))
+        view = views[1]
+        assert view.regain and view.extra
+        flat = tuple(view)
+        sm_view = OptTrackSM(0, 1, WriteId(0, 1), view)
+        sm_flat = OptTrackSM(0, 1, WriteId(0, 1), flat)
+        rm_flat = OptTrackRM(0, 1, None, flat, 0)
+        dests = sum(len(e.dests) for e in flat)
+        assert sm_view.metadata_size(m) == sm_flat.metadata_size(m) == (
+            opt_track_sm([]).metadata_size(m)
+            + len(flat) * m.log_entry_overhead + dests * m.dest_id)
+        assert sm_flat.metadata_size(m) - rm_flat.metadata_size(m) == m.var_id
 
     def test_tuple_log(self):
         m = SizeModel()
-        assert m.tuple_log(4) == 4 * m.tuple_entry
+        empty = CRPSM(0, 1, WriteId(0, 1), ())
+        four = CRPSM(0, 1, WriteId(0, 1), tuple((j, 1) for j in range(4)))
+        assert four.metadata_size(m) - empty.metadata_size(m) == 4 * m.tuple_entry
 
     def test_negative_rejected(self):
-        m = SizeModel()
-        with pytest.raises(ValueError):
-            m.opt_track_log([-1])
-        with pytest.raises(ValueError):
-            m.tuple_log(-2)
-        with pytest.raises(ValueError):
-            m.opt_track_log_shape(-1, 0)
         with pytest.raises(ValueError):
             SizeModel(clock=-1)
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(SizeModel)])
+    def test_negative_override_of_each_field_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SizeModel(**{name: -1})
+
+    def test_every_field_is_read_by_a_price_row(self):
+        # one byte more on any constant moves some message's price: no
+        # constant outlives its formula
+        wid = WriteId(0, 1)
+        entry = (PiggybackEntry(0, 1, frozenset({1})),)
+        messages = [
+            FetchMessage(0, 1, 0, requirements=((2, 5),)),
+            full_track_sm(3),
+            FullTrackRM(0, 1, wid, MatrixClock(3), 0),
+            OptTrackSM(0, 1, wid, entry),
+            OptTrackRM(0, 1, wid, entry, 0),
+            CRPSM(0, 1, wid, ((0, 1),)),
+            optp_sm(3),
+        ]
+        assert {type(m) for m in messages} == set(PRICE_TABLE)
+        base = SizeModel()
+        prices = [m.metadata_size(base) for m in messages]
+        for f in fields(SizeModel):
+            bumped = SizeModel(**{f.name: getattr(base, f.name) + 1})
+            assert [m.metadata_size(bumped) for m in messages] != prices, f.name
+
+    def test_rows_resolve_once_per_model(self):
+        m = SizeModel()
+        sm = optp_sm(5)
+        assert sm.metadata_size(m) == sm.metadata_size(m)
+        assert list(m.resolved) == [OptPSM]
+        assert SizeModel().resolved == {}
+        # a copy prices from its own, fresh memo
+        clone = pickle.loads(pickle.dumps(m))
+        assert clone == m and clone.resolved == {}
+        assert sm.metadata_size(clone) == sm.metadata_size(m)
+
     def test_compact_model_is_headerless(self):
         m = SizeModel.compact()
-        assert m.fm() == 0
-        assert m.sm_optp(5) == m.var_id + m.value + 5 * m.vector_entry
+        assert FetchMessage(0, 1, 0).metadata_size(m) == 0
+        assert optp_sm(5).metadata_size(m) == m.var_id + m.value + 5 * m.vector_entry
 
     def test_fm_base_is_the_papers_constant(self):
         # "the size of FM is a constant byte count c" — the base; the
         # soundness fix adds 12 B per piggybacked requirement pair
         m = DEFAULT_SIZE_MODEL
-        assert m.fm() == m.fm_size
+        assert FetchMessage(0, 1, 0).metadata_size(m) == m.fm_size
         assert m.fm_requirement == 12
 
 
@@ -83,8 +157,10 @@ class TestMessageSizes:
         m = DEFAULT_SIZE_MODEL
         sm = FullTrackSM(0, 1, WriteId(0, 1), MatrixClock(10))
         rm = FullTrackRM(0, 1, WriteId(0, 1), MatrixClock(10), 0)
-        assert sm.metadata_size(m) == m.sm_full_track(10)
-        assert rm.metadata_size(m) == m.rm_full_track(10)
+        assert sm.metadata_size(m) == (
+            m.envelope_full_track + m.var_id + m.value + 100 * m.matrix_entry)
+        assert rm.metadata_size(m) == (
+            m.envelope_full_track + m.value + 100 * m.matrix_entry)
         assert sm.metadata_size(m) - rm.metadata_size(m) == m.var_id
 
     def test_opt_track_sm_grows_with_log(self):
@@ -112,9 +188,9 @@ class TestMessageSizes:
 
     def test_fetch_size(self):
         m = DEFAULT_SIZE_MODEL
-        assert FetchMessage(0, 1, 0).metadata_size(m) == m.fm()
+        assert FetchMessage(0, 1, 0).metadata_size(m) == m.fm_size
         with_reqs = FetchMessage(0, 1, 0, requirements=((2, 5), (3, 1)))
-        assert with_reqs.metadata_size(m) == m.fm() + 2 * m.fm_requirement
+        assert with_reqs.metadata_size(m) == m.fm_size + 2 * m.fm_requirement
 
     def test_rm_log_includes_write_own_entry_cost(self):
         m = DEFAULT_SIZE_MODEL

@@ -19,6 +19,8 @@ import random
 import pytest
 
 from repro.cli import main as cli_main
+from repro.cluster import CausalCluster
+from repro.core.base import protocol_names
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import PiggybackEntry
 from repro.core.messages import (
@@ -50,7 +52,8 @@ from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.loopback import LoopbackCluster
 from repro.service.bootstrap import default_topology
 
-ALL_PROTOCOLS = ("full-track", "opt-track", "opt-track-crp", "optp")
+#: every registered protocol, so one added later reaches the ledger tests
+ALL_PROTOCOLS = tuple(protocol_names())
 #: where a ledger's collector comes from: a simulator run of the named
 #: protocol, or the nodes of a loopback service cluster running it
 LEDGER_SOURCES = ALL_PROTOCOLS + tuple(f"loopback-{p}" for p in ALL_PROTOCOLS)
@@ -212,6 +215,39 @@ class TestDecomposeMessage:
         parts = dict(decompose_message(grown, model, base_n=4))
         assert parts["epoch_padding"] == (36 - 16) * model.matrix_entry
         assert sum(parts.values()) == grown.metadata_size(model)
+
+    def test_without_base_n_no_clock_byte_is_padding(self):
+        model = SizeModel()
+        wid = WriteId(site=0, clock=1)
+        for message, clock_bytes in (
+                (FullTrackSM(var=0, value=1, write_id=wid,
+                             matrix=MatrixClock(5)), 25 * model.matrix_entry),
+                (OptPSM(var=0, value=1, write_id=wid,
+                        vector=VectorClock(5)), 5 * model.vector_entry)):
+            parts = dict(decompose_message(message, model))
+            assert parts["clock_entries"] == clock_bytes
+            assert "epoch_padding" not in parts
+
+    def test_interactive_cluster_ledger_has_no_padding(self):
+        # the ledger an interactive user builds, as docs/observability.md
+        # says to: over the cluster's collector, no base_n
+        cluster = CausalCluster(4, protocol="full-track", n_vars=8,
+                                replication_factor=2, seed=3)
+        for k in range(8):
+            cluster.write(k % 4, k, k)
+            cluster.read((k + 2) % 4, k)  # not a replica: an FM and an RM
+        cluster.settle()
+        ledger = MetadataLedger(cluster.collector)
+        assert ledger.crosscheck() == []
+        parts = {}
+        for cell in ledger.lifetime.values():
+            for name, b in cell.components.items():
+                parts[name] = parts.get(name, 0) + b
+        assert "epoch_padding" not in parts
+        sm = ledger.total_count("SM", "lifetime")
+        rm = ledger.total_count("RM", "lifetime")
+        assert sm and rm
+        assert parts["clock_entries"] == (sm + rm) * 16 * SizeModel().matrix_entry
 
 
 # ----------------------------------------------------------------------
