@@ -931,10 +931,10 @@ def _print_crash_stats(result) -> int:
     detector = result.crash_manager.detector
     print(f"crash-recovery: {col.crashes} crashes, "
           f"{col.checkpoints_taken} checkpoints, "
-          f"mean downtime {col.downtime.mean if col.downtime.count else 0.0:.0f} ms, "
-          f"mean detection {col.detection_latency.mean if col.detection_latency.count else 0.0:.0f} ms, "
-          f"mean catch-up {col.catchup_latency.mean if col.catchup_latency.count else 0.0:.0f} ms")
-    print(f"  wal: mean {col.wal_replays.mean if col.wal_replays.count else 0.0:.0f} records replayed/restore; "
+          f"mean downtime {col.downtime.mean:.0f} ms, "
+          f"mean detection {col.detection_latency.mean:.0f} ms, "
+          f"mean catch-up {col.catchup_latency.mean:.0f} ms")
+    print(f"  wal: mean {col.wal_replays.mean:.0f} records replayed/restore; "
           f"detector: {detector.heartbeats_sent if detector else 0} heartbeats, "
           f"{col.false_suspicions} false suspicions; "
           f"{col.sync_messages} sync msgs; "

@@ -112,33 +112,26 @@ class SiteDisk:
         self.checkpoint: Optional[dict] = None
         self.checkpoint_time: float = 0.0
         self.wal: list[WalRecord] = []
-        # lifetime counters (survive checkpoint truncation)
-        self.checkpoints_taken = 0
-        self.wal_appends = 0
 
     # -- logging (hot path; called only when a disk is installed) --
     def log_recv(self, src: int, message: object) -> None:
         self.wal.append(WalRecord("recv", src=src, message=message))
-        self.wal_appends += 1
 
     def log_write(self, var: int, value: object) -> None:
         self.wal.append(WalRecord("write", var=var, value=value))
-        self.wal_appends += 1
 
     def log_read(self, var: int) -> None:
         self.wal.append(WalRecord("read", var=var))
-        self.wal_appends += 1
 
     # ------------------------------------------------------------------
     def install_checkpoint(self, state: dict, now: float) -> None:
         self.checkpoint = state
         self.checkpoint_time = now
         self.wal.clear()
-        self.checkpoints_taken += 1
 
     def __repr__(self) -> str:
         return (
-            f"<SiteDisk site={self.site} checkpoints={self.checkpoints_taken} "
+            f"<SiteDisk site={self.site} checkpoint_time={self.checkpoint_time} "
             f"wal={len(self.wal)}>"
         )
 

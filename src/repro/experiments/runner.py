@@ -279,7 +279,6 @@ def build_system(
 
         network = SanitizedNetwork(network)  # type: ignore[assignment]
     if tracer is not None:
-        sim.observer = tracer.on_sim_event
         tracer.meta.setdefault("protocol", config.protocol)
         tracer.meta.setdefault("n_sites", config.n_sites)
         tracer.meta.setdefault("seed", config.seed)
@@ -502,18 +501,7 @@ def run_simulation(
     if heartbeat is not None:
         if heartbeat.registry is None:
             heartbeat.registry = registry
-        if sim.observer is None:
-            sim.observer = heartbeat.on_sim_event
-        else:
-            # compose: tracer sampling first, then the heartbeat
-            tracer_observer = sim.observer
-            hb_observer = heartbeat.on_sim_event
-
-            def _observe(ts: float, pending: int) -> None:
-                tracer_observer(ts, pending)
-                hb_observer(ts, pending)
-
-            sim.observer = _observe
+        sim.observer = heartbeat.on_sim_event
         heartbeat.bind(network=system.network, protocols=protocols)
 
     # Warm-up gate: open the measurement window once the first

@@ -203,7 +203,7 @@ class MetricsCollector:
             for kind, slots in self._slots.items()
         }
 
-    def message_slot(self, kind: MessageKind, key: Hashable = None) -> list[int]:
+    def message_slot(self, kind: MessageKind, key: Hashable) -> list[int]:
         """The ``[count, priced bytes, summed length]`` accumulator for
         ``kind`` messages under ``key``, created on first use.
 
@@ -230,16 +230,6 @@ class MetricsCollector:
                 mark = marks.get(key)
                 yield key, (slot if mark is None
                             else [now - then for now, then in zip(slot, mark)])
-
-    def record_message(self, kind: MessageKind, size_bytes: int) -> None:
-        """Account one sent message of ``kind`` with metadata
-        ``size_bytes`` (the call-per-message entry to the slot store, for
-        senders that do not hold a slot)."""
-        if size_bytes < 0:
-            raise ValueError("message size cannot be negative")
-        slot = self.message_slot(kind)
-        slot[0] += 1
-        slot[1] += size_bytes
 
     def record_operation(self, is_write: bool, *, remote: bool = False) -> None:
         """Account one application operation (write, or read w/ locality)."""
@@ -442,7 +432,7 @@ class MetricsCollector:
             "measured_ops_read": self.measured_ops_read,
             "total_message_count": self.total_message_count,
             "total_metadata_bytes": self.total_metadata_bytes,
-            "mean_log_size": self.log_sizes.mean if self.log_sizes.count else 0.0,
+            "mean_log_size": self.log_sizes.mean,
             "max_log_size": self.log_sizes.maximum if self.log_sizes.count else 0.0,
             "mean_dest_list_size": (
                 self.dest_list_total / self.dest_lists if self.dest_lists else 0.0
@@ -450,16 +440,12 @@ class MetricsCollector:
             "max_dest_list_size": (
                 self.dest_list_max if self.dest_lists else 0.0
             ),
-            "mean_activation_delay_ms": (
-                self.activation_delays.mean if self.activation_delays.count else 0.0
-            ),
+            "mean_activation_delay_ms": self.activation_delays.mean,
             "p95_activation_delay_ms": self.activation_delays.p95,
             "p99_activation_delay_ms": self.activation_delays.p99,
-            "mean_fetch_rtt_ms": self.fetch_rtts.mean if self.fetch_rtts.count else 0.0,
+            "mean_fetch_rtt_ms": self.fetch_rtts.mean,
             "p95_fetch_rtt_ms": self.fetch_rtts.p95,
-            "mean_visibility_ms": (
-                self.visibility_lags.mean if self.visibility_lags.count else 0.0
-            ),
+            "mean_visibility_ms": self.visibility_lags.mean,
             "p50_visibility_ms": self.visibility_lags.p50,
             "p95_visibility_ms": self.visibility_lags.p95,
             "p99_visibility_ms": self.visibility_lags.p99,
@@ -480,9 +466,7 @@ class MetricsCollector:
             "ack_bytes": self.ack_bytes,
             "injected_drops": self.injected_drops,
             "injected_dups": self.injected_dups,
-            "mean_recovery_ms": (
-                self.recovery_latency.mean if self.recovery_latency.count else 0.0
-            ),
+            "mean_recovery_ms": self.recovery_latency.mean,
             "max_recovery_ms": (
                 self.recovery_latency.maximum if self.recovery_latency.count else 0.0
             ),
@@ -498,22 +482,12 @@ class MetricsCollector:
             "stale_rms": self.stale_rms,
             "forced_catchups": self.forced_catchups,
             "lost_ops": self.lost_ops,
-            "mean_detection_ms": (
-                self.detection_latency.mean if self.detection_latency.count else 0.0
-            ),
-            "mean_downtime_ms": self.downtime.mean if self.downtime.count else 0.0,
-            "mean_wal_replayed": (
-                self.wal_replays.mean if self.wal_replays.count else 0.0
-            ),
-            "mean_checkpoint_age_ms": (
-                self.checkpoint_age.mean if self.checkpoint_age.count else 0.0
-            ),
-            "mean_catchup_ms": (
-                self.catchup_latency.mean if self.catchup_latency.count else 0.0
-            ),
-            "mean_catchup_rounds": (
-                self.catchup_rounds.mean if self.catchup_rounds.count else 0.0
-            ),
+            "mean_detection_ms": self.detection_latency.mean,
+            "mean_downtime_ms": self.downtime.mean,
+            "mean_wal_replayed": self.wal_replays.mean,
+            "mean_checkpoint_age_ms": self.checkpoint_age.mean,
+            "mean_catchup_ms": self.catchup_latency.mean,
+            "mean_catchup_rounds": self.catchup_rounds.mean,
         }
         for kind, tally in self.tallies.items():
             out[f"{kind.value}_count"] = tally.count

@@ -1,11 +1,9 @@
-"""Observability: causal tracing, time-series telemetry, trace analysis.
+"""Observability: causal tracing, metrics, trace analysis.
 
 The subsystem has four parts (see ``docs/observability.md``):
 
 * :class:`Tracer` — structured, causally-linked span events for every
   operation, message hop, and buffered-update activation;
-* :class:`TimeSeries` — simulated-clock bucketed samplers for dynamic
-  quantities (in-flight messages, log sizes, visibility lag, ...);
 * sinks — in-memory, JSONL (:func:`write_jsonl` / :func:`load_trace`),
   and Chrome ``trace_event`` JSON (:func:`write_chrome`) loadable in
   Perfetto with one track per site;
@@ -44,14 +42,12 @@ from .export import (
 from .ledger import MetadataLedger, decompose_message
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .sinks import load_trace, to_chrome, write_chrome, write_jsonl
-from .timeseries import TimeSeries
 from .tracer import Trace, TraceEvent, Tracer
 
 __all__ = [
     "Tracer",
     "Trace",
     "TraceEvent",
-    "TimeSeries",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -291,30 +291,26 @@ def ledger_table(ledger: MetadataLedger, *, window: str = "measured") -> str:
 class HeartbeatReporter:
     """Periodic progress lines for a live run.
 
-    Installed as (part of) ``Simulator.observer``; emits every
-    ``every_ms`` simulated milliseconds *or* every ``every_events``
-    events, whichever fires first.  Lines carry simulated-time
-    throughput, queue depth, app messages in flight, and the deepest
-    per-site activation backlog — enough to see a stuck or lagging run
-    at a glance.  Output goes to ``stream`` (default ``sys.stderr``), so
+    Installed as ``Simulator.observer``; emits every ``every_ms``
+    simulated milliseconds.  Lines carry simulated-time throughput,
+    queue depth, app messages in flight, and the deepest per-site
+    activation backlog — enough to see a stuck or lagging run at a
+    glance.  Output goes to ``stream`` (default ``sys.stderr``), so
     stdout stays machine-readable.
     """
 
     def __init__(self, *, every_ms: float = 1000.0,
-                 every_events: Optional[int] = None,
                  stream: Optional[IO[str]] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if every_ms <= 0:
             raise ValueError("every_ms must be positive")
         self.every_ms = every_ms
-        self.every_events = every_events
         self.stream = stream if stream is not None else sys.stderr
         self.registry = registry
         self.network = None  # bound by the runner when available
         self.protocols: Sequence = ()
         self._events = 0
         self._next_ms = every_ms
-        self._next_events = every_events
         self.beats = 0
 
     def bind(self, *, network=None, protocols=None) -> None:
@@ -327,14 +323,10 @@ class HeartbeatReporter:
     # observer-compatible: called per event with (time, pending)
     def on_sim_event(self, ts: float, pending: int) -> None:
         self._events += 1
-        if ts >= self._next_ms or (
-                self._next_events is not None
-                and self._events >= self._next_events):
+        if ts >= self._next_ms:
             self._emit(ts, pending)
             while self._next_ms <= ts:
                 self._next_ms += self.every_ms
-            if self.every_events is not None:
-                self._next_events = self._events + self.every_events
 
     def _emit(self, ts: float, pending: int) -> None:
         self.beats += 1

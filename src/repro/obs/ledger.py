@@ -152,8 +152,7 @@ class MetadataLedger:
                     kind, measured=window == "measured"):
                 if not count:
                     continue  # nothing booked inside the window
-                # record_message() callers hold no slot and give no key
-                proto, site, t, width = key if key is not None else ("-", -1, None, 0)
+                proto, site, t, width = key
                 yield ((proto, kind.value, site), count, nbytes,
                        _sum_breakdown(t, width, count, length, nbytes,
                                       self.model, self.base_n))

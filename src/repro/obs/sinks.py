@@ -6,12 +6,13 @@ Three ways to consume a trace:
   :class:`~repro.obs.tracer.Trace` from ``to_trace()``) is itself the
   in-memory sink; the analysis helpers operate on it directly;
 * **JSONL** — :func:`write_jsonl` / :func:`load_trace` round-trip the
-  full structured trace (meta line, one event per line, time-series
-  trailer).  Output is byte-deterministic: same seed, same file;
+  full structured trace (meta line, then one event per line).  Output
+  is byte-deterministic: same seed, same file;
 * **Chrome trace_event JSON** — :func:`write_chrome` emits the subset
   Perfetto / ``chrome://tracing`` renders: one track (tid) per site,
   operation and buffered-update slices, message-flow arrows from sender
-  to receiver, instants for drops and retransmits.
+  to receiver, instants for drops and retransmits, and an ``in_flight``
+  counter track computed from the send and deliver events.
 
 Format reference: the Trace Event Format is stable and documented by
 the Chromium project; timestamps are microseconds, so simulated
@@ -22,14 +23,18 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
-from .timeseries import TimeSeries
+from ..metrics.stats import RunningStat
 from .tracer import Trace, TraceEvent, Tracer
 
 __all__ = ["write_jsonl", "load_trace", "to_chrome", "write_chrome"]
 
-TRACE_FORMAT_VERSION = 1
+#: version 2 dropped version 1's trailer row of bucketed series
+TRACE_FORMAT_VERSION = 2
+
+#: width of one ``in_flight`` counter point in the Chrome export
+IN_FLIGHT_BUCKET_MS = 100.0
 
 _TraceLike = Union[Tracer, Trace]
 
@@ -57,17 +62,13 @@ def write_jsonl(trace: _TraceLike, path: Union[str, Path]) -> Path:
             row = {"type": "event"}
             row.update(ev.to_json())
             fh.write(_dumps(row) + "\n")
-        trailer = {"type": "timeseries"}
-        trailer.update(trace.timeseries.as_dict())
-        fh.write(_dumps(trailer) + "\n")
     return path
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Load a trace written by :func:`write_jsonl`."""
+    """Load a trace written by :func:`write_jsonl` (format 1 or 2)."""
     meta: dict = {}
     events: list[TraceEvent] = []
-    timeseries = TimeSeries()
     with Path(path).open() as fh:
         for line in fh:
             line = line.strip()
@@ -78,11 +79,10 @@ def load_trace(path: Union[str, Path]) -> Trace:
             if kind == "meta":
                 row.pop("version", None)
                 meta = row
-            elif kind == "timeseries":
-                timeseries = TimeSeries.from_dict(row)
-            else:
+            elif kind == "event":
                 events.append(TraceEvent.from_json(row))
-    return Trace(meta=meta, events=events, timeseries=timeseries)
+            # any other row (version 1's bucketed-series trailer) is skipped
+    return Trace(meta=meta, events=events)
 
 
 # ----------------------------------------------------------------------
@@ -93,10 +93,37 @@ def _us(ts_ms: float) -> float:
 
 
 def _sites_of(trace: Trace) -> list[int]:
-    n = trace.meta.get("n_sites")
-    if n:
-        return list(range(int(n)))
-    return sorted({ev.site for ev in trace.events})
+    """Every initial site, plus every site with an event (a joiner)."""
+    sites = {ev.site for ev in trace.events}
+    sites.update(range(int(trace.meta.get("n_sites") or 0)))
+    return sorted(sites)
+
+
+def _in_flight_points(trace: Trace) -> list[tuple[float, float]]:
+    """(bucket start, mean) of the traced messages in flight.
+
+    In event order, each ``msg.send`` adds one and the first
+    ``msg.deliver`` of a send takes one away; every new value is a
+    sample of the :data:`IN_FLIGHT_BUCKET_MS` bucket it falls in.
+    """
+    in_flight = 0
+    delivered: set[Optional[int]] = set()
+    buckets: dict[int, RunningStat] = {}
+    for ev in trace.events:
+        if ev.kind == "msg.send":
+            in_flight += 1
+        elif ev.kind == "msg.deliver" and ev.parent not in delivered:
+            delivered.add(ev.parent)
+            in_flight -= 1
+        else:
+            continue
+        idx = int(ev.ts // IN_FLIGHT_BUCKET_MS)
+        stat = buckets.get(idx)
+        if stat is None:
+            stat = buckets[idx] = RunningStat()
+        stat.add(in_flight)
+    return [(idx * IN_FLIGHT_BUCKET_MS, buckets[idx].mean)
+            for idx in sorted(buckets)]
 
 
 def _name_of_write(attrs: dict) -> str:
@@ -176,9 +203,9 @@ def to_chrome(trace: _TraceLike) -> dict:
                         "cat": "chaos"})
 
     # counter track: in-flight messages over time
-    for t, stat in trace.timeseries.series("net.in_flight"):
+    for t, mean in _in_flight_points(trace):
         out.append({"ph": "C", "pid": pid, "tid": 0, "ts": _us(t),
-                    "name": "in_flight", "args": {"messages": stat.mean}})
+                    "name": "in_flight", "args": {"messages": mean}})
 
     return {"traceEvents": out, "displayTimeUnit": "ms",
             "otherData": dict(trace.meta)}

@@ -37,8 +37,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .timeseries import DEFAULT_BUCKET_MS, TimeSeries
-
 __all__ = ["Tracer", "TraceEvent", "Trace"]
 
 #: cap on the ``waited_on`` list of one activation (the rest is counted)
@@ -75,11 +73,10 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """A finished (or loaded) trace: metadata + events + time series."""
+    """A finished (or loaded) trace: metadata + events."""
 
     meta: dict
     events: list[TraceEvent]
-    timeseries: TimeSeries
 
     def __len__(self) -> int:
         return len(self.events)
@@ -109,7 +106,7 @@ class _MsgState:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records and a :class:`TimeSeries`.
+    """Collects :class:`TraceEvent` records, the trace's only store.
 
     Thread through ``run_simulation(..., tracer=...)`` or
     ``CausalCluster(..., tracer=...)``; export with
@@ -117,15 +114,12 @@ class Tracer:
     :func:`repro.obs.sinks.write_chrome`.
     """
 
-    def __init__(self, *, bucket_ms: float = DEFAULT_BUCKET_MS,
-                 meta: Optional[dict] = None) -> None:
+    def __init__(self, *, meta: Optional[dict] = None) -> None:
         self.events: list[TraceEvent] = []
-        self.timeseries = TimeSeries(bucket_ms=bucket_ms)
         self.meta: dict = dict(meta or {})
         self._next_id = 0
         self._ctx: list[int] = []  # event-id stack of the executing context
         self._msgs: dict[tuple[int, int], _MsgState] = {}
-        self._in_flight = 0
         # per-site apply history for waited_on reconstruction
         self._apply_times: dict[int, list[float]] = {}
         self._apply_sends: dict[int, list[int]] = {}
@@ -152,8 +146,7 @@ class Tracer:
         return self._ctx[-1] if self._ctx else None
 
     def to_trace(self) -> Trace:
-        return Trace(meta=dict(self.meta), events=self.events,
-                     timeseries=self.timeseries)
+        return Trace(meta=dict(self.meta), events=self.events)
 
     # ------------------------------------------------------------------
     # operation spans (driven by sim.process.Site)
@@ -188,7 +181,6 @@ class Tracer:
         attrs: dict = {"writer": writer, "clock": clock, "var": var}
         if log_size is not None:
             attrs["log_size"] = log_size
-            self.timeseries.observe(f"log_size.site{site}", ts, log_size)
         ev = self._emit("write.issue", site, ts, parent=self.current(), **attrs)
         return ev.id
 
@@ -210,8 +202,6 @@ class Tracer:
         self._msgs[(id(payload), dst)] = _MsgState(
             payload=payload, send_id=ev.id, src=src, dst=dst
         )
-        self._in_flight += 1
-        self.timeseries.observe("net.in_flight", ts, self._in_flight)
         return ev.id
 
     def _state(self, payload: object, dst: int) -> Optional[_MsgState]:
@@ -223,7 +213,7 @@ class Tracer:
         """One physical transmission attempt on the lossy chaos path."""
         state = self._state(payload, dst)
         if state is None:
-            return  # transport-internal packet (e.g. an ack): series only
+            return  # transport-internal packet (e.g. an ack)
         state.attempts += 1
         attrs: dict = {"attempt": state.attempts,
                        "outcome": "dropped" if dropped else "sent"}
@@ -234,14 +224,11 @@ class Tracer:
         if duplicates:
             attrs["duplicates"] = duplicates
         self._emit("msg.attempt", src, ts, parent=state.send_id, **attrs)
-        if dropped:
-            self.timeseries.incr("net.drops", ts)
 
     def msg_retransmit(self, src: int, dst: int, payload: object, *,
                        ts: float) -> None:
         """The reliable layer's timer (or heal flush) resent a packet."""
         state = self._state(payload, dst)
-        self.timeseries.incr("net.retransmits", ts)
         if state is None:
             return
         state.retransmits += 1
@@ -263,8 +250,6 @@ class Tracer:
                         src=src, latency_ms=ts - self.events[state.send_id].ts)
         if state.deliver_id is None:
             state.deliver_id = ev.id
-            self._in_flight -= 1
-            self.timeseries.observe("net.in_flight", ts, self._in_flight)
         return ev.id
 
     def deliver_id_of(self, payload: object, dst: int) -> Optional[int]:
@@ -293,13 +278,11 @@ class Tracer:
         issued = getattr(payload, "issued_at", None)
         if issued is not None:
             attrs["visibility_ms"] = ts - issued
-            self.timeseries.observe("visibility_ms", ts, ts - issued)
         if waited > 0:
             waited_on = self._applied_since(site, arrived)
             attrs["waited_on"] = waited_on[:MAX_WAITED_ON]
             if len(waited_on) > MAX_WAITED_ON:
                 attrs["waited_on_truncated"] = len(waited_on) - MAX_WAITED_ON
-            self.timeseries.observe("activation_wait_ms", ts, waited)
         ev = self._emit("sm.activate", site, ts,
                         parent=self.deliver_id_of(payload, site), **attrs)
         self._note_applied(site, ts, self._send_id_of(payload, site))
@@ -342,13 +325,11 @@ class Tracer:
     # ------------------------------------------------------------------
     def site_crash(self, site: int, ts: float) -> int:
         """``site`` lost its volatile state (process crash)."""
-        self.timeseries.incr("crash.crashes", ts)
         return self._emit("site.crash", site, ts).id
 
     def site_restore(self, site: int, ts: float, *, downtime_ms: float,
                      wal_replayed: int) -> int:
         """``site`` reinstalled its checkpoint and replayed its WAL."""
-        self.timeseries.observe("crash.downtime_ms", ts, downtime_ms)
         return self._emit("site.restore", site, ts,
                           downtime_ms=downtime_ms,
                           wal_replayed=wal_replayed).id
@@ -356,7 +337,6 @@ class Tracer:
     def site_catchup(self, site: int, ts: float, *, duration_ms: float,
                      rounds: int, forced: bool = False) -> int:
         """``site`` finished anti-entropy catch-up and resumed serving."""
-        self.timeseries.observe("crash.catchup_ms", ts, duration_ms)
         attrs: dict = {"duration_ms": duration_ms, "rounds": rounds}
         if forced:
             attrs["forced"] = True
@@ -365,7 +345,6 @@ class Tracer:
     def detector_suspect(self, observer: int, subject: int, ts: float, *,
                          false_positive: bool = False) -> int:
         """``observer``'s failure detector started suspecting ``subject``."""
-        self.timeseries.incr("fd.suspects", ts)
         attrs: dict = {"subject": subject}
         if false_positive:
             attrs["false_positive"] = True
@@ -373,17 +352,7 @@ class Tracer:
 
     def detector_alive(self, observer: int, subject: int, ts: float) -> int:
         """``observer`` heard from a suspected ``subject`` again."""
-        self.timeseries.incr("fd.unsuspects", ts)
         return self._emit("fd.alive", observer, ts, subject=subject).id
 
-    # ------------------------------------------------------------------
-    # simulation-kernel observer (installed on Simulator.observer)
-    # ------------------------------------------------------------------
-    def on_sim_event(self, ts: float, pending: int) -> None:
-        """Per-kernel-event sample: throughput and queue depth series."""
-        self.timeseries.incr("sim.events", ts)
-        self.timeseries.observe("sim.queue", ts, pending)
-
     def __repr__(self) -> str:
-        return (f"<Tracer events={len(self.events)} "
-                f"in_flight={self._in_flight} series={len(self.timeseries)}>")
+        return f"<Tracer events={len(self.events)} messages={len(self._msgs)}>"

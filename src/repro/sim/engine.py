@@ -132,8 +132,8 @@ class Simulator:
         #: compact path is rare; sampled by the metrics registry)
         self.compactions = 0
         #: optional per-event observer ``(time, pending_count)`` — used
-        #: by the tracer's time-series sampler (event throughput, queue
-        #: depth).  Purely passive; None costs one branch per event.
+        #: by ``HeartbeatReporter`` (progress lines: event throughput,
+        #: queue depth).  Purely passive; None costs one branch per event.
         #: Install before calling :meth:`run` — the dispatch loop reads
         #: it once at entry, so a swap from inside a callback only takes
         #: effect on the next ``run()``/``step()``.

@@ -160,11 +160,8 @@ class ReliableTransport(ChannelHost):
               size_bytes: float = 0.0, payload: object = None) -> None:
         super().count(event, src, dst, size_bytes)
         tracer = self.net.tracer
-        if tracer is not None:
-            if event == "retransmission":
-                tracer.msg_retransmit(src, dst, payload, ts=self.sim.now)
-            elif event == "duplicate_drop":
-                tracer.timeseries.incr("net.dup_drops", self.sim.now)
+        if tracer is not None and event == "retransmission":
+            tracer.msg_retransmit(src, dst, payload, ts=self.sim.now)
 
     # ------------------------------------------------------------------
     # heal handling & recovery-latency tracking

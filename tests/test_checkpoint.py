@@ -119,11 +119,10 @@ class TestSiteDisk:
         disk.log_recv(0, object())
         disk.log_read(2)
         assert [r.kind for r in disk.wal] == ["write", "recv", "read"]
-        assert disk.wal_appends == 3
         disk.install_checkpoint({"state": 1}, 500.0)
         assert disk.wal == []  # checkpoint subsumes the journal
+        assert disk.checkpoint == {"state": 1}
         assert disk.checkpoint_time == 500.0
-        assert disk.checkpoints_taken == 1
 
     def test_wal_record_fields(self):
         r = WalRecord("write", var=4, value="x")

@@ -269,25 +269,33 @@ class TestPercentileAndSummary:
         assert s.count == 0
 
 
+def book(c, kind, size_bytes, key=("proto", 0)):
+    """Book one sent message the way a sender does: bump its slot."""
+    slot = c.message_slot(kind, key)
+    slot[0] += 1
+    slot[1] += size_bytes
+
+
 class TestCollector:
     def test_warmup_gate(self):
         c = MetricsCollector()
-        c.record_message(MessageKind.SM, 100)  # before window opens
+        book(c, MessageKind.SM, 100)  # before window opens
         c.start_measuring()
-        c.record_message(MessageKind.SM, 200)
+        book(c, MessageKind.SM, 200)
+        book(c, MessageKind.SM, 50, key=("proto", 1))  # slot born in-window
         tally = c.tally(MessageKind.SM)
-        assert tally.lifetime_count == 2
-        assert tally.lifetime_bytes == 300
-        assert tally.count == 1
-        assert tally.total_bytes == 200
-        assert tally.mean_bytes == 200
+        assert tally.lifetime_count == 3
+        assert tally.lifetime_bytes == 350
+        assert tally.count == 2
+        assert tally.total_bytes == 250
+        assert tally.mean_bytes == 125
 
     def test_totals_across_kinds(self):
         c = MetricsCollector()
         c.start_measuring()
-        c.record_message(MessageKind.SM, 10)
-        c.record_message(MessageKind.FM, 20)
-        c.record_message(MessageKind.RM, 30)
+        book(c, MessageKind.SM, 10)
+        book(c, MessageKind.FM, 20)
+        book(c, MessageKind.RM, 30)
         assert c.total_message_count == 3
         assert c.total_metadata_bytes == 60
 
@@ -329,15 +337,10 @@ class TestCollector:
                 assert getattr(got, field) == getattr(ref, field), field
         assert c.visibility_lags.maximum < 1e6
 
-    def test_negative_size_rejected(self):
-        c = MetricsCollector()
-        with pytest.raises(ValueError):
-            c.record_message(MessageKind.SM, -1)
-
     def test_as_dict_keys(self):
         c = MetricsCollector()
         c.start_measuring()
-        c.record_message(MessageKind.SM, 10)
+        book(c, MessageKind.SM, 10)
         d = c.as_dict()
         assert d["SM_count"] == 1
         assert d["SM_mean_bytes"] == 10

@@ -22,7 +22,6 @@ import pytest
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.metrics.stats import RESERVOIR_CAPACITY, RunningStat, summarize
 from repro.obs import (
-    TimeSeries,
     TraceIndex,
     Tracer,
     causal_chain,
@@ -114,37 +113,6 @@ class TestPercentiles:
 
 
 # ----------------------------------------------------------------------
-# TimeSeries
-# ----------------------------------------------------------------------
-class TestTimeSeries:
-    def test_bucketing_and_stats(self):
-        ts = TimeSeries(bucket_ms=100.0)
-        ts.observe("x", 10.0, 1.0)
-        ts.observe("x", 90.0, 3.0)
-        ts.observe("x", 150.0, 10.0)
-        series = ts.series("x")
-        assert [t for t, _ in series] == [0, 100]
-        assert series[0][1].mean == pytest.approx(2.0)
-        assert series[1][1].maximum == 10.0
-
-    def test_incr_and_rate(self):
-        ts = TimeSeries(bucket_ms=100.0)
-        for t in (5.0, 10.0, 205.0):
-            ts.incr("events", t)
-        rate = dict(ts.rate("events"))
-        assert rate[0] == pytest.approx(2 / 100.0)  # 2 events per 100 ms
-        assert rate[200] == pytest.approx(1 / 100.0)
-
-    def test_roundtrip(self):
-        ts = TimeSeries(bucket_ms=50.0)
-        ts.observe("a", 12.0, 4.0)
-        ts.incr("b", 80.0)
-        back = TimeSeries.from_dict(ts.as_dict())
-        assert back.as_dict() == ts.as_dict()
-        assert sorted(back.names()) == ["a", "b"]
-
-
-# ----------------------------------------------------------------------
 # zero-overhead contract
 # ----------------------------------------------------------------------
 class TestZeroOverhead:
@@ -187,7 +155,34 @@ class TestTraceDeterminism:
         assert [e.to_json() for e in loaded.events] == [
             e.to_json() for e in trace.events
         ]
-        assert loaded.timeseries.as_dict() == trace.timeseries.as_dict()
+
+    def test_version_1_file_with_timeseries_trailer_loads(self, tmp_path):
+        # format 1 ended with a bucketed time-series row; it is skipped
+        path = tmp_path / "v1.jsonl"
+        path.write_text("\n".join([
+            '{"n_sites":2,"protocol":"opt-track","type":"meta","version":1}',
+            '{"id":0,"kind":"op.write","site":0,"ts":1.0,'
+            '"attrs":{"end_ts":1.0,"index":0,"var":3},"type":"event"}',
+            '{"id":1,"kind":"msg.send","parent":0,"site":0,"ts":1.0,'
+            '"attrs":{"dst":1,"msg":"SM","size":40,"src":0},"type":"event"}',
+            '{"id":2,"kind":"msg.deliver","parent":1,"site":1,"ts":6.0,'
+            '"attrs":{"latency_ms":5.0,"src":0},"type":"event"}',
+            '{"id":3,"kind":"sm.activate","parent":2,"site":1,"ts":6.0,'
+            '"attrs":{"arrived":6.0,"var":3,"visibility_ms":5.0,'
+            '"waited_ms":0.0,"clock":1,"writer":0},"type":"event"}',
+            '{"bucket_ms":100.0,"series":{"net.in_flight":[{"count":2,'
+            '"max":1.0,"mean":0.5,"min":0.0,"t":0.0,"total":1.0}]},'
+            '"type":"timeseries"}',
+        ]) + "\n")
+        trace = load_trace(path)
+        assert trace.meta == {"n_sites": 2, "protocol": "opt-track"}
+        assert [ev.kind for ev in trace.events] == [
+            "op.write", "msg.send", "msg.deliver", "sm.activate"]
+        summary = summarize_trace(trace)
+        assert "1 applies" in summary
+        counters = [e for e in to_chrome(trace)["traceEvents"]
+                    if e["ph"] == "C"]
+        assert [c["args"]["messages"] for c in counters] == [0.5]
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +283,73 @@ class TestChromeExport:
             "Chrome export changed; if intentional, regenerate the golden "
             "file with tests/golden/regen_trace_chrome.py"
         )
+
+
+#: ``repro trace run`` flags of a chaos + crash run and of a churn run
+FAULT_RUNS = {
+    "chaos-crash": ["--drop-rate", "0.05", "--crash-plan", "600:1500:2"],
+    "churn": ["--drop-rate", "0.05", "--churn-joins", "1",
+              "--churn-leaves", "1"],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FAULT_RUNS))
+def fault_run(request, tmp_path_factory):
+    """(name, trace, Chrome document) of one ``repro trace run``."""
+    from repro.cli import main
+
+    out = tmp_path_factory.mktemp(request.param)
+    rc = main(["trace", "run", str(out), "--protocol", "opt-track",
+               "-n", "5", "--ops", "40", *FAULT_RUNS[request.param]])
+    assert rc == 0
+    doc = json.loads((out / "trace_chrome.json").read_text())
+    return request.param, load_trace(out / "trace.jsonl"), doc
+
+
+class TestChromeUnderFaults:
+    def test_every_used_track_is_named(self, fault_run):
+        name, trace, doc = fault_run
+        events = doc["traceEvents"]
+        named = {e["tid"] for e in events
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        used = {e["tid"] for e in events if e["ph"] != "M"}
+        assert used <= named
+        # the churn run's joiner (site 5) has events of its own
+        joined = {ev.site for ev in trace.events} - set(range(5))
+        assert joined == ({5} if name == "churn" else set())
+
+    def test_in_flight_track_follows_sends_and_first_deliveries(
+            self, fault_run):
+        _name, trace, doc = fault_run
+        sends = {ev.id for ev in trace.of_kind("msg.send")}
+        delivered: set = set()
+        in_flight, samples = 0, {}
+        for ev in trace.events:
+            if ev.kind == "msg.send":
+                in_flight += 1
+            elif ev.kind == "msg.deliver" and ev.parent not in delivered:
+                delivered.add(ev.parent)
+                in_flight -= 1
+            else:
+                continue
+            assert in_flight >= 0
+            samples.setdefault(int(ev.ts // 100.0), []).append(in_flight)
+        assert sends and delivered
+        assert in_flight == len(sends - delivered)
+        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+        assert [c["ts"] for c in counters] == [
+            round(b * 100.0 * 1000.0, 3) for b in sorted(samples)]
+        for c, b in zip(counters, sorted(samples)):
+            assert c["args"]["messages"] == pytest.approx(
+                sum(samples[b]) / len(samples[b]))
+            assert c["args"]["messages"] >= 0
+
+
+def test_traced_run_installs_no_kernel_observer():
+    from repro.experiments.runner import build_system
+
+    system = build_system(tiny_cfg(), tracer=Tracer())
+    assert system.sim.observer is None
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ Covers the observability acceptance invariants:
 * ``registry=None`` is byte-identical to the seed behaviour;
 * same-seed double runs export byte-identical Prometheus/JSON dumps;
 * per-message decomposition sums exactly to ``metadata_size``;
-* TimeSeries / reservoir / bucket-quantile edge cases;
+* reservoir / bucket-quantile edge cases;
 * the ``repro metrics`` CLI surface (run / summarize / diff).
 """
 
@@ -47,7 +47,6 @@ from repro.obs.export import (
 )
 from repro.obs.ledger import MetadataLedger, decompose_message
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.timeseries import TimeSeries
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.loopback import LoopbackCluster
 from repro.service.bootstrap import default_topology
@@ -251,38 +250,8 @@ class TestDecomposeMessage:
 
 
 # ----------------------------------------------------------------------
-# satellite 3: TimeSeries + reservoir + bucket-quantile edge cases
+# reservoir + bucket-quantile edge cases
 # ----------------------------------------------------------------------
-class TestTimeSeriesEdges:
-    def test_rejects_nonpositive_bucket(self):
-        with pytest.raises(ValueError):
-            TimeSeries(bucket_ms=0)
-        with pytest.raises(ValueError):
-            TimeSeries(bucket_ms=-5)
-
-    def test_boundary_sample_lands_in_next_bucket(self):
-        ts = TimeSeries(bucket_ms=100.0)
-        ts.observe("depth", 99.999, 1.0)
-        ts.observe("depth", 100.0, 5.0)
-        series = ts.series("depth")
-        assert [t for t, _ in series] == [0.0, 100.0]
-        assert series[1][1].mean == 5.0
-
-    def test_unknown_series_is_empty(self):
-        ts = TimeSeries()
-        assert ts.series("nope") == []
-        assert ts.points("nope") == []
-        assert ts.rate("nope") == []
-
-    def test_rate_counts_events_per_ms(self):
-        ts = TimeSeries(bucket_ms=10.0)
-        for t in (0.0, 1.0, 2.0, 3.0):
-            ts.incr("sends", t)
-        ((start, rate),) = ts.rate("sends")
-        assert start == 0.0
-        assert rate == pytest.approx(0.4)
-
-
 class TestReservoirEdges:
     def test_add_many_matches_sequential_adds(self):
         xs = [float(i % 17) for i in range(200)]
