@@ -190,12 +190,13 @@ def test_micro_codec_roundtrip(benchmark):
                     log=tuple(build_log().entries()))
 
     def roundtrip():
-        frame = codec.data_frame(0, 7, codec.encode_message(sm))
-        decoded = codec.message_from_wire(codec.loads(frame)["m"], N)
-        return decoded, codec.loads(codec.ack_frame(1, 7))
+        frame = codec.data_frame(0, 7, codec.dumps(sm))
+        assert codec.frame_head(frame) == (codec.DATA, 0, 7)
+        decoded = codec.loads(frame, N, codec.HEAD_SIZE)
+        return decoded, codec.frame_head(codec.ack_frame(1, 7))
 
     decoded, ack = benchmark(roundtrip)
-    assert decoded == sm and ack == {"k": "ack", "src": 1, "cum": 7}
+    assert decoded == sm and ack == (codec.ACK, 1, 7)
 
 
 KERNEL_EVENTS = 20_000  # per round

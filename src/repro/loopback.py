@@ -3,7 +3,7 @@
 :class:`LoopbackCluster` wires N :class:`~repro.service.node.NodeCore`
 instances together through the *actual* service machinery — every
 message rides a :class:`~repro.service.channel.ServiceTransport`, is
-encoded to canonical frame bytes, parsed back by ``codec.loads`` on
+encoded to frame bytes, decoded back by ``ServiceTransport.on_frame`` on
 arrival, and is paced by retransmission timers — but each frame is a
 zero-delay event of a :class:`~repro.sim.engine.Simulator`, which is
 also every transport's clock.  That is the live substrate minus sockets
@@ -24,7 +24,6 @@ from .memory.store import WriteId
 from .metrics.collector import MetricsCollector
 from .service.bootstrap import ClusterTopology, build_placement
 from .service.channel import ServiceTransport
-from .service.codec import loads
 from .service.node import NodeCore
 from .sim.engine import Simulator
 from .verify.history import HistoryRecorder
@@ -61,7 +60,7 @@ class LoopbackCluster(Cluster):
         self.sim.post(self.sim.now, self._arrive, src, dst, frame)
 
     def _arrive(self, src: int, dst: int, frame: bytes) -> None:
-        self.transports[dst].on_frame(loads(frame))
+        self.transports[dst].on_frame(frame)
 
     def _deliver(self, site: int, src: int, message: object) -> None:
         self.nodes[site].on_message(src, message)

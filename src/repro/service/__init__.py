@@ -25,7 +25,7 @@ of its own.
 
 Modules:
 
-* :mod:`~repro.service.codec` — deterministic length-prefixed wire
+* :mod:`~repro.service.codec` — the binary, length-prefixed wire
   format for every sendable message type (``WIRE_FIELDS``);
 * :mod:`~repro.service.runtime` — wall ``Clock``/``TimerService`` over
   an asyncio loop (in-process tests run this package on the simulation
@@ -58,7 +58,7 @@ from .bootstrap import (
     load_topology,
     save_topology,
 )
-from .codec import WIRE_FIELDS, decode_message, encode_message
+from .codec import WIRE_FIELDS
 from .node import NodeCore
 
 __all__ = [
@@ -69,7 +69,5 @@ __all__ = [
     "load_topology",
     "save_topology",
     "WIRE_FIELDS",
-    "decode_message",
-    "encode_message",
     "NodeCore",
 ]

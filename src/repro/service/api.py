@@ -18,8 +18,10 @@ Examples::
     curl -X PUT -d '{"value": 41}' http://127.0.0.1:7503/kv/0
     curl http://127.0.0.1:7504/kv/0 http://127.0.0.1:7504/kv/1   # one connection
 
-PUT returns 503 with ``{"error": "overloaded"}`` when admission control
-sheds the write (the paper's overload regime, PR 8), and GET returns 504
+PUT returns 400 for a value no peer message can carry (``NaN``,
+``Infinity``, ``1e999``, a lone surrogate) before the write moves any
+protocol state, 503 with ``{"error": "overloaded"}`` when admission
+control sheds the write (the paper's overload regime), and GET returns 504
 if a remote read's RM never arrives within the node's read timeout.
 
 **No task, no future.**  Every request that is whole in a read is parsed,
@@ -71,6 +73,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ..core.netpolicy import OverloadError
 from ..verify.history import encode_events
+from .codec import CodecError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import ServiceNode
@@ -385,6 +388,8 @@ class _HttpConnection(asyncio.Protocol):
                     )
                 try:
                     wid = node.put(var, payload["value"])
+                except CodecError as exc:  # NaN, 1e999, a lone surrogate
+                    return _json_reply(400, {"error": str(exc)})
                 except OverloadError as exc:
                     return _json_reply(503, {
                         "error": "overloaded", "var": var,

@@ -34,18 +34,23 @@ from ..core.netpolicy import (
 from ..core.ports import Scheduler
 from ..metrics.collector import MetricsCollector
 from .codec import (
+    ACK,
+    DATA,
+    HEAD_SIZE,
+    HELLO,
     WIRE_VERSION,
     CodecError,
     ack_frame,
     data_frame,
-    encode_message,
-    message_from_wire,
+    dumps,
+    frame_head,
+    loads,
 )
 
 __all__ = ["ServiceTransport"]
 
-#: egress carries one frame's canonical bytes (the data / ack / hello
-#: schemas are repro.service.codec's)
+#: egress carries one frame's bytes (the data / ack / hello layouts are
+#: repro.service.codec's)
 SendFrame = Callable[[int, bytes], None]
 Deliver = Callable[[int, object], None]
 
@@ -63,9 +68,9 @@ class ServiceTransport(ChannelHost):
     included (priced at the ack frame's length), is counted into the
     node's ``collector``.
 
-    A message is priced once: :meth:`send` encodes it to canonical bytes,
+    A message is priced once: :meth:`send` encodes it to its wire bytes,
     those bytes are the channel packet's payload, and every transmission
-    of the packet splices the same bytes into a frame.
+    of the packet puts the same bytes behind a frame head.
     """
 
     def __init__(
@@ -115,9 +120,9 @@ class ServiceTransport(ChannelHost):
                 f"transport of site {self.site} asked to send as {src}"
             )
         self.messages_sent += 1
-        # the one JSON pass this message gets; retransmissions reuse it
+        # the one encode this message gets; retransmissions reuse it
         ch = self._channels.get((src, dst)) or self.channel(dst)
-        ch.sender.send(encode_message(message), size_bytes)
+        ch.sender.send(dumps(message), size_bytes)
         return None  # delivery time is the wire's business
 
     # ------------------------------------------------------------------
@@ -142,60 +147,46 @@ class ServiceTransport(ChannelHost):
     # ------------------------------------------------------------------
     # frame ingress and link events (wired by the node)
     # ------------------------------------------------------------------
-    def _peer_of(self, frame: dict) -> Optional[int]:
-        """The other member a frame says it is from, if it says so.
-        (``type(x) is int``, not ``isinstance``: JSON ``true`` is a
-        ``bool``, and a ``bool`` is not a site or a sequence number.)"""
-        src = frame.get("src")
-        if type(src) is int and 0 <= src < self.n_sites and src != self.site:
-            return src
-        return None
-
-    def accept_link(self, first: object) -> bool:
+    def accept_link(self, first: bytes) -> bool:
         """Whether an inbound link may stay open, given its first frame:
         only behind the hello of another member speaking
         :data:`~repro.service.codec.WIRE_VERSION`.  The node asks once
         per link and closes a refused one, so no frame of another format
-        ever reaches :meth:`on_frame` and no frame is version-checked."""
-        if type(first) is dict:
-            src = self._peer_of(first)
-            if src is not None and first == {"k": "hello", "src": src,
-                                             "v": WIRE_VERSION}:
-                return True
+        ever reaches :meth:`on_frame` and no frame is version-checked.
+        Bytes without a frame head raise :class:`CodecError`."""
+        kind, src, version = frame_head(first)
+        if (kind == HELLO and version == WIRE_VERSION
+                and len(first) == HEAD_SIZE
+                and src < self.n_sites and src != self.site):
+            return True
         self.links_refused += 1
         return False
 
-    def on_frame(self, frame: object) -> None:
-        """Accept one parsed frame from a peer.  Peers are untrusted: a
-        frame that is not a well-formed data or ack frame from another
-        member — its message decodable, every field of the declared
-        shape, every site id it carries a member's — is dropped and
-        counted before it can touch channel state."""
-        if type(frame) is dict:
-            src = self._peer_of(frame)
-            kind = frame.get("k")
-            if src is None:
-                pass
-            elif kind == "data":
-                seq = frame.get("seq")
-                wire = frame.get("m")
-                if type(seq) is int and seq >= 0 and type(wire) is dict:
-                    try:
-                        message = message_from_wire(wire, self.n_sites)
-                    except CodecError:
-                        pass
-                    else:
-                        ch = (self._channels.get((self.site, src))
-                              or self.channel(src))
-                        ch.receiver.on_data(seq, message)
-                        return
-            elif kind == "ack":
-                cum = frame.get("cum")
-                if type(cum) is int and cum >= -1:
-                    ch = self._channels.get((self.site, src))
-                    if ch is not None:
-                        ch.sender.on_ack(cum)
+    def on_frame(self, frame: bytes) -> None:
+        """Accept one frame from a peer.  Peers are untrusted: a frame
+        that is not a well-formed data or ack frame from another member
+        — its message decodable, every field of the declared shape,
+        every site id it carries a member's — is dropped and counted
+        before it can touch channel state.  Bytes without a frame head
+        raise :class:`CodecError`: the link they came on is not speaking
+        this format."""
+        kind, src, number = frame_head(frame)
+        if src < self.n_sites and src != self.site:
+            if kind == DATA and number >= 0:
+                try:
+                    message = loads(frame, self.n_sites, HEAD_SIZE)
+                except CodecError:
+                    pass
+                else:
+                    ch = (self._channels.get((self.site, src))
+                          or self.channel(src))
+                    ch.receiver.on_data(number, message)
                     return
+            elif kind == ACK and number >= -1 and len(frame) == HEAD_SIZE:
+                ch = self._channels.get((self.site, src))
+                if ch is not None:
+                    ch.sender.on_ack(number)
+                return
         self.malformed_frames += 1
 
     def on_link_up(self, dst: int) -> None:

@@ -40,7 +40,13 @@ from ..verify.history import HistoryRecorder
 from .api import serve_http
 from .bootstrap import ClusterTopology, build_placement
 from .channel import ServiceTransport
-from .codec import CodecError, hello_frame, loads, pack_frame, unpack_length
+from .codec import (
+    CodecError,
+    check_value,
+    hello_frame,
+    pack_frame,
+    unpack_length,
+)
 from .history import HistorySink
 from .runtime import AsyncioScheduler
 
@@ -95,7 +101,10 @@ class NodeCore:
 
     # ------------------------------------------------------------------
     def put(self, var: int, value: object) -> WriteId:
-        """w(x_var)value — sheds with OverloadError past the backlog cap."""
+        """w(x_var)value — refuses with CodecError a value no message can
+        carry (``NaN``, a tuple, ...) and sheds with OverloadError past
+        the backlog cap, both before any protocol state moves."""
+        check_value(value)
         self.protocol.admit_put()
         self._op_counter += 1
         wid = self.protocol.write(var, value, op_index=self._op_counter)
@@ -164,7 +173,7 @@ class _InboundLink(asyncio.Protocol):
                 stop = pos + 4 + unpack_length(buffer[pos:pos + 4])
                 if stop > end:
                     break
-                frame = loads(buffer[pos + 4:stop])
+                frame = buffer[pos + 4:stop]
                 pos = stop
                 if self._greeted:
                     channel.on_frame(frame)
@@ -174,8 +183,8 @@ class _InboundLink(asyncio.Protocol):
                     self._transport.close()
                     return
         except CodecError:
-            # a length past the cap or bytes that are not JSON: what
-            # follows on this stream cannot be framed, so the link goes
+            # a length past the cap or a payload without a frame head:
+            # the peer is not speaking this format, so the link goes
             channel.malformed_frames += 1
             self._transport.close()
             return

@@ -20,7 +20,6 @@ from repro.core.messages import FetchMessage
 from repro.core.netpolicy import OverloadError, RetransmitPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.service.channel import ServiceTransport
-from repro.service.codec import loads
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultDecision, FaultInjector, FaultPlan
 from repro.sim.network import ConstantLatency, Network
@@ -141,7 +140,7 @@ class LiveDriver(KernelDriver):
             for _ in range(1 + fate.duplicates):
                 self.sim.schedule(
                     self.latency() + fate.extra_delay_ms,
-                    lambda: self.transports[dst].on_frame(loads(frame)))
+                    lambda: self.transports[dst].on_frame(frame))
 
         return send_frame
 

@@ -111,6 +111,16 @@ def test_live_smoke_job_names_suites_that_exist():
     assert missing == []
 
 
+def test_live_smoke_puts_a_nan_before_the_checked_load():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    names = [step.get("name", "") for step in
+             workflow["jobs"]["live-smoke"]["steps"]]
+    nan = names.index("A PUT of a non-finite value is refused with 400")
+    assert nan < names.index("Drive 200 ops via loadgen and verify causally")
+    run = workflow["jobs"]["live-smoke"]["steps"][nan]["run"]
+    assert '{"value": NaN}' in run and 'test "$code" = 400' in run
+
+
 def test_lint_job_runs_ruff_with_the_print_gate():
     # bare print in library code has one gate, ruff's T20 (the SIM008
     # AST rule that duplicated it, with a second allowlist, is retired)

@@ -14,10 +14,19 @@ import socket
 
 import pytest
 
+from repro.loopback import LoopbackCluster
 from repro.service import api
 from repro.service import node as node_module
-from repro.service.bootstrap import ClusterTopology, NodeSpec, build_placement
+from repro.service.bootstrap import (
+    ClusterTopology,
+    NodeSpec,
+    build_placement,
+    default_topology,
+)
+from repro.service.codec import CodecError
+from repro.service.history import merge_event_lists
 from repro.service.node import ServiceNode
+from repro.verify.causal_checker import check_causal_consistency
 
 from .test_service_live import _free_ports
 
@@ -27,12 +36,12 @@ HOST = "127.0.0.1"
 TEST_TIMEOUT_S = 10.0
 
 
-def _topology(n_sites):
+def _topology(n_sites, replication_factor=1):
     ports = _free_ports(2 * n_sites)
     return ClusterTopology(
         protocol="opt-track",
         n_vars=4,
-        replication_factor=1,
+        replication_factor=replication_factor,
         nodes=tuple(
             NodeSpec(site=i, host=HOST, peer_port=ports[i],
                      http_port=ports[n_sites + i])
@@ -48,7 +57,7 @@ def _vars_of(topology, site):
     return min(local), min(remote)
 
 
-def run(scenario, n_sites=2, start=None):
+def run(scenario, n_sites=2, start=None, replication_factor=1):
     """Run ``scenario(nodes)`` over started nodes; fails if anything was
     delivered to the loop's exception handler or a task outlived it."""
 
@@ -58,7 +67,7 @@ def run(scenario, n_sites=2, start=None):
         loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
         watchdog = loop.call_later(
             TEST_TIMEOUT_S, asyncio.current_task().cancel)
-        topology = _topology(n_sites)
+        topology = _topology(n_sites, replication_factor)
         nodes = [ServiceNode(topology, i) for i in range(n_sites)]
         try:
             for i in (range(n_sites) if start is None else start):
@@ -474,3 +483,68 @@ def test_a_client_that_does_not_read_stalls_only_itself():
         writer.close()
 
     run(scenario, n_sites=1)
+
+
+# ----------------------------------------------------------------------
+# a value no peer message can carry is refused before the write moves
+# ----------------------------------------------------------------------
+#: bodies Python's JSON parser takes whose value no message can carry
+UNCARRIABLE = {
+    "nan": b'{"value": NaN}',
+    "inf": b'{"value": Infinity}',
+    "-inf": b'{"value": -Infinity}',
+    "overflow": b'{"value": 1e999}',
+    "nested": b'{"value": [1, {"k": NaN}]}',
+    "surrogate": b'{"value": "\\ud800"}',
+}
+
+
+@pytest.mark.parametrize("body", UNCARRIABLE.values(), ids=UNCARRIABLE.keys())
+def test_put_of_a_value_no_message_can_carry_is_400_and_moves_nothing(body):
+    async def scenario(nodes):
+        node, peer = nodes
+        await _until(lambda: all(len(n.status()["peer_links"]) == 1
+                                 for n in nodes), "both peer links")
+        reader, writer = await _connect(node)
+        writer.write(_request("PUT", "/kv/0", body))
+        status, headers, reply = await _response(reader)
+        assert status == 400 and "connection" not in headers
+        assert set(json.loads(reply)) == {"error"}
+        assert node.status()["history_events"] == 0
+        assert node.core.protocol.clock == 0  # no write id was spent
+        writer.write(_put(0, "ok"))  # the same kept connection
+        status, _, reply = await _response(reader)
+        assert status == 200
+        assert json.loads(reply)["write_id"] == {"site": 0, "clock": 1}
+        writer.close()
+        await _until(lambda: peer.status()["history_events"] == 1
+                     and node.status()["pending_channel"] == 0,
+                     "the write to apply at the peer")
+        report = check_causal_consistency(
+            merge_event_lists([n.core.history.events for n in nodes]),
+            build_placement(node.topology))
+        assert report.ok, report.violations
+
+    run(scenario, replication_factor=2)
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"), [1.0, float("nan")],
+    {"k": {1: "x"}}, (1, 2), "\ud800", 2 ** 4000,
+], ids=["nan", "inf", "-inf", "nested-nan", "int-key", "tuple", "surrogate",
+        "huge-int"])
+def test_loopback_write_of_a_value_no_message_can_carry_moves_nothing(value):
+    # before the check a NaN bumped the clock and recorded the write,
+    # then the encoder raised: the checker reported missing-apply for
+    # ("w", 0, 1) at both replicas from then on
+    cluster = LoopbackCluster(default_topology(
+        3, protocol="opt-track", replication_factor=2))
+    with pytest.raises(CodecError):
+        cluster.write(0, 0, value)
+    assert len(cluster.history) == 0
+    wid = cluster.write(0, 0, "ok")
+    cluster.settle()
+    assert wid.clock == 1
+    assert cluster.check().ok
+    assert all(cluster.read(site, 0) == "ok"
+               for site in cluster.placement.replicas(0))

@@ -1,7 +1,8 @@
-"""Wire-codec contract tests: WIRE_FIELDS registry + round-trip fidelity."""
+"""Wire-codec contract tests: WIRE_FIELDS registry, the binary layout,
+round-trip fidelity and typed refusal of every malformed byte string."""
 
 import dataclasses
-import json
+import struct
 
 import pytest
 
@@ -19,19 +20,21 @@ from repro.core.messages import (
 )
 from repro.memory.store import WriteId
 from repro.service.codec import (
+    ACK,
+    DATA,
+    HEAD_SIZE,
+    HELLO,
     MAX_FRAME_BYTES,
     WIRE_FIELDS,
     WIRE_VERSION,
     CodecError,
     ack_frame,
+    check_value,
     data_frame,
-    decode_message,
     dumps,
-    encode_message,
+    frame_head,
     hello_frame,
     loads,
-    message_from_wire,
-    message_to_wire,
     pack_frame,
     unpack_length,
 )
@@ -43,69 +46,94 @@ ALL_MESSAGE_TYPES = (
     OptTrackSM, OptTrackRM, CRPSM, OptPSM,
 )
 
-
-def _wire_with(message: object, field: str, wire_value: object) -> dict:
-    """The wire form of ``message`` with one field's encoding replaced."""
-    wire = message_to_wire(message)
-    wire["f"][WIRE_FIELDS[type(message)].index(field)] = wire_value
-    return wire
+#: a message's type code is its position in WIRE_FIELDS
+CODE = {cls: code for code, cls in enumerate(WIRE_FIELDS)}
 
 
-def _crp_sm_with(field: str, wire_value: object) -> dict:
-    return _wire_with(CRPSM(var=1, value=2, write_id=WriteId(0, 1),
-                            log=((0, 1),)), field, wire_value)
+def raw(cls, ints, *runs, width=8):
+    """Message bytes as the layout spells them, whatever they say: the
+    type code, the int column's width and length, the column, then the
+    byte runs (the value, the issue time)."""
+    return (struct.pack(">BBI", CODE[cls], width, len(ints))
+            + b"".join(v.to_bytes(width, "big", signed=True) for v in ints)
+            + b"".join(runs))
 
 
-def _opt_sm_with(field: str, wire_value: object) -> dict:
-    """An OptTrackSM's log is records, not pairs."""
-    return _wire_with(OptTrackSM(
-        var=1, value=2, write_id=WriteId(0, 1),
-        log=(PiggybackEntry(0, 1, frozenset({1})),)), field, wire_value)
+def column(data):
+    """(width, ints) of the int column that opens a message's bytes."""
+    _, width, count = struct.unpack_from(">BBI", data)
+    return width, [int.from_bytes(data[6 + k:6 + k + width], "big",
+                                  signed=True)
+                   for k in range(0, width * count, width)]
 
 
-def _log_columns(w=(0, 2), c=(3, 5), d=((1, 2), (0,))) -> dict:
-    return {"!": "log", "w": list(w), "c": list(c),
-            "d": [list(x) if isinstance(x, tuple) else x for x in d]}
+def value_run(tag, payload=b""):
+    return bytes((tag,)) + payload
 
 
-#: well-tagged values no constructor can build (also fed, inside data
+def sized_run(tag, payload):
+    return struct.pack(">BI", tag, len(payload)) + payload
+
+
+NONE, FALSE, TRUE, INT, FLOAT, STR, JSON = range(7)
+TWO = value_run(INT, b"\x01\x02")  # the value 2
+TIME = struct.pack(">d", 1.5)
+#: a CRPSM: var 1, write <0,1>, one pair (0,1); value 2, issued at 1.5
+CRP_INTS = [1, 0, 1, 1, 0, 1]
+#: an OptTrackSM: var 1, write <0,1>, the log <0,1,{1}>
+OPT_INTS = [1, 0, 1, 1, 1, 0, 1, 1, 1]
+
+#: well-framed bytes no constructor can build (also fed, inside data
 #: frames, to a live transport by tests/test_service_channel.py)
 ILL_SHAPED_MESSAGES = (
-    _crp_sm_with("log", {"!": "t"}),                              # t without v
-    _crp_sm_with("write_id", {"!": "wid", "s": "x", "c": 1}),
-    _crp_sm_with("write_id", {"!": "wid"}),                       # no fields
-    _crp_sm_with("value", {"!": "mat", "n": 2, "v": "zz"}),
-    _crp_sm_with("value", {"!": "pbe", "w": 0, "c": 1, "d": 5}),  # retired tag
-    _crp_sm_with("value", {"!": "vec", "n": -1, "v": []}),
-    {**_crp_sm_with("var", 1), "t": ["CRPSM"]},                   # t is a list
-    # the column forms: exact ints only, columns of one length
-    _opt_sm_with("log", _log_columns(w=(0,))),                    # lengths differ
-    _opt_sm_with("log", _log_columns(d=((1, 2),))),
-    _opt_sm_with("log", _log_columns(w=(True, 2))),
-    _opt_sm_with("log", _log_columns(w=(1.0, 2))),
-    _opt_sm_with("log", _log_columns(w=("1", 2))),
-    _opt_sm_with("log", _log_columns(c=(3, None))),
-    _opt_sm_with("log", _log_columns(d=((1, "2"), (0,)))),        # str in dests
-    _opt_sm_with("log", _log_columns(d=("12", (0,)))),            # dests no list
-    _opt_sm_with("log", _log_columns(d=({}, (0,)))),
-    _opt_sm_with("log", {**_log_columns(), "c": {"0": 3, "1": 5}}),  # a dict
-    _opt_sm_with("log", {"!": "log", "w": [0], "c": [3]}),        # no d
-    _crp_sm_with("log", {"!": "prs", "v": [0, 1, 2]}),            # odd length
-    _crp_sm_with("log", {"!": "prs", "v": [0, True]}),
-    _crp_sm_with("log", {"!": "prs", "v": {"0": 1}}),
-    # a field of the wrong shape: a dataclass would take it, a core would
-    # index with it
-    _crp_sm_with("log", _log_columns()),                          # records
-    _opt_sm_with("log", {"!": "prs", "v": [0, 1]}),               # pairs
-    _opt_sm_with("log", "abc"),
-    _opt_sm_with("log", {"!": "t", "v": [1, 2]}),
-    _opt_sm_with("var", "1"),
-    _opt_sm_with("var", 1.0),
-    _opt_sm_with("var", True),
-    _opt_sm_with("write_id", None),
-    _opt_sm_with("write_id", {"!": "wid", "s": 0, "c": 1.0}),
-    _opt_sm_with("issued_at", None),
-    _opt_sm_with("issued_at", "0.0"),
+    raw(CRPSM, CRP_INTS + [9], TWO, TIME),          # an int after the last
+    raw(CRPSM, CRP_INTS, TWO, TIME, b"\x00"),       # a byte after the last
+    raw(CRPSM, CRP_INTS[:-1], TWO, TIME),           # the column ends early
+    raw(CRPSM, [1, 0, 1, 2, 0, 1], TWO, TIME),      # two pairs promised
+    raw(CRPSM, [1, 0, 1, -1, 0, 1], TWO, TIME),     # a negative count
+    raw(CRPSM, CRP_INTS, TWO),                      # no issue time
+    raw(CRPSM, CRP_INTS, TWO, TIME[:5]),            # half an issue time
+    struct.pack(">BBI", CODE[CRPSM], 0, 6) + TWO + TIME,  # a column of width 0
+    raw(CRPSM, CRP_INTS, value_run(9), TIME),       # an unknown value tag
+    raw(CRPSM, CRP_INTS, value_run(INT, b"\x00"), TIME),  # int of width 0
+    raw(CRPSM, CRP_INTS, sized_run(STR, b"\xff\xfe"), TIME),  # not UTF-8
+    raw(CRPSM, CRP_INTS, struct.pack(">BI", STR, 99) + b"ab", TIME),
+    raw(CRPSM, CRP_INTS, sized_run(JSON, b"5"), TIME),  # not a list/dict
+    raw(CRPSM, CRP_INTS, sized_run(JSON, b"[1,"), TIME),
+    raw(CRPSM, CRP_INTS, sized_run(JSON, b"[NaN]"), TIME),
+    raw(CRPSM, CRP_INTS, sized_run(JSON, b'["\xc3\xa9"]'), TIME),  # no ASCII
+    raw(CRPSM, CRP_INTS, value_run(FLOAT, struct.pack(">d", float("nan"))),
+        TIME),
+    raw(CRPSM, CRP_INTS, TWO, struct.pack(">d", float("inf"))),
+    raw(CRPSM, CRP_INTS, TWO, struct.pack(">d", float("nan"))),
+    # the log's two counts against its four columns
+    raw(OptTrackSM, OPT_INTS[:-1], TWO, TIME),      # a destination short
+    raw(OptTrackSM, [1, 0, 1, 1, 2, 0, 1, 1, 1, 2], TWO, TIME),  # sizes 1 != 2
+    raw(OptTrackSM, [1, 0, 1, 2, 1, 0, 0, 1, 1, -1, 2, 1], TWO, TIME),
+    raw(OptTrackSM, [1, 0, 1, 1000, 1, 0, 1, 1, 1], TWO, TIME),
+    raw(OptTrackSM, [1, 0, 1, -1, 1, 0, 1, 1, 1], TWO, TIME),
+    raw(OptTrackSM, [1, 0, 1, 1, -1, 0, 1, 1, 1], TWO, TIME),
+    # "never written" is a flag of 0 or 1, and only an RM has one
+    raw(OptTrackRM, [1, 2, 0, 1, 0, 0, 7], TWO),
+    raw(OptTrackRM, [1, -1, 0, 0, 7], TWO),
+    raw(OptTrackSM, [1, 0, 0, 0], TWO, TIME),
+    # a site numbers its writes from 1
+    raw(CRPSM, [1, 0, 0, 1, 0, 1], TWO, TIME),
+    raw(OptTrackRM, [1, 1, 0, -3, 0, 0, 7], TWO),
+    # clocks: a width, then its cells, none negative
+    raw(FullTrackSM, [1, 0, 1, 0], TWO, TIME),
+    raw(FullTrackSM, [1, 0, 1, -2, 0, 0, 0, 0], TWO, TIME),
+    raw(FullTrackSM, [1, 0, 1, 2, 0, 0, 0], TWO, TIME),
+    raw(FullTrackSM, [1, 0, 1, 1, -5], TWO, TIME),
+    raw(OptPSM, [1, 0, 1, 2, 1], TWO, TIME),
+    raw(OptPSM, [1, 0, 1, 1, 2 ** 63], TWO, TIME, width=9),  # no int64 cell
+    # an optP SM whose write id is not its vector's entry for the writer
+    # (the gate reads the vector, the apply the write id)
+    raw(OptPSM, [1, 0, 2, 1, 1], TWO, TIME),
+    raw(OptPSM, [1, 1, 1, 1, 1], TWO, TIME),
+    # no such type
+    struct.pack(">BBI", 7, 1, 0),
+    struct.pack(">BBI", 255, 1, 0),
 )
 
 
@@ -130,7 +158,7 @@ def _log():
 
 
 #: one representative instance per sendable type, exercising every
-#: value-algebra branch (WriteId, clocks, logs, tuples, None, floats)
+#: field kind (WriteId, clocks, logs, pairs, None, floats, JSON values)
 SAMPLES = [
     FetchMessage(var=3, reader=1, request_id=17,
                  requirements=((0, 2), (2, 5))),
@@ -144,7 +172,7 @@ SAMPLES = [
                log=_log(), request_id=8),
     CRPSM(var=5, value=3.25, write_id=WriteId(2, 3),
           log=((0, 3), (2, 5)), issued_at=99.0),
-    OptPSM(var=4, value=True, write_id=WriteId(1, 6),
+    OptPSM(var=4, value=True, write_id=WriteId(1, 7),
            vector=_vector(), issued_at=7.0),
 ]
 
@@ -203,8 +231,45 @@ OUT_OF_MEMBERSHIP = [
     FullTrackSM(var=0, value=1, write_id=WriteId(1, 1), matrix=_matrix(4)),
     FullTrackRM(var=0, value=1, write_id=None, matrix=MatrixClock(2),
                 request_id=1),
-    OptPSM(var=0, value=1, write_id=WriteId(1, 1), vector=_vector(4)),
+    OptPSM(var=0, value=1, write_id=WriteId(1, 7), vector=_vector(4)),
 ]
+
+
+def layout(message):
+    """The int column of ``message`` spelled out field by field, each int
+    with its role: ``int`` (a var, a request id), ``site``, ``clock`` (a
+    write's number, a clock cell), ``flag`` ("never written"), ``count``
+    (of records, destinations, pairs; a record's destinations) or
+    ``width`` (of a clock)."""
+    out = []
+    for name in WIRE_FIELDS[type(message)]:
+        value = getattr(message, name)
+        if name in ("value", "issued_at"):
+            continue
+        if name == "write_id":
+            if type(message).__name__.endswith("RM"):
+                out.append(("flag", int(value is not None)))
+            if value is not None:
+                out += [("site", value.site), ("clock", value.clock)]
+        elif name == "log" and type(message) is not CRPSM:
+            records = tuple(value)
+            dests = [sorted(e.dests) for e in records]
+            out += [("count", len(records)), ("count", sum(map(len, dests)))]
+            out += [("site", e.writer) for e in records]
+            out += [("clock", e.clock) for e in records]
+            out += [("count", len(d)) for d in dests]
+            out += [("site", d) for ds in dests for d in ds]
+        elif name in ("log", "requirements"):
+            out += [("count", len(value))] + [("site", w) for w, _ in value]
+            out += [("clock", c) for _, c in value]
+        elif name == "matrix":
+            out += [("width", value.n)]
+            out += [("clock", c) for c in value.m.ravel().tolist()]
+        elif name == "vector":
+            out += [("width", value.n)] + [("clock", c) for c in value.v.tolist()]
+        else:
+            out.append(("site" if name == "reader" else "int", value))
+    return out
 
 
 class TestRegistry:
@@ -221,13 +286,26 @@ class TestRegistry:
     def test_every_type_has_a_sample(self):
         assert {type(s) for s in SAMPLES} == set(ALL_MESSAGE_TYPES)
 
+    @pytest.mark.parametrize("message", SAMPLES + LOG_SAMPLES,
+                             ids=lambda m: type(m).__name__)
+    def test_the_int_column_holds_the_int_fields_in_wire_order(
+            self, message):
+        data = dumps(message)
+        assert data[0] == CODE[type(message)]
+        width, ints = column(data)
+        assert ints == [value for _, value in layout(message)]
+        # the narrowest of 1, 2, 4, 8 bytes, or what the widest int needs
+        top = max(max(ints), ~min(ints))
+        assert width == next(w for w in (1, 2, 4, 8, 9, 10)
+                             if top < 1 << (8 * w - 1))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "message", SAMPLES, ids=lambda m: type(m).__name__
     )
     def test_message_roundtrips_equal_and_fingerprinted(self, message):
-        decoded = decode_message(encode_message(message))
+        decoded = loads(dumps(message))
         assert type(decoded) is type(message)
         assert decoded == message
         # structural fingerprint (PR-4 sanitizer): catches lookalikes
@@ -240,8 +318,8 @@ class TestRoundTrip:
     def test_encoding_is_canonical(self, message):
         # equal values encode to identical bytes (and re-encoding the
         # decoded copy is byte-stable)
-        first = encode_message(message)
-        assert encode_message(decode_message(first)) == first
+        first = dumps(message)
+        assert dumps(loads(first)) == first
 
     def test_view_and_flat_log_encode_to_equal_bytes(self):
         # the wire carries the flat sequence: an SM built from a
@@ -257,8 +335,8 @@ class TestRoundTrip:
         viewed = OptTrackSM(var=1, value="v", write_id=wid, log=views[1])
         flat = OptTrackSM(var=1, value="v", write_id=wid,
                           log=tuple(views[1]))
-        assert encode_message(viewed) == encode_message(flat)
-        decoded = decode_message(encode_message(viewed))
+        assert dumps(viewed) == dumps(flat)
+        decoded = loads(dumps(viewed))
         assert decoded == viewed and tuple(decoded.log) == tuple(views[1])
 
         proto, ctx = make_proto("opt-track", site=1)
@@ -279,129 +357,172 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("message", LOG_SAMPLES, ids=LOG_SAMPLE_IDS)
     def test_log_forms_roundtrip(self, message):
-        first = encode_message(message)
-        decoded = decode_message(first)
+        first = dumps(message)
+        decoded = loads(first)
         assert type(decoded) is type(message) and decoded == message
         assert type(decoded.log) is type(message.log)
         assert fingerprint(decoded) == fingerprint(message)
-        assert encode_message(decoded) == first
-        # no tag per record, whatever the log's length
-        assert b'"pbe"' not in first and first.count(b'"!"') <= 3
+        assert dumps(decoded) == first
+        # nothing per record but its ints: past the opening and the
+        # column, only the value and (an SM's) issue time are left
+        width, ints = column(first)
+        value = {None: value_run(NONE), 1: value_run(INT, b"\x01\x01"),
+                 "v": sized_run(STR, b"v")}[message.value]
+        time = struct.pack(">d", 0.0) if hasattr(message, "issued_at") else b""
+        assert first[6 + width * len(ints):] == value + time
 
     def test_empty_log_stays_empty(self):
-        rm = decode_message(encode_message(LOG_SAMPLES[0]))
+        rm = loads(dumps(LOG_SAMPLES[0]))
         assert rm.log == () and type(rm.log) is tuple
-        sm = decode_message(encode_message(LOG_SAMPLES[1]))
+        sm = loads(dumps(LOG_SAMPLES[1]))
         assert type(sm.log) is PiggybackView and len(sm.log) == 0
 
     def test_a_log_is_three_columns_of_plain_ints(self):
-        wire = message_to_wire(SAMPLES[3])  # the OptTrackSM
-        assert wire["f"][WIRE_FIELDS[OptTrackSM].index("log")] == {
-            "!": "log", "w": [0, 2], "c": [3, 5], "d": [[1, 2], [0]]}
-        wire = message_to_wire(SAMPLES[0])  # the FM's requirement pairs
-        assert wire["f"][3] == {"!": "prs", "v": [0, 2, 2, 5]}
+        # (columns: writers, clocks and destinations -- the last as each
+        # record's count and then the destinations themselves)
+        data = dumps(SAMPLES[3])  # the OptTrackSM
+        assert data == (raw(OptTrackSM, [
+            2, 1, 2,              # var, write <1,2>
+            2, 3,                 # two records naming three destinations
+            0, 2,                 # writers
+            3, 5,                 # clocks
+            2, 1,                 # destinations per record
+            1, 2, 0,              # the destinations, sorted per record
+        ], value_run(INT, b"\x01\x29"), struct.pack(">d", 0.0), width=1))
+        data = dumps(SAMPLES[0])  # the FM's requirement pairs
+        assert data == raw(FetchMessage, [3, 1, 17, 2, 0, 2, 2, 5], width=1)
 
     def test_records_mixed_with_anything_else_do_not_encode(self):
         entry = PiggybackEntry(0, 1, frozenset({1}))
         for log in ((entry, (0, 1)), ((0, 1), entry), (entry, None)):
             with pytest.raises(CodecError, match="cannot encode"):
-                encode_message(OptTrackRM(var=0, value=1, write_id=None,
-                                          log=log, request_id=1))
+                dumps(OptTrackRM(var=0, value=1, write_id=None,
+                                 log=log, request_id=1))
         with pytest.raises(CodecError, match="cannot encode"):
             _carried(entry)  # no lone record is ever sent
+        with pytest.raises(CodecError, match="cannot encode"):
+            dumps(CRPSM(var=0, value=1, write_id=WriteId(0, 1), log=_log()))
 
     def test_site_ids_outside_the_membership_are_refused(self):
         # decode takes the cluster size from whoever knows it
         for message in SAMPLES:
-            data = encode_message(message)
-            assert decode_message(data, 3) == message
+            data = dumps(message)
+            assert loads(data, 3) == message
         for message in OUT_OF_MEMBERSHIP:
-            data = encode_message(message)
-            assert decode_message(data) == message  # shape alone is fine
+            data = dumps(message)
+            assert loads(data) == message  # shape alone is fine
             with pytest.raises(CodecError):
-                decode_message(data, 3)
-        # pairs spelled as a plain tuple of tuples are the same pairs
-        wire = message_to_wire(SAMPLES[0])
-        wire["f"][3] = {"!": "t", "v": [{"!": "t", "v": [99, 1]}]}
-        assert message_from_wire(wire).requirements == ((99, 1),)
+                loads(data, 3)
+        fm = FetchMessage(var=0, reader=1, request_id=1,
+                          requirements=((99, 1),))
         with pytest.raises(CodecError, match="site id"):
-            message_from_wire(wire, 3)
+            loads(dumps(fm), 3)
         # the value is the client's: nothing in it is a site id
-        odd = OptTrackRM(var=0, value=((99, 1),), write_id=None, log=(),
+        odd = OptTrackRM(var=0, value=[[99, 1]], write_id=None, log=(),
                          request_id=1)
-        assert decode_message(encode_message(odd), 3) == odd
+        assert loads(dumps(odd), 3) == odd
 
     def test_unknown_type_is_loud(self):
         class Rogue:
             pass
 
         with pytest.raises(CodecError, match="not a registered wire type"):
-            encode_message(Rogue())
+            dumps(Rogue())
 
     def test_field_count_mismatch_is_loud(self):
-        wire = json.loads(encode_message(SAMPLES[0]))
-        wire["f"].append(0)
-        with pytest.raises(CodecError, match="expects"):
-            decode_message(dumps(wire))
+        assert loads(raw(CRPSM, CRP_INTS, TWO, TIME)) == CRPSM(
+            var=1, value=2, write_id=WriteId(0, 1), log=((0, 1),),
+            issued_at=1.5)
+        with pytest.raises(CodecError, match="after the last field"):
+            loads(raw(CRPSM, CRP_INTS + [0], TWO, TIME))
+        with pytest.raises(CodecError, match="after the last field"):
+            loads(dumps(SAMPLES[0]) + b"\x00")
 
 
 def _carried(value):
     """``value`` after a trip inside a data frame, as a read's answer."""
     rm = OptTrackRM(var=0, value=value, write_id=None, log=(), request_id=1)
-    frame = loads(data_frame(0, 1, encode_message(rm)))
-    return message_from_wire(frame["m"]).value
+    frame = data_frame(0, 1, dumps(rm))
+    return loads(frame, 3, HEAD_SIZE).value
 
 
 class TestValueAlgebra:
     @pytest.mark.parametrize("value", [
         None, True, 0, -3, 2.5, "x", [1, "a"], {"k": 1},
-        WriteId(1, 2), (1, (2, 3)), frozenset({3, 1}),
-        {"!weird": 1, "!!worse": 2},  # tag-key escaping
+        [2 ** 70, -(2 ** 70)], {"s": "ünï ☃", "n": [None, False, 1.5]},
+        [], {"!weird": 1, "!!worse": 2},  # keys once reserved for tags
+        False, "", "☃" * 1000, 2 ** 70, -(2 ** 63), 2 ** 63, 1e-300,
+        -0.0, {"": {"": []}},
     ])
     def test_values_roundtrip(self, value):
-        assert _carried(value) == value
+        carried = _carried(value)
+        assert carried == value
+        assert fingerprint(carried) == fingerprint(value)
 
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(CodecError, match="keys must be strings"):
             _carried({1: "x"})
+        with pytest.raises(CodecError, match="keys must be strings"):
+            check_value([{"k": {None: 1}}])
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            dumps(float("nan"))
+        # where the client's JSON parser lets them through, and in the
+        # one float of the protocol's own
+        for bad in (float("nan"), float("inf"), -float("inf"),
+                    [1, float("nan")], {"k": float("inf")}):
+            with pytest.raises(CodecError):
+                check_value(bad)
+            with pytest.raises(CodecError):
+                _carried(bad)
+        with pytest.raises(CodecError, match="time"):
+            dumps(CRPSM(var=0, value=1, write_id=WriteId(0, 1), log=(),
+                        issued_at=float("nan")))
+
+    def test_values_that_are_not_json_do_not_encode(self):
+        for bad in ((1, 2), frozenset({1}), WriteId(0, 1), b"x", {1, 2},
+                    [(1, 2)], "\ud800", 2 ** 3000):
+            with pytest.raises(CodecError):
+                check_value(bad)
+        deep = []
+        for _ in range(5_000):
+            deep = [deep]
+        with pytest.raises(CodecError):
+            check_value(deep)
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(CodecError, match="unknown wire tag"):
-            message_from_wire(_crp_sm_with("value", {"!": "nope"}))
+        with pytest.raises(CodecError, match="unknown value tag"):
+            loads(raw(CRPSM, CRP_INTS, value_run(9), TIME))
 
 
 class TestFraming:
     def test_frame_roundtrip(self):
-        # pack_frame prefixes bytes (it took the dict and walked it with
-        # dumps before the frames became byte templates)
         frame = pack_frame(ack_frame(1, 9))
         size = unpack_length(frame[:4])
-        assert loads(frame[4:4 + size]) == {"k": "ack", "src": 1, "cum": 9}
+        assert size == HEAD_SIZE == 11
+        assert frame_head(frame[4:4 + size]) == (ACK, 1, 9)
 
     @pytest.mark.parametrize("message", SAMPLES + LOG_SAMPLES,
                              ids=lambda m: type(m).__name__)
     def test_spliced_data_frame_is_canonical(self, message):
-        body = encode_message(message)
+        body = dumps(message)
         frame = data_frame(4, 2 ** 40, body)
-        parsed = loads(frame)
-        assert parsed == {"k": "data", "src": 4, "seq": 2 ** 40,
-                          "m": message_to_wire(message)}
-        assert "sz" not in parsed
-        assert dumps(parsed) == frame  # what one walk of the tree writes
-        assert message_from_wire(parsed["m"]) == message
+        # the head, then the message's bytes as they are: not walked again
+        assert frame == b"D\x00\x04" + (2 ** 40).to_bytes(8, "big") + body
+        assert frame_head(frame) == (DATA, 4, 2 ** 40)
+        assert loads(frame, None, HEAD_SIZE) == message
+        assert dumps(loads(frame, None, HEAD_SIZE)) == body
 
     def test_ack_and_hello_templates_are_canonical(self):
-        for frame, parsed in [
-            (ack_frame(3, -1), {"k": "ack", "src": 3, "cum": -1}),
-            (ack_frame(0, 2 ** 70), {"k": "ack", "src": 0, "cum": 2 ** 70}),
-            (hello_frame(12), {"k": "hello", "src": 12, "v": WIRE_VERSION}),
+        for frame, head, spelled in [
+            (ack_frame(3, -1), (ACK, 3, -1), b"A\x00\x03" + b"\xff" * 8),
+            (ack_frame(0, 2 ** 62), (ACK, 0, 2 ** 62),
+             b"A\x00\x00@" + b"\x00" * 7),
+            (hello_frame(12), (HELLO, 12, WIRE_VERSION),
+             b"H\x00\x0c" + b"\x00" * 7 + b"\x03"),
         ]:
-            assert loads(frame) == parsed and dumps(parsed) == frame
-        assert WIRE_VERSION == 2  # v1 tagged every record and sized frames
+            assert frame == spelled and frame_head(frame) == head
+        # v1 tagged every record and sized frames, v2 was canonical JSON
+        assert WIRE_VERSION == 3
 
     def test_pack_frame_caps_the_payload(self, monkeypatch):
         monkeypatch.setattr("repro.service.codec.MAX_FRAME_BYTES", 8)
@@ -415,46 +536,58 @@ class TestFraming:
             unpack_length(huge)
 
     @pytest.mark.parametrize("payload", [
-        b'{"k":"ack","src":1,"cum":' + b"1" * 5000 + b"}",  # int digit limit
-        b"[" * 100_000 + b"]" * 100_000,                    # parser's stack
-        b'\xff\xfe{"k":1}',                                  # not UTF
-        b'{"k":"ack","src":1,"cum":NaN}',
-        b'{"k":"ack","src":1,"cum":-Infinity}',
-        b'{"k":"ack","src":1,"cum":1e999}',                 # inf by overflow
-        b"", b"\x00", b'{"k":"ack"', b'{"k":"ack"}x',
+        raw(CRPSM, CRP_INTS, value_run(INT, b"\x00"), TIME),  # int, no digits
+        raw(CRPSM, CRP_INTS, sized_run(JSON, b"[" * 100_000 + b"]" * 100_000),
+            TIME),                                            # parser's stack
+        raw(CRPSM, CRP_INTS, sized_run(STR, b"\xff\xfe"), TIME),  # not UTF-8
+        raw(CRPSM, CRP_INTS, TWO, struct.pack(">d", float("nan"))),
+        raw(CRPSM, CRP_INTS, value_run(FLOAT, struct.pack(">d", -float("inf"))),
+            TIME),
+        raw(CRPSM, CRP_INTS, sized_run(JSON, b"[1e999]"), TIME),  # overflow
+        b"", b"\x00", raw(CRPSM, CRP_INTS, TWO, TIME)[:-1],
+        raw(CRPSM, CRP_INTS, TWO, TIME) + b"x",
     ], ids=["digits", "depth", "utf", "nan", "-inf", "1e999", "empty", "nul",
             "truncated", "trailing"])
     def test_loads_fails_typed(self, payload):
-        # not ValueError / RecursionError / UnicodeDecodeError: the node's
-        # link reader catches CodecError, and what the encoder refuses
-        # to write the decoder refuses to read
-        with pytest.raises(CodecError, match="malformed"):
+        # not ValueError / RecursionError / UnicodeDecodeError /
+        # struct.error: the channel catches CodecError, and what the
+        # encoder refuses to write the decoder refuses to read
+        with pytest.raises(CodecError) as refused:
             loads(payload)
+        assert type(refused.value) is CodecError
 
     def test_nesting_too_deep_for_any_stage_is_codec_error(self):
-        # a client's value may nest; how deep the JSON parser and the
-        # value walk each get before the interpreter stops them depends
-        # on its version, so: at every depth, a message or a CodecError
-        wire = dumps(_crp_sm_with("value", None))
+        # a client's value may nest; how deep the JSON parser gets before
+        # the interpreter stops it depends on its version, so: at every
+        # depth, a message or a CodecError
         outcomes = []
         for depth in (50, 400, 600, 900, 1_200, 3_000, 20_000):
-            payload = wire.replace(
-                b'"f":[1,null', b'"f":[1,' + b"[" * depth + b"]" * depth, 1)
-            assert payload != wire
+            blob = b"[" * depth + b"]" * depth
             try:
-                outcomes.append(type(decode_message(payload)))
+                outcomes.append(type(loads(
+                    raw(CRPSM, CRP_INTS, sized_run(JSON, blob), TIME))))
             except CodecError:
                 outcomes.append(CodecError)
         assert outcomes[0] is CRPSM and outcomes[-2:] == [CodecError] * 2
         assert set(outcomes) == {CRPSM, CodecError}
 
     def test_malformed_payload_is_codec_error(self):
-        with pytest.raises(CodecError, match="malformed"):
-            loads(b"{nope")
-        # well-tagged but ill-shaped: the constructors' own KeyError /
-        # TypeError / ValueError must not be what a peer's bytes raise
-        for wire in ILL_SHAPED_MESSAGES:
+        assert loads(raw(OptTrackSM, OPT_INTS, TWO, TIME), 3).log == (
+            PiggybackEntry(0, 1, frozenset({1})),)
+        # well-framed but ill-shaped: the readers' and constructors' own
+        # struct.error / IndexError / ValueError must not be what a
+        # peer's bytes raise
+        for data in ILL_SHAPED_MESSAGES:
             with pytest.raises(CodecError):
-                message_from_wire(wire)
+                loads(data)
             with pytest.raises(CodecError):
-                decode_message(dumps(wire))
+                loads(data_frame(1, 0, data), None, HEAD_SIZE)
+
+    @pytest.mark.parametrize("frame", [
+        b"", b"D", b"D\x00\x01" + b"\x00" * 7, b"X" + b"\x00" * 10,
+        b'{"k":"ack","src":1,"cum":0}',
+    ], ids=["empty", "kind-only", "short", "unknown-kind", "json"])
+    def test_frame_head_refuses_what_this_format_does_not_open_with(
+            self, frame):
+        with pytest.raises(CodecError, match="no frame head"):
+            frame_head(frame)

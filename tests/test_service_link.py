@@ -7,18 +7,19 @@ loop's handler fails the test), pointed at the *peer* port.
 """
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.service import node as node_module
 from repro.service.codec import (
+    DATA,
     WIRE_VERSION,
     ack_frame,
     data_frame,
     dumps,
-    encode_message,
+    frame_head,
     hello_frame,
-    loads,
     pack_frame,
 )
 
@@ -38,20 +39,26 @@ def _links_up(nodes):
     return all(len(n.status()["peer_links"]) == len(nodes) - 1 for n in nodes)
 
 
-#: first frames a v2 node must not take for a greeting
+def _hello(src, version):
+    """A hello's frame head as the layout spells it: kind, site, number."""
+    return struct.pack(">BHq", ord("H"), src, version)
+
+
+#: first frames a v3 node must not take for a greeting.  (The ids are
+#: the JSON era's; each case is now the frame head that fails that check.)
 NOT_A_GREETING = {
-    "v1 hello": dumps({"k": "hello", "src": 1}),
-    "version 1": dumps({"k": "hello", "src": 1, "v": 1}),
-    "version 3": dumps({"k": "hello", "src": 1, "v": WIRE_VERSION + 1}),
-    "version '2'": dumps({"k": "hello", "src": 1, "v": str(WIRE_VERSION)}),
+    "v1 hello": _hello(1, 0),                     # no version, as v1 had
+    "version 1": _hello(1, 1),
+    "version 3": _hello(1, WIRE_VERSION + 1),     # a newer format
+    "version '2'": _hello(1, WIRE_VERSION << 56),  # this one, little-endian
     "non-member": hello_frame(9),
     "itself": hello_frame(0),
-    "src true": dumps({"k": "hello", "src": True, "v": WIRE_VERSION}),
-    "src null": dumps({"k": "hello", "src": None, "v": WIRE_VERSION}),
-    "extra key": dumps({"k": "hello", "src": 1, "v": WIRE_VERSION, "x": 0}),
-    "data first": data_frame(1, 0, encode_message(message(1))),
+    "src true": _hello(2, WIRE_VERSION),          # first id past the members
+    "src null": _hello(0xFFFF, WIRE_VERSION),
+    "extra key": hello_frame(1) + b"\x00",        # a byte after the head
+    "data first": data_frame(1, 0, dumps(message(1))),
     "ack first": ack_frame(1, 0),
-    "not an object": b"[]",
+    "not an object": _hello(1, 2),                # the JSON format's number
 }
 
 
@@ -65,7 +72,7 @@ def test_link_not_opened_by_this_versions_hello_is_refused(first):
         # may reach the channel
         writer.write(pack_frame(first)
                      + pack_frame(hello_frame(1))
-                     + pack_frame(data_frame(1, 0, encode_message(message(7)))))
+                     + pack_frame(data_frame(1, 0, dumps(message(7)))))
         await _closed_by_peer(reader)
         writer.close()
         status = node.status()
@@ -96,15 +103,19 @@ def test_greeted_link_is_served_and_a_second_hello_is_just_a_bad_frame():
     run(scenario, n_sites=2, start=[0])
 
 
-#: payloads the parser cannot return an object for; the first four used
-#: to leave _handle_peer as ValueError / RecursionError /
-#: UnicodeDecodeError and kill the reader task with nobody to retrieve it
+#: payloads that do not open with this format's frame head: the JSON
+#: era's unparsable ones (the first four used to leave _handle_peer as
+#: ValueError / RecursionError / UnicodeDecodeError and kill the reader
+#: task with nobody to retrieve it), which are also what a v2 peer
+#: sends, and heads cut short or of no kind
 UNPARSABLE = {
     "digits": b'{"k":"ack","src":1,"cum":' + b"1" * 5000 + b"}",
     "depth": b"[" * 100_000 + b"]" * 100_000,
     "utf": b'\xff\xfe{"k":1}',
     "nan": b'{"k":"ack","src":1,"cum":NaN}',
     "syntax": b"{nope",
+    "short head": hello_frame(1)[:-1],
+    "no kind": b"\x00" * 11,
 }
 
 
@@ -115,7 +126,7 @@ def test_unparsable_payload_closes_the_link_typed_and_counted(payload):
         node = nodes[0]
         reader, writer = await _dial(node)
         writer.write(pack_frame(hello_frame(1)) + pack_frame(payload)
-                     + pack_frame(data_frame(1, 0, encode_message(message(7)))))
+                     + pack_frame(data_frame(1, 0, dumps(message(7)))))
         await _closed_by_peer(reader)
         writer.close()
         status = node.status()
@@ -131,7 +142,7 @@ def test_unparsable_payload_closes_the_link_typed_and_counted(payload):
         # the node is alive: it still serves a greeted link
         reader, writer = await _dial(node)
         writer.write(pack_frame(hello_frame(1))
-                     + pack_frame(data_frame(1, 0, encode_message(message(3)))))
+                     + pack_frame(data_frame(1, 0, dumps(message(3)))))
         await _until(
             lambda: node.transport.channel(1).receiver.next_expected == 1,
             "the data frame to be taken")
@@ -201,7 +212,7 @@ def test_dropped_outbound_link_is_redialled_and_the_channel_retransmits(
         await _until(lambda: node.status()["peer_links"] == [],
                      "the node to notice that its link was dropped")
         assert first_link[0] == hello_frame(0)
-        assert loads(first_link[1])["k"] == "data"
+        assert frame_head(first_link[1])[0] == DATA
         assert node.status()["pending_channel"] == 1
 
         await peer.start()
@@ -254,7 +265,7 @@ def _link_fed(nodes, *segments):
 def _conversation(k=4):
     frames = [hello_frame(1)]
     for seq in range(k):
-        frames += [data_frame(1, seq, encode_message(message(seq))),
+        frames += [data_frame(1, seq, dumps(message(seq))),
                    ack_frame(1, seq - 1)]
     return frames
 
@@ -262,7 +273,7 @@ def _conversation(k=4):
 def test_frames_are_the_same_however_the_reads_cut_the_stream():
     frames = _conversation()
     stream = b"".join(map(pack_frame, frames))
-    want = ([loads(f) for f in frames[1:]], 4, 0, False)
+    want = (frames[1:], 4, 0, False)
 
     async def scenario(nodes):
         assert _link_fed(nodes, stream) == want
@@ -284,7 +295,8 @@ def test_unparsable_payload_in_mid_segment_stops_the_link_there():
 
     async def scenario(nodes):
         seen, next_expected, malformed, closed = _link_fed(nodes, segment)
-        assert seen == [loads(f) for f in frames[1:3]]  # none after it
+        # handed on, refused there for want of a head, and none after it
+        assert seen == frames[1:3] + [b"{nope"]
         assert (next_expected, malformed, closed) == (1, 1, True)
 
     run(scenario, n_sites=2, start=[])
