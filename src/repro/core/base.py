@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     # annotation-only crossings, declared as ports in layers.toml: the
     # substrate objects reach the protocol through ProtocolContext
     # injection, never through a module-level runtime import
-    from ..obs.metrics import Histogram, MetricsRegistry
     from ..obs.tracer import Tracer
 
 from ..memory.replication import Placement
@@ -96,8 +95,6 @@ class ProtocolContext:
     history: HistoryRecorder = field(default_factory=lambda: HistoryRecorder(enabled=False))
     #: observability hooks; None (the default) is the zero-overhead path
     tracer: Optional[Tracer] = None
-    #: metrics registry (labeled instruments); None is the zero-overhead path
-    registry: Optional[MetricsRegistry] = None
 
 
 class _Pending:
@@ -243,41 +240,6 @@ class CausalProtocol(abc.ABC):
         self._members: Optional[tuple[int, ...]] = None
         #: set once this site leaves / is evicted; operations fail fast
         self._departed_status: Optional[str] = None
-        # Metrics instruments, resolved once per protocol instance so the
-        # hot paths pay a single ``is None`` branch (registry=None keeps
-        # all three at None — no instrument objects exist at all).  The
-        # histogram children are shared across sites (label: protocol);
-        # per-site detail lives in the collector's message slots.
-        registry = ctx.registry
-        if registry is not None:
-            self._m_activation_wait: Optional[Histogram] = registry.histogram(  # type: ignore[assignment]
-                "proto_activation_wait_ms",
-                "time a buffered SM waited before its activation predicate held",
-                labels=("protocol",),
-                reservoir=False,
-            ).labels(protocol=self.name)
-            self._m_pending_depth: Optional[Histogram] = registry.histogram(  # type: ignore[assignment]
-                "proto_pending_sm_depth",
-                "buffered-SM queue depth (1-in-4 SM-arrival sample)",
-                labels=("protocol",),
-                buckets=(0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128),
-                reservoir=False,
-            ).labels(protocol=self.name)
-            # deterministic 1-in-4 sampling of the depth shape metric
-            # (same idiom as the kernel batch hook's stride); the peak
-            # is still exact via pending_sm_peak
-            self._m_depth_skip = 0
-            self._m_log_entries: Optional[Histogram] = registry.histogram(  # type: ignore[assignment]
-                "proto_log_entries",
-                "piggyback log/clock entry count (1-in-4 local-write sample)",
-                labels=("protocol",),
-                reservoir=False,
-            ).labels(protocol=self.name)
-            self._m_log_skip = 0
-        else:
-            self._m_activation_wait = None
-            self._m_pending_depth = None
-            self._m_log_entries = None
         #: kind -> (this site's collector slot, reader of the field whose
         #: length it sums), bound on the kind's first send and bumped
         #: inline in _send; dropped on view changes (the clock width is
@@ -310,14 +272,7 @@ class CausalProtocol(abc.ABC):
             raise DepartedSiteError(self.site, self._departed_status)
         if self._wal is not None and not self._replaying:
             self._wal.log_write(var, value)
-        write_id = self._perform_write(var, value, op_index=op_index)
-        if self._m_log_entries is not None:
-            # 1-in-4 deterministic sample, same idiom as _m_depth_skip
-            self._m_log_skip += 1
-            if self._m_log_skip >= 4:
-                self._m_log_skip = 0
-                self._m_log_entries.observe(self.log_size())
-        return write_id
+        return self._perform_write(var, value, op_index=op_index)
 
     @abc.abstractmethod
     def _perform_write(
@@ -404,11 +359,6 @@ class CausalProtocol(abc.ABC):
             depth = len(pending) + 1  # the arrival counts itself
             if depth > self.pending_sm_peak:
                 self.pending_sm_peak = depth
-            if self._m_pending_depth is not None:
-                self._m_depth_skip += 1
-                if self._m_depth_skip >= 4:
-                    self._m_depth_skip = 0
-                    self._m_pending_depth.observe(depth)
         dirty = self._dirty
         if (self._draining or dirty[0] or dirty[1] or dirty[2]
                 or gate(src, message) is not None):
@@ -563,8 +513,6 @@ class CausalProtocol(abc.ABC):
                             # only genuinely buffered updates count: an
                             # immediately-applicable SM has no gating cost
                             ctx.collector.record_activation_delay(delay)
-                            if self._m_activation_wait is not None:
-                                self._m_activation_wait.observe(delay)
                     if tracer is None:
                         act(entry.src, message)
                     else:
@@ -871,16 +819,10 @@ class CausalProtocol(abc.ABC):
             collector=MetricsCollector(),
             history=HistoryRecorder(enabled=False),
             tracer=None,
-            registry=None,
         )
-        # the pre-bound instrument children and message slots would
-        # otherwise re-record replayed arrivals/activations/sends into
-        # the real registry and collector
-        saved_instruments = (self._m_activation_wait, self._m_pending_depth,
-                             self._m_log_entries, self._msg_slots)
-        self._m_activation_wait = None
-        self._m_pending_depth = None
-        self._m_log_entries = None
+        # the bound message slots would otherwise re-record replayed
+        # sends into the real collector
+        saved_slots = self._msg_slots
         self._msg_slots = {}
         self._replaying = True
         try:
@@ -896,8 +838,7 @@ class CausalProtocol(abc.ABC):
         finally:
             self._replaying = False
             self.ctx = real_ctx
-            (self._m_activation_wait, self._m_pending_depth,
-             self._m_log_entries, self._msg_slots) = saved_instruments
+            self._msg_slots = saved_slots
         self._fetches.clear()
         return len(records)
 

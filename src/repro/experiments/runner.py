@@ -212,7 +212,6 @@ class SimulatedSystem:
     overload_rng: Optional[np.random.Generator]
     history: HistoryRecorder
     tracer: Optional[Tracer]
-    registry: Optional[MetricsRegistry]
     protocols: list[CausalProtocol] = field(default_factory=list)
     #: the run's application sites (filled by run_simulation; empty when
     #: sites are driven by hand), shared with the crash manager
@@ -234,7 +233,6 @@ class SimulatedSystem:
             size_model=self.config.size_model,
             history=self.history,
             tracer=self.tracer,
-            registry=self.registry,
         )
         return create_protocol(self.config.protocol, ctx)
 
@@ -243,7 +241,6 @@ def build_system(
     config: SimulationConfig,
     *,
     tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
     crash_recovery: bool = False,
 ) -> SimulatedSystem:
     """Wire the simulator, network, protocols and crash stack ``config``
@@ -282,17 +279,12 @@ def build_system(
         tracer.meta.setdefault("protocol", config.protocol)
         tracer.meta.setdefault("n_sites", config.n_sites)
         tracer.meta.setdefault("seed", config.seed)
-    if registry is not None:
-        # clock growth past the initial site count is epoch padding
-        registry.ledger = MetadataLedger(collector, config.size_model,
-                                         base_n=config.n_sites)
-        registry.install_kernel_hook(sim)
     system = SimulatedSystem(
         config=config, placement=placement, sim=sim, collector=collector,
         network=network, transport=transport, faults=faults,
         overload_rng=overload_rng,
         history=HistoryRecorder(enabled=config.record_history),
-        tracer=tracer, registry=registry,
+        tracer=tracer,
     )
     for i in range(config.n_sites):
         proto = system.new_protocol(i)
@@ -317,7 +309,6 @@ def build_system(
             checkpoint_interval_ms=config.checkpoint_interval_ms,
             detector_policy=(config.detector or DetectorPolicy()) if watch else None,
             collector=collector,
-            registry=registry,
             tracer=tracer,
             sites=system.sites,
         )
@@ -335,15 +326,15 @@ def _sample_final_metrics(
     view_manager: Optional[ViewManager] = None,
     overload_driver: Optional[OverloadDriver] = None,
 ) -> None:
-    """Export every total once, at quiescence, from the store that keeps it.
+    """Export every number once, at quiescence, from the store that keeps it.
 
-    Kernel counters, per-site terminal log sizes, opt-track purge
-    tallies, the peak activation-buffer depth, the collector's fault,
-    crash, channel-event and overload counters, the detector's and the
-    view manager's own counts: each number has one writer, and the
-    registry only reads it here.  Only distributions are streamed into
-    the registry while the run executes — their buckets live nowhere
-    else.
+    Kernel counters, per-site terminal log sizes, buffered arrivals and
+    the peak activation-buffer depth, opt-track purge tallies, the
+    collector's fault, crash, channel-event and overload counters and
+    its distributions, the detector's and the view manager's own
+    counts: each number has one writer, and the registry only reads it
+    here.  A distribution is exported as a summary bound to the
+    collector's ``RunningStat``; its help text names the window.
     """
     registry.inc("kernel_events_total", sim.processed_events,
                  help_text="events processed by the simulation kernel")
@@ -359,6 +350,10 @@ def _sample_final_metrics(
         registry.set_gauge(
             "proto_pending_sm_peak", proto.pending_sm_peak,
             help_text="peak activation-buffer depth over the run",
+            protocol=proto.name, site=proto.site)
+        registry.inc(
+            "proto_buffered_arrivals_total", proto.buffered_arrivals,
+            help_text="arrivals that took the pending buffer (lifetime)",
             protocol=proto.name, site=proto.site)
         log = getattr(proto, "log", None)
         purged = getattr(log, "purged_records", None)
@@ -387,9 +382,32 @@ def _sample_final_metrics(
          "anti-entropy catch-ups completed"),
         ("wal_checkpoints_total", collector.checkpoints_taken,
          "checkpoints installed across all sites"),
+        ("wal_truncated_records_total", collector.wal_truncated_records,
+         "WAL records truncated by those checkpoints"),
     ):
         if value:
             registry.inc(name, value, help_text=help_text)
+    protocol = protocols[0].name
+    registry.summary(
+        "proto_activation_wait_ms", collector.activation_delays,
+        help_text="time a buffered SM waited before its activation "
+                  "predicate held (measured window)",
+        protocol=protocol)
+    if collector.log_sizes.count:
+        registry.summary(
+            "proto_log_entries", collector.log_sizes,
+            help_text="local log entries at each write (measured window)",
+            protocol=protocol)
+    for name, stat, help_text in (
+        ("crash_downtime_ms", collector.downtime,
+         "crash-to-restore downtime (lifetime)"),
+        ("wal_replayed_records", collector.wal_replays,
+         "WAL records replayed per restore (lifetime)"),
+        ("crash_catchup_ms", collector.catchup_latency,
+         "restore-to-caught-up duration (lifetime)"),
+    ):
+        if stat.count:
+            registry.summary(name, stat, help_text=help_text)
     if transport is not None:
         transport.sample_channel_metrics(registry)
     detector = crash_manager.detector if crash_manager is not None else None
@@ -445,11 +463,13 @@ def run_simulation(
     instrumented paths byte-identical to the untraced seed behavior,
     mirroring the ``fault_plan=None`` contract.
 
-    A caller-provided ``registry`` turns on the metrics layer: labeled
-    instruments across kernel/network/protocols/crash/membership plus
-    the per-component metadata-byte ledger; ``None`` is again the
-    zero-overhead path.  A ``heartbeat`` reporter (usually paired with a
-    registry) emits periodic progress lines while the run executes.
+    A caller-provided ``registry`` is filled at quiescence: labeled
+    counters, gauges and summaries across kernel/network/protocols/
+    crash/membership, read from the stores that keep them, plus the
+    per-component metadata-byte ledger over the run's collector.  A
+    ``heartbeat`` reporter (usually paired with a registry) emits
+    periodic progress lines while the run executes; its "at last beat"
+    gauges are the only registry writes before quiescence.
     """
     # Elastic membership: the id space (capacity) covers every site that
     # will ever exist this run, so the workload is generated for joiners
@@ -493,8 +513,12 @@ def run_simulation(
         )
         plan.validate(horizon_ms=horizon)
 
-    system = build_system(config, tracer=tracer, registry=registry)
+    system = build_system(config, tracer=tracer)
     sim, collector, protocols = system.sim, system.collector, system.protocols
+    if registry is not None:
+        # clock growth past the initial site count is epoch padding
+        registry.ledger = MetadataLedger(collector, config.size_model,
+                                         base_n=config.n_sites)
     crash_manager = system.crash_manager
     if tracer is not None:
         tracer.meta.setdefault("ops_per_process", config.ops_per_process)

@@ -168,6 +168,8 @@ class MetricsCollector:
         self.crashes = 0
         #: checkpoints taken by the durability layer
         self.checkpoints_taken = 0
+        #: WAL records those checkpoints truncated
+        self.wal_truncated_records = 0
         #: suspicions raised against sites that were actually up
         self.false_suspicions = 0
         #: anti-entropy sync requests/responses exchanged during rejoin
@@ -333,8 +335,10 @@ class MetricsCollector:
     def record_crash(self) -> None:
         self.crashes += 1
 
-    def record_checkpoint(self) -> None:
+    def record_checkpoint(self, wal_len: int) -> None:
+        """One checkpoint installed, truncating ``wal_len`` WAL records."""
         self.checkpoints_taken += 1
+        self.wal_truncated_records += wal_len
 
     def record_false_suspicion(self) -> None:
         self.false_suspicions += 1

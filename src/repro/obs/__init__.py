@@ -9,14 +9,14 @@ The subsystem has four parts (see ``docs/observability.md``):
   Perfetto with one track per site;
 * analysis — :func:`summarize_trace`, :func:`slowest_activations` and
   causal-chain reconstruction, :func:`diff_traces`;
-* metrics — :class:`MetricsRegistry` (labeled counters/gauges/
-  histograms), the :class:`MetadataLedger` per-component byte
-  accounting, Prometheus/JSONL/console exporters, and the
-  :class:`HeartbeatReporter` live progress lines.
+* metrics — :class:`MetricsRegistry` (labeled counters, gauges and
+  summaries, read at quiescence), the :class:`MetadataLedger`
+  per-component byte accounting, Prometheus/JSONL/console exporters,
+  and the :class:`HeartbeatReporter` live progress lines.
 
-Everything is opt-in: with ``tracer=None`` / ``registry=None`` (the
-defaults everywhere) the instrumented subsystems run byte-identical to
-the un-instrumented code.
+Everything is opt-in: with ``tracer=None`` (the default everywhere) the
+instrumented subsystems run byte-identical to the un-instrumented code,
+and a registry reads the run's own stores once the run is over.
 """
 
 from .analyze import (
@@ -40,7 +40,7 @@ from .export import (
     write_snapshot_json,
 )
 from .ledger import MetadataLedger, decompose_message
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry, Summary
 from .sinks import load_trace, to_chrome, write_chrome, write_jsonl
 from .tracer import Trace, TraceEvent, Tracer
 
@@ -51,7 +51,7 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
+    "Summary",
     "MetadataLedger",
     "decompose_message",
     "HeartbeatReporter",

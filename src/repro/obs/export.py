@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
 from .ledger import MetadataLedger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, format_value
+from .metrics import MetricsRegistry, Summary, format_value
 
 __all__ = [
     "METRICS_FORMAT_VERSION",
@@ -36,7 +36,12 @@ __all__ = [
     "HeartbeatReporter",
 ]
 
-METRICS_FORMAT_VERSION = 1
+#: 2 since summaries replaced histograms (a series holds count, sum and
+#: quantiles, no buckets); ``flatten_snapshot`` reads both versions
+METRICS_FORMAT_VERSION = 2
+
+#: Prometheus ``quantile`` label of each reservoir quantile
+_PROM_QUANTILES = (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
 
 #: namespace prepended to every exposed Prometheus metric name
 PROM_PREFIX = "repro_"
@@ -67,9 +72,9 @@ def to_prometheus(registry: MetricsRegistry, *,
                   prefix: str = PROM_PREFIX) -> str:
     """Render the registry (instruments + ledger) as Prometheus text.
 
-    Histograms emit the standard ``_bucket``/``_sum``/``_count`` series
-    plus ``_quantile``-labeled gauge lines from the seeded reservoir
-    (p50/p95/p99).  The metadata ledger is exposed as
+    Summaries emit the standard form: ``{quantile="0.5|0.95|0.99"}``
+    lines from the seeded reservoir, then ``_sum`` and ``_count``.  The
+    metadata ledger is exposed as
     ``<prefix>metadata_messages_total`` and
     ``<prefix>metadata_bytes_total{component=...}`` from its lifetime
     window (Prometheus counters are lifetime-semantics by definition).
@@ -81,22 +86,17 @@ def to_prometheus(registry: MetricsRegistry, *,
             lines.append(f"# HELP {name} {fam.help}")
         lines.append(f"# TYPE {name} {fam.kind}")
         for values, child in fam.samples():
-            if isinstance(child, (Counter, Gauge)):
-                label_s = _prom_labels(fam.label_names, values)
+            label_s = _prom_labels(fam.label_names, values)
+            if not isinstance(child, Summary):
                 lines.append(f"{name}{label_s} {format_value(child.value)}")
-            else:
-                assert isinstance(child, Histogram)
-                for le, cum in child.cumulative_buckets():
-                    label_s = _prom_labels(fam.label_names, values,
-                                           extra=(("le", le),))
-                    lines.append(f"{name}_bucket{label_s} {cum}")
-                label_s = _prom_labels(fam.label_names, values)
-                lines.append(f"{name}_sum{label_s} {format_value(child.sum)}")
-                lines.append(f"{name}_count{label_s} {child.count}")
-                for q, qv in sorted(child.quantiles().items()):
-                    qlabel = _prom_labels(fam.label_names, values,
-                                          extra=(("quantile", q),))
-                    lines.append(f"{name}_quantile{qlabel} {format_value(qv)}")
+                continue
+            quantiles = child.quantiles()
+            for key, q in _PROM_QUANTILES:
+                qlabel = _prom_labels(fam.label_names, values,
+                                      extra=(("quantile", q),))
+                lines.append(f"{name}{qlabel} {format_value(quantiles[key])}")
+            lines.append(f"{name}_sum{label_s} {format_value(child.sum)}")
+            lines.append(f"{name}_count{label_s} {child.count}")
     lines.extend(_ledger_prometheus(registry.ledger, prefix))
     return "\n".join(lines) + "\n"
 
@@ -145,19 +145,12 @@ def registry_snapshot(registry: MetricsRegistry,
         series = []
         for values, child in fam.samples():
             labels = dict(zip(fam.label_names, values))
-            if isinstance(child, (Counter, Gauge)):
-                series.append({"labels": labels,
-                               "value": child.value})
+            if isinstance(child, Summary):
+                series.append({"labels": labels, "count": child.count,
+                               "sum": child.sum,
+                               "quantiles": child.quantiles()})
             else:
-                assert isinstance(child, Histogram)
-                series.append({
-                    "labels": labels,
-                    "count": child.count,
-                    "sum": child.sum,
-                    "buckets": {le: cum
-                                for le, cum in child.cumulative_buckets()},
-                    "quantiles": child.quantiles(),
-                })
+                series.append({"labels": labels, "value": child.value})
         families[fam.name] = {"kind": fam.kind, "help": fam.help,
                               "series": series}
     snap: dict = {
@@ -193,7 +186,11 @@ def append_snapshot_jsonl(registry: MetricsRegistry, fh: IO[str], *,
 # flatten / diff (repro metrics diff)
 # ----------------------------------------------------------------------
 def flatten_snapshot(snap: dict) -> dict[str, float]:
-    """Flatten a snapshot to ``{dotted.key: number}`` for diffing."""
+    """Flatten a snapshot to ``{dotted.key: number}`` for diffing.
+
+    A distribution contributes its ``count`` and ``sum`` only, so a
+    version-1 snapshot (histograms with ``buckets``) diffs against a
+    version-2 one (summaries)."""
     flat: dict[str, float] = {}
     for name, fam in sorted(snap.get("families", {}).items()):
         for entry in fam["series"]:

@@ -68,7 +68,6 @@ from .faults import CrashEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.base import CausalProtocol
     from ..metrics.collector import MetricsCollector
-    from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
     from .engine import Simulator
     from .membership import ViewManager
@@ -99,7 +98,6 @@ class CrashRecoveryManager:
         checkpoint_interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
         detector_policy: Optional[DetectorPolicy] = None,
         collector: "MetricsCollector",
-        registry: "Optional[MetricsRegistry]" = None,
         tracer: "Optional[Tracer]" = None,
         sites: "Optional[list[Site]]" = None,
     ) -> None:
@@ -129,9 +127,6 @@ class CrashRecoveryManager:
         self.sites: "list[Site]" = [] if sites is None else sites
         self.crashes = tuple(crashes)
         self.collector = collector
-        #: the restore, catch-up and WAL-tail histograms (None is the
-        #: zero-overhead path); their counts are the collector's
-        self.registry = registry
         self.tracer = tracer
         #: elastic membership: set once by the view manager it escalates to
         self.view_manager: "Optional[ViewManager]" = None
@@ -227,13 +222,8 @@ class CrashRecoveryManager:
                 continue  # a departed site's disk is frozen history
             if quiescent and not disk.wal:
                 continue  # nothing new since the last checkpoint
-            wal_len = len(disk.wal)
+            self.collector.record_checkpoint(len(disk.wal))
             disk.install_checkpoint(proto.snapshot(), now)
-            self.collector.record_checkpoint()
-            if self.registry is not None:
-                self.registry.observe(
-                    "wal_tail_records", wal_len,
-                    help_text="WAL records truncated by each checkpoint")
         if quiescent:
             # one final checkpoint above truncated every WAL, so a later
             # crash (interactive drivers) replays only post-wake inputs
@@ -387,11 +377,6 @@ class CrashRecoveryManager:
             wal_replayed=replayed,
             checkpoint_age_ms=checkpoint_age,
         )
-        if self.registry is not None:
-            self.registry.observe("crash_downtime_ms", downtime,
-                                  help_text="crash-to-restore downtime")
-            self.registry.observe("wal_replayed_records", replayed,
-                                  help_text="WAL records replayed per restore")
         if self.tracer is not None:
             self.tracer.site_restore(site, now, downtime_ms=downtime,
                                      wal_replayed=replayed)
@@ -445,9 +430,6 @@ class CrashRecoveryManager:
         duration = self.sim.now - self._catchup_started.pop(site)
         rounds = self._catchup_rounds.pop(site, 0)
         self.collector.record_catchup(duration, rounds=rounds, forced=forced)
-        if self.registry is not None:
-            self.registry.observe("crash_catchup_ms", duration,
-                                  help_text="restore-to-caught-up duration")
         if self.tracer is not None:
             self.tracer.site_catchup(site, self.sim.now, duration_ms=duration,
                                      rounds=rounds, forced=forced)
@@ -635,7 +617,6 @@ def install_crash_recovery(
     checkpoint_interval_ms: Optional[float] = None,
     detector_policy: Optional[DetectorPolicy] = None,
     collector: "MetricsCollector",
-    registry: "Optional[MetricsRegistry]" = None,
     tracer: "Optional[Tracer]" = None,
     sites: "Optional[list[Site]]" = None,
 ) -> CrashRecoveryManager:
@@ -654,7 +635,7 @@ def install_crash_recovery(
                                 if checkpoint_interval_ms is None
                                 else checkpoint_interval_ms),
         detector_policy=detector_policy, collector=collector,
-        registry=registry, tracer=tracer, sites=sites,
+        tracer=tracer, sites=sites,
     )
     manager.start()
     return manager

@@ -129,7 +129,7 @@ class Simulator:
         #: cancelled events still sitting in the heap
         self._tombstones = 0
         #: lifetime count of tombstone compactions (always-on int — the
-        #: compact path is rare; sampled by the metrics registry)
+        #: compact path is rare; read by the metrics registry at quiescence)
         self.compactions = 0
         #: optional per-event observer ``(time, pending_count)`` — used
         #: by ``HeartbeatReporter`` (progress lines: event throughput,
@@ -138,17 +138,6 @@ class Simulator:
         #: it once at entry, so a swap from inside a callback only takes
         #: effect on the next ``run()``/``step()``.
         self.observer: Optional[Callable[[float, int], None]] = None
-        #: optional per-timestamp-batch observer ``(time, batch_events,
-        #: heap_len)`` — fired every ``batch_observer_stride``-th
-        #: same-timestamp batch by :meth:`run` (not :meth:`step`).  Used
-        #: by the metrics registry's kernel histograms; read once at
-        #: ``run()`` entry like ``observer``.
-        self.batch_observer: Optional[Callable[[float, int, int], None]] = None
-        #: 1-in-k sampling for ``batch_observer``: skipped batches cost
-        #: an inline increment in the dispatch loop instead of a Python
-        #: call into the hook (batch/heap histograms are shape metrics;
-        #: a deterministic sample preserves them)
-        self.batch_observer_stride: int = 1
 
     # ------------------------------------------------------------------
     # clock & introspection
@@ -286,9 +275,6 @@ class Simulator:
         pop = heapq.heappop
         max_events = self._max_events
         observer = self.observer
-        batch_observer = self.batch_observer
-        batch_stride = self.batch_observer_stride
-        batches_skipped = 0
         processed = self._processed
         try:
             while queue:
@@ -306,7 +292,6 @@ class Simulator:
                 # be inside the horizon, so the until-check and clock
                 # write happen once per timestamp, not once per event
                 self.now = batch_until
-                batch_start = processed
                 while queue and queue[0][0] == batch_until:
                     item = pop(queue)
                     ev = item[2]
@@ -327,12 +312,6 @@ class Simulator:
                         item[3](item[4], item[5], item[6])
                     else:
                         ev.callback()
-                if batch_observer is not None:
-                    batches_skipped += 1
-                    if batches_skipped >= batch_stride:
-                        batches_skipped = 0
-                        batch_observer(batch_until, processed - batch_start,
-                                       len(queue))
             if until is not None and until > self.now:
                 self.now = until
             return self.now

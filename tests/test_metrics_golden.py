@@ -1,14 +1,17 @@
 """Seeded ``repro metrics run`` registries reproduce the committed families.
 
 ``golden/metrics_families.json`` pins every instrument family the
-registry exports — each series' value, or count and sum for a histogram
+registry exports — each series' value, or count and sum for a summary
 — for the five protocol cores under four fault sets: plain, chaos with a
 partition, a crash and recovery, and membership churn.  It also holds
-the ledger's lifetime message count per sending site.  The file was
-written by the commit named under ``_generated``, while the network,
-failure detector, crash manager, checkpoint layer and view manager still
-bumped registry counters beside their own; the test proves that reading
-those totals once at quiescence exports the same numbers.
+the ledger's lifetime message count per sending site.  Its counters and
+gauges were first written while the network, failure detector, crash
+manager, checkpoint layer and view manager still bumped registry
+counters beside their own; the test proves that reading those totals
+once at quiescence exports the same numbers.  The whole file was
+regenerated once more when the streamed histograms became summaries
+read from the collector (``_generated`` says by which commit): every
+counter and gauge stayed as it was.
 
 One family is gone on purpose: ``net_messages_sent_total{site}``.  The
 golden keeps it, and the test asserts that it equals the ledger's
@@ -36,7 +39,7 @@ import pytest
 from repro.cli import _config_from_args, build_parser
 from repro.experiments.runner import run_simulation
 from repro.obs.export import HeartbeatReporter
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Summary
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics_families.json"
 PROTOCOLS = ("full-track", "opt-track", "opt-track-crp", "optp", "hb-track")
@@ -72,7 +75,7 @@ def metric_families(case: str) -> dict:
         for values, child in fam.samples():
             key = ",".join(f"{k}={v}" for k, v in zip(fam.label_names, values))
             series[key] = ([child.count, child.sum]
-                           if isinstance(child, Histogram) else child.value)
+                           if isinstance(child, Summary) else child.value)
     by_site: dict = {}
     for (_proto, _kind, site), cell in registry.ledger.lifetime.items():
         key = f"site={site}"
@@ -114,6 +117,13 @@ def test_golden_is_not_vacuous(golden):
     for faults, names in driven.items():
         for name in names:
             assert any(total(f"{p}/{faults}", name) for p in PROTOCOLS), name
+    # the control: HB-Track buffers arrivals under every fault set, so a
+    # summary or counter wired to the wrong store cannot match by being 0
+    for faults in ("chaos-partition", "crash", "churn"):
+        families = golden[f"hb-track/{faults}"]["families"]
+        assert total(f"hb-track/{faults}", "proto_buffered_arrivals_total"), faults
+        count, _sum = families["proto_activation_wait_ms"]["protocol=hb-track"]
+        assert count > 0, faults
     for protocol in PROTOCOLS:
         churn = golden[f"{protocol}/churn"]["families"]
         assert churn["membership_epochs_total"] == {"": 2}

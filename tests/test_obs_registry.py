@@ -6,18 +6,23 @@ Covers the observability acceptance invariants:
   exactly to the collector's Table-II/III message totals, per protocol,
   in both windows (lifetime and warm-up-gated measured), whether the
   collector is a simulator run's or a live (loopback) node's;
-* ``registry=None`` is byte-identical to the seed behaviour;
+* a registry only reads: every protocol under every fault set runs the
+  same with and without one, and each exported summary is the
+  collector stat it names;
 * same-seed double runs export byte-identical Prometheus/JSON dumps;
 * per-message decomposition sums exactly to ``metadata_size``;
-* reservoir / bucket-quantile edge cases;
-* the ``repro metrics`` CLI surface (run / summarize / diff).
+* reservoir edge cases and the summary export form;
+* the ``repro metrics`` CLI surface (run / summarize / diff), including
+  a diff of a version-1 snapshot against a current one.
 """
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.cli import _config_from_args, build_parser
 from repro.cli import main as cli_main
 from repro.cluster import CausalCluster
 from repro.core.base import protocol_names
@@ -39,17 +44,23 @@ from repro.metrics.stats import (
     _RESERVOIR_SEED, RESERVOIR_CAPACITY, RunningStat, percentile,
 )
 from repro.obs.export import (
+    METRICS_FORMAT_VERSION,
     diff_snapshots,
     flatten_snapshot,
     ledger_table,
     registry_snapshot,
     to_prometheus,
+    write_snapshot_json,
 )
 from repro.obs.ledger import MetadataLedger, decompose_message
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Summary
+from repro.obs.sinks import write_jsonl
+from repro.obs.tracer import Tracer
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.loopback import LoopbackCluster
 from repro.service.bootstrap import default_topology
+
+from .test_metrics_golden import FAULT_SETS
 
 #: every registered protocol, so one added later reaches the ledger tests
 ALL_PROTOCOLS = tuple(protocol_names())
@@ -148,11 +159,54 @@ class TestLedgerCrosscheck:
 # ----------------------------------------------------------------------
 # satellite 6: determinism / zero-perturbation
 # ----------------------------------------------------------------------
+#: each summary family the runner exports -> the collector stat it reads
+SUMMARY_SOURCES = {
+    "proto_activation_wait_ms": "activation_delays",
+    "proto_log_entries": "log_sizes",
+    "crash_downtime_ms": "downtime",
+    "wal_replayed_records": "wal_replays",
+    "crash_catchup_ms": "catchup_latency",
+}
+
+
 class TestRegistryDeterminism:
-    def test_registry_none_does_not_perturb_collector(self):
-        on = run_simulation(small_cfg("opt-track"), registry=MetricsRegistry())
-        off = run_simulation(small_cfg("opt-track"))
-        assert on.collector.as_dict() == off.collector.as_dict()
+    def test_registry_none_does_not_perturb_collector(self, tmp_path):
+        """A registry only reads: with and without one, every protocol
+        under the metrics golden's four fault sets ends in the same
+        collector, clock, event count and trace bytes, and every summary
+        it exports is the collector stat it names."""
+        for protocol in ALL_PROTOCOLS:
+            for faults, flags in FAULT_SETS.items():
+                case = f"{protocol}/{faults}"
+                cfg = _config_from_args(build_parser().parse_args(
+                    ["run", "--protocol", protocol, "-n", "5",
+                     "--ops", "40", *flags]))
+                registry = MetricsRegistry()
+                runs = []
+                for reg in (registry, None):
+                    tracer = Tracer()
+                    result = run_simulation(cfg, tracer=tracer, registry=reg)
+                    trace = write_jsonl(tracer, tmp_path / "trace.jsonl")
+                    runs.append((result.collector.as_dict(),
+                                 result.sim_time_ms, result.total_sim_events,
+                                 trace.read_bytes()))
+                    if reg is not None:
+                        read = result
+                on, off = runs
+                assert on == off, case
+                summaries = [fam for fam in registry.families()
+                             if fam.kind == "summary"]
+                assert summaries, case
+                for fam in summaries:
+                    stat = getattr(read.collector, SUMMARY_SOURCES[fam.name])
+                    for _values, child in fam.samples():
+                        assert (child.count, child.sum) == (
+                            stat.count, stat.total), (case, fam.name)
+                buffered = registry.get("proto_buffered_arrivals_total")
+                assert {values: child.value
+                        for values, child in buffered.samples()} == {
+                    (p.name, str(p.site)): p.buffered_arrivals
+                    for p in read.protocols}, case
 
     def test_same_seed_double_run_dumps_are_byte_identical(self):
         def dump():
@@ -302,29 +356,47 @@ class TestReservoirEdges:
             percentile([1.0], 101)
 
 
-class TestBucketQuantiles:
-    def test_interpolated_quantiles_without_reservoir(self):
-        hist = Histogram(buckets=(1, 2, 4, 8), reservoir=False)
-        for v in (0.5, 1.5, 1.5, 3.0, 6.0, 10.0):
-            hist.observe(v)
-        q = hist.quantiles()
-        assert hist.count == 6
-        assert 1.0 <= q["p50"] <= 4.0
-        assert q["p95"] >= 8.0
+class TestSummaryExport:
+    def test_summary_reads_the_stat_it_holds(self):
+        stat = RunningStat()
+        registry = MetricsRegistry()
+        registry.summary("x_ms", stat, "help", site=1)
+        stat.extend([1.0, 2.0, 6.0])
+        (_values, child), = registry.get("x_ms").samples()
+        assert isinstance(child, Summary) and child.stat is stat
+        assert (child.count, child.sum) == (3, 9.0)
 
-    def test_empty_histogram_quantiles_are_zero(self):
-        hist = Histogram(reservoir=False)
-        assert hist.quantiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    def test_prometheus_summary_form(self):
+        stat = RunningStat()
+        stat.extend([1.0, 2.0, 3.0])
+        registry = MetricsRegistry()
+        registry.summary("x_ms", stat, "help", site=1)
+        text = to_prometheus(registry)
+        assert "# TYPE repro_x_ms summary" in text
+        for q in ("0.5", "0.95", "0.99"):
+            assert f'repro_x_ms{{site="1",quantile="{q}"}}' in text
+        assert 'repro_x_ms_sum{site="1"} 6\n' in text
+        assert 'repro_x_ms_count{site="1"} 3\n' in text
+        assert "_bucket" not in text
 
-    def test_cumulative_buckets_are_monotone_and_end_in_inf(self):
-        hist = Histogram(buckets=(1, 10), reservoir=False)
-        for v in (0.5, 5.0, 50.0):
-            hist.observe(v)
-        rows = hist.cumulative_buckets()
-        assert rows[-1][0] == "+Inf"
-        counts = [c for _, c in rows]
-        assert counts == sorted(counts)
-        assert counts[-1] == 3
+    def test_snapshot_series_is_count_sum_quantiles(self):
+        stat = RunningStat()
+        stat.add(4.0)
+        registry = MetricsRegistry()
+        registry.summary("x_ms", stat)
+        snap = registry_snapshot(registry)
+        assert snap["format"] == METRICS_FORMAT_VERSION == 2
+        (series,) = snap["families"]["x_ms"]["series"]
+        assert series == {"labels": {}, "count": 1, "sum": 4.0,
+                          "quantiles": {"p50": 4.0, "p95": 4.0, "p99": 4.0}}
+
+    def test_a_summary_family_binds_no_counter(self):
+        registry = MetricsRegistry()
+        registry.summary("x_ms", RunningStat(), site=0)
+        with pytest.raises(ValueError):
+            registry.get("x_ms").labels(site=1)
+        with pytest.raises(ValueError):
+            registry.inc("x_ms", site=0)
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +453,25 @@ class TestMetricsCli:
                          str(out_b / "metrics.json")]) == 0
         diff_out = capsys.readouterr().out
         assert diff_out.strip()
+
+    def test_diff_reads_a_version_1_snapshot(self, tmp_path, capsys):
+        """Old dumps (histograms with buckets) stay diffable against
+        current ones: a distribution flattens to its count and sum."""
+        old = Path(__file__).parent / "golden" / "metrics_snapshot_v1.json"
+        assert json.loads(old.read_text())["format"] == 1
+        registry = MetricsRegistry()
+        registry.inc("crash_crashes_total", 2)
+        downtime, replayed = RunningStat(), RunningStat()
+        downtime.extend([900.0, 600.0])
+        replayed.add(3.0)
+        registry.summary("crash_downtime_ms", downtime)
+        registry.summary("wal_replayed_records", replayed)
+        new = write_snapshot_json(registry, tmp_path / "metrics.json")
+        assert cli_main(["metrics", "diff", str(old), str(new)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["crash_crashes_total: 1 -> 2",
+                         "crash_downtime_ms.count: 1 -> 2",
+                         "crash_downtime_ms.sum: 900 -> 1500"]
 
     def test_same_seed_runs_write_identical_dumps(self, tmp_path):
         args = ["--protocol", "opt-track", "-n", "4", "--ops", "30",
