@@ -2,26 +2,36 @@
 
 Subcommands:
 
-* ``run``        — one simulation, printing the metric summary;
+* ``run``        — the one verb that simulates: one run, printing the
+  metric summary.  Three outputs compose on it: ``--check`` records the
+  history and verifies causal consistency, ``--trace DIR`` saves the
+  run (workload, history, config) with its JSONL + Chrome traces and
+  prints their summary, ``--metrics DIR`` exports the metrics registry
+  and gates its metadata-byte ledger; a violation or a ledger mismatch
+  exits 1;
 * ``experiment`` — regenerate a paper table/figure (fig1..fig8, table2,
   table3, table4, eq2) at a chosen scale;
 * ``analytic``   — print the closed-form cost models for given params;
 * ``crossover``  — the eq. (2) partial-vs-full threshold table;
 * ``reproduce``  — regenerate every exhibit into CSVs + a Markdown report;
 * ``advise``     — replication recommendation for a workload profile;
-* ``check``      — run a simulation with history recording and verify
-  causal consistency;
-* ``metrics``    — run with the metrics registry on (Prometheus/JSON
-  exports + metadata-byte ledger), summarize a dump, or diff two dumps;
+* ``check``      — the static analyzers: ``repro check ARGS`` is
+  ``python -m repro.check ARGS``;
+* ``trace``      — summarize or diff saved traces; ``verify-trace``
+  re-checks a saved run offline;
+* ``metrics``    — summarize or diff metric dumps;
 * ``soak``       — chaos-soak matrix: sustained drops+spikes+partitions+
   flash crowds over the protocol matrix, with liveness invariants;
+* ``serve`` / ``loadgen`` — boot and drive a live TCP cluster;
 * ``list``       — protocols and experiments available.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.model import (
@@ -75,12 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one simulation")
-    _add_sim_args(run_p, sites=10, vars=100, ops=600, latency="uniform")
+    _add_sim_args(run_p)
     run_p.add_argument("--check", action="store_true",
                        help="record history and verify causal consistency")
-    run_p.add_argument("--metrics-dir", default=None, metavar="DIR",
-                       help="enable the metrics registry and write "
-                            "metrics.prom/.json/.jsonl into DIR")
+    run_p.add_argument("--trace", default=None, metavar="DIR",
+                       help="save workload, history, config and the JSONL + "
+                            "Chrome traces into DIR, and print the trace "
+                            "summary")
+    run_p.add_argument("--metrics", default=None, metavar="DIR",
+                       help="enable the metrics registry: write "
+                            "metrics.prom/.json/.jsonl into DIR, crosscheck "
+                            "the metadata-byte ledger, heartbeat on stderr")
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp_p.add_argument("id", choices=sorted(EXHIBITS))
@@ -117,20 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     cross_p.add_argument("--max-n", type=int, default=40)
 
     trace_p = sub.add_parser(
-        "trace", help="record, summarize, or diff causal execution traces")
+        "trace", help="summarize or diff causal execution traces")
     trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
-
-    trace_run_p = trace_sub.add_parser(
-        "run", help="run a traced simulation, exporting JSONL + Chrome traces")
-    trace_run_p.add_argument("outdir", metavar="DIR")
-    _add_sim_args(trace_run_p, sites=6, vars=20, ops=100, latency="uniform")
-    trace_run_p.add_argument("--top", type=int, default=3,
-                             help="slowest activations to explain in the summary")
 
     trace_sum_p = trace_sub.add_parser(
         "summarize", help="tail latencies + slowest causal chains of a trace")
     trace_sum_p.add_argument("trace", metavar="TRACE_JSONL",
-                             help="trace file written by `repro trace run`")
+                             help="trace file written by `repro run --trace`")
     trace_sum_p.add_argument("--top", type=int, default=3,
                              help="slowest activations to explain")
 
@@ -142,48 +150,21 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify-trace",
                               help="re-check a saved history offline")
     verify_p.add_argument("outdir", metavar="DIR",
-                          help="directory written by `repro trace`")
+                          help="directory written by `repro run --trace`")
 
-    check_p = sub.add_parser("check", help="simulate + verify causal consistency")
-    _add_sim_args(check_p, sites=8, vars=20, ops=100, latency="adversarial")
-    check_p.add_argument("--metrics-dir", default=None, metavar="DIR",
-                         help="enable the metrics registry and write "
-                              "metrics.prom/.json/.jsonl into DIR")
-    static = check_p.add_argument_group(
-        "static analysis",
-        "run the whole-program analyzers instead of a simulation "
-        "(delegates to `python -m repro.check`)")
-    static.add_argument("--effects", action="store_true",
-                        help="effect inference (EFF001..EFF003) + baseline")
-    static.add_argument("--layers", action="store_true",
-                        help="layer-contract check (LAY001..LAY003)")
-    static.add_argument("--write-baseline", action="store_true",
-                        help="regenerate EFFECTS_BASELINE.json")
-    static.add_argument("--format", choices=("human", "json", "sarif"),
-                        default="human", dest="static_format",
-                        help="finding output format (default: human)")
-    static.add_argument("--report", default=None, metavar="PATH",
-                        dest="static_report",
-                        help="write the JSON/SARIF report to PATH")
+    # every argument after `check` is the analyzer's own (see main)
+    sub.add_parser("check", add_help=False,
+                   help="static analyzers: `repro check ARGS` is "
+                        "`python -m repro.check ARGS`")
 
-    met_p = sub.add_parser(
-        "metrics", help="run with metrics on, summarize or diff metric dumps")
+    met_p = sub.add_parser("metrics", help="summarize or diff metric dumps")
     met_sub = met_p.add_subparsers(dest="metrics_command", required=True)
-
-    met_run_p = met_sub.add_parser(
-        "run", help="run one simulation with the full metrics registry, "
-                    "exporting Prometheus text + JSON snapshots")
-    met_run_p.add_argument("outdir", metavar="DIR")
-    _add_sim_args(met_run_p, sites=6, vars=20, ops=100, latency="uniform")
-    met_run_p.add_argument("--heartbeat-ms", type=float, default=1000.0,
-                           metavar="MS",
-                           help="live heartbeat period on stderr (0 = off)")
 
     met_sum_p = met_sub.add_parser(
         "summarize", help="render a metrics dump's metadata-byte ledger")
     met_sum_p.add_argument("metrics", metavar="METRICS_JSON",
                            help="metrics.json (or .jsonl) written by "
-                                "`repro metrics run`")
+                                "`repro run --metrics`")
     met_sum_p.add_argument("--window", default="measured",
                            choices=("measured", "lifetime"))
 
@@ -259,22 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_sim_args(parser: argparse.ArgumentParser, *, sites: int, vars: int,
-                  ops: int, latency: str) -> None:
-    """The one declaration of a simulated run, shared by ``run``,
-    ``check``, ``trace run`` and ``metrics run``; each verb passes its
-    own defaults.  :func:`_config_from_args` reads it back."""
+def _add_sim_args(parser: argparse.ArgumentParser) -> None:
+    """The one declaration of a simulated run, ``run``'s;
+    :func:`_config_from_args` reads it back."""
     parser.add_argument("--protocol", default="opt-track",
                         choices=protocol_names())
-    parser.add_argument("-n", "--sites", type=int, default=sites)
-    parser.add_argument("-q", "--vars", type=int, default=vars)
+    parser.add_argument("-n", "--sites", type=int, default=10)
+    parser.add_argument("-q", "--vars", type=int, default=100)
     parser.add_argument("-p", "--replicas", type=int, default=None,
                         help="replication factor (default: protocol natural)")
     parser.add_argument("-w", "--write-rate", type=float, default=0.5)
-    parser.add_argument("--ops", type=int, default=ops,
+    parser.add_argument("--ops", type=int, default=600,
                         help="operations per process (paper: 600)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--latency", default=latency,
+    parser.add_argument("--latency", default="uniform",
                         choices=sorted(_LATENCIES))
     grp = parser.add_argument_group("fault injection")
     grp.add_argument("--drop-rate", type=float, default=0.0, metavar="P",
@@ -376,15 +355,13 @@ def _parse_overload(spec: str) -> OverloadEvent:
 
 def _retransmit_from_args(args: argparse.Namespace) -> Optional[RetransmitPolicy]:
     """None unless a transport knob was set (keeps the default policy)."""
-    send_window = getattr(args, "send_window", None)
-    adaptive = getattr(args, "adaptive_rto", None)
-    if send_window is None and adaptive is None:
+    if args.send_window is None and args.adaptive_rto is None:
         return None
     kwargs: dict = {}
-    if send_window is not None:
-        kwargs["send_window"] = send_window
-    if adaptive is not None:
-        kwargs["adaptive"] = adaptive
+    if args.send_window is not None:
+        kwargs["send_window"] = args.send_window
+    if args.adaptive_rto is not None:
+        kwargs["adaptive"] = args.adaptive_rto
     try:
         return RetransmitPolicy(**kwargs)
     except ValueError as exc:
@@ -407,8 +384,6 @@ def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
     """None unless some chaos knob was set (keeps the zero-overhead path)."""
     plan: Optional[FaultPlan]
     if args.fault_plan_json:
-        from pathlib import Path
-
         try:
             plan = FaultPlan.from_json(Path(args.fault_plan_json).read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -448,12 +423,6 @@ def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
                 )
             except ValueError as exc:
                 raise SystemExit(f"invalid fault plan: {exc}")
-    if args.dump_fault_plan:
-        from pathlib import Path
-
-        dumped = plan if plan is not None else FaultPlan.build()
-        Path(args.dump_fault_plan).write_text(dumped.to_json(indent=2))
-        print(f"fault plan written to {args.dump_fault_plan}")
     return plan
 
 
@@ -511,7 +480,7 @@ def _config_from_args(args: argparse.Namespace,
     _require(args.auto_evict is None or plan is not None, "--auto-evict",
              args.auto_evict, "a fault flag too: eviction needs the chaos "
              "transport (e.g. --drop-rate 0.01)")
-    return SimulationConfig(
+    cfg = SimulationConfig(
         protocol=args.protocol,
         n_sites=args.sites,
         n_vars=args.vars,
@@ -527,26 +496,46 @@ def _config_from_args(args: argparse.Namespace,
         auto_evict_after_ms=args.auto_evict,
         **overrides,
     )
+    if args.dump_fault_plan:
+        # only once every check above has passed
+        dumped = plan if plan is not None else FaultPlan.build()
+        Path(args.dump_fault_plan).write_text(dumped.to_json(indent=2))
+        print(f"fault plan written to {args.dump_fault_plan}")
+    return cfg
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, record_history=args.check)
-    registry = _registry_from_args(args)
-    result = run_simulation(cfg, registry=registry)
+    cfg = _config_from_args(
+        args, record_history=args.check or args.trace is not None)
+    tracer = registry = heartbeat = None
+    if args.trace is not None:
+        from .obs import Tracer
+
+        tracer = Tracer()
+    if args.metrics is not None:
+        from .obs.export import HeartbeatReporter
+        from .obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        heartbeat = HeartbeatReporter(registry=registry)
+    result = run_simulation(cfg, tracer=tracer, registry=registry,
+                            heartbeat=heartbeat)
     print(format_kv(result.summary()))
     _print_crash_stats(result)
     _print_membership_stats(result)
+    ok = True
+    if tracer is not None:
+        _write_trace_outputs(result, tracer, args.trace)
     if registry is not None:
-        _write_metrics_outputs(registry, args.metrics_dir, cfg)
+        ok = _write_metrics_outputs(registry, args.metrics, cfg)
     if args.check:
         report = check_causal_consistency(result.history, result.placement)
         print(f"\ncausal consistency: {'OK' if report.ok else 'VIOLATED'} "
               f"({report.n_operations} operations, {report.n_applies} applies)")
-        if not report.ok:
-            for v in report.violations[:20]:
-                print(f"  {v}")
-            return 1
-    return 0
+        for v in report.violations[:20]:
+            print(f"  {v}")
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 def _require_runs(args: argparse.Namespace) -> None:
@@ -556,8 +545,6 @@ def _require_runs(args: argparse.Namespace) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     _require_runs(args)
     if args.csv:
         # before the sweep, not after it
@@ -649,24 +636,21 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     handlers = {
-        "run": _cmd_trace_run,
         "summarize": _cmd_trace_summarize,
         "diff": _cmd_trace_diff,
     }
     return handlers[args.trace_command](args)
 
 
-def _cmd_trace_run(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .obs import Tracer, summarize_trace, write_chrome, write_jsonl
+def _write_trace_outputs(result, tracer, outdir: str) -> None:
+    """``run --trace``: the saved run (workload, history, config) beside
+    its JSONL + Chrome traces, then the Opt-Track log report and the
+    trace summary on stdout."""
+    from .obs import summarize_trace, write_chrome, write_jsonl
     from .workload.traces import save_history, save_workload
 
-    cfg = _config_from_args(args, record_history=True)
-    tracer = Tracer()
-    result = run_simulation(cfg, tracer=tracer)
-    out = Path(args.outdir)
+    cfg = result.config
+    out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     save_workload(result.workload, out / "workload.json")
     save_history(result.history, out / "history.jsonl")
@@ -674,7 +658,8 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         "protocol": cfg.protocol,
         "n_sites": cfg.n_sites,
         "n_vars": cfg.n_vars,
-        "replication_factor": result.placement.replication_factor,
+        # the configured factor: a run's placement may end resized by churn
+        "replication_factor": cfg.resolved_replication_factor(),
         "placement": cfg.placement,
         "write_rate": cfg.write_rate,
         "ops_per_process": cfg.ops_per_process,
@@ -687,14 +672,13 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
           f"({len(trace.events)} spans), and config to {out}")
     print(f"open {out / 'trace_chrome.json'} in https://ui.perfetto.dev "
           "to browse the per-site timeline")
-    if args.protocol in ("opt-track", "opt-track-noprune"):
+    if cfg.protocol in ("opt-track", "opt-track-noprune"):
         from .analysis.logstats import format_log_report, snapshot_logs
 
         print()
         print(format_log_report(snapshot_logs(result.protocols)))
     print()
-    print(summarize_trace(trace, top=args.top))
-    return 0
+    print(summarize_trace(trace))
 
 
 #: what a missing or malformed saved file raises while being read
@@ -715,6 +699,7 @@ def _load_trace(path: str):
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     from .obs import summarize_trace
 
+    _require(args.top >= 0, "--top", args.top, "at least 0")
     print(summarize_trace(_load_trace(args.trace), top=args.top))
     return 0
 
@@ -726,22 +711,14 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _registry_from_args(args: argparse.Namespace):
-    """A fresh registry when ``--metrics-dir`` was given, else ``None``
-    (the zero-overhead path)."""
-    if getattr(args, "metrics_dir", None) is None:
-        return None
-    from .obs.metrics import MetricsRegistry
-
-    return MetricsRegistry()
-
-
-def _write_metrics_outputs(registry, outdir, cfg: SimulationConfig) -> None:
-    """Export ``metrics.prom`` / ``metrics.json`` / ``metrics.jsonl``."""
-    from pathlib import Path
-
+def _write_metrics_outputs(registry, outdir: str,
+                           cfg: SimulationConfig) -> bool:
+    """``run --metrics``: export ``metrics.prom`` / ``metrics.json`` /
+    ``metrics.jsonl``, then print the ledger crosscheck and table; False
+    on a ledger MISMATCH."""
     from .obs.export import (
         append_snapshot_jsonl,
+        ledger_table,
         write_prometheus,
         write_snapshot_json,
     )
@@ -760,14 +737,20 @@ def _write_metrics_outputs(registry, outdir, cfg: SimulationConfig) -> None:
         append_snapshot_jsonl(registry, fh, meta=meta)
     print(f"metrics written to {out} (metrics.prom, metrics.json, "
           f"metrics.jsonl)")
+    problems = registry.ledger.crosscheck()
+    print("ledger crosscheck (components vs priced bytes): "
+          + ("OK" if not problems else "MISMATCH"))
+    for p in problems:
+        print(f"  {p}")
+    print()
+    print("metadata bytes by component (measured window):")
+    print(ledger_table(registry.ledger))
+    return not problems
 
 
 def _load_metrics_snapshot(path: str) -> dict:
     """Load a metrics dump: a plain snapshot JSON or the last snapshot
     line of a JSONL stream."""
-    import json
-    from pathlib import Path
-
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -796,34 +779,10 @@ def _load_metrics_snapshot(path: str) -> dict:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     handlers = {
-        "run": _cmd_metrics_run,
         "summarize": _cmd_metrics_summarize,
         "diff": _cmd_metrics_diff,
     }
     return handlers[args.metrics_command](args)
-
-
-def _cmd_metrics_run(args: argparse.Namespace) -> int:
-    from .obs.export import HeartbeatReporter, ledger_table
-    from .obs.metrics import MetricsRegistry
-
-    cfg = _config_from_args(args)
-    registry = MetricsRegistry()
-    heartbeat = None
-    if args.heartbeat_ms > 0:
-        heartbeat = HeartbeatReporter(every_ms=args.heartbeat_ms,
-                                      registry=registry)
-    result = run_simulation(cfg, registry=registry, heartbeat=heartbeat)
-    _write_metrics_outputs(registry, args.outdir, cfg)
-    problems = registry.ledger.crosscheck()
-    print("ledger crosscheck (components vs priced bytes): "
-          + ("OK" if not problems else "MISMATCH"))
-    for p in problems:
-        print(f"  {p}")
-    print()
-    print("metadata bytes by component (measured window):")
-    print(ledger_table(registry.ledger))
-    return 1 if problems else 0
 
 
 def _cmd_metrics_summarize(args: argparse.Namespace) -> int:
@@ -855,9 +814,6 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_trace(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from .experiments.runner import build_placement
     from .workload.traces import load_history
 
@@ -885,48 +841,10 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    if args.effects or args.layers or args.write_baseline:
-        from .check.cli import main as static_main
-
-        argv = ["--no-lint", "--no-mypy",
-                "--format", args.static_format]
-        if args.effects:
-            argv.append("--effects")
-        if args.layers:
-            argv.append("--layers")
-        if args.write_baseline:
-            argv.append("--write-baseline")
-        if args.static_report is not None:
-            argv.extend(["--report", args.static_report])
-        return static_main(argv)
-    cfg = _config_from_args(args, record_history=True)
-    registry = _registry_from_args(args)
-    result = run_simulation(cfg, registry=registry)
-    if registry is not None:
-        _write_metrics_outputs(registry, args.metrics_dir, cfg)
-    report = check_causal_consistency(result.history, result.placement)
-    status = "OK" if report.ok else "VIOLATED"
-    print(f"{args.protocol}: causal consistency {status} "
-          f"({report.n_writes} writes, {report.n_reads} reads, "
-          f"{report.n_applies} applies)")
-    if cfg.fault_plan is not None:
-        col = result.collector
-        print(f"chaos: {col.injected_drops} drops, {col.injected_dups} dups, "
-              f"{col.retransmissions} retransmissions, "
-              f"{col.duplicate_drops} duplicates suppressed, "
-              f"{col.acks_sent} acks")
-    _print_crash_stats(result)
-    _print_membership_stats(result)
-    for v in report.violations[:20]:
-        print(f"  {v}")
-    return 0 if report.ok else 1
-
-
-def _print_crash_stats(result) -> int:
+def _print_crash_stats(result) -> None:
     """One summary line per crash-recovery aspect (silent when inactive)."""
     if result.crash_manager is None:
-        return 0
+        return
     col = result.collector
     detector = result.crash_manager.detector
     print(f"crash-recovery: {col.crashes} crashes, "
@@ -939,21 +857,19 @@ def _print_crash_stats(result) -> int:
           f"{col.false_suspicions} false suspicions; "
           f"{col.sync_messages} sync msgs; "
           f"{col.lost_ops} ops lost (crash-stop)")
-    return 0
 
 
-def _print_membership_stats(result) -> int:
+def _print_membership_stats(result) -> None:
     """One summary line for elastic membership (silent when static)."""
-    vm = getattr(result, "view_manager", None)
+    vm = result.view_manager
     if vm is None:
-        return 0
+        return
     view = vm.view
     st = vm.stats
     print(f"membership: epoch {view.epoch}, members {list(view.members)}; "
           f"{st.joins} joins, {st.leaves} leaves, {st.evictions} evictions, "
           f"{st.handoffs} replica handoffs, "
           f"{st.lost_variables} variables lost to eviction")
-    return 0
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -967,8 +883,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .soak import SOAK_PROTOCOLS, soak_matrix
 
     if args.protocols:
@@ -1018,7 +932,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import os
     import subprocess
     import time
-    from pathlib import Path
 
     import repro
     from .service.bootstrap import (
@@ -1164,7 +1077,15 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "check":
+        # one parser: the analyzer's own reads every argument after `check`
+        from .check.cli import main as check_main
+
+        return check_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {
         "run": _cmd_run,
         "experiment": _cmd_experiment,
@@ -1174,7 +1095,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify-trace": _cmd_verify_trace,
         "analytic": _cmd_analytic,
         "crossover": _cmd_crossover,
-        "check": _cmd_check,
         "metrics": _cmd_metrics,
         "soak": _cmd_soak,
         "serve": _cmd_serve,

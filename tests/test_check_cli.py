@@ -284,11 +284,20 @@ class TestGolden:
 # the real tree, through the top-level CLI dispatch
 # ----------------------------------------------------------------------
 class TestLiveTree:
-    def test_repro_check_certifies_live_tree(self, monkeypatch):
+    def test_repro_check_certifies_live_tree(self, monkeypatch, capsys):
+        # `repro check ARGS` hands ARGS unchanged to `python -m
+        # repro.check`: one parser, the same exit code and stdout
         from repro.cli import main as repro_main
 
         monkeypatch.chdir(REPO_ROOT)
-        assert repro_main(["check", "--effects", "--layers"]) == 0
+        runs = []
+        for run in (lambda: repro_main(["check", "--effects", "--layers"]),
+                    lambda: main(["--effects", "--layers"])):
+            code = run()
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == 0 and "CERTIFIED" in out
 
     def test_live_baseline_is_current(self, monkeypatch, capsys):
         """The committed baseline matches a fresh analysis (no drift)."""

@@ -244,41 +244,35 @@ def test_hb_track_is_exercised_wherever_the_papers_four_are(monkeypatch):
 
 
 def test_churn_matrix_gates_the_ledger_crosscheck():
-    # `repro metrics run` exits 1 on a ledger crosscheck MISMATCH; under
-    # churn it did for Full-Track at churn seed 0 and nothing ran it
+    # `repro run --metrics` exits 1 on a ledger crosscheck MISMATCH; under
+    # churn it did for Full-Track at churn seed 0 and nothing ran it.  One
+    # run carries both gates, the causal checker's and the ledger's
     workflow = yaml.safe_load(WORKFLOW.read_text())
     job = workflow["jobs"]["churn-matrix"]
-
-    def sim_flags(run: str) -> list[str]:
-        """The simulated run's flags, without the verb's output files."""
-        run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>", run)
-        words = [w for w in run.split() if w != "\\"]
-        words = words[words.index("--protocol"):words.index("|")]
-        for flag in ("--dump-fault-plan", "--metrics-dir"):
-            if flag in words:
-                del words[words.index(flag):words.index(flag) + 2]
-        return words
-
-    (check,) = [step["run"] for step in job["steps"]
-                if "repro check" in step.get("run", "")]
-    (ledger,) = [step for step in job["steps"]
-                 if "repro metrics run" in step.get("run", "")]
-    words = ledger["run"].split()
+    (step,) = [step for step in job["steps"]
+               if "repro run" in step.get("run", "")]
+    run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>", step["run"])
+    words = [w for w in run.split() if w != "\\"]
     assert words[:6] == ["PYTHONPATH=src", "python", "-m", "repro",
-                         "metrics", "run"]
-    assert sim_flags(ledger["run"]) == sim_flags(check)
-    assert "--churn-seed" in sim_flags(check)
+                         "run", "--check"]
+    flags = words[words.index("--protocol"):words.index("|")]
+    assert flags[flags.index("--metrics") + 1].startswith("churn-metrics-")
+    assert "--churn-seed" in flags
+    # the checker's regime: adversarial latency, `repro check`'s old
+    # defaults spelled out
+    assert flags[flags.index("-q") + 1] == "20"
+    assert flags[flags.index("--latency") + 1] == "adversarial"
     # beside the n = 5 rows, the n > p leaver case for the two protocols
     # a late packet from the departed site once broke
     matrix = job["strategy"]["matrix"]
-    assert matrix["size"] == ["-n 5"] and "<size>" in sim_flags(check)
+    assert matrix["size"] == ["-n 5"] and "<size>" in flags
     assert [(row["churn-seed"], row["protocol"], row["size"])
             for row in matrix["include"]] == [
         (2, "full-track", "-n 8 -p 3"), (2, "opt-track", "-n 8 -p 3")]
     # its exit code is the gate: teed, so pipefail, inherited from the
     # workflow and overridden nowhere
     assert words[words.index("|") + 1] == "tee"
-    assert "defaults" not in job and "shell" not in ledger
+    assert "defaults" not in job and "shell" not in step
     assert unguarded_tee_steps(workflow) == []
 
 
@@ -290,32 +284,32 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
     job = workflow["jobs"]["chaos-matrix"]
     assert job["strategy"]["matrix"]["fault-seed"] == [0, 1, 2]
     (step,) = [step for step in job["steps"]
-               if "repro check" in step.get("run", "")]
+               if "repro run --check" in step.get("run", "")]
     run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>", step["run"])
     commands = [cmd.split() for cmd in
                 run.replace("\\\n", " ").strip().split("\n")]
     cases = []
     for words in commands:
-        assert words[:5] == ["PYTHONPATH=src", "python", "-m", "repro",
-                             "check"]
+        assert words[:6] == ["PYTHONPATH=src", "python", "-m", "repro",
+                             "run", "--check"]
         assert words[words.index("--fault-seed") + 1] == "<fault-seed>"
         assert words[-1] == "causal-check-seed-<fault-seed>.txt"
-        cases.append(" ".join(words[5:words.index("--fault-seed")]))
+        cases.append(" ".join(words[6:words.index("--fault-seed")]))
     assert cases == [
-        "--protocol opt-track -n 5 --ops 30"
+        "--protocol opt-track -n 5 -q 20 --ops 30 --latency adversarial"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
-        "--protocol opt-track -n 5 --ops 30"
+        "--protocol opt-track -n 5 -q 20 --ops 30 --latency adversarial"
         " --drop-rate 0.05 --crash-plan 600:1500:2"
         " --overload-plan 300:900:10:0,1 --send-window 4",
-        "--protocol opt-track-noprune -n 5 --ops 30"
-        " --drop-rate 0.05 --crash-plan 600:1500:2",
-        "--protocol opt-track -n 12 -p 4 --latency uniform --ops 30"
+        "--protocol opt-track-noprune -n 5 -q 20 --ops 30"
+        " --latency adversarial --drop-rate 0.05 --crash-plan 600:1500:2",
+        "--protocol opt-track -n 12 -p 4 -q 20 --ops 30 --latency uniform"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
     ]
     # the registry exports the counts of the first two runs, the
     # overload and backpressure ones from the second
-    assert [words[words.index("--metrics-dir") + 1] for words in commands
-            if "--metrics-dir" in words] == [
+    assert [words[words.index("--metrics") + 1] for words in commands
+            if "--metrics" in words] == [
         "chaos-metrics-seed-<fault-seed>",
         "chaos-overload-metrics-seed-<fault-seed>"]
     # each is a gate: teed into one report, so it must run under

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
+from repro.check.cli import build_parser as build_check_parser
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -43,9 +49,11 @@ class TestCommands:
         assert "causal consistency: OK" in capsys.readouterr().out
 
     def test_check_command(self, capsys):
-        rc = main(["check", "-n", "4", "--ops", "20", "--protocol", "full-track"])
+        # adversarial latency reorders enough for updates to be buffered
+        rc = main(["run", "--check", "-n", "4", "-q", "20", "--ops", "20",
+                   "--latency", "adversarial", "--protocol", "full-track"])
         assert rc == 0
-        assert "OK" in capsys.readouterr().out
+        assert "causal consistency: OK" in capsys.readouterr().out
 
     def test_analytic(self, capsys):
         rc = main(["analytic", "-n", "20", "-w", "0.5"])
@@ -155,16 +163,21 @@ class TestSavedFileErrors:
         assert str(bad) in self.exit_message(argv)
 
 
+#: ``run`` alone and with each of its three outputs; the ids name the
+#: verbs the outputs replaced (``check``, ``trace run``, ``metrics run``)
+RUN_OUTPUTS = [["run"], ["run", "--check"], ["run", "--trace", "T"],
+               ["run", "--metrics", "M"]]
+RUN_OUTPUT_IDS = ["run", "check", "trace-run", "metrics-run"]
+
+
 class TestBadArguments:
     """An argument no run can take is a one-line exit naming the flag or
-    file on every verb that simulates or loads a topology, never a
-    traceback from deep in the stack."""
+    file on every output of the verb that simulates and on every verb
+    that loads a topology, never a traceback from deep in the stack."""
 
     exit_message = staticmethod(TestSavedFileErrors.exit_message)
 
-    @pytest.mark.parametrize("verb", [["run"], ["check"], ["trace", "run", "T"],
-                                      ["metrics", "run", "M"]],
-                             ids=["run", "check", "trace-run", "metrics-run"])
+    @pytest.mark.parametrize("verb", RUN_OUTPUTS, ids=RUN_OUTPUT_IDS)
     @pytest.mark.parametrize("flags, named", [
         (["-n", "0"], "-n/--sites"),
         (["-q", "0", "--ops", "5"], "-q/--vars"),
@@ -178,9 +191,7 @@ class TestBadArguments:
         monkeypatch.chdir(tmp_path)
         assert named in self.exit_message(verb + flags)
 
-    @pytest.mark.parametrize("verb", [["run"], ["check"], ["trace", "run", "T"],
-                                      ["metrics", "run", "M"]],
-                             ids=["run", "check", "trace-run", "metrics-run"])
+    @pytest.mark.parametrize("verb", RUN_OUTPUTS, ids=RUN_OUTPUT_IDS)
     @pytest.mark.parametrize("flags, named", [
         (["--crash-plan", "100:200:9"], "--crash-plan"),
         (["--partition", "0:100:7"], "--partition"),
@@ -193,11 +204,20 @@ class TestBadArguments:
             "auto-evict-negative"])
     def test_fault_flags(self, tmp_path, monkeypatch, verb, flags, named):
         # each used to raise deep in the stack, or to run a fault that
-        # hit no site; none may start a run
+        # hit no site; none may start a run, nor write the plan it refused
         monkeypatch.chdir(tmp_path)
-        message = self.exit_message(verb + ["-n", "4", "--ops", "5"] + flags)
+        message = self.exit_message(verb + ["-n", "4", "--ops", "5"] + flags
+                                    + ["--dump-fault-plan", "plan.json"])
         assert named in message
         assert not any(tmp_path.iterdir())
+
+    def test_negative_trace_top(self, tmp_path):
+        # `[:k]` with k < 0 printed every activation but the last -k
+        empty = tmp_path / "trace.jsonl"
+        empty.write_text("")
+        message = self.exit_message(["trace", "summarize", str(empty),
+                                     "--top", "-2"])
+        assert "--top" in message
 
     @pytest.mark.parametrize("argv, named", [
         (["soak", "-n", "1"], "-n/--sites"),
@@ -266,3 +286,61 @@ class TestSoakCommand:
         out = capsys.readouterr().out
         assert "soak: PASS" in out
         assert (tmp_path / "soak_report.json").exists()
+
+
+def documented_commands():
+    """``(where, argv)`` of every ``repro …`` command in a fenced block of
+    README.md and docs/*.md; a command with a ``...`` placeholder is
+    skipped."""
+    for path in [REPO_ROOT / "README.md",
+                 *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        fenced, pending = False, ""
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced, pending = not fenced, ""
+                continue
+            if not fenced:
+                continue
+            if line.endswith("\\"):
+                pending += line[:-1] + " "
+                continue
+            line, pending = pending + line, ""
+            try:
+                words = shlex.split(line, comments=True)
+            except ValueError:
+                continue  # not a shell line
+            command: list = []
+            for word in words + [";"]:
+                if word not in ("&&", "||", "|", ";", "&"):
+                    command.append(word)
+                    continue
+                while command and "=" in command[0]:
+                    del command[0]  # VAR=value prefixes
+                if command[:1] == ["repro"]:
+                    argv = command[1:]
+                elif (command[:1] in (["python"], ["python3"])
+                      and "-m" in command
+                      and command[command.index("-m") + 1:][:1] == ["repro"]):
+                    argv = command[command.index("-m") + 2:]
+                else:
+                    argv = None
+                if argv is not None and not any("..." in w for w in argv):
+                    yield f"{path.name}:{lineno}", argv
+                command = []
+
+
+def test_documented_commands_parse():
+    # the docs drift from the CLI silently otherwise
+    seen, broken = [], []
+    for where, argv in documented_commands():
+        seen.append(argv[0])
+        try:
+            args, rest = build_parser().parse_known_args(argv)
+            if args.command == "check":
+                build_check_parser().parse_args(rest)
+            elif rest:
+                broken.append(f"{where}: repro {shlex.join(argv)}")
+        except SystemExit:
+            broken.append(f"{where}: repro {shlex.join(argv)}")
+    assert broken == []
+    assert {"run", "check", "trace", "metrics"} <= set(seen)

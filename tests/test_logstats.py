@@ -7,6 +7,7 @@ import pytest
 from repro import SimulationConfig, run_simulation
 from repro.analysis.logstats import LogSnapshot, format_log_report, snapshot_logs
 from repro.cli import main
+from repro.experiments.runner import build_placement
 
 
 def run_opt_track(**kw):
@@ -59,7 +60,8 @@ class TestSnapshot:
 class TestTraceCli:
     def test_trace_then_verify_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "t"
-        rc = main(["trace", "run", str(out), "-n", "4", "--ops", "25"])
+        rc = main(["run", "--trace", str(out), "-n", "4", "-q", "20",
+                   "--ops", "25"])
         assert rc == 0
         assert (out / "workload.json").exists()
         assert (out / "history.jsonl").exists()
@@ -70,14 +72,49 @@ class TestTraceCli:
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--protocol", "optp", "--churn-joins", "1"],
+        ["--protocol", "opt-track", "-p", "2", "--churn-joins", "1",
+         "--churn-leaves", "1"],
+    ], ids=["optp-join", "opt-track-p2-join-leave"])
+    def test_verify_trace_rebuilds_the_configured_placement(
+            self, tmp_path, capsys, monkeypatch, flags):
+        # config.json once recorded the placement's post-churn factor: 6
+        # for the full-replication join (verify-trace then refused it as
+        # outside [1, 5]) and 1 for p = 2 under a join and a leave
+        import repro.cli as cli
+
+        argv = ["-n", "5", "-q", "20", "--ops", "30", "--drop-rate", "0.05",
+                *flags]
+        out = tmp_path / "t"
+        assert main(["run", "--trace", str(out), *argv]) == 0
+        rebuilt = []
+        check = cli.check_causal_consistency
+        monkeypatch.setattr(cli, "check_causal_consistency",
+                            lambda history, placement: (
+                                rebuilt.append(placement)
+                                or check(history, placement)))
+        capsys.readouterr()
+        assert main(["verify-trace", str(out)]) == 0
+        assert "causal consistency OK" in capsys.readouterr().out
+        want = build_placement(
+            cli._config_from_args(cli.build_parser().parse_args(["run", *argv])))
+        (got,) = rebuilt
+        assert type(got) is type(want)
+        assert got.replication_factor == want.replication_factor
+        assert ([got.replicas(v) for v in range(got.n_vars)]
+                == [want.replicas(v) for v in range(want.n_vars)])
+
     def test_trace_logstats_printed_for_opt_track(self, tmp_path, capsys):
-        rc = main(["trace", "run", str(tmp_path / "t"), "--ops", "20"])
+        rc = main(["run", "--trace", str(tmp_path / "t"), "-n", "6", "-q", "20",
+                   "--ops", "20"])
         assert rc == 0
         assert "log structure" in capsys.readouterr().out
 
     def test_verify_trace_flags_corruption(self, tmp_path, capsys):
         out = tmp_path / "t"
-        main(["trace", "run", str(out), "-n", "4", "--ops", "25", "--protocol", "optp"])
+        main(["run", "--trace", str(out), "-n", "4", "-q", "20", "--ops", "25",
+              "--protocol", "optp"])
         capsys.readouterr()
         # corrupt the history: make the first read return a future write
         lines = (out / "history.jsonl").read_text().splitlines()

@@ -1,4 +1,4 @@
-"""Seeded ``repro metrics run`` registries reproduce the committed families.
+"""Seeded ``repro run --metrics`` registries reproduce the committed families.
 
 ``golden/metrics_families.json`` pins every instrument family the
 registry exports — each series' value, or count and sum for a summary
@@ -58,15 +58,14 @@ RETIRED = "net_messages_sent_total"
 
 
 def metric_families(case: str) -> dict:
-    """What ``repro metrics run DIR --protocol P -n 5 --ops 40 FLAGS``
-    exports from its registry, flattened to plain numbers."""
+    """What ``repro run --metrics DIR --protocol P -n 5 -q 20 --ops 40
+    FLAGS`` exports from its registry, flattened to plain numbers."""
     protocol, faults = case.split("/")
     args = build_parser().parse_args(
-        ["metrics", "run", "unused", "--protocol", protocol,
-         "-n", "5", "--ops", "40", *FAULT_SETS[faults]])
+        ["run", "--metrics", "unused", "--protocol", protocol,
+         "-n", "5", "-q", "20", "--ops", "40", *FAULT_SETS[faults]])
     registry = MetricsRegistry()
-    heartbeat = HeartbeatReporter(every_ms=args.heartbeat_ms,
-                                  stream=io.StringIO(), registry=registry)
+    heartbeat = HeartbeatReporter(stream=io.StringIO(), registry=registry)
     run_simulation(_config_from_args(args), registry=registry,
                    heartbeat=heartbeat)
     families: dict = {}

@@ -285,7 +285,7 @@ class TestChromeExport:
         )
 
 
-#: ``repro trace run`` flags of a chaos + crash run and of a churn run
+#: ``repro run --trace`` flags of a chaos + crash run and of a churn run
 FAULT_RUNS = {
     "chaos-crash": ["--drop-rate", "0.05", "--crash-plan", "600:1500:2"],
     "churn": ["--drop-rate", "0.05", "--churn-joins", "1",
@@ -295,12 +295,12 @@ FAULT_RUNS = {
 
 @pytest.fixture(scope="module", params=sorted(FAULT_RUNS))
 def fault_run(request, tmp_path_factory):
-    """(name, trace, Chrome document) of one ``repro trace run``."""
+    """(name, trace, Chrome document) of one ``repro run --trace``."""
     from repro.cli import main
 
     out = tmp_path_factory.mktemp(request.param)
-    rc = main(["trace", "run", str(out), "--protocol", "opt-track",
-               "-n", "5", "--ops", "40", *FAULT_RUNS[request.param]])
+    rc = main(["run", "--trace", str(out), "--protocol", "opt-track",
+               "-n", "5", "-q", "20", "--ops", "40", *FAULT_RUNS[request.param]])
     assert rc == 0
     doc = json.loads((out / "trace_chrome.json").read_text())
     return request.param, load_trace(out / "trace.jsonl"), doc
@@ -360,8 +360,8 @@ class TestTraceCliSubcommands:
         from repro.cli import main
 
         out = tmp_path / "t"
-        rc = main(["trace", "run", str(out), "-n", "4", "--ops", "25",
-                   "--latency", "adversarial"])
+        rc = main(["run", "--trace", str(out), "-n", "4", "-q", "20",
+                   "--ops", "25", "--latency", "adversarial"])
         assert rc == 0
         assert (out / "trace.jsonl").exists()
         assert (out / "trace_chrome.json").exists()

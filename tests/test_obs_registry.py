@@ -137,12 +137,13 @@ class TestLedgerCrosscheck:
         """A Full-Track RM may carry a matrix stored before a view change,
         narrower than the epoch's clock.  Booked under the epoch's width
         its components overran its price (seed 0: site 3 by 88 B, i.e.
-        8 x (36 - 25)); the CI churn matrix runs exactly this command."""
+        8 x (36 - 25)); the CI churn matrix runs this command's churn
+        plan, under adversarial latency."""
         code = cli_main([
-            "metrics", "run", str(tmp_path), "--protocol", "full-track",
-            "-n", "5", "--ops", "40", "--churn-joins", "1",
+            "run", "--metrics", str(tmp_path), "--protocol", "full-track",
+            "-n", "5", "-q", "20", "--ops", "40", "--churn-joins", "1",
             "--churn-leaves", "1", "--churn-seed", str(seed),
-            "--churn-window", "300:1500", "--heartbeat-ms", "0"])
+            "--churn-window", "300:1500"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "ledger crosscheck (components vs priced bytes): OK" in out
@@ -432,11 +433,11 @@ class TestMetricsCli:
     def test_run_summarize_diff(self, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        common = ["--protocol", "opt-track", "-n", "4", "--ops", "30",
-                  "--heartbeat-ms", "0"]
-        assert cli_main(["metrics", "run", str(out_a),
+        common = ["--protocol", "opt-track", "-n", "4", "-q", "20",
+                  "--ops", "30"]
+        assert cli_main(["run", "--metrics", str(out_a),
                          "--seed", "3", *common]) == 0
-        assert cli_main(["metrics", "run", str(out_b),
+        assert cli_main(["run", "--metrics", str(out_b),
                          "--seed", "4", *common]) == 0
         capsys.readouterr()
 
@@ -474,12 +475,12 @@ class TestMetricsCli:
                          "crash_downtime_ms.sum: 900 -> 1500"]
 
     def test_same_seed_runs_write_identical_dumps(self, tmp_path):
-        args = ["--protocol", "opt-track", "-n", "4", "--ops", "30",
-                "--seed", "5", "--heartbeat-ms", "0"]
+        args = ["--protocol", "opt-track", "-n", "4", "-q", "20",
+                "--ops", "30", "--seed", "5"]
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert cli_main(["metrics", "run", str(out_a), *args]) == 0
-        assert cli_main(["metrics", "run", str(out_b), *args]) == 0
+        assert cli_main(["run", "--metrics", str(out_a), *args]) == 0
+        assert cli_main(["run", "--metrics", str(out_b), *args]) == 0
         assert ((out_a / "metrics.prom").read_bytes()
                 == (out_b / "metrics.prom").read_bytes())
         assert ((out_a / "metrics.json").read_bytes()
