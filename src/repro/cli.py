@@ -273,7 +273,8 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--checkpoint-interval", type=float, default=None,
                      metavar="MS",
                      help="durable checkpoint period (default: 250 ms when "
-                          "a crash plan is given, off otherwise)")
+                          "a crash plan or --auto-evict is given, off "
+                          "otherwise)")
     grp.add_argument("--churn-joins", type=int, default=0, metavar="N",
                      help="number of seeded site joins (elastic membership)")
     grp.add_argument("--churn-leaves", type=int, default=0, metavar="N",

@@ -867,7 +867,6 @@ class CausalProtocol(abc.ABC):
         while len(self._waiters) < capacity:
             self._waiters.append([])
         self._view_grow(capacity)
-        self._view_change_extra(view)
 
     def _view_grow(self, capacity: int) -> None:
         """Pad protocol metadata (clocks, ``applied``, ...) to ``capacity``.
@@ -875,10 +874,6 @@ class CausalProtocol(abc.ABC):
         Overridden by every concrete protocol; must grow from actual
         structure sizes (not ``self.n``) so it composes with restore().
         """
-
-    def _view_change_extra(self, view) -> None:
-        """Protocol-specific remapping beyond plain growth (e.g. clearing
-        interned destination-set memos that referenced departed sites)."""
 
     def reset_writer_identity(self, site: int) -> None:
         """Reset writer-local counters after a donor-forked bootstrap.

@@ -62,10 +62,8 @@ class OptTrackProtocol(CausalProtocol):
         self.last_write_on: dict[
             int, tuple[WriteId, frozenset[int], tuple[PiggybackEntry, ...]]
         ] = {}
-        # hot-path set constants and the (var, writer) -> dests-minus-
-        # writer memo used on every SM apply
+        # hot-path set constant for the write path's own log record
         self._me_set = frozenset((self.site,))
-        self._apply_dests: dict[tuple[int, int], frozenset[int]] = {}
 
     # ------------------------------------------------------------------
     # application subsystem
@@ -169,21 +167,12 @@ class OptTrackProtocol(CausalProtocol):
     def _apply_sm(self, src: int, message: object) -> None:
         assert isinstance(message, OptTrackSM)
         self.ctx.collector.record_visibility(self.ctx.clock.now - message.issued_at)
-        wid = message.write_id
-        # The write's remaining destinations exclude the writer: if it
-        # replicates the variable it applied its own write at the write
-        # event, causally before this receipt (condition 1 holds there).
-        dkey = (message.var, wid.site)
-        dests = self._apply_dests.get(dkey)
-        if dests is None:
-            dests = self._apply_dests[dkey] = (
-                self.ctx.placement.replica_set(message.var) - {wid.site}
-            )
         # Implicit condition 1: "this site is a destination" is dead
         # information from this apply onward — the stored log is the
         # piggybacked view with self stripped, i.e. the base every copy
         # of this write shares.
-        self._apply_value(message.var, message.value, wid, dests,
+        self._apply_value(message.var, message.value, message.write_id,
+                          self.ctx.placement.replica_set(message.var),
                           message.log.stored(self.site))
 
     def _apply_value(
@@ -202,7 +191,11 @@ class OptTrackProtocol(CausalProtocol):
             )
         self.applied[wid.site] = wid.clock
         self._note_applied(wid.site)
-        self.last_write_on[var] = (wid, dests - self._me_set, stored_log)
+        # LastWriteOn's remaining destinations exclude the writer (if it
+        # replicates the variable it applied its own write at the write
+        # event, causally before any receipt) and this site (condition 1)
+        self.last_write_on[var] = (wid, dests.difference((wid.site, self.site)),
+                                   stored_log)
         if ctx.history.enabled:
             ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
 
@@ -269,11 +262,6 @@ class OptTrackProtocol(CausalProtocol):
         # the KS log is keyed by writer id, not indexed — no growth needed
         while len(self.applied) < capacity:
             self.applied.append(0)
-
-    def _view_change_extra(self, view) -> None:
-        # the (var, writer) -> dests memo interned the *old* placement's
-        # replica sets; a view change remaps placement, so drop it
-        self._apply_dests.clear()
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

@@ -100,9 +100,9 @@ class SimulationConfig:
     fault_seed: int = 0
     retransmit: Optional[RetransmitPolicy] = None
     #: durable-state layer: ``None`` disables checkpointing entirely
-    #: *unless* the fault plan schedules crashes (which force it on at
-    #: the default interval); crash-free runs with it disabled stay
-    #: byte-identical to the seed
+    #: *unless* the fault plan schedules crashes or a detector policy or
+    #: auto-eviction is set (which force it on at the default interval);
+    #: crash-free runs with it disabled stay byte-identical to the seed
     checkpoint_interval_ms: Optional[float] = None
     #: heartbeat failure-detector tuning (None = defaults when crashes
     #: are planned; no detector at all otherwise)
@@ -293,16 +293,17 @@ def build_system(
 
     # Crash-recovery machinery attaches before any operation: checkpoints
     # and the WAL only cover operations issued after it hooks in.
+    # Membership churn alone needs none of it: a joiner bootstraps from
+    # a donor snapshot, and a leaver drains at a fence.
     crashes = plan.crashes if plan is not None else ()
-    if (crash_recovery or crashes or config.churn
-            or config.checkpoint_interval_ms is not None):
-        # a failure detector watches when crashes are planned, a policy
-        # is given, eviction escalates its suspicions, or sites are
-        # crashed by hand over the chaos transport (it pauses
-        # retransmission into the dead site)
-        watch = (bool(crashes) or config.detector is not None
-                 or config.auto_evict_after_ms is not None
-                 or (crash_recovery and transport is not None))
+    # a failure detector watches when crashes are planned, a policy is
+    # given, eviction escalates its suspicions, or sites are crashed by
+    # hand over the chaos transport (it pauses retransmission into the
+    # dead site)
+    watch = (bool(crashes) or config.detector is not None
+             or config.auto_evict_after_ms is not None
+             or (crash_recovery and transport is not None))
+    if watch or crash_recovery or config.checkpoint_interval_ms is not None:
         system.crash_manager = install_crash_recovery(
             sim, network, system.protocols,
             crashes=crashes,

@@ -1,16 +1,18 @@
 """Elastic membership: epoch-based view changes under churn.
 
-The view manager admits joiners through the crash-recovery bootstrap
-pipeline (checkpoint restore -> WAL replay -> catch-up), retires leavers
-after handing off solely-held replicas, and evicts persistently-suspected
-crash-stopped sites.  These tests pin the whole lifecycle:
+The view manager admits joiners from a donor snapshot (the first
+checkpoint of their disk when the crash stack is installed), retires
+leavers after handing off solely-held replicas, and evicts
+persistently-suspected crash-stopped sites.  These tests pin the whole
+lifecycle:
 
 * multi-epoch runs stay causally consistent and deterministic for all
   four protocols, composed with crashes and partitions;
 * operations addressed to departed sites fail fast with typed errors;
 * ``FaultPlan`` round-trips membership events through JSON;
 * detector flapping under churn leaves retransmit pause/resume balanced;
-* the static path builds no view manager at all (zero-overhead rule).
+* the static path builds no view manager at all (zero-overhead rule),
+  and churn alone installs no crash stack.
 """
 
 import pytest
@@ -117,6 +119,37 @@ def test_static_run_builds_no_view_manager():
     assert result.view_manager is None
     # the broadcast fast path stays active on every protocol instance
     assert all(p._members is None for p in result.protocols)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_churn_alone_installs_no_crash_stack(protocol):
+    # joins bootstrap from a donor snapshot and leavers drain at a
+    # fence: neither needs a checkpoint, so a churn plan without a crash
+    # plan takes none, and what it applies matches a checkpointed run
+    plan = FaultPlan.build(
+        default=ChannelFaults(drop_rate=0.05),
+        membership=[JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=1100.0)],
+    )
+
+    def run(**kw):
+        result = run_simulation(SimulationConfig(
+            protocol=protocol, n_sites=5, n_vars=12, ops_per_process=40,
+            gap_range_ms=(5.0, 55.0), seed=7, fault_plan=plan, **kw))
+        stores = [{v: p.ctx.store.read(v) for v in p.ctx.store.variables}
+                  for p in result.protocols]
+        return result, stores
+
+    churn_only, stores = run()
+    assert churn_only.crash_manager is None
+    assert churn_only.collector.checkpoints_taken == 0
+    assert churn_only.view_manager.stats.joins == 1
+    assert churn_only.view_manager.stats.leaves == 1
+    checkpointed, checkpointed_stores = run(checkpoint_interval_ms=150.0)
+    assert checkpointed.crash_manager is not None
+    assert checkpointed.collector.checkpoints_taken > 0
+    assert stores == checkpointed_stores
+    assert any(slot.write_id is not None for store in stores
+               for slot in store.values())
 
 
 @pytest.mark.parametrize("protocol", protocol_names())

@@ -22,6 +22,11 @@ MERGE took up KS implicit tracking (``_generated`` says by which commit):
 logs hold fewer records, so the log-size and metadata-byte families
 moved, and the message counts did not.
 
+The ``*/churn`` cases were regenerated once more when membership churn
+alone stopped installing the crash stack: they lost the checkpoint
+families, and the kernel event count, the end time and the heartbeat
+gauges moved with the checkpoint ticks that no longer run.
+
 Regenerate only for an intentional change to what the registry
 exports: ``PYTHONPATH=src python tests/test_metrics_golden.py
 [PROTOCOL ...]`` rewrites the cases of the named protocols (all when

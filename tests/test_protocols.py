@@ -6,6 +6,8 @@ log resets, the d+1 bound, FIFO+dependency activation, and the gating of
 remote-read returns under partial replication.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.core.base import CausalProtocol
 from repro.core.opt_track import OptTrackProtocol
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.store import BOTTOM
-from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan
+from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan, JoinEvent, LeaveEvent
 
 
 def make(protocol, n=3, p=None, n_vars=6, latency=None):
@@ -352,3 +354,75 @@ class TestOptTrackLogNeverNamesItsOwner:
         assert checked["on_message"] > checked["write"]
         if chaos:  # the crashed site came back through both paths
             assert checked["restore"] == checked["replay"] == 1
+
+
+class TestOptTrackLastWriteOnDests:
+    """LastWriteOn<h> keeps the write's remaining destinations.
+
+    At every apply, on the SM path and the local-write path alike (WAL
+    replay included), the stored set is the replica set under the *current*
+    placement less the writer (it applied its own write at the write
+    event) and less this site (implicit condition 1).  The join + leave
+    run remaps placement mid-run, so a destination set cached across a
+    view change would show here."""
+
+    PLANS = {
+        "plain": None,
+        "chaos": FaultPlan.build(
+            default=ChannelFaults(drop_rate=0.05, dup_rate=0.02)),
+        "crash-recover": FaultPlan.build(
+            default=ChannelFaults(drop_rate=0.05),
+            crashes=(CrashEvent(2, 600.0, 1500.0),)),
+        "join-leave": FaultPlan.build(
+            membership=(JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=900.0))),
+    }
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("protocol", ["opt-track", "opt-track-noprune"])
+    def test_at_every_apply(self, protocol, plan, monkeypatch):
+        checked: list[float] = []
+        apply_value = OptTrackProtocol._apply_value
+
+        def checking(self, var, value, wid, dests, stored_log):
+            apply_value(self, var, value, wid, dests, stored_log)
+            expected = self.ctx.placement.replica_set(var) - {wid.site, self.site}
+            assert self.last_write_on[var][1] == expected, (self.site, var, wid)
+            checked.append(self.ctx.clock.now)
+
+        monkeypatch.setattr(OptTrackProtocol, "_apply_value", checking)
+        result = run_simulation(SimulationConfig(
+            protocol=protocol, n_sites=5, n_vars=12, replication_factor=3,
+            ops_per_process=60, gap_range_ms=(5.0, 55.0), seed=7,
+            fault_plan=self.PLANS[plan], fault_seed=3))
+        assert len(checked) > 100
+        if plan == "crash-recover":
+            assert result.collector.downtime.count == 1
+        if plan == "join-leave":
+            vm = result.view_manager
+            assert vm.stats.joins == 1 and vm.stats.leaves == 1
+            last_change = vm.stats.epoch_log[-1][0]
+            assert sum(t > last_change for t in checked) > 50
+
+
+def test_opt_track_retains_no_per_site_memo():
+    """What Opt-Track's own code still holds at quiescence is protocol
+    state, mostly LastWriteOn: ~0.47 MiB here.  A per-site
+    ``(var, writer)`` destination-set memo on the apply path raised it
+    to 2.45 MiB at this size, and would fail the bound."""
+    config = SimulationConfig(protocol="opt-track", n_sites=20,
+                              replication_factor=6, n_vars=100,
+                              ops_per_process=50, seed=1)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        result = run_simulation(config)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    held = snapshot.filter_traces(
+        [tracemalloc.Filter(True, "*/repro/core/opt_track.py")])
+    held_bytes = sum(stat.size for stat in held.statistics("filename"))
+    assert result.collector.ops_write > 0
+    assert held_bytes < 2**20, f"{held_bytes / 2**20:.2f} MiB"
