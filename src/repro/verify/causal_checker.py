@@ -27,11 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from ..memory.replication import Placement
 from ..sim.events import EventKind
-from .graph import causality_graph, write_node
+from .graph import causality_graph, write_ancestry, write_node
 from .history import HistoryRecorder
 
 __all__ = ["CausalityViolation", "CheckReport", "check_causal_consistency"]
@@ -73,20 +71,6 @@ class CheckReport:
             )
 
 
-def _ancestor_masks(g: nx.DiGraph, write_index: dict[tuple, int]) -> dict[tuple, int]:
-    """Per-node bitmask of causally preceding writes (strict ancestors)."""
-    masks: dict[tuple, int] = {}
-    for node in nx.topological_sort(g):
-        mask = 0
-        for pred in g.predecessors(node):
-            mask |= masks[pred]
-            idx = write_index.get(pred)
-            if idx is not None:
-                mask |= 1 << idx
-        masks[node] = mask
-    return masks
-
-
 def check_causal_consistency(
     history: HistoryRecorder,
     placement: Optional[Placement] = None,
@@ -99,30 +83,22 @@ def check_causal_consistency(
     """
     violations: list[CausalityViolation] = []
     g = causality_graph(history)
+    writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
+    reads = [n for n, d in g.nodes.items() if d["kind"] == "r"]
 
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
+    order = g.topological_order()
+    if order is None:
+        cycle = f"po ∪ rf contains a cycle, e.g. {g.cycle()[:4]}"
         return CheckReport(
-            violations=[
-                CausalityViolation(
-                    "cyclic-causality",
-                    f"po ∪ rf contains a cycle, e.g. {cycle[:4]}",
-                )
-            ],
-            n_operations=g.number_of_nodes(),
-            n_writes=sum(1 for _, d in g.nodes(data=True) if d["kind"] == "w"),
-            n_reads=sum(1 for _, d in g.nodes(data=True) if d["kind"] == "r"),
+            violations=[CausalityViolation("cyclic-causality", cycle)],
+            n_operations=len(g.nodes), n_writes=len(writes), n_reads=len(reads),
             n_applies=len(history.of_kind(EventKind.APPLY)),
         )
 
-    writes = [n for n, d in g.nodes(data=True) if d["kind"] == "w"]
-    reads = [n for n, d in g.nodes(data=True) if d["kind"] == "r"]
-    write_index = {w: i for i, w in enumerate(writes)}
+    write_index, masks = write_ancestry(g, order)
     writes_by_var: dict[int, list[tuple]] = {}
     for w in writes:
         writes_by_var.setdefault(g.nodes[w]["var"], []).append(w)
-
-    masks = _ancestor_masks(g, write_index)
 
     # ------------------------------------------------------------------
     # condition 2: no stale reads

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
-
-from .graph import causality_graph, write_node
+from .graph import write_node, write_order
 from .history import HistoryRecorder
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.base imports verify.history
@@ -84,12 +82,7 @@ def check_convergence(
 
     illegitimate: list[str] = []
     if history is not None and divergent:
-        g = causality_graph(history)
-        reach = {
-            n: nx.descendants(g, n)
-            for n, d in g.nodes(data=True)
-            if d["kind"] == "w"
-        }
+        before = write_order(history)
         for var in divergent:
             if None in finals[var]:
                 # at quiescence every replica has applied every write to
@@ -103,7 +96,7 @@ def check_convergence(
             for i, a in enumerate(ids):
                 for b in ids[i + 1:]:
                     na, nb = write_node(*a.as_tuple()), write_node(*b.as_tuple())
-                    if nb in reach.get(na, set()) or na in reach.get(nb, set()):
+                    if before(na, nb) or before(nb, na):
                         illegitimate.append(
                             f"var {var}: final values {a} and {b} are causally "
                             "ordered — replicas applying both must agree"

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from ..memory.replication import Placement
 from ..sim.events import EventKind
-from .graph import causality_graph, write_node
+from .graph import write_node, write_order
 from .history import HistoryRecorder
 
 __all__ = [
@@ -39,16 +37,6 @@ __all__ = [
 ]
 
 
-def _write_order(history: HistoryRecorder) -> tuple[nx.DiGraph, dict]:
-    """Causality DAG plus a write -> descendant-writes reachability map."""
-    g = causality_graph(history)
-    if not nx.is_directed_acyclic_graph(g):
-        raise ValueError("history is cyclic; run the main checker first")
-    writes = [n for n, d in g.nodes(data=True) if d["kind"] == "w"]
-    reach = {w: nx.descendants(g, w) for w in writes}
-    return g, reach
-
-
 def check_read_your_writes(history: HistoryRecorder) -> list[str]:
     """A site never reads causally *behind* its own preceding write.
 
@@ -57,7 +45,7 @@ def check_read_your_writes(history: HistoryRecorder) -> list[str]:
     (concurrent writes are legal — some causal serialization orders them
     after w'), but never ⊥ and never a strict causal ancestor of w'.
     """
-    g, reach = _write_order(history)
+    before = write_order(history)
     violations: list[str] = []
     last_own_write: dict[tuple[int, int], tuple] = {}  # (site, var) -> node
     for ev in history.operations():
@@ -73,7 +61,7 @@ def check_read_your_writes(history: HistoryRecorder) -> list[str]:
             )
             continue
         returned = write_node(*ev.write_id)
-        if returned != own and own in reach.get(returned, set()):
+        if before(returned, own):
             violations.append(
                 f"site {ev.site} read {returned} from var {ev.var}, a strict "
                 f"causal ancestor of its own write {own}"
@@ -84,7 +72,7 @@ def check_read_your_writes(history: HistoryRecorder) -> list[str]:
 def check_monotonic_reads(history: HistoryRecorder) -> list[str]:
     """Per (site, var): the sequence of writes returned by reads never
     steps to a causal predecessor of an already-observed write."""
-    g, reach = _write_order(history)
+    before = write_order(history)
     violations: list[str] = []
     last_seen: dict[tuple[int, int], tuple] = {}
     for ev in history.reads():
@@ -97,13 +85,12 @@ def check_monotonic_reads(history: HistoryRecorder) -> list[str]:
                 )
             continue
         current = write_node(*ev.write_id)
-        if prev is not None and current != prev:
-            # regression = current is a strict causal ancestor of prev
-            if prev in reach.get(current, set()):
-                violations.append(
-                    f"site {ev.site} var {ev.var}: read regressed from "
-                    f"{prev} to its causal ancestor {current}"
-                )
+        # regression = current is a strict causal ancestor of prev
+        if prev is not None and before(current, prev):
+            violations.append(
+                f"site {ev.site} var {ev.var}: read regressed from "
+                f"{prev} to its causal ancestor {current}"
+            )
         last_seen[key] = current
     return violations
 

@@ -318,6 +318,10 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
     assert all(words[-4:-1] == ["|", "tee", "-a"] for words in commands[1:])
     assert "defaults" not in job and "shell" not in step
     assert unguarded_tee_steps(workflow) == []
+    # networkx is a test-only oracle: the checker runs here without it
+    (install,) = [step["run"] for step in job["steps"]
+                  if "pip install" in step.get("run", "")]
+    assert "networkx" not in install
 
 
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"

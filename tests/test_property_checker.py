@@ -18,61 +18,75 @@ from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import PiggybackEntry, PiggybackView
 from repro.memory.store import WriteId
 from repro.verify.causal_checker import check_causal_consistency
-from repro.verify.graph import causality_graph, read_node, write_node
+from repro.verify.graph import causality_graph, write_ancestry, write_node
 from repro.verify.history import HistoryRecorder
 
 
 # ----------------------------------------------------------------------
-# random (possibly inconsistent) histories
+# random (possibly inconsistent, possibly cyclic) histories
 # ----------------------------------------------------------------------
 @st.composite
 def histories(draw):
-    """A syntactically valid history: writes first (so rf targets exist),
-    then reads referencing arbitrary writes — consistency NOT guaranteed,
-    which is the point: the checker must agree with brute force on both
-    clean and violating histories."""
+    """A syntactically valid history: every rf target is some write of
+    the history, but reads and writes interleave and a read may return
+    a write issued *later* — consistency NOT guaranteed and po ∪ rf
+    possibly cyclic, which is the point: the checker must agree with
+    brute force on clean, violating and cyclic histories alike."""
     n_sites = draw(st.integers(1, 4))
     n_vars = draw(st.integers(1, 3))
-    h = HistoryRecorder()
-    writes: list[tuple[int, int, int]] = []  # (site, clock, var)
+    ops = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, n_sites - 1),
+                  st.integers(0, n_vars - 1)),
+        min_size=1, max_size=20))
     clocks = [0] * n_sites
-    t = 0.0
-    for _ in range(draw(st.integers(1, 10))):
-        site = draw(st.integers(0, n_sites - 1))
-        var = draw(st.integers(0, n_vars - 1))
-        t += 1.0
-        clocks[site] += 1
-        h.record_write_op(time=t, site=site, var=var,
-                          value=f"v{site}.{clocks[site]}",
-                          write_id=WriteId(site, clocks[site]))
-        writes.append((site, clocks[site], var))
-    for _ in range(draw(st.integers(0, 10))):
-        site = draw(st.integers(0, n_sites - 1))
-        t += 1.0
-        if writes and draw(st.booleans()):
+    ids = []
+    for is_write, site, _ in ops:
+        if is_write:
+            clocks[site] += 1
+            ids.append(clocks[site])
+        else:
+            ids.append(None)
+    writes = [(site, clock, var) for (_, site, var), clock in zip(ops, ids)
+              if clock is not None]
+    h = HistoryRecorder()
+    for t, ((is_write, site, var), clock) in enumerate(zip(ops, ids)):
+        if is_write:
+            h.record_write_op(time=float(t), site=site, var=var,
+                              value=f"v{site}.{clock}",
+                              write_id=WriteId(site, clock))
+        elif writes and draw(st.booleans()):
             wsite, wclock, wvar = writes[draw(st.integers(0, len(writes) - 1))]
-            h.record_read_op(time=t, site=site, var=wvar,
+            h.record_read_op(time=float(t), site=site, var=wvar,
                              value=f"v{wsite}.{wclock}",
                              write_id=WriteId(wsite, wclock))
         else:
-            var = draw(st.integers(0, n_vars - 1))
-            h.record_read_op(time=t, site=site, var=var, value=None,
+            h.record_read_op(time=float(t), site=site, var=var, value=None,
                              write_id=None)
     return h
+
+
+def oracle_graph(g) -> nx.DiGraph:
+    """The same relation as an ``nx.DiGraph``, built from nothing but
+    the node and edge sets, so no code under test answers for it."""
+    dg = nx.DiGraph()
+    dg.add_nodes_from(g.nodes)
+    dg.add_edges_from(g.edges)
+    return dg
 
 
 def brute_force_stale_reads(history: HistoryRecorder) -> int:
     """O(V^3) reference: count stale reads via full transitive closure."""
     g = causality_graph(history)
-    if not nx.is_directed_acyclic_graph(g):
+    dg = oracle_graph(g)
+    if not nx.is_directed_acyclic_graph(dg):
         return -1  # cycle marker
-    closure = nx.transitive_closure_dag(g)
+    closure = nx.transitive_closure_dag(dg)
     count = 0
     writes_by_var: dict[int, list] = {}
-    for node, data in g.nodes(data=True):
+    for node, data in g.nodes.items():
         if data["kind"] == "w":
             writes_by_var.setdefault(data["var"], []).append(node)
-    for node, data in g.nodes(data=True):
+    for node, data in g.nodes.items():
         if data["kind"] != "r":
             continue
         var = data["var"]
@@ -104,6 +118,33 @@ class TestCheckerAgainstBruteForce:
             found = sum(1 for v in report.violations
                         if v.kind in ("stale-read", "stale-bottom-read"))
             assert found == expected
+
+
+class TestGraphAgainstNetworkx:
+    @given(history=histories())
+    @settings(max_examples=150, deadline=None)
+    def test_order_cycle_and_ancestry(self, history):
+        g = causality_graph(history)
+        dg = oracle_graph(g)
+        order = g.topological_order()
+        assert (order is None) == (not nx.is_directed_acyclic_graph(dg))
+        if order is None:
+            cycle = g.cycle()
+            assert cycle
+            assert all(dg.has_edge(a, b) for a, b in cycle)
+            assert [b for _, b in cycle] == [a for a, _ in cycle[1:] + cycle[:1]]
+            return
+        assert g.cycle() == []
+        position = {node: k for k, node in enumerate(order)}
+        assert sorted(position) == sorted(g.nodes)
+        assert all(position[a] < position[b] for a, b in dg.edges)
+        index, masks = write_ancestry(g, order)
+        writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
+        assert list(index) == writes
+        closure = nx.transitive_closure_dag(dg)
+        for node in g.nodes:
+            expected = {w for w in writes if closure.has_edge(w, node)}
+            assert {w for w in writes if masks[node] >> index[w] & 1} == expected
 
 
 # ----------------------------------------------------------------------

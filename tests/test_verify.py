@@ -6,6 +6,10 @@ checker must *detect* hand-constructed violations of every kind it
 claims to check.  A checker that cannot fail is not evidence.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.memory.replication import RoundRobinPlacement, full_replication
@@ -36,16 +40,16 @@ class TestGraph:
         w(h, 1, 0, 0, "a", 1)
         r(h, 2, 0, 1, None, None)
         g = causality_graph(h)
-        assert g.has_edge(write_node(0, 1), read_node(0, 1))
-        assert g.edges[write_node(0, 1), read_node(0, 1)]["order"] == "po"
+        assert (write_node(0, 1), read_node(0, 1)) in g.edges
+        assert g.edges[(write_node(0, 1), read_node(0, 1))] == "po"
 
     def test_read_from_edges(self):
         h = HistoryRecorder()
         wid = w(h, 1, 0, 0, "a", 1)
         r(h, 2, 1, 0, "a", wid)
         g = causality_graph(h)
-        assert g.has_edge(write_node(0, 1), read_node(1, 0))
-        assert g.edges[write_node(0, 1), read_node(1, 0)]["order"] == "rf"
+        assert (write_node(0, 1), read_node(1, 0)) in g.edges
+        assert g.edges[(write_node(0, 1), read_node(1, 0))] == "rf"
 
     def test_unknown_write_id_rejected(self):
         h = HistoryRecorder()
@@ -59,6 +63,30 @@ class TestGraph:
         r(h, 2, 1, 3, "a", wid)  # reads var 3, write was to var 0
         with pytest.raises(ValueError, match="var"):
             causality_graph(h)
+
+
+class TestRuntimeImports:
+    def test_networkx_is_never_imported(self):
+        # networkx is a test-only oracle: a checked run, the session
+        # guarantees and the convergence analysis run without it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, repro\n"
+            "from repro.experiments.runner import SimulationConfig, run_simulation\n"
+            "from repro.verify import (check_all_session_guarantees,\n"
+            "    check_causal_consistency, check_convergence)\n"
+            "cfg = SimulationConfig(protocol='optp', n_sites=4, n_vars=3,\n"
+            "    write_rate=0.8, ops_per_process=20, seed=1, record_history=True)\n"
+            "res = run_simulation(cfg)\n"
+            "check_causal_consistency(res.history, res.placement).raise_if_violated()\n"
+            "assert not any(check_all_session_guarantees(res.history).values())\n"
+            "assert check_convergence(res.protocols, res.history).ok\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "False"
 
 
 class TestCheckerPasses:
