@@ -318,7 +318,6 @@ class CausalProtocol(abc.ABC):
             var=var, on_complete=on_complete, op_index=op_index,
             issued=ctx.clock.now, target=target,
         )
-        ctx.history.record_fetch(time=ctx.clock.now, site=self.site, peer=target, var=var)
         self._send(
             target,
             FetchMessage(
@@ -582,29 +581,15 @@ class CausalProtocol(abc.ABC):
             slot[2] += len(length_of(message)) * copies
         return size
 
-    def _announce(self, dst: int, message: object, kind: MessageKind,
-                  size: int) -> None:
-        """Tell the tracer and the history, whichever is on, of one send."""
-        ctx = self.ctx
-        if ctx.tracer is not None:
-            ctx.tracer.msg_send(self.site, dst, message,
-                                ts=ctx.clock.now,
-                                kind=kind.value, size=size)
-        history = ctx.history
-        if history.enabled:  # skip the kwargs + __name__ cost when off
-            history.record_send(
-                time=ctx.clock.now, site=self.site, peer=dst,
-                detail=type(message).__name__,
-            )
-
     def _send(self, dst: int, message: object, kind: MessageKind) -> None:
         """Price, book, and transmit one message.  The network gets the
         price: under a finite-bandwidth model bigger metadata costs
         transmission time (never in the paper's default, infinite)."""
         ctx = self.ctx
         size = self._book(message, kind)
-        if ctx.tracer is not None or ctx.history.enabled:
-            self._announce(dst, message, kind, size)
+        if ctx.tracer is not None:
+            ctx.tracer.msg_send(self.site, dst, message, ts=ctx.clock.now,
+                                kind=kind.value, size=size)
         ctx.network.send(self.site, dst, message, size_bytes=size)
 
     def _multicast(self, dests: Sequence[int], message: object,
@@ -638,12 +623,14 @@ class CausalProtocol(abc.ABC):
 
     def _transmit(self, targets: Sequence[int], messages: Sequence[object],
                   sizes: Sequence[int], kind: MessageKind) -> None:
-        """Hand booked copies to the transport's ``multicast``, announcing
-        each first when the tracer or the history is on."""
+        """Hand booked copies to the transport's ``multicast``, telling
+        the tracer, when on, of each first."""
         ctx = self.ctx
-        if ctx.tracer is not None or ctx.history.enabled:
+        tracer = ctx.tracer
+        if tracer is not None:
             for dst, message, size in zip(targets, messages, sizes):
-                self._announce(dst, message, kind, size)
+                tracer.msg_send(self.site, dst, message, ts=ctx.clock.now,
+                                kind=kind.value, size=size)
         ctx.network.multicast(self.site, targets, messages, sizes)
 
     def _fetch_requirements(self, var: int, target: int) -> tuple[tuple[int, int], ...]:

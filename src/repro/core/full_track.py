@@ -133,9 +133,6 @@ class FullTrackProtocol(CausalProtocol):
             wid, matrix = None, MatrixClock(self.n)  # never written: no deps
         else:
             wid, matrix = stored
-        self.ctx.history.record_remote_return(
-            time=self.ctx.clock.now, site=self.site, peer=src, var=message.var
-        )
         rm = FullTrackRM(var=message.var, value=slot.value, write_id=wid,
                          matrix=matrix, request_id=message.request_id)
         if matrix.n == self.n:

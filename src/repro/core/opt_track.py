@@ -210,9 +210,6 @@ class OptTrackProtocol(CausalProtocol):
             # LastWriteOn<h> as shipped: the write's own record rides with
             # its dependency log so the reader can merge all of it.
             rm_log = piggy + (PiggybackEntry(wid.site, wid.clock, wdests),)
-        self.ctx.history.record_remote_return(
-            time=self.ctx.clock.now, site=self.site, peer=src, var=message.var
-        )
         self._send(
             src,
             OptTrackRM(

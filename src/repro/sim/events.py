@@ -1,20 +1,21 @@
-"""Event records for the underlying communication system.
+"""Event records of an execution history.
 
-Section II-B of the paper defines six kinds of events generated at each
-site by the read/write operations of the application processes:
+Causal memory is defined by program order, read-from order and each
+site's apply order, so a history keeps the three kinds of event the
+checkers read:
 
-* ``send`` — invocation of the ``Multicast(m)`` primitive,
-* ``fetch`` — invocation of the ``RemoteFetch(m)`` primitive,
-* ``receipt`` — arrival of a message at a site,
-* ``apply`` — local application of a write's value,
-* ``remote_return`` — a replica answering a remote read,
-* ``return`` — completion of a read at the issuing site.
+* ``write_op`` / ``read_op`` — a completed operation of an application
+  process (program order; a read's ``write_id`` is its read-from edge),
+* ``apply`` — local application of a write's value at a site.
 
-These records are not required for the protocols to function; they form
-the observable execution trace consumed by :mod:`repro.verify` (causal
-consistency checking) and by :mod:`repro.workload.traces` (export/replay
-and debugging).  Keeping them as plain frozen dataclasses makes traces
-cheap to record and trivially serializable.
+Of Section II-B's six event kinds, the per-message ones (``send``,
+``fetch``, ``receipt``, ``remote_return``, ``return``) are no part of a
+history: the tracer (:mod:`repro.obs`) records every message.  These
+records are not required for the protocols to function; they form the
+execution trace consumed by :mod:`repro.verify` (causal consistency
+checking) and by :mod:`repro.workload.traces` (export/replay).  Keeping
+them as plain frozen dataclasses makes them cheap to record and
+trivially serializable.
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ __all__ = ["EventKind", "EventRecord"]
 
 
 class EventKind(enum.Enum):
-    """The six event kinds of Section II-B, plus operation markers."""
+    """The operation markers (program and read-from order) and the
+    apply event (apply order)."""
 
-    SEND = "send"
-    FETCH = "fetch"
-    RECEIPT = "receipt"
     APPLY = "apply"
-    REMOTE_RETURN = "remote_return"
-    RETURN = "return"
-    # Operation-level markers (application subsystem), used by the
-    # verifier to reconstruct program order.
     WRITE_OP = "write_op"
     READ_OP = "read_op"
 
@@ -58,7 +53,6 @@ class EventRecord:
     value: object = None
     write_id: Optional[tuple[int, int]] = None
     op_index: Optional[int] = None
-    peer: Optional[int] = None
     detail: str = ""
     #: destination site set of a write (WRITE_OP only).  Recorded at
     #: write time because under elastic membership the placement later
@@ -76,7 +70,6 @@ class EventRecord:
             "value": self.value,
             "write_id": list(self.write_id) if self.write_id is not None else None,
             "op_index": self.op_index,
-            "peer": self.peer,
             "detail": self.detail,
         }
         # omitted when absent so pre-membership trace files stay stable
@@ -86,7 +79,9 @@ class EventRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "EventRecord":
-        """Inverse of :meth:`as_dict` (trace replay)."""
+        """Inverse of :meth:`as_dict` (trace replay); a ``"peer"`` key,
+        written before the history dropped its per-message events, is
+        ignored."""
         wid = data.get("write_id")
         dests = data.get("dests")
         return EventRecord(
@@ -97,7 +92,6 @@ class EventRecord:
             value=data.get("value"),
             write_id=tuple(wid) if wid is not None else None,
             op_index=data.get("op_index"),
-            peer=data.get("peer"),
             detail=data.get("detail", ""),
             dests=tuple(dests) if dests is not None else None,
         )

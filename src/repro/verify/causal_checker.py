@@ -18,8 +18,9 @@ Ahamad et al. (Section II-A).  Three families of conditions are checked:
 
 Reachability over the causality DAG is computed once, in topological
 order, with per-node ancestor bitmasks over write indices — O(V·E/w)
-words — which keeps the checker usable on histories with thousands of
-operations (integration-test scale).
+words; conditions 2 and 3 are word operations on those masks, which
+keeps the checker usable on the paper's cells (n = 40, 600 ops/process:
+~24 000 operations, ~230 000 applies, a few seconds).
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..memory.replication import Placement
-from ..sim.events import EventKind
-from .graph import causality_graph, write_ancestry, write_node
+from ..sim.events import EventKind, EventRecord
+from .graph import CausalityGraph, causality_graph, write_ancestry, write_node
 from .history import HistoryRecorder
 
-__all__ = ["CausalityViolation", "CheckReport", "check_causal_consistency"]
+__all__ = ["CausalityViolation", "CheckReport", "apply_order_violations",
+           "check_causal_consistency"]
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,7 @@ def check_causal_consistency(
     """
     violations: list[CausalityViolation] = []
     g = causality_graph(history)
+    applies = history.of_kind(EventKind.APPLY)
     writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
     reads = [n for n, d in g.nodes.items() if d["kind"] == "r"]
 
@@ -92,7 +95,7 @@ def check_causal_consistency(
         return CheckReport(
             violations=[CausalityViolation("cyclic-causality", cycle)],
             n_operations=len(g.nodes), n_writes=len(writes), n_reads=len(reads),
-            n_applies=len(history.of_kind(EventKind.APPLY)),
+            n_applies=len(applies),
         )
 
     write_index, masks = write_ancestry(g, order)
@@ -139,60 +142,79 @@ def check_causal_consistency(
     # ------------------------------------------------------------------
     # condition 3: per-site apply order extends ->co
     # ------------------------------------------------------------------
-    n_applies = 0
     if placement is not None:
-        applies_by_site: dict[int, list[tuple]] = {}
-        for ev in history.of_kind(EventKind.APPLY):
-            n_applies += 1
-            applies_by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
-        for site, applied_seq in applies_by_site.items():
-            position = {w: k for k, w in enumerate(applied_seq)}
-            applied_set = set(applied_seq)
-            for w in applied_seq:
-                if w not in write_index:
-                    violations.append(
-                        CausalityViolation(
-                            "phantom-apply",
-                            f"site {site} applied unknown write {w}",
-                        )
-                    )
-                    continue
-                mask = masks[w]
-                for w2, i2 in write_index.items():
-                    if not (mask >> i2 & 1):
-                        continue
-                    w2_dests = g.nodes[w2].get("dests")
-                    if w2_dests is not None:
-                        # recorded at write time — authoritative under
-                        # elastic membership, where the final placement
-                        # may disagree with the one the write used
-                        if site not in w2_dests:
-                            continue
-                    elif not placement.is_replicated_at(g.nodes[w2]["var"], site):
-                        continue  # not destined here; nothing to order
-                    if w2 not in applied_set:
-                        violations.append(
-                            CausalityViolation(
-                                "missing-apply",
-                                f"site {site} applied {w} but not its causal "
-                                f"predecessor {w2} destined to it",
-                            )
-                        )
-                    elif position[w2] > position[w]:
-                        violations.append(
-                            CausalityViolation(
-                                "apply-order",
-                                f"site {site} applied {w} before its causal "
-                                f"predecessor {w2}",
-                            )
-                        )
-    else:
-        n_applies = len(history.of_kind(EventKind.APPLY))
+        violations += apply_order_violations(
+            g, write_index, masks, applies, placement)
 
     return CheckReport(
         violations=violations,
         n_operations=len(writes) + len(reads),
         n_writes=len(writes),
         n_reads=len(reads),
-        n_applies=n_applies,
+        n_applies=len(applies),
     )
+
+
+def apply_order_violations(
+    g: CausalityGraph,
+    write_index: dict[tuple, int],
+    masks: dict[tuple, int],
+    applies: list[EventRecord],
+    placement: Placement,
+) -> list[CausalityViolation]:
+    """Condition 3 by bitmasks over ``write_index``: at each site, every
+    causal predecessor of an applied write that is destined there must
+    be applied, its last apply before the write's last apply.  Each set
+    bit of ``masks[w] & destined & ~before[w]`` is one violation, in
+    ``write_index`` order: O(writes / word) per apply."""
+    writes = list(write_index)
+    out: list[CausalityViolation] = []
+    applies_by_site: dict[int, list[tuple]] = {}
+    for ev in applies:
+        applies_by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
+    for site, applied_seq in applies_by_site.items():
+        destined = _destined_mask(g, writes, site, placement)
+        last = {w: k for k, w in enumerate(applied_seq)}
+        before: dict[tuple, int] = {}
+        applied = 0  # writes last applied behind the walk; then all applied
+        for k, w in enumerate(applied_seq):
+            i = write_index.get(w)
+            if i is not None and last[w] == k:
+                before[w] = applied
+                applied |= 1 << i
+        for w in applied_seq:
+            if w not in write_index:
+                out.append(CausalityViolation(
+                    "phantom-apply", f"site {site} applied unknown write {w}"))
+                continue
+            need = masks[w] & destined & ~before[w]
+            while need:
+                low = need & -need
+                need ^= low
+                w2 = writes[low.bit_length() - 1]
+                if applied & low:
+                    out.append(CausalityViolation(
+                        "apply-order",
+                        f"site {site} applied {w} before its causal "
+                        f"predecessor {w2}"))
+                else:
+                    out.append(CausalityViolation(
+                        "missing-apply",
+                        f"site {site} applied {w} but not its causal "
+                        f"predecessor {w2} destined to it"))
+    return out
+
+
+def _destined_mask(g: CausalityGraph, writes: list[tuple], site: int,
+                   placement: Placement) -> int:
+    """Bits of the writes destined to ``site``: by a write's recorded
+    ``dests`` (under elastic membership the final placement may disagree
+    with the one the write used), else by the placement."""
+    def here(data: dict) -> bool:
+        dests = data["dests"]
+        if dests is not None:
+            return site in dests
+        return placement.is_replicated_at(data["var"], site)
+
+    return int("0" + "".join("1" if here(g.nodes[w]) else "0"
+                             for w in reversed(writes)), 2)

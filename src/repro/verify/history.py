@@ -1,19 +1,27 @@
 """Execution-history recording.
 
-The verifier needs three relations out of a run:
+The verifier needs three relations out of a run, and a history holds
+the three kinds of event that carry them and nothing else:
 
-* **program order** — per-site sequence of read/write operations;
+* **program order** — per-site sequence of read/write operations
+  (``WRITE_OP`` / ``READ_OP``);
 * **read-from order** — which write each read returned (via write ids);
 * **apply order** — per-site sequence in which update messages were
-  locally applied (to check the activation predicates did their job).
+  locally applied (``APPLY``; to check the activation predicates did
+  their job).
 
-:class:`HistoryRecorder` accumulates :class:`~repro.sim.events.EventRecord`
-rows for all of these.  Recording is optional (``enabled=False`` turns
+:class:`HistoryRecorder` accumulates
+:class:`~repro.sim.events.EventRecord` rows for these; per-message
+events (sends, fetches, replies) are the tracer's (:mod:`repro.obs`),
+not the history's.  Recording is optional (``enabled=False`` turns
 every method into a no-op) so large benchmark runs pay nothing for it.
 
 :func:`encode_events` / :func:`decode_events` are the one JSONL form of
 a history — one sorted-key ``as_dict`` object per line — shared by
 every file and HTTP body that carries one; callers do the I/O.
+:func:`decode_events` skips the lines of the per-message kinds older
+files still hold, so such a file loads and checks as the history of
+its kept events.
 """
 
 from __future__ import annotations
@@ -34,11 +42,18 @@ def encode_events(events: Iterable[EventRecord]) -> str:
     )
 
 
+#: kinds a history no longer records; :func:`decode_events` skips them
+_RETIRED_KINDS = frozenset(
+    {"send", "fetch", "receipt", "remote_return", "return"})
+
+
 def decode_events(text: str) -> list[EventRecord]:
     """Parse JSONL history text (inverse of :func:`encode_events`; key
-    order and blank lines do not matter)."""
-    return [EventRecord.from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
+    order and blank lines do not matter, lines of a retired kind are
+    skipped)."""
+    rows = (json.loads(line) for line in text.splitlines() if line.strip())
+    return [EventRecord.from_dict(row) for row in rows
+            if row["kind"] not in _RETIRED_KINDS]
 
 
 class HistoryRecorder:
@@ -121,27 +136,6 @@ class HistoryRecorder:
             )
         )
 
-    def record_send(self, *, time: float, site: int, peer: int, detail: str = "") -> None:
-        if not self.enabled:
-            return
-        self.events.append(
-            EventRecord(kind=EventKind.SEND, time=time, site=site, peer=peer, detail=detail)
-        )
-
-    def record_fetch(self, *, time: float, site: int, peer: int, var: int) -> None:
-        if not self.enabled:
-            return
-        self.events.append(
-            EventRecord(kind=EventKind.FETCH, time=time, site=site, peer=peer, var=var)
-        )
-
-    def record_remote_return(self, *, time: float, site: int, peer: int, var: int) -> None:
-        if not self.enabled:
-            return
-        self.events.append(
-            EventRecord(kind=EventKind.REMOTE_RETURN, time=time, site=site, peer=peer, var=var)
-        )
-
     # ------------------------------------------------------------------
     # views used by the checker
     # ------------------------------------------------------------------
@@ -157,9 +151,6 @@ class HistoryRecorder:
             and (site is None or e.site == site)
         ]
         return ops
-
-    def applies_at(self, site: int) -> list[EventRecord]:
-        return [e for e in self.events if e.kind is EventKind.APPLY and e.site == site]
 
     def writes(self) -> list[EventRecord]:
         return self.of_kind(EventKind.WRITE_OP)

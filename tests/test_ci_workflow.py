@@ -279,7 +279,8 @@ def test_churn_matrix_gates_the_ledger_crosscheck():
 def test_chaos_matrix_checks_every_opt_track_log_variant():
     # MERGE deletes what a newer record proves dead; the checker is the
     # oracle for a rule that forgets, so it judges the log with and
-    # without send-time pruning, and at a partial-replication n > p
+    # without send-time pruning, at a partial-replication n > p, and at
+    # one of the paper's cells
     workflow = yaml.safe_load(WORKFLOW.read_text())
     job = workflow["jobs"]["chaos-matrix"]
     assert job["strategy"]["matrix"]["fault-seed"] == [0, 1, 2]
@@ -305,6 +306,9 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
         " --latency adversarial --drop-rate 0.05 --crash-plan 600:1500:2",
         "--protocol opt-track -n 12 -p 4 -q 20 --ops 30 --latency uniform"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
+        # a paper-scale cell: the checker keeps up with n = 20, 300 ops
+        "--protocol opt-track -n 20 -p 6 -q 100 --ops 300"
+        " --latency adversarial --drop-rate 0.05",
     ]
     # the registry exports the counts of the first two runs, the
     # overload and backpressure ones from the second

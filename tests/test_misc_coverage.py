@@ -10,24 +10,27 @@ from repro.sim.events import EventKind, EventRecord
 
 class TestEventRecords:
     def test_roundtrip_full(self):
-        ev = EventRecord(kind=EventKind.APPLY, time=3.5, site=2, var=7,
-                         value=99, write_id=(1, 4), op_index=12, peer=3,
-                         detail="x")
+        ev = EventRecord(kind=EventKind.WRITE_OP, time=3.5, site=2, var=7,
+                         value=99, write_id=(1, 4), op_index=12,
+                         detail="x", dests=(1, 2))
         again = EventRecord.from_dict(ev.as_dict())
         assert again == ev
 
     def test_roundtrip_minimal(self):
-        ev = EventRecord(kind=EventKind.SEND, time=0.0, site=0)
+        ev = EventRecord(kind=EventKind.APPLY, time=0.0, site=0)
         again = EventRecord.from_dict(ev.as_dict())
         assert again.write_id is None and again.var is None
 
-    def test_kind_values_cover_paper_events(self):
-        names = {k.value for k in EventKind}
-        assert {"send", "fetch", "receipt", "apply", "remote_return",
-                "return"} <= names
+    def test_kinds_are_the_three_the_checkers_read(self):
+        assert {k.value for k in EventKind} == {"write_op", "read_op", "apply"}
+
+    def test_a_peer_key_is_ignored(self):
+        row = EventRecord(kind=EventKind.APPLY, time=1.0, site=0).as_dict()
+        assert "peer" not in row
+        assert EventRecord.from_dict({**row, "peer": 3}) == EventRecord.from_dict(row)
 
     def test_records_are_frozen(self):
-        ev = EventRecord(kind=EventKind.SEND, time=0.0, site=0)
+        ev = EventRecord(kind=EventKind.APPLY, time=0.0, site=0)
         with pytest.raises(AttributeError):
             ev.site = 5
 

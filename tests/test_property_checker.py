@@ -1,6 +1,8 @@
 """Property tests cross-validating the checker and activation predicates
 against brute-force reference implementations."""
 
+from dataclasses import replace
+
 import networkx as nx
 import numpy as np
 from hypothesis import given, settings
@@ -16,8 +18,14 @@ from repro.core.activation import (
 )
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import PiggybackEntry, PiggybackView
+from repro.memory.replication import Placement
 from repro.memory.store import WriteId
-from repro.verify.causal_checker import check_causal_consistency
+from repro.sim.events import EventKind
+from repro.verify.causal_checker import (
+    CausalityViolation,
+    apply_order_violations,
+    check_causal_consistency,
+)
 from repro.verify.graph import causality_graph, write_ancestry, write_node
 from repro.verify.history import HistoryRecorder
 
@@ -26,7 +34,7 @@ from repro.verify.history import HistoryRecorder
 # random (possibly inconsistent, possibly cyclic) histories
 # ----------------------------------------------------------------------
 @st.composite
-def histories(draw):
+def histories(draw, min_ops=1):
     """A syntactically valid history: every rf target is some write of
     the history, but reads and writes interleave and a read may return
     a write issued *later* — consistency NOT guaranteed and po ∪ rf
@@ -37,7 +45,7 @@ def histories(draw):
     ops = draw(st.lists(
         st.tuples(st.booleans(), st.integers(0, n_sites - 1),
                   st.integers(0, n_vars - 1)),
-        min_size=1, max_size=20))
+        min_size=min_ops, max_size=20))
     clocks = [0] * n_sites
     ids = []
     for is_write, site, _ in ops:
@@ -145,6 +153,111 @@ class TestGraphAgainstNetworkx:
         for node in g.nodes:
             expected = {w for w in writes if closure.has_edge(w, node)}
             assert {w for w in writes if masks[node] >> index[w] & 1} == expected
+
+
+# ----------------------------------------------------------------------
+# condition 3 (per-site apply order) vs the per-write loop
+# ----------------------------------------------------------------------
+class TablePlacement(Placement):
+    """A drawn replica set per variable."""
+
+    def __init__(self, n_sites, table):
+        self._table = table
+        super().__init__(n_sites, len(table), len(table[0]))
+
+    def _compute_replicas(self, var):
+        return self._table[var]
+
+
+@st.composite
+def applied_histories(draw):
+    """A :func:`histories` history, some writes with recorded ``dests``,
+    a placement, and applies in any order: missing, out of causal order,
+    repeated at one site, or of a write nobody issued."""
+    h = draw(histories(min_ops=6))
+    n_sites = 1 + max(e.site for e in h.events)
+    n_vars = 1 + max(e.var for e in h.events)
+    p = draw(st.integers(1, n_sites))
+    table = [draw(st.permutations(range(n_sites)))[:p] for _ in range(n_vars)]
+    sites = st.integers(0, n_sites - 1)
+    for k, e in enumerate(h.events):
+        if e.kind is EventKind.WRITE_OP and draw(st.booleans()):
+            h.events[k] = replace(e, dests=tuple(sorted(
+                draw(st.sets(sites)))))
+    targets = [(e.write_id, e.var) for e in h.writes()]
+    targets.append(((n_sites, 99), 0))  # the phantom
+    for site in draw(st.permutations(range(n_sites))):
+        # a prefix of a shuffle (or of recording order) of the targets,
+        # then a few repeats
+        seq = draw(st.permutations(range(len(targets))))
+        if draw(st.booleans()):
+            seq = sorted(seq)
+        seq = seq[:draw(st.integers(0, len(seq)))]
+        if seq:
+            seq += draw(st.lists(st.sampled_from(seq), max_size=3))
+        for k in seq:
+            wid, var = targets[k]
+            h.record_apply(time=100.0, site=site, var=var,
+                           write_id=WriteId(*wid))
+    return h, TablePlacement(n_sites, table)
+
+
+def reference_apply_order(g, write_index, masks, applies, placement):
+    """Condition 3 as one loop over every write per apply:
+    O(applies x writes)."""
+    violations = []
+    applies_by_site: dict[int, list[tuple]] = {}
+    for ev in applies:
+        applies_by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
+    for site, applied_seq in applies_by_site.items():
+        position = {w: k for k, w in enumerate(applied_seq)}
+        applied_set = set(applied_seq)
+        for w in applied_seq:
+            if w not in write_index:
+                violations.append(CausalityViolation(
+                    "phantom-apply", f"site {site} applied unknown write {w}"))
+                continue
+            mask = masks[w]
+            for w2, i2 in write_index.items():
+                if not (mask >> i2 & 1):
+                    continue
+                w2_dests = g.nodes[w2].get("dests")
+                if w2_dests is not None:
+                    if site not in w2_dests:
+                        continue
+                elif not placement.is_replicated_at(g.nodes[w2]["var"], site):
+                    continue
+                if w2 not in applied_set:
+                    violations.append(CausalityViolation(
+                        "missing-apply",
+                        f"site {site} applied {w} but not its causal "
+                        f"predecessor {w2} destined to it"))
+                elif position[w2] > position[w]:
+                    violations.append(CausalityViolation(
+                        "apply-order",
+                        f"site {site} applied {w} before its causal "
+                        f"predecessor {w2}"))
+    return violations
+
+
+class TestApplyOrderAgainstReference:
+    @given(case=applied_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_masks_match_the_per_write_loop(self, case):
+        history, placement = case
+        g = causality_graph(history)
+        order = g.topological_order()
+        report = check_causal_consistency(history, placement)
+        if order is None:
+            assert [v.kind for v in report.violations] == ["cyclic-causality"]
+            return
+        index, masks = write_ancestry(g, order)
+        applies = history.of_kind(EventKind.APPLY)
+        expected = reference_apply_order(g, index, masks, applies, placement)
+        assert apply_order_violations(
+            g, index, masks, applies, placement) == expected
+        assert report.violations == (
+            check_causal_consistency(history).violations + expected)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.core.base import CausalProtocol
 from repro.core.opt_track import OptTrackProtocol
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.store import BOTTOM
+from repro.sim.events import EventKind
 from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan, JoinEvent, LeaveEvent
 
 
@@ -139,7 +140,8 @@ class TestCRPInternals:
         c.write(1, 1, "b")        # must piggyback the (0,1) dependency
         c.settle()
         # receiver 2 applied "b" only after "a": check apply order
-        applies = [(e.site, e.write_id) for e in c.history.applies_at(2)]
+        applies = [(e.site, e.write_id)
+                   for e in c.history.of_kind(EventKind.APPLY) if e.site == 2]
         assert applies.index((2, (0, 1))) < applies.index((2, (1, 1)))
 
     def test_log_bounded_by_d_plus_one(self):

@@ -6,18 +6,25 @@ checker must *detect* hand-constructed violations of every kind it
 claims to check.  A checker that cannot fail is not evidence.
 """
 
+import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.replication import RoundRobinPlacement, full_replication
 from repro.memory.store import WriteId
 from repro.sim.events import EventKind
+from repro.sim.faults import FaultPlan
+from repro.sim.network import AdversarialLatency
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.graph import causality_graph, read_node, write_node
-from repro.verify.history import HistoryRecorder
+from repro.verify.history import HistoryRecorder, decode_events
+
+PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
 
 
 def w(h, t, site, var, value, clock):
@@ -218,3 +225,73 @@ class TestCheckerApplyOrder:
         ap(h, 1, 0, 0, WriteId(2, 9))  # applying a write nobody performed
         report = check_causal_consistency(h, self.placement)
         assert any(v.kind == "phantom-apply" for v in report.violations)
+
+
+CHAOS = FaultPlan.uniform(drop_rate=0.05, dup_rate=0.02)
+
+
+class TestHistoryKinds:
+    """A history holds what the checkers read: operations and applies.
+    Per-message events are the tracer's."""
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_checked_run_records_operations_and_applies_only(
+            self, protocol, chaos):
+        res = run_simulation(SimulationConfig(
+            protocol=protocol, n_sites=5, n_vars=8, ops_per_process=25,
+            write_rate=0.6, seed=3, record_history=True,
+            latency=AdversarialLatency(1.0, 1000.0),
+            fault_plan=CHAOS if chaos else None, fault_seed=3))
+        kinds = {e.kind for e in res.history.events}
+        assert kinds == {EventKind.WRITE_OP, EventKind.READ_OP, EventKind.APPLY}
+        report = check_causal_consistency(res.history, res.placement)
+        assert report.ok
+        assert report.n_reads > 0 and report.n_applies > report.n_writes
+        assert len(res.history) == (report.n_writes + report.n_reads
+                                    + report.n_applies)
+
+    def test_a_history_with_per_message_events_loads_the_kept_ones(self):
+        res = run_simulation(SimulationConfig(
+            protocol="opt-track", n_sites=5, n_vars=8, ops_per_process=25,
+            write_rate=0.6, seed=3, record_history=True,
+            latency=AdversarialLatency(1.0, 1000.0)))
+        # the JSONL an older recorder wrote: a "peer" key on every line,
+        # a send per SM copy, a fetch and a remote_return per remote read
+        lines = []
+        for e in res.history.events:
+            row = {**e.as_dict(), "peer": None}
+            if e.kind is EventKind.READ_OP and e.detail == "remote":
+                lines.append({"kind": "fetch", "time": e.time, "site": e.site,
+                              "var": e.var, "peer": 0})
+                lines.append({"kind": "remote_return", "time": e.time,
+                              "site": 0, "var": e.var, "peer": e.site})
+            lines.append(row)
+            if e.kind is EventKind.WRITE_OP:
+                lines.append({"kind": "send", "time": e.time, "site": e.site,
+                              "peer": (e.site + 1) % 5,
+                              "detail": "OptTrackSM"})
+        text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in lines)
+        assert '"fetch"' in text and '"remote_return"' in text
+        old = HistoryRecorder()
+        old.extend(decode_events(text))
+        assert old.events == res.history.events
+        assert (check_causal_consistency(old, res.placement)
+                == check_causal_consistency(res.history, res.placement))
+
+
+class TestApplyOrderAtScale:
+    def test_checking_a_paper_scale_run_takes_under_two_seconds(self):
+        # n = 20, p = 6, q = 100, 300 ops/process under adversarial
+        # latency and 5 % drops: ~6 000 operations, ~18 000 applies.
+        # Condition 3 walks only the set bits of each apply's mask.
+        res = run_simulation(SimulationConfig(
+            protocol="opt-track", n_sites=20, replication_factor=6,
+            n_vars=100, ops_per_process=300, seed=0, record_history=True,
+            latency=AdversarialLatency(),
+            fault_plan=FaultPlan.uniform(drop_rate=0.05), fault_seed=0))
+        start = time.perf_counter()
+        report = check_causal_consistency(res.history, res.placement)
+        elapsed = time.perf_counter() - start
+        assert report.ok and report.n_applies > 15_000
+        assert elapsed < 2.0, f"checker took {elapsed:.2f} s"
