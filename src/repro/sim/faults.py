@@ -488,9 +488,19 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
-        """Inverse of :meth:`as_dict`."""
+        """Inverse of :meth:`as_dict`.  A level that should be a mapping
+        and is not raises ``ValueError`` (plan JSON is untrusted input)."""
 
-        def faults(d: Mapping) -> ChannelFaults:
+        def obj(x: object, what: str) -> Mapping:
+            if isinstance(x, Mapping):
+                return x
+            raise ValueError(f"{what} must be a JSON object, not {type(x).__name__}")
+
+        def each(key: str) -> list[Mapping]:
+            return [obj(x, f"each {key!r} entry") for x in data.get(key, ())]
+
+        def faults(d: object, what: str) -> ChannelFaults:
+            d = obj(d, what)
             return ChannelFaults(
                 drop_rate=float(d.get("drop_rate", 0.0)),
                 dup_rate=float(d.get("dup_rate", 0.0)),
@@ -501,8 +511,9 @@ class FaultPlan:
         def window(x: Optional[float]) -> float:
             return math.inf if x is None else float(x)
 
+        data = obj(data, "a fault plan")
         membership: list[MembershipEvent] = []
-        for ev in data.get("membership", ()):
+        for ev in each("membership"):
             if ev["kind"] == "join":
                 membership.append(JoinEvent(float(ev["at_ms"])))
             elif ev["kind"] == "leave":
@@ -510,23 +521,24 @@ class FaultPlan:
             else:
                 raise ValueError(f"unknown membership event kind {ev['kind']!r}")
         return cls.build(
-            default=faults(data.get("default", {})),
+            default=faults(data.get("default", {}), "'default'"),
             channels={
-                (int(ch["src"]), int(ch["dst"])): faults(ch["faults"])
-                for ch in data.get("channels", ())
+                (int(ch["src"]), int(ch["dst"])): faults(
+                    ch["faults"], "a channel's 'faults'")
+                for ch in each("channels")
             },
             partitions=[
                 Partition(
                     p["group"], float(p.get("start_ms", 0.0)),
                     window(p.get("heal_ms")),
                 )
-                for p in data.get("partitions", ())
+                for p in each("partitions")
             ],
             crashes=[
                 CrashEvent(
                     int(c["site"]), float(c["at_ms"]), window(c.get("recover_ms"))
                 )
-                for c in data.get("crashes", ())
+                for c in each("crashes")
             ],
             membership=membership,
             overloads=[
@@ -534,7 +546,7 @@ class FaultPlan:
                     ov["sites"], float(ov["start_ms"]), float(ov["end_ms"]),
                     float(ov["interval_ms"]),
                 )
-                for ov in data.get("overloads", ())
+                for ov in each("overloads")
             ],
         )
 

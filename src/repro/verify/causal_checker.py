@@ -30,7 +30,7 @@ from typing import Optional
 
 from ..memory.replication import Placement
 from ..sim.events import EventKind, EventRecord
-from .graph import CausalityGraph, causality_graph, write_ancestry, write_node
+from .graph import CausalityGraph, apply_masks, causality_graph, set_bits, write_node
 from .history import HistoryRecorder
 
 __all__ = ["CausalityViolation", "CheckReport", "apply_order_violations",
@@ -83,116 +83,77 @@ def check_causal_consistency(
     needs to know each write's destination set; without it only the
     read-centric conditions are checked.
     """
-    violations: list[CausalityViolation] = []
     g = causality_graph(history)
     applies = history.of_kind(EventKind.APPLY)
     writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
     reads = [n for n, d in g.nodes.items() if d["kind"] == "r"]
-
-    order = g.topological_order()
-    if order is None:
+    report = CheckReport([], n_operations=len(g.nodes), n_writes=len(writes),
+                         n_reads=len(reads), n_applies=len(applies))
+    violations = report.violations
+    if g.order is None:
         cycle = f"po ∪ rf contains a cycle, e.g. {g.cycle()[:4]}"
-        return CheckReport(
-            violations=[CausalityViolation("cyclic-causality", cycle)],
-            n_operations=len(g.nodes), n_writes=len(writes), n_reads=len(reads),
-            n_applies=len(applies),
-        )
+        violations.append(CausalityViolation("cyclic-causality", cycle))
+        return report
 
-    write_index, masks = write_ancestry(g, order)
-    writes_by_var: dict[int, list[tuple]] = {}
-    for w in writes:
-        writes_by_var.setdefault(g.nodes[w]["var"], []).append(w)
+    write_index, masks = g.write_index, g.masks
+    var_writes: dict[int, int] = {}  # var -> mask of its writes
+    for w, i in write_index.items():
+        var = g.nodes[w]["var"]
+        var_writes[var] = var_writes.get(var, 0) | 1 << i
 
     # ------------------------------------------------------------------
     # condition 2: no stale reads
     # ------------------------------------------------------------------
     for r in reads:
         data = g.nodes[r]
-        var = data["var"]
-        rf = data["rf"]
-        r_mask = masks[r]
-        if rf is None:
-            for w2 in writes_by_var.get(var, ()):  # any causally-past write is fatal
-                if r_mask >> write_index[w2] & 1:
-                    violations.append(
-                        CausalityViolation(
-                            "stale-bottom-read",
-                            f"read {r} returned ⊥ but write {w2} to var {var} "
-                            "is in its causal past",
-                        )
-                    )
+        var, rf = data["var"], data["rf"]
+        past = masks[r] & var_writes.get(var, 0)
+        if rf is None:  # any causally-past write is fatal
+            violations += (CausalityViolation(
+                "stale-bottom-read",
+                f"read {r} returned ⊥ but write {writes[i]} to var {var} "
+                "is in its causal past") for i in set_bits(past))
             continue
         w = write_node(*rf)
         w_idx = write_index[w]
-        for w2 in writes_by_var.get(var, ()):
-            if w2 == w:
-                continue
-            i2 = write_index[w2]
+        for i in set_bits(past):
             # w' in causal past of r, and w ->co w'  =>  r saw an
             # overwritten value
-            if (r_mask >> i2 & 1) and (masks[w2] >> w_idx & 1):
-                violations.append(
-                    CausalityViolation(
-                        "stale-read",
-                        f"read {r} returned write {w} but {w2} overwrote "
-                        f"var {var} in the read's causal past",
-                    )
-                )
+            if i != w_idx and masks[writes[i]] >> w_idx & 1:
+                violations.append(CausalityViolation(
+                    "stale-read",
+                    f"read {r} returned write {w} but {writes[i]} overwrote "
+                    f"var {var} in the read's causal past"))
 
     # ------------------------------------------------------------------
     # condition 3: per-site apply order extends ->co
     # ------------------------------------------------------------------
     if placement is not None:
-        violations += apply_order_violations(
-            g, write_index, masks, applies, placement)
-
-    return CheckReport(
-        violations=violations,
-        n_operations=len(writes) + len(reads),
-        n_writes=len(writes),
-        n_reads=len(reads),
-        n_applies=len(applies),
-    )
+        violations += apply_order_violations(g, applies, placement)
+    return report
 
 
 def apply_order_violations(
-    g: CausalityGraph,
-    write_index: dict[tuple, int],
-    masks: dict[tuple, int],
-    applies: list[EventRecord],
-    placement: Placement,
+    g: CausalityGraph, applies: list[EventRecord], placement: Placement,
 ) -> list[CausalityViolation]:
-    """Condition 3 by bitmasks over ``write_index``: at each site, every
+    """Condition 3 by bitmasks over ``g.write_index``: at each site, every
     causal predecessor of an applied write that is destined there must
     be applied, its last apply before the write's last apply.  Each set
     bit of ``masks[w] & destined & ~before[w]`` is one violation, in
     ``write_index`` order: O(writes / word) per apply."""
+    write_index, masks = g.write_index, g.masks
     writes = list(write_index)
     out: list[CausalityViolation] = []
-    applies_by_site: dict[int, list[tuple]] = {}
-    for ev in applies:
-        applies_by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
-    for site, applied_seq in applies_by_site.items():
+    for site, applied_seq, before, applied in apply_masks(write_index, applies):
         destined = _destined_mask(g, writes, site, placement)
-        last = {w: k for k, w in enumerate(applied_seq)}
-        before: dict[tuple, int] = {}
-        applied = 0  # writes last applied behind the walk; then all applied
-        for k, w in enumerate(applied_seq):
-            i = write_index.get(w)
-            if i is not None and last[w] == k:
-                before[w] = applied
-                applied |= 1 << i
         for w in applied_seq:
             if w not in write_index:
                 out.append(CausalityViolation(
                     "phantom-apply", f"site {site} applied unknown write {w}"))
                 continue
-            need = masks[w] & destined & ~before[w]
-            while need:
-                low = need & -need
-                need ^= low
-                w2 = writes[low.bit_length() - 1]
-                if applied & low:
+            for i in set_bits(masks[w] & destined & ~before[w]):
+                w2 = writes[i]
+                if applied >> i & 1:
                     out.append(CausalityViolation(
                         "apply-order",
                         f"site {site} applied {w} before its causal "

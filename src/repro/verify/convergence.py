@@ -16,9 +16,10 @@ exactly the condition :func:`check_convergence` flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .graph import write_node, write_order
+from .graph import causality_graph, write_node
 from .history import HistoryRecorder
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.base imports verify.history
@@ -82,7 +83,7 @@ def check_convergence(
 
     illegitimate: list[str] = []
     if history is not None and divergent:
-        before = write_order(history)
+        g = causality_graph(history).acyclic()
         for var in divergent:
             if None in finals[var]:
                 # at quiescence every replica has applied every write to
@@ -92,15 +93,12 @@ def check_convergence(
                     f"var {var}: some replica still holds ⊥ while others "
                     f"hold {sorted(w for w in finals[var] if w)}"
                 )
-            ids = [w for w in finals[var] if w is not None]
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    na, nb = write_node(*a.as_tuple()), write_node(*b.as_tuple())
-                    if before(na, nb) or before(nb, na):
-                        illegitimate.append(
-                            f"var {var}: final values {a} and {b} are causally "
-                            "ordered — replicas applying both must agree"
-                        )
+            for a, b in combinations([w for w in finals[var] if w is not None], 2):
+                na, nb = write_node(*a.as_tuple()), write_node(*b.as_tuple())
+                if g.precedes(na, nb) or g.precedes(nb, na):
+                    illegitimate.append(
+                        f"var {var}: final values {a} and {b} are causally "
+                        "ordered — replicas applying both must agree")
     return ConvergenceReport(
         final_values=finals, divergent=divergent, illegitimate=illegitimate
     )

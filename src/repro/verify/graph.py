@@ -4,8 +4,13 @@ The causality order ->co of Section II-A is the transitive closure of
 program order (per-process operation sequence) united with read-from
 order (a read is ordered after the write whose value it returned).  This
 module materializes that relation as a :class:`CausalityGraph` over
-operation nodes, and every node's strict write ancestry as a bitmask —
-the one reachability query the checkers ask.
+operation nodes, with a topological order and every node's strict write
+ancestry as a bitmask — the one reachability query the checkers ask.
+:func:`causality_graph` builds all of it in one call; the causal
+checker, the session guarantees and the convergence check all call it,
+and :func:`apply_masks` gives condition 3 and
+writes-follow-reads each site's apply order as masks over the same
+write indices.
 
 Node naming:
 
@@ -18,13 +23,13 @@ it returned, as attributes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
-from ..sim.events import EventKind
+from ..sim.events import EventKind, EventRecord
 from .history import HistoryRecorder
 
-__all__ = ["CausalityGraph", "causality_graph", "read_node", "write_ancestry",
-           "write_node", "write_order"]
+__all__ = ["CausalityGraph", "apply_masks", "causality_graph", "read_node",
+           "set_bits", "write_node"]
 
 Node = tuple
 
@@ -40,14 +45,20 @@ def read_node(site: int, k: int) -> tuple:
 class CausalityGraph:
     """The po ∪ rf relation: node attributes in program order (sites
     interleaved as recorded), each node's predecessors, and each edge's
-    order, ``edges[(a, b)]`` ∈ {``"po"``, ``"rf"``}."""
+    order, ``edges[(a, b)]`` ∈ {``"po"``, ``"rf"``}.  Once built, also a
+    topological ``order``, each write's bit in node order, and each
+    node's strict write ancestry over those bits (``None``, empty and
+    empty when cyclic)."""
 
-    __slots__ = ("nodes", "preds", "edges")
+    __slots__ = ("nodes", "preds", "edges", "order", "write_index", "masks")
 
     def __init__(self) -> None:
         self.nodes: dict[Node, dict[str, Any]] = {}
         self.preds: dict[Node, list[Node]] = {}
         self.edges: dict[tuple[Node, Node], str] = {}
+        self.order: Optional[list[Node]] = None
+        self.write_index: dict[Node, int] = {}
+        self.masks: dict[Node, int] = {}
 
     def add_node(self, node: Node, **attrs: Any) -> None:
         self.nodes[node], self.preds[node] = attrs, []
@@ -73,11 +84,6 @@ class CausalityGraph:
                     order.append(succ)
         return order
 
-    def topological_order(self) -> Optional[list[Node]]:
-        """Every node, each after its predecessors; ``None`` if cyclic."""
-        order = self._peel()
-        return order if len(order) == len(self.nodes) else None
-
     def cycle(self) -> list[tuple[Node, Node]]:
         """The edges of one cycle, in order; empty when acyclic.  Each
         unpeeled node has an unpeeled predecessor, so walking back loops."""
@@ -94,12 +100,25 @@ class CausalityGraph:
         loop = path[seen[node]:][::-1]
         return list(zip(loop, loop[1:] + loop[:1]))
 
+    def acyclic(self) -> "CausalityGraph":
+        if self.order is None:
+            raise ValueError("history is cyclic; run the main checker first")
+        return self
+
+    def precedes(self, a: Node, b: Node) -> bool:
+        """Write ``a`` ->co node ``b``, strictly (False for unknown ``a``)."""
+        i = self.write_index.get(a)
+        return i is not None and bool(self.masks.get(b, 0) >> i & 1)
+
 
 def causality_graph(history: HistoryRecorder) -> CausalityGraph:
-    """Build the po ∪ rf edge relation (whose closure is ->co).
+    """Build the po ∪ rf edge relation (whose closure is ->co), its
+    topological order and every node's write ancestry.
 
     Operations are taken in each site's recorded order, which equals
-    program order because application processes are sequential.
+    program order because application processes are sequential.  Writes
+    are indexed in node order; one pass over the topological order ORs
+    each node's predecessors' masks — O(V·E/w) words.
     """
     g = CausalityGraph()
     per_site_ops: dict[int, list[Node]] = {}
@@ -135,42 +154,48 @@ def causality_graph(history: HistoryRecorder) -> CausalityGraph:
                 )
             g.add_edge(w, node, "rf")
 
+    order = g._peel()
+    if len(order) == len(g.nodes):  # acyclic: every node after its preds
+        g.order = order
+        writes = (node for node, data in g.nodes.items() if data["kind"] == "w")
+        index = g.write_index = {w: i for i, w in enumerate(writes)}
+        masks = g.masks
+        for node in order:
+            mask = 0
+            for pred in g.preds[node]:
+                mask |= masks[pred]
+                i = index.get(pred)
+                if i is not None:
+                    mask |= 1 << i
+            masks[node] = mask
     return g
 
 
-def write_ancestry(
-    g: CausalityGraph, order: list[Node]
-) -> tuple[dict[Node, int], dict[Node, int]]:
-    """``(write -> index, node -> bitmask of its strict write ancestors)``.
+def apply_masks(
+    write_index: dict[Node, int], applies: Iterable[EventRecord]
+) -> Iterator[tuple[int, list[Node], dict[Node, int], int]]:
+    """Per apply site, in order of first apply, ``(site, seq, before,
+    applied)``: the site's applied write nodes in apply order (repeats and
+    unknown writes included), per known write w the mask of writes whose
+    *last* apply comes before w's last apply, and all writes applied."""
+    by_site: dict[int, list[Node]] = {}
+    for ev in applies:
+        by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
+    for site, seq in by_site.items():
+        last = {w: k for k, w in enumerate(seq)}
+        before: dict[Node, int] = {}
+        applied = 0
+        for k, w in enumerate(seq):
+            i = write_index.get(w)
+            if i is not None and last[w] == k:
+                before[w] = applied
+                applied |= 1 << i
+        yield site, seq, before, applied
 
-    Writes are indexed in node order; one pass over a topological
-    ``order`` ORs each node's predecessors' masks — O(V·E/w) words.
-    """
-    writes = (node for node, data in g.nodes.items() if data["kind"] == "w")
-    index = {w: i for i, w in enumerate(writes)}
-    masks: dict[Node, int] = {}
-    for node in order:
-        mask = 0
-        for pred in g.preds[node]:
-            mask |= masks[pred]
-            i = index.get(pred)
-            if i is not None:
-                mask |= 1 << i
-        masks[node] = mask
-    return index, masks
 
-
-def write_order(history: HistoryRecorder) -> Callable[[Node, Node], bool]:
-    """``before(a, b)``: write ``a`` ->co write ``b``, strictly; a write
-    the history does not hold precedes and follows nothing."""
-    g = causality_graph(history)
-    order = g.topological_order()
-    if order is None:
-        raise ValueError("history is cyclic; run the main checker first")
-    index, masks = write_ancestry(g, order)
-
-    def before(a: Node, b: Node) -> bool:
-        i = index.get(a)
-        return i is not None and bool(masks.get(b, 0) >> i & 1)
-
-    return before
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of ``mask``'s set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1

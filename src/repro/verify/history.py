@@ -142,21 +142,13 @@ class HistoryRecorder:
     def of_kind(self, kind: EventKind) -> list[EventRecord]:
         return [e for e in self.events if e.kind is kind]
 
-    def operations(self, site: Optional[int] = None) -> list[EventRecord]:
+    def operations(self) -> list[EventRecord]:
         """Read/write operations, in recording (== completion-time) order."""
-        ops = [
-            e
-            for e in self.events
-            if e.kind in (EventKind.WRITE_OP, EventKind.READ_OP)
-            and (site is None or e.site == site)
-        ]
-        return ops
+        return [e for e in self.events
+                if e.kind in (EventKind.WRITE_OP, EventKind.READ_OP)]
 
     def writes(self) -> list[EventRecord]:
         return self.of_kind(EventKind.WRITE_OP)
-
-    def reads(self) -> list[EventRecord]:
-        return self.of_kind(EventKind.READ_OP)
 
     def extend(self, events: Iterable[EventRecord]) -> None:
         if self.enabled:

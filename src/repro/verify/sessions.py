@@ -17,15 +17,16 @@ downstream users on their own:
 
 All checkers consume the same :class:`~repro.verify.history.HistoryRecorder`
 as the main checker and return lists of violation strings (empty = pass).
+Those that ask about ->co call the main checker's builder,
+:func:`~repro.verify.graph.causality_graph` (built once for all four in
+:func:`check_all_session_guarantees`), and raise ``ValueError`` on a
+cyclic history or a read of a write the history does not hold.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..memory.replication import Placement
 from ..sim.events import EventKind
-from .graph import write_node, write_order
+from .graph import CausalityGraph, apply_masks, causality_graph, set_bits, write_node
 from .history import HistoryRecorder
 
 __all__ = [
@@ -45,59 +46,62 @@ def check_read_your_writes(history: HistoryRecorder) -> list[str]:
     (concurrent writes are legal — some causal serialization orders them
     after w'), but never ⊥ and never a strict causal ancestor of w'.
     """
-    before = write_order(history)
+    return _read_your_writes(causality_graph(history).acyclic())
+
+
+def _read_your_writes(g: CausalityGraph) -> list[str]:
     violations: list[str] = []
     last_own_write: dict[tuple[int, int], tuple] = {}  # (site, var) -> node
-    for ev in history.operations():
-        if ev.kind is EventKind.WRITE_OP:
-            last_own_write[(ev.site, ev.var)] = write_node(*ev.write_id)
+    for node, data in g.nodes.items():
+        site, var = data["site"], data["var"]
+        if data["kind"] == "w":
+            last_own_write[(site, var)] = node
             continue
-        own = last_own_write.get((ev.site, ev.var))
+        own = last_own_write.get((site, var))
         if own is None:
             continue
-        if ev.write_id is None:
+        if data["rf"] is None:
             violations.append(
-                f"site {ev.site} read ⊥ from var {ev.var} after writing it ({own})"
-            )
+                f"site {site} read ⊥ from var {var} after writing it ({own})")
             continue
-        returned = write_node(*ev.write_id)
-        if before(returned, own):
+        returned = write_node(*data["rf"])
+        if g.precedes(returned, own):
             violations.append(
-                f"site {ev.site} read {returned} from var {ev.var}, a strict "
-                f"causal ancestor of its own write {own}"
-            )
+                f"site {site} read {returned} from var {var}, a strict "
+                f"causal ancestor of its own write {own}")
     return violations
 
 
 def check_monotonic_reads(history: HistoryRecorder) -> list[str]:
     """Per (site, var): the sequence of writes returned by reads never
     steps to a causal predecessor of an already-observed write."""
-    before = write_order(history)
+    return _monotonic_reads(causality_graph(history).acyclic())
+
+
+def _monotonic_reads(g: CausalityGraph) -> list[str]:
     violations: list[str] = []
     last_seen: dict[tuple[int, int], tuple] = {}
-    for ev in history.reads():
-        key = (ev.site, ev.var)
-        prev = last_seen.get(key)
-        if ev.write_id is None:
+    for data in g.nodes.values():
+        if data["kind"] == "w":
+            continue
+        site, var = data["site"], data["var"]
+        prev = last_seen.get((site, var))
+        if data["rf"] is None:
             if prev is not None:
                 violations.append(
-                    f"site {ev.site} read ⊥ from var {ev.var} after observing {prev}"
-                )
+                    f"site {site} read ⊥ from var {var} after observing {prev}")
             continue
-        current = write_node(*ev.write_id)
+        current = write_node(*data["rf"])
         # regression = current is a strict causal ancestor of prev
-        if prev is not None and before(current, prev):
+        if prev is not None and g.precedes(current, prev):
             violations.append(
-                f"site {ev.site} var {ev.var}: read regressed from "
-                f"{prev} to its causal ancestor {current}"
-            )
-        last_seen[key] = current
+                f"site {site} var {var}: read regressed from "
+                f"{prev} to its causal ancestor {current}")
+        last_seen[(site, var)] = current
     return violations
 
 
-def check_monotonic_writes(
-    history: HistoryRecorder, placement: Optional[Placement] = None
-) -> list[str]:
+def check_monotonic_writes(history: HistoryRecorder) -> list[str]:
     """Each site's writes are applied at every site in issue order."""
     violations: list[str] = []
     applies: dict[int, list[tuple[int, int]]] = {}
@@ -116,43 +120,45 @@ def check_monotonic_writes(
     return violations
 
 
-def check_writes_follow_reads(
-    history: HistoryRecorder, placement: Optional[Placement] = None
-) -> list[str]:
+def check_writes_follow_reads(history: HistoryRecorder) -> list[str]:
     """A write issued after reading value v is applied after v's write at
-    every site applying both."""
+    every site applying both; a repeated apply counts at its last apply,
+    and each (site, source, successor) is reported once.
+
+    Each write snapshots the mask of read sources its site saw before
+    it; at each site, each set bit of ``read_sources[w] & applied &
+    ~before[w]`` is a source applied after w."""
+    return _writes_follow_reads(history, causality_graph(history).acyclic())
+
+
+def _writes_follow_reads(history: HistoryRecorder, g: CausalityGraph) -> list[str]:
+    index = g.write_index
+    writes = list(index)
+    seen: dict[int, int] = {}  # site -> mask of its read sources so far
+    read_sources: dict[tuple, int] = {}
+    for node, data in g.nodes.items():
+        site = data["site"]
+        if data["kind"] == "w":
+            read_sources[node] = seen.get(site, 0)
+        elif data["rf"] is not None:
+            seen[site] = seen.get(site, 0) | 1 << index[write_node(*data["rf"])]
     violations: list[str] = []
-    # w2 (issued after site read w1) must follow w1 wherever both apply
-    constraints: list[tuple[tuple, tuple]] = []
-    last_read_source: dict[int, list] = {}
-    for ev in history.operations():
-        if ev.kind is EventKind.READ_OP:
-            if ev.write_id is not None:
-                last_read_source.setdefault(ev.site, []).append(ev.write_id)
-        else:
-            for source in last_read_source.get(ev.site, ()):
-                constraints.append((source, ev.write_id))  # type: ignore[arg-type]
-    positions: dict[int, dict[tuple, int]] = {}
-    for ev in history.of_kind(EventKind.APPLY):
-        site_positions = positions.setdefault(ev.site, {})
-        site_positions[ev.write_id] = len(site_positions)
-    for before, after in constraints:
-        for site, pos in positions.items():
-            if before in pos and after in pos and pos[before] > pos[after]:
-                violations.append(
-                    f"site {site} applied {after} (writes-follow-reads "
-                    f"successor) before {before}"
-                )
+    for site, _, before, applied in apply_masks(
+            index, history.of_kind(EventKind.APPLY)):
+        for w, prior in before.items():
+            violations += (f"site {site} applied {w[1:]} (writes-follow-reads "
+                           f"successor) before {writes[i][1:]}"
+                           for i in set_bits(read_sources[w] & applied & ~prior))
     return violations
 
 
-def check_all_session_guarantees(
-    history: HistoryRecorder, placement: Optional[Placement] = None
-) -> dict[str, list[str]]:
-    """Run all four checkers; returns {guarantee: violations}."""
+def check_all_session_guarantees(history: HistoryRecorder) -> dict[str, list[str]]:
+    """Run all four checkers on one causality build; returns
+    {guarantee: violations}."""
+    g = causality_graph(history).acyclic()
     return {
-        "read_your_writes": check_read_your_writes(history),
-        "monotonic_reads": check_monotonic_reads(history),
-        "monotonic_writes": check_monotonic_writes(history, placement),
-        "writes_follow_reads": check_writes_follow_reads(history, placement),
+        "read_your_writes": _read_your_writes(g),
+        "monotonic_reads": _monotonic_reads(g),
+        "monotonic_writes": check_monotonic_writes(history),
+        "writes_follow_reads": _writes_follow_reads(history, g),
     }

@@ -157,12 +157,30 @@ def test_exhibits_job_runs_the_papers_benchmarks():
     (install,) = [step["run"] for step in job["steps"]
                   if "pip install" in step.get("run", "")]
     for package in ("pytest", "pytest-benchmark", "hypothesis", "numpy",
-                    "networkx", "scipy"):
+                    "scipy"):
         assert package in install.split()
+    assert "networkx" not in install
     # should the step ever tee, the pipefail rule walks this job too:
     # it inherits bash from the workflow and overrides it nowhere
     assert "defaults" not in job and "shell" not in step
     assert unguarded_tee_steps(workflow) == []
+
+
+def test_networkx_is_installed_only_for_the_tier_1_suite():
+    # networkx is the test-only oracle of tests/test_property_checker.py;
+    # the checker and every other job run without it
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    installs = {
+        name: " ".join(step["run"] for step in job.get("steps", [])
+                       if "pip install" in step.get("run", ""))
+        for name, job in workflow["jobs"].items()}
+    tier_1 = [name for name, job in workflow["jobs"].items()
+              if any("python -m pytest -x -q" in step.get("run", "")
+                     for step in job.get("steps", []))]
+    assert tier_1 == ["test"]
+    assert "networkx" in installs["test"]
+    assert [name for name, install in installs.items()
+            if "networkx" in install and name != "test"] == []
 
 
 def test_exhibits_job_runs_reproduce_and_uploads_its_report():

@@ -25,6 +25,7 @@ from repro import (
 )
 from repro.experiments.sweep import cell_config
 from repro.metrics.collector import MessageKind
+from repro.sim.events import EventKind
 from repro.workload.generator import generate_workload
 
 ALL_PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp"]
@@ -198,7 +199,7 @@ class TestMetamorphicRelations:
                                    ops_per_process=30, seed=8)
             result = run_simulation(cfg, workload=wl)
             results[protocol] = [
-                (e.site, e.var, e.value) for e in result.history.reads()
+                (e.site, e.var, e.value) for e in result.history.of_kind(EventKind.READ_OP)
             ]
         assert results["opt-track-crp"] == results["optp"]
 

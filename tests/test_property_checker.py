@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,9 @@ from repro.verify.causal_checker import (
     apply_order_violations,
     check_causal_consistency,
 )
-from repro.verify.graph import causality_graph, write_ancestry, write_node
+from repro.verify.graph import causality_graph, write_node
 from repro.verify.history import HistoryRecorder
+from repro.verify.sessions import check_writes_follow_reads
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +136,7 @@ class TestGraphAgainstNetworkx:
     def test_order_cycle_and_ancestry(self, history):
         g = causality_graph(history)
         dg = oracle_graph(g)
-        order = g.topological_order()
+        order = g.order
         assert (order is None) == (not nx.is_directed_acyclic_graph(dg))
         if order is None:
             cycle = g.cycle()
@@ -146,7 +148,7 @@ class TestGraphAgainstNetworkx:
         position = {node: k for k, node in enumerate(order)}
         assert sorted(position) == sorted(g.nodes)
         assert all(position[a] < position[b] for a, b in dg.edges)
-        index, masks = write_ancestry(g, order)
+        index, masks = g.write_index, g.masks
         writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
         assert list(index) == writes
         closure = nx.transitive_closure_dag(dg)
@@ -246,18 +248,58 @@ class TestApplyOrderAgainstReference:
     def test_masks_match_the_per_write_loop(self, case):
         history, placement = case
         g = causality_graph(history)
-        order = g.topological_order()
         report = check_causal_consistency(history, placement)
-        if order is None:
+        if g.order is None:
             assert [v.kind for v in report.violations] == ["cyclic-causality"]
             return
-        index, masks = write_ancestry(g, order)
         applies = history.of_kind(EventKind.APPLY)
-        expected = reference_apply_order(g, index, masks, applies, placement)
-        assert apply_order_violations(
-            g, index, masks, applies, placement) == expected
+        expected = reference_apply_order(
+            g, g.write_index, g.masks, applies, placement)
+        assert apply_order_violations(g, applies, placement) == expected
         assert report.violations == (
             check_causal_consistency(history).violations + expected)
+
+
+# ----------------------------------------------------------------------
+# writes-follow-reads vs the pairwise loop
+# ----------------------------------------------------------------------
+def reference_writes_follow_reads(history):
+    """Writes-follow-reads as one test per pair: each distinct (read
+    source, later write of the reading site) pair, at every site that
+    applied both, compared by last-apply position."""
+    pairs: dict[tuple, None] = {}
+    sources: dict[int, list] = {}
+    for ev in history.operations():
+        if ev.kind is EventKind.READ_OP:
+            if ev.write_id is not None:
+                sources.setdefault(ev.site, []).append(ev.write_id)
+        else:
+            for source in sources.get(ev.site, ()):
+                pairs[(source, ev.write_id)] = None
+    positions: dict[int, dict[tuple, int]] = {}
+    for k, ev in enumerate(history.of_kind(EventKind.APPLY)):
+        positions.setdefault(ev.site, {})[ev.write_id] = k
+    return {
+        f"site {site} applied {after} (writes-follow-reads successor) "
+        f"before {before}"
+        for before, after in pairs
+        for site, pos in positions.items()
+        if before in pos and after in pos and pos[before] > pos[after]
+    }
+
+
+class TestWritesFollowReadsAgainstReference:
+    @given(case=applied_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_masks_match_the_pairwise_loop(self, case):
+        history, _ = case
+        if causality_graph(history).order is None:
+            with pytest.raises(ValueError, match="cyclic"):
+                check_writes_follow_reads(history)
+            return
+        found = check_writes_follow_reads(history)
+        assert len(found) == len(set(found))
+        assert set(found) == reference_writes_follow_reads(history)
 
 
 # ----------------------------------------------------------------------

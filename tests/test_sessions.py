@@ -142,6 +142,43 @@ class TestWritesFollowReads:
         ap(h, 5, 2, 0, source)
         assert len(check_writes_follow_reads(h)) == 1
 
+    def test_a_repeated_apply_counts_at_its_last_apply(self):
+        h = HistoryRecorder()
+        c = w(h, 1, 0, 2, "c", 1)
+        r(h, 2, 1, 2, "c", c)
+        a = w(h, 3, 1, 0, "a", 1)
+        b = w(h, 4, 2, 1, "b", 1)
+        for t, (var, wid) in enumerate([(0, a), (1, b), (0, a), (2, c)]):
+            ap(h, 5 + t, 3, var, wid)
+        assert check_writes_follow_reads(h) == [
+            "site 3 applied (1, 1) (writes-follow-reads successor) "
+            "before (0, 1)"]
+
+    def test_a_reread_source_is_reported_once(self):
+        h = HistoryRecorder()
+        source = w(h, 1, 0, 0, "a", 1)
+        r(h, 2, 1, 0, "a", source)
+        r(h, 3, 1, 0, "a", source)
+        follow = w(h, 4, 1, 1, "b", 1)
+        ap(h, 5, 2, 1, follow)
+        ap(h, 6, 2, 0, source)
+        assert check_writes_follow_reads(h) == [
+            "site 2 applied (1, 1) (writes-follow-reads successor) "
+            "before (0, 1)"]
+
+    def test_cyclic_history_and_unknown_source_raise(self):
+        h = HistoryRecorder()
+        r(h, 1, 0, 0, "b", (1, 1))   # reads a write issued after ...
+        w(h, 2, 0, 0, "a", 1)
+        r(h, 3, 1, 0, "a", (0, 1))   # ... a read of this one
+        w(h, 4, 1, 0, "b", 1)
+        with pytest.raises(ValueError, match="cyclic"):
+            check_writes_follow_reads(h)
+        h = HistoryRecorder()
+        r(h, 1, 0, 0, "x", (5, 1))
+        with pytest.raises(ValueError, match="unknown write"):
+            check_writes_follow_reads(h)
+
 
 class TestProtocolsSatisfyAllGuarantees:
     @pytest.mark.parametrize("protocol",
@@ -154,6 +191,6 @@ class TestProtocolsSatisfyAllGuarantees:
             record_history=True,
         )
         result = run_simulation(cfg)
-        report = check_all_session_guarantees(result.history, result.placement)
+        report = check_all_session_guarantees(result.history)
         for guarantee, violations in report.items():
             assert violations == [], (protocol, guarantee, violations[:3])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.sim.faults import FaultPlan, OverloadEvent
 from repro.soak import (
     SOAK_PROTOCOLS,
@@ -41,6 +42,18 @@ class TestOverloadEvent:
         assert plan.overloads
         back = FaultPlan.from_dict(json.loads(json.dumps(plan.as_dict())))
         assert back == plan
+
+    @pytest.mark.parametrize("text", ["[]", '{"default": []}'])
+    def test_plan_json_that_is_not_an_object_fails_typed(self, text, tmp_path):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            FaultPlan.from_json(text)
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "-n", "3", "--ops", "5", "--fault-plan-json", str(path)])
+        message = str(exit_.value.code)
+        assert message.startswith("cannot load --fault-plan-json: ")
+        assert "\n" not in message
 
 
 class TestSoakInvariants:

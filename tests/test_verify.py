@@ -23,6 +23,7 @@ from repro.sim.network import AdversarialLatency
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.graph import causality_graph, read_node, write_node
 from repro.verify.history import HistoryRecorder, decode_events
+from repro.verify.sessions import check_all_session_guarantees
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
 
@@ -280,18 +281,34 @@ class TestHistoryKinds:
                 == check_causal_consistency(res.history, res.placement))
 
 
+def paper_scale_run(protocol, **kwargs):
+    """n = 20, q = 100, 300 ops/process under adversarial latency and
+    5 % drops: ~6 000 operations, ~18 000 applies at p = 6 and ~61 000
+    at full replication."""
+    return run_simulation(SimulationConfig(
+        protocol=protocol, n_sites=20, n_vars=100, ops_per_process=300,
+        seed=0, record_history=True, latency=AdversarialLatency(),
+        fault_plan=FaultPlan.uniform(drop_rate=0.05), fault_seed=0, **kwargs))
+
+
 class TestApplyOrderAtScale:
     def test_checking_a_paper_scale_run_takes_under_two_seconds(self):
-        # n = 20, p = 6, q = 100, 300 ops/process under adversarial
-        # latency and 5 % drops: ~6 000 operations, ~18 000 applies.
         # Condition 3 walks only the set bits of each apply's mask.
-        res = run_simulation(SimulationConfig(
-            protocol="opt-track", n_sites=20, replication_factor=6,
-            n_vars=100, ops_per_process=300, seed=0, record_history=True,
-            latency=AdversarialLatency(),
-            fault_plan=FaultPlan.uniform(drop_rate=0.05), fault_seed=0))
+        res = paper_scale_run("opt-track", replication_factor=6)
         start = time.perf_counter()
         report = check_causal_consistency(res.history, res.placement)
         elapsed = time.perf_counter() - start
         assert report.ok and report.n_applies > 15_000
         assert elapsed < 2.0, f"checker took {elapsed:.2f} s"
+
+    def test_session_guarantees_at_full_replication_take_under_a_second(self):
+        # writes-follow-reads ANDs each applied write's read-source mask
+        # with the site's last-apply prefix, instead of testing every
+        # (read source, later write) pair at every site
+        res = paper_scale_run("opt-track-crp")
+        start = time.perf_counter()
+        report = check_all_session_guarantees(res.history)
+        elapsed = time.perf_counter() - start
+        assert not any(report.values())
+        assert len(res.history.of_kind(EventKind.APPLY)) > 50_000
+        assert elapsed < 1.0, f"session guarantees took {elapsed:.2f} s"
