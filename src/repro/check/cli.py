@@ -9,7 +9,7 @@ without a reason a SIM000 finding, whichever passes run.  Sub-behaviours
 * **lint** (default): run the SIM003..SIM007 AST rules, print
   ``path:line:col: CODE message`` per finding, exit non-zero on any
   finding;
-* **--effects**: whole-program effect inference (EFF001..EFF003) — the
+* **--effects**: whole-program effect inference (EFF001, EFF002) — the
   contract's ``[[effects.forbid]]`` rules (``repro/core`` and
   ``repro/verify`` substrate-pure; no wall clock or unseeded RNG
   anywhere in ``repro`` outside the ``[[effects.allow]]`` table),
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the AST lint pass")
     ap.add_argument("--effects", action="store_true",
                     help="run the whole-program effect analysis "
-                         "(EFF001..EFF003)")
+                         "(EFF001, EFF002)")
     ap.add_argument("--layers", action="store_true",
                     help="check the layer contract (LAY001..LAY003)")
     ap.add_argument("--contract", type=Path, default=None, metavar="TOML",
@@ -279,7 +279,7 @@ def _run_analyzers(
                         print(f.format())
         # a module that did not parse was never analyzed
         certified = not any(
-            f.code in ("EFF001", "EFF003", "SIM999")
+            f.code in ("EFF001", "SIM999")
             for f in effect_findings + graph.findings
         )
         certificate = {

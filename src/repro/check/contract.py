@@ -13,9 +13,6 @@ analyzers enforce:
     the checker *verifies* no imported name is used at runtime
     (exploiting the repo-wide ``from __future__ import annotations``
     convention) and flags violations as LAY002;
-  - ``data-only``: the target is a pure data vocabulary (dataclasses,
-    enums); the effect analyzer certifies the target effect-free and
-    flags drift as EFF003;
   - ``sanctioned``: a reviewed crossing allowed as-is (use sparingly —
     each one weakens the substrate-independence certificate);
 
@@ -46,7 +43,7 @@ __all__ = [
     "PORT_KINDS",
 ]
 
-PORT_KINDS = ("annotation-only", "data-only", "sanctioned")
+PORT_KINDS = ("annotation-only", "sanctioned")
 
 #: the effect classes :mod:`repro.check.effects` infers
 EFFECTS = (
@@ -221,9 +218,6 @@ class Contract:
                     if _has_prefix(qual, tree):
                         return tree
         return None
-
-    def data_only_targets(self) -> list[Port]:
-        return [p for p in self.ports if p.kind == "data-only"]
 
 
 def _effect_entry(

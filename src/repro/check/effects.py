@@ -17,8 +17,8 @@ interactions with the world outside its arguments:
     real sockets / HTTP — the simulation must stay in-process;
 ``SIM_INTERNAL``
     references simulator machinery (``repro.sim.*``) at runtime from
-    outside the sim layer, except through a declared data-only port —
-    the core protocols must not know the substrate that hosts them;
+    outside the sim layer — the core protocols must not know the
+    substrate that hosts them;
 ``MUTATES_SENT_PAYLOAD``
     the SIM005 aliasing dataflow found a mutation of data already
     captured in a sent message.
@@ -157,8 +157,7 @@ class EffectReport:
 
     def findings(self, contract: Contract) -> list[Finding]:
         """EFF001 for every effect an ``[[effects.forbid]]`` rule bans
-        where it was reached, plus EFF003 for impure data-only port
-        targets."""
+        where it was reached."""
         out: list[Finding] = []
         for qual in sorted(self.effects):
             fn = self.graph.functions[qual]
@@ -182,35 +181,6 @@ class EffectReport:
                         "inject the dependency through a port argument, "
                         "or add a justified [[effects.allow]] entry to "
                         "the contract"
-                    ),
-                ))
-        out.extend(self._port_findings(contract))
-        return out
-
-    def _port_findings(self, contract: Contract) -> list[Finding]:
-        """EFF003: data-only port targets must themselves be effect-free."""
-        out: list[Finding] = []
-        for port in contract.data_only_targets():
-            for qual in sorted(self.effects):
-                fn = self.graph.functions[qual]
-                bad = sorted(self.effects[qual])
-                if not bad or not _has_prefix(fn.module, port.imported):
-                    continue
-                chain = self.chain(qual, bad[0])
-                out.append(Finding(
-                    code="EFF003",
-                    path=self.graph.modules[fn.module].display_path,
-                    line=fn.lineno,
-                    col=0,
-                    message=(
-                        f"{qual} has {', '.join(bad)} but its module is "
-                        f"the target of data-only port "
-                        f"{port.importer} -> {port.imported}: "
-                        + " <- ".join(reversed(chain))
-                    ),
-                    hint=(
-                        "a data-only port target must stay effect-free; "
-                        "remove the effect or re-declare the port kind"
                     ),
                 ))
         return out
@@ -297,11 +267,7 @@ def _leaf_effects(
             and isinstance(node.ctx, ast.Load)
         ):
             target = mod.import_map.get(node.id)
-            if (
-                target is not None
-                and target.startswith(sim_prefix)
-                and not _data_only_exempt(contract, fn.module, target)
-            ):
+            if target is not None and target.startswith(sim_prefix):
                 yield (
                     "SIM_INTERNAL",
                     f"references {target} at runtime",
@@ -353,17 +319,6 @@ def _receiver_tail(node: ast.Call) -> str:
     if isinstance(recv, ast.Name):
         return recv.id
     return ""
-
-
-def _data_only_exempt(
-    contract: Contract, importer_mod: str, target: str
-) -> bool:
-    for port in contract.data_only_targets():
-        if _has_prefix(importer_mod, port.importer) and _has_prefix(
-            target, port.imported
-        ):
-            return True
-    return False
 
 
 def _has_prefix(dotted: str, prefix: str) -> bool:

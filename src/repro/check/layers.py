@@ -13,8 +13,6 @@ imports) against the contract in ``layers.toml``:
 * **LAY003** — the contract does not assign a module to any layer (the
   architecture has a hole).
 
-Data-only ports are admitted here; :mod:`repro.check.effects` owns the
-other half of that bargain (EFF003: the target must stay effect-free).
 Typing-only edges still require a declared port when they cross layers
 — the certificate enumerates *every* crossing, including the ones that
 exist only for type annotations.
@@ -131,8 +129,8 @@ def _check_stdlib_edge(
 def _target_module(graph: ProjectGraph, imported: str) -> str:
     """The *module* part of an imported dotted path.
 
-    ``from repro.sim.events import EventKind`` records the base module
-    directly; ``import repro.sim.events`` does too — but guard against
+    ``from repro.sim.faults import FaultPlan`` records the base module
+    directly; ``import repro.sim.faults`` does too — but guard against
     symbol-level paths by trimming to the longest known module prefix.
     """
     if imported in graph.modules:

@@ -56,13 +56,6 @@ ANALYZER_RULES: dict[str, tuple[str, str, str]] = {
         "if intentional, regenerate the baseline with "
         "`repro check --effects --write-baseline` and commit the diff",
     ),
-    "EFF003": (
-        "impure-data-port",
-        "a module declared as a data-only port target has effectful "
-        "functions; data-only crossings must be certified pure",
-        "remove the effect from the port target, or re-declare the "
-        "crossing with an honest kind",
-    ),
     "LAY001": (
         "layer-violation",
         "an import crosses the layer contract (layers.toml) without a "

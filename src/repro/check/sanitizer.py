@@ -382,24 +382,20 @@ def _causal_chain(trace: Trace, ev: TraceEvent) -> tuple[dict, ...]:
     return tuple(chain)
 
 
-def double_run(
-    config: "SimulationConfig",
-    *,
-    sanitize: bool = True,
-) -> DivergenceReport:
+def double_run(config: "SimulationConfig") -> DivergenceReport:
     """Run ``config`` twice under the same seed and diff the event logs.
 
     The second run rebuilds everything from scratch (fresh simulator,
     network, RNG streams, workload generation) — shared state between
-    the runs would defeat the point.  ``sanitize=True`` additionally
-    routes both runs through :class:`SanitizedNetwork`, so a mutation
-    is caught even when it happens to mutate identically in both runs.
+    the runs would defeat the point.  Both runs also go through
+    :class:`SanitizedNetwork`, so a mutation is caught even when it
+    happens to mutate identically in both runs.
     """
     from dataclasses import replace
 
     from ..experiments.runner import run_simulation
 
-    base = replace(config, sanitize=sanitize) if sanitize else config
+    base = replace(config, sanitize=True)
     tracer_a = Tracer()
     run_simulation(base, tracer=tracer_a)
     second = base if _SECOND_RUN_HOOK is None else _SECOND_RUN_HOOK(base)

@@ -43,7 +43,7 @@ from .analysis.model import (
     partial_replication_message_count,
 )
 from .analysis.tradeoff import crossover_write_rate
-from .core.base import protocol_names
+from .core.base import protocol_names, replication_factor_for
 from .experiments.exhibits import EXHIBITS, reproduce_all
 from .experiments.report import format_kv, format_table, write_csv
 from .experiments.runner import SimulationConfig, run_simulation
@@ -443,6 +443,16 @@ def _require_cell(args: argparse.Namespace, *, min_sites: int = 1) -> None:
              "-p/--replicas", args.replicas, f"1 to {args.sites} (-n)")
 
 
+def _require_replication(protocol: str, n_sites: int, p: Optional[int],
+                         flag: str) -> None:
+    """A one-line exit naming ``flag`` unless ``protocol`` can run at
+    ``p`` replicas of ``n_sites`` (the rule both substrates place by)."""
+    try:
+        replication_factor_for(protocol, n_sites, p)
+    except ValueError as exc:
+        raise SystemExit(f"invalid {flag} {p!r}: {exc}")
+
+
 def _require_plan_sites(plan: Optional[FaultPlan],
                         args: argparse.Namespace) -> None:
     """Every site a fault names exists: a crash hits an initial site, a
@@ -471,6 +481,8 @@ def _config_from_args(args: argparse.Namespace,
     _require_cell(args)
     _require(args.vars >= 1, "-q/--vars", args.vars, "at least 1")
     _require(args.ops >= 1, "--ops", args.ops, "at least 1")
+    _require_replication(args.protocol, args.sites, args.replicas,
+                         "-p/--replicas")
     _require(args.checkpoint_interval is None or args.checkpoint_interval > 0,
              "--checkpoint-interval", args.checkpoint_interval,
              "a positive period in ms")
@@ -530,6 +542,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if registry is not None:
         ok = _write_metrics_outputs(registry, args.metrics, cfg)
     if args.check:
+        assert result.history is not None  # recorded under --check
         report = check_causal_consistency(result.history, result.placement)
         print(f"\ncausal consistency: {'OK' if report.ok else 'VIOLATED'} "
               f"({report.n_operations} operations, {report.n_applies} applies)")
@@ -660,7 +673,8 @@ def _write_trace_outputs(result, tracer, outdir: str) -> None:
         "n_sites": cfg.n_sites,
         "n_vars": cfg.n_vars,
         # the configured factor: a run's placement may end resized by churn
-        "replication_factor": cfg.resolved_replication_factor(),
+        "replication_factor": replication_factor_for(
+            cfg.protocol, cfg.n_sites, cfg.replication_factor),
         "placement": cfg.placement,
         "write_rate": cfg.write_rate,
         "ops_per_process": cfg.ops_per_process,
@@ -938,7 +952,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.bootstrap import (
         default_topology, load_topology, save_topology,
     )
-    from .service.loadgen import http_request
+    from .service.loadgen import HttpSession
 
     run_dir = Path(args.dir)
     if args.topology:
@@ -950,6 +964,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         if args.protocol not in protocol_names():
             raise SystemExit(f"unknown protocol {args.protocol!r}")
+        _require(args.nodes >= 1, "-n/--nodes", args.nodes, "at least 1")
+        _require(args.variables >= 1, "-q/--variables", args.variables,
+                 "at least 1")
+        _require_replication(args.protocol, args.nodes,
+                             args.replication_factor, "--replication-factor")
         topology = default_topology(
             args.nodes,
             protocol=args.protocol,
@@ -984,15 +1003,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ))
 
         async def _ready() -> bool:
-            for spec in topology.nodes:
-                try:
-                    status, _ = await http_request(
+            session = HttpSession()
+            try:
+                for spec in topology.nodes:
+                    status, _ = await session.request(
                         spec.host, spec.http_port, "GET", "/status"
                     )
                     if status != 200:
                         return False
-                except (ConnectionError, OSError):
-                    return False
+            except (ConnectionError, OSError):
+                return False
+            finally:
+                session.close()
             return True
 
         deadline = time.monotonic() + 15.0

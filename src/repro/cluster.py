@@ -72,7 +72,7 @@ class Cluster(ABC):
     sim: Simulator
     placement: Placement
     protocols: list[CausalProtocol]
-    history: HistoryRecorder
+    history: Optional[HistoryRecorder]
 
     @property
     def now(self) -> float:
@@ -130,7 +130,7 @@ class Cluster(ABC):
 
     def check(self) -> CheckReport:
         """Run the causal-consistency checker over everything so far."""
-        if not self.history.enabled:
+        if self.history is None:
             raise RuntimeError("cluster was built with record_history=False")
         return check_causal_consistency(self.history, self.placement)
 

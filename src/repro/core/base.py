@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import abc
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -52,12 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     # substrate objects reach the protocol through ProtocolContext
     # injection, never through a module-level runtime import
     from ..obs.tracer import Tracer
+    from ..verify.history import HistoryRecorder
 
-from ..memory.replication import Placement
+from ..memory.replication import Placement, paper_replication_factor
 from ..memory.store import SiteStore, WriteId
 from ..metrics.collector import MessageKind, MetricsCollector
 from ..metrics.sizing import SizeModel
-from ..verify.history import HistoryRecorder
 from .activation import RETEST
 from .errors import DepartedSiteError
 from .messages import FetchMessage, accounting_shape
@@ -72,6 +72,7 @@ __all__ = [
     "create_protocol",
     "protocol_names",
     "get_protocol_class",
+    "replication_factor_for",
 ]
 
 #: Signature of the continuation a read hands to the protocol:
@@ -92,7 +93,8 @@ class ProtocolContext:
     clock: Clock
     collector: MetricsCollector
     size_model: SizeModel
-    history: HistoryRecorder = field(default_factory=lambda: HistoryRecorder(enabled=False))
+    #: the run's recorded history; None (the default) records nothing
+    history: Optional[HistoryRecorder] = None
     #: observability hooks; None (the default) is the zero-overhead path
     tracer: Optional[Tracer] = None
 
@@ -297,10 +299,11 @@ class CausalProtocol(abc.ABC):
         if ctx.placement.is_replicated_at(var, self.site):
             value, write_id = self._local_read(var)
             ctx.collector.record_operation(False, remote=False)
-            ctx.history.record_read_op(
-                time=ctx.clock.now, site=self.site, var=var, value=value,
-                write_id=write_id, op_index=op_index, remote=False,
-            )
+            if ctx.history is not None:
+                ctx.history.record_read_op(
+                    time=ctx.clock.now, site=self.site, var=var, value=value,
+                    write_id=write_id, op_index=op_index, remote=False,
+                )
             on_complete(value, write_id, False)
             return
         ctx.collector.record_operation(False, remote=True)
@@ -675,10 +678,11 @@ class CausalProtocol(abc.ABC):
             return
         ctx = self.ctx
         ctx.collector.record_fetch_rtt(ctx.clock.now - fetch.issued)
-        ctx.history.record_read_op(
-            time=ctx.clock.now, site=self.site, var=fetch.var, value=value,
-            write_id=write_id, op_index=fetch.op_index, remote=True,
-        )
+        if ctx.history is not None:
+            ctx.history.record_read_op(
+                time=ctx.clock.now, site=self.site, var=fetch.var, value=value,
+                write_id=write_id, op_index=fetch.op_index, remote=True,
+            )
         fetch.on_complete(value, write_id, True)
 
     # ------------------------------------------------------------------
@@ -794,7 +798,7 @@ class CausalProtocol(abc.ABC):
         again: sends go to a null network (the originals are durable in
         the reliable-channel queues), metrics to a throwaway collector
         (the bound message slots are set aside with it), and nothing is
-        traced or WAL-logged.  Reads outstanding at the
+        recorded, traced or WAL-logged.  Reads outstanding at the
         crash are cleared afterwards — their continuations died with
         the process and the scheduler re-issues the interrupted
         operation.
@@ -804,7 +808,7 @@ class CausalProtocol(abc.ABC):
             real_ctx,
             network=NullTransport(),
             collector=MetricsCollector(),
-            history=HistoryRecorder(enabled=False),
+            history=None,
             tracer=None,
         )
         # the bound message slots would otherwise re-record replayed
@@ -972,3 +976,24 @@ def get_protocol_class(name: str) -> type[CausalProtocol]:
 
 def protocol_names() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def replication_factor_for(protocol: str, n_sites: int,
+                           requested: Optional[int] = None) -> int:
+    """The replication factor p a cell of ``protocol`` runs at, on
+    either substrate: n for a full-replication protocol, else
+    ``requested`` or the paper's 30 % of n.  An explicit p outside
+    [1, n], or other than n under a full-replication protocol, raises
+    :class:`ValueError`."""
+    if requested is not None and not 1 <= requested <= n_sites:
+        raise ValueError(
+            f"replication factor {requested} outside [1, {n_sites}]")
+    if get_protocol_class(protocol).full_replication:
+        if requested is not None and requested != n_sites:
+            raise ValueError(
+                f"{protocol} requires full replication (p = n = {n_sites}), "
+                f"got p = {requested}")
+        return n_sites
+    if requested is not None:
+        return requested
+    return paper_replication_factor(n_sites)

@@ -67,10 +67,11 @@ class FullTrackProtocol(CausalProtocol):
         snapshot = self.write_clock.copy()
 
         ctx.collector.record_operation(True)
-        ctx.history.record_write_op(
-            time=ctx.clock.now, site=self.site, var=var, value=value,
-            write_id=wid, op_index=op_index, dests=dests,
-        )
+        if ctx.history is not None:
+            ctx.history.record_write_op(
+                time=ctx.clock.now, site=self.site, var=var, value=value,
+                write_id=wid, op_index=op_index, dests=dests,
+            )
         if ctx.tracer is not None:
             ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
                                     clock=wid.clock, var=var)
@@ -123,7 +124,7 @@ class FullTrackProtocol(CausalProtocol):
         self.applied[wid.site] += 1
         self._note_applied(wid.site)
         self.last_write_on[var] = (wid, matrix)
-        if ctx.history.enabled:
+        if ctx.history is not None:
             ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:

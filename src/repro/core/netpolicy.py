@@ -52,7 +52,11 @@ __all__ = [
     "ChannelEvent",
     "CHANNEL_EVENTS",
     "ChannelHost",
+    "RTO_BACKOFF",
 ]
+
+#: multiplicative backoff of a channel's RTO after every timeout
+RTO_BACKOFF = 2.0
 
 
 class OverloadError(RuntimeError):
@@ -78,9 +82,7 @@ class RetransmitPolicy:
     #: ``adaptive=False`` (must exceed one round trip or the sender
     #: retransmits spuriously — allowed, just wasteful)
     base_rto_ms: float = 250.0
-    #: multiplicative backoff applied after every timeout
-    backoff: float = 2.0
-    #: cap on the backed-off timeout
+    #: cap on the timeout backed off by :data:`RTO_BACKOFF`
     max_rto_ms: float = 8000.0
     #: uniform jitter added to each armed timer (desynchronizes channels)
     jitter_ms: float = 25.0
@@ -113,8 +115,6 @@ class RetransmitPolicy:
     def __post_init__(self) -> None:
         if self.base_rto_ms <= 0 or self.max_rto_ms < self.base_rto_ms:
             raise ValueError("need 0 < base_rto_ms <= max_rto_ms")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
         if self.jitter_ms < 0:
             raise ValueError("jitter must be non-negative")
         if self.min_rto_ms <= 0 or self.min_rto_ms > self.max_rto_ms:
@@ -419,7 +419,7 @@ class ChannelSender:
         # receiver's reorder buffer absorbs any that already arrived)
         seqs = list(self.unacked)
         self._retransmit_seqs(seqs[:1] if self.degraded else seqs)
-        self.rto = min(self.rto * policy.backoff, policy.max_rto_ms)
+        self.rto = min(self.rto * RTO_BACKOFF, policy.max_rto_ms)
         self._arm_timer()
 
     def _arm_timer(self) -> None:

@@ -77,10 +77,11 @@ class OptTrackProtocol(CausalProtocol):
         wid = WriteId(self.site, self.clock)
 
         ctx.collector.record_operation(True)
-        ctx.history.record_write_op(
-            time=ctx.clock.now, site=self.site, var=var, value=value,
-            write_id=wid, op_index=op_index, dests=dests,
-        )
+        if ctx.history is not None:
+            ctx.history.record_write_op(
+                time=ctx.clock.now, site=self.site, var=var, value=value,
+                write_id=wid, op_index=op_index, dests=dests,
+            )
         if ctx.tracer is not None:
             ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
                                     clock=wid.clock, var=var,
@@ -196,7 +197,7 @@ class OptTrackProtocol(CausalProtocol):
         # event, causally before any receipt) and this site (condition 1)
         self.last_write_on[var] = (wid, dests.difference((wid.site, self.site)),
                                    stored_log)
-        if ctx.history.enabled:
+        if ctx.history is not None:
             ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:

@@ -55,10 +55,11 @@ class OptPProtocol(CausalProtocol):
 
         dests = self._broadcast_dests()
         ctx.collector.record_operation(True)
-        ctx.history.record_write_op(
-            time=ctx.clock.now, site=self.site, var=var, value=value,
-            write_id=wid, op_index=op_index, dests=dests,
-        )
+        if ctx.history is not None:
+            ctx.history.record_write_op(
+                time=ctx.clock.now, site=self.site, var=var, value=value,
+                write_id=wid, op_index=op_index, dests=dests,
+            )
         if ctx.tracer is not None:
             ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
                                     clock=wid.clock, var=var)
@@ -107,7 +108,7 @@ class OptPProtocol(CausalProtocol):
         self.applied[wid.site] = wid.clock
         self._note_applied(wid.site)
         self.last_write_on[var] = (wid, vector)
-        if ctx.history.enabled:
+        if ctx.history is not None:
             ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
 
     # ------------------------------------------------------------------

@@ -64,6 +64,9 @@ __all__ = [
 DEFAULT_CHECKPOINT_INTERVAL_MS = 250.0
 #: modelled wire size of one heartbeat
 HEARTBEAT_SIZE_BYTES = 16.0
+#: multiplicative backoff of a pair's suspicion timeout after each
+#: suspicion
+SUSPICION_BACKOFF = 2.0
 
 # anti-entropy parameters of the rejoin catch-up phase
 #: spacing of the first catch-up round after restore
@@ -145,9 +148,7 @@ class DetectorPolicy:
     #: base silence before an observer suspects a subject; must span
     #: several heartbeat intervals or loss alone triggers suspicions
     timeout_ms: float = 300.0
-    #: multiplicative backoff of a pair's timeout after each suspicion
-    backoff: float = 2.0
-    #: cap on the backed-off timeout
+    #: cap on the timeout backed off by :data:`SUSPICION_BACKOFF`
     max_timeout_ms: float = 2400.0
 
     def __post_init__(self) -> None:
@@ -155,8 +156,6 @@ class DetectorPolicy:
             raise ValueError("heartbeat interval must be positive")
         if self.timeout_ms <= self.heartbeat_interval_ms:
             raise ValueError("timeout must exceed the heartbeat interval")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
         if self.max_timeout_ms < self.timeout_ms:
             raise ValueError("max timeout must be >= base timeout")
 
@@ -206,7 +205,7 @@ class FailureDetector:
                 if now - self._last_heard[pair] >= self._timeout[pair]:
                     self.suspected.add(pair)
                     self._timeout[pair] = min(
-                        self._timeout[pair] * self.policy.backoff,
+                        self._timeout[pair] * SUSPICION_BACKOFF,
                         self.policy.max_timeout_ms,
                     )
                     self.suspicions += 1

@@ -6,7 +6,7 @@ instance per site, runs the discrete-event loop to quiescence, enforces
 the warm-up window (first 15% of operation events unmeasured), and
 returns the measured metrics.
 
-``run_simulation`` is strict by default: at the end of a run every site
+``run_simulation`` is strict: at the end of a run every site
 must have finished its schedule and every protocol buffer must have
 drained — a protocol bug that deadlocks an activation predicate fails
 the run instead of silently under-reporting messages.
@@ -24,14 +24,13 @@ from ..core.base import (
     CausalProtocol,
     ProtocolContext,
     create_protocol,
-    get_protocol_class,
+    replication_factor_for,
 )
 from ..core.recovery import DetectorPolicy
 from ..memory.replication import (
     PLACEMENT_NAMES,
     Placement,
     make_placement,
-    paper_replication_factor,
 )
 from ..memory.store import SiteStore
 from ..metrics.collector import MetricsCollector
@@ -89,7 +88,6 @@ class SimulationConfig:
     size_model: SizeModel = DEFAULT_SIZE_MODEL
     placement: str = "round-robin"
     record_history: bool = False
-    strict: bool = True
     max_events: Optional[int] = None
     #: chaos layer: ``None`` keeps the seed's reliable FIFO path exactly
     #: (zero overhead); a plan routes every message through the
@@ -127,14 +125,9 @@ class SimulationConfig:
                 f"unknown placement {self.placement!r}; "
                 f"known: {list(PLACEMENT_NAMES)}"
             )
-        get_protocol_class(self.protocol)  # fail fast on typos
-
-    def resolved_replication_factor(self) -> int:
-        if self.replication_factor is not None:
-            return self.replication_factor
-        if get_protocol_class(self.protocol).full_replication:
-            return self.n_sites
-        return paper_replication_factor(self.n_sites)
+        # fail fast on typos and on a partial p under full replication
+        replication_factor_for(self.protocol, self.n_sites,
+                               self.replication_factor)
 
     def with_protocol(self, protocol: str) -> "SimulationConfig":
         """Same run, different protocol (Table IV-style comparisons)."""
@@ -154,7 +147,7 @@ class RunResult:
     config: SimulationConfig
     collector: MetricsCollector
     workload: Workload
-    history: HistoryRecorder
+    history: Optional[HistoryRecorder]
     placement: Placement
     protocols: list[CausalProtocol]
     sim_time_ms: float
@@ -190,8 +183,9 @@ class RunResult:
 
 def build_placement(config: SimulationConfig) -> Placement:
     """Construct the replica placement a config describes."""
-    return make_placement(config.placement, config.n_sites, config.n_vars,
-                          config.resolved_replication_factor(),
+    p = replication_factor_for(config.protocol, config.n_sites,
+                               config.replication_factor)
+    return make_placement(config.placement, config.n_sites, config.n_vars, p,
                           seed=config.seed)
 
 
@@ -210,7 +204,7 @@ class SimulatedSystem:
     faults: Optional[FaultInjector]
     #: the overload driver's stream (None when the plan has no overloads)
     overload_rng: Optional[np.random.Generator]
-    history: HistoryRecorder
+    history: Optional[HistoryRecorder]
     tracer: Optional[Tracer]
     protocols: list[CausalProtocol] = field(default_factory=list)
     #: the run's application sites (filled by run_simulation; empty when
@@ -283,7 +277,7 @@ def build_system(
         config=config, placement=placement, sim=sim, collector=collector,
         network=network, transport=transport, faults=faults,
         overload_rng=overload_rng,
-        history=HistoryRecorder(enabled=config.record_history),
+        history=HistoryRecorder() if config.record_history else None,
         tracer=tracer,
     )
     for i in range(config.n_sites):
@@ -591,7 +585,7 @@ def run_simulation(
         lost = crash_manager.lost_operations()
         if lost:
             collector.record_lost_ops(lost)
-    if config.strict and not dead_forever and not system.network.departed:
+    if not dead_forever and not system.network.departed:
         # crash-stop runs are exempt: a dead-forever site strands its own
         # schedule, and live sites can be legitimately stuck on state
         # frozen inside the dead site's outbound queue (those operations

@@ -207,7 +207,11 @@ class RandomPlacement(Placement):
         super().__init__(n_sites, n_vars, replication_factor)
 
     def _compute_replicas(self, var: int) -> Iterable[int]:
-        return self._rng.choice(self.n_sites, size=self.replication_factor, replace=False)
+        # plain ints: a numpy integer site id fails wherever a site id
+        # seeds a stdlib RNG or is encoded (the live channel does both)
+        chosen = self._rng.choice(self.n_sites, size=self.replication_factor,
+                                  replace=False)
+        return [int(s) for s in chosen]
 
 
 class HashPlacement(Placement):

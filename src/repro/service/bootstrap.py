@@ -33,14 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..core.base import get_protocol_class
-from ..memory.replication import (
-    PLACEMENT_NAMES,
-    Placement,
-    full_replication,
-    make_placement,
-    paper_replication_factor,
-)
+from ..core.base import replication_factor_for
+from ..memory.replication import PLACEMENT_NAMES, Placement, make_placement
 
 __all__ = [
     "NodeSpec",
@@ -84,7 +78,6 @@ class ClusterTopology:
     retransmit: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        get_protocol_class(self.protocol)  # KeyError on unknown name
         if self.n_vars <= 0:
             raise ValueError("need at least one variable")
         if not self.nodes:
@@ -97,6 +90,10 @@ class ClusterTopology:
             )
         if self.placement not in PLACEMENT_NAMES:
             raise ValueError(f"unknown placement {self.placement!r}")
+        # KeyError on an unknown protocol, ValueError on a partial p
+        # under full replication
+        replication_factor_for(self.protocol, len(self.nodes),
+                               self.replication_factor)
 
     @property
     def n_sites(self) -> int:
@@ -126,18 +123,13 @@ class ClusterTopology:
 
 
 def build_placement(topology: ClusterTopology) -> Placement:
-    """The placement every node derives identically from the topology.
-
-    Full-replication protocols force p = n; otherwise an absent
-    ``replication_factor`` defaults to the paper's 30% rule.
-    """
-    n, q = topology.n_sites, topology.n_vars
-    if get_protocol_class(topology.protocol).full_replication:
-        return full_replication(n, q)
-    p = topology.replication_factor
-    if p is None:
-        p = paper_replication_factor(n)
-    return make_placement(topology.placement, n, q, p, seed=topology.seed)
+    """The placement every node derives identically from the topology,
+    by the simulator's rule (:func:`~repro.core.base.replication_factor_for`)."""
+    n = topology.n_sites
+    p = replication_factor_for(topology.protocol, n,
+                               topology.replication_factor)
+    return make_placement(topology.placement, n, topology.n_vars, p,
+                          seed=topology.seed)
 
 
 # ----------------------------------------------------------------------

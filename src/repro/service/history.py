@@ -4,9 +4,8 @@ Live nodes record exactly the events the simulator records — every
 protocol interaction flows through the same
 :class:`~repro.verify.history.HistoryRecorder` injected via
 ``ProtocolContext`` — and :class:`HistorySink` streams each new
-:class:`~repro.sim.events.EventRecord` (a pure data vocabulary, see the
-data-only port in ``layers.toml``) to an append-only JSONL file in the
-one history encoding, :func:`~repro.verify.history.encode_events`.
+:class:`~repro.verify.history.EventRecord` to an append-only JSONL file
+in the one history encoding, :func:`~repro.verify.history.encode_events`.
 
 :func:`merge_histories` concatenates per-node files *in site order* into
 one recorder.  That is sufficient for
@@ -22,8 +21,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from ..sim.events import EventRecord
-from ..verify.history import HistoryRecorder, decode_events, encode_events
+from ..verify.history import (
+    EventRecord,
+    HistoryRecorder,
+    decode_events,
+    encode_events,
+)
 
 __all__ = [
     "HistorySink",
@@ -66,7 +69,7 @@ def merge_event_lists(
     per_site: Sequence[Sequence[EventRecord]],
 ) -> HistoryRecorder:
     """One recorder from per-node event lists, concatenated in site order."""
-    merged = HistoryRecorder(enabled=True)
+    merged = HistoryRecorder()
     for events in per_site:
         merged.extend(events)
     return merged

@@ -27,50 +27,16 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
 
 from ..verify.causal_checker import check_causal_consistency
 from ..verify.history import decode_events
 from .bootstrap import ClusterTopology, build_placement
 from .history import merge_event_lists
 
-__all__ = ["HttpSession", "LoadgenReport", "run_loadgen", "http_request"]
+__all__ = ["HttpSession", "LoadgenReport", "run_loadgen"]
 
 #: how long to keep polling for quiescence before declaring failure (s)
 SETTLE_TIMEOUT_S = 30.0
-
-
-async def http_request(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: Optional[bytes] = None,
-) -> tuple[int, bytes]:
-    """One HTTP/1.1 request over a fresh connection; returns (status, body).
-
-    Asks the server to close (``Connection: close``) and reads to EOF:
-    the one-shot helper behind ``repro serve``'s readiness probe.
-    """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        payload = body if body is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + payload)
-        await writer.drain()
-        raw = await reader.read()
-    finally:
-        writer.close()
-    header, _, rest = raw.partition(b"\r\n\r\n")
-    status_line = header.split(b"\r\n", 1)[0].split()
-    if len(status_line) < 2:
-        raise ConnectionError(f"malformed HTTP response: {raw[:80]!r}")
-    return int(status_line[1]), rest
 
 
 class _StaleConnection(ConnectionError):

@@ -2,7 +2,6 @@
 
 from .crash import CrashRecoveryManager, install_crash_recovery
 from .engine import ScheduledEvent, SimulationError, Simulator
-from .events import EventKind, EventRecord
 from .faults import (
     ChannelFaults,
     CrashEvent,
@@ -27,8 +26,6 @@ __all__ = [
     "Simulator",
     "ScheduledEvent",
     "SimulationError",
-    "EventKind",
-    "EventRecord",
     "Network",
     "LatencyModel",
     "ConstantLatency",

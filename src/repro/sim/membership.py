@@ -455,10 +455,8 @@ class ViewManager:
     def _mutate(self, change: _PendingChange) -> View:
         if change.kind == "join":
             view = self._do_join()
-        elif change.kind == "leave":
-            view = self._do_leave(change.site)
-        elif change.kind == "evict":
-            view = self._do_evict(change.site)
+        elif change.kind in ("leave", "evict"):
+            view = self._retire(change.site, evict=change.kind == "evict")
         else:  # pragma: no cover - guarded by _preflight
             raise MembershipError(f"unknown change kind {change.kind!r}")
         self.stats.epoch_log.append((self.sim.now, view))
@@ -539,30 +537,25 @@ class ViewManager:
         cap = self.view.capacity
         return min(members, key=lambda m: ((m - victim) % cap, m))
 
-    def _retire_common(self, victim: int, status: str, view: View) -> None:
-        """Shared teardown after the membership structures are updated."""
-        net = self.network
-        net.retire_site(victim)
-        if net.transport is not None:
-            net.transport.forget_site(victim)
-        if self.crash_manager is not None:
-            self.crash_manager.retire_site(victim)
-        if self.sites is not None and victim < len(self.sites):
-            site = self.sites[victim]
-            if site is not None:
-                site.retire()
-        proto = self.protocols[victim]
-        proto.mark_departed()
-        self.departures[victim] = (status, view.epoch)
+    def _retire(self, victim: int, evict: bool) -> View:
+        """Leave or evict ``victim``: hand each variable only it holds to
+        the next live member, shrink the placement, announce the new
+        view and tear the site down.
 
-    def _do_leave(self, victim: int) -> View:
+        A leaver hands over its slot and LastWriteOn entry; an evicted
+        site is crash-stopped, so its state is unreachable and the
+        variable degrades to |bot| at the successor (a lost variable).
+        """
         members = [m for m in self.view.members if m != victim]
         if not members:
-            raise MembershipError(f"site {victim} is the last member; cannot leave")
+            verb = "evict" if evict else "leave"
+            raise MembershipError(f"site {victim} is the last member; cannot {verb}")
         live_rest = [m for m in self._live_members() if m != victim]
         if not live_rest:
             raise MembershipError(
-                f"leave of site {victim} would leave no live member to hand off to"
+                f"evicting site {victim} would leave no live member" if evict
+                else f"leave of site {victim} would leave no live member to "
+                "hand off to"
             )
         victim_proto = self.protocols[victim]
 
@@ -570,8 +563,12 @@ class ViewManager:
         for var in self._solely_held(victim):
             succ = self._successor(victim, live_rest)
             handoff[var] = succ
-            slot = victim_proto.ctx.store.read(var)
             succ_proto = self.protocols[succ]
+            if evict:
+                succ_proto.ctx.store.adopt(var, None, None, self.sim.now)
+                self.stats.lost_variables += 1
+                continue
+            slot = victim_proto.ctx.store.read(var)
             succ_proto.ctx.store.adopt(
                 var, slot.value, slot.write_id, slot.applied_at
             )
@@ -586,38 +583,22 @@ class ViewManager:
             capacity=self.view.capacity,
         )
         self._announce(view)
-        self._retire_common(victim, "left", view)
+        net = self.network
+        net.retire_site(victim)
+        if net.transport is not None:
+            net.transport.forget_site(victim)
+        if self.crash_manager is not None:
+            self.crash_manager.retire_site(victim)
+        if self.sites is not None and victim < len(self.sites):
+            site = self.sites[victim]
+            if site is not None:
+                site.retire()
+        victim_proto.mark_departed()
+        self.departures[victim] = ("evicted" if evict else "left", view.epoch)
         self.view = view
-        self.stats.leaves += 1
-        return view
-
-    def _do_evict(self, victim: int) -> View:
-        members = [m for m in self.view.members if m != victim]
-        if not members:
-            raise MembershipError(f"site {victim} is the last member; cannot evict")
-        live_rest = [m for m in self._live_members() if m != victim]
-        if not live_rest:
-            raise MembershipError(
-                f"evicting site {victim} would leave no live member"
-            )
-
-        handoff: dict[int, int] = {}
-        for var in self._solely_held(victim):
-            # the victim is crash-stopped: its state is unreachable, so
-            # the variable degrades to |bot| at the successor
-            succ = self._successor(victim, live_rest)
-            handoff[var] = succ
-            self.protocols[succ].ctx.store.adopt(var, None, None, self.sim.now)
-            self.stats.lost_variables += 1
-
-        self.placement.remove_site(victim, handoff)
-        view = View(
-            epoch=self.view.epoch + 1, members=tuple(members),
-            capacity=self.view.capacity,
-        )
-        self._announce(view)
-        self._retire_common(victim, "evicted", view)
-        self._evict_pending.discard(victim)
-        self.view = view
-        self.stats.evictions += 1
+        if evict:
+            self._evict_pending.discard(victim)
+            self.stats.evictions += 1
+        else:
+            self.stats.leaves += 1
         return view

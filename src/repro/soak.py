@@ -7,8 +7,8 @@ and seeded flash crowds hitting the protocol layer directly — and holds
 the run to *liveness* invariants the overload-robustness layer exists to
 provide:
 
-* **eventual quiescence** — the run drains completely (the runner's
-  strict mode enforces it; the harness re-checks protocol buffers);
+* **eventual quiescence** — the run drains completely (the runner
+  raises otherwise);
 * **bounded queues** — peak per-channel in-flight occupancy never
   exceeds ``send_window`` and peak reassembly occupancy never exceeds
   ``reorder_window``;
@@ -40,12 +40,12 @@ from typing import Optional, Sequence
 from .experiments.runner import RunResult, SimulationConfig, run_simulation
 from .obs.export import write_prometheus, write_snapshot_json
 from .obs.metrics import MetricsRegistry
-from .sim.events import EventKind
 from .sim.faults import FaultPlan, OverloadEvent, Partition
 from .sim.network import UniformLatency
 from .sim.reliable import RetransmitPolicy
 from .verify.causal_checker import check_causal_consistency
 from .verify.convergence import check_convergence
+from .verify.history import EventKind
 
 __all__ = [
     "SOAK_PROTOCOLS",
@@ -171,13 +171,6 @@ def check_soak_invariants(result: RunResult) -> list[str]:
     policy = result.config.retransmit
     assert policy is not None
 
-    # eventual quiescence: the strict runner already raises on stuck
-    # schedules; re-check the buffers so a non-strict caller still fails
-    undrained = {p.site: p.pending_count for p in result.protocols
-                 if p.pending_count}
-    if undrained:
-        problems.append(f"protocol buffers not drained: {undrained}")
-
     # bounded queues: peaks must respect the configured windows
     transport = result.protocols[0].ctx.network.transport
     if transport is None:
@@ -197,29 +190,34 @@ def check_soak_invariants(result: RunResult) -> list[str]:
                 )
 
     # no lost acked ops: exactly-once apply at exactly the replica set
+    history = result.history
+    assert history is not None  # soak_config records it
     applies: dict[tuple[int, object], int] = {}
-    for ev in result.history.of_kind(EventKind.APPLY):
+    for ev in history.of_kind(EventKind.APPLY):
         key = (ev.site, ev.write_id)
         applies[key] = applies.get(key, 0) + 1
     dup = {k: c for k, c in applies.items() if c > 1}
     if dup:
         problems.append(f"duplicate applies leaked above the transport: {dup}")
-    for w in result.history.writes():
+    sites_of: dict[object, set[int]] = {}
+    for site, wid in applies:
+        sites_of.setdefault(wid, set()).add(site)
+    for w in history.writes():
         replicas = set(result.placement.replicas(w.var))
-        applied_sites = {site for (site, wid) in applies if wid == w.write_id}
+        applied_sites = sites_of.get(w.write_id, set())
         if applied_sites != replicas:
             problems.append(
                 f"write {w.write_id} applied at {sorted(applied_sites)}, "
                 f"expected replicas {sorted(replicas)}"
             )
 
-    causal = check_causal_consistency(result.history, result.placement)
+    causal = check_causal_consistency(history, result.placement)
     if causal.violations:
         problems.append(
             f"{len(causal.violations)} causal violation(s); first: "
             f"{causal.violations[0]}"
         )
-    conv = check_convergence(result.protocols, result.history)
+    conv = check_convergence(result.protocols, history)
     if not conv.ok:
         problems.append(f"replicas diverged: {conv.illegitimate[:3]}")
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..memory.replication import Placement
-from ..sim.events import EventKind, EventRecord
 from .graph import CausalityGraph, apply_masks, causality_graph, set_bits, write_node
-from .history import HistoryRecorder
+from .history import EventKind, EventRecord, HistoryRecorder
 
 __all__ = ["CausalityViolation", "CheckReport", "apply_order_violations",
            "check_causal_consistency"]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .graph import causality_graph, write_node
 from .history import HistoryRecorder
 
-if TYPE_CHECKING:  # avoid a runtime cycle: core.base imports verify.history
+if TYPE_CHECKING:  # annotations only: the protocols are handed in
     from ..core.base import CausalProtocol
 
 __all__ = ["ConvergenceReport", "check_convergence", "divergent_variables"]

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
-from ..sim.events import EventKind, EventRecord
-from .history import HistoryRecorder
+from .history import EventKind, EventRecord, HistoryRecorder
 
 __all__ = ["CausalityGraph", "apply_masks", "causality_graph", "read_node",
            "set_bits", "write_node"]

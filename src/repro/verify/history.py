@@ -1,20 +1,26 @@
-"""Execution-history recording.
+"""Execution histories: their records, their recorder, their JSONL form.
 
-The verifier needs three relations out of a run, and a history holds
-the three kinds of event that carry them and nothing else:
+Causal memory is defined by program order, read-from order and each
+site's apply order, and a history holds the three kinds of event that
+carry them and nothing else:
 
 * **program order** — per-site sequence of read/write operations
   (``WRITE_OP`` / ``READ_OP``);
-* **read-from order** — which write each read returned (via write ids);
+* **read-from order** — which write each read returned (a read's
+  ``write_id``);
 * **apply order** — per-site sequence in which update messages were
   locally applied (``APPLY``; to check the activation predicates did
   their job).
 
-:class:`HistoryRecorder` accumulates
-:class:`~repro.sim.events.EventRecord` rows for these; per-message
-events (sends, fetches, replies) are the tracer's (:mod:`repro.obs`),
-not the history's.  Recording is optional (``enabled=False`` turns
-every method into a no-op) so large benchmark runs pay nothing for it.
+Of Section II-B's six event kinds, the per-message ones (``send``,
+``fetch``, ``receipt``, ``remote_return``, ``return``) are no part of a
+history: the tracer (:mod:`repro.obs`) records every message.
+
+:class:`EventKind` and :class:`EventRecord` are the record types,
+frozen dataclasses cheap to record and trivially serializable.
+:class:`HistoryRecorder` accumulates them; it is handed to the cores
+only when a run records its history (``ProtocolContext.history`` is
+``None`` otherwise), so large benchmark runs pay nothing for it.
 
 :func:`encode_events` / :func:`decode_events` are the one JSONL form of
 a history — one sorted-key ``as_dict`` object per line — shared by
@@ -26,13 +32,90 @@ its kept events.
 
 from __future__ import annotations
 
+import enum
 import json
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..memory.store import WriteId
-from ..sim.events import EventKind, EventRecord
 
-__all__ = ["HistoryRecorder", "encode_events", "decode_events"]
+__all__ = [
+    "EventKind",
+    "EventRecord",
+    "HistoryRecorder",
+    "encode_events",
+    "decode_events",
+]
+
+
+class EventKind(enum.Enum):
+    """The operation markers (program and read-from order) and the
+    apply event (apply order)."""
+
+    APPLY = "apply"
+    WRITE_OP = "write_op"
+    READ_OP = "read_op"
+
+
+@dataclass(frozen=True, slots=True)
+class EventRecord:
+    """One timestamped event in the execution trace.
+
+    ``write_id`` identifies a write operation globally as
+    ``(writer site, writer local clock)``; reads carry the ``write_id`` of
+    the write whose value they returned (``None`` for the initial value
+    |bot|), which materializes the read-from order for the checker.
+    """
+
+    kind: EventKind
+    time: float
+    site: int
+    var: Optional[int] = None
+    value: object = None
+    write_id: Optional[tuple[int, int]] = None
+    op_index: Optional[int] = None
+    detail: str = ""
+    #: destination site set of a write (WRITE_OP only).  Recorded at
+    #: write time because under elastic membership the placement later
+    #: in the run may disagree with the placement the write actually
+    #: used — the checker's apply-order condition needs the real one.
+    dests: Optional[tuple[int, ...]] = None
+
+    def as_dict(self) -> dict:
+        """Plain-dict view used by the JSON trace exporter."""
+        out = {
+            "kind": self.kind.value,
+            "time": self.time,
+            "site": self.site,
+            "var": self.var,
+            "value": self.value,
+            "write_id": list(self.write_id) if self.write_id is not None else None,
+            "op_index": self.op_index,
+            "detail": self.detail,
+        }
+        # omitted when absent so pre-membership trace files stay stable
+        if self.dests is not None:
+            out["dests"] = list(self.dests)
+        return out
+
+    @staticmethod
+    def from_dict(data: dict) -> "EventRecord":
+        """Inverse of :meth:`as_dict` (trace replay); a ``"peer"`` key,
+        written before the history dropped its per-message events, is
+        ignored."""
+        wid = data.get("write_id")
+        dests = data.get("dests")
+        return EventRecord(
+            kind=EventKind(data["kind"]),
+            time=float(data["time"]),
+            site=int(data["site"]),
+            var=data.get("var"),
+            value=data.get("value"),
+            write_id=tuple(wid) if wid is not None else None,
+            op_index=data.get("op_index"),
+            detail=data.get("detail", ""),
+            dests=tuple(dests) if dests is not None else None,
+        )
 
 
 def encode_events(events: Iterable[EventRecord]) -> str:
@@ -59,8 +142,7 @@ def decode_events(text: str) -> list[EventRecord]:
 class HistoryRecorder:
     """Accumulates the observable events of one simulation run."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.events: list[EventRecord] = []
 
     # ------------------------------------------------------------------
@@ -75,8 +157,6 @@ class HistoryRecorder:
         op_index: Optional[int] = None,
         dests: Optional[Iterable[int]] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             EventRecord(
                 kind=EventKind.WRITE_OP,
@@ -101,8 +181,6 @@ class HistoryRecorder:
         op_index: Optional[int] = None,
         remote: bool = False,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             EventRecord(
                 kind=EventKind.READ_OP,
@@ -124,8 +202,6 @@ class HistoryRecorder:
         var: int,
         write_id: WriteId,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             EventRecord(
                 kind=EventKind.APPLY,
@@ -151,8 +227,7 @@ class HistoryRecorder:
         return self.of_kind(EventKind.WRITE_OP)
 
     def extend(self, events: Iterable[EventRecord]) -> None:
-        if self.enabled:
-            self.events.extend(events)
+        self.events.extend(events)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -25,9 +25,8 @@ cyclic history or a read of a write the history does not hold.
 
 from __future__ import annotations
 
-from ..sim.events import EventKind
 from .graph import CausalityGraph, apply_masks, causality_graph, set_bits, write_node
-from .history import HistoryRecorder
+from .history import EventKind, HistoryRecorder
 
 __all__ = [
     "check_read_your_writes",

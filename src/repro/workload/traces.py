@@ -82,6 +82,6 @@ def save_history(history: HistoryRecorder, path: PathLike) -> None:
 
 def load_history(path: PathLike) -> HistoryRecorder:
     """Read a history previously written by :func:`save_history`."""
-    rec = HistoryRecorder(enabled=True)
+    rec = HistoryRecorder()
     rec.extend(decode_events(Path(path).read_text()))
     return rec

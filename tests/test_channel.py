@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.messages import FetchMessage
-from repro.core.netpolicy import OverloadError, RetransmitPolicy
+from repro.core.netpolicy import RTO_BACKOFF, OverloadError, RetransmitPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.service.channel import ServiceTransport
 from repro.sim.engine import Simulator
@@ -270,7 +270,7 @@ class TestRetransmission:
         ch = d.sender(0, 1)
         assert ch.rto == policy.base_rto_ms
         d.run(policy.base_rto_ms + policy.jitter_ms + 1)
-        assert ch.rto == policy.base_rto_ms * policy.backoff
+        assert ch.rto == policy.base_rto_ms * RTO_BACKOFF
         assert ch.consecutive_timeouts == 1
         d.run(60_000.0)
         assert ch.rto == policy.max_rto_ms

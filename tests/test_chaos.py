@@ -25,9 +25,9 @@ from repro import (
     UniformLatency,
     run_simulation,
 )
-from repro.sim.events import EventKind
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.convergence import check_convergence
+from repro.verify.history import EventKind
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp"]
 

@@ -147,7 +147,7 @@ class TestExitCodes:
 # ----------------------------------------------------------------------
 class TestExplain:
     @pytest.mark.parametrize("code", [
-        "EFF001", "EFF002", "EFF003", "LAY001", "LAY002", "LAY003",
+        "EFF001", "EFF002", "LAY001", "LAY002", "LAY003",
         "SIM000", "SIM005",
     ])
     def test_explain_known_codes(self, code, capsys):
@@ -160,7 +160,7 @@ class TestExplain:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("SIM003", "SIM007", "SIM000", "SIM999",
-                     "EFF001", "EFF002", "EFF003",
+                     "EFF001", "EFF002",
                      "LAY001", "LAY002", "LAY003"):
             assert code in out
 

@@ -5,7 +5,7 @@ Each test plants a known effect in a synthetic package under
 fixpoint propagation -> contract policy) actually reports it — the
 certificate is only worth committing if every effect class is
 demonstrably detectable.  Negative twins show the sanctioned idioms
-(seeded RNG, injected ports, data-only vocabularies) stay clean.
+(seeded RNG, injected ports, annotation-only imports) stay clean.
 """
 
 from __future__ import annotations
@@ -238,30 +238,6 @@ class TestLeafDetection:
         assert report.effects["app.core.proto.run"] == set()
         assert not findings
 
-    def test_sim_data_only_port_exempts(self, tmp_path):
-        files = {
-            "app/sim/events.py": """
-                class EventKind:
-                    WRITE = 1
-            """,
-            "app/core/proto.py": """
-                from app.sim.events import EventKind
-
-                def kind() -> int:
-                    return EventKind.WRITE
-            """,
-        }
-        # without the port: flagged
-        report, findings = run(tmp_path, files)
-        assert "SIM_INTERNAL" in report.effects["app.core.proto.kind"]
-        # with a data-only port: exempt
-        report, findings = run(tmp_path, files, ports=[{
-            "importer": "app.core", "imported": "app.sim.events",
-            "kind": "data-only", "reason": "event vocabulary",
-        }])
-        assert report.effects["app.core.proto.kind"] == set()
-        assert not findings
-
     def test_mutate_after_send(self, tmp_path):
         report, findings = run(tmp_path, {
             "app/core/proto.py": """
@@ -388,7 +364,7 @@ class TestPropagation:
 
 
 # ----------------------------------------------------------------------
-# policy: allows, suppressions, EFF003
+# policy: allows, suppressions
 # ----------------------------------------------------------------------
 class TestPolicy:
     def test_contract_allow_silences(self, tmp_path):
@@ -449,22 +425,6 @@ class TestPolicy:
             """,
         })
         assert not efff(findings)
-
-    def test_impure_data_only_target_is_eff003(self, tmp_path):
-        _, findings = run(tmp_path, {
-            "app/sim/events.py": """
-                import time
-
-                def stamp() -> float:
-                    return time.time()
-            """,
-            "app/core/proto.py": "",
-        }, ports=[{
-            "importer": "app.core", "imported": "app.sim.events",
-            "kind": "data-only", "reason": "supposedly pure vocabulary",
-        }])
-        codes = [f.code for f in findings]
-        assert "EFF003" in codes
 
 
 # ----------------------------------------------------------------------

@@ -225,6 +225,12 @@ class TestContractValidation:
                 "importer": "app.core", "imported": "app.sim",
                 "kind": "wishful", "reason": "nope",
             }])
+        # the retired kind too: nothing certifies such a crossing now
+        with pytest.raises(ContractError, match="unknown kind 'data-only'"):
+            make_contract(ports=[{
+                "importer": "app.core", "imported": "app.sim",
+                "kind": "data-only", "reason": "vocabulary",
+            }])
 
     def test_port_requires_reason(self):
         with pytest.raises(ContractError, match="no reason"):
@@ -259,8 +265,8 @@ class TestContractValidation:
             [[ports]]
             importer = "app.core"
             imported = "app.sim"
-            kind = "data-only"
-            reason = "vocabulary"
+            kind = "sanctioned"
+            reason = "reviewed crossing"
 
             [[effects.forbid]]
             trees = ["app.core"]
@@ -270,7 +276,7 @@ class TestContractValidation:
         contract = Contract.load(toml)
         assert contract.package == "app"
         assert contract.layers["core"].modules == ("app.core",)
-        assert contract.ports[0].kind == "data-only"
+        assert contract.ports[0].kind == "sanctioned"
         assert contract.effect_forbids[0].trees == ("app.core",)
 
     def test_suppression_silences_layer_finding(self, tmp_path):

@@ -249,6 +249,28 @@ class TestBadArguments:
         monkeypatch.chdir(tmp_path)
         assert flag in self.exit_message(verb + [flag, "0"])
 
+    @pytest.mark.parametrize("argv, named", [
+        (["serve", "-n", "0"], "-n/--nodes"),
+        (["serve", "-n", "2", "-q", "0"], "-q/--variables"),
+        (["serve", "--protocol", "optp", "--replication-factor", "1"],
+         "--replication-factor"),
+        (["run", "--protocol", "optp", "-n", "5", "-p", "2", "--ops", "5"],
+         "-p/--replicas"),
+    ], ids=["serve-no-nodes", "serve-no-vars", "serve-full-partial-p",
+            "run-full-partial-p"])
+    def test_inconsistent_cells(self, tmp_path, monkeypatch, argv, named):
+        # each ended in a ValueError traceback, or (serve under optp)
+        # silently ran at p = n; both substrates place by one rule
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "serve":
+            # a cluster that does start stops itself after a second
+            argv = argv + ["--dir", str(tmp_path / "run"), "--duration", "1"]
+        message = self.exit_message(argv)
+        assert named in message
+        if "optp" in argv:
+            assert "requires full replication" in message
+        assert not any(tmp_path.iterdir())  # nothing started
+
     @pytest.mark.parametrize("verb", ["serve", "loadgen"])
     @pytest.mark.parametrize("text", [None, "{not json", '{"nodes": 3}'],
                              ids=["missing", "not-json", "ill-shaped"])

@@ -30,8 +30,6 @@ class TestDetectorPolicy:
         with pytest.raises(ValueError):
             DetectorPolicy(heartbeat_interval_ms=100.0, timeout_ms=50.0)
         with pytest.raises(ValueError):
-            DetectorPolicy(backoff=0.5)
-        with pytest.raises(ValueError):
             DetectorPolicy(timeout_ms=300.0, max_timeout_ms=100.0)
 
 
@@ -151,7 +149,7 @@ class TestSuspicionTable:
 
     MEMBERS = (0, 1, 2)
     POLICY = DetectorPolicy(heartbeat_interval_ms=50.0, timeout_ms=200.0,
-                            backoff=2.0, max_timeout_ms=500.0)
+                            max_timeout_ms=500.0)
 
     def make(self):
         det = FailureDetector(self.POLICY)

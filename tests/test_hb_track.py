@@ -73,10 +73,9 @@ class TestHBTrackSemantics:
             assert (hb_p.write_clock.v >= opt_p.write_clock.v).all()
 
     def test_requires_full_replication(self):
-        cfg = SimulationConfig(protocol="hb-track", n_sites=4,
-                               replication_factor=2, ops_per_process=5)
         with pytest.raises(ValueError, match="full replication"):
-            run_simulation(cfg)
+            SimulationConfig(protocol="hb-track", n_sites=4,
+                             replication_factor=2, ops_per_process=5)
 
 
 class TestHBTrackUnderChurn:

@@ -23,9 +23,10 @@ from repro import (
     check_causal_consistency,
     run_simulation,
 )
+from repro.core.base import replication_factor_for
 from repro.experiments.sweep import cell_config
 from repro.metrics.collector import MessageKind
-from repro.sim.events import EventKind
+from repro.verify.history import EventKind
 from repro.workload.generator import generate_workload
 
 ALL_PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp"]
@@ -223,16 +224,17 @@ class TestRunnerBehavior:
             SimulationConfig(protocol="optp", n_sites=3, placement="bogus")
 
     def test_full_protocol_rejects_partial_factor(self):
-        cfg = SimulationConfig(protocol="optp", n_sites=4, replication_factor=2,
-                               ops_per_process=5)
         with pytest.raises(ValueError, match="full replication"):
-            run_simulation(cfg)
+            SimulationConfig(protocol="optp", n_sites=4, replication_factor=2,
+                             ops_per_process=5)
 
     def test_resolved_replication_factor(self):
-        assert SimulationConfig(protocol="optp", n_sites=8).resolved_replication_factor() == 8
-        assert SimulationConfig(protocol="opt-track", n_sites=10).resolved_replication_factor() == 3
-        assert SimulationConfig(protocol="opt-track", n_sites=10,
-                                replication_factor=5).resolved_replication_factor() == 5
+        assert replication_factor_for("optp", 8) == 8
+        assert replication_factor_for("optp", 8, 8) == 8
+        assert replication_factor_for("opt-track", 10) == 3
+        assert replication_factor_for("opt-track", 10, 5) == 5
+        with pytest.raises(ValueError, match="outside"):
+            replication_factor_for("opt-track", 10, 11)
 
     def test_workload_site_mismatch_rejected(self):
         wl = generate_workload(3, ops_per_process=5)

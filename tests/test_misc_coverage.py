@@ -4,8 +4,9 @@ import pytest
 
 from repro import CausalCluster, ConstantLatency
 from repro.experiments.report import write_csv
+from repro.experiments.runner import build_placement
 from repro.experiments.sweep import CellResult, cell_config
-from repro.sim.events import EventKind, EventRecord
+from repro.verify.history import EventKind, EventRecord
 
 
 class TestEventRecords:
@@ -48,7 +49,7 @@ class TestSweepHelpers:
         cfg = cell_config("opt-track", 5, 0.2, ops_per_process=10,
                           warmup_fraction=0.0, replication_factor=4)
         assert cfg.warmup_fraction == 0.0
-        assert cfg.resolved_replication_factor() == 4
+        assert build_placement(cfg).replication_factor == 4
 
     def test_cell_result_accessors(self):
         cell = CellResult({

@@ -21,14 +21,13 @@ from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import PiggybackEntry, PiggybackView
 from repro.memory.replication import Placement
 from repro.memory.store import WriteId
-from repro.sim.events import EventKind
 from repro.verify.causal_checker import (
     CausalityViolation,
     apply_order_violations,
     check_causal_consistency,
 )
 from repro.verify.graph import causality_graph, write_node
-from repro.verify.history import HistoryRecorder
+from repro.verify.history import EventKind, HistoryRecorder
 from repro.verify.sessions import check_writes_follow_reads
 
 

@@ -16,8 +16,8 @@ from repro.core.base import CausalProtocol
 from repro.core.opt_track import OptTrackProtocol
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.store import BOTTOM
-from repro.sim.events import EventKind
 from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan, JoinEvent, LeaveEvent
+from repro.verify.history import EventKind
 
 
 def make(protocol, n=3, p=None, n_vars=6, latency=None):

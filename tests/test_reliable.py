@@ -149,7 +149,8 @@ class TestRetransmitPolicyValidation:
             RetransmitPolicy(min_rto_ms=9000.0, max_rto_ms=8000.0)
 
     def test_backoff_and_jitter(self):
-        with pytest.raises(ValueError, match="backoff"):
+        # the backoff is the module constant RTO_BACKOFF, not a knob
+        with pytest.raises(TypeError, match="backoff"):
             RetransmitPolicy(backoff=0.5)
         with pytest.raises(ValueError, match="jitter"):
             RetransmitPolicy(jitter_ms=-1.0)

@@ -24,11 +24,13 @@ equality across substrates is only a theorem when each variable has a
 unique writer.  Reads are unconstrained.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CausalCluster, ConstantLatency, protocol_names
 from repro.loopback import LoopbackCluster
+from repro.memory.replication import PLACEMENT_NAMES
 from repro.metrics.collector import MessageKind
 from repro.service.bootstrap import default_topology
 
@@ -84,12 +86,16 @@ def store_contents(store):
     }
 
 
-def assert_equivalent(protocol, ops):
-    sim_report, sim_stores, sim_counts = run(CausalCluster(
-        N_SITES, protocol=protocol, n_vars=N_VARS,
-        latency=ConstantLatency(5.0)), ops)
-    live_report, live_stores, live_counts = run(LoopbackCluster(
-        default_topology(N_SITES, protocol=protocol, n_vars=N_VARS)), ops)
+def assert_equivalent(protocol, ops, placement="round-robin"):
+    sim = CausalCluster(N_SITES, protocol=protocol, n_vars=N_VARS,
+                        placement=placement, latency=ConstantLatency(5.0))
+    live = LoopbackCluster(default_topology(
+        N_SITES, protocol=protocol, n_vars=N_VARS, placement=placement))
+    # both substrates place by one rule
+    assert ([sim.placement.replicas(v) for v in range(N_VARS)]
+            == [live.placement.replicas(v) for v in range(N_VARS)])
+    sim_report, sim_stores, sim_counts = run(sim, ops)
+    live_report, live_stores, live_counts = run(live, ops)
     assert not sim_report.violations, sim_report.violations[:3]
     assert not live_report.violations, live_report.violations[:3]
     assert sim_counts == live_counts, protocol
@@ -124,6 +130,14 @@ class TestFixedWorkloads:
         ops = [("w", 0, 0, k) for k in range(5)] + [("r", 2, 0, 0)]
         for protocol in PROTOCOLS:
             assert_equivalent(protocol, ops)
+
+    @pytest.mark.parametrize("placement", PLACEMENT_NAMES)
+    def test_every_placement_runs_alike_on_both_substrates(self, placement):
+        # a random placement's numpy site ids crashed the live channel
+        ops = [("w", s, s, s) for s in range(N_SITES)]
+        ops += [("r", s, v, 0) for s in range(N_SITES) for v in range(N_VARS)]
+        for protocol in PROTOCOLS:
+            assert_equivalent(protocol, ops, placement=placement)
 
 
 class TestPropertyEquivalence:

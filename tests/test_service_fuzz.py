@@ -54,7 +54,7 @@ from repro.service.codec import (
     hello_frame,
     loads,
 )
-from repro.sim.events import EventKind
+from repro.verify.history import EventKind
 
 from .test_service_codec import column, layout, raw
 

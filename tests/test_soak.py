@@ -16,6 +16,7 @@ from repro.soak import (
     soak_matrix,
     soak_run,
 )
+from repro.verify.history import EventKind
 
 
 class TestOverloadEvent:
@@ -91,6 +92,23 @@ class TestSoakInvariants:
         # every site still finished its whole schedule
         undrained = [p.site for p in result.protocols if p.pending_count]
         assert undrained == []
+
+    def test_a_missing_and_a_duplicate_apply_are_both_reported(self):
+        result, _ = soak_run(soak_config("opt-track", 1, ops=30))
+        events = result.history.events
+        applies = [i for i, e in enumerate(events) if e.kind is EventKind.APPLY]
+        lost, doubled = events[applies[0]], events[applies[-1]]
+        assert lost.write_id != doubled.write_id
+        events.append(doubled)
+        del events[applies[0]]
+        problems = check_soak_invariants(result)
+        key = (doubled.site, doubled.write_id)
+        assert ("duplicate applies leaked above the transport: "
+                f"{ {key: 2} }") in problems
+        replicas = sorted(result.placement.replicas(lost.var))
+        applied = [s for s in replicas if s != lost.site]
+        assert (f"write {lost.write_id} applied at {applied}, "
+                f"expected replicas {replicas}") in problems
 
 
 class TestRtoComparison:

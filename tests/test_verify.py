@@ -17,12 +17,11 @@ import pytest
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.replication import RoundRobinPlacement, full_replication
 from repro.memory.store import WriteId
-from repro.sim.events import EventKind
 from repro.sim.faults import FaultPlan
 from repro.sim.network import AdversarialLatency
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.graph import causality_graph, read_node, write_node
-from repro.verify.history import HistoryRecorder, decode_events
+from repro.verify.history import EventKind, HistoryRecorder, decode_events
 from repro.verify.sessions import check_all_session_guarantees
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
