@@ -31,7 +31,6 @@ from repro.core.messages import (
 from repro.experiments.runner import SimulationConfig, build_system
 from repro.memory.store import WriteId
 from repro.metrics.collector import MessageKind
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.obs.ledger import decompose_message
 from repro.service import codec
 from repro.sim.engine import Simulator
@@ -70,7 +69,7 @@ def test_micro_piggyback_views(benchmark):
         views, base = log.piggyback_views(dests)
         sizes = [
             OptTrackSM(var=0, value=1, write_id=wid,
-                       log=view).metadata_size(DEFAULT_SIZE_MODEL)
+                       log=view).metadata_size()
             for view in views.values()
         ]
         return views, base, sizes
@@ -169,9 +168,8 @@ def sizing_samples():
                          ids=lambda m: type(m).__name__)
 def test_micro_message_sizing(benchmark, message):
     """Per-send metadata pricing of one message of each type."""
-    size = benchmark(message.metadata_size, DEFAULT_SIZE_MODEL)
-    assert size == sum(b for _name, b in
-                       decompose_message(message, DEFAULT_SIZE_MODEL))
+    size = benchmark(message.metadata_size)
+    assert size == sum(b for _name, b in decompose_message(message))
 
 
 def test_micro_matrix_snapshot(benchmark):

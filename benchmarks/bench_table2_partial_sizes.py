@@ -14,7 +14,6 @@ from repro.core.clocks import MatrixClock
 from repro.core.messages import FullTrackRM, FullTrackSM
 from repro.experiments.exhibits import PARTIAL_NS, WRITE_RATES
 from repro.memory.store import WriteId
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 
 #: Table II of the paper (KB), for the printed comparison
 PAPER_TABLE2 = {
@@ -38,7 +37,7 @@ def full_track_price(kind, n):
     wid, matrix = WriteId(0, 1), MatrixClock(n)
     message = (FullTrackSM(0, 1, wid, matrix) if kind == "SM"
                else FullTrackRM(0, 1, wid, matrix, 0))
-    return message.metadata_size(DEFAULT_SIZE_MODEL)
+    return message.metadata_size()
 
 
 def test_table2_avg_sm_rm_sizes(benchmark):

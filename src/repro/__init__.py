@@ -60,7 +60,7 @@ from .memory.replication import (
 )
 from .memory.store import BOTTOM, SiteStore, WriteId
 from .metrics.collector import MessageKind, MetricsCollector
-from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
+from .metrics.sizing import COSTS, SizeModel
 from .sim.crash import CrashRecoveryManager, install_crash_recovery
 from .sim.engine import Simulator
 from .sim.faults import (
@@ -144,7 +144,7 @@ __all__ = [
     "generate_workload",
     # metrics
     "SizeModel",
-    "DEFAULT_SIZE_MODEL",
+    "COSTS",
     "MetricsCollector",
     "MessageKind",
     # running experiments

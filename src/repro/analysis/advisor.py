@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..memory.replication import paper_replication_factor
-from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .model import (
     full_replication_message_count,
     opt_track_crp_total_size,
@@ -49,7 +48,6 @@ class WorkloadProfile:
     payload_bytes: float = 0.0
     #: candidate replication factor (default: the paper's 0.3 n)
     replication_factor: Optional[int] = None
-    size_model: SizeModel = DEFAULT_SIZE_MODEL
 
     def __post_init__(self) -> None:
         if self.n_sites < 2:
@@ -104,13 +102,12 @@ def recommend_replication(profile: WorkloadProfile) -> Recommendation:
     """Apply the paper's models to a workload profile."""
     n, p = profile.n_sites, profile.p
     w, r = profile.writes, profile.reads
-    model = profile.size_model
 
     partial_msgs = partial_replication_message_count(n, p, w, r)
     full_msgs = full_replication_message_count(n, w)
 
-    partial_cost = opt_track_total_size(n, p, w, r, model)
-    full_cost = opt_track_crp_total_size(n, w, model)
+    partial_cost = opt_track_total_size(n, p, w, r)
+    full_cost = opt_track_crp_total_size(n, w)
     # payload rides on every SM (replicating the object) and every RM
     partial_transfer = partial_cost.total_bytes + profile.payload_bytes * (
         partial_cost.sm_count + partial_cost.rm_count

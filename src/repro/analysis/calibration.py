@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.messages import PRICE_TABLE, FullTrackSM, OptPSM
-from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = [
     "LinearFit",
@@ -94,15 +93,15 @@ def fit_full_track_envelope(
 
     Against the paper's Table II (w=0.2) the slope lands near 8 bytes
     per matrix cell with an intercept near the low hundreds — the basis
-    for the default ``matrix_entry=8`` / ``envelope_full_track=306``.
+    for the calibrated ``matrix_entry=8`` / ``envelope_full_track=306``.
     """
     ref = PAPER_FULL_TRACK_SM_REFERENCE if reference is None else reference
     ns = sorted(ref)
     return fit_linear([n * n for n in ns], [ref[n] for n in ns])
 
 
-def verify_default_calibration(model: SizeModel = DEFAULT_SIZE_MODEL) -> dict:
-    """How far the default model sits from the paper references.
+def verify_default_calibration() -> dict:
+    """How far the calibrated costs sit from the paper references.
 
     Returns per-anchor relative errors; used by tests to pin the
     calibration contract (optP exact; Full-Track within a few percent).
@@ -110,8 +109,8 @@ def verify_default_calibration(model: SizeModel = DEFAULT_SIZE_MODEL) -> dict:
     out: dict[str, float] = {}
     optp, full_track = PRICE_TABLE[OptPSM], PRICE_TABLE[FullTrackSM]
     for n, ref in PAPER_OPTP_REFERENCE.items():
-        out[f"optp_n{n}"] = abs(optp.size_at(model, width=n) - ref) / ref
+        out[f"optp_n{n}"] = abs(optp.size_at(width=n) - ref) / ref
     for n, ref in PAPER_FULL_TRACK_SM_REFERENCE.items():
-        size = full_track.size_at(model, width=n)
+        size = full_track.size_at(width=n)
         out[f"full_track_n{n}"] = abs(size - ref) / ref
     return out

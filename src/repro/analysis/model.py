@@ -1,9 +1,9 @@
 """Closed-form cost models from Section V of the paper.
 
 These are the analytic counterparts of the simulation: expected message
-counts and total metadata sizes as functions of (n, p, w, r) and the
-size model.  The benchmark harness prints analytic and simulated values
-side by side; integration tests assert the simulated counts match these
+counts and total metadata sizes as functions of (n, p, w, r), priced
+with the calibrated costs.  The benchmark harness prints analytic and
+simulated values side by side; integration tests assert the simulated counts match these
 formulas exactly in expectation (and exactly, for deterministic
 placements, once the workload's per-write locality is accounted for).
 
@@ -35,7 +35,6 @@ from ..core.messages import (
     OptTrackRM,
     OptTrackSM,
 )
-from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = [
     "partial_replication_message_count",
@@ -97,9 +96,7 @@ def _partial_counts(n: int, p: int, w: float, r: float) -> tuple[float, float]:
     return sm, remote_reads
 
 
-def full_track_total_size(
-    n: int, p: int, w: float, r: float, model: SizeModel = DEFAULT_SIZE_MODEL
-) -> CostBreakdown:
+def full_track_total_size(n: int, p: int, w: float, r: float) -> CostBreakdown:
     """Full-Track: every SM and RM carries the n x n matrix — Θ(n²) each,
     for the paper's O(n² p w + n r (n - p)) total."""
     _validate(n, p, w, r)
@@ -108,9 +105,9 @@ def full_track_total_size(
         sm_count=sm_count,
         fm_count=remote,
         rm_count=remote,
-        sm_bytes=sm_count * PRICE_TABLE[FullTrackSM].size_at(model, width=n),
-        fm_bytes=remote * PRICE_TABLE[FetchMessage].size_at(model),
-        rm_bytes=remote * PRICE_TABLE[FullTrackRM].size_at(model, width=n),
+        sm_bytes=sm_count * PRICE_TABLE[FullTrackSM].size_at(width=n),
+        fm_bytes=remote * PRICE_TABLE[FetchMessage].size_at(),
+        rm_bytes=remote * PRICE_TABLE[FullTrackRM].size_at(width=n),
     )
 
 
@@ -119,7 +116,6 @@ def opt_track_total_size(
     p: int,
     w: float,
     r: float,
-    model: SizeModel = DEFAULT_SIZE_MODEL,
     *,
     amortized_log_entries: float | None = None,
     mean_dests_per_entry: float | None = None,
@@ -142,17 +138,16 @@ def opt_track_total_size(
         fm_count=remote,
         rm_count=remote,
         sm_bytes=sm_count * PRICE_TABLE[OptTrackSM].size_at(
-            model, records=entries, dests=entries * dests),
-        fm_bytes=remote * PRICE_TABLE[FetchMessage].size_at(model),
+            records=entries, dests=entries * dests),
+        fm_bytes=remote * PRICE_TABLE[FetchMessage].size_at(),
         rm_bytes=remote * PRICE_TABLE[OptTrackRM].size_at(
-            model, records=entries, dests=entries * dests),
+            records=entries, dests=entries * dests),
     )
 
 
 def opt_track_crp_total_size(
     n: int,
     w: float,
-    model: SizeModel = DEFAULT_SIZE_MODEL,
     *,
     mean_log_entries: float = 2.0,
 ) -> CostBreakdown:
@@ -164,16 +159,14 @@ def opt_track_crp_total_size(
     _validate(n, n, w, 0.0)
     if mean_log_entries < 0:
         raise ValueError("log size cannot be negative")
-    sm_size = PRICE_TABLE[CRPSM].size_at(model, records=mean_log_entries)
+    sm_size = PRICE_TABLE[CRPSM].size_at(records=mean_log_entries)
     sm_count = (n - 1) * w
     return CostBreakdown(sm_count, 0.0, 0.0, sm_count * sm_size, 0.0, 0.0)
 
 
-def optp_total_size(
-    n: int, w: float, model: SizeModel = DEFAULT_SIZE_MODEL
-) -> CostBreakdown:
+def optp_total_size(n: int, w: float) -> CostBreakdown:
     """optP: (n-1) SMs per write, each carrying the size-n vector — O(n² w)."""
     _validate(n, n, w, 0.0)
     sm_count = (n - 1) * w
-    sm_size = PRICE_TABLE[OptPSM].size_at(model, width=n)
+    sm_size = PRICE_TABLE[OptPSM].size_at(width=n)
     return CostBreakdown(sm_count, 0.0, 0.0, sm_count * sm_size, 0.0, 0.0)

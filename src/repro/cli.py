@@ -945,6 +945,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
+    import signal
     import subprocess
     import time
 
@@ -992,6 +993,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     procs = []
     logs = []
+
+    def _on_sigterm(signum: int, _frame: object) -> None:
+        raise SystemExit(128 + signum)  # through the finally: nodes stop too
+
+    previous = signal.signal(signal.SIGTERM, _on_sigterm)
     try:
         for spec in topology.nodes:
             log = (run_dir / f"node-{spec.site}.log").open("w")
@@ -1049,6 +1055,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
         return 0
     finally:
+        signal.signal(signal.SIGTERM, previous)
         for p in procs:
             if p.poll() is None:
                 p.terminate()

@@ -43,7 +43,6 @@ from .core.recovery import DetectorPolicy
 from .experiments.runner import SimulationConfig, build_system
 from .memory.replication import Placement
 from .memory.store import WriteId
-from .metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from .obs.tracer import Tracer
 from .sim.engine import Simulator
 from .sim.faults import FaultPlan
@@ -147,7 +146,6 @@ class CausalCluster(Cluster):
         replication_factor: Optional[int] = None,
         latency: Optional[LatencyModel] = None,
         bandwidth_bytes_per_ms: Optional[float] = None,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
         placement: str = "round-robin",
         seed: int = 0,
         record_history: bool = True,
@@ -178,7 +176,6 @@ class CausalCluster(Cluster):
             seed=seed,
             latency=latency if latency is not None else UniformLatency(),
             bandwidth_bytes_per_ms=bandwidth_bytes_per_ms,
-            size_model=size_model,
             record_history=record_history,
             fault_plan=fault_plan,
             fault_seed=fault_seed,

@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 from ..memory.replication import Placement, paper_replication_factor
 from ..memory.store import SiteStore, WriteId
 from ..metrics.collector import MessageKind, MetricsCollector
-from ..metrics.sizing import SizeModel
 from .activation import RETEST
 from .errors import DepartedSiteError
 from .messages import FetchMessage, accounting_shape
@@ -92,7 +91,6 @@ class ProtocolContext:
     #: timestamps only — the cores never arm timers themselves
     clock: Clock
     collector: MetricsCollector
-    size_model: SizeModel
     #: the run's recorded history; None (the default) records nothing
     history: Optional[HistoryRecorder] = None
     #: observability hooks; None (the default) is the zero-overhead path
@@ -576,7 +574,7 @@ class CausalProtocol(abc.ABC):
         """Price ``message``, book ``copies`` sends of it, return the price.
         All addends are ints: ``copies`` at once is ``copies`` bookings
         of one."""
-        size: int = message.metadata_size(self.ctx.size_model)  # type: ignore[attr-defined]
+        size: int = message.metadata_size()  # type: ignore[attr-defined]
         slot, length_of = self._slot(kind, message)
         slot[0] += copies
         slot[1] += size * copies
@@ -615,8 +613,7 @@ class CausalProtocol(abc.ABC):
         each copy priced, all k booked with one slot lookup and one add
         per counter — the int sums of k single bookings — then one
         :meth:`_transmit`."""
-        model = self.ctx.size_model
-        sizes = [m.metadata_size(model) for m in messages]  # type: ignore[attr-defined]
+        sizes = [m.metadata_size() for m in messages]  # type: ignore[attr-defined]
         slot, length_of = self._slot(kind, messages[0])
         slot[0] += len(messages)
         slot[1] += sum(sizes)

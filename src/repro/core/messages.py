@@ -11,7 +11,7 @@ Three classes of messages exist:
   metadata stored with it at the serving replica.
 
 Every message type's price is one row of :data:`PRICE_TABLE`: named
-ledger components, each a :class:`~repro.metrics.sizing.SizeModel` field
+ledger components, each a named cost of :data:`~repro.metrics.sizing.COSTS`
 times a count.  ``metadata_size`` (priced at *send* time, matching the
 paper's accounting: total size of all messages generated), the metadata
 ledger's component split, the analytic model of
@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sized
 
 from ..memory.store import WriteId
-from ..metrics.sizing import SizeModel
+from ..metrics.sizing import COSTS
 from .clocks import MatrixClock, VectorClock
 from .log import PiggybackEntry, PiggybackView
 
@@ -52,18 +52,12 @@ Breakdown = tuple[tuple[str, int], ...]
 
 class _Priced:
     """``metadata_size`` for every message type: its :data:`PRICE_TABLE`
-    row, resolved against ``model`` on the first call and memoised in
-    ``model.resolved`` under the message class."""
+    row's sizer, resolved once at import."""
 
     __slots__ = ()
 
-    def metadata_size(self, model: SizeModel) -> int:
-        cls = type(self)
-        try:
-            size = model.resolved[cls]
-        except KeyError:
-            size = model.resolved[cls] = PRICE_TABLE[cls].sizer(model)
-        return size(self)
+    def metadata_size(self) -> int:
+        return _SIZE_OF[type(self)](self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,8 +192,8 @@ class OptPSM(_Priced):
 class PriceRow(NamedTuple):
     """One message type's price, as named ledger components.
 
-    * ``fixed``: ``(component, field)`` pairs, one
-      :class:`~repro.metrics.sizing.SizeModel` field each per message;
+    * ``fixed``: ``(component, field)`` pairs, one named cost
+      (a :class:`~repro.metrics.sizing.SizeModel` field) each per message;
     * ``records``: ``(component, field, length_of)`` — ``field`` bytes
       per item of the sized field ``length_of`` reads;
     * ``clock``: ``(field, power, clock_of)`` — ``field`` bytes per cell
@@ -218,42 +212,42 @@ class PriceRow(NamedTuple):
     clock: Optional[tuple[str, int, Callable[[Any], Any]]] = None
     dests: Optional[tuple[str, Callable[[Any], int]]] = None
 
-    def sizer(self, model: SizeModel) -> Callable[[Any], int]:
-        """The price of one message under ``model``, every field read
-        once here rather than per call."""
-        const = sum(getattr(model, f) for _c, f in self.fixed)
+    def sizer(self) -> Callable[[Any], int]:
+        """The price of one message, every cost read once here rather
+        than per call."""
+        const = sum(getattr(COSTS, f) for _c, f in self.fixed)
         if self.clock is not None:
             field, power, clock_of = self.clock
-            cell = getattr(model, field)
+            cell = getattr(COSTS, field)
             return lambda m: const + cell * clock_of(m).n ** power
         _c, field, length_of = self.records
-        per = getattr(model, field)
+        per = getattr(COSTS, field)
         if self.dests is None:
             return lambda m: const + per * len(length_of(m))
         field, count_of = self.dests
-        per_dest = getattr(model, field)
+        per_dest = getattr(COSTS, field)
 
         def size(m: Any) -> int:
             records = length_of(m)
             return const + per * len(records) + per_dest * count_of(records)
         return size
 
-    def size_at(self, model: SizeModel, *, records: float = 0,
-                dests: float = 0, width: int = 0) -> float:
+    def size_at(self, *, records: float = 0, dests: float = 0,
+                width: int = 0) -> float:
         """The price of one message of a shape — ``records`` items,
         ``dests`` destinations in all, a ``width``-wide clock — where
         means are allowed (the analytic model's expected shape)."""
-        size: float = sum(getattr(model, f) for _c, f in self.fixed)
+        size: float = sum(getattr(COSTS, f) for _c, f in self.fixed)
         if self.records is not None:
-            size += getattr(model, self.records[1]) * records
+            size += getattr(COSTS, self.records[1]) * records
         if self.dests is not None:
-            size += getattr(model, self.dests[0]) * dests
+            size += getattr(COSTS, self.dests[0]) * dests
         if self.clock is not None:
-            size += getattr(model, self.clock[0]) * width ** self.clock[1]
+            size += getattr(COSTS, self.clock[0]) * width ** self.clock[1]
         return size
 
-    def breakdown(self, model: SizeModel, count: int, length: int,
-                  nbytes: int, width: int, base_n: Optional[int]) -> Breakdown:
+    def breakdown(self, count: int, length: int, nbytes: int, width: int,
+                  base_n: Optional[int]) -> Breakdown:
         """Component bytes of ``count`` messages booked in one slot.
 
         Linear in the slot's three sums — message count, summed record
@@ -265,13 +259,13 @@ class PriceRow(NamedTuple):
         every other row "components sum to ``nbytes``" checks the
         booking against the price.
         """
-        parts = [(c, getattr(model, f) * count) for c, f in self.fixed]
+        parts = [(c, getattr(COSTS, f) * count) for c, f in self.fixed]
         if self.records is not None:
             c, f, _length_of = self.records
-            parts.append((c, getattr(model, f) * length))
+            parts.append((c, getattr(COSTS, f) * length))
         if self.clock is not None:
             f, power, _clock_of = self.clock
-            cell = getattr(model, f) * count
+            cell = getattr(COSTS, f) * count
             cells = width ** power
             base = cells if base_n is None else min(cells, base_n ** power)
             parts.append(("clock_entries", cell * base))
@@ -325,6 +319,10 @@ PRICE_TABLE: dict[type, PriceRow] = {
         _fixed("envelope_optp", "var_id", "value"),
         clock=("vector_entry", 1, attrgetter("vector"))),
 }
+
+#: each row's sizer, what ``metadata_size`` calls
+_SIZE_OF: dict[type, Callable[[Any], int]] = {
+    cls: row.sizer() for cls, row in PRICE_TABLE.items()}
 
 
 def accounting_shape(

@@ -53,10 +53,17 @@ __all__ = [
     "CHANNEL_EVENTS",
     "ChannelHost",
     "RTO_BACKOFF",
+    "BACKPRESSURE_DELAY_MS",
+    "BACKPRESSURE_LIMIT",
 ]
 
 #: multiplicative backoff of a channel's RTO after every timeout
 RTO_BACKOFF = 2.0
+#: how long a backpressured site delays its next operation (ms)
+BACKPRESSURE_DELAY_MS = 5.0
+#: consecutive delays before an operation proceeds anyway (bounds
+#: admission latency so a stuck channel cannot starve the schedule)
+BACKPRESSURE_LIMIT = 64
 
 
 class OverloadError(RuntimeError):
@@ -103,11 +110,6 @@ class RetransmitPolicy:
     #: consecutive timeouts that trip a channel's circuit breaker into
     #: degraded probe mode (0 disables the breaker)
     breaker_failures: int = 6
-    #: how long a backpressured site delays its next operation
-    backpressure_delay_ms: float = 5.0
-    #: consecutive delays before an operation proceeds anyway (bounds
-    #: admission latency so a stuck channel cannot starve the schedule)
-    backpressure_limit: int = 64
     #: total backlogged packets at one sender site beyond which PUT
     #: admission sheds with :class:`OverloadError` (0 disables shedding)
     shed_backlog: int = 512
@@ -127,10 +129,6 @@ class RetransmitPolicy:
             raise ValueError("heal_burst must be >= 1")
         if self.breaker_failures < 0:
             raise ValueError("breaker_failures must be >= 0")
-        if self.backpressure_delay_ms <= 0:
-            raise ValueError("backpressure_delay_ms must be positive")
-        if self.backpressure_limit < 1:
-            raise ValueError("backpressure_limit must be >= 1")
         if self.shed_backlog < 0:
             raise ValueError("shed_backlog must be >= 0")
 

@@ -15,7 +15,7 @@ the run instead of silently under-reporting messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ from ..memory.replication import (
 )
 from ..memory.store import SiteStore
 from ..metrics.collector import MetricsCollector
-from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from ..obs.export import HeartbeatReporter
 from ..obs.ledger import MetadataLedger
 from ..obs.metrics import MetricsRegistry
@@ -85,7 +84,6 @@ class SimulationConfig:
     #: bytes/ms each sender's uplink can push (None = infinite, the
     #: paper's model where metadata size never affects timing)
     bandwidth_bytes_per_ms: Optional[float] = None
-    size_model: SizeModel = DEFAULT_SIZE_MODEL
     placement: str = "round-robin"
     record_history: bool = False
     max_events: Optional[int] = None
@@ -128,10 +126,6 @@ class SimulationConfig:
         # fail fast on typos and on a partial p under full replication
         replication_factor_for(self.protocol, self.n_sites,
                                self.replication_factor)
-
-    def with_protocol(self, protocol: str) -> "SimulationConfig":
-        """Same run, different protocol (Table IV-style comparisons)."""
-        return replace(self, protocol=protocol)
 
     @property
     def churn(self) -> bool:
@@ -224,7 +218,6 @@ class SimulatedSystem:
             network=self.network,
             clock=self.sim,
             collector=self.collector,
-            size_model=self.config.size_model,
             history=self.history,
             tracer=self.tracer,
         )
@@ -512,8 +505,7 @@ def run_simulation(
     sim, collector, protocols = system.sim, system.collector, system.protocols
     if registry is not None:
         # clock growth past the initial site count is epoch padding
-        registry.ledger = MetadataLedger(collector, config.size_model,
-                                         base_n=config.n_sites)
+        registry.ledger = MetadataLedger(collector, base_n=config.n_sites)
     crash_manager = system.crash_manager
     if tracer is not None:
         tracer.meta.setdefault("ops_per_process", config.ops_per_process)

@@ -1,7 +1,7 @@
 """Measurement: message-size model, collectors, summary statistics."""
 
 from .collector import MessageKind, MessageTally, MetricsCollector
-from .sizing import DEFAULT_SIZE_MODEL, KILOBYTE, SizeModel
+from .sizing import COSTS, KILOBYTE, SizeModel
 from .stats import RunningStat, Summary, percentile, summarize
 
 __all__ = [
@@ -9,7 +9,7 @@ __all__ = [
     "MessageTally",
     "MetricsCollector",
     "SizeModel",
-    "DEFAULT_SIZE_MODEL",
+    "COSTS",
     "KILOBYTE",
     "RunningStat",
     "Summary",

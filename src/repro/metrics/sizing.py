@@ -31,22 +31,21 @@ consistent under that convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Callable, ClassVar
+from dataclasses import dataclass
 
-__all__ = ["SizeModel", "DEFAULT_SIZE_MODEL", "KILOBYTE"]
+__all__ = ["SizeModel", "COSTS", "KILOBYTE"]
 
 #: The paper's KB convention (SI, not KiB).
 KILOBYTE = 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SizeModel:
     """Named byte costs for every field kind appearing in a message.
 
-    Defaults are the calibrated values; construct with overrides to study
-    other serialization regimes (e.g. varint encodings), or use
-    :meth:`compact` for a headerless model useful in unit tests.
+    The values are the calibrated ones and the only ones: the class
+    takes no arguments (``SizeModel(clock=1)`` is a ``TypeError``), and
+    every price reads the one instance, :data:`COSTS`.
     """
 
     # --- primitive fields --------------------------------------------
@@ -73,38 +72,6 @@ class SizeModel:
     #: along, so FM stays near-constant in practice
     fm_requirement: int = 12
 
-    #: not a field: each instance's memo of the price rows
-    #: (``repro.core.messages.PRICE_TABLE``) resolved against it, keyed
-    #: by the message class, so a send reads its row's fields once per
-    #: model, not per call
-    resolved: ClassVar[dict[type, Callable[[Any], int]]]
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"size constant {f.name} must be non-negative")
-        object.__setattr__(self, "resolved", {})
-
-    def __reduce__(self) -> tuple:
-        # a copy starts with an empty memo (it may hold closures)
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def compact() -> "SizeModel":
-        """A headerless model: pure structure, no envelopes.
-
-        Useful in unit tests where exact arithmetic should be readable,
-        and in ablations isolating structural growth from fixed costs.
-        """
-        return SizeModel(
-            envelope_full_track=0,
-            envelope_opt_track=0,
-            envelope_crp=0,
-            envelope_optp=0,
-            fm_size=0,
-        )
-
-
-#: Shared default instance (immutable).
-DEFAULT_SIZE_MODEL = SizeModel()
+#: The calibrated costs every price reads.
+COSTS = SizeModel()

@@ -40,7 +40,7 @@ windows: ``lifetime`` (every send) and ``measured`` (after the warm-up
 gate opened).  With one writer, "ledger total == collector total" holds
 by construction, and formula and split come from one row; what
 :meth:`MetadataLedger.crosscheck` still checks is that each slot's
-components **sum exactly** to the bytes ``message.metadata_size(model)``
+components **sum exactly** to the bytes ``message.metadata_size()``
 priced at send time — i.e. it catches slot-booking faults, a slot whose
 count, summed length or clock width does not explain its bytes.
 """
@@ -51,14 +51,12 @@ from typing import Iterable, Iterator, Optional
 
 from ..core.messages import PRICE_TABLE, Breakdown, accounting_shape
 from ..metrics.collector import MessageKind, MetricsCollector
-from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = ["MetadataLedger", "LedgerCell", "decompose_message"]
 
 
 def _sum_breakdown(t: Optional[type], n: int, count: int, length: int,
-                   nbytes: int, model: SizeModel,
-                   base_n: Optional[int]) -> Breakdown:
+                   nbytes: int, base_n: Optional[int]) -> Breakdown:
     """Component bytes for ``count`` messages of type ``t`` at once: its
     :data:`~repro.core.messages.PRICE_TABLE` row's split (see
     :meth:`~repro.core.messages.PriceRow.breakdown`), or one ``opaque``
@@ -66,14 +64,13 @@ def _sum_breakdown(t: Optional[type], n: int, count: int, length: int,
     row = PRICE_TABLE.get(t)  # type: ignore[arg-type]
     if row is None:
         return (("opaque", nbytes),)
-    return row.breakdown(model, count, length, nbytes, n, base_n)
+    return row.breakdown(count, length, nbytes, n, base_n)
 
 
-def decompose_message(message: object, model: SizeModel,
-                      base_n: Optional[int] = None) -> Breakdown:
+def decompose_message(message: object, base_n: Optional[int] = None) -> Breakdown:
     """Per-component byte breakdown of one message.
 
-    Invariant: the component bytes sum to ``message.metadata_size(model)``
+    Invariant: the component bytes sum to ``message.metadata_size()``
     exactly.  Unknown message types fall back to a single ``opaque``
     component priced by their own ``metadata_size``, preserving the
     invariant for protocols added later.
@@ -86,8 +83,8 @@ def decompose_message(message: object, model: SizeModel,
     return _sum_breakdown(
         type(message), width, 1,
         len(length_of(message)) if length_of is not None else 0,
-        message.metadata_size(model),  # type: ignore[attr-defined]
-        model, base_n)
+        message.metadata_size(),  # type: ignore[attr-defined]
+        base_n)
 
 
 class LedgerCell:
@@ -131,11 +128,8 @@ class MetadataLedger:
     """
 
     def __init__(self, collector: Optional[MetricsCollector] = None,
-                 model: SizeModel = DEFAULT_SIZE_MODEL,
                  base_n: Optional[int] = None) -> None:
         self.collector = collector if collector is not None else MetricsCollector()
-        #: the size model the collector's senders priced against
-        self.model = model
         #: initial site count; clock growth beyond it is epoch padding
         self.base_n = base_n
         #: both windows as loaded by :meth:`from_dict`, served in place
@@ -155,7 +149,7 @@ class MetadataLedger:
                 proto, site, t, width = key
                 yield ((proto, kind.value, site), count, nbytes,
                        _sum_breakdown(t, width, count, length, nbytes,
-                                      self.model, self.base_n))
+                                      self.base_n))
 
     def _window(self, window: str) -> dict[CellKey, LedgerCell]:
         if window not in _WINDOWS:

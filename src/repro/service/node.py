@@ -35,7 +35,6 @@ from ..core.netpolicy import RetransmitPolicy
 from ..core.ports import Clock, TimerHandle, Transport
 from ..memory.store import SiteStore, WriteId
 from ..metrics.collector import MetricsCollector
-from ..metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 from ..verify.history import HistoryRecorder
 from .api import serve_http
 from .bootstrap import ClusterTopology, build_placement
@@ -72,7 +71,6 @@ class NodeCore:
         transport: Transport,
         collector: MetricsCollector,
         history: Optional[HistoryRecorder] = None,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
         self.site = site
         self.history = history if history is not None else HistoryRecorder()
@@ -87,7 +85,6 @@ class NodeCore:
             network=transport,
             clock=clock,
             collector=self.collector,
-            size_model=size_model,
             history=self.history,
         )
         self.ctx = ctx

@@ -38,7 +38,6 @@ __all__ = [
     "PerPairLatency",
     "AdversarialLatency",
     "Network",
-    "ChannelStats",
 ]
 
 #: Minimum spacing used to keep FIFO deliveries strictly ordered.
@@ -145,18 +144,6 @@ class AdversarialLatency(LatencyModel):
         return float(np.exp(rng.uniform(lo, hi)))
 
 
-@dataclass(slots=True)
-class ChannelStats:
-    """Bookkeeping per directed channel (src, dst).
-
-    Slotted: one instance per directed channel (n^2 of them), each
-    touched on every send — no ``__dict__`` on the hot path.
-    """
-
-    messages: int = 0
-    last_delivery: float = -1.0
-
-
 class Network:
     """Reliable FIFO transport layered on the event kernel.
 
@@ -207,7 +194,9 @@ class Network:
         # per-sender uplink: simulated time until which it is occupied
         self._uplink_busy_until: dict[int, float] = {}
         self._receivers: dict[int, Callable[[int, object], None]] = {}
-        self._channels: dict[tuple[int, int], ChannelStats] = {}
+        # seed path: per directed channel, the last scheduled delivery
+        # (the FIFO floor the next send on it is clamped above)
+        self._fifo_floor: dict[tuple[int, int], float] = {}
         # Plain-uniform latency models admit block draws: a numpy
         # Generator consumes the bit stream identically for one
         # uniform() call per message and for a block of 256, so the
@@ -386,17 +375,6 @@ class Network:
         if transport is not None:
             transport.check_overload_admission(site)
 
-    def backpressure_delay_ms(self) -> float:
-        """Delay a backpressured site applies before its next operation."""
-        transport = self.transport
-        return (transport.policy.backpressure_delay_ms
-                if transport is not None else 0.0)
-
-    def backpressure_limit(self) -> int:
-        """Consecutive delays before an operation proceeds anyway."""
-        transport = self.transport
-        return transport.policy.backpressure_limit if transport is not None else 0
-
     def count_backpressure_delay(self, site: int) -> None:
         """Account one backpressure-induced operation delay."""
         transport = self.transport
@@ -412,14 +390,6 @@ class Network:
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} out of range [0, {self.n_sites})")
-
-    def channel_stats(self, src: int, dst: int) -> ChannelStats:
-        """Stats for the directed channel ``src -> dst`` (created lazily)."""
-        key = (src, dst)
-        st = self._channels.get(key)
-        if st is None:
-            st = self._channels[key] = ChannelStats()
-        return st
 
     # ------------------------------------------------------------------
     def _sample_latency(self, src: int, dst: int) -> float:
@@ -495,7 +465,7 @@ class Network:
         now = delivery = self.sim.now
         bandwidth = self.bandwidth
         n_sites = self.n_sites
-        channels = self._channels
+        fifo_floor = self._fifo_floor
         sample = self._sample_latency
         post = self.sim.post
         deliver = self._deliver_scheduled
@@ -516,13 +486,9 @@ class Network:
                 else:
                     delay = sample(src, dst)
                 key = (src, dst)
-                stats = channels.get(key)
-                if stats is None:
-                    stats = channels[key] = ChannelStats()
                 delivery = max(departure + delay,
-                               stats.last_delivery + FIFO_EPSILON)
-                stats.last_delivery = delivery
-                stats.messages += 1
+                               fifo_floor.get(key, -1.0) + FIFO_EPSILON)
+                fifo_floor[key] = delivery
                 post(delivery, deliver, src, dst, message)
                 posted += 1
         finally:
@@ -583,17 +549,12 @@ class Network:
             departure = start + size_bytes / self.bandwidth
             self._uplink_busy_until[src] = departure
         decision = self.faults.decide(src, dst, now)
-        key = (src, dst)
-        stats = self._channels.get(key)
-        if stats is None:
-            stats = self._channels[key] = ChannelStats()
-        stats.messages += 1
         self.total_messages += 1
         duplicates, extra_delay_ms = 0, 0.0
         tracer = self.tracer
         if decision is not NO_FAULT or tracer is not None:
             # one transmission in ten at the benchmark's rates; the rest
-            # pay the stats bump, one latency draw and one posted entry
+            # pay one latency draw and one posted entry
             drop, duplicates, extra_delay_ms, severed = decision
             if tracer is not None:
                 # DataPackets are traced by their application payload;
@@ -613,13 +574,10 @@ class Network:
         else:
             delay = self._sample_latency(src, dst)
         delivery = departure + delay + extra_delay_ms
-        if delivery > stats.last_delivery:
-            stats.last_delivery = delivery
         sim.post(delivery, self._arrive, src, dst, packet)
         for _ in range(duplicates):
             dup_delay = (self.latency.local_delay() if src == dst
                          else self._sample_latency(src, dst))
-            stats.messages += 1
             self.total_messages += 1
             self.collector.record_injected_dup()
             sim.post(departure + dup_delay + extra_delay_ms, self._arrive,

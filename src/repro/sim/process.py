@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..core.netpolicy import BACKPRESSURE_DELAY_MS, BACKPRESSURE_LIMIT
 from ..memory.store import WriteId
 from ..workload.schedule import SiteSchedule
 from .engine import Simulator
@@ -72,7 +73,7 @@ class Site:
         #: other event's perspective this is None unless a fetch is out)
         self._current_index: Optional[int] = None
         #: consecutive backpressure deferrals of the armed operation;
-        #: capped by the policy's backpressure_limit so a stuck channel
+        #: capped by BACKPRESSURE_LIMIT so a stuck channel
         #: delays the schedule but can never starve it
         self._bp_defers = 0
 
@@ -175,13 +176,11 @@ class Site:
         # of piling more onto the queues — bounded, so the schedule is
         # delayed but never starved
         if self.protocol.backpressured:
-            network = self.protocol.ctx.network
-            limit = network.backpressure_limit()
-            if self._bp_defers < limit:
+            if self._bp_defers < BACKPRESSURE_LIMIT:
                 self._bp_defers += 1
-                network.count_backpressure_delay(self.site_id)
+                self.protocol.ctx.network.count_backpressure_delay(self.site_id)
                 self._op_event = self.sim.schedule(
-                    network.backpressure_delay_ms(), self._execute_next)
+                    BACKPRESSURE_DELAY_MS, self._execute_next)
                 return
         self._bp_defers = 0
         index = self._next_index

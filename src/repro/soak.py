@@ -75,8 +75,6 @@ SOAK_POLICY = RetransmitPolicy(
     reorder_window=48,
     heal_burst=8,
     breaker_failures=4,
-    backpressure_delay_ms=5.0,
-    backpressure_limit=64,
     shed_backlog=64,
 )
 

@@ -19,7 +19,7 @@ from repro.analysis.tradeoff import (
 from repro.core.clocks import MatrixClock
 from repro.core.messages import FullTrackSM
 from repro.memory.store import WriteId
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
+from repro.metrics.sizing import COSTS
 
 
 class TestMessageCounts:
@@ -71,10 +71,10 @@ class TestSizeModels:
         # per-message size is ~8n^2: doubling n quadruples the dominant term
         per10 = s10 / full_track_total_size(10, 3, 100, 100).sm_count
         per20 = s20 / full_track_total_size(20, 6, 100, 100).sm_count
-        m = DEFAULT_SIZE_MODEL
+        m = COSTS
         for n, per in ((10, per10), (20, per20)):
             sm = FullTrackSM(0, 1, WriteId(0, 1), MatrixClock(n))
-            assert per == sm.metadata_size(m)
+            assert per == sm.metadata_size()
         assert (per20 - m.envelope_full_track - m.var_id - m.value) == pytest.approx(
             4 * (per10 - m.envelope_full_track - m.var_id - m.value)
         )
@@ -90,7 +90,7 @@ class TestSizeModels:
     def test_opt_track_calibrated_by_measurement(self):
         cb = opt_track_total_size(10, 3, 100, 0,
                                   amortized_log_entries=20, mean_dests_per_entry=2)
-        m = DEFAULT_SIZE_MODEL
+        m = COSTS
         expected_log = 20 * (m.log_entry_overhead + 2 * m.dest_id)
         assert cb.sm_bytes / cb.sm_count == pytest.approx(
             m.envelope_opt_track + m.var_id + m.value + m.site_id + m.clock
@@ -105,7 +105,7 @@ class TestSizeModels:
         assert per(40) == per(5)  # O(d): independent of n
 
     def test_optp_linear_in_n(self):
-        m = DEFAULT_SIZE_MODEL
+        m = COSTS
         per = lambda n: (
             optp_total_size(n, 10).sm_bytes / optp_total_size(n, 10).sm_count
         )

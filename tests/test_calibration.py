@@ -14,7 +14,6 @@ from repro.analysis.calibration import (
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.messages import FullTrackSM, OptPSM
 from repro.memory.store import WriteId
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
 
 
 class TestFitLinear:
@@ -63,17 +62,16 @@ class TestPaperFits:
         # the shipped constants are the fitted values (optP exactly; the
         # Full-Track envelope rounded to anchor the n=5 cell)
         opt = fit_optp_envelope()
-        m = DEFAULT_SIZE_MODEL
         wid = WriteId(0, 1)
         for n in (5, 40):
             sm = OptPSM(0, 1, wid, VectorClock(n))
-            assert sm.metadata_size(m) == pytest.approx(opt.predict(n))
+            assert sm.metadata_size() == pytest.approx(opt.predict(n))
         ft = fit_full_track_envelope()
         # at large n the quadratic term dominates and the shipped model
         # agrees with the fit; at small n the model anchors the paper's
         # n=5 cell directly instead (see verify_default_calibration)
         sm = FullTrackSM(0, 1, wid, MatrixClock(40))
-        assert sm.metadata_size(m) == pytest.approx(ft.predict(1600), rel=0.08)
+        assert sm.metadata_size() == pytest.approx(ft.predict(1600), rel=0.08)
 
 
 class TestCalibrationContract:
@@ -84,8 +82,3 @@ class TestCalibrationContract:
                 assert err == 0.0, key          # exact by construction
             else:
                 assert err < 0.11, (key, err)   # Full-Track within 11%
-
-    def test_custom_model_report(self):
-        worse = SizeModel(matrix_entry=4)
-        errors = verify_default_calibration(worse)
-        assert errors["full_track_n40"] > 0.4  # halved cells: far off

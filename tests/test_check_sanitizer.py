@@ -209,7 +209,7 @@ class TestSanitizedNetwork:
     def test_delegates_to_inner_network(self):
         _sim, net = make_net(3)
         assert net.n_sites == 3
-        assert net.channel_stats(0, 1).messages == 0
+        assert net.total_messages == 0
 
     def test_full_run_with_sanitizer_matches_plain_run(self):
         """sanitize=True must observe, never perturb: every protocol's

@@ -111,6 +111,18 @@ def test_live_smoke_job_names_suites_that_exist():
     assert missing == []
 
 
+def test_live_smoke_shutdown_leaves_no_node_running():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    (step,) = [step for step in workflow["jobs"]["live-smoke"]["steps"]
+               if step.get("name") == "Shut the cluster down"]
+    run = step["run"]
+    assert step.get("if") == "always()"
+    # waits for serve itself to exit, then fails on any surviving node
+    assert 'kill -0 "$pid"' in run
+    assert 'if pgrep -af "repro _node"; then' in run
+    assert run.count("exit 1") == 2
+
+
 def test_live_smoke_puts_a_nan_before_the_checked_load():
     workflow = yaml.safe_load(WORKFLOW.read_text())
     names = [step.get("name", "") for step in

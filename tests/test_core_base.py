@@ -21,7 +21,6 @@ from repro.core.opt_track import OptTrackNoPruneProtocol, OptTrackProtocol
 from repro.memory.replication import RoundRobinPlacement, full_replication
 from repro.memory.store import SiteStore, WriteId
 from repro.metrics.collector import MessageKind, MetricsCollector
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -34,7 +33,6 @@ def make_ctx(site=0, n=3, placement=None):
         site=site, n_sites=n, placement=placement,
         store=SiteStore(site, placement.vars_at(site)),
         network=net, clock=sim, collector=MetricsCollector(),
-        size_model=DEFAULT_SIZE_MODEL,
     )
 
 
@@ -140,7 +138,7 @@ class TestDrainLoop:
         tally = ctx.collector.tally(MessageKind.SM)
         assert tally.count == 2
         sm = OptPSM(0, "v", WriteId(0, 1), VectorClock(3))
-        assert tally.mean_bytes == sm.metadata_size(DEFAULT_SIZE_MODEL)
+        assert tally.mean_bytes == sm.metadata_size()
 
 
 class TestVisibilityMetric:
@@ -212,7 +210,7 @@ def make_site(name, site, placement, *, tracer=None, n=3):
         site=site, n_sites=n, placement=placement,
         store=SiteStore(site, placement.vars_at(site)),
         network=CaptureTransport(), clock=sim, collector=MetricsCollector(),
-        size_model=DEFAULT_SIZE_MODEL, tracer=tracer,
+        tracer=tracer,
     )
     ctx.collector.start_measuring()
     return create_protocol(name, ctx)
@@ -419,7 +417,7 @@ class TestSharedMulticast:
         message = net.sent[0][2]
         tally = proto.ctx.collector.tally(MessageKind.SM)
         assert tally.count == 3
-        assert tally.total_bytes == 3 * message.metadata_size(DEFAULT_SIZE_MODEL)
+        assert tally.total_bytes == 3 * message.metadata_size()
 
     def test_opt_track_sends_a_message_per_destination(self):
         # one multicast whose copies are the per-destination views, each
@@ -436,7 +434,7 @@ class TestSharedMulticast:
         tally = proto.ctx.collector.tally(MessageKind.SM)
         assert tally.count == 4
         assert tally.total_bytes == sum(
-            m.metadata_size(DEFAULT_SIZE_MODEL) for _s, _d, m in net.sent)
+            m.metadata_size() for _s, _d, m in net.sent)
         (_key, slot), = proto.ctx.collector.message_slots(MessageKind.SM)
         assert slot[2] == sum(len(m.log) for _s, _d, m in net.sent) > 0
 

@@ -277,7 +277,6 @@ def core_site(site, placement, protocol="opt-track"):
     from repro.core import ProtocolContext, create_protocol
     from repro.memory.store import SiteStore
     from repro.metrics.collector import MetricsCollector
-    from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 
     from .test_core_base import CaptureTransport
 
@@ -285,7 +284,7 @@ def core_site(site, placement, protocol="opt-track"):
         site=site, n_sites=placement.n_sites, placement=placement,
         store=SiteStore(site, placement.vars_at(site)),
         network=CaptureTransport(), clock=_Clock(),
-        collector=MetricsCollector(), size_model=DEFAULT_SIZE_MODEL,
+        collector=MetricsCollector(),
     )
     return create_protocol(protocol, ctx)
 

@@ -125,11 +125,10 @@ class TestPaperDrivers:
         from repro.core.clocks import VectorClock
         from repro.core.messages import OptPSM
         from repro.memory.store import WriteId
-        from repro.metrics.sizing import DEFAULT_SIZE_MODEL as M
 
         for row, n in zip(rows, (5, 10)):
             sm = OptPSM(0, 1, WriteId(0, 1), VectorClock(n))
-            assert row["optp"] == sm.metadata_size(M)
+            assert row["optp"] == sm.metadata_size()
 
     def test_table4_matches_eq2_direction(self):
         rows = table4_rows(n_values=(5, 10), write_rates=(0.2, 0.8),

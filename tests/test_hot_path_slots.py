@@ -19,7 +19,6 @@ from repro.core.netpolicy import DataPacket
 from repro.metrics.stats import RunningStat
 from repro.obs.tracer import TraceEvent, _MsgState
 from repro.sim.engine import ScheduledEvent, Simulator
-from repro.sim.network import ChannelStats
 from repro.sim.reliable import AckPacket
 
 #: every class on the per-event/per-message hot path, with a factory
@@ -30,7 +29,6 @@ HOT_PATH_INSTANCES = {
     _PendingSM: lambda: _PendingSM(0, object(), 0.0, 0),
     _PendingRM: lambda: _PendingRM(0, object(), 0.0, 0),
     _PendingFM: lambda: _PendingFM(0, object(), 0.0, 0),
-    ChannelStats: ChannelStats,
     DataPacket: lambda: DataPacket(0, object(), 1.0),
     AckPacket: lambda: AckPacket(0),
     PiggybackEntry: lambda: PiggybackEntry(0, 1, frozenset()),

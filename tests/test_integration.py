@@ -242,11 +242,6 @@ class TestRunnerBehavior:
         with pytest.raises(ValueError, match="sites"):
             run_simulation(cfg, workload=wl)
 
-    def test_with_protocol_helper(self):
-        cfg = SimulationConfig(protocol="optp", n_sites=4)
-        assert cfg.with_protocol("opt-track-crp").protocol == "opt-track-crp"
-        assert cfg.with_protocol("opt-track-crp").n_sites == 4
-
     def test_event_budget_guard(self):
         cfg = SimulationConfig(protocol="optp", n_sites=3, ops_per_process=50,
                                max_events=10)

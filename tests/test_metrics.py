@@ -1,13 +1,13 @@
 """Unit tests for the size model, statistics, and the metrics collector."""
 
 import math
-import pickle
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.core.clocks import MatrixClock, VectorClock
+from repro.core import messages
 from repro.core.log import OptTrackLog, PiggybackEntry
 from repro.core.messages import (
     CRPSM,
@@ -21,7 +21,7 @@ from repro.core.messages import (
 )
 from repro.memory.store import WriteId
 from repro.metrics.collector import MessageKind, MetricsCollector
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL, SizeModel
+from repro.metrics.sizing import COSTS, SizeModel
 from repro.metrics.stats import RunningStat, percentile, summarize
 
 
@@ -42,38 +42,36 @@ def opt_track_sm(dest_counts):
 
 class TestSizeModel:
     def test_matrix_clock_quadratic(self):
-        m = SizeModel()
-        assert (full_track_sm(40).metadata_size(m)
-                - full_track_sm(5).metadata_size(m)) == (1600 - 25) * m.matrix_entry
-        c = SizeModel.compact()
-        assert full_track_sm(5).metadata_size(c) == (
-            c.var_id + c.value + 25 * c.matrix_entry)
+        m = COSTS
+        assert (full_track_sm(40).metadata_size()
+                - full_track_sm(5).metadata_size()) == (1600 - 25) * m.matrix_entry
+        assert full_track_sm(5).metadata_size() == (
+            m.envelope_full_track + m.var_id + m.value + 25 * m.matrix_entry)
 
     def test_vector_clock_linear(self):
-        m = SizeModel.compact()
-        assert optp_sm(40).metadata_size(m) == (
-            m.var_id + m.value + 40 * m.vector_entry)
+        m = COSTS
+        assert optp_sm(40).metadata_size() == (
+            m.envelope_optp + m.var_id + m.value + 40 * m.vector_entry)
 
     def test_calibration_full_track_sm_n5(self):
         # calibrated against the paper's Table II: ~518 bytes at n=5
-        assert abs(full_track_sm(5).metadata_size(DEFAULT_SIZE_MODEL) - 518) <= 10
+        assert abs(full_track_sm(5).metadata_size() - 518) <= 10
 
     def test_calibration_optp_sm(self):
         # Table III: optP SM = 259 at n=5, 609 at n=40 (209 + 10 n)
-        m = DEFAULT_SIZE_MODEL
-        assert optp_sm(5).metadata_size(m) == 259
-        assert optp_sm(40).metadata_size(m) == 609
+        assert optp_sm(5).metadata_size() == 259
+        assert optp_sm(40).metadata_size() == 609
 
     def test_opt_track_log_cost(self):
-        m = SizeModel()
-        assert (opt_track_sm([2, 0, 1]).metadata_size(m)
-                - opt_track_sm([]).metadata_size(m)) == (
+        m = COSTS
+        assert (opt_track_sm([2, 0, 1]).metadata_size()
+                - opt_track_sm([]).metadata_size()) == (
             3 * m.log_entry_overhead + 3 * m.dest_id)
 
     def test_shape_matches_per_entry(self):
         # a delta-encoded piggyback view prices its destinations like the
         # flat records it stands for, on an SM and on an RM
-        m = SizeModel()
+        m = COSTS
         log = OptTrackLog()
         log.insert(0, 1, {0, 1, 2})
         log.insert(0, 2, {2})
@@ -87,120 +85,99 @@ class TestSizeModel:
         sm_flat = OptTrackSM(0, 1, WriteId(0, 1), flat)
         rm_flat = OptTrackRM(0, 1, None, flat, 0)
         dests = sum(len(e.dests) for e in flat)
-        assert sm_view.metadata_size(m) == sm_flat.metadata_size(m) == (
-            opt_track_sm([]).metadata_size(m)
+        assert sm_view.metadata_size() == sm_flat.metadata_size() == (
+            opt_track_sm([]).metadata_size()
             + len(flat) * m.log_entry_overhead + dests * m.dest_id)
-        assert sm_flat.metadata_size(m) - rm_flat.metadata_size(m) == m.var_id
+        assert sm_flat.metadata_size() - rm_flat.metadata_size() == m.var_id
 
     def test_tuple_log(self):
-        m = SizeModel()
         empty = CRPSM(0, 1, WriteId(0, 1), ())
         four = CRPSM(0, 1, WriteId(0, 1), tuple((j, 1) for j in range(4)))
-        assert four.metadata_size(m) - empty.metadata_size(m) == 4 * m.tuple_entry
+        assert four.metadata_size() - empty.metadata_size() == 4 * COSTS.tuple_entry
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        # the calibrated costs are the only ones: no value can be set
+        with pytest.raises(TypeError):
             SizeModel(clock=-1)
 
     @pytest.mark.parametrize("name", [f.name for f in fields(SizeModel)])
     def test_negative_override_of_each_field_rejected(self, name):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(TypeError):
             SizeModel(**{name: -1})
+        assert getattr(COSTS, name) >= 0
 
     def test_every_field_is_read_by_a_price_row(self):
-        # one byte more on any constant moves some message's price: no
-        # constant outlives its formula
-        wid = WriteId(0, 1)
-        entry = (PiggybackEntry(0, 1, frozenset({1})),)
-        messages = [
-            FetchMessage(0, 1, 0, requirements=((2, 5),)),
-            full_track_sm(3),
-            FullTrackRM(0, 1, wid, MatrixClock(3), 0),
-            OptTrackSM(0, 1, wid, entry),
-            OptTrackRM(0, 1, wid, entry, 0),
-            CRPSM(0, 1, wid, ((0, 1),)),
-            optp_sm(3),
-        ]
-        assert {type(m) for m in messages} == set(PRICE_TABLE)
-        base = SizeModel()
-        prices = [m.metadata_size(base) for m in messages]
-        for f in fields(SizeModel):
-            bumped = SizeModel(**{f.name: getattr(base, f.name) + 1})
-            assert [m.metadata_size(bumped) for m in messages] != prices, f.name
+        # the cost names the rows read are exactly the named costs: no
+        # cost outlives its formula, no row names a missing one
+        read = set()
+        for row in PRICE_TABLE.values():
+            read.update(f for _c, f in row.fixed)
+            for term in (row.records and row.records[1],
+                         row.clock and row.clock[0],
+                         row.dests and row.dests[0]):
+                if term:
+                    read.add(term)
+        assert read == {f.name for f in fields(SizeModel)}
 
     def test_rows_resolve_once_per_model(self):
-        m = SizeModel()
+        # one model, so one sizer per row, resolved at import: a send
+        # calls it without reading a cost
+        assert set(messages._SIZE_OF) == set(PRICE_TABLE)
         sm = optp_sm(5)
-        assert sm.metadata_size(m) == sm.metadata_size(m)
-        assert list(m.resolved) == [OptPSM]
-        assert SizeModel().resolved == {}
-        # a copy prices from its own, fresh memo
-        clone = pickle.loads(pickle.dumps(m))
-        assert clone == m and clone.resolved == {}
-        assert sm.metadata_size(clone) == sm.metadata_size(m)
-
-    def test_compact_model_is_headerless(self):
-        m = SizeModel.compact()
-        assert FetchMessage(0, 1, 0).metadata_size(m) == 0
-        assert optp_sm(5).metadata_size(m) == m.var_id + m.value + 5 * m.vector_entry
+        assert sm.metadata_size() == messages._SIZE_OF[OptPSM](sm) == 259
 
     def test_fm_base_is_the_papers_constant(self):
         # "the size of FM is a constant byte count c" — the base; the
         # soundness fix adds 12 B per piggybacked requirement pair
-        m = DEFAULT_SIZE_MODEL
-        assert FetchMessage(0, 1, 0).metadata_size(m) == m.fm_size
-        assert m.fm_requirement == 12
+        assert FetchMessage(0, 1, 0).metadata_size() == COSTS.fm_size
+        assert COSTS.fm_requirement == 12
 
 
 class TestMessageSizes:
     def test_full_track_messages(self):
-        m = DEFAULT_SIZE_MODEL
+        m = COSTS
         sm = FullTrackSM(0, 1, WriteId(0, 1), MatrixClock(10))
         rm = FullTrackRM(0, 1, WriteId(0, 1), MatrixClock(10), 0)
-        assert sm.metadata_size(m) == (
+        assert sm.metadata_size() == (
             m.envelope_full_track + m.var_id + m.value + 100 * m.matrix_entry)
-        assert rm.metadata_size(m) == (
+        assert rm.metadata_size() == (
             m.envelope_full_track + m.value + 100 * m.matrix_entry)
-        assert sm.metadata_size(m) - rm.metadata_size(m) == m.var_id
+        assert sm.metadata_size() - rm.metadata_size() == m.var_id
 
     def test_opt_track_sm_grows_with_log(self):
-        m = DEFAULT_SIZE_MODEL
         small = OptTrackSM(0, 1, WriteId(0, 1), ())
         big = OptTrackSM(
             0, 1, WriteId(0, 1),
             tuple(PiggybackEntry(0, c, frozenset({1, 2})) for c in range(1, 6)),
         )
-        assert big.metadata_size(m) - small.metadata_size(m) == (
-            5 * m.log_entry_overhead + 10 * m.dest_id
+        assert big.metadata_size() - small.metadata_size() == (
+            5 * COSTS.log_entry_overhead + 10 * COSTS.dest_id
         )
 
     def test_crp_sm_grows_per_tuple(self):
-        m = DEFAULT_SIZE_MODEL
         a = CRPSM(0, 1, WriteId(0, 1), ())
         b = CRPSM(0, 1, WriteId(0, 1), ((0, 1), (1, 2)))
-        assert b.metadata_size(m) - a.metadata_size(m) == 2 * m.tuple_entry
+        assert b.metadata_size() - a.metadata_size() == 2 * COSTS.tuple_entry
 
     def test_optp_quadratic_total_linear_per_message(self):
-        m = DEFAULT_SIZE_MODEL
-        s5 = OptPSM(0, 1, WriteId(0, 1), VectorClock(5)).metadata_size(m)
-        s10 = OptPSM(0, 1, WriteId(0, 1), VectorClock(10)).metadata_size(m)
-        assert s10 - s5 == 5 * m.vector_entry
+        s5 = OptPSM(0, 1, WriteId(0, 1), VectorClock(5)).metadata_size()
+        s10 = OptPSM(0, 1, WriteId(0, 1), VectorClock(10)).metadata_size()
+        assert s10 - s5 == 5 * COSTS.vector_entry
 
     def test_fetch_size(self):
-        m = DEFAULT_SIZE_MODEL
-        assert FetchMessage(0, 1, 0).metadata_size(m) == m.fm_size
+        m = COSTS
+        assert FetchMessage(0, 1, 0).metadata_size() == m.fm_size
         with_reqs = FetchMessage(0, 1, 0, requirements=((2, 5), (3, 1)))
-        assert with_reqs.metadata_size(m) == m.fm_size + 2 * m.fm_requirement
+        assert with_reqs.metadata_size() == m.fm_size + 2 * m.fm_requirement
 
     def test_rm_log_includes_write_own_entry_cost(self):
-        m = DEFAULT_SIZE_MODEL
         bare = OptTrackRM(0, 1, None, (), 0)
         with_entry = OptTrackRM(
             0, 1, WriteId(2, 3),
             (PiggybackEntry(2, 3, frozenset({4, 5})),), 0,
         )
-        assert with_entry.metadata_size(m) - bare.metadata_size(m) == (
-            m.log_entry_overhead + 2 * m.dest_id
+        assert with_entry.metadata_size() - bare.metadata_size() == (
+            COSTS.log_entry_overhead + 2 * COSTS.dest_id
         )
 
 

@@ -39,7 +39,7 @@ from repro.core.messages import (
 )
 from repro.memory.store import WriteId
 from repro.metrics.collector import MessageKind
-from repro.metrics.sizing import SizeModel
+from repro.metrics.sizing import COSTS
 from repro.metrics.stats import (
     _RESERVOIR_SEED, RESERVOIR_CAPACITY, RunningStat, percentile,
 )
@@ -257,28 +257,25 @@ class TestDecomposeMessage:
     @pytest.mark.parametrize("message", _sample_messages(),
                              ids=lambda m: type(m).__name__)
     def test_components_sum_to_metadata_size(self, message):
-        model = SizeModel()
-        breakdown = decompose_message(message, model)
-        assert sum(b for _, b in breakdown) == message.metadata_size(model)
+        breakdown = decompose_message(message)
+        assert sum(b for _, b in breakdown) == message.metadata_size()
 
     def test_clock_growth_splits_into_epoch_padding(self):
-        model = SizeModel()
         wid = WriteId(site=0, clock=1)
         grown = FullTrackSM(var=0, value=1, write_id=wid,
                             matrix=MatrixClock(6))
-        parts = dict(decompose_message(grown, model, base_n=4))
-        assert parts["epoch_padding"] == (36 - 16) * model.matrix_entry
-        assert sum(parts.values()) == grown.metadata_size(model)
+        parts = dict(decompose_message(grown, base_n=4))
+        assert parts["epoch_padding"] == (36 - 16) * COSTS.matrix_entry
+        assert sum(parts.values()) == grown.metadata_size()
 
     def test_without_base_n_no_clock_byte_is_padding(self):
-        model = SizeModel()
         wid = WriteId(site=0, clock=1)
         for message, clock_bytes in (
                 (FullTrackSM(var=0, value=1, write_id=wid,
-                             matrix=MatrixClock(5)), 25 * model.matrix_entry),
+                             matrix=MatrixClock(5)), 25 * COSTS.matrix_entry),
                 (OptPSM(var=0, value=1, write_id=wid,
-                        vector=VectorClock(5)), 5 * model.vector_entry)):
-            parts = dict(decompose_message(message, model))
+                        vector=VectorClock(5)), 5 * COSTS.vector_entry)):
+            parts = dict(decompose_message(message))
             assert parts["clock_entries"] == clock_bytes
             assert "epoch_padding" not in parts
 
@@ -301,7 +298,7 @@ class TestDecomposeMessage:
         sm = ledger.total_count("SM", "lifetime")
         rm = ledger.total_count("RM", "lifetime")
         assert sm and rm
-        assert parts["clock_entries"] == (sm + rm) * 16 * SizeModel().matrix_entry
+        assert parts["clock_entries"] == (sm + rm) * 16 * COSTS.matrix_entry
 
 
 # ----------------------------------------------------------------------

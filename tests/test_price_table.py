@@ -3,10 +3,12 @@ and predicts it analytically, and the three agree.
 
 For every message type a random shape is drawn — an Opt-Track log of
 0-60 records naming 0-12 destinations each, a CRP log of 0-60 tuples,
-a clock 1-40 wide, 0-5 fetch requirements — and priced under both the
-calibrated and the compact size model.  ``metadata_size`` must equal
-the sum of :func:`~repro.obs.ledger.decompose_message`'s components and
-the per-message size :mod:`repro.analysis.model` predicts at that shape.
+a clock 1-40 wide, 0-5 fetch requirements — and priced.
+``metadata_size`` must equal
+the sum of :func:`~repro.obs.ledger.decompose_message`'s components —
+with no clock cell booked as padding, and with every cell beyond the
+first booked as ``epoch_padding`` — and the per-message size
+:mod:`repro.analysis.model` predicts at that shape.
 """
 
 import dataclasses
@@ -33,13 +35,16 @@ from repro.core.messages import (
     OptPSM,
     OptTrackRM,
     OptTrackSM,
+    accounting_shape,
 )
 from repro.memory.store import WriteId
-from repro.metrics.sizing import SizeModel
+from repro.metrics.sizing import COSTS
 from repro.obs.ledger import decompose_message
 
-MODELS = {"default": SizeModel(), "compact": SizeModel.compact()}
 WID = WriteId(1, 3)
+#: the ledger's ``base_n``: its default (no padding), and one site
+#: (every clock cell beyond the first is padding)
+BASE_N = {"default": None, "padded": 1}
 
 widths = st.integers(1, 40)
 records = st.lists(
@@ -72,30 +77,30 @@ def per_message(cost: CostBreakdown, kind: str) -> float:
     return getattr(cost, f"{kind}_bytes") / getattr(cost, f"{kind}_count")
 
 
-def predicted(message, model):
+def predicted(message):
     """The analytic model's per-message size at ``message``'s shape, or
     ``None`` where it predicts no message of this kind (a one-site
     system sends nothing)."""
     if isinstance(message, FetchMessage):
         # the analytic FM is the paper's constant body: no requirements
-        return per_message(full_track_total_size(2, 1, 1, 1, model), "fm")
+        return per_message(full_track_total_size(2, 1, 1, 1), "fm")
     if isinstance(message, (FullTrackSM, FullTrackRM)):
         n = message.matrix.n
         if n == 1:
             return None
         kind = "sm" if isinstance(message, FullTrackSM) else "rm"
-        return per_message(full_track_total_size(n, 1, 1, 1, model), kind)
+        return per_message(full_track_total_size(n, 1, 1, 1), kind)
     if isinstance(message, OptPSM):
         n = message.vector.n
-        return None if n == 1 else per_message(optp_total_size(n, 1, model),
+        return None if n == 1 else per_message(optp_total_size(n, 1),
                                                "sm")
     if isinstance(message, CRPSM):
         return per_message(opt_track_crp_total_size(
-            2, 1, model, mean_log_entries=len(message.log)), "sm")
+            2, 1, mean_log_entries=len(message.log)), "sm")
     log = message.log
     dests = sum(len(e.dests) for e in log)
     cost = opt_track_total_size(
-        2, 1, 1, 1, model, amortized_log_entries=len(log),
+        2, 1, 1, 1, amortized_log_entries=len(log),
         mean_dests_per_entry=dests / len(log) if log else 0.0)
     return per_message(cost, "sm" if isinstance(message, OptTrackSM) else "rm")
 
@@ -104,22 +109,24 @@ def test_every_message_type_has_a_row_and_a_strategy():
     assert set(MESSAGES) == set(PRICE_TABLE)
 
 
-@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("base_n", sorted(BASE_N))
 @pytest.mark.parametrize("message_type", list(MESSAGES),
                          ids=lambda t: t.__name__)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_price_ledger_and_analytic_model_agree(message_type, model_name,
-                                               data):
-    model = MODELS[model_name]
+def test_price_ledger_and_analytic_model_agree(message_type, base_n, data):
     message = data.draw(MESSAGES[message_type])
-    size = message.metadata_size(model)
-    assert sum(b for _name, b in decompose_message(message, model)) == size
+    size = message.metadata_size()
+    parts = dict(decompose_message(message, BASE_N[base_n]))
+    assert sum(parts.values()) == size
+    # accounting_shape's width is 0 for a message without a clock
+    assert ("epoch_padding" in parts) == (
+        base_n == "padded" and accounting_shape(message)[1] > 1)
     if isinstance(message, FetchMessage):
         base = dataclasses.replace(message, requirements=())
-        assert size - base.metadata_size(model) == (
-            model.fm_requirement * len(message.requirements))
-        size = base.metadata_size(model)
-    expected = predicted(message, model)
+        assert size - base.metadata_size() == (
+            COSTS.fm_requirement * len(message.requirements))
+        size = base.metadata_size()
+    expected = predicted(message)
     if expected is not None:
         assert size == pytest.approx(expected)

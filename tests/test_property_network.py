@@ -73,8 +73,7 @@ def _observable(sim, net):
     """Everything a caller (or the kernel) can tell two networks apart by."""
     return (
         sorted((item[0], item[1]) for item in sim._queue),
-        {key: (st_.messages, st_.last_delivery)
-         for key, st_ in net._channels.items()},
+        dict(net._fifo_floor),
         net.total_messages,
         net.app_messages_in_flight,
         net.departed_drops,

@@ -23,7 +23,6 @@ from repro.core.messages import (
 from repro.memory.replication import RoundRobinPlacement, full_replication
 from repro.memory.store import SiteStore, WriteId
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency, Network
 
@@ -36,7 +35,6 @@ def make_proto(name, site=1, n=3, placement=None):
         site=site, n_sites=n, placement=placement,
         store=SiteStore(site, placement.vars_at(site)),
         network=net, clock=sim, collector=MetricsCollector(),
-        size_model=DEFAULT_SIZE_MODEL,
     )
     proto = create_protocol(name, ctx)
     net.register(site, proto.on_message)

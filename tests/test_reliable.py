@@ -164,10 +164,6 @@ class TestRetransmitPolicyValidation:
             RetransmitPolicy(heal_burst=0)
         with pytest.raises(ValueError, match="breaker_failures"):
             RetransmitPolicy(breaker_failures=-1)
-        with pytest.raises(ValueError, match="backpressure_delay_ms"):
-            RetransmitPolicy(backpressure_delay_ms=0.0)
-        with pytest.raises(ValueError, match="backpressure_limit"):
-            RetransmitPolicy(backpressure_limit=0)
         with pytest.raises(ValueError, match="shed_backlog"):
             RetransmitPolicy(shed_backlog=-1)
 

@@ -39,6 +39,17 @@ def _free_ports(count):
     return ports
 
 
+def _child_env():
+    """Child processes must import the same `repro` this test did,
+    whether it came from an install or PYTHONPATH=src."""
+    env = os.environ.copy()
+    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 @pytest.fixture
 def live_cluster(tmp_path):
     ports = _free_ports(2 * N_SITES)
@@ -54,13 +65,7 @@ def live_cluster(tmp_path):
     )
     topo_path = tmp_path / "topology.json"
     save_topology(topology, topo_path)
-    # child processes must import the same `repro` this test did,
-    # whether it came from an install or PYTHONPATH=src
-    env = os.environ.copy()
-    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", "_node",
@@ -162,3 +167,55 @@ class TestLiveCluster:
         for site in range(N_SITES):
             path = live_cluster.history_path(site)
             assert path.exists() and path.read_text().strip()
+
+
+def _free_port_run(count):
+    """A base port with ``count`` consecutive ports free on 127.0.0.1
+    (``repro serve --base-port`` takes a run), searched from a point the
+    OS picks so back-to-back runs do not retry the same ports."""
+    for base in range(_free_ports(1)[0] % 20000 + 20000, 60000, count):
+        socks = []
+        try:
+            for port in range(base, base + count):
+                s = socket.socket()
+                socks.append(s)
+                s.bind(("127.0.0.1", port))
+            return base
+        except OSError:
+            continue
+        finally:
+            for s in socks:
+                s.close()
+    pytest.skip("no run of free ports")
+
+
+def test_sigterm_to_serve_stops_its_nodes(tmp_path):
+    # `kill <serve pid>` must end the nodes too, not only `repro serve`
+    base = _free_port_run(4)
+    run_dir = tmp_path / "cluster"
+    out = tmp_path / "serve.log"
+    with out.open("w") as log:  # the child writes through its own copy
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--nodes", "2",
+             "--duration", "60", "--dir", str(run_dir),
+             "--base-port", str(base)],
+            stdout=log, stderr=subprocess.STDOUT, env=_child_env(),
+        )
+    try:
+        deadline = time.monotonic() + 20.0
+        while "cluster up" not in out.read_text():
+            assert serve.poll() is None, out.read_text()
+            assert time.monotonic() < deadline, "cluster not up in 20s"
+            time.sleep(0.1)
+        serve.terminate()
+        assert serve.wait(timeout=10) == 143
+        for http_port in (base + 2, base + 3):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", http_port),
+                                         timeout=1.0).close()
+    finally:
+        serve.kill()
+        serve.wait()
+        # whatever is left of the nodes (named by their topology path)
+        subprocess.run(["pkill", "-f", str(run_dir / "topology.json")],
+                       check=False)

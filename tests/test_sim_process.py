@@ -7,7 +7,6 @@ from repro.core.base import ProtocolContext, create_protocol
 from repro.memory.replication import RoundRobinPlacement, full_replication
 from repro.memory.store import SiteStore
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.sizing import DEFAULT_SIZE_MODEL
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Site
@@ -24,7 +23,6 @@ def build_site(schedule_items, n=2, protocol="optp", on_operation=None):
             site=i, n_sites=n, placement=placement,
             store=SiteStore(i, placement.vars_at(i)),
             network=net, clock=sim, collector=MetricsCollector(),
-            size_model=DEFAULT_SIZE_MODEL,
         )
         proto = create_protocol(protocol, ctx)
         net.register(i, proto.on_message)
@@ -103,7 +101,6 @@ class TestBlockingRemoteReads:
                 site=i, n_sites=2, placement=placement,
                 store=SiteStore(i, placement.vars_at(i)),
                 network=net, clock=sim, collector=MC(),
-                size_model=DEFAULT_SIZE_MODEL,
             )
             proto = create_protocol("opt-track", ctx)
             net.register(i, proto.on_message)
