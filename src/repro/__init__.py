@@ -51,11 +51,8 @@ from .core.recovery import (
 )
 from .experiments.runner import RunResult, SimulationConfig, run_simulation
 from .memory.replication import (
-    HashPlacement,
     Placement,
-    RandomPlacement,
     RoundRobinPlacement,
-    full_replication,
     paper_replication_factor,
 )
 from .memory.store import BOTTOM, SiteStore, WriteId
@@ -129,9 +126,6 @@ __all__ = [
     # memory
     "Placement",
     "RoundRobinPlacement",
-    "RandomPlacement",
-    "HashPlacement",
-    "full_replication",
     "paper_replication_factor",
     "SiteStore",
     "WriteId",

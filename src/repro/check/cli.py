@@ -23,7 +23,7 @@ without a reason a SIM000 finding, whichever passes run.  Sub-behaviours
   recovery) and fail on the first
   diverging trace event, printing its causal chain.
 
-``--format json|sarif`` switches stdout to the machine-readable report
+``--format json`` switches stdout to the machine-readable report
 (findings from every pass that ran, plus the effect table when
 ``--effects`` ran); ``--report PATH`` writes that document to a file
 while keeping human output on stdout.
@@ -34,7 +34,7 @@ Examples::
     python -m repro.check --explain EFF001
     python -m repro.check --effects --layers
     python -m repro.check --effects --write-baseline
-    python -m repro.check --effects --layers --format sarif --no-lint
+    python -m repro.check --effects --layers --format json --no-lint
     python -m repro.check --double-run --chaos --protocols full-track,optp
 
 Exit codes: 0 clean, 1 findings/divergence, 2 usage or contract error.
@@ -88,12 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--src-root", type=Path, default=None, metavar="DIR",
                     help="source root holding the contract's package "
                          "(default: src/)")
-    ap.add_argument("--format", choices=("human", "json", "sarif"),
+    ap.add_argument("--format", choices=("human", "json"),
                     default="human",
                     help="stdout format for findings (default: human)")
     ap.add_argument("--report", type=Path, default=None, metavar="PATH",
-                    help="also write the JSON (or SARIF, with "
-                         "--format sarif) report to this file")
+                    help="also write the JSON report to this file")
     ap.add_argument("--mypy", dest="mypy", action="store_true", default=None,
                     help="force the mypy gate (fail if mypy is missing)")
     ap.add_argument("--no-mypy", dest="mypy", action="store_false",
@@ -306,20 +305,14 @@ def _emit_structured(
     effect_table: Optional[dict[str, list[str]]],
     certificate: dict[str, object],
 ) -> None:
-    from .reportfmt import findings_to_json, findings_to_sarif
+    from .reportfmt import findings_to_json
 
-    findings = sorted(findings, key=Finding.sort_key)
-    if args.format == "sarif" or (
-        args.report is not None and args.report.suffix == ".sarif"
-    ):
-        doc = findings_to_sarif(findings)
-    else:
-        doc = findings_to_json(
-            findings,
-            effects=effect_table,
-            certificate=certificate or None,
-        )
-    if args.format in ("json", "sarif"):
+    doc = findings_to_json(
+        sorted(findings, key=Finding.sort_key),
+        effects=effect_table,
+        certificate=certificate or None,
+    )
+    if args.format == "json":
         sys.stdout.write(doc)
     if args.report is not None:
         args.report.write_text(doc, encoding="utf-8")

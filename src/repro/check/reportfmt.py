@@ -1,15 +1,14 @@
-"""Machine-readable report formats for ``repro check``: JSON and SARIF.
+"""The machine-readable JSON report of ``repro check``.
 
 One exporter consumes the findings of every pass — the front end's
 SIM000/SIM999, the AST lints (SIM003..SIM007), the whole-program effect
 analysis (EFF...), and the layer-contract check (LAY...) — so CI
 uploads a single artifact and diff tools see one stable schema.
 
-The SARIF output targets version 2.1.0 and round-trips through GitHub
-code scanning; the JSON report is the project's own schema (versioned,
-see :data:`JSON_SCHEMA_VERSION`) and additionally carries the full
-effect table — the machine-checked certificate that the protocol cores
-are substrate-independent.
+The report is the project's own schema (versioned, see
+:data:`JSON_SCHEMA_VERSION`) and carries the full effect table — the
+machine-checked certificate that the protocol cores are
+substrate-independent.
 """
 
 from __future__ import annotations
@@ -23,22 +22,15 @@ from .rules import ALL_RULES
 __all__ = [
     "ANALYZER_RULES",
     "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
     "findings_to_json",
-    "findings_to_sarif",
     "rule_metadata",
 ]
 
 JSON_SCHEMA_VERSION = 1
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 #: rules reported by the whole-program analyzers (code -> name,
 #: rationale, fix-it hint); :func:`rule_metadata` adds them to one
-#: catalog for ``--explain``, SARIF and the suppression-code validator
+#: catalog for ``--explain`` and the suppression-code validator
 ANALYZER_RULES: dict[str, tuple[str, str, str]] = {
     "EFF001": (
         "forbidden-effect",
@@ -135,65 +127,6 @@ def findings_to_json(
     if meta is not None:
         doc["meta"] = dict(meta)
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-def findings_to_sarif(findings: Sequence[Finding]) -> str:
-    """A SARIF 2.1.0 log with one run and the full rule catalog."""
-    meta = rule_metadata()
-    used_codes = sorted({f.code for f in findings} | set(meta))
-    rules = []
-    rule_index: dict[str, int] = {}
-    for i, code in enumerate(used_codes):
-        name, rationale, hint = meta.get(code, (code, "", ""))
-        rule_index[code] = i
-        rules.append({
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": name},
-            "fullDescription": {"text": rationale},
-            "help": {"text": hint},
-            "defaultConfiguration": {"level": "error"},
-        })
-    results = []
-    for f in findings:
-        result: dict[str, object] = {
-            "ruleId": f.code,
-            "ruleIndex": rule_index.get(f.code, -1),
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": f.path.replace("\\", "/"),
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": max(f.line, 1),
-                        "startColumn": max(f.col + 1, 1),
-                    },
-                },
-            }],
-        }
-        if f.hint:
-            result["message"] = {"text": f"{f.message} (hint: {f.hint})"}
-        results.append(result)
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro.check",
-                    "informationUri":
-                        "https://example.invalid/repro/docs/static_analysis",
-                    "rules": rules,
-                },
-            },
-            "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            "results": results,
-        }],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _count_by_code(findings: Sequence[Finding]) -> dict[str, int]:

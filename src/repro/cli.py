@@ -47,7 +47,6 @@ from .core.base import protocol_names, replication_factor_for
 from .experiments.exhibits import EXHIBITS, reproduce_all
 from .experiments.report import format_kv, format_table, write_csv
 from .experiments.runner import SimulationConfig, run_simulation
-from .memory.replication import PLACEMENT_NAMES
 from .sim.faults import (
     ChannelFaults,
     CrashEvent,
@@ -208,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--replication-factor", type=int, default=None,
                          help="replicas per variable (default: paper's "
                               "30%% rule)")
-    serve_p.add_argument("--placement", default="round-robin",
-                         choices=PLACEMENT_NAMES)
-    serve_p.add_argument("--seed", type=int, default=0)
     serve_p.add_argument("--base-port", type=int, default=7400)
     serve_p.add_argument("--dir", default="live-cluster", metavar="DIR",
                          help="run directory: topology.json + per-node "
@@ -675,7 +671,6 @@ def _write_trace_outputs(result, tracer, outdir: str) -> None:
         # the configured factor: a run's placement may end resized by churn
         "replication_factor": replication_factor_for(
             cfg.protocol, cfg.n_sites, cfg.replication_factor),
-        "placement": cfg.placement,
         "write_rate": cfg.write_rate,
         "ops_per_process": cfg.ops_per_process,
         "seed": cfg.seed,
@@ -830,18 +825,18 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
 
 def _cmd_verify_trace(args: argparse.Namespace) -> int:
     from .experiments.runner import build_placement
+    from .memory.replication import require_round_robin
     from .workload.traces import load_history
 
     out = Path(args.outdir)
     try:
         config = json.loads((out / "config.json").read_text())
+        require_round_robin(config)
         history = load_history(out / "history.jsonl")
         placement = build_placement(SimulationConfig(
             protocol=config["protocol"], n_sites=config["n_sites"],
             n_vars=config["n_vars"],
             replication_factor=config["replication_factor"],
-            placement=config.get("placement", "round-robin"),
-            seed=config.get("seed", 0),
         ))
     except _BAD_FILE as exc:
         raise SystemExit(f"cannot load saved run {args.outdir!r}: "
@@ -975,8 +970,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             protocol=args.protocol,
             n_vars=args.variables,
             replication_factor=args.replication_factor,
-            placement=args.placement,
-            seed=args.seed,
             base_port=args.base_port,
             history_dir=str(run_dir),
         )

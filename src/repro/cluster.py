@@ -146,7 +146,6 @@ class CausalCluster(Cluster):
         replication_factor: Optional[int] = None,
         latency: Optional[LatencyModel] = None,
         bandwidth_bytes_per_ms: Optional[float] = None,
-        placement: str = "round-robin",
         seed: int = 0,
         record_history: bool = True,
         fault_plan: Optional[FaultPlan] = None,
@@ -172,7 +171,6 @@ class CausalCluster(Cluster):
             n_sites=n_sites,
             n_vars=n_vars,
             replication_factor=replication_factor,
-            placement=placement,
             seed=seed,
             latency=latency if latency is not None else UniformLatency(),
             bandwidth_bytes_per_ms=bandwidth_bytes_per_ms,

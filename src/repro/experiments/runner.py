@@ -27,11 +27,7 @@ from ..core.base import (
     replication_factor_for,
 )
 from ..core.recovery import DetectorPolicy
-from ..memory.replication import (
-    PLACEMENT_NAMES,
-    Placement,
-    make_placement,
-)
+from ..memory.replication import Placement, RoundRobinPlacement
 from ..memory.store import SiteStore
 from ..metrics.collector import MetricsCollector
 from ..obs.export import HeartbeatReporter
@@ -84,7 +80,6 @@ class SimulationConfig:
     #: bytes/ms each sender's uplink can push (None = infinite, the
     #: paper's model where metadata size never affects timing)
     bandwidth_bytes_per_ms: Optional[float] = None
-    placement: str = "round-robin"
     record_history: bool = False
     max_events: Optional[int] = None
     #: chaos layer: ``None`` keeps the seed's reliable FIFO path exactly
@@ -118,11 +113,6 @@ class SimulationConfig:
             raise ValueError("n_sites must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must be in [0, 1)")
-        if self.placement not in PLACEMENT_NAMES:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; "
-                f"known: {list(PLACEMENT_NAMES)}"
-            )
         # fail fast on typos and on a partial p under full replication
         replication_factor_for(self.protocol, self.n_sites,
                                self.replication_factor)
@@ -176,11 +166,11 @@ class RunResult:
 
 
 def build_placement(config: SimulationConfig) -> Placement:
-    """Construct the replica placement a config describes."""
-    p = replication_factor_for(config.protocol, config.n_sites,
-                               config.replication_factor)
-    return make_placement(config.placement, config.n_sites, config.n_vars, p,
-                          seed=config.seed)
+    """The round-robin replica placement a config describes."""
+    return RoundRobinPlacement(
+        config.n_sites, config.n_vars,
+        replication_factor_for(config.protocol, config.n_sites,
+                               config.replication_factor))
 
 
 @dataclass

@@ -1,11 +1,8 @@
 """Distributed shared memory: variables, replica placement, site stores."""
 
 from .replication import (
-    HashPlacement,
     Placement,
-    RandomPlacement,
     RoundRobinPlacement,
-    full_replication,
     paper_replication_factor,
 )
 from .store import BOTTOM, SiteStore, StoredValue, WriteId
@@ -13,9 +10,6 @@ from .store import BOTTOM, SiteStore, StoredValue, WriteId
 __all__ = [
     "Placement",
     "RoundRobinPlacement",
-    "RandomPlacement",
-    "HashPlacement",
-    "full_replication",
     "paper_replication_factor",
     "SiteStore",
     "StoredValue",

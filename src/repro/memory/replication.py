@@ -5,7 +5,7 @@ sites (the *replication factor*).  The paper assumes variables are
 "evenly replicated on all the sites" so that each site stores pq/n
 variables on average and a read misses its local replica set with
 probability (n-p)/n.  ``RoundRobinPlacement`` realizes that assumption
-exactly; random and hash placements are provided for sensitivity studies.
+exactly, and it is the one placement both substrates build.
 
 A placement also fixes, per (variable, reader) pair, the *predesignated*
 replica contacted by ``RemoteFetch`` (Section II-B): we pick the replica
@@ -18,21 +18,18 @@ from __future__ import annotations
 import abc
 from typing import Iterable
 
-import numpy as np
-
 __all__ = [
     "Placement",
     "RoundRobinPlacement",
-    "RandomPlacement",
-    "HashPlacement",
-    "full_replication",
     "paper_replication_factor",
-    "PLACEMENT_NAMES",
-    "make_placement",
+    "require_round_robin",
 ]
 
+#: the paper's partial-replication fraction: p = 0.3 n (Section V)
+PAPER_REPLICATION_FRACTION = 0.3
 
-def paper_replication_factor(n: int, fraction: float = 0.3) -> int:
+
+def paper_replication_factor(n: int) -> int:
     """The paper's partial-replication factor p = 0.3 * n, rounded, >= 1.
 
     Rounding matches the paper's own data: e.g. at n=5 the reported
@@ -40,9 +37,20 @@ def paper_replication_factor(n: int, fraction: float = 0.3) -> int:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    return max(1, min(n, round(fraction * n)))
+    return max(1, round(PAPER_REPLICATION_FRACTION * n))
+
+
+def require_round_robin(saved: dict) -> None:
+    """Refuse a saved config or topology written with a retired placement.
+
+    Older files carry a ``"placement"`` key; only ``"round-robin"`` (or
+    no key) describes the replica sets this package builds, so checking
+    a run made under another layout against them would judge it wrongly.
+    """
+    name = saved.get("placement", "round-robin")
+    if name != "round-robin":
+        raise ValueError(f"placement {name!r} is not supported; "
+                         "every run is placed round-robin")
 
 
 class Placement(abc.ABC):
@@ -172,87 +180,14 @@ class Placement(abc.ABC):
         ]
         self.replication_factor = min(len(reps) for reps in new_replicas)
 
-    def load_balance(self) -> np.ndarray:
-        """Replica count hosted per site, for balance assertions in tests."""
-        counts = np.zeros(self.n_sites, dtype=np.int64)
-        for reps in self._replicas:
-            for s in reps:
-                counts[s] += 1
-        return counts
-
 
 class RoundRobinPlacement(Placement):
     """Variable v lives at sites {v, v+1, ..., v+p-1} (mod n).
 
     This is the canonical "evenly replicated" layout: every site hosts
-    either floor(pq/n) or ceil(pq/n) variables.
+    pq/n variables when n divides q, and the counts differ by at most p
+    otherwise.
     """
 
     def _compute_replicas(self, var: int) -> Iterable[int]:
         return [(var + t) % self.n_sites for t in range(self.replication_factor)]
-
-
-class RandomPlacement(Placement):
-    """Each variable's replica set is a uniform random p-subset of sites."""
-
-    def __init__(
-        self,
-        n_sites: int,
-        n_vars: int,
-        replication_factor: int,
-        *,
-        seed: int = 0,
-    ) -> None:
-        self._rng = np.random.default_rng(seed)
-        super().__init__(n_sites, n_vars, replication_factor)
-
-    def _compute_replicas(self, var: int) -> Iterable[int]:
-        # plain ints: a numpy integer site id fails wherever a site id
-        # seeds a stdlib RNG or is encoded (the live channel does both)
-        chosen = self._rng.choice(self.n_sites, size=self.replication_factor,
-                                  replace=False)
-        return [int(s) for s in chosen]
-
-
-class HashPlacement(Placement):
-    """Deterministic pseudo-random placement from a hash of the var id.
-
-    Unlike :class:`RandomPlacement` this needs no RNG state, so two
-    independently constructed placements with the same parameters agree —
-    handy when sites are built in separate components.
-    """
-
-    def _compute_replicas(self, var: int) -> Iterable[int]:
-        # Simple multiplicative hash walk over the ring; collisions skipped.
-        chosen: list[int] = []
-        x = (var * 2654435761 + 0x9E3779B9) % (2**32)
-        while len(chosen) < self.replication_factor:
-            x = (x * 6364136223846793005 + 1442695040888963407) % (2**64)
-            s = x % self.n_sites
-            if s not in chosen:
-                chosen.append(int(s))
-        return chosen
-
-
-def full_replication(n_sites: int, n_vars: int) -> RoundRobinPlacement:
-    """Placement with p = n: every site replicates every variable."""
-    return RoundRobinPlacement(n_sites, n_vars, n_sites)
-
-
-_PLACEMENTS: dict[str, type[Placement]] = {
-    "round-robin": RoundRobinPlacement,
-    "hash": HashPlacement,
-}
-
-#: every placement name a simulation config or topology file may give
-PLACEMENT_NAMES = (*_PLACEMENTS, "random")
-
-
-def make_placement(
-    name: str, n_sites: int, n_vars: int, replication_factor: int, *,
-    seed: int = 0,
-) -> Placement:
-    """The placement called ``name``; only ``"random"`` reads ``seed``."""
-    if name == "random":
-        return RandomPlacement(n_sites, n_vars, replication_factor, seed=seed)
-    return _PLACEMENTS[name](n_sites, n_vars, replication_factor)

@@ -1,15 +1,13 @@
 """Static cluster bootstrap: topology files for the live substrate.
 
 A topology file is a small JSON document describing one static cluster —
-who the sites are, where they listen, and the placement/protocol
+who the sites are, where they listen, and the protocol and replication
 parameters every node must agree on::
 
     {
       "protocol": "opt-track",
       "n_vars": 16,
       "replication_factor": 2,
-      "placement": "round-robin",
-      "seed": 0,
       "history_dir": "/tmp/live-history",
       "nodes": [
         {"site": 0, "host": "127.0.0.1", "peer_port": 7400, "http_port": 7500},
@@ -18,9 +16,8 @@ parameters every node must agree on::
       ]
     }
 
-Every node process loads the same file and derives identical placement
-(the deterministic placement classes in :mod:`repro.memory.replication`
-guarantee agreement), so bootstrap needs no coordination protocol —
+Every node process loads the same file and derives the identical
+round-robin placement, so bootstrap needs no coordination protocol —
 matching the paper's static-membership system model (Section IV).
 ``repro serve`` generates a topology (picking free ports when asked) and
 ``repro loadgen`` reads it back to find the cluster.
@@ -34,7 +31,11 @@ from pathlib import Path
 from typing import Optional
 
 from ..core.base import replication_factor_for
-from ..memory.replication import PLACEMENT_NAMES, Placement, make_placement
+from ..memory.replication import (
+    Placement,
+    RoundRobinPlacement,
+    require_round_robin,
+)
 
 __all__ = [
     "NodeSpec",
@@ -72,8 +73,6 @@ class ClusterTopology:
     n_vars: int
     nodes: tuple[NodeSpec, ...]
     replication_factor: Optional[int] = None
-    placement: str = "round-robin"
-    seed: int = 0
     history_dir: Optional[str] = None
     retransmit: dict = field(default_factory=dict)
 
@@ -88,8 +87,6 @@ class ClusterTopology:
                 f"node sites must be exactly 0..{len(self.nodes) - 1} "
                 f"in order, got {sites}"
             )
-        if self.placement not in PLACEMENT_NAMES:
-            raise ValueError(f"unknown placement {self.placement!r}")
         # KeyError on an unknown protocol, ValueError on a partial p
         # under full replication
         replication_factor_for(self.protocol, len(self.nodes),
@@ -112,8 +109,6 @@ class ClusterTopology:
             "protocol": self.protocol,
             "n_vars": self.n_vars,
             "replication_factor": self.replication_factor,
-            "placement": self.placement,
-            "seed": self.seed,
             "history_dir": self.history_dir,
             "nodes": [n.as_dict() for n in self.nodes],
         }
@@ -125,16 +120,17 @@ class ClusterTopology:
 def build_placement(topology: ClusterTopology) -> Placement:
     """The placement every node derives identically from the topology,
     by the simulator's rule (:func:`~repro.core.base.replication_factor_for`)."""
-    n = topology.n_sites
-    p = replication_factor_for(topology.protocol, n,
-                               topology.replication_factor)
-    return make_placement(topology.placement, n, topology.n_vars, p,
-                          seed=topology.seed)
+    return RoundRobinPlacement(
+        topology.n_sites, topology.n_vars,
+        replication_factor_for(topology.protocol, topology.n_sites,
+                               topology.replication_factor))
 
 
 # ----------------------------------------------------------------------
 def load_topology(path: "str | Path") -> ClusterTopology:
+    """Read a topology file; an older file's ``"seed"`` is ignored."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    require_round_robin(data)
     nodes = tuple(
         NodeSpec(
             site=int(n["site"]),
@@ -153,8 +149,6 @@ def load_topology(path: "str | Path") -> ClusterTopology:
             if data.get("replication_factor") is not None
             else None
         ),
-        placement=str(data.get("placement", "round-robin")),
-        seed=int(data.get("seed", 0)),
         history_dir=data.get("history_dir"),
         retransmit=dict(data.get("retransmit", {})),
     )
@@ -172,8 +166,6 @@ def default_topology(
     protocol: str = "opt-track",
     n_vars: int = 16,
     replication_factor: Optional[int] = None,
-    placement: str = "round-robin",
-    seed: int = 0,
     host: str = "127.0.0.1",
     base_port: int = 7400,
     history_dir: Optional[str] = None,
@@ -193,7 +185,5 @@ def default_topology(
         n_vars=n_vars,
         nodes=nodes,
         replication_factor=replication_factor,
-        placement=placement,
-        seed=seed,
         history_dir=history_dir,
     )

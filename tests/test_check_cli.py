@@ -1,5 +1,5 @@
 """CLI-level tests for ``python -m repro.check``: exit codes, --explain,
-and the JSON/SARIF report schemas (golden files under tests/golden/).
+and the JSON report schema (golden file under tests/golden/).
 
 The golden fixture is a fixed synthetic project with exactly one layer
 violation and one forbidden effect, so the reports exercise findings,
@@ -213,26 +213,6 @@ class TestJsonReport:
 
 
 # ----------------------------------------------------------------------
-# SARIF report schema
-# ----------------------------------------------------------------------
-class TestSarifReport:
-    def test_sarif_document(self, dirty_project, capsys):
-        code = main(ARGS + ["--format", "sarif"])
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"EFF001", "LAY001", "SIM003"} <= rule_ids
-        assert run["results"], "findings must surface as results"
-        for res in run["results"]:
-            assert res["ruleId"] in rule_ids
-            loc = res["locations"][0]["physicalLocation"]
-            assert loc["region"]["startLine"] >= 1
-            assert loc["artifactLocation"]["uriBaseId"] == "SRCROOT"
-
-
-# ----------------------------------------------------------------------
 # baseline workflow through the CLI
 # ----------------------------------------------------------------------
 class TestBaselineCli:
@@ -261,7 +241,7 @@ class TestBaselineCli:
 
 
 # ----------------------------------------------------------------------
-# golden files: the full report documents, byte-exact
+# golden file: the full report document, byte-exact
 # ----------------------------------------------------------------------
 class TestGolden:
     def normalize(self, text: str) -> str:
@@ -271,12 +251,6 @@ class TestGolden:
         main(ARGS + ["--format", "json"])
         got = self.normalize(capsys.readouterr().out)
         want = (GOLDEN / "check_report.json").read_text()
-        assert got == want
-
-    def test_sarif_golden(self, dirty_project, capsys):
-        main(ARGS + ["--format", "sarif"])
-        got = self.normalize(capsys.readouterr().out)
-        want = (GOLDEN / "check_report.sarif").read_text()
         assert got == want
 
 

@@ -92,7 +92,8 @@ def test_tier_1_job_runs_the_live_suites_in_asyncio_debug_mode():
     assert suites == ["tests/test_service_api.py",
                       "tests/test_service_link.py",
                       "tests/test_service_fuzz.py",
-                      "tests/test_service_channel.py"]
+                      "tests/test_service_channel.py",
+                      "tests/test_service_live.py"]
     assert all((Path(__file__).parent.parent / s).exists() for s in suites)
     # no pipe, and bash -eo pipefail by the workflow's default anyway
     assert "|" not in step["run"] and "shell" not in step

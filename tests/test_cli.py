@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import shlex
 from pathlib import Path
 
@@ -7,6 +8,11 @@ import pytest
 
 from repro.check.cli import build_parser as build_check_parser
 from repro.cli import build_parser, main
+from repro.service.bootstrap import (
+    build_placement,
+    default_topology,
+    load_topology,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -284,6 +290,78 @@ class TestBadArguments:
         message = self.exit_message(argv)
         assert "--topology" in message and str(path) in message
         assert not (tmp_path / "run").exists()  # nothing started
+
+
+#: a topology file as versions that let a topology choose its placement
+#: wrote it: a ``"placement"`` key and a placement ``"seed"``
+OLD_TOPOLOGY = {
+    "protocol": "opt-track", "n_vars": 6, "replication_factor": 2,
+    "placement": "round-robin", "seed": 3, "history_dir": None,
+    "nodes": [{"site": i, "host": "127.0.0.1", "peer_port": 7400 + i,
+               "http_port": 7403 + i} for i in range(3)],
+}
+
+
+class TestRetiredPlacements:
+    """Round-robin is the one placement.  A saved topology or run that
+    names another is refused with one line naming it, since checking it
+    against round-robin replica sets would judge the wrong run; one that
+    names round-robin, or no placement, still loads and ignores its
+    ``"seed"``."""
+
+    exit_message = staticmethod(TestSavedFileErrors.exit_message)
+
+    @staticmethod
+    def write_topology(tmp_path, **changes):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps({**OLD_TOPOLOGY, **changes}))
+        return path
+
+    @staticmethod
+    def run_trace(tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["run", "--trace", str(out), "-n", "4", "-q", "20",
+                     "--ops", "25"]) == 0
+        capsys.readouterr()
+        config = json.loads((out / "config.json").read_text())
+        assert "placement" not in config
+        return out, config
+
+    @pytest.mark.parametrize("placement", ["random", "hash"])
+    def test_load_topology_refuses_a_retired_placement(self, tmp_path,
+                                                       placement):
+        path = self.write_topology(tmp_path, placement=placement)
+        with pytest.raises(ValueError, match=repr(placement)):
+            load_topology(path)
+
+    def test_loadgen_exits_on_a_retired_placement(self, tmp_path):
+        path = self.write_topology(tmp_path, placement="random")
+        message = self.exit_message(["loadgen", "--topology", str(path)])
+        assert "--topology" in message and "'random'" in message
+
+    def test_an_older_round_robin_topology_still_loads(self, tmp_path):
+        topology = load_topology(self.write_topology(tmp_path))
+        assert "placement" not in topology.as_dict()
+        assert "seed" not in topology.as_dict()
+        want = build_placement(default_topology(3, n_vars=6,
+                                                replication_factor=2))
+        got = build_placement(topology)
+        assert ([got.replicas(v) for v in range(6)]
+                == [want.replicas(v) for v in range(6)])
+
+    def test_verify_trace_refuses_a_retired_placement(self, tmp_path, capsys):
+        out, config = self.run_trace(tmp_path, capsys)
+        config["placement"] = "hash"
+        (out / "config.json").write_text(json.dumps(config))
+        assert "'hash'" in self.exit_message(["verify-trace", str(out)])
+
+    def test_verify_trace_reads_an_older_round_robin_config(self, tmp_path,
+                                                            capsys):
+        out, config = self.run_trace(tmp_path, capsys)
+        config["placement"] = "round-robin"  # beside the run's "seed"
+        (out / "config.json").write_text(json.dumps(config))
+        assert main(["verify-trace", str(out)]) == 0
+        assert "causal consistency OK" in capsys.readouterr().out
 
 
 class TestSoakCommand:

@@ -18,7 +18,7 @@ from repro.core.base import (
 from repro.core.clocks import VectorClock
 from repro.core.messages import OptPSM
 from repro.core.opt_track import OptTrackNoPruneProtocol, OptTrackProtocol
-from repro.memory.replication import RoundRobinPlacement, full_replication
+from repro.memory.replication import RoundRobinPlacement
 from repro.memory.store import SiteStore, WriteId
 from repro.metrics.collector import MessageKind, MetricsCollector
 from repro.sim.engine import Simulator
@@ -26,7 +26,7 @@ from repro.sim.network import Network
 
 
 def make_ctx(site=0, n=3, placement=None):
-    placement = placement or full_replication(n, 4)
+    placement = placement or RoundRobinPlacement(n, 4, n)
     sim = Simulator()
     net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector())
     return ProtocolContext(
@@ -407,7 +407,7 @@ class TestSharedMulticast:
     @pytest.mark.parametrize("name", ["full-track", "opt-track-crp", "optp",
                                       "hb-track"])
     def test_one_message_priced_once_for_every_destination(self, name):
-        placement = full_replication(4, 4)
+        placement = RoundRobinPlacement(4, 4, 4)
         proto = make_site(name, 1, placement, n=4)
         proto.write(0, "v")
         net = proto.ctx.network
@@ -441,7 +441,7 @@ class TestSharedMulticast:
     def test_replay_books_and_sends_nothing(self):
         from repro.core.recovery import WalRecord
 
-        proto = make_site("optp", 1, full_replication(3, 4))
+        proto = make_site("optp", 1, RoundRobinPlacement(3, 4, 3))
         real = proto.ctx
         assert proto.replay([WalRecord("write", var=0, value="v"),
                              WalRecord("write", var=1, value="w")]) == 2

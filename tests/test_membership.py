@@ -70,7 +70,7 @@ def test_churn_run_is_causal_and_multi_epoch(protocol):
     assert vm.view.members == (0, 1, 3, 4)
     assert vm.membership_status(2) == "left"
     assert vm.membership_status(4) == "member"
-    report = check_causal_consistency(result.history, result.config)
+    report = check_causal_consistency(result.history, result.placement)
     assert report.ok, report.violations[:5]
 
 
@@ -90,7 +90,7 @@ def test_crash_stop_site_is_auto_evicted(protocol):
     assert vm.membership_status(2) == "evicted"
     assert vm.stats.evictions == 1
     assert 2 not in vm.view.members
-    report = check_causal_consistency(result.history, result.config)
+    report = check_causal_consistency(result.history, result.placement)
     assert report.ok, report.violations[:5]
 
 

@@ -20,7 +20,7 @@ from repro.core.messages import (
     OptTrackRM,
     OptTrackSM,
 )
-from repro.memory.replication import RoundRobinPlacement, full_replication
+from repro.memory.replication import RoundRobinPlacement
 from repro.memory.store import SiteStore, WriteId
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
@@ -28,7 +28,7 @@ from repro.sim.network import ConstantLatency, Network
 
 
 def make_proto(name, site=1, n=3, placement=None):
-    placement = placement or full_replication(n, 4)
+    placement = placement or RoundRobinPlacement(n, 4, n)
     sim = Simulator()
     net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector())
     ctx = ProtocolContext(

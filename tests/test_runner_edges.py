@@ -71,19 +71,6 @@ class TestPlacementBuild:
         pl = build_placement(cfg)
         assert pl.replication_factor == 3
 
-    def test_random_uses_seed(self):
-        a = build_placement(SimulationConfig(protocol="opt-track", n_sites=8,
-                                             placement="random", seed=1))
-        b = build_placement(SimulationConfig(protocol="opt-track", n_sites=8,
-                                             placement="random", seed=1))
-        for v in range(100):
-            assert a.replicas(v) == b.replicas(v)
-
-    def test_hash_placement_buildable(self):
-        cfg = SimulationConfig(protocol="opt-track", n_sites=8, placement="hash")
-        pl = build_placement(cfg)
-        assert pl.replication_factor == 2
-
 
 class TestEngineEdges:
     def test_run_not_reentrant(self):

@@ -66,11 +66,12 @@ def live_cluster(tmp_path):
     topo_path = tmp_path / "topology.json"
     save_topology(topology, topo_path)
     env = _child_env()
+    logs = [(tmp_path / f"node-{i}.log").open("w") for i in range(N_SITES)]
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", "_node",
              "--topology", str(topo_path), "--site", str(i)],
-            stdout=(tmp_path / f"node-{i}.log").open("w"),
+            stdout=logs[i],
             stderr=subprocess.STDOUT,
             env=env,
         )
@@ -107,6 +108,8 @@ def live_cluster(tmp_path):
                 p.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 p.kill()
+        for log in logs:
+            log.close()
 
 
 def _http(host, port, method, path, body=b""):

@@ -4,7 +4,7 @@ import pytest
 
 from repro import ConstantLatency, SimulationConfig, run_simulation
 from repro.core.base import ProtocolContext, create_protocol
-from repro.memory.replication import RoundRobinPlacement, full_replication
+from repro.memory.replication import RoundRobinPlacement
 from repro.memory.store import SiteStore
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
@@ -16,7 +16,7 @@ from repro.workload.schedule import Operation, OpKind, SiteSchedule
 def build_site(schedule_items, n=2, protocol="optp", on_operation=None):
     sim = Simulator()
     net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector())
-    placement = full_replication(n, 4)
+    placement = RoundRobinPlacement(n, 4, n)
     protocols = []
     for i in range(n):
         ctx = ProtocolContext(

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import SimulationConfig, run_simulation
-from repro.memory.replication import RoundRobinPlacement, full_replication
+from repro.memory.replication import RoundRobinPlacement
 from repro.memory.store import WriteId
 from repro.sim.faults import FaultPlan
 from repro.sim.network import AdversarialLatency
@@ -181,7 +181,7 @@ class TestCheckerDetectsCycles:
 
 class TestCheckerApplyOrder:
     def setup_method(self):
-        self.placement = full_replication(3, 4)
+        self.placement = RoundRobinPlacement(3, 4, 3)
 
     def test_correct_apply_order_passes(self):
         h = HistoryRecorder()
