@@ -108,10 +108,9 @@ def assert_equivalent(protocol, ops):
 
 class TestFixedWorkloads:
     def test_write_everywhere_then_read_everywhere(self):
-        # every site reads every variable: local and remote reads alike
         ops = [("w", s, s, s) for s in range(N_SITES)]
         ops += [
-            ("r", s, v, 0) for s in range(N_SITES) for v in range(N_VARS)
+            ("r", s, v, 0) for s in range(N_SITES) for v in range(N_SITES)
         ]
         for protocol in PROTOCOLS:
             assert_equivalent(protocol, ops)
@@ -127,6 +126,14 @@ class TestFixedWorkloads:
 
     def test_overwrites_by_same_writer(self):
         ops = [("w", 0, 0, k) for k in range(5)] + [("r", 2, 0, 0)]
+        for protocol in PROTOCOLS:
+            assert_equivalent(protocol, ops)
+
+    def test_every_placement_runs_alike_on_both_substrates(self):
+        # round-robin is the only placement; every site reads every
+        # variable, local and remote reads alike
+        ops = [("w", s, s, s) for s in range(N_SITES)]
+        ops += [("r", s, v, 0) for s in range(N_SITES) for v in range(N_VARS)]
         for protocol in PROTOCOLS:
             assert_equivalent(protocol, ops)
 
