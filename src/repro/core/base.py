@@ -30,7 +30,10 @@ The base class centralizes the machinery all four protocols share:
   size model (a shared multicast message once) and book it, at send
   time, in this site's slot of the metrics collector — the only
   accounting a message gets;
-* history recording hooks for the causal-consistency checker.
+* the replica seam: the ``applied`` array, LastWriteOn, and the one
+  apply and one write issue that change them and tell the collector,
+  the history and the tracer (:meth:`CausalProtocol._apply_write`,
+  :meth:`CausalProtocol._issue_write`).
 
 Concrete protocols override the small, well-named primitive methods
 (``_sm_blocker``, ``_apply_sm``, ``_rm_blocker``, ``_complete_rm`` ...)
@@ -45,7 +48,7 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generic, Iterable, Optional, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     # annotation-only crossings, declared as ports in layers.toml: the
@@ -77,6 +80,11 @@ __all__ = [
 #: Signature of the continuation a read hands to the protocol:
 #: ``on_complete(value, write_id_or_None, was_remote)``.
 ReadCallback = Callable[[object, Optional[WriteId], bool], None]
+
+#: what a core keeps in LastWriteOn per variable (the metadata of the
+#: last write applied to it)
+LastWrite = TypeVar("LastWrite")
+
 
 @dataclass
 class ProtocolContext:
@@ -172,8 +180,15 @@ class _OutstandingFetch:
     target: int = -1
 
 
-class CausalProtocol(abc.ABC):
-    """Base class for the four causal-consistency protocols."""
+class CausalProtocol(abc.ABC, Generic[LastWrite]):
+    """Base class for the four causal-consistency protocols.
+
+    It owns the replica state every core shares: ``applied`` (Apply_i,
+    per writer) and ``last_write_on`` (LastWriteOn_i, per variable).
+    Every apply goes through :meth:`_apply_write` and every write's issue
+    through :meth:`_issue_write`; a core chooses the write id, its
+    destinations, the piggyback, the gate and the per-variable metadata.
+    """
 
     #: registry key, e.g. ``"opt-track"``
     name: str = "abstract"
@@ -189,6 +204,14 @@ class CausalProtocol(abc.ABC):
         self.ctx = ctx
         self.site = ctx.site
         self.n = ctx.n_sites
+        #: Apply_i[j]: the clock of the last write of j applied here (an
+        #: apply count under Full-Track).  A plain list: the activation
+        #: hot path reads scalars, and Python ints index ~2x faster than
+        #: NumPy scalars (docs/architecture.md)
+        self.applied: list[int] = [0] * self.n
+        #: LastWriteOn_i<h>: var -> the core's metadata of the last write
+        #: applied to it; stored values are shared and never mutated
+        self.last_write_on: dict[int, LastWrite] = {}
         self._pending_sm: list[_PendingSM] = []
         self._pending_rm: list[_PendingRM] = []
         self._pending_fm: list[_PendingFM] = []
@@ -297,12 +320,8 @@ class CausalProtocol(abc.ABC):
         if ctx.placement.is_replicated_at(var, self.site):
             value, write_id = self._local_read(var)
             ctx.collector.record_operation(False, remote=False)
-            if ctx.history is not None:
-                ctx.history.record_read_op(
-                    time=ctx.clock.now, site=self.site, var=var, value=value,
-                    write_id=write_id, op_index=op_index, remote=False,
-                )
-            on_complete(value, write_id, False)
+            self._return_read(var, value, write_id, op_index, False,
+                              on_complete)
             return
         ctx.collector.record_operation(False, remote=True)
         target = ctx.placement.fetch_site(var, self.site)
@@ -413,15 +432,15 @@ class CausalProtocol(abc.ABC):
         """``applied[j]`` advanced: wake every entry whose registered
         threshold is now crossed.
 
-        Concrete protocols call this after *every* mutation of their
-        ``applied`` array — that call is what maintains the core
-        invariant (a non-dirty entry's gate is blocked), so the
-        indexed drain never needs a full re-scan.
+        :meth:`_apply_write`, the one mutation of ``applied``, calls this
+        every time — that call is what maintains the core invariant (a
+        non-dirty entry's gate is blocked), so the indexed drain never
+        needs a full re-scan.
         """
         heap = self._waiters[j]
         if not heap:
             return
-        a = self.applied[j]  # type: ignore[attr-defined]
+        a = self.applied[j]
         while heap and heap[0][0] <= a:
             threshold, _seq, entry = heappop(  # simcheck: ignore[SIM007] -- (threshold, seq) keys are unique, so pops are deterministic
                 heap
@@ -650,12 +669,11 @@ class CausalProtocol(abc.ABC):
         own knowledge (DESIGN.md, "gating fetch service").  The first
         unsatisfied requirement is the blocker.
 
-        Compares against ``self.applied`` — every concrete protocol keeps
-        that array, with requirement thresholds expressed in the same
-        unit it uses (apply counts for Full-Track, write clocks for
-        Opt-Track).
+        Compares against ``self.applied``, with requirement thresholds
+        expressed in the unit the core keeps there (apply counts for
+        Full-Track, write clocks for Opt-Track).
         """
-        applied = self.applied  # type: ignore[attr-defined]
+        applied = self.applied
         for j, c in message.requirements:
             if applied[j] < c:
                 return (j, c)
@@ -675,12 +693,73 @@ class CausalProtocol(abc.ABC):
             return
         ctx = self.ctx
         ctx.collector.record_fetch_rtt(ctx.clock.now - fetch.issued)
+        self._return_read(fetch.var, value, write_id, fetch.op_index, True,
+                          fetch.on_complete)
+
+    def _return_read(self, var: int, value: object,
+                     write_id: Optional[WriteId], op_index: Optional[int],
+                     remote: bool, on_complete: ReadCallback) -> None:
+        """A read returns ``value``: record it, then run its continuation."""
+        ctx = self.ctx
         if ctx.history is not None:
             ctx.history.record_read_op(
-                time=ctx.clock.now, site=self.site, var=fetch.var, value=value,
-                write_id=write_id, op_index=fetch.op_index, remote=True,
+                time=ctx.clock.now, site=self.site, var=var, value=value,
+                write_id=write_id, op_index=op_index, remote=remote,
             )
-        fetch.on_complete(value, write_id, True)
+        on_complete(value, write_id, remote)
+
+    # ------------------------------------------------------------------
+    # the replica seam: a write's issue and apply
+    # ------------------------------------------------------------------
+    def _issue_write(self, var: int, value: object, wid: WriteId,
+                     dests: Iterable[int], op_index: Optional[int],
+                     log_size: Optional[int] = None) -> None:
+        """``wid`` was just assigned to w(x_var)value: count the
+        operation, record it, and trace it (with the core's log size,
+        when it keeps a log)."""
+        ctx = self.ctx
+        ctx.collector.record_operation(True)
+        if ctx.history is not None:
+            ctx.history.record_write_op(
+                time=ctx.clock.now, site=self.site, var=var, value=value,
+                write_id=wid, op_index=op_index, dests=dests,
+            )
+        if ctx.tracer is not None:
+            ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
+                                    clock=wid.clock, var=var,
+                                    log_size=log_size)
+
+    def _apply_write(self, var: int, value: object, wid: WriteId,
+                     applied_to: int, last_write: LastWrite,
+                     issued_at: float) -> None:
+        """Install ``wid`` in the local replica of ``var``: the one state
+        change every core performs, local write and activated SM alike.
+
+        ``applied[wid.site]`` becomes ``applied_to`` (the write's clock,
+        or Full-Track's apply count + 1) and must grow: by exactly one
+        under full replication, where every write of a writer lands here
+        in FIFO order.  ``last_write`` becomes LastWriteOn<var>.  A
+        remote write's apply (an activated SM: a site never sends its own
+        write to itself) samples the visibility lag since ``issued_at``.
+        """
+        j = wid.site
+        applied = self.applied
+        prev = applied[j]
+        if applied_to <= prev or (self.full_replication
+                                  and applied_to != prev + 1):
+            raise AssertionError(
+                f"FIFO violation: applying {wid} as {applied_to} after {prev}")
+        ctx = self.ctx
+        now = ctx.clock.now
+        ctx.store.apply(var, value, wid, now)
+        applied[j] = applied_to
+        self._note_applied(j)
+        self.last_write_on[var] = last_write
+        if j != self.site:
+            ctx.collector.record_visibility(now - issued_at)
+        if ctx.history is not None:
+            ctx.history.record_apply(time=now, site=self.site, var=var,
+                                     write_id=wid)
 
     # ------------------------------------------------------------------
     # state protocol subclasses must provide
@@ -729,9 +808,9 @@ class CausalProtocol(abc.ABC):
 
         The blob must be sufficient for :meth:`restore` to rebuild an
         instance indistinguishable from this one to every peer: pending
-        buffers, the fetch-request counter, the local replica slots, and
-        whatever clocks/logs the concrete protocol adds via
-        :meth:`_snapshot_extra`.  Messages inside pending buffers are
+        buffers, the fetch-request counter, ``applied``, LastWriteOn, the
+        local replica slots, and whatever clocks/logs the concrete
+        protocol adds via :meth:`_snapshot_extra`.  Messages inside pending buffers are
         shared, not copied — they are immutable by protocol convention.
         """
         return {
@@ -739,6 +818,8 @@ class CausalProtocol(abc.ABC):
             "pending_rm": [(p.src, p.message, p.arrived) for p in self._pending_rm],
             "pending_fm": [(p.src, p.message, p.arrived) for p in self._pending_fm],
             "next_request_id": self._next_request_id,
+            "applied": list(self.applied),
+            "last_write_on": dict(self.last_write_on),
             "slots": {
                 var: (slot.value, slot.write_id, slot.applied_at)
                 for var, slot in self.ctx.store._slots.items()
@@ -776,6 +857,8 @@ class CausalProtocol(abc.ABC):
         self._scan_pos = -1
         self._scan_batch = []
         self._next_request_id = state["next_request_id"]
+        self.applied = list(state["applied"])
+        self.last_write_on = dict(state["last_write_on"])
         self._fetches.clear()
         self._draining = False
         slots = self.ctx.store._slots
@@ -852,15 +935,20 @@ class CausalProtocol(abc.ABC):
         if capacity > self.n:
             self.n = capacity
             self.ctx.n_sites = capacity
+        # grow from actual sizes, not self.n: a freshly restored
+        # (pre-growth) checkpoint may be smaller
         while len(self._waiters) < capacity:
             self._waiters.append([])
+        while len(self.applied) < capacity:
+            self.applied.append(0)
         self._view_grow(capacity)
 
     def _view_grow(self, capacity: int) -> None:
-        """Pad protocol metadata (clocks, ``applied``, ...) to ``capacity``.
+        """Pad the core's own clocks to ``capacity``.
 
-        Overridden by every concrete protocol; must grow from actual
-        structure sizes (not ``self.n``) so it composes with restore().
+        Overridden by the cores that keep an n-indexed clock (Full-Track,
+        optP); must grow from actual structure sizes (not ``self.n``) so
+        it composes with restore().
         """
 
     def reset_writer_identity(self, site: int) -> None:
@@ -890,11 +978,14 @@ class CausalProtocol(abc.ABC):
     def knows_write(self, wid: WriteId) -> Optional[bool]:
         """Whether this site has applied ``wid`` (anti-entropy digests).
 
-        ``None`` means the protocol's ``applied`` bookkeeping cannot
-        answer (Full-Track counts applications rather than writer
-        clocks); the catch-up loop then relies on transport drain alone.
+        ``applied[j]`` is the highest clock of j applied here, and the
+        clocks of j's writes destined here increase along FIFO channels,
+        so the comparison is sound in both directions.  ``None`` means
+        the core's ``applied`` cannot answer (Full-Track counts
+        applications rather than writer clocks); the catch-up loop then
+        relies on transport drain alone.
         """
-        return None
+        return self.applied[wid.site] >= wid.clock
 
     def _snapshot_extra(self) -> dict:
         """Protocol-specific clocks/logs for :meth:`snapshot`."""

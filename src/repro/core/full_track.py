@@ -36,7 +36,7 @@ __all__ = ["FullTrackProtocol"]
 
 
 @register_protocol
-class FullTrackProtocol(CausalProtocol):
+class FullTrackProtocol(CausalProtocol[tuple[WriteId, MatrixClock]]):
     """The Full-Track protocol of [12] for partially replicated DSM."""
 
     name = "full-track"
@@ -45,13 +45,7 @@ class FullTrackProtocol(CausalProtocol):
     def __init__(self, ctx: ProtocolContext) -> None:
         super().__init__(ctx)
         self.write_clock = MatrixClock(self.n)
-        # plain list: the activation hot path reads scalars, and Python
-        # ints index ~2x faster than NumPy scalars (docs/architecture.md)
-        self.applied: list[int] = [0] * self.n
         self._write_count = 0
-        # var -> (write id, Write matrix at write time); matrices stored
-        # here are shared snapshots and must never be mutated.
-        self.last_write_on: dict[int, tuple[WriteId, MatrixClock]] = {}
 
     # ------------------------------------------------------------------
     # application subsystem
@@ -66,21 +60,14 @@ class FullTrackProtocol(CausalProtocol):
         self.write_clock.increment(self.site, dests)
         snapshot = self.write_clock.copy()
 
-        ctx.collector.record_operation(True)
-        if ctx.history is not None:
-            ctx.history.record_write_op(
-                time=ctx.clock.now, site=self.site, var=var, value=value,
-                write_id=wid, op_index=op_index, dests=dests,
-            )
-        if ctx.tracer is not None:
-            ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
-                                    clock=wid.clock, var=var)
+        self._issue_write(var, value, wid, dests, op_index)
         sm = FullTrackSM(var=var, value=value, write_id=wid, matrix=snapshot,
                          issued_at=ctx.clock.now)
         self._multicast(dests, sm, MessageKind.SM)
 
         if self.site in dests:
-            self._apply_local(var, value, wid, snapshot)
+            self._apply_write(var, value, wid, self.applied[self.site] + 1,
+                              (wid, snapshot), ctx.clock.now)
             self._drain()  # a local apply can unblock buffered updates
         return wid
 
@@ -113,19 +100,10 @@ class FullTrackProtocol(CausalProtocol):
 
     def _apply_sm(self, src: int, message: object) -> None:
         assert isinstance(message, FullTrackSM)
-        self.ctx.collector.record_visibility(self.ctx.clock.now - message.issued_at)
-        self._apply_local(message.var, message.value, message.write_id, message.matrix)
-
-    def _apply_local(
-        self, var: int, value: object, wid: WriteId, matrix: MatrixClock
-    ) -> None:
-        ctx = self.ctx
-        ctx.store.apply(var, value, wid, ctx.clock.now)
-        self.applied[wid.site] += 1
-        self._note_applied(wid.site)
-        self.last_write_on[var] = (wid, matrix)
-        if ctx.history is not None:
-            ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
+        wid = message.write_id
+        self._apply_write(message.var, message.value, wid,
+                          self.applied[wid.site] + 1, (wid, message.matrix),
+                          message.issued_at)
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
         slot = self.ctx.store.read(message.var)
@@ -164,30 +142,23 @@ class FullTrackProtocol(CausalProtocol):
         # on both capture and restore (a checkpoint may be restored twice)
         return {
             "write_clock": self.write_clock.copy(),
-            "applied": list(self.applied),
             "write_count": self._write_count,
-            "last_write_on": dict(self.last_write_on),
         }
 
     def _restore_extra(self, extra: dict) -> None:
         self.write_clock = extra["write_clock"].copy()
-        # list(...) also normalizes NumPy arrays from pre-refactor blobs
-        self.applied = [int(c) for c in extra["applied"]]
         self._write_count = extra["write_count"]
-        self.last_write_on = dict(extra["last_write_on"])
 
-    # knows_write stays None: Apply_i counts applications destined here,
-    # not writer clocks, so it cannot be compared against a WriteId
+    def knows_write(self, wid: WriteId) -> Optional[bool]:
+        # Apply_i counts applications destined here, not writer clocks,
+        # so it cannot be compared against a WriteId
+        return None
 
     # ------------------------------------------------------------------
     # elastic membership
     # ------------------------------------------------------------------
     def _view_grow(self, capacity: int) -> None:
-        # grow from actual sizes: a freshly restored (pre-growth)
-        # checkpoint may be smaller than self.n
         self.write_clock.grow(capacity)
-        while len(self.applied) < capacity:
-            self.applied.append(0)
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

@@ -30,7 +30,7 @@ from typing import Optional
 
 from ..memory.store import WriteId
 from .base import register_protocol
-from .clocks import VectorClock
+from .messages import OptPSM
 from .optp import OptPProtocol
 
 __all__ = ["HBTrackProtocol"]
@@ -48,11 +48,10 @@ class HBTrackProtocol(OptPProtocol):
         slot = self.ctx.store.read(var)
         return slot.value, slot.write_id
 
-    def _apply_value(
-        self, var: int, value: object, wid: WriteId, vector: VectorClock
-    ) -> None:
-        super()._apply_value(var, value, wid, vector)
+    def _apply_sm(self, src: int, message: object) -> None:
+        assert isinstance(message, OptPSM)
+        super()._apply_sm(src, message)
         # merge-on-receipt: THE defining difference — every applied
         # update becomes a dependency of all future local writes,
         # whether or not its value is ever read (false causality)
-        self.write_clock.merge(vector)
+        self.write_clock.merge(message.vector)

@@ -41,8 +41,13 @@ from .messages import FetchMessage, OptTrackRM, OptTrackSM
 __all__ = ["OptTrackProtocol"]
 
 
+#: LastWriteOn<h>: the write's id, its remaining destinations and the
+#: log that travelled with it
+_LastWrite = tuple[WriteId, frozenset[int], tuple[PiggybackEntry, ...]]
+
+
 @register_protocol
-class OptTrackProtocol(CausalProtocol):
+class OptTrackProtocol(CausalProtocol[_LastWrite]):
     """The Opt-Track protocol of [12] for partially replicated DSM."""
 
     name = "opt-track"
@@ -54,14 +59,7 @@ class OptTrackProtocol(CausalProtocol):
     def __init__(self, ctx: ProtocolContext) -> None:
         super().__init__(ctx)
         self.clock = 0
-        # plain list: the activation hot path reads scalars, and Python
-        # ints index ~2x faster than NumPy scalars (docs/architecture.md)
-        self.applied: list[int] = [0] * self.n
         self.log = OptTrackLog()
-        # var -> (write id, write's remaining dests, piggybacked log)
-        self.last_write_on: dict[
-            int, tuple[WriteId, frozenset[int], tuple[PiggybackEntry, ...]]
-        ] = {}
         # hot-path set constant for the write path's own log record
         self._me_set = frozenset((self.site,))
 
@@ -75,17 +73,8 @@ class OptTrackProtocol(CausalProtocol):
         dests = ctx.placement.replica_set(var)
         self.clock += 1
         wid = WriteId(self.site, self.clock)
-
-        ctx.collector.record_operation(True)
-        if ctx.history is not None:
-            ctx.history.record_write_op(
-                time=ctx.clock.now, site=self.site, var=var, value=value,
-                write_id=wid, op_index=op_index, dests=dests,
-            )
-        if ctx.tracer is not None:
-            ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
-                                    clock=wid.clock, var=var,
-                                    log_size=len(self.log))
+        self._issue_write(var, value, wid, dests, op_index,
+                          log_size=len(self.log))
 
         # Per-destination piggyback views are computed against the
         # pre-write log; each copy keeps its own receiver in the
@@ -115,13 +104,15 @@ class OptTrackProtocol(CausalProtocol):
         # Condition 1 has nothing to strip here: outside a merge no
         # record names this site (tests/test_protocols.py checks it
         # after every operation), so only superseded empty records go.
-        self.log.insert(self.site, self.clock, dests - self._me_set)
+        remaining = dests - self._me_set
+        self.log.insert(self.site, self.clock, remaining)
         self.log.purge()
         ctx.collector.record_log_size(len(self.log))
         ctx.collector.record_dest_lists(self.log.dest_counts())
 
         if self.site in dests:
-            self._apply_value(var, value, wid, dests, stored_log)
+            self._apply_write(var, value, wid, wid.clock,
+                              (wid, remaining, stored_log), ctx.clock.now)
             self._drain()
         return wid
 
@@ -167,38 +158,20 @@ class OptTrackProtocol(CausalProtocol):
 
     def _apply_sm(self, src: int, message: object) -> None:
         assert isinstance(message, OptTrackSM)
-        self.ctx.collector.record_visibility(self.ctx.clock.now - message.issued_at)
+        wid = message.write_id
+        var = message.var
         # Implicit condition 1: "this site is a destination" is dead
-        # information from this apply onward — the stored log is the
+        # information from this apply onward — LastWriteOn's remaining
+        # destinations exclude this site and the writer (if it
+        # replicates the variable it applied its own write at the write
+        # event, causally before any receipt), and the stored log is the
         # piggybacked view with self stripped, i.e. the base every copy
         # of this write shares.
-        self._apply_value(message.var, message.value, message.write_id,
-                          self.ctx.placement.replica_set(message.var),
-                          message.log.stored(self.site))
-
-    def _apply_value(
-        self,
-        var: int,
-        value: object,
-        wid: WriteId,
-        dests: frozenset[int],
-        stored_log: tuple[PiggybackEntry, ...],
-    ) -> None:
-        ctx = self.ctx
-        ctx.store.apply(var, value, wid, ctx.clock.now)
-        if wid.clock <= self.applied[wid.site]:
-            raise AssertionError(
-                f"FIFO violation: applying {wid} after clock {self.applied[wid.site]}"
-            )
-        self.applied[wid.site] = wid.clock
-        self._note_applied(wid.site)
-        # LastWriteOn's remaining destinations exclude the writer (if it
-        # replicates the variable it applied its own write at the write
-        # event, causally before any receipt) and this site (condition 1)
-        self.last_write_on[var] = (wid, dests.difference((wid.site, self.site)),
-                                   stored_log)
-        if ctx.history is not None:
-            ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
+        remaining = self.ctx.placement.replica_set(var).difference(
+            (wid.site, self.site))
+        self._apply_write(var, message.value, wid, wid.clock,
+                          (wid, remaining, message.log.stored(self.site)),
+                          message.issued_at)
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
         slot = self.ctx.store.read(message.var)
@@ -233,33 +206,11 @@ class OptTrackProtocol(CausalProtocol):
     # crash-recovery hooks
     # ------------------------------------------------------------------
     def _snapshot_extra(self) -> dict:
-        return {
-            "clock": self.clock,
-            "applied": list(self.applied),
-            "log": self.log.copy(),
-            "last_write_on": dict(self.last_write_on),
-        }
+        return {"clock": self.clock, "log": self.log.copy()}
 
     def _restore_extra(self, extra: dict) -> None:
         self.clock = extra["clock"]
-        # list(...) also normalizes NumPy arrays from pre-refactor blobs
-        self.applied = [int(c) for c in extra["applied"]]
         self.log = extra["log"].copy()
-        self.last_write_on = dict(extra["last_write_on"])
-
-    def knows_write(self, wid: WriteId) -> Optional[bool]:
-        # Apply_i[j] is the highest write clock of ap_j applied here and
-        # clocks of destined-here writes increase along FIFO channels,
-        # so the comparison is sound in both directions.
-        return bool(self.applied[wid.site] >= wid.clock)
-
-    # ------------------------------------------------------------------
-    # elastic membership
-    # ------------------------------------------------------------------
-    def _view_grow(self, capacity: int) -> None:
-        # the KS log is keyed by writer id, not indexed — no growth needed
-        while len(self.applied) < capacity:
-            self.applied.append(0)
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

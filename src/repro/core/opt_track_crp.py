@@ -30,8 +30,13 @@ __all__ = ["OptTrackCRPProtocol"]
 
 
 @register_protocol
-class OptTrackCRPProtocol(CausalProtocol):
-    """The Opt-Track-CRP protocol of [12] for fully replicated DSM."""
+class OptTrackCRPProtocol(CausalProtocol[WriteId]):
+    """The Opt-Track-CRP protocol of [12] for fully replicated DSM.
+
+    LastWriteOn<h> is the id of the last write applied to x_h: under full
+    replication only the 2-tuple itself needs storing (Section III-C:
+    causal application order covers its dependencies).
+    """
 
     name = "opt-track-crp"
     full_replication = True
@@ -39,14 +44,7 @@ class OptTrackCRPProtocol(CausalProtocol):
     def __init__(self, ctx: ProtocolContext) -> None:
         super().__init__(ctx)
         self.clock = 0
-        # plain list: the activation hot path reads scalars, and Python
-        # ints index ~2x faster than NumPy scalars (docs/architecture.md)
-        self.applied: list[int] = [0] * self.n
         self.log = TupleLog()
-        # var -> write id of the last applied write; under full
-        # replication only the 2-tuple itself needs storing (Section
-        # III-C: causal application order covers its dependencies).
-        self.last_write_on: dict[int, WriteId] = {}
 
     # ------------------------------------------------------------------
     # application subsystem
@@ -59,16 +57,8 @@ class OptTrackCRPProtocol(CausalProtocol):
         wid = WriteId(self.site, self.clock)
 
         dests = self._broadcast_dests()
-        ctx.collector.record_operation(True)
-        if ctx.history is not None:
-            ctx.history.record_write_op(
-                time=ctx.clock.now, site=self.site, var=var, value=value,
-                write_id=wid, op_index=op_index, dests=dests,
-            )
-        if ctx.tracer is not None:
-            ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
-                                    clock=wid.clock, var=var,
-                                    log_size=len(self.log))
+        self._issue_write(var, value, wid, dests, op_index,
+                          log_size=len(self.log))
 
         piggy = self.log.entries()  # the write's dependencies (pre-reset log)
         sm = CRPSM(var=var, value=value, write_id=wid, log=piggy,
@@ -77,7 +67,7 @@ class OptTrackCRPProtocol(CausalProtocol):
 
         # Local apply + log reset: the new write subsumes everything the
         # log used to carry.
-        self._apply_value(var, value, wid)
+        self._apply_write(var, value, wid, wid.clock, wid, ctx.clock.now)
         self.log.reset(self.site, self.clock)
         ctx.collector.record_log_size(len(self.log))
         self._drain()
@@ -109,50 +99,23 @@ class OptTrackCRPProtocol(CausalProtocol):
 
     def _apply_sm(self, src: int, message: object) -> None:
         assert isinstance(message, CRPSM)
-        self.ctx.collector.record_visibility(self.ctx.clock.now - message.issued_at)
-        self._apply_value(message.var, message.value, message.write_id)
-
-    def _apply_value(self, var: int, value: object, wid: WriteId) -> None:
-        ctx = self.ctx
-        ctx.store.apply(var, value, wid, ctx.clock.now)
-        if self.applied[wid.site] != wid.clock - 1:
-            raise AssertionError(
-                f"activation violated FIFO: {wid} after clock {self.applied[wid.site]}"
-            )
-        self.applied[wid.site] = wid.clock
-        self._note_applied(wid.site)
-        self.last_write_on[var] = wid
-        if ctx.history is not None:
-            ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
+        wid = message.write_id
+        self._apply_write(message.var, message.value, wid, wid.clock, wid,
+                          message.issued_at)
 
     # ------------------------------------------------------------------
     # crash-recovery hooks
     # ------------------------------------------------------------------
     def _snapshot_extra(self) -> dict:
-        return {
-            "clock": self.clock,
-            "applied": list(self.applied),
-            "log": self.log.copy(),
-            "last_write_on": dict(self.last_write_on),
-        }
+        return {"clock": self.clock, "log": self.log.copy()}
 
     def _restore_extra(self, extra: dict) -> None:
         self.clock = extra["clock"]
-        # list(...) also normalizes NumPy arrays from pre-refactor blobs
-        self.applied = [int(c) for c in extra["applied"]]
         self.log = extra["log"].copy()
-        self.last_write_on = dict(extra["last_write_on"])
-
-    def knows_write(self, wid: WriteId) -> Optional[bool]:
-        return bool(self.applied[wid.site] >= wid.clock)
 
     # ------------------------------------------------------------------
     # elastic membership
     # ------------------------------------------------------------------
-    def _view_grow(self, capacity: int) -> None:
-        while len(self.applied) < capacity:
-            self.applied.append(0)
-
     def reset_writer_identity(self, site: int) -> None:
         # a donor-forked joiner inherited the donor's scalar write
         # counter; its own write ids must start at clock 1

@@ -26,7 +26,7 @@ __all__ = ["OptPProtocol"]
 
 
 @register_protocol
-class OptPProtocol(CausalProtocol):
+class OptPProtocol(CausalProtocol[tuple[WriteId, VectorClock]]):
     """The optP protocol of Baldoni et al. for fully replicated DSM."""
 
     name = "optp"
@@ -35,12 +35,6 @@ class OptPProtocol(CausalProtocol):
     def __init__(self, ctx: ProtocolContext) -> None:
         super().__init__(ctx)
         self.write_clock = VectorClock(self.n)
-        # plain list: the activation hot path reads scalars, and Python
-        # ints index ~2x faster than NumPy scalars (docs/architecture.md)
-        self.applied: list[int] = [0] * self.n
-        # var -> (write id, Write vector at write time); vectors stored
-        # here are shared snapshots and must never be mutated.
-        self.last_write_on: dict[int, tuple[WriteId, VectorClock]] = {}
 
     # ------------------------------------------------------------------
     # application subsystem
@@ -54,20 +48,13 @@ class OptPProtocol(CausalProtocol):
         snapshot = self.write_clock.copy()
 
         dests = self._broadcast_dests()
-        ctx.collector.record_operation(True)
-        if ctx.history is not None:
-            ctx.history.record_write_op(
-                time=ctx.clock.now, site=self.site, var=var, value=value,
-                write_id=wid, op_index=op_index, dests=dests,
-            )
-        if ctx.tracer is not None:
-            ctx.tracer.write_issued(self.site, ctx.clock.now, writer=wid.site,
-                                    clock=wid.clock, var=var)
+        self._issue_write(var, value, wid, dests, op_index)
         sm = OptPSM(var=var, value=value, write_id=wid, vector=snapshot,
                     issued_at=ctx.clock.now)
         self._multicast(dests, sm, MessageKind.SM)
 
-        self._apply_value(var, value, wid, snapshot)
+        self._apply_write(var, value, wid, clock, (wid, snapshot),
+                          ctx.clock.now)
         self._drain()
         return wid
 
@@ -93,52 +80,24 @@ class OptPProtocol(CausalProtocol):
 
     def _apply_sm(self, src: int, message: object) -> None:
         assert isinstance(message, OptPSM)
-        self.ctx.collector.record_visibility(self.ctx.clock.now - message.issued_at)
-        self._apply_value(message.var, message.value, message.write_id, message.vector)
-
-    def _apply_value(
-        self, var: int, value: object, wid: WriteId, vector: VectorClock
-    ) -> None:
-        ctx = self.ctx
-        ctx.store.apply(var, value, wid, ctx.clock.now)
-        if self.applied[wid.site] != wid.clock - 1:
-            raise AssertionError(
-                f"activation violated FIFO: {wid} after count {self.applied[wid.site]}"
-            )
-        self.applied[wid.site] = wid.clock
-        self._note_applied(wid.site)
-        self.last_write_on[var] = (wid, vector)
-        if ctx.history is not None:
-            ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
+        wid = message.write_id
+        self._apply_write(message.var, message.value, wid, wid.clock,
+                          (wid, message.vector), message.issued_at)
 
     # ------------------------------------------------------------------
     # crash-recovery hooks
     # ------------------------------------------------------------------
     def _snapshot_extra(self) -> dict:
-        return {
-            "write_clock": self.write_clock.copy(),
-            "applied": list(self.applied),
-            "last_write_on": dict(self.last_write_on),
-        }
+        return {"write_clock": self.write_clock.copy()}
 
     def _restore_extra(self, extra: dict) -> None:
         self.write_clock = extra["write_clock"].copy()
-        # list(...) also normalizes NumPy arrays from pre-refactor blobs
-        self.applied = [int(c) for c in extra["applied"]]
-        self.last_write_on = dict(extra["last_write_on"])
-
-    def knows_write(self, wid: WriteId) -> Optional[bool]:
-        # Apply_i[j] counts ap_j's writes contiguously (every write goes
-        # everywhere under full replication)
-        return bool(self.applied[wid.site] >= wid.clock)
 
     # ------------------------------------------------------------------
     # elastic membership
     # ------------------------------------------------------------------
     def _view_grow(self, capacity: int) -> None:
         self.write_clock.grow(capacity)
-        while len(self.applied) < capacity:
-            self.applied.append(0)
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

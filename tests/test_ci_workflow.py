@@ -311,7 +311,8 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
     # MERGE deletes what a newer record proves dead; the checker is the
     # oracle for a rule that forgets, so it judges the log with and
     # without send-time pruning, at a partial-replication n > p, and at
-    # one of the paper's cells
+    # one of the paper's cells.  Every other core runs the crash plan
+    # under adversarial latency too, the regime where updates buffer
     workflow = yaml.safe_load(WORKFLOW.read_text())
     job = workflow["jobs"]["chaos-matrix"]
     assert job["strategy"]["matrix"]["fault-seed"] == [0, 1, 2]
@@ -335,6 +336,10 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
         " --overload-plan 300:900:10:0,1 --send-window 4",
         "--protocol opt-track-noprune -n 5 -q 20 --ops 30"
         " --latency adversarial --drop-rate 0.05 --crash-plan 600:1500:2",
+        # every other core under the same crash plan, where updates buffer
+        *[f"--protocol {protocol} -n 5 -q 20 --ops 30 --latency adversarial"
+          " --drop-rate 0.05 --crash-plan 600:1500:2"
+          for protocol in ("full-track", "opt-track-crp", "optp", "hb-track")],
         "--protocol opt-track -n 12 -p 4 -q 20 --ops 30 --latency uniform"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
         # a paper-scale cell: the checker keeps up with n = 20, 300 ops

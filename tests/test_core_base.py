@@ -1,6 +1,8 @@
 """Tests for the protocol framework: registry, drain loop, metered sends."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from repro.core.base import (
     protocol_names,
     register_protocol,
 )
-from repro.core.clocks import VectorClock
+from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.messages import OptPSM
 from repro.core.opt_track import OptTrackNoPruneProtocol, OptTrackProtocol
 from repro.memory.replication import RoundRobinPlacement
@@ -451,3 +453,125 @@ class TestSharedMulticast:
         assert proto.write_clock[1] == 2              # the writes did replay
         proto.write(2, "live")                        # and booking resumes
         assert real.collector.tally(MessageKind.SM).count == 2
+
+
+# ----------------------------------------------------------------------
+# the replica seam: one apply, one write issue, owned by the base
+# ----------------------------------------------------------------------
+CORE = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
+
+#: (receiver, method) calls that observe or perform a write's issue and
+#: apply, or a read's return: reached from repro.core only through base.py
+SEAM_CALLS = {
+    ("store", "apply"),
+    ("history", "record_write_op"),
+    ("history", "record_apply"),
+    ("history", "record_read_op"),
+    ("tracer", "write_issued"),
+    ("collector", "record_operation"),
+    ("collector", "record_visibility"),
+}
+
+
+def _receiver(node):
+    """The last name of a call's receiver: ``ctx.store`` -> ``store``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _seam_uses(path):
+    """Seam calls in ``path``, and its writes to ``self.applied`` /
+    ``self.last_write_on`` (whole or by item, annotated or not)."""
+    calls, writes = [], []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            key = (_receiver(node.func.value), node.func.attr)
+            if key in SEAM_CALLS:
+                calls.append((path.name, node.lineno, ".".join(key)))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign,
+                                                           ast.AnnAssign))
+                   else [])
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if (isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                    and target.attr in ("applied", "last_write_on")):
+                writes.append((path.name, node.lineno, target.attr))
+    return calls, writes
+
+
+class TestReplicaSeam:
+    def test_only_the_base_applies_and_observes(self):
+        cores = sorted(CORE.glob("*.py"))
+        assert {"full_track.py", "opt_track.py", "opt_track_crp.py",
+                "optp.py", "hb_track.py"} <= {p.name for p in cores}
+        elsewhere = [_seam_uses(p) for p in cores if p.name != "base.py"]
+        assert [c for calls, _ in elsewhere for c in calls] == []
+        assert [w for _, writes in elsewhere for w in writes] == []
+        # the scan is not vacuous: base.py makes every seam call
+        base_calls, base_writes = _seam_uses(CORE / "base.py")
+        assert {call for _f, _l, call in base_calls} == {
+            ".".join(key) for key in SEAM_CALLS}
+        assert {attr for _f, _l, attr in base_writes} == {
+            "applied", "last_write_on"}
+
+    #: what each core keeps in LastWriteOn for ``wid``
+    META = {"full-track": lambda wid: (wid, MatrixClock(3)),
+            "opt-track": lambda wid: (wid, frozenset(), ()),
+            "opt-track-crp": lambda wid: wid,
+            "optp": lambda wid: (wid, VectorClock(3)),
+            "hb-track": lambda wid: (wid, VectorClock(3))}
+
+    def _apply(self, proto, clock, value):
+        """Apply writer 0's write ``clock`` through the seam, with the
+        clock as the new ``applied[0]`` (Full-Track's count is the same
+        here: no write of writer 0 is skipped)."""
+        wid = WriteId(0, clock)
+        proto._apply_write(0, value, wid, clock, self.META[proto.name](wid),
+                           0.0)
+
+    def _applied_twice(self, name):
+        """``name`` at site 1 with writer 0's first two writes applied."""
+        proto = create_protocol(name, make_ctx(site=1))
+        self._apply(proto, 1, "a")
+        self._apply(proto, 2, "b")
+        assert proto.applied == [2, 0, 0]
+        return proto
+
+    def _assert_rejected(self, proto, clock):
+        stored = proto.last_write_on[0]
+        with pytest.raises(AssertionError, match="FIFO violation"):
+            self._apply(proto, clock, "bad")
+        # nothing changed: the check runs before the mutation
+        assert proto.applied == [2, 0, 0]
+        assert proto.ctx.store.read(0).value == "b"
+        assert proto.last_write_on[0] is stored
+
+    @pytest.mark.parametrize("name", sorted(META))
+    @pytest.mark.parametrize("clock", [1, 2])  # below and at applied[0]
+    def test_fifo_rejects_a_clock_not_above_applied(self, name, clock):
+        self._assert_rejected(self._applied_twice(name), clock)
+
+    @pytest.mark.parametrize("name", ["opt-track-crp", "optp", "hb-track"])
+    def test_full_replication_rejects_a_skipped_clock(self, name):
+        self._assert_rejected(self._applied_twice(name), 4)
+
+    def test_partial_replication_accepts_a_skipped_clock(self):
+        # under partial replication a writer's writes to other variables
+        # never land here, so its clocks skip
+        proto = self._applied_twice("opt-track")
+        self._apply(proto, 5, "c")
+        assert proto.applied == [5, 0, 0]
+
+    def test_knows_write_reads_applied(self):
+        proto = self._applied_twice("opt-track-crp")
+        assert proto.knows_write(WriteId(0, 2)) is True
+        assert proto.knows_write(WriteId(0, 3)) is False
+        # Full-Track's applied counts applies, not writer clocks
+        assert self._applied_twice("full-track").knows_write(WriteId(0, 2)) is None

@@ -109,7 +109,9 @@ class TestHBTrackUnderChurn:
         from repro.core.optp import OptPProtocol
 
         assert issubclass(HBTrackProtocol, OptPProtocol)
-        # only the read and the apply differ: merge on receipt, not on read
+        # only the read and the SM apply differ: merge on receipt, not on
+        # read (``__parameters__`` is the Generic base's bookkeeping)
         assert set(vars(HBTrackProtocol)) - {"__module__", "__doc__", "name",
-                                             "__abstractmethods__", "_abc_impl"} \
-            == {"_local_read", "_apply_value"}
+                                             "__abstractmethods__", "_abc_impl",
+                                             "__parameters__"} \
+            == {"_local_read", "_apply_sm"}

@@ -383,15 +383,15 @@ class TestOptTrackLastWriteOnDests:
     @pytest.mark.parametrize("protocol", ["opt-track", "opt-track-noprune"])
     def test_at_every_apply(self, protocol, plan, monkeypatch):
         checked: list[float] = []
-        apply_value = OptTrackProtocol._apply_value
+        apply_write = OptTrackProtocol._apply_write
 
-        def checking(self, var, value, wid, dests, stored_log):
-            apply_value(self, var, value, wid, dests, stored_log)
+        def checking(self, var, value, wid, applied_to, last_write, issued_at):
+            apply_write(self, var, value, wid, applied_to, last_write, issued_at)
             expected = self.ctx.placement.replica_set(var) - {wid.site, self.site}
             assert self.last_write_on[var][1] == expected, (self.site, var, wid)
             checked.append(self.ctx.clock.now)
 
-        monkeypatch.setattr(OptTrackProtocol, "_apply_value", checking)
+        monkeypatch.setattr(OptTrackProtocol, "_apply_write", checking)
         result = run_simulation(SimulationConfig(
             protocol=protocol, n_sites=5, n_vars=12, replication_factor=3,
             ops_per_process=60, gap_range_ms=(5.0, 55.0), seed=7,
