@@ -172,6 +172,27 @@ def test_micro_message_sizing(benchmark, message):
     assert size == sum(b for _name, b in decompose_message(message))
 
 
+def test_micro_value_types(benchmark):
+    """Construction of the three hottest frozen value types — a log
+    record, an Opt-Track SM (wrapping no flat log) and a write id — the
+    per-record and per-copy cost of every Opt-Track multicast
+    (docs/architecture.md, "Value types")."""
+    dests = frozenset({1, 2})
+    view = build_log(n_entries=4).piggyback_views(frozenset({1}))[0][1]
+
+    def build():
+        entry = PiggybackEntry(3, 7, dests)
+        wid = WriteId(3, 7)
+        sm = OptTrackSM(0, 1, wid, view, 2.0)
+        return entry, wid, sm
+
+    entry, wid, sm = benchmark(build)
+    assert (entry.writer, entry.clock, entry.dests) == (3, 7, dests)
+    assert (wid.site, wid.clock) == (3, 7)
+    assert (sm.var, sm.value, sm.write_id, sm.issued_at) == (0, 1, wid, 2.0)
+    assert sm.log is view
+
+
 def test_micro_matrix_snapshot(benchmark):
     """Per-write matrix snapshot (Full-Track's dominant allocation)."""
     m = MatrixClock(N)

@@ -12,7 +12,8 @@ analyzers enforce:
   - ``annotation-only``: the import exists for type annotations only;
     the checker *verifies* no imported name is used at runtime
     (exploiting the repo-wide ``from __future__ import annotations``
-    convention) and flags violations as LAY002;
+    convention) and flags violations as LAY002.  On an edge the
+    lattice allows, such a port narrows it to annotations;
   - ``sanctioned``: a reviewed crossing allowed as-is (use sparingly —
     each one weakens the substrate-independence certificate);
 

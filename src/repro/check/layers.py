@@ -7,9 +7,11 @@ imports) against the contract in ``layers.toml``:
   lattice and no ``[[ports]]`` entry covers it;
 * **LAY002** — an edge covered by an *annotation-only* port is used at
   runtime: the import sits outside ``if TYPE_CHECKING:`` **and** at
-  least one imported name is referenced outside annotations.  The check
-  is sound under the repo-wide ``from __future__ import annotations``
-  convention, which makes annotation expressions never evaluate;
+  least one imported name is referenced outside annotations.  Such a
+  port also narrows an edge the ``may_import`` lattice allows.  The
+  check is sound under the repo-wide ``from __future__ import
+  annotations`` convention, which makes annotation expressions never
+  evaluate;
 * **LAY003** — the contract does not assign a module to any layer (the
   architecture has a hole).
 
@@ -79,10 +81,10 @@ def _check_project_edge(
         return []
     if target_layer.name == layer.name:
         return []
-    if "*" in layer.may_import or target_layer.name in layer.may_import:
-        return []
     port = contract.port_for(mod.name, target_mod)
     if port is None:
+        if "*" in layer.may_import or target_layer.name in layer.may_import:
+            return []
         kind_note = " (typing-only)" if edge.typing_only else ""
         return [_finding(
             mod, "LAY001", edge.lineno,

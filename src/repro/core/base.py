@@ -229,6 +229,9 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         )
         self._fetches: dict[int, _OutstandingFetch] = {}
         self._next_request_id = 0
+        #: op_index of the last read counted: a read a crash interrupted
+        #: is re-issued under it, and was counted when first issued
+        self._counted_read: Optional[int] = None
         self._draining = False
         #: high-water mark of the buffered-SM count (perf harness metric)
         self.pending_sm_peak = 0
@@ -317,13 +320,18 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         ctx = self.ctx
         if self._wal is not None and not self._replaying:
             self._wal.log_read(var)
+        fresh = op_index is None or op_index != self._counted_read
+        if op_index is not None:
+            self._counted_read = op_index
         if ctx.placement.is_replicated_at(var, self.site):
             value, write_id = self._local_read(var)
-            ctx.collector.record_operation(False, remote=False)
+            if fresh:
+                ctx.collector.record_operation(False, remote=False)
             self._return_read(var, value, write_id, op_index, False,
                               on_complete)
             return
-        ctx.collector.record_operation(False, remote=True)
+        if fresh:
+            ctx.collector.record_operation(False, remote=True)
         target = ctx.placement.fetch_site(var, self.site)
         if self._liveness is not None and not self._liveness(target):
             # designated replica is (believed) down: fail over to the

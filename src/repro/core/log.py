@@ -36,14 +36,15 @@ a singleton after every local write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from ..memory.value import value_type
 
 __all__ = ["PiggybackEntry", "PiggybackView", "OptTrackLog", "TupleLog"]
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class PiggybackEntry:
     """Immutable snapshot of one log record as shipped inside a message."""
 
@@ -62,8 +63,11 @@ class PiggybackView:
     The p copies of one write differ from the shared condition-2-stripped
     log ``base`` only in the records that name their own receiver: the
     ``base`` records at indices ``regain`` get ``dest`` back, and the
-    dead records with keys ``extra`` — omitted from ``base`` because only
-    ``dest`` still needs them — follow as ``<writer, clock, {dest}>``.
+    dead records ``extra`` — omitted from ``base`` because only ``dest``
+    still needs them — follow as ``<writer, clock, {dest}>``.  ``extra``
+    holds them emptied, as ``<writer, clock, ∅>``: one record per dead
+    log entry, built once per multicast and shared by every copy that
+    carries it.
     Since ``base`` has every multicast destination stripped, those are
     the *only* records of the copy that name ``dest``, so sizing, the
     activation gate and the stored ``LastWriteOn`` log are reads of the
@@ -75,7 +79,7 @@ class PiggybackView:
       extras — the order a scan of the flat sequence meets them in, so
       :meth:`blocker` names the same first blocker such a scan would;
     * with ``dest`` stripped again (implicit condition 1 at apply) it is
-      ``base`` itself plus one empty-destination record per extra.
+      ``base + extra``, which builds no record.
 
     As a sequence (iteration, indexing, ``len``, equality with a tuple)
     it is that flat sequence of :class:`PiggybackEntry`, materialised at
@@ -92,7 +96,7 @@ class PiggybackView:
         base_dests: int,
         dest: Optional[int],
         regain: tuple[int, ...],
-        extra: tuple[tuple[int, int], ...],
+        extra: tuple[PiggybackEntry, ...],
     ) -> None:
         self.base = base
         self.base_dests = base_dests
@@ -153,9 +157,9 @@ class PiggybackView:
             e = base[i]
             if applied_clocks[e.writer] < e.clock:
                 return (e.writer, e.clock)
-        for key in self.extra:
-            if applied_clocks[key[0]] < key[1]:
-                return key
+        for e in self.extra:
+            if applied_clocks[e.writer] < e.clock:
+                return (e.writer, e.clock)
         return None
 
     def stored(self, site: int) -> tuple[PiggybackEntry, ...]:
@@ -164,11 +168,7 @@ class PiggybackView:
         The emptied extras stay: a read-merge intersects them away."""
         if site != self.dest:
             self._retarget(site)
-        if not self.extra:
-            return self.base
-        return self.base + tuple(
-            [PiggybackEntry(j, c, _NO_DESTS) for j, c in self.extra]
-        )
+        return self.base + self.extra
 
     # ------------------------------------------------------------------
     # the flat sequence
@@ -186,8 +186,8 @@ class PiggybackView:
         for i in self.regain:
             e = entries[i]
             entries[i] = PiggybackEntry(e.writer, e.clock, e.dests | me)
-        for j, c in self.extra:
-            entries.append(PiggybackEntry(j, c, me))
+        for e in self.extra:
+            entries.append(PiggybackEntry(e.writer, e.clock, me))
         return tuple(entries)
 
     def flat(self) -> tuple[PiggybackEntry, ...]:
@@ -476,7 +476,7 @@ class OptTrackLog:
         base_dests = 0
         dest_order = sorted(write_dests)
         regain: dict[int, list[int]] = {d: [] for d in dest_order}
-        extra: dict[int, list[tuple[int, int]]] = {d: [] for d in dest_order}
+        extra: dict[int, list[PiggybackEntry]] = {d: [] for d in dest_order}
         dead: list[tuple[int, int]] = []
         for key in self._sorted_keys():
             e = records[key]
@@ -490,9 +490,11 @@ class OptTrackLog:
             kept = dests - write_dests
             if not kept and newest[key[0]] != key[1]:
                 # dead unless some destination in write_dests still needs
-                # it — those copies carry it as an extra gate
+                # it — those copies carry it as an extra gate, all of
+                # them the one emptied record
+                gone = PiggybackEntry(key[0], key[1], _NO_DESTS)
                 for d in sorted(dests):  # dests <= write_dests here
-                    extra[d].append(key)
+                    extra[d].append(gone)
                 dead.append(key)
                 continue
             for d in sorted(dests & write_dests):

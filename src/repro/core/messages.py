@@ -24,11 +24,11 @@ bytes by component without seeing the messages again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sized
 
 from ..memory.store import WriteId
+from ..memory.value import value_type
 from ..metrics.sizing import COSTS
 from .clocks import MatrixClock, VectorClock
 from .log import PiggybackEntry, PiggybackView
@@ -60,7 +60,7 @@ class _Priced:
         return _SIZE_OF[type(self)](self)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class FetchMessage(_Priced):
     """FM(x_h): ask a predesignated replica for x_h's value.
 
@@ -89,7 +89,7 @@ class FetchMessage(_Priced):
 # ----------------------------------------------------------------------
 # Full-Track (partial replication, matrix clocks)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@value_type
 class FullTrackSM(_Priced):
     """SM(x_h, v, Write): update multicast with the full n x n matrix."""
 
@@ -101,7 +101,7 @@ class FullTrackSM(_Priced):
     issued_at: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class FullTrackRM(_Priced):
     """RM(v, LastWriteOn<h>): remote return with the stored matrix."""
 
@@ -115,7 +115,7 @@ class FullTrackRM(_Priced):
 # ----------------------------------------------------------------------
 # Opt-Track (partial replication, KS logs)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@value_type
 class OptTrackSM(_Priced):
     """SM(x_h, v, site, clock, L_w): update multicast with a pruned log.
 
@@ -141,7 +141,7 @@ class OptTrackSM(_Priced):
             )
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class OptTrackRM(_Priced):
     """RM(v, LastWriteOn<h>): value + the write's id and piggybacked log.
 
@@ -159,7 +159,7 @@ class OptTrackRM(_Priced):
 # ----------------------------------------------------------------------
 # Opt-Track-CRP (full replication, 2-tuple logs)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@value_type
 class CRPSM(_Priced):
     """SM(x_h, v, site, clock, LOG): update with (writer, clock) 2-tuples."""
 
@@ -174,7 +174,7 @@ class CRPSM(_Priced):
 # ----------------------------------------------------------------------
 # optP (full replication, vector clocks) — Baldoni et al. baseline
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@value_type
 class OptPSM(_Priced):
     """SM(x_h, v, site, Write): update with the size-n Write vector."""
 

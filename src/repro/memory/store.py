@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .value import value_type
+
 __all__ = ["WriteId", "StoredValue", "SiteStore", "BOTTOM"]
 
 
@@ -22,7 +24,7 @@ __all__ = ["WriteId", "StoredValue", "SiteStore", "BOTTOM"]
 BOTTOM = None
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@value_type(order=True)
 class WriteId:
     """Globally unique write identity: (writer site, writer local clock).
 

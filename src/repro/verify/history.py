@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..memory.store import WriteId
+from ..memory.value import value_type
 
 __all__ = [
     "EventKind",
@@ -57,7 +57,7 @@ class EventKind(enum.Enum):
     READ_OP = "read_op"
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class EventRecord:
     """One timestamped event in the execution trace.
 

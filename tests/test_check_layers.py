@@ -176,6 +176,24 @@ class TestLay002:
         assert findings == []
 
 
+    def test_annotation_port_narrows_an_allowed_edge(self, tmp_path):
+        port = [{"importer": "app.sim", "imported": "app.core",
+                 "kind": "annotation-only", "reason": "annotations only"}]
+        files = {
+            "app/core/proto.py": "class Proto:\n    pass\n",
+            "app/sim/engine.py": """
+                from app.core.proto import Proto
+
+                def host():
+                    return Proto()
+            """,
+        }
+        assert run(tmp_path, files) == []  # sim may import core ...
+        findings = run(tmp_path, files, ports=port)  # ... but not here
+        assert [f.code for f in findings] == ["LAY002"]
+        assert "Proto" in findings[0].message
+
+
 class TestLay003:
     def test_unassigned_module_flagged(self, tmp_path):
         findings = run(tmp_path, {

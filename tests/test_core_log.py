@@ -140,7 +140,8 @@ class TestConditionTwoAtSend:
         log.insert(0, 9, {7})
         log.insert(4, 7, {2})  # empties too, but is writer 4's newest
         views, base = log.piggyback_views(frozenset({2, 3}))
-        assert views[2].extra == ((0, 1),)
+        assert [(e.writer, e.clock) for e in views[2].extra] == [(0, 1)]
+        assert all(not e.dests for e in views[2].extra)
         assert (0, 1) not in log and log.purged_records == 1
         log.merge([entry(0, 1, 2)])  # older than (0, 9): cannot return
         assert [(e.writer, e.clock, set(e.dests)) for e in log.entries()] == [
@@ -280,6 +281,28 @@ class TestPiggybackViews:
         assert views[1].base is base and views[2].base is base
         assert views[2] == base and views[2].stored(2) is base
         assert views[1] != base and views[1].stored(1) is base
+
+    def test_copies_needing_a_dead_record_share_its_emptied_record(self):
+        log = OptTrackLog()
+        log.insert(0, 1, {1, 2})  # dead under the strip, needed by 1 and 2
+        log.insert(0, 5, {9})  # writer 0's newest
+        log.insert(2, 3, {3, 9})
+        D = frozenset({1, 2, 3})
+        views, base = log.piggyback_views(D)
+        (gone,) = views[1].extra
+        assert views[2].extra == (gone,) and views[2].extra[0] is gone
+        assert (gone.writer, gone.clock, gone.dests) == (0, 1, frozenset())
+        assert views[3].extra == ()
+        for d in sorted(D):
+            stored = views[d].stored(d)
+            # the flat reference: the copy with d stripped from each record
+            assert stored == tuple(
+                PiggybackEntry(e.writer, e.clock, e.dests - {d})
+                for e in views[d])
+            assert stored[:len(base)] == base
+            assert all(a is b for a, b in zip(stored[len(base):],
+                                              views[d].extra))
+        assert views[1].stored(1)[-1] is views[2].stored(2)[-1] is gone
 
 
 class TestOneRecordStore:

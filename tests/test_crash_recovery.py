@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro import (
+    AdversarialLatency,
     CausalCluster,
     ChannelFaults,
     ConstantLatency,
@@ -33,6 +34,7 @@ from repro.cli import _parse_crash_plan
 from repro.core.recovery import SyncResponse, build_digest, caught_up
 from repro.verify.causal_checker import check_causal_consistency
 from repro.verify.convergence import check_convergence
+from repro.verify.history import EventKind
 
 from .test_chaos import assert_exactly_once
 
@@ -93,6 +95,29 @@ class TestCrashRecoveryMatrix:
         assert col.sync_messages > 0
         assert col.detection_latency.count == 1
         assert col.catchup_latency.count == 1
+
+
+    def test_a_reissued_read_is_counted_once(self):
+        """A remote read a crash interrupts is re-issued under its
+        op_index after recovery; the collector counts it at its first
+        issue only, so the counts match the history's READ_OPs."""
+        plan = FaultPlan.build(crashes=(
+            CrashEvent(1, 600.0, 1500.0),
+            CrashEvent(3, 2500.0, 3400.0),
+            CrashEvent(4, 5000.0, 5900.0),
+        ))
+        result = run_simulation(SimulationConfig(
+            protocol="opt-track", n_sites=6, ops_per_process=60,
+            write_rate=0.3, latency=AdversarialLatency(), seed=0,
+            fault_plan=plan, record_history=True,
+        ))
+        col = result.collector
+        assert col.crashes == 3
+        reads = [e for e in result.history.events
+                 if e.kind is EventKind.READ_OP]
+        assert col.ops_read == len(reads) == 248
+        assert col.ops_read_remote == sum(
+            1 for e in reads if e.detail == "remote")
 
 
 class TestCrashStop:

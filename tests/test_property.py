@@ -268,9 +268,11 @@ def _assert_same_log(log, ref):
 
 
 def _gating_pairs(view):
-    """``(writer, clock)`` of the records a view's gate reads, in order."""
+    """``(writer, clock)`` of the records a view's gate reads, in order;
+    the extras are held emptied (their dests are ∅)."""
+    assert all(not e.dests for e in view.extra)
     return [(view.base[i].writer, view.base[i].clock)
-            for i in view.regain] + list(view.extra)
+            for i in view.regain] + [(e.writer, e.clock) for e in view.extra]
 
 
 class TestLogProperties:
