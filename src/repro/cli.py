@@ -542,8 +542,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report = check_causal_consistency(result.history, result.placement)
         print(f"\ncausal consistency: {'OK' if report.ok else 'VIOLATED'} "
               f"({report.n_operations} operations, {report.n_applies} applies)")
-        for v in report.violations[:20]:
-            print(f"  {v}")
+        if not report.ok:
+            print(report.render())
         ok = ok and report.ok
     return 0 if ok else 1
 
@@ -846,8 +846,8 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     print(f"{config['protocol']} trace: causal consistency {status} "
           f"({report.n_writes} writes, {report.n_reads} reads, "
           f"{report.n_applies} applies)")
-    for v in report.violations[:20]:
-        print(f"  {v}")
+    if not report.ok:
+        print(report.render())
     return 0 if report.ok else 1
 
 

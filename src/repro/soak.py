@@ -210,9 +210,9 @@ def check_soak_invariants(result: RunResult) -> list[str]:
             )
 
     causal = check_causal_consistency(history, result.placement)
-    if causal.violations:
+    if not causal.ok:
         problems.append(
-            f"{len(causal.violations)} causal violation(s); first: "
+            f"{sum(causal.totals.values())} causal violation(s); first: "
             f"{causal.violations[0]}"
         )
     conv = check_convergence(result.protocols, history)

@@ -3,9 +3,10 @@
 Validates a recorded execution against the causal memory model of
 Ahamad et al. (Section II-A).  Three families of conditions are checked:
 
-1. **Order sanity** — the po ∪ rf relation must be acyclic (an operation
-   cannot causally depend on its own effects), and every read must
-   return either |bot| or a value actually written to that variable.
+1. **Order sanity** — every write has one id, every read returns |bot|
+   or a write to its variable that the history holds, and po ∪ rf is
+   acyclic (an operation cannot causally depend on its own effects).
+   Without these ->co is undefined, so the check stops at them.
 2. **No stale reads** — for a read r(x)v returning write w, no other
    write w' to x may satisfy w ->co w' ->co r: the value was overwritten
    in the read's own causal past.  A read returning |bot| must have no
@@ -16,24 +17,34 @@ Ahamad et al. (Section II-A).  Three families of conditions are checked:
    predicates enforce; checking it catches predicate bugs even when no
    read happens to observe them).
 
-Reachability over the causality DAG is computed once, in topological
-order, with per-node ancestor bitmasks over write indices — O(V·E/w)
-words; conditions 2 and 3 are word operations on those masks, which
-keeps the checker usable on the paper's cells (n = 40, 600 ops/process:
-~24 000 operations, ~230 000 applies, a few seconds).
+->co is per-site prefix vectors (:mod:`repro.verify.graph`), so each
+condition is a few numpy passes per writer, broken history or not, and a
+report counts every violation per kind but lists the first :data:`LISTED`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..memory.replication import Placement
-from .graph import CausalityGraph, apply_masks, causality_graph, set_bits, write_node
+from .graph import CausalityGraph, causality_graph
 from .history import EventKind, EventRecord, HistoryRecorder
 
-__all__ = ["CausalityViolation", "CheckReport", "apply_order_violations",
-           "check_causal_consistency"]
+__all__ = ["LISTED", "CausalityViolation", "CheckReport", "check_causal_consistency"]
+
+#: violations a report lists per kind; the rest are counted in ``totals``
+LISTED = 20
+
+_TEXT = {
+    "stale-bottom-read": "read {r} returned ⊥ but write {b} to var {x} is in its causal past",
+    "stale-read": "read {r} returned write {a} but {b} overwrote var {x} in the read's causal past",
+    "phantom-apply": "site {s} applied unknown write {a}",
+    "apply-order": "site {s} applied {a} before its causal predecessor {b}",
+    "missing-apply": "site {s} applied {a} but not its causal predecessor {b} destined to it",
+}
 
 
 @dataclass(frozen=True)
@@ -49,132 +60,156 @@ class CausalityViolation:
 
 @dataclass
 class CheckReport:
-    """Outcome of a checker run."""
+    """Outcome of a checker run: the exact count of violations per kind
+    and, in detection order, the first :data:`LISTED` of each kind."""
 
     violations: list[CausalityViolation]
     n_operations: int
     n_writes: int
     n_reads: int
     n_applies: int
+    totals: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.totals
+
+    def render(self) -> str:
+        """The per-kind totals, then the listing."""
+        kinds = ", ".join(f"{k} {n}" for k, n in self.totals.items())
+        return "\n".join([f"{sum(self.totals.values())} causal consistency violation(s) "
+                          f"({kinds}), {len(self.violations)} listed:",
+                          *(f"  {v}" for v in self.violations)])
 
     def raise_if_violated(self) -> None:
-        if self.violations:
-            shown = "\n".join(str(v) for v in self.violations[:10])
-            more = len(self.violations) - 10
-            suffix = f"\n... and {more} more" if more > 0 else ""
-            raise AssertionError(
-                f"{len(self.violations)} causal consistency violation(s):\n"
-                f"{shown}{suffix}"
-            )
+        if self.totals:
+            raise AssertionError(self.render())
 
 
 def check_causal_consistency(
     history: HistoryRecorder,
     placement: Optional[Placement] = None,
 ) -> CheckReport:
-    """Check a recorded run; returns a report listing every violation.
+    """Check a recorded run; returns a report counting every violation.
 
     ``placement`` enables the apply-order check (condition 3), which
-    needs to know each write's destination set; without it only the
-    read-centric conditions are checked.
+    needs each write's destination set where the history did not record
+    it; without it only the read-centric conditions are checked.
     """
     g = causality_graph(history)
     applies = history.of_kind(EventKind.APPLY)
-    writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
-    reads = [n for n, d in g.nodes.items() if d["kind"] == "r"]
-    report = CheckReport([], n_operations=len(g.nodes), n_writes=len(writes),
-                         n_reads=len(reads), n_applies=len(applies))
-    violations = report.violations
-    if g.order is None:
-        cycle = f"po ∪ rf contains a cycle, e.g. {g.cycle()[:4]}"
-        violations.append(CausalityViolation("cyclic-causality", cycle))
-        return report
-
-    write_index, masks = g.write_index, g.masks
-    var_writes: dict[int, int] = {}  # var -> mask of its writes
-    for w, i in write_index.items():
-        var = g.nodes[w]["var"]
-        var_writes[var] = var_writes.get(var, 0) | 1 << i
-
-    # ------------------------------------------------------------------
-    # condition 2: no stale reads
-    # ------------------------------------------------------------------
-    for r in reads:
-        data = g.nodes[r]
-        var, rf = data["var"], data["rf"]
-        past = masks[r] & var_writes.get(var, 0)
-        if rf is None:  # any causally-past write is fatal
-            violations += (CausalityViolation(
-                "stale-bottom-read",
-                f"read {r} returned ⊥ but write {writes[i]} to var {var} "
-                "is in its causal past") for i in set_bits(past))
-            continue
-        w = write_node(*rf)
-        w_idx = write_index[w]
-        for i in set_bits(past):
-            # w' in causal past of r, and w ->co w'  =>  r saw an
-            # overwritten value
-            if i != w_idx and masks[writes[i]] >> w_idx & 1:
-                violations.append(CausalityViolation(
-                    "stale-read",
-                    f"read {r} returned write {w} but {writes[i]} overwrote "
-                    f"var {var} in the read's causal past"))
-
-    # ------------------------------------------------------------------
-    # condition 3: per-site apply order extends ->co
-    # ------------------------------------------------------------------
-    if placement is not None:
-        violations += apply_order_violations(g, applies, placement)
+    n_writes = int(g.is_write.sum())
+    report = CheckReport([], n_operations=len(g.ops), n_writes=n_writes,
+                         n_reads=len(g.ops) - n_writes, n_applies=len(applies))
+    sanity = list(g.malformed)
+    if g.stalled is not None:
+        sanity.append(("cyclic-causality", f"po ∪ rf contains a cycle, e.g. {g.cycle()[:4]}"))
+    for kind, description in sanity:
+        _count(report, kind, 1)
+        report.violations.append(CausalityViolation(kind, description))
+    if not sanity:
+        _stale_reads(report, g)
+        if placement is not None:
+            _apply_order(report, g, applies, placement)
     return report
 
 
-def apply_order_violations(
-    g: CausalityGraph, applies: list[EventRecord], placement: Placement,
-) -> list[CausalityViolation]:
-    """Condition 3 by bitmasks over ``g.write_index``: at each site, every
-    causal predecessor of an applied write that is destined there must
-    be applied, its last apply before the write's last apply.  Each set
-    bit of ``masks[w] & destined & ~before[w]`` is one violation, in
-    ``write_index`` order: O(writes / word) per apply."""
-    write_index, masks = g.write_index, g.masks
-    writes = list(write_index)
-    out: list[CausalityViolation] = []
-    for site, applied_seq, before, applied in apply_masks(write_index, applies):
-        destined = _destined_mask(g, writes, site, placement)
-        for w in applied_seq:
-            if w not in write_index:
-                out.append(CausalityViolation(
-                    "phantom-apply", f"site {site} applied unknown write {w}"))
-                continue
-            for i in set_bits(masks[w] & destined & ~before[w]):
-                w2 = writes[i]
-                if applied >> i & 1:
-                    out.append(CausalityViolation(
-                        "apply-order",
-                        f"site {site} applied {w} before its causal "
-                        f"predecessor {w2}"))
-                else:
-                    out.append(CausalityViolation(
-                        "missing-apply",
-                        f"site {site} applied {w} but not its causal "
-                        f"predecessor {w2} destined to it"))
-    return out
+def _stale_reads(report: CheckReport, g: CausalityGraph) -> None:
+    """Condition 2.  Per writer, the last of its writes to a read's
+    variable inside the read's past (bisected) is stale when it follows
+    the returned write, or the read returned ⊥; only a flagged read is
+    compared with every write to its variable."""
+    reads, writes = np.flatnonzero(~g.is_write), np.flatnonzero(g.is_write)
+    var, src, past = g.var[reads], g.src[reads], g.past[reads]
+    span, stale = len(g.ops) + 1, np.zeros(len(reads), bool)
+    for j, seq in g.by_site.items():
+        w = seq[g.is_write[seq]]
+        if not len(w):
+            continue
+        keys, w = np.array(sorted(zip(g.var[w] * span + g.pos[w], w))).T  # by (var, pos)
+        hi = np.searchsorted(keys, var * span + past[:, j])
+        seen = hi > np.searchsorted(keys, var * span)
+        stale |= seen & ((src < 0) | (g.past[w[hi - 1], g.site[src]] > g.pos[src]))
+    for i in reads[stale]:
+        x, rf = g.ops[i].var, g.src[i]
+        xs = writes[g.var[writes] == x]
+        over = xs[(g.past[i, g.site[xs]] > g.pos[xs])
+                  & ((rf < 0) | (g.past[xs, g.site[rf]] > g.pos[rf]))]
+        kind = "stale-bottom-read" if rf < 0 else "stale-read"
+        _count(report, kind, len(over))
+        report.violations += (CausalityViolation(kind, _TEXT[kind].format(
+            r=g.name(i), a=rf >= 0 and g.name(rf), b=g.name(w2), x=x))
+            for w2 in over[:_room(report, kind)])
 
 
-def _destined_mask(g: CausalityGraph, writes: list[tuple], site: int,
-                   placement: Placement) -> int:
-    """Bits of the writes destined to ``site``: by a write's recorded
-    ``dests`` (under elastic membership the final placement may disagree
-    with the one the write used), else by the placement."""
-    def here(data: dict) -> bool:
-        dests = data["dests"]
-        if dests is not None:
-            return site in dests
-        return placement.is_replicated_at(data["var"], site)
+def _apply_order(report: CheckReport, g: CausalityGraph,
+                 applies: list[EventRecord], placement: Placement) -> None:
+    """Condition 3: at each site, every causal predecessor of an applied
+    write that is destined there (by its recorded ``dests``, else by the
+    placement) must be applied, its last apply before the write's.  Per
+    (site, writer), a write fails when the running max of the last applies
+    of the writer's destined writes, over the prefix its vector names,
+    comes after its own; only failed cells count the late and missing."""
+    writes = np.flatnonzero(g.is_write)
+    dests = [g.ops[i].dests if g.ops[i].dests is not None
+             else placement.replicas(g.ops[i].var) for i in writes]
+    cols = np.array([site for d in dests for site in d], np.int64)
+    width = 1 + max([int(cols.max(initial=0))] + [ev.site for ev in applies])
+    destined = np.zeros((len(g.ops), width), bool)
+    destined[np.repeat(writes, [len(d) for d in dests]), cols] = True
+    for site, seq, at, last in g.apply_positions(applies):
+        applied, never = np.flatnonzero(last >= 0), len(seq)
+        late, missing = np.zeros((2, len(applied)), np.int64)
+        cells = []
+        for j, ops in g.by_site.items():
+            here = destined[ops, site]
+            pred = ops[here]
+            lasts = np.where(last[pred] < 0, never, last[pred])
+            k = np.cumsum(np.append(0, here))[g.past[applied, j]]  # preds in the past
+            latest = np.maximum.accumulate(np.append(-1, lasts))  # of the first k
+            bad = np.flatnonzero(latest[k] > last[applied])
+            if len(bad):
+                cells.append((pred, lasts, k, never))
+                late[bad] += _dominance(lasts, k[bad], last[applied[bad]])
+                missing[bad] += _dominance(lasts, k[bad], np.full(len(bad), never - 1))
+        times = np.bincount(seq[seq >= 0], minlength=len(g.ops))[applied]
+        _count(report, "phantom-apply", np.count_nonzero(seq < 0))
+        _count(report, "apply-order", ((late - missing) * times).sum())
+        _count(report, "missing-apply", (missing * times).sum())
+        carries = np.zeros((2, len(g.ops) + 1), bool)  # a phantom's -1: False
+        carries[0, applied[late > missing]] = carries[1, applied[missing > 0]] = True
+        entries = [(n, -1, "phantom-apply")
+                   for n in np.flatnonzero(seq < 0)[:_room(report, "phantom-apply")]]
+        for kind, hit in (("apply-order", carries[0, seq]), ("missing-apply", carries[1, seq])):
+            room = _room(report, kind)  # each hit carries one or more
+            found = [(n, b) for n in np.flatnonzero(hit)[:room]
+                     for b, gone in _late(cells, np.searchsorted(applied, seq[n]), last[seq[n]])
+                     if gone == (kind == "missing-apply")]
+            entries += [(n, b, kind) for n, b in found[:room]]
+        report.violations += (CausalityViolation(kind, _TEXT[kind].format(
+            s=site, a=g.name(seq[n]) if b >= 0 else ("w", *applies[at[n]].write_id),
+            b=b >= 0 and g.name(b))) for n, b, kind in sorted(entries))
 
-    return int("0" + "".join("1" if here(g.nodes[w]) else "0"
-                             for w in reversed(writes)), 2)
+
+def _late(cells: list, row: int, applied_at: int) -> list[tuple[int, bool]]:
+    """``(op, never)`` per predecessor of applied ``row`` applied late or never."""
+    return sorted((pred[m], lasts[m] == never) for pred, lasts, k, never in cells
+                  for m in np.flatnonzero(lasts[:k[row]] > applied_at))
+
+
+def _count(report: CheckReport, kind: str, n: int) -> None:
+    if n:
+        report.totals[kind] = report.totals.get(kind, 0) + int(n)
+
+
+def _room(report: CheckReport, kind: str) -> int:
+    """How many more violations of ``kind`` the report lists."""
+    return LISTED - sum(v.kind == kind for v in report.violations)
+
+
+def _dominance(values: np.ndarray, prefix: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per query q, how many of ``values[:prefix[q]]`` exceed ``bound[q]``,
+    in blocks of queries that keep ~2**22 cells in memory."""
+    step, index = max(1, (1 << 22) // len(values)), np.arange(len(values))
+    return np.concatenate([(values > bound[a:a + step, None]).sum(
+        1, where=index < prefix[a:a + step, None]) for a in range(0, len(prefix), step)])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .graph import causality_graph, write_node
+from .graph import causality_graph
 from .history import HistoryRecorder
 
 if TYPE_CHECKING:  # annotations only: the protocols are handed in
@@ -94,8 +94,9 @@ def check_convergence(
                     f"hold {sorted(w for w in finals[var] if w)}"
                 )
             for a, b in combinations([w for w in finals[var] if w is not None], 2):
-                na, nb = write_node(*a.as_tuple()), write_node(*b.as_tuple())
-                if g.precedes(na, nb) or g.precedes(nb, na):
+                ia, ib = g.where.get(a.as_tuple()), g.where.get(b.as_tuple())
+                if ia is not None and ib is not None and (
+                        g.precedes(ia, ib) or g.precedes(ib, ia)):
                     illegitimate.append(
                         f"var {var}: final values {a} and {b} are causally "
                         "ordered — replicas applying both must agree")

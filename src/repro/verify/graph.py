@@ -1,200 +1,167 @@
-"""Causality-order graph construction.
+"""Causality order as per-site prefix vectors.
 
 The causality order ->co of Section II-A is the transitive closure of
 program order (per-process operation sequence) united with read-from
-order (a read is ordered after the write whose value it returned).  This
-module materializes that relation as a :class:`CausalityGraph` over
-operation nodes, with a topological order and every node's strict write
-ancestry as a bitmask — the one reachability query the checkers ask.
-:func:`causality_graph` builds all of it in one call; the causal
-checker, the session guarantees and the convergence check all call it,
-and :func:`apply_masks` gives condition 3 and
-writes-follow-reads each site's apply order as masks over the same
-write indices.
+order (a read is ordered after the write whose value it returned).
+Application processes are sequential, so the strict ->co past of an
+operation holds a *prefix* of each site's operations: n counters, the
+per-process-counter encoding partial-replication timestamps start from.
+:func:`causality_graph` computes them for every operation in one pass,
+and ``a ->co b`` is ``past[b, site(a)] > pos(a)``.  The causal checker,
+the session guarantees and the convergence check all call it.
 
-Node naming:
-
-* a write is ``("w", site, clock)`` — its globally unique write id;
-* a read is ``("r", site, k)`` — the k-th *operation* of that site.
-
-Every node carries ``site``, ``var``, and (for reads) the ``rf`` write id
-it returned, as attributes.
+In reports a write is ``("w", site, clock)``, its write id, and a read
+``("r", site, k)``, the k-th *operation* of that site.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .history import EventKind, EventRecord, HistoryRecorder
 
-__all__ = ["CausalityGraph", "apply_masks", "causality_graph", "read_node",
-           "set_bits", "write_node"]
-
-Node = tuple
-
-
-def write_node(site: int, clock: int) -> tuple:
-    return ("w", site, clock)
-
-
-def read_node(site: int, k: int) -> tuple:
-    return ("r", site, k)
+__all__ = ["CausalityGraph", "causality_graph"]
 
 
 class CausalityGraph:
-    """The po ∪ rf relation: node attributes in program order (sites
-    interleaved as recorded), each node's predecessors, and each edge's
-    order, ``edges[(a, b)]`` ∈ {``"po"``, ``"rf"``}.  Once built, also a
-    topological ``order``, each write's bit in node order, and each
-    node's strict write ancestry over those bits (``None``, empty and
-    empty when cyclic)."""
+    """A history's operations in recorded order, as parallel arrays: each
+    one's ``site``, ``var``, place ``pos`` in its site's program order and
+    read-from ``src`` (the op index of the write a read returned, else
+    -1); ``by_site`` holds each site's op indices in program order and
+    ``where`` each write id's op.  ``past[i, s]`` counts site s's first
+    operations strictly ->co before op i.  ``malformed`` lists the
+    order-sanity failures, ``(kind, description)``, that leave ->co
+    undefined; with any, or when po ∪ rf is cyclic, ``past`` is not
+    computed, and ``stalled`` holds where each site's cursor stopped."""
 
-    __slots__ = ("nodes", "preds", "edges", "order", "write_index", "masks")
+    def __init__(self, ops: list[EventRecord]) -> None:
+        self.ops = ops
+        self.malformed: list[tuple[str, str]] = []
+        self.stalled: Optional[dict[int, int]] = None
+        self.where: dict[tuple, int] = {}
+        by_site: dict[int, list[int]] = {}
+        pos = []
+        for i, ev in enumerate(ops):
+            pos.append(len(by_site.setdefault(ev.site, [])))
+            by_site[ev.site].append(i)
+            if ev.kind is not EventKind.WRITE_OP:
+                continue
+            if ev.write_id is None:
+                self.malformed.append(("unnamed-write", f"site {ev.site}'s "
+                                       f"operation {pos[i]} is a write without an id"))
+            elif ev.write_id in self.where:
+                self.malformed.append(("duplicate-write",
+                                       f"write id {ev.write_id} is recorded twice"))
+            else:
+                self.where[ev.write_id] = i
+        self.by_site = {s: np.array(seq, np.int64) for s, seq in by_site.items()}
+        self.pos, self.src = np.array(pos, np.int64), np.full(len(ops), -1, np.int64)
+        self.site = np.array([ev.site for ev in ops], np.int64)
+        self.var = np.array([-1 if ev.var is None else ev.var for ev in ops], np.int64)
+        self.is_write = np.array([ev.kind is EventKind.WRITE_OP for ev in ops], bool)
+        for i in np.flatnonzero(~self.is_write):
+            w = self.where.get(rf := ops[i].write_id, -1)  # type: ignore[arg-type]
+            if rf is not None and w < 0:
+                self.malformed.append(("unknown-write", f"read {self.name(i)} "
+                                       f"returned unknown write id {rf}"))
+            elif w >= 0 and ops[w].var != ops[i].var:
+                self.malformed.append(("cross-variable-read", (
+                    f"read {self.name(i)} of var {ops[i].var} returned a "
+                    f"write to var {ops[w].var}")))
+            self.src[i] = w
+        self.past = np.zeros((len(ops), 1 + max(by_site, default=0)), np.int32)
 
-    def __init__(self) -> None:
-        self.nodes: dict[Node, dict[str, Any]] = {}
-        self.preds: dict[Node, list[Node]] = {}
-        self.edges: dict[tuple[Node, Node], str] = {}
-        self.order: Optional[list[Node]] = None
-        self.write_index: dict[Node, int] = {}
-        self.masks: dict[Node, int] = {}
+    def name(self, i: int) -> tuple:
+        ev = self.ops[i]
+        return ("w", *ev.write_id) if self.is_write[i] else (  # type: ignore[misc]
+            "r", ev.site, int(self.pos[i]))
 
-    def add_node(self, node: Node, **attrs: Any) -> None:
-        self.nodes[node], self.preds[node] = attrs, []
+    def precedes(self, a: int, b: int) -> bool:
+        """Op ``a`` ->co op ``b``, strictly."""
+        return bool(self.past[b, self.site[a]] > self.pos[a])
 
-    def add_edge(self, a: Node, b: Node, order: str) -> None:
-        """A second edge between a pair only relabels it (a read of the
-        site's own last write is po and rf)."""
-        if (a, b) not in self.edges:
-            self.preds[b].append(a)
-        self.edges[(a, b)] = order
-
-    def _peel(self) -> list[Node]:
-        """Kahn: the nodes no cycle reaches, in a topological order."""
-        indegree = {node: len(preds) for node, preds in self.preds.items()}
-        succs: dict[Node, list[Node]] = {node: [] for node in self.nodes}
-        for a, b in self.edges:
-            succs[a].append(b)
-        order = [node for node, d in indegree.items() if not d]
-        for node in order:  # grows while it is walked
-            for succ in succs[node]:
-                indegree[succ] -= 1
-                if not indegree[succ]:
-                    order.append(succ)
-        return order
-
-    def cycle(self) -> list[tuple[Node, Node]]:
-        """The edges of one cycle, in order; empty when acyclic.  Each
-        unpeeled node has an unpeeled predecessor, so walking back loops."""
-        left = set(self.nodes).difference(self._peel())
-        if not left:
+    def cycle(self) -> list[tuple[tuple, tuple]]:
+        """The edges of one cycle, in order; empty when acyclic.  A stalled
+        cursor rests on a read of an unordered write, and each op past a
+        cursor has an unordered po predecessor, so walking back loops."""
+        if (stalled := self.stalled) is None:
             return []
-        node = min(left)
-        seen: dict[Node, int] = {}
-        path: list[Node] = []
+        node = min(seq[stalled[s]] for s, seq in self.by_site.items()
+                   if stalled[s] < len(seq))
+        seen: dict[int, int] = {}
         while node not in seen:
-            seen[node] = len(path)
-            path.append(node)
-            node = next(p for p in self.preds[node] if p in left)
-        loop = path[seen[node]:][::-1]
+            seen[node] = len(seen)
+            s, k = self.site[node], self.pos[node]
+            node = int(self.src[node] if k == stalled[s] else self.by_site[s][k - 1])
+        loop = [self.name(i) for i in list(seen)[seen[node]:][::-1]]
         return list(zip(loop, loop[1:] + loop[:1]))
 
     def acyclic(self) -> "CausalityGraph":
-        if self.order is None:
+        if self.malformed:
+            raise ValueError(self.malformed[0][1])
+        if self.stalled is not None:
             raise ValueError("history is cyclic; run the main checker first")
         return self
 
-    def precedes(self, a: Node, b: Node) -> bool:
-        """Write ``a`` ->co node ``b``, strictly (False for unknown ``a``)."""
-        i = self.write_index.get(a)
-        return i is not None and bool(self.masks.get(b, 0) >> i & 1)
+    def apply_positions(
+        self, applies: Sequence[EventRecord]
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per apply site, in order of first apply, ``(site, seq, at, last)``:
+        the op each apply there applied (-1 for an id the history lacks),
+        its index in ``applies``, and per op its last position in ``seq``."""
+        sites = np.array([ev.site for ev in applies], np.int64)
+        ops = np.array([self.where.get(ev.write_id, -1)  # type: ignore[arg-type]
+                        for ev in applies], np.int64)
+        for site in dict.fromkeys(sites.tolist()):
+            at = np.flatnonzero(sites == site)
+            seq = ops[at]
+            latest = dict(zip(seq.tolist(), range(len(seq))))  # a repeat: its last
+            latest.pop(-1, None)
+            last = np.full(len(self.ops), -1, np.int64)
+            last[list(latest)] = list(latest.values())
+            yield site, seq, at, last
 
 
 def causality_graph(history: HistoryRecorder) -> CausalityGraph:
-    """Build the po ∪ rf edge relation (whose closure is ->co), its
-    topological order and every node's write ancestry.
+    """Every operation's strict ->co past as per-site prefix lengths.
 
-    Operations are taken in each site's recorded order, which equals
-    program order because application processes are sequential.  Writes
-    are indexed in node order; one pass over the topological order ORs
-    each node's predecessors' masks — O(V·E/w) words.
+    Each site's recorded operations are its program order (processes are
+    sequential).  A site's cursor takes a run of ops without a read-from
+    source at once (each row the previous one, its own site counted), and
+    a read once its source's site has passed the source (the max with the
+    source's row, the source counted).  po ∪ rf is cyclic exactly when
+    every cursor stalls short of its end.
     """
-    g = CausalityGraph()
-    per_site_ops: dict[int, list[Node]] = {}
-
-    # first pass: create nodes in program order
-    for ev in history.operations():
-        ops = per_site_ops.setdefault(ev.site, [])
-        if ev.kind is EventKind.WRITE_OP:
-            node = write_node(*ev.write_id)  # type: ignore[misc]
-            g.add_node(node, site=ev.site, var=ev.var, kind="w",
-                       value=ev.value, dests=ev.dests)
-        else:
-            node = read_node(ev.site, len(ops))
-            g.add_node(node, site=ev.site, var=ev.var, kind="r",
-                       rf=ev.write_id, value=ev.value)
-        ops.append(node)
-
-    # program-order edges
-    for ops in per_site_ops.values():
-        for a, b in zip(ops, ops[1:]):
-            g.add_edge(a, b, "po")
-
-    # read-from edges
-    for node, data in g.nodes.items():
-        if data["kind"] == "r" and data["rf"] is not None:
-            w = write_node(*data["rf"])
-            if w not in g.nodes:
-                raise ValueError(f"read {node} returned unknown write id {data['rf']}")
-            if g.nodes[w]["var"] != data["var"]:
-                raise ValueError(
-                    f"read {node} of var {data['var']} returned a write to "
-                    f"var {g.nodes[w]['var']}"
-                )
-            g.add_edge(w, node, "rf")
-
-    order = g._peel()
-    if len(order) == len(g.nodes):  # acyclic: every node after its preds
-        g.order = order
-        writes = (node for node, data in g.nodes.items() if data["kind"] == "w")
-        index = g.write_index = {w: i for i, w in enumerate(writes)}
-        masks = g.masks
-        for node in order:
-            mask = 0
-            for pred in g.preds[node]:
-                mask |= masks[pred]
-                i = index.get(pred)
-                if i is not None:
-                    mask |= 1 << i
-            masks[node] = mask
+    g = CausalityGraph(history.operations())
+    if g.malformed:
+        return g
+    past, src, site, pos = g.past, g.src, g.site, g.pos
+    cursor = dict.fromkeys(g.by_site, 0)
+    stops = {s: [len(seq), *np.flatnonzero(src[seq] >= 0)[::-1]]  # next last
+             for s, seq in g.by_site.items()}
+    moved = True
+    while moved:
+        moved = False
+        for s, seq in g.by_site.items():
+            k, reads = cursor[s], stops[s]
+            while k < len(seq):
+                r = reads[-1]
+                if k:
+                    past[seq[k:r]] = past[seq[k - 1]]
+                past[seq[k:r], s] = np.arange(k, r)
+                moved |= r > k
+                k = cursor[s] = r
+                if r == len(seq) or pos[j := src[seq[r]]] >= cursor[t := site[j]]:
+                    break
+                row = past[seq[r]]
+                row[:] = np.maximum(past[seq[r - 1]] if r else 0, past[j])
+                row[t] = max(row[t], pos[j] + 1)
+                row[s] = r
+                reads.pop()
+                k = cursor[s] = r + 1
+                moved = True
+    if any(k < len(g.by_site[s]) for s, k in cursor.items()):
+        g.stalled = cursor
     return g
-
-
-def apply_masks(
-    write_index: dict[Node, int], applies: Iterable[EventRecord]
-) -> Iterator[tuple[int, list[Node], dict[Node, int], int]]:
-    """Per apply site, in order of first apply, ``(site, seq, before,
-    applied)``: the site's applied write nodes in apply order (repeats and
-    unknown writes included), per known write w the mask of writes whose
-    *last* apply comes before w's last apply, and all writes applied."""
-    by_site: dict[int, list[Node]] = {}
-    for ev in applies:
-        by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
-    for site, seq in by_site.items():
-        last = {w: k for k, w in enumerate(seq)}
-        before: dict[Node, int] = {}
-        applied = 0
-        for k, w in enumerate(seq):
-            i = write_index.get(w)
-            if i is not None and last[w] == k:
-                before[w] = applied
-                applied |= 1 << i
-        yield site, seq, before, applied
-
-
-def set_bits(mask: int) -> Iterator[int]:
-    """The indices of ``mask``'s set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1

@@ -17,15 +17,16 @@ downstream users on their own:
 
 All checkers consume the same :class:`~repro.verify.history.HistoryRecorder`
 as the main checker and return lists of violation strings (empty = pass).
-Those that ask about ->co call the main checker's builder,
-:func:`~repro.verify.graph.causality_graph` (built once for all four in
-:func:`check_all_session_guarantees`), and raise ``ValueError`` on a
-cyclic history or a read of a write the history does not hold.
+Those that ask about ->co call :func:`~repro.verify.graph.causality_graph`
+(once for all four in :func:`check_all_session_guarantees`) and raise
+``ValueError`` on a history it cannot order (cyclic or malformed).
 """
 
 from __future__ import annotations
 
-from .graph import CausalityGraph, apply_masks, causality_graph, set_bits, write_node
+import numpy as np
+
+from .graph import CausalityGraph, causality_graph
 from .history import EventKind, HistoryRecorder
 
 __all__ = [
@@ -50,24 +51,18 @@ def check_read_your_writes(history: HistoryRecorder) -> list[str]:
 
 def _read_your_writes(g: CausalityGraph) -> list[str]:
     violations: list[str] = []
-    last_own_write: dict[tuple[int, int], tuple] = {}  # (site, var) -> node
-    for node, data in g.nodes.items():
-        site, var = data["site"], data["var"]
-        if data["kind"] == "w":
-            last_own_write[(site, var)] = node
-            continue
-        own = last_own_write.get((site, var))
-        if own is None:
-            continue
-        if data["rf"] is None:
+    last_own_write: dict[tuple[int, int], int] = {}  # (site, var) -> op
+    for i, ev in enumerate(g.ops):
+        own = last_own_write.get((ev.site, ev.var))
+        if g.is_write[i]:
+            last_own_write[(ev.site, ev.var)] = i
+        elif own is not None and g.src[i] < 0:
+            violations.append(f"site {ev.site} read ⊥ from var {ev.var} "
+                              f"after writing it ({g.name(own)})")
+        elif own is not None and g.precedes(g.src[i], own):
             violations.append(
-                f"site {site} read ⊥ from var {var} after writing it ({own})")
-            continue
-        returned = write_node(*data["rf"])
-        if g.precedes(returned, own):
-            violations.append(
-                f"site {site} read {returned} from var {var}, a strict "
-                f"causal ancestor of its own write {own}")
+                f"site {ev.site} read {g.name(g.src[i])} from var {ev.var}, a "
+                f"strict causal ancestor of its own write {g.name(own)}")
     return violations
 
 
@@ -79,23 +74,20 @@ def check_monotonic_reads(history: HistoryRecorder) -> list[str]:
 
 def _monotonic_reads(g: CausalityGraph) -> list[str]:
     violations: list[str] = []
-    last_seen: dict[tuple[int, int], tuple] = {}
-    for data in g.nodes.values():
-        if data["kind"] == "w":
-            continue
-        site, var = data["site"], data["var"]
+    last_seen: dict[tuple[int, int], int] = {}  # (site, var) -> write op
+    for i in np.flatnonzero(~g.is_write):
+        site, var, current = g.ops[i].site, g.ops[i].var, g.src[i]
         prev = last_seen.get((site, var))
-        if data["rf"] is None:
+        if current < 0:
             if prev is not None:
-                violations.append(
-                    f"site {site} read ⊥ from var {var} after observing {prev}")
+                violations.append(f"site {site} read ⊥ from var {var} "
+                                  f"after observing {g.name(prev)}")
             continue
-        current = write_node(*data["rf"])
         # regression = current is a strict causal ancestor of prev
         if prev is not None and g.precedes(current, prev):
             violations.append(
                 f"site {site} var {var}: read regressed from "
-                f"{prev} to its causal ancestor {current}")
+                f"{g.name(prev)} to its causal ancestor {g.name(current)}")
         last_seen[(site, var)] = current
     return violations
 
@@ -124,30 +116,29 @@ def check_writes_follow_reads(history: HistoryRecorder) -> list[str]:
     every site applying both; a repeated apply counts at its last apply,
     and each (site, source, successor) is reported once.
 
-    Each write snapshots the mask of read sources its site saw before
-    it; at each site, each set bit of ``read_sources[w] & applied &
-    ~before[w]`` is a source applied after w."""
+    Per (apply site, writer), the running max of the last applies of the
+    sources the writer read is judged against each of its writes' last
+    apply; only the writes that fail list their late sources."""
     return _writes_follow_reads(history, causality_graph(history).acyclic())
 
 
 def _writes_follow_reads(history: HistoryRecorder, g: CausalityGraph) -> list[str]:
-    index = g.write_index
-    writes = list(index)
-    seen: dict[int, int] = {}  # site -> mask of its read sources so far
-    read_sources: dict[tuple, int] = {}
-    for node, data in g.nodes.items():
-        site = data["site"]
-        if data["kind"] == "w":
-            read_sources[node] = seen.get(site, 0)
-        elif data["rf"] is not None:
-            seen[site] = seen.get(site, 0) | 1 << index[write_node(*data["rf"])]
     violations: list[str] = []
-    for site, _, before, applied in apply_masks(
-            index, history.of_kind(EventKind.APPLY)):
-        for w, prior in before.items():
-            violations += (f"site {site} applied {w[1:]} (writes-follow-reads "
-                           f"successor) before {writes[i][1:]}"
-                           for i in set_bits(read_sources[w] & applied & ~prior))
+    for site, _, _, last in g.apply_positions(history.of_kind(EventKind.APPLY)):
+        late = []
+        for seq in g.by_site.values():
+            reads, writes = seq[g.src[seq] >= 0], seq[g.is_write[seq]]
+            if not len(reads):
+                continue
+            seen = np.maximum.accumulate(last[g.src[reads]])
+            k = np.searchsorted(g.pos[reads], g.pos[writes])
+            fails = (last[writes] >= 0) & (k > 0) & (seen[k - 1] > last[writes])
+            for w, n in zip(writes[fails], k[fails]):
+                sources = np.unique(g.src[reads[:n]])
+                late += ((last[w], s, w) for s in sources[last[sources] > last[w]])
+        violations += (f"site {site} applied {g.ops[w].write_id} (writes-follow-"
+                       f"reads successor) before {g.ops[s].write_id}"
+                       for _, s, w in sorted(late))
     return violations
 
 

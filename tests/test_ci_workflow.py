@@ -342,9 +342,13 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
           for protocol in ("full-track", "opt-track-crp", "optp", "hb-track")],
         "--protocol opt-track -n 12 -p 4 -q 20 --ops 30 --latency uniform"
         " --drop-rate 0.05 --crash-plan 600:1500:2",
-        # a paper-scale cell: the checker keeps up with n = 20, 300 ops
+        # paper-scale cells: the checker keeps up with n = 20 and 40 at
+        # 300 ops, under drops and under the crash plan
         "--protocol opt-track -n 20 -p 6 -q 100 --ops 300"
         " --latency adversarial --drop-rate 0.05",
+        "--protocol opt-track-crp -n 40 --ops 300 --latency adversarial"
+        " --drop-rate 0.05",
+        "--protocol opt-track -n 20 --ops 300 --crash-plan 600:1500:2",
     ]
     # the registry exports the counts of the first two runs, the
     # overload and backpressure ones from the second
@@ -362,6 +366,39 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
     (install,) = [step["run"] for step in job["steps"]
                   if "pip install" in step.get("run", "")]
     assert "networkx" not in install
+
+
+def checked_runs(job: dict) -> list[list[str]]:
+    """The words of each ``repro run --check`` command in a job's steps,
+    matrix expressions as ``<name>``."""
+    runs = []
+    for step in job["steps"]:
+        run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>",
+                     step.get("run", ""))
+        for cmd in run.replace("\\\n", " ").split("\n"):
+            words = cmd.split()
+            if words[4:6] == ["run", "--check"]:
+                runs.append(words[:words.index("|")] if "|" in words else words)
+    return runs
+
+
+def test_each_fault_matrix_checks_a_paper_scale_cell():
+    # the checker counts a broken history's violations instead of
+    # enumerating them, so it keeps up with the paper's cells under
+    # drops, under a crash plan and under churn
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+
+    def paper_scale(words):  # a matrix-sized run (``<size>``) is not
+        return ("-n" in words and int(words[words.index("-n") + 1]) >= 20
+                and int(words[words.index("--ops") + 1]) >= 300)
+
+    chaos = checked_runs(workflow["jobs"]["chaos-matrix"])
+    churn = checked_runs(workflow["jobs"]["churn-matrix"])
+    assert [w for w in chaos if paper_scale(w) and "--drop-rate" in w
+            and "--crash-plan" not in w]
+    assert [w for w in chaos if paper_scale(w) and "--crash-plan" in w]
+    assert [w for w in churn if paper_scale(w) and "--churn-joins" in w
+            and "<churn-seed>" in w and "<protocol>" in w]
 
 
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"

@@ -1,6 +1,7 @@
 """Property tests cross-validating the checker and activation predicates
 against brute-force reference implementations."""
 
+from collections import Counter
 from dataclasses import replace
 
 import networkx as nx
@@ -22,11 +23,11 @@ from repro.core.log import PiggybackEntry, PiggybackView
 from repro.memory.replication import Placement
 from repro.memory.store import WriteId
 from repro.verify.causal_checker import (
+    LISTED,
     CausalityViolation,
-    apply_order_violations,
     check_causal_consistency,
 )
-from repro.verify.graph import causality_graph, write_node
+from repro.verify.graph import causality_graph
 from repro.verify.history import EventKind, HistoryRecorder
 from repro.verify.sessions import check_writes_follow_reads
 
@@ -74,44 +75,60 @@ def histories(draw, min_ops=1):
     return h
 
 
-def oracle_graph(g) -> nx.DiGraph:
-    """The same relation as an ``nx.DiGraph``, built from nothing but
-    the node and edge sets, so no code under test answers for it."""
+def oracle_graph(history: HistoryRecorder) -> nx.DiGraph:
+    """po ∪ rf as an ``nx.DiGraph`` built from the history's events alone,
+    so no code under test answers for it.  Nodes are named as the
+    checker names them, ``("w", site, clock)`` and ``("r", site, k)``,
+    and carry their ``site``, ``var``, ``kind``, ``rf`` and ``dests``."""
     dg = nx.DiGraph()
-    dg.add_nodes_from(g.nodes)
-    dg.add_edges_from(g.edges)
+    last: dict[int, tuple] = {}
+    for ev in history.operations():
+        k = sum(1 for _ in dg.nodes if dg.nodes[_]["site"] == ev.site)
+        write = ev.kind is EventKind.WRITE_OP
+        node = ("w", *ev.write_id) if write else ("r", ev.site, k)
+        dg.add_node(node, site=ev.site, var=ev.var, kind="w" if write else "r",
+                    rf=None if write else ev.write_id, dests=ev.dests)
+        if ev.site in last:
+            dg.add_edge(last[ev.site], node)
+        last[ev.site] = node
+    for node, data in list(dg.nodes.items()):
+        if data["kind"] == "r" and data["rf"] is not None:
+            dg.add_edge(("w", *data["rf"]), node)
     return dg
 
 
-def brute_force_stale_reads(history: HistoryRecorder) -> int:
-    """O(V^3) reference: count stale reads via full transitive closure."""
-    g = causality_graph(history)
-    dg = oracle_graph(g)
-    if not nx.is_directed_acyclic_graph(dg):
-        return -1  # cycle marker
-    closure = nx.transitive_closure_dag(dg)
-    count = 0
-    writes_by_var: dict[int, list] = {}
-    for node, data in g.nodes.items():
-        if data["kind"] == "w":
-            writes_by_var.setdefault(data["var"], []).append(node)
-    for node, data in g.nodes.items():
+def first_per_kind(violations: list[CausalityViolation]) -> list[CausalityViolation]:
+    """A listing as a report keeps it: the first LISTED of each kind."""
+    seen: Counter = Counter()
+    kept = []
+    for v in violations:
+        seen[v.kind] += 1
+        if seen[v.kind] <= LISTED:
+            kept.append(v)
+    return kept
+
+
+def reference_stale_reads(dg: nx.DiGraph, closure: nx.DiGraph) -> list[CausalityViolation]:
+    """Condition 2 from the transitive closure: per read in recorded
+    order, each write to its variable in its causal past that is stale."""
+    violations = []
+    writes = [n for n, d in dg.nodes.items() if d["kind"] == "w"]
+    for node, data in dg.nodes.items():
         if data["kind"] != "r":
             continue
-        var = data["var"]
-        if data["rf"] is None:
-            count += sum(
-                1 for w2 in writes_by_var.get(var, ())
-                if closure.has_edge(w2, node)
-            )
-            continue
-        w = write_node(*data["rf"])
-        for w2 in writes_by_var.get(var, ()):
-            if w2 == w:
+        var, rf = data["var"], data["rf"]
+        for w2 in writes:
+            if dg.nodes[w2]["var"] != var or not closure.has_edge(w2, node):
                 continue
-            if closure.has_edge(w2, node) and closure.has_edge(w, w2):
-                count += 1
-    return count
+            if rf is None:
+                violations.append(CausalityViolation(
+                    "stale-bottom-read", f"read {node} returned ⊥ but write "
+                    f"{w2} to var {var} is in its causal past"))
+            elif closure.has_edge(("w", *rf), w2):
+                violations.append(CausalityViolation(
+                    "stale-read", f"read {node} returned write {('w', *rf)} but "
+                    f"{w2} overwrote var {var} in the read's causal past"))
+    return violations
 
 
 class TestCheckerAgainstBruteForce:
@@ -119,14 +136,14 @@ class TestCheckerAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     def test_stale_read_counts_agree(self, history):
         report = check_causal_consistency(history)
-        expected = brute_force_stale_reads(history)
-        if expected == -1:
-            assert report.violations
+        dg = oracle_graph(history)
+        if not nx.is_directed_acyclic_graph(dg):
+            assert report.totals == {"cyclic-causality": 1}
             assert report.violations[0].kind == "cyclic-causality"
-        else:
-            found = sum(1 for v in report.violations
-                        if v.kind in ("stale-read", "stale-bottom-read"))
-            assert found == expected
+            return
+        expected = reference_stale_reads(dg, nx.transitive_closure_dag(dg))
+        assert report.totals == Counter(v.kind for v in expected)
+        assert report.violations == first_per_kind(expected)
 
 
 class TestGraphAgainstNetworkx:
@@ -134,26 +151,25 @@ class TestGraphAgainstNetworkx:
     @settings(max_examples=150, deadline=None)
     def test_order_cycle_and_ancestry(self, history):
         g = causality_graph(history)
-        dg = oracle_graph(g)
-        order = g.order
-        assert (order is None) == (not nx.is_directed_acyclic_graph(dg))
-        if order is None:
+        dg = oracle_graph(history)
+        cyclic = not nx.is_directed_acyclic_graph(dg)
+        assert (g.stalled is not None) == cyclic
+        if cyclic:
             cycle = g.cycle()
             assert cycle
             assert all(dg.has_edge(a, b) for a, b in cycle)
             assert [b for _, b in cycle] == [a for a, _ in cycle[1:] + cycle[:1]]
+            with pytest.raises(ValueError, match="cyclic"):
+                g.acyclic()
             return
         assert g.cycle() == []
-        position = {node: k for k, node in enumerate(order)}
-        assert sorted(position) == sorted(g.nodes)
-        assert all(position[a] < position[b] for a, b in dg.edges)
-        index, masks = g.write_index, g.masks
-        writes = [n for n, d in g.nodes.items() if d["kind"] == "w"]
-        assert list(index) == writes
+        names = list(dg.nodes)  # recorded order
         closure = nx.transitive_closure_dag(dg)
-        for node in g.nodes:
-            expected = {w for w in writes if closure.has_edge(w, node)}
-            assert {w for w in writes if masks[node] >> index[w] & 1} == expected
+        for a, name_a in enumerate(names):
+            if name_a[0] != "w":
+                continue
+            for b, name_b in enumerate(names):
+                assert g.precedes(a, b) == closure.has_edge(name_a, name_b)
 
 
 # ----------------------------------------------------------------------
@@ -203,32 +219,33 @@ def applied_histories(draw):
     return h, TablePlacement(n_sites, table)
 
 
-def reference_apply_order(g, write_index, masks, applies, placement):
-    """Condition 3 as one loop over every write per apply:
-    O(applies x writes)."""
+def reference_apply_order(history, placement):
+    """Condition 3 as one loop over every write per apply, ancestry from
+    the networkx closure: O(applies x writes)."""
+    dg = oracle_graph(history)
+    closure = nx.transitive_closure_dag(dg)
+    writes = [n for n, d in dg.nodes.items() if d["kind"] == "w"]
     violations = []
     applies_by_site: dict[int, list[tuple]] = {}
-    for ev in applies:
-        applies_by_site.setdefault(ev.site, []).append(write_node(*ev.write_id))
+    for ev in history.of_kind(EventKind.APPLY):
+        applies_by_site.setdefault(ev.site, []).append(("w", *ev.write_id))
     for site, applied_seq in applies_by_site.items():
         position = {w: k for k, w in enumerate(applied_seq)}
-        applied_set = set(applied_seq)
         for w in applied_seq:
-            if w not in write_index:
+            if w not in dg:
                 violations.append(CausalityViolation(
                     "phantom-apply", f"site {site} applied unknown write {w}"))
                 continue
-            mask = masks[w]
-            for w2, i2 in write_index.items():
-                if not (mask >> i2 & 1):
+            for w2 in writes:
+                if not closure.has_edge(w2, w):
                     continue
-                w2_dests = g.nodes[w2].get("dests")
+                w2_dests = dg.nodes[w2]["dests"]
                 if w2_dests is not None:
                     if site not in w2_dests:
                         continue
-                elif not placement.is_replicated_at(g.nodes[w2]["var"], site):
+                elif not placement.is_replicated_at(dg.nodes[w2]["var"], site):
                     continue
-                if w2 not in applied_set:
+                if w2 not in position:
                     violations.append(CausalityViolation(
                         "missing-apply",
                         f"site {site} applied {w} but not its causal "
@@ -246,17 +263,15 @@ class TestApplyOrderAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_masks_match_the_per_write_loop(self, case):
         history, placement = case
-        g = causality_graph(history)
         report = check_causal_consistency(history, placement)
-        if g.order is None:
+        dg = oracle_graph(history)
+        if not nx.is_directed_acyclic_graph(dg):
             assert [v.kind for v in report.violations] == ["cyclic-causality"]
             return
-        applies = history.of_kind(EventKind.APPLY)
-        expected = reference_apply_order(
-            g, g.write_index, g.masks, applies, placement)
-        assert apply_order_violations(g, applies, placement) == expected
-        assert report.violations == (
-            check_causal_consistency(history).violations + expected)
+        expected = (reference_stale_reads(dg, nx.transitive_closure_dag(dg))
+                    + reference_apply_order(history, placement))
+        assert report.totals == Counter(v.kind for v in expected)
+        assert report.violations == first_per_kind(expected)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +307,7 @@ class TestWritesFollowReadsAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_masks_match_the_pairwise_loop(self, case):
         history, _ = case
-        if causality_graph(history).order is None:
+        if not nx.is_directed_acyclic_graph(oracle_graph(history)):
             with pytest.raises(ValueError, match="cyclic"):
                 check_writes_follow_reads(history)
             return

@@ -19,8 +19,9 @@ from repro.memory.replication import RoundRobinPlacement
 from repro.memory.store import WriteId
 from repro.sim.faults import FaultPlan
 from repro.sim.network import AdversarialLatency
-from repro.verify.causal_checker import check_causal_consistency
-from repro.verify.graph import causality_graph, read_node, write_node
+from repro.cli import main
+from repro.verify.causal_checker import LISTED, check_causal_consistency
+from repro.verify.graph import causality_graph
 from repro.verify.history import EventKind, HistoryRecorder, decode_events
 from repro.verify.sessions import check_all_session_guarantees
 
@@ -47,29 +48,43 @@ class TestGraph:
         w(h, 1, 0, 0, "a", 1)
         r(h, 2, 0, 1, None, None)
         g = causality_graph(h)
-        assert (write_node(0, 1), read_node(0, 1)) in g.edges
-        assert g.edges[(write_node(0, 1), read_node(0, 1))] == "po"
+        assert g.precedes(0, 1) and not g.precedes(1, 0)
+        assert g.past[1].tolist() == [1]  # the read's past: site 0's first op
 
     def test_read_from_edges(self):
         h = HistoryRecorder()
         wid = w(h, 1, 0, 0, "a", 1)
         r(h, 2, 1, 0, "a", wid)
         g = causality_graph(h)
-        assert (write_node(0, 1), read_node(1, 0)) in g.edges
-        assert g.edges[(write_node(0, 1), read_node(1, 0))] == "rf"
+        assert g.precedes(0, 1) and not g.precedes(1, 0)
+        assert g.past[1].tolist() == [1, 0]
 
     def test_unknown_write_id_rejected(self):
         h = HistoryRecorder()
         r(h, 1, 0, 0, "a", WriteId(5, 5))
         with pytest.raises(ValueError, match="unknown write"):
-            causality_graph(h)
+            causality_graph(h).acyclic()
 
     def test_cross_variable_rf_rejected(self):
         h = HistoryRecorder()
         wid = w(h, 1, 0, 0, "a", 1)
         r(h, 2, 1, 3, "a", wid)  # reads var 3, write was to var 0
         with pytest.raises(ValueError, match="var"):
-            causality_graph(h)
+            causality_graph(h).acyclic()
+
+    def test_ancestry_is_a_prefix_of_each_site(self):
+        # w(0,1) -> r at site 1 -> w(1,1) -> r at site 2: the last read's
+        # past is all of sites 0 and 1, and none of its own site
+        h = HistoryRecorder()
+        w1 = w(h, 1, 0, 0, "a", 1)
+        w(h, 2, 0, 1, "b", 2)
+        r(h, 3, 1, 0, "a", w1)
+        w2 = w(h, 4, 1, 2, "c", 1)
+        r(h, 5, 2, 2, "c", w2)
+        g = causality_graph(h)
+        assert g.past.tolist() == [[0, 0, 0], [1, 0, 0], [1, 0, 0],
+                                   [1, 1, 0], [1, 2, 0]]
+        assert not g.precedes(1, 4)  # w(0,2) is concurrent with the read
 
 
 class TestRuntimeImports:
@@ -292,7 +307,7 @@ def paper_scale_run(protocol, **kwargs):
 
 class TestApplyOrderAtScale:
     def test_checking_a_paper_scale_run_takes_under_two_seconds(self):
-        # Condition 3 walks only the set bits of each apply's mask.
+        # Condition 3 is a few numpy passes per (apply site, writer).
         res = paper_scale_run("opt-track", replication_factor=6)
         start = time.perf_counter()
         report = check_causal_consistency(res.history, res.placement)
@@ -301,9 +316,9 @@ class TestApplyOrderAtScale:
         assert elapsed < 2.0, f"checker took {elapsed:.2f} s"
 
     def test_session_guarantees_at_full_replication_take_under_a_second(self):
-        # writes-follow-reads ANDs each applied write's read-source mask
-        # with the site's last-apply prefix, instead of testing every
-        # (read source, later write) pair at every site
+        # writes-follow-reads compares running maxima of last applies,
+        # instead of testing every (read source, later write) pair at
+        # every site
         res = paper_scale_run("opt-track-crp")
         start = time.perf_counter()
         report = check_all_session_guarantees(res.history)
@@ -311,3 +326,90 @@ class TestApplyOrderAtScale:
         assert not any(report.values())
         assert len(res.history.of_kind(EventKind.APPLY)) > 50_000
         assert elapsed < 1.0, f"session guarantees took {elapsed:.2f} s"
+
+
+def reverse_site_0_applies(history):
+    """A stand-in for a broken gate: site 0 applies its updates in
+    reverse order."""
+    events = history.events
+    at = [i for i, e in enumerate(events)
+          if e.kind is EventKind.APPLY and e.site == 0]
+    for i, event in zip(at, [events[j] for j in reversed(at)]):
+        events[i] = event
+
+
+class TestPaperShapeRegression:
+    """The oracle says "no" at the paper's shape: n = 20, 300 ops/process,
+    w = 0.8.  The counts are the ones a checker that enumerated every
+    violation found on the same reversed histories."""
+
+    @pytest.mark.parametrize("protocol, count", [
+        ("opt-track", 798_431), ("opt-track-crp", 9_383_277)])
+    def test_a_reversed_site_is_counted_exactly_under_three_seconds(
+            self, protocol, count):
+        res = run_simulation(SimulationConfig(
+            protocol=protocol, n_sites=20, ops_per_process=300,
+            write_rate=0.8, seed=1, record_history=True))
+        assert check_causal_consistency(res.history, res.placement).ok
+        reverse_site_0_applies(res.history)
+        start = time.perf_counter()
+        report = check_causal_consistency(res.history, res.placement)
+        elapsed = time.perf_counter() - start
+        assert report.totals == {"apply-order": count}
+        assert [v.kind for v in report.violations] == ["apply-order"] * LISTED
+        assert report.render().splitlines()[0] == (
+            f"{count} causal consistency violation(s) (apply-order {count}), "
+            f"{LISTED} listed:")
+        assert elapsed < 3.0, f"checker took {elapsed:.2f} s"
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved") / "run"
+    assert main(["run", "--trace", str(out), "-n", "4", "-q", "20",
+                 "--ops", "25", "--protocol", "optp"]) == 0
+    return out
+
+
+def _first(rows, kind):
+    return next(row for row in rows if row["kind"] == kind)
+
+
+def _unknown_source(rows):
+    _first(rows, "read_op")["write_id"] = [3, 999]
+
+
+def _shared_id(rows):
+    writes = [row for row in rows if row["kind"] == "write_op"]
+    writes[-1]["write_id"] = writes[0]["write_id"]
+
+
+def _no_id(rows):
+    _first(rows, "write_op")["write_id"] = None
+
+
+class TestMalformedHistories:
+    """Order sanity reports a history ->co is undefined on; the checker
+    and ``repro verify-trace`` list it and exit 1 instead of raising."""
+
+    @pytest.mark.parametrize("corrupt, kind", [
+        (_unknown_source, "unknown-write"),
+        (_shared_id, "duplicate-write"),
+        (_no_id, "unnamed-write"),
+    ], ids=["unknown-write", "duplicate-write", "unnamed-write"])
+    def test_verify_trace_reports_it(self, saved_run, tmp_path, capsys,
+                                     corrupt, kind):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("config.json", "history.jsonl"):
+            (out / name).write_text((saved_run / name).read_text())
+        rows = [json.loads(line) for line in
+                (out / "history.jsonl").read_text().splitlines()]
+        corrupt(rows)
+        (out / "history.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["verify-trace", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "causal consistency VIOLATED" in text
+        assert f"  [{kind}] " in text
