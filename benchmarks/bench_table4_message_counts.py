@@ -12,7 +12,7 @@ import sys
 
 from _common import OPS, exhibit_rows, run_standalone, show
 
-from repro.analysis.tradeoff import crossover_write_rate
+from repro.analysis.model import crossover_write_rate
 from repro.experiments.exhibits import WRITE_RATES
 
 #: Table IV of the paper (total message counts at 600 ops/process)

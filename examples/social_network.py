@@ -18,7 +18,7 @@ the consideration Section V-C raises (a 2011-average web object is
 Run:  python examples/social_network.py
 """
 
-from repro.analysis.tradeoff import crossover_write_rate
+from repro.analysis.model import crossover_write_rate
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_simulation
 from repro.experiments.sweep import cell_config

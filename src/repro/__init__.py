@@ -28,10 +28,11 @@ For interactive, step-by-step use (no pre-planned workload) see
 """
 
 from .analysis.model import (
+    crossover_write_rate,
     full_replication_message_count,
+    partial_beats_full,
     partial_replication_message_count,
 )
-from .analysis.tradeoff import crossover_write_rate, partial_beats_full
 from .cluster import CausalCluster
 from .core.base import (
     CausalProtocol,

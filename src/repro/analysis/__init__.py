@@ -1,26 +1,18 @@
-"""Closed-form cost models and the partial-vs-full trade-off analysis."""
+"""The closed-form model of Section V and the Opt-Track log report."""
 
-from .advisor import Recommendation, WorkloadProfile, recommend_replication
-from .calibration import (
-    LinearFit,
-    fit_full_track_envelope,
-    fit_linear,
-    fit_optp_envelope,
-    verify_default_calibration,
-)
 from .logstats import LogSnapshot, format_log_report, snapshot_logs
 from .model import (
+    crossover_write_rate,
     full_replication_message_count,
     full_track_total_size,
+    message_count_ratio,
     opt_track_crp_total_size,
     opt_track_total_size,
     optp_total_size,
-    partial_replication_message_count,
-)
-from .tradeoff import (
-    crossover_write_rate,
-    message_count_ratio,
     partial_beats_full,
+    partial_replication_message_count,
+    recommend,
+    transfer_volume,
 )
 
 __all__ = [
@@ -33,15 +25,9 @@ __all__ = [
     "crossover_write_rate",
     "partial_beats_full",
     "message_count_ratio",
-    "WorkloadProfile",
-    "Recommendation",
-    "recommend_replication",
+    "transfer_volume",
+    "recommend",
     "LogSnapshot",
     "snapshot_logs",
     "format_log_report",
-    "LinearFit",
-    "fit_linear",
-    "fit_optp_envelope",
-    "fit_full_track_envelope",
-    "verify_default_calibration",
 ]

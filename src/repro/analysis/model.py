@@ -19,6 +19,18 @@ Per-message sizes are the message types' rows of the price table
 (:data:`repro.core.messages.PRICE_TABLE`) evaluated at the expected
 shape — clock width n, a mean log length, a mean destination count — so
 the analytic and the simulated bytes share one formula.
+
+Comparing the two count formulas gives the paper's analytic result, the
+necessary condition under which partial replication sends fewer
+messages,
+
+    ((p-1) + (n-p)/n) w + 2 r (n-p)/n  <  (n-1) w
+        <=>   w > 2 r / (n - 1)                       (eq. 1)
+        <=>   w_rate > 2 / (n + 1)                    (eq. 2)
+
+independent of the replication factor p (both sides lose
+(n-p)(1 - 1/n) w when rearranged).  :func:`recommend` adds the
+transfer volume, payload included, to make the Section V-C choice.
 """
 
 from __future__ import annotations
@@ -44,6 +56,11 @@ __all__ = [
     "opt_track_crp_total_size",
     "optp_total_size",
     "CostBreakdown",
+    "crossover_write_rate",
+    "partial_beats_full",
+    "message_count_ratio",
+    "transfer_volume",
+    "recommend",
 ]
 
 
@@ -170,3 +187,64 @@ def optp_total_size(n: int, w: float) -> CostBreakdown:
     sm_count = (n - 1) * w
     sm_size = PRICE_TABLE[OptPSM].size_at(width=n)
     return CostBreakdown(sm_count, 0.0, 0.0, sm_count * sm_size, 0.0, 0.0)
+
+
+def crossover_write_rate(n: int) -> float:
+    """Eq. (2): the write rate above which partial replication wins."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return 2.0 / (1 + n)
+
+
+def partial_beats_full(n: int, p: int, w: float, r: float) -> bool:
+    """Exact eq. (1): does partial replication send strictly fewer messages?"""
+    return partial_replication_message_count(n, p, w, r) < (
+        full_replication_message_count(n, w)
+    )
+
+
+def message_count_ratio(n: int, p: int, write_rate: float, total_ops: float = 1.0) -> float:
+    """Partial / full message-count ratio at a given write rate.
+
+    < 1 means partial replication wins.  Undefined (inf) for a pure-read
+    workload, where full replication sends nothing at all.
+    """
+    if not 0.0 <= write_rate <= 1.0:
+        raise ValueError("write rate must be in [0, 1]")
+    w = write_rate * total_ops
+    r = (1.0 - write_rate) * total_ops
+    full = full_replication_message_count(n, w)
+    partial = partial_replication_message_count(n, p, w, r)
+    if full == 0:
+        return float("inf") if partial > 0 else 1.0
+    return partial / full
+
+
+def transfer_volume(
+    n: int, p: int, w: float, r: float, payload_bytes: float = 0.0,
+) -> tuple[float, float]:
+    """Bytes sent for w writes and r reads, metadata plus payload:
+    ``(partial under Opt-Track, full under Opt-Track-CRP)``.  The payload
+    rides on every SM (it replicates the object) and every RM."""
+    if payload_bytes < 0:
+        raise ValueError("payload bytes cannot be negative")
+    partial = opt_track_total_size(n, p, w, r)
+    full = opt_track_crp_total_size(n, w)
+    return (partial.total_bytes + payload_bytes * (partial.sm_count + partial.rm_count),
+            full.total_bytes + payload_bytes * full.sm_count)
+
+
+def recommend(
+    n: int, p: int, w: float, r: float, payload_bytes: float = 0.0,
+) -> tuple[str, str]:
+    """``(replication, protocol)`` for w writes and r reads: ``("partial",
+    "opt-track")`` or ``("full", "opt-track-crp")``.
+
+    Eq. (2)'s message count and the transfer volume vote, and on a split
+    the volume wins because it includes the payload, the factor Section
+    V-C argues dominates in practice; so the volume decides.
+    """
+    if n < 2:
+        raise ValueError("advice needs at least two sites")
+    partial, full = transfer_volume(n, p, w, r, payload_bytes)
+    return ("partial", "opt-track") if partial < full else ("full", "opt-track-crp")

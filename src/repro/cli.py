@@ -11,10 +11,10 @@ Subcommands:
   exits 1;
 * ``experiment`` — regenerate a paper table/figure (fig1..fig8, table2,
   table3, table4, eq2) at a chosen scale;
-* ``analytic``   — print the closed-form cost models for given params;
-* ``crossover``  — the eq. (2) partial-vs-full threshold table;
+* ``analytic``   — the closed-form model for given params: message
+  counts and sizes, the eq. (2) threshold, transfer volume with a
+  payload, and the recommended replication and protocol;
 * ``reproduce``  — regenerate every exhibit into CSVs + a Markdown report;
-* ``advise``     — replication recommendation for a workload profile;
 * ``check``      — the static analyzers: ``repro check ARGS`` is
   ``python -m repro.check ARGS``;
 * ``trace``      — summarize or diff saved traces; ``verify-trace``
@@ -35,14 +35,17 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.model import (
+    crossover_write_rate,
     full_replication_message_count,
     full_track_total_size,
+    message_count_ratio,
     opt_track_crp_total_size,
     opt_track_total_size,
     optp_total_size,
     partial_replication_message_count,
+    recommend,
+    transfer_volume,
 )
-from .analysis.tradeoff import crossover_write_rate
 from .core.base import protocol_names, replication_factor_for
 from .experiments.exhibits import EXHIBITS, reproduce_all
 from .experiments.report import format_kv, format_table, write_csv
@@ -114,21 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--only", nargs="*", default=None, metavar="EXHIBIT",
                        help="restrict to specific exhibits (e.g. fig1 table4)")
 
-    adv_p = sub.add_parser("advise", help="replication recommendation")
-    adv_p.add_argument("-n", "--sites", type=int, required=True)
-    adv_p.add_argument("-w", "--write-rate", type=float, required=True)
-    adv_p.add_argument("--payload", type=float, default=0.0,
-                       help="mean payload bytes per update")
-    adv_p.add_argument("-p", "--replicas", type=int, default=None)
-
-    ana_p = sub.add_parser("analytic", help="closed-form cost models")
+    ana_p = sub.add_parser(
+        "analytic", help="closed-form model: costs, eq. (2), recommendation")
     ana_p.add_argument("-n", "--sites", type=int, default=10)
     ana_p.add_argument("-p", "--replicas", type=int, default=None)
     ana_p.add_argument("-w", "--write-rate", type=float, default=0.5)
     ana_p.add_argument("--ops", type=int, default=600)
-
-    cross_p = sub.add_parser("crossover", help="eq. (2) thresholds")
-    cross_p.add_argument("--max-n", type=int, default=40)
+    ana_p.add_argument("--payload", type=float, default=0.0,
+                       help="mean payload bytes per update")
 
     trace_p = sub.add_parser(
         "trace", help="summarize or diff causal execution traces")
@@ -582,36 +578,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_advise(args: argparse.Namespace) -> int:
-    from .analysis.advisor import WorkloadProfile, recommend_replication
-
-    _require_cell(args, min_sites=2)
-    _require(args.payload >= 0, "--payload", args.payload, "at least 0 bytes")
-    rec = recommend_replication(WorkloadProfile(
-        n_sites=args.sites,
-        write_rate=args.write_rate,
-        payload_bytes=args.payload,
-        replication_factor=args.replicas,
-    ))
-    print(f"recommendation: {rec.replication} replication, "
-          f"protocol {rec.protocol}")
-    print(f"  messages   : partial {rec.partial_messages:.0f} vs "
-          f"full {rec.full_messages:.0f} (ratio {rec.message_ratio:.2f})")
-    print(f"  transfer   : partial {rec.partial_transfer_bytes/1e6:.2f} MB vs "
-          f"full {rec.full_transfer_bytes/1e6:.2f} MB")
-    print(f"  storage    : {rec.storage_copies_partial} vs "
-          f"{rec.storage_copies_full} copies per object")
-    print(f"  remote read: {rec.remote_read_fraction:.0%} of reads "
-          "(partial replication)")
-    print("rationale:")
-    for line in rec.rationale:
-        print(f"  - {line}")
-    return 0
-
-
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    _require_cell(args)
+    _require_cell(args, min_sites=2)
     _require(args.ops >= 1, "--ops", args.ops, "at least 1")
+    _require(args.payload >= 0, "--payload", args.payload, "at least 0 bytes")
     n = args.sites
     p = args.replicas
     if p is None:
@@ -630,17 +600,21 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         ("optp", optp_total_size(n, w)),
     ]:
         print(f"{name:14s}: {cb.total_count:10.1f} msgs  {cb.total_bytes/1000:12.1f} KB")
-    return 0
-
-
-def _cmd_crossover(args: argparse.Namespace) -> int:
-    _require(args.max_n >= 2, "--max-n", args.max_n, "at least 2")
-    rows = [
-        {"n": n, "threshold_write_rate": crossover_write_rate(n)}
-        for n in range(2, args.max_n + 1)
-        if n in (2, 3, 4, 5, 8, 10, 15, 20, 30, args.max_n)
-    ]
-    print(format_table(rows, title="eq. (2): partial wins iff w_rate > 2/(n+1)"))
+    threshold = crossover_write_rate(n)
+    count_says = "partial" if args.write_rate > threshold else "full"
+    partial, full = transfer_volume(n, p, w, r, args.payload)
+    replication, protocol = recommend(n, p, w, r, args.payload)
+    print(f"eq. (2) threshold     : w_rate > 2/(n+1) = {threshold:.3f}; at "
+          f"{args.write_rate:.2f} {count_says} replication sends fewer messages")
+    print(f"message ratio         : {message_count_ratio(n, p, args.write_rate):.2f}"
+          " (partial / full)")
+    print(f"transfer              : partial {partial/1e6:.2f} MB vs full "
+          f"{full/1e6:.2f} MB ({args.payload:.0f} B payload per update)")
+    print(f"storage               : {p} vs {n} copies per object")
+    print(f"remote reads          : {(n - p) / n:.0%} of reads (partial replication)")
+    split = ("; criteria split, transfer volume decides (it includes the payload)"
+             if count_says != replication else "")
+    print(f"recommended           : {replication} replication, protocol {protocol}{split}")
     return 0
 
 
@@ -1082,7 +1056,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
           f"{report.connections} connections opened")
     print(f"history: {report.events} events, "
           f"quiesced={report.quiesced}, "
-          f"violations={len(report.violations)}")
+          f"violations={sum(report.totals.values())}")
     for err in report.errors:
         print(f"  error: {err}")
     for violation in report.violations[:10]:
@@ -1113,11 +1087,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "experiment": _cmd_experiment,
         "reproduce": _cmd_reproduce,
-        "advise": _cmd_advise,
         "trace": _cmd_trace,
         "verify-trace": _cmd_verify_trace,
         "analytic": _cmd_analytic,
-        "crossover": _cmd_crossover,
         "metrics": _cmd_metrics,
         "soak": _cmd_soak,
         "serve": _cmd_serve,

@@ -14,9 +14,10 @@ Every message type's price is one row of :data:`PRICE_TABLE`: named
 ledger components, each a named cost of :data:`~repro.metrics.sizing.COSTS`
 times a count.  ``metadata_size`` (priced at *send* time, matching the
 paper's accounting: total size of all messages generated), the metadata
-ledger's component split, the analytic model of
-:mod:`repro.analysis.model` and the calibration all read these rows, so
-each formula is written once.  :func:`accounting_shape` names, per
+ledger's component split and the analytic model of
+:mod:`repro.analysis.model` all read these rows, so each formula is
+written once (``tests/test_price_table.py`` pins them to the paper's
+reference sizes).  :func:`accounting_shape` names, per
 message type, the one variable-length field (or the clock width) the
 price depends on, so the sender can book it and a report can split the
 bytes by component without seeing the messages again.

@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from ..analysis.tradeoff import crossover_write_rate, message_count_ratio
+from ..analysis.model import crossover_write_rate, message_count_ratio
 from ..memory.replication import paper_replication_factor
 from .report import ascii_chart, csv_text, format_table
 from .sweep import averaged_cell

@@ -7,8 +7,8 @@ content of each message through an explicit, documented model.  This
 module holds only the model's named byte costs; the formulas that
 combine them live once, in the price table of
 :mod:`repro.core.messages` (``PRICE_TABLE``, one row per message type),
-which the senders, the metadata ledger, the analytic model and the
-calibration all read:
+which the senders, the metadata ledger and the analytic model all read
+(``tests/test_price_table.py`` pins it to the paper's reference sizes):
 
 * fixed-width fields (site ids, clocks, variable ids, values) have named
   byte costs;

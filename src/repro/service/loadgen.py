@@ -150,7 +150,8 @@ class LoadgenReport:
     reads: int = 0
     shed: int = 0          # 503 overload responses (admission control)
     errors: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    violations: list = field(default_factory=list)  # the checker's listing
+    totals: dict = field(default_factory=dict)      # its exact count per kind
     events: int = 0
     quiesced: bool = False
     connections: int = 0   # TCP connections opened, polls and downloads included
@@ -158,7 +159,7 @@ class LoadgenReport:
 
     @property
     def ok(self) -> bool:
-        return self.quiesced and not self.errors and not self.violations
+        return self.quiesced and not self.errors and not self.totals
 
     def as_dict(self) -> dict:
         return {
@@ -168,6 +169,7 @@ class LoadgenReport:
             "shed": self.shed,
             "errors": list(self.errors),
             "violations": [str(v) for v in self.violations],
+            "totals": dict(self.totals),
             "events": self.events,
             "quiesced": self.quiesced,
             "connections": self.connections,
@@ -289,14 +291,18 @@ async def _run(
                     f"site {spec.site}: /history -> {status}"
                 )
                 return report
-            per_site.append(decode_events(body.decode("utf-8")))
+            try:
+                per_site.append(decode_events(body.decode("utf-8")))
+            except ValueError as exc:  # UnicodeDecodeError included
+                report.errors.append(f"site {spec.site}: /history {exc}")
+                return report
     finally:
         http.close()
         report.connections = http.connections
     merged = merge_event_lists(per_site)
     report.events = len(merged)
     check = check_causal_consistency(merged, build_placement(topology))
-    report.violations = list(check.violations)
+    report.violations, report.totals = list(check.violations), dict(check.totals)
     return report
 
 

@@ -27,13 +27,15 @@ a history — one sorted-key ``as_dict`` object per line — shared by
 every file and HTTP body that carries one; callers do the I/O.
 :func:`decode_events` skips the lines of the per-message kinds older
 files still hold, so such a file loads and checks as the history of
-its kept events.
+its kept events, and rejects any other malformed line with a
+``ValueError`` naming it: the file or body may come from anywhere.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from typing import Iterable, Optional
 
 from ..memory.store import WriteId
@@ -55,6 +57,17 @@ class EventKind(enum.Enum):
     APPLY = "apply"
     WRITE_OP = "write_op"
     READ_OP = "read_op"
+
+
+#: a tuple, not a set: an unhashable JSON value is compared, not hashed
+_KINDS = tuple(kind.value for kind in EventKind)
+_INT64 = 2**63
+
+
+def _int(value: object, low: int) -> bool:
+    """``value`` is an int (not a bool) in ``[low, 2**63)``."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value < _INT64)
 
 
 @value_type
@@ -102,14 +115,32 @@ class EventRecord:
     def from_dict(data: dict) -> "EventRecord":
         """Inverse of :meth:`as_dict` (trace replay); a ``"peer"`` key,
         written before the history dropped its per-message events, is
-        ignored."""
-        wid = data.get("write_id")
-        dests = data.get("dests")
+        ignored.  A field the checker could not read raises ``ValueError``:
+        sites, variables and destinations are int64 indexes, a write id
+        is ``[site, clock >= 1]`` and the time is a finite number."""
+        if not isinstance(data, dict):
+            raise ValueError(f"an event is a JSON object, not {data!r}")
+        kind, time, site, var, wid, dests = (data.get(key) for key in (
+            "kind", "time", "site", "var", "write_id", "dests"))
+        if kind not in _KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if not (_int(time, -_INT64) or isinstance(time, float) and math.isfinite(time)):
+            raise ValueError(f"time {time!r} is not a finite number")
+        if not _int(site, 0):
+            raise ValueError(f"site {site!r} is not a site index")
+        if not (var is None or _int(var, 0)):
+            raise ValueError(f"var {var!r} is not a variable index")
+        if not (wid is None or isinstance(wid, list) and len(wid) == 2
+                and _int(wid[0], 0) and _int(wid[1], 1)):
+            raise ValueError(f"write id {wid!r} is not [site, clock >= 1]")
+        if not (dests is None or isinstance(dests, list)
+                and all(_int(d, 0) for d in dests)):
+            raise ValueError(f"dests {dests!r} is not a list of sites")
         return EventRecord(
-            kind=EventKind(data["kind"]),
-            time=float(data["time"]),
-            site=int(data["site"]),
-            var=data.get("var"),
+            kind=EventKind(kind),
+            time=float(time),
+            site=site,
+            var=var,
             value=data.get("value"),
             write_id=tuple(wid) if wid is not None else None,
             op_index=data.get("op_index"),
@@ -126,17 +157,23 @@ def encode_events(events: Iterable[EventRecord]) -> str:
 
 
 #: kinds a history no longer records; :func:`decode_events` skips them
-_RETIRED_KINDS = frozenset(
-    {"send", "fetch", "receipt", "remote_return", "return"})
+_RETIRED_KINDS = ("send", "fetch", "receipt", "remote_return", "return")
 
 
 def decode_events(text: str) -> list[EventRecord]:
     """Parse JSONL history text (inverse of :func:`encode_events`; key
     order and blank lines do not matter, lines of a retired kind are
-    skipped)."""
-    rows = (json.loads(line) for line in text.splitlines() if line.strip())
-    return [EventRecord.from_dict(row) for row in rows
-            if row["kind"] not in _RETIRED_KINDS]
+    skipped); a malformed line raises ``ValueError("line N: ...")``."""
+    events = []
+    for n, line in enumerate(text.splitlines(), 1):
+        try:
+            row = json.loads(line) if line.strip() else None
+            if row is not None and not (
+                    isinstance(row, dict) and row.get("kind") in _RETIRED_KINDS):
+                events.append(EventRecord.from_dict(row))
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    return events
 
 
 class HistoryRecorder:

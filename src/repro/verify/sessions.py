@@ -18,16 +18,19 @@ downstream users on their own:
 All checkers consume the same :class:`~repro.verify.history.HistoryRecorder`
 as the main checker and return lists of violation strings (empty = pass).
 Those that ask about ->co call :func:`~repro.verify.graph.causality_graph`
-(once for all four in :func:`check_all_session_guarantees`) and raise
-``ValueError`` on a history it cannot order (cyclic or malformed).
+and raise ``ValueError`` on a history it cannot order (cyclic or
+malformed); :func:`check_all_session_guarantees` builds it, and collects
+the APPLY events, once for all four.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .graph import CausalityGraph, causality_graph
-from .history import EventKind, HistoryRecorder
+from .history import EventKind, EventRecord, HistoryRecorder
 
 __all__ = [
     "check_read_your_writes",
@@ -93,21 +96,33 @@ def _monotonic_reads(g: CausalityGraph) -> list[str]:
 
 
 def check_monotonic_writes(history: HistoryRecorder) -> list[str]:
-    """Each site's writes are applied at every site in issue order."""
+    """Each site's writes are applied at every site in issue order: an
+    apply fails when an earlier apply there of the same writer had a
+    clock at least as high."""
+    return _monotonic_writes(history.of_kind(EventKind.APPLY))
+
+
+def _monotonic_writes(applies: list[EventRecord]) -> list[str]:
+    """Per apply site, in order of first apply, one pass over its applies
+    grouped by writer: clock ranks offset per group make one running max
+    serve every writer."""
     violations: list[str] = []
-    applies: dict[int, list[tuple[int, int]]] = {}
-    for ev in history.of_kind(EventKind.APPLY):
-        applies.setdefault(ev.site, []).append(ev.write_id)  # type: ignore[arg-type]
-    for site, seq in applies.items():
-        last_clock: dict[int, int] = {}
-        for writer, clock in seq:
-            if clock <= last_clock.get(writer, 0):
-                violations.append(
-                    f"site {site} applied writer {writer}'s clock {clock} "
-                    f"after {last_clock[writer]}"
-                )
-            else:
-                last_clock[writer] = clock
+    site = np.fromiter((ev.site for ev in applies), np.int64, len(applies))
+    ids = chain.from_iterable(ev.write_id for ev in applies)  # type: ignore[arg-type]
+    writer, clock = np.fromiter(ids, np.int64, 2 * len(applies)).reshape(-1, 2).T
+    clocks, rank = np.unique(clock, return_inverse=True)
+    for s in dict.fromkeys(site.tolist()):
+        at = np.flatnonzero(site == s)
+        at = at[np.argsort(writer[at], kind="stable")]
+        first = np.append(True, writer[at][1:] != writer[at][:-1])
+        key = np.cumsum(first) * len(clocks) + rank[at]
+        seen = np.append(-1, np.maximum.accumulate(key)[:-1])
+        bad = np.flatnonzero(~first & (seen >= key))
+        bad = bad[np.argsort(at[bad])]  # back in apply order
+        violations += (f"site {s} applied writer {w}'s clock {c} after {b}"
+                       for w, c, b in zip(writer[at[bad]].tolist(),
+                                          clock[at[bad]].tolist(),
+                                          clocks[seen[bad] % len(clocks)].tolist()))
     return violations
 
 
@@ -119,12 +134,13 @@ def check_writes_follow_reads(history: HistoryRecorder) -> list[str]:
     Per (apply site, writer), the running max of the last applies of the
     sources the writer read is judged against each of its writes' last
     apply; only the writes that fail list their late sources."""
-    return _writes_follow_reads(history, causality_graph(history).acyclic())
+    return _writes_follow_reads(history.of_kind(EventKind.APPLY),
+                                causality_graph(history).acyclic())
 
 
-def _writes_follow_reads(history: HistoryRecorder, g: CausalityGraph) -> list[str]:
+def _writes_follow_reads(applies: list[EventRecord], g: CausalityGraph) -> list[str]:
     violations: list[str] = []
-    for site, _, _, last in g.apply_positions(history.of_kind(EventKind.APPLY)):
+    for site, _, _, last in g.apply_positions(applies):
         late = []
         for seq in g.by_site.values():
             reads, writes = seq[g.src[seq] >= 0], seq[g.is_write[seq]]
@@ -143,12 +159,13 @@ def _writes_follow_reads(history: HistoryRecorder, g: CausalityGraph) -> list[st
 
 
 def check_all_session_guarantees(history: HistoryRecorder) -> dict[str, list[str]]:
-    """Run all four checkers on one causality build; returns
-    {guarantee: violations}."""
+    """Run all four checkers on one causality build and one collection
+    of the APPLY events; returns {guarantee: violations}."""
     g = causality_graph(history).acyclic()
+    applies = history.of_kind(EventKind.APPLY)
     return {
         "read_your_writes": _read_your_writes(g),
         "monotonic_reads": _monotonic_reads(g),
-        "monotonic_writes": check_monotonic_writes(history),
-        "writes_follow_reads": _writes_follow_reads(history, g),
+        "monotonic_writes": _monotonic_writes(applies),
+        "writes_follow_reads": _writes_follow_reads(applies, g),
     }

@@ -1,89 +1,99 @@
-"""Tests for the replication advisor."""
+"""Tests for the replication recommendation: the model's ``recommend``
+and the lines ``repro analytic`` prints from it."""
 
 import pytest
 
-from repro.analysis.advisor import (
-    Recommendation,
-    WorkloadProfile,
-    recommend_replication,
+from repro.analysis.model import (
+    crossover_write_rate,
+    message_count_ratio,
+    recommend,
+    transfer_volume,
 )
+from repro.cli import main
+
+
+def analytic(capsys, *argv: str) -> str:
+    assert main(["analytic", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def counts(write_rate, ops=1000.0):
+    """(writes, reads) of ``ops`` operations at ``write_rate``."""
+    return write_rate * ops, (1.0 - write_rate) * ops
 
 
 class TestProfileValidation:
     def test_needs_two_sites(self):
         with pytest.raises(ValueError):
-            WorkloadProfile(n_sites=1, write_rate=0.5)
+            recommend(1, 1, *counts(0.5))
 
     def test_write_rate_bounds(self):
         with pytest.raises(ValueError):
-            WorkloadProfile(n_sites=5, write_rate=1.5)
+            message_count_ratio(5, 2, 1.5)
+        with pytest.raises(SystemExit, match="-w/--write-rate"):
+            main(["analytic", "-n", "5", "-w", "1.5"])
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
-            WorkloadProfile(n_sites=5, write_rate=0.5, payload_bytes=-1)
+            recommend(5, 2, *counts(0.5), payload_bytes=-1)
 
-    def test_default_replication_factor_is_papers(self):
-        assert WorkloadProfile(n_sites=10, write_rate=0.5).p == 3
-        assert WorkloadProfile(n_sites=10, write_rate=0.5,
-                               replication_factor=5).p == 5
+    def test_default_replication_factor_is_papers(self, capsys):
+        assert "n=10 p=3 " in analytic(capsys, "-n", "10", "-w", "0.5")
+        assert "n=10 p=5 " in analytic(capsys, "-n", "10", "-w", "0.5",
+                                       "-p", "5")
 
 
 class TestRecommendations:
     def test_write_intensive_large_system_goes_partial(self):
-        rec = recommend_replication(WorkloadProfile(
-            n_sites=20, write_rate=0.7, payload_bytes=679_000,
-        ))
-        assert rec.replication == "partial"
-        assert rec.protocol == "opt-track"
-        assert rec.message_ratio < 1.0
-        assert rec.partial_transfer_bytes < rec.full_transfer_bytes
+        w, r = counts(0.7)
+        assert recommend(20, 6, w, r, 679_000) == ("partial", "opt-track")
+        assert message_count_ratio(20, 6, 0.7) < 1.0
+        partial, full = transfer_volume(20, 6, w, r, 679_000)
+        assert partial < full
 
     def test_read_heavy_tiny_system_goes_full(self):
-        rec = recommend_replication(WorkloadProfile(
-            n_sites=3, write_rate=0.1, payload_bytes=0.0,
-        ))
-        assert rec.replication == "full"
-        assert rec.protocol == "opt-track-crp"
+        assert recommend(3, 1, *counts(0.1)) == ("full", "opt-track-crp")
 
-    def test_crossover_matches_eq2(self):
-        rec = recommend_replication(WorkloadProfile(n_sites=9, write_rate=0.5))
-        assert rec.crossover_write_rate == pytest.approx(0.2)
+    def test_crossover_matches_eq2(self, capsys):
+        assert crossover_write_rate(9) == pytest.approx(0.2)
+        assert "2/(n+1) = 0.200" in analytic(capsys, "-n", "9", "-w", "0.5")
 
-    def test_storage_ledger(self):
-        rec = recommend_replication(WorkloadProfile(n_sites=10, write_rate=0.5))
-        assert rec.storage_copies_partial == 3
-        assert rec.storage_copies_full == 10
-        assert rec.remote_read_fraction == pytest.approx(0.7)
+    def test_storage_ledger(self, capsys):
+        out = analytic(capsys, "-n", "10", "-w", "0.5")
+        assert "3 vs 10 copies per object" in out
+        assert "70% of reads" in out
 
-    def test_rationale_mentions_eq2(self):
-        rec = recommend_replication(WorkloadProfile(n_sites=10, write_rate=0.5))
-        assert any("eq. (2)" in line for line in rec.rationale)
+    def test_rationale_mentions_eq2(self, capsys):
+        out = analytic(capsys, "-n", "10", "-w", "0.5")
+        assert "eq. (2)" in out
+        assert "recommended           : partial replication, protocol " \
+               "opt-track\n" in out
 
-    def test_payload_tilts_split_decisions(self):
+    def test_payload_tilts_split_decisions(self, capsys):
         # just below the count threshold, a huge payload still makes
         # partial replication the cheaper transfer choice
-        n = 5
-        profile = WorkloadProfile(n_sites=n, write_rate=0.30,
-                                  payload_bytes=679_000)
-        rec = recommend_replication(profile)
-        assert rec.crossover_write_rate == pytest.approx(1 / 3)
+        n, p = 5, 2
+        w, r = counts(0.30)
+        assert crossover_write_rate(n) == pytest.approx(1 / 3)
         # count criterion says full; transfer criterion decides
-        if rec.partial_transfer_bytes < rec.full_transfer_bytes:
-            assert rec.replication == "partial"
-            assert any("split" in line for line in rec.rationale)
+        partial, full = transfer_volume(n, p, w, r, 679_000)
+        assert partial < full
+        assert recommend(n, p, w, r, 679_000) == ("partial", "opt-track")
+        out = analytic(capsys, "-n", "5", "-w", "0.3", "--payload", "679000")
+        assert "full replication sends fewer messages" in out
+        assert "partial replication, protocol opt-track; criteria split" in out
 
     def test_message_counts_consistent_with_models(self):
         from repro.analysis.model import (
-            full_replication_message_count,
-            partial_replication_message_count,
+            opt_track_crp_total_size,
+            opt_track_total_size,
         )
 
-        profile = WorkloadProfile(n_sites=12, write_rate=0.4, operations=500)
-        rec = recommend_replication(profile)
-        assert rec.partial_messages == pytest.approx(
-            partial_replication_message_count(12, profile.p,
-                                              profile.writes, profile.reads)
-        )
-        assert rec.full_messages == pytest.approx(
-            full_replication_message_count(12, profile.writes)
-        )
+        w, r = counts(0.4, ops=500)
+        partial = opt_track_total_size(12, 3, w, r)
+        full = opt_track_crp_total_size(12, w)
+        assert transfer_volume(12, 3, w, r) == pytest.approx(
+            (partial.total_bytes, full.total_bytes))
+        assert transfer_volume(12, 3, w, r, 100.0) == pytest.approx((
+            partial.total_bytes + 100.0 * (partial.sm_count + partial.rm_count),
+            full.total_bytes + 100.0 * full.sm_count))

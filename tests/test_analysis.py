@@ -3,18 +3,15 @@
 import pytest
 
 from repro.analysis.model import (
+    crossover_write_rate,
     full_replication_message_count,
     full_track_total_size,
+    message_count_ratio,
     opt_track_crp_total_size,
     opt_track_total_size,
     optp_total_size,
-    partial_replication_message_count,
-)
-from repro.analysis.tradeoff import (
-    crossover_write_rate,
-    message_count_ratio,
-    min_sites_for_write_rate,
     partial_beats_full,
+    partial_replication_message_count,
 )
 from repro.core.clocks import MatrixClock
 from repro.core.messages import FullTrackSM
@@ -145,12 +142,6 @@ class TestCrossover:
 
     def test_ratio_pure_read_is_infinite(self):
         assert message_count_ratio(10, 3, 0.0) == float("inf")
-
-    def test_min_sites_inverse(self):
-        for wr in (0.1, 0.2, 0.35, 0.5, 0.9):
-            n = min_sites_for_write_rate(wr)
-            assert crossover_write_rate(n) < wr
-            assert n == 1 or crossover_write_rate(n - 1) >= wr
 
     def test_paper_table4_predictions(self):
         # eq. (2): at n=5 threshold is 1/3 -> 0.2 loses, 0.5 and 0.8 win

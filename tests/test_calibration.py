@@ -1,82 +1,46 @@
-"""Tests for the size-model calibration tooling."""
+"""The price table's clock rows against the paper's own sizes.
 
-import numpy as np
-import pytest
+Tables II and III of the paper give Full-Track's and optP's per-SM bytes
+at a few system sizes; the costs in :mod:`repro.metrics.sizing` were
+chosen to reproduce them.  These tests pin how far the shipped rows may
+drift from those anchors.
+"""
 
-from repro.analysis.calibration import (
-    PAPER_FULL_TRACK_SM_REFERENCE,
-    PAPER_OPTP_REFERENCE,
-    fit_full_track_envelope,
-    fit_linear,
-    fit_optp_envelope,
-    verify_default_calibration,
-)
-from repro.core.clocks import MatrixClock, VectorClock
-from repro.core.messages import FullTrackSM, OptPSM
-from repro.memory.store import WriteId
+from repro.core.messages import PRICE_TABLE, FullTrackSM, OptPSM
+
+#: Table III of the paper: optP per-SM bytes by n (exactly 209 + 10 n).
+PAPER_OPTP_REFERENCE = {5: 259, 10: 309, 20: 409, 30: 509, 35: 559, 40: 609}
+
+#: Table II of the paper: Full-Track per-SM bytes by n, w_rate=0.2.
+PAPER_FULL_TRACK_SM_REFERENCE = {5: 518, 10: 1252, 20: 3870, 30: 8028, 40: 13547}
 
 
-class TestFitLinear:
-    def test_exact_line_recovered(self):
-        fit = fit_linear([1, 2, 3, 4], [12, 14, 16, 18])
-        assert fit.intercept == pytest.approx(10.0)
-        assert fit.slope == pytest.approx(2.0)
-        assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
-
-    def test_prediction(self):
-        fit = fit_linear([0, 10], [5, 25])
-        assert fit.predict(5) == pytest.approx(15.0)
-
-    def test_noise_reported(self):
-        rng = np.random.default_rng(0)
-        xs = np.arange(20.0)
-        ys = 3.0 + 2.0 * xs + rng.normal(0, 0.5, 20)
-        fit = fit_linear(xs, ys)
-        assert fit.slope == pytest.approx(2.0, abs=0.1)
-        assert fit.residual_rms > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_linear([1], [2])
-        with pytest.raises(ValueError):
-            fit_linear([1, 2], [1, 2, 3])
+def default_model_errors() -> dict[str, float]:
+    """Relative error of the shipped price at every paper anchor, keyed
+    ``optp_n<n>`` / ``full_track_sm_n<n>``."""
+    errors = {}
+    for key, row, reference in (
+            ("optp", PRICE_TABLE[OptPSM], PAPER_OPTP_REFERENCE),
+            ("full_track_sm", PRICE_TABLE[FullTrackSM],
+             PAPER_FULL_TRACK_SM_REFERENCE)):
+        for n, ref in reference.items():
+            errors[f"{key}_n{n}"] = abs(row.size_at(width=n) - ref) / ref
+    return errors
 
 
 class TestPaperFits:
     def test_optp_fit_is_exact_209_plus_10n(self):
-        fit = fit_optp_envelope()
-        assert fit.intercept == pytest.approx(209.0, abs=1e-6)
-        assert fit.slope == pytest.approx(10.0, abs=1e-6)
-        assert fit.max_relative_error < 1e-9
-
-    def test_full_track_fit_near_8_bytes_per_cell(self):
-        fit = fit_full_track_envelope()
-        assert fit.slope == pytest.approx(8.0, rel=0.25)
-        assert 0 < fit.intercept < 600
-        # the paper's sizes carry a linear component on top of the pure
-        # quadratic (serialization per-row overhead), so the one-term fit
-        # leaves real residuals at small n
-        assert fit.max_relative_error < 0.3
-
-    def test_defaults_match_fits(self):
-        # the shipped constants are the fitted values (optP exactly; the
-        # Full-Track envelope rounded to anchor the n=5 cell)
-        opt = fit_optp_envelope()
-        wid = WriteId(0, 1)
-        for n in (5, 40):
-            sm = OptPSM(0, 1, wid, VectorClock(n))
-            assert sm.metadata_size() == pytest.approx(opt.predict(n))
-        ft = fit_full_track_envelope()
-        # at large n the quadratic term dominates and the shipped model
-        # agrees with the fit; at small n the model anchors the paper's
-        # n=5 cell directly instead (see verify_default_calibration)
-        sm = FullTrackSM(0, 1, wid, MatrixClock(40))
-        assert sm.metadata_size() == pytest.approx(ft.predict(1600), rel=0.08)
+        optp = PRICE_TABLE[OptPSM]
+        for n, ref in PAPER_OPTP_REFERENCE.items():
+            assert ref == 209 + 10 * n, n
+            assert optp.size_at(width=n) == ref, n
 
 
 class TestCalibrationContract:
     def test_default_model_errors(self):
-        errors = verify_default_calibration()
+        errors = default_model_errors()
+        assert len(errors) == (len(PAPER_OPTP_REFERENCE)
+                               + len(PAPER_FULL_TRACK_SM_REFERENCE))
         for key, err in errors.items():
             if key.startswith("optp"):
                 assert err == 0.0, key          # exact by construction

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -68,9 +70,9 @@ class TestCommands:
         assert "opt-track-crp" in out and "partial message count" in out
 
     def test_crossover(self, capsys):
-        rc = main(["crossover", "--max-n", "10"])
+        rc = main(["analytic", "-n", "2"])
         assert rc == 0
-        assert "0.667" in capsys.readouterr().out
+        assert "w_rate > 2/(n+1) = 0.667" in capsys.readouterr().out
 
     def test_experiment_with_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
@@ -229,11 +231,11 @@ class TestBadArguments:
         (["soak", "-n", "1"], "-n/--sites"),
         (["soak", "--ops", "0"], "--ops"),
         (["analytic", "-n", "0"], "-n/--sites"),
-        (["advise", "-n", "0", "-w", "0.5"], "-n/--sites"),
-        (["advise", "-n", "5", "-w", "2"], "-w/--write-rate"),
-        (["crossover", "--max-n", "0"], "--max-n"),
-    ], ids=["soak-sites", "soak-ops", "analytic-sites", "advise-sites",
-            "advise-write-rate", "crossover-max-n"])
+        (["analytic", "-n", "1"], "-n/--sites"),
+        (["analytic", "-n", "5", "-w", "2"], "-w/--write-rate"),
+        (["analytic", "--payload", "-1"], "--payload"),
+    ], ids=["soak-sites", "soak-ops", "analytic-sites", "analytic-one-site",
+            "analytic-write-rate", "analytic-payload"])
     def test_model_and_soak_verbs(self, argv, named):
         assert named in self.exit_message(argv)
 
@@ -444,3 +446,25 @@ def test_documented_commands_parse():
             broken.append(f"{where}: repro {shlex.join(argv)}")
     assert broken == []
     assert {"run", "check", "trace", "metrics"} <= set(seen)
+
+
+def test_named_verbs_are_subcommands():
+    # a verb the docs or the CLI docstring name must exist, and the
+    # docstring must list every public one
+    import repro.cli
+
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    verbs = set(action.choices)
+    named = re.compile(r"(?<!from )\brepro ([a-z_][\w-]*)")
+    unknown = [f"{path.name}: repro {m.group(1)}"
+               for path in [REPO_ROOT / "README.md",
+                            *sorted((REPO_ROOT / "docs").glob("*.md"))]
+               for m in named.finditer(path.read_text())
+               if m.group(1) not in verbs]
+    doc = repro.cli.__doc__
+    listed = {*re.findall(r"``([a-z][a-z-]*)``", doc),
+              *(m.group(1) for m in named.finditer(doc))} - {"repro"}  # the program
+    assert unknown == []
+    assert listed <= verbs
+    assert {v for v in verbs if not v.startswith("_")} <= listed

@@ -74,17 +74,14 @@ class TestNewCliCommands:
         assert (tmp_path / "eq2.csv").exists()
 
     def test_advise_partial(self, capsys):
-        rc = main(["advise", "-n", "20", "-w", "0.7", "--payload", "500000"])
+        rc = main(["analytic", "-n", "20", "-w", "0.7", "--payload", "500000"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "partial replication" in out
+        assert "recommended           : partial replication" in out
         assert "eq. (2)" in out
 
     def test_advise_full(self, capsys):
-        rc = main(["advise", "-n", "3", "-w", "0.05"])
+        rc = main(["analytic", "-n", "3", "-w", "0.05"])
         assert rc == 0
-        assert "full replication" in capsys.readouterr().out
-
-    def test_advise_requires_args(self):
-        with pytest.raises(SystemExit):
-            main(["advise"])
+        assert ("recommended           : full replication"
+                in capsys.readouterr().out)

@@ -9,6 +9,10 @@ the sum of :func:`~repro.obs.ledger.decompose_message`'s components —
 with no clock cell booked as padding, and with every cell beyond the
 first booked as ``epoch_padding`` — and the per-message size
 :mod:`repro.analysis.model` predicts at that shape.
+
+The table's clock rows are calibrated against the paper's own sizes
+(Tables II and III); ``tests/test_calibration.py`` pins how far they may
+drift from them.
 """
 
 import dataclasses
@@ -130,3 +134,4 @@ def test_price_ledger_and_analytic_model_agree(message_type, base_n, data):
     expected = predicted(message)
     if expected is not None:
         assert size == pytest.approx(expected)
+

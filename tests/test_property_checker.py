@@ -29,7 +29,10 @@ from repro.verify.causal_checker import (
 )
 from repro.verify.graph import causality_graph
 from repro.verify.history import EventKind, HistoryRecorder
-from repro.verify.sessions import check_writes_follow_reads
+from repro.verify.sessions import (
+    check_monotonic_writes,
+    check_writes_follow_reads,
+)
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +317,46 @@ class TestWritesFollowReadsAgainstReference:
         found = check_writes_follow_reads(history)
         assert len(found) == len(set(found))
         assert set(found) == reference_writes_follow_reads(history)
+
+
+# ----------------------------------------------------------------------
+# monotonic writes vs the per-apply loop
+# ----------------------------------------------------------------------
+def reference_monotonic_writes(history):
+    """Monotonic writes as one loop over every APPLY, a last clock per
+    (site, writer)."""
+    violations = []
+    applies: dict[int, list[tuple[int, int]]] = {}
+    for ev in history.of_kind(EventKind.APPLY):
+        applies.setdefault(ev.site, []).append(ev.write_id)
+    for site, seq in applies.items():
+        last_clock: dict[int, int] = {}
+        for writer, clock in seq:
+            if clock <= last_clock.get(writer, 0):
+                violations.append(
+                    f"site {site} applied writer {writer}'s clock {clock} "
+                    f"after {last_clock[writer]}"
+                )
+            else:
+                last_clock[writer] = clock
+    return violations
+
+
+class TestMonotonicWritesAgainstReference:
+    @given(case=applied_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_the_per_apply_loop(self, case):
+        history, _ = case
+        assert check_monotonic_writes(history) == (
+            reference_monotonic_writes(history))
+
+    def test_a_clock_zero_apply_is_judged_not_raised(self):
+        h = HistoryRecorder()
+        for clock in (0, 0):
+            h.record_apply(time=0.0, site=0, var=0,
+                           write_id=WriteId(1, clock))
+        assert check_monotonic_writes(h) == [
+            "site 0 applied writer 1's clock 0 after 0"]
 
 
 # ----------------------------------------------------------------------

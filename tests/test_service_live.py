@@ -22,6 +22,7 @@ from repro.service.bootstrap import (
     NodeSpec,
     save_topology,
 )
+from repro.cli import main
 from repro.service.loadgen import run_loadgen
 
 N_SITES = 3
@@ -170,6 +171,36 @@ class TestLiveCluster:
         for site in range(N_SITES):
             path = live_cluster.history_path(site)
             assert path.exists() and path.read_text().strip()
+
+    def test_loadgen_counts_every_violation(self, live_cluster, tmp_path,
+                                            monkeypatch, capsys):
+        # the checker lists 20 violations per kind; loadgen must report
+        # the exact total, not the listing's length
+        from repro.experiments.runner import SimulationConfig, run_simulation
+        from repro.service import loadgen
+        from repro.verify.causal_checker import (
+            LISTED,
+            check_causal_consistency,
+        )
+        from .test_verify import reverse_site_0_applies
+
+        res = run_simulation(SimulationConfig(
+            protocol="opt-track", n_sites=5, ops_per_process=60,
+            write_rate=0.8, seed=1, record_history=True))
+        history = res.history
+        reverse_site_0_applies(history)
+        # the WRITE_OPs record their dests: the cluster's placement is unused
+        totals = check_causal_consistency(history, res.placement).totals
+        assert sum(totals.values()) > LISTED
+        monkeypatch.setattr(loadgen, "merge_event_lists",
+                            lambda per_site: history)
+        assert main(["loadgen", "--topology",
+                     str(tmp_path / "topology.json"), "--ops", "5"]) == 1
+        out = capsys.readouterr().out
+        assert f"violations={sum(totals.values())}" in out
+        report = run_loadgen(live_cluster, ops=5)
+        assert report.totals == totals and not report.ok
+        assert report.as_dict()["totals"] == totals
 
 
 def _free_port_run(count):

@@ -23,7 +23,10 @@ from repro.cli import main
 from repro.verify.causal_checker import LISTED, check_causal_consistency
 from repro.verify.graph import causality_graph
 from repro.verify.history import EventKind, HistoryRecorder, decode_events
-from repro.verify.sessions import check_all_session_guarantees
+from repro.verify.sessions import (
+    check_all_session_guarantees,
+    check_monotonic_writes,
+)
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
 
@@ -362,6 +365,17 @@ class TestPaperShapeRegression:
             f"{LISTED} listed:")
         assert elapsed < 3.0, f"checker took {elapsed:.2f} s"
 
+    @pytest.mark.parametrize("protocol", ["opt-track", "opt-track-crp"])
+    def test_monotonic_writes_matches_the_per_apply_loop(self, protocol):
+        from .test_property_checker import reference_monotonic_writes
+
+        res = run_simulation(SimulationConfig(
+            protocol=protocol, n_sites=20, ops_per_process=300,
+            write_rate=0.8, seed=1, record_history=True))
+        reverse_site_0_applies(res.history)
+        found = check_monotonic_writes(res.history)
+        assert found and found == reference_monotonic_writes(res.history)
+
 
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
@@ -373,6 +387,20 @@ def saved_run(tmp_path_factory):
 
 def _first(rows, kind):
     return next(row for row in rows if row["kind"] == kind)
+
+
+def _corrupted_copy(saved_run, tmp_path, corrupt):
+    """A copy of ``saved_run`` whose history rows ``corrupt`` edited."""
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("config.json", "history.jsonl"):
+        (out / name).write_text((saved_run / name).read_text())
+    rows = [json.loads(line) for line in
+            (out / "history.jsonl").read_text().splitlines()]
+    corrupt(rows)
+    (out / "history.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows))
+    return out
 
 
 def _unknown_source(rows):
@@ -399,17 +427,36 @@ class TestMalformedHistories:
     ], ids=["unknown-write", "duplicate-write", "unnamed-write"])
     def test_verify_trace_reports_it(self, saved_run, tmp_path, capsys,
                                      corrupt, kind):
-        out = tmp_path / "run"
-        out.mkdir()
-        for name in ("config.json", "history.jsonl"):
-            (out / name).write_text((saved_run / name).read_text())
-        rows = [json.loads(line) for line in
-                (out / "history.jsonl").read_text().splitlines()]
-        corrupt(rows)
-        (out / "history.jsonl").write_text(
-            "".join(json.dumps(row) + "\n" for row in rows))
+        out = _corrupted_copy(saved_run, tmp_path, corrupt)
         capsys.readouterr()
         assert main(["verify-trace", str(out)]) == 1
         text = capsys.readouterr().out
         assert "causal consistency VIOLATED" in text
         assert f"  [{kind}] " in text
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("write_op", "write_id", [1]),
+        ("apply", "write_id", [0, 0]),
+        ("read_op", "time", None),
+        ("read_op", "time", "soon"),
+        ("apply", "site", 1.5),
+        ("write_op", "kind", "erase"),
+        ("write_op", "dests", [0, "1"]),
+    ], ids=["short-write-id", "clock-zero", "no-time",
+            "time-not-a-number", "site-not-an-int", "unknown-kind",
+            "dests-not-sites"])
+    def test_verify_trace_names_a_malformed_line(self, saved_run, tmp_path,
+                                                 kind, key, value):
+        # the short id used to load as a 1-tuple and report a bogus
+        # phantom apply; the others raised a bare KeyError or TypeError
+        line = []
+
+        def corrupt(rows):
+            at = next(i for i, row in enumerate(rows) if row["kind"] == kind)
+            rows[at][key] = value
+            line.append(at + 1)
+
+        out = _corrupted_copy(saved_run, tmp_path, corrupt)
+        with pytest.raises(SystemExit) as exit_:  # a message: status 1
+            main(["verify-trace", str(out)])
+        assert f": ValueError: line {line[0]}: " in str(exit_.value.code)
