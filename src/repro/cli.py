@@ -976,13 +976,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ))
 
         async def _ready() -> bool:
+            """Every node answers and lists a link to each of its peers,
+            so a first PUT does not race the dials."""
             session = HttpSession()
             try:
                 for spec in topology.nodes:
-                    status, _ = await session.request(
+                    status, body = await session.request(
                         spec.host, spec.http_port, "GET", "/status"
                     )
-                    if status != 200:
+                    if (status != 200 or len(json.loads(body)["peer_links"])
+                            != topology.n_sites - 1):
                         return False
             except (ConnectionError, OSError):
                 return False

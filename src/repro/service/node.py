@@ -53,7 +53,9 @@ __all__ = ["NodeCore", "ServiceNode", "run_node"]
 
 #: how long a node waits for a blocked remote read before giving up (ms)
 READ_TIMEOUT_MS = 10_000.0
-#: pause between outbound dial attempts while a peer is unreachable (s)
+#: the longest pause between outbound dial attempts while a peer is
+#: unreachable (s): a fresh dial's pause starts at 1/256 of it (~1 ms)
+#: and doubles up to it; a re-dial after a lost link waits it first
 DIAL_RETRY_S = 0.25
 
 
@@ -287,15 +289,18 @@ class ServiceNode:
             self._dial(dst, retry))
 
     async def _dial(self, dst: int, retry: bool) -> None:
-        """Dial ``dst`` until a link stands; every attempt but the first
-        of a fresh dial waits ``DIAL_RETRY_S``."""
+        """Dial ``dst`` until a link stands.  A fresh dial tries at once,
+        then waits ~1 ms, doubled per refusal up to ``DIAL_RETRY_S``; a
+        re-dial after a lost link waits ``DIAL_RETRY_S`` before every
+        attempt, so a peer that drops each link at once is not spun on."""
         spec = self.topology.node(dst)
         loop = asyncio.get_running_loop()
+        wait = DIAL_RETRY_S if retry else 0.0
         try:
             while not self._closed:
-                if retry:
-                    await asyncio.sleep(DIAL_RETRY_S)
-                retry = True
+                if wait:
+                    await asyncio.sleep(wait)
+                wait = min(max(2 * wait, DIAL_RETRY_S / 256), DIAL_RETRY_S)
                 try:
                     link, _ = await loop.create_connection(
                         lambda: _OutboundLink(self, dst),

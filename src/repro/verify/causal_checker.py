@@ -15,7 +15,8 @@ Ahamad et al. (Section II-A).  Three families of conditions are checked:
 3. **Causal apply order** — at every site, updates destined to it must
    be applied in an order extending ->co (this is what the activation
    predicates enforce; checking it catches predicate bugs even when no
-   read happens to observe them).
+   read happens to observe them).  An apply that names no write is
+   reported as ``unnamed-apply`` and left out of it.
 
 ->co is per-site prefix vectors (:mod:`repro.verify.graph`), so each
 condition is a few numpy passes per writer, broken history or not, and a
@@ -42,6 +43,7 @@ _TEXT = {
     "stale-bottom-read": "read {r} returned ⊥ but write {b} to var {x} is in its causal past",
     "stale-read": "read {r} returned write {a} but {b} overwrote var {x} in the read's causal past",
     "phantom-apply": "site {s} applied unknown write {a}",
+    "unnamed-apply": "site {s} applied a write without an id at time {t}",
     "apply-order": "site {s} applied {a} before its causal predecessor {b}",
     "missing-apply": "site {s} applied {a} but not its causal predecessor {b} destined to it",
 }
@@ -107,6 +109,12 @@ def check_causal_consistency(
     for kind, description in sanity:
         _count(report, kind, 1)
         report.violations.append(CausalityViolation(kind, description))
+    unnamed = [ev for ev in applies if ev.write_id is None]
+    if unnamed:  # a record no condition can read: listed, then left out
+        _count(report, "unnamed-apply", len(unnamed))
+        report.violations += (CausalityViolation("unnamed-apply", _TEXT[
+            "unnamed-apply"].format(s=ev.site, t=ev.time)) for ev in unnamed[:LISTED])
+        applies = [ev for ev in applies if ev.write_id is not None]
     if not sanity:
         _stale_reads(report, g)
         if placement is not None:

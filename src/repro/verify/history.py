@@ -117,7 +117,8 @@ class EventRecord:
         written before the history dropped its per-message events, is
         ignored.  A field the checker could not read raises ``ValueError``:
         sites, variables and destinations are int64 indexes, a write id
-        is ``[site, clock >= 1]`` and the time is a finite number."""
+        is ``[site, clock >= 1]`` (an apply's is not null) and the time
+        is a finite number."""
         if not isinstance(data, dict):
             raise ValueError(f"an event is a JSON object, not {data!r}")
         kind, time, site, var, wid, dests = (data.get(key) for key in (
@@ -133,6 +134,8 @@ class EventRecord:
         if not (wid is None or isinstance(wid, list) and len(wid) == 2
                 and _int(wid[0], 0) and _int(wid[1], 1)):
             raise ValueError(f"write id {wid!r} is not [site, clock >= 1]")
+        if kind == "apply" and wid is None:
+            raise ValueError("an apply names no write id")
         if not (dests is None or isinstance(dests, list)
                 and all(_int(d, 0) for d in dests)):
             raise ValueError(f"dests {dests!r} is not a list of sites")

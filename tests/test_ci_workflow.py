@@ -124,6 +124,17 @@ def test_live_smoke_shutdown_leaves_no_node_running():
     assert run.count("exit 1") == 2
 
 
+def test_live_smoke_boot_checks_every_nodes_peer_links():
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    (step,) = [step for step in workflow["jobs"]["live-smoke"]["steps"]
+               if step.get("name") == "Boot a 3-node loopback cluster"]
+    run = step["run"]
+    # after "cluster up", each node's /status must list its 2 peer links
+    assert run.index('grep -q "cluster up" serve.log') < run.index("curl -sf")
+    assert "for port in 7403 7404 7405; do" in run
+    assert '["peer_links"]' in run and "sys.exit(len(links) != 2)" in run
+
+
 def test_live_smoke_puts_a_nan_before_the_checked_load():
     workflow = yaml.safe_load(WORKFLOW.read_text())
     names = [step.get("name", "") for step in

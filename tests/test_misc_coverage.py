@@ -18,15 +18,16 @@ class TestEventRecords:
         assert again == ev
 
     def test_roundtrip_minimal(self):
-        ev = EventRecord(kind=EventKind.APPLY, time=0.0, site=0)
+        ev = EventRecord(kind=EventKind.APPLY, time=0.0, site=0, write_id=(1, 1))
         again = EventRecord.from_dict(ev.as_dict())
-        assert again.write_id is None and again.var is None
+        assert again == ev and again.var is None and again.dests is None
 
     def test_kinds_are_the_three_the_checkers_read(self):
         assert {k.value for k in EventKind} == {"write_op", "read_op", "apply"}
 
     def test_a_peer_key_is_ignored(self):
-        row = EventRecord(kind=EventKind.APPLY, time=1.0, site=0).as_dict()
+        row = EventRecord(kind=EventKind.APPLY, time=1.0, site=0,
+                          write_id=(0, 1)).as_dict()
         assert "peer" not in row
         assert EventRecord.from_dict({**row, "peer": 3}) == EventRecord.from_dict(row)
 

@@ -341,9 +341,7 @@ def test_close_ends_an_idle_kept_connection():
     run(scenario, n_sites=1)
 
 
-def test_client_leaving_behind_a_pending_remote_get(monkeypatch):
-    monkeypatch.setattr(node_module, "DIAL_RETRY_S", 0.002)
-
+def test_client_leaving_behind_a_pending_remote_get():
     async def scenario(nodes):
         node = nodes[0]
         _, remote = _vars_of(node.topology, 0)

@@ -231,6 +231,78 @@ def test_dropped_outbound_link_is_redialled_and_the_channel_retransmits(
 
 
 # ----------------------------------------------------------------------
+# the dial schedule: a fresh dial backs off from ~1 ms, capped at
+# DIAL_RETRY_S; a re-dial after a lost link waits the cap first
+# ----------------------------------------------------------------------
+def _count_dials(loop):
+    """The loop time of every connect attempt made on ``loop`` from now."""
+    times, connect = [], loop.create_connection
+
+    def counted(*args, **kwargs):
+        times.append(loop.time())
+        return connect(*args, **kwargs)
+
+    loop.create_connection = counted
+    return times
+
+
+def test_a_fresh_dial_takes_a_link_soon_after_the_peer_listens():
+    async def scenario(nodes):
+        node, peer = nodes
+        loop = asyncio.get_running_loop()
+        dials = _count_dials(loop)
+        await node.start()
+        await asyncio.sleep(0.02)
+        assert node.status()["peer_links"] == [] and dials  # refused
+        await peer.start()
+        listening = loop.time()
+        await _until(lambda: node.status()["peer_links"] == [1],
+                     "the dial to reach the peer")
+        # a flat DIAL_RETRY_S pause would take ~0.25 s here
+        assert loop.time() - listening < 0.1
+
+    run(scenario, n_sites=2, start=[])
+
+
+def test_dials_to_a_peer_nobody_listens_for_back_off_to_the_cap():
+    async def scenario(nodes):
+        node = nodes[0]
+        dials = _count_dials(asyncio.get_running_loop())
+        await node.start()
+        await asyncio.sleep(1.0)
+        # at 0, ~1, 3, 7, 15, 31, 62, 125, 250 ms, then DIAL_RETRY_S apart
+        assert len(dials) <= 13
+        gaps = [b - a for a, b in zip(dials, dials[1:])]
+        assert gaps[-1] >= node_module.DIAL_RETRY_S * 0.9
+        assert node.status()["peer_links"] == []
+
+    run(scenario, n_sites=2, start=[])
+
+
+def test_a_peer_that_drops_every_link_is_redialled_at_the_cap():
+    async def scenario(nodes):
+        node, peer = nodes
+        accepted = []
+
+        async def take_the_hello_then_hang_up(reader, writer):
+            accepted.append(await _read_frame(reader))
+            writer.close()
+
+        stand_in = await asyncio.start_server(
+            take_the_hello_then_hang_up, HOST, peer.spec.peer_port)
+        try:
+            await node.start()
+            await asyncio.sleep(0.6)
+        finally:
+            stand_in.close()
+        # the fresh dial at once, then one re-dial per DIAL_RETRY_S
+        assert 2 <= len(accepted) <= 3
+        assert accepted[0] == hello_frame(0)
+
+    run(scenario, n_sites=2, start=[])
+
+
+# ----------------------------------------------------------------------
 # the accepted half: framing is independent of how a read cuts the bytes
 # ----------------------------------------------------------------------
 class _Socketless:

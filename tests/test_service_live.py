@@ -241,6 +241,10 @@ def test_sigterm_to_serve_stops_its_nodes(tmp_path):
             assert serve.poll() is None, out.read_text()
             assert time.monotonic() < deadline, "cluster not up in 20s"
             time.sleep(0.1)
+        # "cluster up" waits for the peer links, not only the listeners
+        for http_port in (base + 2, base + 3):
+            status, body = _http("127.0.0.1", http_port, "GET", "/status")
+            assert status == 200 and len(json.loads(body)["peer_links"]) == 1
         serve.terminate()
         assert serve.wait(timeout=10) == 143
         for http_port in (base + 2, base + 3):

@@ -22,7 +22,12 @@ from repro.sim.network import AdversarialLatency
 from repro.cli import main
 from repro.verify.causal_checker import LISTED, check_causal_consistency
 from repro.verify.graph import causality_graph
-from repro.verify.history import EventKind, HistoryRecorder, decode_events
+from repro.verify.history import (
+    EventKind,
+    EventRecord,
+    HistoryRecorder,
+    decode_events,
+)
 from repro.verify.sessions import (
     check_all_session_guarantees,
     check_monotonic_writes,
@@ -244,6 +249,17 @@ class TestCheckerApplyOrder:
         report = check_causal_consistency(h, self.placement)
         assert any(v.kind == "phantom-apply" for v in report.violations)
 
+    def test_apply_without_a_write_id_is_a_typed_violation(self):
+        # its phantom used to be named ("w", *None): a TypeError
+        h = HistoryRecorder()
+        w1 = w(h, 1, 0, 0, "a", 1)  # var 0: destined to sites 0 and 1
+        ap(h, 2, 0, 0, w1)
+        h.extend([EventRecord(kind=EventKind.APPLY, time=3.0, site=1)])
+        report = check_causal_consistency(h, RoundRobinPlacement(4, 10, 2))
+        assert report.totals == {"unnamed-apply": 1}
+        assert [str(v) for v in report.violations] == [
+            "[unnamed-apply] site 1 applied a write without an id at time 3.0"]
+
 
 CHAOS = FaultPlan.uniform(drop_rate=0.05, dup_rate=0.02)
 
@@ -442,9 +458,10 @@ class TestMalformedHistories:
         ("apply", "site", 1.5),
         ("write_op", "kind", "erase"),
         ("write_op", "dests", [0, "1"]),
+        ("apply", "write_id", None),
     ], ids=["short-write-id", "clock-zero", "no-time",
             "time-not-a-number", "site-not-an-int", "unknown-kind",
-            "dests-not-sites"])
+            "dests-not-sites", "apply-without-write-id"])
     def test_verify_trace_names_a_malformed_line(self, saved_run, tmp_path,
                                                  kind, key, value):
         # the short id used to load as a 1-tuple and report a bogus
@@ -459,4 +476,6 @@ class TestMalformedHistories:
         out = _corrupted_copy(saved_run, tmp_path, corrupt)
         with pytest.raises(SystemExit) as exit_:  # a message: status 1
             main(["verify-trace", str(out)])
-        assert f": ValueError: line {line[0]}: " in str(exit_.value.code)
+        message = exit_.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert f": ValueError: line {line[0]}: " in message
