@@ -36,6 +36,7 @@ a singleton after every local write.
 
 from __future__ import annotations
 
+from bisect import insort
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -254,9 +255,9 @@ class OptTrackLog:
         # It is all MERGE needs to know of what this site let go: a
         # record (j, c) absent here with c < _newest[j] is dead.
         self._newest: dict[int, int] = {}
-        # writer -> clocks of its present records (MERGE's clause (ii)
-        # looks here instead of walking the log)
-        self._clocks: dict[int, set[int]] = {}
+        # writer -> ascending clocks of its present records, for MERGE's
+        # clause (ii); a list, as a set never gives back a grown table
+        self._clocks: dict[int, list[int]] = {}
         # present records whose destination set is empty — purge
         # candidates.  A dict (not a set) so iteration order is the
         # deterministic order emptiness was discovered in.
@@ -373,9 +374,9 @@ class OptTrackLog:
                 self._order_stale = True
                 present = clocks.get(writer)
                 if present is None:
-                    clocks[writer] = {clock}
+                    clocks[writer] = [clock]
                 else:
-                    present.add(clock)
+                    insort(present, clock)
                 if not dests:
                     empty[key] = None
                 continue
@@ -395,7 +396,7 @@ class OptTrackLog:
         empty = self._empty_keys
         for key in dead:
             del records[key]
-            clocks[key[0]].discard(key[1])
+            clocks[key[0]].remove(key[1])
             empty.pop(key, None)
         self.purged_records += len(dead)
         self._order_stale = True
@@ -573,7 +574,7 @@ class OptTrackLog:
         new = OptTrackLog()
         new._records = dict(self._records)
         new._newest = dict(self._newest)
-        new._clocks = {w: set(c) for w, c in self._clocks.items()}
+        new._clocks = {w: c.copy() for w, c in self._clocks.items()}
         new._empty_keys = dict(self._empty_keys)
         new._order = list(self._order)
         new._order_stale = self._order_stale

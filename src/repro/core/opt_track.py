@@ -17,8 +17,8 @@ Per site s_i it maintains:
   one writer increase along FIFO channels, so this identifies exactly
   which of ap_j's writes destined here have been applied);
 * ``LOG_i`` — the KS log;
-* ``LastWriteOn_i<h>`` — for each local replica x_h: the id, remaining
-  destination set, and piggybacked log of the last write applied to it.
+* ``LastWriteOn_i<h>`` — for each local replica x_h: the id, the replica
+  set as of the apply, the applier and the log of the last write applied.
 
 MERGE happens when a read returns a value (->co tracking); PURGE happens
 on every write (condition 2) and on every merge (condition 1 + the
@@ -29,7 +29,7 @@ that Opt-Track's overhead *falls* as workloads become write-intensive.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..memory.store import WriteId
 from ..metrics.collector import MessageKind
@@ -41,9 +41,21 @@ from .messages import FetchMessage, OptTrackRM, OptTrackSM
 __all__ = ["OptTrackProtocol"]
 
 
-#: LastWriteOn<h>: the write's id, its remaining destinations and the
-#: log that travelled with it
-_LastWrite = tuple[WriteId, frozenset[int], tuple[PiggybackEntry, ...]]
+#: LastWriteOn<h>: the write's id, h's replica set as of the apply (the
+#: placement's own object), the applying site and the log that travelled
+#: with the write
+_LastWrite = tuple[WriteId, frozenset[int], int, tuple[PiggybackEntry, ...]]
+
+
+def _shipped_log(stored: _LastWrite) -> tuple[PiggybackEntry, ...]:
+    """LastWriteOn<h> as a read merges or ships it: the write's log, then
+    the write's own record naming its remaining destinations — the replica
+    set less the writer (it applied its own write at the write event) and
+    less the applier (implicit condition 1).  Derived here, at a read,
+    rather than stored at every apply."""
+    wid, replicas, applier, piggy = stored
+    return piggy + (PiggybackEntry(
+        wid.site, wid.clock, replicas.difference((wid.site, applier))),)
 
 
 @register_protocol
@@ -60,8 +72,6 @@ class OptTrackProtocol(CausalProtocol[_LastWrite]):
         super().__init__(ctx)
         self.clock = 0
         self.log = OptTrackLog()
-        # hot-path set constant for the write path's own log record
-        self._me_set = frozenset((self.site,))
 
     # ------------------------------------------------------------------
     # application subsystem
@@ -104,15 +114,14 @@ class OptTrackProtocol(CausalProtocol[_LastWrite]):
         # Condition 1 has nothing to strip here: outside a merge no
         # record names this site (tests/test_protocols.py checks it
         # after every operation), so only superseded empty records go.
-        remaining = dests - self._me_set
-        self.log.insert(self.site, self.clock, remaining)
+        self.log.insert(self.site, self.clock, dests.difference((self.site,)))
         self.log.purge()
         ctx.collector.record_log_size(len(self.log))
         ctx.collector.record_dest_lists(self.log.dest_counts())
 
         if self.site in dests:
             self._apply_write(var, value, wid, wid.clock,
-                              (wid, remaining, stored_log), ctx.clock.now)
+                              (wid, dests, self.site, stored_log), ctx.clock.now)
             self._drain()
         return wid
 
@@ -120,24 +129,11 @@ class OptTrackProtocol(CausalProtocol[_LastWrite]):
         slot = self.ctx.store.read(var)
         stored = self.last_write_on.get(var)
         if stored is not None:
-            wid, wdests, piggy = stored
-            self._merge_on_read(wid, wdests, piggy)
+            # MERGE the value's causal past, its write included: future
+            # writes from here must order after it at its remaining dests
+            self.log.merge(_shipped_log(stored), self_site=self.site,
+                           applied=self.applied)
         return slot.value, slot.write_id
-
-    def _merge_on_read(
-        self,
-        wid: WriteId,
-        wdests: frozenset[int],
-        piggy: Iterable[PiggybackEntry],
-    ) -> None:
-        """MERGE the read value's causal past into the local log.
-
-        The write itself joins the log too — future writes from this
-        site must order after it at its remaining destinations.
-        """
-        incoming = list(piggy)
-        incoming.append(PiggybackEntry(wid.site, wid.clock, wdests))
-        self.log.merge(incoming, self_site=self.site, applied=self.applied)
 
     def _fetch_requirements(self, var: int, target: int) -> tuple[tuple[int, int], ...]:
         """Writes in this site's causal past destined to ``target``: the
@@ -161,16 +157,15 @@ class OptTrackProtocol(CausalProtocol[_LastWrite]):
         wid = message.write_id
         var = message.var
         # Implicit condition 1: "this site is a destination" is dead
-        # information from this apply onward — LastWriteOn's remaining
-        # destinations exclude this site and the writer (if it
+        # information from this apply onward — the remaining destinations
+        # derived from LastWriteOn exclude this site and the writer (if it
         # replicates the variable it applied its own write at the write
         # event, causally before any receipt), and the stored log is the
         # piggybacked view with self stripped, i.e. the base every copy
         # of this write shares.
-        remaining = self.ctx.placement.replica_set(var).difference(
-            (wid.site, self.site))
         self._apply_write(var, message.value, wid, wid.clock,
-                          (wid, remaining, message.log.stored(self.site)),
+                          (wid, self.ctx.placement.replica_set(var), self.site,
+                           message.log.stored(self.site)),
                           message.issued_at)
 
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
@@ -180,10 +175,7 @@ class OptTrackProtocol(CausalProtocol[_LastWrite]):
             wid: Optional[WriteId] = None
             rm_log: tuple[PiggybackEntry, ...] = ()
         else:
-            wid, wdests, piggy = stored
-            # LastWriteOn<h> as shipped: the write's own record rides with
-            # its dependency log so the reader can merge all of it.
-            rm_log = piggy + (PiggybackEntry(wid.site, wid.clock, wdests),)
+            wid, rm_log = stored[0], _shipped_log(stored)
         self._send(
             src,
             OptTrackRM(

@@ -86,6 +86,8 @@ MAX_BODY_BYTES = 1024 * 1024
 MAX_LINE_BYTES = 64 * 1024
 #: refuse a request with more header lines than this
 MAX_HEADER_LINES = 100
+#: every JSON reply's encoder, built once (json.dumps builds one per call)
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -131,9 +133,7 @@ def _frame(reply: _Reply, connection: str) -> bytes:
 
 
 def _json_reply(status: int, payload: dict) -> _Reply:
-    return _Reply(
-        status, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    )
+    return _Reply(status, (_ENCODE(payload) + "\n").encode("utf-8"))
 
 
 def _wid_dict(write_id) -> Optional[dict]:

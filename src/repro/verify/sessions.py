@@ -98,7 +98,8 @@ def _monotonic_reads(g: CausalityGraph) -> list[str]:
 def check_monotonic_writes(history: HistoryRecorder) -> list[str]:
     """Each site's writes are applied at every site in issue order: an
     apply fails when an earlier apply there of the same writer had a
-    clock at least as high."""
+    clock at least as high.  An apply that names no write is listed, as
+    the causal checker's ``unnamed-apply``, and left out."""
     return _monotonic_writes(history.of_kind(EventKind.APPLY))
 
 
@@ -106,7 +107,10 @@ def _monotonic_writes(applies: list[EventRecord]) -> list[str]:
     """Per apply site, in order of first apply, one pass over its applies
     grouped by writer: clock ranks offset per group make one running max
     serve every writer."""
-    violations: list[str] = []
+    violations = [f"site {ev.site} applied a write without an id at time {ev.time}"
+                  for ev in applies if ev.write_id is None]
+    if violations:
+        applies = [ev for ev in applies if ev.write_id is not None]
     site = np.fromiter((ev.site for ev in applies), np.int64, len(applies))
     ids = chain.from_iterable(ev.write_id for ev in applies)  # type: ignore[arg-type]
     writer, clock = np.fromiter(ids, np.int64, 2 * len(applies)).reshape(-1, 2).T

@@ -263,8 +263,8 @@ def _assert_same_log(log, ref):
     newest = ref.newest()
     assert log._newest == newest
     assert log._clocks == {
-        writer: {c for j, c in ref.records if j == writer}
-        for writer in newest}
+        writer: sorted(c for j, c in ref.records if j == writer)
+        for writer in newest}  # ascending lists, so sorted as well
 
 
 def _gating_pairs(view):

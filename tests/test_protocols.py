@@ -13,7 +13,7 @@ import pytest
 
 from repro import CausalCluster, ConstantLatency, PerPairLatency
 from repro.core.base import CausalProtocol
-from repro.core.opt_track import OptTrackProtocol
+from repro.core.opt_track import OptTrackProtocol, _shipped_log
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.memory.store import BOTTOM
 from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan, JoinEvent, LeaveEvent
@@ -88,7 +88,10 @@ class TestOptTrackInternals:
         c = make("opt-track", n=4, p=3)
         c.write(0, 0, "a")  # replicas {0,1,2}
         c.settle()
-        wid, wdests, piggy = c.protocols[1].last_write_on[0]
+        stored = c.protocols[1].last_write_on[0]
+        wid, replicas, applier, piggy = stored
+        assert replicas == {0, 1, 2} and applier == 1
+        wdests = _shipped_log(stored)[-1].dests
         assert 1 not in wdests  # condition 1 at the applying site
         assert wdests == {2}   # 0 excluded at writer, 1 excluded here
 
@@ -359,14 +362,14 @@ class TestOptTrackLogNeverNamesItsOwner:
 
 
 class TestOptTrackLastWriteOnDests:
-    """LastWriteOn<h> keeps the write's remaining destinations.
+    """LastWriteOn<h> yields the write's remaining destinations.
 
     At every apply, on the SM path and the local-write path alike (WAL
-    replay included), the stored set is the replica set under the *current*
-    placement less the writer (it applied its own write at the write
-    event) and less this site (implicit condition 1).  The join + leave
-    run remaps placement mid-run, so a destination set cached across a
-    view change would show here."""
+    replay included), the set derived from the stored entry is the
+    replica set under the *current* placement less the writer (it applied
+    its own write at the write event) and less this site (implicit
+    condition 1).  The join + leave run remaps placement mid-run, so a
+    destination set cached across a view change would show here."""
 
     PLANS = {
         "plain": None,
@@ -388,7 +391,9 @@ class TestOptTrackLastWriteOnDests:
         def checking(self, var, value, wid, applied_to, last_write, issued_at):
             apply_write(self, var, value, wid, applied_to, last_write, issued_at)
             expected = self.ctx.placement.replica_set(var) - {wid.site, self.site}
-            assert self.last_write_on[var][1] == expected, (self.site, var, wid)
+            record = _shipped_log(self.last_write_on[var])[-1]
+            assert (record.writer, record.clock) == (wid.site, wid.clock)
+            assert record.dests == expected, (self.site, var, wid)
             checked.append(self.ctx.clock.now)
 
         monkeypatch.setattr(OptTrackProtocol, "_apply_write", checking)
@@ -405,12 +410,31 @@ class TestOptTrackLastWriteOnDests:
             last_change = vm.stats.epoch_log[-1][0]
             assert sum(t > last_change for t in checked) > 50
 
+    def test_a_handed_off_entry_keeps_its_applier(self):
+        # var 1 lives at {1, 2}; once 2 has left only 1 holds it, so 1's
+        # leave hands its LastWriteOn<1> to the successor 3, which must
+        # derive what 1 derived: {1, 2} less the writer 0, less 1
+        c = make("opt-track", n=4, p=2, n_vars=4)
+        c.write(0, 1, "a")
+        c.settle()
+        assert _shipped_log(c.protocols[1].last_write_on[1])[-1].dests == {2}
+        c.leave_site(2)
+        c.leave_site(1)
+        assert c.view_manager.stats.handoffs == 1
+        assert _shipped_log(c.protocols[3].last_write_on[1])[-1].dests == {2}
+        assert c.read(0, 1) == "a"
+        c.check().raise_if_violated()
+
 
 def test_opt_track_retains_no_per_site_memo():
-    """What Opt-Track's own code still holds at quiescence is protocol
-    state, mostly LastWriteOn: ~0.47 MiB here.  A per-site
-    ``(var, writer)`` destination-set memo on the apply path raised it
-    to 2.45 MiB at this size, and would fail the bound."""
+    """What Opt-Track's code holds at quiescence is protocol state.
+
+    ``core/opt_track.py`` holds LastWriteOn, ~0.19 MiB here: storing a
+    fresh remaining-destination set at every apply held 0.44 MiB, and a
+    per-site ``(var, writer)`` destination-set memo on the apply path
+    2.45 MiB.  ``core/log.py`` holds the logs, ~0.75 MiB: keeping each
+    writer's present clocks in a set (whose grown table is never given
+    back) held 0.93 MiB.  Each would fail its bound."""
     config = SimulationConfig(protocol="opt-track", n_sites=20,
                               replication_factor=6, n_vars=100,
                               ops_per_process=50, seed=1)
@@ -423,8 +447,9 @@ def test_opt_track_retains_no_per_site_memo():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    held = snapshot.filter_traces(
-        [tracemalloc.Filter(True, "*/repro/core/opt_track.py")])
-    held_bytes = sum(stat.size for stat in held.statistics("filename"))
     assert result.collector.ops_write > 0
-    assert held_bytes < 2**20, f"{held_bytes / 2**20:.2f} MiB"
+    for path, bound in (("*/repro/core/opt_track.py", 0.3 * 2**20),
+                        ("*/repro/core/log.py", 0.84 * 2**20)):
+        held = snapshot.filter_traces([tracemalloc.Filter(True, path)])
+        held_bytes = sum(stat.size for stat in held.statistics("filename"))
+        assert held_bytes < bound, f"{path}: {held_bytes / 2**20:.2f} MiB"

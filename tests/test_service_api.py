@@ -153,6 +153,36 @@ def test_twenty_requests_share_one_connection():
     run(scenario)
 
 
+def test_json_replies_are_the_bytes_json_dumps_gives(monkeypatch):
+    # the API encodes with one module-level encoder; its replies must stay
+    # what json.dumps(payload, sort_keys=True) produced
+    replies = []
+    json_reply = api._json_reply
+
+    def recording(status, payload):
+        reply = json_reply(status, payload)
+        replies.append((payload, reply.body))
+        return reply
+
+    monkeypatch.setattr(api, "_json_reply", recording)
+
+    async def scenario(nodes):
+        var, _ = _vars_of(nodes[0].topology, 0)
+        reader, writer = await _connect(nodes[0])
+        for request in (_put(var, {"b": [1.5, None], "a": "é"}),
+                        _request("GET", f"/kv/{var}"),
+                        _request("GET", "/status"),
+                        _request("GET", "/kv/nine")):
+            writer.write(request)
+            await _response(reader)
+        writer.close()
+
+    run(scenario)
+    assert len(replies) == 4
+    for payload, body in replies:
+        assert body == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
 def test_pipelined_requests_are_answered_in_order():
     async def scenario(nodes):
         var, _ = _vars_of(nodes[0].topology, 0)

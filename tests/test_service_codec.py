@@ -348,7 +348,7 @@ class TestRoundTrip:
         proto._apply_sm(2, decoded)
         assert ctx.store.read(1).value == "v"
         # stored with this site stripped; the dead extra stays, emptied
-        assert proto.last_write_on[1][2] == (
+        assert proto.last_write_on[1][-1] == (
             PiggybackEntry(0, 1, frozenset({0})),
             PiggybackEntry(0, 2, frozenset()),
             PiggybackEntry(2, 3, frozenset({0})),

@@ -30,7 +30,10 @@ from repro.verify.history import (
 )
 from repro.verify.sessions import (
     check_all_session_guarantees,
+    check_monotonic_reads,
     check_monotonic_writes,
+    check_read_your_writes,
+    check_writes_follow_reads,
 )
 
 PROTOCOLS = ["full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
@@ -259,6 +262,20 @@ class TestCheckerApplyOrder:
         assert report.totals == {"unnamed-apply": 1}
         assert [str(v) for v in report.violations] == [
             "[unnamed-apply] site 1 applied a write without an id at time 3.0"]
+
+    def test_session_checks_list_an_apply_without_a_write_id(self):
+        # only monotonic writes reads every apply's write id: it lists this one
+        h = HistoryRecorder()
+        w1 = w(h, 1, 0, 0, "a", 1)
+        ap(h, 2, 0, 0, w1)
+        h.extend([EventRecord(kind=EventKind.APPLY, time=3.0, site=1)])
+        unnamed = ["site 1 applied a write without an id at time 3.0"]
+        assert check_monotonic_writes(h) == unnamed
+        assert check_read_your_writes(h) == check_monotonic_reads(h) == []
+        assert check_writes_follow_reads(h) == []
+        assert check_all_session_guarantees(h) == {
+            "read_your_writes": [], "monotonic_reads": [],
+            "monotonic_writes": unnamed, "writes_follow_reads": []}
 
 
 CHAOS = FaultPlan.uniform(drop_rate=0.05, dup_rate=0.02)
