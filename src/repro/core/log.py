@@ -382,7 +382,7 @@ class OptTrackLog:
                 continue
             matched.add(key)
             if mine is not e and not mine.dests <= e.dests:
-                kept = mine.dests.intersection(e.dests)
+                kept = mine.dests.intersection(e.dests) or _NO_DESTS
                 records[key] = PiggybackEntry(writer, clock, kept)
                 if not kept:
                     empty[key] = None
@@ -419,7 +419,7 @@ class OptTrackLog:
             for e in [e for e in records.values() if self_site in e.dests]:
                 if applied[e.writer] >= e.clock:
                     key = (e.writer, e.clock)
-                    kept = e.dests.difference((self_site,))
+                    kept = e.dests.difference((self_site,)) or _NO_DESTS
                     records[key] = PiggybackEntry(e.writer, e.clock, kept)
                     if not kept:
                         empty[key] = None
@@ -488,7 +488,7 @@ class OptTrackLog:
                 append(e)
                 base_dests += len(dests)
                 continue
-            kept = dests - write_dests
+            kept = dests - write_dests or _NO_DESTS
             if not kept and newest[key[0]] != key[1]:
                 # dead unless some destination in write_dests still needs
                 # it — those copies carry it as an extra gate, all of

@@ -484,9 +484,7 @@ def run_simulation(
         # ever end would stall quiescence (or silently test nothing);
         # reject early
         horizon = max(
-            (s.items[-1][0] for s in (workload.for_site(i)
-                                      for i in range(workload.n_sites))
-             if len(s)),
+            (s.times[-1] for s in workload.schedules if len(s)),
             default=0.0,
         )
         plan.validate(horizon_ms=horizon)

@@ -50,6 +50,10 @@ class Site:
             )
         self.protocol = protocol
         self.schedule = schedule
+        # the schedule's columns, read by index as the operations run
+        self._times = schedule.times
+        self._variables = schedule.variables
+        self._values = schedule.values
         self.sim = sim
         #: invoked with the site id as each operation *starts*; the
         #: runner uses it to open the metrics window after warm-up
@@ -88,11 +92,10 @@ class Site:
             raise RuntimeError(f"site {self.site_id} already started")
         self._started = True
         if not self.finished:
-            first_time, _ = self.schedule.items[0]
             # a joiner starts mid-run: planned times before its admission
             # collapse to "as soon as possible"
             self._op_event = self.sim.schedule_at(
-                max(first_time, self.sim.now), self._execute_next)
+                max(self._times[0], self.sim.now), self._execute_next)
 
     # ------------------------------------------------------------------
     # crash-recovery (see repro.sim.crash)
@@ -126,8 +129,7 @@ class Site:
             self._current_index = None
         if self.held:
             return  # release() re-arms once the view change completes
-        planned, _ = self.schedule.items[self._next_index]
-        start = max(planned, self.sim.now)
+        start = max(self._times[self._next_index], self.sim.now)
         self._op_event = self.sim.schedule_at(start, self._execute_next)
 
     # ------------------------------------------------------------------
@@ -156,9 +158,9 @@ class Site:
                 or self.retired or self._current_index is not None
                 or self._op_event is not None):
             return
-        planned, _ = self.schedule.items[self._next_index]
         self._op_event = self.sim.schedule_at(
-            max(planned, self.sim.now), self._execute_next)
+            max(self._times[self._next_index], self.sim.now),
+            self._execute_next)
 
     def retire(self) -> None:
         """The site left the view: its remaining schedule is void."""
@@ -186,28 +188,29 @@ class Site:
         index = self._next_index
         self._next_index += 1
         self._current_index = index
-        _, op = self.schedule.items[index]
+        var = self._variables[index]
+        value = self._values[index]  # None: a read
         if self.on_operation is not None:
             self.on_operation(self.site_id)
         tracer = self.tracer
         if tracer is None:
-            if op.is_write:
-                self.protocol.write(op.var, op.value, op_index=index)
+            if value is not None:
+                self.protocol.write(var, value, op_index=index)
                 self._operation_done()
             else:
                 def _on_read(value: object, write_id: Optional[WriteId],
                              was_remote: bool) -> None:
                     self._operation_done()
-                self.protocol.read(op.var, _on_read, op_index=index)
+                self.protocol.read(var, _on_read, op_index=index)
             return
         # traced path: the op span is the causal parent of every message
         # the protocol sends while the operation executes synchronously;
         # a remote read's span stays open until its RM completes it
         op_id = tracer.op_start(self.site_id, self.sim.now,
-                                write=op.is_write, var=op.var, index=index)
-        if op.is_write:
+                                write=value is not None, var=var, index=index)
+        if value is not None:
             try:
-                self.protocol.write(op.var, op.value, op_index=index)
+                self.protocol.write(var, value, op_index=index)
             finally:
                 tracer.op_finish(op_id, self.sim.now)
                 tracer.op_detach()
@@ -218,7 +221,7 @@ class Site:
                 tracer.op_finish(op_id, self.sim.now, remote=was_remote)
                 self._operation_done()
             try:
-                self.protocol.read(op.var, _on_traced_read, op_index=index)
+                self.protocol.read(var, _on_traced_read, op_index=index)
             finally:
                 tracer.op_detach()
 
@@ -231,11 +234,10 @@ class Site:
             return
         self._current_index = None
         self.completed_ops += 1
-        if self._next_index >= len(self.schedule):
+        if self._next_index >= len(self._times):
             self.finished = True
             return
         if self.held:
             return  # release() re-arms once the view change completes
-        planned, _ = self.schedule.items[self._next_index]
-        start = max(planned, self.sim.now)
+        start = max(self._times[self._next_index], self.sim.now)
         self._op_event = self.sim.schedule_at(start, self._execute_next)

@@ -21,10 +21,11 @@ message sizes.
 
 from __future__ import annotations
 
+from array import array
 
 import numpy as np
 
-from .schedule import Operation, OpKind, SiteSchedule, Workload
+from .schedule import SiteSchedule, Workload
 
 __all__ = [
     "WorkloadParams",
@@ -148,17 +149,16 @@ def generate_workload(
             params.n_vars, size=params.ops_per_process, p=probabilities
         )
         is_write = rng.random(params.ops_per_process) < params.write_rate
-        items = []
-        write_seq = 0
-        for k in range(params.ops_per_process):
-            if is_write[k]:
-                write_seq += 1
-                op = Operation(OpKind.WRITE, int(variables[k]),
-                               encode_value(site, write_seq))
-            else:
-                op = Operation(OpKind.READ, int(variables[k]))
-            items.append((float(times[k]), op))
-        schedules.append(SiteSchedule(site=site, items=tuple(items)))
+        # a write's value is encode_value(site, k) for its per-site
+        # sequence number k = 1, 2, ...; a read's is None
+        values = np.where(is_write, site * _VALUE_BASE + np.cumsum(is_write),
+                          None)
+        schedules.append(SiteSchedule.from_columns(
+            site,
+            array("d", times.tobytes()),
+            array("q", variables.astype(np.int64).tobytes()),
+            tuple(values.tolist()),
+        ))
     return Workload(
         schedules=tuple(schedules),
         n_vars=params.n_vars,

@@ -7,7 +7,9 @@ from repro.core.base import ProtocolContext, create_protocol
 from repro.memory.replication import RoundRobinPlacement
 from repro.memory.store import SiteStore
 from repro.metrics.collector import MetricsCollector
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
+from repro.sim.faults import CrashEvent, FaultPlan, JoinEvent, LeaveEvent
 from repro.sim.network import Network
 from repro.sim.process import Site
 from repro.workload.schedule import Operation, OpKind, SiteSchedule
@@ -128,3 +130,32 @@ class TestBlockingRemoteReads:
         rtts = result.collector.fetch_rtts
         assert rtts.count > 0
         assert rtts.minimum >= 20.0  # at least one round trip
+
+
+class TestRunsFromColumns:
+    """The simulator steps through a schedule's columns: no run builds
+    the ``items`` view, traced or not, through crash recovery and a
+    view change."""
+
+    PLANS = {
+        "plain": None,
+        "crash-recover": FaultPlan.build(crashes=(CrashEvent(2, 600.0, 1500.0),)),
+        "join-leave": FaultPlan.build(
+            membership=(JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=900.0))),
+    }
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_no_run_reads_items(self, plan, traced, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a run read SiteSchedule.items")
+
+        monkeypatch.setattr(SiteSchedule, "items", property(refuse))
+        result = run_simulation(
+            SimulationConfig(protocol="opt-track", n_sites=5, n_vars=12,
+                             replication_factor=3, ops_per_process=40,
+                             gap_range_ms=(5.0, 55.0), seed=7,
+                             fault_plan=self.PLANS[plan], fault_seed=3),
+            tracer=Tracer() if traced else None)
+        done = result.collector.ops_write + result.collector.ops_read
+        assert done > 150

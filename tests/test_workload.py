@@ -1,6 +1,8 @@
 """Unit tests for schedules, the workload generator, and trace round-trips."""
 
 import json
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.workload.generator import (
     decode_value,
     encode_value,
     generate_workload,
+    variable_probabilities,
 )
 from repro.workload.schedule import Operation, OpKind, SiteSchedule, Workload
 from repro.workload.traces import (
@@ -59,6 +62,26 @@ class TestSiteSchedule:
         with pytest.raises(ValueError):
             SiteSchedule(0, ((-1.0, Operation(OpKind.READ, 0)),))
 
+    def test_columns_and_items_agree(self):
+        items = (
+            (1.0, Operation(OpKind.WRITE, 3, 7)),
+            (1.0, Operation(OpKind.READ, 2)),
+            (4.5, Operation(OpKind.READ, 2)),
+        )
+        sched = SiteSchedule(0, items)
+        assert list(sched.times) == [1.0, 1.0, 4.5]
+        assert list(sched.variables) == [3, 2, 2]
+        assert sched.values == (7, None, None)
+        view = sched.items
+        assert view == items and tuple(sched) == items
+        # reads are interned, one per variable
+        assert view[1][1] is view[2][1]
+
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError):
+            SiteSchedule.from_columns(0, array("d", [1.0, 2.0]),
+                                      array("q", [0]), (None, None))
+
 
 class TestWorkloadValidation:
     def test_site_labels_must_match_position(self):
@@ -70,6 +93,97 @@ class TestWorkloadValidation:
         sched = SiteSchedule(0, ((1.0, Operation(OpKind.READ, 9)),))
         with pytest.raises(ValueError):
             Workload(schedules=(sched,), n_vars=5)
+
+    def test_var_equal_to_q_rejected(self):
+        sched = SiteSchedule(0, ((1.0, Operation(OpKind.READ, 1)),
+                                 (2.0, Operation(OpKind.WRITE, 5, 1))))
+        with pytest.raises(ValueError, match="var 5"):
+            Workload(schedules=(sched,), n_vars=5)
+
+    def test_negative_var_rejected(self):
+        sched = SiteSchedule(0, ((1.0, Operation(OpKind.READ, -1)),))
+        with pytest.raises(ValueError):
+            Workload(schedules=(sched,), n_vars=5)
+
+
+def _reference_workload(n_sites, *, n_vars, write_rate, ops_per_process,
+                        seed, var_distribution):
+    """The per-operation generator the columns replaced, kept verbatim:
+    the (time, operation) pairs of every site, in site order."""
+    gap_range_ms = PAPER_GAP_RANGE_MS
+    probabilities = variable_probabilities(n_vars, var_distribution, 1.1)
+    streams = np.random.SeedSequence(seed).spawn(n_sites)
+    schedules = []
+    for site in range(n_sites):
+        rng = np.random.default_rng(streams[site])
+        gaps = rng.uniform(*gap_range_ms, size=ops_per_process)
+        times = np.cumsum(gaps)
+        variables = rng.choice(
+            n_vars, size=ops_per_process, p=probabilities
+        )
+        is_write = rng.random(ops_per_process) < write_rate
+        items = []
+        write_seq = 0
+        for k in range(ops_per_process):
+            if is_write[k]:
+                write_seq += 1
+                op = Operation(OpKind.WRITE, int(variables[k]),
+                               encode_value(site, write_seq))
+            else:
+                op = Operation(OpKind.READ, int(variables[k]))
+            items.append((float(times[k]), op))
+        schedules.append(tuple(items))
+    return schedules
+
+
+class TestAgainstReferenceGenerator:
+    """The column generator draws the same numbers in the same order as
+    the per-operation loop it replaced, so every schedule is equal."""
+
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf"])
+    @pytest.mark.parametrize("write_rate", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_sites,ops,seed,n_vars",
+                             [(1, 1, 0, 1), (3, 50, 7, 10), (8, 120, 2024, 100)])
+    def test_same_items(self, distribution, write_rate, n_sites, ops, seed,
+                        n_vars):
+        params = dict(n_vars=n_vars, write_rate=write_rate,
+                      ops_per_process=ops, seed=seed,
+                      var_distribution=distribution)
+        wl = generate_workload(n_sites, **params)
+        reference = _reference_workload(n_sites, **params)
+        assert [s.items for s in wl.schedules] == reference
+        assert wl == Workload(
+            schedules=tuple(SiteSchedule(site, items)
+                            for site, items in enumerate(reference)),
+            n_vars=n_vars, target_write_rate=write_rate, seed=seed)
+
+    def test_file_round_trip_is_equal(self, tmp_path):
+        wl = generate_workload(5, write_rate=0.4, ops_per_process=60, seed=3,
+                               var_distribution="zipf")
+        path = tmp_path / "wl.json"
+        save_workload(wl, path)
+        assert load_workload(path) == wl
+
+
+def test_generated_workload_holds_columns():
+    """A generated schedule is three flat columns per site.
+
+    ``generate_workload(40, ops_per_process=400)`` holds ~0.64 MiB: one
+    ``(float, Operation)`` pair per operation held ~2.46 MiB."""
+    # numpy.random's lazy import alone adds ~0.8 MiB to a first reading
+    generate_workload(2, ops_per_process=2, seed=0)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        wl = generate_workload(40, ops_per_process=400, seed=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert wl.total_operations == 16_000
+    assert held <= 0.8 * 2**20, f"{held / 2**20:.2f} MiB"
 
 
 class TestGenerator:
