@@ -6,9 +6,9 @@ a module that does not parse is a SIM999 finding and a suppression
 without a reason a SIM000 finding, whichever passes run.  Sub-behaviours
 (composable in one invocation):
 
-* **lint** (default): run the SIM003..SIM007 AST rules, print
-  ``path:line:col: CODE message`` per finding, exit non-zero on any
-  finding;
+* **lint** (default): run the SIM003, SIM004, SIM006 and SIM007 AST
+  rules, print ``path:line:col: CODE message`` per finding, exit
+  non-zero on any finding;
 * **--effects**: whole-program effect inference (EFF001, EFF002) — the
   contract's ``[[effects.forbid]]`` rules (``repro/core`` and
   ``repro/verify`` substrate-pure; no wall clock or unseeded RNG

@@ -53,7 +53,6 @@ EFFECTS = (
     "FILE_IO",
     "NETWORK",
     "SIM_INTERNAL",
-    "MUTATES_SENT_PAYLOAD",
 )
 
 

@@ -18,10 +18,7 @@ interactions with the world outside its arguments:
 ``SIM_INTERNAL``
     references simulator machinery (``repro.sim.*``) at runtime from
     outside the sim layer — the core protocols must not know the
-    substrate that hosts them;
-``MUTATES_SENT_PAYLOAD``
-    the SIM005 aliasing dataflow found a mutation of data already
-    captured in a sent message.
+    substrate that hosts them.
 
 Leaf effects are detected directly at call/name sites, then propagated
 up the reverse call graph to a fixpoint: a caller inherits every effect
@@ -46,7 +43,6 @@ from typing import Iterator, Optional
 from .callgraph import FunctionInfo, ModuleInfo, ProjectGraph
 from .contract import Contract
 from .lint import Finding
-from .rules.aliasing import analyze_function as _aliasing_mutations
 
 __all__ = [
     "BASELINE_SCHEMA_VERSION",
@@ -273,15 +269,6 @@ def _leaf_effects(
                     f"references {target} at runtime",
                     node.lineno,
                 )
-    # SIM005 aliasing verdicts become an effect fact
-    if isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        for mut in _aliasing_mutations(fn.node):
-            yield (
-                "MUTATES_SENT_PAYLOAD",
-                f"mutates '{mut.ref}' after it was sent "
-                f"(line {mut.send_line})",
-                mut.node.lineno,
-            )
 
 
 def _classify_call(target: str, node: ast.Call) -> Optional[str]:

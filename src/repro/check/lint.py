@@ -3,9 +3,9 @@
 The reproduction's claims rest on the simulator being bit-deterministic
 and on causal metadata (``Write`` matrices, KS logs, Dests lists) never
 being silently shared or reordered.  The lint pass enforces the
-project conventions that keep runs reproducible with five AST rules
-(SIM003..SIM007, see :mod:`repro.check.rules`), run as visitors over
-the modules of :class:`repro.check.callgraph.ProjectGraph` — the one
+project conventions that keep runs reproducible with four AST rules
+(SIM003, SIM004, SIM006 and SIM007, see :mod:`repro.check.rules`), run
+as visitors over the modules of :class:`repro.check.callgraph.ProjectGraph` — the one
 parse every pass of ``repro.check`` shares.  Wall-clock reads and
 unseeded randomness are not lints: the ``[[effects.forbid]]`` rules of
 ``layers.toml`` ban them through the effect analyzer.

@@ -1,8 +1,8 @@
 """The machine-readable JSON report of ``repro check``.
 
 One exporter consumes the findings of every pass — the front end's
-SIM000/SIM999, the AST lints (SIM003..SIM007), the whole-program effect
-analysis (EFF...), and the layer-contract check (LAY...) — so CI
+SIM000/SIM999, the AST lints (SIM003, SIM004, SIM006, SIM007), the
+whole-program effect analysis (EFF...), and the layer-contract check (LAY...) — so CI
 uploads a single artifact and diff tools see one stable schema.
 
 The report is the project's own schema (versioned, see

@@ -1,11 +1,10 @@
-"""simcheck rule registry: SIM003..SIM007.
+"""simcheck rule registry: SIM003, SIM004, SIM006 and SIM007.
 
 ==========  ======================  =====================================
 code        name                    guards against
 ==========  ======================  =====================================
 ``SIM003``  set-iteration           hash-order iteration on hot paths
 ``SIM004``  mutable-default         call-to-call shared default containers
-``SIM005``  mutate-after-send       aliased message metadata rewritten
 ``SIM006``  float-ts-equality       exact == on accumulated float times
 ``SIM007``  raw-heapq               priority queues without (time, seq)
 ==========  ======================  =====================================
@@ -20,7 +19,6 @@ ruff's ``T20`` gate (``[tool.ruff.lint]`` in ``pyproject.toml``).
 from __future__ import annotations
 
 from ..lint import Rule
-from .aliasing import MutateAfterSendRule
 from .defaults import MutableDefaultRule
 from .floateq import FloatTimestampEqualityRule
 from .heap import RawHeapqRule
@@ -31,7 +29,6 @@ __all__ = ["ALL_RULES", "all_rules", "rule_by_code"]
 ALL_RULES: tuple[type[Rule], ...] = (
     SetIterationRule,
     MutableDefaultRule,
-    MutateAfterSendRule,
     FloatTimestampEqualityRule,
     RawHeapqRule,
 )

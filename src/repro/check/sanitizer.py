@@ -1,45 +1,29 @@
-"""Runtime sanitizers: frozen-message transport and double-run diffing.
+"""The double-run divergence detector.
 
-Two dynamic checks complement the AST lints, catching what static
-analysis cannot prove:
+:func:`double_run` executes the same configuration twice under the same
+seed with a fresh :class:`~repro.obs.tracer.Tracer` each time and diffs
+the two event logs.  Identical logs certify the run bit-deterministic
+end to end (every send, delivery, activation, and crash at the same
+simulated time with the same attributes).  On divergence the report
+pinpoints the first differing event and reconstructs its causal chain
+from the tracer's parent links.
 
-* :class:`SanitizedNetwork` — an opt-in wrapper around
-  :class:`repro.sim.network.Network` that *freezes* every message at
-  send time (structural fingerprint over a deep snapshot) and verifies
-  the fingerprint again at each delivery.  Any mutation of a message —
-  or of metadata aliased into one, from any site — between send and
-  delivery raises :class:`MessageMutationError` naming the sender,
-  receiver, and message type.  Enable per run with
-  ``SimulationConfig(sanitize=True)``.
-
-* :func:`double_run` — the divergence detector: executes the same
-  configuration twice under the same seed with a fresh
-  :class:`~repro.obs.tracer.Tracer` each time and diffs the two event
-  logs.  Identical logs certify the run bit-deterministic end to end
-  (every send, delivery, activation, and crash at the same simulated
-  time with the same attributes).  On divergence the report pinpoints
-  the first differing event and reconstructs its causal chain from the
-  tracer's parent links.
+That a sent message never changes is a different invariant, and it
+holds by construction (``docs/protocols.md``, "What a sent message
+holds"): a mutation raises where it happens, in either run.
 """
 
 from __future__ import annotations
 
-import copy
-import hashlib
-from dataclasses import dataclass, fields, is_dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..core.log import PiggybackView
 from ..obs.tracer import Trace, TraceEvent, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import SimulationConfig
-    from ..sim.network import Network
 
 __all__ = [
-    "MessageMutationError",
-    "SanitizedNetwork",
-    "fingerprint",
     "DivergenceReport",
     "double_run",
     "diff_traces",
@@ -50,194 +34,6 @@ __all__ = [
 MAX_CHAIN = 20
 
 
-# ----------------------------------------------------------------------
-# structural fingerprinting
-# ----------------------------------------------------------------------
-def fingerprint(obj: object) -> str:
-    """Order-insensitive structural hash of a message.
-
-    Containers hash by content with sets/dicts canonically ordered, so
-    the fingerprint is stable under hash-seed variation and under
-    deep-copying — equal structure, equal fingerprint.  numpy arrays
-    hash by dtype/shape/bytes.
-    """
-    h = hashlib.sha256()
-    _feed(h, obj)
-    return h.hexdigest()
-
-
-def _feed(h: "hashlib._Hash", obj: object) -> None:
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
-        h.update(f"{type(obj).__name__}:{obj!r};".encode())
-        return
-    if is_dataclass(obj) and not isinstance(obj, type):
-        h.update(f"dc:{type(obj).__name__}(".encode())
-        for f in fields(obj):
-            h.update(f.name.encode())
-            h.update(b"=")
-            _feed(h, getattr(obj, f.name))
-        h.update(b");")
-        return
-    if isinstance(obj, PiggybackView):
-        # a view is its flat sequence, rebuilt from the delta: the lazily
-        # filled flat-cache slot (logically immutable, like the clocks'
-        # tolist caches below) must not register as a mutation, while a
-        # replaced delta still must
-        obj = obj.materialise()
-    if isinstance(obj, (list, tuple)):
-        h.update(f"{type(obj).__name__}[".encode())
-        for item in obj:
-            _feed(h, item)
-        h.update(b"];")
-        return
-    if isinstance(obj, (set, frozenset)):
-        h.update(f"{type(obj).__name__}{{".encode())
-        for digest in sorted(fingerprint(item) for item in obj):
-            h.update(digest.encode())
-        h.update(b"};")
-        return
-    if isinstance(obj, dict):
-        h.update(b"dict{")
-        entries = sorted(
-            (fingerprint(k), fingerprint(v)) for k, v in obj.items()
-        )
-        for kd, vd in entries:
-            h.update(kd.encode())
-            h.update(b":")
-            h.update(vd.encode())
-        h.update(b"};")
-        return
-    tobytes = getattr(obj, "tobytes", None)
-    if callable(tobytes):  # numpy arrays (and the clock classes' .m)
-        dtype = getattr(obj, "dtype", "")
-        shape = getattr(obj, "shape", "")
-        h.update(f"nd:{dtype}:{shape}:".encode())
-        h.update(tobytes())
-        h.update(b";")
-        return
-    # MatrixClock (.m) / VectorClock (.v) wrap arrays; fingerprint the
-    # array alone so their lazy tolist caches (populated on first hot-
-    # path read, logically immutable) don't register as mutations
-    inner = getattr(obj, "m", None)
-    if inner is None:
-        inner = getattr(obj, "v", None)
-    if inner is not None and callable(getattr(inner, "tobytes", None)):
-        h.update(f"clock:{type(obj).__name__}:".encode())
-        _feed(h, inner)
-        return
-    slots = getattr(type(obj), "__slots__", None)
-    if slots:
-        h.update(f"obj:{type(obj).__name__}(".encode())
-        for name in slots:
-            _feed(h, getattr(obj, name, None))
-        h.update(b");")
-        return
-    state = getattr(obj, "__dict__", None)
-    if state is not None:
-        h.update(f"obj:{type(obj).__name__}(".encode())
-        for key in sorted(state):
-            h.update(key.encode())
-            h.update(b"=")
-            _feed(h, state[key])
-        h.update(b");")
-        return
-    h.update(f"opaque:{type(obj).__name__}:{obj!r};".encode())
-
-
-# ----------------------------------------------------------------------
-# frozen-message network wrapper
-# ----------------------------------------------------------------------
-class MessageMutationError(AssertionError):
-    """A message changed between send and delivery (cross-site aliasing)."""
-
-
-class SanitizedNetwork:
-    """Decorator around :class:`~repro.sim.network.Network`.
-
-    Every message entering via :meth:`send` or :meth:`multicast` is
-    fingerprinted (a shared multicast message once); every
-    application-level delivery re-fingerprints and compares.  Unknown
-    payloads (transport-internal packets: acks, heartbeats, sync
-    probes) pass through unchecked — they never cross either.
-
-    All other attributes delegate to the wrapped network, so the
-    wrapper is a drop-in for every consumer (protocol contexts, the
-    crash-recovery manager, the cluster facade).
-    """
-
-    def __init__(self, inner: "Network") -> None:
-        self._inner = inner
-        #: id(message) -> (strong ref, deep snapshot, fingerprint, src)
-        self._frozen: dict[int, tuple[object, object, str, int]] = {}
-        self.mutation_checks = 0
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    # -- intercepted surface ------------------------------------------
-    def send(self, src: int, dst: int, message: object, *,
-             size_bytes: float = 0.0) -> Optional[float]:
-        self._freeze(src, message)
-        return self._inner.send(src, dst, message, size_bytes=size_bytes)
-
-    def multicast(self, src: int, dests: Sequence[int],
-                  messages: Sequence[object], sizes: Sequence[float]) -> None:
-        # defined, not left to __getattr__: forwarding would hand the
-        # copies to the inner network unfrozen and skip the check
-        for message in messages:
-            self._freeze(src, message)
-        self._inner.multicast(src, dests, messages, sizes)
-
-    def _freeze(self, src: int, message: object) -> None:
-        if id(message) not in self._frozen:
-            self._frozen[id(message)] = (
-                message, copy.deepcopy(message), fingerprint(message), src
-            )
-
-    def register(self, site: int,
-                 receiver: Callable[[int, object], None]) -> None:
-        def verifying_receiver(src: int, message: object) -> None:
-            self.verify(src, site, message)
-            receiver(src, message)
-
-        self._inner.register(site, verifying_receiver)
-
-    # -- verification --------------------------------------------------
-    def verify(self, src: int, dst: int, message: object) -> None:
-        entry = self._frozen.get(id(message))
-        if entry is None:
-            return  # not a sanitized application message
-        _original, snapshot, frozen_fp, sent_by = entry
-        self.mutation_checks += 1
-        now_fp = fingerprint(message)
-        if now_fp != frozen_fp:
-            raise MessageMutationError(
-                f"{type(message).__name__} sent by site {sent_by} was "
-                f"mutated before delivery to site {dst} (from {src}): "
-                f"fingerprint {frozen_fp[:12]} -> {now_fp[:12]}; "
-                f"changed fields: {_changed_fields(snapshot, message)}. "
-                "Some site aliases metadata captured into this message "
-                "(Dests list / clock row / piggyback log) and mutated it "
-                "after send."
-            )
-
-
-def _changed_fields(snapshot: object, current: object) -> str:
-    """Name the dataclass fields whose structure drifted from the freeze."""
-    if not (is_dataclass(snapshot) and type(snapshot) is type(current)):
-        return "<whole object>"
-    drifted = [
-        f.name
-        for f in fields(snapshot)
-        if fingerprint(getattr(snapshot, f.name))
-        != fingerprint(getattr(current, f.name))
-    ]
-    return ", ".join(drifted) if drifted else "<none identified>"
-
-
-# ----------------------------------------------------------------------
-# double-run divergence detector
-# ----------------------------------------------------------------------
 #: test-only hook: transforms the config of the *second* run, injecting
 #: seeded nondeterminism so tests can watch the detector catch it
 _SECOND_RUN_HOOK: Optional[Callable[["SimulationConfig"], "SimulationConfig"]] = None
@@ -311,9 +107,9 @@ def _fmt_event(ev: Optional[dict]) -> str:
     )
 
 
-def _event_signature(ev: TraceEvent) -> str:
-    """Canonical comparison key for one trace event."""
-    return fingerprint((ev.id, ev.ts, ev.kind, ev.site, ev.parent, ev.attrs))
+def _event_signature(ev: TraceEvent) -> tuple:
+    """Comparison key for one trace event (its attrs are plain data)."""
+    return (ev.id, ev.ts, ev.kind, ev.site, ev.parent, ev.attrs)
 
 
 def diff_traces(a: Trace, b: Trace, *, protocol: str = "?") -> DivergenceReport:
@@ -387,18 +183,14 @@ def double_run(config: "SimulationConfig") -> DivergenceReport:
 
     The second run rebuilds everything from scratch (fresh simulator,
     network, RNG streams, workload generation) — shared state between
-    the runs would defeat the point.  Both runs also go through
-    :class:`SanitizedNetwork`, so a mutation is caught even when it
-    happens to mutate identically in both runs.
+    the runs would defeat the point.
     """
-    from dataclasses import replace
-
     from ..experiments.runner import run_simulation
 
-    base = replace(config, sanitize=True)
     tracer_a = Tracer()
-    run_simulation(base, tracer=tracer_a)
-    second = base if _SECOND_RUN_HOOK is None else _SECOND_RUN_HOOK(base)
+    run_simulation(config, tracer=tracer_a)
+    second = (config if _SECOND_RUN_HOOK is None
+              else _SECOND_RUN_HOOK(config))
     tracer_b = Tracer()
     run_simulation(second, tracer=tracer_b)
     return diff_traces(

@@ -818,8 +818,9 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         instance indistinguishable from this one to every peer: pending
         buffers, the fetch-request counter, ``applied``, LastWriteOn, the
         local replica slots, and whatever clocks/logs the concrete
-        protocol adds via :meth:`_snapshot_extra`.  Messages inside pending buffers are
-        shared, not copied — they are immutable by protocol convention.
+        protocol adds via :meth:`_snapshot_extra`.  Messages inside pending
+        buffers and the LastWriteOn metadata are shared, not copied — they
+        are immutable by construction (``docs/protocols.md``).
         """
         return {
             "pending_sm": [(p.src, p.message, p.arrived) for p in self._pending_sm],

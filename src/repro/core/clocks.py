@@ -22,9 +22,15 @@ slower than ``np.maximum(..., out=...)``, so merges stay vectorized.)
 Scalar *reads*, by contrast, are ~2x faster from plain Python ints than
 from NumPy scalars, so the activation predicates consume lazily-cached
 ``tolist`` views — :meth:`MatrixClock.column_list` and
-:meth:`VectorClock.as_list` — that the mutators invalidate.  Piggybacked
-clocks are immutable by protocol convention, so a message's cached view
-survives for its whole buffered lifetime.
+:meth:`VectorClock.as_list` — that the mutators invalidate.
+
+A clock that travels in a message is immutable by construction: the
+protocols snapshot it with :meth:`~MatrixClock.copy` and mark the array
+read-only, and the wire codec does the same to every clock it decodes.
+So :meth:`~MatrixClock.increment` and :meth:`~MatrixClock.merge` into a
+sent clock raise ``ValueError`` at the mutation, :meth:`~MatrixClock.grow`
+refuses one, and a message's cached view survives for its whole
+buffered lifetime.
 """
 
 from __future__ import annotations
@@ -89,8 +95,12 @@ class MatrixClock:
         """Pad to dimension ``n`` with zero counters (view epoch grew).
 
         Idempotent: growing to the current (or a smaller) dimension is a
-        no-op, so recovery can always re-grow to the live capacity.
+        no-op, so recovery can always re-grow to the live capacity.  A
+        read-only (sent) clock refuses: growing rebinds the array, so
+        the write flag alone would not stop it.
         """
+        if not self.m.flags.writeable:
+            raise ValueError("cannot grow a read-only clock")
         if n <= self.n:
             return
         m = np.zeros((n, n), dtype=np.int64)
@@ -197,7 +207,10 @@ class VectorClock:
         self._list = None
 
     def grow(self, n: int) -> None:
-        """Pad to size ``n`` with zero counters (idempotent)."""
+        """Pad to size ``n`` with zero counters (idempotent); a read-only
+        clock refuses, as in :meth:`MatrixClock.grow`."""
+        if not self.v.flags.writeable:
+            raise ValueError("cannot grow a read-only clock")
         if n <= self.n:
             return
         v = np.zeros(n, dtype=np.int64)

@@ -23,6 +23,7 @@ happened-before.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from ..memory.store import WriteId
@@ -33,6 +34,16 @@ from .clocks import MatrixClock
 from .messages import FetchMessage, FullTrackRM, FullTrackSM
 
 __all__ = ["FullTrackProtocol"]
+
+
+@lru_cache(maxsize=None)
+def _read_only_zero(n: int) -> MatrixClock:
+    """The matrix an RM for a never-written variable carries (no
+    dependencies): one read-only clock per width, shared by every such
+    RM of every core, so none is built per fetch."""
+    clock = MatrixClock(n)
+    clock.m.setflags(write=False)
+    return clock
 
 
 @register_protocol
@@ -59,6 +70,7 @@ class FullTrackProtocol(CausalProtocol[tuple[WriteId, MatrixClock]]):
         wid = WriteId(self.site, self._write_count)
         self.write_clock.increment(self.site, dests)
         snapshot = self.write_clock.copy()
+        snapshot.m.setflags(write=False)  # sent, and kept in LastWriteOn
 
         self._issue_write(var, value, wid, dests, op_index)
         sm = FullTrackSM(var=var, value=value, write_id=wid, matrix=snapshot,
@@ -108,8 +120,8 @@ class FullTrackProtocol(CausalProtocol[tuple[WriteId, MatrixClock]]):
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
         slot = self.ctx.store.read(message.var)
         stored = self.last_write_on.get(message.var)
-        if stored is None:
-            wid, matrix = None, MatrixClock(self.n)  # never written: no deps
+        if stored is None:  # never written: no dependencies
+            wid, matrix = None, _read_only_zero(self.n)
         else:
             wid, matrix = stored
         rm = FullTrackRM(var=message.var, value=slot.value, write_id=wid,
@@ -137,8 +149,8 @@ class FullTrackProtocol(CausalProtocol[tuple[WriteId, MatrixClock]]):
     # crash-recovery hooks
     # ------------------------------------------------------------------
     def _snapshot_extra(self) -> dict:
-        # matrices in last_write_on are immutable-by-convention snapshots
-        # and can be shared; write_clock is mutated by merges, so copy it
+        # matrices in last_write_on are read-only snapshots and can be
+        # shared; write_clock is mutated by merges, so copy it
         # on both capture and restore (a checkpoint may be restored twice)
         return {
             "write_clock": self.write_clock.copy(),

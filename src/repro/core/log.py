@@ -83,7 +83,7 @@ class PiggybackView:
       ``base + extra``, which builds no record.
 
     As a sequence (iteration, indexing, ``len``, equality with a tuple)
-    it is that flat sequence of :class:`PiggybackEntry`, materialised at
+    it is that flat sequence of :class:`PiggybackEntry`, built at
     most once.  Logically immutable: ``_flat`` caches the flat form and
     :meth:`_retarget` re-derives the delta from it, neither changes the
     sequence.
@@ -174,27 +174,25 @@ class PiggybackView:
     # ------------------------------------------------------------------
     # the flat sequence
     # ------------------------------------------------------------------
-    def materialise(self) -> tuple[PiggybackEntry, ...]:
-        """The flat sequence rebuilt from the delta, bypassing the cache
-        (the sanitizer fingerprints this; everyone else wants
-        :meth:`flat`)."""
-        if not (self.regain or self.extra):
-            return self.base
-        dest = self.dest
-        assert dest is not None  # a non-empty delta has a receiver
-        me = frozenset((dest,))
-        entries = list(self.base)
-        for i in self.regain:
-            e = entries[i]
-            entries[i] = PiggybackEntry(e.writer, e.clock, e.dests | me)
-        for e in self.extra:
-            entries.append(PiggybackEntry(e.writer, e.clock, me))
-        return tuple(entries)
-
     def flat(self) -> tuple[PiggybackEntry, ...]:
+        """The flat sequence, rebuilt from the delta on first use."""
         flat = self._flat
-        if flat is None:
-            flat = self._flat = self.materialise()
+        if flat is not None:
+            return flat
+        if not (self.regain or self.extra):
+            flat = self.base
+        else:
+            dest = self.dest
+            assert dest is not None  # a non-empty delta has a receiver
+            me = frozenset((dest,))
+            entries = list(self.base)
+            for i in self.regain:
+                e = entries[i]
+                entries[i] = PiggybackEntry(e.writer, e.clock, e.dests | me)
+            for e in self.extra:
+                entries.append(PiggybackEntry(e.writer, e.clock, me))
+            flat = tuple(entries)
+        self._flat = flat
         return flat
 
     def __len__(self) -> int:

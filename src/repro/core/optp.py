@@ -46,6 +46,7 @@ class OptPProtocol(CausalProtocol[tuple[WriteId, VectorClock]]):
         clock = self.write_clock.increment(self.site)
         wid = WriteId(self.site, clock)
         snapshot = self.write_clock.copy()
+        snapshot.v.setflags(write=False)  # sent, and kept in LastWriteOn
 
         dests = self._broadcast_dests()
         self._issue_write(var, value, wid, dests, op_index)

@@ -101,12 +101,6 @@ class SimulationConfig:
     #: elastic membership: escalate a persistently-suspected crash-stopped
     #: site into an eviction after this long (None = never auto-evict)
     auto_evict_after_ms: Optional[float] = None
-    #: route all traffic through the frozen-message sanitizer
-    #: (:mod:`repro.check.sanitizer`): every message is fingerprinted at
-    #: send and verified at each delivery — any post-send mutation of
-    #: aliased metadata raises.  Off by default (costs a deep copy +
-    #: hash per message); the simulation itself is unchanged either way.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.n_sites <= 0:
@@ -181,7 +175,6 @@ class SimulatedSystem:
     placement: Placement
     sim: Simulator
     collector: MetricsCollector
-    #: the sanitizer's proxy when ``config.sanitize`` is set
     network: Network
     #: the chaos transport (None on the plain FIFO path)
     transport: Optional[ReliableTransport]
@@ -248,10 +241,6 @@ def build_system(
                       faults=faults, collector=collector,
                       retransmit=config.retransmit, tracer=tracer)
     transport = network.transport
-    if config.sanitize:
-        from ..check.sanitizer import SanitizedNetwork
-
-        network = SanitizedNetwork(network)  # type: ignore[assignment]
     if tracer is not None:
         tracer.meta.setdefault("protocol", config.protocol)
         tracer.meta.setdefault("n_sites", config.n_sites)

@@ -103,7 +103,7 @@ WIRE_VERSION = 3
 #: The explicit wire contract: every sendable message type and the exact
 #: field order it serializes in.  ``tests/test_service_codec.py`` asserts
 #: this list matches each dataclass's declared fields and that every
-#: type round-trips to a structurally-fingerprinted equal value.
+#: type round-trips to an equal value that re-encodes to the same bytes.
 WIRE_FIELDS: dict[type, tuple[str, ...]] = {
     FetchMessage: ("var", "reader", "request_id", "requirements"),
     FullTrackSM: ("var", "value", "write_id", "matrix", "issued_at"),
@@ -323,7 +323,9 @@ def _put_matrix(matrix: MatrixClock, ints: list[int]) -> None:
 
 def _get_matrix(ints: tuple[int, ...], i: int, n_sites: Optional[int]):
     n, cells, end = _get_cells(ints, i, n_sites, lambda n: n * n)
-    return MatrixClock(n, [cells[k:k + n] for k in range(0, n * n, n)]), end
+    clock = MatrixClock(n, [cells[k:k + n] for k in range(0, n * n, n)])
+    clock.m.setflags(write=False)  # a received clock is a sent clock
+    return clock, end
 
 
 def _put_vector(vector: VectorClock, ints: list[int]) -> None:
@@ -335,7 +337,9 @@ def _put_vector(vector: VectorClock, ints: list[int]) -> None:
 
 def _get_vector(ints: tuple[int, ...], i: int, n_sites: Optional[int]):
     n, cells, end = _get_cells(ints, i, n_sites, lambda n: n)
-    return VectorClock(n, cells), end
+    clock = VectorClock(n, cells)
+    clock.v.setflags(write=False)
+    return clock, end
 
 
 _REAL = struct.Struct(">d")

@@ -53,7 +53,7 @@ def make_contract(ports=(), allows=()) -> Contract:
                 "trees": ["app.core"],
                 "effects": [
                     "WALL_CLOCK", "UNSEEDED_RNG", "FILE_IO", "NETWORK",
-                    "SIM_INTERNAL", "MUTATES_SENT_PAYLOAD",
+                    "SIM_INTERNAL",
                 ],
                 "reason": "the core is substrate-pure",
             }],
@@ -237,20 +237,6 @@ class TestLeafDetection:
         })
         assert report.effects["app.core.proto.run"] == set()
         assert not findings
-
-    def test_mutate_after_send(self, tmp_path):
-        report, findings = run(tmp_path, {
-            "app/core/proto.py": """
-                def relay(net, deps):
-                    net.send(deps)
-                    deps.append(1)
-            """,
-        })
-        assert (
-            "MUTATES_SENT_PAYLOAD"
-            in report.effects["app.core.proto.relay"]
-        )
-        assert efff(findings)
 
 
 # ----------------------------------------------------------------------
