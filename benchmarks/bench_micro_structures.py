@@ -34,6 +34,7 @@ from repro.metrics.collector import MessageKind
 from repro.obs.ledger import decompose_message
 from repro.service import codec
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultPlan
 
 N = 40  # paper-scale system size
 
@@ -311,6 +312,56 @@ def test_micro_seed_delivery(benchmark):
     assert system.network.app_messages_in_flight == 0
     assert sum(p.buffered_arrivals for p in system.protocols) == 0
     assert system.collector.visibility_lags.count == remote
+
+
+CHAOS_SITES = 20  # sim_chaos_n20's system
+
+
+def posted_chaos_writes():
+    """``benchmark.pedantic`` setup: a fresh 20-site Opt-Track-CRP system
+    under sim_chaos_n20's fault plan in which site 0 has issued its
+    writes — every SM copy a first transmission on its channel, lost,
+    duplicated or delayed as the seeded fault stream says."""
+    system = build_system(SimulationConfig(
+        protocol="opt-track-crp", n_sites=CHAOS_SITES, n_vars=N, seed=1,
+        fault_plan=FaultPlan.uniform(drop_rate=0.05, dup_rate=0.02,
+                                     spike_rate=0.02),
+        fault_seed=1))
+    system.collector.start_measuring()
+    writer = system.protocols[0]
+    for k in range(DELIVERY_WRITES):
+        writer.write(k % N, k)
+    gc.collect()  # the last round's system is garbage: not in the timer
+    return (system,), {}
+
+
+def test_micro_chaos_delivery(benchmark):
+    """The chaos twin of the seed delivery floor: arrival → channel half
+    (ack, reassembly, duplicate suppression) → ``on_message`` → apply,
+    plus the acks and retransmissions that rebuild the loss-free FIFO
+    channel, until site 0's 100 writes have reached all 19 peers."""
+    counts = []
+
+    def deliver(system):
+        system.sim.run()
+        collector = system.collector
+        counts.append((collector.retransmissions, collector.acks_sent,
+                       collector.injected_drops))
+        return system
+
+    system = benchmark.pedantic(deliver, setup=posted_chaos_writes,
+                                rounds=20)
+    channels = system.network.transport._channels
+    peers = range(1, CHAOS_SITES)
+    # every copy delivered exactly once, and nothing left to resend
+    assert all(channels[(0, d)].receiver.next_expected == DELIVERY_WRITES
+               for d in peers)
+    assert system.network.transport.unacked_count() == 0
+    assert system.collector.visibility_lags.count == (
+        DELIVERY_WRITES * len(peers))
+    # the same seeded fault stream every round
+    assert len(set(counts)) == 1
+    assert counts[0][0] > 0 and counts[0][2] > 0
 
 
 MULTICAST_WRITES = 100  # per round

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from ..metrics.collector import MetricsCollector
 from .ports import Scheduler, TimerHandle
@@ -288,12 +288,14 @@ class ChannelSender:
         host = self.host
         adaptive = host.policy.adaptive
         now = host.scheduler.now
+        unacked = self.unacked
         progress = False
-        for seq in list(self.unacked):  # in seq order
+        while unacked:
+            seq = next(iter(unacked))  # the oldest: unacked is in seq order
             if seq > cumulative:
                 break
             progress = True
-            del self.unacked[seq]
+            del unacked[seq]
             sent = self._sent_at.pop(seq, None)
             self._flight_ok.discard(seq)
             if seq in self._retx:
@@ -692,12 +694,6 @@ class ChannelHost:
         A host with more places to write (a tracer) extends this."""
         self.collector.record_transport(CHANNEL_EVENTS[event].counter, src,
                                         size_bytes)
-
-    def multicast(self, src: int, dests: Sequence[int],
-                  messages: Sequence[object], sizes: Sequence[float]) -> None:
-        """``Transport.multicast``: the subclass's ``send``, per destination."""
-        for dst, message, size in zip(dests, messages, sizes):
-            self.send(src, dst, message, size_bytes=size)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # suspicion pauses

@@ -21,7 +21,7 @@ kernel (the loopback cluster and the tests).
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..core.netpolicy import (
     Channel,
@@ -124,6 +124,11 @@ class ServiceTransport(ChannelHost):
         ch = self._channels.get((src, dst)) or self.channel(dst)
         ch.sender.send(dumps(message), size_bytes)
         return None  # delivery time is the wire's business
+
+    def multicast(self, src: int, dests: Sequence[int],
+                  messages: Sequence[object], sizes: Sequence[float]) -> None:
+        for dst, message, size in zip(dests, messages, sizes):
+            self.send(src, dst, message, size_bytes=size)
 
     # ------------------------------------------------------------------
     # the channel seam (count: ChannelHost's, into the node's collector)

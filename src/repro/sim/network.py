@@ -162,11 +162,12 @@ class Network:
     paper's model: size never affects timing.
 
     With a :class:`~repro.sim.faults.FaultInjector` attached, ``send``
-    instead routes through the :class:`~repro.sim.reliable.ReliableTransport`
-    chaos stack (sequence numbers, cumulative acks, retransmission with
-    backoff) over a lossy raw transmission path that drops, duplicates,
-    delays, and partitions per the injector's plan.  Without one, the
-    reliable path below is byte-for-byte the seed behavior.
+    instead hands each message to the sender half of its channel in the
+    :class:`~repro.sim.reliable.ReliableTransport` chaos stack (sequence
+    numbers, cumulative acks, retransmission with backoff) over a lossy
+    raw transmission path that drops, duplicates, delays, and partitions
+    per the injector's plan.  Without one, the reliable path below is
+    byte-for-byte the seed behavior.
     """
 
     def __init__(
@@ -436,26 +437,48 @@ class Network:
             return None
         if dst in self.departed:
             raise DepartedSiteError(dst, "departed")
-        if self.transport is not None:
-            return self.transport.send(src, dst, message, size_bytes)
+        transport = self.transport
+        if transport is not None:
+            ch = (transport._channels.get((src, dst))
+                  or transport.channel(src, dst))
+            return ch.sender.send(message, size_bytes)
         return self._fan_out(src, (dst,), (message,), (size_bytes,))
 
     def multicast(self, src: int, dests: Sequence[int],
                   messages: Sequence[object], sizes: Sequence[float]) -> None:
         """``send`` ``messages[i]`` with ``sizes[i]`` to ``dests[i]``, in order.
 
-        On the seed path with nobody departed, what cannot differ
-        between destinations (source checks, clock read, attribute
-        lookups) is done once and each destination gets the rest of
-        ``send`` — so every delivery's ``(time, seq)`` is what the loop
-        of sends below produces.
+        What cannot differ between destinations (the source's range
+        check, attribute lookups) is done once and each destination gets
+        the rest of ``send`` — so every packet's and delivery's ``(time,
+        seq)`` is what a loop of ``send`` calls produces.  Under a fault
+        plan each copy goes straight to its channel's sender half.
         """
-        if self.transport is not None or self.departed:
-            for dst, message, size in zip(dests, messages, sizes):
-                self.send(src, dst, message, size_bytes=size)
+        transport = self.transport
+        if transport is None:
+            if self.departed:
+                for dst, message, size in zip(dests, messages, sizes):
+                    self.send(src, dst, message, size_bytes=size)
+                return
+            self._check_site(src)
+            self._fan_out(src, dests, messages, sizes)
             return
         self._check_site(src)
-        self._fan_out(src, dests, messages, sizes)
+        n_sites = self.n_sites
+        departed = self.departed
+        channels = transport._channels
+        for dst, message, size in zip(dests, messages, sizes):
+            if not 0 <= dst < n_sites:
+                self._check_site(dst)  # raises
+            if departed:
+                if src in departed:
+                    # see send: a straggler from a retired site
+                    self.departed_drops += 1
+                    continue
+                if dst in departed:
+                    raise DepartedSiteError(dst, "departed")
+            ch = channels.get((src, dst)) or transport.channel(src, dst)
+            ch.sender.send(message, size)
 
     def _fan_out(self, src: int, dests: Sequence[int],
                  messages: Sequence[object], sizes: Sequence[float]) -> float:
@@ -533,12 +556,15 @@ class Network:
         """One physical packet transmission over the *lossy* substrate.
 
         Chaos path only (the reliable layer calls this for data packets,
-        retransmissions, and acks).  The fault injector decides drop /
-        duplicate / latency-spike per attempt; unlike the default path
-        there is NO structural FIFO clamp — sampled latencies may
-        reorder packets, and the reliable layer's reassembly buffer is
-        what restores order.  Returns the scheduled arrival of the
-        primary copy, or None when it was dropped.
+        retransmissions, and acks; the crash stack for heartbeats and
+        sync).  The fault injector decides drop / duplicate /
+        latency-spike per attempt; unlike the default path there is NO
+        structural FIFO clamp — sampled latencies may reorder packets,
+        and the reliable layer's reassembly buffer is what restores
+        order.  Each surviving copy is posted straight to
+        :meth:`ReliableTransport.arrive <repro.sim.reliable.ReliableTransport.arrive>`.
+        Returns the scheduled arrival of the primary copy, or None when
+        it was dropped.
         """
         sim = self.sim
         now = departure = sim.now
@@ -574,32 +600,13 @@ class Network:
         else:
             delay = self._sample_latency(src, dst)
         delivery = departure + delay + extra_delay_ms
-        sim.post(delivery, self._arrive, src, dst, packet)
+        arrive = self.transport.arrive
+        sim.post(delivery, arrive, src, dst, packet)
         for _ in range(duplicates):
             dup_delay = (self.latency.local_delay() if src == dst
                          else self._sample_latency(src, dst))
             self.total_messages += 1
             self.collector.record_injected_dup()
-            sim.post(departure + dup_delay + extra_delay_ms, self._arrive,
+            sim.post(departure + dup_delay + extra_delay_ms, arrive,
                      src, dst, packet)
         return delivery
-
-    def _arrive(self, src: int, dst: int, packet: object) -> None:
-        """Terminate one physical packet at the destination NIC.
-
-        A down destination drops the packet at the wire — the sender's
-        reliable channel keeps it durable and retransmits after the
-        site rejoins.  Infra packet handlers (heartbeats, sync) are
-        still notified with ``dead=True`` for their bookkeeping.
-        A packet to *or from* a departed site is void: once the source
-        has left, its channels are forgotten, and a late packet would
-        otherwise re-open one at sequence 0 and be applied twice.
-        """
-        if dst in self.departed or src in self.departed:
-            self.departed_drops += 1
-            return
-        if dst in self.down:
-            self.collector.record_dead_site_drop()
-            self.transport.on_dead_drop(src, dst, packet)
-            return
-        self.transport.deliver_packet(src, dst, packet)

@@ -7,18 +7,24 @@ state machine behind :mod:`repro.service.channel`.  This module is what
 only the simulator has: the fault-injecting raw transmission path of
 :class:`~repro.sim.network.Network` underneath (whose return value tells
 the sender an attempt was not dropped, which makes spurious-retransmit
-accounting exact), timer jitter drawn from the injector's seeded RNG,
-partition-heal scheduling and per-site recovery clocks, the crash /
-rejoin / retire hooks of :mod:`repro.sim.crash` and
+accounting exact), the arrival of every physical packet
+(:meth:`ReliableTransport.arrive`, the kernel callback the network
+posts: departed / down checks, infra packet handlers, then the ack or
+data straight to its channel half), timer jitter drawn from the
+injector's seeded RNG, partition-heal scheduling and per-site recovery
+clocks, the crash / rejoin / retire hooks of :mod:`repro.sim.crash` and
 :mod:`repro.sim.membership`, and the tracer hooks on channel events
 (which the base host counts into the run's collector; the metrics
-registry reads them there once, at quiescence).
+registry reads them there once, at quiescence).  A receiver half hands
+an in-order payload to ``Network._deliver_app`` itself: the host's
+``deliver`` is that bound method.
 
 Because the simulator sees both ends of every channel, it keeps the
 sender and the receiver half of ``src -> dst`` under one key.
 
 The layer is only instantiated when a :class:`~repro.sim.faults.FaultInjector`
-is attached; the default reliable path through ``Network.send`` is
+is attached (``Network.send`` / ``multicast`` then hand each message to
+its channel's sender half); the default reliable path through them is
 byte-for-byte the seed behavior (no sequence numbers, no acks, no
 timers — zero overhead when chaos is off).
 """
@@ -59,6 +65,8 @@ __all__ = [
 
 #: modelled wire size of a cumulative ack (seq number + envelope)
 ACK_SIZE_BYTES = 20.0
+#: the collector tally ``send_ack`` books (see ``CHANNEL_EVENTS``)
+_ACK_COUNTER = CHANNEL_EVENTS["ack"].counter
 
 
 class AckPacket(NamedTuple):
@@ -79,6 +87,9 @@ class ReliableTransport(ChannelHost):
         super().__init__(network.sim, network.collector, policy)
         self.net = network
         self.sim = network.sim
+        # ``deliver`` is the network's own hand-up: an in-order payload
+        # goes from the receiver half to the application in one call
+        self.deliver = network._deliver_app  # type: ignore[method-assign]
         self.injector = injector
         #: site -> heal time of the partition it is recovering from
         self._recovering: dict[int, float] = {}
@@ -102,39 +113,52 @@ class ReliableTransport(ChannelHost):
                 ChannelSender(self, src, dst), ChannelReceiver(self, src, dst))
         return ch
 
-    def send(self, src: int, dst: int, message: object,
-             size_bytes: float) -> Optional[float]:
-        ch = self._channels.get((src, dst)) or self.channel(src, dst)
-        return ch.sender.send(message, size_bytes)
-
     def register_packet_handler(self, handler: "PacketHandler") -> None:
         """Add an infra packet interceptor (heartbeat / sync layers)."""
         self.packet_handlers.append(handler)
 
-    def deliver_packet(self, phys_src: int, phys_dst: int, packet: object) -> None:
-        """Physical delivery entry point (called by the network)."""
-        for handler in self.packet_handlers:
-            if handler(phys_src, phys_dst, packet, False):
-                return
-        if isinstance(packet, AckPacket):
-            # an ack for channel (a -> b) travels physically b -> a
-            ch = self._channels.get((phys_dst, phys_src))
-            if (ch is not None and ch.sender.on_ack(packet.cumulative)
-                    and self._recovering):
-                self._close_recovery(phys_src)
-            return
-        assert isinstance(packet, DataPacket)
-        ch = (self._channels.get((phys_src, phys_dst))
-              or self.channel(phys_src, phys_dst))
-        ch.receiver.on_data(packet.seq, packet.payload)
+    def arrive(self, src: int, dst: int, packet: object) -> None:
+        """Terminate one physical packet at the destination NIC: the
+        kernel callback every :meth:`Network._transmit_raw` posts.
 
-    def on_dead_drop(self, phys_src: int, phys_dst: int, packet: object) -> None:
-        """A packet hit the wire of a down site: data and acks simply
-        vanish (the sender's durable queue covers them), but infra
-        handlers are told so their bookkeeping stays exact."""
-        for handler in self.packet_handlers:
-            if handler(phys_src, phys_dst, packet, True):
-                return
+        A packet to *or from* a departed site is void: once the source
+        has left, its channels are forgotten, and a late packet would
+        otherwise re-open one at sequence 0 and be applied twice.  A
+        down destination drops the packet at the wire — the sender's
+        channel keeps it durable and retransmits after the site rejoins
+        — and only the infra handlers hear of it (``dead=True``), for
+        their bookkeeping.  Otherwise the handlers may consume it, and
+        what is left is an ack for the sender half of the reverse
+        direction or data for the receiver half of this one.
+        """
+        net = self.net
+        departed = net.departed
+        if departed and (dst in departed or src in departed):
+            net.departed_drops += 1
+            return
+        handlers = self.packet_handlers
+        if dst in net.down:
+            self.collector.record_dead_site_drop()
+            for handler in handlers:
+                if handler(src, dst, packet, True):
+                    break
+            return
+        if handlers:
+            for handler in handlers:
+                if handler(src, dst, packet, False):
+                    return
+        # the class test, not isinstance: every packet pays it
+        if packet.__class__ is AckPacket:
+            cumulative: int = packet.cumulative  # type: ignore[attr-defined]
+            # an ack for channel (a -> b) travels physically b -> a
+            ch = self._channels.get((dst, src))
+            if (ch is not None and ch.sender.on_ack(cumulative)
+                    and self._recovering):
+                self._close_recovery(src)
+            return
+        data: DataPacket = packet  # type: ignore[assignment]
+        ch = self._channels.get((src, dst)) or self.channel(src, dst)
+        ch.receiver.on_data(data.seq, data.payload)
 
     # ------------------------------------------------------------------
     # the channel seam (see repro.core.netpolicy.ChannelHost)
@@ -143,11 +167,11 @@ class ReliableTransport(ChannelHost):
                  packet: DataPacket) -> Optional[float]:
         return self.net._transmit_raw(src, dst, packet, packet.size_bytes)
 
-    def deliver(self, src: int, dst: int, payload: object) -> None:
-        self.net._deliver_app(src, dst, payload)
-
     def send_ack(self, from_site: int, to_site: int, cumulative: int) -> None:
-        self.count("ack", from_site, to_site, ACK_SIZE_BYTES)
+        # an ack has no tracer hook: its collector row is booked here,
+        # not through count
+        self.collector.record_transport(_ACK_COUNTER, from_site,
+                                        ACK_SIZE_BYTES)
         self.net._transmit_raw(from_site, to_site, AckPacket(cumulative),
                                ACK_SIZE_BYTES)
 

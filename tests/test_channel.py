@@ -1,8 +1,9 @@
 """The reliable channel, once, over both of its drivers.
 
-Every case runs against the simulator's host (packets through
-``Network._transmit_raw``) and the live service's host (frames through
-the codec), both with the simulation kernel's timers.  Both drivers ask
+Every case runs against the simulator's host (packets sent through
+``Network._transmit_raw``, landing in ``ReliableTransport.arrive``) and
+the live service's host (frames through the codec), both with the
+simulation kernel's timers.  Both drivers ask
 the same :class:`FaultInjector` for the fate of each physical
 transmission, so one scripted drop / duplicate / delay means the same
 thing on either side.  What only one substrate has stays in

@@ -6,6 +6,7 @@ import pytest
 from repro.metrics.collector import MetricsCollector
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultInjector
 from repro.sim.network import (
     AdversarialLatency,
     ConstantLatency,
@@ -14,6 +15,7 @@ from repro.sim.network import (
     PerPairLatency,
     UniformLatency,
 )
+from repro.sim.reliable import ACK_SIZE_BYTES, AckPacket, DataPacket
 
 
 def make_net(n=3, latency=None, seed=0):
@@ -211,3 +213,86 @@ class TestSeedDeliveryRoutes:
         sim.run()
         assert inboxes[1] == [(0, "a"), (0, "b")]
         assert net.held_count(1) == 0 and net.app_messages_in_flight == 0
+
+
+def make_chaos_net(n=3):
+    """A network under an empty fault plan: every packet goes through
+    the chaos transport and arrives unharmed, 5 ms after it left."""
+    sim = Simulator()
+    net = Network(sim, n, ConstantLatency(5.0), collector=MetricsCollector(),
+                  faults=FaultInjector())
+    inboxes = {i: [] for i in range(n)}
+    for i in range(n):
+        net.register(i, lambda src, msg, i=i: inboxes[i].append((src, msg)))
+    return sim, net, inboxes
+
+
+def data(seq, payload="x"):
+    return DataPacket(seq, payload, 8.0)
+
+
+class TestChaosArrivalRoutes:
+    """A chaos packet's arrival at a down or departed site, at a handler
+    that consumes it, as an ack nobody waits for, or as a duplicate takes
+    the matching slow case; each test here fails on an arrival that skips
+    its check."""
+
+    def test_packet_to_down_site_reaches_only_the_handlers(self):
+        sim, net, inboxes = make_chaos_net()
+        seen = []
+
+        def watch(src, dst, packet, dead):
+            seen.append((src, dst, dead))
+            return False
+
+        net.transport.register_packet_handler(watch)
+        net.send(0, 1, "x")  # opens 0 -> 1; its packet lands at t = 5
+        net.crash_site(1)
+        sim.run(until=6.0)
+        assert net.collector.dead_site_drops == 1
+        assert seen == [(0, 1, True)]
+        receiver = net.transport.channel(0, 1).receiver
+        assert receiver.next_expected == 0 and receiver.reorder == {}
+        assert net.collector.acks_sent == 0
+        assert inboxes[1] == []
+
+    @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0)])
+    def test_packet_from_or_to_departed_site_is_void(self, src, dst):
+        sim, net, inboxes = make_chaos_net()
+        net._transmit_raw(src, dst, data(0), 8.0)
+        net.retire_site(2)
+        sim.run()
+        assert net.departed_drops == 1
+        assert net.transport._channels == {}
+        assert inboxes[dst] == []
+
+    def test_consuming_handler_stops_ack_and_data_dispatch(self):
+        sim, net, inboxes = make_chaos_net()
+        seen = []
+
+        def consume(src, dst, packet, dead):
+            seen.append((src, dst, packet, dead))
+            return True
+
+        net.transport.register_packet_handler(consume)
+        net._transmit_raw(0, 1, data(0), 8.0)
+        net._transmit_raw(1, 0, AckPacket(0), ACK_SIZE_BYTES)
+        sim.run()
+        assert seen == [(0, 1, data(0), False), (1, 0, AckPacket(0), False)]
+        assert net.transport._channels == {}
+        assert inboxes[1] == [] and net.collector.acks_sent == 0
+
+    def test_ack_for_unopened_channel_is_ignored(self):
+        sim, net, _ = make_chaos_net()
+        net._transmit_raw(1, 0, AckPacket(3), ACK_SIZE_BYTES)
+        sim.run()
+        assert net.transport._channels == {}
+
+    def test_duplicate_data_packet_is_acked_again(self):
+        sim, net, inboxes = make_chaos_net()
+        net._transmit_raw(0, 1, data(0), 8.0)
+        net._transmit_raw(0, 1, data(0), 8.0)
+        sim.run()
+        assert inboxes[1] == [(0, "x")]
+        assert net.collector.duplicate_drops == 1
+        assert net.collector.acks_sent == 2
