@@ -54,10 +54,8 @@ from .sim.faults import (
     ChannelFaults,
     CrashEvent,
     FaultPlan,
-    JoinEvent,
     OverloadEvent,
     Partition,
-    seeded_churn,
 )
 from .sim.reliable import RetransmitPolicy
 from .sim.network import (
@@ -265,19 +263,7 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--checkpoint-interval", type=float, default=None,
                      metavar="MS",
                      help="durable checkpoint period (default: 250 ms when "
-                          "a crash plan or --auto-evict is given, off "
-                          "otherwise)")
-    grp.add_argument("--churn-joins", type=int, default=0, metavar="N",
-                     help="number of seeded site joins (elastic membership)")
-    grp.add_argument("--churn-leaves", type=int, default=0, metavar="N",
-                     help="number of seeded graceful site leaves")
-    grp.add_argument("--churn-seed", type=int, default=0,
-                     help="seed of the membership-churn schedule")
-    grp.add_argument("--churn-window", default=None, metavar="START:END",
-                     help="ms window churn events fall in (default 500:3000)")
-    grp.add_argument("--auto-evict", type=float, default=None, metavar="MS",
-                     help="evict a crash-stopped site MS after the failure "
-                          "detector first suspects it")
+                          "a crash plan is given, off otherwise)")
     grp.add_argument("--overload-plan", action="append", default=None,
                      metavar="START:END:INTERVAL:SITES",
                      help="flash-crowd event: inject one extra write at each "
@@ -361,18 +347,6 @@ def _retransmit_from_args(args: argparse.Namespace) -> Optional[RetransmitPolicy
         raise SystemExit(f"invalid retransmit policy: {exc}")
 
 
-def _parse_churn_window(spec: Optional[str]) -> tuple[float, float]:
-    if spec is None:
-        return (500.0, 3000.0)
-    try:
-        start, end = spec.split(":")
-        return (float(start), float(end))
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(
-            f"invalid --churn-window {spec!r} (want START:END ms): {exc}"
-        )
-
-
 def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
     """None unless some chaos knob was set (keeps the zero-overhead path)."""
     plan: Optional[FaultPlan]
@@ -387,22 +361,8 @@ def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
         overloads = tuple(
             _parse_overload(spec) for spec in (args.overload_plan or ())
         )
-        membership = ()
-        if args.churn_joins or args.churn_leaves:
-            try:
-                membership = seeded_churn(
-                    args.sites,
-                    n_joins=args.churn_joins,
-                    n_leaves=args.churn_leaves,
-                    window_ms=_parse_churn_window(args.churn_window),
-                    seed=args.churn_seed,
-                    # a site cannot both crash and gracefully leave
-                    avoid={c.site for c in crashes},
-                )
-            except ValueError as exc:
-                raise SystemExit(f"invalid churn plan: {exc}")
         if not (args.drop_rate or args.dup_rate or partitions or crashes
-                or membership or overloads):
+                or overloads):
             plan = None
         else:
             try:
@@ -411,7 +371,6 @@ def _fault_plan_from_args(args: argparse.Namespace) -> Optional[FaultPlan]:
                                           dup_rate=args.dup_rate),
                     partitions=partitions,
                     crashes=crashes,
-                    membership=membership,
                     overloads=overloads,
                 )
             except ValueError as exc:
@@ -447,24 +406,20 @@ def _require_replication(protocol: str, n_sites: int, p: Optional[int],
 
 def _require_plan_sites(plan: Optional[FaultPlan],
                         args: argparse.Namespace) -> None:
-    """Every site a fault names exists: a crash hits an initial site, a
-    partition or a flash crowd may also hit a planned joiner."""
+    """Every site a fault names exists."""
     if plan is None:
         return
-    capacity = args.sites + sum(isinstance(ev, JoinEvent)
-                                for ev in plan.membership)
-    for flag, value, sites, bound in (
-        ("--crash-plan", args.crash_plan,
-         [ev.site for ev in plan.crashes], args.sites),
+    for flag, value, sites in (
+        ("--crash-plan", args.crash_plan, [ev.site for ev in plan.crashes]),
         ("--partition", args.partition,
-         [s for p in plan.partitions for s in p.group], capacity),
+         [s for p in plan.partitions for s in p.group]),
         ("--overload-plan", args.overload_plan,
-         [s for ev in plan.overloads for s in ev.sites], capacity),
+         [s for ev in plan.overloads for s in ev.sites]),
     ):
         if args.fault_plan_json:
             flag, value = "--fault-plan-json", args.fault_plan_json
-        _require(all(s < bound for s in sites), flag, value,
-                 f"site ids below {bound}")
+        _require(all(s < args.sites for s in sites), flag, value,
+                 f"site ids below {args.sites}")
 
 
 def _config_from_args(args: argparse.Namespace,
@@ -478,13 +433,8 @@ def _config_from_args(args: argparse.Namespace,
     _require(args.checkpoint_interval is None or args.checkpoint_interval > 0,
              "--checkpoint-interval", args.checkpoint_interval,
              "a positive period in ms")
-    _require(args.auto_evict is None or args.auto_evict >= 0, "--auto-evict",
-             args.auto_evict, "a delay of at least 0 ms")
     plan = _fault_plan_from_args(args)
     _require_plan_sites(plan, args)
-    _require(args.auto_evict is None or plan is not None, "--auto-evict",
-             args.auto_evict, "a fault flag too: eviction needs the chaos "
-             "transport (e.g. --drop-rate 0.01)")
     cfg = SimulationConfig(
         protocol=args.protocol,
         n_sites=args.sites,
@@ -498,7 +448,6 @@ def _config_from_args(args: argparse.Namespace,
         fault_seed=args.fault_seed,
         retransmit=_retransmit_from_args(args),
         checkpoint_interval_ms=args.checkpoint_interval,
-        auto_evict_after_ms=args.auto_evict,
         **overrides,
     )
     if args.dump_fault_plan:
@@ -527,7 +476,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             heartbeat=heartbeat)
     print(format_kv(result.summary()))
     _print_crash_stats(result)
-    _print_membership_stats(result)
     ok = True
     if tracer is not None:
         _write_trace_outputs(result, tracer, args.trace)
@@ -642,9 +590,7 @@ def _write_trace_outputs(result, tracer, outdir: str) -> None:
         "protocol": cfg.protocol,
         "n_sites": cfg.n_sites,
         "n_vars": cfg.n_vars,
-        # the configured factor: a run's placement may end resized by churn
-        "replication_factor": replication_factor_for(
-            cfg.protocol, cfg.n_sites, cfg.replication_factor),
+        "replication_factor": result.placement.replication_factor,
         "write_rate": cfg.write_rate,
         "ops_per_process": cfg.ops_per_process,
         "seed": cfg.seed,
@@ -841,19 +787,6 @@ def _print_crash_stats(result) -> None:
           f"{col.false_suspicions} false suspicions; "
           f"{col.sync_messages} sync msgs; "
           f"{col.lost_ops} ops lost (crash-stop)")
-
-
-def _print_membership_stats(result) -> None:
-    """One summary line for elastic membership (silent when static)."""
-    vm = result.view_manager
-    if vm is None:
-        return
-    view = vm.view
-    st = vm.stats
-    print(f"membership: epoch {view.epoch}, members {list(view.members)}; "
-          f"{st.joins} joins, {st.leaves} leaves, {st.evictions} evictions, "
-          f"{st.handoffs} replica handoffs, "
-          f"{st.lost_variables} variables lost to eviction")
 
 
 def _cmd_list(_: argparse.Namespace) -> int:

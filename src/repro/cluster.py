@@ -28,8 +28,8 @@ That surface — ``read`` / ``read_with_id`` / ``advance`` / ``settle`` /
 that runs on a :class:`~repro.sim.engine.Simulator`.
 :class:`~repro.loopback.LoopbackCluster` is the other one: the live
 service stack with the kernel as its clock.  A fault operation only the
-simulator has (``partition``, ``crash_site``, ``join_site`` ...) lives
-on :class:`CausalCluster` alone.
+simulator has (``partition``, ``crash_site`` ...) lives on
+:class:`CausalCluster` alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from abc import ABC, abstractmethod
 from typing import Callable, Optional, Sequence
 
 from .core.base import CausalProtocol, get_protocol_class
-from .core.errors import DepartedSiteError, UnknownSiteError
 from .core.recovery import DetectorPolicy
 from .experiments.runner import SimulationConfig, build_system
 from .memory.replication import Placement
@@ -46,7 +45,6 @@ from .memory.store import WriteId
 from .obs.tracer import Tracer
 from .sim.engine import Simulator
 from .sim.faults import FaultPlan
-from .sim.membership import View, ViewManager
 from .sim.network import LatencyModel, UniformLatency
 from .sim.reliable import RetransmitPolicy
 from .verify.causal_checker import CheckReport, check_causal_consistency
@@ -155,16 +153,13 @@ class CausalCluster(Cluster):
         crash_recovery: bool = False,
         checkpoint_interval_ms: Optional[float] = None,
         detector: Optional[DetectorPolicy] = None,
-        auto_evict_after_ms: Optional[float] = None,
     ) -> None:
-        if fault_plan is not None and (fault_plan.membership
-                                       or fault_plan.overloads):
+        if fault_plan is not None and fault_plan.overloads:
             # only run_simulation schedules these; honouring half a plan
             # silently would look like a quiet run
             raise ValueError(
                 "CausalCluster schedules a fault plan's channel faults, "
-                "partitions and crashes only; drive membership changes with "
-                "join_site() / leave_site() and overload with write()"
+                "partitions and crashes only; drive overload with write()"
             )
         self.config = config = SimulationConfig(
             protocol=protocol,
@@ -195,27 +190,18 @@ class CausalCluster(Cluster):
         self.crash_manager = system.crash_manager
         self.collector.start_measuring()  # no warm-up in interactive mode
         self._op_counter = 0
-        # Elastic membership: the view manager is built lazily on first
-        # use so static clusters stay byte-identical to the seed path.
-        self.view_manager: Optional[ViewManager] = None
-        if auto_evict_after_ms is not None:
-            self._ensure_view_manager().enable_eviction(auto_evict_after_ms)
 
     # ------------------------------------------------------------------
     @property
     def n_sites(self) -> int:
-        """Current id-space size (grows when sites join; never shrinks)."""
+        """Number of sites, fixed for the cluster's lifetime."""
         return self.network.n_sites
 
     def _check_site(self, site: int) -> None:
-        if self.view_manager is not None:
-            # typed membership errors: UnknownSiteError for never-issued
-            # ids, DepartedSiteError for left/evicted ones
-            self.view_manager.check_member(site)
-            return
         if not 0 <= site < self.n_sites:
-            # subclasses ValueError, so pre-membership callers still work
-            raise UnknownSiteError(site, self.n_sites)
+            raise ValueError(
+                f"site {site} is out of range: the cluster has sites "
+                f"0..{self.n_sites - 1}")
 
     def _check_up(self, site: int) -> None:
         if self.network.is_down(site):
@@ -354,58 +340,6 @@ class CausalCluster(Cluster):
             raise RuntimeError("no crash-recovery machinery installed")
         self._wake()
         self.crash_manager.recover(site)
-
-    # ------------------------------------------------------------------
-    # elastic membership (see repro.sim.membership / docs/membership.md)
-    # ------------------------------------------------------------------
-    def _ensure_view_manager(self) -> ViewManager:
-        if self.view_manager is None:
-            self.view_manager = ViewManager(
-                self.sim, self.network, self.placement, self.protocols,
-                protocol_factory=self._system.new_protocol,
-                crash_manager=self.crash_manager,
-            )
-        return self.view_manager
-
-    @property
-    def view(self) -> View:
-        """The current membership view (epoch 0 covers a static cluster)."""
-        if self.view_manager is not None:
-            return self.view_manager.view
-        return View(epoch=0, members=self.network.members,
-                    capacity=self.n_sites)
-
-    def membership_status(self, site: int) -> str:
-        """``"member"``, ``"left"``, ``"evicted"``, or ``"unknown"``."""
-        if self.view_manager is not None:
-            return self.view_manager.membership_status(site)
-        return "member" if self.network.is_member(site) else "unknown"
-
-    def join_site(self) -> int:
-        """Admit a new site now (fence, drain, bootstrap, new epoch).
-
-        Returns the joiner's id.  The view change runs synchronously:
-        the simulator is stepped until in-flight work drains, then the
-        membership mutates and a new epoch is announced.
-        """
-        self._wake()
-        view = self._ensure_view_manager().run_change("join")
-        return view.capacity - 1
-
-    def leave_site(self, site: int) -> None:
-        """Retire ``site`` gracefully: drain, hand off solely-held
-        replicas to its successor, announce the new epoch."""
-        self._check_site(site)
-        self._wake()
-        self._ensure_view_manager().run_change("leave", site)
-
-    def evict_site(self, site: int) -> None:
-        """Force a crash-stopped ``site`` out of the view.  Variables
-        whose only replica it held degrade to None (counted in
-        ``view_manager.stats.lost_variables``)."""
-        self._check_site(site)
-        self._wake()
-        self._ensure_view_manager().run_change("evict", site)
 
     def _held_by_site(self) -> dict[int, int]:
         return {

@@ -61,7 +61,6 @@ from ..memory.replication import Placement, paper_replication_factor
 from ..memory.store import SiteStore, WriteId
 from ..metrics.collector import MessageKind, MetricsCollector
 from .activation import RETEST
-from .errors import DepartedSiteError
 from .messages import FetchMessage, accounting_shape
 from .ports import Clock, Durability, NullTransport, Transport
 from .recovery import WalRecord
@@ -260,16 +259,9 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         #: liveness oracle for fetch-target failover (wired by the
         #: crash-recovery manager; ``None`` = everyone is up)
         self._liveness: Optional[Callable[[int], bool]] = None
-        #: current view membership as a sorted tuple, or ``None`` under
-        #: static membership (the zero-overhead path: broadcasts then
-        #: target ``range(self.n)`` exactly as before elastic membership)
-        self._members: Optional[tuple[int, ...]] = None
-        #: set once this site leaves / is evicted; operations fail fast
-        self._departed_status: Optional[str] = None
         #: kind -> (this site's collector slot, reader of the field whose
         #: length it sums), bound on the kind's first send and bumped
-        #: inline in _send; dropped on view changes (the clock width is
-        #: part of the slot key) and set aside during WAL replay
+        #: inline in _send; set aside during WAL replay
         self._msg_slots: dict[MessageKind, tuple[list[int], Optional[Callable]]] = {}
 
     # ------------------------------------------------------------------
@@ -294,8 +286,6 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
 
     def write(self, var: int, value: object, *, op_index: Optional[int] = None) -> WriteId:
         """Perform w(x_var)value locally and multicast it to all replicas."""
-        if self._departed_status is not None:
-            raise DepartedSiteError(self.site, self._departed_status)
         if self._wal is not None and not self._replaying:
             self._wal.log_write(var, value)
         return self._perform_write(var, value, op_index=op_index)
@@ -315,8 +305,6 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         remote reads issue an FM to the predesignated replica and
         complete when the gated RM arrives.
         """
-        if self._departed_status is not None:
-            raise DepartedSiteError(self.site, self._departed_status)
         ctx = self.ctx
         if self._wal is not None and not self._replaying:
             self._wal.log_read(var)
@@ -589,8 +577,8 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         try:
             return self._msg_slots[kind]
         except KeyError:
-            # a kind's message type and clock width are fixed within a
-            # membership epoch, so the slot is bound once per epoch
+            # a kind's message type and clock width are fixed for the
+            # run, so the slot is bound once
             length_of, width = accounting_shape(message)
             slot = self.ctx.collector.message_slot(
                 kind, (self.name, self.site, type(message), width))
@@ -922,68 +910,6 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
         self._fetches.clear()
         return len(records)
 
-    # ------------------------------------------------------------------
-    # elastic membership (see repro.sim.membership)
-    # ------------------------------------------------------------------
-    def on_view_change(self, view) -> None:
-        """Adopt a new view epoch: remap/resize causality metadata.
-
-        Called by the :class:`~repro.sim.membership.ViewManager` at a
-        *drained* fence — no protocol message is in flight, so resizing
-        is a pure pad-with-zeros (a site that did not exist yet trivially
-        has zero causal knowledge).  Idempotent with respect to
-        dimension: crash recovery re-announces the live view right after
-        a (possibly pre-growth) checkpoint is restored, and the hooks
-        grow from the structures' *actual* sizes.
-        """
-        self._members = view.members
-        # a slot's key bakes in the clock width (full-track/optP); a
-        # view change can resize it, so re-bind on the next send
-        self._msg_slots.clear()
-        capacity = view.capacity
-        if capacity > self.n:
-            self.n = capacity
-            self.ctx.n_sites = capacity
-        # grow from actual sizes, not self.n: a freshly restored
-        # (pre-growth) checkpoint may be smaller
-        while len(self._waiters) < capacity:
-            self._waiters.append([])
-        while len(self.applied) < capacity:
-            self.applied.append(0)
-        self._view_grow(capacity)
-
-    def _view_grow(self, capacity: int) -> None:
-        """Pad the core's own clocks to ``capacity``.
-
-        Overridden by the cores that keep an n-indexed clock (Full-Track,
-        optP); must grow from actual structure sizes (not ``self.n``) so
-        it composes with restore().
-        """
-
-    def reset_writer_identity(self, site: int) -> None:
-        """Reset writer-local counters after a donor-forked bootstrap.
-
-        A joiner cloned from a donor snapshot must issue write ids as
-        *itself* starting from clock 1; protocols whose write counter
-        lives in shared structures (vector/matrix clock row) need no
-        reset because the joiner's own row is zero-padded.
-        """
-
-    def mark_departed(self, status: str = "left") -> None:
-        """This site is out of the view: fail its operations fast."""
-        self._departed_status = status
-        self._fetches.clear()
-
-    def _broadcast_dests(self) -> Sequence[int]:
-        """Destinations of a full-replication broadcast: every member.
-
-        ``range(self.n)`` under static membership — byte-identical to the
-        pre-membership behavior — and the current view's member tuple
-        once a view change has happened.
-        """
-        members = self._members
-        return range(self.n) if members is None else members
-
     def knows_write(self, wid: WriteId) -> Optional[bool]:
         """Whether this site has applied ``wid`` (anti-entropy digests).
 
@@ -1024,13 +950,7 @@ class CausalProtocol(abc.ABC, Generic[LastWrite]):
 
     @property
     def buffered_count(self) -> int:
-        """Buffered messages only, *excluding* outstanding fetches.
-
-        The view-change fence drains on this rather than
-        :attr:`pending_count`: a fetch aimed at a crash-stopped site can
-        never complete, and a fence that waited on it would deadlock
-        (dimension-tolerant clock merges make the late reply safe).
-        """
+        """Buffered messages only, *excluding* outstanding fetches."""
         return (len(self._pending_sm) + len(self._pending_rm)
                 + len(self._pending_fm))
 

@@ -28,9 +28,10 @@ A clock that travels in a message is immutable by construction: the
 protocols snapshot it with :meth:`~MatrixClock.copy` and mark the array
 read-only, and the wire codec does the same to every clock it decodes.
 So :meth:`~MatrixClock.increment` and :meth:`~MatrixClock.merge` into a
-sent clock raise ``ValueError`` at the mutation, :meth:`~MatrixClock.grow`
-refuses one, and a message's cached view survives for its whole
-buffered lifetime.
+sent clock raise ``ValueError`` at the mutation, and a message's cached
+view survives for its whole buffered lifetime.  A clock's dimension is
+the run's fixed site count n; merging clocks of different dimensions is
+an error.
 """
 
 from __future__ import annotations
@@ -72,41 +73,10 @@ class MatrixClock:
             self._cols.clear()
 
     def merge(self, other: "MatrixClock") -> None:
-        """Entrywise max — the join of the ->co knowledge lattice.
-
-        A smaller ``other`` (piggybacked in an earlier view epoch, before
-        this site's clock grew) merges into the top-left block; sites
-        that never existed when ``other`` was stamped implicitly carry
-        zero entries.  Merging a *larger* clock is still an error — the
-        receiver must be grown (``on_view_change``) first.
-        """
-        if other.n == self.n:
-            np.maximum(self.m, other.m, out=self.m)
-        elif other.n < self.n:
-            k = other.n
-            sub = self.m[:k, :k]
-            np.maximum(sub, other.m, out=sub)
-        else:
+        """Entrywise max — the join of the ->co knowledge lattice."""
+        if other.n != self.n:
             raise ValueError("cannot merge clocks of different dimension")
-        if self._cols:
-            self._cols.clear()
-
-    def grow(self, n: int) -> None:
-        """Pad to dimension ``n`` with zero counters (view epoch grew).
-
-        Idempotent: growing to the current (or a smaller) dimension is a
-        no-op, so recovery can always re-grow to the live capacity.  A
-        read-only (sent) clock refuses: growing rebinds the array, so
-        the write flag alone would not stop it.
-        """
-        if not self.m.flags.writeable:
-            raise ValueError("cannot grow a read-only clock")
-        if n <= self.n:
-            return
-        m = np.zeros((n, n), dtype=np.int64)
-        m[: self.n, : self.n] = self.m
-        self.m = m
-        self.n = n
+        np.maximum(self.m, other.m, out=self.m)
         if self._cols:
             self._cols.clear()
 
@@ -121,27 +91,14 @@ class MatrixClock:
         return clone
 
     def column(self, dest: int) -> np.ndarray:
-        """Counters of updates destined to ``dest``, per writer (a view).
-
-        ``dest`` beyond the matrix dimension reads as all zeros: a clock
-        stamped before ``dest`` joined the view (a frozen piggybacked
-        snapshot from an earlier epoch) knows no writes destined to it.
-        This is the read-side mirror of the zero-padding in :meth:`grow`
-        and the top-left-block rule in :meth:`merge`.
-        """
-        if dest >= self.n:
-            return np.zeros(self.n, dtype=np.int64)
+        """Counters of updates destined to ``dest``, per writer (a view)."""
         return self.m[:, dest]
 
     def column_list(self, dest: int) -> list[int]:
         """:meth:`column` as cached plain ints (activation hot path)."""
         col = self._cols.get(dest)
         if col is None:
-            if dest >= self.n:
-                col = [0] * self.n
-            else:
-                col = self.m[:, dest].tolist()
-            self._cols[dest] = col
+            col = self._cols[dest] = self.m[:, dest].tolist()
         return col
 
     def __getitem__(self, idx: tuple[int, int]) -> int:
@@ -190,33 +147,10 @@ class VectorClock:
         return int(self.v[writer])
 
     def merge(self, other: "VectorClock") -> None:
-        """Entrywise max (join).
-
-        As with :meth:`MatrixClock.merge`, a smaller ``other`` (stamped
-        in an earlier view epoch) merges into the prefix; a larger one
-        is an error.
-        """
-        if other.n == self.n:
-            np.maximum(self.v, other.v, out=self.v)
-        elif other.n < self.n:
-            k = other.n
-            sub = self.v[:k]
-            np.maximum(sub, other.v, out=sub)
-        else:
+        """Entrywise max (join)."""
+        if other.n != self.n:
             raise ValueError("cannot merge clocks of different dimension")
-        self._list = None
-
-    def grow(self, n: int) -> None:
-        """Pad to size ``n`` with zero counters (idempotent); a read-only
-        clock refuses, as in :meth:`MatrixClock.grow`."""
-        if not self.v.flags.writeable:
-            raise ValueError("cannot grow a read-only clock")
-        if n <= self.n:
-            return
-        v = np.zeros(n, dtype=np.int64)
-        v[: self.n] = self.v
-        self.v = v
-        self.n = n
+        np.maximum(self.v, other.v, out=self.v)
         self._list = None
 
     def as_list(self) -> list[int]:

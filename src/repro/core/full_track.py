@@ -126,15 +126,7 @@ class FullTrackProtocol(CausalProtocol[tuple[WriteId, MatrixClock]]):
             wid, matrix = stored
         rm = FullTrackRM(var=message.var, value=slot.value, write_id=wid,
                          matrix=matrix, request_id=message.request_id)
-        if matrix.n == self.n:
-            self._send(src, rm, MessageKind.RM)
-            return
-        # a matrix stored before a view change is narrower than this
-        # epoch's: the clock width is part of the slot key, so book it
-        # under a slot of its own width, then let the next RM bind again
-        self._msg_slots.pop(MessageKind.RM, None)
         self._send(src, rm, MessageKind.RM)
-        self._msg_slots.pop(MessageKind.RM)
 
     def _rm_blocker(self, src: int, message: object) -> Optional[tuple[int, int]]:
         assert isinstance(message, FullTrackRM)
@@ -165,12 +157,6 @@ class FullTrackProtocol(CausalProtocol[tuple[WriteId, MatrixClock]]):
         # Apply_i counts applications destined here, not writer clocks,
         # so it cannot be compared against a WriteId
         return None
-
-    # ------------------------------------------------------------------
-    # elastic membership
-    # ------------------------------------------------------------------
-    def _view_grow(self, capacity: int) -> None:
-        self.write_clock.grow(capacity)
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

@@ -199,8 +199,7 @@ class PriceRow(NamedTuple):
       per item of the sized field ``length_of`` reads;
     * ``clock``: ``(field, power, clock_of)`` — ``field`` bytes per cell
       of the carried clock, ``width ** power`` cells, booked as
-      ``clock_entries`` up to the run's initial width and
-      ``epoch_padding`` beyond it;
+      ``clock_entries``;
     * ``dests``: ``(field, count_of)`` — Opt-Track's ``dest_ids``,
       ``field`` bytes per destination ``count_of`` counts over the
       records.
@@ -247,16 +246,14 @@ class PriceRow(NamedTuple):
             size += getattr(COSTS, self.clock[0]) * width ** self.clock[1]
         return size
 
-    def breakdown(self, count: int, length: int, nbytes: int, width: int,
-                  base_n: Optional[int]) -> Breakdown:
+    def breakdown(self, count: int, length: int, nbytes: int,
+                  width: int) -> Breakdown:
         """Component bytes of ``count`` messages booked in one slot.
 
         Linear in the slot's three sums — message count, summed record
-        ``length``, priced ``nbytes`` — except the clock split, which
-        depends on the clock ``width`` (fixed between view changes, so
-        it rides in the slot key).  Clock cells beyond ``base_n``'s are
-        ``epoch_padding``; with ``base_n=None`` none are.  Only
-        ``dest_ids`` is taken from ``nbytes`` (the remainder), so for
+        ``length``, priced ``nbytes`` — and in ``count`` times the cells
+        of a ``width``-wide clock (the width rides in the slot key).
+        Only ``dest_ids`` is taken from ``nbytes`` (the remainder), so for
         every other row "components sum to ``nbytes``" checks the
         booking against the price.
         """
@@ -266,12 +263,8 @@ class PriceRow(NamedTuple):
             parts.append((c, getattr(COSTS, f) * length))
         if self.clock is not None:
             f, power, _clock_of = self.clock
-            cell = getattr(COSTS, f) * count
-            cells = width ** power
-            base = cells if base_n is None else min(cells, base_n ** power)
-            parts.append(("clock_entries", cell * base))
-            if cells > base:
-                parts.append(("epoch_padding", cell * (cells - base)))
+            parts.append(("clock_entries",
+                          getattr(COSTS, f) * count * width ** power))
         if self.dests is not None:
             parts.append(("dest_ids", nbytes - sum(b for _c, b in parts)))
         return tuple(parts)

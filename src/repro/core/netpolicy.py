@@ -68,8 +68,7 @@ BACKPRESSURE_LIMIT = 64
 
 class OverloadError(RuntimeError):
     """A write was refused because the site's outbound backlog exceeds
-    the shed threshold — graceful degradation under overload, the
-    transport analogue of PR-6's typed membership errors."""
+    the shed threshold — graceful degradation under overload."""
 
     def __init__(self, site: int, backlog: int, threshold: int) -> None:
         super().__init__(
@@ -498,15 +497,6 @@ class ChannelSender:
         """``dst`` crashed: whatever was in flight toward it died on the
         wire, so a later resend of it is not spurious."""
         self._flight_ok.clear()
-
-    def discard(self) -> None:
-        """The channel is void (an endpoint left for good): stop timers
-        and drop the queues, releasing their share of the rollups."""
-        self.park()
-        if self.backlog:
-            self.host.note_backlog_shrink(self.src, len(self.backlog), True)
-            self.backlog.clear()
-        self.unacked.clear()
 
     def __repr__(self) -> str:
         return (f"<ChannelSender {self.src}->{self.dst} "

@@ -56,7 +56,7 @@ class OptTrackCRPProtocol(CausalProtocol[WriteId]):
         self.clock += 1
         wid = WriteId(self.site, self.clock)
 
-        dests = self._broadcast_dests()
+        dests = range(self.n)
         self._issue_write(var, value, wid, dests, op_index,
                           log_size=len(self.log))
 
@@ -112,14 +112,6 @@ class OptTrackCRPProtocol(CausalProtocol[WriteId]):
     def _restore_extra(self, extra: dict) -> None:
         self.clock = extra["clock"]
         self.log = extra["log"].copy()
-
-    # ------------------------------------------------------------------
-    # elastic membership
-    # ------------------------------------------------------------------
-    def reset_writer_identity(self, site: int) -> None:
-        # a donor-forked joiner inherited the donor's scalar write
-        # counter; its own write ids must start at clock 1
-        self.clock = 0
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

@@ -48,7 +48,7 @@ class OptPProtocol(CausalProtocol[tuple[WriteId, VectorClock]]):
         snapshot = self.write_clock.copy()
         snapshot.v.setflags(write=False)  # sent, and kept in LastWriteOn
 
-        dests = self._broadcast_dests()
+        dests = range(self.n)
         self._issue_write(var, value, wid, dests, op_index)
         sm = OptPSM(var=var, value=value, write_id=wid, vector=snapshot,
                     issued_at=ctx.clock.now)
@@ -93,12 +93,6 @@ class OptPProtocol(CausalProtocol[tuple[WriteId, VectorClock]]):
 
     def _restore_extra(self, extra: dict) -> None:
         self.write_clock = extra["write_clock"].copy()
-
-    # ------------------------------------------------------------------
-    # elastic membership
-    # ------------------------------------------------------------------
-    def _view_grow(self, capacity: int) -> None:
-        self.write_clock.grow(capacity)
 
     # ------------------------------------------------------------------
     def log_size(self) -> int:

@@ -32,7 +32,7 @@ live peer a :class:`SyncRequest`, each answers with a
 and :func:`caught_up` decides when the ordinary machinery has brought
 the site up to date.
 
-Everything here takes time, membership and channel state as arguments:
+Everything here takes time, the site set and channel state as arguments:
 a driver (the simulator's :class:`~repro.sim.crash.CrashRecoveryManager`)
 owns the ticks, sends every packet, pauses channels and counts.
 """
@@ -253,18 +253,6 @@ class FailureDetector:
             for pair in ((site, other), (other, site)):
                 self._last_heard[pair] = now
                 self._timeout[pair] = base
-
-    def remove_member(self, site: int) -> None:
-        """Drop all pair state involving a departed site.
-
-        Suspicions of it (or by it) are void, not false positives —
-        the departure is a membership event, not a detector outcome.
-        """
-        for pair in [p for p in sorted(self.suspected) if site in p]:
-            self.suspected.discard(pair)
-        for store in (self._last_heard, self._timeout):
-            for pair in [p for p in store if site in p]:
-                del store[pair]
 
     def rebaseline(self, now: float) -> None:
         """Silence while the heartbeats were stopped was idleness, not

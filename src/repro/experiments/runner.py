@@ -36,9 +36,8 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..sim.crash import CrashRecoveryManager, install_crash_recovery
 from ..sim.engine import Simulator
-from ..sim.faults import FaultInjector, FaultPlan, JoinEvent
-from ..sim.membership import ViewManager
-from ..sim.network import LatencyModel, Network, PerPairLatency, UniformLatency
+from ..sim.faults import FaultInjector, FaultPlan
+from ..sim.network import LatencyModel, Network, UniformLatency
 from ..sim.overload import OverloadDriver
 from ..sim.process import Site
 from ..sim.reliable import ReliableTransport, RetransmitPolicy
@@ -91,16 +90,13 @@ class SimulationConfig:
     fault_seed: int = 0
     retransmit: Optional[RetransmitPolicy] = None
     #: durable-state layer: ``None`` disables checkpointing entirely
-    #: *unless* the fault plan schedules crashes or a detector policy or
-    #: auto-eviction is set (which force it on at the default interval);
+    #: *unless* the fault plan schedules crashes or a detector policy is
+    #: set (which force it on at the default interval);
     #: crash-free runs with it disabled stay byte-identical to the seed
     checkpoint_interval_ms: Optional[float] = None
     #: heartbeat failure-detector tuning (None = defaults when crashes
     #: are planned; no detector at all otherwise)
     detector: Optional[DetectorPolicy] = None
-    #: elastic membership: escalate a persistently-suspected crash-stopped
-    #: site into an eviction after this long (None = never auto-evict)
-    auto_evict_after_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_sites <= 0:
@@ -110,12 +106,6 @@ class SimulationConfig:
         # fail fast on typos and on a partial p under full replication
         replication_factor_for(self.protocol, self.n_sites,
                                self.replication_factor)
-
-    @property
-    def churn(self) -> bool:
-        """Elastic membership in play: planned view changes or auto-eviction."""
-        return (bool(self.fault_plan is not None and self.fault_plan.membership)
-                or self.auto_evict_after_ms is not None)
 
 
 @dataclass
@@ -132,8 +122,6 @@ class RunResult:
     total_sim_events: int
     #: crash-recovery orchestrator (None when no crash machinery ran)
     crash_manager: Optional[CrashRecoveryManager] = None
-    #: elastic-membership orchestrator (None for static-membership runs)
-    view_manager: Optional[ViewManager] = None
     #: flash-crowd driver (None when the plan has no overload events)
     overload_driver: Optional[OverloadDriver] = None
 
@@ -189,23 +177,6 @@ class SimulatedSystem:
     sites: list[Site] = field(default_factory=list)
     crash_manager: Optional[CrashRecoveryManager] = None
 
-    def new_protocol(self, site: int) -> CausalProtocol:
-        """Site ``site``'s protocol, for the initial sites and for
-        joiners alike (a joiner's is built after placement and network
-        have grown to include it, so its derived state is correct)."""
-        ctx = ProtocolContext(
-            site=site,
-            n_sites=self.network.n_sites,
-            placement=self.placement,
-            store=SiteStore(site, self.placement.vars_at(site)),
-            network=self.network,
-            clock=self.sim,
-            collector=self.collector,
-            history=self.history,
-            tracer=self.tracer,
-        )
-        return create_protocol(self.config.protocol, ctx)
-
 
 def build_system(
     config: SimulationConfig,
@@ -253,21 +224,27 @@ def build_system(
         tracer=tracer,
     )
     for i in range(config.n_sites):
-        proto = system.new_protocol(i)
+        proto = create_protocol(config.protocol, ProtocolContext(
+            site=i,
+            n_sites=config.n_sites,
+            placement=placement,
+            store=SiteStore(i, placement.vars_at(i)),
+            network=network,
+            clock=sim,
+            collector=collector,
+            history=system.history,
+            tracer=tracer,
+        ))
         network.register(i, proto.on_message)
         system.protocols.append(proto)
 
     # Crash-recovery machinery attaches before any operation: checkpoints
     # and the WAL only cover operations issued after it hooks in.
-    # Membership churn alone needs none of it: a joiner bootstraps from
-    # a donor snapshot, and a leaver drains at a fence.
     crashes = plan.crashes if plan is not None else ()
     # a failure detector watches when crashes are planned, a policy is
-    # given, eviction escalates its suspicions, or sites are crashed by
-    # hand over the chaos transport (it pauses retransmission into the
-    # dead site)
+    # given, or sites are crashed by hand over the chaos transport (it
+    # pauses retransmission into the dead site)
     watch = (bool(crashes) or config.detector is not None
-             or config.auto_evict_after_ms is not None
              or (crash_recovery and transport is not None))
     if watch or crash_recovery or config.checkpoint_interval_ms is not None:
         system.crash_manager = install_crash_recovery(
@@ -290,7 +267,6 @@ def _sample_final_metrics(
     collector: MetricsCollector,
     transport: Optional[ReliableTransport] = None,
     crash_manager: Optional[CrashRecoveryManager] = None,
-    view_manager: Optional[ViewManager] = None,
     overload_driver: Optional[OverloadDriver] = None,
 ) -> None:
     """Export every number once, at quiescence, from the store that keeps it.
@@ -298,8 +274,7 @@ def _sample_final_metrics(
     Kernel counters, per-site terminal log sizes, buffered arrivals and
     the peak activation-buffer depth, opt-track purge tallies, the
     collector's fault, crash, channel-event and overload counters and
-    its distributions, the detector's and the view manager's own
-    counts: each number has one writer, and the registry only reads it
+    its distributions, the detector's own counts: each number has one writer, and the registry only reads it
     here.  A distribution is exported as a summary bound to the
     collector's ``RunningStat``; its help text names the window.
     """
@@ -390,27 +365,13 @@ def _sample_final_metrics(
              "suspected pairs cleared by proof of life"),
         ):
             registry.inc(name, value, help_text=help_text)
-    if view_manager is not None and view_manager.view.epoch:
-        view, stats = view_manager.view, view_manager.stats
-        registry.inc("membership_epochs_total", view.epoch,
-                     help_text="view epochs installed")
-        for kind, value in (("join", stats.joins), ("leave", stats.leaves),
-                            ("evict", stats.evictions)):
-            if value:
-                registry.inc("membership_changes_total", value,
-                             help_text="applied view changes by kind",
-                             kind=kind)
-        registry.set_gauge("membership_members", len(view.members),
-                           help_text="members in the current view")
-        registry.set_gauge("membership_epoch", view.epoch,
-                           help_text="current view epoch number")
     if overload_driver is not None:
         registry.inc("overload_injected_total", collector.overload_injected,
                      help_text="flash-crowd writes that reached a protocol")
         registry.inc("overload_sheds_total", collector.overload_sheds,
                      help_text="flash-crowd writes refused by admission")
         registry.inc("overload_skipped_total", overload_driver.skipped,
-                     help_text="flash-crowd ticks aimed at down/held sites")
+                     help_text="flash-crowd ticks aimed at down sites")
 
 
 def run_simulation(
@@ -432,27 +393,16 @@ def run_simulation(
 
     A caller-provided ``registry`` is filled at quiescence: labeled
     counters, gauges and summaries across kernel/network/protocols/
-    crash/membership, read from the stores that keep them, plus the
+    crash, read from the stores that keep them, plus the
     per-component metadata-byte ledger over the run's collector.  A
     ``heartbeat`` reporter (usually paired with a registry) emits
     periodic progress lines while the run executes; its "at last beat"
     gauges are the only registry writes before quiescence.
     """
-    # Elastic membership: the id space (capacity) covers every site that
-    # will ever exist this run, so the workload is generated for joiners
-    # too — their schedules simply start once they are admitted.
     plan = config.fault_plan
-    membership_events = plan.membership if plan is not None else ()
-    n_joins = sum(1 for ev in membership_events if isinstance(ev, JoinEvent))
-    capacity = config.n_sites + n_joins
-    if config.churn and isinstance(config.latency, PerPairLatency):
-        raise ValueError(
-            "PerPairLatency has a fixed delay matrix and cannot model "
-            "membership churn; use a sampled latency model"
-        )
     if workload is None:
         workload = generate_workload(
-            capacity,
+            config.n_sites,
             n_vars=config.n_vars,
             write_rate=config.write_rate,
             ops_per_process=config.ops_per_process,
@@ -461,17 +411,16 @@ def run_simulation(
             var_distribution=config.var_distribution,
             zipf_s=config.zipf_s,
         )
-    if workload.n_sites != capacity:
+    if workload.n_sites != config.n_sites:
         raise ValueError(
-            f"workload has {workload.n_sites} sites, config wants {capacity} "
-            f"({config.n_sites} initial + {n_joins} joiner(s))"
+            f"workload has {workload.n_sites} sites, config wants "
+            f"{config.n_sites}"
         )
     if workload.n_vars > config.n_vars:
         raise ValueError("workload touches more variables than the config declares")
-    if plan is not None and (plan.crashes or membership_events):
-        # a crash or membership event scheduled after the workload can
-        # ever end would stall quiescence (or silently test nothing);
-        # reject early
+    if plan is not None and plan.crashes:
+        # a crash scheduled after the workload can ever end would stall
+        # quiescence (or silently test nothing); reject early
         horizon = max(
             (s.times[-1] for s in workload.schedules if len(s)),
             default=0.0,
@@ -481,8 +430,7 @@ def run_simulation(
     system = build_system(config, tracer=tracer)
     sim, collector, protocols = system.sim, system.collector, system.protocols
     if registry is not None:
-        # clock growth past the initial site count is epoch padding
-        registry.ledger = MetadataLedger(collector, base_n=config.n_sites)
+        registry.ledger = MetadataLedger(collector)
     crash_manager = system.crash_manager
     if tracer is not None:
         tracer.meta.setdefault("ops_per_process", config.ops_per_process)
@@ -507,27 +455,11 @@ def run_simulation(
     if warmup_ops == 0:
         collector.start_measuring()
 
-    def site_factory(site_id: int, proto: CausalProtocol) -> Site:
-        return Site(proto, workload.for_site(site_id), sim,
-                    on_operation=on_operation, tracer=tracer)
-
-    # the run's one site list (and one protocol list), shared by
-    # reference with the crash and view managers; a joiner is appended once
+    # the run's one site list, shared by reference with the crash manager
     sites = system.sites
-    sites.extend(site_factory(i, proto) for i, proto in enumerate(protocols))
-
-    view_manager: Optional[ViewManager] = None
-    if config.churn:
-        view_manager = ViewManager(
-            sim, system.network, system.placement, protocols,
-            protocol_factory=system.new_protocol,
-            site_factory=site_factory,
-            sites=sites,
-            crash_manager=crash_manager,
-        )
-        view_manager.schedule_plan(membership_events)
-        if config.auto_evict_after_ms is not None:
-            view_manager.enable_eviction(config.auto_evict_after_ms)
+    sites.extend(Site(proto, workload.for_site(i), sim,
+                      on_operation=on_operation, tracer=tracer)
+                 for i, proto in enumerate(protocols))
 
     overload_driver: Optional[OverloadDriver] = None
     if system.overload_rng is not None:
@@ -545,7 +477,6 @@ def run_simulation(
         _sample_final_metrics(registry, sim, protocols, end_time, collector,
                               transport=system.transport,
                               crash_manager=crash_manager,
-                              view_manager=view_manager,
                               overload_driver=overload_driver)
 
     dead_forever: set[int] = set()
@@ -554,13 +485,11 @@ def run_simulation(
         lost = crash_manager.lost_operations()
         if lost:
             collector.record_lost_ops(lost)
-    if not dead_forever and not system.network.departed:
+    if not dead_forever:
         # crash-stop runs are exempt: a dead-forever site strands its own
         # schedule, and live sites can be legitimately stuck on state
         # frozen inside the dead site's outbound queue (those operations
-        # are accounted as lost above); a departed site exempts likewise —
-        # live sites may hold buffered updates depending on state that
-        # left with the victim; every other run — including full
+        # are accounted as lost above); every other run — including full
         # crash-recovery plans — must finish and drain completely
         stuck_sites = [s.site_id for s in sites if not s.finished]
         if stuck_sites:
@@ -581,6 +510,5 @@ def run_simulation(
         sim_time_ms=end_time,
         total_sim_events=sim.processed_events,
         crash_manager=crash_manager,
-        view_manager=view_manager,
         overload_driver=overload_driver,
     )

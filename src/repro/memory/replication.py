@@ -81,10 +81,6 @@ class Placement(abc.ABC):
         self._replica_sets: list[frozenset[int]] = [
             frozenset(reps) for reps in self._replicas
         ]
-        #: fixed at construction: full-replication protocols keep their
-        #: p = n contract across view changes (joiners replicate
-        #: everything), so this is a *mode*, not a live p == n check.
-        self._full_mode = replication_factor == n_sites
 
     @abc.abstractmethod
     def _compute_replicas(self, var: int) -> Iterable[int]:
@@ -126,59 +122,8 @@ class Placement(abc.ABC):
 
     @property
     def is_full(self) -> bool:
-        """True when every variable is replicated at every member (p = n).
-
-        Under elastic membership this reports the placement's *mode*
-        (fixed at construction): a full-replication placement stays full
-        across joins (the joiner replicates everything) and leaves (the
-        survivors still each hold every variable).
-        """
-        return self._full_mode
-
-    # ------------------------------------------------------------------
-    # elastic membership (see repro.sim.membership)
-    # ------------------------------------------------------------------
-    def add_site(self, *, replicate_all: bool) -> int:
-        """Grow the site id space by one; returns the new site's id.
-
-        ``replicate_all`` (full-replication mode) gives the joiner a
-        replica of every variable; otherwise the joiner starts with an
-        empty replica set and serves reads remotely.
-        """
-        site = self.n_sites
-        self.n_sites += 1
-        if replicate_all:
-            self._replicas = [reps + (site,) for reps in self._replicas]
-            self._replica_sets = [frozenset(reps) for reps in self._replicas]
-            self._vars_at.append(tuple(range(self.n_vars)))
-            self.replication_factor += 1
-        else:
-            self._vars_at.append(())
-        return site
-
-    def remove_site(self, site: int, handoff: dict[int, int]) -> None:
-        """Remove ``site`` from every replica set.
-
-        ``handoff`` maps each variable *solely* replicated at ``site``
-        to the member adopting its replica; every solely-held variable
-        must appear in it (the membership layer computes the map).
-        """
-        new_replicas: list[tuple[int, ...]] = []
-        for var, reps in enumerate(self._replicas):
-            if site not in reps:
-                new_replicas.append(reps)
-                continue
-            rest = tuple(s for s in reps if s != site)
-            if not rest:
-                rest = (handoff[var],)
-            new_replicas.append(tuple(sorted(rest)))
-        self._replicas = new_replicas
-        self._replica_sets = [frozenset(reps) for reps in new_replicas]
-        self._vars_at = [
-            tuple(v for v in range(self.n_vars) if s in self._replicas[v])
-            for s in range(self.n_sites)
-        ]
-        self.replication_factor = min(len(reps) for reps in new_replicas)
+        """True when every variable is replicated at every site (p = n)."""
+        return self.replication_factor == self.n_sites
 
 
 class RoundRobinPlacement(Placement):

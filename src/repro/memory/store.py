@@ -85,26 +85,3 @@ class SiteStore:
         slot.value = value
         slot.write_id = write_id
         slot.applied_at = time
-
-    def adopt(
-        self,
-        var: int,
-        value: object,
-        write_id: Optional[WriteId],
-        applied_at: float,
-    ) -> None:
-        """Take ownership of a replica slot handed off by a departing site.
-
-        Unlike :meth:`apply` this *creates* the slot: the adopter was not
-        previously a replica of ``var``.  A ``None`` write_id installs
-        |bot| (eviction of the sole replica loses the value).
-        """
-        self._slots[var] = StoredValue(
-            value=value if write_id is not None else BOTTOM,
-            write_id=write_id,
-            applied_at=applied_at,
-        )
-
-    def drop(self, var: int) -> None:
-        """Forget the local replica of ``var`` (membership remapping)."""
-        self._slots.pop(var, None)

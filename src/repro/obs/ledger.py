@@ -21,8 +21,6 @@ component                 meaning
 ``site_id``               the writer-site field (Opt-Track family)
 ``clock``                 the writer-clock field (Opt-Track family)
 ``clock_entries``         matrix (Full-Track) / vector (optP) clock cells
-``epoch_padding``         clock cells beyond the run's initial n — metadata
-                          growth purchased by membership epochs (churn runs)
 ``log_records``           Opt-Track KS-log per-record overhead
 ``dest_ids``              Opt-Track per-destination ids inside log records
 ``tuple_entries``         Opt-Track-CRP (site, clock) 2-tuples
@@ -56,7 +54,7 @@ __all__ = ["MetadataLedger", "LedgerCell", "decompose_message"]
 
 
 def _sum_breakdown(t: Optional[type], n: int, count: int, length: int,
-                   nbytes: int, base_n: Optional[int]) -> Breakdown:
+                   nbytes: int) -> Breakdown:
     """Component bytes for ``count`` messages of type ``t`` at once: its
     :data:`~repro.core.messages.PRICE_TABLE` row's split (see
     :meth:`~repro.core.messages.PriceRow.breakdown`), or one ``opaque``
@@ -64,27 +62,22 @@ def _sum_breakdown(t: Optional[type], n: int, count: int, length: int,
     row = PRICE_TABLE.get(t)  # type: ignore[arg-type]
     if row is None:
         return (("opaque", nbytes),)
-    return row.breakdown(count, length, nbytes, n, base_n)
+    return row.breakdown(count, length, nbytes, n)
 
 
-def decompose_message(message: object, base_n: Optional[int] = None) -> Breakdown:
+def decompose_message(message: object) -> Breakdown:
     """Per-component byte breakdown of one message.
 
     Invariant: the component bytes sum to ``message.metadata_size()``
     exactly.  Unknown message types fall back to a single ``opaque``
     component priced by their own ``metadata_size``, preserving the
     invariant for protocols added later.
-
-    ``base_n`` (the run's initial site count) splits clock structures
-    that grew past it into ``clock_entries`` + ``epoch_padding``; with
-    ``None`` nothing is attributed to padding.
     """
     length_of, width = accounting_shape(message)
     return _sum_breakdown(
         type(message), width, 1,
         len(length_of(message)) if length_of is not None else 0,
-        message.metadata_size(),  # type: ignore[attr-defined]
-        base_n)
+        message.metadata_size())  # type: ignore[attr-defined]
 
 
 class LedgerCell:
@@ -127,11 +120,8 @@ class MetadataLedger:
     ledger rebuilt by :meth:`from_dict`, which serves the dumped cells.
     """
 
-    def __init__(self, collector: Optional[MetricsCollector] = None,
-                 base_n: Optional[int] = None) -> None:
+    def __init__(self, collector: Optional[MetricsCollector] = None) -> None:
         self.collector = collector if collector is not None else MetricsCollector()
-        #: initial site count; clock growth beyond it is epoch padding
-        self.base_n = base_n
         #: both windows as loaded by :meth:`from_dict`, served in place
         #: of the (empty) collector's
         self._loaded: Optional[dict[str, dict[CellKey, LedgerCell]]] = None
@@ -148,8 +138,7 @@ class MetadataLedger:
                     continue  # nothing booked inside the window
                 proto, site, t, width = key
                 yield ((proto, kind.value, site), count, nbytes,
-                       _sum_breakdown(t, width, count, length, nbytes,
-                                      self.base_n))
+                       _sum_breakdown(t, width, count, length, nbytes))
 
     def _window(self, window: str) -> dict[CellKey, LedgerCell]:
         if window not in _WINDOWS:
@@ -202,7 +191,7 @@ class MetadataLedger:
         collector's per-site ack / retransmission wire bytes (transport
         infrastructure, not piggyback metadata — they ride along so a
         soak run's byte tallies can be summed from one dump)."""
-        out: dict = {"base_n": self.base_n}
+        out: dict = {}
         for window in _WINDOWS:
             rows = []
             for (proto, kind, site), cell in sorted(self._window(window).items()):
@@ -219,7 +208,7 @@ class MetadataLedger:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetadataLedger":
-        ledger = cls(base_n=data.get("base_n"))
+        ledger = cls()
         ledger._loaded = {window: {} for window in _WINDOWS}
         for window, cells in ledger._loaded.items():
             for row in data.get(window, ()):

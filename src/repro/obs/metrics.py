@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` is the single export surface for the whole
 stack — event kernel, network, reliable channel, the protocol cores,
-failure detector, checkpoint/WAL, and membership — and it is a view:
-every number it exports has one writer elsewhere (the collector, the
-channel host, the detector, the view manager), and the registry reads it
+failure detector and checkpoint/WAL — and it is a view: every number
+it exports has one writer elsewhere (the collector, the channel host,
+the detector), and the registry reads it
 once at quiescence (``experiments/runner.py::_sample_final_metrics``).
 A distribution is exported as a :class:`Summary` bound to the
 collector's own :class:`~repro.metrics.stats.RunningStat`, so its count,
@@ -24,7 +24,7 @@ constraints, in order:
 Naming conventions (see docs/observability.md):
 
 - subsystem prefix: ``kernel_``, ``net_``, ``proto_``, ``detector_``,
-  ``wal_``, ``crash_``, ``membership_``;
+  ``wal_``, ``crash_``;
 - counters end in ``_total``; summaries of durations end in ``_ms``;
 - label keys come from {``site``, ``protocol``, ``kind``, ``component``}.
 """

@@ -93,7 +93,8 @@ def _us(ts_ms: float) -> float:
 
 
 def _sites_of(trace: Trace) -> list[int]:
-    """Every initial site, plus every site with an event (a joiner)."""
+    """Every site ``n_sites`` names, plus every site with an event (all
+    a trace without that meta key has)."""
     sites = {ev.site for ev in trace.events}
     sites.update(range(int(trace.meta.get("n_sites") or 0)))
     return sorted(sites)

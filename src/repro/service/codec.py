@@ -136,7 +136,7 @@ class CodecError(ValueError):
 
 
 def _check_sites(sites: tuple[int, ...], n_sites: Optional[int]) -> None:
-    """Every id names a member, where the membership is known."""
+    """Every id names one of the cluster's sites, where n is known."""
     if n_sites is not None and sites and not (
             0 <= min(sites) and max(sites) < n_sites):
         raise CodecError(f"site id outside 0..{n_sites - 1}")

@@ -1,7 +1,7 @@
 """Site crash–recovery: the simulator's driver of the crash stack.
 
 The :class:`CrashRecoveryManager` crashes and restores sites; which
-sites are down (or departed) is recorded once, by the
+sites are down is recorded once, by the
 :class:`~repro.sim.network.Network` that enforces it at the wire, and
 the manager reads it there.  The substrate-free pieces — the
 :class:`~repro.core.recovery.SiteDisk`, the
@@ -70,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..metrics.collector import MetricsCollector
     from ..obs.tracer import Tracer
     from .engine import Simulator
-    from .membership import ViewManager
     from .network import Network
     from .process import Site
 
@@ -112,24 +111,20 @@ class CrashRecoveryManager:
         self.sim = sim
         self.net = network
         self.transport = network.transport
-        #: the run's protocol list, shared (a joiner appears here when
-        #: the view manager appends it)
+        #: the run's protocol list, shared
         self.protocols = protocols
-        #: one disk per site, indexed by site id (joiner ids are
-        #: allocated in order)
+        #: one disk per site, indexed by site id
         self.disks: list[SiteDisk] = []
         self.checkpoint_interval_ms = float(checkpoint_interval_ms)
         self.detector = (None if detector_policy is None
                          else FailureDetector(detector_policy))
         #: the run's application sites a crash halts and a recovery
-        #: resumes, shared with the view manager (empty when sites are
-        #: driven by hand)
+        #: resumes, shared with the runner (empty when sites are driven
+        #: by hand)
         self.sites: "list[Site]" = [] if sites is None else sites
         self.crashes = tuple(crashes)
         self.collector = collector
         self.tracer = tracer
-        #: elastic membership: set once by the view manager it escalates to
-        self.view_manager: "Optional[ViewManager]" = None
         self.crash_time: dict[int, float] = {}
         #: sites restored but not yet done with anti-entropy
         self._catching_up: set[int] = set()
@@ -162,12 +157,15 @@ class CrashRecoveryManager:
         self._started = True
         now = self.sim.now
         for proto in self.protocols:
-            self._install_disk(proto, proto.snapshot())
+            disk = SiteDisk(proto.site)
+            disk.install_checkpoint(proto.snapshot(), now)
+            proto._wal = disk
+            self.disks.append(disk)
         det = self.detector
         if det is not None:
-            members = self.net.members
-            for site in members:
-                det.add_member(site, members, now)
+            sites = range(self.net.n_sites)
+            for site in sites:
+                det.add_member(site, sites, now)
         self.wake()
         for proto in self.protocols:
             self._adopt(proto)
@@ -202,24 +200,16 @@ class CrashRecoveryManager:
     # ------------------------------------------------------------------
     # durable state
     # ------------------------------------------------------------------
-    def _install_disk(self, proto: "CausalProtocol", state: dict) -> None:
-        disk = SiteDisk(proto.site)
-        disk.install_checkpoint(state, self.sim.now)
-        proto._wal = disk
-        self.disks.append(disk)
-
     def _checkpoint_tick(self) -> None:
         """Checkpoint every live site at once — checkpoints cost nothing
         in simulated time, so one global tick keeps the event count low
         and the schedule deterministic."""
         quiescent = self.quiescent()
         now = self.sim.now
-        down, departed = self.net.down, self.net.departed
+        down = self.net.down
         for proto, disk in zip(self.protocols, self.disks):
             if proto.site in down:
                 continue  # a crashed site cannot write its own disk
-            if proto.site in departed:
-                continue  # a departed site's disk is frozen history
             if quiescent and not disk.wal:
                 continue  # nothing new since the last checkpoint
             self.collector.record_checkpoint(len(disk.wal))
@@ -235,7 +225,7 @@ class CrashRecoveryManager:
     # failure detection
     # ------------------------------------------------------------------
     def _heartbeat_tick(self) -> None:
-        """Every live member beats to every other one, then every live
+        """Every live site beats to every other one, then every live
         observer's silent pairs are tested."""
         if self.quiescent():
             self._beating = False
@@ -243,18 +233,18 @@ class CrashRecoveryManager:
         det, transport = self.detector, self.transport
         assert det is not None and transport is not None
         net = self.net
-        members, down = net.members, net.down
-        for origin in members:
+        sites, down = range(net.n_sites), net.down
+        for origin in sites:
             if origin in down:
                 continue  # the dead don't beat
-            for dst in members:
+            for dst in sites:
                 if dst == origin:
                     continue
                 det.heartbeats_sent += 1
                 net._transmit_raw(origin, dst, HeartbeatPacket(origin),
                                   HEARTBEAT_SIZE_BYTES)
         now = self.sim.now
-        for observer, subject in det.expire(now, members, down):
+        for observer, subject in det.expire(now, sites, down):
             transport.pause_pair(observer, subject)
             actually_down = net.is_down(subject)
             if not actually_down:
@@ -267,8 +257,6 @@ class CrashRecoveryManager:
             if subject not in self._detected:
                 self._detected.add(subject)
                 self.collector.record_detection(now - self.crash_time[subject])
-            if self.view_manager is not None:
-                self.view_manager.note_suspicion(subject)
         self.sim.schedule(det.policy.heartbeat_interval_ms, self._heartbeat_tick)
 
     def _hear(self, observer: int, subject: int) -> None:
@@ -305,8 +293,6 @@ class CrashRecoveryManager:
     def _plan_recover(self, site: int) -> None:
         self._plan_pending -= 1
         self._recovery_scheduled.discard(site)
-        if site in self.net.departed:
-            return  # evicted while down: the view moved on without it
         self.recover(site)
 
     # ------------------------------------------------------------------
@@ -314,8 +300,6 @@ class CrashRecoveryManager:
     # ------------------------------------------------------------------
     def crash(self, site: int) -> None:
         """Kill ``site`` now: volatile state is lost, durable state kept."""
-        if self.view_manager is not None:
-            self.view_manager.check_member(site)
         net = self.net
         if net.is_down(site):
             raise RuntimeError(f"site {site} is already down")
@@ -348,8 +332,6 @@ class CrashRecoveryManager:
 
     def recover(self, site: int) -> None:
         """Restore ``site`` from disk, replay its WAL, start catch-up."""
-        if self.view_manager is not None:
-            self.view_manager.check_member(site)
         if not self.net.is_down(site):
             raise RuntimeError(f"site {site} is not down")
         now = self.sim.now
@@ -358,12 +340,6 @@ class CrashRecoveryManager:
         checkpoint_age = self.crash_time[site] - disk.checkpoint_time
         assert disk.checkpoint is not None
         proto.restore(disk.checkpoint)
-        if self.view_manager is not None:
-            # the view may have grown while the site was down (and the
-            # checkpoint may predate even earlier epochs): resize the
-            # restored metadata BEFORE replaying WAL records that can
-            # reference post-growth site ids
-            proto.on_view_change(self.view_manager.view)
         replayed = proto.replay(disk.wal)
         downtime = now - self.crash_time[site]
         self._detected.discard(site)
@@ -371,7 +347,7 @@ class CrashRecoveryManager:
         if self.transport is not None:
             self.transport.on_site_recover(site)
         if self.detector is not None:
-            self.detector.note_recover(site, self.net.members, now)
+            self.detector.note_recover(site, range(self.net.n_sites), now)
         self.collector.record_restore(
             downtime_ms=downtime,
             wal_replayed=replayed,
@@ -398,7 +374,8 @@ class CrashRecoveryManager:
 
     def _live_peers(self, site: int) -> list[int]:
         down = self.net.down
-        return [p for p in self.net.members if p != site and p not in down]
+        return [p for p in range(self.net.n_sites)
+                if p != site and p not in down]
 
     def _catchup_round(self, site: int, interval: float) -> None:
         if self.net.is_down(site) or site not in self._catching_up:
@@ -487,10 +464,8 @@ class CrashRecoveryManager:
         """
         if self._catching_up or self._plan_pending:
             return False
-        if self.view_manager is not None and self.view_manager.busy():
-            return False
         net = self.net
-        members, down = net.members, net.down
+        sites, down = range(net.n_sites), net.down
         det = self.detector
         if det is not None:
             inj = net.faults
@@ -498,10 +473,10 @@ class CrashRecoveryManager:
             forever = (
                 inj.unhealed_partitions(now) if inj is not None else []
             )
-            for o in members:
+            for o in sites:
                 if o in down:
                     continue
-                for s in members:
+                for s in sites:
                     if s == o or s in down:
                         continue
                     cut = (inj is not None
@@ -529,7 +504,7 @@ class CrashRecoveryManager:
             for d in sorted(down):
                 if self.transport.unacked_to(d, from_live_only=True,
                                              down=down):
-                    for src in members:
+                    for src in sites:
                         if src in down:
                             continue
                         ch = self.transport._channels.get((src, d))
@@ -538,9 +513,7 @@ class CrashRecoveryManager:
                             return False
             if self.transport.unacked_between_live(down):
                 return False
-        # departed sites count like dead-forever ones: a live site
-        # blocked on a fetch into an evicted replica can never finish
-        dead_forever = self.down_forever() | net.departed
+        dead_forever = self.down_forever()
         for site in self.sites:
             if site.site_id in down or site.finished:
                 continue
@@ -554,21 +527,13 @@ class CrashRecoveryManager:
     def lost_operations(self) -> int:
         """Operations that can never complete (crash-stop accounting).
 
-        Covers crash-stopped sites, live sites stranded on a fetch into
-        a dead-forever or departed site, and the unexecuted remainder of
-        an *evicted* site's schedule (a graceful leave voids its
-        remaining schedule by choice, so it is not counted as lost).
+        Covers crash-stopped sites and live sites stranded on a fetch
+        into a dead-forever site.
         """
         lost = 0
-        departed = self.net.departed
-        dead_forever = self.down_forever() | departed
+        dead_forever = self.down_forever()
         for site in self.sites:
             sid = site.site_id
-            if sid in departed:
-                if (self.view_manager is not None
-                        and self.view_manager.membership_status(sid) == "evicted"):
-                    lost += len(site.schedule) - site.completed_ops
-                continue
             if site.finished:
                 continue
             if sid in dead_forever or (
@@ -576,36 +541,6 @@ class CrashRecoveryManager:
             ):
                 lost += len(site.schedule) - site.completed_ops
         return lost
-
-    # ------------------------------------------------------------------
-    # elastic membership (see repro.sim.membership)
-    # ------------------------------------------------------------------
-    def add_site(self, proto: "CausalProtocol", state: dict) -> None:
-        """Bring a joiner (already in the shared protocol list and
-        admitted by the network) under the stack: the liveness oracle, a
-        disk whose checkpoint zero is ``state`` — so the joiner is
-        crash-recoverable from the instant it is announced — and a full
-        grace period both ways with every other member."""
-        self._adopt(proto)
-        self._install_disk(proto, state)
-        if self.detector is not None:
-            self.detector.add_member(proto.site, self.net.members,
-                                     self.sim.now)
-
-    def retire_site(self, site: int) -> None:
-        """Close the book on a departed site (the network already counts
-        it neither down nor a member): no suspicion, recovery, catch-up
-        or detection accounting applies."""
-        if self.detector is not None:
-            self.detector.remove_member(site)
-        self.crash_time.pop(site, None)
-        self._detected.discard(site)
-        self._recovery_scheduled.discard(site)
-        if site in self._catching_up:
-            self._catching_up.discard(site)
-            self._responses.pop(site, None)
-            self._catchup_started.pop(site, None)
-            self._catchup_rounds.pop(site, None)
 
 
 def install_crash_recovery(

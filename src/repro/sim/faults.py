@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,14 +34,11 @@ __all__ = [
     "ChannelFaults",
     "Partition",
     "CrashEvent",
-    "JoinEvent",
-    "LeaveEvent",
     "OverloadEvent",
     "FaultPlan",
     "FaultDecision",
     "FaultInjector",
     "seeded_crashes",
-    "seeded_churn",
 ]
 
 
@@ -130,45 +127,6 @@ class CrashEvent:
 
 
 @dataclass(frozen=True)
-class JoinEvent:
-    """A new site joins the cluster at ``at_ms``.
-
-    The joiner's id is assigned by the view manager (next never-used
-    id), so the event only carries a time.  Under full replication the
-    joiner is bootstrapped from a live donor's drained snapshot; under
-    partial replication it starts with an empty replica set.
-    """
-
-    at_ms: float
-
-    def __post_init__(self) -> None:
-        if self.at_ms < 0.0:
-            raise ValueError(f"join time must be >= 0, got {self.at_ms}")
-
-
-@dataclass(frozen=True)
-class LeaveEvent:
-    """Site ``site`` leaves the cluster gracefully at ``at_ms``.
-
-    A leave drains in-flight deliveries, hands off solely-held replicas
-    to a live successor, and retires the site.  Leaving is only possible
-    while the site is up; a crash-stopped leaver escalates to eviction.
-    """
-
-    site: int
-    at_ms: float
-
-    def __post_init__(self) -> None:
-        if self.site < 0:
-            raise ValueError(f"leave site must be >= 0, got {self.site}")
-        if self.at_ms < 0.0:
-            raise ValueError(f"leave time must be >= 0, got {self.at_ms}")
-
-
-MembershipEvent = Union[JoinEvent, LeaveEvent]
-
-
-@dataclass(frozen=True)
 class OverloadEvent:
     """A flash crowd hammers ``sites`` with extra writes in [start, end).
 
@@ -176,7 +134,7 @@ class OverloadEvent:
     ``interval_ms`` at each listed site (on top of its planned schedule)
     until the window closes.  Variables are drawn from a dedicated
     seeded RNG stream, so the injected load replays bit-identically.
-    A tick at a site that is down, held, or departed is skipped; a tick
+    A tick at a site that is down is skipped; a tick
     at a site whose transport reports hard overload is *shed* (typed as
     :class:`~repro.sim.reliable.OverloadError` at admission) — both
     outcomes are counted, so soak runs can assert the flash crowd both
@@ -248,42 +206,6 @@ def seeded_crashes(
     return tuple(events)
 
 
-def seeded_churn(
-    n_sites: int,
-    *,
-    n_joins: int = 1,
-    n_leaves: int = 1,
-    window_ms: tuple[float, float] = (500.0, 3000.0),
-    seed: int = 0,
-    avoid: Iterable[int] = (),
-) -> tuple[MembershipEvent, ...]:
-    """Draw a random membership-churn schedule from a seed.
-
-    Leave victims are distinct initial sites outside ``avoid`` (pass the
-    crash victims of a composed plan so a site is never asked to both
-    crash and leave); join/leave instants fall uniformly in
-    ``window_ms``.  The result composes with drop/dup/partition/crash
-    plans via ``FaultPlan.build(membership=...)``.
-    """
-    avoid_set = {int(s) for s in avoid}
-    candidates = [s for s in range(n_sites) if s not in avoid_set]
-    if n_leaves > len(candidates):
-        raise ValueError(
-            f"cannot pick {n_leaves} distinct leavers from {len(candidates)} "
-            f"eligible sites (n_sites={n_sites}, avoid={sorted(avoid_set)})"
-        )
-    if n_leaves >= n_sites:
-        raise ValueError("at least one initial site must remain a member")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    events: list[MembershipEvent] = []
-    for _ in range(n_joins):
-        events.append(JoinEvent(float(rng.uniform(*window_ms))))
-    victims = rng.choice(len(candidates), size=n_leaves, replace=False)
-    for idx in sorted(int(v) for v in victims):
-        events.append(LeaveEvent(candidates[idx], float(rng.uniform(*window_ms))))
-    return tuple(sorted(events, key=lambda e: e.at_ms))
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """Declarative description of everything that goes wrong in a run.
@@ -298,7 +220,6 @@ class FaultPlan:
     channels: tuple[tuple[tuple[int, int], ChannelFaults], ...] = ()
     partitions: tuple[Partition, ...] = ()
     crashes: tuple[CrashEvent, ...] = ()
-    membership: tuple[MembershipEvent, ...] = ()
     overloads: tuple[OverloadEvent, ...] = ()
 
     @classmethod
@@ -308,7 +229,6 @@ class FaultPlan:
         channels: Optional[Mapping[tuple[int, int], ChannelFaults]] = None,
         partitions: Sequence[Partition] = (),
         crashes: Sequence[CrashEvent] = (),
-        membership: Sequence[MembershipEvent] = (),
         overloads: Sequence[OverloadEvent] = (),
     ) -> "FaultPlan":
         return cls(
@@ -316,7 +236,6 @@ class FaultPlan:
             channels=tuple(sorted((channels or {}).items())),
             partitions=tuple(partitions),
             crashes=tuple(crashes),
-            membership=tuple(membership),
             overloads=tuple(overloads),
         )
 
@@ -329,7 +248,6 @@ class FaultPlan:
         spike_ms: tuple[float, float] = (100.0, 500.0),
         partitions: Sequence[Partition] = (),
         crashes: Sequence[CrashEvent] = (),
-        membership: Sequence[MembershipEvent] = (),
         overloads: Sequence[OverloadEvent] = (),
     ) -> "FaultPlan":
         """The common case: one fault profile applied to every channel."""
@@ -337,7 +255,6 @@ class FaultPlan:
             default=ChannelFaults(drop_rate, dup_rate, spike_rate, spike_ms),
             partitions=partitions,
             crashes=crashes,
-            membership=membership,
             overloads=overloads,
         )
 
@@ -385,22 +302,6 @@ class FaultPlan:
                         f"the stop condition ({horizon_ms}ms) and can never "
                         f"be observed — move it earlier or drop it"
                     )
-        leavers: set[int] = set()
-        for ev in self.membership:
-            if not isinstance(ev, (JoinEvent, LeaveEvent)):
-                raise ValueError(f"unknown membership event {ev!r}")
-            if isinstance(ev, LeaveEvent):
-                if ev.site in leavers:
-                    raise ValueError(
-                        f"site {ev.site} is scheduled to leave twice — a "
-                        f"departed id is never reused"
-                    )
-                leavers.add(ev.site)
-            if horizon_ms is not None and ev.at_ms > horizon_ms:
-                raise ValueError(
-                    f"membership event {ev!r} starts after the stop "
-                    f"condition ({horizon_ms}ms) and can never be observed"
-                )
         for ov in self.overloads:
             ticks = (ov.end_ms - ov.start_ms) / ov.interval_ms
             if ticks * len(ov.sites) > 1_000_000:
@@ -408,14 +309,6 @@ class FaultPlan:
                     f"overload event {ov!r} would inject over a million "
                     f"operations — widen interval_ms or shrink the window"
                 )
-        crash_stoppers = {c.site for c in self.crashes if c.is_crash_stop}
-        doomed = leavers & crash_stoppers
-        if doomed:
-            raise ValueError(
-                f"sites {sorted(doomed)} are scheduled to both crash-stop "
-                f"and leave — a crash-stopped site cannot drain; rely on "
-                f"eviction instead"
-            )
 
     def faults_for(self, src: int, dst: int) -> ChannelFaults:
         for key, faults in self.channels:
@@ -444,14 +337,6 @@ class FaultPlan:
         def finite(x: float) -> Optional[float]:
             return x if math.isfinite(x) else None
 
-        membership = []
-        for ev in self.membership:
-            if isinstance(ev, JoinEvent):
-                membership.append({"kind": "join", "at_ms": ev.at_ms})
-            else:
-                membership.append(
-                    {"kind": "leave", "site": ev.site, "at_ms": ev.at_ms}
-                )
         return {
             "default": faults_dict(self.default),
             "channels": [
@@ -474,7 +359,6 @@ class FaultPlan:
                 }
                 for c in self.crashes
             ],
-            "membership": membership,
             "overloads": [
                 {
                     "sites": list(ov.sites),
@@ -489,7 +373,10 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
         """Inverse of :meth:`as_dict`.  A level that should be a mapping
-        and is not raises ``ValueError`` (plan JSON is untrusted input)."""
+        and is not raises ``ValueError`` (plan JSON is untrusted input),
+        and so does a non-empty ``membership`` list: plans dumped before
+        elastic membership was withdrawn carry the key, and one with
+        join or leave events would run with less in it than it says."""
 
         def obj(x: object, what: str) -> Mapping:
             if isinstance(x, Mapping):
@@ -512,14 +399,10 @@ class FaultPlan:
             return math.inf if x is None else float(x)
 
         data = obj(data, "a fault plan")
-        membership: list[MembershipEvent] = []
-        for ev in each("membership"):
-            if ev["kind"] == "join":
-                membership.append(JoinEvent(float(ev["at_ms"])))
-            elif ev["kind"] == "leave":
-                membership.append(LeaveEvent(int(ev["site"]), float(ev["at_ms"])))
-            else:
-                raise ValueError(f"unknown membership event kind {ev['kind']!r}")
+        if data.get("membership"):
+            raise ValueError(
+                "the plan has membership events, but elastic membership "
+                "was withdrawn: the site set is fixed for a run")
         return cls.build(
             default=faults(data.get("default", {}), "'default'"),
             channels={
@@ -540,7 +423,6 @@ class FaultPlan:
                 )
                 for c in each("crashes")
             ],
-            membership=membership,
             overloads=[
                 OverloadEvent(
                     ov["sites"], float(ov["start_ms"]), float(ov["end_ms"]),

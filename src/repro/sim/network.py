@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.errors import DepartedSiteError, MembershipError
 from .engine import Simulator
 from .faults import NO_FAULT, FaultInjector
 
@@ -218,16 +217,12 @@ class Network:
         self._paused: set[int] = set()
         self._held: dict[int, list[tuple[int, object]]] = {}
         # The one record of site liveness: the crash manager (its
-        # checkpoint and heartbeat ticks) and the view manager read these
-        # two sets, and only crash_site / revive_site / retire_site write
-        # them.  Packets to a down site are dropped at the wire
-        # (crash-recovery); departed sites never come back — traffic
-        # involving them is dropped (counted), sends to them raise.
+        # checkpoint and heartbeat ticks) reads this set, and only
+        # crash_site / revive_site write it.  Packets to a down site are
+        # dropped at the wire (crash-recovery).
         self.down: set[int] = set()
-        self.departed: set[int] = set()
-        self.departed_drops = 0
         # seed-path app messages scheduled but not yet handed to the
-        # receiver; the view-change fence drains on this reaching zero
+        # receiver
         self._app_in_flight = 0
         #: the run's one store of counts: injected faults, dead-site
         #: drops and (through the chaos transport) channel events
@@ -316,44 +311,6 @@ class Network:
         """Messages currently held for a paused site."""
         return len(self._held.get(site, ()))
 
-    # ------------------------------------------------------------------
-    # elastic membership (see repro.sim.membership)
-    # ------------------------------------------------------------------
-    def add_site(self) -> int:
-        """Admit one new site; returns its (stable, never-reused) id.
-
-        Only size-free latency models can admit sites: a fixed n x n
-        delay matrix has no row for the newcomer.
-        """
-        if isinstance(self.latency, PerPairLatency):
-            raise MembershipError(
-                "PerPairLatency has a fixed delay matrix and cannot "
-                "admit new sites; use a sampled latency model for churn"
-            )
-        new_id = self.n_sites
-        self.n_sites += 1
-        return new_id
-
-    def retire_site(self, site: int) -> None:
-        """Mark ``site`` departed: its id stays allocated forever, but
-        all traffic involving it is dropped (counted) and sends *to* it
-        raise :class:`~repro.sim.membership.DepartedSiteError`."""
-        self._check_site(site)
-        self.departed.add(site)
-        self._paused.discard(site)
-        self.departed_drops += len(self._held.pop(site, ()))
-        self.down.discard(site)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """The current view's site ids, ascending: every id issued so far
-        except the departed (a down site is still a member)."""
-        departed = self.departed
-        return tuple(s for s in range(self.n_sites) if s not in departed)
-
-    def is_member(self, site: int) -> bool:
-        return 0 <= site < self.n_sites and site not in self.departed
-
     @property
     def app_messages_in_flight(self) -> int:
         """Seed-path app messages scheduled but not yet delivered."""
@@ -429,14 +386,6 @@ class Network:
         """
         self._check_site(src)
         self._check_site(dst)
-        if src in self.departed:
-            # a straggler timer or scheduled event from a retired site;
-            # its output is irrelevant by construction (it was drained
-            # before departure), so drop rather than crash the run
-            self.departed_drops += 1
-            return None
-        if dst in self.departed:
-            raise DepartedSiteError(dst, "departed")
         transport = self.transport
         if transport is not None:
             ch = (transport._channels.get((src, dst))
@@ -456,27 +405,15 @@ class Network:
         """
         transport = self.transport
         if transport is None:
-            if self.departed:
-                for dst, message, size in zip(dests, messages, sizes):
-                    self.send(src, dst, message, size_bytes=size)
-                return
             self._check_site(src)
             self._fan_out(src, dests, messages, sizes)
             return
         self._check_site(src)
         n_sites = self.n_sites
-        departed = self.departed
         channels = transport._channels
         for dst, message, size in zip(dests, messages, sizes):
             if not 0 <= dst < n_sites:
                 self._check_site(dst)  # raises
-            if departed:
-                if src in departed:
-                    # see send: a straggler from a retired site
-                    self.departed_drops += 1
-                    continue
-                if dst in departed:
-                    raise DepartedSiteError(dst, "departed")
             ch = channels.get((src, dst)) or transport.channel(src, dst)
             ch.sender.send(message, size)
 
@@ -526,9 +463,6 @@ class Network:
 
     def _deliver_app(self, src: int, dst: int, message: object) -> None:
         """Hand a message up to the application, honoring paused sites."""
-        if dst in self.departed:
-            self.departed_drops += 1
-            return
         if dst in self._paused:
             self._held[dst].append((src, message))
             return

@@ -15,8 +15,7 @@ its planned workload.  Injected writes:
 * respect graceful degradation: a write refused by
   :class:`~repro.sim.reliable.OverloadError` is *shed* (the admission
   layer did its job, and counts it as ``overload_sheds``), and a site
-  that is crashed, held, retired, or departed is *skipped* — a dead
-  site has no crowd to serve;
+  that is crashed is *skipped* — a dead site has no crowd to serve;
 * respect program order: each site is a sequential process, so a tick
   landing while the site has a remote read in flight is *deferred* (the
   crowd's request queues behind the pending operation) — an injected
@@ -35,7 +34,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..core.errors import MembershipError
 from .engine import Simulator
 from .faults import FaultPlan
 from .reliable import OverloadError
@@ -75,7 +73,7 @@ class OverloadDriver:
         self.rng = rng
         #: books each write that reached a protocol (``overload_injected``)
         self.collector = collector
-        #: ticks skipped because the target site was down/held/departed
+        #: ticks skipped because the target site was down
         self.skipped = 0
         #: ticks re-queued behind a pending remote read
         self.deferred = 0
@@ -111,18 +109,10 @@ class OverloadDriver:
             proto.write(var, ("flash", site, collector.overload_injected))
         except OverloadError:
             return  # shed: the admission check counted it
-        except MembershipError:
-            # the site departed between scheduling and firing (churn);
-            # the crowd's request simply fails upstream
-            self.skipped += 1
-            return
         collector.overload_injected += 1
 
     def _target(self, site: int) -> "Optional[CausalProtocol]":
         """The protocol to hit, or None when the site cannot serve."""
-        if site >= len(self.protocols):
-            return None
-        app = self.sites[site] if site < len(self.sites) else None
-        if app is not None and (app.crashed or app.held or app.retired):
+        if site >= len(self.protocols) or self.sites[site].crashed:
             return None
         return self.protocols[site]

@@ -66,10 +66,6 @@ class Site:
         self.completed_ops = 0
         self._started = False
         self.crashed = False
-        #: view-change fence: while held, no new operation may start
-        self.held = False
-        #: elastic membership: a retired site never runs again
-        self.retired = False
         #: handle of the armed next-operation event (crash cancels it)
         self._op_event = None
         #: index of an operation currently blocked on a remote read
@@ -92,8 +88,6 @@ class Site:
             raise RuntimeError(f"site {self.site_id} already started")
         self._started = True
         if not self.finished:
-            # a joiner starts mid-run: planned times before its admission
-            # collapse to "as soon as possible"
             self._op_event = self.sim.schedule_at(
                 max(self._times[0], self.sim.now), self._execute_next)
 
@@ -127,48 +121,8 @@ class Site:
         if self._current_index is not None:
             self._next_index = self._current_index
             self._current_index = None
-        if self.held:
-            return  # release() re-arms once the view change completes
         start = max(self._times[self._next_index], self.sim.now)
         self._op_event = self.sim.schedule_at(start, self._execute_next)
-
-    # ------------------------------------------------------------------
-    # elastic membership (see repro.sim.membership)
-    # ------------------------------------------------------------------
-    def hold(self) -> None:
-        """View-change fence: stop starting new operations.
-
-        An armed (not yet fired) operation is un-scheduled; an operation
-        already blocked on a remote read stays blocked — the fence does
-        not wait for fetches (see ``CausalProtocol.buffered_count``).
-        """
-        if self.held:
-            return
-        self.held = True
-        if self._op_event is not None:
-            self._op_event.cancel()
-            self._op_event = None
-
-    def release(self) -> None:
-        """Lift the fence and re-arm the next operation, if any."""
-        if not self.held:
-            return
-        self.held = False
-        if (not self._started or self.finished or self.crashed
-                or self.retired or self._current_index is not None
-                or self._op_event is not None):
-            return
-        self._op_event = self.sim.schedule_at(
-            max(self._times[self._next_index], self.sim.now),
-            self._execute_next)
-
-    def retire(self) -> None:
-        """The site left the view: its remaining schedule is void."""
-        self.retired = True
-        self.finished = True
-        if self._op_event is not None:
-            self._op_event.cancel()
-            self._op_event = None
 
     # ------------------------------------------------------------------
     def _execute_next(self) -> None:
@@ -237,7 +191,5 @@ class Site:
         if self._next_index >= len(self._times):
             self.finished = True
             return
-        if self.held:
-            return  # release() re-arms once the view change completes
         start = max(self._times[self._next_index], self.sim.now)
         self._op_event = self.sim.schedule_at(start, self._execute_next)

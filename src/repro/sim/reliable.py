@@ -9,11 +9,10 @@ only the simulator has: the fault-injecting raw transmission path of
 the sender an attempt was not dropped, which makes spurious-retransmit
 accounting exact), the arrival of every physical packet
 (:meth:`ReliableTransport.arrive`, the kernel callback the network
-posts: departed / down checks, infra packet handlers, then the ack or
-data straight to its channel half), timer jitter drawn from the
-injector's seeded RNG, partition-heal scheduling and per-site recovery
-clocks, the crash / rejoin / retire hooks of :mod:`repro.sim.crash` and
-:mod:`repro.sim.membership`, and the tracer hooks on channel events
+posts: the down check, infra packet handlers, then the ack or data
+straight to its channel half), timer jitter drawn from the injector's
+seeded RNG, partition-heal scheduling and per-site recovery clocks, the
+crash / rejoin hooks of :mod:`repro.sim.crash`, and the tracer hooks on channel events
 (which the base host counts into the run's collector; the metrics
 registry reads them there once, at quiescence).  A receiver half hands
 an in-order payload to ``Network._deliver_app`` itself: the host's
@@ -121,10 +120,7 @@ class ReliableTransport(ChannelHost):
         """Terminate one physical packet at the destination NIC: the
         kernel callback every :meth:`Network._transmit_raw` posts.
 
-        A packet to *or from* a departed site is void: once the source
-        has left, its channels are forgotten, and a late packet would
-        otherwise re-open one at sequence 0 and be applied twice.  A
-        down destination drops the packet at the wire — the sender's
+        A down destination drops the packet at the wire — the sender's
         channel keeps it durable and retransmits after the site rejoins
         — and only the infra handlers hear of it (``dead=True``), for
         their bookkeeping.  Otherwise the handlers may consume it, and
@@ -132,10 +128,6 @@ class ReliableTransport(ChannelHost):
         direction or data for the receiver half of this one.
         """
         net = self.net
-        departed = net.departed
-        if departed and (dst in departed or src in departed):
-            net.departed_drops += 1
-            return
         handlers = self.packet_handlers
         if dst in net.down:
             self.collector.record_dead_site_drop()
@@ -232,24 +224,6 @@ class ReliableTransport(ChannelHost):
             if dst == site:
                 ch.receiver.on_crash()
                 ch.sender.on_peer_crash()
-
-    def forget_site(self, site: int) -> None:
-        """Elastic membership: ``site`` left the view for good.
-
-        Every channel involving it is torn down — timers cancelled,
-        unacked/backlog queues and reorder buffers discarded (the
-        view-change fence already drained live traffic; whatever remains
-        was addressed to or queued at the departed site and is void),
-        suspicion pauses, backpressure tallies, and recovery clocks
-        cleared.
-        """
-        for key in [k for k in self._channels if site in k]:
-            self._channels.pop(key).sender.discard()
-        # simcheck: ignore[SIM003] -- set-to-set filter; construction order is never observable
-        self.paused_pairs = {p for p in self.paused_pairs if site not in p}
-        self._recovering.pop(site, None)
-        self._bp_channels.pop(site, None)
-        self._backlog_total.pop(site, None)
 
     def on_site_recover(self, site: int) -> None:
         """Rejoin: the revived site flushes its own durable backlog."""

@@ -89,9 +89,9 @@ class EventRecord:
     op_index: Optional[int] = None
     detail: str = ""
     #: destination site set of a write (WRITE_OP only).  Recorded at
-    #: write time because under elastic membership the placement later
-    #: in the run may disagree with the placement the write actually
-    #: used — the checker's apply-order condition needs the real one.
+    #: write time so the checker's apply-order condition (condition 3)
+    #: judges the set the write was actually sent to, read from the
+    #: history alone, and so a history file carries it for any reader.
     dests: Optional[tuple[int, ...]] = None
 
     def as_dict(self) -> dict:
@@ -106,7 +106,7 @@ class EventRecord:
             "op_index": self.op_index,
             "detail": self.detail,
         }
-        # omitted when absent so pre-membership trace files stay stable
+        # omitted when absent, so read and apply lines carry no such key
         if self.dests is not None:
             out["dests"] = list(self.dests)
         return out

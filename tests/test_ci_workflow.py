@@ -257,8 +257,11 @@ def test_perf_smoke_is_the_overhead_gate_plus_untimed_micro_information():
 def test_hb_track_is_exercised_wherever_the_papers_four_are(monkeypatch):
     workflow = yaml.safe_load(WORKFLOW.read_text())
     jobs = workflow["jobs"]
-    assert jobs["churn-matrix"]["strategy"]["matrix"]["protocol"] == [
-        "full-track", "opt-track", "opt-track-crp", "optp", "hb-track"]
+    crash_checked = {words[words.index("--protocol") + 1]
+                     for words in checked_runs(jobs["chaos-matrix"])
+                     if "--crash-plan" in words}
+    assert {"full-track", "opt-track", "opt-track-crp", "optp",
+            "hb-track"} <= crash_checked
     double_runs = [step for step in jobs["check"]["steps"]
                    if "--double-run" in step.get("run", "")]
     assert len(double_runs) == 2
@@ -285,37 +288,29 @@ def test_hb_track_is_exercised_wherever_the_papers_four_are(monkeypatch):
             "opt-track-noprune"} <= set(ran)
 
 
-def test_churn_matrix_gates_the_ledger_crosscheck():
-    # `repro run --metrics` exits 1 on a ledger crosscheck MISMATCH; under
-    # churn it did for Full-Track at churn seed 0 and nothing ran it.  One
-    # run carries both gates, the causal checker's and the ledger's
+def test_chaos_matrix_gates_the_ledger_crosscheck_for_every_core():
+    # `repro run --metrics` exits 1 on a ledger crosscheck MISMATCH.  Each
+    # core's crash-plan run carries both gates, the causal checker's and
+    # the ledger's, and ships its dump as an artifact
     workflow = yaml.safe_load(WORKFLOW.read_text())
-    job = workflow["jobs"]["churn-matrix"]
-    (step,) = [step for step in job["steps"]
-               if "repro run" in step.get("run", "")]
-    run = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>", step["run"])
-    words = [w for w in run.split() if w != "\\"]
-    assert words[:6] == ["PYTHONPATH=src", "python", "-m", "repro",
-                         "run", "--check"]
-    flags = words[words.index("--protocol"):words.index("|")]
-    assert flags[flags.index("--metrics") + 1].startswith("churn-metrics-")
-    assert "--churn-seed" in flags
-    # the checker's regime: adversarial latency, `repro check`'s old
-    # defaults spelled out
-    assert flags[flags.index("-q") + 1] == "20"
-    assert flags[flags.index("--latency") + 1] == "adversarial"
-    # beside the n = 5 rows, the n > p leaver case for the two protocols
-    # a late packet from the departed site once broke
-    matrix = job["strategy"]["matrix"]
-    assert matrix["size"] == ["-n 5"] and "<size>" in flags
-    assert [(row["churn-seed"], row["protocol"], row["size"])
-            for row in matrix["include"]] == [
-        (2, "full-track", "-n 8 -p 3"), (2, "opt-track", "-n 8 -p 3")]
-    # its exit code is the gate: teed, so pipefail, inherited from the
-    # workflow and overridden nowhere
-    assert words[words.index("|") + 1] == "tee"
-    assert "defaults" not in job and "shell" not in step
-    assert unguarded_tee_steps(workflow) == []
+    job = workflow["jobs"]["chaos-matrix"]
+    metered = {words[words.index("--protocol") + 1]:
+               words[words.index("--metrics") + 1]
+               for words in checked_runs(job)
+               if "--metrics" in words and "--crash-plan" in words
+               and "--overload-plan" not in words}
+    assert metered == {
+        "opt-track": "chaos-metrics-seed-<fault-seed>",
+        **{protocol: f"chaos-{protocol}-metrics-seed-<fault-seed>"
+           for protocol in ("full-track", "opt-track-crp", "optp",
+                            "hb-track")}}
+    (upload,) = [step for step in job["steps"]
+                 if step.get("with", {}).get("name")
+                 == "causal-check-seed-${{ matrix.fault-seed }}"]
+    paths = re.sub(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}", r"<\1>",
+                   upload["with"]["path"]).split()
+    for directory in metered.values():
+        assert directory + "/" in paths
 
 
 def test_chaos_matrix_checks_every_opt_track_log_variant():
@@ -360,13 +355,17 @@ def test_chaos_matrix_checks_every_opt_track_log_variant():
         "--protocol opt-track-crp -n 40 --ops 300 --latency adversarial"
         " --drop-rate 0.05",
         "--protocol opt-track -n 20 --ops 300 --crash-plan 600:1500:2",
+        "--protocol opt-track -n 40 --ops 300 --crash-plan 600:1500:2",
     ]
-    # the registry exports the counts of the first two runs, the
+    # the registry exports the counts of the crash-plan runs, the
     # overload and backpressure ones from the second
     assert [words[words.index("--metrics") + 1] for words in commands
             if "--metrics" in words] == [
         "chaos-metrics-seed-<fault-seed>",
-        "chaos-overload-metrics-seed-<fault-seed>"]
+        "chaos-overload-metrics-seed-<fault-seed>",
+        *[f"chaos-{protocol}-metrics-seed-<fault-seed>"
+          for protocol in ("full-track", "opt-track-crp", "optp",
+                           "hb-track")]]
     # each is a gate: teed into one report, so it must run under
     # pipefail, inherited from the workflow and overridden nowhere
     assert commands[0][-3:-1] == ["|", "tee"]
@@ -396,20 +395,20 @@ def checked_runs(job: dict) -> list[list[str]]:
 def test_each_fault_matrix_checks_a_paper_scale_cell():
     # the checker counts a broken history's violations instead of
     # enumerating them, so it keeps up with the paper's cells under
-    # drops, under a crash plan and under churn
+    # drops and under a crash plan, up to n = 40
     workflow = yaml.safe_load(WORKFLOW.read_text())
 
-    def paper_scale(words):  # a matrix-sized run (``<size>``) is not
-        return ("-n" in words and int(words[words.index("-n") + 1]) >= 20
-                and int(words[words.index("--ops") + 1]) >= 300)
+    def sites(words):
+        return int(words[words.index("-n") + 1])
+
+    def paper_scale(words):
+        return sites(words) >= 20 and int(words[words.index("--ops") + 1]) >= 300
 
     chaos = checked_runs(workflow["jobs"]["chaos-matrix"])
-    churn = checked_runs(workflow["jobs"]["churn-matrix"])
     assert [w for w in chaos if paper_scale(w) and "--drop-rate" in w
             and "--crash-plan" not in w]
-    assert [w for w in chaos if paper_scale(w) and "--crash-plan" in w]
-    assert [w for w in churn if paper_scale(w) and "--churn-joins" in w
-            and "<churn-seed>" in w and "<protocol>" in w]
+    assert [w for w in chaos if paper_scale(w) and "--crash-plan" in w
+            and sites(w) == 40]
 
 
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "bench_smoke_counts.json"

@@ -37,6 +37,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("flag", [
+        "--churn-joins", "--churn-leaves", "--churn-seed", "--churn-window",
+        "--auto-evict"])
+    def test_the_membership_flags_are_gone(self, flag):
+        # the site set is fixed for a run: no join, leave or eviction
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", flag, "1"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -205,11 +214,8 @@ class TestBadArguments:
         (["--partition", "0:100:7"], "--partition"),
         (["--overload-plan", "0:100:10:9"], "--overload-plan"),
         (["--checkpoint-interval", "-5"], "--checkpoint-interval"),
-        (["--auto-evict", "500"], "--auto-evict"),
-        (["--auto-evict", "-5", "--drop-rate", "0.1"], "--auto-evict"),
     ], ids=["crash-plan-site", "partition-site", "overload-site",
-            "checkpoint-interval", "auto-evict-without-chaos",
-            "auto-evict-negative"])
+            "checkpoint-interval"])
     def test_fault_flags(self, tmp_path, monkeypatch, verb, flags, named):
         # each used to raise deep in the stack, or to run a fault that
         # hit no site; none may start a run, nor write the plan it refused

@@ -74,8 +74,13 @@ class TestMatrixClock:
         assert mc.column(2).tolist() == [1, 1, 0]
 
     def test_merge_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            MatrixClock(2).merge(MatrixClock(3))
+        # the width is the run's fixed n: a wider clock and a narrower
+        # one are both refused, and the receiver is left as it was
+        for n, other in ((2, 3), (3, 2)):
+            clock = MatrixClock(n)
+            with pytest.raises(ValueError, match="different dimension"):
+                clock.merge(MatrixClock(other, np.ones((other, other))))
+            assert not clock.m.any()
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -138,5 +143,10 @@ class TestVectorClock:
             VectorClock(2, [1, 2, 3])
         with pytest.raises(ValueError):
             VectorClock(2, [-1, 0])
-        with pytest.raises(ValueError):
-            VectorClock(2).merge(VectorClock(3))
+
+    def test_merge_dimension_mismatch(self):
+        for n, other in ((2, 3), (3, 2)):
+            clock = VectorClock(n)
+            with pytest.raises(ValueError, match="different dimension"):
+                clock.merge(VectorClock(other, [1] * other))
+            assert not clock.v.any()

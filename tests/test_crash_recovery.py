@@ -223,6 +223,27 @@ class TestPlanValidation:
             ))
 
 
+class TestPlanJson:
+    """Plan JSON is untrusted input.  A plan dumped before elastic
+    membership was withdrawn carries a ``membership`` list: empty, it
+    loads as it always did; with events in it, it is refused rather than
+    run with less in it than the file says."""
+
+    PLAN = FaultPlan.build(crashes=(CrashEvent(1, 100.0, 900.0),))
+
+    def test_an_empty_membership_list_still_loads(self):
+        old = dict(self.PLAN.as_dict(), membership=[])
+        assert FaultPlan.from_dict(old) == self.PLAN
+        assert "membership" not in self.PLAN.as_dict()
+
+    def test_membership_events_are_refused(self):
+        old = dict(self.PLAN.as_dict(),
+                   membership=[{"kind": "join", "at_ms": 350.0}])
+        with pytest.raises(ValueError,
+                           match="elastic membership was withdrawn"):
+            FaultPlan.from_dict(old)
+
+
 class TestCliCrashPlan:
     def test_parses_recovery_and_stop_entries(self):
         events = _parse_crash_plan("800:1600:2,1200:-:4")

@@ -219,14 +219,6 @@ class TestSuspicionTable:
         assert not any(o == 1 for o, _s in det.suspected)
         assert det.suspects(0, 1)  # others still suspect it
 
-    def test_remove_member_drops_every_pair_naming_the_site(self):
-        det = self.make()
-        det.expire(200.0, self.MEMBERS, set())
-        det.remove_member(2)
-        for table in (det._last_heard, det._timeout, det.suspected):
-            assert not any(2 in pair for pair in table)
-        assert det.suspects(0, 1) and (0, 1) in det._timeout
-
     def test_rebaseline_moves_last_heard_forward_never_back(self):
         det = self.make()
         det.hear(0, 1, 500.0)

@@ -73,15 +73,11 @@ class TestTraceCli:
         assert "OK" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [
-        ["--protocol", "optp", "--churn-joins", "1"],
-        ["--protocol", "opt-track", "-p", "2", "--churn-joins", "1",
-         "--churn-leaves", "1"],
-    ], ids=["optp-join", "opt-track-p2-join-leave"])
+        ["--protocol", "optp"],
+        ["--protocol", "opt-track", "-p", "2"],
+    ], ids=["optp", "opt-track-p2"])
     def test_verify_trace_rebuilds_the_configured_placement(
             self, tmp_path, capsys, monkeypatch, flags):
-        # config.json once recorded the placement's post-churn factor: 6
-        # for the full-replication join (verify-trace then refused it as
-        # outside [1, 5]) and 1 for p = 2 under a join and a leave
         import repro.cli as cli
 
         argv = ["-n", "5", "-q", "20", "--ops", "30", "--drop-rate", "0.05",

@@ -6,8 +6,8 @@ Two halves:
 * the field types: every message type in ``PRICE_TABLE`` is frozen and
   declares only immutable fields, so a new message type cannot add a
   mutable one (``value`` is the one named exemption);
-* the run: for every registered protocol, over a plain, a chaos, a
-  crash-recovery and a churn run, every clock a site receives is
+* the run: for every registered protocol, over a plain, a chaos and a
+  crash-recovery run, every clock a site receives is
   read-only, and mutating one raises ``ValueError`` where it happens,
   on the simulator and after a trip through the wire codec.
 """
@@ -36,7 +36,7 @@ from repro.memory.store import SiteStore, WriteId
 from repro.metrics.collector import MetricsCollector
 from repro.service.codec import dumps, loads
 from repro.sim.engine import Simulator
-from repro.sim.faults import CrashEvent, FaultPlan, JoinEvent, LeaveEvent
+from repro.sim.faults import CrashEvent, FaultPlan
 from repro.sim.network import Network
 
 #: types immutable as they stand; a clock is, once it is in a message
@@ -88,8 +88,6 @@ SCENARIOS = {
                                spike_rate=0.02),
     "crash": FaultPlan.build(
         crashes=[CrashEvent(site=1, at_ms=500.0, recover_ms=900.0)]),
-    "churn": FaultPlan.build(
-        membership=[JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=1100.0)]),
 }
 
 
@@ -146,8 +144,6 @@ def assert_mutation_raises(clock):
         other = VectorClock(n, [9] * n)
     with pytest.raises(ValueError):
         clock.merge(other)
-    with pytest.raises(ValueError):
-        clock.grow(n + 1)
     assert (array_of(clock) == before).all() and clock.n == n
 
 
@@ -196,29 +192,3 @@ def test_never_written_rms_share_one_read_only_zero_matrix():
     fresh = FullTrackRM(var=var, value=None, write_id=None,
                         matrix=MatrixClock(3), request_id=1)
     assert size1 == size2 == fresh.metadata_size()
-
-
-@pytest.mark.parametrize("clock", [MatrixClock(2), VectorClock(2)],
-                         ids=["matrix", "vector"])
-def test_grow_refuses_a_read_only_clock(clock):
-    array_of(clock).setflags(write=False)
-    with pytest.raises(ValueError, match="read-only"):
-        clock.grow(3)
-    with pytest.raises(ValueError, match="read-only"):
-        clock.grow(2)  # even as a no-op: a sent clock is never grown
-    assert clock.n == 2
-
-
-@pytest.mark.parametrize("protocol", ["full-track", "optp"])
-def test_view_growth_grows_only_the_live_clock(protocol):
-    proto, _sent = make_core(protocol)
-    proto.write(next(iter(proto.ctx.placement.vars_at(1))), 5)
-    (_wid, sent), = proto.last_write_on.values()
-
-    class View:
-        members = (0, 1, 2, 3)
-        capacity = 4
-
-    proto.on_view_change(View())
-    assert proto.write_clock.n == 4
-    assert sent.n == 3 and not array_of(sent).flags.writeable

@@ -2,11 +2,11 @@
 
 ``golden/metrics_families.json`` pins every instrument family the
 registry exports — each series' value, or count and sum for a summary
-— for the five protocol cores under four fault sets: plain, chaos with a
-partition, a crash and recovery, and membership churn.  It also holds
-the ledger's lifetime message count per sending site.  Its counters and
-gauges were first written while the network, failure detector, crash
-manager, checkpoint layer and view manager still bumped registry
+— for the five protocol cores under three fault sets: plain, chaos with
+a partition, and a crash and recovery.  It also holds the ledger's
+lifetime message count per sending site.  Its counters and gauges were
+first written while the network, failure detector, crash manager and
+checkpoint layer still bumped registry
 counters beside their own; the test proves that reading those totals
 once at quiescence exports the same numbers.  The whole file was
 regenerated once more when the streamed histograms became summaries
@@ -22,10 +22,8 @@ MERGE took up KS implicit tracking (``_generated`` says by which commit):
 logs hold fewer records, so the log-size and metadata-byte families
 moved, and the message counts did not.
 
-The ``*/churn`` cases were regenerated once more when membership churn
-alone stopped installing the crash stack: they lost the checkpoint
-families, and the kernel event count, the end time and the heartbeat
-gauges moved with the checkpoint ticks that no longer run.
+The file once held five ``*/churn`` cases as well; they were deleted
+when elastic membership was withdrawn, and no other case moved.
 
 Regenerate only for an intentional change to what the registry
 exports: ``PYTHONPATH=src python tests/test_metrics_golden.py
@@ -53,8 +51,6 @@ FAULT_SETS = {
     "chaos-partition": ["--drop-rate", "0.1", "--dup-rate", "0.05",
                         "--partition", "300:900:0,1"],
     "crash": ["--drop-rate", "0.05", "--crash-plan", "600:1500:2"],
-    "churn": ["--churn-joins", "1", "--churn-leaves", "1",
-              "--drop-rate", "0.05"],
 }
 CASES = [f"{protocol}/{faults}" for protocol in PROTOCOLS
          for faults in FAULT_SETS]
@@ -123,16 +119,12 @@ def test_golden_is_not_vacuous(golden):
             assert any(total(f"{p}/{faults}", name) for p in PROTOCOLS), name
     # the control: HB-Track buffers arrivals under every fault set, so a
     # summary or counter wired to the wrong store cannot match by being 0
-    for faults in ("chaos-partition", "crash", "churn"):
+    for faults in ("chaos-partition", "crash"):
         families = golden[f"hb-track/{faults}"]["families"]
         assert total(f"hb-track/{faults}", "proto_buffered_arrivals_total"), faults
         count, _sum = families["proto_activation_wait_ms"]["protocol=hb-track"]
         assert count > 0, faults
     for protocol in PROTOCOLS:
-        churn = golden[f"{protocol}/churn"]["families"]
-        assert churn["membership_epochs_total"] == {"": 2}
-        assert churn["membership_changes_total"] == {
-            "kind=join": 1, "kind=leave": 1}
         assert golden[f"{protocol}/plain"]["ledger_messages_by_site"]
 
 

@@ -285,11 +285,9 @@ class TestChromeExport:
         )
 
 
-#: ``repro run --trace`` flags of a chaos + crash run and of a churn run
+#: ``repro run --trace`` flags of a chaos + crash run
 FAULT_RUNS = {
     "chaos-crash": ["--drop-rate", "0.05", "--crash-plan", "600:1500:2"],
-    "churn": ["--drop-rate", "0.05", "--churn-joins", "1",
-              "--churn-leaves", "1"],
 }
 
 
@@ -308,15 +306,13 @@ def fault_run(request, tmp_path_factory):
 
 class TestChromeUnderFaults:
     def test_every_used_track_is_named(self, fault_run):
-        name, trace, doc = fault_run
+        _name, trace, doc = fault_run
         events = doc["traceEvents"]
         named = {e["tid"] for e in events
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         used = {e["tid"] for e in events if e["ph"] != "M"}
         assert used <= named
-        # the churn run's joiner (site 5) has events of its own
-        joined = {ev.site for ev in trace.events} - set(range(5))
-        assert joined == ({5} if name == "churn" else set())
+        assert {ev.site for ev in trace.events} == set(range(5))
 
     def test_in_flight_track_follows_sends_and_first_deliveries(
             self, fault_run):

@@ -92,7 +92,7 @@ def ledgers_of(source: str) -> list[MetadataLedger]:
         cluster.write(k % 3, k % 3 + 3 * (k % 2), k)
         cluster.read((k + 1) % 3, k % 6)
     cluster.settle()
-    return [MetadataLedger(node.collector, base_n=3) for node in cluster.nodes]
+    return [MetadataLedger(node.collector) for node in cluster.nodes]
 
 
 class TestLedgerCrosscheck:
@@ -130,23 +130,6 @@ class TestLedgerCrosscheck:
         slot[0] += 1
         problems = registry.ledger.crosscheck()
         assert problems and all(" FM " in p for p in problems)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_track_rm_from_before_a_view_change(self, tmp_path, capsys,
-                                                     seed):
-        """A Full-Track RM may carry a matrix stored before a view change,
-        narrower than the epoch's clock.  Booked under the epoch's width
-        its components overran its price (seed 0: site 3 by 88 B, i.e.
-        8 x (36 - 25)); the CI churn matrix runs this command's churn
-        plan, under adversarial latency."""
-        code = cli_main([
-            "run", "--metrics", str(tmp_path), "--protocol", "full-track",
-            "-n", "5", "-q", "20", "--ops", "40", "--churn-joins", "1",
-            "--churn-leaves", "1", "--churn-seed", str(seed),
-            "--churn-window", "300:1500"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "ledger crosscheck (components vs priced bytes): OK" in out
 
     @pytest.mark.parametrize("source", LEDGER_SOURCES)
     def test_component_totals_sum_to_kind_bytes(self, source):
@@ -260,15 +243,7 @@ class TestDecomposeMessage:
         breakdown = decompose_message(message)
         assert sum(b for _, b in breakdown) == message.metadata_size()
 
-    def test_clock_growth_splits_into_epoch_padding(self):
-        wid = WriteId(site=0, clock=1)
-        grown = FullTrackSM(var=0, value=1, write_id=wid,
-                            matrix=MatrixClock(6))
-        parts = dict(decompose_message(grown, base_n=4))
-        assert parts["epoch_padding"] == (36 - 16) * COSTS.matrix_entry
-        assert sum(parts.values()) == grown.metadata_size()
-
-    def test_without_base_n_no_clock_byte_is_padding(self):
+    def test_every_clock_cell_is_a_clock_entry(self):
         wid = WriteId(site=0, clock=1)
         for message, clock_bytes in (
                 (FullTrackSM(var=0, value=1, write_id=wid,
@@ -277,11 +252,10 @@ class TestDecomposeMessage:
                         vector=VectorClock(5)), 5 * COSTS.vector_entry)):
             parts = dict(decompose_message(message))
             assert parts["clock_entries"] == clock_bytes
-            assert "epoch_padding" not in parts
 
-    def test_interactive_cluster_ledger_has_no_padding(self):
+    def test_interactive_cluster_ledger_crosschecks(self):
         # the ledger an interactive user builds, as docs/observability.md
-        # says to: over the cluster's collector, no base_n
+        # says to: over the cluster's collector
         cluster = CausalCluster(4, protocol="full-track", n_vars=8,
                                 replication_factor=2, seed=3)
         for k in range(8):
@@ -294,7 +268,6 @@ class TestDecomposeMessage:
         for cell in ledger.lifetime.values():
             for name, b in cell.components.items():
                 parts[name] = parts.get(name, 0) + b
-        assert "epoch_padding" not in parts
         sm = ledger.total_count("SM", "lifetime")
         rm = ledger.total_count("RM", "lifetime")
         assert sm and rm

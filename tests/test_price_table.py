@@ -5,10 +5,8 @@ For every message type a random shape is drawn — an Opt-Track log of
 0-60 records naming 0-12 destinations each, a CRP log of 0-60 tuples,
 a clock 1-40 wide, 0-5 fetch requirements — and priced.
 ``metadata_size`` must equal
-the sum of :func:`~repro.obs.ledger.decompose_message`'s components —
-with no clock cell booked as padding, and with every cell beyond the
-first booked as ``epoch_padding`` — and the per-message size
-:mod:`repro.analysis.model` predicts at that shape.
+the sum of :func:`~repro.obs.ledger.decompose_message`'s components and
+the per-message size :mod:`repro.analysis.model` predicts at that shape.
 
 The table's clock rows are calibrated against the paper's own sizes
 (Tables II and III); ``tests/test_calibration.py`` pins how far they may
@@ -39,16 +37,12 @@ from repro.core.messages import (
     OptPSM,
     OptTrackRM,
     OptTrackSM,
-    accounting_shape,
 )
 from repro.memory.store import WriteId
 from repro.metrics.sizing import COSTS
 from repro.obs.ledger import decompose_message
 
 WID = WriteId(1, 3)
-#: the ledger's ``base_n``: its default (no padding), and one site
-#: (every clock cell beyond the first is padding)
-BASE_N = {"default": None, "padded": 1}
 
 widths = st.integers(1, 40)
 records = st.lists(
@@ -113,19 +107,15 @@ def test_every_message_type_has_a_row_and_a_strategy():
     assert set(MESSAGES) == set(PRICE_TABLE)
 
 
-@pytest.mark.parametrize("base_n", sorted(BASE_N))
 @pytest.mark.parametrize("message_type", list(MESSAGES),
                          ids=lambda t: t.__name__)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_price_ledger_and_analytic_model_agree(message_type, base_n, data):
+def test_price_ledger_and_analytic_model_agree(message_type, data):
     message = data.draw(MESSAGES[message_type])
     size = message.metadata_size()
-    parts = dict(decompose_message(message, BASE_N[base_n]))
+    parts = dict(decompose_message(message))
     assert sum(parts.values()) == size
-    # accounting_shape's width is 0 for a message without a clock
-    assert ("epoch_padding" in parts) == (
-        base_n == "padded" and accounting_shape(message)[1] > 1)
     if isinstance(message, FetchMessage):
         base = dataclasses.replace(message, requirements=())
         assert size - base.metadata_size() == (

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import CausalCluster
-from repro.core.errors import DepartedSiteError
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -76,18 +75,14 @@ def _observable(sim, net):
         dict(net._fifo_floor),
         net.total_messages,
         net.app_messages_in_flight,
-        net.departed_drops,
     )
 
 
-def _run_twins(latency, seed, rounds, *, retire=None, **kwargs):
+def _run_twins(latency, seed, rounds, **kwargs):
     """Drive one network with ``multicast`` and its twin with the loop
     of ``send``s the port defines it as; they must never differ."""
     sim_m, net_m, log_m = _twin(latency, seed, **kwargs)
     sim_s, net_s, log_s = _twin(latency, seed, **kwargs)
-    if retire is not None:
-        net_m.retire_site(retire)
-        net_s.retire_site(retire)
     for k, (advance, src, copies, shared) in enumerate(rounds):
         sim_m.run(until=sim_m.now + advance)
         sim_s.run(until=sim_s.now + advance)
@@ -98,19 +93,9 @@ def _run_twins(latency, seed, rounds, *, retire=None, **kwargs):
         else:
             messages = [("m", k, i) for i in range(len(copies))]
             sizes = [size for _dst, size in copies]
-        errors = []
-        for net, fan_out in (
-            (net_m, lambda: net_m.multicast(src, dests, messages, sizes)),
-            (net_s, lambda: [net_s.send(src, dst, message, size_bytes=size)
-                             for dst, message, size
-                             in zip(dests, messages, sizes)]),
-        ):
-            try:
-                fan_out()
-                errors.append(None)
-            except DepartedSiteError as exc:
-                errors.append(str(exc))
-        assert errors[0] == errors[1]
+        net_m.multicast(src, dests, messages, sizes)
+        for dst, message, size in zip(dests, messages, sizes):
+            net_s.send(src, dst, message, size_bytes=size)
         assert _observable(sim_m, net_m) == _observable(sim_s, net_s)
     sim_m.run()
     sim_s.run()
@@ -144,19 +129,11 @@ class TestMulticastIsKSends:
     def test_with_a_fault_plan(self, latency, seed, rounds):
         _run_twins(latency, seed, rounds, chaos=True)
 
-    @given(seed=st.integers(0, 10_000), rounds=twin_rounds,
-           retire=st.integers(0, N_TWIN - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_with_a_departed_destination(self, seed, rounds, retire):
-        # same sends before the same DepartedSiteError (or, for a
-        # departed *source*, the same counted drops)
-        _run_twins(UniformLatency(1.0, 80.0), seed, rounds, retire=retire)
-
-    def test_departed_destination_raises_after_the_earlier_sends(self):
+    def test_out_of_range_destination_raises_after_the_earlier_sends(self):
         sim, net, log = _twin(ConstantLatency(5.0), 0)
-        net.retire_site(3)
-        with pytest.raises(DepartedSiteError):
-            net.multicast(0, [1, 2, 3, 4], ["m"] * 4, [0.0] * 4)
+        with pytest.raises(ValueError, match="out of range"):
+            net.multicast(0, [1, 2, N_TWIN, 4], ["m"] * 4, [0.0] * 4)
+        assert (net.total_messages, net.app_messages_in_flight) == (2, 2)
         sim.run()
         assert [(src, dst) for _t, src, dst, _m in log] == [(0, 1), (0, 2)]
 

@@ -10,13 +10,7 @@ import repro
 from repro.core.base import get_protocol_class, protocol_names
 from repro.experiments.runner import SimulationConfig, run_simulation
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.faults import (
-    ChannelFaults,
-    CrashEvent,
-    FaultPlan,
-    JoinEvent,
-    LeaveEvent,
-)
+from repro.sim.faults import ChannelFaults, CrashEvent, FaultPlan
 
 
 class TestScheduling:
@@ -259,16 +253,13 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
 
 
-#: the plans a run can take: the seed transport, the chaos transport with
-#: a crash and a recovery, and a view change (one join, one leave)
+#: the plans a run can take: the seed transport, and the chaos transport
+#: with a crash and a recovery
 _GC_PLANS = {
     "plain": None,
     "chaos-crash": FaultPlan.build(
         default=ChannelFaults(drop_rate=0.05, dup_rate=0.02),
         crashes=(CrashEvent(2, 600.0, 1500.0),),
-    ),
-    "churn": FaultPlan.build(
-        membership=[JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=1100.0)],
     ),
 }
 
@@ -297,8 +288,6 @@ def test_a_run_leaves_no_cyclic_garbage(protocol, plan):
         gc.garbage.clear()
     assert result.collector.ops_write > 0
     assert result.collector.crashes == (plan == "chaos-crash")
-    if plan == "churn":
-        assert result.view_manager.view.epoch == 2
     assert garbage == []
 
 

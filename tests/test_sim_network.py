@@ -171,18 +171,8 @@ class TestNetwork:
 
 
 class TestSeedDeliveryRoutes:
-    """A seed-path delivery to a departed, traced or paused site takes the
-    matching slow case; each test here fails on a delivery that skips its
-    check."""
-
-    def test_delivery_to_departed_site_is_dropped(self):
-        sim, net, inboxes = make_net()
-        net.send(0, 1, "x")
-        net.retire_site(1)
-        sim.run()
-        assert inboxes[1] == []
-        assert net.departed_drops == 1
-        assert net.app_messages_in_flight == 0
+    """A seed-path delivery to a traced or paused site takes the matching
+    slow case; each test here fails on a delivery that skips its check."""
 
     def test_traced_delivery_emits_msg_deliver(self):
         sim = Simulator()
@@ -232,7 +222,7 @@ def data(seq, payload="x"):
 
 
 class TestChaosArrivalRoutes:
-    """A chaos packet's arrival at a down or departed site, at a handler
+    """A chaos packet's arrival at a down site, at a handler
     that consumes it, as an ack nobody waits for, or as a duplicate takes
     the matching slow case; each test here fails on an arrival that skips
     its check."""
@@ -255,16 +245,6 @@ class TestChaosArrivalRoutes:
         assert receiver.next_expected == 0 and receiver.reorder == {}
         assert net.collector.acks_sent == 0
         assert inboxes[1] == []
-
-    @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0)])
-    def test_packet_from_or_to_departed_site_is_void(self, src, dst):
-        sim, net, inboxes = make_chaos_net()
-        net._transmit_raw(src, dst, data(0), 8.0)
-        net.retire_site(2)
-        sim.run()
-        assert net.departed_drops == 1
-        assert net.transport._channels == {}
-        assert inboxes[dst] == []
 
     def test_consuming_handler_stops_ack_and_data_dispatch(self):
         sim, net, inboxes = make_chaos_net()

@@ -9,7 +9,7 @@ from repro.memory.store import SiteStore
 from repro.metrics.collector import MetricsCollector
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.faults import CrashEvent, FaultPlan, JoinEvent, LeaveEvent
+from repro.sim.faults import CrashEvent, FaultPlan
 from repro.sim.network import Network
 from repro.sim.process import Site
 from repro.workload.schedule import Operation, OpKind, SiteSchedule
@@ -134,14 +134,11 @@ class TestBlockingRemoteReads:
 
 class TestRunsFromColumns:
     """The simulator steps through a schedule's columns: no run builds
-    the ``items`` view, traced or not, through crash recovery and a
-    view change."""
+    the ``items`` view, traced or not, through crash recovery."""
 
     PLANS = {
         "plain": None,
         "crash-recover": FaultPlan.build(crashes=(CrashEvent(2, 600.0, 1500.0),)),
-        "join-leave": FaultPlan.build(
-            membership=(JoinEvent(at_ms=350.0), LeaveEvent(site=2, at_ms=900.0))),
     }
 
     @pytest.mark.parametrize("traced", [False, True])
